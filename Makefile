@@ -1,12 +1,13 @@
 # Build/verify targets. tier1 is the hard gate every PR must keep green;
 # bench-smoke additionally vets the tree and runs every benchmark family
 # once, catching benchmark-harness rot without paying for real measurement.
-# ci is the full gate: tier-1, go vet plus race-built tests, and the
-# benchmark-trajectory diff against the committed BENCH_results.json.
+# ci is the full gate: tier-1, go vet plus race-built tests, the
+# benchmark-trajectory diff against the committed BENCH_results.json, and
+# a compile-and-smoke of the benchmark/ harness against the engine.
 
 GO ?= go
 
-.PHONY: tier1 vet lint test race-test faults fuzz-smoke bench-smoke bench-json bench-diff serve load-smoke ci
+.PHONY: tier1 vet lint test race-test faults fuzz-smoke bench-smoke bench-json bench-diff bench-harness serve load-smoke ci
 
 tier1:
 	$(GO) build ./...
@@ -35,9 +36,10 @@ race-test:
 	$(GO) test -race ./...
 
 # faults runs the resource-governance fault-injection sweep under the race
-# detector: every paper plan on both engines, tripped at every operator
-# boundary the run crosses (faults_test.go), plus the budget-exhaustion
-# paths of the HTTP tier. Uncached (-count=1) so CI always re-executes it.
+# detector: every paper plan on the slot engine and on the reference
+# evaluator, tripped at every operator boundary the run crosses
+# (faults_test.go), plus the budget-exhaustion paths of the HTTP tier.
+# Uncached (-count=1) so CI always re-executes it.
 faults:
 	$(GO) test -race -count=1 -run 'TestFault|TestWithMax|TestBudget|TestConcurrentBudget' .
 	$(GO) test -race -count=1 -run 'TestResource|TestRequestBodyBounds' ./internal/server/
@@ -46,8 +48,9 @@ faults:
 # target runs briefly under the coverage engine (which always replays the
 # committed testdata/fuzz corpus first — the pinned crashers), then the
 # seeded differential sweep drives generated queries through every plan
-# alternative on both engines under the race detector. Override FUZZTIME /
-# QGEN_SEED / QGEN_COUNT to dig; failures print a one-line reproducer.
+# alternative on the slot engine and the reference evaluator under the race
+# detector. Override FUZZTIME / QGEN_SEED / QGEN_COUNT to dig; failures
+# print a one-line reproducer.
 FUZZTIME ?= 30s
 QGEN_SEED ?= 20240808
 QGEN_COUNT ?= 250
@@ -83,6 +86,12 @@ bench-diff:
 	@$(GO) run ./cmd/nalbench -diff .bench-base.json -threshold $(BENCH_DIFF_PCT); \
 		rc=$$?; rm -f .bench-base.json; exit $$rc
 
+# bench-harness vets and smoke-tests the end-to-end harness of benchmark/
+# (its own module, importing the engine through a replace directive), so an
+# exported name it compiles against cannot go missing unnoticed (~10 s).
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
+
 # serve runs a local nalserved over the synthetic corpus — the quickest
 # way to poke the HTTP surface by hand (see docs/SERVER.md).
 SERVE_ADDR ?= 127.0.0.1:8080
@@ -107,4 +116,4 @@ load-smoke:
 		kill -TERM $$pid; wait $$pid; drc=$$?; \
 		[ $$rc -eq 0 ] && [ $$drc -eq 0 ]
 
-ci: tier1 lint race-test bench-diff
+ci: tier1 lint race-test bench-diff bench-harness

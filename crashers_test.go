@@ -42,7 +42,7 @@ func assertAllPlansAgree(t *testing.T, eng *Engine, query string) string {
 			{"slot", []RunOption{WithPlan(plan.Name)}},
 			{"map", []RunOption{WithPlan(plan.Name), WithReferenceEngine()}},
 		} {
-			out, err := sweepRun(p, mode.opts)
+			out, _, err := sweepRun(p, mode.opts)
 			if err != nil {
 				t.Fatalf("plan %q on %s engine: %v", plan.Name, mode.name, err)
 			}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"nalquery/internal/algebra"
 	"nalquery/internal/qgen"
 )
 
@@ -51,22 +52,22 @@ func sweepParams(t *testing.T) (seed int64, count int) {
 	return seed, count
 }
 
-// runToString executes one prepared query under the given options and
-// returns its serialized output. Generous budgets guard the sweep against a
-// pathological plan materializing without bound — on the small sweep
-// documents no correct plan comes near them.
-func sweepRun(p *Prepared, opts []RunOption) (string, error) {
+// sweepRun executes one prepared query under the given options and returns
+// its serialized output plus the run's engine-level counters. Generous
+// budgets guard the sweep against a pathological plan materializing without
+// bound — on the small sweep documents no correct plan comes near them.
+func sweepRun(p *Prepared, opts []RunOption) (string, algebra.Stats, error) {
 	res, err := p.Run(context.Background(),
 		append([]RunOption{WithMaxTuples(1 << 21), WithMaxMemory(512 << 20)}, opts...)...)
 	if err != nil {
-		return "", err
+		return "", algebra.Stats{}, err
 	}
 	defer res.Close()
 	var sb strings.Builder
 	if err := res.WriteXML(&sb); err != nil {
-		return "", err
+		return "", algebra.Stats{}, err
 	}
-	return sb.String(), nil
+	return sb.String(), res.actx.Stats, nil
 }
 
 // runTyped consumes the run item-by-item (the typed consumption path) and
@@ -117,6 +118,12 @@ func TestDifferentialGeneratedQueries(t *testing.T) {
 		}
 		var ref string
 		for pi, plan := range p.Plans() {
+			// The measured traffic of the definitional-evaluator fallback is
+			// zero: every generated plan resolves slot-natively and (below)
+			// runs without one fallen-back operator or map tuple.
+			if sc, ok := algebra.ResolveSchema(plan.op); !ok || !sc.Native {
+				t.Fatalf("plan %q does not resolve slot-natively (%s)\n%s", plan.Name, plan.op, repro)
+			}
 			for _, eng := range []struct {
 				name string
 				opts []RunOption
@@ -124,9 +131,13 @@ func TestDifferentialGeneratedQueries(t *testing.T) {
 				{"slot", append([]RunOption{WithPlan(plan.Name)}, binds...)},
 				{"map", append([]RunOption{WithPlan(plan.Name), WithReferenceEngine()}, binds...)},
 			} {
-				out, err := sweepRun(p, eng.opts)
+				out, st, err := sweepRun(p, eng.opts)
 				if err != nil {
 					t.Fatalf("plan %q on %s engine failed: %v\n%s", plan.Name, eng.name, err, repro)
+				}
+				if eng.name == "slot" && (st.ShimOps != 0 || st.MapTuples != 0) {
+					t.Fatalf("plan %q fell back to the definitional evaluator: ShimOps=%d MapTuples=%d\n%s",
+						plan.Name, st.ShimOps, st.MapTuples, repro)
 				}
 				if pi == 0 && eng.name == "slot" {
 					ref = out

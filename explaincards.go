@@ -55,16 +55,13 @@ func (q *Query) ExplainCards(name string) ([]CardRow, error) {
 
 // countRows executes an operator subtree and counts its output tuples.
 func countRows(op algebra.Op, docs map[string]*dom.Document) int64 {
-	ctx := algebra.NewCtx(docs)
-	it := algebra.OpenIter(op, ctx, nil)
-	defer it.Close()
+	p := algebra.OpenPump(op, algebra.NewCtx(docs), nil)
+	defer p.Close()
 	var n int64
-	for {
-		if _, ok := it.Next(); !ok {
-			return n
-		}
+	for p.Step() {
 		n++
 	}
+	return n
 }
 
 // FormatCards renders ExplainCards rows as an indented table.

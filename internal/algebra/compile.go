@@ -301,17 +301,16 @@ func slotsOf(lay *value.Layout, names []string) ([]int, bool) {
 	return out, true
 }
 
-// rowKey computes the canonical grouping/join key of a row over slots —
-// hashKey's slot twin. One- and two-column keys (the common cases) are
-// allocation-free composites; wider keys fold into one string.
+// rowKey computes the canonical grouping/join key of a row over slots. One-
+// and two-column keys (the common cases) are allocation-free composites;
+// wider keys fold into one string.
 func rowKey(r value.Row, slots []int) value.HashKey {
 	return value.KeyOfSlots(r.Vals, slots)
 }
 
 // tupleHashKey is rowKey for map tuples (group members inside TupleSeq
-// values, and the partitioned operators' definitional evaluators — which
-// must key identically to the slot engine so both agree on partition
-// order).
+// values, and every definitional evaluator — which must key identically to
+// the slot engine so both agree on matches, groups and partition order).
 func tupleHashKey(t value.Tuple, attrs []string) value.HashKey {
 	return value.KeyOfAttrs(t, attrs)
 }

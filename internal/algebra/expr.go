@@ -180,14 +180,15 @@ type Stats struct {
 	// scans answered from a structural or value index instead of a
 	// document traversal.
 	IndexScans int64
-	// ShimOps counts operators that executed behind the map→row conversion
-	// shim (resolvable schema but no slot-native iterator). A fully native
-	// plan runs with ShimOps == 0 — the property the
-	// partitioned-plans-resolve-natively tests pin.
+	// ShimOps counts operators the engine could not type and materialized
+	// through the definitional evaluator instead (evalIter) — inside a row
+	// tree or as the plan root. A fully native plan runs with ShimOps == 0,
+	// the property the partitioned-plans-resolve-natively tests and the
+	// generated-query sweep pin.
 	ShimOps int64
-	// MapTuples counts map tuples materialized on the row engine's data
-	// path: group payloads converted to TupleSeq for an uncompiled sequence
-	// function, and the per-tuple traffic of the conversion shim. The
+	// MapTuples counts map tuples put on the row engine's data path: group
+	// payloads converted to TupleSeq for an uncompiled sequence function,
+	// and the tuples of a ShimOps fallback re-typed as rows. The
 	// public-API boundary (RunIter, iterator Next) and the environment shim
 	// of nested algebraic expressions — the deliberately-measured
 	// nested-loop strategy — are excluded. A plan whose nested data runs

@@ -68,11 +68,11 @@ func (g GroupUnary) Attrs() ([]string, bool) {
 
 // partition splits tuples into buckets by the hash key over attrs; keys are
 // returned in first-occurrence order and buckets preserve input order.
-func partition(ts value.TupleSeq, attrs []string) ([]string, map[string]value.TupleSeq) {
-	var keys []string
-	buckets := make(map[string]value.TupleSeq, len(ts))
+func partition(ts value.TupleSeq, attrs []string) ([]value.HashKey, map[value.HashKey]value.TupleSeq) {
+	var keys []value.HashKey
+	buckets := make(map[value.HashKey]value.TupleSeq, len(ts))
 	for _, t := range ts {
-		k := hashKey(t, attrs)
+		k := tupleHashKey(t, attrs)
 		if _, ok := buckets[k]; !ok {
 			keys = append(keys, k)
 		}
@@ -112,10 +112,10 @@ func (g GroupSelf) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	in := g.In.Eval(ctx, env)
 	ctx.ChargeTuples(TripGroup, in)
 	_, buckets := partition(in, g.By)
-	applied := make(map[string]value.Value, len(buckets))
+	applied := make(map[value.HashKey]value.Value, len(buckets))
 	out := make(value.TupleSeq, 0, len(in))
 	for _, t := range in {
-		k := hashKey(t, g.By)
+		k := tupleHashKey(t, g.By)
 		v, ok := applied[k]
 		if !ok {
 			v = g.F.Apply(ctx, env, buckets[k])
@@ -175,7 +175,7 @@ func (g GroupBinary) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if g.Theta == value.CmpEq && !g.ForceScan {
 		hash := buildHash(r, g.RAttrs)
 		for _, lt := range l {
-			grp := hash[hashKey(lt, g.LAttrs)]
+			grp := hash[tupleHashKey(lt, g.LAttrs)]
 			nt := lt.Copy()
 			nt[g.G] = g.F.Apply(ctx, env, grp)
 			out = append(out, nt)
@@ -323,13 +323,13 @@ func (u UnnestDistinct) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	for _, t := range in {
 		base := t.Drop([]string{u.Attr})
 		ts, _ := value.TuplesOf(t[u.Attr])
-		seen := map[string]bool{}
+		seen := map[value.HashKey]bool{}
 		for _, g := range ts {
-			k := hashKey(g, g.Attrs())
+			k := tupleHashKey(g, g.Attrs())
 			if seen[k] {
 				continue
 			}
-			ctx.charge(TripDedup, 0, dedupEntryBytes+int64(len(k)))
+			ctx.charge(TripDedup, 0, dedupEntryBytes)
 			seen[k] = true
 			out = append(out, base.Concat(g))
 		}

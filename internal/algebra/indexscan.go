@@ -143,8 +143,7 @@ func sortDedupe(nodes []*dom.Node) []*dom.Node {
 	return out
 }
 
-// Eval implements Op (the definitional evaluator; the legacy pull engine
-// reaches it through the sliceIter fallback).
+// Eval implements Op (the definitional evaluator).
 func (s IndexScan) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	nodes := s.resolve(ctx, env)
 	in := s.In.Eval(ctx, env)

@@ -4,12 +4,16 @@ import (
 	"nalquery/internal/value"
 )
 
+// This file is the map-tuple boundary of the one streaming engine: plans
+// execute on the slot-based row engine of rowiter.go, and the entry points
+// here open a plan, drive it, and convert rows to map tuples for callers
+// that ask for them. There is no second executor: an operator without a
+// slot-native schema is materialized once by the definitional evaluator
+// (evalIter) and its result streamed.
+
 // Iterator is the pull-based physical operator interface (open-next-close),
 // the execution model of the Natix engine the paper evaluates on ("NAL is
-// close to our physical algebra", Sec. 1). Streamable operators (σ, Π, χ,
-// Υ, Ξ, joins on their probe side) pull one tuple at a time; pipeline
-// breakers (grouping, µ over grouped input, the build side of a hash join)
-// materialize exactly the state the algorithm requires.
+// close to our physical algebra", Sec. 1), at the map-tuple API boundary.
 type Iterator interface {
 	// Next returns the next tuple of the sequence; ok is false at the end.
 	Next() (t value.Tuple, ok bool)
@@ -17,20 +21,17 @@ type Iterator interface {
 	Close()
 }
 
-// OpenIter builds the iterator tree for a plan under the given context and
-// free-variable environment. Plans whose schema resolves (see
-// ResolveSchema) execute on the slot-based row engine of rowiter.go, with
-// map tuples materialized only at this boundary; unresolvable plans run the
-// legacy map-based iterators.
+// OpenIter opens a plan under the given context and free-variable
+// environment and yields its result as map tuples. Plans whose schema
+// resolves natively (see ResolveSchema) execute on the row engine, with map
+// tuples materialized only at this boundary; any other root is evaluated
+// definitionally (re-typing its tuples as rows only to convert them back
+// would be a pure round trip).
 func OpenIter(op Op, ctx *Ctx, env value.Tuple) Iterator {
-	// A resolvable but non-native root would only round-trip every tuple
-	// map→row→map through the conversion shim; run it on the legacy engine
-	// directly (its children still dispatch through OpenIter and go
-	// slot-native where they can).
 	if sc, ok := ResolveSchema(op); ok && sc.Native {
 		return &rowTupleAdapter{in: openRowsSchema(op, sc, ctx, env)}
 	}
-	return openLegacy(op, ctx, env)
+	return evalIter(op, ctx, env)
 }
 
 // rowTupleAdapter converts the row engine's output to map tuples at the
@@ -47,61 +48,32 @@ func (a *rowTupleAdapter) Next() (value.Tuple, bool) {
 
 func (a *rowTupleAdapter) Close() { a.in.Close() }
 
-// openLegacy builds the map-based iterator tree — the fallback engine for
-// plans without a resolvable schema, and the executor behind the row
-// engine's conversion shim.
-func openLegacy(op Op, ctx *Ctx, env value.Tuple) Iterator {
-	switch w := op.(type) {
-	case Singleton:
-		return &sliceIter{ts: value.TupleSeq{value.EmptyTuple()}}
-	case Select:
-		return &selectIter{in: OpenIter(w.In, ctx, env), pred: w.Pred, ctx: ctx, env: env}
-	case Project:
-		return &mapTupleIter{in: OpenIter(w.In, ctx, env), f: func(t value.Tuple) value.Tuple {
-			return t.Project(w.Names)
-		}}
-	case ProjectDrop:
-		return &mapTupleIter{in: OpenIter(w.In, ctx, env), f: func(t value.Tuple) value.Tuple {
-			return t.Drop(w.Names)
-		}}
-	case ProjectRename:
-		return &mapTupleIter{in: OpenIter(w.In, ctx, env), f: func(t value.Tuple) value.Tuple {
-			return renameTuple(t, w.Pairs)
-		}}
-	case ProjectDistinct:
-		return newDistinctIter(OpenIter(w.In, ctx, env), w.Pairs, ctx)
-	case Map:
-		return &mapTupleIter{in: OpenIter(w.In, ctx, env), f: func(t value.Tuple) value.Tuple {
-			nt := t.Copy()
-			nt[w.Attr] = w.E.Eval(ctx, env.Concat(t))
-			return nt
-		}}
-	case UnnestMap:
-		return &unnestMapIter{in: OpenIter(w.In, ctx, env), attr: w.Attr, posAttr: w.PosAttr,
-			e: w.E, ctx: ctx, env: env}
-	case XiSimple:
-		return &xiIter{in: OpenIter(w.In, ctx, env), cmds: w.Cmds, ctx: ctx, env: env}
-	case XiGroupStream:
-		return &xiGroupStreamIter{op: w, in: OpenIter(w.In, ctx, env), ctx: ctx, env: env}
-	case Unnest:
-		return &unnestIter{op: w, in: OpenIter(w.In, ctx, env)}
-	case Cross:
-		return newCrossIter(w, ctx, env)
-	case Join:
-		return newJoinIter(w.L, w.R, w.Pred, ctx, env, joinModeInner, "", nil)
-	case SemiJoin:
-		return newJoinIter(w.L, w.R, w.Pred, ctx, env, joinModeSemi, "", nil)
-	case AntiJoin:
-		return newJoinIter(w.L, w.R, w.Pred, ctx, env, joinModeAnti, "", nil)
-	case OuterJoin:
-		return newJoinIter(w.L, w.R, w.Pred, ctx, env, joinModeOuter, w.G, w.Default)
-	default:
-		// Pipeline breakers without a streaming decomposition (Γ, µD,
-		// group-detecting Ξ) materialize through the definitional
-		// evaluator and stream their output.
-		return &sliceIter{ts: op.Eval(ctx, env)}
-	}
+// evalIter is the engine's one fallback for an operator the slot engine
+// cannot type (unknown operator extensions, colliding layouts, µD over an
+// untracked payload): the whole subtree materializes once through the
+// definitional evaluator — which charges the budget and polls cancellation
+// itself — and the result streams from the slice. Each use counts in
+// Stats.ShimOps.
+func evalIter(op Op, ctx *Ctx, env value.Tuple) *sliceIter {
+	ctx.Stats.ShimOps++
+	return &sliceIter{ts: op.Eval(ctx, env)}
 }
+
+type sliceIter struct {
+	ts  value.TupleSeq
+	pos int
+}
+
+func (s *sliceIter) Next() (value.Tuple, bool) {
+	if s.pos >= len(s.ts) {
+		return nil, false
+	}
+	t := s.ts[s.pos]
+	s.pos++
+	return t, true
+}
+
+func (s *sliceIter) Close() { s.ts = nil }
 
 // RunIter drains a plan through the iterator engine and returns the
 // materialized result (for comparison and for callers that need the whole
@@ -121,8 +93,8 @@ func RunIter(op Op, ctx *Ctx, env value.Tuple) value.TupleSeq {
 
 // DrainIter pulls a plan to completion discarding tuples — the execution
 // mode of a top-level query, where the Ξ side effects are the result. On
-// the row engine no map tuple is ever materialized. A cancellation signal
-// wired into ctx (SetDone) terminates the drain early.
+// a natively resolved plan no map tuple is ever materialized. A
+// cancellation signal wired into ctx (SetDone) terminates the drain early.
 func DrainIter(op Op, ctx *Ctx, env value.Tuple) {
 	p := OpenPump(op, ctx, env)
 	defer p.Close()
@@ -141,399 +113,26 @@ func DrainIter(op Op, ctx *Ctx, env value.Tuple) {
 // emit zero or more.
 type Pump struct {
 	rit RowIter
-	it  Iterator
 }
 
-// OpenPump opens the iterator tree of a plan for step-wise driving,
-// choosing the slot-based row engine when the plan's schema resolves and
-// the legacy map engine otherwise — the same dispatch as DrainIter.
+// OpenPump opens the row-iterator tree of a plan for step-wise driving —
+// the same dispatch as OpenIter, minus the map tuples.
 func OpenPump(op Op, ctx *Ctx, env value.Tuple) *Pump {
-	if sc, ok := ResolveSchema(op); ok && sc.Native {
-		return &Pump{rit: openRowsSchema(op, sc, ctx, env)}
+	sc, ok := ResolveSchema(op)
+	if !ok {
+		// No layout to type the root's tuples under; the pump discards its
+		// rows anyway, so the fallback re-types them under the empty one.
+		sc = Schema{Lay: value.NewLayout()}
 	}
-	return &Pump{it: openLegacy(op, ctx, env)}
+	return &Pump{rit: openRowsSchema(op, sc, ctx, env)}
 }
 
 // Step advances the plan by one root tuple; false means the plan is
 // exhausted (or the run was cancelled).
 func (p *Pump) Step() bool {
-	if p.rit != nil {
-		_, ok := p.rit.Next()
-		return ok
-	}
-	_, ok := p.it.Next()
+	_, ok := p.rit.Next()
 	return ok
 }
 
 // Close releases the iterator state. Close is idempotent.
-func (p *Pump) Close() {
-	if p.rit != nil {
-		p.rit.Close()
-		p.rit = nil
-	}
-	if p.it != nil {
-		p.it.Close()
-		p.it = nil
-	}
-}
-
-type sliceIter struct {
-	ts  value.TupleSeq
-	pos int
-}
-
-func (s *sliceIter) Next() (value.Tuple, bool) {
-	if s.pos >= len(s.ts) {
-		return nil, false
-	}
-	t := s.ts[s.pos]
-	s.pos++
-	return t, true
-}
-
-func (s *sliceIter) Close() { s.ts = nil }
-
-type selectIter struct {
-	in   Iterator
-	pred Expr
-	ctx  *Ctx
-	env  value.Tuple
-}
-
-func (s *selectIter) Next() (value.Tuple, bool) {
-	for {
-		t, ok := s.in.Next()
-		if !ok {
-			return nil, false
-		}
-		if value.EffectiveBool(s.pred.Eval(s.ctx, s.env.Concat(t))) {
-			return t, true
-		}
-	}
-}
-
-func (s *selectIter) Close() { s.in.Close() }
-
-type mapTupleIter struct {
-	in Iterator
-	f  func(value.Tuple) value.Tuple
-}
-
-func (m *mapTupleIter) Next() (value.Tuple, bool) {
-	t, ok := m.in.Next()
-	if !ok {
-		return nil, false
-	}
-	return m.f(t), true
-}
-
-func (m *mapTupleIter) Close() { m.in.Close() }
-
-type distinctIter struct {
-	in    Iterator
-	pairs []Rename
-	seen  map[string]bool
-	ctx   *Ctx
-}
-
-func newDistinctIter(in Iterator, pairs []Rename, ctx *Ctx) *distinctIter {
-	return &distinctIter{in: in, pairs: pairs, seen: map[string]bool{}, ctx: ctx}
-}
-
-func (d *distinctIter) Next() (value.Tuple, bool) {
-	for {
-		t, ok := d.in.Next()
-		if !ok {
-			return nil, false
-		}
-		nt := make(value.Tuple, len(d.pairs))
-		key := ""
-		for _, r := range d.pairs {
-			v := t[r.Old]
-			nt[r.New] = v
-			key += value.Key(v) + "|"
-		}
-		if !d.seen[key] {
-			d.ctx.charge(TripDedup, 0, dedupEntryBytes+int64(len(key)))
-			d.seen[key] = true
-			return nt, true
-		}
-	}
-}
-
-func (d *distinctIter) Close() { d.in.Close() }
-
-// xiGroupStreamIter streams the boundary-detecting Ξ: it holds exactly one
-// tuple of state (the previous one) and fires S1/S2/S3 as boundaries open
-// and close — the pipelined implementation the paper's Sec. 2 describes.
-type xiGroupStreamIter struct {
-	op  XiGroupStream
-	in  Iterator
-	ctx *Ctx
-	env value.Tuple
-
-	prev   value.Tuple
-	closed bool
-}
-
-func (x *xiGroupStreamIter) Next() (value.Tuple, bool) {
-	t, ok := x.in.Next()
-	if !ok {
-		if x.prev != nil && !x.closed {
-			execCommands(x.ctx, x.env, x.prev, x.op.S3)
-			x.closed = true
-		}
-		return nil, false
-	}
-	if x.prev == nil {
-		execCommands(x.ctx, x.env, t, x.op.S1)
-	} else if !sameGroup(x.prev, t, x.op.By) {
-		execCommands(x.ctx, x.env, x.prev, x.op.S3)
-		execCommands(x.ctx, x.env, t, x.op.S1)
-	}
-	execCommands(x.ctx, x.env, t, x.op.S2)
-	x.prev = t
-	return t, true
-}
-
-func (x *xiGroupStreamIter) Close() { x.in.Close() }
-
-type unnestMapIter struct {
-	in      Iterator
-	attr    string
-	posAttr string
-	e       Expr
-	ctx     *Ctx
-	env     value.Tuple
-
-	cur     value.Tuple
-	pending value.Seq
-	pos     int
-}
-
-func (u *unnestMapIter) Next() (value.Tuple, bool) {
-	for {
-		// The scan-level cancellation point of the map engine, mirroring
-		// rowUnnestMapIter on the slot engine.
-		if u.ctx.Cancelled() {
-			return nil, false
-		}
-		if u.pos < len(u.pending) {
-			nt := u.cur.Copy()
-			nt[u.attr] = u.pending[u.pos]
-			if u.posAttr != "" {
-				nt[u.posAttr] = value.Int(int64(u.pos + 1))
-			}
-			u.pos++
-			u.ctx.Stats.Tuples++
-			u.ctx.ChargeTuple(TripScan, nt)
-			return nt, true
-		}
-		t, ok := u.in.Next()
-		if !ok {
-			return nil, false
-		}
-		u.cur = t
-		u.pending = value.AsSeq(u.e.Eval(u.ctx, u.env.Concat(t)))
-		u.pos = 0
-	}
-}
-
-func (u *unnestMapIter) Close() { u.in.Close() }
-
-type xiIter struct {
-	in   Iterator
-	cmds []Command
-	ctx  *Ctx
-	env  value.Tuple
-}
-
-func (x *xiIter) Next() (value.Tuple, bool) {
-	t, ok := x.in.Next()
-	if !ok {
-		return nil, false
-	}
-	execCommands(x.ctx, x.env, t, x.cmds)
-	return t, true
-}
-
-func (x *xiIter) Close() { x.in.Close() }
-
-type unnestIter struct {
-	op Unnest
-	in Iterator
-
-	inner      []string
-	staticDone bool // resolver consulted for the ⊥-pad attribute set
-	cur        value.Tuple
-	pending    value.TupleSeq
-	pos        int
-	padded     bool
-}
-
-func (u *unnestIter) Next() (value.Tuple, bool) {
-	for {
-		if u.pos < len(u.pending) {
-			base := u.cur.Drop([]string{u.op.Attr})
-			g := u.pending[u.pos]
-			u.pos++
-			return base.Concat(g), true
-		}
-		t, ok := u.in.Next()
-		if !ok {
-			return nil, false
-		}
-		u.cur = t
-		ts, _ := value.TuplesOf(t[u.op.Attr])
-		if len(ts) == 0 {
-			// ⊥-pad: the operator hint, then the resolver's nested schema
-			// (consulted lazily, on the first empty group — matching
-			// Unnest.Eval), then attributes observed on earlier groups.
-			inner := u.op.InnerAttrs
-			if inner == nil && !u.staticDone {
-				u.staticDone = true
-				if s := staticInnerAttrs(u.op.In, u.op.Attr); s != nil {
-					u.inner = s
-				}
-			}
-			if inner == nil {
-				inner = u.inner
-			}
-			u.pending = nil
-			u.pos = 0
-			return t.Drop([]string{u.op.Attr}).Concat(value.NullTuple(inner)), true
-		}
-		if u.inner == nil {
-			u.inner = ts[0].Attrs()
-		}
-		u.pending = ts
-		u.pos = 0
-	}
-}
-
-func (u *unnestIter) Close() { u.in.Close() }
-
-type crossIter struct {
-	left  Iterator
-	right value.TupleSeq
-	cur   value.Tuple
-	pos   int
-	done  bool
-}
-
-func newCrossIter(c Cross, ctx *Ctx, env value.Tuple) Iterator {
-	right := c.R.Eval(ctx, env)
-	ctx.ChargeTuples(TripBuild, right)
-	return &crossIter{left: OpenIter(c.L, ctx, env), right: right, pos: -1}
-}
-
-func (c *crossIter) Next() (value.Tuple, bool) {
-	for {
-		if c.done {
-			return nil, false
-		}
-		if c.pos >= 0 && c.pos < len(c.right) {
-			t := c.cur.Concat(c.right[c.pos])
-			c.pos++
-			return t, true
-		}
-		lt, ok := c.left.Next()
-		if !ok {
-			c.done = true
-			return nil, false
-		}
-		c.cur = lt
-		c.pos = 0
-		if len(c.right) == 0 {
-			c.pos = len(c.right) // skip
-		}
-	}
-}
-
-func (c *crossIter) Close() { c.left.Close() }
-
-type joinMode uint8
-
-const (
-	joinModeInner joinMode = iota
-	joinModeSemi
-	joinModeAnti
-	joinModeOuter
-)
-
-// joinIter is the probe-order-preserving hash/nested-loop join family: the
-// build side (right operand) materializes once, the probe side streams.
-type joinIter struct {
-	left Iterator
-	jp   joinPlan
-	mode joinMode
-	ctx  *Ctx
-	env  value.Tuple
-
-	g        string
-	def      SeqFunc
-	padAttrs []string
-
-	cur     value.Tuple
-	pending value.TupleSeq
-	pos     int
-}
-
-func newJoinIter(l, r Op, pred Expr, ctx *Ctx, env value.Tuple, mode joinMode, g string, def SeqFunc) Iterator {
-	it := &joinIter{left: OpenIter(l, ctx, env), mode: mode, ctx: ctx, env: env, g: g, def: def}
-	it.jp = prepareJoin(ctx, env, l, r, pred)
-	if mode == joinModeOuter {
-		rAttrs, known := r.Attrs()
-		if !known && len(it.jp.right) > 0 {
-			rAttrs = it.jp.right[0].Attrs()
-		}
-		for _, a := range rAttrs {
-			if a != g {
-				it.padAttrs = append(it.padAttrs, a)
-			}
-		}
-	}
-	return it
-}
-
-func (j *joinIter) Next() (value.Tuple, bool) {
-	for {
-		if j.pos < len(j.pending) {
-			t := j.cur.Concat(j.pending[j.pos])
-			j.pos++
-			return t, true
-		}
-		lt, ok := j.left.Next()
-		if !ok {
-			return nil, false
-		}
-		// Probe side streams: fault-injection boundary only.
-		j.ctx.Fault(TripProbe)
-		switch j.mode {
-		case joinModeSemi:
-			if j.jp.anyMatch(j.ctx, j.env, lt) {
-				return lt, true
-			}
-		case joinModeAnti:
-			if !j.jp.anyMatch(j.ctx, j.env, lt) {
-				return lt, true
-			}
-		case joinModeInner:
-			j.cur = lt
-			j.pending = j.jp.matches(j.ctx, j.env, lt)
-			j.pos = 0
-		case joinModeOuter:
-			ms := j.jp.matches(j.ctx, j.env, lt)
-			if len(ms) == 0 {
-				nt := lt.Concat(value.NullTuple(j.padAttrs))
-				nt[j.g] = j.def.Apply(j.ctx, j.env, nil)
-				return nt, true
-			}
-			j.cur = lt
-			j.pending = ms
-			j.pos = 0
-		}
-	}
-}
-
-func (j *joinIter) Close() { j.left.Close() }
+func (p *Pump) Close() { p.rit.Close() }

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"strings"
 
 	"nalquery/internal/value"
 )
@@ -95,24 +94,12 @@ func attrSet(op Op) map[string]bool {
 	return m
 }
 
-func hashKey(t value.Tuple, attrs []string) string {
-	if len(attrs) == 1 {
-		return value.Key(t[attrs[0]])
-	}
-	var sb strings.Builder
-	for _, a := range attrs {
-		sb.WriteString(value.Key(t[a]))
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
 // buildHash partitions tuples into buckets keyed by the hash key over attrs,
 // preserving the order of tuples within each bucket.
-func buildHash(ts value.TupleSeq, attrs []string) map[string]value.TupleSeq {
-	h := make(map[string]value.TupleSeq, len(ts))
+func buildHash(ts value.TupleSeq, attrs []string) map[value.HashKey]value.TupleSeq {
+	h := make(map[value.HashKey]value.TupleSeq, len(ts))
 	for _, t := range ts {
-		k := hashKey(t, attrs)
+		k := tupleHashKey(t, attrs)
 		h[k] = append(h[k], t)
 	}
 	return h
@@ -127,7 +114,7 @@ type joinPlan struct {
 	lKeys    []string
 	rKeys    []string
 	residual Expr
-	hash     map[string]value.TupleSeq
+	hash     map[value.HashKey]value.TupleSeq
 	right    value.TupleSeq
 	useHash  bool
 }
@@ -161,7 +148,7 @@ func prepareJoin(ctx *Ctx, env value.Tuple, l, r Op, pred Expr) joinPlan {
 func (jp *joinPlan) matches(ctx *Ctx, env value.Tuple, lt value.Tuple) value.TupleSeq {
 	candidates := jp.right
 	if jp.useHash {
-		candidates = jp.hash[hashKey(lt, jp.lKeys)]
+		candidates = jp.hash[tupleHashKey(lt, jp.lKeys)]
 	}
 	if jp.residual == nil {
 		return candidates
@@ -179,7 +166,7 @@ func (jp *joinPlan) matches(ctx *Ctx, env value.Tuple, lt value.Tuple) value.Tup
 func (jp *joinPlan) anyMatch(ctx *Ctx, env value.Tuple, lt value.Tuple) bool {
 	candidates := jp.right
 	if jp.useHash {
-		candidates = jp.hash[hashKey(lt, jp.lKeys)]
+		candidates = jp.hash[tupleHashKey(lt, jp.lKeys)]
 	}
 	if jp.residual == nil {
 		return len(candidates) > 0

@@ -304,20 +304,19 @@ type ProjectDistinct struct {
 // Eval implements Op.
 func (p ProjectDistinct) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	in := p.In.Eval(ctx, env)
-	seen := make(map[string]bool, len(in))
+	olds := make([]string, len(p.Pairs))
+	for i, r := range p.Pairs {
+		olds[i] = r.Old
+	}
+	seen := make(map[value.HashKey]bool, len(in))
 	var out value.TupleSeq
 	for _, t := range in {
 		nt := make(value.Tuple, len(p.Pairs))
-		var kb strings.Builder
 		for _, r := range p.Pairs {
-			v := t[r.Old]
-			nt[r.New] = v
-			kb.WriteString(value.Key(v))
-			kb.WriteByte('|')
+			nt[r.New] = t[r.Old]
 		}
-		k := kb.String()
-		if !seen[k] {
-			ctx.charge(TripDedup, 0, dedupEntryBytes+int64(len(k)))
+		if k := tupleHashKey(t, olds); !seen[k] {
+			ctx.charge(TripDedup, 0, dedupEntryBytes)
 			seen[k] = true
 			out = append(out, nt)
 		}

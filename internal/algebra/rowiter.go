@@ -7,15 +7,15 @@ import (
 	"nalquery/internal/value"
 )
 
-// This file is the slot-based pull engine: the open-next-close iterators of
-// iter.go re-implemented over value.Row. The schema-resolution pass
-// (schema.go) fixes every operator's attribute→slot mapping at plan time;
-// the iterators then produce rows with one value-slice allocation (often
-// zero: σ and Ξ pass rows through, ΠA′:A swaps the layout pointer and keeps
-// the slice). Nested data is slot-native too: group payloads, e[a] bindings
-// and nested-block results travel as value.RowSeq. Map-based tuples survive
-// only in the conversion shim that runs structurally untyped operators
-// through the definitional evaluator — every map tuple materialized on the
+// This file is the streaming engine: open-next-close iterators over
+// value.Row, one per operator. The schema-resolution pass (schema.go) fixes
+// every operator's attribute→slot mapping at plan time; the iterators then
+// produce rows with one value-slice allocation (often zero: σ and Ξ pass
+// rows through, ΠA′:A swaps the layout pointer and keeps the slice). Nested
+// data is slot-native too: group payloads, e[a] bindings and nested-block
+// results travel as value.RowSeq. Map-based tuples survive only in the
+// conversion shim that materializes a structurally untyped operator through
+// the definitional evaluator (evalIter) — every map tuple it puts on the
 // data path counts in Stats.MapTuples.
 //
 // Rows are immutable once emitted. Operators may retain received rows
@@ -29,7 +29,8 @@ type RowIter interface {
 }
 
 // openRows builds the slot-based iterator tree for a plan. ok=false means
-// the plan's schema does not resolve and only the map-based engine applies.
+// the plan's schema does not resolve and only the definitional evaluator
+// applies.
 //
 // Schema resolution is re-derived per level while opening (a node at depth
 // d is resolved O(d) times), so plan open is quadratic in plan size in the
@@ -51,10 +52,9 @@ func openRowsSchema(op Op, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
 			return it
 		}
 	}
-	// Conversion shim: run the operator on the map engine and re-type its
-	// tuples under the resolved layout.
-	ctx.Stats.ShimOps++
-	return &tupleRowIter{in: openLegacy(op, ctx, env), lay: sc.Lay, ctx: ctx}
+	// Conversion shim: materialize the operator through the definitional
+	// evaluator and re-type its tuples under the resolved layout.
+	return &tupleRowIter{in: evalIter(op, ctx, env), lay: sc.Lay, ctx: ctx}
 }
 
 // openNative constructs the slot-native iterator for a structurally resolved
@@ -421,10 +421,11 @@ func (s *rowSliceIter) Close() {
 	s.rows = nil
 }
 
-// tupleRowIter is the conversion shim: it streams a map-based iterator and
-// re-types every tuple under the resolved layout.
+// tupleRowIter is the conversion shim: it streams the tuples the
+// definitional evaluator materialized and re-types each under the resolved
+// layout.
 type tupleRowIter struct {
-	in  Iterator
+	in  *sliceIter
 	lay *value.Layout
 	ctx *Ctx
 }
@@ -781,6 +782,15 @@ func (c *rowCrossIter) Next() (value.Row, bool) {
 func (c *rowCrossIter) Close() { c.left.Close() }
 
 // ---- join family ----
+
+type joinMode uint8
+
+const (
+	joinModeInner joinMode = iota
+	joinModeSemi
+	joinModeAnti
+	joinModeOuter
+)
 
 // rowJoinPlan is the slot twin of joinPlan: build side materialized as rows,
 // hashed on the key slots.

@@ -17,10 +17,10 @@ import (
 //
 // Resolution is best-effort: an operator the resolver cannot type
 // structurally still resolves through its static attribute set (Attrs) and
-// executes through the definitional evaluator behind a conversion shim
-// (Schema.Native = false); a subtree whose attribute set is statically
-// unknown does not resolve at all, and the plan falls back to the map-based
-// engine (see OpenIter).
+// is materialized by the definitional evaluator behind a conversion shim
+// (Schema.Native = false). A subtree whose attribute set is statically
+// unknown does not resolve at all; the nearest resolvable ancestor — or the
+// plan root (see OpenIter) — evaluates it definitionally the same way.
 
 // Schema is the resolved output type of one operator.
 type Schema struct {
@@ -159,8 +159,8 @@ func sameNames(a, b *value.Layout) bool {
 }
 
 // ResolveSchema computes the output schema of an operator tree. ok=false
-// means the attribute set is statically unknown and the subtree can only run
-// on the map-based engine.
+// means the attribute set is statically unknown and the subtree can only be
+// evaluated definitionally.
 func ResolveSchema(op Op) (Schema, bool) {
 	//nal:opswitch schema
 	switch w := op.(type) {

@@ -254,9 +254,10 @@ type Stats struct {
 	// (one per IndexScan open) instead of a document traversal. Plans
 	// without substituted index scans report 0.
 	IndexScans int64
-	// MapTuples counts map tuples materialized on the slot engine's data
-	// path (group payloads converted for uncompiled sequence functions,
-	// conversion-shim traffic). Fully native execution reports 0.
+	// MapTuples counts map tuples put on the slot engine's data path (group
+	// payloads converted for uncompiled sequence functions, the output of an
+	// operator that fell back to the definitional evaluator). Fully native
+	// execution — every plan the compiler produces today — reports 0.
 	MapTuples int64
 	// BudgetBytes and BudgetTuples are the run's resource-budget charge
 	// counters (see WithMaxMemory/WithMaxTuples). Both are 0 when the run
@@ -566,15 +567,6 @@ func (q *Query) ExecuteReference(name string) (string, Stats, error) {
 		return "", Stats{}, err
 	}
 	return sb.String(), st, nil
-}
-
-// ExecuteStreaming runs the named plan ("" = lowest estimated cost) through
-// the pull-based iterator engine (open-next-close, the physical execution
-// model of the engine the paper evaluates on).
-//
-// Deprecated: identical to Execute; prefer Run.
-func (q *Query) ExecuteStreaming(name string) (string, Stats, error) {
-	return q.Execute(name)
 }
 
 // ExecuteTo runs the named plan ("" = most optimized) through the pull-based

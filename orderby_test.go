@@ -113,8 +113,8 @@ return <p>{ decimal($p1) }</p>`
 	}
 }
 
-// TestOrderByBothEngines: the iterator engine produces the same sorted
-// output (Sort materializes through the fallback path).
+// TestOrderByBothEngines: the slot engine's Sort breaker produces the same
+// sorted output as the definitional evaluator.
 func TestOrderByBothEngines(t *testing.T) {
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(40, 2)
@@ -122,16 +122,16 @@ func TestOrderByBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, _, err := q.Execute("")
+	str, _, err := q.Execute("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, _, err := q.ExecuteStreaming("")
+	mat, _, err := q.ExecuteReference("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mat != str {
-		t.Errorf("iterator engine output differs from materialized output")
+		t.Errorf("slot engine output differs from the reference evaluator's")
 	}
 }
 

@@ -90,16 +90,16 @@ return <r>{ $i }</r>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, _, err := q.Execute("")
+	str, _, err := q.Execute("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, _, err := q.ExecuteStreaming("")
+	mat, _, err := q.ExecuteReference("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mat != str {
-		t.Errorf("materialized %q != streaming %q", mat, str)
+		t.Errorf("reference %q != slot engine %q", mat, str)
 	}
 }
 

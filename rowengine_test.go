@@ -72,7 +72,7 @@ func TestSlotEngineMatchesMapEngine(t *testing.T) {
 
 // TestPaperPlansResolveNatively guards the perf story: every plan of every
 // paper query must pass the schema-resolution pass, so execution never
-// silently degrades to the map engine.
+// silently degrades to the definitional evaluator.
 func TestPaperPlansResolveNatively(t *testing.T) {
 	e := tinyEngine(t)
 	e.LoadDBLPDocument(40)

@@ -21,7 +21,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, p.Name, err)
 			}
-			str, _, err := q.ExecuteStreaming(p.Name)
+			str, _, err := q.Execute(p.Name)
 			if err != nil {
 				t.Fatalf("%s/%s streaming: %v", id, p.Name, err)
 			}
@@ -39,7 +39,7 @@ func TestStreamingUnknownPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.ExecuteStreaming("nope"); err == nil {
+	if _, _, err := q.Execute("nope"); err == nil {
 		t.Fatalf("unknown plan must error")
 	}
 }
