@@ -1,7 +1,8 @@
 # Build/verify targets. tier1 is the hard gate every PR must keep green;
 # bench-smoke additionally vets the tree and runs every benchmark family
 # once, catching benchmark-harness rot without paying for real measurement.
-# ci is the full gate: tier-1, go vet plus race-built tests, the
+# ci is the full gate: tier-1, lint (the zero-dependency guard and the
+# nalvet analyzers), go vet plus race-built tests, the
 # benchmark-trajectory diff against the committed BENCH_results.json, and
 # a compile-and-smoke of the benchmark/ harness against the engine.
 
@@ -16,12 +17,15 @@ tier1:
 vet:
 	$(GO) vet ./...
 
-# lint builds the repo's own analyzer suite (cmd/nalvet, docs/ANALYSIS.md)
-# and runs it over the whole tree through the go vet driver. It enforces
-# the cross-file engine invariants: operator-dispatch completeness,
-# panic discipline, charge-map label stability, MustParse confinement and
-# scan-loop cancellation polling. Findings print as file:line: message.
+# lint builds the repo's own analyzer suite (cmd/nalvet, docs/ANALYSIS.md;
+# standard library only) and has go vet run it as its -vettool over the
+# whole tree. It enforces the cross-file engine invariants: operator-
+# dispatch completeness, panic discipline, charge-map label stability,
+# MustParse confinement and scan-loop cancellation polling. Findings print
+# as file:line: message. It first guards the module's zero-dependency
+# state: no vendor/ directory and no module but this one in the build list.
 lint:
+	test ! -e vendor && [ "$$($(GO) list -m all | wc -l)" -eq 1 ]
 	@mkdir -p .bin
 	$(GO) build -o .bin/nalvet ./cmd/nalvet
 	$(GO) vet -vettool=$(CURDIR)/.bin/nalvet ./...

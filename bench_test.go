@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 	"nalquery/internal/experiments"
 )
 
@@ -53,7 +54,7 @@ func benchExperiment(b *testing.B, id string, sizes []int, apbs []int) {
 				plan := p
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, _, err := q.Execute(plan.Name); err != nil {
+						if _, _, err := cli.RunPlan(q, plan.Name); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"testing"
 
+	"nalquery/internal/cli"
 	"nalquery/internal/experiments"
 )
 
@@ -120,7 +121,7 @@ func runJSON(path, expID string, opts experiments.Options) error {
 	default:
 		exp, ok := experiments.Find(expID)
 		if !ok {
-			// fig6 and the ablations have no per-plan Execute benchmarks.
+			// fig6 and the ablations have no per-plan benchmarks.
 			return fmt.Errorf("-json measures query plans only (q1, q1dblp, q2..q6, joins, unorderedq1, grouping, resultiter, prepared, server, resource, index, all); %q has no plan benchmarks", expID)
 		}
 		exps = []experiments.Experiment{exp}
@@ -159,7 +160,7 @@ func runJSON(path, expID string, opts experiments.Options) error {
 				r := testing.Benchmark(func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := q.Execute(plan); err != nil {
+						if _, _, err := cli.RunPlan(q, plan); err != nil {
 							b.Fatal(err)
 						}
 					}

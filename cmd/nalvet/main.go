@@ -1,8 +1,9 @@
 // Command nalvet is nalquery's project-specific static analysis suite:
-// a go/analysis multichecker that mechanically enforces the engine's
-// cross-file invariants (operator dispatch completeness, the panic
-// discipline, the budget charge map, MustParse confinement, scan-loop
-// cancellation polling). See docs/ANALYSIS.md.
+// five analyzers behind one go vet tool (the internal/analysis driver)
+// that mechanically enforce the engine's cross-file invariants (operator
+// dispatch completeness, the panic discipline, the budget charge map,
+// MustParse confinement, scan-loop cancellation polling). See
+// docs/ANALYSIS.md.
 //
 // It runs two ways:
 //
@@ -11,8 +12,8 @@
 //	nalvet -json ./...                        # machine-readable findings
 //
 // Standalone mode simply re-invokes "go vet -vettool=<self>" on the given
-// package patterns, so both paths run the identical unitchecker protocol
-// (including cross-package facts for opcomplete).
+// package patterns, so both paths run the identical vet-tool protocol and
+// the go command does the package loading, building and caching.
 package main
 
 import (
@@ -21,28 +22,37 @@ import (
 	"os/exec"
 	"strings"
 
-	"golang.org/x/tools/go/analysis/unitchecker"
-
 	"nalquery/internal/analysis"
+	"nalquery/internal/analysis/budgetcharge"
+	"nalquery/internal/analysis/ctxpoll"
+	"nalquery/internal/analysis/mustparse"
+	"nalquery/internal/analysis/opcomplete"
+	"nalquery/internal/analysis/panicdiscipline"
 )
 
 func main() {
 	// Under "go vet -vettool" the go command invokes this binary with a
-	// *.cfg argument (the unitchecker protocol) or protocol flags like
-	// -V=full and -flags. Anything else is a human invocation: re-exec
-	// through go vet so package loading, facts and caching all work.
+	// vet.cfg argument or the protocol flags -V=full and -flags. Anything
+	// else is a human invocation: re-exec through go vet so package
+	// loading, export data and caching all work.
 	if standaloneInvocation(os.Args[1:]) {
 		os.Exit(standalone(os.Args[1:]))
 	}
-	unitchecker.Main(analysis.All()...)
+	analysis.Main(
+		opcomplete.Analyzer,
+		panicdiscipline.Analyzer,
+		budgetcharge.Analyzer,
+		mustparse.Analyzer,
+		ctxpoll.Analyzer,
+	)
 }
 
 // standaloneInvocation reports whether the arguments look like a human
 // running nalvet directly on package patterns, rather than the go
-// command driving the unitchecker protocol.
+// command driving the vet-tool protocol.
 func standaloneInvocation(args []string) bool {
 	if len(args) == 0 {
-		return false // let unitchecker print its usage
+		return false // let the driver print its usage
 	}
 	for _, a := range args {
 		if strings.HasSuffix(a, ".cfg") || strings.HasPrefix(a, "-V") ||

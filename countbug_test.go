@@ -50,7 +50,7 @@ func TestCountBugAvoided(t *testing.T) {
 	}
 	want := `<itemno="1"bids="2"></item><itemno="2"bids="0"></item><itemno="3"bids="1"></item>`
 	for _, p := range q.Plans() {
-		out, _, err := q.Execute(p.Name)
+		out, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatalf("plan %q: %v", p.Name, err)
 		}
@@ -112,7 +112,7 @@ return <t no="{ string($i1) }" sum="{ $s1 }"/>`)
 	}
 	want := `<tno="1"sum="12"></t><tno="2"sum="0"></t>`
 	for _, p := range q.Plans() {
-		out, _, err := q.Execute(p.Name)
+		out, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatalf("plan %q: %v", p.Name, err)
 		}

@@ -103,7 +103,7 @@ func TestDifferentialPlansAgree(t *testing.T) {
 		}
 		var ref string
 		for pi, p := range q.Plans() {
-			out, stats, err := q.Execute(p.Name)
+			out, stats, err := execute(q, p.Name)
 			if err != nil {
 				t.Fatalf("round %d plan %q: %v", i, p.Name, err)
 			}
@@ -117,7 +117,7 @@ func TestDifferentialPlansAgree(t *testing.T) {
 				t.Errorf("round %d: unnested plan %q executed %d nested-loop iterations",
 					i, p.Name, stats.NestedEvals)
 			}
-			rout, _, err := q.ExecuteReference(p.Name)
+			rout, _, err := execute(q, p.Name, WithReferenceEngine())
 			if err != nil {
 				t.Fatalf("round %d plan %q (reference): %v", i, p.Name, err)
 			}

@@ -37,7 +37,7 @@ func TestPlanLookup(t *testing.T) {
 	if p.Explain() == "" {
 		t.Fatalf("plan must explain itself")
 	}
-	if _, _, err := q.Execute("no-such-plan"); err == nil {
+	if _, _, err := execute(q, "no-such-plan"); err == nil {
 		t.Fatalf("executing an unknown plan must error")
 	}
 }
@@ -99,7 +99,7 @@ return <stock sku="{ $s1 }">{ $t1 }</stock>`)
 	if !strings.Contains(names, "grouping") {
 		t.Fatalf("custom facts must enable the grouping plan, have %s", names)
 	}
-	out, _, err := q.Execute("grouping")
+	out, _, err := execute(q, "grouping")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ return <stock sku="{ $s1 }">{ $t1 }</stock>`)
 	if out != want {
 		t.Fatalf("custom document grouping:\ngot:  %s\nwant: %s", out, want)
 	}
-	nested, _, err := q.Execute("nested")
+	nested, _, err := execute(q, "nested")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ return <r bid="{ $a1 }">{ $c1 }</r>`)
 	}
 	var ref string
 	for _, p := range q.Plans() {
-		out, _, err := q.Execute(p.Name)
+		out, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestOrderPreservationUnderReorderedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range q.Plans() {
-		out, _, err := q.Execute(p.Name)
+		out, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestStatsTuplesCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := q.Execute("")
+	_, st, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,9 @@ func (e *BindError) Unwrap() error { return e.reason }
 var ErrInternal = errors.New("nalquery: internal error")
 
 // InternalError reports an evaluator panic recovered at the Run/Results
-// boundary: Query.Run, Prepared.Run, Results.Next/WriteXML and the
-// deprecated Execute wrappers all convert a panicking plan into this error
-// instead of propagating the panic. It matches ErrInternal under errors.Is
+// boundary: Query.Run, Prepared.Run, Engine.Query and Results.Next/WriteXML
+// all convert a panicking plan into this error instead of propagating the
+// panic. It matches ErrInternal under errors.Is
 // and carries everything a serving layer needs to log the poison query.
 type InternalError struct {
 	// Query is the text of the query whose evaluation panicked.

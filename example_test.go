@@ -1,8 +1,10 @@
 package nalquery_test
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	nalquery "nalquery"
 )
@@ -67,9 +69,9 @@ return
 	// indexed group Ξ [Eqv.5 xi-fusion index-scan]
 }
 
-// ExampleQuery_Execute compares the nested baseline against an unnested
-// plan: identical results, different scan counts.
-func ExampleQuery_Execute() {
+// ExampleQuery_Run compares the nested baseline against an unnested plan:
+// identical results, different scan counts.
+func ExampleQuery_Run() {
 	eng := nalquery.NewEngine()
 	if err := eng.LoadXMLString("bib.xml", exampleBib); err != nil {
 		log.Fatal(err)
@@ -87,8 +89,19 @@ return <recent>{ $t1 }</recent>`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nested, nestedStats, _ := q.Execute("nested")
-	semi, semiStats, _ := q.Execute("semijoin")
+	run := func(plan string) (string, nalquery.Stats) {
+		res, err := q.Run(context.Background(), nalquery.WithPlan(plan))
+		if err != nil {
+			log.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := res.WriteXML(&sb); err != nil {
+			log.Fatal(err)
+		}
+		return sb.String(), res.Stats()
+	}
+	nested, nestedStats := run("nested")
+	semi, semiStats := run("semijoin")
 	fmt.Println(nested == semi)
 	fmt.Println(nestedStats.DocAccesses > semiStats.DocAccesses)
 	fmt.Println(semi)

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 )
 
 func main() {
@@ -56,7 +57,7 @@ return <active>{ $u1 }</active>`)
 	}
 	fmt.Println("\nactive bidders (per plan):")
 	for _, p := range q.Plans() {
-		out, stats, err := q.Execute(p.Name)
+		out, stats, err := cli.RunPlan(q, p.Name)
 		if err != nil {
 			log.Fatal(err)
 		}

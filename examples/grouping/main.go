@@ -11,6 +11,7 @@ import (
 	"time"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func run(eng *nalquery.Engine, label, query string) {
 	var ref string
 	for _, p := range q.Plans() {
 		t0 := time.Now()
-		out, stats, err := q.Execute(p.Name)
+		out, stats, err := cli.RunPlan(q, p.Name)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,15 +5,14 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 	"nalquery/internal/dom"
 	"nalquery/internal/store"
 	"nalquery/internal/xmlgen"
@@ -68,18 +67,11 @@ func main() {
 	// prefix instead.
 	best, _ := q.Plan("")
 	run := func(opts ...nalquery.RunOption) (string, nalquery.Stats) {
-		var st nalquery.Stats
-		res, err := q.Run(context.Background(),
-			append(opts, nalquery.WithPlan(best.Name), nalquery.WithStats(&st))...)
+		out, st, err := cli.RunPlan(q, best.Name, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer res.Close()
-		var sb strings.Builder
-		if err := res.WriteXML(&sb); err != nil {
-			log.Fatal(err)
-		}
-		return sb.String(), st
+		return out, st
 	}
 	t0 = time.Now()
 	out, stats := run()
@@ -99,7 +91,7 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 = time.Now()
-	_, nstats, err := qs.Execute("nested")
+	_, nstats, err := cli.RunPlan(qs, "nested")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 )
 
 const catalog = `<catalog>
@@ -24,7 +25,7 @@ func run(eng *nalquery.Engine, title, text string) {
 	if err != nil {
 		log.Fatalf("%s: %v", title, err)
 	}
-	out, stats, err := q.Execute("")
+	out, stats, err := cli.RunPlan(q, "")
 	if err != nil {
 		log.Fatalf("%s: %v", title, err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 )
 
 // genQuotes builds a tick stream in time order: rounds of quotes over a
@@ -57,7 +58,7 @@ func run(eng *nalquery.Engine, title, text string) {
 	}
 	for _, p := range q.Plans() {
 		t0 := time.Now()
-		out, stats, err := q.Execute(p.Name)
+		out, stats, err := cli.RunPlan(q, p.Name)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func run(eng *nalquery.Engine, title, text string) {
 			stats.NestedEvals, len(out))
 	}
 	best, _ := q.Plan("")
-	out, _, err := q.Execute("")
+	out, _, err := cli.RunPlan(q, "")
 	if err != nil {
 		log.Fatal(err)
 	}

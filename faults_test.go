@@ -270,7 +270,7 @@ func TestBudgetWithinLimitIsInvisible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		want, _, err := q.Execute("")
+		want, _, err := execute(q, "")
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -302,7 +302,7 @@ func TestConcurrentBudgetIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := q.Execute("")
+	want, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // StringWriter is the output sink of the Ξ result-construction operators
 // (satisfied by strings.Builder, bufio.Writer, …). Write errors are the
 // sink's to track: operators stream fire-and-forget, and callers that wrap
-// files flush and check at the end (see Query.ExecuteTo).
+// files flush and check at the end (see Results.WriteXML).
 type StringWriter interface {
 	WriteString(s string) (int, error)
 }

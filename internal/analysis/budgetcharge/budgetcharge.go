@@ -19,17 +19,14 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"nalquery/internal/analysis"
 )
 
 // Analyzer is the budgetcharge analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     "budgetcharge",
-	Doc:      "require every budget charge/fault site to carry a unique, stable Trip* label",
-	Run:      run,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Name: "budgetcharge",
+	Doc:  "require every budget charge/fault site to carry a unique, stable Trip* label",
+	Run:  run,
 }
 
 var pkgs = "nalquery/internal/algebra"
@@ -39,8 +36,8 @@ func init() {
 		"comma-separated import paths of the packages carrying the charge map")
 }
 
-// labelArg maps a charge/fault callee name to the index of its trip-point
-// label argument.
+// labelArg maps a charge/fault callee name — the charge plumbing — to the
+// index of its trip-point label argument.
 var labelArg = map[string]int{
 	"drainRowsInto": 1,
 	"drainRows":     1,
@@ -53,40 +50,25 @@ var labelArg = map[string]int{
 	"trip":          0,
 }
 
-// forwarders are the charge-plumbing functions allowed to pass their own
-// label parameter through to an inner charge call.
-var forwarders = map[string]bool{
-	"drainRowsInto": true,
-	"drainRows":     true,
-	"charge":        true,
-	"ChargeRow":     true,
-	"ChargeTuple":   true,
-	"ChargeTuples":  true,
-	"ChargeBytes":   true,
-	"Fault":         true,
-	"trip":          true,
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
+func run(pass *analysis.Pass) error {
+	if !analysis.ListHas(pkgs, pass.Pkg.Path()) {
+		return nil
 	}
 
 	checkLabelUniqueness(pass)
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
+	pass.Preorder(func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		call := n.(*ast.CallExpr)
-		name := calleeName(call)
+		name := analysis.CalleeName(call)
 		idx, ok := labelArg[name]
 		if !ok || len(call.Args) <= idx {
-			return true
+			return
 		}
 		if strings.HasSuffix(pass.Fset.Position(call.Pos()).Filename, "_test.go") {
-			return true
+			return
 		}
 		arg := call.Args[idx]
 		if ok, why := validLabel(pass, arg, stack); !ok {
@@ -94,9 +76,8 @@ func run(pass *analysis.Pass) (any, error) {
 				"budgetcharge: %s label must be a declared Trip* constant so the fault-injection charge map stays stable (%s)",
 				name, why)
 		}
-		return true
 	})
-	return nil, nil
+	return nil
 }
 
 // validLabel accepts a reference to a Trip* string constant, or a
@@ -119,8 +100,8 @@ func validLabel(pass *analysis.Pass, arg ast.Expr, stack []ast.Node) (bool, stri
 		}
 		return true, ""
 	case *types.Var:
-		fn := enclosingFuncName(stack)
-		if forwarders[fn] && isParamOf(pass, obj, stack) {
+		// The charge plumbing itself may pass its own label parameter on.
+		if _, plumbing := labelArg[enclosingFuncName(stack)]; plumbing && isParamOf(pass, obj, stack) {
 			return true, ""
 		}
 		return false, fmt.Sprintf("variable %s is not a forwarded label parameter of the charge plumbing", obj.Name())
@@ -187,23 +168,4 @@ func checkLabelUniqueness(pass *analysis.Pass) {
 		}
 		seen[v] = c
 	}
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		return f.Name
-	case *ast.SelectorExpr:
-		return f.Sel.Name
-	}
-	return ""
-}
-
-func inScope(path string) bool {
-	for _, p := range strings.Split(pkgs, ",") {
-		if strings.TrimSpace(p) == path {
-			return true
-		}
-	}
-	return false
 }

@@ -15,50 +15,36 @@ import (
 	"go/ast"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"nalquery/internal/analysis"
 )
 
 // Analyzer is the ctxpoll analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     "ctxpoll",
-	Doc:      "require tuple-producing scan loops (TripScan charge sites) to poll cancellation in-loop",
-	Run:      run,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Name: "ctxpoll",
+	Doc:  "require tuple-producing scan loops (TripScan charge sites) to poll cancellation in-loop",
+	Run:  run,
 }
 
-var (
-	scanLabel = "TripScan"
-	pollName  = "Cancelled"
+const (
+	scanLabel = "TripScan"  // trip-point label that marks a scan-producer charge site
+	pollName  = "Cancelled" // the cancellation poll method
 )
 
-func init() {
-	Analyzer.Flags.StringVar(&scanLabel, "label", scanLabel,
-		"trip-point label that marks a scan-producer charge site")
-	Analyzer.Flags.StringVar(&pollName, "poll", pollName,
-		"name of the cancellation poll method")
-}
-
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	// Cache the poll check per enclosing function node.
 	polled := map[ast.Node]bool{}
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
-		call := n.(*ast.CallExpr)
-		if len(call.Args) == 0 || !isScanLabel(call.Args[0]) {
-			return true
+	pass.Preorder(func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 || !isScanLabel(call.Args[0]) {
+			return
 		}
 		if strings.HasSuffix(pass.Fset.Position(call.Pos()).Filename, "_test.go") {
-			return true
+			return
 		}
 		fn := enclosingFunc(stack)
 		if fn == nil {
-			return true
+			return
 		}
 		ok, cached := polled[fn]
 		if !cached {
@@ -70,9 +56,8 @@ func run(pass *analysis.Pass) (any, error) {
 				"ctxpoll: scan loop charges %s but its function never polls %s() inside a loop — a cancelled run would keep scanning until the next pipeline breaker",
 				scanLabel, pollName)
 		}
-		return true
 	})
-	return nil, nil
+	return nil
 }
 
 func isScanLabel(arg ast.Expr) bool {
@@ -141,15 +126,8 @@ func loopPolls(body *ast.BlockStmt) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch f := call.Fun.(type) {
-		case *ast.Ident:
-			found = found || f.Name == pollName
-		case *ast.SelectorExpr:
-			found = found || f.Sel.Name == pollName
+		if call, ok := n.(*ast.CallExpr); ok && analysis.CalleeName(call) == pollName {
+			found = true
 		}
 		return !found
 	})

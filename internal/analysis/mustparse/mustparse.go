@@ -17,49 +17,41 @@ import (
 	"go/constant"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"nalquery/internal/analysis"
 )
 
 // Analyzer is the mustparse analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     "mustparse",
-	Doc:      "confine MustParse/MustParseString to _test.go files and experiment packages with constant-string arguments",
-	Run:      run,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Name: "mustparse",
+	Doc:  "confine MustParse/MustParseString to _test.go files and experiment packages with constant-string arguments",
+	Run:  run,
 }
 
-var (
-	allowPkgs = "nalquery/internal/experiments"
-	funcs     = "MustParse,MustParseString"
-)
+var allowPkgs = "nalquery/internal/experiments"
+
+// funcs are the panicking parse helpers.
+var funcs = map[string]bool{"MustParse": true, "MustParseString": true}
 
 func init() {
 	Analyzer.Flags.StringVar(&allowPkgs, "allowpkgs", allowPkgs,
 		"comma-separated import paths allowed to call MustParse outside tests (constant args only)")
-	Analyzer.Flags.StringVar(&funcs, "funcs", funcs,
-		"comma-separated names of the panicking parse helpers")
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	names := map[string]bool{}
-	for _, f := range strings.Split(funcs, ",") {
-		names[strings.TrimSpace(f)] = true
-	}
-
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		name := calleeName(call)
-		if !names[name] {
+func run(pass *analysis.Pass) error {
+	pass.Preorder(func(n ast.Node, _ []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		name := analysis.CalleeName(call)
+		if !funcs[name] {
 			return
 		}
 		pos := pass.Fset.Position(call.Pos())
 		if strings.HasSuffix(pos.Filename, "_test.go") {
 			return
 		}
-		if !allowed(pass.Pkg.Path()) {
+		if !analysis.ListHas(allowPkgs, pass.Pkg.Path()) {
 			pass.Reportf(call.Pos(),
 				"mustparse: %s panics on malformed input and is confined to _test.go files and %s — parse with the error-returning form instead",
 				name, allowPkgs)
@@ -75,24 +67,5 @@ func run(pass *analysis.Pass) (any, error) {
 				name)
 		}
 	})
-	return nil, nil
-}
-
-func allowed(path string) bool {
-	for _, p := range strings.Split(allowPkgs, ",") {
-		if strings.TrimSpace(p) == path {
-			return true
-		}
-	}
-	return false
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		return f.Name
-	case *ast.SelectorExpr:
-		return f.Sel.Name
-	}
-	return ""
+	return nil
 }

@@ -8,9 +8,11 @@
 // surface failed slowly, in a differential sweep, instead of fast, in
 // lint. opcomplete makes the lockstep mechanical:
 //
-//   - The package that owns the Op interface (-oppkg, default
-//     nalquery/internal/algebra) exports the full set of concrete Op
-//     implementations as a package fact.
+//   - The operator set is every concrete type of the package that owns
+//     the Op interface (-oppkg, default nalquery/internal/algebra)
+//     implementing it: read from the package's own scope when that
+//     package is analyzed, from its export data in a package importing it.
+//
 //   - Any type switch over Op annotated with a marker comment
 //
 //     //nal:opswitch <surface> [exempt=TypeA,TypeB]
@@ -19,6 +21,7 @@
 //     completeness against that set. Missing cases are reported by
 //     operator name; exemptions must be real, unhandled operator types
 //     (a stale exemption is itself a finding).
+//
 //   - The -require flag (pkg:surfaceA+surfaceB,pkg2:surfaceC) pins which
 //     surfaces must exist in which packages, so deleting a marker comment
 //     (or a whole dispatch function) is also a lint failure.
@@ -27,29 +30,27 @@ package opcomplete
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"nalquery/internal/analysis"
 )
 
 // Analyzer is the opcomplete analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:      "opcomplete",
-	Doc:       "check that every concrete algebra.Op is handled by every annotated dispatch surface (//nal:opswitch)",
-	Run:       run,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*OpsFact)(nil)},
+	Name: "opcomplete",
+	Doc:  "check that every concrete algebra.Op is handled by every annotated dispatch surface (//nal:opswitch)",
+	Run:  run,
 }
 
+// opIfaceName is the operator interface type inside opPkg.
+const opIfaceName = "Op"
+
 var (
-	opPkg       = "nalquery/internal/algebra"
-	opIfaceName = "Op"
-	require     = "nalquery/internal/algebra:rowiter+schema," +
+	opPkg   = "nalquery/internal/algebra"
+	require = "nalquery/internal/algebra:rowiter+schema," +
 		"nalquery/internal/cost:cost," +
 		"nalquery/internal/core:rewrite+sec2"
 )
@@ -57,20 +58,9 @@ var (
 func init() {
 	Analyzer.Flags.StringVar(&opPkg, "oppkg", opPkg,
 		"import path of the package that declares the Op interface")
-	Analyzer.Flags.StringVar(&opIfaceName, "opiface", opIfaceName,
-		"name of the operator interface type inside oppkg")
 	Analyzer.Flags.StringVar(&require, "require", require,
 		"required surfaces per package, as pkg:surfaceA+surfaceB,pkg2:surfaceC")
 }
-
-// OpsFact is the package fact exported by the Op-owning package: the
-// sorted names of every concrete type implementing the Op interface.
-type OpsFact struct{ Ops []string }
-
-// AFact marks OpsFact as an analysis.Fact.
-func (*OpsFact) AFact() {}
-
-func (f *OpsFact) String() string { return "ops(" + strings.Join(f.Ops, ",") + ")" }
 
 // markerRe matches the //nal:opswitch annotation.
 var markerRe = regexp.MustCompile(`^//nal:opswitch\s+([A-Za-z0-9_.-]+)(?:\s+exempt=([A-Za-z0-9_,]+))?\s*$`)
@@ -82,7 +72,7 @@ type marker struct {
 	pos     ast.Node
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	reqSurfaces := requiredSurfaces(pass.Pkg.Path())
 
 	// Locate the Op-owning package: ourselves, or one of our imports.
@@ -105,40 +95,28 @@ func run(pass *analysis.Pass) (any, error) {
 				"opcomplete: package %s must host op dispatch surfaces %v but does not import %s",
 				pass.Pkg.Path(), reqSurfaces, opPkg)
 		}
-		return nil, nil
+		return nil
 	}
 
 	ifaceObj := opsPkg.Scope().Lookup(opIfaceName)
 	if ifaceObj == nil {
-		return nil, fmt.Errorf("opcomplete: interface %s not found in %s", opIfaceName, opPkg)
+		return fmt.Errorf("interface %s not found in %s", opIfaceName, opPkg)
 	}
 	iface, ok := ifaceObj.Type().Underlying().(*types.Interface)
 	if !ok {
-		return nil, fmt.Errorf("opcomplete: %s.%s is not an interface", opPkg, opIfaceName)
+		return fmt.Errorf("%s.%s is not an interface", opPkg, opIfaceName)
 	}
 
-	var ops []string
-	if pass.Pkg.Path() == opPkg {
-		ops = concreteOps(pass, iface)
-		pass.ExportPackageFact(&OpsFact{Ops: ops})
-	} else {
-		var f OpsFact
-		if !pass.ImportPackageFact(opsPkg, &f) {
-			// The fact is produced whenever the Op-owning package is
-			// analyzed; its absence means opcomplete did not run there
-			// (e.g. a narrowed invocation), so there is nothing sound to
-			// check against.
-			return nil, nil
-		}
-		ops = f.Ops
-	}
+	ops := concreteOps(pass.Fset, opsPkg, iface)
 
 	markers := collectMarkers(pass)
 	seen := map[string]bool{}
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.TypeSwitchStmt)(nil)}, func(n ast.Node) {
-		ts := n.(*ast.TypeSwitchStmt)
+	pass.Preorder(func(n ast.Node, _ []ast.Node) {
+		ts, ok := n.(*ast.TypeSwitchStmt)
+		if !ok {
+			return
+		}
 		pos := pass.Fset.Position(ts.Pos())
 		m := markers[markerKey{pos.Filename, pos.Line - 1}]
 		if m == nil {
@@ -176,22 +154,24 @@ func run(pass *analysis.Pass) (any, error) {
 				pass.Pkg.Path(), s, s)
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// concreteOps enumerates the non-test concrete named types of the current
-// package that implement the operator interface.
-func concreteOps(pass *analysis.Pass, iface *types.Interface) []string {
+// concreteOps enumerates the non-test concrete named types of pkg that
+// implement the operator interface. For an imported pkg the scope holds
+// what its export data declares — the exported types, which are the only
+// ones another package's switch could name.
+func concreteOps(fset *token.FileSet, pkg *types.Package, iface *types.Interface) []string {
 	var ops []string
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() { // sorted
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok || tn.IsAlias() {
 			continue
 		}
 		// Fixture operators declared in _test.go files are not part of
-		// the algebra.
-		if strings.HasSuffix(pass.Fset.Position(tn.Pos()).Filename, "_test.go") {
+		// the algebra (export data of a test variant records positions too).
+		if strings.HasSuffix(fset.Position(tn.Pos()).Filename, "_test.go") {
 			continue
 		}
 		t := tn.Type()
@@ -202,7 +182,6 @@ func concreteOps(pass *analysis.Pass, iface *types.Interface) []string {
 			ops = append(ops, name)
 		}
 	}
-	sort.Strings(ops)
 	return ops
 }
 

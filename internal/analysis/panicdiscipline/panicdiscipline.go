@@ -20,42 +20,37 @@ import (
 	"regexp"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"nalquery/internal/analysis"
 )
 
 // Analyzer is the panicdiscipline analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     "panicdiscipline",
-	Doc:      "forbid raw panic in engine packages outside the sanctioned ResourceTrip site unless annotated //nal:allow-panic <reason>",
-	Run:      run,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Name: "panicdiscipline",
+	Doc:  "forbid raw panic in engine packages outside the sanctioned ResourceTrip site unless annotated //nal:allow-panic <reason>",
+	Run:  run,
 }
 
-var (
-	pkgs = "nalquery," +
-		"nalquery/internal/algebra," +
-		"nalquery/internal/core," +
-		"nalquery/internal/value," +
-		"nalquery/internal/xpath," +
-		"nalquery/internal/dom," +
-		"nalquery/internal/xquery"
-	tripType = "ResourceTrip"
-)
+// tripType is the sanctioned panic payload type.
+const tripType = "ResourceTrip"
+
+var pkgs = "nalquery," +
+	"nalquery/internal/algebra," +
+	"nalquery/internal/core," +
+	"nalquery/internal/value," +
+	"nalquery/internal/xpath," +
+	"nalquery/internal/dom," +
+	"nalquery/internal/xquery"
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs", pkgs,
 		"comma-separated import paths of the engine packages the discipline applies to")
-	Analyzer.Flags.StringVar(&tripType, "triptype", tripType,
-		"name of the sanctioned panic payload type")
 }
 
 var allowRe = regexp.MustCompile(`^//nal:allow-panic(?:\s+(.*\S))?\s*$`)
 
-func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
+func run(pass *analysis.Pass) error {
+	if !analysis.ListHas(pkgs, pass.Pkg.Path()) {
+		return nil
 	}
 
 	// file → line → reason ("" = annotation present but reason missing).
@@ -76,9 +71,11 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
+	pass.Preorder(func(n ast.Node, _ []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
 		id, ok := call.Fun.(*ast.Ident)
 		if !ok || id.Name != "panic" {
 			return
@@ -106,7 +103,7 @@ func run(pass *analysis.Pass) (any, error) {
 			"panicdiscipline: raw panic in engine package %s — the engine's one sanctioned panic is the *%s budget trip; return an error, or annotate //nal:allow-panic <reason>",
 			pass.Pkg.Path(), tripType)
 	})
-	return nil, nil
+	return nil
 }
 
 // annotationFor accepts an annotation on the panic's own line (trailing
@@ -132,13 +129,4 @@ func isTripPayload(pass *analysis.Pass, arg ast.Expr) bool {
 	}
 	named, ok := p.Elem().(*types.Named)
 	return ok && named.Obj().Name() == tripType
-}
-
-func inScope(path string) bool {
-	for _, p := range strings.Split(pkgs, ",") {
-		if strings.TrimSpace(p) == path {
-			return true
-		}
-	}
-	return false
 }

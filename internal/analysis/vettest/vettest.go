@@ -1,11 +1,9 @@
 // Package vettest is the fixture harness for the nalvet analyzers.
 //
-// golang.org/x/tools/go/analysis/analysistest needs go/packages, which
-// the offline toolchain does not ship; this harness instead exercises the
-// exact production path: it builds cmd/nalvet once, copies a fixture tree
-// into a throwaway module, runs "go vet -vettool=nalvet -json" over it,
-// and checks the JSON findings against analysistest-style expectations —
-// comments of the form
+// It exercises the exact production path: it builds cmd/nalvet once,
+// copies a fixture tree into a throwaway module, runs
+// "go vet -vettool=nalvet -json" over it, and checks the JSON findings
+// against expectations written in the fixture — comments of the form
 //
 //	// want "regexp" "another regexp"
 //
@@ -50,20 +48,16 @@ var (
 func Tool(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		root, err := repoRoot()
-		if err != nil {
-			buildErr = err
-			return
-		}
 		dir, err := os.MkdirTemp("", "nalvet-tool-")
 		if err != nil {
 			buildErr = err
 			return
 		}
 		toolPath = filepath.Join(dir, "nalvet")
-		cmd := exec.Command("go", "build", "-o", toolPath, "nalquery/cmd/nalvet")
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
+		// The test runs in a package directory of this module, which is
+		// all the go command needs to resolve the import path.
+		out, err := exec.Command("go", "build", "-o", toolPath, "nalquery/cmd/nalvet").CombinedOutput()
+		if err != nil {
 			buildErr = fmt.Errorf("building nalvet: %v\n%s", err, out)
 		}
 	})
@@ -71,24 +65,6 @@ func Tool(t *testing.T) string {
 		t.Fatal(buildErr)
 	}
 	return toolPath
-}
-
-func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		b, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil && bytes.HasPrefix(bytes.TrimSpace(b), []byte("module nalquery")) {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("vettest: repo root (module nalquery) not found above %s", dir)
-		}
-		dir = parent
-	}
 }
 
 // CopyFixture copies the fixture tree at src into a fresh throwaway

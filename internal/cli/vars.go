@@ -1,9 +1,10 @@
 // Package cli holds small helpers shared by the command-line front ends
-// (cmd/nalrun, cmd/nalsh).
+// (cmd/nalrun, cmd/nalsh, cmd/nalserved, cmd/nalbench) and the examples.
 package cli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -42,7 +43,7 @@ func ParseBytes(s string) (int64, error) {
 		mult, t = 1<<30, t[:len(t)-1]
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad byte count %q (want e.g. 65536, 64k, 16m, 1g)", s)
 	}
 	return n * mult, nil

@@ -7,6 +7,7 @@ import (
 
 	nalquery "nalquery"
 	"nalquery/internal/algebra"
+	"nalquery/internal/cli"
 	"nalquery/internal/core"
 	"nalquery/internal/dom"
 	"nalquery/internal/normalize"
@@ -103,7 +104,7 @@ func AblationGroupXi(sizes []int) ([]AblationResult, error) {
 		}
 		for _, plan := range []string{"grouping", "group Ξ"} {
 			t0 := time.Now()
-			if _, _, err := q.Execute(plan); err != nil {
+			if _, _, err := cli.RunPlan(q, plan); err != nil {
 				return nil, err
 			}
 			out = append(out, AblationResult{Name: "group-xi", Variant: plan,
@@ -212,11 +213,11 @@ func AblationUnordered(sizes []int) ([]AblationResult, error) {
 			if p.Name == "nested" {
 				continue
 			}
-			if _, _, err := q.Execute(p.Name); err != nil { // warm-up
+			if _, _, err := cli.RunPlan(q, p.Name); err != nil { // warm-up
 				return nil, err
 			}
 			t0 := time.Now()
-			if _, _, err := q.Execute(p.Name); err != nil {
+			if _, _, err := cli.RunPlan(q, p.Name); err != nil {
 				return nil, err
 			}
 			out = append(out, AblationResult{Name: "unordered-family", Variant: p.Name,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 	"nalquery/internal/dom"
 	"nalquery/internal/xmlgen"
 )
@@ -141,7 +142,7 @@ func Run(exp Experiment, opts Options) ([]Measurement, error) {
 				var outLen int
 				for r := 0; r < opts.repeat(); r++ {
 					t0 := time.Now()
-					res, st, err := q.Execute(p.Name)
+					res, st, err := cli.RunPlan(q, p.Name)
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s: %w", exp.ID, p.Name, err)
 					}

@@ -3,6 +3,7 @@ package experiments
 import (
 	nalquery "nalquery"
 	"nalquery/internal/algebra"
+	"nalquery/internal/cli"
 	"nalquery/internal/value"
 )
 
@@ -67,7 +68,7 @@ func GroupingBenchTargets(sizes []int) ([]BenchTarget, error) {
 			out = append(out, BenchTarget{
 				Experiment: "grouping", Plan: qp.label, Size: size,
 				Run: func() error {
-					_, _, err := query.Execute(plan)
+					_, _, err := cli.RunPlan(query, plan)
 					return err
 				},
 			})

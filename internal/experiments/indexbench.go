@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 )
 
 // The index benchmark family pins the payoff of the statistics/index
@@ -47,7 +48,7 @@ func IndexBenchTargets(sizes []int) ([]BenchTarget, error) {
 		base := strings.TrimPrefix(indexed, "indexed ")
 		exec := func(plan string) func() error {
 			return func() error {
-				_, _, err := q.Execute(plan)
+				_, _, err := cli.RunPlan(q, plan)
 				return err
 			}
 		}

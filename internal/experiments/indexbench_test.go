@@ -7,6 +7,7 @@ import (
 	"time"
 
 	nalquery "nalquery"
+	"nalquery/internal/cli"
 )
 
 // TestIndexBenchTargets: the family resolves an indexed alternative and
@@ -51,7 +52,7 @@ func TestIndexSpeedupSelective(t *testing.T) {
 		var tuples int64
 		for i := 0; i < 3; i++ {
 			t0 := time.Now()
-			_, st, err := q.Execute(plan)
+			_, st, err := cli.RunPlan(q, plan)
 			if err != nil {
 				t.Fatalf("%s: %v", plan, err)
 			}

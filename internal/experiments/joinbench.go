@@ -5,6 +5,7 @@ import (
 
 	nalquery "nalquery"
 	"nalquery/internal/algebra"
+	"nalquery/internal/cli"
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
 	"nalquery/internal/xmlgen"
@@ -139,7 +140,7 @@ func UnorderedBenchTargets(sizes []int) ([]BenchTarget, error) {
 			out = append(out, BenchTarget{
 				Experiment: "unorderedq1", Plan: name, Size: size,
 				Run: func() error {
-					_, _, err := query.Execute(name)
+					_, _, err := cli.RunPlan(query, name)
 					return err
 				},
 			})

@@ -9,8 +9,7 @@ import (
 
 // The resultiter benchmark family pins the cost of the public Results
 // surface the way the joins family pins the partitioned operators: full
-// serialization through Results.WriteXML (the path behind the deprecated
-// Execute), typed item consumption (Next loop, no serialization), and the
+// serialization through Results.WriteXML, typed item consumption (Next loop, no serialization), and the
 // serialization path under a live cancellable context — the overhead of
 // the engine's cancellation guards, which must stay within noise of the
 // uncancellable run.

@@ -1,10 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	nalquery "nalquery"
+	"nalquery/internal/cli"
+)
 
 // TestExperimentsSlotVsReference runs every plan of every experiment on the
-// slot-based engine (Execute) and the map-based reference evaluator
-// (ExecuteReference) and requires byte-identical constructed output — the
+// slot-based engine and the map-based reference evaluator
+// (WithReferenceEngine) and requires byte-identical constructed output — the
 // harness-level counterpart of the algebra's row/map differential tests.
 func TestExperimentsSlotVsReference(t *testing.T) {
 	for _, exp := range All() {
@@ -14,11 +19,11 @@ func TestExperimentsSlotVsReference(t *testing.T) {
 			t.Fatalf("%s: %v", exp.ID, err)
 		}
 		for _, p := range q.Plans() {
-			ref, _, err := q.ExecuteReference(p.Name)
+			ref, _, err := cli.RunPlan(q, p.Name, nalquery.WithReferenceEngine())
 			if err != nil {
 				t.Fatalf("%s/%s reference: %v", exp.ID, p.Name, err)
 			}
-			got, _, err := q.Execute(p.Name)
+			got, _, err := cli.RunPlan(q, p.Name)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", exp.ID, p.Name, err)
 			}

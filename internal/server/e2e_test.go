@@ -503,6 +503,12 @@ func TestResourceBudgetHeaderCapped(t *testing.T) {
 	if code != 400 || errKind(t, body) != "request" {
 		t.Fatalf("bad budget: %d %s", code, body)
 	}
+	// So is one whose byte count overflows int64: it used to wrap to a
+	// negative number, pass under the cap and run ungoverned.
+	code, body, _ = post(t, ts.URL+"/query?max-memory=8589934592g", slowQuery)
+	if code != 400 || errKind(t, body) != "request" {
+		t.Fatalf("overflowing budget: %d %s", code, body)
+	}
 }
 
 // TestResourceDefaultBudget pins Config.DefaultMaxMemory: with a default

@@ -46,9 +46,8 @@ func (k ValueKind) String() string {
 // Item is one element of a query's result-construction stream: either a
 // literal markup fragment of an element constructor (e.g. "<t>" or "</t>")
 // or the typed value of an embedded expression. Serializing the items of a
-// run in order — Results.WriteXML does exactly that — yields the same
-// bytes as the string-building Execute API; consuming Value items directly
-// skips serialization altogether.
+// run in order yields the same bytes as Results.WriteXML called first;
+// consuming Value items directly skips serialization altogether.
 type Item struct {
 	markup string
 	v      value.Value

@@ -48,7 +48,7 @@
 // The convenience paths Engine.Query and Engine.RunText go through a
 // bounded LRU plan cache keyed by query text and catalog generation, so
 // repeated traffic is compile-once there too. See docs/API.md for the full
-// surface and the migration table from the deprecated Execute family.
+// surface.
 package nalquery
 
 import (
@@ -531,63 +531,6 @@ func (q *Query) Plan(name string) (Plan, error) {
 	return Plan{}, &UnknownPlanError{Name: name, Have: names}
 }
 
-// Execute runs the named plan ("" = most optimized) and returns the
-// constructed result string plus execution statistics.
-//
-// Deprecated: Execute is a compatibility wrapper over Run — prefer
-// q.Run(ctx, WithPlan(name)) and consume the Results (typed items via
-// Next/Seq, or serialized via WriteXML), which adds streaming, concurrency
-// and cancellation.
-func (q *Query) Execute(name string) (string, Stats, error) {
-	var st Stats
-	res, err := q.run(context.Background(), runConfig{plan: name, stats: &st})
-	if err != nil {
-		return "", Stats{}, err
-	}
-	var sb strings.Builder
-	if err := res.WriteXML(&sb); err != nil {
-		return "", Stats{}, err
-	}
-	return sb.String(), st, nil
-}
-
-// ExecuteReference runs the named plan ("" = most optimized) on the
-// definitional materializing evaluator over map-based tuples — the
-// executable semantics the slot engine is differential-tested against.
-//
-// Deprecated: use q.Run(ctx, WithReferenceEngine(), WithPlan(name)).
-func (q *Query) ExecuteReference(name string) (string, Stats, error) {
-	var st Stats
-	res, err := q.run(context.Background(), runConfig{plan: name, reference: true, stats: &st})
-	if err != nil {
-		return "", Stats{}, err
-	}
-	var sb strings.Builder
-	if err := res.WriteXML(&sb); err != nil {
-		return "", Stats{}, err
-	}
-	return sb.String(), st, nil
-}
-
-// ExecuteTo runs the named plan ("" = most optimized) through the pull-based
-// iterator engine, streaming the constructed result into w instead of
-// building it in memory. Combined with the streaming Ξ operators, memory
-// stays bounded by the plan's pipeline-breaker state, not the output size.
-//
-// Deprecated: use q.Run(ctx, WithPlan(name)) followed by
-// Results.WriteXML(w), which adds cancellation.
-func (q *Query) ExecuteTo(w io.Writer, name string) (Stats, error) {
-	var st Stats
-	res, err := q.run(context.Background(), runConfig{plan: name, stats: &st})
-	if err != nil {
-		return Stats{}, err
-	}
-	if err := res.WriteXML(w); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
-}
-
 // cachedCompile resolves text through the bounded LRU plan cache, keyed by
 // the query text and the catalog/document generation of the current
 // snapshot: repeated traffic for the same text compiles once per engine
@@ -614,8 +557,15 @@ func (e *Engine) Query(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	out, _, err := q.Execute("")
-	return out, err
+	res, err := q.run(context.Background(), runConfig{})
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	if err := res.WriteXML(&sb); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
 }
 
 // RunText compiles text through the plan cache and starts one Run session

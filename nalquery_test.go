@@ -80,7 +80,7 @@ func runAll(t *testing.T, e *Engine, query string) (string, *Query) {
 	}
 	var ref string
 	for i, p := range q.Plans() {
-		out, _, err := q.Execute(p.Name)
+		out, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatalf("execute %s: %v", p.Name, err)
 		}
@@ -224,11 +224,11 @@ func TestStatsShowScanSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nestedStats, err := q.Execute("nested")
+	_, nestedStats, err := execute(q, "nested")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, groupStats, err := q.Execute("grouping")
+	_, groupStats, err := execute(q, "grouping")
 	if err != nil {
 		t.Fatal(err)
 	}

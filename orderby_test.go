@@ -43,7 +43,7 @@ func TestOrderByDescendingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range q.Plans() {
-		out, _, err := q.Execute(p.Name)
+		out, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatalf("plan %q: %v", p.Name, err)
 		}
@@ -65,7 +65,7 @@ func TestOrderByAscendingDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := q.Execute("")
+	out, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ return <p>{ decimal($p1) }</p>`
 	if err != nil {
 		t.Fatal(err)
 	}
-	o1, _, err := q1.Execute("")
+	o1, _, err := execute(q1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, _, err := q2.Execute("")
+	o2, _, err := execute(q2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestOrderByBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, _, err := q.Execute("")
+	str, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, _, err := q.ExecuteReference("")
+	mat, _, err := execute(q, "", WithReferenceEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ return <v>{ decimal($r/a) }-{ decimal($r/b) }</v>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := q.Execute("")
+	out, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,11 +90,11 @@ return <r>{ $i }</r>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, _, err := q.Execute("")
+	str, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, _, err := q.ExecuteReference("")
+	mat, _, err := execute(q, "", WithReferenceEngine())
 	if err != nil {
 		t.Fatal(err)
 	}

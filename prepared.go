@@ -53,8 +53,7 @@ func (p *Prepared) Run(ctx context.Context, opts ...RunOption) (*Results, error)
 	return p.q.Run(ctx, opts...)
 }
 
-// Query returns the underlying compiled query (plans, normalized form,
-// deprecated Execute wrappers).
+// Query returns the underlying compiled query (plans, normalized form).
 func (p *Prepared) Query() *Query { return p.q }
 
 // Vars returns the declared external variable names in declaration order.

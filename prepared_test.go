@@ -301,10 +301,10 @@ return $t1`)
 		t.Errorf("bind on plain query: got %v, want ErrUnknownVariable", err)
 	}
 
-	// The deprecated Execute path cannot bind — it must surface the typed
-	// error, not panic or return wrong results.
-	if _, _, err := prep.Query().Execute(""); !errors.Is(err, ErrUnboundVariable) {
-		t.Errorf("Execute on parameterized query: got %v, want ErrUnboundVariable", err)
+	// A run that binds nothing must surface the typed error, not panic or
+	// return wrong results.
+	if _, _, err := execute(prep.Query(), ""); !errors.Is(err, ErrUnboundVariable) {
+		t.Errorf("unbound run of parameterized query: got %v, want ErrUnboundVariable", err)
 	}
 
 	// Rebinding keeps the last value; nil binds the empty sequence.

@@ -102,10 +102,10 @@ func TestWriteXMLRecoversEvaluatorPanic(t *testing.T) {
 	}
 }
 
-func TestExecuteWrapperRecoversEvaluatorPanic(t *testing.T) {
+func TestNamedPlanRunRecoversEvaluatorPanic(t *testing.T) {
 	q := poisonQuery(t, 42)
-	if _, _, err := q.Execute("poison"); !errors.Is(err, ErrInternal) {
-		t.Fatalf("Execute = %v, want ErrInternal", err)
+	if _, _, err := execute(q, "poison"); !errors.Is(err, ErrInternal) {
+		t.Fatalf("Run+WriteXML = %v, want ErrInternal", err)
 	}
 }
 
@@ -134,13 +134,13 @@ func TestEngineSurvivesPoisonQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := q.Execute("")
+	want, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	poison := poisonQuery(t, "boom")
 	for i := 0; i < 3; i++ {
-		if _, _, err := poison.Execute(""); !errors.Is(err, ErrInternal) {
+		if _, _, err := execute(poison, ""); !errors.Is(err, ErrInternal) {
 			t.Fatalf("poison run %d: %v, want ErrInternal", i, err)
 		}
 		got, err := eng.Query(text)

@@ -87,8 +87,7 @@ func withFaultHook(h func(point string) bool) RunOption {
 //
 // Opening is lazy. The first Next/Seq call fixes the session into typed
 // item consumption; calling WriteXML first instead serializes straight
-// into the writer with no per-item overhead (the Execute compatibility
-// path). Run itself only selects the plan and resolves bindings, so an
+// into the writer with no per-item overhead. Run itself only selects the plan and resolves bindings, so an
 // unknown plan name surfaces here as *UnknownPlanError (ErrNoPlan for a
 // planless query), and a missing, unknown or ill-typed Bind of an external
 // variable as *BindError.
@@ -106,10 +105,10 @@ func (q *Query) Run(ctx context.Context, opts ...RunOption) (*Results, error) {
 	return q.run(ctx, cfg)
 }
 
-// run is the shared session constructor behind Run and the deprecated
-// Execute wrappers (which bypass the options slice on the hot path). Like
-// the Results consumption methods it is a panic-recovery boundary: any
-// panic below it surfaces as a typed *InternalError, never as a crash.
+// run is the shared session constructor behind Run and Engine.Query (which
+// has no options to apply). Like the Results consumption methods it is a
+// panic-recovery boundary: any panic below it surfaces as a typed
+// *InternalError, never as a crash.
 func (q *Query) run(ctx context.Context, cfg runConfig) (res *Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -144,10 +143,10 @@ type Results struct {
 	ctx  context.Context
 	cfg  runConfig
 
-	actx   *algebra.Ctx
-	pump   *algebra.Pump
-	queue  itemQueue
-	qpos   int
+	actx    *algebra.Ctx
+	pump    *algebra.Pump
+	queue   itemQueue
+	qpos    int
 	opened  bool
 	done    bool // the pump is exhausted (trailing queue items may remain)
 	closed  bool
@@ -171,9 +170,9 @@ func (s *itemQueue) EmitValue(v value.Value) {
 func (r *Results) Plan() Plan { return r.plan }
 
 // newAlgebraCtx builds the per-run evaluation context. The reference
-// engine mirrors the historical ExecuteReference setup (no cardinality
-// estimator — its hash sizing heuristics are part of what the slot engine
-// is differential-tested against).
+// engine runs without the cardinality estimator — its hash sizing
+// heuristics are part of what the slot engine is differential-tested
+// against.
 func (r *Results) newAlgebraCtx(out algebra.StringWriter) *algebra.Ctx {
 	ctx := algebra.NewCtxWriter(r.q.docs, out)
 	if !r.cfg.reference {
@@ -316,8 +315,7 @@ func (r *Results) WriteXML(w io.Writer) error {
 }
 
 // drainTo is the serialize-while-executing fast path: no sink, no item
-// queue — the exact execution profile of the historical Execute/ExecuteTo.
-// An evaluator panic is recovered into the session's *InternalError.
+// queue. An evaluator panic is recovered into the session's *InternalError.
 func (r *Results) drainTo(w io.Writer) error {
 	r.opened = true
 	sw, flush := writerSink(w)

@@ -1,8 +1,10 @@
 package nalquery
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -38,11 +40,11 @@ func collectXML(t *testing.T, res *Results) string {
 	return sb.String()
 }
 
-// TestResultsTypedMatchesExecute: for every paper query and every plan
+// TestResultsTypedMatchesWriteXML: for every paper query and every plan
 // alternative, item-by-item serialization of the typed result stream equals
-// the Execute output byte for byte — on both the slot engine and the
-// reference evaluator.
-func TestResultsTypedMatchesExecute(t *testing.T) {
+// the direct WriteXML output byte for byte — on both the slot engine and
+// the reference evaluator.
+func TestResultsTypedMatchesWriteXML(t *testing.T) {
 	eng := runEngine(30)
 	for id, text := range PaperQueries {
 		q, err := eng.Compile(text)
@@ -50,7 +52,7 @@ func TestResultsTypedMatchesExecute(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		for _, p := range q.Plans() {
-			want, _, err := q.Execute(p.Name)
+			want, _, err := execute(q, p.Name)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, p.Name, err)
 			}
@@ -59,29 +61,31 @@ func TestResultsTypedMatchesExecute(t *testing.T) {
 				t.Fatalf("%s/%s: Run: %v", id, p.Name, err)
 			}
 			if got := collectXML(t, res); got != want {
-				t.Errorf("%s/%s: typed item serialization differs from Execute output", id, p.Name)
+				t.Errorf("%s/%s: typed item serialization differs from WriteXML output", id, p.Name)
 			}
 			ref, err := q.Run(context.Background(), WithPlan(p.Name), WithReferenceEngine())
 			if err != nil {
 				t.Fatalf("%s/%s: Run(reference): %v", id, p.Name, err)
 			}
 			if got := collectXML(t, ref); got != want {
-				t.Errorf("%s/%s: reference-engine item stream differs from Execute output", id, p.Name)
+				t.Errorf("%s/%s: reference-engine item stream differs from WriteXML output", id, p.Name)
 			}
 		}
 	}
 }
 
-// TestResultsWriteXMLMatchesExecute: the direct-serialization consumption
-// mode produces the Execute bytes too, and reports the same stats.
-func TestResultsWriteXMLMatchesExecute(t *testing.T) {
+// TestResultsWriteXMLStats: direct serialization produces the same bytes
+// into an in-memory builder and through a general io.Writer (the buffered
+// path files take), and the WithStats target receives the counters
+// Results.Stats reports.
+func TestResultsWriteXMLStats(t *testing.T) {
 	eng := runEngine(30)
 	q, err := eng.Compile(QueryQ1Grouping)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range q.Plans() {
-		want, wantStats, err := q.Execute(p.Name)
+		want, wantStats, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,15 +94,15 @@ func TestResultsWriteXMLMatchesExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		if err := res.WriteXML(&sb); err != nil {
+		var buf bytes.Buffer
+		if err := res.WriteXML(struct{ io.Writer }{&buf}); err != nil {
 			t.Fatalf("plan %q: WriteXML: %v", p.Name, err)
 		}
-		if sb.String() != want {
-			t.Errorf("plan %q: WriteXML bytes differ from Execute output", p.Name)
+		if buf.String() != want {
+			t.Errorf("plan %q: bytes streamed to a writer differ from the builder's", p.Name)
 		}
-		if st != wantStats {
-			t.Errorf("plan %q: stats %+v, Execute reported %+v", p.Name, st, wantStats)
+		if st != wantStats || st.DocAccesses == 0 {
+			t.Errorf("plan %q: WithStats got %+v, Results.Stats reported %+v", p.Name, st, wantStats)
 		}
 	}
 }
@@ -113,7 +117,7 @@ func TestConcurrentRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := q.Execute("")
+	want, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ return <t>{ $b1/title }</t>`)
 		t.Fatal(err)
 	}
 	var full Stats
-	if _, full, err = q.Execute(""); err != nil {
+	if _, full, err = execute(q, ""); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -215,7 +219,7 @@ func TestRunCancellationInsideEngine(t *testing.T) {
 	}
 	for _, plan := range []string{"grouping", ""} {
 		var full Stats
-		if _, full, err = q.Execute(plan); err != nil {
+		if _, full, err = execute(q, plan); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -265,7 +269,7 @@ func TestResultsEarlyClose(t *testing.T) {
 	if err := res.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	want, _, err := q.Execute("")
+	want, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,11 @@ func TestResidualWherePushedBelowSemijoin(t *testing.T) {
 		t.Errorf("starts-with selection still above the semijoin:\n%s", explain)
 	}
 
-	nested, nestedStats, err := q.Execute("nested")
+	nested, nestedStats, err := execute(q, "nested")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushed, pushedStats, err := q.Execute("semijoin")
+	pushed, pushedStats, err := execute(q, "semijoin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ return <na>{ $a1 }</na>`)
 	}
 	ref := ""
 	for i, p := range q.Plans() {
-		out, _, err := q.Execute(p.Name)
+		out, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatalf("plan %q: %v", p.Name, err)
 		}

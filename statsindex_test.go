@@ -35,11 +35,11 @@ func TestDifferentialIndexedPlans(t *testing.T) {
 				continue
 			}
 			indexed++
-			want, _, err := q.Execute(base)
+			want, _, err := execute(q, base)
 			if err != nil {
 				t.Fatalf("%s/%s: base: %v", name, base, err)
 			}
-			got, st, err := q.Execute(p.Name)
+			got, st, err := execute(q, p.Name)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, p.Name, err)
 			}
@@ -50,7 +50,7 @@ func TestDifferentialIndexedPlans(t *testing.T) {
 			if st.IndexScans == 0 {
 				t.Errorf("%s: plan %q executed no index scans", name, p.Name)
 			}
-			ref, _, err := q.ExecuteReference(p.Name)
+			ref, _, err := execute(q, p.Name, WithReferenceEngine())
 			if err != nil {
 				t.Fatalf("%s/%s (reference): %v", name, p.Name, err)
 			}
@@ -100,11 +100,11 @@ func TestPlanFlipMeasuredStats(t *testing.T) {
 	}
 
 	// The flip is a win: the index plan touches a fraction of the tuples.
-	outIdx, stIdx, err := measured.Execute(mp.Name)
+	outIdx, stIdx, err := execute(measured, mp.Name)
 	if err != nil {
 		t.Fatalf("indexed: %v", err)
 	}
-	outFull, stFull, err := measured.Execute(cp.Name)
+	outFull, stFull, err := execute(measured, cp.Name)
 	if err != nil {
 		t.Fatalf("full scan: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestConcurrentRunDuringReanalysis(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	want, _, err := q.Execute("")
+	want, _, err := execute(q, "")
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestConcurrentRunDuringReanalysis(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				got, _, err := q.Execute("")
+				got, _, err := execute(q, "")
 				if err != nil {
 					errs <- err
 					return

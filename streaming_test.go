@@ -17,11 +17,11 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		for _, p := range q.Plans() {
-			mat, _, err := q.ExecuteReference(p.Name)
+			mat, _, err := execute(q, p.Name, WithReferenceEngine())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, p.Name, err)
 			}
-			str, _, err := q.Execute(p.Name)
+			str, _, err := execute(q, p.Name)
 			if err != nil {
 				t.Fatalf("%s/%s streaming: %v", id, p.Name, err)
 			}
@@ -39,7 +39,7 @@ func TestStreamingUnknownPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.Execute("nope"); err == nil {
+	if _, _, err := execute(q, "nope"); err == nil {
 		t.Fatalf("unknown plan must error")
 	}
 }
@@ -57,7 +57,7 @@ return <x>{ $b/title }</x>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := q.Execute("")
+	out, _, err := execute(q, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,11 +83,11 @@ func TestUnorderedOutputsArePermutations(t *testing.T) {
 			continue
 		}
 		base := strings.TrimPrefix(p.Name, "unordered ")
-		ordOut, _, err := q.Execute(base)
+		ordOut, _, err := execute(q, base)
 		if err != nil {
 			t.Fatalf("ordered plan %q: %v", base, err)
 		}
-		unordOut, _, err := q.Execute(p.Name)
+		unordOut, _, err := execute(q, p.Name)
 		if err != nil {
 			t.Fatalf("unordered plan %q: %v", p.Name, err)
 		}
@@ -145,12 +145,12 @@ func TestUnorderedDeterministicOutput(t *testing.T) {
 	if name == "" {
 		t.Skip("no unordered alternative for this catalog")
 	}
-	first, _, err := q.Execute(name)
+	first, _, err := execute(q, name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		out, _, err := q.Execute(name)
+		out, _, err := execute(q, name)
 		if err != nil {
 			t.Fatal(err)
 		}
