@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet lint test race-test faults fuzz-smoke bench-smoke bench-json bench-diff bench-harness serve load-smoke ci
+.PHONY: tier1 vet lint test race-test faults fuzz-smoke bench-smoke bench-json bench-diff bench-harness bench-pairs serve load-smoke ci
 
 tier1:
 	$(GO) build ./...
@@ -95,6 +95,19 @@ bench-diff:
 # exported name it compiles against cannot go missing unnoticed (~10 s).
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
+
+# bench-pairs measures the working tree against a parent commit with the
+# benchmark/ harness the way a performance claim requires (cmd/benchpairs):
+# PAIRS alternating parent/change runs of one workload, then per end-to-end
+# metric both medians and quartile pairs, wins/ties/losses and a verdict
+# (gain, worse, unresolved, within bound). About seven minutes for ten pairs
+# of one workload, so it is not part of ci.
+#   make bench-pairs WORKLOAD=adhoc_compile [PARENT=HEAD~1] [PAIRS=10]
+WORKLOAD ?=
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -workload "$(WORKLOAD)" -parent "$(PARENT)" -pairs $(PAIRS)
 
 # serve runs a local nalserved over the synthetic corpus — the quickest
 # way to poke the HTTP surface by hand (see docs/SERVER.md).

@@ -5,10 +5,13 @@
 // mechanical: nested algebraic expressions multiply their cost by the
 // cardinality of the outer sequence, which is exactly why unnesting wins.
 //
-// Cardinalities derive from document statistics (element counts by name);
-// selectivities use fixed textbook defaults. The model only needs to rank
-// plans whose costs differ by orders of magnitude, so crude is fine — and
-// the ranking is validated against measured times in the tests.
+// Cardinalities derive from document statistics: element counts by name
+// and, in the engine's default model, the load-time analyzer's per-path
+// counts (internal/stats), from which the name counts are read too — no
+// model the engine builds walks a document. Selectivities use fixed
+// textbook defaults. The model only needs to rank plans whose costs differ
+// by orders of magnitude, so crude is fine — and the ranking is validated
+// against measured times in the tests.
 package cost
 
 import (
@@ -23,9 +26,10 @@ import (
 // Model holds the document statistics estimation runs against.
 type Model struct {
 	// elemCount is the total number of elements with a given name across
-	// all loaded documents.
+	// all loaded documents, summed from the measured paths ending in that
+	// name where a document has statistics and counted by a walk otherwise.
 	elemCount map[string]float64
-	// docElems is the total element count per document.
+	// total is the element count of all loaded documents.
 	total float64
 	// stats, when non-nil, holds the analyzer's measured per-path profiles
 	// keyed by document URI (see internal/stats). With them the model
@@ -66,32 +70,46 @@ func perTuple(op algebra.Op) float64 {
 	return tupleCost + slotCost*width(op)
 }
 
-// NewModel gathers element statistics from the loaded documents.
-func NewModel(docs map[string]*dom.Document) *Model {
-	m := &Model{elemCount: map[string]float64{}}
-	for _, d := range docs {
-		var walk func(n *dom.Node)
-		walk = func(n *dom.Node) {
-			if n.Kind == dom.KindElement {
-				m.elemCount[n.Name]++
-				m.total++
-			}
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(d.Root)
+// NewModel walks the documents to count their elements by name: the
+// constants-only model, without measured statistics.
+func NewModel(docs map[string]*dom.Document) *Model { return NewModelStats(docs, nil) }
+
+func (m *Model) countElems(n *dom.Node) {
+	if n.Kind == dom.KindElement {
+		m.elemCount[n.Name]++
+		m.total++
 	}
-	return m
+	for _, c := range n.Children {
+		m.countElems(c)
+	}
 }
 
-// NewModelStats builds a model that additionally consumes the analyzer's
-// measured per-path statistics (the engine's default since the stats
-// subsystem landed; NewModel remains the constants-only fallback).
+// NewModelStats builds the engine's default model: the analyzer's measured
+// per-path statistics, with the element counts NewModel would find by
+// walking read off them — a path's count goes to the name of its last
+// segment. Building it costs the number of distinct paths, not the number
+// of nodes; only a document without an entry in st is walked.
 func NewModelStats(docs map[string]*dom.Document, st map[string]*stats.DocStats) *Model {
-	m := NewModel(docs)
+	paths := 0 // bounds the distinct names: growing the map is half the cost
+	for _, ds := range st {
+		paths += len(ds.Paths)
+	}
+	m := &Model{elemCount: make(map[string]float64, paths)}
 	if len(st) > 0 {
 		m.stats = st
+	}
+	for uri, d := range docs {
+		ds := st[uri]
+		if ds == nil {
+			m.countElems(d.Root)
+			continue
+		}
+		m.total += float64(ds.Elements)
+		for _, ps := range ds.Paths {
+			if name := ps.Path[strings.LastIndexByte(ps.Path, '/')+1:]; !strings.HasPrefix(name, "@") {
+				m.elemCount[name] += float64(ps.Count)
+			}
+		}
 	}
 	return m
 }

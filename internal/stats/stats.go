@@ -61,6 +61,9 @@ type DocStats struct {
 	Paths []*PathStats
 
 	byPath map[string]*PathStats
+	// segs[i] is Paths[i].Path split into its segments, once per document:
+	// path resolution matches segment-wise per path per call.
+	segs [][]string
 }
 
 // Path returns the statistics of one absolute path, or nil.
@@ -71,11 +74,20 @@ func (s *DocStats) Path(p string) *PathStats { return s.byPath[p] }
 func FromPaths(uri string, elements int64, paths []*PathStats) *DocStats {
 	s := &DocStats{URI: uri, Elements: elements, Paths: paths,
 		byPath: make(map[string]*PathStats, len(paths))}
-	sort.Slice(s.Paths, func(i, j int) bool { return s.Paths[i].Path < s.Paths[j].Path })
 	for _, p := range s.Paths {
 		s.byPath[p.Path] = p
 	}
+	s.sortPaths()
 	return s
+}
+
+// sortPaths puts Paths in path order and splits each into its segments.
+func (s *DocStats) sortPaths() {
+	sort.Slice(s.Paths, func(i, j int) bool { return s.Paths[i].Path < s.Paths[j].Path })
+	s.segs = make([][]string, len(s.Paths))
+	for i, p := range s.Paths {
+		s.segs[i] = strings.Split(strings.TrimPrefix(p.Path, "/"), "/")
+	}
 }
 
 // Visitor observes the analyzer's walk: VisitElem runs once per element and
@@ -190,7 +202,7 @@ func AnalyzeVisit(d *dom.Document, v Visitor) *DocStats {
 			a.st.AllNumeric, a.st.MinNum, a.st.MaxNum = false, 0, 0
 		}
 	}
-	sort.Slice(s.Paths, func(i, j int) bool { return s.Paths[i].Path < s.Paths[j].Path })
+	s.sortPaths()
 	return s
 }
 
@@ -239,8 +251,8 @@ func (s *DocStats) ResolvePaths(p xpath.Path) ([]string, bool) {
 		}
 	}
 	var out []string
-	for _, ps := range s.Paths {
-		if MatchPath(p, ps.Path) {
+	for i, ps := range s.Paths {
+		if matchSteps(p.Steps, s.segs[i]) {
 			out = append(out, ps.Path)
 		}
 	}
@@ -258,8 +270,8 @@ func (s *DocStats) SuffixCount(p xpath.Path) (float64, bool) {
 		}
 	}
 	var n float64
-	for _, ps := range s.Paths {
-		segs := splitPath(ps.Path)
+	for i, ps := range s.Paths {
+		segs := s.segs[i]
 		for k := 0; k <= len(segs); k++ {
 			if matchSteps(p.Steps, segs[k:]) {
 				n += float64(ps.Count)
@@ -268,16 +280,6 @@ func (s *DocStats) SuffixCount(p xpath.Path) (float64, bool) {
 		}
 	}
 	return n, true
-}
-
-// MatchPath reports whether the expression, evaluated from the document
-// root, selects the nodes at the given absolute path.
-func MatchPath(p xpath.Path, abs string) bool {
-	return matchSteps(p.Steps, splitPath(abs))
-}
-
-func splitPath(abs string) []string {
-	return strings.Split(strings.TrimPrefix(abs, "/"), "/")
 }
 
 func matchSteps(steps []xpath.Step, segs []string) bool {

@@ -86,7 +86,11 @@ type engineState struct {
 	// replaced, carried over unchanged otherwise. Like docs it is immutable
 	// after publication.
 	aux map[string]*index.DocIndexes
-	cat *schema.Catalog
+	// model is the default cost model, a projection of aux's statistics
+	// built once per snapshot beside them — a compile reads it and never
+	// looks at a document.
+	model *cost.Model
+	cat   *schema.Catalog
 	// gen counts state transitions; it keys the plan cache, so a document
 	// load or catalog edit invalidates cached plans for the old state.
 	gen uint64
@@ -118,7 +122,8 @@ type Engine struct {
 func NewEngine() *Engine {
 	e := &Engine{}
 	e.state.Store(&engineState{docs: map[string]*dom.Document{},
-		aux: map[string]*index.DocIndexes{}, cat: schema.UseCases()})
+		aux: map[string]*index.DocIndexes{}, model: cost.NewModelStats(nil, nil),
+		cat: schema.UseCases()})
 	e.cache.cap = DefaultPlanCacheSize
 	return e
 }
@@ -152,15 +157,20 @@ func (e *Engine) mutateWith(mut func(st *engineState), pre map[string]*stats.Doc
 	// document object already analyzed keeps its sidecar, a new or replaced
 	// one is analyzed and indexed here (one walk), a dropped one loses its
 	// entry. Stats and indexes therefore invalidate exactly like the plan
-	// cache: any transition that changes a document replaces them.
+	// cache: any transition that changes a document replaces them — and the
+	// cost model derived from them, which costs one pass over the measured
+	// paths, not over the documents.
+	measured := make(map[string]*stats.DocStats, len(next.docs))
 	for uri, d := range next.docs {
 		if cur.docs[uri] == d && cur.aux[uri] != nil {
 			next.aux[uri] = cur.aux[uri]
-			continue
+		} else {
+			next.aux[uri] = index.BuildWith(d, pre[uri])
+			e.analyzerRuns.Add(1)
 		}
-		next.aux[uri] = index.BuildWith(d, pre[uri])
-		e.analyzerRuns.Add(1)
+		measured[uri] = next.aux[uri].Stats
 	}
+	next.model = cost.NewModelStats(next.docs, measured)
 	e.state.Store(next)
 }
 
@@ -348,10 +358,9 @@ func WithCatalog(cat *schema.Catalog) CompileOption {
 	return func(c *compileConfig) { c.cat = cat }
 }
 
-// WithCostModel supplies a pre-built statistics model instead of gathering
-// element counts from the engine's documents — e.g. to reuse one model
-// across many Compile calls over the same corpus, or to rank plans under
-// synthetic statistics.
+// WithCostModel ranks the plans under the given model instead of the
+// snapshot's own, which the engine derives from its load-time statistics —
+// e.g. cost.NewModel's constants-only estimates, or synthetic statistics.
 func WithCostModel(m *cost.Model) CompileOption {
 	return func(c *compileConfig) { c.model = m }
 }
@@ -445,7 +454,7 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 		// plan choice driven by data properties, not constants. A caller's
 		// WithCostModel (e.g. cost.NewModel for the textbook defaults)
 		// replaces it wholesale.
-		model = cost.NewModelStats(docs, snapshotStats(st.aux))
+		model = st.model
 	}
 	q = &Query{Text: text, Normalized: norm.String(), docs: docs, model: model,
 		OrderIrrelevant: orderIrrelevant, params: mod.Externals, idxHits: &e.indexHits}

@@ -10,38 +10,31 @@ import (
 // the memory pinned by cached plans and their document snapshots.
 const DefaultPlanCacheSize = 128
 
-// planCache is the engine's bounded LRU of compiled queries, keyed by the
-// exact query text plus the engine-state generation it was compiled under.
-// A document load or catalog edit bumps the generation, so stale entries
-// can never be returned — they simply age out of the LRU.
+// planCache is the engine's bounded LRU of compiled queries. A document
+// load or catalog edit bumps the engine-state generation, and a query
+// compiled under an older generation can never be asked for again while it
+// keeps that generation's documents alive — so the cache holds entries of
+// one generation only, the newest it has seen, keyed by the exact query text.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
+	gen     uint64     // the generation every entry was compiled under
 	ll      *list.List // front = most recently used; values are *planCacheEntry
-	entries map[planCacheKey]*list.Element
+	entries map[string]*list.Element
 
 	hits, misses int64
 }
 
-type planCacheKey struct {
-	text string
-	gen  uint64
-}
-
 type planCacheEntry struct {
-	key planCacheKey
-	q   *Query
+	text string
+	q    *Query
 }
 
 func (c *planCache) get(text string, gen uint64) (*Query, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 || c.entries == nil {
-		c.misses++
-		return nil, false
-	}
-	el, ok := c.entries[planCacheKey{text: text, gen: gen}]
-	if !ok {
+	el, ok := c.entries[text]
+	if !ok || gen != c.gen {
 		c.misses++
 		return nil, false
 	}
@@ -53,22 +46,23 @@ func (c *planCache) get(text string, gen uint64) (*Query, bool) {
 func (c *planCache) put(text string, gen uint64, q *Query) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return
+	if c.cap <= 0 || gen < c.gen {
+		return // a compile that lost the race with a load: already stale
 	}
-	if c.entries == nil {
+	if c.entries == nil || gen > c.gen {
+		// The first entry of a newer generation supersedes every older one.
+		c.gen = gen
 		c.ll = list.New()
-		c.entries = make(map[planCacheKey]*list.Element)
+		c.entries = make(map[string]*list.Element)
 	}
-	key := planCacheKey{text: text, gen: gen}
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[text]; ok {
 		// A concurrent miss compiled the same text twice; keep the newer
 		// query, the plans are equivalent.
 		el.Value.(*planCacheEntry).q = q
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.ll.PushFront(&planCacheEntry{key: key, q: q})
+	c.entries[text] = c.ll.PushFront(&planCacheEntry{text: text, q: q})
 	for c.ll.Len() > c.cap {
 		c.evictOldest()
 	}
@@ -81,7 +75,7 @@ func (c *planCache) evictOldest() {
 		return
 	}
 	c.ll.Remove(el)
-	delete(c.entries, el.Value.(*planCacheEntry).key)
+	delete(c.entries, el.Value.(*planCacheEntry).text)
 }
 
 func (c *planCache) resize(n int) {
@@ -113,8 +107,8 @@ type PlanCacheStats struct {
 	// Hits and Misses count cache consultations by Engine.Query and
 	// Engine.RunText since the engine was created.
 	Hits, Misses int64
-	// Entries is the number of cached compiled queries (stale generations
-	// included until they age out).
+	// Entries is the number of cached compiled queries, all compiled under
+	// the engine's newest cached generation.
 	Entries int
 }
 

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"nalquery/internal/dom"
 	"nalquery/internal/schema"
 )
 
@@ -582,6 +585,76 @@ func TestPlanCache(t *testing.T) {
 	e.SetPlanCacheSize(0)
 	if st := e.PlanCacheStats(); st.Entries != 0 {
 		t.Errorf("disabled cache holds %d entries", st.Entries)
+	}
+}
+
+// TestPlanCacheDropsSupersededGenerations: an entry compiled under an older
+// generation can never hit again, and its Query keeps that generation's
+// documents alive — so the first cached compile under a newer generation
+// drops every older entry, and a replaced document becomes collectable.
+func TestPlanCacheDropsSupersededGenerations(t *testing.T) {
+	const text = `let $d := doc("n.xml") for $n in $d//n return <a>{ $n/@v }</a>`
+	e := NewEngine()
+
+	// The first document carries a node nothing points back from (a document
+	// is cyclic through its parent pointers, and a finalizer inside a cycle
+	// never runs): the node is freed exactly when the document is.
+	first, err := dom.Parse(strings.NewReader(`<ns><n v="0"/></ns>`), "n.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := &dom.Node{Kind: dom.KindAttribute, Name: "pin", Data: "1"}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(pin, func(*dom.Node) { close(freed) })
+	root := first.RootElement()
+	root.Attrs = append(root.Attrs, pin)
+	e.LoadDocument(first)
+	first, root, pin = nil, nil, nil
+	if _, err := e.Query(text); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 1; i <= 20; i++ {
+		if err := e.LoadXMLString("n.xml", fmt.Sprintf(`<ns><n v="%d"/></ns>`, i)); err != nil {
+			t.Fatal(err)
+		}
+		out, err := e.Query(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`<a>%d</a>`, i); out != want {
+			t.Fatalf("round %d: stale result %q", i, out)
+		}
+	}
+	if st := e.PlanCacheStats(); st.Entries != 1 || st.Hits != 0 || st.Misses != 21 {
+		t.Errorf("after 20 reload+query rounds: %+v, want 1 entry, 0 hits, 21 misses", st)
+	}
+	collected := false
+	for i := 0; i < 100 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Errorf("the replaced document is still reachable after a cached compile under a newer generation")
+	}
+
+	// A compile that lost the race with a load must not bring its stale
+	// query back, nor displace the current generation's entries.
+	st := e.snapshot()
+	q, err := e.compileState(st, text, compileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.cache.put("older", st.gen-1, q)
+	if _, ok := e.cache.get("older", st.gen-1); ok {
+		t.Errorf("an entry of a superseded generation was cached")
+	}
+	if _, ok := e.cache.get(text, st.gen); !ok {
+		t.Errorf("a stale put displaced the current generation's entry")
 	}
 }
 

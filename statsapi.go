@@ -9,7 +9,6 @@ package nalquery
 import (
 	"nalquery/internal/core"
 	"nalquery/internal/index"
-	"nalquery/internal/stats"
 	"nalquery/internal/xpath"
 )
 
@@ -69,19 +68,6 @@ func (e *Engine) AnalyzerRuns() int64 { return e.analyzerRuns.Load() }
 // IndexHits reports the cumulative number of index-scan resolutions across
 // finished runs of queries compiled by this engine.
 func (e *Engine) IndexHits() int64 { return e.indexHits.Load() }
-
-// snapshotStats projects the sidecar map onto the analyzer statistics the
-// cost model consumes.
-func snapshotStats(aux map[string]*index.DocIndexes) map[string]*stats.DocStats {
-	if len(aux) == 0 {
-		return nil
-	}
-	out := make(map[string]*stats.DocStats, len(aux))
-	for uri, x := range aux {
-		out[uri] = x.Stats
-	}
-	return out
-}
 
 // indexCat adapts one snapshot's sidecar to the planner's IndexCatalog.
 type indexCat struct {
