@@ -2,9 +2,10 @@
 # bench-smoke additionally vets the tree and runs every benchmark family
 # once, catching benchmark-harness rot without paying for real measurement.
 # ci is the full gate: tier-1, lint (the zero-dependency guard and the
-# nalvet analyzers), go vet plus race-built tests, the
-# benchmark-trajectory diff against the committed BENCH_results.json, and
-# a compile-and-smoke of the benchmark/ harness against the engine.
+# nalvet analyzers), go vet plus race-built tests, the fault-injection
+# sweep over every resource-budget trip point, the benchmark-trajectory diff
+# against the committed BENCH_results.json, and a compile-and-smoke of the
+# benchmark/ harness against the engine.
 
 GO ?= go
 
@@ -133,4 +134,4 @@ load-smoke:
 		kill -TERM $$pid; wait $$pid; drc=$$?; \
 		[ $$rc -eq 0 ] && [ $$drc -eq 0 ]
 
-ci: tier1 lint race-test bench-diff bench-harness
+ci: tier1 lint race-test faults bench-diff bench-harness

@@ -1,0 +1,112 @@
+package nalquery
+
+import (
+	"context"
+	"hash/fnv"
+	"io"
+	"testing"
+)
+
+// TestPaperPlanAllocBudget is the allocation gate of the execution path: the
+// cost-chosen plan of each paper query, prepared once, run and serialized,
+// at size 400. The ceilings are half of what the same runs allocated while
+// every row, bucket and path step had an allocation of its own (8 264,
+// 6 033, 20 911, 1 378, 5 462, 13 418 and 3 797); the readings they were set
+// against are 3 135, 1 886, 6 476, 197, 1 485, 3 912 and 1 336.
+func TestPaperPlanAllocBudget(t *testing.T) {
+	eng := runEngine(400)
+	for id, ceiling := range map[string]float64{
+		"q1": 4100, "q1dblp": 3000, "q2": 10400, "q3": 680, "q4": 2700, "q5": 6700, "q6": 1850,
+	} {
+		p, err := eng.Prepare(PaperQueries[id])
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got := testing.AllocsPerRun(3, func() {
+			res, err := p.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			defer res.Close()
+			if err := res.WriteXML(io.Discard); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("%s: %.0f allocations per run, ceiling %.0f", id, got, ceiling)
+		}
+	}
+}
+
+// TestBudgetChargesIndependentOfAllocation pins what a run charges its
+// budget — bytes, tuples, and the sequence of trip points it consults — per
+// paper query and plan, to the values read before rows came from chunks and
+// groups from flat arrays. How the engine allocates is not what it accounts:
+// a charge is per row and per slot, wherever the slots live.
+func TestBudgetChargesIndependentOfAllocation(t *testing.T) {
+	eng := runEngine(40)
+	for _, want := range []struct {
+		id, plan      string
+		bytes, tuples int64
+		consulted     int
+		labels        uint32 // FNV-1a over the consulted labels, in order
+	}{
+		{"q1", "nested", 237360, 1640, 1840, 0xadbf72dd},
+		{"q1", "outer join", 28720, 200, 560, 0xfcd315b5},
+		{"q1", "grouping", 22320, 120, 440, 0x8b72434d},
+		{"q1", "group Ξ", 22320, 120, 440, 0xd9f7796d},
+		{"q1", "indexed outer join", 28720, 200, 560, 0xfcd315b5},
+		{"q1", "indexed grouping", 22320, 120, 440, 0x8b72434d},
+		{"q1", "indexed group Ξ", 22320, 120, 440, 0xd9f7796d},
+		{"q1dblp", "nested", 41610, 285, 380, 0x2cad1a52},
+		{"q1dblp", "outer join", 9770, 69, 219, 0xa14df97c},
+		{"q1dblp", "indexed outer join", 9770, 69, 219, 0xa14df97c},
+		{"q2", "nested", 523560, 3566, 3766, 0x25f7f11b},
+		{"q2", "outer join", 38280, 338, 578, 0x63e4c80d},
+		{"q2", "grouping", 31880, 258, 458, 0xbc9a6da5},
+		{"q2", "indexed outer join", 38280, 338, 578, 0x63e4c80d},
+		{"q2", "indexed grouping", 31880, 258, 458, 0xbc9a6da5},
+		{"q3", "nested", 234635, 1640, 1685, 0xb48c227f},
+		{"q3", "semijoin", 10635, 120, 205, 0x2ca83f97},
+		{"q3", "indexed nested", 234635, 1640, 1685, 0xb48c227f},
+		{"q3", "indexed semijoin", 10635, 120, 205, 0x2ca83f97},
+		{"q4", "nested", 1700660, 9720, 9732, 0x8926e9c1},
+		{"q4", "semijoin", 22132, 242, 334, 0xba2cf4d},
+		{"q4", "grouping", 18740, 200, 212, 0x46bd615d},
+		{"q4", "indexed nested", 1700660, 9720, 9732, 0x8926e9c1},
+		{"q4", "indexed semijoin", 22132, 242, 334, 0xba2cf4d},
+		{"q4", "indexed grouping", 18740, 200, 212, 0x46bd615d},
+		{"q5", "nested", 619082, 4840, 4918, 0x7593d6f5},
+		{"q5", "anti-semijoin", 15178, 176, 294, 0xa668b0d9},
+		{"q5", "grouping", 18122, 200, 278, 0xd6c8a625},
+		{"q5", "indexed anti-semijoin", 15178, 176, 294, 0xa668b0d9},
+		{"q5", "indexed grouping", 18122, 200, 278, 0xd6c8a625},
+		{"q6", "nested", 46903, 328, 337, 0x611a705b},
+		{"q6", "outer join", 8503, 96, 113, 0x6a4e52db},
+		{"q6", "grouping", 7223, 80, 89, 0xabe947f3},
+		{"q6", "indexed outer join", 8503, 96, 113, 0x6a4e52db},
+		{"q6", "indexed grouping", 7223, 80, 89, 0xabe947f3},
+	} {
+		q, err := eng.Compile(PaperQueries[want.id])
+		if err != nil {
+			t.Fatalf("%s: %v", want.id, err)
+		}
+		labels, consulted := fnv.New32a(), 0
+		hook := func(point string) bool {
+			labels.Write([]byte(point))
+			labels.Write([]byte{0})
+			consulted++
+			return false
+		}
+		var st Stats
+		if err := runToDiscard(t, q, WithPlan(want.plan), WithStats(&st), withFaultHook(hook)); err != nil {
+			t.Fatalf("%s/%s: %v", want.id, want.plan, err)
+		}
+		if st.BudgetBytes != want.bytes || st.BudgetTuples != want.tuples ||
+			consulted != want.consulted || labels.Sum32() != want.labels {
+			t.Errorf("%s/%s: charged %d bytes, %d tuples over %d consultations (labels %#x); pinned %d, %d, %d (%#x)",
+				want.id, want.plan, st.BudgetBytes, st.BudgetTuples, consulted, labels.Sum32(),
+				want.bytes, want.tuples, want.consulted, want.labels)
+		}
+	}
+}

@@ -2,8 +2,8 @@ package algebra
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"nalquery/internal/value"
 )
@@ -25,18 +25,10 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 	case "count":
 		return value.Int(int64(itemCount(arg(args, 0))))
 	case "string":
-		a := value.AtomizeSingle(arg(args, 0))
-		if a == nil {
-			return value.Str("")
-		}
-		return value.Str(a.String())
+		return value.Str(stringArg(args, 0))
 	case "decimal", "number":
-		a := value.AtomizeSingle(arg(args, 0))
-		if a == nil {
-			return value.Null{}
-		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(a.String()), 64)
-		if err != nil {
+		f, ok := numArg(arg(args, 0))
+		if !ok {
 			return value.Null{}
 		}
 		return value.Float(f)
@@ -47,16 +39,13 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return value.Str(sb.String())
 	case "contains":
-		s := value.AtomizeSingle(arg(args, 0))
-		sub := value.AtomizeSingle(arg(args, 1))
-		if s == nil || sub == nil {
-			return value.Bool(false)
-		}
-		return value.Bool(strings.Contains(s.String(), sub.String()))
+		s, ok := value.AtomText(arg(args, 0))
+		sub, ok2 := value.AtomText(arg(args, 1))
+		return value.Bool(ok && ok2 && strings.Contains(s, sub))
 	case "distinct-values":
 		return distinctValues(arg(args, 0))
 	case "min", "max", "sum", "avg":
-		return aggregate(fn, atomsOf(arg(args, 0)))
+		return aggregate(fn, value.AppendItems(nil, arg(args, 0)))
 	case "unordered":
 		// unordered(e) signals that the result order is irrelevant (paper
 		// Sec. 1). This engine's operators all preserve order anyway, so the
@@ -66,47 +55,25 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 	case "data":
 		return value.Atomize(arg(args, 0))
 	case "string-length":
-		a := value.AtomizeSingle(arg(args, 0))
-		if a == nil {
-			return value.Int(0)
-		}
-		return value.Int(int64(len([]rune(a.String()))))
+		return value.Int(int64(utf8.RuneCountInString(stringArg(args, 0))))
 	case "starts-with":
-		s := value.AtomizeSingle(arg(args, 0))
-		p := value.AtomizeSingle(arg(args, 1))
-		if s == nil || p == nil {
-			return value.Bool(false)
-		}
-		return value.Bool(strings.HasPrefix(s.String(), p.String()))
+		s, ok := value.AtomText(arg(args, 0))
+		p, ok2 := value.AtomText(arg(args, 1))
+		return value.Bool(ok && ok2 && strings.HasPrefix(s, p))
 	case "ends-with":
-		s := value.AtomizeSingle(arg(args, 0))
-		p := value.AtomizeSingle(arg(args, 1))
-		if s == nil || p == nil {
-			return value.Bool(false)
-		}
-		return value.Bool(strings.HasSuffix(s.String(), p.String()))
+		s, ok := value.AtomText(arg(args, 0))
+		p, ok2 := value.AtomText(arg(args, 1))
+		return value.Bool(ok && ok2 && strings.HasSuffix(s, p))
 	case "upper-case":
-		a := value.AtomizeSingle(arg(args, 0))
-		if a == nil {
-			return value.Str("")
-		}
-		return value.Str(strings.ToUpper(a.String()))
+		return value.Str(strings.ToUpper(stringArg(args, 0)))
 	case "lower-case":
-		a := value.AtomizeSingle(arg(args, 0))
-		if a == nil {
-			return value.Str("")
-		}
-		return value.Str(strings.ToLower(a.String()))
+		return value.Str(strings.ToLower(stringArg(args, 0)))
 	case "normalize-space":
-		a := value.AtomizeSingle(arg(args, 0))
-		if a == nil {
-			return value.Str("")
-		}
-		return value.Str(strings.Join(strings.Fields(a.String()), " "))
+		return value.Str(strings.Join(strings.Fields(stringArg(args, 0)), " "))
 	case "substring":
 		// substring(s, start[, length]) with XQuery's 1-based positions.
 		s := stringArg(args, 0)
-		start, ok := floatArg(args, 1)
+		start, ok := numArg(arg(args, 1))
 		if !ok {
 			return value.Str("")
 		}
@@ -114,7 +81,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		lo := int(start) - 1
 		hi := len(runes)
 		if len(args) > 2 {
-			ln, ok := floatArg(args, 2)
+			ln, ok := numArg(arg(args, 2))
 			if !ok {
 				return value.Str("")
 			}
@@ -143,11 +110,11 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return value.Str("")
 	case "string-join":
-		atoms := atomsOf(arg(args, 0))
+		items := value.AppendItems(nil, arg(args, 0))
 		sep := stringArg(args, 1)
-		parts := make([]string, len(atoms))
-		for i, a := range atoms {
-			parts[i] = a.String()
+		parts := make([]string, len(items))
+		for i, a := range items {
+			parts[i], _ = value.AtomText(a)
 		}
 		return value.Str(strings.Join(parts, sep))
 	case "translate":
@@ -170,7 +137,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return value.Str(sb.String())
 	case "abs":
-		f, ok := floatArg(args, 0)
+		f, ok := numArg(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
@@ -179,19 +146,19 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return value.Float(f)
 	case "floor":
-		f, ok := floatArg(args, 0)
+		f, ok := numArg(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
 		return value.Float(mathFloor(f))
 	case "ceiling":
-		f, ok := floatArg(args, 0)
+		f, ok := numArg(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
 		return value.Float(-mathFloor(-f))
 	case "round":
-		f, ok := floatArg(args, 0)
+		f, ok := numArg(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
@@ -227,21 +194,8 @@ func arg(args []value.Value, i int) value.Value {
 
 // stringArg atomizes the i-th argument to a string; empty values map to "".
 func stringArg(args []value.Value, i int) string {
-	a := value.AtomizeSingle(arg(args, i))
-	if a == nil {
-		return ""
-	}
-	return a.String()
-}
-
-// floatArg atomizes the i-th argument to a number.
-func floatArg(args []value.Value, i int) (float64, bool) {
-	a := value.AtomizeSingle(arg(args, i))
-	if a == nil {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(a.String()), 64)
-	return f, err == nil
+	s, _ := value.AtomText(arg(args, i))
+	return s
 }
 
 // mathFloor avoids importing math for the one function the rounding family
@@ -284,93 +238,63 @@ func itemCount(v value.Value) int {
 	}
 }
 
-// atomsOf flattens a value into its atomic items. Tuple sequences contribute
-// the atomized values of all their attributes in order (the tuples produced
-// by nested query blocks carry a single attribute).
-func atomsOf(v value.Value) value.Seq {
-	switch w := v.(type) {
-	case value.TupleSeq:
-		var out value.Seq
-		for _, t := range w {
-			t.EachValue(func(x value.Value) { out = append(out, value.Atomize(x)...) })
-		}
-		return out
-	case value.RowSeq:
-		var out value.Seq
-		for i := 0; i < w.Len(); i++ {
-			w.EachValue(i, func(x value.Value) { out = append(out, value.Atomize(x)...) })
-		}
-		return out
-	default:
-		return value.Atomize(v)
-	}
-}
-
 // distinctValues implements XQuery's distinct-values on an item sequence:
 // atomize and remove duplicates. Like ΠD it need not preserve order but must
 // be deterministic; we keep first-occurrence order, which satisfies both
-// requirements.
+// requirements. Only a value that is kept is atomized into the result.
 func distinctValues(v value.Value) value.Seq {
-	atoms := atomsOf(v)
-	seen := make(map[string]bool, len(atoms))
+	items := value.AppendItems(nil, v)
+	seen := make(map[value.HashKey]struct{}, len(items))
 	var out value.Seq
-	for _, a := range atoms {
-		k := value.Key(a)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
+	for _, a := range items {
+		k := value.KeyOf(a)
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
+			out = append(out, value.AtomizeSingle(a))
 		}
 	}
 	return out
 }
 
-func aggregate(fn string, atoms value.Seq) value.Value {
-	if len(atoms) == 0 {
+// aggregate folds min, max, sum or avg over items (atoms, or nodes read
+// through their string value). Numbers are read as they are; text counts as
+// a number when it parses as one. If every item is a number the result is
+// numeric; otherwise min and max compare the items' text and sum and avg are
+// empty.
+func aggregate(fn string, items value.Seq) value.Value {
+	if len(items) == 0 {
 		if fn == "sum" {
 			return value.Int(0)
 		}
 		return value.Null{}
 	}
-	nums := make([]float64, 0, len(atoms))
 	allNum := true
-	for _, a := range atoms {
-		f, err := strconv.ParseFloat(strings.TrimSpace(a.String()), 64)
-		if err != nil {
+	var best, sum float64
+	for i, a := range items {
+		f, ok := numArg(a)
+		if !ok {
 			allNum = false
 			break
 		}
-		nums = append(nums, f)
+		sum += f
+		if i == 0 || (fn == "min" && f < best) || (fn == "max" && f > best) {
+			best = f
+		}
 	}
 	if allNum {
-		best := nums[0]
-		sum := 0.0
-		for _, f := range nums {
-			sum += f
-			switch fn {
-			case "min":
-				if f < best {
-					best = f
-				}
-			case "max":
-				if f > best {
-					best = f
-				}
-			}
-		}
 		switch fn {
 		case "min", "max":
 			return value.Float(best)
 		case "sum":
 			return value.Float(sum)
 		case "avg":
-			return value.Float(sum / float64(len(nums)))
+			return value.Float(sum / float64(len(items)))
 		}
 	}
-	// String min/max; sum/avg over non-numeric values is an empty result.
 	if fn == "min" || fn == "max" {
-		best := atoms[0].String()
-		for _, a := range atoms[1:] {
-			s := a.String()
+		best, _ := value.AtomText(items[0])
+		for _, a := range items[1:] {
+			s, _ := value.AtomText(a)
 			if (fn == "min" && s < best) || (fn == "max" && s > best) {
 				best = s
 			}
@@ -471,11 +395,11 @@ type SFAgg struct {
 
 // Apply implements SeqFunc.
 func (a SFAgg) Apply(_ *Ctx, _ value.Tuple, ts value.TupleSeq) value.Value {
-	var atoms value.Seq
+	var items value.Seq
 	for _, t := range ts {
-		atoms = append(atoms, value.Atomize(t[a.Attr])...)
+		items = value.AppendItems(items, t[a.Attr])
 	}
-	return aggregate(a.Fn, atoms)
+	return aggregate(a.Fn, items)
 }
 
 func (a SFAgg) String() string { return fmt.Sprintf("%s∘Π%s", a.Fn, a.Attr) }

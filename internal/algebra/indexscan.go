@@ -200,8 +200,9 @@ type rowIndexScanIter struct {
 	nodes []*dom.Node
 	ctx   *Ctx
 
-	cur value.Row
-	pos int
+	cur  value.Row
+	pos  int
+	slab rowSlab
 }
 
 func (s *rowIndexScanIter) Next() (value.Row, bool) {
@@ -210,12 +211,10 @@ func (s *rowIndexScanIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		if s.pos < len(s.nodes) {
-			vals := make([]value.Value, s.lay.Width())
-			copy(vals, s.cur.Vals)
-			vals[s.slot] = value.NodeVal{Node: s.nodes[s.pos]}
+			r := s.slab.extend(s.lay, s.cur, len(s.nodes)-s.pos)
+			r.Vals[s.slot] = value.NodeVal{Node: s.nodes[s.pos]}
 			s.pos++
 			s.ctx.Stats.Tuples++
-			r := value.Row{Lay: s.lay, Vals: vals}
 			s.ctx.ChargeRow(TripScan, r)
 			return r, true
 		}

@@ -12,9 +12,8 @@ import (
 // the six unordered operators (⋈ᵁ, ⋉ᵁ, ▷ᵁ, ⟕ᵁ, unary/binary Γᵁ). These
 // are partition-everything pipeline breakers: both inputs materialize as
 // rows, partition tables are keyed by allocation-free composite
-// value.HashKeys (rowKey), and output streams from the partition structure
-// — one ConcatRows slice per emitted tuple instead of the map rebuilds the
-// conversion shim used to pay.
+// value.HashKeys (rowKey) over flat group arrays (bucketRows), and output
+// streams from the partition structure into the iterator's row chunks.
 //
 // Every iterator here defers its build to the first Next() call and drains
 // the probe (left) side first, so an empty left input never evaluates the
@@ -30,29 +29,14 @@ import (
 // in canonical LessKey order. keyHint pre-sizes the partition table and key
 // list — the cost model's distinct-key estimate where the caller has one,
 // the input size otherwise.
-func partitionRowsSorted(rows []value.Row, slots []int, keyHint int) ([]value.HashKey, map[value.HashKey][]value.Row) {
-	buckets := make(map[value.HashKey][]value.Row, keyHint)
-	keys := make([]value.HashKey, 0, keyHint)
-	for _, r := range rows {
-		k := rowKey(r, slots)
-		if _, ok := buckets[k]; !ok {
-			keys = append(keys, k)
-		}
-		buckets[k] = append(buckets[k], r)
+func partitionRowsSorted(rows []value.Row, slots []int, keyHint int) ([]value.HashKey, rowBuckets) {
+	buckets := bucketRows(rows, slots, keyHint)
+	keys := make([]value.HashKey, 0, buckets.n())
+	for k := range buckets.ids {
+		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, value.CmpKey)
 	return keys, buckets
-}
-
-// hashRowBuckets is the build side: HashKey buckets preserving input
-// order, no key list.
-func hashRowBuckets(rows []value.Row, slots []int) map[value.HashKey][]value.Row {
-	m := make(map[value.HashKey][]value.Row, len(rows))
-	for _, r := range rows {
-		k := rowKey(r, slots)
-		m[k] = append(m[k], r)
-	}
-	return m
 }
 
 // openRowPartitionedJoin builds the native iterator shared by GraceJoin
@@ -100,6 +84,7 @@ func openRowPartitionedJoin(l, r Op, lAttrs, rAttrs []string, residual Expr,
 	}
 	if residual != nil {
 		it.residual = compileExpr(residual, Schema{Lay: catLay}, env)
+		it.probe = make([]value.Value, catLay.Width())
 	}
 	it.build = func() bool {
 		left := drainRows(ctx, TripPartition, openRowsSchema(l, lsc, ctx, env))
@@ -108,7 +93,7 @@ func openRowPartitionedJoin(l, r Op, lAttrs, rAttrs []string, residual Expr,
 		}
 		it.keys, it.lParts = partitionRowsSorted(left, lSlots, len(left))
 		right := drainRows(ctx, TripPartition, openRowsSchema(r, rsc, ctx, env))
-		it.rParts = hashRowBuckets(right, rSlots)
+		it.rParts = bucketRows(right, rSlots, len(right))
 		return true
 	}
 	return it
@@ -131,9 +116,11 @@ type rowPartJoinIter struct {
 	build         func() bool
 	started, done bool
 	keys          []value.HashKey
-	lParts        map[value.HashKey][]value.Row
-	rParts        map[value.HashKey][]value.Row
+	lParts        rowBuckets
+	rParts        rowBuckets
 	ki, li, ri    int
+	slab          rowSlab
+	probe         []value.Value // the row the residual of ⋉/▷ is evaluated on
 }
 
 func (p *rowPartJoinIter) Next() (value.Row, bool) {
@@ -151,8 +138,8 @@ func (p *rowPartJoinIter) Next() (value.Row, bool) {
 			p.done = true
 			break
 		}
-		lp := p.lParts[p.keys[p.ki]]
-		rp := p.rParts[p.keys[p.ki]]
+		lp := p.lParts.lookup(p.keys[p.ki])
+		rp := p.rParts.lookup(p.keys[p.ki])
 		if p.li >= len(lp) {
 			p.ki++
 			p.li, p.ri = 0, 0
@@ -170,7 +157,7 @@ func (p *rowPartJoinIter) Next() (value.Row, bool) {
 				p.ri = 0
 				continue
 			}
-			out := value.ConcatRows(p.lay, lp[p.li], rp[p.ri])
+			out := value.ConcatRows(p.lay, p.slab.take(p.lay.Width(), len(rp)-p.ri), lp[p.li], rp[p.ri])
 			p.ri++
 			if p.residual != nil && !value.EffectiveBool(p.residual(p.ctx, out)) {
 				continue
@@ -204,20 +191,14 @@ func (p *rowPartJoinIter) Next() (value.Row, bool) {
 			if len(rp) == 0 {
 				lt := lp[p.li]
 				p.li++
-				vals := make([]value.Value, p.lay.Width())
-				copy(vals, lt.Vals)
-				for i := p.padFrom; i < len(vals); i++ {
-					vals[i] = value.Null{}
-				}
-				vals[p.gSlot] = p.def.Apply(p.ctx, p.env, nil)
-				return value.Row{Lay: p.lay, Vals: vals}, true
+				return padOuter(&p.slab, p.lay, lt, p.padFrom, p.gSlot, p.def.Apply(p.ctx, p.env, nil)), true
 			}
 			if p.ri >= len(rp) {
 				p.li++
 				p.ri = 0
 				continue
 			}
-			out := value.ConcatRows(p.lay, lp[p.li], rp[p.ri])
+			out := value.ConcatRows(p.lay, p.slab.take(p.lay.Width(), len(rp)-p.ri), lp[p.li], rp[p.ri])
 			p.ri++
 			return out, true
 		}
@@ -227,7 +208,7 @@ func (p *rowPartJoinIter) Next() (value.Row, bool) {
 
 func (p *rowPartJoinIter) anyResidual(lt value.Row, rp []value.Row) bool {
 	for _, rt := range rp {
-		if value.EffectiveBool(p.residual(p.ctx, value.ConcatRows(p.catLay, lt, rt))) {
+		if value.EffectiveBool(p.residual(p.ctx, value.ConcatRows(p.catLay, p.probe, lt, rt))) {
 			return true
 		}
 	}
@@ -318,16 +299,17 @@ func openRowOPHashJoin(j OPHashJoin, sc Schema, ctx *Ctx, env value.Tuple) RowIt
 		}
 
 		var streams [][]rowOPTagged
+		var slab rowSlab
 		for pi := 0; pi < p; pi++ {
 			if len(lParts[pi]) == 0 || len(rParts[pi]) == 0 {
 				continue
 			}
-			buckets := hashRowBuckets(rParts[pi], rSlots)
+			buckets := bucketRows(rParts[pi], rSlots, len(rParts[pi]))
 			var out []rowOPTagged
 			for _, lt := range lParts[pi] {
 				minor := 0
-				for _, rt := range buckets[rowKey(lt.r, lSlots)] {
-					cat := value.ConcatRows(catLay, lt.r, rt)
+				for _, rt := range buckets.lookup(rowKey(lt.r, lSlots)) {
+					cat := value.ConcatRows(catLay, slab.take(catLay.Width(), 0), lt.r, rt)
 					if residual != nil && !value.EffectiveBool(residual(ctx, cat)) {
 						continue
 					}
@@ -417,8 +399,9 @@ type rowUnorderedGroupUnaryIter struct {
 	started bool
 	rows    []value.Row
 	keys    []value.HashKey
-	buckets map[value.HashKey][]value.Row
+	buckets rowBuckets
 	pos     int
+	slab    rowSlab
 }
 
 func (g *rowUnorderedGroupUnaryIter) Next() (value.Row, bool) {
@@ -429,7 +412,7 @@ func (g *rowUnorderedGroupUnaryIter) Next() (value.Row, bool) {
 	if g.pos >= len(g.keys) {
 		return value.Row{}, false
 	}
-	b := g.buckets[g.keys[g.pos]]
+	b := g.buckets.lookup(g.keys[g.pos])
 	g.pos++
 	rep := b[0]
 	grp := b
@@ -443,7 +426,7 @@ func (g *rowUnorderedGroupUnaryIter) Next() (value.Row, bool) {
 			}
 		}
 	}
-	vals := make([]value.Value, g.lay.Width())
+	vals := g.slab.take(g.lay.Width(), len(g.keys)-g.pos+1)
 	for i, s := range g.by {
 		vals[g.outBy[i]] = rep.Vals[s]
 	}
@@ -480,8 +463,8 @@ func openRowUnorderedGroupBinary(g UnorderedGroupBinary, sc Schema, ctx *Ctx, en
 		it.keys, it.lParts = partitionRowsSorted(left, lSlots, len(left))
 		right := drainRows(ctx, TripPartition, openRowsSchema(g.R, rsc, ctx, env))
 		if g.Theta == value.CmpEq {
-			it.rHash = hashRowBuckets(right, rSlots)
-			it.applied = make(map[value.HashKey]value.Value, len(it.rHash))
+			it.rHash = bucketRows(right, rSlots, len(right))
+			it.applied = make(map[value.HashKey]value.Value, it.rHash.n())
 		} else {
 			it.scanRows = right
 		}
@@ -502,11 +485,12 @@ type rowUnorderedGroupBinaryIter struct {
 	build         func() bool
 	started, done bool
 	keys          []value.HashKey
-	lParts        map[value.HashKey][]value.Row
-	rHash         map[value.HashKey][]value.Row
+	lParts        rowBuckets
+	rHash         rowBuckets
 	applied       map[value.HashKey]value.Value
 	scanRows      []value.Row
 	ki, li        int
+	slab          rowSlab
 }
 
 func (g *rowUnorderedGroupBinaryIter) Next() (value.Row, bool) {
@@ -522,7 +506,7 @@ func (g *rowUnorderedGroupBinaryIter) Next() (value.Row, bool) {
 			break
 		}
 		key := g.keys[g.ki]
-		lp := g.lParts[key]
+		lp := g.lParts.lookup(key)
 		if g.li >= len(lp) {
 			g.ki++
 			g.li = 0
@@ -531,12 +515,12 @@ func (g *rowUnorderedGroupBinaryIter) Next() (value.Row, bool) {
 		lt := lp[g.li]
 		g.li++
 		var gv value.Value
-		if g.rHash != nil {
+		if g.applied != nil {
 			// Every left tuple of this partition shares the key, so the
 			// partition key doubles as the right-bucket lookup.
 			var cached bool
 			if gv, cached = g.applied[key]; !cached {
-				gv = g.apply(g.ctx, g.env, g.rHash[key])
+				gv = g.apply(g.ctx, g.env, g.rHash.lookup(key))
 				g.applied[key] = gv
 			}
 		} else {
@@ -548,10 +532,9 @@ func (g *rowUnorderedGroupBinaryIter) Next() (value.Row, bool) {
 			}
 			gv = g.apply(g.ctx, g.env, grp)
 		}
-		vals := make([]value.Value, g.lay.Width())
-		copy(vals, lt.Vals)
-		vals[g.gSlot] = gv
-		return value.Row{Lay: g.lay, Vals: vals}, true
+		out := g.slab.extend(g.lay, lt, len(lp)-g.li+1)
+		out.Vals[g.gSlot] = gv
+		return out, true
 	}
 	return value.Row{}, false
 }

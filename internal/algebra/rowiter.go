@@ -10,17 +10,19 @@ import (
 // This file is the streaming engine: open-next-close iterators over
 // value.Row, one per operator. The schema-resolution pass (schema.go) fixes
 // every operator's attribute→slot mapping at plan time; the iterators then
-// produce rows with one value-slice allocation (often zero: σ and Ξ pass
-// rows through, ΠA′:A swaps the layout pointer and keeps the slice). Nested
-// data is slot-native too: group payloads, e[a] bindings and nested-block
-// results travel as value.RowSeq. Map-based tuples survive only in the
-// conversion shim that materializes a structurally untyped operator through
-// the definitional evaluator (evalIter) — every map tuple it puts on the
-// data path counts in Stats.MapTuples.
+// produce rows whose value slices are cut from chunks the producing iterator
+// owns (rowSlab: one allocation per chunk of rows, not per row — and often
+// no slice at all: σ and Ξ pass rows through, ΠA′:A swaps the layout pointer
+// and keeps the slice). Nested data is slot-native too: group payloads, e[a]
+// bindings and nested-block results travel as value.RowSeq. Map-based tuples
+// survive only in the conversion shim that materializes a structurally
+// untyped operator through the definitional evaluator (evalIter) — every map
+// tuple it puts on the data path counts in Stats.MapTuples.
 //
 // Rows are immutable once emitted. Operators may retain received rows
 // (sort, hash build, the group-detecting Ξ's previous row) without copying;
-// producers therefore never reuse an emitted value slice.
+// producers therefore never hand out a value slice twice, and a retained row
+// pins only the chunk it was cut from (at most slabMaxRows rows).
 
 // RowIter is the slot-based iterator interface.
 type RowIter interface {
@@ -344,12 +346,14 @@ func groupApplier(f SeqFunc, lay *value.Layout, env value.Tuple) func(ctx *Ctx, 
 		}
 	case SFAgg:
 		if slot, ok := lay.Slot(w.Attr); ok {
+			// aggregate retains nothing, so one item buffer serves every group.
+			var items value.Seq
 			return func(_ *Ctx, _ value.Tuple, rows []value.Row) value.Value {
-				var atoms value.Seq
+				items = items[:0]
 				for _, r := range rows {
-					atoms = append(atoms, value.Atomize(r.Vals[slot])...)
+					items = value.AppendItems(items, r.Vals[slot])
 				}
-				return aggregate(w.Fn, atoms)
+				return aggregate(w.Fn, items)
 			}
 		}
 	case SFProject:
@@ -480,9 +484,10 @@ func openSlotMap(child Op, sc Schema, ctx *Ctx, env value.Tuple,
 }
 
 type rowSlotMapIter struct {
-	in  RowIter
-	lay *value.Layout
-	src []int
+	in   RowIter
+	lay  *value.Layout
+	src  []int
+	slab rowSlab
 }
 
 func (m *rowSlotMapIter) Next() (value.Row, bool) {
@@ -490,7 +495,7 @@ func (m *rowSlotMapIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	return value.MapSlots(m.lay, m.src, r), true
+	return value.MapSlots(m.lay, m.slab.take(len(m.src), 0), m.src, r), true
 }
 
 func (m *rowSlotMapIter) Close() { m.in.Close() }
@@ -519,6 +524,8 @@ type rowDistinctIter struct {
 	allSlots []int // 0..width-1, the distinct key spans every output slot
 	seen     map[value.HashKey]bool
 	ctx      *Ctx
+	slab     rowSlab
+	spare    []value.Value // a duplicate's slice, never emitted: the next row's
 }
 
 func (d *rowDistinctIter) Next() (value.Row, bool) {
@@ -527,15 +534,21 @@ func (d *rowDistinctIter) Next() (value.Row, bool) {
 		if !ok {
 			return value.Row{}, false
 		}
-		out := value.MapSlots(d.lay, d.src, r)
-		key := rowKey(out, d.allSlots)
-		if !d.seen[key] {
-			// The dedup table retains one entry (and the emitted row) per
-			// distinct key — the materialized state of ΠD.
-			d.ctx.charge(TripDedup, 0, dedupEntryBytes)
-			d.seen[key] = true
-			return out, true
+		if d.spare == nil {
+			d.spare = d.slab.take(len(d.src), 0)
 		}
+		out := value.MapSlots(d.lay, d.spare, d.src, r)
+		key := rowKey(out, d.allSlots)
+		if d.seen[key] {
+			clear(d.spare)
+			continue
+		}
+		d.spare = nil
+		// The dedup table retains one entry (and the emitted row) per
+		// distinct key — the materialized state of ΠD.
+		d.ctx.charge(TripDedup, 0, dedupEntryBytes)
+		d.seen[key] = true
+		return out, true
 	}
 }
 
@@ -547,6 +560,7 @@ type rowMapIter struct {
 	slot int
 	e    RowExpr
 	ctx  *Ctx
+	slab rowSlab
 }
 
 func (m *rowMapIter) Next() (value.Row, bool) {
@@ -554,10 +568,9 @@ func (m *rowMapIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	vals := make([]value.Value, m.lay.Width())
-	copy(vals, r.Vals)
-	vals[m.slot] = m.e(m.ctx, r)
-	return value.Row{Lay: m.lay, Vals: vals}, true
+	out := m.slab.extend(m.lay, r, 0)
+	out.Vals[m.slot] = m.e(m.ctx, r)
+	return out, true
 }
 
 func (m *rowMapIter) Close() { m.in.Close() }
@@ -573,6 +586,7 @@ type rowUnnestMapIter struct {
 	cur     value.Row
 	pending value.Seq
 	pos     int
+	slab    rowSlab
 }
 
 func (u *rowUnnestMapIter) Next() (value.Row, bool) {
@@ -584,16 +598,15 @@ func (u *rowUnnestMapIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		if u.pos < len(u.pending) {
-			vals := make([]value.Value, u.lay.Width())
-			copy(vals, u.cur.Vals)
-			vals[u.slot] = u.pending[u.pos]
+			out := u.slab.extend(u.lay, u.cur, len(u.pending)-u.pos)
+			out.Vals[u.slot] = u.pending[u.pos]
 			if u.posSlot >= 0 {
-				vals[u.posSlot] = value.Int(int64(u.pos + 1))
+				out.Vals[u.posSlot] = value.Int(int64(u.pos + 1))
 			}
 			u.pos++
 			u.ctx.Stats.Tuples++
-			u.ctx.ChargeRow(TripScan, value.Row{Lay: u.lay, Vals: vals})
-			return value.Row{Lay: u.lay, Vals: vals}, true
+			u.ctx.ChargeRow(TripScan, out)
+			return out, true
 		}
 		r, ok := u.in.Next()
 		if !ok {
@@ -674,21 +687,12 @@ func openRowXiGroup(x XiGroup, ctx *Ctx, env value.Tuple) RowIter {
 	// Ξ-group passes its input through, so its output cardinality says
 	// nothing about the bucket count; size the table by the textbook
 	// distinct-keys fraction of the input instead.
-	hint := len(rows)/3 + 1
-	keys := make([]value.HashKey, 0, hint)
-	buckets := make(map[value.HashKey][]value.Row, hint)
-	for _, r := range rows {
-		k := rowKey(r, by)
-		if _, ok := buckets[k]; !ok {
-			keys = append(keys, k)
-		}
-		buckets[k] = append(buckets[k], r)
-	}
+	buckets := bucketRows(rows, by, len(rows)/3+1)
 	s1 := compileCommands(x.S1, insc, env)
 	s2 := compileCommands(x.S2, insc, env)
 	s3 := compileCommands(x.S3, insc, env)
-	for _, k := range keys {
-		grp := buckets[k]
+	for i := 0; i < buckets.n(); i++ {
+		grp := buckets.group(i)
 		execCompiled(ctx, grp[0], s1)
 		for _, r := range grp {
 			execCompiled(ctx, r, s2)
@@ -730,6 +734,7 @@ type rowAttachSeqIter struct {
 	lay  *value.Layout
 	slot int
 	seq  int64
+	slab rowSlab
 }
 
 func (a *rowAttachSeqIter) Next() (value.Row, bool) {
@@ -737,11 +742,10 @@ func (a *rowAttachSeqIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	vals := make([]value.Value, a.lay.Width())
-	copy(vals, r.Vals)
-	vals[a.slot] = value.Int(a.seq)
+	out := a.slab.extend(a.lay, r, 0)
+	out.Vals[a.slot] = value.Int(a.seq)
 	a.seq++
-	return value.Row{Lay: a.lay, Vals: vals}, true
+	return out, true
 }
 
 func (a *rowAttachSeqIter) Close() { a.in.Close() }
@@ -754,6 +758,7 @@ type rowCrossIter struct {
 	cur  value.Row
 	pos  int
 	done bool
+	slab rowSlab
 }
 
 func (c *rowCrossIter) Next() (value.Row, bool) {
@@ -762,7 +767,7 @@ func (c *rowCrossIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		if c.pos >= 0 && c.pos < len(c.right) {
-			r := value.ConcatRows(c.lay, c.cur, c.right[c.pos])
+			r := value.ConcatRows(c.lay, c.slab.take(c.lay.Width(), len(c.right)-c.pos), c.cur, c.right[c.pos])
 			c.pos++
 			return r, true
 		}
@@ -799,16 +804,23 @@ type rowJoinPlan struct {
 	rSlots   []int
 	residual RowExpr // over the concatenated layout
 	catLay   *value.Layout
-	hash     map[value.HashKey][]value.Row
+	hash     rowBuckets
 	right    []value.Row
 	useHash  bool
+	// probe is the one concatenated row the residual is evaluated on: a
+	// predicate reads slots and keeps nothing of the row.
+	probe []value.Value
 }
 
 func (jp *rowJoinPlan) candidates(lt value.Row) []value.Row {
 	if jp.useHash {
-		return jp.hash[rowKey(lt, jp.lSlots)]
+		return jp.hash.lookup(rowKey(lt, jp.lSlots))
 	}
 	return jp.right
+}
+
+func (jp *rowJoinPlan) residualHolds(ctx *Ctx, lt, rt value.Row) bool {
+	return value.EffectiveBool(jp.residual(ctx, value.ConcatRows(jp.catLay, jp.probe, lt, rt)))
 }
 
 func (jp *rowJoinPlan) matches(ctx *Ctx, lt value.Row, dst []value.Row) []value.Row {
@@ -818,7 +830,7 @@ func (jp *rowJoinPlan) matches(ctx *Ctx, lt value.Row, dst []value.Row) []value.
 	}
 	dst = dst[:0]
 	for _, rt := range cand {
-		if value.EffectiveBool(jp.residual(ctx, value.ConcatRows(jp.catLay, lt, rt))) {
+		if jp.residualHolds(ctx, lt, rt) {
 			dst = append(dst, rt)
 		}
 	}
@@ -831,7 +843,7 @@ func (jp *rowJoinPlan) anyMatch(ctx *Ctx, lt value.Row) bool {
 		return len(cand) > 0
 	}
 	for _, rt := range cand {
-		if value.EffectiveBool(jp.residual(ctx, value.ConcatRows(jp.catLay, lt, rt))) {
+		if jp.residualHolds(ctx, lt, rt) {
 			return true
 		}
 	}
@@ -853,6 +865,7 @@ type rowJoinIter struct {
 	pending []value.Row
 	pool    []value.Row
 	pos     int
+	slab    rowSlab
 }
 
 func openRowJoin(l, r Op, pred Expr, sc Schema, ctx *Ctx, env value.Tuple,
@@ -886,17 +899,16 @@ func openRowJoin(l, r Op, pred Expr, sc Schema, ctx *Ctx, env value.Tuple,
 		}
 		jp.lSlots, _ = slotsOf(lsc.Lay, lKeys)
 		jp.rSlots, _ = slotsOf(rsc.Lay, rKeys)
-		jp.hash = make(map[value.HashKey][]value.Row, len(jp.right))
-		for _, rt := range jp.right {
-			k := rowKey(rt, jp.rSlots)
-			jp.hash[k] = append(jp.hash[k], rt)
-		}
+		jp.hash = bucketRows(jp.right, jp.rSlots, len(jp.right))
 		jp.useHash = true
 		if residual != nil {
 			jp.residual = compileExpr(residual, Schema{Lay: catLay}, env)
 		}
 	} else {
 		jp.residual = compileExpr(pred, Schema{Lay: catLay}, env)
+	}
+	if jp.residual != nil {
+		jp.probe = make([]value.Value, catLay.Width())
 	}
 
 	it := &rowJoinIter{left: left, jp: jp, mode: mode, ctx: ctx, env: env,
@@ -921,7 +933,8 @@ func attrBoolSet(lay *value.Layout) map[string]bool {
 func (j *rowJoinIter) Next() (value.Row, bool) {
 	for {
 		if j.pos < len(j.pending) {
-			r := value.ConcatRows(j.lay, j.cur, j.pending[j.pos])
+			vals := j.slab.take(j.lay.Width(), len(j.pending)-j.pos)
+			r := value.ConcatRows(j.lay, vals, j.cur, j.pending[j.pos])
 			j.pos++
 			return r, true
 		}
@@ -949,13 +962,7 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 		case joinModeOuter:
 			ms := j.jp.matches(j.ctx, lt, j.pool)
 			if len(ms) == 0 {
-				vals := make([]value.Value, j.lay.Width())
-				copy(vals, lt.Vals)
-				for i := j.padFrom; i < len(vals); i++ {
-					vals[i] = value.Null{}
-				}
-				vals[j.gSlot] = j.def.Apply(j.ctx, j.env, nil)
-				return value.Row{Lay: j.lay, Vals: vals}, true
+				return padOuter(&j.slab, j.lay, lt, j.padFrom, j.gSlot, j.def.Apply(j.ctx, j.env, nil)), true
 			}
 			j.cur = lt
 			j.pool = ms
@@ -966,6 +973,17 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 }
 
 func (j *rowJoinIter) Close() { j.left.Close() }
+
+// padOuter builds the ⟕ row of a left tuple without partner: the right
+// slots ⊥, the default in g.
+func padOuter(slab *rowSlab, lay *value.Layout, lt value.Row, padFrom, gSlot int, def value.Value) value.Row {
+	out := slab.extend(lay, lt, 0)
+	for i := padFrom; i < len(out.Vals); i++ {
+		out.Vals[i] = value.Null{}
+	}
+	out.Vals[gSlot] = def
+	return out
+}
 
 // ---- grouping ----
 
@@ -988,8 +1006,9 @@ func openRowGroupUnary(g GroupUnary, sc Schema, ctx *Ctx, env value.Tuple) RowIt
 	// from Go map defaults.
 	hint := ctx.cardHint(g, len(rows))
 	out := make([]value.Row, 0, hint)
-	emit := func(key value.Row, v value.Value) {
-		vals := make([]value.Value, sc.Lay.Width())
+	var slab rowSlab
+	emit := func(key value.Row, v value.Value, more int) {
+		vals := slab.take(sc.Lay.Width(), more)
 		for i, s := range by {
 			vals[outBy[i]] = key.Vals[s]
 		}
@@ -998,18 +1017,10 @@ func openRowGroupUnary(g GroupUnary, sc Schema, ctx *Ctx, env value.Tuple) RowIt
 	}
 
 	if g.Theta == value.CmpEq {
-		keys := make([]value.HashKey, 0, hint)
-		buckets := make(map[value.HashKey][]value.Row, hint)
-		for _, r := range rows {
-			k := rowKey(r, by)
-			if _, ok := buckets[k]; !ok {
-				keys = append(keys, k)
-			}
-			buckets[k] = append(buckets[k], r)
-		}
-		for _, k := range keys {
-			b := buckets[k]
-			emit(b[0], apply(ctx, env, b))
+		buckets := bucketRows(rows, by, hint)
+		for i := 0; i < buckets.n(); i++ {
+			grp := buckets.group(i)
+			emit(grp[0], apply(ctx, env, grp), buckets.n()-i)
 		}
 		return &rowSliceIter{rows: out}
 	}
@@ -1024,14 +1035,14 @@ func openRowGroupUnary(g GroupUnary, sc Schema, ctx *Ctx, env value.Tuple) RowIt
 			keyRows = append(keyRows, r)
 		}
 	}
-	for _, kr := range keyRows {
+	for i, kr := range keyRows {
 		var grp []value.Row
 		for _, r := range rows {
 			if thetaMatchRows(kr, r, by, by, g.Theta) {
 				grp = append(grp, r)
 			}
 		}
-		emit(kr, apply(ctx, env, grp))
+		emit(kr, apply(ctx, env, grp), len(keyRows)-i)
 	}
 	return &rowSliceIter{rows: out}
 }
@@ -1051,24 +1062,18 @@ func openRowGroupSelf(g GroupSelf, sc Schema, ctx *Ctx, env value.Tuple) RowIter
 	rows := drainRows(ctx, TripGroup, openRowsSchema(g.In, insc, ctx, env))
 	apply := groupApplier(g.F, insc.Lay, env)
 
-	buckets := make(map[value.HashKey][]value.Row, len(rows))
-	for _, r := range rows {
-		k := rowKey(r, by)
-		buckets[k] = append(buckets[k], r)
+	// Groups are numbered as the rows first meet them, so applying F group
+	// by group is applying it in input order.
+	buckets := bucketRows(rows, by, len(rows))
+	applied := make([]value.Value, buckets.n())
+	for i := range applied {
+		applied[i] = apply(ctx, env, buckets.group(i))
 	}
-	applied := make(map[value.HashKey]value.Value, len(buckets))
-	out := make([]value.Row, 0, len(rows))
-	for _, r := range rows {
-		k := rowKey(r, by)
-		v, ok := applied[k]
-		if !ok {
-			v = apply(ctx, env, buckets[k])
-			applied[k] = v
-		}
-		vals := make([]value.Value, sc.Lay.Width())
-		copy(vals, r.Vals)
-		vals[gSlot] = v
-		out = append(out, value.Row{Lay: sc.Lay, Vals: vals})
+	out := make([]value.Row, len(rows))
+	var slab rowSlab
+	for i, r := range rows {
+		out[i] = slab.extend(sc.Lay, r, len(rows)-i)
+		out[i].Vals[gSlot] = applied[buckets.gid[i]]
 	}
 	return &rowSliceIter{rows: out}
 }
@@ -1108,12 +1113,8 @@ func openRowGroupBinary(g GroupBinary, sc Schema, ctx *Ctx, env value.Tuple) Row
 	it.build = func() {
 		rRows := drainRows(ctx, TripGroup, openRowsSchema(g.R, rsc, ctx, env))
 		if g.Theta == value.CmpEq && !g.ForceScan {
-			it.hash = make(map[value.HashKey][]value.Row, len(rRows))
-			for _, r := range rRows {
-				k := rowKey(r, rSlots)
-				it.hash[k] = append(it.hash[k], r)
-			}
-			it.applied = make(map[value.HashKey]value.Value, len(it.hash))
+			it.hash = bucketRows(rRows, rSlots, len(rRows))
+			it.applied = make(map[value.HashKey]value.Value, it.hash.n())
 			return
 		}
 		it.scanRows = rRows
@@ -1136,7 +1137,7 @@ type rowGroupBinaryIter struct {
 	// hash path; applied caches f per distinct key, so shared groups are
 	// materialized once (and, like the map engine's shared bucket slices,
 	// shared as values across output tuples).
-	hash    map[value.HashKey][]value.Row
+	hash    rowBuckets
 	applied map[value.HashKey]value.Value
 	lSlots  []int
 
@@ -1144,6 +1145,8 @@ type rowGroupBinaryIter struct {
 	scanRows []value.Row
 	rSlots   []int
 	theta    value.CmpOp
+
+	slab rowSlab
 }
 
 func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
@@ -1156,11 +1159,11 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 		g.build()
 	}
 	var gv value.Value
-	if g.hash != nil {
+	if g.applied != nil {
 		k := rowKey(lt, g.lSlots)
 		var cached bool
 		if gv, cached = g.applied[k]; !cached {
-			gv = g.apply(g.ctx, g.env, g.hash[k])
+			gv = g.apply(g.ctx, g.env, g.hash.lookup(k))
 			g.applied[k] = gv
 		}
 	} else {
@@ -1172,10 +1175,9 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 		}
 		gv = g.apply(g.ctx, g.env, grp)
 	}
-	vals := make([]value.Value, g.lay.Width())
-	copy(vals, lt.Vals)
-	vals[g.gSlot] = gv
-	return value.Row{Lay: g.lay, Vals: vals}, true
+	out := g.slab.extend(g.lay, lt, 0)
+	out.Vals[g.gSlot] = gv
+	return out, true
 }
 
 func (g *rowGroupBinaryIter) Close() { g.left.Close() }
@@ -1227,9 +1229,13 @@ func openRowUnnest(child Op, attr string, innerAttrs []string, sc Schema, ctx *C
 		innerDst[i] = d
 	}
 	in := openRowsSchema(child, insc, ctx, env)
-	return &rowUnnestIter{in: in, lay: sc.Lay, gSlot: gSlot,
+	it := &rowUnnestIter{in: in, lay: sc.Lay, gSlot: gSlot,
 		baseSrc: baseSrc, baseDst: baseDst,
 		innerNames: innerNames, innerDst: innerDst, pad: pad, ctx: ctx}
+	if !pad {
+		it.dedup = map[value.HashKey]bool{}
+	}
+	return it
 }
 
 type rowUnnestIter struct {
@@ -1254,13 +1260,17 @@ type rowUnnestIter struct {
 	innerLay *value.Layout
 	innerSrc []int
 
-	dedup   map[value.HashKey]bool
-	scratch []int // KeyOfRow slot scratch, reused across members
+	dedup   map[value.HashKey]bool // µD: the current group's member keys
+	scratch []int                  // KeyOfRow slot scratch, reused across members
 	ctx     *Ctx
+	slab    rowSlab
 }
 
+// base starts an output row with the kept input slots. The members left in
+// the group are the rows still to come (what µD's duplicates leave over of a
+// chunk serves the next group).
 func (u *rowUnnestIter) base() []value.Value {
-	vals := make([]value.Value, u.lay.Width())
+	vals := u.slab.take(u.lay.Width(), u.pendN-u.pos+1)
 	for i, s := range u.baseSrc {
 		vals[u.baseDst[i]] = u.cur.Vals[s]
 	}
@@ -1349,10 +1359,9 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 		}
 		u.pos = 0
 		if !u.pad {
-			u.dedup = map[value.HashKey]bool{}
+			clear(u.dedup)
 			continue
 		}
-		u.dedup = nil
 		if u.pendN == 0 {
 			vals := u.base()
 			for _, d := range u.innerDst {

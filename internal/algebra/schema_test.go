@@ -1,9 +1,12 @@
 package algebra
 
 import (
+	"strings"
 	"testing"
 
+	"nalquery/internal/dom"
 	"nalquery/internal/value"
+	"nalquery/internal/xpath"
 )
 
 func TestResolveSchemaBasics(t *testing.T) {
@@ -108,37 +111,63 @@ func TestProjectRenameSwap(t *testing.T) {
 }
 
 // TestStreamingAllocsPerTuple is the allocation regression gate of the slot
-// engine: streaming σ adds no per-tuple allocation and Π adds at most one
-// (the projected value slice).
+// engine, operator by operator: what each one adds to its input's
+// allocations, per tuple it emits. σ passes rows through; the producing
+// operators cut their rows from chunks (rowSlab), so each adds a chunk per
+// slabMaxRows rows and nothing per row; a single-step path costs its result
+// sequence and that sequence's box.
 func TestStreamingAllocsPerTuple(t *testing.T) {
 	const n = 2000
 	seq := make(value.Seq, n)
+	var xml strings.Builder
+	xml.WriteString("<bib>")
 	for i := range seq {
 		seq[i] = value.Int(int64(i))
+		xml.WriteString("<book><title>t</title></book>")
 	}
-	src := UnnestMap{In: Singleton{}, Attr: "x", E: ConstVal{V: seq}}
+	xml.WriteString("</bib>")
+	doc, err := dom.ParseString(xml.String(), "bib.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	books := &fakeIndex{nodes: doc.Root.Descendants("book", nil)}
+
+	scan := func(attr string) Op { return UnnestMap{In: Singleton{}, Attr: attr, E: ConstVal{V: seq}} }
+	src := scan("x")
 	sel := Select{In: src, Pred: CmpExpr{L: Var{Name: "x"}, R: ConstVal{V: value.Int(-1)}, Op: value.CmpGt}}
-	proj := Project{In: sel, Names: []string{"x"}}
+	idx := IndexScan{In: Singleton{}, Attr: "b", Index: books}
+	right := ProjectRename{In: scan("y"), Pairs: []Rename{{New: "z", Old: "y"}}}
 
-	perTuple := func(op Op) float64 {
-		return testing.AllocsPerRun(5, func() {
-			DrainIter(op, NewCtx(nil), nil)
-		}) / n
+	total := func(op Op) float64 {
+		return testing.AllocsPerRun(5, func() { DrainIter(op, NewCtx(nil), nil) })
 	}
-	base := perTuple(src)
-	withSel := perTuple(sel)
-	withProj := perTuple(proj)
-
-	if d := withSel - base; d > 0.1 {
-		t.Errorf("streaming σ adds %.2f allocs/tuple, want 0", d)
-	}
-	if d := withProj - withSel; d > 1.1 {
-		t.Errorf("streaming Π adds %.2f allocs/tuple, want ≤1", d)
-	}
-	// Absolute guard: the σ+Π pipeline stays ≤1 alloc per tuple on top of
-	// the source's own row.
-	if withProj-base > 1.2 {
-		t.Errorf("σ+Π pipeline adds %.2f allocs/tuple over the source", withProj-base)
+	for _, tc := range []struct {
+		name   string
+		op     Op
+		inputs []Op
+		max    float64 // allocations per emitted tuple on top of the inputs
+	}{
+		{"Υ", src, []Op{Singleton{}}, 0.1},
+		{"σ", sel, []Op{src}, 0.1},
+		{"Π", Project{In: sel, Names: []string{"x"}}, []Op{sel}, 0.1},
+		{"χ", Map{In: src, Attr: "y", E: Var{Name: "x"}}, []Op{src}, 0.1},
+		{"IndexScan", idx, []Op{Singleton{}}, 0.1},
+		{"χ path", Map{In: idx, Attr: "t", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("title")}}, []Op{idx}, 2.1},
+		{"χ empty path", Map{In: idx, Attr: "t", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("nosuch")}}, []Op{idx}, 0.1},
+		// One partner per left tuple: n concatenated rows over a build side
+		// of n rows, whose table is a fixed number of allocations.
+		{"⋈ concat", Join{L: src, R: right, Pred: CmpExpr{L: Var{Name: "x"}, R: Var{Name: "z"}, Op: value.CmpEq}}, []Op{src, right}, 0.1},
+		// Every key distinct: n groups, n emitted rows.
+		{"Γ emit", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFCount{}}, []Op{src}, 0.1},
+		{"Γ self", GroupSelf{In: src, G: "g", By: []string{"x"}, F: SFCount{}}, []Op{src}, 0.1},
+	} {
+		added := total(tc.op)
+		for _, in := range tc.inputs {
+			added -= total(in)
+		}
+		if added/n > tc.max {
+			t.Errorf("%s adds %.3f allocations per tuple to its input (%.0f in all), want ≤ %.1f", tc.name, added/n, added, tc.max)
+		}
 	}
 }
 

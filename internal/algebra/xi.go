@@ -84,6 +84,18 @@ func WriteValue(out StringWriter, v value.Value) {
 	case value.Str:
 		out.WriteString(dom.EscapeText(string(w)))
 	default:
+		// A number prints into the sink's own buffer where it lends one
+		// (bufio.Writer, bytes.Buffer — every sink Results.WriteXML wraps),
+		// so its digits are never built as a string first.
+		if n, ok := v.(interface{ Append([]byte) []byte }); ok {
+			if bw, ok := out.(interface {
+				AvailableBuffer() []byte
+				Write([]byte) (int, error)
+			}); ok {
+				_, _ = bw.Write(n.Append(bw.AvailableBuffer())) // sinks keep their own write error
+				return
+			}
+		}
 		out.WriteString(v.String())
 	}
 }

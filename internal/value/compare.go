@@ -97,8 +97,11 @@ func Atomize(v Value) Seq {
 // AtomizeSingle atomizes and returns the single atomic item, or nil when the
 // value atomizes to the empty sequence. Multi-item sequences return their
 // first item (the use-case queries only apply this to singletons). Unlike
-// Atomize it never materializes the sequence — it is on the per-tuple path
-// of every comparison, sort and hash key.
+// Atomize it never materializes the sequence, but a node still costs the box
+// of its string value — the per-tuple consumers (comparison, hash key, the
+// builtins' string and number arguments) therefore read items directly
+// (CompareAtomic, KeyOf, AtomText) and come here only when the atom itself
+// must be kept.
 func AtomizeSingle(v Value) Value {
 	switch w := v.(type) {
 	case nil, Null:
@@ -138,6 +141,59 @@ func AtomizeSingle(v Value) Value {
 	}
 }
 
+// AtomText is AtomizeSingle(v).String() without boxing the atom: the text of
+// the value's single atomic item, ok=false when it atomizes to the empty
+// sequence.
+func AtomText(v Value) (string, bool) {
+	switch w := v.(type) {
+	case nil, Null:
+		return "", false
+	case NodeVal:
+		return w.Node.StringValue(), true
+	case Str:
+		return string(w), true
+	case Seq:
+		for _, item := range w {
+			if s, ok := AtomText(item); ok {
+				return s, true
+			}
+		}
+		return "", false
+	case TupleSeq, RowSeq:
+		if a := AtomizeSingle(v); a != nil {
+			return a.String(), true
+		}
+		return "", false
+	default:
+		return w.String(), true
+	}
+}
+
+// AppendItems appends the items v atomizes from to dst: Atomize without the
+// per-node box. Nodes stay NodeVal — every consumer of atoms (CompareAtomic,
+// KeyOf, AtomText) reads a node's string value directly — and a caller that
+// folds the items (aggregates, distinct-values) reuses dst across calls.
+func AppendItems(dst Seq, v Value) Seq {
+	switch w := v.(type) {
+	case nil, Null:
+	case Seq:
+		for _, item := range w {
+			dst = AppendItems(dst, item)
+		}
+	case TupleSeq:
+		for _, t := range w {
+			t.EachValue(func(x Value) { dst = AppendItems(dst, x) })
+		}
+	case RowSeq:
+		for i := 0; i < w.Len(); i++ {
+			w.EachValue(i, func(x Value) { dst = AppendItems(dst, x) })
+		}
+	default:
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 type atom struct {
 	isNum bool
 	num   float64
@@ -170,18 +226,22 @@ func toAtom(v Value) (atom, bool) {
 	case Float:
 		return atom{isNum: true, num: float64(w), src: v}, true
 	case Str:
-		s := string(w)
-		if t := strings.TrimSpace(s); looksNumeric(t) {
-			if f, err := strconv.ParseFloat(t, 64); err == nil {
-				return atom{isNum: true, num: f, str: s}, true
-			}
-		}
-		return atom{str: s}, true
+		return textAtom(string(w)), true
 	case NodeVal:
-		return toAtom(Str(w.Node.StringValue()))
+		return textAtom(w.Node.StringValue()), true
 	default:
 		return atom{}, false
 	}
+}
+
+// textAtom is the atom of an untyped string: numeric when it parses as one.
+func textAtom(s string) atom {
+	if t := strings.TrimSpace(s); looksNumeric(t) {
+		if f, err := strconv.ParseFloat(t, 64); err == nil {
+			return atom{isNum: true, num: f, str: s}
+		}
+	}
+	return atom{str: s}
 }
 
 // looksNumeric cheaply rejects strings that cannot parse as numbers, so the
@@ -269,16 +329,17 @@ func Compare3(a, b Value) int {
 
 // GeneralCompare implements XQuery general comparison semantics: it holds if
 // some pair of atomized items from the two operands satisfies θ. This is the
-// "simple '=' has existential semantics" rule of Sec. 5.1. Item-vs-item
-// comparisons (the common case on the compiled predicate path) bypass
-// sequence materialization entirely.
+// "simple '=' has existential semantics" rule of Sec. 5.1. Nothing is boxed
+// on the way: an item or a flat sequence of items is compared in place
+// (CompareAtomic reads a node's string value itself and is false on NULL),
+// and only tuple sequences and nested sequences are flattened first.
 func GeneralCompare(a, b Value, op CmpOp) bool {
 	if isItem(a) && isItem(b) {
 		return CompareAtomic(a, b, op)
 	}
-	xs := Atomize(a)
-	ys := Atomize(b)
-	for _, x := range xs {
+	var one, other [1]Value
+	ys := flatItems(b, &other)
+	for _, x := range flatItems(a, &one) {
 		for _, y := range ys {
 			if CompareAtomic(x, y, op) {
 				return true
@@ -286,6 +347,25 @@ func GeneralCompare(a, b Value, op CmpOp) bool {
 		}
 	}
 	return false
+}
+
+// flatItems views an operand of a general comparison as a sequence of items:
+// an item through the caller's one-element array, a sequence of items as
+// itself, anything nested through AppendItems.
+func flatItems(v Value, one *[1]Value) Seq {
+	if s, ok := v.(Seq); ok {
+		for _, item := range s {
+			if !isItem(item) {
+				return AppendItems(nil, v)
+			}
+		}
+		return s
+	}
+	if !isItem(v) {
+		return AppendItems(nil, v)
+	}
+	one[0] = v
+	return one[:]
 }
 
 // isItem reports whether a value atomizes to exactly the sequence the
@@ -509,6 +589,15 @@ func KeyOf(v Value) HashKey {
 		return keyOfString(string(w))
 	case NodeVal:
 		return keyOfString(w.Node.StringValue())
+	case Seq:
+		// The key of the first item that has one: an atom's key is never the
+		// zero HashKey, so zero means "atomizes to nothing, look further".
+		for _, item := range w {
+			if k := KeyOf(item); k.kind != 0 {
+				return k
+			}
+		}
+		return HashKey{}
 	default:
 		a := AtomizeSingle(v)
 		if a == nil {

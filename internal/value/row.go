@@ -175,8 +175,9 @@ func (l *Layout) Rename(pairs map[string]string) *Layout {
 
 // Row is one tuple of the slot-based execution engine: a value slice indexed
 // by the shared layout. Rows are immutable once emitted — operators that
-// change values allocate a fresh slice, while pass-through operators (σ, Ξ)
-// and pure renames share it.
+// change values write a fresh slice (taken from their own chunk, see
+// internal/algebra's rowSlab), while pass-through operators (σ, Ξ) and pure
+// renames share it.
 type Row struct {
 	Lay  *Layout
 	Vals []Value
@@ -222,20 +223,20 @@ func RowFromTuple(lay *Layout, t Tuple) Row {
 	return Row{Lay: lay, Vals: vals}
 }
 
-// ConcatRows implements t ◦ u over rows: one slice allocation, two copies.
-// lay must be the Concat of the operands' layouts.
-func ConcatRows(lay *Layout, l, r Row) Row {
-	vals := make([]Value, len(l.Vals)+len(r.Vals))
+// ConcatRows implements t ◦ u over rows: two copies into vals, the caller's
+// slice of lay.Width() slots. lay must be the Concat of the operands'
+// layouts.
+func ConcatRows(lay *Layout, vals []Value, l, r Row) Row {
 	copy(vals, l.Vals)
 	copy(vals[len(l.Vals):], r.Vals)
 	return Row{Lay: lay, Vals: vals}
 }
 
 // MapSlots copies the source row through a slot mapping (as produced by
-// Layout.Project / Layout.Drop): out slot i receives src slot src[i], or nil
-// when src[i] < 0.
-func MapSlots(lay *Layout, src []int, r Row) Row {
-	vals := make([]Value, len(src))
+// Layout.Project / Layout.Drop) into vals, the caller's zeroed slice of
+// len(src) slots: out slot i receives src slot src[i], or stays nil when
+// src[i] < 0.
+func MapSlots(lay *Layout, vals []Value, src []int, r Row) Row {
 	for i, s := range src {
 		if s >= 0 {
 			vals[i] = r.Vals[s]

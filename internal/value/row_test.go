@@ -93,7 +93,7 @@ func TestConcatRows(t *testing.T) {
 	l := NewLayout("a")
 	r := NewLayout("b")
 	cat, _ := l.Concat(r)
-	out := ConcatRows(cat, RowFromTuple(l, Tuple{"a": Int(1)}), RowFromTuple(r, Tuple{"b": Int(2)}))
+	out := ConcatRows(cat, make([]Value, 2), RowFromTuple(l, Tuple{"a": Int(1)}), RowFromTuple(r, Tuple{"b": Int(2)}))
 	if !DeepEqual(out.Value("a"), Int(1)) || !DeepEqual(out.Value("b"), Int(2)) {
 		t.Fatalf("concat rows: %s", out.Tuple())
 	}
@@ -162,7 +162,7 @@ func BenchmarkRowConcat(b *testing.B) {
 	b.Run("row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = ConcatRows(cat, r1, r2)
+			_ = ConcatRows(cat, make([]Value, cat.Width()), r1, r2)
 		}
 	})
 }
@@ -182,7 +182,7 @@ func BenchmarkRowProject(b *testing.B) {
 	b.Run("row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = MapSlots(pl, src, r1)
+			_ = MapSlots(pl, make([]Value, len(src)), src, r1)
 		}
 	})
 }

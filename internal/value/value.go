@@ -83,12 +83,23 @@ func (b Bool) String() string {
 
 func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 
+// Append appends i.String() to dst without building the string.
+func (i Int) Append(dst []byte) []byte { return strconv.AppendInt(dst, int64(i), 10) }
+
 func (f Float) String() string {
 	// Integral floats print without a fractional part, like XQuery decimals.
 	if f == Float(int64(f)) {
 		return strconv.FormatInt(int64(f), 10)
 	}
 	return strconv.FormatFloat(float64(f), 'g', -1, 64)
+}
+
+// Append appends f.String() to dst without building the string.
+func (f Float) Append(dst []byte) []byte {
+	if f == Float(int64(f)) {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
+	return strconv.AppendFloat(dst, float64(f), 'g', -1, 64)
 }
 
 func (s Str) String() string { return string(s) }
@@ -299,8 +310,12 @@ func AsSeq(v Value) Seq {
 	}
 }
 
-// NodeSeq wraps dom nodes as a value sequence.
+// NodeSeq wraps dom nodes as a value sequence. No nodes give the nil Seq,
+// which boxes into a Value without allocating.
 func NodeSeq(nodes []*dom.Node) Seq {
+	if len(nodes) == 0 {
+		return nil
+	}
 	out := make(Seq, len(nodes))
 	for i, n := range nodes {
 		out[i] = NodeVal{Node: n}

@@ -11,6 +11,7 @@ package xpath
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -209,98 +210,77 @@ func validName(s string) bool {
 
 // Eval applies the path to a context value (a node, a node sequence, or
 // NULL) and returns the resulting nodes in document order without
-// duplicates.
+// duplicates; no nodes give the nil sequence.
+//
+// Every step appends into one of two node buffers that swap roles, starting
+// on the stack: a path over a single node — $b/title, once per tuple —
+// allocates nothing but its result.
 func (p Path) Eval(ctx value.Value) value.Seq {
-	cur := contextNodes(ctx)
+	var a, b [8]*dom.Node
+	cur, next := appendContext(a[:0], ctx), b[:0]
 	for _, st := range p.Steps {
-		cur = applyStep(cur, st)
+		next = next[:0]
+		for _, n := range cur {
+			next = appendStep(next, n, st)
+		}
+		// One context node's selection is in document order and
+		// duplicate-free as it stands; several must be merged.
+		if len(cur) > 1 {
+			next = dedupeDocOrder(next)
+		}
+		cur, next = next, cur
 	}
 	return value.NodeSeq(cur)
 }
 
-func contextNodes(v value.Value) []*dom.Node {
+func appendContext(dst []*dom.Node, v value.Value) []*dom.Node {
 	switch w := v.(type) {
-	case nil, value.Null:
-		return nil
 	case value.NodeVal:
-		if w.Node == nil {
-			return nil
+		if w.Node != nil {
+			dst = append(dst, w.Node)
 		}
-		return []*dom.Node{w.Node}
 	case value.Seq:
-		var out []*dom.Node
 		for _, item := range w {
-			out = append(out, contextNodes(item)...)
+			dst = appendContext(dst, item)
 		}
-		return out
-	default:
-		return nil
 	}
+	return dst
 }
 
-func applyStep(ctx []*dom.Node, st Step) []*dom.Node {
-	// Single context node — the common shape on the per-tuple path ($b/author
-	// applied to one book): the selection is already in document order and
-	// duplicate-free, so it goes out without the merge copy and without
-	// SortDocOrder.
-	if len(ctx) == 1 {
-		return applyPos(selectAxis(ctx[0], st), st)
-	}
-	var out []*dom.Node
-	for _, n := range ctx {
-		// Positional predicates apply within each context node's selection
-		// (XPath semantics), before the global merge.
-		out = append(out, applyPos(selectAxis(n, st), st)...)
-	}
-	return dedupeDocOrder(out)
-}
-
-// selectAxis returns one context node's selection for a step, exactly sized
-// on the child axis (a counting pass is cheaper than append growth).
-func selectAxis(n *dom.Node, st Step) []*dom.Node {
+// appendStep appends one context node's selection for a step to dst. A
+// positional predicate applies within that selection (XPath semantics),
+// before any merge with other context nodes' selections.
+func appendStep(dst []*dom.Node, n *dom.Node, st Step) []*dom.Node {
+	start := len(dst)
 	switch st.Axis {
 	case AxisChild:
-		cnt := 0
 		for _, c := range n.Children {
 			if c.Kind == dom.KindElement && (st.Name == "" || c.Name == st.Name) {
-				cnt++
+				dst = append(dst, c)
 			}
 		}
-		if cnt == 0 {
-			return nil
-		}
-		sel := make([]*dom.Node, 0, cnt)
-		for _, c := range n.Children {
-			if c.Kind == dom.KindElement && (st.Name == "" || c.Name == st.Name) {
-				sel = append(sel, c)
-			}
-		}
-		return sel
 	case AxisDescendant:
-		return n.Descendants(st.Name, nil)
+		dst = n.Descendants(st.Name, dst)
 	case AxisAttribute:
 		if st.Name == "" {
-			return append([]*dom.Node(nil), n.Attrs...)
+			dst = append(dst, n.Attrs...)
 		} else if a := n.Attr(st.Name); a != nil {
-			return []*dom.Node{a}
+			dst = append(dst, a)
 		}
 	}
-	return nil
-}
-
-func applyPos(sel []*dom.Node, st Step) []*dom.Node {
+	pos := st.Pos
+	if pos == PosLast {
+		pos = len(dst) - start
+	}
 	switch {
-	case st.Pos == PosLast:
-		if len(sel) > 0 {
-			return sel[len(sel)-1:]
-		}
-	case st.Pos > 0:
-		if st.Pos <= len(sel) {
-			return sel[st.Pos-1 : st.Pos]
-		}
-		return nil
+	case pos == 0:
+	case pos <= len(dst)-start:
+		dst[start] = dst[start+pos-1]
+		dst = dst[:start+1]
+	default:
+		dst = dst[:start]
 	}
-	return sel
+	return dst
 }
 
 // dedupeDocOrder sorts into document order and removes duplicate handles.
@@ -311,7 +291,7 @@ func dedupeDocOrder(nodes []*dom.Node) []*dom.Node {
 	if len(nodes) < 2 {
 		return nodes
 	}
-	dom.SortDocOrder(nodes)
+	slices.SortStableFunc(nodes, dom.CompareOrder)
 	out := nodes[:1]
 	for _, n := range nodes[1:] {
 		if n != out[len(out)-1] {
