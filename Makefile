@@ -3,13 +3,14 @@
 # once, catching benchmark-harness rot without paying for real measurement.
 # ci is the full gate: tier-1, lint (the zero-dependency guard and the
 # nalvet analyzers), go vet plus race-built tests, the fault-injection
-# sweep over every resource-budget trip point, the benchmark-trajectory diff
-# against the committed BENCH_results.json, and a compile-and-smoke of the
-# benchmark/ harness against the engine.
+# sweep over every resource-budget trip point, the seeded differential
+# oracle, the benchmark-trajectory diff against the committed
+# BENCH_results.json, and a compile-and-smoke of the benchmark/ harness
+# against the engine.
 
 GO ?= go
 
-.PHONY: tier1 vet lint test race-test faults fuzz-smoke bench-smoke bench-json bench-diff bench-harness bench-pairs serve load-smoke ci
+.PHONY: tier1 vet lint test race-test faults oracle fuzz-smoke bench-smoke bench-json bench-diff bench-harness bench-pairs serve load-smoke ci
 
 tier1:
 	$(GO) build ./...
@@ -49,23 +50,28 @@ faults:
 	$(GO) test -race -count=1 -run 'TestFault|TestWithMax|TestBudget|TestConcurrentBudget' .
 	$(GO) test -race -count=1 -run 'TestResource|TestRequestBodyBounds' ./internal/server/
 
-# fuzz-smoke is the per-PR fuzzing gate (docs/FUZZING.md): each native fuzz
-# target runs briefly under the coverage engine (which always replays the
-# committed testdata/fuzz corpus first — the pinned crashers), then the
-# seeded differential sweep drives generated queries through every plan
-# alternative on the slot engine and the reference evaluator under the race
-# detector. Override FUZZTIME / QGEN_SEED / QGEN_COUNT to dig; failures
-# print a one-line reproducer.
-FUZZTIME ?= 30s
+# oracle is the seeded differential sweep (docs/FUZZING.md): generated
+# queries through every plan alternative on the slot engine and the
+# reference evaluator, both consumption modes, byte-identical — plus the
+# pinned crashers and the malformed-request sweep of the HTTP tier — under
+# the race detector. It is the byte-identity proof of ci. Override
+# QGEN_SEED / QGEN_COUNT to dig; failures print a one-line reproducer.
 QGEN_SEED ?= 20240808
 QGEN_COUNT ?= 250
-fuzz-smoke:
+oracle:
+	NALQUERY_QGEN_SEED=$(QGEN_SEED) NALQUERY_QGEN_COUNT=$(QGEN_COUNT) \
+		$(GO) test -race -count=1 -run 'TestDifferential|TestCrasher|TestMalformedRequestSweep' . ./internal/server/
+
+# fuzz-smoke is the per-PR fuzzing gate: the oracle sweep, then each native
+# fuzz target briefly under the coverage engine (which always replays the
+# committed testdata/fuzz corpus first — the pinned crashers). Override
+# FUZZTIME to dig.
+FUZZTIME ?= 30s
+fuzz-smoke: oracle
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/xquery/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/xquery/
 	$(GO) test -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzHTTPQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
-	NALQUERY_QGEN_SEED=$(QGEN_SEED) NALQUERY_QGEN_COUNT=$(QGEN_COUNT) \
-		$(GO) test -race -count=1 -run 'TestDifferential|TestCrasher|TestMalformedRequestSweep' . ./internal/server/
 
 bench-smoke: vet
 	$(GO) build ./...
@@ -134,4 +140,4 @@ load-smoke:
 		kill -TERM $$pid; wait $$pid; drc=$$?; \
 		[ $$rc -eq 0 ] && [ $$drc -eq 0 ]
 
-ci: tier1 lint race-test faults bench-diff bench-harness
+ci: tier1 lint race-test faults oracle bench-diff bench-harness

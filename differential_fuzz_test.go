@@ -22,7 +22,7 @@ import (
 // query text) for triage; typed compile rejections are fine and counted.
 //
 // NALQUERY_QGEN_SEED and NALQUERY_QGEN_COUNT override the sweep's seed and
-// size — the knobs `make fuzz-smoke` uses for the pinned CI sweep and a
+// size — the knobs `make oracle` uses for the pinned CI sweep and a
 // triager uses to replay a reported seed.
 
 const (
@@ -87,7 +87,7 @@ func sweepRunTyped(p *Prepared, opts []RunOption) (string, error) {
 	return sb.String(), res.Err()
 }
 
-// TestDifferentialGeneratedQueries is the sweep `make fuzz-smoke` pins in
+// TestDifferentialGeneratedQueries is the sweep `make oracle` pins in
 // CI: N generated queries, every plan alternative, both engines, both
 // consumption modes.
 func TestDifferentialGeneratedQueries(t *testing.T) {

@@ -30,38 +30,46 @@ type CardRow struct {
 //
 // Nested subscript plans are not expanded — they evaluate once per outer
 // tuple, so a single actual-vs-estimated pair would be meaningless.
-func (q *Query) ExplainCards(name string) ([]CardRow, error) {
+//
+// Measuring executes the plan, so ExplainCards fails the way Run does: an
+// evaluator panic surfaces as a typed *InternalError, never as a panic.
+func (q *Query) ExplainCards(name string) (rows []CardRow, err error) {
 	p, err := q.Plan(name)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			rows, err = nil, runPanicError(q.Text, p.Name, v)
+		}
+	}()
 	withActual := len(q.params) == 0
-	var rows []CardRow
-	var walk func(op algebra.Op, depth int)
-	walk = func(op algebra.Op, depth int) {
-		row := CardRow{Depth: depth, Op: op.String(),
-			Est: q.model.Plan(op).Card, Actual: -1}
+	var walk func(n *algebra.Node, depth int)
+	walk = func(n *algebra.Node, depth int) {
+		row := CardRow{Depth: depth, Op: n.Op.String(),
+			Est: q.model.Plan(n.Op).Card, Actual: -1}
 		if withActual {
-			row.Actual = countRows(op, q.docs)
+			row.Actual = countRows(n, q.docs)
 		}
 		rows = append(rows, row)
-		for _, c := range op.Children() {
-			walk(c, depth+1)
+		for _, k := range n.Kids {
+			walk(k, depth+1)
 		}
 	}
-	walk(p.op, 0)
+	walk(p.resolved(), 0)
 	return rows, nil
 }
 
-// countRows executes an operator subtree and counts its output tuples.
-func countRows(op algebra.Op, docs map[string]*dom.Document) int64 {
-	p := algebra.OpenPump(op, algebra.NewCtx(docs), nil)
+// countRows executes a resolved operator subtree and counts its output
+// tuples.
+func countRows(n *algebra.Node, docs map[string]*dom.Document) int64 {
+	p := n.Pump(algebra.NewCtx(docs), nil)
 	defer p.Close()
-	var n int64
+	var c int64
 	for p.Step() {
-		n++
+		c++
 	}
-	return n
+	return c
 }
 
 // FormatCards renders ExplainCards rows as an indented table.

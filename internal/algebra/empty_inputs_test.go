@@ -6,12 +6,11 @@ import (
 	"nalquery/internal/value"
 )
 
-// The recursive definitions of Sec. 2 fix the empty-input behaviour of
-// every operator: unary operators map ε to ε, and binary operators map an
-// empty left operand to ε. This table test pins that behaviour across the
-// whole operator inventory — including the physical and unordered variants
-// added on top of the paper's algebra.
-func TestEmptyInputConventions(t *testing.T) {
+// operatorInventory builds one instance of every unary and every binary
+// operator over an empty first input (and, for the binary ones, a non-empty
+// second) — including the physical and unordered variants added on top of
+// the paper's algebra.
+func operatorInventory() (unary, binary map[string]Op) {
 	empty := constOp{attrs: []string{"A1", "C"}}
 	nonEmpty := constOp{
 		ts:    value.TupleSeq{{"A2": value.Int(1), "B": value.Int(2)}},
@@ -20,7 +19,7 @@ func TestEmptyInputConventions(t *testing.T) {
 	eq := CmpExpr{L: Var{Name: "A1"}, R: Var{Name: "A2"}, Op: value.CmpEq}
 	truth := ConstVal{V: value.Bool(true)}
 
-	unary := map[string]Op{
+	unary = map[string]Op{
 		"σ":        Select{In: empty, Pred: truth},
 		"Π":        Project{In: empty, Names: []string{"A1"}},
 		"Π̄":       ProjectDrop{In: empty, Names: []string{"C"}},
@@ -37,13 +36,7 @@ func TestEmptyInputConventions(t *testing.T) {
 		"χ#":       AttachSeq{In: empty, Attr: "#"},
 		"Γᵁ":       UnorderedGroupUnary{In: empty, G: "g", By: []string{"A1"}, Theta: value.CmpEq, F: SFCount{}},
 	}
-	for name, op := range unary {
-		if got := op.Eval(NewCtx(nil), nil); len(got) != 0 {
-			t.Errorf("%s(ε) produced %d tuples, want ε", name, len(got))
-		}
-	}
-
-	binaryEmptyLeft := map[string]Op{
+	binary = map[string]Op{
 		"×":         Cross{L: empty, R: nonEmpty},
 		"⋈":         Join{L: empty, R: nonEmpty, Pred: eq},
 		"⋉":         SemiJoin{L: empty, R: nonEmpty, Pred: eq},
@@ -58,6 +51,22 @@ func TestEmptyInputConventions(t *testing.T) {
 		"⟕ᵁ":        UnorderedOuterJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, G: "B", Default: SFCount{}},
 		"Γᵁ-binary": UnorderedGroupBinary{L: empty, R: nonEmpty, G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
 	}
+	return unary, binary
+}
+
+// The recursive definitions of Sec. 2 fix the empty-input behaviour of
+// every operator: unary operators map ε to ε, and binary operators map an
+// empty left operand to ε. This table test pins that behaviour across the
+// whole operator inventory.
+func TestEmptyInputConventions(t *testing.T) {
+	unary, binaryEmptyLeft := operatorInventory()
+	eq := CmpExpr{L: Var{Name: "A1"}, R: Var{Name: "A2"}, Op: value.CmpEq}
+	for name, op := range unary {
+		if got := op.Eval(NewCtx(nil), nil); len(got) != 0 {
+			t.Errorf("%s(ε) produced %d tuples, want ε", name, len(got))
+		}
+	}
+
 	for name, op := range binaryEmptyLeft {
 		if got := op.Eval(NewCtx(nil), nil); len(got) != 0 {
 			t.Errorf("%s(ε, e2) produced %d tuples, want ε", name, len(got))

@@ -13,6 +13,7 @@ type passOp struct{ In Op }
 func (p passOp) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq { return p.In.Eval(ctx, env) }
 func (p passOp) String() string                                { return "pass" }
 func (p passOp) Children() []Op                                { return []Op{p.In} }
+func (p passOp) MapChildren(f func(Op) Op) Op                  { p.In = f(p.In); return p }
 func (p passOp) Exprs() []Expr                                 { return nil }
 func (p passOp) Attrs() ([]string, bool)                       { return p.In.Attrs() }
 

@@ -58,6 +58,9 @@ func (g GroupUnary) String() string {
 // Children implements Op.
 func (g GroupUnary) Children() []Op { return []Op{g.In} }
 
+// MapChildren implements Op.
+func (g GroupUnary) MapChildren(f func(Op) Op) Op { g.In = f(g.In); return g }
+
 // Exprs implements Op.
 func (g GroupUnary) Exprs() []Expr { return nil }
 
@@ -135,6 +138,9 @@ func (g GroupSelf) String() string {
 // Children implements Op.
 func (g GroupSelf) Children() []Op { return []Op{g.In} }
 
+// MapChildren implements Op.
+func (g GroupSelf) MapChildren(f func(Op) Op) Op { g.In = f(g.In); return g }
+
 // Exprs implements Op.
 func (g GroupSelf) Exprs() []Expr { return nil }
 
@@ -203,6 +209,9 @@ func (g GroupBinary) String() string {
 
 // Children implements Op.
 func (g GroupBinary) Children() []Op { return []Op{g.L, g.R} }
+
+// MapChildren implements Op.
+func (g GroupBinary) MapChildren(f func(Op) Op) Op { g.L, g.R = f(g.L), f(g.R); return g }
 
 // Exprs implements Op.
 func (g GroupBinary) Exprs() []Expr { return nil }
@@ -289,6 +298,9 @@ func (u Unnest) String() string { return fmt.Sprintf("µ[%s]", u.Attr) }
 // Children implements Op.
 func (u Unnest) Children() []Op { return []Op{u.In} }
 
+// MapChildren implements Op.
+func (u Unnest) MapChildren(f func(Op) Op) Op { u.In = f(u.In); return u }
+
 // Exprs implements Op.
 func (u Unnest) Exprs() []Expr { return nil }
 
@@ -341,6 +353,9 @@ func (u UnnestDistinct) String() string { return fmt.Sprintf("µD[%s]", u.Attr) 
 
 // Children implements Op.
 func (u UnnestDistinct) Children() []Op { return []Op{u.In} }
+
+// MapChildren implements Op.
+func (u UnnestDistinct) MapChildren(f func(Op) Op) Op { u.In = f(u.In); return u }
 
 // Exprs implements Op.
 func (u UnnestDistinct) Exprs() []Expr { return nil }

@@ -174,6 +174,9 @@ func (s IndexScan) String() string {
 // Children implements Op.
 func (s IndexScan) Children() []Op { return []Op{s.In} }
 
+// MapChildren implements Op.
+func (s IndexScan) MapChildren(f func(Op) Op) Op { s.In = f(s.In); return s }
+
 // Exprs implements Op.
 func (s IndexScan) Exprs() []Expr {
 	if s.Key == nil {

@@ -4,12 +4,14 @@ import (
 	"nalquery/internal/value"
 )
 
-// This file is the map-tuple boundary of the one streaming engine: plans
-// execute on the slot-based row engine of rowiter.go, and the entry points
-// here open a plan, drive it, and convert rows to map tuples for callers
-// that ask for them. There is no second executor: an operator without a
-// slot-native schema is materialized once by the definitional evaluator
-// (evalIter) and its result streamed.
+// This file is the entry to the one streaming engine: plans execute on the
+// slot-based row engine of rowiter.go. A caller that runs a plan more than
+// once resolves it once (Resolve) and opens the tree per run (Node.Pump,
+// Node.Drain); the Op-taking entry points (OpenIter, RunIter, DrainIter,
+// OpenPump) resolve and open in one step, and the map-tuple ones convert
+// rows for callers that ask for tuples. There is no second executor: an
+// operator without a slot-native schema is materialized once by the
+// definitional evaluator (evalIter) and its result streamed.
 
 // Iterator is the pull-based physical operator interface (open-next-close),
 // the execution model of the Natix engine the paper evaluates on ("NAL is
@@ -22,14 +24,13 @@ type Iterator interface {
 }
 
 // OpenIter opens a plan under the given context and free-variable
-// environment and yields its result as map tuples. Plans whose schema
-// resolves natively (see ResolveSchema) execute on the row engine, with map
-// tuples materialized only at this boundary; any other root is evaluated
-// definitionally (re-typing its tuples as rows only to convert them back
-// would be a pure round trip).
+// environment and yields its result as map tuples. A natively resolved root
+// executes on the row engine, with map tuples materialized only at this
+// boundary; any other root is evaluated definitionally (re-typing its
+// tuples as rows only to convert them back would be a pure round trip).
 func OpenIter(op Op, ctx *Ctx, env value.Tuple) Iterator {
-	if sc, ok := ResolveSchema(op); ok && sc.Native {
-		return &rowTupleAdapter{in: openRowsSchema(op, sc, ctx, env)}
+	if n := Resolve(op); n.OK && n.Schema.Native {
+		return &rowTupleAdapter{in: n.open(ctx, env)}
 	}
 	return evalIter(op, ctx, env)
 }
@@ -91,12 +92,18 @@ func RunIter(op Op, ctx *Ctx, env value.Tuple) value.TupleSeq {
 	}
 }
 
-// DrainIter pulls a plan to completion discarding tuples — the execution
-// mode of a top-level query, where the Ξ side effects are the result. On
-// a natively resolved plan no map tuple is ever materialized. A
-// cancellation signal wired into ctx (SetDone) terminates the drain early.
+// DrainIter pulls a plan to completion discarding tuples: Resolve, then
+// Node.Drain.
 func DrainIter(op Op, ctx *Ctx, env value.Tuple) {
-	p := OpenPump(op, ctx, env)
+	Resolve(op).Drain(ctx, env)
+}
+
+// Drain pulls the resolved plan to completion discarding tuples — the
+// execution mode of a top-level query, where the Ξ side effects are the
+// result. On a natively resolved plan no map tuple is ever materialized. A
+// cancellation signal wired into ctx (SetDone) terminates the drain early.
+func (n *Node) Drain(ctx *Ctx, env value.Tuple) {
+	p := n.Pump(ctx, env)
 	defer p.Close()
 	for p.Step() {
 		if ctx.Cancelled() {
@@ -115,16 +122,21 @@ type Pump struct {
 	rit RowIter
 }
 
-// OpenPump opens the row-iterator tree of a plan for step-wise driving —
-// the same dispatch as OpenIter, minus the map tuples.
+// OpenPump opens the row-iterator tree of a plan for step-wise driving:
+// Resolve, then Node.Pump.
 func OpenPump(op Op, ctx *Ctx, env value.Tuple) *Pump {
-	sc, ok := ResolveSchema(op)
-	if !ok {
+	return Resolve(op).Pump(ctx, env)
+}
+
+// Pump opens the row-iterator tree of the resolved plan — the same dispatch
+// as OpenIter, minus the map tuples.
+func (n *Node) Pump(ctx *Ctx, env value.Tuple) *Pump {
+	if !n.OK {
 		// No layout to type the root's tuples under; the pump discards its
-		// rows anyway, so the fallback re-types them under the empty one.
-		sc = Schema{Lay: value.NewLayout()}
+		// rows anyway, so the shim re-types them under the empty one.
+		return &Pump{rit: &tupleRowIter{in: evalIter(n.Op, ctx, env), lay: value.NewLayout(), ctx: ctx}}
 	}
-	return &Pump{rit: openRowsSchema(op, sc, ctx, env)}
+	return &Pump{rit: n.open(ctx, env)}
 }
 
 // Step advances the plan by one root tuple; false means the plan is

@@ -207,6 +207,9 @@ func (j Join) String() string { return fmt.Sprintf("⋈[%s]", j.Pred.String()) }
 // Children implements Op.
 func (j Join) Children() []Op { return []Op{j.L, j.R} }
 
+// MapChildren implements Op.
+func (j Join) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
+
 // Exprs implements Op.
 func (j Join) Exprs() []Expr { return []Expr{j.Pred} }
 
@@ -249,6 +252,9 @@ func (j SemiJoin) String() string { return fmt.Sprintf("⋉[%s]", j.Pred.String(
 // Children implements Op.
 func (j SemiJoin) Children() []Op { return []Op{j.L, j.R} }
 
+// MapChildren implements Op.
+func (j SemiJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
+
 // Exprs implements Op.
 func (j SemiJoin) Exprs() []Expr { return []Expr{j.Pred} }
 
@@ -283,6 +289,9 @@ func (j AntiJoin) String() string { return fmt.Sprintf("▷[%s]", j.Pred.String(
 
 // Children implements Op.
 func (j AntiJoin) Children() []Op { return []Op{j.L, j.R} }
+
+// MapChildren implements Op.
+func (j AntiJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
 
 // Exprs implements Op.
 func (j AntiJoin) Exprs() []Expr { return []Expr{j.Pred} }
@@ -345,6 +354,9 @@ func (j OuterJoin) String() string {
 
 // Children implements Op.
 func (j OuterJoin) Children() []Op { return []Op{j.L, j.R} }
+
+// MapChildren implements Op.
+func (j OuterJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
 
 // Exprs implements Op.
 func (j OuterJoin) Exprs() []Expr { return []Expr{j.Pred} }

@@ -19,6 +19,10 @@ type Op interface {
 	String() string
 	// Children returns the operator's algebraic inputs.
 	Children() []Op
+	// MapChildren returns the operator with every algebraic input replaced by
+	// f of it, in Children() order — the one way to rebuild a plan, so a
+	// walker names only the operators it rewrites.
+	MapChildren(f func(Op) Op) Op
 	// Exprs returns the scalar expressions in the operator's subscript.
 	Exprs() []Expr
 	// Attrs returns the statically known produced attribute set, and whether
@@ -109,6 +113,9 @@ func (Singleton) String() string { return "□" }
 // Children implements Op.
 func (Singleton) Children() []Op { return nil }
 
+// MapChildren implements Op.
+func (s Singleton) MapChildren(func(Op) Op) Op { return s }
+
 // Exprs implements Op.
 func (Singleton) Exprs() []Expr { return nil }
 
@@ -138,6 +145,9 @@ func (s Select) String() string { return fmt.Sprintf("σ[%s]", s.Pred.String()) 
 // Children implements Op.
 func (s Select) Children() []Op { return []Op{s.In} }
 
+// MapChildren implements Op.
+func (s Select) MapChildren(f func(Op) Op) Op { s.In = f(s.In); return s }
+
 // Exprs implements Op.
 func (s Select) Exprs() []Expr { return []Expr{s.Pred} }
 
@@ -165,6 +175,9 @@ func (p Project) String() string { return "Π[" + strings.Join(p.Names, ",") + "
 // Children implements Op.
 func (p Project) Children() []Op { return []Op{p.In} }
 
+// MapChildren implements Op.
+func (p Project) MapChildren(f func(Op) Op) Op { p.In = f(p.In); return p }
+
 // Exprs implements Op.
 func (p Project) Exprs() []Expr { return nil }
 
@@ -191,6 +204,9 @@ func (p ProjectDrop) String() string { return "Π̄[" + strings.Join(p.Names, ",
 
 // Children implements Op.
 func (p ProjectDrop) Children() []Op { return []Op{p.In} }
+
+// MapChildren implements Op.
+func (p ProjectDrop) MapChildren(f func(Op) Op) Op { p.In = f(p.In); return p }
 
 // Exprs implements Op.
 func (p ProjectDrop) Exprs() []Expr { return nil }
@@ -268,6 +284,9 @@ func (p ProjectRename) String() string {
 // Children implements Op.
 func (p ProjectRename) Children() []Op { return []Op{p.In} }
 
+// MapChildren implements Op.
+func (p ProjectRename) MapChildren(f func(Op) Op) Op { p.In = f(p.In); return p }
+
 // Exprs implements Op.
 func (p ProjectRename) Exprs() []Expr { return nil }
 
@@ -339,6 +358,9 @@ func (p ProjectDistinct) String() string {
 // Children implements Op.
 func (p ProjectDistinct) Children() []Op { return []Op{p.In} }
 
+// MapChildren implements Op.
+func (p ProjectDistinct) MapChildren(f func(Op) Op) Op { p.In = f(p.In); return p }
+
 // Exprs implements Op.
 func (p ProjectDistinct) Exprs() []Expr { return nil }
 
@@ -376,6 +398,9 @@ func (m Map) String() string { return fmt.Sprintf("χ[%s:%s]", m.Attr, m.E.Strin
 
 // Children implements Op.
 func (m Map) Children() []Op { return []Op{m.In} }
+
+// MapChildren implements Op.
+func (m Map) MapChildren(f func(Op) Op) Op { m.In = f(m.In); return m }
 
 // Exprs implements Op.
 func (m Map) Exprs() []Expr { return []Expr{m.E} }
@@ -442,6 +467,9 @@ func (u UnnestMap) String() string {
 // Children implements Op.
 func (u UnnestMap) Children() []Op { return []Op{u.In} }
 
+// MapChildren implements Op.
+func (u UnnestMap) MapChildren(f func(Op) Op) Op { u.In = f(u.In); return u }
+
 // Exprs implements Op.
 func (u UnnestMap) Exprs() []Expr { return []Expr{u.E} }
 
@@ -483,6 +511,9 @@ func (Cross) String() string { return "×" }
 
 // Children implements Op.
 func (c Cross) Children() []Op { return []Op{c.L, c.R} }
+
+// MapChildren implements Op.
+func (c Cross) MapChildren(f func(Op) Op) Op { c.L, c.R = f(c.L), f(c.R); return c }
 
 // Exprs implements Op.
 func (Cross) Exprs() []Expr { return nil }

@@ -42,6 +42,7 @@ type constOp struct {
 func (c constOp) Eval(*Ctx, value.Tuple) value.TupleSeq { return c.ts }
 func (c constOp) String() string                        { return "const" }
 func (c constOp) Children() []Op                        { return nil }
+func (c constOp) MapChildren(func(Op) Op) Op            { return c }
 func (c constOp) Exprs() []Expr                         { return nil }
 func (c constOp) Attrs() ([]string, bool)               { return c.attrs, true }
 

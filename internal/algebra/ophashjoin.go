@@ -181,6 +181,9 @@ func (j OPHashJoin) String() string {
 // Children implements Op.
 func (j OPHashJoin) Children() []Op { return []Op{j.L, j.R} }
 
+// MapChildren implements Op.
+func (j OPHashJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
+
 // Exprs implements Op.
 func (j OPHashJoin) Exprs() []Expr {
 	if j.Residual != nil {

@@ -43,22 +43,21 @@ func partitionRowsSorted(rows []value.Row, slots []int, keyHint int) ([]value.Ha
 // (inner mode) and the unordered join family: both inputs partitioned on
 // the key columns, partitions joined in LessKey order. nil falls back to
 // the conversion shim.
-func openRowPartitionedJoin(l, r Op, lAttrs, rAttrs []string, residual Expr,
-	sc Schema, ctx *Ctx, env value.Tuple, mode joinMode, g string, def SeqFunc) RowIter {
-	lsc, lok := ResolveSchema(l)
-	rsc, rok := ResolveSchema(r)
-	if !lok || !rok {
-		return nil
-	}
-	// The concatenated layout is needed for the output of ⋈/⟕ modes and to
-	// compile a residual; ⋉/▷ without residual emit left rows only and
-	// tolerate colliding attribute names across the inputs.
-	var catLay *value.Layout
-	if mode == joinModeInner || mode == joinModeOuter || residual != nil {
-		var cok bool
-		catLay, cok = lsc.Lay.Concat(rsc.Lay)
-		if !cok {
-			return nil
+func openRowPartitionedJoin(n *Node, lAttrs, rAttrs []string, residual Expr,
+	ctx *Ctx, env value.Tuple, mode joinMode, g string, def SeqFunc) RowIter {
+	l, r := n.Kids[0], n.Kids[1]
+	lsc, rsc := l.Schema, r.Schema
+	// ⋈/⟕ modes emit l ◦ r, their resolved layout; ⋉/▷ emit left rows, need
+	// the concatenation only to compile a residual, and without one tolerate
+	// colliding attribute names across the inputs.
+	catLay := n.Schema.Lay
+	if mode == joinModeSemi || mode == joinModeAnti {
+		catLay = nil
+		if residual != nil {
+			var cok bool
+			if catLay, cok = lsc.Lay.Concat(rsc.Lay); !cok {
+				return nil
+			}
 		}
 	}
 	lSlots, ok1 := slotsOf(lsc.Lay, lAttrs)
@@ -74,25 +73,19 @@ func openRowPartitionedJoin(l, r Op, lAttrs, rAttrs []string, residual Expr,
 		}
 		gSlot = s
 	}
-	it := &rowPartJoinIter{ctx: ctx, env: env, mode: mode, catLay: catLay,
+	it := &rowPartJoinIter{ctx: ctx, env: env, mode: mode, lay: n.Schema.Lay, catLay: catLay,
 		gSlot: gSlot, def: def, padFrom: lsc.Lay.Width()}
-	switch mode {
-	case joinModeSemi, joinModeAnti:
-		it.lay = lsc.Lay
-	default:
-		it.lay = catLay
-	}
 	if residual != nil {
 		it.residual = compileExpr(residual, Schema{Lay: catLay}, env)
 		it.probe = make([]value.Value, catLay.Width())
 	}
 	it.build = func() bool {
-		left := drainRows(ctx, TripPartition, openRowsSchema(l, lsc, ctx, env))
+		left := drainRows(ctx, TripPartition, l.open(ctx, env))
 		if len(left) == 0 {
 			return false
 		}
 		it.keys, it.lParts = partitionRowsSorted(left, lSlots, len(left))
-		right := drainRows(ctx, TripPartition, openRowsSchema(r, rsc, ctx, env))
+		right := drainRows(ctx, TripPartition, r.open(ctx, env))
 		it.rParts = bucketRows(right, rSlots, len(right))
 		return true
 	}
@@ -255,16 +248,8 @@ func (h *rowOPMergeHeap) Pop() any {
 // hash, partition pairs joined in probe order, and the global probe order
 // restored by a lazy P-way ordinal merge — O(N log P) instead of the full
 // sort of the Grace+Sort strategy.
-func openRowOPHashJoin(j OPHashJoin, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
-	lsc, lok := ResolveSchema(j.L)
-	rsc, rok := ResolveSchema(j.R)
-	if !lok || !rok {
-		return nil
-	}
-	catLay, cok := lsc.Lay.Concat(rsc.Lay)
-	if !cok {
-		return nil
-	}
+func openRowOPHashJoin(j OPHashJoin, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	catLay, lsc, rsc := n.Schema.Lay, n.Kids[0].Schema, n.Kids[1].Schema
 	lSlots, ok1 := slotsOf(lsc.Lay, j.LAttrs)
 	rSlots, ok2 := slotsOf(rsc.Lay, j.RAttrs)
 	if !ok1 || !ok2 {
@@ -276,11 +261,11 @@ func openRowOPHashJoin(j OPHashJoin, sc Schema, ctx *Ctx, env value.Tuple) RowIt
 	}
 	it := &rowOPHashJoinIter{ctx: ctx}
 	it.build = func() {
-		left := drainRows(ctx, TripPartition, openRowsSchema(j.L, lsc, ctx, env))
+		left := drainRows(ctx, TripPartition, n.Kids[0].open(ctx, env))
 		if len(left) == 0 {
 			return
 		}
-		right := drainRows(ctx, TripPartition, openRowsSchema(j.R, rsc, ctx, env))
+		right := drainRows(ctx, TripPartition, n.Kids[1].open(ctx, env))
 		p := j.partitionCount(len(right))
 
 		type tagged struct {
@@ -366,11 +351,8 @@ func (j *rowOPHashJoinIter) Close() { j.h = nil; j.started = true }
 // openRowUnorderedGroupUnary builds the native Γᵁ: one output row per
 // distinct key, keys in LessKey order, group values computed by the
 // slot-compiled applier.
-func openRowUnorderedGroupUnary(g UnorderedGroupUnary, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
-	insc, ok := ResolveSchema(g.In)
-	if !ok {
-		return nil
-	}
+func openRowUnorderedGroupUnary(g UnorderedGroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	sc, insc := n.Schema, n.Kids[0].Schema
 	by, ok := slotsOf(insc.Lay, g.By)
 	if !ok {
 		return nil
@@ -380,7 +362,7 @@ func openRowUnorderedGroupUnary(g UnorderedGroupUnary, sc Schema, ctx *Ctx, env 
 	it := &rowUnorderedGroupUnaryIter{lay: sc.Lay, gSlot: gSlot, by: by, outBy: outBy,
 		theta: g.Theta, apply: groupApplier(g.F, insc.Lay, env), ctx: ctx, env: env}
 	it.build = func() {
-		it.rows = drainRows(ctx, TripPartition, openRowsSchema(g.In, insc, ctx, env))
+		it.rows = drainRows(ctx, TripPartition, n.Kids[0].open(ctx, env))
 		it.keys, it.buckets = partitionRowsSorted(it.rows, by, ctx.cardHint(g, len(it.rows)))
 	}
 	return it
@@ -440,12 +422,8 @@ func (g *rowUnorderedGroupUnaryIter) Close() { g.pos = len(g.keys); g.started = 
 // tuples in LessKey partition order, each extended by f over its right
 // group (cached per distinct key on the hash path, like the ordered
 // operator).
-func openRowUnorderedGroupBinary(g UnorderedGroupBinary, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
-	lsc, lok := ResolveSchema(g.L)
-	rsc, rok := ResolveSchema(g.R)
-	if !lok || !rok {
-		return nil
-	}
+func openRowUnorderedGroupBinary(g UnorderedGroupBinary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	sc, lsc, rsc := n.Schema, n.Kids[0].Schema, n.Kids[1].Schema
 	lSlots, ok1 := slotsOf(lsc.Lay, g.LAttrs)
 	rSlots, ok2 := slotsOf(rsc.Lay, g.RAttrs)
 	if !ok1 || !ok2 {
@@ -456,12 +434,12 @@ func openRowUnorderedGroupBinary(g UnorderedGroupBinary, sc Schema, ctx *Ctx, en
 		lSlots: lSlots, rSlots: rSlots, theta: g.Theta,
 		apply: groupApplier(g.F, rsc.Lay, env), ctx: ctx, env: env}
 	it.build = func() bool {
-		left := drainRows(ctx, TripPartition, openRowsSchema(g.L, lsc, ctx, env))
+		left := drainRows(ctx, TripPartition, n.Kids[0].open(ctx, env))
 		if len(left) == 0 {
 			return false
 		}
 		it.keys, it.lParts = partitionRowsSorted(left, lSlots, len(left))
-		right := drainRows(ctx, TripPartition, openRowsSchema(g.R, rsc, ctx, env))
+		right := drainRows(ctx, TripPartition, n.Kids[1].open(ctx, env))
 		if g.Theta == value.CmpEq {
 			it.rHash = bucketRows(right, rSlots, len(right))
 			it.applied = make(map[value.HashKey]value.Value, it.rHash.n())

@@ -42,12 +42,12 @@ func leafShims(op Op) int64 {
 // root iterator is not the conversion shim, and no shim fired anywhere
 // beyond the constOp leaves.
 func runNativeRows(op Op) (value.TupleSeq, string, bool) {
-	sc, ok := ResolveSchema(op)
-	if !ok || !sc.Native {
+	n := Resolve(op)
+	if !n.OK || !n.Schema.Native {
 		return nil, "", false
 	}
 	ctx := NewCtx(nil)
-	it := openRowsSchema(op, sc, ctx, nil)
+	it := n.open(ctx, nil)
 	if _, isShim := it.(*tupleRowIter); isShim {
 		return nil, "", false
 	}
@@ -257,13 +257,13 @@ func TestPartitionedRowsXiOutput(t *testing.T) {
 			}}
 			ctxE := NewCtx(nil)
 			xi.Eval(ctxE, nil)
-			sc, ok := ResolveSchema(xi)
-			if !ok || !sc.Native {
+			n := Resolve(xi)
+			if !n.OK || !n.Schema.Native {
 				t.Errorf("Ξ over %s: not native", name)
 				return false
 			}
 			ctxR := NewCtx(nil)
-			drainRows(ctxR, TripBuild, openRowsSchema(xi, sc, ctxR, nil))
+			drainRows(ctxR, TripBuild, n.open(ctxR, nil))
 			if ctxR.Stats.ShimOps > leafShims(xi) {
 				t.Errorf("Ξ over %s: shim fired beyond the leaves", name)
 				return false

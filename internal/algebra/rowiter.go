@@ -8,9 +8,10 @@ import (
 )
 
 // This file is the streaming engine: open-next-close iterators over
-// value.Row, one per operator. The schema-resolution pass (schema.go) fixes
-// every operator's attribute→slot mapping at plan time; the iterators then
-// produce rows whose value slices are cut from chunks the producing iterator
+// value.Row, one per operator. Resolve (schema.go) fixes every operator's
+// attribute→slot mapping once per plan; opening a plan walks the resolved
+// nodes — an opener reads its own Schema.Lay and its inputs' Kids[i].Schema
+// and never types anything again — and the iterators then produce rows whose value slices are cut from chunks the producing iterator
 // owns (rowSlab: one allocation per chunk of rows, not per row — and often
 // no slice at all: σ and Ξ pass rows through, ΠA′:A swaps the layout pointer
 // and keeps the slice). Nested data is slot-native too: group payloads, e[a]
@@ -30,154 +31,101 @@ type RowIter interface {
 	Close()
 }
 
-// openRows builds the slot-based iterator tree for a plan. ok=false means
-// the plan's schema does not resolve and only the definitional evaluator
-// applies.
-//
-// Schema resolution is re-derived per level while opening (a node at depth
-// d is resolved O(d) times), so plan open is quadratic in plan size in the
-// worst case. Plans are tens of nodes and resolution is allocation-light
-// next to execution, so this stays far below measurement noise; memoization
-// would need operator identity, which the value-typed Op trees don't have.
-func openRows(op Op, ctx *Ctx, env value.Tuple) (RowIter, *value.Layout, bool) {
-	sc, ok := ResolveSchema(op)
-	if !ok {
-		return nil, nil, false
-	}
-	return openRowsSchema(op, sc, ctx, env), sc.Lay, true
-}
-
-// openRowsSchema opens an operator whose schema is already resolved.
-func openRowsSchema(op Op, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
-	if sc.Native {
-		if it := openNative(op, sc, ctx, env); it != nil {
+// open builds the iterator of a resolved node (n.OK): the slot-native one
+// where the schema is native and the opener takes the operator, else the
+// conversion shim — the operator materializes through the definitional
+// evaluator and its tuples are re-typed under the resolved layout. This is
+// the one place native-versus-shim is decided. A native node's inputs all
+// resolved (see Node.resolve), so openers read Kids[i].Schema unchecked.
+func (n *Node) open(ctx *Ctx, env value.Tuple) RowIter {
+	if n.Schema.Native {
+		if it := openNative(n, ctx, env); it != nil {
 			return it
 		}
 	}
-	// Conversion shim: materialize the operator through the definitional
-	// evaluator and re-type its tuples under the resolved layout.
-	return &tupleRowIter{in: evalIter(op, ctx, env), lay: sc.Lay, ctx: ctx}
+	return &tupleRowIter{in: evalIter(n.Op, ctx, env), lay: n.Schema.Lay, ctx: ctx}
 }
 
-// openNative constructs the slot-native iterator for a structurally resolved
-// operator; nil falls back to the conversion shim.
-func openNative(op Op, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
+// openNative constructs the slot-native iterator of a structurally resolved
+// operator; nil — returned before any input is opened — falls back to the
+// conversion shim.
+func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	lay := n.Schema.Lay
+	var in *Node
+	if len(n.Kids) > 0 {
+		in = n.Kids[0]
+	}
 	//nal:opswitch rowiter
-	switch w := op.(type) {
+	switch w := n.Op.(type) {
 	case Singleton:
-		return &rowSliceIter{rows: []value.Row{value.NewRow(sc.Lay)}}
+		return &rowSliceIter{rows: []value.Row{value.NewRow(lay)}}
 
 	case Select:
-		in, insc, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
-		}
-		return &rowSelectIter{in: in, pred: compileExpr(w.Pred, insc, env), ctx: ctx}
+		return &rowSelectIter{in: in.open(ctx, env), pred: compileExpr(w.Pred, in.Schema, env), ctx: ctx}
 
 	case Project:
-		return openSlotMap(w.In, sc, ctx, env, func(in *value.Layout) ([]int, bool) {
-			_, src := in.Project(w.Names)
-			return src, src != nil
-		})
+		return &rowSlotMapIter{in: in.open(ctx, env), lay: lay, src: slotsOrAbsent(in.Schema.Lay, w.Names)}
 
 	case ProjectDrop:
-		return openSlotMap(w.In, sc, ctx, env, func(in *value.Layout) ([]int, bool) {
-			_, src := in.Drop(w.Names)
-			return src, true
-		})
-
-	case XiGroup:
-		return openRowXiGroup(w, ctx, env)
+		_, src := in.Schema.Lay.Drop(w.Names)
+		return &rowSlotMapIter{in: in.open(ctx, env), lay: lay, src: src}
 
 	case ProjectRename:
-		in, _, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
-		}
-		return &rowRenameIter{in: in, lay: sc.Lay}
+		return &rowRenameIter{in: in.open(ctx, env), lay: lay}
 
 	case ProjectDistinct:
-		in, insc, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
+		olds := make([]string, len(w.Pairs))
+		for i, p := range w.Pairs {
+			olds[i] = p.Old
 		}
-		src := make([]int, len(w.Pairs))
-		for i, r := range w.Pairs {
-			if s, ok := insc.Lay.Slot(r.Old); ok {
-				src[i] = s
-			} else {
-				src[i] = -1
-			}
-		}
-		all := make([]int, sc.Lay.Width())
+		all := make([]int, lay.Width())
 		for i := range all {
 			all[i] = i
 		}
-		return &rowDistinctIter{in: in, lay: sc.Lay, src: src, allSlots: all,
-			seen: map[value.HashKey]bool{}, ctx: ctx}
+		return &rowDistinctIter{in: in.open(ctx, env), lay: lay, src: slotsOrAbsent(in.Schema.Lay, olds),
+			allSlots: all, seen: map[value.HashKey]bool{}, ctx: ctx}
 
 	case Map:
-		in, insc, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
-		}
-		_, slot := insc.Lay.Extend(w.Attr)
-		return &rowMapIter{in: in, lay: sc.Lay, slot: slot,
-			e: compileExpr(w.E, insc, env), ctx: ctx}
+		slot, _ := lay.Slot(w.Attr)
+		return &rowMapIter{in: in.open(ctx, env), lay: lay, slot: slot,
+			e: compileExpr(w.E, in.Schema, env), ctx: ctx}
 
 	case UnnestMap:
-		in, insc, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
-		}
-		lay, slot := insc.Lay.Extend(w.Attr)
+		slot, _ := lay.Slot(w.Attr)
 		posSlot := -1
 		if w.PosAttr != "" {
-			lay, posSlot = lay.Extend(w.PosAttr)
+			posSlot, _ = lay.Slot(w.PosAttr)
 		}
-		return &rowUnnestMapIter{in: in, lay: lay, slot: slot, posSlot: posSlot,
-			e: compileExpr(w.E, insc, env), ctx: ctx}
+		return &rowUnnestMapIter{in: in.open(ctx, env), lay: lay, slot: slot, posSlot: posSlot,
+			e: compileExpr(w.E, in.Schema, env), ctx: ctx}
 
 	case IndexScan:
-		in, insc, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
-		}
-		lay, slot := insc.Lay.Extend(w.Attr)
+		slot, _ := lay.Slot(w.Attr)
+		child := in.open(ctx, env)
 		nodes := w.resolve(ctx, env)
 		// pos starts exhausted so the first Next pulls an input row before
 		// emitting.
-		return &rowIndexScanIter{in: in, lay: lay, slot: slot, nodes: nodes,
+		return &rowIndexScanIter{in: child, lay: lay, slot: slot, nodes: nodes,
 			ctx: ctx, pos: len(nodes)}
 
 	case XiSimple:
-		in, insc, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
-		}
-		return &rowXiIter{in: in, cmds: compileCommands(w.Cmds, insc, env), ctx: ctx}
+		return &rowXiIter{in: in.open(ctx, env), cmds: compileCommands(w.Cmds, in.Schema, env), ctx: ctx}
 
 	case XiGroupStream:
-		insc, ok := ResolveSchema(w.In)
+		by, ok := slotsOf(in.Schema.Lay, w.By)
 		if !ok {
 			return nil
 		}
-		by, ok := slotsOf(insc.Lay, w.By)
-		if !ok {
-			return nil
-		}
-		in := openRowsSchema(w.In, insc, ctx, env)
-		return &rowXiGroupStreamIter{in: in, by: by, ctx: ctx,
-			s1: compileCommands(w.S1, insc, env),
-			s2: compileCommands(w.S2, insc, env),
-			s3: compileCommands(w.S3, insc, env)}
+		return &rowXiGroupStreamIter{in: in.open(ctx, env), by: by, ctx: ctx,
+			s1: compileCommands(w.S1, in.Schema, env),
+			s2: compileCommands(w.S2, in.Schema, env),
+			s3: compileCommands(w.S3, in.Schema, env)}
+
+	case XiGroup:
+		return openRowXiGroup(w, in, ctx, env)
 
 	case Sort:
-		insc, ok := ResolveSchema(w.In)
-		if !ok {
-			return nil
-		}
-		by, ok := slotsOf(insc.Lay, w.By)
+		by, ok := slotsOf(in.Schema.Lay, w.By)
 		if !ok {
 			return nil
 		}
@@ -185,87 +133,76 @@ func openNative(op Op, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
 		// (reused across Open cycles — emitted Rows are value copies, so
 		// recycling the buffer never aliases them) and sort it in place with
 		// a monomorphic comparison instead of sort.Sort's interface dispatch.
-		rows := drainRowsInto(ctx, TripSort, openRowsSchema(w.In, insc, ctx, env), getSortBuf())
+		rows := drainRowsInto(ctx, TripSort, in.open(ctx, env), getSortBuf())
 		slices.SortStableFunc(rows, func(a, b value.Row) int {
 			return cmpRowsDirs(a, b, by, w.Dirs)
 		})
 		return &rowSliceIter{rows: rows, pooled: true}
 
 	case AttachSeq:
-		in, insc, ok := openRowsChild(w.In, ctx, env)
-		if !ok {
-			return nil
-		}
-		_, slot := insc.Lay.Extend(w.Attr)
-		return &rowAttachSeqIter{in: in, lay: sc.Lay, slot: slot}
+		slot, _ := lay.Slot(w.Attr)
+		return &rowAttachSeqIter{in: in.open(ctx, env), lay: lay, slot: slot}
 
 	case Cross:
-		left, _, ok := openRowsChild(w.L, ctx, env)
-		if !ok {
-			return nil
-		}
-		right, _, rok := openRowsChild(w.R, ctx, env)
-		if !rok {
-			left.Close()
-			return nil
-		}
-		return &rowCrossIter{left: left, right: drainRows(ctx, TripBuild, right), lay: sc.Lay, pos: -1}
+		return &rowCrossIter{left: in.open(ctx, env),
+			right: drainRows(ctx, TripBuild, n.Kids[1].open(ctx, env)), lay: lay, pos: -1}
 
 	case Join:
-		return openRowJoin(w.L, w.R, w.Pred, sc, ctx, env, joinModeInner, "", nil)
+		return openRowJoin(n, w.Pred, ctx, env, joinModeInner, "", nil)
 	case SemiJoin:
-		return openRowJoin(w.L, w.R, w.Pred, sc, ctx, env, joinModeSemi, "", nil)
+		return openRowJoin(n, w.Pred, ctx, env, joinModeSemi, "", nil)
 	case AntiJoin:
-		return openRowJoin(w.L, w.R, w.Pred, sc, ctx, env, joinModeAnti, "", nil)
+		return openRowJoin(n, w.Pred, ctx, env, joinModeAnti, "", nil)
 	case OuterJoin:
-		return openRowJoin(w.L, w.R, w.Pred, sc, ctx, env, joinModeOuter, w.G, w.Default)
+		return openRowJoin(n, w.Pred, ctx, env, joinModeOuter, w.G, w.Default)
 
 	case GroupUnary:
-		return openRowGroupUnary(w, sc, ctx, env)
+		return openRowGroupUnary(w, n, ctx, env)
 	case GroupSelf:
-		return openRowGroupSelf(w, sc, ctx, env)
+		return openRowGroupSelf(w, n, ctx, env)
 	case GroupBinary:
-		return openRowGroupBinary(w, sc, ctx, env)
+		return openRowGroupBinary(w, n, ctx, env)
 
 	case GraceJoin:
-		return openRowPartitionedJoin(w.L, w.R, w.LAttrs, w.RAttrs, w.Residual,
-			sc, ctx, env, joinModeInner, "", nil)
+		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeInner, "", nil)
 	case OPHashJoin:
-		return openRowOPHashJoin(w, sc, ctx, env)
+		return openRowOPHashJoin(w, n, ctx, env)
 	case UnorderedJoin:
-		return openRowPartitionedJoin(w.L, w.R, w.LAttrs, w.RAttrs, w.Residual,
-			sc, ctx, env, joinModeInner, "", nil)
+		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeInner, "", nil)
 	case UnorderedSemiJoin:
-		return openRowPartitionedJoin(w.L, w.R, w.LAttrs, w.RAttrs, w.Residual,
-			sc, ctx, env, joinModeSemi, "", nil)
+		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeSemi, "", nil)
 	case UnorderedAntiJoin:
-		return openRowPartitionedJoin(w.L, w.R, w.LAttrs, w.RAttrs, w.Residual,
-			sc, ctx, env, joinModeAnti, "", nil)
+		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeAnti, "", nil)
 	case UnorderedOuterJoin:
-		return openRowPartitionedJoin(w.L, w.R, w.LAttrs, w.RAttrs, nil,
-			sc, ctx, env, joinModeOuter, w.G, w.Default)
+		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, nil, ctx, env, joinModeOuter, w.G, w.Default)
 	case UnorderedGroupUnary:
-		return openRowUnorderedGroupUnary(w, sc, ctx, env)
+		return openRowUnorderedGroupUnary(w, n, ctx, env)
 	case UnorderedGroupBinary:
-		return openRowUnorderedGroupBinary(w, sc, ctx, env)
+		return openRowUnorderedGroupBinary(w, n, ctx, env)
 
 	case Unnest:
-		return openRowUnnest(w.In, w.Attr, w.InnerAttrs, sc, ctx, env, true)
+		return openRowUnnest(n, w.Attr, w.InnerAttrs, ctx, env, true)
 	case UnnestDistinct:
-		return openRowUnnest(w.In, w.Attr, nil, sc, ctx, env, false)
+		return openRowUnnest(n, w.Attr, nil, ctx, env, false)
 
 	default:
 		return nil
 	}
 }
 
-// openRowsChild opens a child subtree, returning its schema alongside.
-func openRowsChild(op Op, ctx *Ctx, env value.Tuple) (RowIter, Schema, bool) {
-	sc, ok := ResolveSchema(op)
-	if !ok {
-		return nil, Schema{}, false
+// slotsOrAbsent resolves attribute names to slots under a layout, -1 for a
+// name the layout does not bind (it projects to an absent value, matching
+// the map semantics).
+func slotsOrAbsent(lay *value.Layout, names []string) []int {
+	out := make([]int, len(names))
+	for i, n := range names {
+		if s, ok := lay.Slot(n); ok {
+			out[i] = s
+		} else {
+			out[i] = -1
+		}
 	}
-	return openRowsSchema(op, sc, ctx, env), sc, true
+	return out
 }
 
 // drainRows materializes an iterator's remaining rows and closes it. point
@@ -358,14 +295,7 @@ func groupApplier(f SeqFunc, lay *value.Layout, env value.Tuple) func(ctx *Ctx, 
 		}
 	case SFProject:
 		if plLay := value.NewLayout(w.Attrs...); plLay != nil && plLay.Width() > 0 {
-			slots := make([]int, len(w.Attrs))
-			for i, a := range w.Attrs {
-				if s, ok := lay.Slot(a); ok {
-					slots[i] = s
-				} else {
-					slots[i] = -1
-				}
-			}
+			slots := slotsOrAbsent(lay, w.Attrs)
 			return func(ctx *Ctx, _ value.Tuple, rows []value.Row) value.Value {
 				// The projected payload is a fresh flat backing — the Γ group
 				// state the budget exists to bound.
@@ -465,24 +395,7 @@ func (s *rowSelectIter) Next() (value.Row, bool) {
 
 func (s *rowSelectIter) Close() { s.in.Close() }
 
-// openSlotMap builds the slot-copy iterator shared by Π and Π̄.
-func openSlotMap(child Op, sc Schema, ctx *Ctx, env value.Tuple,
-	mapping func(in *value.Layout) ([]int, bool)) RowIter {
-	insc, ok := ResolveSchema(child)
-	if !ok {
-		return nil
-	}
-	src, ok := mapping(insc.Lay)
-	if !ok {
-		return nil
-	}
-	in, _, ok := openRows(child, ctx, env)
-	if !ok {
-		return nil
-	}
-	return &rowSlotMapIter{in: in, lay: sc.Lay, src: src}
-}
-
+// rowSlotMapIter is the slot-copy iterator shared by Π and Π̄.
 type rowSlotMapIter struct {
 	in   RowIter
 	lay  *value.Layout
@@ -674,16 +587,13 @@ func (x *rowXiGroupStreamIter) Close() { x.in.Close() }
 // openRowXiGroup implements the hash-bucket Γ-Ξ: it materializes the input,
 // fires S1/S2/S3 per first-occurrence group, and streams the input rows
 // unchanged — the slot twin of XiGroup.Eval.
-func openRowXiGroup(x XiGroup, ctx *Ctx, env value.Tuple) RowIter {
-	insc, ok := ResolveSchema(x.In)
-	if !ok {
-		return nil
-	}
+func openRowXiGroup(x XiGroup, in *Node, ctx *Ctx, env value.Tuple) RowIter {
+	insc := in.Schema
 	by, ok := slotsOf(insc.Lay, x.By)
 	if !ok {
 		return nil
 	}
-	rows := drainRows(ctx, TripGroup, openRowsSchema(x.In, insc, ctx, env))
+	rows := drainRows(ctx, TripGroup, in.open(ctx, env))
 	// Ξ-group passes its input through, so its output cardinality says
 	// nothing about the bucket count; size the table by the textbook
 	// distinct-keys fraction of the input instead.
@@ -868,16 +778,18 @@ type rowJoinIter struct {
 	slab    rowSlab
 }
 
-func openRowJoin(l, r Op, pred Expr, sc Schema, ctx *Ctx, env value.Tuple,
+func openRowJoin(n *Node, pred Expr, ctx *Ctx, env value.Tuple,
 	mode joinMode, g string, def SeqFunc) RowIter {
-	lsc, lok := ResolveSchema(l)
-	rsc, rok := ResolveSchema(r)
-	if !lok || !rok {
-		return nil
-	}
-	catLay, cok := lsc.Lay.Concat(rsc.Lay)
-	if !cok {
-		return nil
+	l, r := n.Kids[0], n.Kids[1]
+	lsc, rsc := l.Schema, r.Schema
+	// ⋈ and ⟕ emit l ◦ r, their resolved layout; ⋉ and ▷ emit left rows and
+	// need the concatenation only to compile the predicate against.
+	catLay := n.Schema.Lay
+	if mode == joinModeSemi || mode == joinModeAnti {
+		var cok bool
+		if catLay, cok = lsc.Lay.Concat(rsc.Lay); !cok {
+			return nil
+		}
 	}
 	gSlot := -1
 	if mode == joinModeOuter {
@@ -888,8 +800,8 @@ func openRowJoin(l, r Op, pred Expr, sc Schema, ctx *Ctx, env value.Tuple,
 		gSlot = s
 	}
 
-	left := openRowsSchema(l, lsc, ctx, env)
-	jp := rowJoinPlan{catLay: catLay, right: drainRows(ctx, TripBuild, openRowsSchema(r, rsc, ctx, env))}
+	left := l.open(ctx, env)
+	jp := rowJoinPlan{catLay: catLay, right: drainRows(ctx, TripBuild, r.open(ctx, env))}
 
 	if pairs, residual, ok := splitEqPred(pred, attrBoolSet(lsc.Lay), attrBoolSet(rsc.Lay)); ok {
 		var lKeys, rKeys []string
@@ -911,15 +823,8 @@ func openRowJoin(l, r Op, pred Expr, sc Schema, ctx *Ctx, env value.Tuple,
 		jp.probe = make([]value.Value, catLay.Width())
 	}
 
-	it := &rowJoinIter{left: left, jp: jp, mode: mode, ctx: ctx, env: env,
+	return &rowJoinIter{left: left, jp: jp, mode: mode, lay: n.Schema.Lay, ctx: ctx, env: env,
 		gSlot: gSlot, def: def, padFrom: lsc.Lay.Width()}
-	switch mode {
-	case joinModeSemi, joinModeAnti:
-		it.lay = lsc.Lay
-	default:
-		it.lay = catLay
-	}
-	return it
 }
 
 func attrBoolSet(lay *value.Layout) map[string]bool {
@@ -987,18 +892,15 @@ func padOuter(slab *rowSlab, lay *value.Layout, lt value.Row, padFrom, gSlot int
 
 // ---- grouping ----
 
-func openRowGroupUnary(g GroupUnary, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
-	insc, ok := ResolveSchema(g.In)
-	if !ok {
-		return nil
-	}
+func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	sc, insc := n.Schema, n.Kids[0].Schema
 	by, ok := slotsOf(insc.Lay, g.By)
 	if !ok {
 		return nil
 	}
 	gSlot, _ := sc.Lay.Slot(g.G)
 	outBy, _ := slotsOf(sc.Lay, g.By)
-	rows := drainRows(ctx, TripGroup, openRowsSchema(g.In, insc, ctx, env))
+	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
 	apply := groupApplier(g.F, insc.Lay, env)
 
 	// Γ's output cardinality is its distinct-key count: pre-size the hash
@@ -1049,17 +951,14 @@ func openRowGroupUnary(g GroupUnary, sc Schema, ctx *Ctx, env value.Tuple) RowIt
 
 // openRowGroupSelf annotates each input row with F applied to its equality
 // group, preserving input order (unlike Γ, which emits one row per group).
-func openRowGroupSelf(g GroupSelf, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
-	insc, ok := ResolveSchema(g.In)
-	if !ok {
-		return nil
-	}
+func openRowGroupSelf(g GroupSelf, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	sc, insc := n.Schema, n.Kids[0].Schema
 	by, ok := slotsOf(insc.Lay, g.By)
 	if !ok {
 		return nil
 	}
 	gSlot, _ := sc.Lay.Slot(g.G)
-	rows := drainRows(ctx, TripGroup, openRowsSchema(g.In, insc, ctx, env))
+	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
 	apply := groupApplier(g.F, insc.Lay, env)
 
 	// Groups are numbered as the rows first meet them, so applying F group
@@ -1089,12 +988,8 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 	return true
 }
 
-func openRowGroupBinary(g GroupBinary, sc Schema, ctx *Ctx, env value.Tuple) RowIter {
-	lsc, lok := ResolveSchema(g.L)
-	rsc, rok := ResolveSchema(g.R)
-	if !lok || !rok {
-		return nil
-	}
+func openRowGroupBinary(g GroupBinary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	sc, lsc, rsc := n.Schema, n.Kids[0].Schema, n.Kids[1].Schema
 	lSlots, ok1 := slotsOf(lsc.Lay, g.LAttrs)
 	rSlots, ok2 := slotsOf(rsc.Lay, g.RAttrs)
 	if !ok1 || !ok2 {
@@ -1102,16 +997,14 @@ func openRowGroupBinary(g GroupBinary, sc Schema, ctx *Ctx, env value.Tuple) Row
 	}
 	gSlot, _ := sc.Lay.Slot(g.G)
 
-	left := openRowsSchema(g.L, lsc, ctx, env)
-
-	it := &rowGroupBinaryIter{left: left, lay: sc.Lay, gSlot: gSlot,
+	it := &rowGroupBinaryIter{left: n.Kids[0].open(ctx, env), lay: sc.Lay, gSlot: gSlot,
 		apply: groupApplier(g.F, rsc.Lay, env), ctx: ctx, env: env,
 		lSlots: lSlots, rSlots: rSlots, theta: g.Theta}
 	// The build side materializes lazily on the first left tuple, so an
 	// empty left input never evaluates R — matching GroupBinary.Eval's
 	// short-circuit.
 	it.build = func() {
-		rRows := drainRows(ctx, TripGroup, openRowsSchema(g.R, rsc, ctx, env))
+		rRows := drainRows(ctx, TripGroup, n.Kids[1].open(ctx, env))
 		if g.Theta == value.CmpEq && !g.ForceScan {
 			it.hash = bucketRows(rRows, rSlots, len(rRows))
 			it.applied = make(map[value.HashKey]value.Value, it.hash.n())
@@ -1188,11 +1081,8 @@ func (g *rowGroupBinaryIter) Close() { g.left.Close() }
 // tuples are spliced into slots computed at plan time. Attributes of the
 // inner tuples that collide with kept input attributes overwrite them,
 // matching the map engine's Concat semantics.
-func openRowUnnest(child Op, attr string, innerAttrs []string, sc Schema, ctx *Ctx, env value.Tuple, pad bool) RowIter {
-	insc, ok := ResolveSchema(child)
-	if !ok {
-		return nil
-	}
+func openRowUnnest(n *Node, attr string, innerAttrs []string, ctx *Ctx, env value.Tuple, pad bool) RowIter {
+	sc, insc := n.Schema, n.Kids[0].Schema
 	var inner *value.Layout
 	if nested := insc.nested(attr); nested != nil {
 		inner = nested.Lay
@@ -1209,27 +1099,18 @@ func openRowUnnest(child Op, attr string, innerAttrs []string, sc Schema, ctx *C
 	}
 	// Base mapping: kept input slots into the output layout.
 	baseLay, baseSrc := insc.Lay.Drop([]string{attr})
-	baseDst := make([]int, baseLay.Width())
-	for i, n := range baseLay.Names() {
-		d, ok := sc.Lay.Slot(n)
-		if !ok {
-			return nil
-		}
-		baseDst[i] = d
+	baseDst, ok := slotsOf(sc.Lay, baseLay.Names())
+	if !ok {
+		return nil
 	}
 	// Inner mapping: group attributes into the output layout (overwriting
 	// colliding base slots — the Concat right-hand side wins).
 	innerNames := inner.Names()
-	innerDst := make([]int, len(innerNames))
-	for i, n := range innerNames {
-		d, ok := sc.Lay.Slot(n)
-		if !ok {
-			return nil
-		}
-		innerDst[i] = d
+	innerDst, ok := slotsOf(sc.Lay, innerNames)
+	if !ok {
+		return nil
 	}
-	in := openRowsSchema(child, insc, ctx, env)
-	it := &rowUnnestIter{in: in, lay: sc.Lay, gSlot: gSlot,
+	it := &rowUnnestIter{in: n.Kids[0].open(ctx, env), lay: sc.Lay, gSlot: gSlot,
 		baseSrc: baseSrc, baseDst: baseDst,
 		innerNames: innerNames, innerDst: innerDst, pad: pad, ctx: ctx}
 	if !pad {

@@ -19,11 +19,11 @@ import (
 func mapFree(t *testing.T, name string, op Op, leafTuples int64) {
 	t.Helper()
 	ctx := NewCtx(nil)
-	sc, ok := ResolveSchema(op)
-	if !ok || !sc.Native {
+	n := Resolve(op)
+	if !n.OK || !n.Schema.Native {
 		t.Fatalf("%s: plan is not native", name)
 	}
-	it := openRowsSchema(op, sc, ctx, nil)
+	it := n.open(ctx, nil)
 	for {
 		if _, ok := it.Next(); !ok {
 			break

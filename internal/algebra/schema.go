@@ -5,9 +5,10 @@ import (
 )
 
 // This file implements the plan-time schema-resolution pass of the slot
-// engine. It walks an operator tree bottom-up and assigns every operator an
-// output Layout — a fixed attribute→slot mapping — so that execution can
-// read and write slices instead of rebuilding Go maps per tuple.
+// engine. Resolve walks an operator tree bottom-up, once, and assigns every
+// operator an output Layout — a fixed attribute→slot mapping — so that
+// execution can read and write slices instead of rebuilding Go maps per
+// tuple. The result is a tree of Nodes the iterators open from.
 //
 // Besides the flat layout, the resolver tracks the layouts of
 // tuple-sequence-valued attributes (group attributes created by Γ, the e[a]
@@ -19,8 +20,9 @@ import (
 // structurally still resolves through its static attribute set (Attrs) and
 // is materialized by the definitional evaluator behind a conversion shim
 // (Schema.Native = false). A subtree whose attribute set is statically
-// unknown does not resolve at all; the nearest resolvable ancestor — or the
-// plan root (see OpenIter) — evaluates it definitionally the same way.
+// unknown does not resolve at all (Node.OK = false); the nearest resolvable
+// ancestor — or the plan root (see Node.Pump) — evaluates it definitionally
+// the same way.
 
 // Schema is the resolved output type of one operator.
 type Schema struct {
@@ -158,253 +160,177 @@ func sameNames(a, b *value.Layout) bool {
 	return true
 }
 
+// Node is one operator of a resolved plan: the operator, its output schema
+// and the nodes of its algebraic inputs, in Children() order. A resolved
+// tree is immutable — layouts and nested-schema maps are never written
+// after Resolve returns — so any number of runs may open it concurrently.
+type Node struct {
+	Op     Op
+	Schema Schema
+	// OK is false when the operator's attribute set is statically unknown:
+	// the subtree has no schema and only the definitional evaluator applies.
+	OK   bool
+	Kids []*Node
+}
+
+// Resolve types an operator tree in one bottom-up pass: every operator is
+// visited once and reads its inputs' already-resolved schemas.
+func Resolve(op Op) *Node {
+	n := &Node{Op: op}
+	if cs := op.Children(); len(cs) > 0 {
+		n.Kids = make([]*Node, len(cs))
+		for i, c := range cs {
+			n.Kids[i] = Resolve(c)
+		}
+	}
+	n.Schema, n.OK = n.resolve()
+	return n
+}
+
 // ResolveSchema computes the output schema of an operator tree. ok=false
 // means the attribute set is statically unknown and the subtree can only be
 // evaluated definitionally.
 func ResolveSchema(op Op) (Schema, bool) {
-	//nal:opswitch schema
-	switch w := op.(type) {
-	case Singleton:
-		return Schema{Lay: value.NewLayout(), Native: true}, true
-
-	case Select:
-		in, ok := ResolveSchema(w.In)
-		if !ok {
-			return genericSchema(op)
-		}
-		return Schema{Lay: in.Lay, Nested: in.Nested, Native: true}, true
-
-	case Project:
-		if in, ok := ResolveSchema(w.In); ok {
-			lay, src := in.Lay.Project(w.Names)
-			if lay != nil && src != nil {
-				return Schema{Lay: lay, Nested: nestedKept(in.Nested, lay), Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	case ProjectDrop:
-		if in, ok := ResolveSchema(w.In); ok {
-			lay, _ := in.Lay.Drop(w.Names)
-			return Schema{Lay: lay, Nested: nestedKept(in.Nested, lay), Native: true}, true
-		}
-		return genericSchema(op)
-
-	case ProjectRename:
-		if in, ok := ResolveSchema(w.In); ok {
-			ren := make(map[string]string, len(w.Pairs))
-			for _, r := range w.Pairs {
-				ren[r.Old] = r.New
-			}
-			if lay := in.Lay.Rename(ren); lay != nil {
-				var nested map[string]*Inner
-				for k, v := range in.Nested {
-					if nested == nil {
-						nested = map[string]*Inner{}
-					}
-					if nn, ok := ren[k]; ok {
-						nested[nn] = v
-					} else {
-						nested[k] = v
-					}
-				}
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	case ProjectDistinct:
-		if in, ok := ResolveSchema(w.In); ok {
-			names := make([]string, len(w.Pairs))
-			var nested map[string]*Inner
-			for i, r := range w.Pairs {
-				names[i] = r.New
-				if inner := in.nested(r.Old); inner != nil {
-					if nested == nil {
-						nested = map[string]*Inner{}
-					}
-					nested[r.New] = inner
-				}
-			}
-			if lay := value.NewLayout(names...); lay != nil {
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	case Map:
-		if in, ok := ResolveSchema(w.In); ok {
-			lay, _ := in.Lay.Extend(w.Attr)
-			return Schema{Lay: lay,
-				Nested: nestedWith(in.Nested, w.Attr, exprNested(w.E, in)), Native: true}, true
-		}
-		return genericSchema(op)
-
-	case UnnestMap:
-		if in, ok := ResolveSchema(w.In); ok {
-			lay, _ := in.Lay.Extend(w.Attr)
-			if w.PosAttr != "" {
-				lay, _ = lay.Extend(w.PosAttr)
-			}
-			// Υ binds items, never tuple sequences.
-			return Schema{Lay: lay, Nested: nestedWith(in.Nested, w.Attr, nil), Native: true}, true
-		}
-		return genericSchema(op)
-
-	case IndexScan:
-		if in, ok := ResolveSchema(w.In); ok {
-			lay, _ := in.Lay.Extend(w.Attr)
-			// An index scan binds nodes, never tuple sequences.
-			return Schema{Lay: lay, Nested: nestedWith(in.Nested, w.Attr, nil), Native: true}, true
-		}
-		return genericSchema(op)
-
-	case XiSimple:
-		if in, ok := ResolveSchema(w.In); ok {
-			return Schema{Lay: in.Lay, Nested: in.Nested, Native: true}, true
-		}
-		return genericSchema(op)
-	case XiGroupStream:
-		if in, ok := ResolveSchema(w.In); ok {
-			return Schema{Lay: in.Lay, Nested: in.Nested, Native: true}, true
-		}
-		return genericSchema(op)
-	case XiGroup:
-		if in, ok := ResolveSchema(w.In); ok {
-			return Schema{Lay: in.Lay, Nested: in.Nested, Native: true}, true
-		}
-		return genericSchema(op)
-
-	case Sort:
-		if in, ok := ResolveSchema(w.In); ok {
-			return Schema{Lay: in.Lay, Nested: in.Nested, Native: true}, true
-		}
-		return genericSchema(op)
-
-	case AttachSeq:
-		if in, ok := ResolveSchema(w.In); ok {
-			lay, _ := in.Lay.Extend(w.Attr)
-			return Schema{Lay: lay, Nested: in.Nested, Native: true}, true
-		}
-		return genericSchema(op)
-
-	case Cross:
-		return concatSchema(op, w.L, w.R)
-	case Join:
-		return concatSchema(op, w.L, w.R)
-	case OuterJoin:
-		return concatSchema(op, w.L, w.R)
-	case SemiJoin:
-		if l, ok := ResolveSchema(w.L); ok {
-			if _, rok := ResolveSchema(w.R); rok {
-				return Schema{Lay: l.Lay, Nested: l.Nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-	case AntiJoin:
-		if l, ok := ResolveSchema(w.L); ok {
-			if _, rok := ResolveSchema(w.R); rok {
-				return Schema{Lay: l.Lay, Nested: l.Nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	case GroupSelf:
-		if in, ok := ResolveSchema(w.In); ok {
-			lay, slot := in.Lay.Extend(w.G)
-			if slot == in.Lay.Width() { // G must be fresh
-				nested := nestedWith(in.Nested, w.G, fnNested(w.F, in))
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	case GroupUnary:
-		if in, ok := ResolveSchema(w.In); ok {
-			if lay := value.NewLayout(append(append([]string(nil), w.By...), w.G)...); lay != nil {
-				nested := nestedWith(nestedKept(in.Nested, lay), w.G, fnNested(w.F, in))
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	case GroupBinary:
-		l, lok := ResolveSchema(w.L)
-		r, rok := ResolveSchema(w.R)
-		if lok && rok {
-			lay, slot := l.Lay.Extend(w.G)
-			if slot == l.Lay.Width() { // G must be fresh
-				nested := nestedWith(l.Nested, w.G, fnNested(w.F, r))
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	case Unnest:
-		return unnestSchema(op, w.In, w.Attr, w.InnerAttrs)
-	case UnnestDistinct:
-		return unnestSchema(op, w.In, w.Attr, nil)
-
-	// The partitioned operator family: output layouts mirror the ordered
-	// counterparts (concatenation for the joins, left-side layout for ⋉ᵁ/▷ᵁ,
-	// key+group for Γᵁ).
-	case GraceJoin:
-		return concatSchema(op, w.L, w.R)
-	case OPHashJoin:
-		return concatSchema(op, w.L, w.R)
-	case UnorderedJoin:
-		return concatSchema(op, w.L, w.R)
-	case UnorderedOuterJoin:
-		return concatSchema(op, w.L, w.R)
-	case UnorderedSemiJoin:
-		if l, ok := ResolveSchema(w.L); ok {
-			if _, rok := ResolveSchema(w.R); rok {
-				return Schema{Lay: l.Lay, Nested: l.Nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-	case UnorderedAntiJoin:
-		if l, ok := ResolveSchema(w.L); ok {
-			if _, rok := ResolveSchema(w.R); rok {
-				return Schema{Lay: l.Lay, Nested: l.Nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-	case UnorderedGroupUnary:
-		if in, ok := ResolveSchema(w.In); ok {
-			if lay := value.NewLayout(append(append([]string(nil), w.By...), w.G)...); lay != nil {
-				nested := nestedWith(nestedKept(in.Nested, lay), w.G, fnNested(w.F, in))
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-	case UnorderedGroupBinary:
-		l, lok := ResolveSchema(w.L)
-		r, rok := ResolveSchema(w.R)
-		if lok && rok {
-			lay, slot := l.Lay.Extend(w.G)
-			if slot == l.Lay.Width() { // G must be fresh
-				nested := nestedWith(l.Nested, w.G, fnNested(w.F, r))
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
-		}
-		return genericSchema(op)
-
-	default:
-		// Unknown extensions execute through the fallback shim over their
-		// static attribute set.
-		return genericSchema(op)
-	}
+	n := Resolve(op)
+	return n.Schema, n.OK
 }
 
-// concatSchema types the binary operators whose output is l ◦ r.
-func concatSchema(op Op, lop, rop Op) (Schema, bool) {
-	l, lok := ResolveSchema(lop)
-	r, rok := ResolveSchema(rop)
-	if lok && rok {
-		if lay, ok := l.Lay.Concat(r.Lay); ok {
-			return Schema{Lay: lay, Nested: nestedUnion(l.Nested, r.Nested), Native: true}, true
+// resolve is the schema rule of one operator over its inputs' schemas. An
+// operator the rule cannot type structurally — an input without schema, a
+// colliding layout, an unknown extension — is typed by its static attribute
+// set and executes through the fallback shim.
+func (n *Node) resolve() (Schema, bool) {
+	for _, k := range n.Kids {
+		if !k.OK {
+			return genericSchema(n.Op)
 		}
+	}
+	var in, r Schema // the first and second input
+	if len(n.Kids) > 0 {
+		in = n.Kids[0].Schema
+	}
+	if len(n.Kids) > 1 {
+		r = n.Kids[1].Schema
+	}
+	//nal:opswitch schema
+	switch w := n.Op.(type) {
+	case Singleton:
+		return nativeSchema(value.NewLayout(), nil)
+
+	case Select, XiSimple, XiGroupStream, XiGroup, Sort:
+		return nativeSchema(in.Lay, in.Nested)
+
+	case Project:
+		if lay := value.NewLayout(w.Names...); lay != nil {
+			return nativeSchema(lay, nestedKept(in.Nested, lay))
+		}
+
+	case ProjectDrop:
+		lay, _ := in.Lay.Drop(w.Names)
+		return nativeSchema(lay, nestedKept(in.Nested, lay))
+
+	case ProjectRename:
+		ren := make(map[string]string, len(w.Pairs))
+		for _, p := range w.Pairs {
+			ren[p.Old] = p.New
+		}
+		if lay := in.Lay.Rename(ren); lay != nil {
+			var nested map[string]*Inner
+			for k, v := range in.Nested {
+				if nested == nil {
+					nested = map[string]*Inner{}
+				}
+				if nn, ok := ren[k]; ok {
+					nested[nn] = v
+				} else {
+					nested[k] = v
+				}
+			}
+			return nativeSchema(lay, nested)
+		}
+
+	case ProjectDistinct:
+		names := make([]string, len(w.Pairs))
+		var nested map[string]*Inner
+		for i, p := range w.Pairs {
+			names[i] = p.New
+			if inner := in.nested(p.Old); inner != nil {
+				if nested == nil {
+					nested = map[string]*Inner{}
+				}
+				nested[p.New] = inner
+			}
+		}
+		if lay := value.NewLayout(names...); lay != nil {
+			return nativeSchema(lay, nested)
+		}
+
+	case Map:
+		lay, _ := in.Lay.Extend(w.Attr)
+		return nativeSchema(lay, nestedWith(in.Nested, w.Attr, exprNested(w.E, in)))
+
+	case UnnestMap:
+		lay, _ := in.Lay.Extend(w.Attr)
+		if w.PosAttr != "" {
+			lay, _ = lay.Extend(w.PosAttr)
+		}
+		// Υ binds items, never tuple sequences.
+		return nativeSchema(lay, nestedWith(in.Nested, w.Attr, nil))
+
+	case IndexScan:
+		lay, _ := in.Lay.Extend(w.Attr)
+		// An index scan binds nodes, never tuple sequences.
+		return nativeSchema(lay, nestedWith(in.Nested, w.Attr, nil))
+
+	case AttachSeq:
+		lay, _ := in.Lay.Extend(w.Attr)
+		return nativeSchema(lay, in.Nested)
+
+	// The partitioned operator family types like its ordered counterparts:
+	// concatenation for the joins, the left layout for ⋉/▷, key+group for Γ.
+	case Cross, Join, OuterJoin, GraceJoin, OPHashJoin, UnorderedJoin, UnorderedOuterJoin:
+		if lay, ok := in.Lay.Concat(r.Lay); ok {
+			return nativeSchema(lay, nestedUnion(in.Nested, r.Nested))
+		}
+
+	case SemiJoin, AntiJoin, UnorderedSemiJoin, UnorderedAntiJoin:
+		return nativeSchema(in.Lay, in.Nested)
+
+	case GroupSelf:
+		return groupInto(n.Op, in, in, w.G, w.F)
+	case GroupBinary:
+		return groupInto(n.Op, in, r, w.G, w.F)
+	case UnorderedGroupBinary:
+		return groupInto(n.Op, in, r, w.G, w.F)
+
+	case GroupUnary:
+		return groupBy(n.Op, in, w.By, w.G, w.F)
+	case UnorderedGroupUnary:
+		return groupBy(n.Op, in, w.By, w.G, w.F)
+
+	case Unnest:
+		return unnestSchema(n.Op, in, w.Attr, w.InnerAttrs)
+	case UnnestDistinct:
+		return unnestSchema(n.Op, in, w.Attr, nil)
+	}
+	// Unknown extensions included.
+	return genericSchema(n.Op)
+}
+
+// groupInto types the operators that extend every tuple of l by a group
+// attribute g holding f over tuples of members (Γ-self: l itself; binary Γ:
+// the right input). g must be fresh.
+func groupInto(op Op, l, members Schema, g string, f SeqFunc) (Schema, bool) {
+	if lay, slot := l.Lay.Extend(g); slot == l.Lay.Width() {
+		return nativeSchema(lay, nestedWith(l.Nested, g, fnNested(f, members)))
+	}
+	return genericSchema(op)
+}
+
+// groupBy types unary Γ: the grouping attributes followed by g.
+func groupBy(op Op, in Schema, by []string, g string, f SeqFunc) (Schema, bool) {
+	if lay := value.NewLayout(append(append([]string(nil), by...), g)...); lay != nil {
+		return nativeSchema(lay, nestedWith(nestedKept(in.Nested, lay), g, fnNested(f, in)))
 	}
 	return genericSchema(op)
 }
@@ -415,32 +341,35 @@ func concatSchema(op Op, lop, rop Op) (Schema, bool) {
 // attributes that collide with kept input attributes share the slot (the
 // group tuple wins, matching Concat's map semantics — e.g. µ over Γ, where
 // the grouping key reappears inside the group members).
-func unnestSchema(op Op, in Op, attr string, innerAttrs []string) (Schema, bool) {
-	if insc, ok := ResolveSchema(in); ok {
-		inner := insc.nested(attr)
-		if innerAttrs != nil {
-			inner = &Inner{Lay: value.NewLayout(innerAttrs...)}
+func unnestSchema(op Op, insc Schema, attr string, innerAttrs []string) (Schema, bool) {
+	inner := insc.nested(attr)
+	if innerAttrs != nil {
+		inner = &Inner{Lay: value.NewLayout(innerAttrs...)}
+	}
+	if inner != nil && inner.Lay != nil {
+		base, _ := insc.Lay.Drop([]string{attr})
+		names := append([]string(nil), base.Names()...)
+		for _, n := range inner.Lay.Names() {
+			if !base.Has(n) {
+				names = append(names, n)
+			}
 		}
-		if inner != nil && inner.Lay != nil {
-			base, _ := insc.Lay.Drop([]string{attr})
-			names := append([]string(nil), base.Names()...)
-			for _, n := range inner.Lay.Names() {
-				if !base.Has(n) {
-					names = append(names, n)
-				}
-			}
-			if lay := value.NewLayout(names...); lay != nil {
-				// The released members' own nested schemas join the output's:
-				// that is what makes Γ-under-µ (nested-in-nested payloads)
-				// resolve natively. On a name collision the group side wins,
-				// matching Concat's map semantics.
-				nested := nestedUnion(nestedKept(insc.Nested, base),
-					nestedKept(inner.Nested, lay))
-				return Schema{Lay: lay, Nested: nested, Native: true}, true
-			}
+		if lay := value.NewLayout(names...); lay != nil {
+			// The released members' own nested schemas join the output's:
+			// that is what makes Γ-under-µ (nested-in-nested payloads)
+			// resolve natively. On a name collision the group side wins,
+			// matching Concat's map semantics.
+			return nativeSchema(lay, nestedUnion(nestedKept(insc.Nested, base),
+				nestedKept(inner.Nested, lay)))
 		}
 	}
 	return genericSchema(op)
+}
+
+// nativeSchema is the schema of an operator the slot engine types
+// structurally.
+func nativeSchema(lay *value.Layout, nested map[string]*Inner) (Schema, bool) {
+	return Schema{Lay: lay, Nested: nested, Native: true}, true
 }
 
 // genericSchema types an operator by its static attribute set alone; the

@@ -41,6 +41,9 @@ func (a AttachSeq) String() string { return fmt.Sprintf("χ#[%s:seq]", a.Attr) }
 // Children implements Op.
 func (a AttachSeq) Children() []Op { return []Op{a.In} }
 
+// MapChildren implements Op.
+func (a AttachSeq) MapChildren(f func(Op) Op) Op { a.In = f(a.In); return a }
+
 // Exprs implements Op.
 func (a AttachSeq) Exprs() []Expr { return nil }
 
@@ -123,6 +126,9 @@ func (s Sort) String() string {
 // Children implements Op.
 func (s Sort) Children() []Op { return []Op{s.In} }
 
+// MapChildren implements Op.
+func (s Sort) MapChildren(f func(Op) Op) Op { s.In = f(s.In); return s }
+
 // Exprs implements Op.
 func (s Sort) Exprs() []Expr { return nil }
 
@@ -183,6 +189,9 @@ func (g GraceJoin) String() string {
 
 // Children implements Op.
 func (g GraceJoin) Children() []Op { return []Op{g.L, g.R} }
+
+// MapChildren implements Op.
+func (g GraceJoin) MapChildren(f func(Op) Op) Op { g.L, g.R = f(g.L), f(g.R); return g }
 
 // Exprs implements Op.
 func (g GraceJoin) Exprs() []Expr {

@@ -101,6 +101,9 @@ func (j UnorderedJoin) String() string {
 // Children implements Op.
 func (j UnorderedJoin) Children() []Op { return []Op{j.L, j.R} }
 
+// MapChildren implements Op.
+func (j UnorderedJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
+
 // Exprs implements Op.
 func (j UnorderedJoin) Exprs() []Expr {
 	if j.Residual != nil {
@@ -168,6 +171,9 @@ func (j UnorderedSemiJoin) String() string {
 // Children implements Op.
 func (j UnorderedSemiJoin) Children() []Op { return []Op{j.L, j.R} }
 
+// MapChildren implements Op.
+func (j UnorderedSemiJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
+
 // Exprs implements Op.
 func (j UnorderedSemiJoin) Exprs() []Expr {
 	if j.Residual != nil {
@@ -225,6 +231,9 @@ func (j UnorderedAntiJoin) String() string {
 
 // Children implements Op.
 func (j UnorderedAntiJoin) Children() []Op { return []Op{j.L, j.R} }
+
+// MapChildren implements Op.
+func (j UnorderedAntiJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
 
 // Exprs implements Op.
 func (j UnorderedAntiJoin) Exprs() []Expr {
@@ -295,6 +304,9 @@ func (j UnorderedOuterJoin) String() string {
 // Children implements Op.
 func (j UnorderedOuterJoin) Children() []Op { return []Op{j.L, j.R} }
 
+// MapChildren implements Op.
+func (j UnorderedOuterJoin) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
+
 // Exprs implements Op.
 func (j UnorderedOuterJoin) Exprs() []Expr { return nil }
 
@@ -351,6 +363,9 @@ func (g UnorderedGroupUnary) String() string {
 
 // Children implements Op.
 func (g UnorderedGroupUnary) Children() []Op { return []Op{g.In} }
+
+// MapChildren implements Op.
+func (g UnorderedGroupUnary) MapChildren(f func(Op) Op) Op { g.In = f(g.In); return g }
 
 // Exprs implements Op.
 func (g UnorderedGroupUnary) Exprs() []Expr { return nil }
@@ -412,6 +427,9 @@ func (g UnorderedGroupBinary) String() string {
 
 // Children implements Op.
 func (g UnorderedGroupBinary) Children() []Op { return []Op{g.L, g.R} }
+
+// MapChildren implements Op.
+func (g UnorderedGroupBinary) MapChildren(f func(Op) Op) Op { g.L, g.R = f(g.L), f(g.R); return g }
 
 // Exprs implements Op.
 func (g UnorderedGroupBinary) Exprs() []Expr { return nil }

@@ -165,6 +165,9 @@ func (x XiSimple) String() string { return fmt.Sprintf("Ξ[%s]", cmdStrings(x.Cm
 // Children implements Op.
 func (x XiSimple) Children() []Op { return []Op{x.In} }
 
+// MapChildren implements Op.
+func (x XiSimple) MapChildren(f func(Op) Op) Op { x.In = f(x.In); return x }
+
 // Exprs implements Op.
 func (x XiSimple) Exprs() []Expr {
 	var out []Expr
@@ -213,6 +216,9 @@ func (x XiGroup) String() string {
 
 // Children implements Op.
 func (x XiGroup) Children() []Op { return []Op{x.In} }
+
+// MapChildren implements Op.
+func (x XiGroup) MapChildren(f func(Op) Op) Op { x.In = f(x.In); return x }
 
 // Exprs implements Op.
 func (x XiGroup) Exprs() []Expr {
@@ -285,6 +291,9 @@ func (x XiGroupStream) String() string {
 
 // Children implements Op.
 func (x XiGroupStream) Children() []Op { return []Op{x.In} }
+
+// MapChildren implements Op.
+func (x XiGroupStream) MapChildren(f func(Op) Op) Op { x.In = f(x.In); return x }
 
 // Exprs implements Op.
 func (x XiGroupStream) Exprs() []Expr {

@@ -2,11 +2,12 @@
 // invariant: every concrete algebra.Op type must be handled by every
 // dispatch surface that claims completeness over the operator algebra.
 //
-// The invariant used to live in convention only. Adding GroupSelf (PR 8)
-// meant touching the algebra types, ResolveSchema, the rowiter dispatch,
-// the cost model and both plan walkers in lockstep — and forgetting one
-// surface failed slowly, in a differential sweep, instead of fast, in
-// lint. opcomplete makes the lockstep mechanical:
+// The invariant used to live in convention only: adding an operator meant
+// touching the algebra types, the schema rule, the rowiter dispatch and the
+// cost model in lockstep — and forgetting one surface failed slowly, in a
+// differential sweep, instead of fast, in lint. opcomplete makes the
+// lockstep mechanical. (Plan walkers are not a surface: they go through
+// Op.MapChildren, so an operator that cannot be walked does not compile.)
 //
 //   - The operator set is every concrete type of the package that owns
 //     the Op interface (-oppkg, default nalquery/internal/algebra)
@@ -51,8 +52,7 @@ const opIfaceName = "Op"
 var (
 	opPkg   = "nalquery/internal/algebra"
 	require = "nalquery/internal/algebra:rowiter+schema," +
-		"nalquery/internal/cost:cost," +
-		"nalquery/internal/core:rewrite+sec2"
+		"nalquery/internal/cost:cost"
 )
 
 func init() {

@@ -21,11 +21,12 @@ type constOp struct {
 	attrs []string
 }
 
-func (c constOp) Eval(*algebra.Ctx, value.Tuple) value.TupleSeq { return c.ts }
-func (c constOp) String() string                                { return "const" }
-func (c constOp) Children() []algebra.Op                        { return nil }
-func (c constOp) Exprs() []algebra.Expr                         { return nil }
-func (c constOp) Attrs() ([]string, bool)                       { return c.attrs, true }
+func (c constOp) Eval(*algebra.Ctx, value.Tuple) value.TupleSeq      { return c.ts }
+func (c constOp) String() string                                     { return "const" }
+func (c constOp) Children() []algebra.Op                             { return nil }
+func (c constOp) MapChildren(func(algebra.Op) algebra.Op) algebra.Op { return c }
+func (c constOp) Exprs() []algebra.Expr                              { return nil }
+func (c constOp) Attrs() ([]string, bool)                            { return c.attrs, true }
 
 func randSeq(rng *rand.Rand, attrs []string, maxLen, keyRange int) constOp {
 	n := rng.Intn(maxLen + 1)

@@ -64,20 +64,16 @@ func SubstituteIndexes(op algebra.Op, cat IndexCatalog) (algebra.Op, bool) {
 	if cat == nil {
 		return op, false
 	}
-	changedAny := false
-	var conv func(algebra.Op) (algebra.Op, bool)
-	conv = func(o algebra.Op) (algebra.Op, bool) {
+	changed := false
+	var conv func(algebra.Op) algebra.Op
+	conv = func(o algebra.Op) algebra.Op {
 		// Top-down: the σ-over-Υ value form must see the pristine Υ before
 		// the recursion would turn it into a structural scan.
-		out, changed := swapIndexed(o, cat)
-		if changed {
-			changedAny = true
-		}
-		out, childChanged := rebuildChildren(out, conv)
-		return out, changed || childChanged
+		out, swapped := swapIndexed(o, cat)
+		changed = changed || swapped
+		return out.MapChildren(conv)
 	}
-	out, _ := conv(op)
-	return out, changedAny
+	return conv(op), changed
 }
 
 // swapIndexed substitutes at one node (whose children are already

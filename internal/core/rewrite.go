@@ -69,6 +69,7 @@ func (rw *Rewriter) SetNoPushdown(v bool) { rw.noPushdown = v }
 // strategy and returns the rewritten plan plus the list of applied rules.
 func (rw *Rewriter) Rewrite(plan algebra.Op, s Strategy) (algebra.Op, []string) {
 	r := &rewritePass{rw: rw, strategy: s}
+	r.visit = r.op
 	out := r.op(plan)
 	sort.Strings(r.applied)
 	return out, r.applied
@@ -78,6 +79,7 @@ type rewritePass struct {
 	rw       *Rewriter
 	strategy Strategy
 	applied  []string
+	visit    func(algebra.Op) algebra.Op // op, bound once per pass
 }
 
 func (r *rewritePass) note(rule string) {
@@ -89,93 +91,21 @@ func (r *rewritePass) note(rule string) {
 	r.applied = append(r.applied, rule)
 }
 
-// op rewrites one operator bottom-up.
+// op rewrites one operator bottom-up: the inputs first, then the operator
+// itself where it is a nesting site.
 func (r *rewritePass) op(o algebra.Op) algebra.Op {
 	if r.strategy == StrategyNested {
 		return o
 	}
-	// The physical operators (index scans, the Grace/OPHash pair, the
-	// unordered family, streamed Ξ-grouping) are introduced after — or at
-	// the tail of — this pass and are never rewritten through; Singleton
-	// is a leaf.
-	//nal:opswitch rewrite exempt=Singleton,IndexScan,XiGroupStream,GraceJoin,OPHashJoin,UnorderedJoin,UnorderedSemiJoin,UnorderedAntiJoin,UnorderedOuterJoin,UnorderedGroupUnary,UnorderedGroupBinary
-	switch w := o.(type) {
+	switch w := o.MapChildren(r.visit).(type) {
 	case algebra.Map:
-		w.In = r.op(w.In)
 		return r.mapSite(w)
 	case algebra.Select:
-		w.In = r.op(w.In)
 		return r.selectSite(w)
 	case algebra.XiSimple:
-		w.In = r.op(w.In)
 		return r.xiSite(w)
-	case algebra.XiGroup:
-		w.In = r.op(w.In)
-		return w
-	case algebra.Project:
-		w.In = r.op(w.In)
-		return w
-	case algebra.ProjectDrop:
-		w.In = r.op(w.In)
-		return w
-	case algebra.ProjectRename:
-		w.In = r.op(w.In)
-		return w
-	case algebra.ProjectDistinct:
-		w.In = r.op(w.In)
-		return w
-	case algebra.UnnestMap:
-		w.In = r.op(w.In)
-		return w
-	case algebra.Unnest:
-		w.In = r.op(w.In)
-		return w
-	case algebra.UnnestDistinct:
-		w.In = r.op(w.In)
-		return w
-	case algebra.Sort:
-		// Order-by translation places Sort (under a ΠD̄ of the sort keys)
-		// mid-plan; descending through it lets the unnesting equivalences
-		// reach nested FLWRs below an order by. (Previously the walker
-		// fell through to the default and silently left the whole subtree
-		// nested — the class of omission opcomplete now rejects.)
-		w.In = r.op(w.In)
-		return w
-	case algebra.AttachSeq:
-		w.In = r.op(w.In)
-		return w
-	case algebra.GroupUnary:
-		w.In = r.op(w.In)
-		return w
-	case algebra.GroupSelf:
-		w.In = r.op(w.In)
-		return w
-	case algebra.GroupBinary:
-		w.L = r.op(w.L)
-		w.R = r.op(w.R)
-		return w
-	case algebra.Cross:
-		w.L = r.op(w.L)
-		w.R = r.op(w.R)
-		return w
-	case algebra.Join:
-		w.L = r.op(w.L)
-		w.R = r.op(w.R)
-		return w
-	case algebra.SemiJoin:
-		w.L = r.op(w.L)
-		w.R = r.op(w.R)
-		return w
-	case algebra.AntiJoin:
-		w.L = r.op(w.L)
-		w.R = r.op(w.R)
-		return w
-	case algebra.OuterJoin:
-		w.L = r.op(w.L)
-		w.R = r.op(w.R)
-		return w
 	default:
-		return o
+		return w
 	}
 }
 

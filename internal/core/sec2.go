@@ -26,13 +26,16 @@ import (
 //
 // In the ordered context neither × nor ⋈ is commutative, so no rule here
 // swaps operands.
+//
+// Like every plan walker of this package the pass descends through
+// Op.MapChildren and names only the operators it rewrites.
 
 // Simplify applies the Sec. 2 equivalences until fixpoint. It returns the
 // simplified plan and whether anything changed.
 func Simplify(op algebra.Op) (algebra.Op, bool) {
 	changedAny := false
 	for i := 0; i < maxSimplifyRounds; i++ {
-		out, changed := simplifyOnce(op)
+		out, changed := rewriteBottomUp(op, simplifyAt)
 		if !changed {
 			return out, changedAny
 		}
@@ -47,26 +50,36 @@ func Simplify(op algebra.Op) (algebra.Op, bool) {
 // bound is a safety net, not a tuning knob.
 const maxSimplifyRounds = 64
 
-func simplifyOnce(op algebra.Op) (algebra.Op, bool) {
-	op, changed := rebuildChildren(op, func(c algebra.Op) (algebra.Op, bool) {
-		return simplifyOnce(c)
-	})
+// rewriteBottomUp rebuilds a plan inputs first, replacing every operator at
+// rewrites (ok=true) by its result; it reports whether any was replaced.
+func rewriteBottomUp(op algebra.Op, at func(algebra.Op) (algebra.Op, bool)) (algebra.Op, bool) {
+	changed := false
+	var visit func(algebra.Op) algebra.Op
+	visit = func(o algebra.Op) algebra.Op {
+		o = o.MapChildren(visit)
+		if out, ok := at(o); ok {
+			changed = true
+			return out
+		}
+		return o
+	}
+	return visit(op), changed
+}
+
+// simplifyAt applies one equivalence at the root of op.
+func simplifyAt(op algebra.Op) (algebra.Op, bool) {
 	switch w := op.(type) {
 	case algebra.Select:
-		if out, ok := pushSelect(w); ok {
-			return out, true
-		}
+		return pushSelect(w)
 	case algebra.Cross:
 		if inner, ok := w.R.(algebra.Cross); ok {
 			// e1 × (e2 × e3) = (e1 × e2) × e3.
 			return algebra.Cross{L: algebra.Cross{L: w.L, R: inner.L}, R: inner.R}, true
 		}
 	case algebra.Join:
-		if out, ok := reassocJoin(w); ok {
-			return out, true
-		}
+		return reassocJoin(w)
 	}
-	return op, changed
+	return nil, false
 }
 
 // pushSelect sinks the conjuncts of a selection into the inputs of a binary
@@ -210,105 +223,4 @@ func disjoint(a, b map[string]bool) bool {
 		}
 	}
 	return true
-}
-
-// rebuildChildren applies f to every algebraic input of op and rebuilds the
-// operator when any input changed. Operators are value types, so rebuilding
-// is a field-wise copy.
-func rebuildChildren(op algebra.Op, f func(algebra.Op) (algebra.Op, bool)) (algebra.Op, bool) {
-	// The unordered family is introduced by ToUnordered strictly after
-	// every rebuildChildren-based pass (Simplify, SubstituteIndexes) has
-	// run on the ordered plan, and XiGroupStream only appears in
-	// hand-built experiment plans; neither is ever traversed here.
-	//nal:opswitch sec2 exempt=XiGroupStream,UnorderedJoin,UnorderedSemiJoin,UnorderedAntiJoin,UnorderedOuterJoin,UnorderedGroupUnary,UnorderedGroupBinary
-	switch w := op.(type) {
-	case algebra.Singleton:
-		return w, false
-	case algebra.Select:
-		in, ch := f(w.In)
-		return algebra.Select{In: in, Pred: w.Pred}, ch
-	case algebra.Project:
-		in, ch := f(w.In)
-		return algebra.Project{In: in, Names: w.Names}, ch
-	case algebra.ProjectDrop:
-		in, ch := f(w.In)
-		return algebra.ProjectDrop{In: in, Names: w.Names}, ch
-	case algebra.ProjectRename:
-		in, ch := f(w.In)
-		return algebra.ProjectRename{In: in, Pairs: w.Pairs}, ch
-	case algebra.ProjectDistinct:
-		in, ch := f(w.In)
-		return algebra.ProjectDistinct{In: in, Pairs: w.Pairs}, ch
-	case algebra.Map:
-		in, ch := f(w.In)
-		return algebra.Map{In: in, Attr: w.Attr, E: w.E}, ch
-	case algebra.UnnestMap:
-		in, ch := f(w.In)
-		return algebra.UnnestMap{In: in, Attr: w.Attr, E: w.E, PosAttr: w.PosAttr}, ch
-	case algebra.Cross:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.Cross{L: l, R: r}, ch1 || ch2
-	case algebra.Join:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.Join{L: l, R: r, Pred: w.Pred}, ch1 || ch2
-	case algebra.SemiJoin:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.SemiJoin{L: l, R: r, Pred: w.Pred}, ch1 || ch2
-	case algebra.AntiJoin:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.AntiJoin{L: l, R: r, Pred: w.Pred}, ch1 || ch2
-	case algebra.OuterJoin:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.OuterJoin{L: l, R: r, Pred: w.Pred, G: w.G, Default: w.Default}, ch1 || ch2
-	case algebra.GroupUnary:
-		in, ch := f(w.In)
-		return algebra.GroupUnary{In: in, G: w.G, By: w.By, Theta: w.Theta, F: w.F}, ch
-	case algebra.GroupSelf:
-		in, ch := f(w.In)
-		return algebra.GroupSelf{In: in, G: w.G, By: w.By, F: w.F}, ch
-	case algebra.GroupBinary:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.GroupBinary{L: l, R: r, G: w.G, LAttrs: w.LAttrs, RAttrs: w.RAttrs,
-			Theta: w.Theta, F: w.F, ForceScan: w.ForceScan}, ch1 || ch2
-	case algebra.Unnest:
-		in, ch := f(w.In)
-		return algebra.Unnest{In: in, Attr: w.Attr, InnerAttrs: w.InnerAttrs}, ch
-	case algebra.UnnestDistinct:
-		in, ch := f(w.In)
-		return algebra.UnnestDistinct{In: in, Attr: w.Attr}, ch
-	case algebra.XiSimple:
-		in, ch := f(w.In)
-		return algebra.XiSimple{In: in, Cmds: w.Cmds}, ch
-	case algebra.XiGroup:
-		in, ch := f(w.In)
-		return algebra.XiGroup{In: in, By: w.By, S1: w.S1, S2: w.S2, S3: w.S3}, ch
-	case algebra.Sort:
-		in, ch := f(w.In)
-		return algebra.Sort{In: in, By: w.By, Dirs: w.Dirs}, ch
-	case algebra.AttachSeq:
-		in, ch := f(w.In)
-		return algebra.AttachSeq{In: in, Attr: w.Attr}, ch
-	case algebra.IndexScan:
-		in, ch := f(w.In)
-		w.In = in
-		return w, ch
-	case algebra.GraceJoin:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.GraceJoin{L: l, R: r, LAttrs: w.LAttrs, RAttrs: w.RAttrs, Residual: w.Residual}, ch1 || ch2
-	case algebra.OPHashJoin:
-		l, ch1 := f(w.L)
-		r, ch2 := f(w.R)
-		return algebra.OPHashJoin{L: l, R: r, LAttrs: w.LAttrs, RAttrs: w.RAttrs,
-			Residual: w.Residual, Partitions: w.Partitions}, ch1 || ch2
-	default:
-		// Leaves (□, document scans, test fixtures) have no algebraic inputs.
-		return op, false
-	}
 }

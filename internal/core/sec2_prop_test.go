@@ -299,7 +299,8 @@ type opaqueOp struct{ inner algebra.Op }
 func (o opaqueOp) Eval(ctx *algebra.Ctx, env value.Tuple) value.TupleSeq {
 	return o.inner.Eval(ctx, env)
 }
-func (o opaqueOp) String() string          { return "opaque" }
-func (o opaqueOp) Children() []algebra.Op  { return nil }
-func (o opaqueOp) Exprs() []algebra.Expr   { return nil }
-func (o opaqueOp) Attrs() ([]string, bool) { return nil, false }
+func (o opaqueOp) String() string                                     { return "opaque" }
+func (o opaqueOp) Children() []algebra.Op                             { return nil }
+func (o opaqueOp) MapChildren(func(algebra.Op) algebra.Op) algebra.Op { return o }
+func (o opaqueOp) Exprs() []algebra.Expr                              { return nil }
+func (o opaqueOp) Attrs() ([]string, bool)                            { return nil, false }

@@ -16,20 +16,7 @@ import (
 // The conversion is applied only below the result-construction operator: Ξ
 // consumes whatever order the unordered plan produces, which unordered()
 // explicitly permits.
-func ToUnordered(op algebra.Op) (algebra.Op, bool) {
-	changedAny := false
-	var conv func(algebra.Op) (algebra.Op, bool)
-	conv = func(o algebra.Op) (algebra.Op, bool) {
-		o, childChanged := rebuildChildren(o, conv)
-		out, changed := swapUnordered(o)
-		if changed {
-			changedAny = true
-		}
-		return out, childChanged || changed
-	}
-	out, _ := conv(op)
-	return out, changedAny
-}
+func ToUnordered(op algebra.Op) (algebra.Op, bool) { return rewriteBottomUp(op, swapUnordered) }
 
 // swapUnordered replaces one order-preserving operator with its unordered
 // counterpart when the operands' schemas admit key extraction.

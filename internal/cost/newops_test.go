@@ -12,11 +12,12 @@ import (
 // constLeaf is a schema-known leaf for cost estimation.
 type constLeaf struct{ attrs []string }
 
-func (c constLeaf) Eval(*algebra.Ctx, value.Tuple) value.TupleSeq { return nil }
-func (c constLeaf) String() string                                { return "leaf" }
-func (c constLeaf) Children() []algebra.Op                        { return nil }
-func (c constLeaf) Exprs() []algebra.Expr                         { return nil }
-func (c constLeaf) Attrs() ([]string, bool)                       { return c.attrs, true }
+func (c constLeaf) Eval(*algebra.Ctx, value.Tuple) value.TupleSeq      { return nil }
+func (c constLeaf) String() string                                     { return "leaf" }
+func (c constLeaf) Children() []algebra.Op                             { return nil }
+func (c constLeaf) MapChildren(func(algebra.Op) algebra.Op) algebra.Op { return c }
+func (c constLeaf) Exprs() []algebra.Expr                              { return nil }
+func (c constLeaf) Attrs() ([]string, bool)                            { return c.attrs, true }
 
 // newOpsModel builds a model over real generated documents, so scan
 // cardinalities are large enough to separate linear from quadratic costs.

@@ -288,6 +288,25 @@ type Plan struct {
 	EstimatedCost float64
 
 	op algebra.Op
+	// tree holds the plan's resolved operator tree. Copies of the Plan share
+	// it; a Plan built outside Compile has none and resolves per run.
+	tree *planTree
+}
+
+// planTree is a plan's resolved operator tree, built on the plan's first run
+// (an alternative that never runs is never resolved) and immutable after.
+type planTree struct {
+	once sync.Once
+	root *algebra.Node
+}
+
+// resolved returns the plan's resolved operator tree.
+func (p Plan) resolved() *algebra.Node {
+	if p.tree == nil {
+		return algebra.Resolve(p.op)
+	}
+	p.tree.once.Do(func() { p.tree.root = algebra.Resolve(p.op) })
+	return p.tree.root
 }
 
 // Explain renders the plan's operator tree.
@@ -503,6 +522,10 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 				op:            sub,
 			})
 		}
+	}
+	trees := make([]planTree, len(q.plans))
+	for i := range q.plans {
+		q.plans[i].tree = &trees[i]
 	}
 	return q, nil
 }

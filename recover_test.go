@@ -16,11 +16,12 @@ import (
 // itself, not one particular crash.
 type panicOp struct{ msg any }
 
-func (p panicOp) Eval(*algebra.Ctx, value.Tuple) value.TupleSeq { panic(p.msg) }
-func (p panicOp) String() string                                { return "panic!" }
-func (p panicOp) Children() []algebra.Op                        { return nil }
-func (p panicOp) Exprs() []algebra.Expr                         { return nil }
-func (p panicOp) Attrs() ([]string, bool)                       { return nil, false }
+func (p panicOp) Eval(*algebra.Ctx, value.Tuple) value.TupleSeq      { panic(p.msg) }
+func (p panicOp) String() string                                     { return "panic!" }
+func (p panicOp) Children() []algebra.Op                             { return nil }
+func (p panicOp) MapChildren(func(algebra.Op) algebra.Op) algebra.Op { return p }
+func (p panicOp) Exprs() []algebra.Expr                              { return nil }
+func (p panicOp) Attrs() ([]string, bool)                            { return nil, false }
 
 // poisonQuery compiles a valid query, then replaces its plan set with the
 // panicking op under the given plan name.
@@ -221,4 +222,18 @@ func TestCompileRecoversPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Close()
+}
+
+// TestExplainCardsRecoversEvaluatorPanic: measuring actual cardinalities
+// executes the plan, so ExplainCards is an execution boundary like Run — a
+// panicking evaluator comes back as the typed *InternalError.
+func TestExplainCardsRecoversEvaluatorPanic(t *testing.T) {
+	q := poisonQuery(t, "boom")
+	rows, err := q.ExplainCards("poison")
+	if rows != nil {
+		t.Fatalf("ExplainCards returned %d rows from a panicking plan", len(rows))
+	}
+	if ie := requireInternal(t, err, q); ie.Panic != "boom" {
+		t.Fatalf("InternalError.Panic = %v, want boom", ie.Panic)
+	}
 }

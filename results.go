@@ -112,11 +112,7 @@ func (q *Query) Run(ctx context.Context, opts ...RunOption) (*Results, error) {
 func (q *Query) run(ctx context.Context, cfg runConfig) (res *Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			if rt, ok := p.(*algebra.ResourceTrip); ok {
-				res, err = nil, resourceError(q.Text, cfg.plan, rt)
-				return
-			}
-			res, err = nil, &InternalError{Query: q.Text, Plan: cfg.plan, Panic: p, Stack: debug.Stack()}
+			res, err = nil, runPanicError(q.Text, cfg.plan, p)
 		}
 	}()
 	if ctx == nil {
@@ -199,25 +195,24 @@ func (r *Results) openTyped() {
 		r.done = true
 		return
 	}
-	r.pump = algebra.OpenPump(r.plan.op, r.actx, nil)
-}
-
-// internalError wraps a recovered evaluator panic into the session's typed
-// *InternalError. It must be called from the recovering deferred function,
-// where the stack still includes the panic origin.
-func (r *Results) internalError(p any) *InternalError {
-	return &InternalError{Query: r.q.Text, Plan: r.plan.Name, Panic: p, Stack: debug.Stack()}
+	r.pump = r.plan.resolved().Pump(r.actx, nil)
 }
 
 // runError converts a recovered evaluator panic into the session's typed
-// error. A budget trip — the engine's one sanctioned panic, raised because
-// the iterator protocol has no error channel — becomes a *ResourceError;
-// anything else is a genuine evaluator bug and becomes *InternalError.
-func (r *Results) runError(p any) error {
+// error.
+func (r *Results) runError(p any) error { return runPanicError(r.q.Text, r.plan.Name, p) }
+
+// runPanicError converts a panic recovered at an execution boundary into a
+// typed error. A budget trip — the engine's one sanctioned panic, raised
+// because the iterator protocol has no error channel — becomes a
+// *ResourceError; anything else is a genuine evaluator bug and becomes an
+// *InternalError. It must be called from the recovering deferred function,
+// where the stack still includes the panic origin.
+func runPanicError(query, plan string, p any) error {
 	if rt, ok := p.(*algebra.ResourceTrip); ok {
-		return resourceError(r.q.Text, r.plan.Name, rt)
+		return resourceError(query, plan, rt)
 	}
-	return r.internalError(p)
+	return &InternalError{Query: query, Plan: plan, Panic: p, Stack: debug.Stack()}
 }
 
 func resourceError(query, plan string, rt *algebra.ResourceTrip) *ResourceError {
@@ -329,7 +324,7 @@ func (r *Results) drainTo(w io.Writer) error {
 		if r.cfg.reference {
 			r.plan.op.Eval(r.actx, nil)
 		} else {
-			algebra.DrainIter(r.plan.op, r.actx, nil)
+			r.plan.resolved().Drain(r.actx, nil)
 		}
 		return nil
 	}()

@@ -18,7 +18,7 @@ import (
 // TestDifferentialIndexedPlans: for every paper query, every "indexed *"
 // plan alternative produces byte-identical output to its base plan, on both
 // the slot engine and the reference evaluator. (The name keeps it inside
-// the CI fuzz-smoke sweep's TestDifferential pattern.)
+// the CI oracle sweep's TestDifferential pattern.)
 func TestDifferentialIndexedPlans(t *testing.T) {
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(60, 2)
