@@ -77,16 +77,19 @@ bench-smoke: vet
 	$(GO) build ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-json regenerates BENCH_results.json, the machine-readable perf
-# trajectory (ns/op, B/op, allocs/op per experiment/plan/size).
+# bench-json regenerates BENCH_results.json, the machine-readable allocation
+# trajectory (B/op and allocs/op per experiment/plan/size: the paper tables,
+# unorderedq1 and grouping). It carries no wall-clock column — timings are
+# measured with benchmark/ (bench-pairs).
 bench-json:
 	$(GO) run ./cmd/nalbench -json
 
 # bench-diff compares the working-tree BENCH_results.json against the
 # committed trajectory (BENCH_BASE, default HEAD) and fails when allocs/op
-# regresses more than BENCH_DIFF_PCT percent on any measured plan, or when
-# a measured plan vanished from the file (ns/op is reported but not gated —
-# wall-clock noise, unlike the allocation profile, is machine-dependent).
+# regresses more than BENCH_DIFF_PCT percent (or B/op more than 15) on any
+# measured plan, or when a plan vanished from an experiment nalbench still
+# measures (a truncated file). Baseline rows of an experiment nalbench no
+# longer measures are reported as "retired" and pass.
 # It gates the trajectory transition you are about to commit: regenerate
 # with `make bench-json` first, or set BENCH_BASE=HEAD~1 to validate the
 # last committed transition.

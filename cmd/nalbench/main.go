@@ -1,17 +1,20 @@
 // Command nalbench regenerates the paper's evaluation tables (Sec. 5) and
-// the document-size figure (Fig. 6).
+// the document-size figure (Fig. 6), and keeps the allocation trajectory
+// BENCH_results.json (-json, gated by -diff). Performance claims are made
+// with the benchmark/ harness, not with this command's wall-clock columns.
 //
 // Usage:
 //
 //	nalbench                        # all experiments, default sizes, nested capped at 1000
 //	nalbench -exp q1                # one experiment
 //	nalbench -exp fig6              # the document-size figure
-//	nalbench -exp ablations         # the ablation experiments
 //	nalbench -sizes 100,1000        # override measurement points
 //	nalbench -full                  # run the nested plans at every size
 //	                                # (the nested plan needs minutes at 10000,
 //	                                #  like the paper's own numbers)
 //	nalbench -repeat 3              # average over repetitions
+//	nalbench -json                  # regenerate BENCH_results.json (B/op, allocs/op)
+//	nalbench -diff base.json        # gate BENCH_results.json against a baseline
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,11 +34,11 @@ import (
 
 func main() {
 	var (
-		expID     = flag.String("exp", "all", "experiment id (q1, q1dblp, q2..q6, joins, unorderedq1, grouping, resultiter, prepared, server, resource, index, fig6, ablations, all)")
+		expID     = flag.String("exp", "all", "experiment id (q1, q1dblp, q2..q6, fig6, all; with -json also unorderedq1, grouping)")
 		sizes     = flag.String("sizes", "", "comma-separated document sizes (default: the paper's 100,1000,10000)")
 		full      = flag.Bool("full", false, "run the quadratic nested plans at every size")
 		repeat    = flag.Int("repeat", 1, "average over this many runs")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable per-benchmark results (ns/op, B/op, allocs/op)")
+		jsonOut   = flag.Bool("json", false, "emit machine-readable per-benchmark results (B/op, allocs/op)")
 		jsonFile  = flag.String("jsonfile", "BENCH_results.json", "output path for -json")
 		diffBase  = flag.String("diff", "", "compare -jsonfile against this baseline BENCH json (e.g. saved from git show HEAD:BENCH_results.json) instead of measuring")
 		threshold = flag.Float64("threshold", 10, "allowed allocs/op regression percentage for -diff")
@@ -77,15 +81,11 @@ func main() {
 	case "fig6":
 		experiments.PrintFig6(os.Stdout, experiments.Fig6(opts.Sizes, nil))
 		return
-	case "ablations":
-		runAblations(opts)
-		return
 	case "all":
 		experiments.PrintFig6(os.Stdout, experiments.Fig6(opts.Sizes, nil))
 		for _, exp := range experiments.All() {
 			runOne(exp, opts)
 		}
-		runAblations(opts)
 		return
 	default:
 		exp, ok := experiments.Find(*expID)
@@ -98,31 +98,41 @@ func main() {
 }
 
 // benchRecord is one machine-readable measurement of the -json mode: the
-// perf trajectory file (BENCH_*.json) tracked across PRs.
+// allocation trajectory file (BENCH_results.json) tracked across PRs. It
+// carries no wall-clock column; timings are the benchmark/ harness's job.
 type benchRecord struct {
 	Experiment  string `json:"experiment"`
 	Plan        string `json:"plan"`
 	Size        int    `json:"size"`
 	APB         int    `json:"apb,omitempty"`
-	Runs        int    `json:"runs"`
-	NsPerOp     int64  `json:"ns_per_op"`
 	BytesPerOp  int64  `json:"b_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
+}
+
+// jsonFamilies are the -json experiment ids beyond the paper tables.
+var jsonFamilies = []string{"unorderedq1", "grouping"}
+
+// measures reports whether -json still produces rows under the experiment
+// id — what -diff needs to tell a retired family from a truncated file.
+func measures(id string) bool {
+	_, ok := experiments.Find(id)
+	return ok || slices.Contains(jsonFamilies, id)
 }
 
 // runJSON measures every plan of the selected experiments with
 // testing.Benchmark and writes the records as JSON.
 func runJSON(path, expID string, opts experiments.Options) error {
 	exps := experiments.All()
-	switch expID {
-	case "all":
-	case "joins", "unorderedq1", "grouping", "resultiter", "prepared", "server", "resource", "index":
-		exps = nil // physical-operator / API-surface family only
+	switch {
+	case expID == "all":
+	case slices.Contains(jsonFamilies, expID):
+		exps = nil // physical-operator family only
 	default:
 		exp, ok := experiments.Find(expID)
 		if !ok {
-			// fig6 and the ablations have no per-plan benchmarks.
-			return fmt.Errorf("-json measures query plans only (q1, q1dblp, q2..q6, joins, unorderedq1, grouping, resultiter, prepared, server, resource, index, all); %q has no plan benchmarks", expID)
+			// fig6 has no per-plan benchmarks.
+			return fmt.Errorf("-json measures query plans only (q1, q1dblp, q2..q6, %s, all); %q has no plan benchmarks",
+				strings.Join(jsonFamilies, ", "), expID)
 		}
 		exps = []experiments.Experiment{exp}
 	}
@@ -141,6 +151,20 @@ func runJSON(path, expID string, opts experiments.Options) error {
 	}
 	fmt.Fprintln(os.Stderr, "nalbench: -json measures authors-per-book=2 for varying experiments")
 	var recs []benchRecord
+	measure := func(rec benchRecord, run func() error) {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		rec.BytesPerOp, rec.AllocsPerOp = r.AllocedBytesPerOp(), r.AllocsPerOp()
+		recs = append(recs, rec)
+		fmt.Fprintf(os.Stderr, "%s/plan=%s/size=%d: %d B/op %d allocs/op\n",
+			rec.Experiment, rec.Plan, rec.Size, rec.BytesPerOp, rec.AllocsPerOp)
+	}
 	for _, exp := range exps {
 		for _, size := range sizes {
 			apb := 0
@@ -157,31 +181,15 @@ func runJSON(path, expID string, opts experiments.Options) error {
 					continue
 				}
 				plan := p.Name
-				r := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, _, err := cli.RunPlan(q, plan); err != nil {
-							b.Fatal(err)
-						}
-					}
+				measure(benchRecord{Experiment: exp.ID, Plan: plan, Size: size, APB: apb}, func() error {
+					_, _, err := cli.RunPlan(q, plan)
+					return err
 				})
-				recs = append(recs, benchRecord{
-					Experiment: exp.ID, Plan: plan, Size: size, APB: apb,
-					Runs: r.N, NsPerOp: r.NsPerOp(),
-					BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp(),
-				})
-				fmt.Fprintf(os.Stderr, "%s/plan=%s/size=%d: %d ns/op %d B/op %d allocs/op\n",
-					exp.ID, plan, size, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
 			}
 		}
 	}
-	// The join/unordered family: the partitioned physical operators the
-	// paper's measurements run on (Grace+sort, Claussen OPHJ) plus the
-	// unordered plan alternatives of Q1.
 	var targets []experiments.BenchTarget
-	if expID == "all" || expID == "joins" {
-		targets = append(targets, experiments.JoinBenchTargets(sizes)...)
-	}
+	// The unordered plan alternatives of Q1 (the partitioned operators).
 	if expID == "all" || expID == "unorderedq1" {
 		ts, err := experiments.UnorderedBenchTargets(sizes)
 		if err != nil {
@@ -199,70 +207,8 @@ func runJSON(path, expID string, opts experiments.Options) error {
 		}
 		targets = append(targets, ts...)
 	}
-	// The resultiter family: the public Run/Results consumption modes —
-	// serialization, typed items, and the cancellation-guard overhead.
-	if expID == "all" || expID == "resultiter" {
-		ts, err := experiments.ResultIterBenchTargets(sizes)
-		if err != nil {
-			return fmt.Errorf("resultiter: %w", err)
-		}
-		targets = append(targets, ts...)
-	}
-	// The prepared family: compile-per-run vs prepare-once-run-many with
-	// external-variable bindings vs the plan-cached convenience path.
-	if expID == "all" || expID == "prepared" {
-		ts, err := experiments.PreparedBenchTargets(sizes)
-		if err != nil {
-			return fmt.Errorf("prepared: %w", err)
-		}
-		targets = append(targets, ts...)
-	}
-	// The server family: the HTTP serving pipeline (handler + admission +
-	// deadline plumbing + streaming) over ad-hoc and prepared requests.
-	if expID == "all" || expID == "server" {
-		ts, err := experiments.ServerBenchTargets(sizes)
-		if err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
-		targets = append(targets, ts...)
-	}
-	// The resource family: the per-run budget accounting — the disabled
-	// default (must stay within noise of the unbudgeted trajectory) vs a
-	// generous live budget charging every materialization point.
-	if expID == "all" || expID == "resource" {
-		ts, err := experiments.ResourceBenchTargets(sizes)
-		if err != nil {
-			return fmt.Errorf("resource: %w", err)
-		}
-		targets = append(targets, ts...)
-	}
-	// The index family: the selective-scan workload the statistics/index
-	// subsystem exists for — full scan vs value-index probe vs the measured
-	// cost model's automatic choice.
-	if expID == "all" || expID == "index" {
-		ts, err := experiments.IndexBenchTargets(sizes)
-		if err != nil {
-			return fmt.Errorf("index: %w", err)
-		}
-		targets = append(targets, ts...)
-	}
 	for _, tg := range targets {
-		run := tg.Run
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		recs = append(recs, benchRecord{
-			Experiment: tg.Experiment, Plan: tg.Plan, Size: tg.Size,
-			Runs: r.N, NsPerOp: r.NsPerOp(),
-			BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp(),
-		})
-		fmt.Fprintf(os.Stderr, "%s/plan=%s/size=%d: %d ns/op %d B/op %d allocs/op\n",
-			tg.Experiment, tg.Plan, tg.Size, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
+		measure(benchRecord{Experiment: tg.Experiment, Plan: tg.Plan, Size: tg.Size}, tg.Run)
 	}
 	data, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
@@ -275,8 +221,7 @@ func runJSON(path, expID string, opts experiments.Options) error {
 // runDiff compares a baseline BENCH json (typically the committed
 // trajectory, saved from git show) against the current one and fails when
 // allocs/op or B/op regress beyond their threshold percentages on any
-// measured plan. ns/op changes are reported but not gated: wall-clock is
-// too noisy across machines, the allocation profile is not.
+// measured plan.
 func runDiff(basePath, newPath string, threshold, bThreshold float64) error {
 	load := func(path string) ([]benchRecord, error) {
 		data, err := os.ReadFile(path)
@@ -317,18 +262,17 @@ func runDiff(basePath, newPath string, threshold, bThreshold float64) error {
 		return 100 * float64(new-old) / float64(old)
 	}
 	var failures []string
-	fmt.Printf("%-52s %12s %12s %12s\n", "benchmark", "Δallocs/op", "ΔB/op", "Δns/op")
+	fmt.Printf("%-52s %12s %12s\n", "benchmark", "Δallocs/op", "ΔB/op")
 	for _, r := range cur {
 		b, ok := baseBy[key(r)]
 		if !ok {
-			fmt.Printf("%-52s %12s %12s %12s\n", key(r), "new", "new", "new")
+			fmt.Printf("%-52s %12s %12s\n", key(r), "new", "new")
 			continue
 		}
 		delete(baseBy, key(r))
 		da := pct(b.AllocsPerOp, r.AllocsPerOp)
 		db := pct(b.BytesPerOp, r.BytesPerOp)
-		dn := pct(b.NsPerOp, r.NsPerOp)
-		fmt.Printf("%-52s %+11.1f%% %+11.1f%% %+11.1f%%\n", key(r), da, db, dn)
+		fmt.Printf("%-52s %+11.1f%% %+11.1f%%\n", key(r), da, db)
 		if da > threshold {
 			failures = append(failures,
 				fmt.Sprintf("%s: allocs/op %d → %d (%+.1f%% > %.1f%%)",
@@ -340,11 +284,21 @@ func runDiff(basePath, newPath string, threshold, bThreshold float64) error {
 					key(r), b.BytesPerOp, r.BytesPerOp, db, bThreshold))
 		}
 	}
-	// A benchmark that vanished from the trajectory is a failure too: a
-	// truncated results file (e.g. a partial -exp regeneration) must not
-	// pass for a full one.
+	// A baseline row nalbench no longer measures belongs to a retired family
+	// and passes. A row that vanished from a family still measured is a
+	// failure: a truncated results file (e.g. a partial -exp regeneration)
+	// must not pass for a full one.
+	gone := make([]string, 0, len(baseBy))
 	for k := range baseBy {
-		fmt.Printf("%-52s %12s %12s %12s\n", k, "gone", "gone", "gone")
+		gone = append(gone, k)
+	}
+	slices.Sort(gone)
+	for _, k := range gone {
+		if !measures(baseBy[k].Experiment) {
+			fmt.Printf("%-52s %12s %12s\n", k, "retired", "retired")
+			continue
+		}
+		fmt.Printf("%-52s %12s %12s\n", k, "gone", "gone")
 		failures = append(failures, fmt.Sprintf("%s: missing from %s", k, newPath))
 	}
 	if len(failures) > 0 {
@@ -361,35 +315,4 @@ func runOne(exp experiments.Experiment, opts experiments.Options) {
 		os.Exit(1)
 	}
 	experiments.PrintTable(os.Stdout, exp, ms)
-}
-
-func runAblations(opts experiments.Options) {
-	sizes := opts.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{100, 1000}
-	}
-	var all []experiments.AblationResult
-	all = append(all, experiments.AblationHashVsScanGrouping(sizes)...)
-	all = append(all, experiments.AblationGraceJoin(sizes)...)
-	if rs, err := experiments.AblationIterVsMaterialized(sizes); err == nil {
-		all = append(all, rs...)
-	} else {
-		fmt.Fprintf(os.Stderr, "nalbench: ablation iterator: %v\n", err)
-	}
-	if rs, err := experiments.AblationUnordered(sizes); err == nil {
-		all = append(all, rs...)
-	} else {
-		fmt.Fprintf(os.Stderr, "nalbench: ablation unordered: %v\n", err)
-	}
-	if rs, err := experiments.AblationGroupXi(sizes); err == nil {
-		all = append(all, rs...)
-	} else {
-		fmt.Fprintf(os.Stderr, "nalbench: ablation group-xi: %v\n", err)
-	}
-	if rs, err := experiments.AblationPushdown(sizes); err == nil {
-		all = append(all, rs...)
-	} else {
-		fmt.Fprintf(os.Stderr, "nalbench: ablation pushdown: %v\n", err)
-	}
-	experiments.PrintAblations(os.Stdout, all)
 }

@@ -1,0 +1,39 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestDiffRetiredVersusTruncated: a baseline row of an experiment nalbench
+// no longer measures is a retired family and passes; a row missing from an
+// experiment it still measures is a truncated file and fails.
+func TestDiffRetiredVersusTruncated(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, recs []benchRecord) string {
+		data, err := json.Marshal(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	q1 := benchRecord{Experiment: "q1", Plan: "grouping", Size: 100, APB: 2, BytesPerOp: 1000, AllocsPerOp: 10}
+	q1nested := benchRecord{Experiment: "q1", Plan: "nested", Size: 100, APB: 2, BytesPerOp: 9000, AllocsPerOp: 90}
+	joins := benchRecord{Experiment: "joins", Plan: "grace+sort", Size: 100, BytesPerOp: 500, AllocsPerOp: 5}
+	cur := write("cur.json", []benchRecord{q1, q1nested})
+
+	if err := runDiff(write("retired.json", []benchRecord{q1, q1nested, joins}), cur, 10, 15); err != nil {
+		t.Errorf("a retired family must pass: %v", err)
+	}
+	err := runDiff(write("full.json", []benchRecord{q1, q1nested}), write("truncated.json", []benchRecord{q1}), 10, 15)
+	if err == nil || !strings.Contains(err.Error(), "q1/nested/size=100/apb=2: missing") {
+		t.Errorf("a row missing from a measured experiment must fail, got %v", err)
+	}
+}

@@ -25,8 +25,8 @@ func main() {
 		queryText = flag.String("q", "", "inline XQuery text")
 		paper     = flag.String("paper", "", "one of the paper's queries: q1, q1dblp, q2..q6")
 		dot       = flag.String("dot", "", "emit the named plan (or the cheapest for \"best\") as Graphviz dot instead of text")
-		cards     = flag.Bool("cards", false, "print estimated vs actual cardinality per operator (loads the use-case corpus and executes each subtree)")
-		size      = flag.Int("size", 100, "use-case corpus size for -cards")
+		cards     = flag.Bool("cards", false, "print estimated vs actual cardinality per operator (loads the use-case corpus and dblp.xml and executes each subtree)")
+		size      = flag.Int("size", 100, "corpus size for -cards")
 	)
 	flag.Parse()
 
@@ -53,8 +53,7 @@ func main() {
 
 	eng := nalquery.NewEngine()
 	if *cards {
-		// Actual cardinalities need documents to run against.
-		eng.LoadUseCaseDocuments(*size, 2)
+		loadCorpus(eng, *size)
 	}
 	q, err := eng.Compile(text)
 	if err != nil {
@@ -102,6 +101,13 @@ func main() {
 		fmt.Print(p.Explain())
 		fmt.Println()
 	}
+}
+
+// loadCorpus loads what -cards runs against: actual cardinalities need every
+// document a paper query names, the use-case corpus and dblp.xml (q1dblp).
+func loadCorpus(eng *nalquery.Engine, size int) {
+	eng.LoadUseCaseDocuments(size, 2)
+	eng.LoadDBLPDocument(size)
 }
 
 func fail(err error) {

@@ -8,8 +8,8 @@ import (
 
 // operatorInventory builds one instance of every unary and every binary
 // operator over an empty first input (and, for the binary ones, a non-empty
-// second) — including the physical and unordered variants added on top of
-// the paper's algebra.
+// second) — including the unordered variants added on top of the paper's
+// algebra.
 func operatorInventory() (unary, binary map[string]Op) {
 	empty := constOp{attrs: []string{"A1", "C"}}
 	nonEmpty := constOp{
@@ -33,7 +33,6 @@ func operatorInventory() (unary, binary map[string]Op) {
 		"µD":       UnnestDistinct{In: empty, Attr: "A1"},
 		"Ξ":        XiSimple{In: empty, Cmds: []Command{{IsLit: true, Lit: "x"}}},
 		"Sort":     Sort{In: empty, By: []string{"A1"}},
-		"χ#":       AttachSeq{In: empty, Attr: "#"},
 		"Γᵁ":       UnorderedGroupUnary{In: empty, G: "g", By: []string{"A1"}, Theta: value.CmpEq, F: SFCount{}},
 	}
 	binary = map[string]Op{
@@ -43,8 +42,6 @@ func operatorInventory() (unary, binary map[string]Op) {
 		"▷":         AntiJoin{L: empty, R: nonEmpty, Pred: eq},
 		"⟕":         OuterJoin{L: empty, R: nonEmpty, Pred: eq, G: "B", Default: SFCount{}},
 		"Γ-binary":  GroupBinary{L: empty, R: nonEmpty, G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
-		"Grace":     GraceJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
-		"OPHJ":      OPHashJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
 		"⋈ᵁ":        UnorderedJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
 		"⋉ᵁ":        UnorderedSemiJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
 		"▷ᵁ":        UnorderedAntiJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},

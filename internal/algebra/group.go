@@ -164,9 +164,6 @@ type GroupBinary struct {
 	RAttrs []string
 	Theta  value.CmpOp
 	F      SeqFunc
-	// ForceScan disables the hash fast path for θ = '=' and evaluates the
-	// definitional scan per left tuple (for the ablation experiments).
-	ForceScan bool
 }
 
 // Eval implements Op.
@@ -178,7 +175,7 @@ func (g GroupBinary) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	r := g.R.Eval(ctx, env)
 	ctx.ChargeTuples(TripGroup, r)
 	out := make(value.TupleSeq, 0, len(l))
-	if g.Theta == value.CmpEq && !g.ForceScan {
+	if g.Theta == value.CmpEq {
 		hash := buildHash(r, g.RAttrs)
 		for _, lt := range l {
 			grp := hash[tupleHashKey(lt, g.LAttrs)]

@@ -12,9 +12,8 @@ import (
 // contract for the operators added after the original engine: RunIter must
 // agree with Eval exactly.
 
-// TestIterMatchesEvalNewOps: Sort (with directions), the Claussen
-// order-preserving hash join, and the unordered family agree across
-// engines.
+// TestIterMatchesEvalNewOps: Sort (with directions) and the unordered
+// family agree across engines.
 func TestIterMatchesEvalNewOps(t *testing.T) {
 	quickCheck(t, "iter=eval-new-ops", func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -22,7 +21,6 @@ func TestIterMatchesEvalNewOps(t *testing.T) {
 		e2 := randRel(rng, []string{"A2", "B"}, 8, 3)
 		ops := []Op{
 			Sort{In: e1, By: []string{"A1", "C"}, Dirs: []bool{true, false}},
-			OPHashJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Partitions: 4},
 			UnorderedJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
 			UnorderedSemiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
 			UnorderedAntiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},

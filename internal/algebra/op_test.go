@@ -1,7 +1,9 @@
 package algebra
 
 import (
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"nalquery/internal/value"
 )
@@ -54,6 +56,31 @@ func eval(t *testing.T, op Op) value.TupleSeq {
 
 func eqCmp(l, r string) Expr {
 	return CmpExpr{L: Var{Name: l}, R: Var{Name: r}, Op: value.CmpEq}
+}
+
+// randRel builds a random constant relation for the property tests.
+func randRel(rng *rand.Rand, attrs []string, maxLen, keyRange int) constOp {
+	n := rng.Intn(maxLen + 1)
+	ts := make(value.TupleSeq, n)
+	for i := range ts {
+		t := value.Tuple{}
+		for _, a := range attrs {
+			t[a] = value.Int(int64(rng.Intn(keyRange)))
+		}
+		ts[i] = t
+	}
+	return constOp{ts: ts, attrs: attrs}
+}
+
+func quickCheck(t *testing.T, name string, prop func(seed int64) bool) {
+	t.Helper()
+	cfg := &quick.Config{MaxCount: 300}
+	if testing.Short() {
+		cfg.MaxCount = 50
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Errorf("%s violated: %v", name, err)
+	}
 }
 
 func TestSingleton(t *testing.T) {
@@ -132,16 +159,21 @@ func TestGroupBinaryFigure2(t *testing.T) {
 	}
 }
 
-// TestGroupBinaryScanMatchesHash verifies the definitional scan variant and
-// the hash fast path agree (the ablation baseline).
-func TestGroupBinaryScanMatchesHash(t *testing.T) {
-	hash := eval(t, GroupBinary{L: relR1(), R: relR2(), G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}})
-	scan := eval(t, GroupBinary{L: relR1(), R: relR2(), G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}, ForceScan: true})
-	if !value.TupleSeqEqual(hash, scan) {
-		t.Fatalf("hash/scan disagree: %s vs %s", hash, scan)
+// TestGroupBinaryThetaNonEq covers the definitional scan — the path every
+// θ other than '=' takes — on both engines: R1 Γg;A1<A2;count (R2).
+func TestGroupBinaryThetaNonEq(t *testing.T) {
+	gb := GroupBinary{L: relR1(), R: relR2(), G: "g",
+		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpLt, F: SFCount{}}
+	// A1=1 stands below the two A2=2 tuples; A1=2 and A1=3 below none.
+	want := value.TupleSeq{
+		{"A1": value.Int(1), "g": value.Int(2)},
+		{"A1": value.Int(2), "g": value.Int(0)},
+		{"A1": value.Int(3), "g": value.Int(0)},
 	}
+	if out := eval(t, gb); !value.TupleSeqEqual(out, want) {
+		t.Fatalf("Γ-binary θ=< wrong: %s", out)
+	}
+	diffOp(t, "Γ-binary-θ", gb)
 }
 
 func TestGroupUnaryThetaNonEq(t *testing.T) {

@@ -1,16 +1,14 @@
 package algebra
 
 import (
-	"container/heap"
 	"slices"
 
 	"nalquery/internal/value"
 )
 
-// Native slot-row execution of the partitioned operator family: the Grace
-// hash join, the order-preserving hash join of Claussen et al. [6], and
-// the six unordered operators (⋈ᵁ, ⋉ᵁ, ▷ᵁ, ⟕ᵁ, unary/binary Γᵁ). These
-// are partition-everything pipeline breakers: both inputs materialize as
+// Native slot-row execution of the partitioned operator family: the six
+// unordered operators (⋈ᵁ, ⋉ᵁ, ▷ᵁ, ⟕ᵁ, unary/binary Γᵁ). These are
+// partition-everything pipeline breakers: both inputs materialize as
 // rows, partition tables are keyed by allocation-free composite
 // value.HashKeys (rowKey) over flat group arrays (bucketRows), and output
 // streams from the partition structure into the iterator's row chunks.
@@ -19,11 +17,10 @@ import (
 // the probe (left) side first, so an empty left input never evaluates the
 // right subtree — the short-circuit of the definitional Eval.
 //
-// The unordered family and the Grace join emit output in the canonical
-// value.LessKey partition order; their Evals partition with the same key
-// function (tupleHashKey/rowKey agree on logical tuples) and the same
-// order, so both engines produce identical sequences — the property
-// partitioned_rows_test.go differential-tests.
+// The family emits output in the canonical value.LessKey partition order;
+// the Evals partition with the same key function (tupleHashKey/rowKey agree
+// on logical tuples) and the same order, so both engines produce identical
+// sequences — the property partitioned_rows_test.go differential-tests.
 
 // partitionRowsSorted buckets rows on the key slots and returns the keys
 // in canonical LessKey order. keyHint pre-sizes the partition table and key
@@ -39,10 +36,9 @@ func partitionRowsSorted(rows []value.Row, slots []int, keyHint int) ([]value.Ha
 	return keys, buckets
 }
 
-// openRowPartitionedJoin builds the native iterator shared by GraceJoin
-// (inner mode) and the unordered join family: both inputs partitioned on
-// the key columns, partitions joined in LessKey order. nil falls back to
-// the conversion shim.
+// openRowPartitionedJoin builds the native iterator of the unordered join
+// family: both inputs partitioned on the key columns, partitions joined in
+// LessKey order. nil falls back to the conversion shim.
 func openRowPartitionedJoin(n *Node, lAttrs, rAttrs []string, residual Expr,
 	ctx *Ctx, env value.Tuple, mode joinMode, g string, def SeqFunc) RowIter {
 	l, r := n.Kids[0], n.Kids[1]
@@ -209,142 +205,6 @@ func (p *rowPartJoinIter) anyResidual(lt value.Row, rp []value.Row) bool {
 }
 
 func (p *rowPartJoinIter) Close() { p.done = true }
-
-// ---- order-preserving hash join (Claussen et al.) ----
-
-// rowOPTagged is one joined output row tagged with the probe ordinal it
-// belongs to, plus the running emission index keeping partners of one
-// probe row ordered through the merge.
-type rowOPTagged struct {
-	seq, minor int
-	r          value.Row
-}
-
-// rowOPMergeHeap is the P-way merge heap over the per-partition output
-// streams, compared by the head element's (seq, minor).
-type rowOPMergeHeap struct {
-	streams [][]rowOPTagged
-}
-
-func (h *rowOPMergeHeap) Len() int { return len(h.streams) }
-func (h *rowOPMergeHeap) Less(i, k int) bool {
-	a, b := h.streams[i][0], h.streams[k][0]
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.minor < b.minor
-}
-func (h *rowOPMergeHeap) Swap(i, k int) { h.streams[i], h.streams[k] = h.streams[k], h.streams[i] }
-func (h *rowOPMergeHeap) Push(x any)    { h.streams = append(h.streams, x.([]rowOPTagged)) }
-func (h *rowOPMergeHeap) Pop() any {
-	n := len(h.streams)
-	s := h.streams[n-1]
-	h.streams = h.streams[:n-1]
-	return s
-}
-
-// openRowOPHashJoin builds the native Claussen order-preserving hash join:
-// probe side tagged with ordinals, both sides partitioned by the key's
-// hash, partition pairs joined in probe order, and the global probe order
-// restored by a lazy P-way ordinal merge — O(N log P) instead of the full
-// sort of the Grace+Sort strategy.
-func openRowOPHashJoin(j OPHashJoin, n *Node, ctx *Ctx, env value.Tuple) RowIter {
-	catLay, lsc, rsc := n.Schema.Lay, n.Kids[0].Schema, n.Kids[1].Schema
-	lSlots, ok1 := slotsOf(lsc.Lay, j.LAttrs)
-	rSlots, ok2 := slotsOf(rsc.Lay, j.RAttrs)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	var residual RowExpr
-	if j.Residual != nil {
-		residual = compileExpr(j.Residual, Schema{Lay: catLay}, env)
-	}
-	it := &rowOPHashJoinIter{ctx: ctx}
-	it.build = func() {
-		left := drainRows(ctx, TripPartition, n.Kids[0].open(ctx, env))
-		if len(left) == 0 {
-			return
-		}
-		right := drainRows(ctx, TripPartition, n.Kids[1].open(ctx, env))
-		p := j.partitionCount(len(right))
-
-		type tagged struct {
-			seq int
-			r   value.Row
-		}
-		lParts := make([][]tagged, p)
-		for i, lt := range left {
-			pi := int(rowKey(lt, lSlots).Hash() % uint64(p))
-			lParts[pi] = append(lParts[pi], tagged{seq: i, r: lt})
-		}
-		rParts := make([][]value.Row, p)
-		for _, rt := range right {
-			pi := int(rowKey(rt, rSlots).Hash() % uint64(p))
-			rParts[pi] = append(rParts[pi], rt)
-		}
-
-		var streams [][]rowOPTagged
-		var slab rowSlab
-		for pi := 0; pi < p; pi++ {
-			if len(lParts[pi]) == 0 || len(rParts[pi]) == 0 {
-				continue
-			}
-			buckets := bucketRows(rParts[pi], rSlots, len(rParts[pi]))
-			var out []rowOPTagged
-			for _, lt := range lParts[pi] {
-				minor := 0
-				for _, rt := range buckets.lookup(rowKey(lt.r, lSlots)) {
-					cat := value.ConcatRows(catLay, slab.take(catLay.Width(), 0), lt.r, rt)
-					if residual != nil && !value.EffectiveBool(residual(ctx, cat)) {
-						continue
-					}
-					// The whole join output materializes before the ordinal
-					// merge — charge it like any other partition build.
-					ctx.ChargeRow(TripPartition, cat)
-					out = append(out, rowOPTagged{seq: lt.seq, minor: minor, r: cat})
-					minor++
-				}
-			}
-			if len(out) > 0 {
-				streams = append(streams, out)
-			}
-		}
-		if len(streams) > 0 {
-			it.h = &rowOPMergeHeap{streams: streams}
-			heap.Init(it.h)
-		}
-	}
-	return it
-}
-
-type rowOPHashJoinIter struct {
-	build   func()
-	started bool
-	h       *rowOPMergeHeap
-	ctx     *Ctx
-}
-
-func (j *rowOPHashJoinIter) Next() (value.Row, bool) {
-	if !j.started {
-		j.started = true
-		j.build()
-	}
-	j.ctx.Fault(TripProbe)
-	if j.h == nil || j.h.Len() == 0 {
-		return value.Row{}, false
-	}
-	s := j.h.streams[0]
-	r := s[0].r
-	if len(s) > 1 {
-		j.h.streams[0] = s[1:]
-		heap.Fix(j.h, 0)
-	} else {
-		heap.Pop(j.h)
-	}
-	return r, true
-}
-
-func (j *rowOPHashJoinIter) Close() { j.h = nil; j.started = true }
 
 // ---- unordered grouping ----
 

@@ -83,10 +83,6 @@ func diffOp(t *testing.T, name string, op Op) bool {
 // inputs (e1 with A1/C, e2 with A2/B columns).
 func partitionedFamily(e1, e2 Op, residual Expr) map[string]Op {
 	return map[string]Op{
-		"Grace": GraceJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-			Residual: residual},
-		"OPHJ": OPHashJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-			Residual: residual},
 		"⋈ᵁ": UnorderedJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
 			Residual: residual},
 		"⋉ᵁ": UnorderedSemiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
@@ -129,16 +125,14 @@ func TestPartitionedRowsMultiKey(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e1 := randRel(rng, []string{"A1", "K1", "J1"}, 12, 3)
 		e2 := randRel(rng, []string{"A2", "K2", "J2"}, 12, 3)
-		two := GraceJoin{L: e1, R: e2,
+		two := UnorderedJoin{L: e1, R: e2,
 			LAttrs: []string{"A1", "K1"}, RAttrs: []string{"A2", "K2"}}
 		three := UnorderedJoin{L: e1, R: e2,
 			LAttrs: []string{"A1", "K1", "J1"}, RAttrs: []string{"A2", "K2", "J2"}}
-		opTwo := OPHashJoin{L: e1, R: e2,
-			LAttrs: []string{"A1", "K1"}, RAttrs: []string{"A2", "K2"}, Partitions: rng.Intn(8)}
 		gu := UnorderedGroupUnary{In: e2, G: "g", By: []string{"A2", "K2", "J2"},
 			Theta: value.CmpEq, F: SFCount{}}
-		return diffOp(t, "Grace-2key", two) && diffOp(t, "⋈ᵁ-3key", three) &&
-			diffOp(t, "OPHJ-2key", opTwo) && diffOp(t, "Γᵁ-3key", gu)
+		return diffOp(t, "⋈ᵁ-2key", two) && diffOp(t, "⋈ᵁ-3key", three) &&
+			diffOp(t, "Γᵁ-3key", gu)
 	})
 }
 
@@ -293,21 +287,4 @@ func TestPartitionedRowsSemiAntiCollidingNames(t *testing.T) {
 	anti := UnorderedAntiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}}
 	diffOp(t, "⋉ᵁ-colliding-X", semi)
 	diffOp(t, "▷ᵁ-colliding-X", anti)
-}
-
-// TestOPHashJoinPartitionCount pins the build-side-driven sizing: tiny
-// builds run single-partition, large builds cap at 16, explicit settings
-// win.
-func TestOPHashJoinPartitionCount(t *testing.T) {
-	j := OPHashJoin{}
-	for _, c := range []struct{ build, want int }{
-		{0, 1}, {10, 1}, {127, 1}, {128, 2}, {1000, 8}, {1 << 20, 16},
-	} {
-		if got := j.partitionCount(c.build); got != c.want {
-			t.Errorf("partitionCount(%d) = %d, want %d", c.build, got, c.want)
-		}
-	}
-	if got := (OPHashJoin{Partitions: 7}).partitionCount(5); got != 7 {
-		t.Errorf("explicit Partitions overridden: %d", got)
-	}
 }

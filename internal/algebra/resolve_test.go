@@ -22,7 +22,6 @@ func TestMapChildrenWalksChildren(t *testing.T) {
 	ops["□"] = Singleton{}
 	ops["Γ-self"] = GroupSelf{In: in, G: "g", By: []string{"A1"}, F: SFCount{}}
 	ops["Ξ-group"] = XiGroup{In: in, By: []string{"A1"}, S1: cmds, S2: cmds, S3: cmds}
-	ops["Ξ-stream"] = XiGroupStream{In: in, By: []string{"A1"}, S1: cmds, S2: cmds, S3: cmds}
 	ops["IdxScan"] = IndexScan{In: in, Attr: "b", URI: "bib.xml", Path: "/bib/book", Depth: 1,
 		Cmp: value.CmpLt, Key: ConstVal{V: value.Int(3)}, EstCard: 7}
 

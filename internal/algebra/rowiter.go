@@ -111,16 +111,6 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	case XiSimple:
 		return &rowXiIter{in: in.open(ctx, env), cmds: compileCommands(w.Cmds, in.Schema, env), ctx: ctx}
 
-	case XiGroupStream:
-		by, ok := slotsOf(in.Schema.Lay, w.By)
-		if !ok {
-			return nil
-		}
-		return &rowXiGroupStreamIter{in: in.open(ctx, env), by: by, ctx: ctx,
-			s1: compileCommands(w.S1, in.Schema, env),
-			s2: compileCommands(w.S2, in.Schema, env),
-			s3: compileCommands(w.S3, in.Schema, env)}
-
 	case XiGroup:
 		return openRowXiGroup(w, in, ctx, env)
 
@@ -138,10 +128,6 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 			return cmpRowsDirs(a, b, by, w.Dirs)
 		})
 		return &rowSliceIter{rows: rows, pooled: true}
-
-	case AttachSeq:
-		slot, _ := lay.Slot(w.Attr)
-		return &rowAttachSeqIter{in: in.open(ctx, env), lay: lay, slot: slot}
 
 	case Cross:
 		return &rowCrossIter{left: in.open(ctx, env),
@@ -163,10 +149,6 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	case GroupBinary:
 		return openRowGroupBinary(w, n, ctx, env)
 
-	case GraceJoin:
-		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeInner, "", nil)
-	case OPHashJoin:
-		return openRowOPHashJoin(w, n, ctx, env)
 	case UnorderedJoin:
 		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeInner, "", nil)
 	case UnorderedSemiJoin:
@@ -550,40 +532,6 @@ func (x *rowXiIter) Next() (value.Row, bool) {
 
 func (x *rowXiIter) Close() { x.in.Close() }
 
-type rowXiGroupStreamIter struct {
-	in         RowIter
-	by         []int
-	s1, s2, s3 []compiledCmd
-	ctx        *Ctx
-
-	prev    value.Row
-	hasPrev bool
-	closed  bool
-}
-
-func (x *rowXiGroupStreamIter) Next() (value.Row, bool) {
-	r, ok := x.in.Next()
-	if !ok {
-		if x.hasPrev && !x.closed {
-			execCompiled(x.ctx, x.prev, x.s3)
-			x.closed = true
-		}
-		return value.Row{}, false
-	}
-	if !x.hasPrev {
-		execCompiled(x.ctx, r, x.s1)
-	} else if !sameGroupRows(x.prev, r, x.by) {
-		execCompiled(x.ctx, x.prev, x.s3)
-		execCompiled(x.ctx, r, x.s1)
-	}
-	execCompiled(x.ctx, r, x.s2)
-	x.prev = r
-	x.hasPrev = true
-	return r, true
-}
-
-func (x *rowXiGroupStreamIter) Close() { x.in.Close() }
-
 // openRowXiGroup implements the hash-bucket Γ-Ξ: it materializes the input,
 // fires S1/S2/S3 per first-occurrence group, and streams the input rows
 // unchanged — the slot twin of XiGroup.Eval.
@@ -612,15 +560,6 @@ func openRowXiGroup(x XiGroup, in *Node, ctx *Ctx, env value.Tuple) RowIter {
 	return &rowSliceIter{rows: rows}
 }
 
-func sameGroupRows(a, b value.Row, by []int) bool {
-	for _, s := range by {
-		if value.KeyOf(a.Vals[s]) != value.KeyOf(b.Vals[s]) {
-			return false
-		}
-	}
-	return true
-}
-
 // cmpRowsDirs is the three-way sort comparison of the row engine's Sort
 // breaker: per-key atomization with one atom parse per side (value.Compare3)
 // instead of the two CompareAtomic probes the bool form needed. Empty values
@@ -638,27 +577,6 @@ func cmpRowsDirs(a, b value.Row, by []int, dirs []bool) int {
 	}
 	return 0
 }
-
-type rowAttachSeqIter struct {
-	in   RowIter
-	lay  *value.Layout
-	slot int
-	seq  int64
-	slab rowSlab
-}
-
-func (a *rowAttachSeqIter) Next() (value.Row, bool) {
-	r, ok := a.in.Next()
-	if !ok {
-		return value.Row{}, false
-	}
-	out := a.slab.extend(a.lay, r, 0)
-	out.Vals[a.slot] = value.Int(a.seq)
-	a.seq++
-	return out, true
-}
-
-func (a *rowAttachSeqIter) Close() { a.in.Close() }
 
 type rowCrossIter struct {
 	left  RowIter
@@ -1005,7 +923,7 @@ func openRowGroupBinary(g GroupBinary, n *Node, ctx *Ctx, env value.Tuple) RowIt
 	// short-circuit.
 	it.build = func() {
 		rRows := drainRows(ctx, TripGroup, n.Kids[1].open(ctx, env))
-		if g.Theta == value.CmpEq && !g.ForceScan {
+		if g.Theta == value.CmpEq {
 			it.hash = bucketRows(rRows, rSlots, len(rRows))
 			it.applied = make(map[value.HashKey]value.Value, it.hash.n())
 			return

@@ -217,7 +217,7 @@ func (n *Node) resolve() (Schema, bool) {
 	case Singleton:
 		return nativeSchema(value.NewLayout(), nil)
 
-	case Select, XiSimple, XiGroupStream, XiGroup, Sort:
+	case Select, XiSimple, XiGroup, Sort:
 		return nativeSchema(in.Lay, in.Nested)
 
 	case Project:
@@ -282,13 +282,9 @@ func (n *Node) resolve() (Schema, bool) {
 		// An index scan binds nodes, never tuple sequences.
 		return nativeSchema(lay, nestedWith(in.Nested, w.Attr, nil))
 
-	case AttachSeq:
-		lay, _ := in.Lay.Extend(w.Attr)
-		return nativeSchema(lay, in.Nested)
-
-	// The partitioned operator family types like its ordered counterparts:
+	// The unordered operator family types like its ordered counterparts:
 	// concatenation for the joins, the left layout for ⋉/▷, key+group for Γ.
-	case Cross, Join, OuterJoin, GraceJoin, OPHashJoin, UnorderedJoin, UnorderedOuterJoin:
+	case Cross, Join, OuterJoin, UnorderedJoin, UnorderedOuterJoin:
 		if lay, ok := in.Lay.Concat(r.Lay); ok {
 			return nativeSchema(lay, nestedUnion(in.Nested, r.Nested))
 		}

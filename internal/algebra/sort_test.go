@@ -1,21 +1,10 @@
 package algebra
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"nalquery/internal/value"
 )
-
-func TestAttachSeq(t *testing.T) {
-	out := eval(t, AttachSeq{In: relR2(), Attr: "#"})
-	for i, tp := range out {
-		if !value.DeepEqual(tp["#"], value.Int(int64(i))) {
-			t.Fatalf("seq attr wrong at %d: %v", i, tp["#"])
-		}
-	}
-}
 
 func TestSortStable(t *testing.T) {
 	in := constOp{
@@ -63,75 +52,5 @@ func TestSortEmptyFirst(t *testing.T) {
 	out := eval(t, Sort{In: in, By: []string{"k"}})
 	if _, isNull := out[0]["k"].(value.Null); !isNull {
 		t.Fatalf("NULL must sort first: %s", out)
-	}
-}
-
-// TestGraceJoinPlusSortEqualsOrderPreservingJoin reproduces the paper's
-// implementation note: AttachSeq → GraceJoin → Sort#seq is equivalent to
-// the order-preserving join.
-func TestGraceJoinPlusSortEqualsOrderPreservingJoin(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func(attrs []string, n int) constOp {
-			ts := make(value.TupleSeq, n)
-			for i := range ts {
-				tp := value.Tuple{}
-				for _, a := range attrs {
-					tp[a] = value.Int(int64(rng.Intn(4)))
-				}
-				ts[i] = tp
-			}
-			return constOp{ts: ts, attrs: attrs}
-		}
-		e1 := mk([]string{"A1", "C"}, rng.Intn(8))
-		e2 := mk([]string{"A2", "B"}, rng.Intn(8))
-
-		direct := Join{L: e1, R: e2, Pred: eqCmp("A1", "A2")}.Eval(NewCtx(nil), nil)
-
-		grace := ProjectDrop{
-			In: Sort{
-				In: GraceJoin{
-					L:      AttachSeq{In: e1, Attr: "#l"},
-					R:      AttachSeq{In: e2, Attr: "#r"},
-					LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-				},
-				By: []string{"#l", "#r"},
-			},
-			Names: []string{"#l", "#r"},
-		}.Eval(NewCtx(nil), nil)
-
-		return value.TupleSeqEqual(direct, grace)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGraceJoinResidual(t *testing.T) {
-	res := CmpExpr{L: Var{Name: "B"}, R: ConstVal{V: value.Int(4)}, Op: value.CmpGe}
-	out := eval(t, GraceJoin{L: relR1(), R: relR2(),
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Residual: res})
-	for _, tp := range out {
-		if value.CompareAtomic(tp["B"], value.Int(4), value.CmpLt) {
-			t.Fatalf("residual not applied: %s", tp)
-		}
-	}
-	if len(out) != 2 {
-		t.Fatalf("grace residual join size: %d", len(out))
-	}
-}
-
-func TestGraceJoinDestroysProbeOrder(t *testing.T) {
-	// Sanity: the grace join's output order is the partition order, not the
-	// probe order (otherwise the ablation would not measure anything).
-	l := constOp{ts: value.TupleSeq{
-		{"A1": value.Int(2)}, {"A1": value.Int(1)},
-	}, attrs: []string{"A1"}}
-	out := eval(t, GraceJoin{L: l, R: relR2(), LAttrs: []string{"A1"}, RAttrs: []string{"A2"}})
-	if len(out) != 4 {
-		t.Fatalf("size: %d", len(out))
-	}
-	if !value.DeepEqual(out[0]["A1"], value.Int(1)) {
-		t.Fatalf("grace join must emit partition order (key 1 first): %s", out)
 	}
 }

@@ -236,81 +236,6 @@ func (x XiGroup) Exprs() []Expr {
 // Attrs implements Op.
 func (x XiGroup) Attrs() ([]string, bool) { return x.In.Attrs() }
 
-// XiGroupStream is the paper's literal implementation of the
-// group-detecting Ξ (Sec. 2): "a group spans consecutive tuples in the
-// input sequence and group boundaries are detected by a change of any of
-// the attribute values in A. ... This condition can be met by a stable(!)
-// sort on A." It requires contiguous groups (produce them with Sort{By: A}
-// upstream) and streams: S1 fires when a boundary opens, S2 per tuple, S3
-// when it closes — holding one tuple of state, never a whole group.
-//
-// On inputs whose groups are not contiguous it simply treats every maximal
-// run as a group (that is what boundary detection means); XiGroup is the
-// order-preserving hash-bucket alternative that needs no sort.
-type XiGroupStream struct {
-	In         Op
-	By         []string
-	S1, S2, S3 []Command
-}
-
-// Eval implements Op.
-func (x XiGroupStream) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
-	in := x.In.Eval(ctx, env)
-	var prev value.Tuple
-	for _, t := range in {
-		if prev == nil {
-			execCommands(ctx, env, t, x.S1)
-		} else if !sameGroup(prev, t, x.By) {
-			execCommands(ctx, env, prev, x.S3)
-			execCommands(ctx, env, t, x.S1)
-		}
-		execCommands(ctx, env, t, x.S2)
-		prev = t
-	}
-	if prev != nil {
-		execCommands(ctx, env, prev, x.S3)
-	}
-	return in
-}
-
-// sameGroup reports whether two consecutive tuples belong to the same
-// group: no attribute of A changed value.
-func sameGroup(a, b value.Tuple, by []string) bool {
-	for _, k := range by {
-		if value.Key(a[k]) != value.Key(b[k]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (x XiGroupStream) String() string {
-	return fmt.Sprintf("Ξstream[%s | %s ; %s | %s]", cmdStrings(x.S1), strings.Join(x.By, ","),
-		cmdStrings(x.S2), cmdStrings(x.S3))
-}
-
-// Children implements Op.
-func (x XiGroupStream) Children() []Op { return []Op{x.In} }
-
-// MapChildren implements Op.
-func (x XiGroupStream) MapChildren(f func(Op) Op) Op { x.In = f(x.In); return x }
-
-// Exprs implements Op.
-func (x XiGroupStream) Exprs() []Expr {
-	var out []Expr
-	for _, cs := range [][]Command{x.S1, x.S2, x.S3} {
-		for _, c := range cs {
-			if !c.IsLit {
-				out = append(out, c.E)
-			}
-		}
-	}
-	return out
-}
-
-// Attrs implements Op.
-func (x XiGroupStream) Attrs() ([]string, bool) { return x.In.Attrs() }
-
 // Explain renders an operator tree as an indented multi-line plan.
 func Explain(op Op) string {
 	var sb strings.Builder

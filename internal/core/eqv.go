@@ -21,8 +21,6 @@ import (
 type Rewriter struct {
 	Prov map[string]translate.Prov
 	Cat  *schema.Catalog
-
-	noPushdown bool
 }
 
 // NewRewriter builds a rewriter from a translation result.

@@ -178,11 +178,6 @@ func docBinder(op algebra.Op, name string) (string, bool) {
 				return "", false
 			}
 			op = w.In
-		case algebra.AttachSeq:
-			if w.Attr == name {
-				return "", false
-			}
-			op = w.In
 		case algebra.Select:
 			op = w.In
 		case algebra.Project:

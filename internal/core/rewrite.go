@@ -60,11 +60,6 @@ type PlanAlt struct {
 	Applied []string
 }
 
-// NoPushdown disables the residual-pushdown micro-rewrite (Sec. 5.5's
-// σ push into the anti-join's inner operand). Used by the ablation
-// experiments only.
-func (rw *Rewriter) SetNoPushdown(v bool) { rw.noPushdown = v }
-
 // Rewrite applies the unnesting equivalences bottom-up under the given
 // strategy and returns the rewritten plan plus the list of applied rules.
 func (rw *Rewriter) Rewrite(plan algebra.Op, s Strategy) (algebra.Op, []string) {
@@ -186,9 +181,6 @@ func (r *rewritePass) afterJoin(o algebra.Op) algebra.Op {
 				return out
 			}
 		}
-	}
-	if r.rw.noPushdown {
-		return o
 	}
 	// Push inner-only conjuncts into the join's right operand.
 	switch j := o.(type) {

@@ -57,9 +57,6 @@ func swapUnordered(op algebra.Op) (algebra.Op, bool) {
 		return algebra.UnorderedGroupUnary{In: w.In, G: w.G, By: w.By,
 			Theta: w.Theta, F: w.F}, true
 	case algebra.GroupBinary:
-		if w.ForceScan {
-			return op, false
-		}
 		return algebra.UnorderedGroupBinary{L: w.L, R: w.R, G: w.G,
 			LAttrs: w.LAttrs, RAttrs: w.RAttrs, Theta: w.Theta, F: w.F}, true
 	}

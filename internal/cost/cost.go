@@ -217,7 +217,7 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 		return Estimate{Card: in.Card, Cost: in.Cost + in.Card*tupleCost + in.Card*slotCost*width(op)}
 	case algebra.GroupBinary:
 		l, r := m.Plan(w.L), m.Plan(w.R)
-		if w.Theta != 0 || w.ForceScan {
+		if w.Theta != 0 {
 			return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + l.Card*r.Card*tupleCost}
 		}
 		return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + (l.Card + r.Card) + l.Card*slotCost*width(op)}
@@ -238,24 +238,12 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 	case algebra.Sort:
 		in := m.Plan(w.In)
 		return Estimate{Card: in.Card, Cost: in.Cost + in.Card*logF(in.Card)*tupleCost}
-	case algebra.AttachSeq:
-		return m.passThrough(w.In)
-	// The partitioned family executes slot-natively (no conversion shim):
+	// The unordered family executes slot-natively (no conversion shim):
 	// the operators that materialize concatenated output rows (the inner
 	// and outer joins) carry the same slot-rate perTuple output term as
 	// the ordered hash join, while ⋉ᵁ/▷ᵁ emit retained left rows at zero
 	// copy and keep the linear-pass formula. Partition passes stay linear
 	// in the inputs.
-	case algebra.GraceJoin:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		card := maxF(l.Card, r.Card)
-		return Estimate{Card: card, Cost: l.Cost + r.Cost + (l.Card+r.Card)*tupleCost + card*perTuple(op)}
-	case algebra.OPHashJoin:
-		// Partitioned probe + P-way merge: linear passes plus a log-P merge
-		// term on the output.
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		card := maxF(l.Card, r.Card)
-		return Estimate{Card: card, Cost: l.Cost + r.Cost + (l.Card+r.Card)*tupleCost + card*(perTuple(op)+0.5)}
 	case algebra.UnorderedJoin:
 		l, r := m.Plan(w.L), m.Plan(w.R)
 		card := maxF(l.Card, r.Card)
@@ -283,9 +271,6 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 			return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + l.Card*r.Card*tupleCost}
 		}
 		return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + (l.Card + r.Card) + l.Card*slotCost*width(op)}
-	case algebra.XiGroupStream:
-		in := m.Plan(w.In)
-		return Estimate{Card: in.Card, Cost: in.Cost + in.Card*tupleCost}
 	default:
 		// Unknown operator: pass through children pessimistically.
 		var est Estimate

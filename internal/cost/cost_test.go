@@ -98,22 +98,22 @@ func TestCardinalityFromStats(t *testing.T) {
 	}
 }
 
+// TestScanVariantCostsMore: a θ other than '=' sends binary grouping down
+// the definitional scan, which must cost more than the hash path.
 func TestScanVariantCostsMore(t *testing.T) {
 	m, _ := modelFor(t, 200)
-	e1 := algebra.Project{In: algebra.Singleton{}, Names: nil}
-	mk := func(force bool) algebra.Op {
+	mk := func(theta value.CmpOp) algebra.Op {
 		return algebra.GroupBinary{
 			L: algebra.UnnestMap{In: algebra.Map{In: algebra.Singleton{}, Attr: "d", E: algebra.Doc{URI: "bids.xml"}},
 				Attr: "i1", E: algebra.PathOf{Input: algebra.Var{Name: "d"}, Path: xpath.MustParse("//itemno")}},
 			R: algebra.UnnestMap{In: algebra.Map{In: algebra.Singleton{}, Attr: "d2", E: algebra.Doc{URI: "bids.xml"}},
 				Attr: "i2", E: algebra.PathOf{Input: algebra.Var{Name: "d2"}, Path: xpath.MustParse("//itemno")}},
 			G: "g", LAttrs: []string{"i1"}, RAttrs: []string{"i2"},
-			Theta: value.CmpEq, F: algebra.SFCount{}, ForceScan: force,
+			Theta: theta, F: algebra.SFCount{},
 		}
 	}
-	_ = e1
-	hash := m.Plan(mk(false)).Cost
-	scan := m.Plan(mk(true)).Cost
+	hash := m.Plan(mk(value.CmpEq)).Cost
+	scan := m.Plan(mk(value.CmpLt)).Cost
 	if scan <= hash {
 		t.Fatalf("scan grouping must cost more: hash=%g scan=%g", hash, scan)
 	}

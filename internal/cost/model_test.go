@@ -46,8 +46,6 @@ func TestEveryOperatorEstimated(t *testing.T) {
 		algebra.XiSimple{In: e1, Cmds: []algebra.Command{algebra.LitCmd("x")}},
 		algebra.XiGroup{In: e1, By: []string{"b"}},
 		algebra.Sort{In: e1, By: []string{"b"}},
-		algebra.AttachSeq{In: e1, Attr: "#"},
-		algebra.GraceJoin{L: e1, R: e2, LAttrs: []string{"b"}, RAttrs: []string{"a"}},
 	}
 	for _, op := range ops {
 		est := m.Plan(op)

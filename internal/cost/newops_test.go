@@ -40,8 +40,6 @@ func TestNewOpsEstimated(t *testing.T) {
 	eq := algebra.CmpExpr{L: algebra.Var{Name: "A1"}, R: algebra.Var{Name: "A2"}, Op: value.CmpEq}
 	cross := m.Plan(algebra.Select{In: algebra.Cross{L: scanOp("bib.xml", "//book", "x"), R: scanOp("bib.xml", "//book", "x")}, Pred: eq})
 	ops := []algebra.Op{
-		algebra.OPHashJoin{L: scanOp("bib.xml", "//book", "x"), R: scanOp("bib.xml", "//book", "x"),
-			LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
 		algebra.UnorderedJoin{L: scanOp("bib.xml", "//book", "x"), R: scanOp("bib.xml", "//book", "x"),
 			LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
 		algebra.UnorderedSemiJoin{L: scanOp("bib.xml", "//book", "x"), R: scanOp("bib.xml", "//book", "x"),
@@ -83,17 +81,5 @@ func TestUnorderedCostMatchesOrdered(t *testing.T) {
 		Theta: value.CmpEq, F: algebra.SFCount{}})
 	if gUn.Cost > gOrd.Cost {
 		t.Errorf("unordered grouping costed above ordered grouping: %v > %v", gUn.Cost, gOrd.Cost)
-	}
-}
-
-// TestXiGroupStreamCost: the streaming Ξ itself is linear; a Sort below it
-// carries the n·log n term.
-func TestXiGroupStreamCost(t *testing.T) {
-	m := newOpsModel()
-	in := scanOp("bib.xml", "//author", "x")
-	plain := m.Plan(algebra.XiGroupStream{In: in, By: []string{"x"}})
-	withSort := m.Plan(algebra.XiGroupStream{In: algebra.Sort{In: in, By: []string{"x"}}, By: []string{"x"}})
-	if withSort.Cost <= plain.Cost {
-		t.Errorf("sort term missing: %v <= %v", withSort.Cost, plain.Cost)
 	}
 }

@@ -1,0 +1,165 @@
+package experiments
+
+import (
+	"strings"
+
+	nalquery "nalquery"
+	"nalquery/internal/algebra"
+	"nalquery/internal/cli"
+	"nalquery/internal/dom"
+	"nalquery/internal/value"
+	"nalquery/internal/xmlgen"
+	"nalquery/internal/xpath"
+)
+
+// The families below extend the -json allocation trajectory beyond the
+// paper's tables: the unordered plan alternatives admitted by XQuery's
+// unordered() wrapper, and the grouping family over the nested data model.
+
+// BenchTarget is one measured unit of the -json trajectory beyond the
+// paper-table experiments.
+type BenchTarget struct {
+	Experiment string
+	Plan       string
+	Size       int
+	Run        func() error
+}
+
+// UnorderedBenchTargets returns the unordered plan alternatives of the Q1
+// grouping query wrapped in unordered() as benchmark targets.
+func UnorderedBenchTargets(sizes []int) ([]BenchTarget, error) {
+	var out []BenchTarget
+	unorderedQ1 := "unordered(" + nalquery.QueryQ1Grouping + ")"
+	for _, size := range sizes {
+		eng := nalquery.NewEngine()
+		eng.LoadUseCaseDocuments(size, 2)
+		q, err := eng.Compile(unorderedQ1)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range q.Plans() {
+			if !strings.HasPrefix(p.Name, "unordered ") {
+				continue
+			}
+			name := p.Name
+			query := q
+			out = append(out, BenchTarget{
+				Experiment: "unorderedq1", Plan: name, Size: size,
+				Run: func() error {
+					_, _, err := cli.RunPlan(query, name)
+					return err
+				},
+			})
+		}
+	}
+	return out, nil
+}
+
+// The grouping benchmark family pins the cost of the nested data model —
+// the RowSeq group payloads that Γ builds and µ consumes. It measures the
+// Γ→µ roundtrip (payload construction plus unnesting, the allocation
+// profile of every grouping plan alternative), unary against binary
+// grouping over the same workload, and the quantifier plan alternatives of
+// the paper's existential/universal queries.
+
+// NamedPlan is one physical plan alternative of a benchmark workload.
+type NamedPlan struct {
+	Name string
+	Op   algebra.Op
+}
+
+// bidsItemsDocs builds the bids/items documents of the grouping workload
+// at one size.
+func bidsItemsDocs(size int) map[string]*dom.Document {
+	cfg := xmlgen.DefaultConfig(size)
+	return map[string]*dom.Document{
+		"bids.xml":  xmlgen.Bids(cfg),
+		"items.xml": xmlgen.Items(cfg),
+	}
+}
+
+// bidsItemsScans returns the bids and items scan subplans of the grouping
+// workload, each binding its itemno (i1, i2).
+func bidsItemsScans() (bids, items algebra.Op) {
+	bids = algebra.Map{
+		In: algebra.UnnestMap{
+			In:   algebra.Map{In: algebra.Singleton{}, Attr: "d1", E: algebra.Doc{URI: "bids.xml"}},
+			Attr: "b",
+			E:    algebra.PathOf{Input: algebra.Var{Name: "d1"}, Path: xpath.MustParse("//bidtuple")},
+		},
+		Attr: "i1",
+		E:    algebra.PathOf{Input: algebra.Var{Name: "b"}, Path: xpath.MustParse("itemno")},
+	}
+	items = algebra.Map{
+		In: algebra.UnnestMap{
+			In:   algebra.Map{In: algebra.Singleton{}, Attr: "d2", E: algebra.Doc{URI: "items.xml"}},
+			Attr: "it",
+			E:    algebra.PathOf{Input: algebra.Var{Name: "d2"}, Path: xpath.MustParse("//itemtuple")},
+		},
+		Attr: "i2",
+		E:    algebra.PathOf{Input: algebra.Var{Name: "it"}, Path: xpath.MustParse("itemno")},
+	}
+	return bids, items
+}
+
+// GroupingFamilyPlans returns the algebraic grouping workloads over the
+// bids/items documents: unary Γ (group bids by item), binary Γ (nest-join
+// items with their bids), and the Γ→µ roundtrip that rebuilds the flat
+// sequence from the groups.
+func GroupingFamilyPlans() []NamedPlan {
+	bids, items := bidsItemsScans()
+	unary := algebra.GroupUnary{In: bids, G: "g", By: []string{"i1"},
+		Theta: value.CmpEq, F: algebra.SFIdent{}}
+	binary := algebra.GroupBinary{L: items, R: bids, G: "g",
+		LAttrs: []string{"i2"}, RAttrs: []string{"i1"},
+		Theta: value.CmpEq, F: algebra.SFIdent{}}
+	roundtrip := algebra.Unnest{In: unary, Attr: "g"}
+	return []NamedPlan{
+		{Name: "unary-gamma", Op: unary},
+		{Name: "binary-gamma", Op: binary},
+		{Name: "gamma-mu-roundtrip", Op: roundtrip},
+	}
+}
+
+// GroupingBenchTargets returns the grouping family as benchmark targets:
+// the algebraic Γ/µ workloads plus the quantifier plan alternatives of the
+// existential (Q4) and universal (Q5) paper queries.
+func GroupingBenchTargets(sizes []int) ([]BenchTarget, error) {
+	var out []BenchTarget
+	for _, size := range sizes {
+		docs := bidsItemsDocs(size)
+		for _, p := range GroupingFamilyPlans() {
+			op := p.Op
+			out = append(out, BenchTarget{
+				Experiment: "grouping", Plan: p.Name, Size: size,
+				Run: func() error {
+					algebra.DrainIter(op, algebra.NewCtx(docs), nil)
+					return nil
+				},
+			})
+		}
+		// The quantifier plans: the unnested alternatives the equivalences
+		// derive from ∃/∀ (the nested baseline is covered — and capped — by
+		// the per-query tables).
+		for _, qp := range []struct{ query, plan, label string }{
+			{nalquery.QueryQ4Exists, "semijoin", "quantifier-exists-semijoin"},
+			{nalquery.QueryQ5Universal, "anti-semijoin", "quantifier-forall-antisemijoin"},
+		} {
+			eng := nalquery.NewEngine()
+			eng.LoadUseCaseDocuments(size, 2)
+			q, err := eng.Compile(qp.query)
+			if err != nil {
+				return nil, err
+			}
+			query, plan := q, qp.plan
+			out = append(out, BenchTarget{
+				Experiment: "grouping", Plan: qp.label, Size: size,
+				Run: func() error {
+					_, _, err := cli.RunPlan(query, plan)
+					return err
+				},
+			})
+		}
+	}
+	return out, nil
+}

@@ -10,22 +10,13 @@ import (
 	"nalquery/internal/cli"
 )
 
-// TestIndexBenchTargets: the family resolves an indexed alternative and
-// every target runs.
-func TestIndexBenchTargets(t *testing.T) {
-	targets, err := IndexBenchTargets([]int{60})
-	if err != nil {
-		t.Fatalf("targets: %v", err)
-	}
-	if len(targets) != 3 {
-		t.Fatalf("%d targets, want full-scan/index-scan/auto", len(targets))
-	}
-	for _, tg := range targets {
-		if err := tg.Run(); err != nil {
-			t.Fatalf("%s/%s: %v", tg.Experiment, tg.Plan, err)
-		}
-	}
-}
+// indexQuerySelective is the selective scan the value index answers with a
+// probe: books of a single year.
+const indexQuerySelective = `
+let $d := doc("bib.xml")
+for $b in $d//book
+where $b/@year = 1999
+return $b/title`
 
 // TestIndexSpeedupSelective pins the subsystem's payoff on the selective
 // workload: the index-scan plan touches ≥10× fewer tuples than the full
@@ -43,7 +34,7 @@ func TestIndexSpeedupSelective(t *testing.T) {
 	}
 	eng := nalquery.NewEngine()
 	eng.LoadUseCaseDocuments(size, 2)
-	q, err := eng.Compile(IndexQuerySelective)
+	q, err := eng.Compile(indexQuerySelective)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

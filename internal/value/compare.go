@@ -2,7 +2,6 @@ package value
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -534,39 +533,6 @@ func CmpKey(a, b HashKey) int {
 	default:
 		return strings.Compare(a.str2, b.str2)
 	}
-}
-
-// Hash returns a well-distributed 64-bit FNV-1a hash of the key for
-// partition assignment (the Grace-style partitioning of OPHashJoin). Equal
-// keys hash equally; unequal keys may collide — partitioning tolerates
-// collisions, map lookups must keep using the HashKey itself.
-func (k HashKey) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mix64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			mix(byte(v))
-			v >>= 8
-		}
-	}
-	mix(k.kind)
-	mix64(math.Float64bits(k.num))
-	for i := 0; i < len(k.str); i++ {
-		mix(k.str[i])
-	}
-	mix(k.kind2)
-	mix64(math.Float64bits(k.num2))
-	for i := 0; i < len(k.str2); i++ {
-		mix(k.str2[i])
-	}
-	return h
 }
 
 // KeyOf computes the canonical grouping/join key of a value without

@@ -121,18 +121,3 @@ func TestLessKeyTotalOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestHashKeyHashEqualKeys: equal keys hash equally, and the hash spreads
-// distinct keys (sanity, not a distribution proof).
-func TestHashKeyHashEqualKeys(t *testing.T) {
-	if KeyOf(Int(3)).Hash() != KeyOf(Str("3")).Hash() {
-		t.Fatalf("numerically equal keys must hash equally")
-	}
-	seen := map[uint64]bool{}
-	for i := 0; i < 64; i++ {
-		seen[KeyOf(Int(int64(i))).Hash()] = true
-	}
-	if len(seen) < 32 {
-		t.Fatalf("hash collapses: %d distinct hashes of 64 keys", len(seen))
-	}
-}

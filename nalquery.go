@@ -366,15 +366,7 @@ func statsOf(ctx *algebra.Ctx) Stats {
 type CompileOption func(*compileConfig)
 
 type compileConfig struct {
-	cat   *schema.Catalog
 	model *cost.Model
-}
-
-// WithCatalog compiles against the given schema-fact catalog instead of the
-// engine's, e.g. to verify the condition-bearing equivalences under
-// alternative DTD facts without mutating the shared engine.
-func WithCatalog(cat *schema.Catalog) CompileOption {
-	return func(c *compileConfig) { c.cat = cat }
 }
 
 // WithCostModel ranks the plans under the given model instead of the
@@ -418,10 +410,7 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 	if compilePanicHook != nil {
 		compilePanicHook()
 	}
-	cat := cfg.cat
-	if cat == nil {
-		cat = st.cat
-	}
+	cat := st.cat
 	mod, err := xquery.ParseModule(text)
 	if err != nil {
 		var pe *xquery.ParseError

@@ -7,8 +7,6 @@ import (
 	"nalquery/internal/algebra"
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
-	"nalquery/internal/xmlgen"
-	"nalquery/internal/xpath"
 )
 
 // bagKeys renders a tuple sequence as a DeepKey multiset for bag-equality
@@ -136,8 +134,7 @@ func TestPaperPlansMapFree(t *testing.T) {
 // assertFullyNative walks a plan and requires every operator to resolve
 // slot-natively, then executes it and requires that the conversion shim
 // never fired — the pin that no plan containing a partitioned operator
-// (GraceJoin, OPHashJoin, the unordered family) degrades to map-tuple
-// execution.
+// (the unordered family) degrades to map-tuple execution.
 func assertFullyNative(t *testing.T, name string, op algebra.Op, docs map[string]*dom.Document) {
 	t.Helper()
 	var walk func(o algebra.Op)
@@ -164,8 +161,7 @@ func assertFullyNative(t *testing.T, name string, op algebra.Op, docs map[string
 
 // TestPartitionedPlansResolveNatively pins the partitioned operator
 // family's native execution: every unordered plan alternative of every
-// paper query, and the Grace+Sort / Claussen OPHJ strategies of the join
-// workload, run without a single conversion-shim operator.
+// paper query runs without a single conversion-shim operator.
 func TestPartitionedPlansResolveNatively(t *testing.T) {
 	e := tinyEngine(t)
 	checked := 0
@@ -188,44 +184,4 @@ func TestPartitionedPlansResolveNatively(t *testing.T) {
 	if checked == 0 {
 		t.Fatalf("no unordered paper-query plans were checked")
 	}
-
-	// The paper's own join strategies: Grace hash join + order-restoring
-	// sort, and the order-preserving hash join of Claussen et al.
-	cfg := xmlgen.DefaultConfig(40)
-	docs := map[string]*dom.Document{
-		"bids.xml":  xmlgen.Bids(cfg),
-		"items.xml": xmlgen.Items(cfg),
-	}
-	bids := algebra.Map{
-		In: algebra.UnnestMap{
-			In:   algebra.Map{In: algebra.Singleton{}, Attr: "d1", E: algebra.Doc{URI: "bids.xml"}},
-			Attr: "b",
-			E:    algebra.PathOf{Input: algebra.Var{Name: "d1"}, Path: xpath.MustParse("//bidtuple")},
-		},
-		Attr: "i1",
-		E:    algebra.PathOf{Input: algebra.Var{Name: "b"}, Path: xpath.MustParse("itemno")},
-	}
-	items := algebra.Map{
-		In: algebra.UnnestMap{
-			In:   algebra.Map{In: algebra.Singleton{}, Attr: "d2", E: algebra.Doc{URI: "items.xml"}},
-			Attr: "it",
-			E:    algebra.PathOf{Input: algebra.Var{Name: "d2"}, Path: xpath.MustParse("//itemtuple")},
-		},
-		Attr: "i2",
-		E:    algebra.PathOf{Input: algebra.Var{Name: "it"}, Path: xpath.MustParse("itemno")},
-	}
-	grace := algebra.ProjectDrop{
-		In: algebra.Sort{
-			In: algebra.GraceJoin{
-				L:      algebra.AttachSeq{In: bids, Attr: "#l"},
-				R:      algebra.AttachSeq{In: items, Attr: "#r"},
-				LAttrs: []string{"i1"}, RAttrs: []string{"i2"},
-			},
-			By: []string{"#l", "#r"},
-		},
-		Names: []string{"#l", "#r"},
-	}
-	claussen := algebra.OPHashJoin{L: bids, R: items, LAttrs: []string{"i1"}, RAttrs: []string{"i2"}}
-	assertFullyNative(t, "joins/grace+sort", grace, docs)
-	assertFullyNative(t, "joins/claussen-ophj", claussen, docs)
 }
