@@ -72,6 +72,7 @@ fuzz-smoke: oracle
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/xquery/
 	$(GO) test -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzHTTPQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
+	$(GO) test -fuzz FuzzStoreLoad -fuzztime $(FUZZTIME) -run '^$$' ./internal/store/
 
 bench-smoke: vet
 	$(GO) build ./...

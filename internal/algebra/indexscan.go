@@ -109,7 +109,7 @@ func (s IndexScan) resolve(ctx *Ctx, env value.Tuple) []*dom.Node {
 		up := make([]*dom.Node, 0, len(nodes))
 		for _, n := range nodes {
 			for i := 0; i < s.Depth && n != nil; i++ {
-				n = n.Parent
+				n = n.Parent()
 			}
 			if n != nil {
 				up = append(up, n)

@@ -59,9 +59,9 @@ func WriteValue(out StringWriter, v value.Value) {
 		if w.Node == nil {
 			return
 		}
-		switch w.Node.Kind {
+		switch w.Node.Kind() {
 		case dom.KindAttribute, dom.KindText:
-			out.WriteString(w.Node.Data)
+			out.WriteString(w.Node.Data())
 		default:
 			if iow, ok := out.(io.Writer); ok {
 				_ = dom.WriteXML(iow, w.Node)
@@ -112,9 +112,9 @@ func PrintValue(v value.Value) string {
 		if w.Node == nil {
 			return ""
 		}
-		switch w.Node.Kind {
+		switch w.Node.Kind() {
 		case dom.KindAttribute, dom.KindText:
-			return w.Node.Data
+			return w.Node.Data()
 		default:
 			return dom.XMLString(w.Node)
 		}

@@ -74,13 +74,12 @@ func perTuple(op algebra.Op) float64 {
 // constants-only model, without measured statistics.
 func NewModel(docs map[string]*dom.Document) *Model { return NewModelStats(docs, nil) }
 
-func (m *Model) countElems(n *dom.Node) {
-	if n.Kind == dom.KindElement {
-		m.elemCount[n.Name]++
-		m.total++
-	}
-	for _, c := range n.Children {
-		m.countElems(c)
+func (m *Model) countElems(d *dom.Document) {
+	for i := 0; i < d.NumNodes(); i++ {
+		if n := d.Node(i); n.Kind() == dom.KindElement {
+			m.elemCount[n.Name()]++
+			m.total++
+		}
 	}
 }
 
@@ -101,7 +100,7 @@ func NewModelStats(docs map[string]*dom.Document, st map[string]*stats.DocStats)
 	for uri, d := range docs {
 		ds := st[uri]
 		if ds == nil {
-			m.countElems(d.Root)
+			m.countElems(d)
 			continue
 		}
 		m.total += float64(ds.Elements)

@@ -4,15 +4,34 @@
 // document-order rank, and algebra operators reference nodes through
 // lightweight handles (*Node pointers).
 //
+// A document is one pre-order table: a single []Node slab whose row i is the
+// node of document-order rank i (an element, then its attributes, then its
+// children), two string slabs (descendant text in document order in one,
+// attribute values in the other) and one name table. A row stores its kind,
+// interned name id, own rank, parent rank, the rank one past its subtree and
+// a byte range into a slab, so child::x is sibling hops through the subtree
+// end, descendant::x is a linear scan of the subtree's rows comparing name
+// ids, and the string value of any element is one contiguous substring of
+// the text slab — nothing is concatenated or cached.
+//
+// What is and is not pointer-free: the two string slabs are, and after Done
+// a document owns no per-node heap object. A row is not quite: it carries
+// exactly one pointer, back to its table, because the node handle stays a
+// *Node — a pointer into the slab. value.Value is an interface, so a
+// one-word handle converts for free while a (document, int32) pair would
+// allocate on every conversion; pointer identity remains node identity; and
+// the collector marks one slab object per document instead of chasing seven
+// pointer-bearing fields through every node.
+//
 // The model is deliberately small: documents, elements, attributes and text.
 // This is everything the XQuery use-case documents of the paper require.
 package dom
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync/atomic"
 )
 
 // Kind identifies the node kind.
@@ -42,31 +61,52 @@ func (k Kind) String() string {
 	}
 }
 
-// Node is a single node of an XML tree. Nodes are created through a Builder
-// or the Parse functions and are immutable afterwards; algebra evaluation
-// never mutates documents.
+// Node is one row of a document's pre-order table; a *Node into that table
+// is the node handle. Rows are written by a Builder and immutable after
+// Done; algebra evaluation never mutates documents.
 type Node struct {
-	Kind     Kind
-	Name     string  // element and attribute name; empty for text and document
-	Data     string  // text content or attribute value
-	Parent   *Node   // nil for the document node
-	Children []*Node // element and text children, in order
-	Attrs    []*Node // attribute nodes, in declaration order
+	tab *table
 
-	// Order is the document-order rank of the node. It is unique within a
-	// document and monotone in a pre-order traversal (attributes rank after
-	// their owner element and before its children, matching the XPath data
-	// model closely enough for the paper's queries).
-	Order int
+	// pre is the row's own index, which is the node's document-order rank:
+	// unique within a document and monotone in a pre-order traversal
+	// (attributes rank after their owner element and before its children,
+	// matching the XPath data model closely enough for the paper's queries).
+	pre    int32
+	parent int32 // -1 for the document node
+	end    int32 // one past the last row of the subtree (attributes included)
 
-	doc *Document
+	// [off, lim) is the node's string value: a range of the attribute slab
+	// for attributes, of the text slab for everything else.
+	off, lim int32
 
-	// strVal caches StringValue for element nodes: documents are immutable
-	// once loaded, and atomization hits the same nodes once per comparison,
-	// sort key and hash key of every plan operator. Atomic so that
-	// concurrent query executions over a shared engine stay race-free (the
-	// computed value is identical either way).
-	strVal atomic.Pointer[string]
+	name int32 // index into the name table; 0 (the empty name) for text and document
+	kind Kind
+}
+
+// table is the storage of one document. Rows point here rather than at the
+// Document, so a Document is reachable from nothing it owns.
+type table struct {
+	uri   string
+	nodes []Node
+	text  string
+	attr  string
+	names []string
+	ids   map[string]int32
+}
+
+// anyName is the name id the empty (wildcard) name test resolves to.
+const anyName = -1
+
+// nameID resolves a name test: anyName for the empty name, and an id no row
+// carries for a name the document does not use.
+func (t *table) nameID(name string) int32 {
+	if name == "" {
+		return anyName
+	}
+	if id, ok := t.ids[name]; ok {
+		return id
+	}
+	return int32(len(t.names))
 }
 
 // Document is a parsed or generated XML document.
@@ -75,84 +115,148 @@ type Document struct {
 	URI string
 	// Root is the document node; its single element child is the root element.
 	Root *Node
-
-	nodes int
 }
-
-// Doc returns the document a node belongs to.
-func (n *Node) Doc() *Document { return n.doc }
 
 // NumNodes reports how many nodes the document contains (including the
 // document node itself).
-func (d *Document) NumNodes() int { return d.nodes }
+func (d *Document) NumNodes() int { return len(d.Root.tab.nodes) }
+
+// Node returns the node of document-order rank i, 0 ≤ i < NumNodes().
+func (d *Document) Node(i int) *Node { return &d.Root.tab.nodes[i] }
 
 // RootElement returns the root element of the document, or nil if the
 // document is empty.
-func (d *Document) RootElement() *Node {
-	for _, c := range d.Root.Children {
-		if c.Kind == KindElement {
-			return c
-		}
+func (d *Document) RootElement() *Node { return d.Root.FirstChildElement("") }
+
+// Kind returns the node kind.
+func (n *Node) Kind() Kind { return n.kind }
+
+// Name returns the element or attribute name; empty for text and document.
+func (n *Node) Name() string { return n.tab.names[n.name] }
+
+// Data returns the text content or attribute value; empty for elements and
+// documents.
+func (n *Node) Data() string {
+	switch n.kind {
+	case KindText:
+		return n.tab.text[n.off:n.lim]
+	case KindAttribute:
+		return n.tab.attr[n.off:n.lim]
+	default:
+		return ""
+	}
+}
+
+// Order returns the document-order rank of the node.
+func (n *Node) Order() int { return int(n.pre) }
+
+// End returns the rank one past the node's subtree: the ranks of the node,
+// its attributes and its descendants are exactly [Order(), End()).
+func (n *Node) End() int { return int(n.end) }
+
+// Parent returns the parent node (the owner element for an attribute), or
+// nil for the document node.
+func (n *Node) Parent() *Node {
+	if n.parent < 0 {
+		return nil
+	}
+	return &n.tab.nodes[n.parent]
+}
+
+// FirstAttr returns the first attribute of an element, or nil.
+func (n *Node) FirstAttr() *Node {
+	if i := n.pre + 1; i < n.end && n.tab.nodes[i].kind == KindAttribute {
+		return &n.tab.nodes[i]
 	}
 	return nil
+}
+
+// FirstChild returns the first element or text child, or nil.
+func (n *Node) FirstChild() *Node {
+	nodes := n.tab.nodes
+	i := n.pre + 1
+	for i < n.end && nodes[i].kind == KindAttribute {
+		i++
+	}
+	if i < n.end {
+		return &nodes[i]
+	}
+	return nil
+}
+
+// NextSibling returns the next child of the node's parent — for an
+// attribute, the owner's next attribute — or nil.
+func (n *Node) NextSibling() *Node {
+	if n.parent < 0 {
+		return nil
+	}
+	nodes := n.tab.nodes
+	if n.end >= nodes[n.parent].end {
+		return nil
+	}
+	s := &nodes[n.end]
+	if n.kind == KindAttribute && s.kind != KindAttribute {
+		return nil
+	}
+	return s
 }
 
 // StringValue returns the string value of a node following the XPath data
 // model: the concatenation of all descendant text for documents and elements,
 // the value for attributes and text nodes.
 func (n *Node) StringValue() string {
-	switch n.Kind {
-	case KindAttribute, KindText:
-		return n.Data
-	default:
-		if p := n.strVal.Load(); p != nil {
-			return *p
-		}
-		var sb strings.Builder
-		n.appendText(&sb)
-		s := sb.String()
-		n.strVal.Store(&s)
-		return s
+	if n.kind == KindAttribute {
+		return n.tab.attr[n.off:n.lim]
 	}
-}
-
-func (n *Node) appendText(sb *strings.Builder) {
-	if n.Kind == KindText {
-		sb.WriteString(n.Data)
-		return
-	}
-	for _, c := range n.Children {
-		c.appendText(sb)
-	}
+	return n.tab.text[n.off:n.lim]
 }
 
 // Attr returns the attribute node with the given name, or nil.
 func (n *Node) Attr(name string) *Node {
-	for _, a := range n.Attrs {
-		if a.Name == name {
+	id, ok := n.tab.ids[name]
+	if !ok {
+		return nil
+	}
+	for a := n.FirstAttr(); a != nil; a = a.NextSibling() {
+		if a.name == id {
 			return a
 		}
 	}
 	return nil
 }
 
+// AppendAttrs appends the node's attributes, in declaration order, to dst.
+func (n *Node) AppendAttrs(dst []*Node) []*Node {
+	for a := n.FirstAttr(); a != nil; a = a.NextSibling() {
+		dst = append(dst, a)
+	}
+	return dst
+}
+
+// AppendChildElements appends to dst the element children with the given
+// name, in document order. The empty name matches every element child.
+func (n *Node) AppendChildElements(name string, dst []*Node) []*Node {
+	id := n.tab.nameID(name)
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+		if c.kind == KindElement && (id == anyName || c.name == id) {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
 // ChildElements returns the element children with the given name in document
 // order. The empty name matches every element child.
 func (n *Node) ChildElements(name string) []*Node {
-	var out []*Node
-	for _, c := range n.Children {
-		if c.Kind == KindElement && (name == "" || c.Name == name) {
-			out = append(out, c)
-		}
-	}
-	return out
+	return n.AppendChildElements(name, nil)
 }
 
 // FirstChildElement returns the first element child with the given name, or
 // nil if there is none.
 func (n *Node) FirstChildElement(name string) *Node {
-	for _, c := range n.Children {
-		if c.Kind == KindElement && (name == "" || c.Name == name) {
+	id := n.tab.nameID(name)
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+		if c.kind == KindElement && (id == anyName || c.name == id) {
 			return c
 		}
 	}
@@ -163,12 +267,11 @@ func (n *Node) FirstChildElement(name string) *Node {
 // the given name, in document order, and returns the extended slice. The
 // empty name matches every element.
 func (n *Node) Descendants(name string, dst []*Node) []*Node {
-	for _, c := range n.Children {
-		if c.Kind == KindElement {
-			if name == "" || c.Name == name {
-				dst = append(dst, c)
-			}
-			dst = c.Descendants(name, dst)
+	id := n.tab.nameID(name)
+	sub := n.tab.nodes[n.pre+1 : n.end]
+	for i := range sub {
+		if c := &sub[i]; c.kind == KindElement && (id == anyName || c.name == id) {
+			dst = append(dst, c)
 		}
 	}
 	return dst
@@ -178,111 +281,11 @@ func (n *Node) Descendants(name string, dst []*Node) []*Node {
 // documents are ordered by document URI (an arbitrary but stable global
 // order).
 func CompareOrder(a, b *Node) int {
-	if a.doc != b.doc {
-		switch {
-		case a.doc.URI < b.doc.URI:
-			return -1
-		case a.doc.URI > b.doc.URI:
-			return 1
-		default:
-			return 0
-		}
+	if a.tab != b.tab {
+		return strings.Compare(a.tab.uri, b.tab.uri)
 	}
-	switch {
-	case a.Order < b.Order:
-		return -1
-	case a.Order > b.Order:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(a.pre, b.pre)
 }
 
 // SortDocOrder sorts nodes into document order in place, keeping duplicates.
-func SortDocOrder(nodes []*Node) {
-	sort.SliceStable(nodes, func(i, j int) bool { return CompareOrder(nodes[i], nodes[j]) < 0 })
-}
-
-// Builder constructs documents programmatically. It is used by the synthetic
-// document generators and by tests.
-type Builder struct {
-	doc   *Document
-	stack []*Node
-}
-
-// NewBuilder starts a new document with the given URI.
-func NewBuilder(uri string) *Builder {
-	root := &Node{Kind: KindDocument}
-	doc := &Document{URI: uri, Root: root}
-	root.doc = doc
-	return &Builder{doc: doc, stack: []*Node{root}}
-}
-
-func (b *Builder) top() *Node { return b.stack[len(b.stack)-1] }
-
-// Begin opens a new element under the current node.
-func (b *Builder) Begin(name string) *Builder {
-	n := &Node{Kind: KindElement, Name: name, Parent: b.top(), doc: b.doc}
-	b.top().Children = append(b.top().Children, n)
-	b.stack = append(b.stack, n)
-	return b
-}
-
-// Attrib adds an attribute to the currently open element.
-func (b *Builder) Attrib(name, value string) *Builder {
-	n := b.top()
-	if n.Kind != KindElement {
-		//nal:allow-panic builder misuse is a programmer error; the store/parse decoders emit Begin before Attrib by construction and error out before reaching an unbalanced state
-		panic("dom: Attrib outside of element")
-	}
-	a := &Node{Kind: KindAttribute, Name: name, Data: value, Parent: n, doc: b.doc}
-	n.Attrs = append(n.Attrs, a)
-	return b
-}
-
-// Text adds a text node under the current node.
-func (b *Builder) Text(data string) *Builder {
-	n := &Node{Kind: KindText, Data: data, Parent: b.top(), doc: b.doc}
-	b.top().Children = append(b.top().Children, n)
-	return b
-}
-
-// End closes the current element.
-func (b *Builder) End() *Builder {
-	if len(b.stack) == 1 {
-		//nal:allow-panic builder misuse is a programmer error; decoders keep Begin/End balanced by construction
-		panic("dom: End without matching Begin")
-	}
-	b.stack = b.stack[:len(b.stack)-1]
-	return b
-}
-
-// Element is shorthand for Begin(name).Text(text).End().
-func (b *Builder) Element(name, text string) *Builder {
-	return b.Begin(name).Text(text).End()
-}
-
-// Done finalizes the document: it assigns document-order ranks and returns
-// the document. The builder must be balanced (every Begin matched by an End).
-func (b *Builder) Done() *Document {
-	if len(b.stack) != 1 {
-		//nal:allow-panic builder misuse is a programmer error; load paths check decoder errors before calling Done
-		panic(fmt.Sprintf("dom: Done with %d unclosed elements", len(b.stack)-1))
-	}
-	order := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		n.Order = order
-		order++
-		for _, a := range n.Attrs {
-			a.Order = order
-			order++
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(b.doc.Root)
-	b.doc.nodes = order
-	return b.doc
-}
+func SortDocOrder(nodes []*Node) { slices.SortStableFunc(nodes, CompareOrder) }

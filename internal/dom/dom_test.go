@@ -25,14 +25,14 @@ func TestParseBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := d.RootElement()
-	if root == nil || root.Name != "bib" {
+	if root == nil || root.Name() != "bib" {
 		t.Fatalf("root element: %v", root)
 	}
 	books := root.ChildElements("book")
 	if len(books) != 2 {
 		t.Fatalf("books: %d", len(books))
 	}
-	if got := books[0].Attr("year").Data; got != "1994" {
+	if got := books[0].Attr("year").Data(); got != "1994" {
 		t.Fatalf("year attr: %q", got)
 	}
 	if books[1].Attr("missing") != nil {
@@ -84,9 +84,9 @@ func TestDocumentOrderRanks(t *testing.T) {
 	c := r.ChildElements("c")[0]
 	x := a.Attr("x")
 	// Pre-order with attributes after their element.
-	if !(r.Order < a.Order && a.Order < x.Order && x.Order < b.Order && b.Order < c.Order) {
+	if !(r.Order() < a.Order() && a.Order() < x.Order() && x.Order() < b.Order() && b.Order() < c.Order()) {
 		t.Fatalf("order ranks wrong: r=%d a=%d x=%d b=%d c=%d",
-			r.Order, a.Order, x.Order, b.Order, c.Order)
+			r.Order(), a.Order(), x.Order(), b.Order(), c.Order())
 	}
 	if d.NumNodes() != 6 { // document + 4 elements + 1 attribute
 		t.Fatalf("node count %d", d.NumNodes())
@@ -133,8 +133,8 @@ func TestEscaping(t *testing.T) {
 	}
 	// Parse back restores the original data.
 	d := MustParseString(got, "esc.xml")
-	if d.RootElement().Attr("a").Data != `x<&">` {
-		t.Fatalf("attr unescape: %q", d.RootElement().Attr("a").Data)
+	if d.RootElement().Attr("a").Data() != `x<&">` {
+		t.Fatalf("attr unescape: %q", d.RootElement().Attr("a").Data())
 	}
 	if d.RootElement().StringValue() != `y<&>` {
 		t.Fatalf("text unescape: %q", d.RootElement().StringValue())
@@ -153,8 +153,8 @@ func TestParseErrors(t *testing.T) {
 func TestWhitespaceDropped(t *testing.T) {
 	d := MustParseString("<r>\n  <a>x</a>\n</r>", "ws.xml")
 	r := d.RootElement()
-	if len(r.Children) != 1 {
-		t.Fatalf("whitespace-only text must be dropped, children=%d", len(r.Children))
+	if k := kids(r); len(k) != 1 {
+		t.Fatalf("whitespace-only text must be dropped, children=%d", len(k))
 	}
 }
 

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -11,8 +12,12 @@ import (
 // Whitespace-only text between elements is dropped (the use-case DTDs are
 // element-content DTDs where such whitespace is insignificant).
 func Parse(r io.Reader, uri string) (*Document, error) {
+	return parse(r, NewBuilder(uri))
+}
+
+func parse(r io.Reader, b *Builder) (*Document, error) {
+	uri := b.tab.uri
 	dec := xml.NewDecoder(r)
-	b := NewBuilder(uri)
 	depth := 0
 	for {
 		tok, err := dec.Token()
@@ -36,12 +41,8 @@ func Parse(r io.Reader, uri string) (*Document, error) {
 			b.End()
 			depth--
 		case xml.CharData:
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
-			}
-			if depth > 0 {
-				b.Text(s)
+			if depth > 0 && len(bytes.TrimSpace(t)) > 0 {
+				b.TextBytes(t)
 			}
 		case xml.Comment, xml.ProcInst, xml.Directive:
 			// Ignored: not part of the paper's data model.
@@ -49,6 +50,9 @@ func Parse(r io.Reader, uri string) (*Document, error) {
 	}
 	if depth != 0 {
 		return nil, fmt.Errorf("dom: parse %s: unbalanced document", uri)
+	}
+	if err := b.Err(); err != nil {
+		return nil, fmt.Errorf("dom: parse %s: %w", uri, err)
 	}
 	return b.Done(), nil
 }
@@ -95,47 +99,72 @@ func (s *stickyWriter) str(v string) {
 	}
 }
 
+// writeNode streams the rows of n's subtree in document order. open is the
+// innermost element whose end tag is still due; it is written when the scan
+// reaches the element's subtree end, and the parent rank leads to the next.
 func writeNode(w *stickyWriter, n *Node) {
-	switch n.Kind {
-	case KindDocument:
-		for _, c := range n.Children {
-			writeNode(w, c)
-		}
-	case KindText:
-		w.str(EscapeText(n.Data))
-	case KindAttribute:
-		w.str(n.Name)
-		w.str(`="`)
-		w.str(EscapeAttr(n.Data))
-		w.str(`"`)
-	case KindElement:
-		w.str("<")
-		w.str(n.Name)
-		for _, a := range n.Attrs {
-			w.str(" ")
-			writeNode(w, a)
-		}
-		if len(n.Children) == 0 {
-			w.str("/>")
-			return
-		}
-		w.str(">")
-		for _, c := range n.Children {
-			writeNode(w, c)
-		}
+	if n.kind == KindAttribute {
+		writeAttr(w, n)
+		return
+	}
+	nodes := n.tab.nodes
+	var open *Node
+	closeOpen := func() {
 		w.str("</")
-		w.str(n.Name)
+		w.str(open.Name())
 		w.str(">")
+		if open == n || nodes[open.parent].kind != KindElement {
+			open = nil
+		} else {
+			open = &nodes[open.parent]
+		}
+	}
+	for i := n.pre; i < n.end; i++ {
+		for open != nil && open.end == i {
+			closeOpen()
+		}
+		switch c := &nodes[i]; c.kind {
+		case KindText:
+			w.str(EscapeText(c.Data()))
+		case KindElement:
+			w.str("<")
+			w.str(c.Name())
+			for i+1 < c.end && nodes[i+1].kind == KindAttribute {
+				i++
+				w.str(" ")
+				writeAttr(w, &nodes[i])
+			}
+			if i+1 == c.end {
+				w.str("/>")
+			} else {
+				w.str(">")
+				open = c
+			}
+		}
+	}
+	for open != nil {
+		closeOpen()
 	}
 }
+
+func writeAttr(w *stickyWriter, a *Node) {
+	w.str(a.Name())
+	w.str(`="`)
+	w.str(EscapeAttr(a.Data()))
+	w.str(`"`)
+}
+
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
 
 // EscapeText escapes character data for element content.
 func EscapeText(s string) string {
 	if !strings.ContainsAny(s, "&<>") {
 		return s
 	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+	return textEscaper.Replace(s)
 }
 
 // EscapeAttr escapes character data for attribute values.
@@ -143,6 +172,5 @@ func EscapeAttr(s string) string {
 	if !strings.ContainsAny(s, `&<>"`) {
 		return s
 	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	return attrEscaper.Replace(s)
 }

@@ -11,11 +11,34 @@ import (
 // serialization reproduces the same tree (names, text, attributes,
 // document-order ranks).
 
-func randDoc(rng *rand.Rand) *Document {
-	b := NewBuilder("rand.xml")
-	var build func(depth int)
+// refNode is the straightforward pointer tree the table is checked against:
+// what the random generator draws, and what a Builder is then fed.
+type refNode struct {
+	kind   Kind
+	name   string
+	data   string
+	attrs  []*refNode
+	kids   []*refNode
+	parent *refNode
+	order  int
+}
+
+func (r *refNode) add(c *refNode) *refNode {
+	c.parent = r
+	if c.kind == KindAttribute {
+		r.attrs = append(r.attrs, c)
+	} else {
+		r.kids = append(r.kids, c)
+	}
+	return c
+}
+
+// randTree draws a document. With adjacentText it also draws what a parser
+// never produces but a Builder accepts: adjacent and empty text nodes.
+func randTree(rng *rand.Rand, adjacentText bool) *refNode {
 	names := []string{"a", "b", "c", "item", "x1"}
-	build = func(depth int) {
+	var fill func(e *refNode, depth int)
+	fill = func(e *refNode, depth int) {
 		n := rng.Intn(4)
 		if depth > 3 {
 			n = 0
@@ -26,43 +49,83 @@ func randDoc(rng *rand.Rand) *Document {
 			case 0:
 				// Adjacent text siblings would merge on reparse; emit text
 				// only after an element (or at the start).
-				if lastWasText {
+				if lastWasText && !adjacentText {
 					continue
 				}
-				b.Text("t" + string(rune('a'+rng.Intn(26))))
+				data := "t" + string(rune('a'+rng.Intn(26)))
+				if adjacentText && rng.Intn(4) == 0 {
+					data = ""
+				}
+				e.add(&refNode{kind: KindText, data: data})
 				lastWasText = true
 			default:
 				lastWasText = false
-				name := names[rng.Intn(len(names))]
-				b.Begin(name)
-				if rng.Intn(3) == 0 {
-					b.Attrib("k", "v"+string(rune('0'+rng.Intn(10))))
+				c := e.add(&refNode{kind: KindElement, name: names[rng.Intn(len(names))]})
+				for _, k := range []string{"k", "x1", "id"}[:rng.Intn(4)] {
+					if rng.Intn(2) == 0 {
+						c.add(&refNode{kind: KindAttribute, name: k, data: "v" + string(rune('0'+rng.Intn(10)))})
+					}
 				}
-				build(depth + 1)
-				b.End()
+				fill(c, depth+1)
 			}
 		}
 	}
-	b.Begin("root")
-	build(0)
-	b.End()
+	doc := &refNode{kind: KindDocument}
+	fill(doc.add(&refNode{kind: KindElement, name: "root"}), 0)
+	return doc
+}
+
+// build feeds the reference tree to a Builder.
+func build(doc *refNode, uri string) *Document {
+	b := NewBuilder(uri)
+	var emit func(r *refNode)
+	emit = func(r *refNode) {
+		for _, c := range r.kids {
+			if c.kind == KindText {
+				b.Text(c.data)
+				continue
+			}
+			b.Begin(c.name)
+			for _, a := range c.attrs {
+				b.Attrib(a.name, a.data)
+			}
+			emit(c)
+			b.End()
+		}
+	}
+	emit(doc)
 	return b.Done()
 }
 
+func randDoc(rng *rand.Rand) *Document { return build(randTree(rng, false), "rand.xml") }
+
+// kids and attrs list a node's children and attributes through the
+// navigation accessors.
+func kids(n *Node) []*Node {
+	var out []*Node
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+		out = append(out, c)
+	}
+	return out
+}
+
+func attrs(n *Node) []*Node { return n.AppendAttrs(nil) }
+
 func sameTree(a, b *Node) bool {
-	if a.Kind != b.Kind || a.Name != b.Name || a.Data != b.Data {
+	if a.Kind() != b.Kind() || a.Name() != b.Name() || a.Data() != b.Data() {
 		return false
 	}
-	if len(a.Children) != len(b.Children) || len(a.Attrs) != len(b.Attrs) {
+	ak, bk, aa, ba := kids(a), kids(b), attrs(a), attrs(b)
+	if len(ak) != len(bk) || len(aa) != len(ba) {
 		return false
 	}
-	for i := range a.Attrs {
-		if a.Attrs[i].Name != b.Attrs[i].Name || a.Attrs[i].Data != b.Attrs[i].Data {
+	for i := range aa {
+		if aa[i].Name() != ba[i].Name() || aa[i].Data() != ba[i].Data() {
 			return false
 		}
 	}
-	for i := range a.Children {
-		if !sameTree(a.Children[i], b.Children[i]) {
+	for i := range ak {
+		if !sameTree(ak[i], bk[i]) {
 			return false
 		}
 	}
@@ -109,11 +172,11 @@ func TestRoundTripPreservesOrderRanks(t *testing.T) {
 	last := -1
 	var walk func(n *Node) bool
 	walk = func(n *Node) bool {
-		if n.Order <= last {
+		if n.Order() <= last {
 			return false
 		}
-		last = n.Order
-		for _, c := range n.Children {
+		last = n.Order()
+		for _, c := range kids(n) {
 			if !walk(c) {
 				return false
 			}

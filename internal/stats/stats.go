@@ -106,21 +106,36 @@ func Analyze(d *dom.Document) *DocStats { return AnalyzeVisit(d, nil) }
 // measuring: the index builder uses it when persisted statistics (a NALB2
 // store record) make re-measuring redundant.
 func Walk(d *dom.Document, v Visitor) {
-	var walk func(n *dom.Node, prefix string)
-	walk = func(n *dom.Node, prefix string) {
-		for _, c := range n.Children {
-			if c.Kind != dom.KindElement {
-				continue
-			}
-			path := prefix + "/" + c.Name
-			v.VisitElem(path, c)
-			for _, at := range c.Attrs {
-				v.VisitAttr(path+"/@"+at.Name, at)
-			}
-			walk(c, path)
+	walkElems(d, func(path string, c *dom.Node) {
+		v.VisitElem(path, c)
+		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
+			v.VisitAttr(path+"/@"+at.Name(), at)
 		}
+	})
+}
+
+// walkElems calls fn for every element of d, in document order, with the
+// element's absolute path. It is one scan of the document's ranks: the
+// stack holds the open elements' subtree ends and paths, so nesting depth
+// costs slice entries, not call frames.
+func walkElems(d *dom.Document, fn func(path string, c *dom.Node)) {
+	type open struct {
+		end  int
+		path string
 	}
-	walk(d.Root, "")
+	stack := []open{{end: d.NumNodes()}}
+	for i := 1; i < d.NumNodes(); i++ {
+		c := d.Node(i)
+		if c.Kind() != dom.KindElement {
+			continue
+		}
+		for i >= stack[len(stack)-1].end {
+			stack = stack[:len(stack)-1]
+		}
+		path := stack[len(stack)-1].path + "/" + c.Name()
+		fn(path, c)
+		stack = append(stack, open{end: c.End(), path: path})
+	}
 }
 
 // pathAcc is the per-path accumulator of one walk.
@@ -141,51 +156,42 @@ func AnalyzeVisit(d *dom.Document, v Visitor) *DocStats {
 	acc := func(path string, n *dom.Node) *pathAcc {
 		a := accs[path]
 		if a == nil {
-			a = &pathAcc{st: &PathStats{Path: path, FirstOrder: n.Order}, numeric: true}
+			a = &pathAcc{st: &PathStats{Path: path, FirstOrder: n.Order()}, numeric: true}
 			accs[path] = a
 			s.byPath[path] = a.st
 			s.Paths = append(s.Paths, a.st)
 		}
 		a.st.Count++
-		a.st.LastOrder = n.Order
+		a.st.LastOrder = n.Order()
 		return a
 	}
-	var walk func(n *dom.Node, prefix string)
-	walk = func(n *dom.Node, prefix string) {
-		for _, c := range n.Children {
-			if c.Kind != dom.KindElement {
-				continue
-			}
-			path := prefix + "/" + c.Name
-			s.Elements++
-			a := acc(path, c)
-			if v != nil {
-				v.VisitElem(path, c)
-			}
-			for _, at := range c.Attrs {
-				apath := path + "/@" + at.Name
-				aa := acc(apath, at)
-				aa.value(at.Data)
-				if v != nil {
-					v.VisitAttr(apath, at)
-				}
-			}
-			elemKids := int64(0)
-			for _, cc := range c.Children {
-				if cc.Kind == dom.KindElement {
-					elemKids++
-				}
-			}
-			a.fanout += elemKids
-			if elemKids > 0 {
-				a.notLeaf = true
-			} else {
-				a.value(c.StringValue())
-			}
-			walk(c, path)
+	walkElems(d, func(path string, c *dom.Node) {
+		s.Elements++
+		a := acc(path, c)
+		if v != nil {
+			v.VisitElem(path, c)
 		}
-	}
-	walk(d.Root, "")
+		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
+			apath := path + "/@" + at.Name()
+			aa := acc(apath, at)
+			aa.value(at.Data())
+			if v != nil {
+				v.VisitAttr(apath, at)
+			}
+		}
+		elemKids := int64(0)
+		for cc := c.FirstChild(); cc != nil; cc = cc.NextSibling() {
+			if cc.Kind() == dom.KindElement {
+				elemKids++
+			}
+		}
+		a.fanout += elemKids
+		if elemKids > 0 {
+			a.notLeaf = true
+		} else {
+			a.value(c.StringValue())
+		}
+	})
 	for _, a := range accs {
 		if a.st.Count > 0 {
 			a.st.AvgFanout = float64(a.fanout) / float64(a.st.Count)

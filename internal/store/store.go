@@ -20,6 +20,11 @@
 // numeric extremes follow). Floats serialize as IEEE-754 bits. Load accepts
 // both versions — a version-1 file simply carries no statistics and the
 // engine recomputes them. Unknown magics are rejected.
+//
+// Load is a trust boundary: every length and count in a file is a claim.
+// Strings are read in bounded steps, the path list grows as records decode
+// and nesting depth is kept in a slice, so a load allocates a small multiple
+// of the bytes actually present and every failure is a "store:" error.
 package store
 
 import (
@@ -29,6 +34,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"nalquery/internal/dom"
 	"nalquery/internal/stats"
@@ -51,6 +57,9 @@ const maxPaths = 1 << 24
 // maxString guards against corrupt length prefixes.
 const maxString = 1 << 28
 
+// readStep bounds how far a string read allocates ahead of the bytes present.
+const readStep = 64 << 10
+
 // Save writes a document in version-1 binary form (no statistics).
 func Save(w io.Writer, d *dom.Document) error { return save(w, d, nil) }
 
@@ -72,7 +81,7 @@ func save(w io.Writer, d *dom.Document, st *stats.DocStats) error {
 	}
 	enc := encoder{w: bw}
 	enc.str(d.URI)
-	enc.node(d.Root)
+	enc.doc(d)
 	if st != nil {
 		enc.stats(st)
 	}
@@ -102,7 +111,7 @@ func LoadStats(r io.Reader) (*dom.Document, *stats.DocStats, error) {
 	if string(head) != magic && !v2 {
 		return nil, nil, fmt.Errorf("store: bad magic %q (not a nalquery binary document)", head)
 	}
-	dec := decoder{r: br}
+	dec := decoder{r: br, names: map[string]string{}}
 	uri := dec.str()
 	b := dom.NewBuilder(uri)
 	// The root record must be a document node; its children recurse.
@@ -119,10 +128,7 @@ func LoadStats(r io.Reader) (*dom.Document, *stats.DocStats, error) {
 	if nattrs != 0 {
 		return nil, nil, fmt.Errorf("store: document node with attributes")
 	}
-	nchildren := dec.u64()
-	for i := uint64(0); i < nchildren && dec.err == nil; i++ {
-		dec.child(b)
-	}
+	dec.children(b, dec.u64())
 	if dec.err != nil {
 		return nil, nil, dec.err
 	}
@@ -221,27 +227,40 @@ func (e *encoder) stats(st *stats.DocStats) {
 	}
 }
 
-func (e *encoder) node(n *dom.Node) {
-	if e.err != nil {
-		return
-	}
-	e.u64(uint64(n.Kind))
-	e.str(n.Name)
-	e.str(n.Data)
-	e.u64(uint64(len(n.Attrs)))
-	for _, a := range n.Attrs {
-		e.str(a.Name)
-		e.str(a.Data)
-	}
-	e.u64(uint64(len(n.Children)))
-	for _, c := range n.Children {
-		e.node(c)
+// doc writes the node records of d. The format has no end markers — every
+// record states its attribute and child counts up front — so pre-order
+// records are one scan of the document's ranks.
+func (e *encoder) doc(d *dom.Document) {
+	for i := 0; i < d.NumNodes() && e.err == nil; i++ {
+		n := d.Node(i)
+		if n.Kind() == dom.KindAttribute {
+			continue // written with its owner
+		}
+		e.u64(uint64(n.Kind()))
+		e.str(n.Name())
+		e.str(n.Data())
+		nattrs := 0
+		for a := n.FirstAttr(); a != nil; a = a.NextSibling() {
+			nattrs++
+		}
+		e.u64(uint64(nattrs))
+		for a := n.FirstAttr(); a != nil; a = a.NextSibling() {
+			e.str(a.Name())
+			e.str(a.Data())
+		}
+		nchildren := 0
+		for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+			nchildren++
+		}
+		e.u64(uint64(nchildren))
 	}
 }
 
 type decoder struct {
-	r   *bufio.Reader
-	err error
+	r     *bufio.Reader
+	err   error
+	buf   []byte            // the last bytes() result, reused by the next
+	names map[string]string // element and attribute names seen so far
 }
 
 func (d *decoder) u64() uint64 {
@@ -255,21 +274,45 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) str() string {
+// bytes reads a length-prefixed string into the decoder's scratch buffer;
+// the result is valid until the next call. The length prefix is untrusted:
+// the buffer grows by at most readStep ahead of the bytes that have actually
+// arrived, so a short file with a huge prefix fails on EOF having allocated
+// a small multiple of its own size.
+func (d *decoder) bytes() []byte {
 	n := d.u64()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxString {
 		d.err = fmt.Errorf("store: string length %d exceeds limit", n)
-		return ""
+		return nil
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = fmt.Errorf("store: %w", err)
-		return ""
+	d.buf = d.buf[:0]
+	for rem := int(n); rem > 0; {
+		have, step := len(d.buf), min(rem, readStep)
+		d.buf = slices.Grow(d.buf, step)[:have+step]
+		if _, err := io.ReadFull(d.r, d.buf[have:]); err != nil {
+			d.err = fmt.Errorf("store: %w", err)
+			return nil
+		}
+		rem -= step
 	}
-	return string(buf)
+	return d.buf
+}
+
+func (d *decoder) str() string { return string(d.bytes()) }
+
+// name reads a string that repeats across records — an element or attribute
+// name — and returns the one copy kept of it.
+func (d *decoder) name() string {
+	b := d.bytes()
+	s, ok := d.names[string(b)]
+	if !ok {
+		s = string(b)
+		d.names[s] = s
+	}
+	return s
 }
 
 func (d *decoder) stats(uri string) *stats.DocStats {
@@ -282,7 +325,8 @@ func (d *decoder) stats(uri string) *stats.DocStats {
 		d.err = fmt.Errorf("store: path count %d exceeds limit", npaths)
 		return nil
 	}
-	paths := make([]*stats.PathStats, 0, npaths)
+	// npaths is untrusted: paths grows as records actually decode.
+	var paths []*stats.PathStats
 	for i := uint64(0); i < npaths && d.err == nil; i++ {
 		p := &stats.PathStats{Path: d.str()}
 		p.Count = int64(d.u64())
@@ -309,43 +353,56 @@ func (d *decoder) stats(uri string) *stats.DocStats {
 	return stats.FromPaths(uri, int64(elements), paths)
 }
 
-// child decodes one element or text record into the builder.
-func (d *decoder) child(b *dom.Builder) {
-	kind := dom.Kind(d.u64())
-	name := d.str()
-	data := d.str()
-	nattrs := d.u64()
-	if d.err != nil {
-		return
-	}
-	switch kind {
-	case dom.KindElement:
-		b.Begin(name)
-		for i := uint64(0); i < nattrs && d.err == nil; i++ {
-			an := d.str()
-			av := d.str()
-			if d.err == nil {
-				b.Attrib(an, av)
+// children decodes the records of n sibling nodes, and of their descendants,
+// into the builder. pending holds, per open node, how many of its children
+// are still to come, so nesting depth — which a hostile file controls —
+// costs slice entries, not call frames.
+func (d *decoder) children(b *dom.Builder, n uint64) {
+	pending := []uint64{n}
+	for d.err == nil {
+		top := len(pending) - 1
+		if pending[top] == 0 {
+			if top == 0 {
+				break
 			}
-		}
-		nchildren := d.u64()
-		for i := uint64(0); i < nchildren && d.err == nil; i++ {
-			d.child(b)
-		}
-		if d.err == nil {
+			pending = pending[:top]
 			b.End()
+			continue
 		}
-	case dom.KindText:
-		if nattrs != 0 {
-			d.err = fmt.Errorf("store: text node with attributes")
+		pending[top]--
+		kind := dom.Kind(d.u64())
+		name := d.name()
+		data := d.bytes()
+		nattrs := d.u64()
+		if d.err != nil {
 			return
 		}
-		if d.u64() != 0 { // children
-			d.err = fmt.Errorf("store: text node with children")
-			return
+		switch kind {
+		case dom.KindElement:
+			b.Begin(name)
+			for i := uint64(0); i < nattrs && d.err == nil; i++ {
+				an := d.name()
+				av := d.bytes()
+				if d.err == nil {
+					b.AttribBytes(an, av)
+				}
+			}
+			pending = append(pending, d.u64())
+		case dom.KindText:
+			if nattrs != 0 {
+				d.err = fmt.Errorf("store: text node with attributes")
+				return
+			}
+			if d.u64() != 0 { // children
+				d.err = fmt.Errorf("store: text node with children")
+				return
+			}
+			b.TextBytes(data)
+		default:
+			d.err = fmt.Errorf("store: unexpected node kind %d", kind)
 		}
-		b.Text(data)
-	default:
-		d.err = fmt.Errorf("store: unexpected node kind %d", kind)
+	}
+	if err := b.Err(); d.err == nil && err != nil {
+		d.err = fmt.Errorf("store: %w", err)
 	}
 }

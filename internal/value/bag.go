@@ -43,9 +43,9 @@ func deepKey(v Value, sb *strings.Builder) {
 	case NodeVal:
 		sb.WriteString("N:")
 		if w.Node != nil {
-			sb.WriteString(strconv.Itoa(w.Node.Order))
+			sb.WriteString(strconv.Itoa(w.Node.Order()))
 			sb.WriteByte(':')
-			sb.WriteString(w.Node.Name)
+			sb.WriteString(w.Node.Name())
 		}
 	case Seq:
 		sb.WriteString("[")

@@ -152,8 +152,6 @@ func TestBoxFreeReadersDoNotAllocate(t *testing.T) {
 	nodes := textNodes(t)
 	n, seq := Value(NodeVal{Node: nodes[2]}), Value(Seq{NodeVal{Node: nodes[0]}, NodeVal{Node: nodes[2]}})
 	str := Value(Str("abc"))
-	nodes[0].StringValue() // the one-time string-value caches are not the readers'
-	nodes[2].StringValue()
 	for name, fn := range map[string]func(){
 		"GeneralCompare item/seq": func() { GeneralCompare(str, seq, CmpEq) },
 		"GeneralCompare seq/seq":  func() { GeneralCompare(seq, seq, CmpLt) },

@@ -108,9 +108,9 @@ func (n NodeVal) String() string {
 	if n.Node == nil {
 		return ""
 	}
-	switch n.Node.Kind {
+	switch n.Node.Kind() {
 	case dom.KindAttribute, dom.KindText:
-		return n.Node.Data
+		return n.Node.Data()
 	default:
 		return dom.XMLString(n.Node)
 	}

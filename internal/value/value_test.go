@@ -96,7 +96,7 @@ func TestNodeValString(t *testing.T) {
 	if nv.String() != "<a>hi</a>" {
 		t.Fatalf("element NodeVal serializes, got %q", nv.String())
 	}
-	txt := NodeVal{Node: a.Children[0]}
+	txt := NodeVal{Node: a.FirstChild()}
 	if txt.String() != "hi" {
 		t.Fatalf("text NodeVal is its data, got %q", txt.String())
 	}

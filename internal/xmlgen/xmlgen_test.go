@@ -12,8 +12,8 @@ func TestBibStructure(t *testing.T) {
 	cfg.AuthorsPerBook = 3
 	d := Bib(cfg)
 	root := d.RootElement()
-	if root.Name != "bib" {
-		t.Fatalf("root: %s", root.Name)
+	if root.Name() != "bib" {
+		t.Fatalf("root: %s", root.Name())
 	}
 	books := root.ChildElements("book")
 	if len(books) != 50 {
@@ -170,7 +170,7 @@ func TestDBLPHasAuthorsWithoutBooks(t *testing.T) {
 	for _, pub := range root.ChildElements("") {
 		for _, a := range pub.ChildElements("author") {
 			allAuthors[a.StringValue()] = true
-			if pub.Name == "book" {
+			if pub.Name() == "book" {
 				bookAuthors[a.StringValue()] = true
 			}
 		}

@@ -25,8 +25,8 @@ func refEval(p Path, ctx value.Value) []*dom.Node {
 			case AxisDescendant:
 				sel = refDescendants(n, st.Name)
 			case AxisAttribute:
-				for _, a := range n.Attrs {
-					if st.Name == "" || a.Name == st.Name {
+				for a := n.FirstAttr(); a != nil; a = a.NextSibling() {
+					if st.Name == "" || a.Name() == st.Name {
 						sel = append(sel, a)
 					}
 				}
@@ -70,11 +70,11 @@ func refContext(v value.Value) []*dom.Node {
 
 func refDescendants(n *dom.Node, name string) []*dom.Node {
 	var out []*dom.Node
-	for _, c := range n.Children {
-		if c.Kind != dom.KindElement {
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+		if c.Kind() != dom.KindElement {
 			continue
 		}
-		if name == "" || c.Name == name {
+		if name == "" || c.Name() == name {
 			out = append(out, c)
 		}
 		out = append(out, refDescendants(c, name)...)
@@ -93,9 +93,9 @@ func TestEvalMatchesStepDefinition(t *testing.T) {
 		names := map[string]bool{}
 		attrs := map[string]bool{}
 		for _, e := range elems {
-			names[e.Name] = true
-			for _, a := range e.Attrs {
-				attrs[a.Name] = true
+			names[e.Name()] = true
+			for a := e.FirstAttr(); a != nil; a = a.NextSibling() {
+				attrs[a.Name()] = true
 			}
 		}
 		// Every axis × {no predicate, [1], [2], [last()], past the end} ×

@@ -254,16 +254,12 @@ func appendStep(dst []*dom.Node, n *dom.Node, st Step) []*dom.Node {
 	start := len(dst)
 	switch st.Axis {
 	case AxisChild:
-		for _, c := range n.Children {
-			if c.Kind == dom.KindElement && (st.Name == "" || c.Name == st.Name) {
-				dst = append(dst, c)
-			}
-		}
+		dst = n.AppendChildElements(st.Name, dst)
 	case AxisDescendant:
 		dst = n.Descendants(st.Name, dst)
 	case AxisAttribute:
 		if st.Name == "" {
-			dst = append(dst, n.Attrs...)
+			dst = n.AppendAttrs(dst)
 		} else if a := n.Attr(st.Name); a != nil {
 			dst = append(dst, a)
 		}
@@ -291,6 +287,9 @@ func dedupeDocOrder(nodes []*dom.Node) []*dom.Node {
 	if len(nodes) < 2 {
 		return nodes
 	}
+	// dom.SortDocOrder's body, not a call to it: inlined across the package
+	// boundary the generic sort is opaque to escape analysis, which would
+	// move Eval's two stack buffers to the heap (TestEvalAllocations).
 	slices.SortStableFunc(nodes, dom.CompareOrder)
 	out := nodes[:1]
 	for _, n := range nodes[1:] {

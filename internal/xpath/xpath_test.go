@@ -25,7 +25,7 @@ func names(v value.Seq) []string {
 	var out []string
 	for _, item := range v {
 		n := item.(value.NodeVal).Node
-		out = append(out, n.Name)
+		out = append(out, n.Name())
 	}
 	return out
 }

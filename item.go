@@ -210,7 +210,7 @@ func (v Value) Float() (float64, bool) {
 // for every other kind (or unnamed node kinds like text).
 func (v Value) NodeName() string {
 	if w, isn := v.v.(value.NodeVal); isn && w.Node != nil {
-		return w.Node.Name
+		return w.Node.Name()
 	}
 	return ""
 }
