@@ -8,19 +8,81 @@ import (
 // attribute references become slot reads, so the per-tuple cost of σ, χ, Υ
 // and Ξ drops from map lookups (and the env.Concat map rebuild) to slice
 // indexing. Nested algebraic expressions — the nested-loop strategy the
-// unnesting equivalences remove — stay on the definitional evaluator behind
-// an environment shim: they are exactly the slow path whose cost the paper
-// measures, and compiling them away would change what the benchmarks
-// compare.
+// unnesting equivalences remove — compile too: the inner plan was resolved
+// with the plan (Node.subs) and is opened on this engine once per outer
+// tuple, with env ◦ row as its environment, and materialized in full before
+// f is applied or the quantifier's predicate tested — the work the
+// definitional Eval does, so both count the same tuples and scans.
 
 // RowExpr is a slot-compiled expression, evaluated against one row.
 type RowExpr func(ctx *Ctx, r value.Row) value.Value
 
-// compileExpr compiles e against the input schema sc; env carries the
-// bindings of free variables of the enclosing plan execution (fixed for the
-// lifetime of one iterator tree, so free references resolve at compile
-// time).
-func compileExpr(e Expr, sc Schema, env value.Tuple) RowExpr {
+// scope is what a subscript compiles against: the schema of the rows it
+// reads, the bindings of the free variables of the enclosing open (fixed for
+// the lifetime of one iterator tree, so free references resolve at compile
+// time), and the resolved plans its nested algebraic expressions take, one
+// after the other in planList order.
+type scope struct {
+	sc   Schema
+	env  value.Tuple
+	subs []*Node
+}
+
+// scope starts compiling the operator's subscripts against rows of sc.
+func (n *Node) scope(sc Schema, env value.Tuple) scope {
+	return scope{sc: sc, env: env, subs: n.subs}
+}
+
+// sub takes the resolved plan of the next nested algebraic expression.
+func (c *scope) sub() *Node {
+	n := c.subs[0]
+	c.subs = c.subs[1:]
+	return n
+}
+
+// seqFn compiles f for application to member rows, once per outer row. The
+// sub-plans in f's predicates are set aside for it and c continues behind
+// them. The applier is compiled once per member layout — the payloads of one
+// operator share theirs — unless f reads the outer row: then it closes over
+// env ◦ row and is compiled for each.
+func (c *scope) seqFn(f SeqFunc) func(*Ctx, value.Row, *value.Layout, []value.Row) value.Value {
+	var l planList
+	l.fn(f)
+	at := *c
+	c.subs = c.subs[len(l.plans):]
+	free := map[string]bool{}
+	f.FreeVars(free)
+	perRow := false
+	for name := range free {
+		perRow = perRow || c.sc.Lay.Has(name)
+	}
+	var lay *value.Layout
+	var apply rowsFunc
+	return func(ctx *Ctx, r value.Row, members *value.Layout, rows []value.Row) value.Value {
+		if perRow || members != lay {
+			fc := at
+			if perRow {
+				fc.env = rowEnv(at.env, r)
+			}
+			lay, apply = members, fc.applier(f, members)
+		}
+		return apply(ctx, rows)
+	}
+}
+
+// exprOver compiles e against rows of another schema, taking sub-plans from
+// the same list.
+func (c *scope) exprOver(sc Schema, e Expr) RowExpr {
+	outer := c.sc
+	c.sc = sc
+	out := c.expr(e)
+	c.sc = outer
+	return out
+}
+
+// expr compiles e against the scope's schema.
+func (c *scope) expr(e Expr) RowExpr {
+	sc, env := c.sc, c.env
 	switch w := e.(type) {
 	case Var:
 		if slot, ok := sc.Lay.Slot(w.Name); ok {
@@ -53,26 +115,26 @@ func compileExpr(e Expr, sc Schema, env value.Tuple) RowExpr {
 		return func(ctx *Ctx, _ value.Row) value.Value { return w.Eval(ctx, nil) }
 
 	case PathOf:
-		in := compileExpr(w.Input, sc, env)
+		in := c.expr(w.Input)
 		return func(ctx *Ctx, r value.Row) value.Value { return w.Path.Eval(in(ctx, r)) }
 
 	case CmpExpr:
-		l := compileExpr(w.L, sc, env)
-		rr := compileExpr(w.R, sc, env)
+		l := c.expr(w.L)
+		rr := c.expr(w.R)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			return value.Bool(value.GeneralCompare(l(ctx, r), rr(ctx, r), w.Op))
 		}
 
 	case InExpr:
-		item := compileExpr(w.Item, sc, env)
-		seq := compileExpr(w.Seq, sc, env)
+		item := c.expr(w.Item)
+		seq := c.expr(w.Seq)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			return value.Bool(value.Member(item(ctx, r), seq(ctx, r)))
 		}
 
 	case AndExpr:
-		l := compileExpr(w.L, sc, env)
-		rr := compileExpr(w.R, sc, env)
+		l := c.expr(w.L)
+		rr := c.expr(w.R)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			if !value.EffectiveBool(l(ctx, r)) {
 				return value.Bool(false)
@@ -81,8 +143,8 @@ func compileExpr(e Expr, sc Schema, env value.Tuple) RowExpr {
 		}
 
 	case OrExpr:
-		l := compileExpr(w.L, sc, env)
-		rr := compileExpr(w.R, sc, env)
+		l := c.expr(w.L)
+		rr := c.expr(w.R)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			if value.EffectiveBool(l(ctx, r)) {
 				return value.Bool(true)
@@ -91,15 +153,15 @@ func compileExpr(e Expr, sc Schema, env value.Tuple) RowExpr {
 		}
 
 	case NotExpr:
-		in := compileExpr(w.E, sc, env)
+		in := c.expr(w.E)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			return value.Bool(!value.EffectiveBool(in(ctx, r)))
 		}
 
 	case CondExpr:
-		cond := compileExpr(w.If, sc, env)
-		then := compileExpr(w.Then, sc, env)
-		els := compileExpr(w.Else, sc, env)
+		cond := c.expr(w.If)
+		then := c.expr(w.Then)
+		els := c.expr(w.Else)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			if value.EffectiveBool(cond(ctx, r)) {
 				return then(ctx, r)
@@ -108,8 +170,8 @@ func compileExpr(e Expr, sc Schema, env value.Tuple) RowExpr {
 		}
 
 	case ArithExpr:
-		l := compileExpr(w.L, sc, env)
-		rr := compileExpr(w.R, sc, env)
+		l := c.expr(w.L)
+		rr := c.expr(w.R)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			return evalArith(w.Op, l(ctx, r), rr(ctx, r))
 		}
@@ -117,7 +179,7 @@ func compileExpr(e Expr, sc Schema, env value.Tuple) RowExpr {
 	case Call:
 		args := make([]RowExpr, len(w.Args))
 		for i, a := range w.Args {
-			args[i] = compileExpr(a, sc, env)
+			args[i] = c.expr(a)
 		}
 		// The argument buffer is reused across invocations: evalBuiltin never
 		// retains the slice, and argument evaluation cannot re-enter this
@@ -131,65 +193,100 @@ func compileExpr(e Expr, sc Schema, env value.Tuple) RowExpr {
 		}
 
 	case BindTuples:
-		in := compileExpr(w.E, sc, env)
+		in := c.expr(w.E)
 		lay := value.NewLayout(w.Attr)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			return value.BindRowSeqLay(lay, value.AsSeq(in(ctx, r)))
 		}
 
 	case AggOfAttr:
-		attr := compileExpr(w.Attr, sc, env)
-		if fnNeedsRowEnv(w.F, sc, exprNested(w.Attr, sc)) {
-			// Free variables of f resolve from the current row: materialize
-			// env ◦ row (the environment shim — not a data-path map tuple).
-			// The applier closes over that per-row environment, so there is
-			// nothing to cache across rows.
-			return func(ctx *Ctx, r value.Row) value.Value {
-				switch ts := attr(ctx, r).(type) {
-				case value.TupleSeq:
-					return w.F.Apply(ctx, rowEnv(env, r), ts)
-				case value.RowSeq:
-					return applyFnRowSeq(ctx, rowEnv(env, r), w.F, ts)
-				}
+		attr := c.expr(w.Attr)
+		apply := c.seqFn(w.F)
+		_, id := w.F.(SFIdent)
+		var buf []value.Row // no function keeps it: id is the payload itself
+		return func(ctx *Ctx, r value.Row) value.Value {
+			ts, ok := attr(ctx, r).(value.RowSeq)
+			if !ok {
 				return value.Null{}
 			}
-		}
-		// Payloads of one operator share a member layout: compile the
-		// applier once per layout, not once per outer row, and reuse the
-		// member buffer (no applier retains it — SFIdent, the one that
-		// would, returns the payload before delegation). Iterator trees
-		// evaluate single-threaded, so closure-local caching is safe.
-		var cachedLay *value.Layout
-		var cachedApply func(*Ctx, value.Tuple, []value.Row) value.Value
-		var rowBuf []value.Row
-		return func(ctx *Ctx, r value.Row) value.Value {
-			switch ts := attr(ctx, r).(type) {
-			case value.TupleSeq:
-				return w.F.Apply(ctx, env, ts)
-			case value.RowSeq:
-				switch w.F.(type) {
-				case SFIdent:
-					return ts
-				case SFCount:
-					return value.Int(int64(ts.Len()))
-				}
-				if ts.Lay() != cachedLay {
-					cachedLay = ts.Lay()
-					cachedApply = groupApplier(w.F, cachedLay, env)
-				}
-				rowBuf = rowSeqRows(ts, rowBuf[:0])
-				return cachedApply(ctx, env, rowBuf)
+			if id {
+				return ts
 			}
-			return value.Null{}
+			buf = rowSeqRows(ts, buf[:0])
+			return apply(ctx, r, ts.Lay(), buf)
 		}
 
-	default:
-		// Nested algebraic expressions (NestedApply, ExistsQ, ForallQ) and
-		// unknown extensions: materialize the row as an environment and run
-		// the definitional evaluator — the per-outer-tuple nested loop.
+	case NestedApply:
+		sub := c.sub()
+		apply := c.seqFn(w.F)
+		// id keeps the member slice as its payload; every other function
+		// reads it and lets go, so one buffer serves all outer rows.
+		_, keeps := w.F.(SFIdent)
+		var buf []value.Row
 		return func(ctx *Ctx, r value.Row) value.Value {
-			return e.Eval(ctx, rowEnv(env, r))
+			ctx.Stats.NestedEvals++
+			rows := sub.rows(ctx, rowEnv(env, r), buf[:0])
+			if !keeps {
+				buf = rows
+			}
+			return apply(ctx, r, sub.Schema.Lay, rows)
 		}
+
+	case ExistsQ:
+		return c.quantifier(w.Var, w.RangeAttr, w.Pred, true)
+	case ForallQ:
+		return c.quantifier(w.Var, w.RangeAttr, w.Pred, false)
+
+	default:
+		//nal:allow-panic unreachable: Node.resolve refuses a plan holding an expression outside this switch (planList.expr) before anything opens
+		panic("algebra: unresolved expression " + e.String())
+	}
+}
+
+// quantifier compiles ∃x ∈ range: p (exists) and ∀x ∈ range: p: per outer
+// row the range plan runs to its end under env ◦ row, then p is tested on
+// the outer row extended by x, range tuple by range tuple, until one decides.
+func (c *scope) quantifier(x, rangeAttr string, p Expr, exists bool) RowExpr {
+	sub := c.sub()
+	env := c.env
+	from, bound := sub.Schema.Lay.Slot(rangeAttr)
+	lay, to := c.sc.Lay.Extend(x)
+	pred := c.exprOver(Schema{Lay: lay,
+		Nested: nestedWith(c.sc.Nested, x, sub.Schema.nested(rangeAttr))}, p)
+	// The predicate reads slots and keeps nothing of the row it is tested
+	// on, so one probe row and one range buffer serve every outer row.
+	probe := make([]value.Value, lay.Width())
+	var buf []value.Row
+	return func(ctx *Ctx, r value.Row) value.Value {
+		ctx.Stats.NestedEvals++
+		buf = sub.rows(ctx, rowEnv(env, r), buf[:0])
+		copy(probe, r.Vals)
+		for _, t := range buf {
+			probe[to] = nil
+			if bound {
+				probe[to] = t.Vals[from]
+			}
+			if value.EffectiveBool(pred(ctx, value.Row{Lay: lay, Vals: probe})) == exists {
+				return value.Bool(exists)
+			}
+		}
+		return value.Bool(!exists)
+	}
+}
+
+// rows opens the resolved plan under env and appends everything it produces
+// to dst: the per-outer-tuple evaluation of a nested plan. Its operators
+// charge the budget and poll cancellation themselves; holding the result
+// charges nothing more, as in NestedApply.Eval.
+func (n *Node) rows(ctx *Ctx, env value.Tuple, dst []value.Row) []value.Row {
+	it := n.open(ctx, env)
+	for {
+		r, ok := it.Next()
+		if !ok {
+			it.Close()
+			return dst
+		}
+		dst = append(dst, r)
 	}
 }
 
@@ -224,8 +321,8 @@ func evalArith(op byte, lv, rv value.Value) value.Value {
 	}
 }
 
-// rowEnv materializes env ◦ row as a map tuple for the definitional
-// evaluator — only the nested-loop slow path pays this.
+// rowEnv materializes env ◦ row as the environment a nested plan opens
+// under — only the nested-loop path pays this, once per outer row.
 func rowEnv(env value.Tuple, r value.Row) value.Tuple {
 	out := make(value.Tuple, len(env)+len(r.Vals))
 	for k, v := range env {
@@ -240,24 +337,6 @@ func rowEnv(env value.Tuple, r value.Row) value.Tuple {
 	return out
 }
 
-// fnNeedsRowEnv reports whether a sequence function's free variables must be
-// satisfied from the current row (then Apply needs the materialized env ◦
-// row). Variables bound inside the group tuples (inner schema) shadow the
-// environment, so they never force materialization.
-func fnNeedsRowEnv(f SeqFunc, sc Schema, inner *Inner) bool {
-	free := map[string]bool{}
-	f.FreeVars(free)
-	for name := range free {
-		if inner != nil && inner.Lay != nil && inner.Lay.Has(name) {
-			continue
-		}
-		if sc.Lay.Has(name) {
-			return true
-		}
-	}
-	return false
-}
-
 // compiledCmd is one slot-compiled Ξ command.
 type compiledCmd struct {
 	lit   string
@@ -265,13 +344,13 @@ type compiledCmd struct {
 	isLit bool
 }
 
-func compileCommands(cs []Command, sc Schema, env value.Tuple) []compiledCmd {
+func (c *scope) commands(cs []Command) []compiledCmd {
 	out := make([]compiledCmd, len(cs))
-	for i, c := range cs {
-		if c.IsLit {
-			out[i] = compiledCmd{lit: c.Lit, isLit: true}
+	for i, cmd := range cs {
+		if cmd.IsLit {
+			out[i] = compiledCmd{lit: cmd.Lit, isLit: true}
 		} else {
-			out[i] = compiledCmd{e: compileExpr(c.E, sc, env)}
+			out[i] = compiledCmd{e: c.expr(cmd.E)}
 		}
 	}
 	return out
@@ -285,20 +364,6 @@ func execCompiled(ctx *Ctx, r value.Row, cs []compiledCmd) {
 		}
 		ctx.EmitValue(c.e(ctx, r))
 	}
-}
-
-// slotsOf resolves attribute names to slots under a layout; missing names
-// report ok=false (the caller falls back to name-based access).
-func slotsOf(lay *value.Layout, names []string) ([]int, bool) {
-	out := make([]int, len(names))
-	for i, n := range names {
-		s, ok := lay.Slot(n)
-		if !ok {
-			return nil, false
-		}
-		out[i] = s
-	}
-	return out, true
 }
 
 // rowKey computes the canonical grouping/join key of a row over slots. One-

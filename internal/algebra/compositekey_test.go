@@ -48,7 +48,7 @@ func TestCompositeKeysDoNotCollide(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := c.op.Eval(NewCtx(nil), nil)
-		got := RunIter(c.op, NewCtx(nil), nil)
+		got := RunIter(native(c.op), NewCtx(nil), nil)
 		if !value.TupleSeqEqual(want, got) {
 			t.Errorf("%s: Eval %s ≠ RunIter %s", c.name, want, got)
 		}

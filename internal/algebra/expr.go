@@ -180,21 +180,6 @@ type Stats struct {
 	// scans answered from a structural or value index instead of a
 	// document traversal.
 	IndexScans int64
-	// ShimOps counts operators the engine could not type and materialized
-	// through the definitional evaluator instead (evalIter) — inside a row
-	// tree or as the plan root. A fully native plan runs with ShimOps == 0,
-	// the property the partitioned-plans-resolve-natively tests and the
-	// generated-query sweep pin.
-	ShimOps int64
-	// MapTuples counts map tuples put on the row engine's data path: group
-	// payloads converted to TupleSeq for an uncompiled sequence function,
-	// and the tuples of a ShimOps fallback re-typed as rows. The
-	// public-API boundary (RunIter, iterator Next) and the environment shim
-	// of nested algebraic expressions — the deliberately-measured
-	// nested-loop strategy — are excluded. A plan whose nested data runs
-	// natively on RowSeq executes with MapTuples == 0, the property
-	// TestPaperPlansMapFree pins.
-	MapTuples int64
 }
 
 // NewCtx creates an evaluation context over the given documents, collecting
@@ -563,13 +548,9 @@ type AggOfAttr struct {
 
 // Eval implements Expr.
 func (a AggOfAttr) Eval(ctx *Ctx, env value.Tuple) value.Value {
-	switch ts := a.Attr.Eval(ctx, env).(type) {
-	case value.TupleSeq:
+	// TuplesOf admits both payload representations, like µ's Eval.
+	if ts, ok := value.TuplesOf(a.Attr.Eval(ctx, env)); ok {
 		return a.F.Apply(ctx, env, ts)
-	case value.RowSeq:
-		// Slot-backed payloads (reaching the definitional evaluator through
-		// an environment shim) apply without materializing map tuples.
-		return applyFnRowSeq(ctx, env, a.F, ts)
 	}
 	return value.Null{}
 }

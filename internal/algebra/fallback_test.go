@@ -55,15 +55,15 @@ func TestOuterJoinNonEquiFallback(t *testing.T) {
 func TestJoinIteratorNonEquiFallback(t *testing.T) {
 	op := Join{L: relR1(), R: relR2(), Pred: ltPred()}
 	a := op.Eval(NewCtx(nil), nil)
-	b := RunIter(op, NewCtx(nil), nil)
+	b := RunIter(native(op), NewCtx(nil), nil)
 	if !value.TupleSeqEqual(a, b) {
 		t.Fatalf("iterator non-equi fallback differs")
 	}
 }
 
-// TestXiSideEffectsOnceUnderIterator: pipeline breakers fall back to the
-// materialized evaluator inside the iterator tree; Ξ output must still be
-// emitted exactly once.
+// TestXiSideEffectsOnceUnderIterator: a pipeline breaker materializes its
+// input inside the iterator tree; Ξ output must still be emitted exactly
+// once.
 func TestXiSideEffectsOnceUnderIterator(t *testing.T) {
 	xi := XiGroup{
 		In: relR2(),
@@ -73,14 +73,14 @@ func TestXiSideEffectsOnceUnderIterator(t *testing.T) {
 		S3: []Command{LitCmd("]")},
 	}
 	ctx := NewCtx(nil)
-	DrainIter(xi, ctx, nil)
+	DrainIter(native(xi), ctx, nil)
 	if ctx.OutString() != "[23][45]" {
 		t.Fatalf("group Ξ under iterator: %q", ctx.OutString())
 	}
 	// Simple Ξ streams natively.
 	xs := XiSimple{In: relR1(), Cmds: []Command{ExprCmd(Var{Name: "A1"})}}
 	ctx2 := NewCtx(nil)
-	DrainIter(xs, ctx2, nil)
+	DrainIter(native(xs), ctx2, nil)
 	if ctx2.OutString() != "123" {
 		t.Fatalf("simple Ξ under iterator: %q", ctx2.OutString())
 	}

@@ -315,21 +315,6 @@ type SeqFunc interface {
 	FreeVars(dst map[string]bool)
 }
 
-// applyFnRowSeq applies a sequence function to a slot-backed group payload
-// without materializing map tuples, by compiling the function against the
-// payload's member layout (groupApplier) and running it over the members.
-// The per-call compilation is the dynamic-payload fallback; the compiled
-// AggOfAttr path caches the applier per layout instead.
-func applyFnRowSeq(ctx *Ctx, env value.Tuple, f SeqFunc, rs value.RowSeq) value.Value {
-	switch f.(type) {
-	case SFIdent:
-		return rs
-	case SFCount:
-		return value.Int(int64(rs.Len()))
-	}
-	return groupApplier(f, rs.Lay(), env)(ctx, env, rowSeqRows(rs, nil))
-}
-
 // rowSeqRows appends the members of a sequence to dst as rows.
 func rowSeqRows(rs value.RowSeq, dst []value.Row) []value.Row {
 	for i := 0; i < rs.Len(); i++ {

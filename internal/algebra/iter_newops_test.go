@@ -7,10 +7,8 @@ import (
 	"nalquery/internal/value"
 )
 
-// The iterator engine materializes operators without a streaming
-// decomposition through the definitional evaluator. These tests pin the
-// contract for the operators added after the original engine: RunIter must
-// agree with Eval exactly.
+// These tests pin the contract for the operators added after the original
+// engine: RunIter must agree with Eval exactly.
 
 // TestIterMatchesEvalNewOps: Sort (with directions) and the unordered
 // family agree across engines.
@@ -30,7 +28,7 @@ func TestIterMatchesEvalNewOps(t *testing.T) {
 		}
 		for _, op := range ops {
 			want := op.Eval(NewCtx(nil), nil)
-			got := RunIter(op, NewCtx(nil), nil)
+			got := RunIter(native(op), NewCtx(nil), nil)
 			if !value.TupleSeqEqual(want, got) {
 				return false
 			}
@@ -52,7 +50,7 @@ func TestIterUnnestMapPositions(t *testing.T) {
 	}
 	op := UnnestMap{In: in, Attr: "x", PosAttr: "i", E: Var{Name: "s"}}
 	want := op.Eval(NewCtx(nil), nil)
-	got := RunIter(op, NewCtx(nil), nil)
+	got := RunIter(native(op), NewCtx(nil), nil)
 	if !value.TupleSeqEqual(want, got) {
 		t.Fatalf("iterator Υ with positions differs:\n%v\nvs\n%v", got, want)
 	}

@@ -15,7 +15,7 @@ func iterMatches(t *testing.T, op Op) {
 	ctxM := NewCtx(nil)
 	want := op.Eval(ctxM, nil)
 	ctxI := NewCtx(nil)
-	got := RunIter(op, ctxI, nil)
+	got := RunIter(native(op), ctxI, nil)
 	if !value.TupleSeqEqual(want, got) {
 		t.Fatalf("iterator mismatch for %s:\nmaterialized: %s\niterator:     %s",
 			op.String(), want, got)
@@ -66,17 +66,17 @@ func TestIterUnnestMap(t *testing.T) {
 }
 
 func TestIterCloseIdempotent(t *testing.T) {
-	it := OpenIter(Select{In: relR1(), Pred: ConstVal{V: value.Bool(true)}}, NewCtx(nil), nil)
-	it.Close()
-	it.Close()
+	p := Resolve(native(Select{In: relR1(), Pred: ConstVal{V: value.Bool(true)}})).Pump(NewCtx(nil), nil)
+	p.Close()
+	p.Close()
 }
 
 func TestIterEarlyClose(t *testing.T) {
-	it := OpenIter(Cross{L: relR1(), R: relR2()}, NewCtx(nil), nil)
-	if _, ok := it.Next(); !ok {
+	p := Resolve(native(Cross{L: relR1(), R: relR2()})).Pump(NewCtx(nil), nil)
+	if !p.Step() {
 		t.Fatalf("expected at least one tuple")
 	}
-	it.Close()
+	p.Close()
 }
 
 // TestIterMatchesEvalProperty: random plan shapes evaluate identically
@@ -115,7 +115,7 @@ func TestIterMatchesEvalProperty(t *testing.T) {
 			op = ProjectDistinct{In: e2, Pairs: []Rename{{New: "k", Old: "A2"}}}
 		}
 		a := op.Eval(NewCtx(nil), nil)
-		b := RunIter(op, NewCtx(nil), nil)
+		b := RunIter(native(op), NewCtx(nil), nil)
 		return value.TupleSeqEqual(a, b)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

@@ -119,8 +119,7 @@ type joinPlan struct {
 	useHash  bool
 }
 
-func prepareJoin(ctx *Ctx, env value.Tuple, l, r Op, pred Expr) joinPlan {
-	right := r.Eval(ctx, env)
+func prepareJoin(ctx *Ctx, right value.TupleSeq, l, r Op, pred Expr) joinPlan {
 	// The build side materializes here whether or not hashing applies.
 	ctx.ChargeTuples(TripBuild, right)
 	lSet := attrSet(l)
@@ -191,7 +190,7 @@ func (j Join) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if len(l) == 0 {
 		return nil
 	}
-	jp := prepareJoin(ctx, env, j.L, j.R, j.Pred)
+	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
 	var out value.TupleSeq
 	for _, lt := range l {
 		ctx.Fault(TripProbe)
@@ -236,7 +235,7 @@ func (j SemiJoin) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if len(l) == 0 {
 		return nil
 	}
-	jp := prepareJoin(ctx, env, j.L, j.R, j.Pred)
+	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
 	var out value.TupleSeq
 	for _, lt := range l {
 		ctx.Fault(TripProbe)
@@ -274,7 +273,7 @@ func (j AntiJoin) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if len(l) == 0 {
 		return nil
 	}
-	jp := prepareJoin(ctx, env, j.L, j.R, j.Pred)
+	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
 	var out value.TupleSeq
 	for _, lt := range l {
 		ctx.Fault(TripProbe)
@@ -320,7 +319,7 @@ func (j OuterJoin) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if len(l) == 0 {
 		return nil
 	}
-	jp := prepareJoin(ctx, env, j.L, j.R, j.Pred)
+	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
 	rAttrs, rKnown := j.R.Attrs()
 	if !rKnown && len(jp.right) > 0 {
 		rAttrs = jp.right[0].Attrs()

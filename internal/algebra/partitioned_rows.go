@@ -38,7 +38,7 @@ func partitionRowsSorted(rows []value.Row, slots []int, keyHint int) ([]value.Ha
 
 // openRowPartitionedJoin builds the native iterator of the unordered join
 // family: both inputs partitioned on the key columns, partitions joined in
-// LessKey order. nil falls back to the conversion shim.
+// LessKey order.
 func openRowPartitionedJoin(n *Node, lAttrs, rAttrs []string, residual Expr,
 	ctx *Ctx, env value.Tuple, mode joinMode, g string, def SeqFunc) RowIter {
 	l, r := n.Kids[0], n.Kids[1]
@@ -50,29 +50,20 @@ func openRowPartitionedJoin(n *Node, lAttrs, rAttrs []string, residual Expr,
 	if mode == joinModeSemi || mode == joinModeAnti {
 		catLay = nil
 		if residual != nil {
-			var cok bool
-			if catLay, cok = lsc.Lay.Concat(rsc.Lay); !cok {
-				return nil
-			}
+			catLay, _ = lsc.Lay.Concat(rsc.Lay)
 		}
 	}
-	lSlots, ok1 := slotsOf(lsc.Lay, lAttrs)
-	rSlots, ok2 := slotsOf(rsc.Lay, rAttrs)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	gSlot := -1
+	lSlots := slotsOf(lsc.Lay, lAttrs)
+	rSlots := slotsOf(rsc.Lay, rAttrs)
+	it := &rowPartJoinIter{ctx: ctx, mode: mode, lay: n.Schema.Lay, catLay: catLay,
+		gSlot: -1, padFrom: lsc.Lay.Width()}
 	if mode == joinModeOuter {
-		s, ok := catLay.Slot(g)
-		if !ok {
-			return nil // G outside the schema: map semantics needed
-		}
-		gSlot = s
+		it.gSlot, _ = catLay.Slot(g)
+		it.def = emptyGroup(def, rsc.Lay)
 	}
-	it := &rowPartJoinIter{ctx: ctx, env: env, mode: mode, lay: n.Schema.Lay, catLay: catLay,
-		gSlot: gSlot, def: def, padFrom: lsc.Lay.Width()}
 	if residual != nil {
-		it.residual = compileExpr(residual, Schema{Lay: catLay}, env)
+		c := n.scope(Schema{Lay: catLay}, env)
+		it.residual = c.expr(residual)
 		it.probe = make([]value.Value, catLay.Width())
 	}
 	it.build = func() bool {
@@ -93,14 +84,13 @@ func openRowPartitionedJoin(n *Node, lAttrs, rAttrs []string, residual Expr,
 // input order within a left tuple.
 type rowPartJoinIter struct {
 	ctx      *Ctx
-	env      value.Tuple
 	mode     joinMode
 	lay      *value.Layout // output layout (concat, or left for semi/anti)
 	catLay   *value.Layout // concat layout the residual compiles against
 	residual RowExpr
-	gSlot    int // ⟕ᵁ: slot receiving the default on padding
-	padFrom  int // ⟕ᵁ: first right slot in the concatenated layout
-	def      SeqFunc
+	gSlot    int         // ⟕ᵁ: slot receiving the default on padding
+	padFrom  int         // ⟕ᵁ: first right slot in the concatenated layout
+	def      value.Value // ⟕ᵁ: f(), the default on padding
 
 	build         func() bool
 	started, done bool
@@ -180,7 +170,7 @@ func (p *rowPartJoinIter) Next() (value.Row, bool) {
 			if len(rp) == 0 {
 				lt := lp[p.li]
 				p.li++
-				return padOuter(&p.slab, p.lay, lt, p.padFrom, p.gSlot, p.def.Apply(p.ctx, p.env, nil)), true
+				return padOuter(&p.slab, p.lay, lt, p.padFrom, p.gSlot, p.def), true
 			}
 			if p.ri >= len(rp) {
 				p.li++
@@ -213,14 +203,11 @@ func (p *rowPartJoinIter) Close() { p.done = true }
 // slot-compiled applier.
 func openRowUnorderedGroupUnary(g UnorderedGroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	sc, insc := n.Schema, n.Kids[0].Schema
-	by, ok := slotsOf(insc.Lay, g.By)
-	if !ok {
-		return nil
-	}
+	by := slotsOf(insc.Lay, g.By)
 	gSlot, _ := sc.Lay.Slot(g.G)
-	outBy, _ := slotsOf(sc.Lay, g.By)
-	it := &rowUnorderedGroupUnaryIter{lay: sc.Lay, gSlot: gSlot, by: by, outBy: outBy,
-		theta: g.Theta, apply: groupApplier(g.F, insc.Lay, env), ctx: ctx, env: env}
+	c := n.scope(insc, env)
+	it := &rowUnorderedGroupUnaryIter{lay: sc.Lay, gSlot: gSlot, by: by, outBy: slotsOf(sc.Lay, g.By),
+		theta: g.Theta, apply: c.applier(g.F, insc.Lay), ctx: ctx}
 	it.build = func() {
 		it.rows = drainRows(ctx, TripPartition, n.Kids[0].open(ctx, env))
 		it.keys, it.buckets = partitionRowsSorted(it.rows, by, ctx.cardHint(g, len(it.rows)))
@@ -233,9 +220,8 @@ type rowUnorderedGroupUnaryIter struct {
 	gSlot     int
 	by, outBy []int
 	theta     value.CmpOp
-	apply     func(ctx *Ctx, env value.Tuple, rows []value.Row) value.Value
+	apply     rowsFunc
 	ctx       *Ctx
-	env       value.Tuple
 
 	build   func()
 	started bool
@@ -272,7 +258,7 @@ func (g *rowUnorderedGroupUnaryIter) Next() (value.Row, bool) {
 	for i, s := range g.by {
 		vals[g.outBy[i]] = rep.Vals[s]
 	}
-	vals[g.gSlot] = g.apply(g.ctx, g.env, grp)
+	vals[g.gSlot] = g.apply(g.ctx, grp)
 	return value.Row{Lay: g.lay, Vals: vals}, true
 }
 
@@ -283,50 +269,31 @@ func (g *rowUnorderedGroupUnaryIter) Close() { g.pos = len(g.keys); g.started = 
 // group (cached per distinct key on the hash path, like the ordered
 // operator).
 func openRowUnorderedGroupBinary(g UnorderedGroupBinary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
-	sc, lsc, rsc := n.Schema, n.Kids[0].Schema, n.Kids[1].Schema
-	lSlots, ok1 := slotsOf(lsc.Lay, g.LAttrs)
-	rSlots, ok2 := slotsOf(rsc.Lay, g.RAttrs)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	gSlot, _ := sc.Lay.Slot(g.G)
-	it := &rowUnorderedGroupBinaryIter{lay: sc.Lay, gSlot: gSlot,
-		lSlots: lSlots, rSlots: rSlots, theta: g.Theta,
-		apply: groupApplier(g.F, rsc.Lay, env), ctx: ctx, env: env}
+	gSlot, _ := n.Schema.Lay.Slot(g.G)
+	it := &rowUnorderedGroupBinaryIter{lay: n.Schema.Lay, gSlot: gSlot, ctx: ctx,
+		right: newRightGroups(n, g.LAttrs, g.RAttrs, g.Theta, g.F, env)}
 	it.build = func() bool {
 		left := drainRows(ctx, TripPartition, n.Kids[0].open(ctx, env))
 		if len(left) == 0 {
 			return false
 		}
-		it.keys, it.lParts = partitionRowsSorted(left, lSlots, len(left))
-		right := drainRows(ctx, TripPartition, n.Kids[1].open(ctx, env))
-		if g.Theta == value.CmpEq {
-			it.rHash = bucketRows(right, rSlots, len(right))
-			it.applied = make(map[value.HashKey]value.Value, it.rHash.n())
-		} else {
-			it.scanRows = right
-		}
+		it.keys, it.lParts = partitionRowsSorted(left, it.right.lSlots, len(left))
+		it.right.build(drainRows(ctx, TripPartition, n.Kids[1].open(ctx, env)))
 		return true
 	}
 	return it
 }
 
 type rowUnorderedGroupBinaryIter struct {
-	lay            *value.Layout
-	gSlot          int
-	lSlots, rSlots []int
-	theta          value.CmpOp
-	apply          func(ctx *Ctx, env value.Tuple, rows []value.Row) value.Value
-	ctx            *Ctx
-	env            value.Tuple
+	lay   *value.Layout
+	gSlot int
+	ctx   *Ctx
+	right rightGroups
 
 	build         func() bool
 	started, done bool
 	keys          []value.HashKey
 	lParts        rowBuckets
-	rHash         rowBuckets
-	applied       map[value.HashKey]value.Value
-	scanRows      []value.Row
 	ki, li        int
 	slab          rowSlab
 }
@@ -343,8 +310,7 @@ func (g *rowUnorderedGroupBinaryIter) Next() (value.Row, bool) {
 			g.done = true
 			break
 		}
-		key := g.keys[g.ki]
-		lp := g.lParts.lookup(key)
+		lp := g.lParts.lookup(g.keys[g.ki])
 		if g.li >= len(lp) {
 			g.ki++
 			g.li = 0
@@ -352,26 +318,8 @@ func (g *rowUnorderedGroupBinaryIter) Next() (value.Row, bool) {
 		}
 		lt := lp[g.li]
 		g.li++
-		var gv value.Value
-		if g.applied != nil {
-			// Every left tuple of this partition shares the key, so the
-			// partition key doubles as the right-bucket lookup.
-			var cached bool
-			if gv, cached = g.applied[key]; !cached {
-				gv = g.apply(g.ctx, g.env, g.rHash.lookup(key))
-				g.applied[key] = gv
-			}
-		} else {
-			var grp []value.Row
-			for _, r := range g.scanRows {
-				if thetaMatchRows(lt, r, g.lSlots, g.rSlots, g.theta) {
-					grp = append(grp, r)
-				}
-			}
-			gv = g.apply(g.ctx, g.env, grp)
-		}
 		out := g.slab.extend(g.lay, lt, len(lp)-g.li+1)
-		out.Vals[g.gSlot] = gv
+		out.Vals[g.gSlot] = g.right.of(g.ctx, lt)
 		return out, true
 	}
 	return value.Row{}, false

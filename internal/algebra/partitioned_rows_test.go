@@ -14,58 +14,31 @@ import (
 // hash implementations before (empty inputs, all-duplicate keys,
 // ⊥-padding of empty groups).
 
-// leafShims counts the leaf operators that legitimately open behind the
-// conversion shim: the constOp test fixtures resolve generically (they are
-// stand-ins for base scans, which are native in real plans). Any shim
-// beyond these means an inner operator fell back.
-func leafShims(op Op) int64 {
-	var n int64
-	var walk func(Op)
-	walk = func(o Op) {
-		cs := o.Children()
-		if len(cs) == 0 {
-			if sc, ok := ResolveSchema(o); ok && !sc.Native {
-				n++
-			}
-			return
-		}
-		for _, c := range cs {
-			walk(c)
-		}
-	}
-	walk(op)
-	return n
-}
-
 // runNativeRows executes op on the slot engine and reports the result plus
-// whether execution was slot-native: the schema resolves natively, the
-// root iterator is not the conversion shim, and no shim fired anywhere
-// beyond the constOp leaves.
+// whether the plan resolved: a resolved plan runs on slot-native iterators
+// throughout, there is nothing else to open.
 func runNativeRows(op Op) (value.TupleSeq, string, bool) {
-	n := Resolve(op)
-	if !n.OK || !n.Schema.Native {
+	n := Resolve(native(op))
+	if !n.OK {
 		return nil, "", false
 	}
 	ctx := NewCtx(nil)
-	it := n.open(ctx, nil)
-	if _, isShim := it.(*tupleRowIter); isShim {
-		return nil, "", false
-	}
-	rows := drainRows(ctx, TripBuild, it)
+	rows := drainRows(ctx, TripBuild, n.open(ctx, nil))
 	out := make(value.TupleSeq, len(rows))
 	for i, r := range rows {
 		out[i] = r.Tuple()
 	}
-	return out, ctx.OutString(), ctx.Stats.ShimOps <= leafShims(op)
+	return out, ctx.OutString(), true
 }
 
 // diffOp compares Eval and native row execution of one operator.
 func diffOp(t *testing.T, name string, op Op) bool {
 	t.Helper()
+	op = native(op) // both evaluators run the same plan
 	want := op.Eval(NewCtx(nil), nil)
-	got, _, native := runNativeRows(op)
-	if !native {
-		t.Errorf("%s: not fully slot-native", name)
+	got, _, ok := runNativeRows(op)
+	if !ok {
+		t.Errorf("%s: does not resolve", name)
 		return false
 	}
 	if !value.TupleSeqEqual(want, got) {
@@ -251,17 +224,13 @@ func TestPartitionedRowsXiOutput(t *testing.T) {
 			}}
 			ctxE := NewCtx(nil)
 			xi.Eval(ctxE, nil)
-			n := Resolve(xi)
-			if !n.OK || !n.Schema.Native {
-				t.Errorf("Ξ over %s: not native", name)
+			n := Resolve(native(xi))
+			if !n.OK {
+				t.Errorf("Ξ over %s: does not resolve", name)
 				return false
 			}
 			ctxR := NewCtx(nil)
 			drainRows(ctxR, TripBuild, n.open(ctxR, nil))
-			if ctxR.Stats.ShimOps > leafShims(xi) {
-				t.Errorf("Ξ over %s: shim fired beyond the leaves", name)
-				return false
-			}
 			if ctxE.OutString() != ctxR.OutString() {
 				t.Errorf("Ξ over %s: output differs\neval:   %.200q\nnative: %.200q",
 					name, ctxE.OutString(), ctxR.OutString())

@@ -62,9 +62,9 @@ func TestMapChildrenWalksChildren(t *testing.T) {
 }
 
 // sameSchema compares two resolved schemas structurally: attribute names in
-// slot order, nativeness, and the nested inner layouts recursively.
+// slot order and the nested inner layouts recursively.
 func sameSchema(a, b Schema) bool {
-	return a.Native == b.Native && sameInner(&Inner{Lay: a.Lay, Nested: a.Nested}, &Inner{Lay: b.Lay, Nested: b.Nested})
+	return sameInner(&Inner{Lay: a.Lay, Nested: a.Nested}, &Inner{Lay: b.Lay, Nested: b.Nested})
 }
 
 func sameInner(a, b *Inner) bool {
@@ -113,39 +113,42 @@ func checkResolvedTree(t *testing.T, name string, op Op) int {
 }
 
 // TestResolveTreeShapes covers the shapes compiled plans do not produce: an
-// input without schema under a parent that still resolves (generically), an
-// unknown extension mid-plan, and a nested sub-plan whose schema types the
-// attribute a χ binds.
+// input without schema takes everything above it down with it, an unknown
+// extension mid-plan does the same, and a nested sub-plan is resolved with
+// the plan — its schema types the attribute a χ binds.
 func TestResolveTreeShapes(t *testing.T) {
 	payload := value.TupleSeq{{"B": value.Int(7)}}
 	grouped := constOp{ts: value.TupleSeq{{"A1": value.Int(1), "g": payload}}, attrs: []string{"A1", "g"}}
 	untyped := UnnestDistinct{Attr: "g", In: grouped} // µD over an untracked payload
 
-	over := Resolve(Project{Names: []string{"A1"}, In: untyped})
-	if !over.OK || over.Schema.Native || over.Kids[0].OK {
-		t.Errorf("Π over an untyped µD: parent ok=%v native=%v, input ok=%v; want a generic parent over an unresolved input",
-			over.OK, over.Schema.Native, over.Kids[0].OK)
+	over := Resolve(native(Project{Names: []string{"A1"}, In: untyped}))
+	if over.OK || over.Kids[0].OK || !over.Kids[0].Kids[0].OK {
+		t.Errorf("Π over an untyped µD: Π ok=%v, µD ok=%v, its input ok=%v; want only the input resolved",
+			over.OK, over.Kids[0].OK, over.Kids[0].Kids[0].OK)
 	}
-	if sel := Resolve(Select{Pred: ConstVal{V: value.Bool(true)}, In: untyped}); sel.OK {
-		t.Errorf("σ over an untyped µD resolved to %v; its attribute set is unknown", sel.Schema.Lay.Names())
+	if bad := over.unresolved(); bad != over.Kids[0] {
+		t.Errorf("Π over an untyped µD: the unresolved operator is %s, want the µD", bad.Op)
 	}
 
 	nested := Map{In: relR1(), Attr: "g", E: NestedApply{F: SFIdent{},
 		Plan: Select{In: relR2(), Pred: eqCmp("A1", "A2")}}}
-	n := Resolve(Unnest{In: nested, Attr: "g"})
+	n := Resolve(native(Unnest{In: nested, Attr: "g"}))
 	if inner := n.Kids[0].Schema.nested("g"); inner == nil || !reflect.DeepEqual(inner.Lay.Names(), []string{"A2", "B"}) {
 		t.Errorf("χ over a nested plan: inner schema of g is %+v, want the sub-plan's [A2 B]", inner)
 	}
-	if !n.Schema.Native || !reflect.DeepEqual(n.Schema.Lay.Names(), []string{"A1", "A2", "B"}) {
-		t.Errorf("µ over it resolved to %v (native=%v), want the released [A1 A2 B]", n.Schema.Lay.Names(), n.Schema.Native)
+	if !n.OK || !reflect.DeepEqual(n.Schema.Lay.Names(), []string{"A1", "A2", "B"}) {
+		t.Errorf("µ over it resolved to %v (ok=%v), want the released [A1 A2 B]", n.Schema.Lay.Names(), n.OK)
+	}
+	if subs := n.Kids[0].subs; len(subs) != 1 || !subs[0].OK || subs[0].Op.String() != "σ[A1 = A2]" {
+		t.Errorf("χ over a nested plan holds sub-plans %v, want the resolved σ[A1 = A2]", subs)
 	}
 
 	for name, op := range map[string]Op{
-		"generic parent":  Project{Names: []string{"A1"}, In: untyped},
-		"unresolved root": Select{Pred: ConstVal{V: value.Bool(true)}, In: untyped},
-		"extension":       Select{Pred: ConstVal{V: value.Bool(true)}, In: passOp{In: relR1()}},
-		"nested sub-plan": Unnest{In: nested, Attr: "g"},
+		"unresolved input": Project{Names: []string{"A1"}, In: untyped},
+		"unresolved root":  Select{Pred: ConstVal{V: value.Bool(true)}, In: untyped},
+		"extension":        Select{Pred: ConstVal{V: value.Bool(true)}, In: passOp{In: relR1()}},
+		"nested sub-plan":  Unnest{In: nested, Attr: "g"},
 	} {
-		checkResolvedTree(t, name, op)
+		checkResolvedTree(t, name, native(op))
 	}
 }

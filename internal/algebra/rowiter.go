@@ -11,14 +11,14 @@ import (
 // value.Row, one per operator. Resolve (schema.go) fixes every operator's
 // attribute→slot mapping once per plan; opening a plan walks the resolved
 // nodes — an opener reads its own Schema.Lay and its inputs' Kids[i].Schema
-// and never types anything again — and the iterators then produce rows whose value slices are cut from chunks the producing iterator
-// owns (rowSlab: one allocation per chunk of rows, not per row — and often
-// no slice at all: σ and Ξ pass rows through, ΠA′:A swaps the layout pointer
-// and keeps the slice). Nested data is slot-native too: group payloads, e[a]
-// bindings and nested-block results travel as value.RowSeq. Map-based tuples
-// survive only in the conversion shim that materializes a structurally
-// untyped operator through the definitional evaluator (evalIter) — every map
-// tuple it puts on the data path counts in Stats.MapTuples.
+// and never types anything again — and the iterators then produce rows whose
+// value slices are cut from chunks the producing iterator owns (rowSlab: one
+// allocation per chunk of rows, not per row — and often no slice at all: σ
+// and Ξ pass rows through, ΠA′:A swaps the layout pointer and keeps the
+// slice). Nested data is slot-native too: group payloads, e[a] bindings and
+// nested-block results travel as value.RowSeq. No map tuple is ever on the
+// data path; the definitional Eval methods are the oracle this engine is
+// tested against, not a way to run an operator.
 //
 // Rows are immutable once emitted. Operators may retain received rows
 // (sort, hash build, the group-detecting Ξ's previous row) without copying;
@@ -31,25 +31,10 @@ type RowIter interface {
 	Close()
 }
 
-// open builds the iterator of a resolved node (n.OK): the slot-native one
-// where the schema is native and the opener takes the operator, else the
-// conversion shim — the operator materializes through the definitional
-// evaluator and its tuples are re-typed under the resolved layout. This is
-// the one place native-versus-shim is decided. A native node's inputs all
-// resolved (see Node.resolve), so openers read Kids[i].Schema unchecked.
+// open builds the iterator of a resolved node (n.OK, so its inputs and
+// nested plans resolved too and everything Node.resolve checks holds):
+// openers read Kids[i].Schema and look attributes up unchecked.
 func (n *Node) open(ctx *Ctx, env value.Tuple) RowIter {
-	if n.Schema.Native {
-		if it := openNative(n, ctx, env); it != nil {
-			return it
-		}
-	}
-	return &tupleRowIter{in: evalIter(n.Op, ctx, env), lay: n.Schema.Lay, ctx: ctx}
-}
-
-// openNative constructs the slot-native iterator of a structurally resolved
-// operator; nil — returned before any input is opened — falls back to the
-// conversion shim.
-func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	lay := n.Schema.Lay
 	var in *Node
 	if len(n.Kids) > 0 {
@@ -61,10 +46,11 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 		return &rowSliceIter{rows: []value.Row{value.NewRow(lay)}}
 
 	case Select:
-		return &rowSelectIter{in: in.open(ctx, env), pred: compileExpr(w.Pred, in.Schema, env), ctx: ctx}
+		c := n.scope(in.Schema, env)
+		return &rowSelectIter{in: in.open(ctx, env), pred: c.expr(w.Pred), ctx: ctx}
 
 	case Project:
-		return &rowSlotMapIter{in: in.open(ctx, env), lay: lay, src: slotsOrAbsent(in.Schema.Lay, w.Names)}
+		return &rowSlotMapIter{in: in.open(ctx, env), lay: lay, src: slotsOf(in.Schema.Lay, w.Names)}
 
 	case ProjectDrop:
 		_, src := in.Schema.Lay.Drop(w.Names)
@@ -82,13 +68,13 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 		for i := range all {
 			all[i] = i
 		}
-		return &rowDistinctIter{in: in.open(ctx, env), lay: lay, src: slotsOrAbsent(in.Schema.Lay, olds),
+		return &rowDistinctIter{in: in.open(ctx, env), lay: lay, src: slotsOf(in.Schema.Lay, olds),
 			allSlots: all, seen: map[value.HashKey]bool{}, ctx: ctx}
 
 	case Map:
 		slot, _ := lay.Slot(w.Attr)
-		return &rowMapIter{in: in.open(ctx, env), lay: lay, slot: slot,
-			e: compileExpr(w.E, in.Schema, env), ctx: ctx}
+		c := n.scope(in.Schema, env)
+		return &rowMapIter{in: in.open(ctx, env), lay: lay, slot: slot, e: c.expr(w.E), ctx: ctx}
 
 	case UnnestMap:
 		slot, _ := lay.Slot(w.Attr)
@@ -96,8 +82,9 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 		if w.PosAttr != "" {
 			posSlot, _ = lay.Slot(w.PosAttr)
 		}
+		c := n.scope(in.Schema, env)
 		return &rowUnnestMapIter{in: in.open(ctx, env), lay: lay, slot: slot, posSlot: posSlot,
-			e: compileExpr(w.E, in.Schema, env), ctx: ctx}
+			e: c.expr(w.E), ctx: ctx}
 
 	case IndexScan:
 		slot, _ := lay.Slot(w.Attr)
@@ -109,16 +96,14 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 			ctx: ctx, pos: len(nodes)}
 
 	case XiSimple:
-		return &rowXiIter{in: in.open(ctx, env), cmds: compileCommands(w.Cmds, in.Schema, env), ctx: ctx}
+		c := n.scope(in.Schema, env)
+		return &rowXiIter{in: in.open(ctx, env), cmds: c.commands(w.Cmds), ctx: ctx}
 
 	case XiGroup:
-		return openRowXiGroup(w, in, ctx, env)
+		return openRowXiGroup(w, n, ctx, env)
 
 	case Sort:
-		by, ok := slotsOf(in.Schema.Lay, w.By)
-		if !ok {
-			return nil
-		}
+		by := slotsOf(in.Schema.Lay, w.By)
 		// The order-restoration breaker: materialize into a pooled buffer
 		// (reused across Open cycles — emitted Rows are value copies, so
 		// recycling the buffer never aliases them) and sort it in place with
@@ -168,14 +153,16 @@ func openNative(n *Node, ctx *Ctx, env value.Tuple) RowIter {
 		return openRowUnnest(n, w.Attr, nil, ctx, env, false)
 
 	default:
-		return nil
+		//nal:allow-panic unreachable: Node.resolve gives an operator outside this switch no schema, and an unresolved plan is refused before it opens (Node.Pump)
+		panic("algebra: no iterator for " + n.Op.String())
 	}
 }
 
-// slotsOrAbsent resolves attribute names to slots under a layout, -1 for a
-// name the layout does not bind (it projects to an absent value, matching
-// the map semantics).
-func slotsOrAbsent(lay *value.Layout, names []string) []int {
+// slotsOf resolves attribute names to slots under a layout, -1 for a name
+// the layout does not bind: Π of it projects an absent value, matching the
+// map semantics, and keys, group and unnest attributes are never unbound
+// (Node.resolve checked).
+func slotsOf(lay *value.Layout, names []string) []int {
 	out := make([]int, len(names))
 	for i, n := range names {
 		if s, ok := lay.Slot(n); ok {
@@ -236,80 +223,73 @@ func putSortBuf(buf []value.Row) {
 	sortBufPool.Put(&buf)
 }
 
-// rowsToTuples converts materialized rows for map-level consumers — the
-// counted fallback for sequence functions the slot engine cannot compile.
-func rowsToTuples(ctx *Ctx, rows []value.Row) value.TupleSeq {
-	ctx.Stats.MapTuples += int64(len(rows))
-	out := make(value.TupleSeq, len(rows))
-	for i, r := range rows {
-		out[i] = r.Tuple()
-	}
-	return out
-}
+// rowsFunc is a sequence function compiled against the layout of the rows
+// it is applied to.
+type rowsFunc func(ctx *Ctx, rows []value.Row) value.Value
 
-// groupApplier compiles a SeqFunc against the layout of the group's member
-// rows. The whole paper library runs slot-natively: id wraps the member rows
-// as a RowSeq without copying, count and the aggregates read slots, ΠA
-// builds a flat projected RowSeq, and f ∘ σp compiles its predicate against
-// the member layout once. Only unknown SeqFunc extensions materialize the
-// group as map tuples (counted in Stats.MapTuples).
-func groupApplier(f SeqFunc, lay *value.Layout, env value.Tuple) func(ctx *Ctx, env value.Tuple, rows []value.Row) value.Value {
+// applier compiles a SeqFunc against the layout of the group's member rows:
+// id wraps the member rows as a RowSeq without copying, count and the
+// aggregates read slots, ΠA builds a flat projected RowSeq, and f ∘ σp
+// compiles its predicate against the member layout once. These are all the
+// sequence functions there are (planList.fn refuses a plan with another).
+func (c *scope) applier(f SeqFunc, lay *value.Layout) rowsFunc {
 	switch w := f.(type) {
 	case SFIdent:
-		return func(_ *Ctx, _ value.Tuple, rows []value.Row) value.Value {
+		return func(_ *Ctx, rows []value.Row) value.Value {
 			return value.WrapRows(lay, rows)
 		}
 	case SFCount:
-		return func(_ *Ctx, _ value.Tuple, rows []value.Row) value.Value {
+		return func(_ *Ctx, rows []value.Row) value.Value {
 			return value.Int(int64(len(rows)))
 		}
 	case SFAgg:
-		if slot, ok := lay.Slot(w.Attr); ok {
-			// aggregate retains nothing, so one item buffer serves every group.
-			var items value.Seq
-			return func(_ *Ctx, _ value.Tuple, rows []value.Row) value.Value {
-				items = items[:0]
-				for _, r := range rows {
+		// A member layout without the attribute aggregates no items.
+		slot, bound := lay.Slot(w.Attr)
+		// aggregate retains nothing, so one item buffer serves every group.
+		var items value.Seq
+		return func(_ *Ctx, rows []value.Row) value.Value {
+			items = items[:0]
+			for _, r := range rows {
+				if bound {
 					items = value.AppendItems(items, r.Vals[slot])
 				}
-				return aggregate(w.Fn, items)
 			}
+			return aggregate(w.Fn, items)
 		}
 	case SFProject:
-		if plLay := value.NewLayout(w.Attrs...); plLay != nil && plLay.Width() > 0 {
-			slots := slotsOrAbsent(lay, w.Attrs)
-			return func(ctx *Ctx, _ value.Tuple, rows []value.Row) value.Value {
-				// The projected payload is a fresh flat backing — the Γ group
-				// state the budget exists to bound.
-				ctx.ChargeBytes(TripGroup, len(rows)*len(slots)*rowSlotBytes)
-				flat := make([]value.Value, 0, len(rows)*len(slots))
-				for _, r := range rows {
-					for _, s := range slots {
-						if s >= 0 {
-							flat = append(flat, r.Vals[s])
-						} else {
-							flat = append(flat, nil)
-						}
+		plLay := value.NewLayout(w.Attrs...)
+		slots := slotsOf(lay, w.Attrs)
+		return func(ctx *Ctx, rows []value.Row) value.Value {
+			// The projected payload is a fresh flat backing — the Γ group
+			// state the budget exists to bound.
+			ctx.ChargeBytes(TripGroup, len(rows)*len(slots)*rowSlotBytes)
+			flat := make([]value.Value, 0, len(rows)*len(slots))
+			for _, r := range rows {
+				for _, s := range slots {
+					if s >= 0 {
+						flat = append(flat, r.Vals[s])
+					} else {
+						flat = append(flat, nil)
 					}
 				}
-				return value.RowSeqOfFlat(plLay, flat)
 			}
+			return value.RowSeqOfFlat(plLay, flat)
 		}
 	case SFFiltered:
-		pred := compileExpr(w.Pred, Schema{Lay: lay}, env)
-		inner := groupApplier(w.Inner, lay, env)
-		return func(ctx *Ctx, env value.Tuple, rows []value.Row) value.Value {
+		pred := c.exprOver(Schema{Lay: lay}, w.Pred)
+		inner := c.applier(w.Inner, lay)
+		return func(ctx *Ctx, rows []value.Row) value.Value {
 			var kept []value.Row
 			for _, r := range rows {
 				if value.EffectiveBool(pred(ctx, r)) {
 					kept = append(kept, r)
 				}
 			}
-			return inner(ctx, env, kept)
+			return inner(ctx, kept)
 		}
-	}
-	return func(ctx *Ctx, env value.Tuple, rows []value.Row) value.Value {
-		return f.Apply(ctx, env, rowsToTuples(ctx, rows))
+	default:
+		//nal:allow-panic unreachable: Node.resolve refuses a plan holding a sequence function outside this switch (planList.fn) before anything opens
+		panic("algebra: unresolved sequence function " + f.String())
 	}
 }
 
@@ -336,26 +316,6 @@ func (s *rowSliceIter) Close() {
 	}
 	s.rows = nil
 }
-
-// tupleRowIter is the conversion shim: it streams the tuples the
-// definitional evaluator materialized and re-types each under the resolved
-// layout.
-type tupleRowIter struct {
-	in  *sliceIter
-	lay *value.Layout
-	ctx *Ctx
-}
-
-func (s *tupleRowIter) Next() (value.Row, bool) {
-	t, ok := s.in.Next()
-	if !ok {
-		return value.Row{}, false
-	}
-	s.ctx.Stats.MapTuples++
-	return value.RowFromTuple(s.lay, t), true
-}
-
-func (s *tupleRowIter) Close() { s.in.Close() }
 
 type rowSelectIter struct {
 	in   RowIter
@@ -535,20 +495,18 @@ func (x *rowXiIter) Close() { x.in.Close() }
 // openRowXiGroup implements the hash-bucket Γ-Ξ: it materializes the input,
 // fires S1/S2/S3 per first-occurrence group, and streams the input rows
 // unchanged — the slot twin of XiGroup.Eval.
-func openRowXiGroup(x XiGroup, in *Node, ctx *Ctx, env value.Tuple) RowIter {
-	insc := in.Schema
-	by, ok := slotsOf(insc.Lay, x.By)
-	if !ok {
-		return nil
-	}
+func openRowXiGroup(x XiGroup, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	in := n.Kids[0]
+	by := slotsOf(in.Schema.Lay, x.By)
 	rows := drainRows(ctx, TripGroup, in.open(ctx, env))
 	// Ξ-group passes its input through, so its output cardinality says
 	// nothing about the bucket count; size the table by the textbook
 	// distinct-keys fraction of the input instead.
 	buckets := bucketRows(rows, by, len(rows)/3+1)
-	s1 := compileCommands(x.S1, insc, env)
-	s2 := compileCommands(x.S2, insc, env)
-	s3 := compileCommands(x.S3, insc, env)
+	c := n.scope(in.Schema, env)
+	s1 := c.commands(x.S1)
+	s2 := c.commands(x.S2)
+	s3 := c.commands(x.S3)
 	for i := 0; i < buckets.n(); i++ {
 		grp := buckets.group(i)
 		execCompiled(ctx, grp[0], s1)
@@ -684,11 +642,10 @@ type rowJoinIter struct {
 	mode joinMode
 	lay  *value.Layout // output layout (concat for inner/outer, left for semi/anti)
 	ctx  *Ctx
-	env  value.Tuple
 
 	gSlot   int
-	def     SeqFunc
-	padFrom int // first right slot in the concatenated layout
+	def     value.Value // ⟕: f(), what g holds where a left tuple has no partner
+	padFrom int         // first right slot in the concatenated layout
 	cur     value.Row
 	pending []value.Row
 	pool    []value.Row
@@ -704,18 +661,11 @@ func openRowJoin(n *Node, pred Expr, ctx *Ctx, env value.Tuple,
 	// need the concatenation only to compile the predicate against.
 	catLay := n.Schema.Lay
 	if mode == joinModeSemi || mode == joinModeAnti {
-		var cok bool
-		if catLay, cok = lsc.Lay.Concat(rsc.Lay); !cok {
-			return nil
-		}
+		catLay, _ = lsc.Lay.Concat(rsc.Lay)
 	}
 	gSlot := -1
 	if mode == joinModeOuter {
-		s, ok := catLay.Slot(g)
-		if !ok {
-			return nil // G outside the right schema: map semantics needed
-		}
-		gSlot = s
+		gSlot, _ = catLay.Slot(g)
 	}
 
 	left := l.open(ctx, env)
@@ -727,22 +677,28 @@ func openRowJoin(n *Node, pred Expr, ctx *Ctx, env value.Tuple,
 			lKeys = append(lKeys, p.Left)
 			rKeys = append(rKeys, p.Right)
 		}
-		jp.lSlots, _ = slotsOf(lsc.Lay, lKeys)
-		jp.rSlots, _ = slotsOf(rsc.Lay, rKeys)
+		jp.lSlots = slotsOf(lsc.Lay, lKeys)
+		jp.rSlots = slotsOf(rsc.Lay, rKeys)
 		jp.hash = bucketRows(jp.right, jp.rSlots, len(jp.right))
 		jp.useHash = true
-		if residual != nil {
-			jp.residual = compileExpr(residual, Schema{Lay: catLay}, env)
-		}
-	} else {
-		jp.residual = compileExpr(pred, Schema{Lay: catLay}, env)
+		pred = residual
+	}
+	if pred != nil {
+		// The equalities a hash join drops hold no nested plan, so the
+		// residual takes the node's sub-plans in the predicate's order.
+		c := n.scope(Schema{Lay: catLay}, env)
+		jp.residual = c.expr(pred)
 	}
 	if jp.residual != nil {
 		jp.probe = make([]value.Value, catLay.Width())
 	}
 
-	return &rowJoinIter{left: left, jp: jp, mode: mode, lay: n.Schema.Lay, ctx: ctx, env: env,
-		gSlot: gSlot, def: def, padFrom: lsc.Lay.Width()}
+	it := &rowJoinIter{left: left, jp: jp, mode: mode, lay: n.Schema.Lay, ctx: ctx,
+		gSlot: gSlot, padFrom: lsc.Lay.Width()}
+	if mode == joinModeOuter {
+		it.def = emptyGroup(def, rsc.Lay)
+	}
+	return it
 }
 
 func attrBoolSet(lay *value.Layout) map[string]bool {
@@ -785,7 +741,7 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 		case joinModeOuter:
 			ms := j.jp.matches(j.ctx, lt, j.pool)
 			if len(ms) == 0 {
-				return padOuter(&j.slab, j.lay, lt, j.padFrom, j.gSlot, j.def.Apply(j.ctx, j.env, nil)), true
+				return padOuter(&j.slab, j.lay, lt, j.padFrom, j.gSlot, j.def), true
 			}
 			j.cur = lt
 			j.pool = ms
@@ -796,6 +752,23 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 }
 
 func (j *rowJoinIter) Close() { j.left.Close() }
+
+// emptyGroup is f() over members of lay: the default ⟕ puts into g. It is
+// what applier(f, lay) yields for no rows, without a charge for holding it.
+func emptyGroup(f SeqFunc, lay *value.Layout) value.Value {
+	switch w := f.(type) {
+	case SFIdent:
+		return value.WrapRows(lay, nil)
+	case SFProject:
+		return value.RowSeqOfFlat(value.NewLayout(w.Attrs...), nil)
+	case SFAgg:
+		return aggregate(w.Fn, nil)
+	case SFFiltered:
+		return emptyGroup(w.Inner, lay)
+	default:
+		return value.Int(0) // count
+	}
+}
 
 // padOuter builds the ⟕ row of a left tuple without partner: the right
 // slots ⊥, the default in g.
@@ -812,14 +785,12 @@ func padOuter(slab *rowSlab, lay *value.Layout, lt value.Row, padFrom, gSlot int
 
 func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	sc, insc := n.Schema, n.Kids[0].Schema
-	by, ok := slotsOf(insc.Lay, g.By)
-	if !ok {
-		return nil
-	}
+	by := slotsOf(insc.Lay, g.By)
 	gSlot, _ := sc.Lay.Slot(g.G)
-	outBy, _ := slotsOf(sc.Lay, g.By)
+	outBy := slotsOf(sc.Lay, g.By)
 	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
-	apply := groupApplier(g.F, insc.Lay, env)
+	c := n.scope(insc, env)
+	apply := c.applier(g.F, insc.Lay)
 
 	// Γ's output cardinality is its distinct-key count: pre-size the hash
 	// table and key list from the cost model's estimate instead of growing
@@ -840,7 +811,7 @@ func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter
 		buckets := bucketRows(rows, by, hint)
 		for i := 0; i < buckets.n(); i++ {
 			grp := buckets.group(i)
-			emit(grp[0], apply(ctx, env, grp), buckets.n()-i)
+			emit(grp[0], apply(ctx, grp), buckets.n()-i)
 		}
 		return &rowSliceIter{rows: out}
 	}
@@ -862,7 +833,7 @@ func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter
 				grp = append(grp, r)
 			}
 		}
-		emit(kr, apply(ctx, env, grp), len(keyRows)-i)
+		emit(kr, apply(ctx, grp), len(keyRows)-i)
 	}
 	return &rowSliceIter{rows: out}
 }
@@ -871,20 +842,18 @@ func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter
 // group, preserving input order (unlike Γ, which emits one row per group).
 func openRowGroupSelf(g GroupSelf, n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	sc, insc := n.Schema, n.Kids[0].Schema
-	by, ok := slotsOf(insc.Lay, g.By)
-	if !ok {
-		return nil
-	}
+	by := slotsOf(insc.Lay, g.By)
 	gSlot, _ := sc.Lay.Slot(g.G)
 	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
-	apply := groupApplier(g.F, insc.Lay, env)
+	c := n.scope(insc, env)
+	apply := c.applier(g.F, insc.Lay)
 
 	// Groups are numbered as the rows first meet them, so applying F group
 	// by group is applying it in input order.
 	buckets := bucketRows(rows, by, len(rows))
 	applied := make([]value.Value, buckets.n())
 	for i := range applied {
-		applied[i] = apply(ctx, env, buckets.group(i))
+		applied[i] = apply(ctx, buckets.group(i))
 	}
 	out := make([]value.Row, len(rows))
 	var slab rowSlab
@@ -906,30 +875,66 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 	return true
 }
 
-func openRowGroupBinary(g GroupBinary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
-	sc, lsc, rsc := n.Schema, n.Kids[0].Schema, n.Kids[1].Schema
-	lSlots, ok1 := slotsOf(lsc.Lay, g.LAttrs)
-	rSlots, ok2 := slotsOf(rsc.Lay, g.RAttrs)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	gSlot, _ := sc.Lay.Slot(g.G)
+// rightGroups is the right input of a binary Γ and f over its groups — shared
+// by the ordered operator and the unordered one, which differ in the order
+// they take left tuples in. For θ '=' the input is bucketed on the key and f
+// applied once per distinct key, so shared groups are materialized once (and,
+// like the map engine's shared bucket slices, shared as values across output
+// tuples); any other θ scans it per left tuple.
+type rightGroups struct {
+	apply          rowsFunc
+	lSlots, rSlots []int
+	theta          value.CmpOp
 
-	it := &rowGroupBinaryIter{left: n.Kids[0].open(ctx, env), lay: sc.Lay, gSlot: gSlot,
-		apply: groupApplier(g.F, rsc.Lay, env), ctx: ctx, env: env,
-		lSlots: lSlots, rSlots: rSlots, theta: g.Theta}
+	hash    rowBuckets
+	applied map[value.HashKey]value.Value
+	scan    []value.Row
+}
+
+func newRightGroups(n *Node, lAttrs, rAttrs []string, theta value.CmpOp, f SeqFunc, env value.Tuple) rightGroups {
+	lsc, rsc := n.Kids[0].Schema, n.Kids[1].Schema
+	c := n.scope(rsc, env)
+	return rightGroups{apply: c.applier(f, rsc.Lay), theta: theta,
+		lSlots: slotsOf(lsc.Lay, lAttrs), rSlots: slotsOf(rsc.Lay, rAttrs)}
+}
+
+func (g *rightGroups) build(rows []value.Row) {
+	if g.theta == value.CmpEq {
+		g.hash = bucketRows(rows, g.rSlots, len(rows))
+		g.applied = make(map[value.HashKey]value.Value, g.hash.n())
+		return
+	}
+	g.scan = rows
+}
+
+// of is f over the right tuples that stand in θ to lt.
+func (g *rightGroups) of(ctx *Ctx, lt value.Row) value.Value {
+	if g.applied != nil {
+		k := rowKey(lt, g.lSlots)
+		gv, cached := g.applied[k]
+		if !cached {
+			gv = g.apply(ctx, g.hash.lookup(k))
+			g.applied[k] = gv
+		}
+		return gv
+	}
+	var grp []value.Row
+	for _, r := range g.scan {
+		if thetaMatchRows(lt, r, g.lSlots, g.rSlots, g.theta) {
+			grp = append(grp, r)
+		}
+	}
+	return g.apply(ctx, grp)
+}
+
+func openRowGroupBinary(g GroupBinary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+	gSlot, _ := n.Schema.Lay.Slot(g.G)
+	it := &rowGroupBinaryIter{left: n.Kids[0].open(ctx, env), lay: n.Schema.Lay, gSlot: gSlot, ctx: ctx,
+		right: newRightGroups(n, g.LAttrs, g.RAttrs, g.Theta, g.F, env)}
 	// The build side materializes lazily on the first left tuple, so an
 	// empty left input never evaluates R — matching GroupBinary.Eval's
 	// short-circuit.
-	it.build = func() {
-		rRows := drainRows(ctx, TripGroup, n.Kids[1].open(ctx, env))
-		if g.Theta == value.CmpEq {
-			it.hash = bucketRows(rRows, rSlots, len(rRows))
-			it.applied = make(map[value.HashKey]value.Value, it.hash.n())
-			return
-		}
-		it.scanRows = rRows
-	}
+	it.build = func() { it.right.build(drainRows(ctx, TripGroup, n.Kids[1].open(ctx, env))) }
 	return it
 }
 
@@ -937,25 +942,12 @@ type rowGroupBinaryIter struct {
 	left  RowIter
 	lay   *value.Layout
 	gSlot int
-	apply func(ctx *Ctx, env value.Tuple, rows []value.Row) value.Value
 	ctx   *Ctx
-	env   value.Tuple
+	right rightGroups
 
 	// build materializes the right input on the first left tuple.
 	build func()
 	built bool
-
-	// hash path; applied caches f per distinct key, so shared groups are
-	// materialized once (and, like the map engine's shared bucket slices,
-	// shared as values across output tuples).
-	hash    rowBuckets
-	applied map[value.HashKey]value.Value
-	lSlots  []int
-
-	// scan path
-	scanRows []value.Row
-	rSlots   []int
-	theta    value.CmpOp
 
 	slab rowSlab
 }
@@ -969,25 +961,8 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 		g.built = true
 		g.build()
 	}
-	var gv value.Value
-	if g.applied != nil {
-		k := rowKey(lt, g.lSlots)
-		var cached bool
-		if gv, cached = g.applied[k]; !cached {
-			gv = g.apply(g.ctx, g.env, g.hash.lookup(k))
-			g.applied[k] = gv
-		}
-	} else {
-		var grp []value.Row
-		for _, r := range g.scanRows {
-			if thetaMatchRows(lt, r, g.lSlots, g.rSlots, g.theta) {
-				grp = append(grp, r)
-			}
-		}
-		gv = g.apply(g.ctx, g.env, grp)
-	}
 	out := g.slab.extend(g.lay, lt, 0)
-	out.Vals[g.gSlot] = gv
+	out.Vals[g.gSlot] = g.right.of(g.ctx, lt)
 	return out, true
 }
 
@@ -1008,26 +983,14 @@ func openRowUnnest(n *Node, attr string, innerAttrs []string, ctx *Ctx, env valu
 	if innerAttrs != nil {
 		inner = value.NewLayout(innerAttrs...)
 	}
-	if inner == nil {
-		return nil
-	}
-	gSlot, ok := insc.Lay.Slot(attr)
-	if !ok {
-		return nil
-	}
+	gSlot, _ := insc.Lay.Slot(attr)
 	// Base mapping: kept input slots into the output layout.
 	baseLay, baseSrc := insc.Lay.Drop([]string{attr})
-	baseDst, ok := slotsOf(sc.Lay, baseLay.Names())
-	if !ok {
-		return nil
-	}
+	baseDst := slotsOf(sc.Lay, baseLay.Names())
 	// Inner mapping: group attributes into the output layout (overwriting
 	// colliding base slots — the Concat right-hand side wins).
 	innerNames := inner.Names()
-	innerDst, ok := slotsOf(sc.Lay, innerNames)
-	if !ok {
-		return nil
-	}
+	innerDst := slotsOf(sc.Lay, innerNames)
 	it := &rowUnnestIter{in: n.Kids[0].open(ctx, env), lay: sc.Lay, gSlot: gSlot,
 		baseSrc: baseSrc, baseDst: baseDst,
 		innerNames: innerNames, innerDst: innerDst, pad: pad, ctx: ctx}
@@ -1048,8 +1011,7 @@ type rowUnnestIter struct {
 	pad        bool // µ pads empty groups with ⊥; µD skips them
 
 	cur      value.Row
-	pendRows value.RowSeq   // slot-backed payload (the native case)
-	pendTup  value.TupleSeq // map-backed payload (values built off-engine)
+	pendRows value.RowSeq // the current group
 	pendN    int
 	pos      int
 
@@ -1100,27 +1062,6 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 		for u.pos < u.pendN {
 			i := u.pos
 			u.pos++
-			if u.pendTup != nil {
-				g := u.pendTup[i]
-				if u.dedup != nil {
-					// Key each member on its own attribute set, exactly like
-					// UnnestDistinct.Eval: a member lacking an attribute must
-					// not collide with one binding it to NULL.
-					k := tupleHashKey(g, g.Attrs())
-					if u.dedup[k] {
-						continue
-					}
-					u.ctx.charge(TripDedup, 0, dedupEntryBytes)
-					u.dedup[k] = true
-				}
-				vals := u.base()
-				for j, n := range u.innerNames {
-					if v, ok := g[n]; ok {
-						vals[u.innerDst[j]] = v
-					}
-				}
-				return value.Row{Lay: u.lay, Vals: vals}, true
-			}
 			g := u.pendRows.At(i)
 			if u.dedup != nil {
 				var k value.HashKey
@@ -1146,15 +1087,11 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		u.cur = r
-		u.pendTup, u.pendRows, u.pendN = nil, value.RowSeq{}, 0
-		switch p := r.Vals[u.gSlot].(type) {
-		case value.RowSeq:
-			u.pendRows = p
-			u.pendN = p.Len()
-			u.spliceFor(p.Lay())
-		case value.TupleSeq:
-			u.pendTup = p
-			u.pendN = len(p)
+		// Anything but a tuple sequence unnests as the empty group.
+		u.pendRows, _ = r.Vals[u.gSlot].(value.RowSeq)
+		u.pendN = u.pendRows.Len()
+		if u.pendN > 0 {
+			u.spliceFor(u.pendRows.Lay())
 		}
 		u.pos = 0
 		if !u.pad {

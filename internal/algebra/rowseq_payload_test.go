@@ -13,53 +13,39 @@ import (
 // that distinguish the representations (⊥-padding of empty groups, renames
 // inside groups, µD member dedup on partially absent attributes).
 
-// mapFree executes op natively and requires that no map tuple materialized
-// on the data path (the conversion shim at the constOp leaves streams base
-// tuples and is excluded, exactly like leafShims excludes their ShimOps).
-func mapFree(t *testing.T, name string, op Op, leafTuples int64) {
+// mapFree executes op natively and requires that no map tuple is on the data
+// path: every tuple-sequence value in an emitted row — at any nesting depth —
+// is a slot-backed RowSeq.
+func mapFree(t *testing.T, name string, op Op) {
 	t.Helper()
-	ctx := NewCtx(nil)
-	n := Resolve(op)
-	if !n.OK || !n.Schema.Native {
-		t.Fatalf("%s: plan is not native", name)
-	}
-	it := n.open(ctx, nil)
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	it.Close()
-	if got := ctx.Stats.MapTuples - leafTuples; got > 0 {
-		t.Errorf("%s: %d map tuples materialized beyond the leaf scans", name, got)
-	}
-}
-
-// leafTupleCount sums the tuples the constOp leaves feed through the
-// conversion shim (each conversion counts once in Stats.MapTuples).
-func leafTupleCount(op Op) int64 {
-	var n int64
-	var walk func(Op)
-	walk = func(o Op) {
-		cs := o.Children()
-		if len(cs) == 0 {
-			if c, ok := o.(constOp); ok {
-				n += int64(len(c.ts))
+	var check func(v value.Value)
+	check = func(v value.Value) {
+		switch w := v.(type) {
+		case value.TupleSeq:
+			t.Errorf("%s: a map-backed tuple sequence on the data path: %s", name, w)
+		case value.RowSeq:
+			for i := 0; i < w.Len(); i++ {
+				for _, m := range w.At(i).Vals {
+					check(m)
+				}
 			}
-			return
-		}
-		for _, c := range cs {
-			walk(c)
 		}
 	}
-	walk(op)
-	return n
+	n := Resolve(native(op))
+	if !n.OK {
+		t.Fatalf("%s: plan does not resolve", name)
+	}
+	for _, r := range n.rows(NewCtx(nil), nil, nil) {
+		for _, v := range r.Vals {
+			check(v)
+		}
+	}
 }
 
 func diffPayloadPlan(t *testing.T, name string, op Op) {
 	t.Helper()
 	if diffOp(t, name, op) {
-		mapFree(t, name, op, leafTupleCount(op))
+		mapFree(t, name, op)
 	}
 }
 

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"slices"
+
 	"nalquery/internal/value"
 )
 
@@ -16,13 +18,12 @@ import (
 // the attributes that unnesting releases, and ⊥-padding of empty groups
 // needs them before the first non-empty group is seen.
 //
-// Resolution is best-effort: an operator the resolver cannot type
-// structurally still resolves through its static attribute set (Attrs) and
-// is materialized by the definitional evaluator behind a conversion shim
-// (Schema.Native = false). A subtree whose attribute set is statically
-// unknown does not resolve at all (Node.OK = false); the nearest resolvable
-// ancestor — or the plan root (see Node.Pump) — evaluates it definitionally
-// the same way.
+// Whether a plan runs is decided here, once: an operator the resolver cannot
+// type — an unknown extension, a colliding layout, a key, group or unnest
+// attribute its input does not bind, a µD over an untracked payload — has
+// Node.OK = false, and so has everything above it. No opener declines later:
+// an unresolved plan is refused when it is opened (see Node.Pump), before it
+// produces anything, and every compiled plan resolves.
 
 // Schema is the resolved output type of one operator.
 type Schema struct {
@@ -31,28 +32,17 @@ type Schema struct {
 	// Nested holds the inner schemas of tuple-sequence-valued attributes,
 	// keyed by attribute name, when statically known.
 	Nested map[string]*Inner
-	// Native reports that the operator has a slot-native iterator under this
-	// schema; otherwise it executes through the fallback shim.
-	Native bool
 }
 
-// Inner is the schema of a tuple-sequence-valued attribute: the member
-// layout plus, recursively, the inner schemas of the members' own
-// sequence-valued attributes. The recursion is what lets nested-in-nested
-// plans (Γ under µ — the outer payload's members carrying their own group
-// attribute) resolve natively: unnesting releases not just the member
+// Inner is the schema of a tuple-sequence-valued attribute — a schema like
+// an operator's: the member layout plus, recursively, the inner schemas of
+// the members' own sequence-valued attributes. The recursion is what lets
+// nested-in-nested plans (Γ under µ — the outer payload's members carrying
+// their own group attribute) resolve: unnesting releases not just the member
 // attributes but their nested schemas too.
-type Inner struct {
-	Lay    *value.Layout
-	Nested map[string]*Inner
-}
+type Inner = Schema
 
-func (s Schema) nested(attr string) *Inner {
-	if s.Nested == nil {
-		return nil
-	}
-	return s.Nested[attr]
-}
+func (s Schema) nested(attr string) *Inner { return s.Nested[attr] }
 
 // nestedWith returns a copy of the nested map with one entry replaced (or
 // removed when in is nil).
@@ -108,7 +98,7 @@ func nestedUnion(a, b map[string]*Inner) map[string]*Inner {
 func fnNested(f SeqFunc, in Schema) *Inner {
 	switch w := f.(type) {
 	case SFIdent:
-		return &Inner{Lay: in.Lay, Nested: in.Nested}
+		return &in
 	case SFProject:
 		if lay := value.NewLayout(w.Attrs...); lay != nil {
 			return &Inner{Lay: lay, Nested: nestedKept(in.Nested, lay)}
@@ -123,23 +113,27 @@ func fnNested(f SeqFunc, in Schema) *Inner {
 }
 
 // exprNested returns the inner schema of a tuple-sequence value an
-// expression produces, when statically known.
-func exprNested(e Expr, in Schema) *Inner {
+// expression produces, when statically known. subs are the resolved plans of
+// e's nested algebraic expressions, in planList order.
+func exprNested(e Expr, in Schema, subs []*Node) *Inner {
 	switch w := e.(type) {
 	case Var:
 		return in.nested(w.Name)
 	case BindTuples:
 		return &Inner{Lay: value.NewLayout(w.Attr)}
 	case NestedApply:
-		sub, ok := ResolveSchema(w.Plan)
-		if !ok {
+		if !subs[0].OK {
 			return nil
 		}
-		return fnNested(w.F, sub)
+		return fnNested(w.F, subs[0].Schema)
 	case CondExpr:
-		t := exprNested(w.Then, in)
-		f := exprNested(w.Else, in)
-		if t != nil && f != nil && sameNames(t.Lay, f.Lay) {
+		var cond, then planList
+		cond.expr(w.If)
+		then.expr(w.Then)
+		subs = subs[len(cond.plans):]
+		t := exprNested(w.Then, in, subs)
+		f := exprNested(w.Else, in, subs[len(then.plans):])
+		if t != nil && f != nil && slices.Equal(t.Lay.Names(), f.Lay.Names()) {
 			return t
 		}
 		return nil
@@ -148,16 +142,85 @@ func exprNested(e Expr, in Schema) *Inner {
 	}
 }
 
-func sameNames(a, b *value.Layout) bool {
-	if a.Width() != b.Width() {
-		return false
+// planList gathers the plans of the nested algebraic expressions in an
+// operator's subscripts — NestedApply, ∃ and ∀ ranges; a plan's own nested
+// expressions belong to its own nodes — in the order the expression compiler
+// (compile.go) takes them: an expression before its sequence function, a
+// range before its predicate, operands left to right.
+type planList struct {
+	plans []Op
+	in    []Expr // the nested expression holding each plan
+	// unknown: a subscript holds an expression or sequence function outside
+	// the engine's inventory, or a projection no row can carry.
+	unknown bool
+}
+
+// nestedIn gathers the nested plans in an operator's Exprs().
+func nestedIn(o Op) planList {
+	var l planList
+	l.exprs(o.Exprs()...)
+	return l
+}
+
+func (l *planList) exprs(es ...Expr) {
+	for _, e := range es {
+		l.expr(e)
 	}
-	for i, n := range a.Names() {
-		if b.Name(i) != n {
-			return false
+}
+
+func (l *planList) expr(e Expr) {
+	switch w := e.(type) {
+	case nil, Var, ConstVal, Param, Doc:
+	case PathOf:
+		l.expr(w.Input)
+	case CmpExpr:
+		l.exprs(w.L, w.R)
+	case InExpr:
+		l.exprs(w.Item, w.Seq)
+	case AndExpr:
+		l.exprs(w.L, w.R)
+	case OrExpr:
+		l.exprs(w.L, w.R)
+	case NotExpr:
+		l.expr(w.E)
+	case CondExpr:
+		l.exprs(w.If, w.Then, w.Else)
+	case ArithExpr:
+		l.exprs(w.L, w.R)
+	case Call:
+		l.exprs(w.Args...)
+	case BindTuples:
+		l.expr(w.E)
+	case AggOfAttr:
+		l.expr(w.Attr)
+		l.fn(w.F)
+	case NestedApply:
+		l.plans, l.in = append(l.plans, w.Plan), append(l.in, e)
+		l.fn(w.F)
+	case ExistsQ:
+		l.plans, l.in = append(l.plans, w.Range), append(l.in, e)
+		l.expr(w.Pred)
+	case ForallQ:
+		l.plans, l.in = append(l.plans, w.Range), append(l.in, e)
+		l.expr(w.Pred)
+	default:
+		l.unknown = true
+	}
+}
+
+func (l *planList) fn(f SeqFunc) {
+	switch w := f.(type) {
+	case SFIdent, SFCount, SFAgg:
+	case SFProject:
+		if lay := value.NewLayout(w.Attrs...); lay == nil || lay.Width() == 0 {
+			l.unknown = true
 		}
+	case SFFiltered:
+		l.expr(w.Pred)
+		l.fn(w.Inner)
+	default:
+		l.unknown = true
 	}
-	return true
 }
 
 // Node is one operator of a resolved plan: the operator, its output schema
@@ -167,10 +230,14 @@ func sameNames(a, b *value.Layout) bool {
 type Node struct {
 	Op     Op
 	Schema Schema
-	// OK is false when the operator's attribute set is statically unknown:
-	// the subtree has no schema and only the definitional evaluator applies.
+	// OK is false when the engine cannot run the operator: it, one of its
+	// inputs or one of its nested plans has no schema (see resolve).
 	OK   bool
 	Kids []*Node
+	// subs are the resolved plans of the nested algebraic expressions in the
+	// operator's subscripts, in planList order: resolved once with the plan,
+	// opened once per outer tuple.
+	subs []*Node
 }
 
 // Resolve types an operator tree in one bottom-up pass: every operator is
@@ -188,22 +255,60 @@ func Resolve(op Op) *Node {
 }
 
 // ResolveSchema computes the output schema of an operator tree. ok=false
-// means the attribute set is statically unknown and the subtree can only be
-// evaluated definitionally.
+// means the engine cannot type, and so cannot run, the plan.
 func ResolveSchema(op Op) (Schema, bool) {
 	n := Resolve(op)
 	return n.Schema, n.OK
 }
 
-// resolve is the schema rule of one operator over its inputs' schemas. An
-// operator the rule cannot type structurally — an input without schema, a
-// colliding layout, an unknown extension — is typed by its static attribute
-// set and executes through the fallback shim.
+// nest resolves the plans gathered from the operator's subscripts as the
+// node's sub-plans; false when a subscript is outside the engine's inventory
+// or a sub-plan does not resolve.
+func (n *Node) nest(l planList) bool {
+	ok := !l.unknown
+	for _, p := range l.plans {
+		sub := Resolve(p)
+		n.subs = append(n.subs, sub)
+		ok = ok && sub.OK
+	}
+	return ok
+}
+
+// unresolved returns the lowest operator at or under n that the resolver
+// could not type: the one to name when the plan is refused.
+func (n *Node) unresolved() *Node {
+	for _, group := range [][]*Node{n.Kids, n.subs} {
+		for _, k := range group {
+			if !k.OK {
+				return k.unresolved()
+			}
+		}
+	}
+	return n
+}
+
+// hasAll reports whether the layout binds every name.
+func hasAll(lay *value.Layout, names []string) bool {
+	for _, name := range names {
+		if !lay.Has(name) {
+			return false
+		}
+	}
+	return true
+}
+
+// resolve is the schema rule of one operator over its inputs' schemas, and
+// the one place that decides whether the operator can run: everything an
+// opener relies on — inputs and nested plans typed, key, group and unnest
+// attributes bound, layouts concatenable — is checked here.
 func (n *Node) resolve() (Schema, bool) {
 	for _, k := range n.Kids {
 		if !k.OK {
-			return genericSchema(n.Op)
+			return Schema{}, false
 		}
+	}
+	if !n.nest(nestedIn(n.Op)) {
+		return Schema{}, false
 	}
 	var in, r Schema // the first and second input
 	if len(n.Kids) > 0 {
@@ -215,19 +320,28 @@ func (n *Node) resolve() (Schema, bool) {
 	//nal:opswitch schema
 	switch w := n.Op.(type) {
 	case Singleton:
-		return nativeSchema(value.NewLayout(), nil)
+		return typed(value.NewLayout(), nil)
 
-	case Select, XiSimple, XiGroup, Sort:
-		return nativeSchema(in.Lay, in.Nested)
+	case Select, XiSimple:
+		return typed(in.Lay, in.Nested)
+
+	case XiGroup:
+		if hasAll(in.Lay, w.By) {
+			return typed(in.Lay, in.Nested)
+		}
+	case Sort:
+		if hasAll(in.Lay, w.By) {
+			return typed(in.Lay, in.Nested)
+		}
 
 	case Project:
 		if lay := value.NewLayout(w.Names...); lay != nil {
-			return nativeSchema(lay, nestedKept(in.Nested, lay))
+			return typed(lay, nestedKept(in.Nested, lay))
 		}
 
 	case ProjectDrop:
 		lay, _ := in.Lay.Drop(w.Names)
-		return nativeSchema(lay, nestedKept(in.Nested, lay))
+		return typed(lay, nestedKept(in.Nested, lay))
 
 	case ProjectRename:
 		ren := make(map[string]string, len(w.Pairs))
@@ -246,7 +360,7 @@ func (n *Node) resolve() (Schema, bool) {
 					nested[k] = v
 				}
 			}
-			return nativeSchema(lay, nested)
+			return typed(lay, nested)
 		}
 
 	case ProjectDistinct:
@@ -262,12 +376,12 @@ func (n *Node) resolve() (Schema, bool) {
 			}
 		}
 		if lay := value.NewLayout(names...); lay != nil {
-			return nativeSchema(lay, nested)
+			return typed(lay, nested)
 		}
 
 	case Map:
 		lay, _ := in.Lay.Extend(w.Attr)
-		return nativeSchema(lay, nestedWith(in.Nested, w.Attr, exprNested(w.E, in)))
+		return typed(lay, nestedWith(in.Nested, w.Attr, exprNested(w.E, in, n.subs)))
 
 	case UnnestMap:
 		lay, _ := in.Lay.Extend(w.Attr)
@@ -275,60 +389,115 @@ func (n *Node) resolve() (Schema, bool) {
 			lay, _ = lay.Extend(w.PosAttr)
 		}
 		// Υ binds items, never tuple sequences.
-		return nativeSchema(lay, nestedWith(in.Nested, w.Attr, nil))
+		return typed(lay, nestedWith(in.Nested, w.Attr, nil))
 
 	case IndexScan:
 		lay, _ := in.Lay.Extend(w.Attr)
 		// An index scan binds nodes, never tuple sequences.
-		return nativeSchema(lay, nestedWith(in.Nested, w.Attr, nil))
+		return typed(lay, nestedWith(in.Nested, w.Attr, nil))
 
 	// The unordered operator family types like its ordered counterparts:
 	// concatenation for the joins, the left layout for ⋉/▷, key+group for Γ.
-	case Cross, Join, OuterJoin, UnorderedJoin, UnorderedOuterJoin:
-		if lay, ok := in.Lay.Concat(r.Lay); ok {
-			return nativeSchema(lay, nestedUnion(in.Nested, r.Nested))
+	case Cross, Join:
+		return concat(in, r)
+	case OuterJoin:
+		return outer(in, r, w.G, w.Default)
+	case UnorderedJoin:
+		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
+			return concat(in, r)
+		}
+	case UnorderedOuterJoin:
+		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
+			return outer(in, r, w.G, w.Default)
 		}
 
-	case SemiJoin, AntiJoin, UnorderedSemiJoin, UnorderedAntiJoin:
-		return nativeSchema(in.Lay, in.Nested)
+	// ⋉ and ▷ emit left rows but compile their predicate against l ◦ r.
+	case SemiJoin, AntiJoin:
+		if _, ok := in.Lay.Concat(r.Lay); ok {
+			return typed(in.Lay, in.Nested)
+		}
+	case UnorderedSemiJoin:
+		return partitionedSemi(in, r, w.LAttrs, w.RAttrs, w.Residual)
+	case UnorderedAntiJoin:
+		return partitionedSemi(in, r, w.LAttrs, w.RAttrs, w.Residual)
 
 	case GroupSelf:
-		return groupInto(n.Op, in, in, w.G, w.F)
+		if hasAll(in.Lay, w.By) {
+			return n.groupInto(in, in, w.G, w.F)
+		}
 	case GroupBinary:
-		return groupInto(n.Op, in, r, w.G, w.F)
+		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
+			return n.groupInto(in, r, w.G, w.F)
+		}
 	case UnorderedGroupBinary:
-		return groupInto(n.Op, in, r, w.G, w.F)
+		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
+			return n.groupInto(in, r, w.G, w.F)
+		}
 
 	case GroupUnary:
-		return groupBy(n.Op, in, w.By, w.G, w.F)
+		return n.groupBy(in, w.By, w.G, w.F)
 	case UnorderedGroupUnary:
-		return groupBy(n.Op, in, w.By, w.G, w.F)
+		return n.groupBy(in, w.By, w.G, w.F)
 
 	case Unnest:
-		return unnestSchema(n.Op, in, w.Attr, w.InnerAttrs)
+		return unnestSchema(in, w.Attr, w.InnerAttrs)
 	case UnnestDistinct:
-		return unnestSchema(n.Op, in, w.Attr, nil)
+		return unnestSchema(in, w.Attr, nil)
 	}
 	// Unknown extensions included.
-	return genericSchema(n.Op)
+	return Schema{}, false
+}
+
+// concat types the operators that emit l ◦ r.
+func concat(l, r Schema) (Schema, bool) {
+	if lay, ok := l.Lay.Concat(r.Lay); ok {
+		return typed(lay, nestedUnion(l.Nested, r.Nested))
+	}
+	return Schema{}, false
+}
+
+// outer types ⟕: l ◦ r, where a left tuple without partner gets f() — a
+// sequence function of the engine's inventory — in g, an attribute the
+// result binds.
+func outer(l, r Schema, g string, f SeqFunc) (Schema, bool) {
+	var def planList
+	def.fn(f)
+	if sc, ok := concat(l, r); ok && sc.Lay.Has(g) && !def.unknown {
+		return sc, true
+	}
+	return Schema{}, false
+}
+
+// partitionedSemi types ⋉ᵁ/▷ᵁ: the left layout. Only a residual needs l ◦ r;
+// without one the inputs may share attribute names.
+func partitionedSemi(l, r Schema, lAttrs, rAttrs []string, residual Expr) (Schema, bool) {
+	_, concatenable := l.Lay.Concat(r.Lay)
+	if hasAll(l.Lay, lAttrs) && hasAll(r.Lay, rAttrs) && (residual == nil || concatenable) {
+		return typed(l.Lay, l.Nested)
+	}
+	return Schema{}, false
 }
 
 // groupInto types the operators that extend every tuple of l by a group
 // attribute g holding f over tuples of members (Γ-self: l itself; binary Γ:
 // the right input). g must be fresh.
-func groupInto(op Op, l, members Schema, g string, f SeqFunc) (Schema, bool) {
-	if lay, slot := l.Lay.Extend(g); slot == l.Lay.Width() {
-		return nativeSchema(lay, nestedWith(l.Nested, g, fnNested(f, members)))
+func (n *Node) groupInto(l, members Schema, g string, f SeqFunc) (Schema, bool) {
+	var fn planList
+	fn.fn(f)
+	if lay, slot := l.Lay.Extend(g); n.nest(fn) && slot == l.Lay.Width() {
+		return typed(lay, nestedWith(l.Nested, g, fnNested(f, members)))
 	}
-	return genericSchema(op)
+	return Schema{}, false
 }
 
 // groupBy types unary Γ: the grouping attributes followed by g.
-func groupBy(op Op, in Schema, by []string, g string, f SeqFunc) (Schema, bool) {
-	if lay := value.NewLayout(append(append([]string(nil), by...), g)...); lay != nil {
-		return nativeSchema(lay, nestedWith(nestedKept(in.Nested, lay), g, fnNested(f, in)))
+func (n *Node) groupBy(in Schema, by []string, g string, f SeqFunc) (Schema, bool) {
+	var fn planList
+	fn.fn(f)
+	if lay := value.NewLayout(append(append([]string(nil), by...), g)...); n.nest(fn) && lay != nil && hasAll(in.Lay, by) {
+		return typed(lay, nestedWith(nestedKept(in.Nested, lay), g, fnNested(f, in)))
 	}
-	return genericSchema(op)
+	return Schema{}, false
 }
 
 // unnestSchema types µ/µD: the input minus the group attribute, extended by
@@ -337,12 +506,12 @@ func groupBy(op Op, in Schema, by []string, g string, f SeqFunc) (Schema, bool) 
 // attributes that collide with kept input attributes share the slot (the
 // group tuple wins, matching Concat's map semantics — e.g. µ over Γ, where
 // the grouping key reappears inside the group members).
-func unnestSchema(op Op, insc Schema, attr string, innerAttrs []string) (Schema, bool) {
+func unnestSchema(insc Schema, attr string, innerAttrs []string) (Schema, bool) {
 	inner := insc.nested(attr)
 	if innerAttrs != nil {
 		inner = &Inner{Lay: value.NewLayout(innerAttrs...)}
 	}
-	if inner != nil && inner.Lay != nil {
+	if inner != nil && inner.Lay != nil && insc.Lay.Has(attr) {
 		base, _ := insc.Lay.Drop([]string{attr})
 		names := append([]string(nil), base.Names()...)
 		for _, n := range inner.Lay.Names() {
@@ -353,28 +522,16 @@ func unnestSchema(op Op, insc Schema, attr string, innerAttrs []string) (Schema,
 		if lay := value.NewLayout(names...); lay != nil {
 			// The released members' own nested schemas join the output's:
 			// that is what makes Γ-under-µ (nested-in-nested payloads)
-			// resolve natively. On a name collision the group side wins,
-			// matching Concat's map semantics.
-			return nativeSchema(lay, nestedUnion(nestedKept(insc.Nested, base),
+			// resolve. On a name collision the group side wins, matching
+			// Concat's map semantics.
+			return typed(lay, nestedUnion(nestedKept(insc.Nested, base),
 				nestedKept(inner.Nested, lay)))
 		}
 	}
-	return genericSchema(op)
+	return Schema{}, false
 }
 
-// nativeSchema is the schema of an operator the slot engine types
-// structurally.
-func nativeSchema(lay *value.Layout, nested map[string]*Inner) (Schema, bool) {
-	return Schema{Lay: lay, Nested: nested, Native: true}, true
-}
-
-// genericSchema types an operator by its static attribute set alone; the
-// operator will execute through the definitional evaluator behind a
-// conversion shim. Fails when the attribute set is unknown.
-func genericSchema(op Op) (Schema, bool) {
-	attrs, ok := op.Attrs()
-	if !ok {
-		return Schema{}, false
-	}
-	return Schema{Lay: value.SortedLayout(attrs), Native: false}, true
+// typed is the schema of an operator the resolver could type.
+func typed(lay *value.Layout, nested map[string]*Inner) (Schema, bool) {
+	return Schema{Lay: lay, Nested: nested}, true
 }

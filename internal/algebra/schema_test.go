@@ -12,7 +12,7 @@ import (
 func TestResolveSchemaBasics(t *testing.T) {
 	src := UnnestMap{In: Singleton{}, Attr: "x", E: ConstVal{V: value.Seq{value.Int(1)}}}
 	sc, ok := ResolveSchema(Select{In: src, Pred: ConstVal{V: value.Bool(true)}})
-	if !ok || !sc.Native {
+	if !ok {
 		t.Fatalf("select schema: %+v %v", sc, ok)
 	}
 	if s, found := sc.Lay.Slot("x"); !found || s != 0 {
@@ -25,7 +25,7 @@ func TestResolveSchemaRenameSwap(t *testing.T) {
 		Attr: "b", E: ConstVal{V: value.Int(2)}}
 	op := ProjectRename{In: src, Pairs: []Rename{{New: "b", Old: "a"}, {New: "a", Old: "b"}}}
 	sc, ok := ResolveSchema(op)
-	if !ok || !sc.Native {
+	if !ok {
 		t.Fatalf("swap schema: %+v %v", sc, ok)
 	}
 	sa, _ := sc.Lay.Slot("a")
@@ -41,14 +41,14 @@ func TestResolveSchemaRenameSwap(t *testing.T) {
 func TestResolveSchemaNestedTracking(t *testing.T) {
 	grouped := GroupBinary{L: relR1(), R: relR2(), G: "g",
 		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
-	sc, ok := ResolveSchema(grouped)
+	sc, ok := ResolveSchema(native(grouped))
 	if !ok || sc.nested("g") == nil {
 		t.Fatalf("group schema must track the inner layout: %+v %v", sc, ok)
 	}
 	mu := Unnest{In: grouped, Attr: "g"}
-	msc, ok := ResolveSchema(mu)
-	if !ok || !msc.Native {
-		t.Fatalf("µ over tracked group must resolve natively: %+v %v", msc, ok)
+	msc, ok := ResolveSchema(native(mu))
+	if !ok {
+		t.Fatalf("µ over tracked group must resolve: %+v %v", msc, ok)
 	}
 	for _, a := range []string{"A1", "A2", "B"} {
 		if !msc.Lay.Has(a) {
@@ -60,13 +60,13 @@ func TestResolveSchemaNestedTracking(t *testing.T) {
 	}
 }
 
-// TestResolveSchemaFallbacks: the partitioned family resolves structurally
-// (slot-native); unknown attribute sets fail.
+// TestResolveSchemaFallbacks: the partitioned family resolves structurally;
+// unknown attribute sets do not resolve, and there is nothing to fall back to.
 func TestResolveSchemaFallbacks(t *testing.T) {
 	uj := UnorderedJoin{L: relR1(), R: relR2(), LAttrs: []string{"A1"}, RAttrs: []string{"A2"}}
-	sc, ok := ResolveSchema(uj)
-	if !ok || !sc.Native {
-		t.Fatalf("unordered join must resolve natively: %+v %v", sc, ok)
+	sc, ok := ResolveSchema(native(uj))
+	if !ok {
+		t.Fatalf("unordered join must resolve: %+v %v", sc, ok)
 	}
 	for i, a := range []string{"A1", "A2", "B"} {
 		if s, found := sc.Lay.Slot(a); !found || s != i {
@@ -75,7 +75,7 @@ func TestResolveSchemaFallbacks(t *testing.T) {
 	}
 	// µD's attribute set is statically unknown without nested tracking.
 	ud := UnnestDistinct{In: constOp{attrs: []string{"a", "g"}}, Attr: "g"}
-	if _, ok := ResolveSchema(ud); ok {
+	if _, ok := ResolveSchema(native(ud)); ok {
 		t.Fatalf("µD without inner layout must not resolve")
 	}
 }
@@ -92,7 +92,7 @@ func TestProjectRenameSwap(t *testing.T) {
 	if len(got) != 1 || !value.TupleEqual(got[0], want) {
 		t.Fatalf("Eval swap: %s, want %s", got, want)
 	}
-	it := RunIter(op, NewCtx(nil), nil)
+	it := RunIter(native(op), NewCtx(nil), nil)
 	if len(it) != 1 || !value.TupleEqual(it[0], want) {
 		t.Fatalf("iterator swap: %s, want %s", it, want)
 	}
@@ -104,7 +104,7 @@ func TestProjectRenameSwap(t *testing.T) {
 	if len(gotChain) != 1 || !value.TupleEqual(gotChain[0], wantChain) {
 		t.Fatalf("Eval chain: %s, want %s", gotChain, wantChain)
 	}
-	itChain := RunIter(chain, NewCtx(nil), nil)
+	itChain := RunIter(native(chain), NewCtx(nil), nil)
 	if len(itChain) != 1 || !value.TupleEqual(itChain[0], wantChain) {
 		t.Fatalf("iterator chain: %s, want %s", itChain, wantChain)
 	}

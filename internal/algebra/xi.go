@@ -236,7 +236,9 @@ func (x XiGroup) Exprs() []Expr {
 // Attrs implements Op.
 func (x XiGroup) Attrs() ([]string, bool) { return x.In.Attrs() }
 
-// Explain renders an operator tree as an indented multi-line plan.
+// Explain renders an operator tree as an indented multi-line plan; the plans
+// of nested algebraic expressions hang below the operator that evaluates
+// them per tuple.
 func Explain(op Op) string {
 	var sb strings.Builder
 	var walk func(o Op, depth int)
@@ -247,9 +249,18 @@ func Explain(op Op) string {
 		for _, c := range o.Children() {
 			walk(c, depth+1)
 		}
-		// Show nested algebraic expressions inside subscripts.
-		for _, e := range o.Exprs() {
-			explainNested(&sb, e, depth+1)
+		nested := nestedIn(o)
+		for i, plan := range nested.plans {
+			label := "nested:\n"
+			switch nested.in[i].(type) {
+			case ExistsQ:
+				label = "∃-range:\n"
+			case ForallQ:
+				label = "∀-range:\n"
+			}
+			sb.WriteString(strings.Repeat("  ", depth+1))
+			sb.WriteString(label)
+			walk(plan, depth+2)
 		}
 	}
 	walk(op, 0)
@@ -265,95 +276,29 @@ func ExplainDot(op Op) string {
 	sb.WriteString("digraph plan {\n  node [shape=box, fontname=\"monospace\"];\n")
 	id := 0
 	var walk func(o Op) int
-	var walkExpr func(e Expr, from int)
 	walk = func(o Op) int {
 		me := id
 		id++
 		fmt.Fprintf(&sb, "  n%d [label=%q];\n", me, o.String())
 		for _, c := range o.Children() {
-			child := walk(c)
-			fmt.Fprintf(&sb, "  n%d -> n%d;\n", me, child)
+			fmt.Fprintf(&sb, "  n%d -> n%d;\n", me, walk(c))
 		}
-		for _, e := range o.Exprs() {
-			walkExpr(e, me)
+		nested := nestedIn(o)
+		for i, plan := range nested.plans {
+			var label string
+			switch w := nested.in[i].(type) {
+			case NestedApply:
+				label = "nested " + w.F.String()
+			case ExistsQ:
+				label = "exists " + w.Var
+			case ForallQ:
+				label = "forall " + w.Var
+			}
+			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed, label=%q];\n", me, walk(plan), label)
 		}
 		return me
-	}
-	walkExpr = func(e Expr, from int) {
-		switch w := e.(type) {
-		case NestedApply:
-			child := walk(w.Plan)
-			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed, label=\"nested %s\"];\n",
-				from, child, w.F.String())
-		case ExistsQ:
-			child := walk(w.Range)
-			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed, label=\"exists %s\"];\n", from, child, w.Var)
-		case ForallQ:
-			child := walk(w.Range)
-			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed, label=\"forall %s\"];\n", from, child, w.Var)
-		case AndExpr:
-			walkExpr(w.L, from)
-			walkExpr(w.R, from)
-		case OrExpr:
-			walkExpr(w.L, from)
-			walkExpr(w.R, from)
-		case NotExpr:
-			walkExpr(w.E, from)
-		case CmpExpr:
-			walkExpr(w.L, from)
-			walkExpr(w.R, from)
-		case CondExpr:
-			walkExpr(w.If, from)
-			walkExpr(w.Then, from)
-			walkExpr(w.Else, from)
-		case Call:
-			for _, a := range w.Args {
-				walkExpr(a, from)
-			}
-		}
 	}
 	walk(op)
 	sb.WriteString("}\n")
 	return sb.String()
-}
-
-func explainNested(sb *strings.Builder, e Expr, depth int) {
-	switch w := e.(type) {
-	case NestedApply:
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString("nested:\n")
-		for _, line := range strings.Split(strings.TrimRight(Explain(w.Plan), "\n"), "\n") {
-			sb.WriteString(strings.Repeat("  ", depth+1))
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-	case ExistsQ:
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString("∃-range:\n")
-		for _, line := range strings.Split(strings.TrimRight(Explain(w.Range), "\n"), "\n") {
-			sb.WriteString(strings.Repeat("  ", depth+1))
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-	case ForallQ:
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString("∀-range:\n")
-		for _, line := range strings.Split(strings.TrimRight(Explain(w.Range), "\n"), "\n") {
-			sb.WriteString(strings.Repeat("  ", depth+1))
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-	case AndExpr:
-		explainNested(sb, w.L, depth)
-		explainNested(sb, w.R, depth)
-	case NotExpr:
-		explainNested(sb, w.E, depth)
-	case CmpExpr:
-		explainNested(sb, w.L, depth)
-		explainNested(sb, w.R, depth)
-	case Call:
-		for _, a := range w.Args {
-			explainNested(sb, a, depth)
-		}
-	}
 }

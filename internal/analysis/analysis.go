@@ -74,6 +74,39 @@ func (p *Pass) Preorder(fn func(n ast.Node, stack []ast.Node)) {
 	}
 }
 
+// Annotations finds the package's "//nal:<name> <reason>" comments and
+// returns the look-up for the statement at pos: an annotation counts on the
+// statement's own line (trailing) or on the line directly above it. reason
+// is "" for an annotation that gives none.
+func (p *Pass) Annotations(name string) func(pos token.Pos) (reason string, ok bool) {
+	prefix := "//nal:" + name
+	at := map[string]map[int]string{} // file → line → reason
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, found := strings.CutPrefix(c.Text, prefix)
+				if !found || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+					continue
+				}
+				pos := p.Fset.Position(c.Pos())
+				if at[pos.Filename] == nil {
+					at[pos.Filename] = map[int]string{}
+				}
+				at[pos.Filename][pos.Line] = strings.TrimSpace(rest)
+			}
+		}
+	}
+	return func(pos token.Pos) (string, bool) {
+		where := p.Fset.Position(pos)
+		lines := at[where.Filename]
+		if reason, ok := lines[where.Line]; ok {
+			return reason, true
+		}
+		reason, ok := lines[where.Line-1]
+		return reason, ok
+	}
+}
+
 // CalleeName returns the unqualified name of the function or method a call
 // invokes, "" for anything else (a call of a call, a conversion, …).
 func CalleeName(call *ast.CallExpr) string {

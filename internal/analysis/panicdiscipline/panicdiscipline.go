@@ -17,7 +17,6 @@ package panicdiscipline
 import (
 	"go/ast"
 	"go/types"
-	"regexp"
 	"strings"
 
 	"nalquery/internal/analysis"
@@ -46,30 +45,11 @@ func init() {
 		"comma-separated import paths of the engine packages the discipline applies to")
 }
 
-var allowRe = regexp.MustCompile(`^//nal:allow-panic(?:\s+(.*\S))?\s*$`)
-
 func run(pass *analysis.Pass) error {
 	if !analysis.ListHas(pkgs, pass.Pkg.Path()) {
 		return nil
 	}
-
-	// file → line → reason ("" = annotation present but reason missing).
-	allows := map[string]map[int]string{}
-	for _, f := range pass.Files {
-		fname := pass.Fset.Position(f.Pos()).Filename
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				sub := allowRe.FindStringSubmatch(c.Text)
-				if sub == nil {
-					continue
-				}
-				if allows[fname] == nil {
-					allows[fname] = map[int]string{}
-				}
-				allows[fname][pass.Fset.Position(c.Pos()).Line] = sub[1]
-			}
-		}
-	}
+	allowed := pass.Annotations("allow-panic")
 
 	pass.Preorder(func(n ast.Node, _ []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
@@ -90,32 +70,18 @@ func run(pass *analysis.Pass) error {
 		if len(call.Args) == 1 && isTripPayload(pass, call.Args[0]) {
 			return
 		}
-		if lines, ok := allows[pos.Filename]; ok {
-			if reason, ok := annotationFor(lines, pos.Line); ok {
-				if reason == "" {
-					pass.Reportf(call.Pos(),
-						"panicdiscipline: //nal:allow-panic annotation needs a reason (//nal:allow-panic <why this cannot erode the recover contract>)")
-				}
-				return
+		if reason, ok := allowed(call.Pos()); ok {
+			if reason == "" {
+				pass.Reportf(call.Pos(),
+					"panicdiscipline: //nal:allow-panic annotation needs a reason (//nal:allow-panic <why this cannot erode the recover contract>)")
 			}
+			return
 		}
 		pass.Reportf(call.Pos(),
 			"panicdiscipline: raw panic in engine package %s — the engine's one sanctioned panic is the *%s budget trip; return an error, or annotate //nal:allow-panic <reason>",
 			pass.Pkg.Path(), tripType)
 	})
 	return nil
-}
-
-// annotationFor accepts an annotation on the panic's own line (trailing
-// comment) or on the line directly above it.
-func annotationFor(lines map[int]string, line int) (string, bool) {
-	if r, ok := lines[line]; ok {
-		return r, true
-	}
-	if r, ok := lines[line-1]; ok {
-		return r, true
-	}
-	return "", false
 }
 
 func isTripPayload(pass *analysis.Pass, arg ast.Expr) bool {

@@ -237,12 +237,11 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 	case algebra.Sort:
 		in := m.Plan(w.In)
 		return Estimate{Card: in.Card, Cost: in.Cost + in.Card*logF(in.Card)*tupleCost}
-	// The unordered family executes slot-natively (no conversion shim):
-	// the operators that materialize concatenated output rows (the inner
-	// and outer joins) carry the same slot-rate perTuple output term as
-	// the ordered hash join, while ⋉ᵁ/▷ᵁ emit retained left rows at zero
-	// copy and keep the linear-pass formula. Partition passes stay linear
-	// in the inputs.
+	// The unordered family: the operators that materialize concatenated
+	// output rows (the inner and outer joins) carry the same slot-rate
+	// perTuple output term as the ordered hash join, while ⋉ᵁ/▷ᵁ emit
+	// retained left rows at zero copy and keep the linear-pass formula.
+	// Partition passes stay linear in the inputs.
 	case algebra.UnorderedJoin:
 		l, r := m.Plan(w.L), m.Plan(w.R)
 		card := maxF(l.Card, r.Card)

@@ -487,7 +487,9 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 // requestBudget resolves the per-run memory budget: the
 // X-Nalquery-Max-Memory header or ?max-memory= parameter (bytes with
 // optional k/m/g suffix), default cfg.DefaultMaxMemory, capped at
-// cfg.MaxMemoryCap. Zero means no budget.
+// cfg.MaxMemoryCap. A client's 0 asks for that default like sending nothing
+// does — only the configuration can leave a run without budget (a result of
+// zero).
 func (s *Server) requestBudget(r *http.Request) (int64, error) {
 	raw := r.Header.Get("X-Nalquery-Max-Memory")
 	if q := r.URL.Query().Get("max-memory"); q != "" {
@@ -500,10 +502,10 @@ func (s *Server) requestBudget(r *http.Request) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad max-memory %q (want bytes, e.g. 64k, 16m): %v", raw, err)
 	}
-	if n > s.cfg.MaxMemoryCap {
-		n = s.cfg.MaxMemoryCap
+	if n == 0 {
+		return s.cfg.DefaultMaxMemory, nil
 	}
-	return n, nil
+	return min(n, s.cfg.MaxMemoryCap), nil
 }
 
 // runOptions builds the Run options of a request: ?plan= selects the plan

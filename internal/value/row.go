@@ -1,7 +1,5 @@
 package value
 
-import "sort"
-
 // Layout is a compiled tuple schema: a fixed assignment of attribute names
 // to slot indices, shared by every Row of one operator's output. Layouts are
 // resolved once at plan time (see internal/algebra's schema resolver), so
@@ -24,9 +22,9 @@ func NewLayout(names ...string) *Layout {
 		}
 		l.index[n] = i
 	}
-	// Already-sorted names (single attributes, SortedLayout — the common
-	// case) share one identity slot order, keeping NewLayout at allocation
-	// parity with the pre-canon revision on the plan-open path.
+	// Already-sorted names (single attributes — the common case) share one
+	// identity slot order, keeping NewLayout at allocation parity with the
+	// pre-canon revision on the plan-open path.
 	sorted := true
 	for i := 1; i < len(names); i++ {
 		if l.names[i-1] > l.names[i] {
@@ -67,14 +65,6 @@ var identSlots = func() []int {
 // slice is shared; do not mutate.
 func (l *Layout) Canon() []int { return l.canon }
 
-// SortedLayout builds a layout over the names in sorted order — the
-// canonical layout for operators that only publish an attribute set.
-func SortedLayout(names []string) *Layout {
-	s := append([]string(nil), names...)
-	sort.Strings(s)
-	return NewLayout(s...)
-}
-
 // Width returns the slot count.
 func (l *Layout) Width() int { return len(l.names) }
 
@@ -99,8 +89,8 @@ func (l *Layout) Has(name string) bool {
 
 // Concat returns the layout of tuple concatenation t ◦ u: l's slots followed
 // by r's. It fails on a name collision — well-formed plans concatenate
-// disjoint attribute sets, and a collision must fall back to map semantics
-// (where the right side silently wins).
+// disjoint attribute sets; under map semantics the right side would silently
+// win, and the resolver refuses such a plan instead.
 func (l *Layout) Concat(r *Layout) (*Layout, bool) {
 	names := make([]string, 0, len(l.names)+len(r.names))
 	names = append(names, l.names...)
@@ -208,19 +198,6 @@ func (r Row) Tuple() Tuple {
 		}
 	}
 	return t
-}
-
-// RowFromTuple converts a map-based tuple into a row under the given layout.
-// Attributes of t outside the layout are dropped; layout slots missing from
-// t stay nil (absent).
-func RowFromTuple(lay *Layout, t Tuple) Row {
-	vals := make([]Value, lay.Width())
-	for i, n := range lay.names {
-		if v, ok := t[n]; ok {
-			vals[i] = v
-		}
-	}
-	return Row{Lay: lay, Vals: vals}
 }
 
 // ConcatRows implements t ◦ u over rows: two copies into vals, the caller's

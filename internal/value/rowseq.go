@@ -90,9 +90,9 @@ func (rs RowSeq) WithLayout(lay *Layout) RowSeq {
 	return out
 }
 
-// Tuples materializes the members as map tuples — the public API /
-// differential-test boundary. Inside the engine, callers count this
-// conversion (Stats.MapTuples) instead of calling it.
+// Tuples materializes the members as map tuples — for the definitional
+// evaluator (TuplesOf) and the differential-test boundary; the row engine
+// never calls it.
 func (rs RowSeq) Tuples() TupleSeq {
 	out := make(TupleSeq, rs.n)
 	for i := 0; i < rs.n; i++ {
@@ -138,8 +138,8 @@ func KeyOfRow(r Row, scratch []int) (HashKey, []int) {
 
 // TuplesOf views a tuple-sequence value through the map-tuple lens: a
 // TupleSeq stays itself, a RowSeq materializes. ok=false for any other
-// value. The definitional evaluator uses it where slot-engine payloads can
-// reach map-engine operators (mixed plans, environment shims).
+// value. The definitional evaluator reads payloads through it, so it can be
+// handed either representation.
 func TuplesOf(v Value) (TupleSeq, bool) {
 	switch w := v.(type) {
 	case TupleSeq:

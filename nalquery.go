@@ -264,10 +264,9 @@ type Stats struct {
 	// (one per IndexScan open) instead of a document traversal. Plans
 	// without substituted index scans report 0.
 	IndexScans int64
-	// MapTuples counts map tuples put on the slot engine's data path (group
-	// payloads converted for uncompiled sequence functions, the output of an
-	// operator that fell back to the definitional evaluator). Fully native
-	// execution — every plan the compiler produces today — reports 0.
+	// MapTuples is always 0: the engine has no map-tuple path a plan could
+	// fall back to any more (a plan it cannot type is refused with an
+	// *InternalError). The field remains for programs that read it.
 	MapTuples int64
 	// BudgetBytes and BudgetTuples are the run's resource-budget charge
 	// counters (see WithMaxMemory/WithMaxTuples). Both are 0 when the run
@@ -353,7 +352,6 @@ func statsOf(ctx *algebra.Ctx) Stats {
 		NestedEvals: ctx.Stats.NestedEvals,
 		Tuples:      ctx.Stats.Tuples,
 		IndexScans:  ctx.Stats.IndexScans,
-		MapTuples:   ctx.Stats.MapTuples,
 	}
 	if b := ctx.Budget; b != nil {
 		st.BudgetBytes = b.Bytes()

@@ -8,23 +8,23 @@ import (
 	"testing"
 
 	"nalquery/internal/algebra"
+	"nalquery/internal/dom"
 	"nalquery/internal/value"
 )
 
-// panicOp is an injected poison plan: every evaluation path panics. It
-// stands in for any evaluator bug so the tests pin the recovery boundary
-// itself, not one particular crash.
-type panicOp struct{ msg any }
+// panicIndex is an injected poison: an index whose every look-up panics. A
+// scan over it is a plan the engine types and opens like any other and that
+// panics inside whichever evaluator runs it — it stands in for any evaluator
+// bug, so the tests pin the recovery boundary itself, not one particular
+// crash.
+type panicIndex struct{ msg any }
 
-func (p panicOp) Eval(*algebra.Ctx, value.Tuple) value.TupleSeq      { panic(p.msg) }
-func (p panicOp) String() string                                     { return "panic!" }
-func (p panicOp) Children() []algebra.Op                             { return nil }
-func (p panicOp) MapChildren(func(algebra.Op) algebra.Op) algebra.Op { return p }
-func (p panicOp) Exprs() []algebra.Expr                              { return nil }
-func (p panicOp) Attrs() ([]string, bool)                            { return nil, false }
+func (p panicIndex) ScanAll() []*dom.Node                                  { panic(p.msg) }
+func (p panicIndex) ProbeEq(value.Value) ([]*dom.Node, bool)               { panic(p.msg) }
+func (p panicIndex) ProbeCmp(value.CmpOp, value.Value) ([]*dom.Node, bool) { panic(p.msg) }
 
 // poisonQuery compiles a valid query, then replaces its plan set with the
-// panicking op under the given plan name.
+// panicking scan under the given plan name.
 func poisonQuery(t *testing.T, msg any) *Query {
 	t.Helper()
 	eng := runEngine(20)
@@ -34,7 +34,8 @@ func poisonQuery(t *testing.T, msg any) *Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.plans = []Plan{{Name: "poison", op: panicOp{msg: msg}}}
+	q.plans = []Plan{{Name: "poison", op: algebra.IndexScan{In: algebra.Singleton{}, Attr: "b",
+		Index: panicIndex{msg: msg}}}}
 	return q
 }
 
@@ -58,7 +59,7 @@ func requireInternal(t *testing.T, err error, q *Query) *InternalError {
 	if ie.Plan != "poison" {
 		t.Fatalf("InternalError.Plan = %q, want %q", ie.Plan, "poison")
 	}
-	if !strings.Contains(string(ie.Stack), "panicOp") {
+	if !strings.Contains(string(ie.Stack), "panicIndex") {
 		t.Fatalf("InternalError.Stack does not include the panic origin:\n%s", ie.Stack)
 	}
 	return ie

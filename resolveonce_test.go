@@ -18,7 +18,9 @@ import (
 )
 
 // schemaString renders a resolved schema canonically: attribute names in
-// slot order, nativeness, and the nested inner layouts recursively.
+// slot order and the nested inner layouts recursively. ("native=true" dates
+// from when a resolved operator could still be non-native; the pinned sums
+// below were taken over this rendering.)
 func schemaString(sc algebra.Schema, ok bool) string {
 	if !ok {
 		return "unresolved"
@@ -39,7 +41,7 @@ func schemaString(sc algebra.Schema, ok bool) string {
 		}
 		return s + "]"
 	}
-	return fmt.Sprintf("native=%v %s", sc.Native, inner(&algebra.Inner{Lay: sc.Lay, Nested: sc.Nested}))
+	return fmt.Sprintf("native=%v %s", ok, inner(&algebra.Inner{Lay: sc.Lay, Nested: sc.Nested}))
 }
 
 // foldResolved checks every node of the plan's resolved tree against the

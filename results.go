@@ -191,6 +191,7 @@ func (r *Results) openTyped() {
 	r.actx.Sink = &r.queue
 	if r.cfg.reference {
 		// The reference evaluator materializes; all items queue up front.
+		//nal:reference-engine WithReferenceEngine asked for the definitional evaluator: the differential oracle, typed consumption
 		r.plan.op.Eval(r.actx, nil)
 		r.done = true
 		return
@@ -322,6 +323,7 @@ func (r *Results) drainTo(w io.Writer) error {
 			}
 		}()
 		if r.cfg.reference {
+			//nal:reference-engine WithReferenceEngine asked for the definitional evaluator: the differential oracle, serialized consumption
 			r.plan.op.Eval(r.actx, nil)
 		} else {
 			r.plan.resolved().Drain(r.actx, nil)

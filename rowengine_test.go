@@ -69,8 +69,8 @@ func TestSlotEngineMatchesMapEngine(t *testing.T) {
 }
 
 // TestPaperPlansResolveNatively guards the perf story: every plan of every
-// paper query must pass the schema-resolution pass, so execution never
-// silently degrades to the definitional evaluator.
+// paper query must pass the schema-resolution pass — a plan that does not is
+// refused at run time, there is no evaluator to degrade to.
 func TestPaperPlansResolveNatively(t *testing.T) {
 	e := tinyEngine(t)
 	e.LoadDBLPDocument(40)
@@ -80,27 +80,34 @@ func TestPaperPlansResolveNatively(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		for _, p := range q.Plans() {
-			sc, ok := algebra.ResolveSchema(p.op)
-			if !ok {
-				t.Errorf("%s/%s: schema does not resolve", id, p.Name)
-				continue
-			}
-			if !sc.Native {
-				t.Errorf("%s/%s: top operator is not slot-native (%s)", id, p.Name, p.op.String())
+			if n := p.resolved(); !n.OK {
+				t.Errorf("%s/%s: schema does not resolve (%s)", id, p.Name, p.op.String())
 			}
 		}
 	}
 }
 
 // TestPaperPlansMapFree pins the RowSeq data model: no plan of any paper
-// query — including its unordered variants — materializes a single map
-// tuple on the slot engine's data path. Group payloads, e[a] bindings and
-// nested-block results all travel as slot rows; Stats.MapTuples counts any
-// conversion back to the map-tuple model (uncompiled sequence functions,
-// conversion-shim traffic) and must stay zero.
+// query — including its unordered variants and the nested plans, whose
+// sub-plans run on the row engine too — carries a map-backed tuple sequence
+// on the slot engine's data path. Group payloads, e[a] bindings and
+// nested-block results all travel as slot rows, at any nesting depth.
 func TestPaperPlansMapFree(t *testing.T) {
 	e := tinyEngine(t)
 	e.LoadDBLPDocument(40)
+	var check func(t *testing.T, name string, v value.Value)
+	check = func(t *testing.T, name string, v value.Value) {
+		switch w := v.(type) {
+		case value.TupleSeq:
+			t.Errorf("%s: a map-backed tuple sequence on the slot engine's data path: %.100s", name, w)
+		case value.RowSeq:
+			for i := 0; i < w.Len(); i++ {
+				for _, m := range w.At(i).Vals {
+					check(t, name, m)
+				}
+			}
+		}
+	}
 	for id, text := range PaperQueries {
 		for _, wrap := range []string{"", "unordered"} {
 			q := text
@@ -120,48 +127,38 @@ func TestPaperPlansMapFree(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for _, p := range cq.Plans() {
-				ctx := algebra.NewCtx(e.snapshot().docs)
-				algebra.DrainIter(p.op, ctx, nil)
-				if ctx.Stats.MapTuples != 0 {
-					t.Errorf("%s/%s: %d map tuples materialized on the slot engine's data path",
-						name, p.Name, ctx.Stats.MapTuples)
+				for _, tp := range algebra.RunIter(p.op, algebra.NewCtx(e.snapshot().docs), nil) {
+					for _, v := range tp {
+						check(t, name+"/"+p.Name, v)
+					}
 				}
 			}
 		}
 	}
 }
 
-// assertFullyNative walks a plan and requires every operator to resolve
-// slot-natively, then executes it and requires that the conversion shim
-// never fired — the pin that no plan containing a partitioned operator
-// (the unordered family) degrades to map-tuple execution.
+// assertFullyNative requires every operator of a plan — walked subtree by
+// subtree, so a partitioned operator (the unordered family) is also typed
+// standing alone — to resolve, then executes the plan on the row engine.
 func assertFullyNative(t *testing.T, name string, op algebra.Op, docs map[string]*dom.Document) {
 	t.Helper()
 	var walk func(o algebra.Op)
 	walk = func(o algebra.Op) {
-		sc, ok := algebra.ResolveSchema(o)
-		if !ok {
+		if _, ok := algebra.ResolveSchema(o); !ok {
 			t.Errorf("%s: %s does not resolve", name, o.String())
 			return
-		}
-		if !sc.Native {
-			t.Errorf("%s: %s is not slot-native", name, o.String())
 		}
 		for _, c := range o.Children() {
 			walk(c)
 		}
 	}
 	walk(op)
-	ctx := algebra.NewCtx(docs)
-	algebra.DrainIter(op, ctx, nil)
-	if ctx.Stats.ShimOps != 0 {
-		t.Errorf("%s: %d operators executed behind the conversion shim", name, ctx.Stats.ShimOps)
-	}
+	algebra.DrainIter(op, algebra.NewCtx(docs), nil)
 }
 
 // TestPartitionedPlansResolveNatively pins the partitioned operator
 // family's native execution: every unordered plan alternative of every
-// paper query runs without a single conversion-shim operator.
+// paper query resolves operator by operator and runs on the row engine.
 func TestPartitionedPlansResolveNatively(t *testing.T) {
 	e := tinyEngine(t)
 	checked := 0
