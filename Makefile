@@ -53,14 +53,15 @@ faults:
 # oracle is the seeded differential sweep (docs/FUZZING.md): generated
 # queries through every plan alternative on the slot engine and the
 # reference evaluator, both consumption modes, byte-identical — plus the
-# pinned crashers and the malformed-request sweep of the HTTP tier — under
-# the race detector. It is the byte-identity proof of ci. Override
-# QGEN_SEED / QGEN_COUNT to dig; failures print a one-line reproducer.
+# pinned crashers, the table of quantifier shapes the generator cannot draw
+# and the malformed-request sweep of the HTTP tier — under the race detector.
+# It is the byte-identity proof of ci. Override QGEN_SEED / QGEN_COUNT to
+# dig; failures print a one-line reproducer.
 QGEN_SEED ?= 20240808
 QGEN_COUNT ?= 250
 oracle:
 	NALQUERY_QGEN_SEED=$(QGEN_SEED) NALQUERY_QGEN_COUNT=$(QGEN_COUNT) \
-		$(GO) test -race -count=1 -run 'TestDifferential|TestCrasher|TestMalformedRequestSweep' . ./internal/server/
+		$(GO) test -race -count=1 -run 'TestDifferential|TestCrasher|TestQuantifierSatisfiesShapes|TestMalformedRequestSweep' . ./internal/server/
 
 # fuzz-smoke is the per-PR fuzzing gate: the oracle sweep, then each native
 # fuzz target briefly under the coverage engine (which always replays the

@@ -2,9 +2,11 @@ package nalquery
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"nalquery/internal/algebra"
 	"nalquery/internal/qgen"
 	"nalquery/internal/xquery"
 )
@@ -220,6 +222,127 @@ func TestCrasherParserDepthBomb(t *testing.T) {
 			t.Fatalf("depth bomb: got %T (%v), want *ParseError", err, err)
 		}
 	}
+}
+
+// paperEngine50 holds the use-case documents at the size the three
+// quantifier reproducers below were found at (`nalrun -gen 50`).
+func paperEngine50() *Engine {
+	eng := NewEngine()
+	eng.LoadUseCaseDocuments(50, 2)
+	return eng
+}
+
+// assertQuantJoinBound requires the plan that unnested the quantifier by the
+// given equivalence to still be enumerated, and every ⋉/▷ predicate in it to
+// read only attributes one of the join's two inputs produces: the fix of a
+// wrong rewrite is a right rewrite, not a dropped one.
+func assertQuantJoinBound(t *testing.T, eng *Engine, query, eqv string) {
+	t.Helper()
+	q, err := eng.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := 0
+	for _, plan := range q.Plans() {
+		if !slices.Contains(plan.Applied, eqv) {
+			continue
+		}
+		var walk func(o algebra.Op)
+		walk = func(o algebra.Op) {
+			var l, r algebra.Op
+			var pred algebra.Expr
+			switch j := o.(type) {
+			case algebra.SemiJoin:
+				l, r, pred = j.L, j.R, j.Pred
+			case algebra.AntiJoin:
+				l, r, pred = j.L, j.R, j.Pred
+			}
+			if pred != nil {
+				joins++
+				la, lok := l.Attrs()
+				ra, rok := r.Attrs()
+				fv := map[string]bool{}
+				pred.FreeVars(fv)
+				for v := range fv {
+					if !lok || !rok || !slices.Contains(la, v) && !slices.Contains(ra, v) {
+						t.Errorf("plan %q: %s reads %s, which neither input binds (%v, %v)", plan.Name, o, v, la, ra)
+					}
+				}
+			}
+			for _, c := range o.Children() {
+				walk(c)
+			}
+		}
+		walk(plan.op)
+	}
+	if joins == 0 {
+		t.Errorf("no plan of %v unnests the quantifier by %s", planNames(q), eqv)
+	}
+}
+
+// Crasher 11 — found reading core.substVar for another purpose: it listed
+// the expression forms by hand, had no ArithExpr case and ended in
+// "default: return e", so Eqv. 7 over Q5 with arithmetic in the satisfies
+// clause kept the quantifier variable unbound in
+// ▷[author_2 = a1 ∧ ¬((b2/@year + 0) > 1993)]: the cost-chosen plan returned
+// 1 byte where nested returns 1 205. Expressions are substituted by method
+// now (Expr.MapChildren).
+func TestCrasherQuantifierOverArithmetic(t *testing.T) {
+	eng := paperEngine50()
+	query := strings.Replace(QueryQ5Universal, "$b2/@year > 1993", "$b2/@year + 0 > 1993", 1)
+	if out, want := assertAllPlansAgree(t, eng, query), assertAllPlansAgree(t, eng, QueryQ5Universal); out != want || out == "" {
+		t.Errorf("@year + 0 > 1993 gives %d bytes, @year > 1993 gives %d", len(out), len(want))
+	}
+	assertQuantJoinBound(t, eng, query, "Eqv.7")
+}
+
+// Crasher 12 — the same hand-kept list had no CondExpr case: Eqv. 6 over Q3
+// with a conditional in the satisfies clause left t2 unbound in the ⋉
+// predicate, 1 byte against nested's 1 256.
+func TestCrasherQuantifierOverConditional(t *testing.T) {
+	eng := paperEngine50()
+	query := strings.Replace(QueryQ3Existential, "satisfies $t1 = $t2",
+		"satisfies (if ($t2 = $t1) then true() else false())", 1)
+	if out, want := assertAllPlansAgree(t, eng, query), assertAllPlansAgree(t, eng, QueryQ3Existential); out != want || out == "" {
+		t.Errorf("if ($t2 = $t1) … gives %d bytes, $t1 = $t2 gives %d", len(out), len(want))
+	}
+	assertQuantJoinBound(t, eng, query, "Eqv.6")
+}
+
+// Crasher 13 — normalize.soleVarPath did not look inside arithmetic, so the
+// Sec. 5.5 narrowing rebound $b2 to its @year while $b2/price + 0 still read
+// the book: 1 byte on every plan and both evaluators — all plans share the
+// normalized text, so the differential oracle is blind to it — against 1 654
+// for the same query without "+ 0". Pinned as a semantic pair.
+func TestCrasherNarrowingPastArithmetic(t *testing.T) {
+	eng := paperEngine50()
+	const query = `
+let $d1 := doc("bib.xml")
+for $a1 in distinct-values($d1//author)
+where some $b2 in doc("bib.xml")//book[author = $a1]
+      satisfies $b2/@year > 1993 and $b2/price + 0 > 0
+return <new-author>{ $a1 }</new-author>`
+	plain := strings.Replace(query, "$b2/price + 0 > 0", "$b2/price > 0", 1)
+	if out, want := assertAllPlansAgree(t, eng, query), assertAllPlansAgree(t, eng, plain); out != want || out == "" {
+		t.Errorf("price + 0 > 0 gives %d bytes, price > 0 gives %d", len(out), len(want))
+	}
+}
+
+// Crasher 14 — FuzzRoundTrip seed-quant-cond, the first seed with a
+// quantifier over a parenthesised FLWR (Q3's shape): the printer writes the
+// range without the parentheses — legal XQuery, a range is an ExprSingle —
+// and the parser, which read a range as an or-expression, refused its own
+// printer's text ("unexpected keyword let"), Query.Normalized of every
+// normalized quantifier included.
+func TestCrasherQuantifierRangeIsExprSingle(t *testing.T) {
+	assertPrintFixpoint(t, QueryQ3Existential)
+	assertPrintFixpoint(t, `some $x in for $y in doc("d.xml")//a return $y, $z in if ($x) then $x else () satisfies $x = $z`)
+	eng := crasherEngine(t)
+	q, err := eng.Compile(QueryQ5Universal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPrintFixpoint(t, q.Normalized)
 }
 
 // assertPrintFixpoint parses src, reprints, reparses, and requires the

@@ -213,6 +213,22 @@ type Expr interface {
 	String() string
 	// FreeVars appends the free variable names of the expression to dst.
 	FreeVars(dst map[string]bool)
+	// Child returns the i-th sub-expression in evaluation order, nil past the
+	// last one; it allocates nothing. Nested plans and sequence functions
+	// (NestedApply, the quantifier ranges, AggOfAttr.F) are not expressions:
+	// a traversal that cares about them names those forms.
+	Child(i int) Expr
+	// MapChildren returns the expression with f applied to each
+	// sub-expression, in the same order.
+	MapChildren(f func(Expr) Expr) Expr
+}
+
+// nth is the i-th of a form's sub-expressions, nil past the last.
+func nth(i int, es ...Expr) Expr {
+	if i < len(es) {
+		return es[i]
+	}
+	return nil
 }
 
 // Var references a variable/attribute binding.
@@ -225,6 +241,10 @@ func (v Var) String() string { return v.Name }
 
 // FreeVars implements Expr.
 func (v Var) FreeVars(dst map[string]bool) { dst[v.Name] = true }
+
+// Child and MapChildren implement Expr.
+func (Var) Child(int) Expr                     { return nil }
+func (v Var) MapChildren(func(Expr) Expr) Expr { return v }
 
 // ConstVal is a literal constant.
 type ConstVal struct{ V value.Value }
@@ -244,6 +264,10 @@ func (c ConstVal) String() string {
 
 // FreeVars implements Expr.
 func (ConstVal) FreeVars(map[string]bool) {}
+
+// Child and MapChildren implement Expr.
+func (ConstVal) Child(int) Expr                     { return nil }
+func (c ConstVal) MapChildren(func(Expr) Expr) Expr { return c }
 
 // Param is a typed parameter expression: the compiled form of an XQuery
 // external variable ("declare variable $x external;"). Its value comes
@@ -270,6 +294,10 @@ func (p Param) String() string { return "$" + p.Name }
 // environment, so it contributes no free variables.
 func (Param) FreeVars(map[string]bool) {}
 
+// Child and MapChildren implement Expr.
+func (Param) Child(int) Expr                     { return nil }
+func (p Param) MapChildren(func(Expr) Expr) Expr { return p }
+
 // Doc resolves a stored document by URI (the doc()/document() function).
 type Doc struct{ URI string }
 
@@ -287,6 +315,10 @@ func (d Doc) String() string { return fmt.Sprintf("doc(%q)", d.URI) }
 
 // FreeVars implements Expr.
 func (Doc) FreeVars(map[string]bool) {}
+
+// Child and MapChildren implement Expr.
+func (Doc) Child(int) Expr                     { return nil }
+func (d Doc) MapChildren(func(Expr) Expr) Expr { return d }
 
 // PathOf applies an XPath to the value of Input.
 type PathOf struct {
@@ -314,6 +346,10 @@ func (p PathOf) String() string {
 // FreeVars implements Expr.
 func (p PathOf) FreeVars(dst map[string]bool) { p.Input.FreeVars(dst) }
 
+// Child and MapChildren implement Expr.
+func (p PathOf) Child(i int) Expr                   { return nth(i, p.Input) }
+func (p PathOf) MapChildren(f func(Expr) Expr) Expr { p.Input = f(p.Input); return p }
+
 // CmpExpr is a general comparison L θ R with existential semantics over
 // sequences (Sec. 5.1: "a simple '=' has existential semantics in case
 // either side contains a sequence").
@@ -337,6 +373,10 @@ func (c CmpExpr) FreeVars(dst map[string]bool) {
 	c.R.FreeVars(dst)
 }
 
+// Child and MapChildren implement Expr.
+func (c CmpExpr) Child(i int) Expr                   { return nth(i, c.L, c.R) }
+func (c CmpExpr) MapChildren(f func(Expr) Expr) Expr { c.L, c.R = f(c.L), f(c.R); return c }
+
 // InExpr is the membership predicate A1 ∈ a2 of Eqvs. 4 and 5: the left item
 // is a member of the sequence-valued right operand.
 type InExpr struct {
@@ -357,6 +397,10 @@ func (e InExpr) FreeVars(dst map[string]bool) {
 	e.Seq.FreeVars(dst)
 }
 
+// Child and MapChildren implement Expr.
+func (e InExpr) Child(i int) Expr                   { return nth(i, e.Item, e.Seq) }
+func (e InExpr) MapChildren(f func(Expr) Expr) Expr { e.Item, e.Seq = f(e.Item), f(e.Seq); return e }
+
 // AndExpr is logical conjunction.
 type AndExpr struct{ L, R Expr }
 
@@ -375,6 +419,10 @@ func (a AndExpr) FreeVars(dst map[string]bool) {
 	a.L.FreeVars(dst)
 	a.R.FreeVars(dst)
 }
+
+// Child and MapChildren implement Expr.
+func (a AndExpr) Child(i int) Expr                   { return nth(i, a.L, a.R) }
+func (a AndExpr) MapChildren(f func(Expr) Expr) Expr { a.L, a.R = f(a.L), f(a.R); return a }
 
 // OrExpr is logical disjunction.
 type OrExpr struct{ L, R Expr }
@@ -395,6 +443,10 @@ func (o OrExpr) FreeVars(dst map[string]bool) {
 	o.R.FreeVars(dst)
 }
 
+// Child and MapChildren implement Expr.
+func (o OrExpr) Child(i int) Expr                   { return nth(i, o.L, o.R) }
+func (o OrExpr) MapChildren(f func(Expr) Expr) Expr { o.L, o.R = f(o.L), f(o.R); return o }
+
 // NotExpr is logical negation.
 type NotExpr struct{ E Expr }
 
@@ -407,6 +459,10 @@ func (n NotExpr) String() string { return fmt.Sprintf("¬(%s)", n.E.String()) }
 
 // FreeVars implements Expr.
 func (n NotExpr) FreeVars(dst map[string]bool) { n.E.FreeVars(dst) }
+
+// Child and MapChildren implement Expr.
+func (n NotExpr) Child(i int) Expr                   { return nth(i, n.E) }
+func (n NotExpr) MapChildren(f func(Expr) Expr) Expr { n.E = f(n.E); return n }
 
 // CondExpr is the conditional expression if (If) then Then else Else; the
 // condition is taken by effective boolean value, and only the selected
@@ -432,6 +488,13 @@ func (c CondExpr) FreeVars(dst map[string]bool) {
 	c.If.FreeVars(dst)
 	c.Then.FreeVars(dst)
 	c.Else.FreeVars(dst)
+}
+
+// Child and MapChildren implement Expr.
+func (c CondExpr) Child(i int) Expr { return nth(i, c.If, c.Then, c.Else) }
+func (c CondExpr) MapChildren(f func(Expr) Expr) Expr {
+	c.If, c.Then, c.Else = f(c.If), f(c.Then), f(c.Else)
+	return c
 }
 
 // ArithExpr is an arithmetic expression over atomized numeric operands
@@ -482,6 +545,10 @@ func (a ArithExpr) FreeVars(dst map[string]bool) {
 	a.R.FreeVars(dst)
 }
 
+// Child and MapChildren implement Expr.
+func (a ArithExpr) Child(i int) Expr                   { return nth(i, a.L, a.R) }
+func (a ArithExpr) MapChildren(f func(Expr) Expr) Expr { a.L, a.R = f(a.L), f(a.R); return a }
+
 // Call is a builtin function call on item values.
 type Call struct {
 	Fn   string
@@ -512,6 +579,17 @@ func (c Call) FreeVars(dst map[string]bool) {
 	}
 }
 
+// Child and MapChildren implement Expr.
+func (c Call) Child(i int) Expr { return nth(i, c.Args...) }
+func (c Call) MapChildren(f func(Expr) Expr) Expr {
+	args := make([]Expr, len(c.Args))
+	for i, a := range c.Args {
+		args[i] = f(a)
+	}
+	c.Args = args
+	return c
+}
+
 // NestedApply applies a sequence function f to the result of a nested
 // algebraic expression: the form f(σ...(e2)) that the unnesting
 // equivalences' left-hand sides are made of. Its evaluation is the
@@ -539,6 +617,10 @@ func (n NestedApply) FreeVars(dst map[string]bool) {
 	n.F.FreeVars(dst)
 }
 
+// Child and MapChildren implement Expr.
+func (NestedApply) Child(int) Expr                     { return nil }
+func (n NestedApply) MapChildren(func(Expr) Expr) Expr { return n }
+
 // AggOfAttr applies a sequence function to a tuple-sequence-valued
 // attribute (e.g. counting the members of a group attribute created by Γ).
 type AggOfAttr struct {
@@ -564,6 +646,10 @@ func (a AggOfAttr) FreeVars(dst map[string]bool) {
 	a.Attr.FreeVars(dst)
 	a.F.FreeVars(dst)
 }
+
+// Child and MapChildren implement Expr.
+func (a AggOfAttr) Child(i int) Expr                   { return nth(i, a.Attr) }
+func (a AggOfAttr) MapChildren(f func(Expr) Expr) Expr { a.Attr = f(a.Attr); return a }
 
 // ExistsQ is the existential quantifier predicate
 // ∃x ∈ (range) : p — the left-hand side of Eqv. 6. Range is an algebraic
@@ -605,6 +691,10 @@ func (q ExistsQ) FreeVars(dst map[string]bool) {
 	}
 }
 
+// Child and MapChildren implement Expr.
+func (q ExistsQ) Child(i int) Expr                   { return nth(i, q.Pred) }
+func (q ExistsQ) MapChildren(f func(Expr) Expr) Expr { q.Pred = f(q.Pred); return q }
+
 // ForallQ is the universal quantifier predicate ∀x ∈ (range) : p — the
 // left-hand side of Eqv. 7.
 type ForallQ struct {
@@ -642,3 +732,7 @@ func (q ForallQ) FreeVars(dst map[string]bool) {
 		dst[k] = true
 	}
 }
+
+// Child and MapChildren implement Expr.
+func (q ForallQ) Child(i int) Expr                   { return nth(i, q.Pred) }
+func (q ForallQ) MapChildren(f func(Expr) Expr) Expr { q.Pred = f(q.Pred); return q }

@@ -377,3 +377,7 @@ func (b BindTuples) String() string { return fmt.Sprintf("%s[%s]", b.E.String(),
 
 // FreeVars implements Expr.
 func (b BindTuples) FreeVars(dst map[string]bool) { b.E.FreeVars(dst) }
+
+// Child and MapChildren implement Expr.
+func (b BindTuples) Child(i int) Expr                   { return nth(i, b.E) }
+func (b BindTuples) MapChildren(f func(Expr) Expr) Expr { b.E = f(b.E); return b }

@@ -15,9 +15,8 @@ type eqPair struct{ Left, Right string }
 // equality pair could be extracted (then only nested-loop evaluation
 // applies).
 func splitEqPred(p Expr, lAttrs, rAttrs map[string]bool) (pairs []eqPair, residual Expr, ok bool) {
-	conjuncts := flattenAnd(p)
 	var rest []Expr
-	for _, c := range conjuncts {
+	for _, c := range Conjuncts(p) {
 		if cmp, isCmp := c.(CmpExpr); isCmp && cmp.Op == value.CmpEq {
 			lv, lok := cmp.L.(Var)
 			rv, rok := cmp.R.(Var)
@@ -37,18 +36,24 @@ func splitEqPred(p Expr, lAttrs, rAttrs map[string]bool) (pairs []eqPair, residu
 	if len(pairs) == 0 {
 		return nil, p, false
 	}
-	residual = combineAnd(rest)
-	return pairs, residual, true
+	return pairs, AndOf(rest), true
 }
 
-func flattenAnd(p Expr) []Expr {
-	if a, ok := p.(AndExpr); ok {
-		return append(flattenAnd(a.L), flattenAnd(a.R)...)
+// Conjuncts flattens an ∧ tree into its conjuncts, left to right; nil (no
+// predicate) has none.
+func Conjuncts(e Expr) []Expr {
+	if a, ok := e.(AndExpr); ok {
+		return append(Conjuncts(a.L), Conjuncts(a.R)...)
 	}
-	return []Expr{p}
+	if e == nil {
+		return nil
+	}
+	return []Expr{e}
 }
 
-func combineAnd(es []Expr) Expr {
+// AndOf is the left-deep conjunction of es, the inverse of Conjuncts: nil
+// for none.
+func AndOf(es []Expr) Expr {
 	if len(es) == 0 {
 		return nil
 	}
@@ -59,6 +64,19 @@ func combineAnd(es []Expr) Expr {
 	return out
 }
 
+// NameSet returns attribute names as a set, nil when they are not known — it
+// takes an operator's Attrs() as it comes.
+func NameSet(names []string, known bool) map[string]bool {
+	if !known {
+		return nil
+	}
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
+}
+
 // SplitEquiJoin decomposes a join predicate over the inputs l and r into
 // equality key columns plus a residual predicate. It reports ok=false when
 // no equality pair could be extracted or an input's schema is unknown —
@@ -66,8 +84,8 @@ func combineAnd(es []Expr) Expr {
 // derive the physical unordered/partitioned join operators, which take key
 // columns instead of predicates.
 func SplitEquiJoin(pred Expr, l, r Op) (lKeys, rKeys []string, residual Expr, ok bool) {
-	lSet := attrSet(l)
-	rSet := attrSet(r)
+	lSet := NameSet(l.Attrs())
+	rSet := NameSet(r.Attrs())
 	if lSet == nil || rSet == nil {
 		return nil, nil, pred, false
 	}
@@ -80,18 +98,6 @@ func SplitEquiJoin(pred Expr, l, r Op) (lKeys, rKeys []string, residual Expr, ok
 		rKeys = append(rKeys, p.Right)
 	}
 	return lKeys, rKeys, residual, true
-}
-
-func attrSet(op Op) map[string]bool {
-	attrs, ok := op.Attrs()
-	if !ok {
-		return nil
-	}
-	m := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		m[a] = true
-	}
-	return m
 }
 
 // buildHash partitions tuples into buckets keyed by the hash key over attrs,
@@ -122,8 +128,8 @@ type joinPlan struct {
 func prepareJoin(ctx *Ctx, right value.TupleSeq, l, r Op, pred Expr) joinPlan {
 	// The build side materializes here whether or not hashing applies.
 	ctx.ChargeTuples(TripBuild, right)
-	lSet := attrSet(l)
-	rSet := attrSet(r)
+	lSet := NameSet(l.Attrs())
+	rSet := NameSet(r.Attrs())
 	var jp joinPlan
 	jp.right = right
 	if lSet != nil && rSet != nil {

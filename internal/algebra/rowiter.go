@@ -671,7 +671,7 @@ func openRowJoin(n *Node, pred Expr, ctx *Ctx, env value.Tuple,
 	left := l.open(ctx, env)
 	jp := rowJoinPlan{catLay: catLay, right: drainRows(ctx, TripBuild, r.open(ctx, env))}
 
-	if pairs, residual, ok := splitEqPred(pred, attrBoolSet(lsc.Lay), attrBoolSet(rsc.Lay)); ok {
+	if pairs, residual, ok := splitEqPred(pred, NameSet(lsc.Lay.Names(), true), NameSet(rsc.Lay.Names(), true)); ok {
 		var lKeys, rKeys []string
 		for _, p := range pairs {
 			lKeys = append(lKeys, p.Left)
@@ -699,14 +699,6 @@ func openRowJoin(n *Node, pred Expr, ctx *Ctx, env value.Tuple,
 		it.def = emptyGroup(def, rsc.Lay)
 	}
 	return it
-}
-
-func attrBoolSet(lay *value.Layout) map[string]bool {
-	m := make(map[string]bool, lay.Width())
-	for _, n := range lay.Names() {
-		m[n] = true
-	}
-	return m
 }
 
 func (j *rowJoinIter) Next() (value.Row, bool) {

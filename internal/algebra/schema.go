@@ -158,53 +158,39 @@ type planList struct {
 // nestedIn gathers the nested plans in an operator's Exprs().
 func nestedIn(o Op) planList {
 	var l planList
-	l.exprs(o.Exprs()...)
-	return l
-}
-
-func (l *planList) exprs(es ...Expr) {
-	for _, e := range es {
+	for _, e := range o.Exprs() {
 		l.expr(e)
 	}
+	return l
 }
 
 func (l *planList) expr(e Expr) {
 	switch w := e.(type) {
-	case nil, Var, ConstVal, Param, Doc:
-	case PathOf:
-		l.expr(w.Input)
-	case CmpExpr:
-		l.exprs(w.L, w.R)
-	case InExpr:
-		l.exprs(w.Item, w.Seq)
-	case AndExpr:
-		l.exprs(w.L, w.R)
-	case OrExpr:
-		l.exprs(w.L, w.R)
-	case NotExpr:
-		l.expr(w.E)
-	case CondExpr:
-		l.exprs(w.If, w.Then, w.Else)
-	case ArithExpr:
-		l.exprs(w.L, w.R)
-	case Call:
-		l.exprs(w.Args...)
-	case BindTuples:
-		l.expr(w.E)
-	case AggOfAttr:
-		l.expr(w.Attr)
-		l.fn(w.F)
+	case nil:
+		return
 	case NestedApply:
 		l.plans, l.in = append(l.plans, w.Plan), append(l.in, e)
 		l.fn(w.F)
 	case ExistsQ:
 		l.plans, l.in = append(l.plans, w.Range), append(l.in, e)
-		l.expr(w.Pred)
 	case ForallQ:
 		l.plans, l.in = append(l.plans, w.Range), append(l.in, e)
-		l.expr(w.Pred)
+	case AggOfAttr:
+		l.expr(w.Attr)
+		l.fn(w.F)
+		return
+	case Var, ConstVal, Param, Doc, PathOf, CmpExpr, InExpr, AndExpr, OrExpr,
+		NotExpr, CondExpr, ArithExpr, Call, BindTuples:
 	default:
+		// Not a form scope.expr compiles.
 		l.unknown = true
+	}
+	for i := 0; ; i++ {
+		c := e.Child(i)
+		if c == nil {
+			return
+		}
+		l.expr(c)
 	}
 }
 

@@ -77,12 +77,12 @@ func matchMapNested(m algebra.Map) (nestedSite, bool) {
 	if !ok {
 		return nestedSite{}, false
 	}
-	e1Attrs := attrsOf(m.In)
+	e1Attrs := algebra.NameSet(m.In.Attrs())
 	e2, preds := extractCorrSelects(na.Plan, e1Attrs)
 	if len(preds) == 0 {
 		return nestedSite{}, false
 	}
-	return nestedSite{e1: m.In, e2: e2, g: m.Attr, f: na.F, pred: joinAndExpr(preds)}, true
+	return nestedSite{e1: m.In, e2: e2, g: m.Attr, f: na.F, pred: algebra.AndOf(preds)}, true
 }
 
 // extractCorrSelects removes from the unary operator spine every selection
@@ -105,7 +105,7 @@ func extractCorrSelects(op algebra.Op, outerAttrs map[string]bool) (algebra.Op, 
 		}
 		in, preds := extractCorrSelects(w.In, outerAttrs)
 		if correlated {
-			return in, append(preds, flattenAndExpr(w.Pred)...)
+			return in, append(preds, effectiveConjuncts(w.Pred)...)
 		}
 		return algebra.Select{In: in, Pred: w.Pred}, preds
 	case algebra.Map:
@@ -133,9 +133,9 @@ type corrEq struct {
 // the correlation comparison plus a residual predicate over e2 attributes
 // only. a1 must be free in the nested plan (∈ A(e1)), a2 produced by e2.
 func splitCorrelation(pred algebra.Expr, e1, e2 algebra.Op) (corrEq, algebra.Expr, bool) {
-	e1Attrs := attrsOf(e1)
-	e2Attrs := attrsOf(e2)
-	conjuncts := flattenAndExpr(pred)
+	e1Attrs := algebra.NameSet(e1.Attrs())
+	e2Attrs := algebra.NameSet(e2.Attrs())
+	conjuncts := effectiveConjuncts(pred)
 	var corr *corrEq
 	var rest []algebra.Expr
 	for _, c := range conjuncts {
@@ -163,7 +163,7 @@ func splitCorrelation(pred algebra.Expr, e1, e2 algebra.Op) (corrEq, algebra.Exp
 	if corr == nil {
 		return corrEq{}, nil, false
 	}
-	return *corr, joinAndExpr(rest), true
+	return *corr, algebra.AndOf(rest), true
 }
 
 func asCorr(c algebra.Expr, e1Attrs, e2Attrs map[string]bool) (corrEq, bool) {
@@ -206,41 +206,18 @@ func flipCmp(op value.CmpOp) value.CmpOp {
 	}
 }
 
-func attrsOf(op algebra.Op) map[string]bool {
-	m := map[string]bool{}
-	if attrs, ok := op.Attrs(); ok {
-		for _, a := range attrs {
-			m[a] = true
+// effectiveConjuncts are the conjuncts of e that can fail: true() and the
+// constant true are dropped.
+func effectiveConjuncts(e algebra.Expr) []algebra.Expr {
+	var out []algebra.Expr
+	for _, c := range algebra.Conjuncts(e) {
+		if call, ok := c.(algebra.Call); ok && call.Fn == "true" && len(call.Args) == 0 {
+			continue
 		}
-	}
-	return m
-}
-
-func flattenAndExpr(e algebra.Expr) []algebra.Expr {
-	if e == nil {
-		return nil
-	}
-	if a, ok := e.(algebra.AndExpr); ok {
-		return append(flattenAndExpr(a.L), flattenAndExpr(a.R)...)
-	}
-	if c, ok := e.(algebra.Call); ok && c.Fn == "true" && len(c.Args) == 0 {
-		return nil
-	}
-	if cv, ok := e.(algebra.ConstVal); ok {
-		if b, isB := cv.V.(value.Bool); isB && bool(b) {
-			return nil
+		if cv, ok := c.(algebra.ConstVal); ok && cv.V == value.Bool(true) {
+			continue
 		}
-	}
-	return []algebra.Expr{e}
-}
-
-func joinAndExpr(es []algebra.Expr) algebra.Expr {
-	if len(es) == 0 {
-		return nil
-	}
-	out := es[0]
-	for _, e := range es[1:] {
-		out = algebra.AndExpr{L: out, R: e}
+		out = append(out, c)
 	}
 	return out
 }
@@ -249,11 +226,8 @@ func joinAndExpr(es []algebra.Expr) algebra.Expr {
 // the only e1 attribute the nested expression may reference is the
 // correlation variable itself (which the rewrite replaces by the join).
 func disjointFree(e2 algebra.Op, residual algebra.Expr, e1 algebra.Op, corrA1 string) bool {
-	e1Attrs := attrsOf(e1)
-	fv := map[string]bool{}
-	for v := range fvOfOp(e2) {
-		fv[v] = true
-	}
+	e1Attrs := algebra.NameSet(e1.Attrs())
+	fv := algebra.NameSet(algebra.FreeVarsOf(e2), true)
 	if residual != nil {
 		residual.FreeVars(fv)
 	}
@@ -266,14 +240,6 @@ func disjointFree(e2 algebra.Op, residual algebra.Expr, e1 algebra.Op, corrA1 st
 		}
 	}
 	return true
-}
-
-func fvOfOp(op algebra.Op) map[string]bool {
-	m := map[string]bool{}
-	for _, v := range algebra.FreeVarsOf(op) {
-		m[v] = true
-	}
-	return m
 }
 
 // fIndependentOf checks that f does not depend on the given attributes —

@@ -33,7 +33,7 @@ func (rw *Rewriter) applySelfJoinGrouping(x algebra.XiSimple) (algebra.Op, bool)
 		if !isSel {
 			break
 		}
-		pushed = append(pushed, flattenAndExpr(sel.Pred)...)
+		pushed = append(pushed, effectiveConjuncts(sel.Pred)...)
 		inner = sel.In
 	}
 	j.R = inner
@@ -41,7 +41,7 @@ func (rw *Rewriter) applySelfJoinGrouping(x algebra.XiSimple) (algebra.Op, bool)
 	if !ok || corr.member || corr.theta != value.CmpEq {
 		return nil, false
 	}
-	residual = joinAndExpr(append(flattenAndExpr(residual), pushed...))
+	residual = algebra.AndOf(append(effectiveConjuncts(residual), pushed...))
 	// Both sides must be pure scan pipelines (no filtering that could make
 	// the streams diverge).
 	if hasSelection(j.L) || hasSelection(j.R) {

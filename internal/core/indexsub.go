@@ -89,7 +89,7 @@ func swapIndexed(op algebra.Op, cat IndexCatalog) (algebra.Op, bool) {
 		if !ok {
 			return op, false
 		}
-		cs := conjuncts(w.Pred)
+		cs := algebra.Conjuncts(w.Pred)
 		for i, c := range cs {
 			rel, cmp, key, ok := matchProbe(c, um.Attr)
 			if !ok || cmp == value.CmpNe {
@@ -109,10 +109,7 @@ func swapIndexed(op algebra.Op, cat IndexCatalog) (algebra.Op, bool) {
 				Path: vi.Path, Index: vi.Index, Depth: vi.Depth,
 				Cmp: cmp, Key: key, EstCard: est}
 			rest := append(append([]algebra.Expr{}, cs[:i]...), cs[i+1:]...)
-			if len(rest) == 0 {
-				return scan, true
-			}
-			return algebra.Select{In: scan, Pred: andChain(rest)}, true
+			return wrapSelect(scan, rest), true
 		}
 		// No probe-able conjunct: a structural substitution below the σ
 		// already happened in the child pass if applicable.
@@ -192,23 +189,6 @@ func docBinder(op algebra.Op, name string) (string, bool) {
 			return "", false
 		}
 	}
-}
-
-// conjuncts flattens an ∧ tree.
-func conjuncts(e algebra.Expr) []algebra.Expr {
-	if a, ok := e.(algebra.AndExpr); ok {
-		return append(conjuncts(a.L), conjuncts(a.R)...)
-	}
-	return []algebra.Expr{e}
-}
-
-// andChain rebuilds a left-deep ∧ chain.
-func andChain(cs []algebra.Expr) algebra.Expr {
-	out := cs[0]
-	for _, c := range cs[1:] {
-		out = algebra.AndExpr{L: out, R: c}
-	}
-	return out
 }
 
 // matchProbe recognizes one probe-able conjunct: a comparison between a

@@ -234,7 +234,7 @@ func Validate(plan algebra.Op) bool {
 	var walk func(o algebra.Op)
 	walk = func(o algebra.Op) {
 		check := func(cs []algebra.Command, in algebra.Op) {
-			inAttrs := attrsOf(in)
+			inAttrs := algebra.NameSet(in.Attrs())
 			if len(inAttrs) == 0 {
 				return // unknown schema: cannot validate
 			}

@@ -9,6 +9,7 @@ import (
 	"nalquery/internal/normalize"
 	"nalquery/internal/schema"
 	"nalquery/internal/translate"
+	"nalquery/internal/value"
 	"nalquery/internal/xquery"
 )
 
@@ -292,4 +293,48 @@ func contains(ss []string, s string) bool {
 		}
 	}
 	return false
+}
+
+// TestSubstVarAndConjunctHelpers pins what the rewrites rely on of the shared
+// expression helpers: substVar reaches every form by method, leaves a
+// quantifier's own variable alone and does not enter a nested plan (the
+// caller finds what stayed with FreeVars); no predicate has no conjuncts,
+// constantly true ones are dropped, and no conjuncts wrap into no selection.
+func TestSubstVarAndConjunctHelpers(t *testing.T) {
+	x := algebra.Var{Name: "x"}
+	year := algebra.PathOf{Input: x}
+	in := algebra.AndExpr{
+		L: algebra.CondExpr{If: algebra.CmpExpr{L: algebra.ArithExpr{L: year, R: algebra.ConstVal{}, Op: '+'}, R: x},
+			Then: algebra.InExpr{Item: x, Seq: x}, Else: algebra.NotExpr{E: algebra.BindTuples{E: x}}},
+		R: algebra.OrExpr{L: algebra.Call{Fn: "f", Args: []algebra.Expr{x, algebra.AggOfAttr{F: algebra.SFCount{}, Attr: x}}},
+			R: algebra.ExistsQ{Var: "y", Range: algebra.Singleton{}, Pred: x}},
+	}
+	fv := map[string]bool{}
+	if substVar(in, "x", "x'").FreeVars(fv); fv["x"] || !fv["x'"] {
+		t.Errorf("substVar left x free: %v in %s", fv, substVar(in, "x", "x'"))
+	}
+	shadow := algebra.ForallQ{Var: "x", Range: algebra.Singleton{}, Pred: x}
+	if got := substVar(shadow, "x", "x'"); got.String() != shadow.String() {
+		t.Errorf("substVar renamed a bound variable: %s", got)
+	}
+	nested := algebra.NestedApply{F: algebra.SFCount{}, Plan: algebra.Select{In: algebra.Singleton{}, Pred: x}}
+	fv = map[string]bool{}
+	if substVar(nested, "x", "x'").FreeVars(fv); !fv["x"] {
+		t.Errorf("substVar is not expected to enter a nested plan: free %v", fv)
+	}
+
+	yes := algebra.ConstVal{V: value.Bool(true)}
+	if got := effectiveConjuncts(nil); got != nil {
+		t.Errorf("effectiveConjuncts(nil) = %v", got)
+	}
+	p := algebra.AndExpr{L: algebra.Call{Fn: "true"}, R: algebra.AndExpr{L: x, R: yes}}
+	if got := effectiveConjuncts(p); len(got) != 1 || got[0] != algebra.Expr(x) {
+		t.Errorf("effectiveConjuncts(%s) = %v, want [x]", p, got)
+	}
+	if got := algebra.AndOf(effectiveConjuncts(yes)); got != nil {
+		t.Errorf("a constantly true predicate leaves %v, want no predicate", got)
+	}
+	if got := wrapSelect(algebra.Singleton{}, nil); got != algebra.Op(algebra.Singleton{}) {
+		t.Errorf("wrapSelect with no conjuncts = %s", got)
+	}
 }

@@ -223,18 +223,8 @@ func stripRange(rng algebra.Op, xPrime string) (algebra.Op, algebra.Expr) {
 	if !ok || len(proj.Names) != 1 || proj.Names[0] != xPrime {
 		return nil, nil
 	}
-	e2, preds := extractCorrSelects(proj.In, freeAttrSet(proj.In))
-	return e2, joinAndExpr(preds)
-}
-
-// freeAttrSet returns the free variables of a plan as a set — the attributes
-// the enclosing expression provides.
-func freeAttrSet(op algebra.Op) map[string]bool {
-	m := map[string]bool{}
-	for _, v := range algebra.FreeVarsOf(op) {
-		m[v] = true
-	}
-	return m
+	e2, preds := extractCorrSelects(proj.In, algebra.NameSet(algebra.FreeVarsOf(proj.In), true))
+	return e2, algebra.AndOf(preds)
 }
 
 // applyEqv6 unnests σ ∃x∈(Πx′(σ A1=A2 (e2))) p (e1) into
@@ -276,13 +266,19 @@ func (rw *Rewriter) applyEqv7(s algebra.Select) (algebra.Op, bool) {
 // by replacing x by x′.
 func (rw *Rewriter) quantJoinPred(site quantSite, negateP bool) algebra.Expr {
 	var conj []algebra.Expr
-	conj = append(conj, flattenAndExpr(site.rangePred)...)
+	conj = append(conj, effectiveConjuncts(site.rangePred)...)
 	pPrime := substVar(site.p, site.x, site.xPrime)
+	// A reference to x inside a nested plan of p stays where it is: only the
+	// nested-loop form binds it, so there is no join predicate.
+	fv := map[string]bool{}
+	if pPrime.FreeVars(fv); fv[site.x] && site.x != site.xPrime {
+		return nil
+	}
 	if negateP {
 		pPrime = negateExpr(pPrime)
 	}
-	conj = append(conj, flattenAndExpr(pPrime)...)
-	pred := joinAndExpr(conj)
+	conj = append(conj, effectiveConjuncts(pPrime)...)
+	pred := algebra.AndOf(conj)
 	if pred == nil {
 		// An unconditional semijoin keeps e1 tuples iff e2 is non-empty; an
 		// unconditional antijoin with an always-false predicate keeps all of
@@ -295,9 +291,9 @@ func (rw *Rewriter) quantJoinPred(site quantSite, negateP bool) algebra.Expr {
 // quantDisjoint checks F(e2) ∩ A(e1) = ∅ modulo the correlation attributes
 // of the range predicate.
 func quantDisjoint(site quantSite) bool {
-	e1Attrs := attrsOf(site.e1)
-	e2Attrs := attrsOf(site.e2)
-	fv := fvOfOp(site.e2)
+	e1Attrs := algebra.NameSet(site.e1.Attrs())
+	e2Attrs := algebra.NameSet(site.e2.Attrs())
+	fv := algebra.NameSet(algebra.FreeVarsOf(site.e2), true)
 	if site.rangePred != nil {
 		site.rangePred.FreeVars(fv)
 	}
@@ -315,7 +311,7 @@ func quantDisjoint(site quantSite) bool {
 }
 
 func varOnlyInCorr(pred algebra.Expr, v string, e1Attrs, e2Attrs map[string]bool) bool {
-	for _, c := range flattenAndExpr(pred) {
+	for _, c := range effectiveConjuncts(pred) {
 		fv := map[string]bool{}
 		c.FreeVars(fv)
 		if !fv[v] {
@@ -358,37 +354,30 @@ func negateExpr(e algebra.Expr) algebra.Expr {
 	}
 }
 
-// substVar replaces free occurrences of Var{from} by Var{to}.
+// substVar replaces free occurrences of Var{from} by Var{to} in e's own
+// expressions. Nested plans and sequence functions are not entered: a
+// reference inside one stays, for the caller to find with FreeVars.
 func substVar(e algebra.Expr, from, to string) algebra.Expr {
-	switch w := e.(type) {
-	case algebra.Var:
-		if w.Name == from {
-			return algebra.Var{Name: to}
+	var sub func(algebra.Expr) algebra.Expr
+	sub = func(e algebra.Expr) algebra.Expr {
+		switch w := e.(type) {
+		case algebra.Var:
+			if w.Name == from {
+				return algebra.Var{Name: to}
+			}
+			return e
+		case algebra.ExistsQ:
+			if w.Var == from {
+				return e
+			}
+		case algebra.ForallQ:
+			if w.Var == from {
+				return e
+			}
 		}
-		return w
-	case algebra.CmpExpr:
-		return algebra.CmpExpr{L: substVar(w.L, from, to), R: substVar(w.R, from, to), Op: w.Op}
-	case algebra.InExpr:
-		return algebra.InExpr{Item: substVar(w.Item, from, to), Seq: substVar(w.Seq, from, to)}
-	case algebra.AndExpr:
-		return algebra.AndExpr{L: substVar(w.L, from, to), R: substVar(w.R, from, to)}
-	case algebra.OrExpr:
-		return algebra.OrExpr{L: substVar(w.L, from, to), R: substVar(w.R, from, to)}
-	case algebra.NotExpr:
-		return algebra.NotExpr{E: substVar(w.E, from, to)}
-	case algebra.Call:
-		args := make([]algebra.Expr, len(w.Args))
-		for i, a := range w.Args {
-			args[i] = substVar(a, from, to)
-		}
-		return algebra.Call{Fn: w.Fn, Args: args}
-	case algebra.PathOf:
-		return algebra.PathOf{Input: substVar(w.Input, from, to), Path: w.Path}
-	case algebra.BindTuples:
-		return algebra.BindTuples{E: substVar(w.E, from, to), Attr: w.Attr}
-	default:
-		return e
+		return e.MapChildren(sub)
 	}
+	return sub(e)
 }
 
 // applyEqv8 rewrites ΠD(e1) ⋉ A1=A2 (σp(e2)) into
@@ -448,12 +437,12 @@ func (rw *Rewriter) applyCountRewrite(e1, e2 algebra.Op, pred algebra.Expr, anti
 // operand into a selection on that operand (the Sec. 5.5 rewrite
 // e1 ▷ a1=a3 ∧ y3≤1993 e3 ⇒ e1 ▷ a1=a3 σ y3≤1993 (e3)).
 func pushResidual(l, r algebra.Op, pred algebra.Expr) (algebra.Expr, algebra.Op, bool) {
-	rAttrs := attrsOf(r)
+	rAttrs := algebra.NameSet(r.Attrs())
 	if len(rAttrs) == 0 {
 		return pred, r, false
 	}
 	var kept, pushed []algebra.Expr
-	for _, c := range flattenAndExpr(pred) {
+	for _, c := range effectiveConjuncts(pred) {
 		fv := map[string]bool{}
 		c.FreeVars(fv)
 		all := true
@@ -472,5 +461,5 @@ func pushResidual(l, r algebra.Op, pred algebra.Expr) (algebra.Expr, algebra.Op,
 	if len(pushed) == 0 {
 		return pred, r, false
 	}
-	return joinAndExpr(kept), algebra.Select{In: r, Pred: joinAndExpr(pushed)}, true
+	return algebra.AndOf(kept), algebra.Select{In: r, Pred: algebra.AndOf(pushed)}, true
 }

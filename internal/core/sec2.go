@@ -85,7 +85,7 @@ func simplifyAt(op algebra.Op) (algebra.Op, bool) {
 // pushSelect sinks the conjuncts of a selection into the inputs of a binary
 // operator below it, where the side conditions allow.
 func pushSelect(s algebra.Select) (algebra.Op, bool) {
-	conjuncts := splitConjuncts(s.Pred)
+	conjuncts := algebra.Conjuncts(s.Pred)
 	in := s.In
 	switch j := in.(type) {
 	case algebra.Cross:
@@ -141,8 +141,8 @@ func classifyConjuncts(conjuncts []algebra.Expr, l, r algebra.Op, pushRight bool
 	if !lok || !rok {
 		return nil, nil, conjuncts
 	}
-	lSet := toSet(lAttrs)
-	rSet := toSet(rAttrs)
+	lSet := algebra.NameSet(lAttrs, true)
+	rSet := algebra.NameSet(rAttrs, true)
 	for _, c := range conjuncts {
 		fv := map[string]bool{}
 		c.FreeVars(fv)
@@ -175,7 +175,7 @@ func reassocJoin(j algebra.Join) (algebra.Op, bool) {
 	j.Pred.FreeVars(fv1)
 	fv2 := map[string]bool{}
 	inner.Pred.FreeVars(fv2)
-	if !disjoint(fv1, toSet(a3)) || !disjoint(fv2, toSet(a1)) {
+	if !disjoint(fv1, algebra.NameSet(a3, true)) || !disjoint(fv2, algebra.NameSet(a1, true)) {
 		return nil, false
 	}
 	return algebra.Join{
@@ -185,35 +185,13 @@ func reassocJoin(j algebra.Join) (algebra.Op, bool) {
 	}, true
 }
 
-// splitConjuncts flattens a conjunction into its conjuncts, including the
-// predicates of directly stacked selections — sound by the commutation rule
-// σp1(σp2(e)) = σp2(σp1(e)).
-func splitConjuncts(p algebra.Expr) []algebra.Expr {
-	if a, ok := p.(algebra.AndExpr); ok {
-		return append(splitConjuncts(a.L), splitConjuncts(a.R)...)
-	}
-	return []algebra.Expr{p}
-}
-
 // wrapSelect places the conjuncts back on top of op as a single selection;
 // with no conjuncts it returns op unchanged.
 func wrapSelect(op algebra.Op, conjuncts []algebra.Expr) algebra.Op {
 	if len(conjuncts) == 0 {
 		return op
 	}
-	pred := conjuncts[0]
-	for _, c := range conjuncts[1:] {
-		pred = algebra.AndExpr{L: pred, R: c}
-	}
-	return algebra.Select{In: op, Pred: pred}
-}
-
-func toSet(attrs []string) map[string]bool {
-	m := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		m[a] = true
-	}
-	return m
+	return algebra.Select{In: op, Pred: algebra.AndOf(conjuncts)}
 }
 
 func disjoint(a, b map[string]bool) bool {

@@ -294,48 +294,44 @@ func (m *Model) passThrough(in algebra.Op) Estimate {
 // algebraic expressions cost their full plan — the caller multiplies by the
 // outer cardinality, producing the quadratic term unnesting removes.
 func (m *Model) expr(e algebra.Expr) float64 {
+	// The form's own constant goes before (Call) or after its operands' costs:
+	// float addition does not associate, and the estimates are pinned to the bit.
+	before, after := 0.0, 0.0
 	switch w := e.(type) {
 	case nil:
 		return 0
-	case algebra.Param:
-		// External-variable read: one binding-table index, constant-cheap.
-		// Predicates over parameters take the same default selectivities as
-		// predicates over literals (selSelect and friends) — the binding is
-		// unknown at prepare time, so the model estimates parametrically and
-		// the plan choice holds for every run.
-		return 0.05
 	case algebra.NestedApply:
 		return nestedPenalty * m.Plan(w.Plan).Cost
 	case algebra.ExistsQ:
 		return nestedPenalty * (m.Plan(w.Range).Cost + m.expr(w.Pred))
 	case algebra.ForallQ:
 		return nestedPenalty * (m.Plan(w.Range).Cost + m.expr(w.Pred))
-	case algebra.AndExpr:
-		return m.expr(w.L) + m.expr(w.R)
-	case algebra.OrExpr:
-		return m.expr(w.L) + m.expr(w.R)
-	case algebra.NotExpr:
-		return m.expr(w.E)
-	case algebra.CmpExpr:
-		return m.expr(w.L) + m.expr(w.R) + 0.1
-	case algebra.InExpr:
-		return m.expr(w.Item) + m.expr(w.Seq) + 0.5
-	case algebra.Call:
-		c := 0.2
-		for _, a := range w.Args {
-			c += m.expr(a)
-		}
-		return c
 	case algebra.AggOfAttr:
 		return 1
-	case algebra.PathOf:
-		return m.expr(w.Input) + 1
-	case algebra.BindTuples:
-		return m.expr(w.E) + 0.5
-	case algebra.Doc:
-		return 1
+	case algebra.Param:
+		// External-variable read: one binding-table index, constant-cheap.
+		// Predicates over parameters take the same default selectivities as
+		// predicates over literals (selSelect and friends) — the binding is
+		// unknown at prepare time, so the model estimates parametrically and
+		// the plan choice holds for every run.
+		after = 0.05
+	case algebra.AndExpr, algebra.OrExpr, algebra.NotExpr:
+	case algebra.InExpr, algebra.BindTuples:
+		after = 0.5
+	case algebra.Call:
+		before = 0.2
+	case algebra.PathOf, algebra.Doc:
+		after = 1
 	default:
-		return 0.1
+		after = 0.1
+	}
+	c := before
+	for i := 0; ; i++ {
+		sub := e.Child(i)
+		if sub == nil {
+			return c + after
+		}
+		c += m.expr(sub)
 	}
 }
 

@@ -121,19 +121,16 @@ func (n *Normalizer) forBinding(out *xquery.FLWR, b xquery.Binding) {
 		// for $x in (for ... return $rv) — inline the inner clauses and
 		// rename the returned variable to $x. Inner variables are fresh, so
 		// renaming is capture-free.
-		if rv, ok := inner.Return.(xquery.VarRef); ok {
-			renamed := renameVarInClauses(inner.Clauses, rv.Name, b.Var)
-			out.Clauses = append(out.Clauses, renamed...)
-			return
+		rv, ok := inner.Return.(xquery.VarRef)
+		if !ok {
+			// Inner return is not a variable: hoist it into a let first.
+			rv = xquery.VarRef{Name: n.fresh("r")}
+			inner.Clauses = append(inner.Clauses, xquery.LetClause{
+				Bindings: []xquery.Binding{{Var: rv.Name, E: inner.Return}},
+			})
+			inner.Return = rv
 		}
-		// Inner return is not a variable: hoist it into a let first.
-		rv := n.fresh("r")
-		inner.Clauses = append(inner.Clauses, xquery.LetClause{
-			Bindings: []xquery.Binding{{Var: rv, E: inner.Return}},
-		})
-		inner.Return = xquery.VarRef{Name: rv}
-		renamed := renameVarInClauses(inner.Clauses, rv, b.Var)
-		out.Clauses = append(out.Clauses, renamed...)
+		out.Clauses = append(out.Clauses, renameVar(inner, rv.Name, b.Var).Clauses...)
 		return
 	}
 	out.Clauses = append(out.Clauses, xquery.ForClause{
@@ -141,46 +138,18 @@ func (n *Normalizer) forBinding(out *xquery.FLWR, b xquery.Binding) {
 	})
 }
 
-// renameVarInClauses renames a binding variable within a clause list.
-func renameVarInClauses(cs []xquery.Clause, from, to string) []xquery.Clause {
-	var out []xquery.Clause
-	toRef := xquery.VarRef{Name: to}
-	for _, c := range cs {
-		switch cl := c.(type) {
-		case xquery.ForClause:
-			var bs []xquery.Binding
-			for _, b := range cl.Bindings {
-				nb := xquery.Binding{Var: b.Var, Pos: b.Pos, E: subst(b.E, from, toRef)}
-				if b.Var == from {
-					nb.Var = to
-				}
-				if b.Pos == from {
-					nb.Pos = to
-				}
-				bs = append(bs, nb)
-			}
-			out = append(out, xquery.ForClause{Bindings: bs})
-		case xquery.LetClause:
-			var bs []xquery.Binding
-			for _, b := range cl.Bindings {
-				nb := xquery.Binding{Var: b.Var, E: subst(b.E, from, toRef)}
-				if b.Var == from {
-					nb.Var = to
-				}
-				bs = append(bs, nb)
-			}
-			out = append(out, xquery.LetClause{Bindings: bs})
-		case xquery.WhereClause:
-			out = append(out, xquery.WhereClause{Cond: subst(cl.Cond, from, toRef)})
-		case xquery.OrderByClause:
-			specs := make([]xquery.OrderSpec, len(cl.Specs))
-			for i, s := range cl.Specs {
-				specs[i] = xquery.OrderSpec{Key: subst(s.Key, from, toRef), Descending: s.Descending}
-			}
-			out = append(out, xquery.OrderByClause{Specs: specs, Stable: cl.Stable})
+// renameVar renames the variable $from of a FLWR expression: where a clause
+// binds it and wherever it is read.
+func renameVar(f xquery.FLWR, from, to string) xquery.FLWR {
+	return f.MapScoped(substitution(from, xquery.VarRef{Name: to}), func(b xquery.Binding) xquery.Binding {
+		if b.Var == from {
+			b.Var = to
 		}
-	}
-	return out
+		if b.Pos == from {
+			b.Pos = to
+		}
+		return b
+	})
 }
 
 // letExpr normalizes the bound expression of a let clause. Nested query
@@ -218,11 +187,9 @@ func (n *Normalizer) letExpr(e xquery.Expr) xquery.Expr {
 // shrinks to the correlation variables, as the unnesting conditions
 // require).
 func (n *Normalizer) localizeDocVars(f xquery.FLWR) xquery.FLWR {
-	free := map[string]bool{}
-	collectFreeVars(f, free, map[string]bool{})
 	var names []string
-	for v := range free {
-		if _, ok := n.docVars[v]; ok {
+	for v := range n.docVars {
+		if references(f, v) {
 			names = append(names, v)
 		}
 	}
@@ -236,8 +203,7 @@ func (n *Normalizer) localizeDocVars(f xquery.FLWR) xquery.FLWR {
 		pre = append(pre, xquery.LetClause{
 			Bindings: []xquery.Binding{{Var: local, E: n.docVars[v]}},
 		})
-		f.Clauses = renameVarInClauses(f.Clauses, v, local)
-		f.Return = subst(f.Return, v, xquery.VarRef{Name: local})
+		f = renameVar(f, v, local)
 	}
 	f.Clauses = append(pre, f.Clauses...)
 	return f
@@ -400,43 +366,24 @@ func (n *Normalizer) fuseAggLets(f *xquery.FLWR) {
 		if !isFLWR {
 			continue
 		}
-		// Count uses and find the single aggregate consumer.
+		// Fusable: one expression of what follows uses the variable, and it is
+		// a let-bound agg($p).
 		uses := 0
+		xquery.FLWR{Clauses: f.Clauses[i+1:], Return: f.Return}.Scope(func(e xquery.Expr) {
+			if references(e, b.Var) {
+				uses++
+			}
+		}, func(xquery.Binding) {})
 		consumerClause, consumerBinding := -1, -1
 		for j := i + 1; j < len(f.Clauses); j++ {
-			switch cl := f.Clauses[j].(type) {
-			case xquery.LetClause:
-				for k, lb := range cl.Bindings {
-					if references(lb.E, b.Var) {
-						uses++
-						if call, ok := lb.E.(xquery.Call); ok && aggFns[call.Fn] &&
-							len(call.Args) == 1 {
-							if v, ok := call.Args[0].(xquery.VarRef); ok && v.Name == b.Var {
-								consumerClause, consumerBinding = j, k
-							}
-						}
-					}
-				}
-			case xquery.ForClause:
-				for _, fb := range cl.Bindings {
-					if references(fb.E, b.Var) {
-						uses += 2 // not fusable
-					}
-				}
-			case xquery.WhereClause:
-				if references(cl.Cond, b.Var) {
-					uses += 2
-				}
-			case xquery.OrderByClause:
-				for _, s := range cl.Specs {
-					if references(s.Key, b.Var) {
-						uses += 2 // not fusable
+			cl, _ := f.Clauses[j].(xquery.LetClause)
+			for k, lb := range cl.Bindings {
+				if call, ok := lb.E.(xquery.Call); ok && aggFns[call.Fn] && len(call.Args) == 1 {
+					if v, ok := call.Args[0].(xquery.VarRef); ok && v.Name == b.Var {
+						consumerClause, consumerBinding = j, k
 					}
 				}
 			}
-		}
-		if references(f.Return, b.Var) {
-			uses += 2
 		}
 		if uses != 1 || consumerClause < 0 {
 			continue

@@ -24,6 +24,8 @@ import (
 type Normalizer struct {
 	used map[string]bool
 	next int
+	// visit is expr, bound once.
+	visit func(xquery.Expr) xquery.Expr
 	// docVars tracks let variables bound to doc()/document() calls, so that
 	// nested query blocks can receive their own local document bindings.
 	docVars map[string]xquery.Call
@@ -35,7 +37,9 @@ type Normalizer struct {
 
 // New creates a Normalizer.
 func New() *Normalizer {
-	return &Normalizer{used: map[string]bool{}, docVars: map[string]xquery.Call{}}
+	n := &Normalizer{used: map[string]bool{}, docVars: map[string]xquery.Call{}}
+	n.visit = n.expr
+	return n
 }
 
 // Normalize rewrites a parsed query without DTD facts; fact-dependent
@@ -64,77 +68,26 @@ func (n *Normalizer) fresh(hint string) string {
 	}
 }
 
+// collectVars gathers every variable name the query binds.
 func collectVars(e xquery.Expr, dst map[string]bool) {
 	switch w := e.(type) {
 	case xquery.FLWR:
-		for _, c := range w.Clauses {
-			switch cl := c.(type) {
-			case xquery.ForClause:
-				for _, b := range cl.Bindings {
-					dst[b.Var] = true
-					if b.Pos != "" {
-						dst[b.Pos] = true
-					}
-					collectVars(b.E, dst)
-				}
-			case xquery.LetClause:
-				for _, b := range cl.Bindings {
-					dst[b.Var] = true
-					collectVars(b.E, dst)
-				}
-			case xquery.WhereClause:
-				collectVars(cl.Cond, dst)
-			case xquery.OrderByClause:
-				for _, s := range cl.Specs {
-					collectVars(s.Key, dst)
-				}
+		w.Scope(func(c xquery.Expr) { collectVars(c, dst) }, func(b xquery.Binding) {
+			dst[b.Var] = true
+			if b.Pos != "" {
+				dst[b.Pos] = true
 			}
-		}
-		collectVars(w.Return, dst)
+		})
+		return
 	case xquery.Quant:
 		dst[w.Var] = true
-		collectVars(w.Range, dst)
-		collectVars(w.Sat, dst)
-	case xquery.Path:
-		collectVars(w.Base, dst)
-		for _, s := range w.Steps {
-			if s.Pred != nil {
-				collectVars(s.Pred, dst)
-			}
+	}
+	for i := 0; ; i++ {
+		c := e.Child(i)
+		if c == nil {
+			return
 		}
-	case xquery.Call:
-		for _, a := range w.Args {
-			collectVars(a, dst)
-		}
-	case xquery.Cmp:
-		collectVars(w.L, dst)
-		collectVars(w.R, dst)
-	case xquery.Cond:
-		collectVars(w.If, dst)
-		collectVars(w.Then, dst)
-		collectVars(w.Else, dst)
-	case xquery.Arith:
-		collectVars(w.L, dst)
-		collectVars(w.R, dst)
-	case xquery.And:
-		collectVars(w.L, dst)
-		collectVars(w.R, dst)
-	case xquery.Or:
-		collectVars(w.L, dst)
-		collectVars(w.R, dst)
-	case xquery.ElemCtor:
-		for _, a := range w.Attrs {
-			for _, c := range a.Content {
-				if !c.IsLit {
-					collectVars(c.E, dst)
-				}
-			}
-		}
-		for _, c := range w.Content {
-			if !c.IsLit {
-				collectVars(c.E, dst)
-			}
-		}
+		collectVars(c, dst)
 	}
 }
 
@@ -144,46 +97,17 @@ var aggFns = map[string]bool{
 	"count": true, "min": true, "max": true, "sum": true, "avg": true,
 }
 
+// expr normalizes the two forms Sec. 3 rewrites and, through them, whatever
+// holds one. Step predicates are normalized in place; they move where the
+// path is bound (for clauses) or used (pathToFLWR).
 func (n *Normalizer) expr(e xquery.Expr) xquery.Expr {
 	switch w := e.(type) {
 	case xquery.FLWR:
 		return n.flwr(w)
 	case xquery.Quant:
 		return n.quant(w)
-	case xquery.Cmp:
-		return xquery.Cmp{L: n.expr(w.L), R: n.expr(w.R), Op: w.Op}
-	case xquery.Cond:
-		return xquery.Cond{If: n.expr(w.If), Then: n.expr(w.Then), Else: n.expr(w.Else)}
-	case xquery.Arith:
-		return xquery.Arith{L: n.expr(w.L), R: n.expr(w.R), Op: w.Op}
-	case xquery.And:
-		return xquery.And{L: n.expr(w.L), R: n.expr(w.R)}
-	case xquery.Or:
-		return xquery.Or{L: n.expr(w.L), R: n.expr(w.R)}
-	case xquery.Call:
-		args := make([]xquery.Expr, len(w.Args))
-		for i, a := range w.Args {
-			args[i] = n.expr(a)
-		}
-		return xquery.Call{Fn: w.Fn, Args: args}
-	case xquery.Path:
-		return n.path(w)
-	default:
-		return e
 	}
-}
-
-// path normalizes the base of a path; step predicates are handled where the
-// path is bound (for clauses) or used (pathToFLWR).
-func (n *Normalizer) path(p xquery.Path) xquery.Path {
-	out := xquery.Path{Base: n.expr(p.Base)}
-	for _, s := range p.Steps {
-		if s.Pred != nil {
-			s.Pred = n.expr(s.Pred)
-		}
-		out.Steps = append(out.Steps, s)
-	}
-	return out
+	return e.MapChildren(n.visit)
 }
 
 // hasPred reports whether any step of the path carries a predicate.
@@ -262,202 +186,103 @@ func (n *Normalizer) pathToFLWR(p xquery.Path) xquery.FLWR {
 // predicate by a fresh let-bound variable ("we break up complex expressions
 // and introduce new variables for subexpressions").
 func (n *Normalizer) hoistPredPaths(e xquery.Expr, ctxVar string, lets *[]xquery.Binding) xquery.Expr {
-	switch w := e.(type) {
-	case xquery.Path:
-		if v, ok := w.Base.(xquery.VarRef); ok && v.Name == ctxVar && !hasPred(w) {
-			hint := "w"
-			if len(w.Steps) > 0 {
-				hint = w.Steps[len(w.Steps)-1].Name
+	var hoist func(xquery.Expr) xquery.Expr
+	hoist = func(e xquery.Expr) xquery.Expr {
+		if w, ok := e.(xquery.Path); ok {
+			if v, ok := w.Base.(xquery.VarRef); ok && v.Name == ctxVar && !hasPred(w) {
+				hint := "w"
+				if len(w.Steps) > 0 {
+					hint = w.Steps[len(w.Steps)-1].Name
+				}
+				nv := n.fresh(hint)
+				*lets = append(*lets, xquery.Binding{Var: nv, E: w})
+				return xquery.VarRef{Name: nv}
 			}
-			nv := n.fresh(hint)
-			*lets = append(*lets, xquery.Binding{Var: nv, E: w})
-			return xquery.VarRef{Name: nv}
 		}
-		return w
-	case xquery.Cmp:
-		return xquery.Cmp{L: n.hoistPredPaths(w.L, ctxVar, lets), R: n.hoistPredPaths(w.R, ctxVar, lets), Op: w.Op}
-	case xquery.Cond:
-		return xquery.Cond{
-			If:   n.hoistPredPaths(w.If, ctxVar, lets),
-			Then: n.hoistPredPaths(w.Then, ctxVar, lets),
-			Else: n.hoistPredPaths(w.Else, ctxVar, lets),
-		}
-	case xquery.Arith:
-		return xquery.Arith{L: n.hoistPredPaths(w.L, ctxVar, lets), R: n.hoistPredPaths(w.R, ctxVar, lets), Op: w.Op}
-	case xquery.And:
-		return xquery.And{L: n.hoistPredPaths(w.L, ctxVar, lets), R: n.hoistPredPaths(w.R, ctxVar, lets)}
-	case xquery.Or:
-		return xquery.Or{L: n.hoistPredPaths(w.L, ctxVar, lets), R: n.hoistPredPaths(w.R, ctxVar, lets)}
-	case xquery.Call:
-		args := make([]xquery.Expr, len(w.Args))
-		for i, a := range w.Args {
-			args[i] = n.hoistPredPaths(a, ctxVar, lets)
-		}
-		return xquery.Call{Fn: w.Fn, Args: args}
-	default:
-		return e
+		return e.MapChildren(hoist)
 	}
+	return hoist(e)
 }
 
 // substContext replaces the implicit context item of a predicate by the
 // given expression.
 func substContext(e xquery.Expr, to xquery.Expr) xquery.Expr {
-	switch w := e.(type) {
-	case xquery.ContextRef:
-		return to
-	case xquery.Path:
-		if _, ok := w.Base.(xquery.ContextRef); ok {
-			return xquery.Path{Base: to, Steps: w.Steps}
+	var sub func(xquery.Expr) xquery.Expr
+	sub = func(e xquery.Expr) xquery.Expr {
+		switch w := e.(type) {
+		case xquery.ContextRef:
+			return to
+		case xquery.Path:
+			// The step predicates of an inner path have their own context item.
+			w.Base = sub(w.Base)
+			return w
 		}
-		return w
-	case xquery.Cmp:
-		return xquery.Cmp{L: substContext(w.L, to), R: substContext(w.R, to), Op: w.Op}
-	case xquery.Cond:
-		return xquery.Cond{If: substContext(w.If, to), Then: substContext(w.Then, to), Else: substContext(w.Else, to)}
-	case xquery.Arith:
-		return xquery.Arith{L: substContext(w.L, to), R: substContext(w.R, to), Op: w.Op}
-	case xquery.And:
-		return xquery.And{L: substContext(w.L, to), R: substContext(w.R, to)}
-	case xquery.Or:
-		return xquery.Or{L: substContext(w.L, to), R: substContext(w.R, to)}
-	case xquery.Call:
-		args := make([]xquery.Expr, len(w.Args))
-		for i, a := range w.Args {
-			args[i] = substContext(a, to)
-		}
-		return xquery.Call{Fn: w.Fn, Args: args}
-	default:
-		return e
+		return e.MapChildren(sub)
 	}
+	return sub(e)
 }
 
 // subst replaces free occurrences of $from by the expression to.
 func subst(e xquery.Expr, from string, to xquery.Expr) xquery.Expr {
-	switch w := e.(type) {
-	case xquery.VarRef:
-		if w.Name == from {
-			return to
-		}
-		return w
-	case xquery.Path:
-		return xquery.Path{Base: subst(w.Base, from, to), Steps: w.Steps}
-	case xquery.Cmp:
-		return xquery.Cmp{L: subst(w.L, from, to), R: subst(w.R, from, to), Op: w.Op}
-	case xquery.Cond:
-		return xquery.Cond{If: subst(w.If, from, to), Then: subst(w.Then, from, to), Else: subst(w.Else, from, to)}
-	case xquery.Arith:
-		return xquery.Arith{L: subst(w.L, from, to), R: subst(w.R, from, to), Op: w.Op}
-	case xquery.And:
-		return xquery.And{L: subst(w.L, from, to), R: subst(w.R, from, to)}
-	case xquery.Or:
-		return xquery.Or{L: subst(w.L, from, to), R: subst(w.R, from, to)}
-	case xquery.Call:
-		args := make([]xquery.Expr, len(w.Args))
-		for i, a := range w.Args {
-			args[i] = subst(a, from, to)
-		}
-		return xquery.Call{Fn: w.Fn, Args: args}
-	case xquery.Quant:
-		if w.Var == from {
+	return substitution(from, to)(e)
+}
+
+// substitution is subst for applying to several expressions.
+func substitution(from string, to xquery.Expr) func(xquery.Expr) xquery.Expr {
+	var sub func(xquery.Expr) xquery.Expr
+	sub = func(e xquery.Expr) xquery.Expr {
+		switch w := e.(type) {
+		case xquery.VarRef:
+			if w.Name == from {
+				return to
+			}
+			return e
+		case xquery.Quant:
+			w.Range = sub(w.Range)
+			if w.Var != from {
+				w.Sat = sub(w.Sat)
+			}
 			return w
+		case xquery.FLWR:
+			free := true // until a clause binds $from again
+			return w.MapScoped(func(c xquery.Expr) xquery.Expr {
+				if free {
+					return sub(c)
+				}
+				return c
+			}, func(b xquery.Binding) xquery.Binding {
+				free = free && b.Var != from && b.Pos != from
+				return b
+			})
 		}
-		return xquery.Quant{Every: w.Every, Var: w.Var, Range: subst(w.Range, from, to), Sat: subst(w.Sat, from, to)}
-	default:
-		return e
+		return e.MapChildren(sub)
 	}
+	return sub
 }
 
 // references reports whether $name occurs free in e.
 func references(e xquery.Expr, name string) bool {
-	vars := map[string]bool{}
-	collectFreeVars(e, vars, map[string]bool{})
-	return vars[name]
-}
-
-func collectFreeVars(e xquery.Expr, dst, bound map[string]bool) {
 	switch w := e.(type) {
 	case xquery.VarRef:
-		if !bound[w.Name] {
-			dst[w.Name] = true
-		}
-	case xquery.Path:
-		collectFreeVars(w.Base, dst, bound)
-		for _, s := range w.Steps {
-			if s.Pred != nil {
-				collectFreeVars(s.Pred, dst, bound)
-			}
-		}
-	case xquery.Cmp:
-		collectFreeVars(w.L, dst, bound)
-		collectFreeVars(w.R, dst, bound)
-	case xquery.Cond:
-		collectFreeVars(w.If, dst, bound)
-		collectFreeVars(w.Then, dst, bound)
-		collectFreeVars(w.Else, dst, bound)
-	case xquery.Arith:
-		collectFreeVars(w.L, dst, bound)
-		collectFreeVars(w.R, dst, bound)
-	case xquery.And:
-		collectFreeVars(w.L, dst, bound)
-		collectFreeVars(w.R, dst, bound)
-	case xquery.Or:
-		collectFreeVars(w.L, dst, bound)
-		collectFreeVars(w.R, dst, bound)
-	case xquery.Call:
-		for _, a := range w.Args {
-			collectFreeVars(a, dst, bound)
-		}
+		return w.Name == name
 	case xquery.Quant:
-		collectFreeVars(w.Range, dst, bound)
-		b2 := copyBound(bound)
-		b2[w.Var] = true
-		collectFreeVars(w.Sat, dst, b2)
+		return references(w.Range, name) || w.Var != name && references(w.Sat, name)
 	case xquery.FLWR:
-		b2 := copyBound(bound)
-		for _, c := range w.Clauses {
-			switch cl := c.(type) {
-			case xquery.ForClause:
-				for _, b := range cl.Bindings {
-					collectFreeVars(b.E, dst, b2)
-					b2[b.Var] = true
-					if b.Pos != "" {
-						b2[b.Pos] = true
-					}
-				}
-			case xquery.LetClause:
-				for _, b := range cl.Bindings {
-					collectFreeVars(b.E, dst, b2)
-					b2[b.Var] = true
-				}
-			case xquery.WhereClause:
-				collectFreeVars(cl.Cond, dst, b2)
-			case xquery.OrderByClause:
-				for _, s := range cl.Specs {
-					collectFreeVars(s.Key, dst, b2)
-				}
-			}
+		found, free := false, true // free until a clause binds $name again
+		w.Scope(func(c xquery.Expr) {
+			found = found || free && references(c, name)
+		}, func(b xquery.Binding) {
+			free = free && b.Var != name && b.Pos != name
+		})
+		return found
+	}
+	for i := 0; ; i++ {
+		c := e.Child(i)
+		if c == nil {
+			return false
 		}
-		collectFreeVars(w.Return, dst, b2)
-	case xquery.ElemCtor:
-		for _, a := range w.Attrs {
-			for _, c := range a.Content {
-				if !c.IsLit {
-					collectFreeVars(c.E, dst, bound)
-				}
-			}
-		}
-		for _, c := range w.Content {
-			if !c.IsLit {
-				collectFreeVars(c.E, dst, bound)
-			}
+		if references(c, name) {
+			return true
 		}
 	}
-}
-
-func copyBound(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -46,7 +46,7 @@ func (n *Normalizer) quant(q xquery.Quant) xquery.Expr {
 				})
 				rng.Return = xquery.VarRef{Name: w}
 				rv = xquery.VarRef{Name: w}
-				sat = replaceVarPath(sat, q.Var, p.Steps)
+				sat = replaceVarPath(sat, q.Var)
 			}
 		}
 	}
@@ -258,7 +258,8 @@ func cmpOnVar(e xquery.Expr, x string) bool {
 }
 
 // soleVarPath reports whether all references to $x in e have the shape
-// $x/steps with one common step list, and returns that path.
+// $x/steps with one common step list, and returns that path. An expression
+// that binds $x again is not looked into: it says no.
 func soleVarPath(e xquery.Expr, x string) (xquery.Path, bool) {
 	var found *xquery.Path
 	ok := true
@@ -266,40 +267,30 @@ func soleVarPath(e xquery.Expr, x string) (xquery.Path, bool) {
 	walk = func(e xquery.Expr) {
 		switch w := e.(type) {
 		case xquery.VarRef:
-			if w.Name == x {
-				ok = false
-			}
+			ok = ok && w.Name != x
+		case xquery.Quant:
+			ok = ok && w.Var != x
+		case xquery.FLWR:
+			w.Scope(func(xquery.Expr) {}, func(b xquery.Binding) { ok = ok && b.Var != x && b.Pos != x })
 		case xquery.Path:
 			if v, isVar := w.Base.(xquery.VarRef); isVar && v.Name == x {
-				if hasPred(w) {
+				switch {
+				case hasPred(w):
 					ok = false
-					return
-				}
-				if found == nil {
+				case found == nil:
 					found = &w
-				} else if pathStepsString(*found) != pathStepsString(w) {
+				case pathStepsString(*found) != pathStepsString(w):
 					ok = false
 				}
 				return
 			}
-			walk(w.Base)
-		case xquery.Cmp:
-			walk(w.L)
-			walk(w.R)
-		case xquery.Cond:
-			walk(w.If)
-			walk(w.Then)
-			walk(w.Else)
-		case xquery.And:
-			walk(w.L)
-			walk(w.R)
-		case xquery.Or:
-			walk(w.L)
-			walk(w.R)
-		case xquery.Call:
-			for _, a := range w.Args {
-				walk(a)
+		}
+		for i := 0; ok; i++ {
+			c := e.Child(i)
+			if c == nil {
+				return
 			}
+			walk(c)
 		}
 	}
 	walk(e)
@@ -318,32 +309,15 @@ func pathStepsString(p xquery.Path) string {
 }
 
 // replaceVarPath replaces every occurrence of $x/steps by $x.
-func replaceVarPath(e xquery.Expr, x string, steps []xquery.Step) xquery.Expr {
-	switch w := e.(type) {
-	case xquery.Path:
-		if v, isVar := w.Base.(xquery.VarRef); isVar && v.Name == x {
-			return xquery.VarRef{Name: x}
+func replaceVarPath(e xquery.Expr, x string) xquery.Expr {
+	var repl func(xquery.Expr) xquery.Expr
+	repl = func(e xquery.Expr) xquery.Expr {
+		if w, ok := e.(xquery.Path); ok {
+			if v, isVar := w.Base.(xquery.VarRef); isVar && v.Name == x {
+				return v
+			}
 		}
-		return xquery.Path{Base: replaceVarPath(w.Base, x, steps), Steps: w.Steps}
-	case xquery.Cmp:
-		return xquery.Cmp{L: replaceVarPath(w.L, x, steps), R: replaceVarPath(w.R, x, steps), Op: w.Op}
-	case xquery.Cond:
-		return xquery.Cond{
-			If:   replaceVarPath(w.If, x, steps),
-			Then: replaceVarPath(w.Then, x, steps),
-			Else: replaceVarPath(w.Else, x, steps),
-		}
-	case xquery.And:
-		return xquery.And{L: replaceVarPath(w.L, x, steps), R: replaceVarPath(w.R, x, steps)}
-	case xquery.Or:
-		return xquery.Or{L: replaceVarPath(w.L, x, steps), R: replaceVarPath(w.R, x, steps)}
-	case xquery.Call:
-		args := make([]xquery.Expr, len(w.Args))
-		for i, a := range w.Args {
-			args[i] = replaceVarPath(a, x, steps)
-		}
-		return xquery.Call{Fn: w.Fn, Args: args}
-	default:
-		return e
+		return e.MapChildren(repl)
 	}
+	return repl(e)
 }

@@ -11,11 +11,19 @@ import (
 	"nalquery/internal/value"
 )
 
-// Expr is an XQuery AST expression.
+// Expr is an XQuery AST expression. Every form says itself what its
+// sub-expressions are, so a traversal names only the forms it treats
+// specially and descends through these two methods.
 type Expr interface {
 	// String renders the expression in (pretty-printed, single-line) XQuery
 	// syntax.
 	String() string
+	// Child returns the i-th sub-expression in evaluation order, nil past the
+	// last one. It allocates nothing.
+	Child(i int) Expr
+	// MapChildren returns the expression with f applied to each
+	// sub-expression, in the same order.
+	MapChildren(f func(Expr) Expr) Expr
 }
 
 // Module is a parsed query module: the prolog's external-variable
@@ -45,7 +53,7 @@ type FLWR struct {
 	Return  Expr
 }
 
-// Clause is one of ForClause, LetClause or WhereClause.
+// Clause is one of ForClause, LetClause, WhereClause or OrderByClause.
 type Clause interface{ clauseString() string }
 
 // Binding binds a variable to an expression. Pos, set only on for-clause
@@ -123,6 +131,89 @@ func (f FLWR) String() string {
 	return strings.Join(parts, " ")
 }
 
+// Scope walks the expression in evaluation order, which is scope order: expr
+// sees every sub-expression (binding expressions, where conditions and order
+// keys clause by clause, then the return expression) and bind every for/let
+// binding right after its own expression — the point from which its
+// variables are visible to everything that follows.
+func (f FLWR) Scope(expr func(Expr), bind func(Binding)) {
+	for _, c := range f.Clauses {
+		switch cl := c.(type) {
+		case ForClause:
+			scopeBindings(cl.Bindings, expr, bind)
+		case LetClause:
+			scopeBindings(cl.Bindings, expr, bind)
+		case WhereClause:
+			expr(cl.Cond)
+		case OrderByClause:
+			for _, s := range cl.Specs {
+				expr(s.Key)
+			}
+		default:
+			//nal:allow-panic unreachable: Clause is sealed by clauseString and these are its four kinds
+			panic(fmt.Sprintf("xquery: unknown clause %T", c))
+		}
+	}
+	expr(f.Return)
+}
+
+func scopeBindings(bs []Binding, expr func(Expr), bind func(Binding)) {
+	for _, b := range bs {
+		expr(b.E)
+		bind(b)
+	}
+}
+
+// MapScoped is Scope for rebuilding: the result holds what expr made of each
+// sub-expression and bind of each binding.
+func (f FLWR) MapScoped(expr func(Expr) Expr, bind func(Binding) Binding) FLWR {
+	out := FLWR{Clauses: make([]Clause, len(f.Clauses))}
+	for i, c := range f.Clauses {
+		switch cl := c.(type) {
+		case ForClause:
+			out.Clauses[i] = ForClause{Bindings: mapBindings(cl.Bindings, expr, bind)}
+		case LetClause:
+			out.Clauses[i] = LetClause{Bindings: mapBindings(cl.Bindings, expr, bind)}
+		case WhereClause:
+			out.Clauses[i] = WhereClause{Cond: expr(cl.Cond)}
+		case OrderByClause:
+			specs := make([]OrderSpec, len(cl.Specs))
+			for j, s := range cl.Specs {
+				specs[j] = OrderSpec{Key: expr(s.Key), Descending: s.Descending}
+			}
+			out.Clauses[i] = OrderByClause{Specs: specs, Stable: cl.Stable}
+		default:
+			//nal:allow-panic unreachable: Clause is sealed by clauseString and these are its four kinds
+			panic(fmt.Sprintf("xquery: unknown clause %T", c))
+		}
+	}
+	out.Return = expr(f.Return)
+	return out
+}
+
+func mapBindings(bs []Binding, expr func(Expr) Expr, bind func(Binding) Binding) []Binding {
+	out := make([]Binding, len(bs))
+	for i, b := range bs {
+		b.E = expr(b.E)
+		out[i] = bind(b)
+	}
+	return out
+}
+
+// Child and MapChildren implement Expr.
+func (f FLWR) Child(i int) (child Expr) {
+	f.Scope(func(e Expr) {
+		if i == 0 {
+			child = e
+		}
+		i--
+	}, func(Binding) {})
+	return child
+}
+func (f FLWR) MapChildren(fn func(Expr) Expr) Expr {
+	return f.MapScoped(fn, func(b Binding) Binding { return b })
+}
+
 // Quant is a quantified expression: some/every $Var in Range satisfies Sat.
 type Quant struct {
 	Every bool
@@ -139,6 +230,10 @@ func (q Quant) String() string {
 	return fmt.Sprintf("%s $%s in %s satisfies %s", kw, q.Var, q.Range.String(), q.Sat.String())
 }
 
+// Child and MapChildren implement Expr.
+func (q Quant) Child(i int) Expr                   { return nth(i, q.Range, q.Sat) }
+func (q Quant) MapChildren(f func(Expr) Expr) Expr { q.Range, q.Sat = f(q.Range), f(q.Sat); return q }
+
 // Cond is the conditional expression if (If) then Then else Else. XQuery
 // requires the else branch; the parser accepts a missing one and fills in
 // the empty sequence.
@@ -150,21 +245,40 @@ func (c Cond) String() string {
 	return fmt.Sprintf("if (%s) then %s else %s", c.If.String(), c.Then.String(), c.Else.String())
 }
 
+// Child and MapChildren implement Expr.
+func (c Cond) Child(i int) Expr { return nth(i, c.If, c.Then, c.Else) }
+func (c Cond) MapChildren(f func(Expr) Expr) Expr {
+	c.If, c.Then, c.Else = f(c.If), f(c.Then), f(c.Else)
+	return c
+}
+
 // EmptySeq is the literal empty sequence ().
 type EmptySeq struct{}
 
 func (EmptySeq) String() string { return "()" }
+
+// Child and MapChildren implement Expr.
+func (EmptySeq) Child(int) Expr                     { return nil }
+func (e EmptySeq) MapChildren(func(Expr) Expr) Expr { return e }
 
 // VarRef references a variable.
 type VarRef struct{ Name string }
 
 func (v VarRef) String() string { return "$" + v.Name }
 
+// Child and MapChildren implement Expr.
+func (VarRef) Child(int) Expr                     { return nil }
+func (v VarRef) MapChildren(func(Expr) Expr) Expr { return v }
+
 // ContextRef is the implicit context item inside a path predicate
 // (e.g. the "author" in book[author = $a1] is a path from the context).
 type ContextRef struct{}
 
 func (ContextRef) String() string { return "." }
+
+// Child and MapChildren implement Expr.
+func (ContextRef) Child(int) Expr                     { return nil }
+func (c ContextRef) MapChildren(func(Expr) Expr) Expr { return c }
 
 // StrLit is a string literal.
 type StrLit struct{ V string }
@@ -175,6 +289,10 @@ type StrLit struct{ V string }
 func (s StrLit) String() string {
 	return `"` + strings.ReplaceAll(s.V, `"`, `""`) + `"`
 }
+
+// Child and MapChildren implement Expr.
+func (StrLit) Child(int) Expr                     { return nil }
+func (s StrLit) MapChildren(func(Expr) Expr) Expr { return s }
 
 // NumLit is a numeric literal.
 type NumLit struct{ V float64 }
@@ -188,6 +306,10 @@ func (n NumLit) String() string {
 	}
 	return strconv.FormatFloat(n.V, 'f', -1, 64)
 }
+
+// Child and MapChildren implement Expr.
+func (NumLit) Child(int) Expr                     { return nil }
+func (n NumLit) MapChildren(func(Expr) Expr) Expr { return n }
 
 // Step is one XPath step of a path expression, optionally carrying a
 // predicate (which the normalizer later moves into a where clause).
@@ -229,6 +351,39 @@ func (p Path) String() string {
 	return sb.String()
 }
 
+// Child implements Expr: the base, then the step predicates.
+func (p Path) Child(i int) Expr {
+	if i == 0 {
+		return p.Base
+	}
+	for _, s := range p.Steps {
+		if s.Pred == nil {
+			continue
+		}
+		if i--; i == 0 {
+			return s.Pred
+		}
+	}
+	return nil
+}
+
+// MapChildren implements Expr. A path without step predicates keeps sharing
+// its steps.
+func (p Path) MapChildren(f func(Expr) Expr) Expr {
+	p.Base = f(p.Base)
+	shared := true
+	for i, s := range p.Steps {
+		if s.Pred == nil {
+			continue
+		}
+		if shared {
+			p.Steps, shared = append([]Step(nil), p.Steps...), false
+		}
+		p.Steps[i].Pred = f(s.Pred)
+	}
+	return p
+}
+
 // Call is a function call.
 type Call struct {
 	Fn   string
@@ -243,6 +398,17 @@ func (c Call) String() string {
 	return fmt.Sprintf("%s(%s)", c.Fn, strings.Join(parts, ", "))
 }
 
+// Child and MapChildren implement Expr.
+func (c Call) Child(i int) Expr { return nth(i, c.Args...) }
+func (c Call) MapChildren(f func(Expr) Expr) Expr {
+	args := make([]Expr, len(c.Args))
+	for i, a := range c.Args {
+		args[i] = f(a)
+	}
+	c.Args = args
+	return c
+}
+
 // Cmp is a general comparison.
 type Cmp struct {
 	L, R Expr
@@ -251,6 +417,18 @@ type Cmp struct {
 
 func (c Cmp) String() string {
 	return fmt.Sprintf("%s %s %s", parenCmp(c.L), c.Op, parenCmp(c.R))
+}
+
+// Child and MapChildren implement Expr.
+func (c Cmp) Child(i int) Expr                   { return nth(i, c.L, c.R) }
+func (c Cmp) MapChildren(f func(Expr) Expr) Expr { c.L, c.R = f(c.L), f(c.R); return c }
+
+// nth is the i-th of a form's sub-expressions, nil past the last.
+func nth(i int, es ...Expr) Expr {
+	if i < len(es) {
+		return es[i]
+	}
+	return nil
 }
 
 // parenCmp prints an operand of a comparison or arithmetic expression,
@@ -282,15 +460,27 @@ func (a Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", parenCmp(a.L), op, parenCmp(a.R))
 }
 
+// Child and MapChildren implement Expr.
+func (a Arith) Child(i int) Expr                   { return nth(i, a.L, a.R) }
+func (a Arith) MapChildren(f func(Expr) Expr) Expr { a.L, a.R = f(a.L), f(a.R); return a }
+
 // And is logical conjunction.
 type And struct{ L, R Expr }
 
 func (a And) String() string { return fmt.Sprintf("(%s and %s)", a.L.String(), a.R.String()) }
 
+// Child and MapChildren implement Expr.
+func (a And) Child(i int) Expr                   { return nth(i, a.L, a.R) }
+func (a And) MapChildren(f func(Expr) Expr) Expr { a.L, a.R = f(a.L), f(a.R); return a }
+
 // Or is logical disjunction.
 type Or struct{ L, R Expr }
 
 func (o Or) String() string { return fmt.Sprintf("(%s or %s)", o.L.String(), o.R.String()) }
+
+// Child and MapChildren implement Expr.
+func (o Or) Child(i int) Expr                   { return nth(i, o.L, o.R) }
+func (o Or) MapChildren(f func(Expr) Expr) Expr { o.L, o.R = f(o.L), f(o.R); return o }
 
 // Content is a piece of element-constructor content: literal text or an
 // enclosed expression ({ expr }).
@@ -337,4 +527,49 @@ func (e ElemCtor) String() string {
 	}
 	sb.WriteString("</" + e.Name + ">")
 	return sb.String()
+}
+
+// Child implements Expr: the enclosed expressions of the attribute values,
+// then those of the element content.
+func (e ElemCtor) Child(i int) Expr {
+	for _, a := range e.Attrs {
+		if c := nthEnclosed(&i, a.Content); c != nil {
+			return c
+		}
+	}
+	return nthEnclosed(&i, e.Content)
+}
+
+// nthEnclosed returns the *i-th enclosed expression of cs, or nil after
+// counting *i down by the ones it holds.
+func nthEnclosed(i *int, cs []Content) Expr {
+	for _, c := range cs {
+		if c.IsLit {
+			continue
+		}
+		if *i == 0 {
+			return c.E
+		}
+		*i--
+	}
+	return nil
+}
+func (e ElemCtor) MapChildren(f func(Expr) Expr) Expr {
+	attrs := make([]AttrCtor, len(e.Attrs))
+	for i, a := range e.Attrs {
+		attrs[i] = AttrCtor{Name: a.Name, Content: mapEnclosed(a.Content, f)}
+	}
+	e.Attrs, e.Content = attrs, mapEnclosed(e.Content, f)
+	return e
+}
+
+func mapEnclosed(cs []Content, f func(Expr) Expr) []Content {
+	out := make([]Content, len(cs))
+	for i, c := range cs {
+		if !c.IsLit {
+			c.E = f(c.E)
+		}
+		out[i] = c
+	}
+	return out
 }

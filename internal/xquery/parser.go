@@ -481,7 +481,9 @@ func (p *parser) parseQuant() (Expr, error) {
 		if !p.takeKeyword("in") {
 			return nil, p.errf("expected 'in' in quantifier")
 		}
-		rng, err := p.parseOr() // range is an operand expression (often parenthesized FLWR or a path)
+		// The range is an ExprSingle, as in XQuery's grammar: the printer
+		// writes a FLWR range without parentheses.
+		rng, err := p.parseExprSingle()
 		if err != nil {
 			return nil, err
 		}
