@@ -9,10 +9,14 @@ import (
 
 // TestPaperPlanAllocBudget is the allocation gate of the execution path: the
 // cost-chosen plan of each paper query, prepared once, run and serialized,
-// at size 400. The ceilings are half of what the same runs allocated while
-// every row, bucket and path step had an allocation of its own (8 264,
-// 6 033, 20 911, 1 378, 5 462, 13 418 and 3 797); the readings they were set
-// against are 3 135, 1 886, 6 476, 197, 1 485, 3 912 and 1 336.
+// at size 400. A ceiling sits halfway between what the run allocates and what
+// it allocated before the last change that took a per-tuple allocation out of
+// it, so that going back fails: for every query but q3 that is while a path
+// value was a boxed sequence whether it held one node or several (2 952,
+// 1 176, 6 186, 1 351, 3 659 and 1 020); q3 evaluates no path per tuple and
+// keeps the ceiling it had, half of what it allocated while every row and
+// bucket had an allocation of its own (1 378). The readings are 1 751, 905,
+// 2 837, 100, 550, 1 258 and 220.
 //
 // Each plan is measured again under a budget that never trips: accounting
 // charges counters, so a live budget costs the allocation of the budget
@@ -21,7 +25,7 @@ import (
 func TestPaperPlanAllocBudget(t *testing.T) {
 	eng := runEngine(400)
 	for id, ceiling := range map[string]float64{
-		"q1": 4100, "q1dblp": 3000, "q2": 10400, "q3": 680, "q4": 2700, "q5": 6700, "q6": 1850,
+		"q1": 2350, "q1dblp": 1040, "q2": 4510, "q3": 680, "q4": 950, "q5": 2450, "q6": 620,
 	} {
 		p, err := eng.Prepare(PaperQueries[id])
 		if err != nil {

@@ -16,13 +16,17 @@
 package nalquery_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	nalquery "nalquery"
 	"nalquery/internal/cli"
+	"nalquery/internal/dom"
 	"nalquery/internal/experiments"
+	"nalquery/internal/xmlgen"
 )
 
 // nestedSizeCap keeps the quadratic nested plans — "nested" and its
@@ -135,6 +139,49 @@ func BenchmarkCompile(b *testing.B) {
 		b.Run(id, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Compile(query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPaperPlansPrepared is the paper_plans operation of benchmark/ as
+// a go test benchmark, one sub-benchmark per statement: the use-case
+// documents and dblp.xml at size 5000 loaded from XML text, each paper query
+// prepared once, then Run + WriteXML of the cost-chosen plan into a reused
+// buffer. The harness has no profile flag; this has go test's:
+//
+//	go test -run '^$' -bench PaperPlansPrepared -benchtime 20x \
+//		-cpuprofile cpu.out -memprofile mem.out -memprofilerate 512 .
+func BenchmarkPaperPlansPrepared(b *testing.B) {
+	const size = 5000
+	cfg := xmlgen.DefaultConfig(size)
+	eng := nalquery.NewEngine()
+	for _, d := range []*dom.Document{xmlgen.Bib(cfg), xmlgen.Reviews(cfg), xmlgen.Prices(cfg),
+		xmlgen.Users(cfg), xmlgen.Items(cfg), xmlgen.Bids(cfg),
+		xmlgen.DBLP(xmlgen.DBLPConfig{Seed: cfg.Seed, Publications: size})} {
+		if err := eng.LoadXMLString(d.URI, dom.XMLString(d.Root)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	for _, id := range []string{"q1", "q1dblp", "q2", "q3", "q4", "q5", "q6"} {
+		p, err := eng.Prepare(nalquery.PaperQueries[id])
+		if err != nil {
+			b.Fatalf("%s: %v", id, err)
+		}
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				res, err := p.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				err = res.WriteXML(&out)
+				res.Close()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"nalquery/internal/dom"
 	"nalquery/internal/value"
 )
 
@@ -193,8 +194,17 @@ func (c *scope) expr(e Expr) RowExpr {
 		}
 
 	case BindTuples:
-		in := c.expr(w.E)
 		lay := value.NewLayout(w.Attr)
+		if p, ok := w.E.(PathOf); ok {
+			// e[a] over a path binds the selection itself: no path value is
+			// built to be unwrapped again. BindNodes copies out of the buffer.
+			in := c.expr(p.Input)
+			return func(ctx *Ctx, r value.Row) value.Value {
+				var buf [8]*dom.Node
+				return value.BindNodes(lay, p.Path.Append(buf[:0], in(ctx, r)))
+			}
+		}
+		in := c.expr(w.E)
 		return func(ctx *Ctx, r value.Row) value.Value {
 			return value.BindRowSeqLay(lay, value.AsSeq(in(ctx, r)))
 		}

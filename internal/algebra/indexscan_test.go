@@ -56,11 +56,7 @@ const idxTestDoc = `<bib>
 
 func idxNodes(t *testing.T, d *dom.Document, expr string) []*dom.Node {
 	t.Helper()
-	var out []*dom.Node
-	for _, v := range xpath.MustParse(expr).Eval(value.NodeVal{Node: d.Root}) {
-		out = append(out, v.(value.NodeVal).Node)
-	}
-	return out
+	return xpath.MustParse(expr).Append(nil, value.NodeVal{Node: d.Root})
 }
 
 // boundNodes collects the nodes an IndexScan bound to attr, per engine run.

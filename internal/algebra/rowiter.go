@@ -4,7 +4,9 @@ import (
 	"slices"
 	"sync"
 
+	"nalquery/internal/dom"
 	"nalquery/internal/value"
+	"nalquery/internal/xpath"
 )
 
 // This file is the streaming engine: open-next-close iterators over
@@ -83,8 +85,13 @@ func (n *Node) open(ctx *Ctx, env value.Tuple) RowIter {
 			posSlot, _ = lay.Slot(w.PosAttr)
 		}
 		c := n.scope(in.Schema, env)
-		return &rowUnnestMapIter{in: in.open(ctx, env), lay: lay, slot: slot, posSlot: posSlot,
-			e: c.expr(w.E), ctx: ctx}
+		u := &rowUnnestMapIter{in: in.open(ctx, env), lay: lay, slot: slot, posSlot: posSlot, ctx: ctx}
+		if p, ok := w.E.(PathOf); ok {
+			u.e, u.path, u.byPath, u.nodes = c.expr(p.Input), p.Path, true, u.first[:0]
+		} else {
+			u.e = c.expr(w.E)
+		}
+		return u
 
 	case IndexScan:
 		slot, _ := lay.Slot(w.Attr)
@@ -430,18 +437,29 @@ func (m *rowMapIter) Next() (value.Row, bool) {
 
 func (m *rowMapIter) Close() { m.in.Close() }
 
+// rowUnnestMapIter is Υ: one output row per item of e's value. It only
+// iterates, so it builds no sequence to do so. Over a path (byPath; e is then
+// the path's context expression) it walks the selection in the node buffer it
+// refills for every input row, and a row takes its node out of the buffer, so
+// nothing emitted aliases it. Any other single item is read through one.
 type rowUnnestMapIter struct {
 	in      RowIter
 	lay     *value.Layout
 	slot    int
 	posSlot int
 	e       RowExpr
+	path    xpath.Path
+	byPath  bool
 	ctx     *Ctx
 
-	cur     value.Row
-	pending value.Seq
-	pos     int
-	slab    rowSlab
+	cur   value.Row
+	n     int          // items of cur, of which pos are emitted
+	nodes []*dom.Node  // they are these when byPath,
+	items value.Seq    // and these otherwise
+	first [8]*dom.Node // nodes starts here, as a path value starts on the stack
+	one   [1]value.Value
+	pos   int
+	slab  rowSlab
 }
 
 func (u *rowUnnestMapIter) Next() (value.Row, bool) {
@@ -452,9 +470,9 @@ func (u *rowUnnestMapIter) Next() (value.Row, bool) {
 		if u.ctx.Cancelled() {
 			return value.Row{}, false
 		}
-		if u.pos < len(u.pending) {
-			out := u.slab.extend(u.lay, u.cur, len(u.pending)-u.pos)
-			out.Vals[u.slot] = u.pending[u.pos]
+		if u.pos < u.n {
+			out := u.slab.extend(u.lay, u.cur, u.n-u.pos)
+			out.Vals[u.slot] = u.item(u.pos)
 			if u.posSlot >= 0 {
 				out.Vals[u.posSlot] = value.Int(int64(u.pos + 1))
 			}
@@ -467,10 +485,27 @@ func (u *rowUnnestMapIter) Next() (value.Row, bool) {
 		if !ok {
 			return value.Row{}, false
 		}
-		u.cur = r
-		u.pending = value.AsSeq(u.e(u.ctx, r))
-		u.pos = 0
+		u.cur, u.pos = r, 0
+		u.refill(u.e(u.ctx, r))
 	}
+}
+
+// refill takes the items of the next input row from e's value.
+func (u *rowUnnestMapIter) refill(v value.Value) {
+	if u.byPath {
+		u.nodes = u.path.Append(u.nodes[:0], v)
+		u.n = len(u.nodes)
+		return
+	}
+	u.items = value.Items(v, &u.one)
+	u.n = len(u.items)
+}
+
+func (u *rowUnnestMapIter) item(i int) value.Value {
+	if u.byPath {
+		return value.NodeVal{Node: u.nodes[i]}
+	}
+	return u.items[i]
 }
 
 func (u *rowUnnestMapIter) Close() { u.in.Close() }

@@ -146,7 +146,7 @@ type ScanInfo struct {
 
 // Scan resolves a path expression (from the document root) onto the
 // structural indexes: the returned index enumerates exactly the nodes
-// xpath.Path.Eval would select, in document order. ok is false when the
+// xpath.Path.Append would select, in document order. ok is false when the
 // expression cannot be resolved from the path set (positional predicates)
 // or reaches no measured path.
 func (x *DocIndexes) Scan(p xpath.Path) (ScanInfo, bool) {

@@ -25,7 +25,7 @@ func parse(t *testing.T, s string) *dom.Document {
 }
 
 // TestScanAgainstEval: for a corpus of path expressions, Scan enumerates
-// exactly the nodes xpath.Path.Eval selects from the root, in the same
+// exactly the nodes xpath.Path.Append selects from the root, in the same
 // (document) order.
 func TestScanAgainstEval(t *testing.T) {
 	d := parse(t, testDoc)
@@ -41,13 +41,13 @@ func TestScanAgainstEval(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no scan resolution", e)
 		}
-		want := p.Eval(value.NodeVal{Node: d.Root})
+		want := p.Append(nil, value.NodeVal{Node: d.Root})
 		got := si.Index.ScanAll()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d nodes, Eval selects %d", e, len(got), len(want))
+			t.Fatalf("%s: %d nodes, the path selects %d", e, len(got), len(want))
 		}
 		for i, n := range got {
-			if want[i].(value.NodeVal).Node != n {
+			if want[i] != n {
 				t.Fatalf("%s: node %d differs", e, i)
 			}
 		}

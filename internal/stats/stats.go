@@ -246,7 +246,7 @@ func (a *pathAcc) value(val string) {
 // carries a positional predicate — position depends on the context node's
 // selection list, which the path set does not capture.
 //
-// The match replicates xpath.Path.Eval's axis semantics: child and attribute
+// The match replicates xpath.Path.Append's axis semantics: child and attribute
 // steps consume exactly one path segment, a descendant step consumes one or
 // more (the name test applies to the last), and wildcard element tests never
 // match attribute segments.

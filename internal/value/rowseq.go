@@ -1,6 +1,10 @@
 package value
 
-import "strings"
+import (
+	"strings"
+
+	"nalquery/internal/dom"
+)
 
 // RowSeq is the slot-native tuple sequence: the group payloads created by Γ,
 // the e[a] constructor and nested query blocks, carried as rows over one
@@ -58,6 +62,16 @@ func BindRowSeq(items Seq, a string) RowSeq {
 // engine, and a width-1 flat backing is exactly an item sequence.
 func BindRowSeqLay(lay *Layout, items Seq) RowSeq {
 	return RowSeq{lay: lay, flat: items, n: len(items)}
+}
+
+// BindNodes is e[a] over a path's selection: the nodes become the width-1
+// flat backing directly, without passing through a path value first. nodes
+// is copied, so the caller's buffer stays its own.
+func BindNodes(lay *Layout, nodes []*dom.Node) RowSeq {
+	if len(nodes) == 0 {
+		return RowSeq{lay: lay}
+	}
+	return RowSeq{lay: lay, flat: nodeItems(nodes), n: len(nodes)}
 }
 
 // Kind implements Value. A RowSeq is a tuple sequence; only the

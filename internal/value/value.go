@@ -310,12 +310,36 @@ func AsSeq(v Value) Seq {
 	}
 }
 
-// NodeSeq wraps dom nodes as a value sequence. No nodes give the nil Seq,
-// which boxes into a Value without allocating.
-func NodeSeq(nodes []*dom.Node) Seq {
-	if len(nodes) == 0 {
-		return nil
+// Items is AsSeq for a consumer that only iterates: a single item is viewed
+// through the caller's one-element array instead of a fresh Seq{v}. The
+// result aliases one in that case and is good until one is written again.
+func Items(v Value, one *[1]Value) Seq {
+	switch v.(type) {
+	case nil, Null, Seq, TupleSeq, RowSeq:
+		return AsSeq(v)
 	}
+	one[0] = v
+	return one[:]
+}
+
+// OfNodes is the value of a path expression, in its one normal form: no node
+// is the nil Seq, exactly one node is that NodeVal, several are a Seq of
+// NodeVals. The first two box into a Value without allocating (a NodeVal is
+// one pointer), which is what a path is almost every time it is evaluated
+// once per tuple ($b/title, $b/@year); several cost the backing array and the
+// slice header. nodes is read, not kept: the caller's buffer stays its own.
+func OfNodes(nodes []*dom.Node) Value {
+	switch len(nodes) {
+	case 0:
+		return Seq(nil)
+	case 1:
+		return NodeVal{Node: nodes[0]}
+	}
+	return nodeItems(nodes)
+}
+
+// nodeItems copies node handles out of a buffer into a fresh item sequence.
+func nodeItems(nodes []*dom.Node) Seq {
 	out := make(Seq, len(nodes))
 	for i, n := range nodes {
 		out[i] = NodeVal{Node: n}

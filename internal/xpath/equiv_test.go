@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"slices"
 	"testing"
 
 	"nalquery/internal/dom"
@@ -8,10 +9,10 @@ import (
 	"nalquery/internal/xmlgen"
 )
 
-// Path.Eval appends every step into two reused node buffers and converts
-// once. refEval is the definition it must agree with: per step, per context
-// node, a fresh selection, the positional predicate on that selection, then
-// one merge into document order.
+// Path.Append runs every step but the last through two reused node buffers
+// and the last into the caller's. refEval is the definition it must agree
+// with: per step, per context node, a fresh selection, the positional
+// predicate on that selection, then one merge into document order.
 
 func refEval(p Path, ctx value.Value) []*dom.Node {
 	cur := refContext(ctx)
@@ -88,8 +89,9 @@ func TestEvalMatchesStepDefinition(t *testing.T) {
 	docs := []*dom.Document{xmlgen.Bib(cfg), xmlgen.Reviews(cfg), xmlgen.Prices(cfg),
 		xmlgen.Users(cfg), xmlgen.Items(cfg), xmlgen.Bids(cfg)}
 
-	for _, d := range docs {
+	for di, d := range docs {
 		elems := d.Root.Descendants("", nil)
+		other := value.NodeVal{Node: docs[(di+1)%len(docs)].Root}
 		names := map[string]bool{}
 		attrs := map[string]bool{}
 		for _, e := range elems {
@@ -120,23 +122,42 @@ func TestEvalMatchesStepDefinition(t *testing.T) {
 			// Several nodes, overlapping subtrees, a duplicate, out of order,
 			// with NULL, a nil node and a nested sequence in between.
 			value.Seq{some, root, value.Null{}, some, value.NodeVal{}, value.Seq{value.NodeVal{Node: elems[1]}, value.Int(1)}},
-			value.NodeSeq(elems),
+			value.OfNodes(elems),
+			// Another document, alone and between nodes of this one: a name
+			// test is resolved per context node's document.
+			other, value.Seq{some, other, root},
 		}
+		// The caller's buffer: never empty, so Append must leave what is in it
+		// alone, and reused from path to path like a consumer's.
+		marker := elems[0]
+		buf := []*dom.Node{marker}
 		check := func(p Path) {
 			for _, ctx := range contexts {
-				got, want := p.Eval(ctx), refEval(p, ctx)
-				if len(want) == 0 {
-					if got != nil {
+				want := refEval(p, ctx)
+				buf = p.Append(buf[:1], ctx)
+				if buf[0] != marker || !slices.Equal(buf[1:], want) {
+					t.Fatalf("%s %s on %v: appended %v behind %v, want %v behind it", d.URI, p, ctx, buf[1:], buf[0], want)
+				}
+				// Eval is the same selection in the normal form.
+				got := p.Eval(ctx)
+				switch len(want) {
+				case 0:
+					if s, ok := got.(value.Seq); !ok || s != nil {
 						t.Fatalf("%s %s on %v: empty result is %#v, want the nil sequence", d.URI, p, ctx, got)
 					}
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s %s on %v: %d nodes, want %d", d.URI, p, ctx, len(got), len(want))
-				}
-				for i, v := range got {
-					if n, ok := v.(value.NodeVal); !ok || n.Node != want[i] {
-						t.Fatalf("%s %s on %v: item %d is %v, want %v", d.URI, p, ctx, i, v, value.NodeVal{Node: want[i]})
+				case 1:
+					if got != (value.NodeVal{Node: want[0]}) {
+						t.Fatalf("%s %s on %v: one node is %#v, want the node itself", d.URI, p, ctx, got)
+					}
+				default:
+					s, _ := got.(value.Seq)
+					if len(s) != len(want) {
+						t.Fatalf("%s %s on %v: %#v, want a sequence of %d nodes", d.URI, p, ctx, got, len(want))
+					}
+					for i, v := range s {
+						if v != (value.NodeVal{Node: want[i]}) {
+							t.Fatalf("%s %s on %v: item %d is %v, want %v", d.URI, p, ctx, i, v, value.NodeVal{Node: want[i]})
+						}
 					}
 				}
 			}
@@ -151,21 +172,53 @@ func TestEvalMatchesStepDefinition(t *testing.T) {
 			check(Path{Steps: []Step{a, b}})
 			check(Path{Steps: []Step{b, a, c}})
 		}
+		// No step at all is the context's own nodes.
+		check(Path{})
 	}
 }
 
-// TestEvalAllocations: a path over one node allocates its result and nothing
-// else, and nothing at all when the result is empty.
+// TestEvalAllocations: navigating into a caller's buffer allocates nothing
+// once the buffer has held a selection as large, whatever the size of the
+// result — as long as no step before the last selects more than the eight
+// nodes the stack buffers hold, which no per-tuple path of the paper's queries
+// does; past that it is the intermediate selection that is allocated, never
+// the result. As a value, no node and one node cost nothing either (the nil
+// sequence and a NodeVal box free), and several cost the sequence and its
+// header.
 func TestEvalAllocations(t *testing.T) {
-	d := xmlgen.Bib(xmlgen.DefaultConfig(5))
+	cfg := xmlgen.DefaultConfig(5)
+	cfg.AuthorsPerBook = 3
+	d := xmlgen.Bib(cfg)
 	book := value.Value(value.NodeVal{Node: d.Root.Descendants("book", nil)[0]})
-	var sink value.Seq
-	for path, want := range map[string]float64{
-		"title": 1, "author": 1, "@year": 1, "author[last()]": 1, "*": 1, "nosuch": 0, "@nosuch": 0, "title/nosuch": 0,
+	root := value.Value(value.NodeVal{Node: d.Root})
+	var sink value.Value
+	var buf []*dom.Node
+	for _, c := range []struct {
+		path          string
+		ctx           value.Value
+		nodes         int
+		warm, asValue float64
+	}{
+		{"title", book, 1, 0, 0}, {"@year", book, 1, 0, 0},
+		{"author[last()]", book, 1, 0, 0}, {"author[1]", book, 1, 0, 0}, {"author/last", book, 3, 0, 2},
+		{"nosuch", book, 0, 0, 0}, {"@nosuch", book, 0, 0, 0}, {"title/nosuch", book, 0, 0, 0},
+		{"author", book, 3, 0, 2}, {"*", book, 6, 0, 2},
+		// A result larger than any stack buffer, merged from several contexts:
+		// as a value it has outgrown Eval's own buffer too.
+		{"//book/author", root, 15, 0, 3},
+		// Fifteen authors are the context of the last step.
+		{"//author/last", root, 15, 1, 4},
 	} {
-		p := MustParse(path)
-		if got := testing.AllocsPerRun(100, func() { sink = p.Eval(book) }); got > want {
-			t.Errorf("%s over one node: %.1f allocations, want ≤ %.0f", path, got, want)
+		p := MustParse(c.path)
+		buf = p.Append(buf[:0], c.ctx) // warm
+		if len(buf) != c.nodes {
+			t.Fatalf("%s selects %d nodes, the table says %d", c.path, len(buf), c.nodes)
+		}
+		if got := testing.AllocsPerRun(100, func() { buf = p.Append(buf[:0], c.ctx) }); got > c.warm {
+			t.Errorf("%s into a warm buffer: %.1f allocations, want ≤ %.0f", c.path, got, c.warm)
+		}
+		if got := testing.AllocsPerRun(100, func() { sink = p.Eval(c.ctx) }); got > c.asValue {
+			t.Errorf("%s as a value: %.1f allocations, want ≤ %.0f", c.path, got, c.asValue)
 		}
 	}
 	_ = sink

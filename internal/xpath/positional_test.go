@@ -29,10 +29,9 @@ func evalStrings(t *testing.T, d *dom.Document, path string) []string {
 	if err != nil {
 		t.Fatalf("parse %q: %v", path, err)
 	}
-	out := p.Eval(value.NodeVal{Node: d.Root})
 	var ss []string
-	for _, v := range out {
-		ss = append(ss, value.AtomizeSingle(v).String())
+	for _, n := range p.Append(nil, value.NodeVal{Node: d.Root}) {
+		ss = append(ss, n.StringValue())
 	}
 	return ss
 }

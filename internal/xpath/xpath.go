@@ -208,17 +208,23 @@ func validName(s string) bool {
 	return true
 }
 
-// Eval applies the path to a context value (a node, a node sequence, or
-// NULL) and returns the resulting nodes in document order without
-// duplicates; no nodes give the nil sequence.
+// Append applies the path to a context value (a node, a node sequence, or
+// NULL) and appends the resulting nodes — in document order, without
+// duplicates — to dst, which the caller owns: a consumer that evaluates the
+// path once per tuple hands the same buffer back (dst[:0]) and, once the
+// buffer has grown to its largest selection, navigates without allocating.
+// Nothing is kept of dst beyond the call.
 //
-// Every step appends into one of two node buffers that swap roles, starting
-// on the stack: a path over a single node — $b/title, once per tuple —
-// allocates nothing but its result.
-func (p Path) Eval(ctx value.Value) value.Seq {
+// Every step but the last appends into one of two node buffers that swap
+// roles, starting on the stack; the last appends into dst.
+func (p Path) Append(dst []*dom.Node, ctx value.Value) []*dom.Node {
+	last := len(p.Steps) - 1
+	if last < 0 {
+		return appendContext(dst, ctx)
+	}
 	var a, b [8]*dom.Node
 	cur, next := appendContext(a[:0], ctx), b[:0]
-	for _, st := range p.Steps {
+	for _, st := range p.Steps[:last] {
 		next = next[:0]
 		for _, n := range cur {
 			next = appendStep(next, n, st)
@@ -230,7 +236,23 @@ func (p Path) Eval(ctx value.Value) value.Seq {
 		}
 		cur, next = next, cur
 	}
-	return value.NodeSeq(cur)
+	start := len(dst)
+	for _, n := range cur {
+		dst = appendStep(dst, n, p.Steps[last])
+	}
+	if len(cur) > 1 {
+		dst = dst[:start+len(dedupeDocOrder(dst[start:]))]
+	}
+	return dst
+}
+
+// Eval is the path as an expression: the selection of Append as a value in
+// the one normal form value.OfNodes defines (no node the nil sequence, one
+// node that node, several a sequence). A selection of up to eight nodes is
+// gathered on the stack.
+func (p Path) Eval(ctx value.Value) value.Value {
+	var buf [8]*dom.Node
+	return value.OfNodes(p.Append(buf[:0], ctx))
 }
 
 func appendContext(dst []*dom.Node, v value.Value) []*dom.Node {
@@ -289,7 +311,7 @@ func dedupeDocOrder(nodes []*dom.Node) []*dom.Node {
 	}
 	// dom.SortDocOrder's body, not a call to it: inlined across the package
 	// boundary the generic sort is opaque to escape analysis, which would
-	// move Eval's two stack buffers to the heap (TestEvalAllocations).
+	// move Append's two stack buffers to the heap (TestEvalAllocations).
 	slices.SortStableFunc(nodes, dom.CompareOrder)
 	out := nodes[:1]
 	for _, n := range nodes[1:] {

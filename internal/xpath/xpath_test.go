@@ -21,19 +21,18 @@ func doc(t *testing.T) value.Value {
 	return value.NodeVal{Node: d.Root}
 }
 
-func names(v value.Seq) []string {
+func names(nodes []*dom.Node) []string {
 	var out []string
-	for _, item := range v {
-		n := item.(value.NodeVal).Node
+	for _, n := range nodes {
 		out = append(out, n.Name())
 	}
 	return out
 }
 
-func vals(v value.Seq) []string {
+func vals(nodes []*dom.Node) []string {
 	var out []string
-	for _, item := range v {
-		out = append(out, item.(value.NodeVal).Node.StringValue())
+	for _, n := range nodes {
+		out = append(out, n.StringValue())
 	}
 	return out
 }
@@ -71,7 +70,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestDescendantStep(t *testing.T) {
-	out := MustParse("//author").Eval(doc(t))
+	out := MustParse("//author").Append(nil, doc(t))
 	if len(out) != 3 {
 		t.Fatalf("//author: %d", len(out))
 	}
@@ -83,21 +82,21 @@ func TestDescendantStep(t *testing.T) {
 func TestChildChain(t *testing.T) {
 	d := dom.MustParseString(sample, "bib.xml")
 	root := value.NodeVal{Node: d.RootElement()}
-	out := MustParse("book/title").Eval(root)
+	out := MustParse("book/title").Append(nil, root)
 	if got := vals(out); len(got) != 2 || got[0] != "T1" || got[1] != "T2" {
 		t.Fatalf("book/title: %v", got)
 	}
 }
 
 func TestMixedDescendantChild(t *testing.T) {
-	out := MustParse("//book/title").Eval(doc(t))
+	out := MustParse("//book/title").Append(nil, doc(t))
 	if got := vals(out); len(got) != 2 || got[0] != "T1" {
 		t.Fatalf("//book/title: %v", got)
 	}
 }
 
 func TestAttributeStep(t *testing.T) {
-	out := MustParse("//book/@year").Eval(doc(t))
+	out := MustParse("//book/@year").Append(nil, doc(t))
 	if got := vals(out); len(got) != 2 || got[0] != "1994" || got[1] != "2000" {
 		t.Fatalf("@year: %v", got)
 	}
@@ -106,7 +105,7 @@ func TestAttributeStep(t *testing.T) {
 func TestWildcard(t *testing.T) {
 	d := dom.MustParseString(sample, "bib.xml")
 	book := value.NodeVal{Node: d.RootElement().FirstChildElement("book")}
-	out := MustParse("*").Eval(book)
+	out := MustParse("*").Append(nil, book)
 	if got := names(out); len(got) != 2 || got[0] != "title" || got[1] != "author" {
 		t.Fatalf("* children: %v", got)
 	}
@@ -116,17 +115,17 @@ func TestDuplicateFreeDocOrder(t *testing.T) {
 	// A descendant step over overlapping contexts must not duplicate.
 	d := dom.MustParseString(`<r><a><a><x/></a></a></r>`, "dup.xml")
 	ctx := value.NodeVal{Node: d.Root}
-	out := MustParse("//a//x").Eval(ctx)
+	out := MustParse("//a//x").Append(nil, ctx)
 	if len(out) != 1 {
 		t.Fatalf("//a//x must be duplicate-free, got %d", len(out))
 	}
 }
 
 func TestEmptyContexts(t *testing.T) {
-	if out := MustParse("//a").Eval(value.Null{}); len(out) != 0 {
+	if out := MustParse("//a").Append(nil, value.Null{}); len(out) != 0 {
 		t.Fatalf("path over NULL context: %v", out)
 	}
-	if out := MustParse("//missing").Eval(doc(t)); len(out) != 0 {
+	if out := MustParse("//missing").Append(nil, doc(t)); len(out) != 0 {
 		t.Fatalf("missing elements: %v", out)
 	}
 }
@@ -137,7 +136,7 @@ func TestSequenceContext(t *testing.T) {
 	for _, b := range d.RootElement().ChildElements("book") {
 		books = append(books, value.NodeVal{Node: b})
 	}
-	out := MustParse("author/last").Eval(books)
+	out := MustParse("author/last").Append(nil, books)
 	if got := vals(out); len(got) != 3 || got[0] != "L1" {
 		t.Fatalf("seq context: %v", got)
 	}

@@ -103,13 +103,29 @@ func (it Item) writeTo(sw algebra.StringWriter) {
 
 // Value is the exported typed view over the engine's data model: the empty
 // sequence, atomic items (bool, int, float, string), document nodes, and
-// sequences of those.
+// sequences of those. A sequence of exactly one item is that item, as in
+// XDM: Kind, the item accessors and Items answer for the value, whichever
+// way the engine happened to represent it.
 type Value struct{ v value.Value }
+
+// item is the value with a one-member sequence seen through: what it is,
+// not how a producer wrapped it. Tuple sequences are left alone — a nested
+// block's one tuple is a sequence of its attribute values.
+func (v Value) item() value.Value {
+	w := v.v
+	for {
+		s, ok := w.(value.Seq)
+		if !ok || len(s) != 1 {
+			return w
+		}
+		w = s[0]
+	}
+}
 
 // Kind discriminates the value. Zero-length sequences report KindEmpty:
 // XQuery does not distinguish the empty sequence from "no value".
 func (v Value) Kind() ValueKind {
-	switch w := v.v.(type) {
+	switch w := v.item().(type) {
 	case nil, value.Null:
 		return KindEmpty
 	case value.Bool:
@@ -179,7 +195,7 @@ func (v Value) XML() string {
 
 // Bool returns the boolean item, reporting ok=false for any other kind.
 func (v Value) Bool() (b, ok bool) {
-	if w, isb := v.v.(value.Bool); isb {
+	if w, isb := v.item().(value.Bool); isb {
 		return bool(w), true
 	}
 	return false, false
@@ -188,7 +204,7 @@ func (v Value) Bool() (b, ok bool) {
 // Int returns the integer item (widening is not attempted), reporting
 // ok=false for any other kind.
 func (v Value) Int() (int64, bool) {
-	if w, isi := v.v.(value.Int); isi {
+	if w, isi := v.item().(value.Int); isi {
 		return int64(w), true
 	}
 	return 0, false
@@ -197,7 +213,7 @@ func (v Value) Int() (int64, bool) {
 // Float returns the numeric item as float64 — Float directly, Int widened
 // — reporting ok=false for non-numeric kinds.
 func (v Value) Float() (float64, bool) {
-	switch w := v.v.(type) {
+	switch w := v.item().(type) {
 	case value.Float:
 		return float64(w), true
 	case value.Int:
@@ -209,7 +225,7 @@ func (v Value) Float() (float64, bool) {
 // NodeName returns the element or attribute name of a node value, and ""
 // for every other kind (or unnamed node kinds like text).
 func (v Value) NodeName() string {
-	if w, isn := v.v.(value.NodeVal); isn && w.Node != nil {
+	if w, isn := v.item().(value.NodeVal); isn && w.Node != nil {
 		return w.Node.Name()
 	}
 	return ""
@@ -220,14 +236,14 @@ func (v Value) NodeName() string {
 // tuple sequences yield each tuple's values, a scalar yields itself as a
 // one-element sequence, and the empty sequence yields nil.
 func (v Value) Items() []Value {
-	switch w := v.v.(type) {
+	switch w := v.item().(type) {
 	case nil, value.Null:
 		return nil
 	case value.NodeVal:
 		if w.Node == nil {
 			return nil
 		}
-		return []Value{v}
+		return []Value{{v: w}}
 	case value.Seq:
 		out := make([]Value, len(w))
 		for i, m := range w {
@@ -247,6 +263,6 @@ func (v Value) Items() []Value {
 		}
 		return out
 	default:
-		return []Value{v}
+		return []Value{{v: w}}
 	}
 }

@@ -126,3 +126,45 @@ return <r>{ $i }:{ string($v) }</r>`)
 		t.Errorf("got %q, want %q", squash(out), want)
 	}
 }
+
+// TestPositionalForOverPerRowValues: Υ walks a path's selection in a buffer
+// it reuses from row to row and reads any other single item without wrapping
+// it; the position counts within each row's value either way. Books with no,
+// one and several authors, a path that yields exactly one node, and two
+// non-path expressions whose value is one item — every plan, both evaluators.
+func TestPositionalForOverPerRowValues(t *testing.T) {
+	eng := NewEngine()
+	if err := eng.LoadXMLString("bib.xml", `<bib>
+		<book><title>alpha</title></book>
+		<book><title>beta</title><author>X</author></book>
+		<book><title>gamma</title><author>Y</author><author>Z</author><author>W</author></book>
+	</bib>`); err != nil {
+		t.Fatal(err)
+	}
+	for text, want := range map[string]string{
+		`let $d := doc("bib.xml") for $b in $d//book for $a at $i in $b/author
+		 return <r>{ string($b/title) }:{ $i }:{ string($a) }</r>`: "<r>beta:1:X</r><r>gamma:1:Y</r><r>gamma:2:Z</r><r>gamma:3:W</r>",
+		`let $d := doc("bib.xml") for $b in $d//book for $t at $i in $b/title
+		 return <r>{ $i }:{ $t }</r>`: "<r>1:<title>alpha</title></r><r>1:<title>beta</title></r><r>1:<title>gamma</title></r>",
+		`let $d := doc("bib.xml") for $b in $d//book for $s at $i in string($b/title)
+		 return <r>{ $i }:{ $s }</r>`: "<r>1:alpha</r><r>1:beta</r><r>1:gamma</r>",
+		`let $d := doc("bib.xml") for $b in $d//book for $n at $i in count($b/author)
+		 return <r>{ $i }:{ $n }</r>`: "<r>1:0</r><r>1:1</r><r>1:3</r>",
+	} {
+		q, err := eng.Compile(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		for _, p := range q.Plans() {
+			for _, opts := range [][]RunOption{nil, {WithReferenceEngine()}} {
+				out, _, err := execute(q, p.Name, opts...)
+				if err != nil {
+					t.Fatalf("%s [%s]: %v", text, p.Name, err)
+				}
+				if squash(out) != want {
+					t.Errorf("%s [%s, reference=%v]: got %q, want %q", text, p.Name, opts != nil, squash(out), want)
+				}
+			}
+		}
+	}
+}
