@@ -80,8 +80,8 @@ bench-smoke: vet
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-json regenerates BENCH_results.json, the machine-readable allocation
-# trajectory (B/op and allocs/op per experiment/plan/size: the paper tables,
-# unorderedq1 and grouping). It carries no wall-clock column — timings are
+# trajectory (B/op and allocs/op per experiment/plan/size: the paper tables
+# and grouping). It carries no wall-clock column — timings are
 # measured with benchmark/ (bench-pairs).
 bench-json:
 	$(GO) run ./cmd/nalbench -json

@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		expID     = flag.String("exp", "all", "experiment id (q1, q1dblp, q2..q6, fig6, all; with -json also unorderedq1, grouping)")
+		expID     = flag.String("exp", "all", "experiment id (q1, q1dblp, q2..q6, fig6, all; with -json also grouping)")
 		sizes     = flag.String("sizes", "", "comma-separated document sizes (default: the paper's 100,1000,10000)")
 		full      = flag.Bool("full", false, "run the quadratic nested plans at every size")
 		repeat    = flag.Int("repeat", 1, "average over this many runs")
@@ -110,7 +110,7 @@ type benchRecord struct {
 }
 
 // jsonFamilies are the -json experiment ids beyond the paper tables.
-var jsonFamilies = []string{"unorderedq1", "grouping"}
+var jsonFamilies = []string{"grouping"}
 
 // measures reports whether -json still produces rows under the experiment
 // id — what -diff needs to tell a retired family from a truncated file.
@@ -188,27 +188,17 @@ func runJSON(path, expID string, opts experiments.Options) error {
 			}
 		}
 	}
-	var targets []experiments.BenchTarget
-	// The unordered plan alternatives of Q1 (the partitioned operators).
-	if expID == "all" || expID == "unorderedq1" {
-		ts, err := experiments.UnorderedBenchTargets(sizes)
-		if err != nil {
-			return fmt.Errorf("unorderedq1: %w", err)
-		}
-		targets = append(targets, ts...)
-	}
 	// The grouping family: Γ payload construction, the Γ→µ roundtrip and
 	// the quantifier plan alternatives — the nested-data workloads the
 	// RowSeq representation exists for.
 	if expID == "all" || expID == "grouping" {
-		ts, err := experiments.GroupingBenchTargets(sizes)
+		targets, err := experiments.GroupingBenchTargets(sizes)
 		if err != nil {
 			return fmt.Errorf("grouping: %w", err)
 		}
-		targets = append(targets, ts...)
-	}
-	for _, tg := range targets {
-		measure(benchRecord{Experiment: tg.Experiment, Plan: tg.Plan, Size: tg.Size}, tg.Run)
+		for _, tg := range targets {
+			measure(benchRecord{Experiment: tg.Experiment, Plan: tg.Plan, Size: tg.Size}, tg.Run)
+		}
 	}
 	data, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {

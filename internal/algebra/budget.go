@@ -41,8 +41,6 @@ const (
 	TripSort = "sort"
 	// TripGroup is a Γ/Ξ-group bucket table or grouped payload backing.
 	TripGroup = "group"
-	// TripPartition is a partition build of the unordered operator family.
-	TripPartition = "partition"
 	// TripDedup is a µD/ΠD duplicate-elimination table.
 	TripDedup = "dedup"
 	// TripSerialize is Ξ result emission (literal markup and values).

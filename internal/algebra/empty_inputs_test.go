@@ -8,8 +8,7 @@ import (
 
 // operatorInventory builds one instance of every unary and every binary
 // operator over an empty first input (and, for the binary ones, a non-empty
-// second) — including the unordered variants added on top of the paper's
-// algebra.
+// second).
 func operatorInventory() (unary, binary map[string]Op) {
 	empty := constOp{attrs: []string{"A1", "C"}}
 	nonEmpty := constOp{
@@ -33,20 +32,14 @@ func operatorInventory() (unary, binary map[string]Op) {
 		"µD":       UnnestDistinct{In: empty, Attr: "A1"},
 		"Ξ":        XiSimple{In: empty, Cmds: []Command{{IsLit: true, Lit: "x"}}},
 		"Sort":     Sort{In: empty, By: []string{"A1"}},
-		"Γᵁ":       UnorderedGroupUnary{In: empty, G: "g", By: []string{"A1"}, Theta: value.CmpEq, F: SFCount{}},
 	}
 	binary = map[string]Op{
-		"×":         Cross{L: empty, R: nonEmpty},
-		"⋈":         Join{L: empty, R: nonEmpty, Pred: eq},
-		"⋉":         SemiJoin{L: empty, R: nonEmpty, Pred: eq},
-		"▷":         AntiJoin{L: empty, R: nonEmpty, Pred: eq},
-		"⟕":         OuterJoin{L: empty, R: nonEmpty, Pred: eq, G: "B", Default: SFCount{}},
-		"Γ-binary":  GroupBinary{L: empty, R: nonEmpty, G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
-		"⋈ᵁ":        UnorderedJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
-		"⋉ᵁ":        UnorderedSemiJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
-		"▷ᵁ":        UnorderedAntiJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}},
-		"⟕ᵁ":        UnorderedOuterJoin{L: empty, R: nonEmpty, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, G: "B", Default: SFCount{}},
-		"Γᵁ-binary": UnorderedGroupBinary{L: empty, R: nonEmpty, G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
+		"×":        Cross{L: empty, R: nonEmpty},
+		"⋈":        Join{L: empty, R: nonEmpty, Pred: eq},
+		"⋉":        SemiJoin{L: empty, R: nonEmpty, Pred: eq},
+		"▷":        AntiJoin{L: empty, R: nonEmpty, Pred: eq},
+		"⟕":        OuterJoin{L: empty, R: nonEmpty, Pred: eq, G: "B", Default: SFCount{}},
+		"Γ-binary": GroupBinary{L: empty, R: nonEmpty, G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
 	}
 	return unary, binary
 }

@@ -7,8 +7,9 @@ import (
 	"nalquery/internal/value"
 )
 
-// Differential property tests of the native partitioned operators against
-// the definitional Op.Eval, mirroring the engine-level slot/map tests
+// Differential property tests of the hash-partitioned paths of the ordered
+// operators (⋈, ⋉, ▷, ⟕, unary/binary Γ over equality keys) against the
+// definitional Op.Eval, mirroring the engine-level slot/map tests
 // (internal/experiments/slotdiff_test.go): sequence equality, bag equality
 // and Ξ-output equality, over random inputs plus the edge cases that bit
 // hash implementations before (empty inputs, all-duplicate keys,
@@ -52,21 +53,24 @@ func diffOp(t *testing.T, name string, op Op) bool {
 	return true
 }
 
-// partitionedFamily builds every partitioned operator over the given
-// inputs (e1 with A1/C, e2 with A2/B columns).
-func partitionedFamily(e1, e2 Op, residual Expr) map[string]Op {
+var thetasAll = []value.CmpOp{value.CmpEq, value.CmpNe, value.CmpLt, value.CmpLe, value.CmpGt, value.CmpGe}
+
+// hashFamily builds every operator with a hash path over the given inputs
+// (e1 with A1/C, e2 with A2/B columns), keyed on A1 = A2; a non-nil
+// residual is conjoined to the key equality of the join predicates.
+func hashFamily(e1, e2 Op, residual Expr) map[string]Op {
+	pred := Expr(eqCmp("A1", "A2"))
+	if residual != nil {
+		pred = AndExpr{L: pred, R: residual}
+	}
 	return map[string]Op{
-		"⋈ᵁ": UnorderedJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-			Residual: residual},
-		"⋉ᵁ": UnorderedSemiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-			Residual: residual},
-		"▷ᵁ": UnorderedAntiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-			Residual: residual},
-		"⟕ᵁ": UnorderedOuterJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-			G: "B", Default: SFCount{}},
-		"Γᵁ-binary": UnorderedGroupBinary{L: e1, R: e2, G: "g",
+		"⋈": Join{L: e1, R: e2, Pred: pred},
+		"⋉": SemiJoin{L: e1, R: e2, Pred: pred},
+		"▷": AntiJoin{L: e1, R: e2, Pred: pred},
+		"⟕": OuterJoin{L: e1, R: e2, Pred: pred, G: "B", Default: SFCount{}},
+		"Γ-binary": GroupBinary{L: e1, R: e2, G: "g",
 			LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}},
-		"Γᵁ-unary": UnorderedGroupUnary{In: e2, G: "g", By: []string{"A2"},
+		"Γ-unary": GroupUnary{In: e2, G: "g", By: []string{"A2"},
 			Theta: value.CmpEq, F: SFAgg{Fn: "sum", Attr: "B"}},
 	}
 }
@@ -82,7 +86,7 @@ func TestPartitionedRowsMatchEval(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			residual = CmpExpr{L: Var{Name: "C"}, R: Var{Name: "B"}, Op: value.CmpLe}
 		}
-		for name, op := range partitionedFamily(e1, e2, residual) {
+		for name, op := range hashFamily(e1, e2, residual) {
 			if !diffOp(t, name, op) {
 				return false
 			}
@@ -98,14 +102,13 @@ func TestPartitionedRowsMultiKey(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e1 := randRel(rng, []string{"A1", "K1", "J1"}, 12, 3)
 		e2 := randRel(rng, []string{"A2", "K2", "J2"}, 12, 3)
-		two := UnorderedJoin{L: e1, R: e2,
-			LAttrs: []string{"A1", "K1"}, RAttrs: []string{"A2", "K2"}}
-		three := UnorderedJoin{L: e1, R: e2,
-			LAttrs: []string{"A1", "K1", "J1"}, RAttrs: []string{"A2", "K2", "J2"}}
-		gu := UnorderedGroupUnary{In: e2, G: "g", By: []string{"A2", "K2", "J2"},
+		twoKeys := AndExpr{L: eqCmp("A1", "A2"), R: eqCmp("K1", "K2")}
+		two := Join{L: e1, R: e2, Pred: twoKeys}
+		three := Join{L: e1, R: e2, Pred: AndExpr{L: twoKeys, R: eqCmp("J1", "J2")}}
+		gu := GroupUnary{In: e2, G: "g", By: []string{"A2", "K2", "J2"},
 			Theta: value.CmpEq, F: SFCount{}}
-		return diffOp(t, "⋈ᵁ-2key", two) && diffOp(t, "⋈ᵁ-3key", three) &&
-			diffOp(t, "Γᵁ-3key", gu)
+		return diffOp(t, "⋈-2key", two) && diffOp(t, "⋈-3key", three) &&
+			diffOp(t, "Γ-3key", gu)
 	})
 }
 
@@ -117,10 +120,10 @@ func TestPartitionedRowsGeneralTheta(t *testing.T) {
 		e1 := randRel(rng, []string{"A1"}, 8, 4)
 		e2 := randRel(rng, []string{"A2", "B"}, 8, 4)
 		theta := thetasAll[rng.Intn(len(thetasAll))]
-		gu := UnorderedGroupUnary{In: e2, G: "g", By: []string{"A2"}, Theta: theta, F: SFCount{}}
-		gb := UnorderedGroupBinary{L: e1, R: e2, G: "g",
+		gu := GroupUnary{In: e2, G: "g", By: []string{"A2"}, Theta: theta, F: SFCount{}}
+		gb := GroupBinary{L: e1, R: e2, G: "g",
 			LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: theta, F: SFCount{}}
-		return diffOp(t, "Γᵁ-θ", gu) && diffOp(t, "Γᵁ-binary-θ", gb)
+		return diffOp(t, "Γ-θ", gu) && diffOp(t, "Γ-binary-θ", gb)
 	})
 }
 
@@ -151,14 +154,14 @@ func TestPartitionedRowsEdgeInputs(t *testing.T) {
 		{"all-dup-keys", allDup(6, "A1", "C"), allDup(6, "A2", "B")},
 	}
 	for _, c := range cases {
-		for name, op := range partitionedFamily(c.e1, c.e2, nil) {
+		for name, op := range hashFamily(c.e1, c.e2, nil) {
 			diffOp(t, c.name+"/"+name, op)
 		}
 	}
 }
 
-// TestPartitionedRowsPadding: ⊥-padding of empty ⟕ᵁ groups and the default
-// value of empty Γᵁ groups, in the Eqv. 2 configuration (grouped right
+// TestPartitionedRowsPadding: ⊥-padding of empty ⟕ groups and the default
+// value of empty Γ groups, in the Eqv. 2 configuration (grouped right
 // side).
 func TestPartitionedRowsPadding(t *testing.T) {
 	left := constOp{ts: value.TupleSeq{
@@ -171,9 +174,8 @@ func TestPartitionedRowsPadding(t *testing.T) {
 	}, attrs: []string{"A2", "B"}}
 	grouped := GroupUnary{In: right, G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
 
-	oj := UnorderedOuterJoin{L: left, R: grouped, LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-		G: "g", Default: SFCount{}}
-	if !diffOp(t, "⟕ᵁ-padding", oj) {
+	oj := OuterJoin{L: left, R: grouped, Pred: eqCmp("A1", "A2"), G: "g", Default: SFCount{}}
+	if !diffOp(t, "⟕-padding", oj) {
 		return
 	}
 	got, _, _ := runNativeRows(oj)
@@ -184,39 +186,39 @@ func TestPartitionedRowsPadding(t *testing.T) {
 		}
 	}
 	if padded == nil {
-		t.Fatalf("⟕ᵁ lost the unmatched left tuple: %s", got)
+		t.Fatalf("⟕ lost the unmatched left tuple: %s", got)
 	}
 	if _, isNull := padded["A2"].(value.Null); !isNull {
-		t.Errorf("⟕ᵁ must ⊥-pad A2, got %v", padded["A2"])
+		t.Errorf("⟕ must ⊥-pad A2, got %v", padded["A2"])
 	}
 	if !value.DeepEqual(padded["g"], value.Int(0)) {
-		t.Errorf("⟕ᵁ default on empty group: g = %v, want count(ε) = 0", padded["g"])
+		t.Errorf("⟕ default on empty group: g = %v, want count(ε) = 0", padded["g"])
 	}
 
-	gb := UnorderedGroupBinary{L: left, R: right, G: "g",
+	gb := GroupBinary{L: left, R: right, G: "g",
 		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}}
-	if !diffOp(t, "Γᵁ-binary-empty-group", gb) {
+	if !diffOp(t, "Γ-binary-empty-group", gb) {
 		return
 	}
 	got, _, _ = runNativeRows(gb)
 	for _, tp := range got {
 		if value.DeepEqual(tp["A1"], value.Int(99)) && !value.DeepEqual(tp["g"], value.Int(0)) {
-			t.Errorf("Γᵁ empty group: g = %v, want 0", tp["g"])
+			t.Errorf("Γ empty group: g = %v, want 0", tp["g"])
 		}
 	}
 }
 
-// TestPartitionedRowsXiOutput: Ξ over a partitioned subtree emits the same
-// output stream on both engines (the slotdiff Ξ-equality mirrored at
+// TestPartitionedRowsXiOutput: Ξ over a hash-partitioned subtree emits the
+// same output stream on both engines (the slotdiff Ξ-equality mirrored at
 // operator level).
 func TestPartitionedRowsXiOutput(t *testing.T) {
 	quickCheck(t, "partitioned-rows-Ξ", func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e1 := randRel(rng, []string{"A1", "C"}, 10, 4)
 		e2 := randRel(rng, []string{"A2", "B"}, 10, 4)
-		for name, inner := range partitionedFamily(e1, e2, nil) {
+		for name, inner := range hashFamily(e1, e2, nil) {
 			attr := "A1"
-			if name == "Γᵁ-unary" {
+			if name == "Γ-unary" {
 				attr = "A2"
 			}
 			xi := XiSimple{In: inner, Cmds: []Command{
@@ -241,9 +243,9 @@ func TestPartitionedRowsXiOutput(t *testing.T) {
 	})
 }
 
-// TestPartitionedRowsSemiAntiCollidingNames: ⋉ᵁ/▷ᵁ output only left rows,
-// so a residual-free join over inputs sharing an attribute name must still
-// run natively (no concatenated layout is needed).
+// TestPartitionedRowsSemiAntiCollidingNames: ⋉/▷ emit left rows but compile
+// their predicate against l ◦ r, so inputs sharing an attribute name do not
+// resolve — the plan is refused, never run on a mis-slotted layout.
 func TestPartitionedRowsSemiAntiCollidingNames(t *testing.T) {
 	e1 := constOp{ts: value.TupleSeq{
 		{"A1": value.Int(1), "X": value.Int(1)},
@@ -252,8 +254,12 @@ func TestPartitionedRowsSemiAntiCollidingNames(t *testing.T) {
 	e2 := constOp{ts: value.TupleSeq{
 		{"A2": value.Int(1), "X": value.Int(9)},
 	}, attrs: []string{"A2", "X"}}
-	semi := UnorderedSemiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}}
-	anti := UnorderedAntiJoin{L: e1, R: e2, LAttrs: []string{"A1"}, RAttrs: []string{"A2"}}
-	diffOp(t, "⋉ᵁ-colliding-X", semi)
-	diffOp(t, "▷ᵁ-colliding-X", anti)
+	for name, op := range map[string]Op{
+		"⋉": SemiJoin{L: e1, R: e2, Pred: eqCmp("A1", "A2")},
+		"▷": AntiJoin{L: e1, R: e2, Pred: eqCmp("A1", "A2")},
+	} {
+		if _, _, ok := runNativeRows(op); ok {
+			t.Errorf("%s over inputs sharing X resolved", name)
+		}
+	}
 }

@@ -77,29 +77,6 @@ func NameSet(names []string, known bool) map[string]bool {
 	return m
 }
 
-// SplitEquiJoin decomposes a join predicate over the inputs l and r into
-// equality key columns plus a residual predicate. It reports ok=false when
-// no equality pair could be extracted or an input's schema is unknown —
-// then only predicate-based evaluation applies. Used by the rewriter to
-// derive the physical unordered/partitioned join operators, which take key
-// columns instead of predicates.
-func SplitEquiJoin(pred Expr, l, r Op) (lKeys, rKeys []string, residual Expr, ok bool) {
-	lSet := NameSet(l.Attrs())
-	rSet := NameSet(r.Attrs())
-	if lSet == nil || rSet == nil {
-		return nil, nil, pred, false
-	}
-	pairs, residual, ok := splitEqPred(pred, lSet, rSet)
-	if !ok {
-		return nil, nil, pred, false
-	}
-	for _, p := range pairs {
-		lKeys = append(lKeys, p.Left)
-		rKeys = append(rKeys, p.Right)
-	}
-	return lKeys, rKeys, residual, true
-}
-
 // buildHash partitions tuples into buckets keyed by the hash key over attrs,
 // preserving the order of tuples within each bucket.
 func buildHash(ts value.TupleSeq, attrs []string) map[value.HashKey]value.TupleSeq {

@@ -141,19 +141,6 @@ func (n *Node) open(ctx *Ctx, env value.Tuple) RowIter {
 	case GroupBinary:
 		return openRowGroupBinary(w, n, ctx, env)
 
-	case UnorderedJoin:
-		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeInner, "", nil)
-	case UnorderedSemiJoin:
-		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeSemi, "", nil)
-	case UnorderedAntiJoin:
-		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, w.Residual, ctx, env, joinModeAnti, "", nil)
-	case UnorderedOuterJoin:
-		return openRowPartitionedJoin(n, w.LAttrs, w.RAttrs, nil, ctx, env, joinModeOuter, w.G, w.Default)
-	case UnorderedGroupUnary:
-		return openRowUnorderedGroupUnary(w, n, ctx, env)
-	case UnorderedGroupBinary:
-		return openRowUnorderedGroupBinary(w, n, ctx, env)
-
 	case Unnest:
 		return openRowUnnest(n, w.Attr, w.InnerAttrs, ctx, env, true)
 	case UnnestDistinct:
@@ -902,12 +889,11 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 	return true
 }
 
-// rightGroups is the right input of a binary Γ and f over its groups — shared
-// by the ordered operator and the unordered one, which differ in the order
-// they take left tuples in. For θ '=' the input is bucketed on the key and f
-// applied once per distinct key, so shared groups are materialized once (and,
-// like the map engine's shared bucket slices, shared as values across output
-// tuples); any other θ scans it per left tuple.
+// rightGroups is the right input of a binary Γ and f over its groups. For
+// θ '=' the input is bucketed on the key and f applied once per distinct
+// key, so shared groups are materialized once (and, like the map engine's
+// shared bucket slices, shared as values across output tuples); any other θ
+// scans it per left tuple.
 type rightGroups struct {
 	apply          rowsFunc
 	lSlots, rSlots []int

@@ -382,30 +382,16 @@ func (n *Node) resolve() (Schema, bool) {
 		// An index scan binds nodes, never tuple sequences.
 		return typed(lay, nestedWith(in.Nested, w.Attr, nil))
 
-	// The unordered operator family types like its ordered counterparts:
-	// concatenation for the joins, the left layout for ⋉/▷, key+group for Γ.
 	case Cross, Join:
 		return concat(in, r)
 	case OuterJoin:
 		return outer(in, r, w.G, w.Default)
-	case UnorderedJoin:
-		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
-			return concat(in, r)
-		}
-	case UnorderedOuterJoin:
-		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
-			return outer(in, r, w.G, w.Default)
-		}
 
 	// ⋉ and ▷ emit left rows but compile their predicate against l ◦ r.
 	case SemiJoin, AntiJoin:
 		if _, ok := in.Lay.Concat(r.Lay); ok {
 			return typed(in.Lay, in.Nested)
 		}
-	case UnorderedSemiJoin:
-		return partitionedSemi(in, r, w.LAttrs, w.RAttrs, w.Residual)
-	case UnorderedAntiJoin:
-		return partitionedSemi(in, r, w.LAttrs, w.RAttrs, w.Residual)
 
 	case GroupSelf:
 		if hasAll(in.Lay, w.By) {
@@ -415,14 +401,8 @@ func (n *Node) resolve() (Schema, bool) {
 		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
 			return n.groupInto(in, r, w.G, w.F)
 		}
-	case UnorderedGroupBinary:
-		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
-			return n.groupInto(in, r, w.G, w.F)
-		}
 
 	case GroupUnary:
-		return n.groupBy(in, w.By, w.G, w.F)
-	case UnorderedGroupUnary:
 		return n.groupBy(in, w.By, w.G, w.F)
 
 	case Unnest:
@@ -450,16 +430,6 @@ func outer(l, r Schema, g string, f SeqFunc) (Schema, bool) {
 	def.fn(f)
 	if sc, ok := concat(l, r); ok && sc.Lay.Has(g) && !def.unknown {
 		return sc, true
-	}
-	return Schema{}, false
-}
-
-// partitionedSemi types ⋉ᵁ/▷ᵁ: the left layout. Only a residual needs l ◦ r;
-// without one the inputs may share attribute names.
-func partitionedSemi(l, r Schema, lAttrs, rAttrs []string, residual Expr) (Schema, bool) {
-	_, concatenable := l.Lay.Concat(r.Lay)
-	if hasAll(l.Lay, lAttrs) && hasAll(r.Lay, rAttrs) && (residual == nil || concatenable) {
-		return typed(l.Lay, l.Nested)
 	}
 	return Schema{}, false
 }

@@ -60,17 +60,17 @@ func TestResolveSchemaNestedTracking(t *testing.T) {
 	}
 }
 
-// TestResolveSchemaFallbacks: the partitioned family resolves structurally;
+// TestResolveSchemaFallbacks: a hash join resolves structurally to l ◦ r;
 // unknown attribute sets do not resolve, and there is nothing to fall back to.
 func TestResolveSchemaFallbacks(t *testing.T) {
-	uj := UnorderedJoin{L: relR1(), R: relR2(), LAttrs: []string{"A1"}, RAttrs: []string{"A2"}}
-	sc, ok := ResolveSchema(native(uj))
+	j := Join{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")}
+	sc, ok := ResolveSchema(native(j))
 	if !ok {
-		t.Fatalf("unordered join must resolve: %+v %v", sc, ok)
+		t.Fatalf("hash join must resolve: %+v %v", sc, ok)
 	}
 	for i, a := range []string{"A1", "A2", "B"} {
 		if s, found := sc.Lay.Slot(a); !found || s != i {
-			t.Fatalf("⋈ᵁ concat layout wrong: %v", sc.Lay.Names())
+			t.Fatalf("⋈ concat layout wrong: %v", sc.Lay.Names())
 		}
 	}
 	// µD's attribute set is statically unknown without nested tracking.

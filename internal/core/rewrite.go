@@ -316,3 +316,8 @@ func altName(s Strategy, applied []string) string {
 		return strings.ToLower(s.String())
 	}
 }
+
+// ToUnordered returns op unchanged and reports no change: an unordered()
+// query runs the plans of the query it wraps. It stays only because
+// benchmark/layers.go calls it, until ROADMAP item 1b frees the harness.
+func ToUnordered(op algebra.Op) (algebra.Op, bool) { return op, false }

@@ -237,38 +237,6 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 	case algebra.Sort:
 		in := m.Plan(w.In)
 		return Estimate{Card: in.Card, Cost: in.Cost + in.Card*logF(in.Card)*tupleCost}
-	// The unordered family: the operators that materialize concatenated
-	// output rows (the inner and outer joins) carry the same slot-rate
-	// perTuple output term as the ordered hash join, while ⋉ᵁ/▷ᵁ emit
-	// retained left rows at zero copy and keep the linear-pass formula.
-	// Partition passes stay linear in the inputs.
-	case algebra.UnorderedJoin:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		card := maxF(l.Card, r.Card)
-		return Estimate{Card: card, Cost: l.Cost + r.Cost + (l.Card+r.Card)*tupleCost + card*perTuple(op)}
-	case algebra.UnorderedSemiJoin:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		return Estimate{Card: l.Card * selSelect, Cost: l.Cost + r.Cost + (l.Card + r.Card)}
-	case algebra.UnorderedAntiJoin:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		return Estimate{Card: l.Card * selSelect, Cost: l.Cost + r.Cost + (l.Card + r.Card)}
-	case algebra.UnorderedOuterJoin:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		card := maxF(l.Card, r.Card)
-		return Estimate{Card: card, Cost: l.Cost + r.Cost + (l.Card+r.Card)*tupleCost + card*perTuple(op)}
-	case algebra.UnorderedGroupUnary:
-		in := m.Plan(w.In)
-		card := in.Card * selGroupKeys
-		if w.Theta != 0 {
-			return Estimate{Card: card, Cost: in.Cost + card*in.Card*tupleCost}
-		}
-		return Estimate{Card: card, Cost: in.Cost + in.Card*tupleCost + card*slotCost*width(op)}
-	case algebra.UnorderedGroupBinary:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		if w.Theta != 0 {
-			return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + l.Card*r.Card*tupleCost}
-		}
-		return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + (l.Card + r.Card) + l.Card*slotCost*width(op)}
 	default:
 		// Unknown operator: pass through children pessimistically.
 		var est Estimate

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-
 	nalquery "nalquery"
 	"nalquery/internal/algebra"
 	"nalquery/internal/cli"
@@ -12,10 +10,6 @@ import (
 	"nalquery/internal/xpath"
 )
 
-// The families below extend the -json allocation trajectory beyond the
-// paper's tables: the unordered plan alternatives admitted by XQuery's
-// unordered() wrapper, and the grouping family over the nested data model.
-
 // BenchTarget is one measured unit of the -json trajectory beyond the
 // paper-table experiments.
 type BenchTarget struct {
@@ -23,36 +17,6 @@ type BenchTarget struct {
 	Plan       string
 	Size       int
 	Run        func() error
-}
-
-// UnorderedBenchTargets returns the unordered plan alternatives of the Q1
-// grouping query wrapped in unordered() as benchmark targets.
-func UnorderedBenchTargets(sizes []int) ([]BenchTarget, error) {
-	var out []BenchTarget
-	unorderedQ1 := "unordered(" + nalquery.QueryQ1Grouping + ")"
-	for _, size := range sizes {
-		eng := nalquery.NewEngine()
-		eng.LoadUseCaseDocuments(size, 2)
-		q, err := eng.Compile(unorderedQ1)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range q.Plans() {
-			if !strings.HasPrefix(p.Name, "unordered ") {
-				continue
-			}
-			name := p.Name
-			query := q
-			out = append(out, BenchTarget{
-				Experiment: "unorderedq1", Plan: name, Size: size,
-				Run: func() error {
-					_, _, err := cli.RunPlan(query, name)
-					return err
-				},
-			})
-		}
-	}
-	return out, nil
 }
 
 // The grouping benchmark family pins the cost of the nested data model —

@@ -3,9 +3,9 @@
 // documents of the corresponding measurement point, compiles the paper's
 // query, executes every plan alternative and reports wall-clock time plus
 // the scan counters (document accesses and nested-loop iterations) that
-// explain the paper's analysis. benchtargets.go adds the two families the
+// explain the paper's analysis. benchtargets.go adds the family the
 // allocation trajectory (cmd/nalbench -json) tracks beyond the tables,
-// unorderedq1 and grouping. The wall-clock columns are for reading the
+// grouping. The wall-clock columns are for reading the
 // tables' shape; a performance claim is measured with benchmark/.
 package experiments
 

@@ -8,8 +8,8 @@ import (
 
 // Bag (multiset) comparison of tuple sequences: the correctness notion of
 // the unordered algebra the paper builds on (the object-oriented algebra of
-// Cluet/Moerkotte, refs. [9, 10]). An unordered operator is correct when its
-// output is a permutation of the ordered operator's output.
+// Cluet/Moerkotte, refs. [9, 10]). The differential tests assert it beside
+// sequence equality, so a failure says whether order or content moved.
 
 // DeepKey renders a value as a canonical string such that two values compare
 // DeepEqual exactly when their keys coincide. Numbers of any lexical form

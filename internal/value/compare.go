@@ -457,7 +457,7 @@ func CombineKeys(a, b HashKey) HashKey {
 
 // KeyOfSlots computes the canonical composite grouping/join key of the
 // values at the given slots — the multi-column extension of KeyOf, used by
-// every partitioned operator of the slot engine. One- and two-column keys
+// every hashing operator of the slot engine. One- and two-column keys
 // are allocation-free; wider keys fold the per-column Key strings into one
 // length-prefixed string (no separator collisions).
 func KeyOfSlots(vals []Value, slots []int) HashKey {
@@ -477,9 +477,8 @@ func KeyOfSlots(vals []Value, slots []int) HashKey {
 }
 
 // KeyOfAttrs is KeyOfSlots for map tuples. Both functions produce the same
-// key for the same logical tuple — the invariant the partitioned operators
-// rely on when the map evaluator and the slot engine must agree on
-// partition order.
+// key for the same logical tuple, so the map evaluator and the slot engine
+// bucket a hash join's or grouping's input identically.
 func KeyOfAttrs(t Tuple, attrs []string) HashKey {
 	switch len(attrs) {
 	case 0:
@@ -501,38 +500,6 @@ func writeFoldCol(sb *strings.Builder, v Value) {
 	sb.WriteString(strconv.Itoa(len(k)))
 	sb.WriteByte(':')
 	sb.WriteString(k)
-}
-
-// LessKey is a deterministic total order on hash keys — the canonical
-// partition order of the unordered operator family and the Grace join (any
-// fixed order demonstrates the same effects; this one never allocates). It
-// is a structural order, unrelated to the value order of CompareAtomic.
-func LessKey(a, b HashKey) bool { return CmpKey(a, b) < 0 }
-
-// CmpKey is the three-way form of LessKey, for slices.SortFunc. The num
-// fields are never NaN (numKey folds every NaN into the distinguished
-// kind 'N'), so the != / < probes below form a consistent total order.
-func CmpKey(a, b HashKey) int {
-	switch {
-	case a.kind != b.kind:
-		return int(a.kind) - int(b.kind)
-	case a.num != b.num:
-		if a.num < b.num {
-			return -1
-		}
-		return 1
-	case a.str != b.str:
-		return strings.Compare(a.str, b.str)
-	case a.kind2 != b.kind2:
-		return int(a.kind2) - int(b.kind2)
-	case a.num2 != b.num2:
-		if a.num2 < b.num2 {
-			return -1
-		}
-		return 1
-	default:
-		return strings.Compare(a.str2, b.str2)
-	}
 }
 
 // KeyOf computes the canonical grouping/join key of a value without

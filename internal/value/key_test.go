@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Properties of the composite HashKey scheme (KeyOfSlots / KeyOfAttrs /
-// LessKey / Hash) the partitioned operators build on.
+// Properties of the composite HashKey scheme (KeyOfSlots / KeyOfAttrs) the
+// hash joins and groupings build on.
 
 func randVal(rng *rand.Rand) Value {
 	switch rng.Intn(6) {
@@ -58,8 +58,8 @@ func TestKeyOfSlotsMatchesPerColumnKeys(t *testing.T) {
 }
 
 // TestKeyOfAttrsAgreesWithKeyOfSlots: the map-tuple and slot-row forms of
-// the same logical tuple key identically — the invariant that keeps the
-// definitional evaluator and the slot engine in the same partition order.
+// the same logical tuple key identically — the invariant that lets the
+// definitional evaluator and the slot engine bucket the same rows together.
 func TestKeyOfAttrsAgreesWithKeyOfSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	attrs := []string{"a", "b", "c"}
@@ -94,30 +94,5 @@ func TestCompositeKeyNoCrossWidthCollision(t *testing.T) {
 	}
 	if CombineKeys(KeyOf(Int(1)), KeyOf(Int(2))) == CombineKeys(KeyOf(Int(2)), KeyOf(Int(1))) {
 		t.Fatalf("(1,2) and (2,1) collide")
-	}
-}
-
-// TestLessKeyTotalOrder: LessKey is irreflexive, antisymmetric and total
-// over distinct keys.
-func TestLessKeyTotalOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var keys []HashKey
-	for i := 0; i < 200; i++ {
-		a, b := randVal(rng), randVal(rng)
-		keys = append(keys, KeyOf(a), CombineKeys(KeyOf(a), KeyOf(b)))
-	}
-	for _, x := range keys {
-		if LessKey(x, x) {
-			t.Fatalf("LessKey not irreflexive at %+v", x)
-		}
-		for _, y := range keys {
-			lt, gt := LessKey(x, y), LessKey(y, x)
-			if x == y && (lt || gt) {
-				t.Fatalf("equal keys ordered: %+v", x)
-			}
-			if x != y && lt == gt {
-				t.Fatalf("distinct keys not totally ordered: %+v vs %+v", x, y)
-			}
-		}
 	}
 }

@@ -326,8 +326,8 @@ type Query struct {
 	Normalized string
 	// OrderIrrelevant reports that the query was wrapped in XQuery's
 	// unordered() function (Sec. 1): the result may be produced in any
-	// order, and plan alternatives using the unordered operator family are
-	// offered in addition to the order-preserving ones.
+	// order. The engine still runs the wrapped query's own order-preserving
+	// plans, so results are those of the unwrapped query.
 	OrderIrrelevant bool
 
 	docs   map[string]*dom.Document // immutable snapshot taken at Compile
@@ -429,8 +429,10 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 		}
 	}
 	// A top-level unordered(FLWR) wrapper releases the order requirement
-	// (Sec. 1). The wrapper is stripped before normalization; the flag
-	// admits the unordered plan family below.
+	// (Sec. 1). The wrapper is stripped before normalization, so the query
+	// gets exactly the plans of the FLWR it wraps — left in place, the
+	// unordered builtin would be an un-unnestable call with only a nested
+	// plan.
 	orderIrrelevant := false
 	if c, ok := ast.(xquery.Call); ok && c.Fn == "unordered" && len(c.Args) == 1 {
 		if f, isFLWR := c.Args[0].(xquery.FLWR); isFLWR {
@@ -469,25 +471,6 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 		q.plans = append(q.plans, Plan{
 			Name: a.Name, Applied: a.Applied, EstimatedCost: est.Cost, op: a.Op,
 		})
-	}
-	if orderIrrelevant {
-		// Offer the unordered counterpart of every unnested alternative.
-		for _, a := range alts {
-			if a.Name == "nested" {
-				continue
-			}
-			u, changed := core.ToUnordered(a.Op)
-			if !changed || !core.Validate(u) {
-				continue
-			}
-			est := model.Plan(u)
-			q.plans = append(q.plans, Plan{
-				Name:          "unordered " + a.Name,
-				Applied:       append(append([]string{}, a.Applied...), "unordered-family"),
-				EstimatedCost: est.Cost,
-				op:            u,
-			})
-		}
 	}
 	// Offer an index-substituted counterpart of every alternative whose
 	// document scans resolve onto the snapshot's indexes. The base plans

@@ -1,11 +1,9 @@
 package nalquery
 
 import (
-	"strings"
 	"testing"
 
 	"nalquery/internal/algebra"
-	"nalquery/internal/dom"
 	"nalquery/internal/value"
 )
 
@@ -27,42 +25,28 @@ func bagKeys(ts value.TupleSeq) map[string]int {
 func TestSlotEngineMatchesMapEngine(t *testing.T) {
 	e := tinyEngine(t)
 	e.LoadDBLPDocument(40)
-	for id, text := range PaperQueries {
-		for _, wrap := range []string{"", "unordered"} {
-			q := text
-			name := id
-			if wrap != "" {
-				if !strings.HasPrefix(strings.TrimSpace(text), "let") {
-					continue
-				}
-				q = "unordered(" + text + ")"
-				name = id + "+unordered"
-			}
-			cq, err := e.Compile(q)
-			if err != nil {
-				if wrap != "" {
-					continue // not every paper query parses under the wrapper
-				}
-				t.Fatalf("%s: %v", name, err)
-			}
-			for _, p := range cq.Plans() {
-				ctxM := algebra.NewCtx(e.snapshot().docs)
-				want := p.op.Eval(ctxM, nil)
-				ctxR := algebra.NewCtx(e.snapshot().docs)
-				got := algebra.RunIter(p.op, ctxR, nil)
+	for name, text := range PaperQueries {
+		cq, err := e.Compile(text)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, p := range cq.Plans() {
+			ctxM := algebra.NewCtx(e.snapshot().docs)
+			want := p.op.Eval(ctxM, nil)
+			ctxR := algebra.NewCtx(e.snapshot().docs)
+			got := algebra.RunIter(p.op, ctxR, nil)
 
-				if !value.TupleSeqEqual(want, got) {
-					t.Errorf("%s/%s: slot result differs from map result\nmap:  %.200s\nslot: %.200s",
-						name, p.Name, want, got)
-				}
-				if !value.TupleSeqEqualBag(want, got) {
-					t.Errorf("%s/%s: slot result not bag-equal to map result\nmap bag:  %v\nslot bag: %v",
-						name, p.Name, bagKeys(want), bagKeys(got))
-				}
-				if ctxM.OutString() != ctxR.OutString() {
-					t.Errorf("%s/%s: Ξ output differs\nmap:  %.200q\nslot: %.200q",
-						name, p.Name, ctxM.OutString(), ctxR.OutString())
-				}
+			if !value.TupleSeqEqual(want, got) {
+				t.Errorf("%s/%s: slot result differs from map result\nmap:  %.200s\nslot: %.200s",
+					name, p.Name, want, got)
+			}
+			if !value.TupleSeqEqualBag(want, got) {
+				t.Errorf("%s/%s: slot result not bag-equal to map result\nmap bag:  %v\nslot bag: %v",
+					name, p.Name, bagKeys(want), bagKeys(got))
+			}
+			if ctxM.OutString() != ctxR.OutString() {
+				t.Errorf("%s/%s: Ξ output differs\nmap:  %.200q\nslot: %.200q",
+					name, p.Name, ctxM.OutString(), ctxR.OutString())
 			}
 		}
 	}
@@ -88,8 +72,8 @@ func TestPaperPlansResolveNatively(t *testing.T) {
 }
 
 // TestPaperPlansMapFree pins the RowSeq data model: no plan of any paper
-// query — including its unordered variants and the nested plans, whose
-// sub-plans run on the row engine too — carries a map-backed tuple sequence
+// query — including the nested plans, whose sub-plans run on the row
+// engine too — carries a map-backed tuple sequence
 // on the slot engine's data path. Group payloads, e[a] bindings and
 // nested-block results all travel as slot rows, at any nesting depth.
 func TestPaperPlansMapFree(t *testing.T) {
@@ -108,77 +92,17 @@ func TestPaperPlansMapFree(t *testing.T) {
 			}
 		}
 	}
-	for id, text := range PaperQueries {
-		for _, wrap := range []string{"", "unordered"} {
-			q := text
-			name := id
-			if wrap != "" {
-				if !strings.HasPrefix(strings.TrimSpace(text), "let") {
-					continue
-				}
-				q = "unordered(" + text + ")"
-				name = id + "+unordered"
-			}
-			cq, err := e.Compile(q)
-			if err != nil {
-				if wrap != "" {
-					continue // not every paper query parses under the wrapper
-				}
-				t.Fatalf("%s: %v", name, err)
-			}
-			for _, p := range cq.Plans() {
-				for _, tp := range algebra.RunIter(p.op, algebra.NewCtx(e.snapshot().docs), nil) {
-					for _, v := range tp {
-						check(t, name+"/"+p.Name, v)
-					}
-				}
-			}
-		}
-	}
-}
-
-// assertFullyNative requires every operator of a plan — walked subtree by
-// subtree, so a partitioned operator (the unordered family) is also typed
-// standing alone — to resolve, then executes the plan on the row engine.
-func assertFullyNative(t *testing.T, name string, op algebra.Op, docs map[string]*dom.Document) {
-	t.Helper()
-	var walk func(o algebra.Op)
-	walk = func(o algebra.Op) {
-		if _, ok := algebra.ResolveSchema(o); !ok {
-			t.Errorf("%s: %s does not resolve", name, o.String())
-			return
-		}
-		for _, c := range o.Children() {
-			walk(c)
-		}
-	}
-	walk(op)
-	algebra.DrainIter(op, algebra.NewCtx(docs), nil)
-}
-
-// TestPartitionedPlansResolveNatively pins the partitioned operator
-// family's native execution: every unordered plan alternative of every
-// paper query resolves operator by operator and runs on the row engine.
-func TestPartitionedPlansResolveNatively(t *testing.T) {
-	e := tinyEngine(t)
-	checked := 0
-	for id, text := range PaperQueries {
-		if !strings.HasPrefix(strings.TrimSpace(text), "let") {
-			continue
-		}
-		q, err := e.Compile("unordered(" + text + ")")
+	for name, text := range PaperQueries {
+		cq, err := e.Compile(text)
 		if err != nil {
-			continue // not every paper query parses under the wrapper
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, p := range q.Plans() {
-			if !strings.HasPrefix(p.Name, "unordered ") {
-				continue
+		for _, p := range cq.Plans() {
+			for _, tp := range algebra.RunIter(p.op, algebra.NewCtx(e.snapshot().docs), nil) {
+				for _, v := range tp {
+					check(t, name+"/"+p.Name, v)
+				}
 			}
-			assertFullyNative(t, id+"/"+p.Name, p.op, e.snapshot().docs)
-			checked++
 		}
-	}
-	if checked == 0 {
-		t.Fatalf("no unordered paper-query plans were checked")
 	}
 }
