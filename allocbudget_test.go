@@ -5,27 +5,34 @@ import (
 	"hash/fnv"
 	"io"
 	"testing"
+
+	"nalquery/internal/race"
 )
 
 // TestPaperPlanAllocBudget is the allocation gate of the execution path: the
 // cost-chosen plan of each paper query, prepared once, run and serialized,
 // at size 400. A ceiling sits halfway between what the run allocates and what
 // it allocated before the last change that took a per-tuple allocation out of
-// it, so that going back fails: for every query but q3 that is while a path
-// value was a boxed sequence whether it held one node or several (2 952,
-// 1 176, 6 186, 1 351, 3 659 and 1 020); q3 evaluates no path per tuple and
-// keeps the ceiling it had, half of what it allocated while every row and
-// bucket had an allocation of its own (1 378). The readings are 1 751, 905,
-// 2 837, 100, 550, 1 258 and 220.
+// it, so that going back fails: for q1, q1dblp, q2, q4 and q5 that is while
+// row chunks were cut per refill, e[a] and ΠA payloads had a backing each and
+// min/max boxed their winner again (1 751, 905, 2 837, 550 and 1 258). q3
+// and q6 (barely) did not move then and keep the ceilings they had: q6's
+// from while a path value was a boxed sequence (1 020), q3's half of what it
+// allocated while every row and bucket had an allocation of its own
+// (1 378). The readings are 1 026, 698, 2 422, 100, 177, 692 and 217.
 //
 // Each plan is measured again under a budget that never trips: accounting
 // charges counters, so a live budget costs the allocation of the budget
 // itself and nothing per row — within two allocations of the unbudgeted
 // run (the pin the retired `resource` bench rows held: 7 277 vs 7 278).
+//
+// A race-detector build allocates every row chunk twice (it does not fold
+// slices.Grow's make), so there the ceilings, which count chunks, are not
+// checked; the budget check, equal on both sides whatever a chunk costs, is.
 func TestPaperPlanAllocBudget(t *testing.T) {
 	eng := runEngine(400)
 	for id, ceiling := range map[string]float64{
-		"q1": 2350, "q1dblp": 1040, "q2": 4510, "q3": 680, "q4": 950, "q5": 2450, "q6": 620,
+		"q1": 1385, "q1dblp": 800, "q2": 2625, "q3": 680, "q4": 360, "q5": 975, "q6": 620,
 	} {
 		p, err := eng.Prepare(PaperQueries[id])
 		if err != nil {
@@ -44,7 +51,7 @@ func TestPaperPlanAllocBudget(t *testing.T) {
 			})
 		}
 		got := allocs()
-		if got > ceiling {
+		if got > ceiling && !race.Enabled {
 			t.Errorf("%s: %.0f allocations per run, ceiling %.0f", id, got, ceiling)
 		}
 		if budgeted := allocs(WithMaxMemory(1 << 30)); budgeted > got+2 {

@@ -128,6 +128,20 @@ func TestAggregateMatchesTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMinMaxReturnTheirWinningFloat: over Float items min and max return the
+// winning item itself, boxing nothing (-0 still comes back as 0, the result
+// TestAggregateMatchesTextRoundTrip holds them to).
+func TestMinMaxReturnTheirWinningFloat(t *testing.T) {
+	items := value.Seq{value.Float(2.5), value.Float(-1e300), value.Float(7.25)}
+	for fn, want := range map[string]value.Value{"min": items[1], "max": items[2]} {
+		if allocs := testing.AllocsPerRun(100, func() { sinkAgg = aggregate(fn, items) }); allocs != 0 || sinkAgg != want {
+			t.Errorf("%s = %v with %.0f allocations, want %v with none", fn, sinkAgg, allocs, want)
+		}
+	}
+}
+
+var sinkAgg value.Value
+
 // TestDistinctValuesMatchesStringKeys: the HashKey table keeps exactly what
 // the string-keyed one kept, in the same order, as atoms.
 func TestDistinctValuesMatchesStringKeys(t *testing.T) {

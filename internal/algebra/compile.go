@@ -197,11 +197,22 @@ func (c *scope) expr(e Expr) RowExpr {
 		lay := value.NewLayout(w.Attr)
 		if p, ok := w.E.(PathOf); ok {
 			// e[a] over a path binds the selection itself: no path value is
-			// built to be unwrapped again. BindNodes copies out of the buffer.
+			// built to be unwrapped again. The nodes are copied out of the
+			// stack buffer into a width-1 flat backing cut from the closure's
+			// slab, one payload a "row" of the slab.
 			in := c.expr(p.Input)
+			var slab rowSlab
 			return func(ctx *Ctx, r value.Row) value.Value {
 				var buf [8]*dom.Node
-				return value.BindNodes(lay, p.Path.Append(buf[:0], in(ctx, r)))
+				nodes := p.Path.Append(buf[:0], in(ctx, r))
+				var flat []value.Value
+				if len(nodes) > 0 {
+					flat = slab.payload(len(nodes))
+				}
+				for i, n := range nodes {
+					flat[i] = value.NodeVal{Node: n}
+				}
+				return value.RowSeqOfFlat(lay, flat)
 			}
 		}
 		in := c.expr(w.E)

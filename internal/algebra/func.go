@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode/utf8"
 
@@ -270,6 +271,7 @@ func aggregate(fn string, items value.Seq) value.Value {
 	}
 	allNum := true
 	var best, sum float64
+	win := 0
 	for i, a := range items {
 		f, ok := numArg(a)
 		if !ok {
@@ -278,12 +280,18 @@ func aggregate(fn string, items value.Seq) value.Value {
 		}
 		sum += f
 		if i == 0 || (fn == "min" && f < best) || (fn == "max" && f > best) {
-			best = f
+			best, win = f, i
 		}
 	}
 	if allNum {
 		switch fn {
 		case "min", "max":
+			// A winner that is a Float already is the result; boxing its
+			// number again would allocate the same value. (Not -0, which
+			// numArg reads as 0.)
+			if f, ok := items[win].(value.Float); ok && math.Float64bits(float64(f)) == math.Float64bits(best) {
+				return items[win]
+			}
 			return value.Float(best)
 		case "sum":
 			return value.Float(sum)

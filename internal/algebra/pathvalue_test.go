@@ -1,7 +1,8 @@
 package algebra
 
 import (
-	"slices"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -95,10 +96,11 @@ func groupsPlan(d *dom.Document) Op {
 
 // TestPathConsumersKeepNothingOfTheirBuffers: Υ over a path navigates into a
 // buffer it reuses for the next input row, e[a] over a path into one that is
-// gone when it returns. Every row is retained here while the run goes on, what has been emitted is wiped from
-// Υ's buffer behind its back, and at the end each retained row still reads
-// as the definitional evaluator's — selections of three, one, none and two
-// nodes follow each other, so a shared backing would be overwritten.
+// gone when it returns. Every row is retained here while the run goes on,
+// what has been emitted is wiped from Υ's buffer behind its back, and at the
+// end each retained row still reads as the definitional evaluator's —
+// selections of three, one, none and two nodes follow each other, so a
+// shared backing would be overwritten.
 func TestPathConsumersKeepNothingOfTheirBuffers(t *testing.T) {
 	d := dom.MustParseString(pathDoc, "g.xml")
 	v := xpath.MustParse("v")
@@ -138,14 +140,41 @@ func TestPathConsumersKeepNothingOfTheirBuffers(t *testing.T) {
 		}
 	}
 
-	// e[a] binds out of a buffer it does not keep either.
-	vs := d.Root.Descendants("g", nil)[0].ChildElements("v")
-	buf := slices.Clone(vs)
-	first := value.BindNodes(value.NewLayout("m"), buf)
-	clear(buf)
-	for i, n := range vs {
-		if got := first.At(i).Vals[0]; got != (value.NodeVal{Node: n}) {
-			t.Errorf("e[a] member %d after its buffer was wiped: %#v, want %v", i, got, n)
+	// e[a] over a path and ΠA cut their payloads from a slab each keeps for
+	// the open: a payload retained while more than a hundred later ones are
+	// built re-reads unchanged, and its backing ends where its members do.
+	var xml strings.Builder
+	xml.WriteString("<r>")
+	for i := 0; i < 160; i++ {
+		fmt.Fprintf(&xml, `<g k="%d">`, i)
+		for j := 0; j < i%4; j++ {
+			fmt.Fprintf(&xml, "<v>%d</v>", 10*i+j)
+		}
+		xml.WriteString("</g>")
+	}
+	xml.WriteString("</r>")
+	gs := groupsPlan(dom.MustParseString(xml.String(), "many.xml"))
+	pv := PathOf{Input: Var{Name: "g"}, Path: v}
+	for name, op := range map[string]Op{
+		"e[a]": Map{In: gs, Attr: "p", E: BindTuples{Attr: "m", E: pv}},
+		"ΠA": GroupUnary{In: UnnestMap{In: gs, Attr: "v", E: pv}, G: "p", By: []string{"g"},
+			Theta: value.CmpEq, F: SFProject{Attrs: []string{"v"}}},
+	} {
+		want := op.Eval(NewCtx(nil), nil)
+		n := Resolve(op)
+		rows := n.rows(NewCtx(nil), nil, nil)
+		if len(rows) != len(want) || len(rows) < 101 {
+			t.Fatalf("%s: %d rows, want %d (over a hundred)", name, len(rows), len(want))
+		}
+		slot, _ := n.Schema.Lay.Slot("p")
+		for i, r := range rows {
+			if !value.TupleEqual(r.Tuple(), want[i]) {
+				t.Fatalf("%s: payload %d re-read after the run: %v, want %v", name, i, r.Vals[slot], want[i]["p"])
+			}
+			flat := reflect.ValueOf(r.Vals[slot]).FieldByName("flat")
+			if flat.Len() != flat.Cap() {
+				t.Errorf("%s: payload %d has %d values and room for %d", name, i, flat.Len(), flat.Cap())
+			}
 		}
 	}
 }

@@ -253,11 +253,15 @@ func (c *scope) applier(f SeqFunc, lay *value.Layout) rowsFunc {
 	case SFProject:
 		plLay := value.NewLayout(w.Attrs...)
 		slots := slotsOf(lay, w.Attrs)
+		var slab rowSlab
 		return func(ctx *Ctx, rows []value.Row) value.Value {
 			// The projected payload is a fresh flat backing — the Γ group
-			// state the budget exists to bound.
+			// state the budget exists to bound — cut from the applier's slab.
 			ctx.ChargeBytes(TripGroup, len(rows)*len(slots)*rowSlotBytes)
-			flat := make([]value.Value, 0, len(rows)*len(slots))
+			var flat []value.Value
+			if n := len(rows) * len(slots); n > 0 {
+				flat = slab.payload(n)[:0]
+			}
 			for _, r := range rows {
 				for _, s := range slots {
 					if s >= 0 {
@@ -272,12 +276,19 @@ func (c *scope) applier(f SeqFunc, lay *value.Layout) rowsFunc {
 	case SFFiltered:
 		pred := c.exprOver(Schema{Lay: lay}, w.Pred)
 		inner := c.applier(w.Inner, lay)
+		// id wraps the kept rows as its payload; every other function reads
+		// them and lets go, so one buffer serves all groups.
+		_, keeps := w.Inner.(SFIdent)
+		var buf []value.Row
 		return func(ctx *Ctx, rows []value.Row) value.Value {
-			var kept []value.Row
+			kept := buf[:0]
 			for _, r := range rows {
 				if value.EffectiveBool(pred(ctx, r)) {
 					kept = append(kept, r)
 				}
+			}
+			if !keeps {
+				buf = kept
 			}
 			return inner(ctx, kept)
 		}

@@ -204,3 +204,30 @@ func TestRowSeqFilteredApplier(t *testing.T) {
 	gammaID := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: fid}
 	diffPayloadPlan(t, "filtered-id-mu", Unnest{In: gammaID, Attr: "g"})
 }
+
+// TestFilteredIdentKeepsEachGroupsRows: f ∘ σp reuses one buffer for the
+// rows σp keeps, except under id, whose payload is that slice: every group's
+// payload must hold its own kept rows after the later groups were filtered.
+func TestFilteredIdentKeepsEachGroupsRows(t *testing.T) {
+	var ts value.TupleSeq
+	for i := 0; i < 40; i++ {
+		ts = append(ts, value.Tuple{"K": value.Int(int64(i % 5)), "N": value.Int(int64(i))})
+	}
+	in := constOp{ts: ts, attrs: []string{"K", "N"}}
+	fid := SFFiltered{Pred: CmpExpr{L: Var{Name: "N"}, R: ConstVal{V: value.Int(14)}, Op: value.CmpGt}, Inner: SFIdent{}}
+	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: fid}
+	diffPayloadPlan(t, "filtered-id", gamma)
+
+	n := Resolve(native(gamma))
+	for _, r := range n.rows(NewCtx(nil), nil, nil) {
+		key, g := r.Tuple()["K"], r.Tuple()["g"].(value.RowSeq)
+		if g.Len() != 5 {
+			t.Errorf("group %v: %d members, want 5", key, g.Len())
+		}
+		for i := 0; i < g.Len(); i++ {
+			if m := g.At(i).Tuple(); m["K"] != key {
+				t.Errorf("group %v: member %d is %v, another group's row", key, i, m)
+			}
+		}
+	}
+}

@@ -7,15 +7,17 @@ import (
 )
 
 // rowSlab hands a producing iterator the value slices of its output rows,
-// cut from chunks it allocates a few rows at a time — one allocation per
-// chunk instead of one per row. Every slice comes with cap == len, so a row
-// can never be appended into its neighbour, and is never handed out twice,
-// so rows stay immutable after emit. A consumer that retains a row keeps
-// that row's chunk alive and nothing else: at most slabMaxRows rows of one
-// operator's width (docs/EXECUTION.md, "Row ownership and chunks").
+// and a payload builder (e[a], ΠA) the flat backings of its payloads, cut
+// from chunks it allocates a few rows at a time — one allocation per chunk
+// instead of one per row. Every slice comes with cap == len, so a row can
+// never be appended into its neighbour, and is never handed out twice, so
+// rows stay immutable after emit. A consumer that retains a row keeps that
+// row's chunk alive and nothing else: the allocation of at most slabMaxRows
+// rows of one operator's width, or of slabMaxRows payloads of at most
+// slabMaxRows values (docs/EXECUTION.md, "Row ownership and chunks").
 type rowSlab struct {
 	free []value.Value
-	rows int // rows of the next chunk cut without a known fan-out
+	cut  int // values cut so far, at most slabMaxRows rows' worth
 }
 
 // slabMaxRows caps a chunk, bounding what one retained row can pin.
@@ -23,22 +25,41 @@ const slabMaxRows = 16
 
 // take returns a zeroed slice of width values. fanout is the number of rows,
 // this one included, the caller knows it is about to take (Υ: the items left
-// in the current sequence); a new chunk then holds exactly those, so nothing
-// is allocated that is not emitted. With fanout ≤ 1 chunks double from one
-// row, so a three-row probe allocates three rows and a long stream one
-// chunk per slabMaxRows.
+// in the current sequence). A new chunk is sized by the stream: it holds at
+// least fanout rows and at least as much as the stream has had so far, this
+// row included, up to slabMaxRows rows. So the first chunk of an open holds
+// exactly the known fan-out (a three-row probe allocates three rows), chunks
+// double from there whether or not a fan-out is known, and a long stream
+// costs one chunk per slabMaxRows rows — a two-author book does not cost a
+// chunk of its own. The stream is counted in values, so a payload builder,
+// whose widths vary, never cuts a chunk much larger than what it has built.
+//
+// A chunk is the whole size class the allocator rounds its values up to
+// (slices.Grow reports it), not just the values asked for: past 512 bytes
+// the rounding and the allocation header cost up to an eighth of the chunk,
+// and the rows that fit there cost nothing more. (It is one allocation, two
+// in a race-detector build, which does not fold slices.Grow's make.)
 func (s *rowSlab) take(width, fanout int) []value.Value {
 	if len(s.free) < width {
-		n := fanout
-		if n <= 1 {
-			n = max(s.rows, 1)
-			s.rows = 2 * n
-		}
-		s.free = make([]value.Value, width*min(n, slabMaxRows))
+		n := min(max(fanout*width, s.cut+width), slabMaxRows*width)
+		s.cut = min(s.cut+n, slabMaxRows*width)
+		s.free = slices.Grow([]value.Value(nil), n)
+		s.free = s.free[:cap(s.free)]
 	}
 	vals := s.free[:width:width]
 	s.free = s.free[width:]
 	return vals
+}
+
+// payload returns a zeroed flat backing of width values for a payload builder
+// (e[a], ΠA), whose widths vary with its selections or groups. One of at most
+// slabMaxRows values is cut like a row; a wider one is allocated on its own,
+// exactly, so it pins nothing but itself and no chunk is sized after it.
+func (s *rowSlab) payload(width int) []value.Value {
+	if width > slabMaxRows {
+		return make([]value.Value, width)
+	}
+	return s.take(width, 0)
 }
 
 // extend takes a row that starts as a copy of r — the χ/Υ/Γ shape: the

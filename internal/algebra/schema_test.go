@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nalquery/internal/dom"
+	"nalquery/internal/race"
 	"nalquery/internal/value"
 	"nalquery/internal/xpath"
 )
@@ -113,9 +114,14 @@ func TestProjectRenameSwap(t *testing.T) {
 // TestStreamingAllocsPerTuple is the allocation regression gate of the slot
 // engine, operator by operator: what each one adds to its input's
 // allocations, per tuple it emits. σ passes rows through; the producing
-// operators cut their rows from chunks (rowSlab), so each adds a chunk per
-// slabMaxRows rows and nothing per row; a single-step path costs its result
-// sequence and that sequence's box.
+// operators cut their rows from chunks (rowSlab) sized by the stream, so each
+// adds a chunk per slabMaxRows rows and nothing per row (whatever Υ's fan-out
+// per input row: TestUnnestMapChunksFollowTheStream); a single-step path
+// costs its result sequence and that sequence's box; e[a] over a path and ΠA
+// cut their payload backings from a chunk too and cost the payload's box;
+// f ∘ σp keeps nothing per group. A race-detector build allocates a chunk
+// twice (it does not fold slices.Grow's make), so there each slab an operator
+// cuts from may add one more allocation per chunk.
 func TestStreamingAllocsPerTuple(t *testing.T) {
 	const n = 2000
 	seq := make(value.Seq, n)
@@ -134,7 +140,9 @@ func TestStreamingAllocsPerTuple(t *testing.T) {
 
 	scan := func(attr string) Op { return UnnestMap{In: Singleton{}, Attr: attr, E: ConstVal{V: seq}} }
 	src := scan("x")
-	sel := Select{In: src, Pred: CmpExpr{L: Var{Name: "x"}, R: ConstVal{V: value.Int(-1)}, Op: value.CmpGt}}
+	gtNeg := CmpExpr{L: Var{Name: "x"}, R: ConstVal{V: value.Int(-1)}, Op: value.CmpGt}
+	groups := GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFIdent{}}
+	sel := Select{In: src, Pred: gtNeg}
 	idx := IndexScan{In: Singleton{}, Attr: "b", Index: books}
 	right := ProjectRename{In: scan("y"), Pairs: []Rename{{New: "z", Old: "y"}}}
 
@@ -146,27 +154,36 @@ func TestStreamingAllocsPerTuple(t *testing.T) {
 		op     Op
 		inputs []Op
 		max    float64 // allocations per emitted tuple on top of the inputs
+		slabs  int     // rowSlabs it cuts chunks from
 	}{
-		{"Υ", src, []Op{Singleton{}}, 0.1},
-		{"σ", sel, []Op{src}, 0.1},
-		{"Π", Project{In: sel, Names: []string{"x"}}, []Op{sel}, 0.1},
-		{"χ", Map{In: src, Attr: "y", E: Var{Name: "x"}}, []Op{src}, 0.1},
-		{"IndexScan", idx, []Op{Singleton{}}, 0.1},
-		{"χ path", Map{In: idx, Attr: "t", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("title")}}, []Op{idx}, 2.1},
-		{"χ empty path", Map{In: idx, Attr: "t", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("nosuch")}}, []Op{idx}, 0.1},
+		{"Υ", src, []Op{Singleton{}}, 0.1, 1},
+		{"σ", sel, []Op{src}, 0.1, 0},
+		{"Π", Project{In: sel, Names: []string{"x"}}, []Op{sel}, 0.1, 1},
+		{"χ", Map{In: src, Attr: "y", E: Var{Name: "x"}}, []Op{src}, 0.1, 1},
+		{"IndexScan", idx, []Op{Singleton{}}, 0.1, 1},
+		{"χ path", Map{In: idx, Attr: "t", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("title")}}, []Op{idx}, 2.1, 1},
+		{"χ empty path", Map{In: idx, Attr: "t", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("nosuch")}}, []Op{idx}, 0.1, 1},
+		{"e[a] path", Map{In: idx, Attr: "t", E: BindTuples{Attr: "m", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("title")}}}, []Op{idx}, 1.2, 2},
 		// One partner per left tuple: n concatenated rows over a build side
 		// of n rows, whose table is a fixed number of allocations.
-		{"⋈ concat", Join{L: src, R: right, Pred: CmpExpr{L: Var{Name: "x"}, R: Var{Name: "z"}, Op: value.CmpEq}}, []Op{src, right}, 0.1},
+		{"⋈ concat", Join{L: src, R: right, Pred: CmpExpr{L: Var{Name: "x"}, R: Var{Name: "z"}, Op: value.CmpEq}}, []Op{src, right}, 0.1, 1},
 		// Every key distinct: n groups, n emitted rows.
-		{"Γ emit", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFCount{}}, []Op{src}, 0.1},
-		{"Γ self", GroupSelf{In: src, G: "g", By: []string{"x"}, F: SFCount{}}, []Op{src}, 0.1},
+		{"Γ emit", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFCount{}}, []Op{src}, 0.1, 1},
+		{"Γ self", GroupSelf{In: src, G: "g", By: []string{"x"}, F: SFCount{}}, []Op{src}, 0.1, 1},
+		{"Γ ΠA", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"x"}}}, []Op{src}, 1.2, 2},
+		{"Γ f ∘ σp", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFFiltered{Pred: gtNeg, Inner: SFCount{}}}, []Op{src}, 0.1, 1},
+		{"µ", Unnest{In: groups, Attr: "g"}, []Op{groups}, 0.1, 1},
 	} {
 		added := total(tc.op)
 		for _, in := range tc.inputs {
 			added -= total(in)
 		}
-		if added/n > tc.max {
-			t.Errorf("%s adds %.3f allocations per tuple to its input (%.0f in all), want ≤ %.1f", tc.name, added/n, added, tc.max)
+		bound := tc.max
+		if race.Enabled { // n/slabMaxRows full chunks and a few while they double
+			bound += float64(tc.slabs*(n/slabMaxRows+5)) / n
+		}
+		if added/n > bound {
+			t.Errorf("%s adds %.3f allocations per tuple to its input (%.0f in all), want ≤ %.3f", tc.name, added/n, added, bound)
 		}
 	}
 }

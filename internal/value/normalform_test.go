@@ -27,20 +27,13 @@ func TestOfNodesNormalForm(t *testing.T) {
 	if !ok || len(got) != len(nodes) {
 		t.Fatalf("several nodes: %#v, want a Seq of %d", OfNodes(nodes), len(nodes))
 	}
-	bound := BindNodes(NewLayout("a"), nodes)
-	// Neither keeps the caller's buffer.
+	// It does not keep the caller's buffer.
 	want := append([]*dom.Node(nil), nodes...)
 	clear(nodes)
 	for i, n := range want {
 		if got[i] != (NodeVal{Node: n}) {
 			t.Errorf("several nodes: item %d is %v after the buffer was reused, want %v", i, got[i], n)
 		}
-		if v := bound.At(i).Vals[0]; v != (NodeVal{Node: n}) {
-			t.Errorf("BindNodes: member %d is %v after the buffer was reused, want %v", i, v, n)
-		}
-	}
-	if bound.Len() != len(want) || BindNodes(NewLayout("a"), nil).Len() != 0 {
-		t.Errorf("BindNodes: %d members of %d nodes, %d of none", bound.Len(), len(want), BindNodes(NewLayout("a"), nil).Len())
 	}
 
 	if allocs := testing.AllocsPerRun(100, func() { sinkValue = OfNodes(want[:1]) }); allocs != 0 {

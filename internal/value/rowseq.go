@@ -1,10 +1,6 @@
 package value
 
-import (
-	"strings"
-
-	"nalquery/internal/dom"
-)
+import "strings"
 
 // RowSeq is the slot-native tuple sequence: the group payloads created by Γ,
 // the e[a] constructor and nested query blocks, carried as rows over one
@@ -20,9 +16,10 @@ import (
 //   - chunked ([]Row): a zero-copy wrap of rows an operator already
 //     materialized — the Γ bucket slices. Appending a group attribute costs
 //     one interface box, no per-member work.
-//   - flat ([]Value): width·n values in one allocation — the backing built
-//     by e[a] bindings and ΠA payload projection, where members are
-//     constructed rather than inherited.
+//   - flat ([]Value): width·n contiguous values — the backing built by e[a]
+//     bindings and ΠA payload projection, where members are constructed
+//     rather than inherited (the engine cuts a narrow one from a chunk it
+//     shares with the builder's neighbouring payloads).
 //
 // Like Row, a RowSeq is immutable once emitted. A rename inside the group
 // is WithLayout — a layout-pointer swap sharing both backings.
@@ -62,16 +59,6 @@ func BindRowSeq(items Seq, a string) RowSeq {
 // engine, and a width-1 flat backing is exactly an item sequence.
 func BindRowSeqLay(lay *Layout, items Seq) RowSeq {
 	return RowSeq{lay: lay, flat: items, n: len(items)}
-}
-
-// BindNodes is e[a] over a path's selection: the nodes become the width-1
-// flat backing directly, without passing through a path value first. nodes
-// is copied, so the caller's buffer stays its own.
-func BindNodes(lay *Layout, nodes []*dom.Node) RowSeq {
-	if len(nodes) == 0 {
-		return RowSeq{lay: lay}
-	}
-	return RowSeq{lay: lay, flat: nodeItems(nodes), n: len(nodes)}
 }
 
 // Kind implements Value. A RowSeq is a tuple sequence; only the

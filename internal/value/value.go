@@ -335,11 +335,6 @@ func OfNodes(nodes []*dom.Node) Value {
 	case 1:
 		return NodeVal{Node: nodes[0]}
 	}
-	return nodeItems(nodes)
-}
-
-// nodeItems copies node handles out of a buffer into a fresh item sequence.
-func nodeItems(nodes []*dom.Node) Seq {
 	out := make(Seq, len(nodes))
 	for i, n := range nodes {
 		out[i] = NodeVal{Node: n}
