@@ -128,9 +128,6 @@ func (c *Controller) Drain() {
 	})
 }
 
-// Draining reports whether Drain has been called.
-func (c *Controller) Draining() bool { return c.draining.Load() }
-
 // Wait blocks until no slot is held or ctx fires, returning nil on idle
 // and the context's cancellation cause otherwise. It is the
 // graceful-shutdown barrier: Drain, then Wait with the drain budget.

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"math"
+
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
 )
@@ -313,8 +315,8 @@ func (n *Node) rows(ctx *Ctx, env value.Tuple, dst []value.Row) []value.Row {
 
 // evalArith mirrors ArithExpr.Eval on already-computed operands.
 func evalArith(op byte, lv, rv value.Value) value.Value {
-	l, lok := numArg(lv)
-	r, rok := numArg(rv)
+	l, lok := value.Number(lv)
+	r, rok := value.Number(rv)
 	if !lok || !rok {
 		return value.Null{}
 	}
@@ -331,12 +333,10 @@ func evalArith(op byte, lv, rv value.Value) value.Value {
 		}
 		return value.Float(l / r)
 	case '%':
-		// Guard the truncated divisor too: a fractional r in (-1, 1) passes
-		// r != 0 but truncates to 0 and would panic the integer modulus.
-		if int64(r) == 0 {
+		if r == 0 {
 			return value.Null{}
 		}
-		return value.Float(float64(int64(l) % int64(r)))
+		return value.Float(math.Mod(l, r))
 	default:
 		return value.Null{}
 	}

@@ -10,7 +10,6 @@ package algebra
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"nalquery/internal/dom"
@@ -508,24 +507,6 @@ type ArithExpr struct {
 // Eval implements Expr.
 func (a ArithExpr) Eval(ctx *Ctx, env value.Tuple) value.Value {
 	return evalArith(a.Op, a.L.Eval(ctx, env), a.R.Eval(ctx, env))
-}
-
-// numArg reads the single atom of v as a number: Int and Float as they are
-// (the value their text would parse back to), anything else through its
-// text.
-func numArg(v value.Value) (float64, bool) {
-	switch w := v.(type) {
-	case value.Int:
-		return float64(w), true
-	case value.Float:
-		return float64(w) + 0, true // -0 prints as "0"
-	}
-	s, ok := value.AtomText(v)
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	return f, err == nil
 }
 
 func (a ArithExpr) String() string {

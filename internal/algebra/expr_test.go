@@ -258,6 +258,14 @@ func TestOpFreeVars(t *testing.T) {
 	}
 }
 
+// printed is what WriteValue writes for v.
+func printed(v value.Value) string {
+	var sb strings.Builder
+	WriteValue(&sb, v)
+	return sb.String()
+}
+
+// TestPrintValue: the serialized form of each kind of value.
 func TestPrintValue(t *testing.T) {
 	d := dom.MustParseString(`<r><t a="v">x</t></r>`, "p.xml")
 	el := d.RootElement().FirstChildElement("t")
@@ -274,8 +282,8 @@ func TestPrintValue(t *testing.T) {
 		{value.TupleSeq{{"t": value.NodeVal{Node: el}}}, `<t a="v">x</t>`},
 	}
 	for _, c := range cases {
-		if got := PrintValue(c.v); got != c.want {
-			t.Errorf("PrintValue(%v) = %q, want %q", c.v, got, c.want)
+		if got := printed(c.v); got != c.want {
+			t.Errorf("WriteValue(%v) = %q, want %q", c.v, got, c.want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 	case "string":
 		return value.Str(stringArg(args, 0))
 	case "decimal", "number":
-		f, ok := numArg(arg(args, 0))
+		f, ok := value.Number(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
@@ -36,7 +36,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 	case "concat":
 		var sb strings.Builder
 		for _, a := range args {
-			sb.WriteString(PrintValue(a))
+			WriteValue(&sb, a)
 		}
 		return value.Str(sb.String())
 	case "contains":
@@ -74,7 +74,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 	case "substring":
 		// substring(s, start[, length]) with XQuery's 1-based positions.
 		s := stringArg(args, 0)
-		start, ok := numArg(arg(args, 1))
+		start, ok := value.Number(arg(args, 1))
 		if !ok {
 			return value.Str("")
 		}
@@ -82,7 +82,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		lo := int(start) - 1
 		hi := len(runes)
 		if len(args) > 2 {
-			ln, ok := numArg(arg(args, 2))
+			ln, ok := value.Number(arg(args, 2))
 			if !ok {
 				return value.Str("")
 			}
@@ -138,7 +138,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return value.Str(sb.String())
 	case "abs":
-		f, ok := numArg(arg(args, 0))
+		f, ok := value.Number(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
@@ -147,24 +147,24 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return value.Float(f)
 	case "floor":
-		f, ok := numArg(arg(args, 0))
+		f, ok := value.Number(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
-		return value.Float(mathFloor(f))
+		return value.Float(math.Floor(f))
 	case "ceiling":
-		f, ok := numArg(arg(args, 0))
+		f, ok := value.Number(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
-		return value.Float(-mathFloor(-f))
+		return value.Float(math.Ceil(f))
 	case "round":
-		f, ok := numArg(arg(args, 0))
+		f, ok := value.Number(arg(args, 0))
 		if !ok {
 			return value.Null{}
 		}
 		// XPath rounds halves towards positive infinity.
-		return value.Float(mathFloor(f + 0.5))
+		return value.Float(math.Floor(f + 0.5))
 	case "boolean":
 		return value.Bool(value.EffectiveBool(arg(args, 0)))
 	case "zero-or-one":
@@ -197,16 +197,6 @@ func arg(args []value.Value, i int) value.Value {
 func stringArg(args []value.Value, i int) string {
 	s, _ := value.AtomText(arg(args, i))
 	return s
-}
-
-// mathFloor avoids importing math for the one function the rounding family
-// needs.
-func mathFloor(f float64) float64 {
-	i := float64(int64(f))
-	if f < 0 && f != i {
-		return i - 1
-	}
-	return i
 }
 
 func nonEmpty(v value.Value) bool {
@@ -258,9 +248,10 @@ func distinctValues(v value.Value) value.Seq {
 }
 
 // aggregate folds min, max, sum or avg over items (atoms, or nodes read
-// through their string value). Numbers are read as they are; text counts as
-// a number when it parses as one. If every item is a number the result is
-// numeric; otherwise min and max compare the items' text and sum and avg are
+// through their string value), reading each as value.Number does. If every
+// item is a number the result is numeric, and min and max are the first and
+// the last item in sort order (value.Compare3: NaN before every other
+// number); otherwise min and max compare the items' text and sum and avg are
 // empty.
 func aggregate(fn string, items value.Seq) value.Value {
 	if len(items) == 0 {
@@ -273,13 +264,13 @@ func aggregate(fn string, items value.Seq) value.Value {
 	var best, sum float64
 	win := 0
 	for i, a := range items {
-		f, ok := numArg(a)
+		f, ok := value.Number(a)
 		if !ok {
 			allNum = false
 			break
 		}
 		sum += f
-		if i == 0 || (fn == "min" && f < best) || (fn == "max" && f > best) {
+		if i == 0 || (fn == "min" && value.Compare3(a, items[win]) < 0) || (fn == "max" && value.Compare3(a, items[win]) > 0) {
 			best, win = f, i
 		}
 	}
@@ -288,7 +279,7 @@ func aggregate(fn string, items value.Seq) value.Value {
 		case "min", "max":
 			// A winner that is a Float already is the result; boxing its
 			// number again would allocate the same value. (Not -0, which
-			// numArg reads as 0.)
+			// value.Number reads as 0.)
 			if f, ok := items[win].(value.Float); ok && math.Float64bits(float64(f)) == math.Float64bits(best) {
 				return items[win]
 			}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"testing"
 
 	"nalquery/internal/value"
@@ -78,6 +79,56 @@ func TestRoundingFamily(t *testing.T) {
 	wantNum(t, callV("round", value.Str("3.2")), 3)
 	if _, ok := callV("round", value.Str("x")).(value.Null); !ok {
 		t.Errorf("round on non-numeric must be empty")
+	}
+}
+
+// TestRoundingPastInt64AndNaN: floor, ceiling, round and mod are the
+// floating-point operations, so nothing truncates through int64 (1e20 came
+// back as -9223372036854775808) and NaN stays NaN.
+func TestRoundingPastInt64AndNaN(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cases := []struct {
+		fn   string
+		args []value.Value
+		want float64
+	}{
+		{"floor", []value.Value{value.Float(1e20)}, 1e20},
+		{"ceiling", []value.Value{value.Float(1e20)}, 1e20},
+		{"round", []value.Value{value.Float(1e20)}, 1e20},
+		{"floor", []value.Value{value.Float(-1e20)}, -1e20},
+		{"floor", []value.Value{value.Float(-2.5)}, -3},
+		{"ceiling", []value.Value{value.Float(-2.5)}, -2},
+		{"round", []value.Value{value.Float(-2.5)}, -2},
+		{"floor", []value.Value{value.Float(nan)}, nan},
+		{"ceiling", []value.Value{value.Str("NaN")}, nan},
+		{"round", []value.Value{value.Float(nan)}, nan},
+		{"floor", []value.Value{value.Float(negZero)}, 0},
+		{"ceiling", []value.Value{value.Str("-0")}, negZero},
+		{"round", []value.Value{value.Float(0)}, 0},
+		{"%", []value.Value{value.Float(1e20), value.Int(7)}, 2},
+		{"%", []value.Value{value.Float(7.5), value.Int(2)}, 1.5},
+		{"%", []value.Value{value.Float(-7.5), value.Int(2)}, -1.5},
+		{"%", []value.Value{value.Float(nan), value.Int(7)}, nan},
+		{"%", []value.Value{value.Int(7), value.Float(nan)}, nan},
+		{"%", []value.Value{value.Str("-0"), value.Int(7)}, negZero},
+	}
+	for _, c := range cases {
+		var got value.Value
+		if c.fn == "%" {
+			got = evalArith('%', c.args[0], c.args[1])
+		} else {
+			got = callV(c.fn, c.args...)
+		}
+		f, ok := got.(value.Float)
+		same := float64(f) == c.want && math.Signbit(float64(f)) == math.Signbit(c.want) || f != f && c.want != c.want
+		if !ok || !same {
+			t.Errorf("%s%v = %#v, want %v", c.fn, c.args, got, c.want)
+		}
+	}
+	for _, r := range []value.Value{value.Int(0), value.Float(negZero), value.Str("0")} {
+		if got := evalArith('%', value.Int(7), r); got != (value.Null{}) {
+			t.Errorf("7 mod %#v = %#v, want empty", r, got)
+		}
 	}
 }
 

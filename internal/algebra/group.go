@@ -86,9 +86,7 @@ func partition(ts value.TupleSeq, attrs []string) ([]value.HashKey, map[value.Ha
 
 func thetaMatch(lt, rt value.Tuple, lAttrs, rAttrs []string, op value.CmpOp) bool {
 	for i := range lAttrs {
-		la := value.AtomizeSingle(lt[lAttrs[i]])
-		ra := value.AtomizeSingle(rt[rAttrs[i]])
-		if la == nil || ra == nil || !value.CompareAtomic(la, ra, op) {
+		if !value.CompareAtomic(lt[lAttrs[i]], rt[rAttrs[i]], op) {
 			return false
 		}
 	}

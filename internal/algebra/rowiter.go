@@ -552,12 +552,11 @@ func openRowXiGroup(x XiGroup, n *Node, ctx *Ctx, env value.Tuple) RowIter {
 }
 
 // cmpRowsDirs is the three-way sort comparison of the row engine's Sort
-// breaker: per-key atomization with one atom parse per side (value.Compare3)
-// instead of the two CompareAtomic probes the bool form needed. Empty values
-// sort first on ascending keys and last on descending ones.
+// breaker, value.Compare3 per key. Empty values sort first on ascending keys
+// and last on descending ones.
 func cmpRowsDirs(a, b value.Row, by []int, dirs []bool) int {
 	for i, s := range by {
-		c := value.Compare3(value.AtomizeSingle(a.Vals[s]), value.AtomizeSingle(b.Vals[s]))
+		c := value.Compare3(a.Vals[s], b.Vals[s])
 		if c == 0 {
 			continue
 		}
@@ -891,9 +890,7 @@ func openRowGroupSelf(g GroupSelf, n *Node, ctx *Ctx, env value.Tuple) RowIter {
 
 func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 	for i := range as {
-		av := value.AtomizeSingle(a.Vals[as[i]])
-		bv := value.AtomizeSingle(b.Vals[bs[i]])
-		if av == nil || bv == nil || !value.CompareAtomic(av, bv, op) {
+		if !value.CompareAtomic(a.Vals[as[i]], b.Vals[bs[i]], op) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -188,14 +189,20 @@ func TestStreamingAllocsPerTuple(t *testing.T) {
 	}
 }
 
-// TestArithModFractionalDivisor: a divisor in (-1, 1) truncates to 0 for
-// the integer modulus; both engines must yield NULL instead of panicking.
+// TestArithModFractionalDivisor: mod is the floating remainder on both
+// engines, so a divisor in (-1, 1) is an ordinary divisor (it used to
+// truncate to an integer 0), and only a zero divisor yields NULL.
 func TestArithModFractionalDivisor(t *testing.T) {
-	e := ArithExpr{L: ConstVal{V: value.Int(7)}, R: ConstVal{V: value.Float(0.5)}, Op: '%'}
-	if v := e.Eval(NewCtx(nil), nil); v.Kind() != value.KNull {
-		t.Fatalf("mod by 0.5 (eval): %v", v)
-	}
-	if v := evalArith('%', value.Int(7), value.Float(0.5)); v.Kind() != value.KNull {
-		t.Fatalf("mod by 0.5 (compiled): %v", v)
+	for _, c := range []struct {
+		r    value.Value
+		want value.Value
+	}{{value.Float(0.5), value.Float(0)}, {value.Float(0.3), value.Float(math.Mod(7, 0.3))}, {value.Int(0), value.Null{}}} {
+		e := ArithExpr{L: ConstVal{V: value.Int(7)}, R: ConstVal{V: c.r}, Op: '%'}
+		if v := e.Eval(NewCtx(nil), nil); v != c.want {
+			t.Errorf("7 mod %v (eval) = %#v, want %#v", c.r, v, c.want)
+		}
+		if v := evalArith('%', value.Int(7), c.r); v != c.want {
+			t.Errorf("7 mod %v (compiled) = %#v, want %#v", c.r, v, c.want)
+		}
 	}
 }

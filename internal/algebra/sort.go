@@ -7,9 +7,8 @@ import (
 	"nalquery/internal/value"
 )
 
-// Sort orders its input stably by the given attributes (atomic comparison:
-// numeric when both sides are numeric, else string — consistent with the
-// predicate semantics). A stable sort is exactly what the group-detecting Ξ
+// Sort orders its input stably by the given attributes in the sort order of
+// the atom rule (value.Compare3, consistent with the predicate semantics). A stable sort is exactly what the group-detecting Ξ
 // requires of its producers (Sec. 2: "this condition can be met by a
 // stable(!) sort"). Dirs optionally flips individual keys to descending
 // (the order by clause); a nil Dirs sorts every key ascending.
@@ -32,29 +31,18 @@ func (s Sort) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	return out
 }
 
+// lessTuplesDirs is cmpRowsDirs over map tuples: the same value.Compare3
+// per key, so both evaluators sort alike.
 func lessTuplesDirs(a, b value.Tuple, by []string, dirs []bool) bool {
 	for i, k := range by {
-		desc := i < len(dirs) && dirs[i]
-		av := value.AtomizeSingle(a[k])
-		bv := value.AtomizeSingle(b[k])
-		switch {
-		case av == nil && bv == nil:
+		c := value.Compare3(a[k], b[k])
+		if c == 0 {
 			continue
-		case av == nil:
-			return !desc // empty sorts first ascending, last descending
-		case bv == nil:
-			return desc
 		}
-		lt, gt := value.CmpLt, value.CmpGt
-		if desc {
-			lt, gt = gt, lt
+		if i < len(dirs) && dirs[i] {
+			return c > 0
 		}
-		if value.CompareAtomic(av, bv, lt) {
-			return true
-		}
-		if value.CompareAtomic(av, bv, gt) {
-			return false
-		}
+		return c < 0
 	}
 	return false
 }

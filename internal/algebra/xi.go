@@ -48,10 +48,12 @@ func execCommands(ctx *Ctx, env value.Tuple, t value.Tuple, cs []Command) {
 	}
 }
 
-// WriteValue streams the printed form of v into out — PrintValue without
-// the intermediate per-value string. On the per-tuple Ξ path this removes
-// the serialization builder every printed element node used to allocate
-// and grow.
+// WriteValue streams the printed form of v into out, following the paper's
+// simplified Ξ semantics: strings are copied (escaped), element nodes are
+// serialized, attribute and text nodes contribute their data, sequences
+// concatenate their items, and tuple sequences concatenate the values of
+// their tuples. It is the one serializer: concat writes its arguments
+// through it too.
 func WriteValue(out StringWriter, v value.Value) {
 	switch w := v.(type) {
 	case nil, value.Null:
@@ -97,49 +99,6 @@ func WriteValue(out StringWriter, v value.Value) {
 			}
 		}
 		out.WriteString(v.String())
-	}
-}
-
-// PrintValue renders a value for result construction, following the paper's
-// simplified Ξ semantics: strings are copied, element nodes are serialized,
-// attribute and text nodes contribute their data, sequences concatenate
-// their items, and tuple sequences concatenate the values of their tuples.
-func PrintValue(v value.Value) string {
-	switch w := v.(type) {
-	case nil, value.Null:
-		return ""
-	case value.NodeVal:
-		if w.Node == nil {
-			return ""
-		}
-		switch w.Node.Kind() {
-		case dom.KindAttribute, dom.KindText:
-			return w.Node.Data()
-		default:
-			return dom.XMLString(w.Node)
-		}
-	case value.Seq:
-		var sb strings.Builder
-		for _, item := range w {
-			sb.WriteString(PrintValue(item))
-		}
-		return sb.String()
-	case value.TupleSeq:
-		var sb strings.Builder
-		for _, t := range w {
-			t.EachValue(func(v value.Value) { sb.WriteString(PrintValue(v)) })
-		}
-		return sb.String()
-	case value.RowSeq:
-		var sb strings.Builder
-		for i := 0; i < w.Len(); i++ {
-			w.EachValue(i, func(v value.Value) { sb.WriteString(PrintValue(v)) })
-		}
-		return sb.String()
-	case value.Str:
-		return dom.EscapeText(string(w))
-	default:
-		return v.String()
 	}
 }
 

@@ -9,8 +9,9 @@
 // selection, for value probes) when a query path resolves onto indexed
 // paths — see internal/core's SubstituteIndexes. Probe semantics are exact:
 // value keys use value.KeyOf, whose equality classes coincide with
-// value.CompareAtomic equality, so an equality probe returns precisely the
-// nodes a scan-and-filter would keep; ordered comparisons fall back to a
+// value.CompareAtomic equality by construction — both read the atom rule of
+// internal/value, and FuzzCompareAtoms holds them to it — so an equality
+// probe returns precisely the nodes a scan-and-filter would keep; ordered comparisons fall back to a
 // linear pass over the path's node list with the same GeneralCompare the
 // σ predicate would run.
 package index
@@ -40,7 +41,8 @@ func (x *PathIndex) ScanAll() []*dom.Node { return x.Nodes }
 
 // ProbeEq implements algebra.NodeIndex: the nodes whose atomized value
 // equals the given atomic key (exact — KeyOf equality coincides with
-// CompareAtomic equality). ok is false when the path has no value layer.
+// CompareAtomic equality, see FuzzCompareAtoms). ok is false when the path
+// has no value layer.
 func (x *PathIndex) ProbeEq(key value.Value) ([]*dom.Node, bool) {
 	if !x.HasValues {
 		return nil, false
@@ -123,7 +125,7 @@ func BuildWith(d *dom.Document, st *stats.DocStats) *DocIndexes {
 		px.HasValues = true
 		px.eq = make(map[value.HashKey][]*dom.Node, ps.Distinct)
 		for _, n := range px.Nodes {
-			k := value.KeyOf(value.Str(n.StringValue()))
+			k := value.KeyOf(value.NodeVal{Node: n})
 			px.eq[k] = append(px.eq[k], n)
 		}
 	}

@@ -126,7 +126,7 @@ func TestBoxFreeReadersMatchAtomize(t *testing.T) {
 
 // TestKeyOfEquivalentToKey is HashKey's contract, over every pair of the
 // lexical forms that meet in a dedup table: KeyOf(a) == KeyOf(b) exactly
-// when Key(a) == Key(b).
+// when = holds under the atom rule or both sides atomize to nothing.
 func TestKeyOfEquivalentToKey(t *testing.T) {
 	nodes := textNodes(t)
 	forms := []Value{
@@ -139,9 +139,9 @@ func TestKeyOfEquivalentToKey(t *testing.T) {
 	}
 	for _, a := range forms {
 		for _, b := range forms {
-			if (KeyOf(a) == KeyOf(b)) != (Key(a) == Key(b)) {
-				t.Errorf("%v vs %v: KeyOf equal %v, Key equal %v (%q, %q)",
-					a, b, KeyOf(a) == KeyOf(b), Key(a) == Key(b), Key(a), Key(b))
+			if want := keysEqualByRule(a, b); (KeyOf(a) == KeyOf(b)) != want {
+				t.Errorf("%v vs %v: KeyOf equal %v, atom rule says %v (%v, %v)",
+					a, b, KeyOf(a) == KeyOf(b), want, KeyOf(a), KeyOf(b))
 			}
 		}
 	}
@@ -158,6 +158,8 @@ func TestBoxFreeReadersDoNotAllocate(t *testing.T) {
 		"GeneralCompare node":     func() { GeneralCompare(n, str, CmpEq) },
 		"KeyOf seq":               func() { KeyOf(seq) },
 		"AtomText seq":            func() { AtomText(seq) },
+		"Number node":             func() { Number(n) },
+		"Compare3 seq/node":       func() { Compare3(seq, n) },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {
 			t.Errorf("%s: %.1f allocations per call, want 0", name, a)

@@ -39,26 +39,6 @@ func (op CmpOp) String() string {
 	}
 }
 
-// Negate returns the complement operator (¬θ), used by Eqv. 7 where ∀ turns
-// into an anti-join with the negated predicate.
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case CmpEq:
-		return CmpNe
-	case CmpNe:
-		return CmpEq
-	case CmpLt:
-		return CmpGe
-	case CmpLe:
-		return CmpGt
-	case CmpGt:
-		return CmpLe
-	case CmpGe:
-		return CmpLt
-	}
-	return op
-}
-
 // Atomize converts a value into its sequence of atomic items: nodes become
 // their (untyped) string value, sequences atomize element-wise, Null yields
 // the empty sequence.
@@ -93,79 +73,39 @@ func Atomize(v Value) Seq {
 	}
 }
 
-// AtomizeSingle atomizes and returns the single atomic item, or nil when the
-// value atomizes to the empty sequence. Multi-item sequences return their
-// first item (the use-case queries only apply this to singletons). Unlike
-// Atomize it never materializes the sequence, but a node still costs the box
-// of its string value — the per-tuple consumers (comparison, hash key, the
-// builtins' string and number arguments) therefore read items directly
-// (CompareAtomic, KeyOf, AtomText) and come here only when the atom itself
-// must be kept.
+// AtomizeSingle returns the first atom of v (see atomOf), or nil when v
+// atomizes to the empty sequence; a node's atom is its string value, boxed.
+// The per-tuple consumers (comparison, hash key, the builtins' string and
+// number arguments) read the atom in place instead (CompareAtomic, KeyOf,
+// AtomText, Number) and come here only when the atom itself must be kept.
 func AtomizeSingle(v Value) Value {
-	switch w := v.(type) {
-	case nil, Null:
+	var a atom
+	if !atomOf(v, &a) {
 		return nil
-	case NodeVal:
-		return Str(w.Node.StringValue())
-	case Seq:
-		for _, item := range w {
-			if a := AtomizeSingle(item); a != nil {
-				return a
-			}
-		}
-		return nil
-	case TupleSeq:
-		for _, t := range w {
-			for _, a := range t.Attrs() {
-				if x := AtomizeSingle(t[a]); x != nil {
-					return x
-				}
-			}
-		}
-		return nil
-	case RowSeq:
-		for i := 0; i < w.Len(); i++ {
-			r := w.At(i)
-			for _, s := range w.Lay().Canon() {
-				if v := r.Vals[s]; v != nil {
-					if x := AtomizeSingle(v); x != nil {
-						return x
-					}
-				}
-			}
-		}
-		return nil
-	default:
-		return w
 	}
+	if _, isNode := a.item.(NodeVal); isNode {
+		return Str(a.text)
+	}
+	return a.item
 }
 
 // AtomText is AtomizeSingle(v).String() without boxing the atom: the text of
-// the value's single atomic item, ok=false when it atomizes to the empty
-// sequence.
+// the value's first atom, ok=false when it atomizes to the empty sequence.
 func AtomText(v Value) (string, bool) {
-	switch w := v.(type) {
-	case nil, Null:
+	var a atom
+	if !atomOf(v, &a) {
 		return "", false
-	case NodeVal:
-		return w.Node.StringValue(), true
-	case Str:
-		return string(w), true
-	case Seq:
-		for _, item := range w {
-			if s, ok := AtomText(item); ok {
-				return s, true
-			}
-		}
-		return "", false
-	case TupleSeq, RowSeq:
-		if a := AtomizeSingle(v); a != nil {
-			return a.String(), true
-		}
-		return "", false
-	default:
-		return w.String(), true
 	}
+	return a.String(), true
+}
+
+// Number reads the first atom of v as a number under the atom rule (see
+// atomOf): ok is false when v atomizes to nothing or its atom is text. The
+// number of a Float is the one its text reads back as, so -0 reads as 0.
+func Number(v Value) (float64, bool) {
+	var a atom
+	ok := atomOf(v, &a)
+	return a.num, ok && a.isNum
 }
 
 // AppendItems appends the items v atomizes from to dst: Atomize without the
@@ -193,54 +133,146 @@ func AppendItems(dst Seq, v Value) Seq {
 	return dst
 }
 
+// The atom rule. Every reader of an atomic value — comparison, sort order,
+// hash key, the builtins' numbers and texts — reads it through atomOf and
+// compares through cmpAtoms, so the rule is written once:
+//
+//   - What is a number. An atom is a number if it is an Int, a Float, a Bool
+//     (1 or 0), or text (a Str, a node's string value) that parses as a
+//     number once trimmed. Anything else is text.
+//   - Comparing numbers. Two numbers compare by value, and -0 equals 0. NaN
+//     equals NaN and has no order with any other number: =, <, <=, > and >=
+//     are false and != is true. In sort order NaN comes before every other
+//     number.
+//   - Numbers against text. A number and a text compare by text. A Bool's
+//     text for this purpose is "1" or "0", so equality stays an equivalence
+//     relation.
+//   - Keys. KeyOf(a) == KeyOf(b) exactly when CompareAtomic(a, b, CmpEq)
+//     (FuzzCompareAtoms).
 type atom struct {
-	isNum bool
+	item  Value  // what the atom was read from: an Int, Float, Bool, Str or NodeVal
+	text  string // a Str's or a node's text, as read
 	num   float64
-	str   string
-	// src defers string rendering of numeric atoms to the rare mixed
-	// numeric-vs-string comparison, keeping the all-numeric path free of
-	// the FormatInt/FormatFloat allocation.
-	src Value
+	isNum bool
+	typed bool // item is an Int, Float or Bool: its text is rendered from item
 }
 
-// text renders the atom for string comparison.
-func (a atom) text() string {
-	if a.isNum && a.str == "" && a.src != nil {
-		return a.src.String()
-	}
-	return a.str
-}
-
-func toAtom(v Value) (atom, bool) {
+// atomOf sets *a to the first atom of v: the item itself, a node's string
+// value read in place, or the first atom of a sequence or of a tuple
+// sequence's members (their attributes in canonical order). It reports
+// false, leaving *a unspecified, when v atomizes to nothing. The caller owns
+// a, so reading an atom copies nothing back.
+func atomOf(v Value, a *atom) bool {
 	switch w := v.(type) {
-	case nil, Null:
-		return atom{}, false
-	case Bool:
-		if bool(w) {
-			return atom{isNum: true, num: 1, str: "true"}, true
-		}
-		return atom{isNum: true, num: 0, str: "false"}, true
-	case Int:
-		return atom{isNum: true, num: float64(w), src: v}, true
-	case Float:
-		return atom{isNum: true, num: float64(w), src: v}, true
-	case Str:
-		return textAtom(string(w)), true
 	case NodeVal:
-		return textAtom(w.Node.StringValue()), true
+		*a = atom{item: v, text: w.Node.StringValue()}
+		a.num, a.isNum = parseNumber(a.text)
+	case Str:
+		*a = atom{item: v, text: string(w)}
+		a.num, a.isNum = parseNumber(a.text)
+	case Int:
+		*a = atom{item: v, num: float64(w), isNum: true, typed: true}
+	case Float:
+		*a = atom{item: v, num: float64(w) + 0, isNum: true, typed: true} // -0 prints, and reads back, as 0
+	case Bool:
+		*a = atom{item: v, isNum: true, typed: true}
+		if w {
+			a.num = 1
+		}
+	case nil, Null:
+		return false
 	default:
-		return atom{}, false
+		return firstAtom(v, a)
 	}
+	return true
 }
 
-// textAtom is the atom of an untyped string: numeric when it parses as one.
-func textAtom(s string) atom {
+// firstAtom is atomOf for the sequence kinds.
+func firstAtom(v Value, a *atom) bool {
+	switch w := v.(type) {
+	case Seq:
+		for _, item := range w {
+			if atomOf(item, a) {
+				return true
+			}
+		}
+	case TupleSeq:
+		for _, t := range w {
+			for _, name := range t.Attrs() {
+				if atomOf(t[name], a) {
+					return true
+				}
+			}
+		}
+	case RowSeq:
+		for i := 0; i < w.Len(); i++ {
+			r := w.At(i)
+			for _, s := range w.Lay().Canon() {
+				if atomOf(r.Vals[s], a) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// parseNumber reads untyped text as a number: ok when, trimmed, it parses
+// as one.
+func parseNumber(s string) (f float64, ok bool) {
 	if t := strings.TrimSpace(s); looksNumeric(t) {
 		if f, err := strconv.ParseFloat(t, 64); err == nil {
-			return atom{isNum: true, num: f, str: s}
+			return f, true
 		}
 	}
-	return atom{str: s}
+	return 0, false
+}
+
+// String is the atom's text as its item renders it: a Str's or a node's
+// text as read, "true"/"false" for a Bool, a number's digits.
+func (a *atom) String() string {
+	if !a.typed {
+		return a.text
+	}
+	return a.item.String()
+}
+
+// cmpAtoms compares two atoms under the rule: c is their order (NaN first
+// among numbers), and ordered is false exactly when one side is NaN and the
+// other a different number, where every operator but != is false.
+func cmpAtoms(x, y *atom) (c int, ordered bool) {
+	if !x.isNum || !y.isNum {
+		return strings.Compare(x.cmpText(), y.cmpText()), true
+	}
+	xNaN, yNaN := x.num != x.num, y.num != y.num
+	switch {
+	case xNaN && yNaN:
+		return 0, true
+	case xNaN:
+		return -1, false
+	case yNaN:
+		return 1, false
+	case x.num < y.num:
+		return -1, true
+	case x.num > y.num:
+		return 1, true
+	}
+	return 0, true
+}
+
+// cmpText is the text an atom compares by against a text atom: a Bool's is
+// "1" or "0".
+func (a *atom) cmpText() string {
+	if !a.typed {
+		return a.text
+	}
+	if b, ok := a.item.(Bool); ok {
+		if b {
+			return "1"
+		}
+		return "0"
+	}
+	return a.item.String()
 }
 
 // looksNumeric cheaply rejects strings that cannot parse as numbers, so the
@@ -262,25 +294,17 @@ func looksNumeric(s string) bool {
 	}
 }
 
-// CompareAtomic applies θ to two atomic (or node) values. Untyped values
-// compare numerically when both sides parse as numbers, else as strings.
-// It reports false when either side is absent (NULL/empty).
+// CompareAtomic applies θ to the first atoms of two values under the atom
+// rule. It reports false when either side is absent (NULL/empty).
 func CompareAtomic(a, b Value, op CmpOp) bool {
-	x, okx := toAtom(a)
-	y, oky := toAtom(b)
+	var x, y atom
+	okx, oky := atomOf(a, &x), atomOf(b, &y)
 	if !okx || !oky {
 		return false
 	}
-	var c int
-	if x.isNum && y.isNum {
-		switch {
-		case x.num < y.num:
-			c = -1
-		case x.num > y.num:
-			c = 1
-		}
-	} else {
-		c = strings.Compare(x.text(), y.text())
+	c, ordered := cmpAtoms(&x, &y)
+	if !ordered {
+		return op == CmpNe
 	}
 	switch op {
 	case CmpEq:
@@ -299,13 +323,12 @@ func CompareAtomic(a, b Value, op CmpOp) bool {
 	return false
 }
 
-// Compare3 three-way-compares two already-atomized values under
-// CompareAtomic's semantics (numeric when both sides parse as numbers, else
-// string), with absent (nil/NULL) values ordered first — the single-parse
-// comparison the sort operators use.
+// Compare3 is the sort order of both evaluators: it three-way-compares the
+// first atoms of two values under the atom rule (NaN before every other
+// number), with absent (nil/NULL/empty) values ordered first.
 func Compare3(a, b Value) int {
-	x, okx := toAtom(a)
-	y, oky := toAtom(b)
+	var x, y atom
+	okx, oky := atomOf(a, &x), atomOf(b, &y)
 	switch {
 	case !okx && !oky:
 		return 0
@@ -314,16 +337,8 @@ func Compare3(a, b Value) int {
 	case !oky:
 		return 1
 	}
-	if x.isNum && y.isNum {
-		switch {
-		case x.num < y.num:
-			return -1
-		case x.num > y.num:
-			return 1
-		}
-		return 0
-	}
-	return strings.Compare(x.text(), y.text())
+	c, _ := cmpAtoms(&x, &y)
+	return c
 }
 
 // GeneralCompare implements XQuery general comparison semantics: it holds if
@@ -385,35 +400,15 @@ func Member(a Value, v Value) bool {
 	return GeneralCompare(a, v, CmpEq)
 }
 
-// Key returns a canonical grouping/join key for a value under the comparison
-// semantics of CompareAtomic: numeric values of any lexical form coincide.
-// Empty/NULL values map to a distinguished key.
-func Key(v Value) string {
-	a := AtomizeSingle(v)
-	if a == nil {
-		return "\x00null"
-	}
-	at, ok := toAtom(a)
-	if !ok {
-		return "\x00null"
-	}
-	if at.isNum {
-		n := at.num
-		if n == 0 {
-			n = 0 // fold -0 into +0, as CompareAtomic and KeyOf do
-		}
-		return "n:" + strconv.FormatFloat(n, 'g', -1, 64)
-	}
-	return "s:" + at.str
-}
-
-// HashKey is the allocation-free form of Key: a comparable struct usable as
-// a Go map key. KeyOf(a) == KeyOf(b) exactly when Key(a) == Key(b).
+// HashKey is the canonical grouping/join key of a value: a comparable struct
+// usable as a Go map key, allocated nowhere. KeyOf(a) == KeyOf(b) exactly
+// when CompareAtomic(a, b, CmpEq); every value that atomizes to nothing has
+// the zero key.
 //
 // A HashKey carries up to two columns inline (the second column's fields
 // are zero for single-column keys; kind2 is tagged so a two-column key
 // never collides with a one-column key). Keys wider than two columns fold
-// into a single length-prefixed string — see KeyOfSlots.
+// into a single string of the columns' rendered keys — see KeyOfSlots.
 type HashKey struct {
 	kind byte // 0 null, 'n' numeric, 'N' NaN, 's' string, 'm' multi-column fold
 	num  float64
@@ -424,21 +419,18 @@ type HashKey struct {
 	str2  string
 }
 
-// numKey folds every NaN into one key: NaN != NaN would otherwise make a
-// struct key that never matches itself, while Key() renders all NaNs as the
-// same "n:NaN" string.
+// numKey is the key of a number: every NaN is one key (NaN equals NaN under
+// the atom rule, but a float field holding it would never match itself),
+// and -0 is 0's.
 func numKey(f float64) HashKey {
 	if f != f {
 		return HashKey{kind: 'N'}
 	}
 	if f == 0 {
-		f = 0 // fold -0 into +0, matching CompareAtomic's f == 0 semantics
+		f = 0
 	}
 	return HashKey{kind: 'n', num: f}
 }
-
-// FoldKey wraps a pre-folded multi-column key string.
-func FoldKey(s string) HashKey { return HashKey{kind: 'm', str: s} }
 
 // compositeTag marks the second column of a two-column composite key:
 // kind2 is never zero for a composite, so (x, NULL) cannot collide with
@@ -458,8 +450,8 @@ func CombineKeys(a, b HashKey) HashKey {
 // KeyOfSlots computes the canonical composite grouping/join key of the
 // values at the given slots — the multi-column extension of KeyOf, used by
 // every hashing operator of the slot engine. One- and two-column keys
-// are allocation-free; wider keys fold the per-column Key strings into one
-// length-prefixed string (no separator collisions).
+// are allocation-free; wider keys fold the columns' keys into one string
+// (writeFoldCol).
 func KeyOfSlots(vals []Value, slots []int) HashKey {
 	switch len(slots) {
 	case 0:
@@ -471,9 +463,9 @@ func KeyOfSlots(vals []Value, slots []int) HashKey {
 	}
 	var sb strings.Builder
 	for _, s := range slots {
-		writeFoldCol(&sb, vals[s])
+		writeFoldCol(&sb, KeyOf(vals[s]))
 	}
-	return FoldKey(sb.String())
+	return HashKey{kind: 'm', str: sb.String()}
 }
 
 // KeyOfAttrs is KeyOfSlots for map tuples. Both functions produce the same
@@ -490,63 +482,40 @@ func KeyOfAttrs(t Tuple, attrs []string) HashKey {
 	}
 	var sb strings.Builder
 	for _, a := range attrs {
-		writeFoldCol(&sb, t[a])
+		writeFoldCol(&sb, KeyOf(t[a]))
 	}
-	return FoldKey(sb.String())
+	return HashKey{kind: 'm', str: sb.String()}
 }
 
-func writeFoldCol(sb *strings.Builder, v Value) {
-	k := Key(v)
-	sb.WriteString(strconv.Itoa(len(k)))
-	sb.WriteByte(':')
-	sb.WriteString(k)
+// writeFoldCol renders one column's key into a wide key: its kind, then a
+// number's shortest digits closed by ';' or a text's length-prefixed bytes.
+// Each rendering ends where it says it does, so the fold of several columns
+// is equal exactly when every column's key is.
+func writeFoldCol(sb *strings.Builder, k HashKey) {
+	sb.WriteByte(k.kind)
+	switch k.kind {
+	case 'n':
+		sb.WriteString(strconv.FormatFloat(k.num, 'g', -1, 64))
+		sb.WriteByte(';')
+	case 's':
+		sb.WriteString(strconv.Itoa(len(k.str)))
+		sb.WriteByte(':')
+		sb.WriteString(k.str)
+	}
 }
 
-// KeyOf computes the canonical grouping/join key of a value without
-// allocating: the hot path of every hash join, grouping and distinct
+// KeyOf computes the canonical grouping/join key of a value's first atom
+// without allocating: the hot path of every hash join, grouping and distinct
 // operator in the slot engine.
 func KeyOf(v Value) HashKey {
-	switch w := v.(type) {
-	case nil, Null:
+	var a atom
+	switch {
+	case !atomOf(v, &a):
 		return HashKey{}
-	case Bool:
-		if bool(w) {
-			return HashKey{kind: 'n', num: 1}
-		}
-		return HashKey{kind: 'n', num: 0}
-	case Int:
-		return numKey(float64(w))
-	case Float:
-		return numKey(float64(w))
-	case Str:
-		return keyOfString(string(w))
-	case NodeVal:
-		return keyOfString(w.Node.StringValue())
-	case Seq:
-		// The key of the first item that has one: an atom's key is never the
-		// zero HashKey, so zero means "atomizes to nothing, look further".
-		for _, item := range w {
-			if k := KeyOf(item); k.kind != 0 {
-				return k
-			}
-		}
-		return HashKey{}
-	default:
-		a := AtomizeSingle(v)
-		if a == nil {
-			return HashKey{}
-		}
-		return KeyOf(a)
+	case a.isNum:
+		return numKey(a.num)
 	}
-}
-
-func keyOfString(s string) HashKey {
-	if t := strings.TrimSpace(s); looksNumeric(t) {
-		if f, err := strconv.ParseFloat(t, 64); err == nil {
-			return numKey(f)
-		}
-	}
-	return HashKey{kind: 's', str: s}
+	return HashKey{kind: 's', str: a.text}
 }
 
 // EffectiveBool computes an effective boolean value: false for NULL, empty

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -13,9 +14,9 @@ func randVal(rng *rand.Rand) Value {
 	case 0:
 		return Int(int64(rng.Intn(5)))
 	case 1:
-		return Float(float64(rng.Intn(5)))
+		return Float([]float64{0, 1, 3, 10, math.NaN()}[rng.Intn(5)])
 	case 2:
-		return Str([]string{"a", "b", "3", " 3 ", ""}[rng.Intn(5)])
+		return Str([]string{"a", "b", "3", " 3 ", "", "NaN", "1e1", "10", "true", "1:a"}[rng.Intn(10)])
 	case 3:
 		return Null{}
 	case 4:
@@ -26,11 +27,11 @@ func randVal(rng *rand.Rand) Value {
 }
 
 // TestKeyOfSlotsMatchesPerColumnKeys: composite keys are equal exactly
-// when every column's Key string is equal — at widths 1, 2 (inline
-// composite) and 3 (string fold).
+// when every column's KeyOf is equal — at widths 1, 2 (inline composite)
+// and 3 and 4 (string fold).
 func TestKeyOfSlotsMatchesPerColumnKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for width := 1; width <= 3; width++ {
+	for width := 1; width <= 4; width++ {
 		slots := make([]int, width)
 		for i := range slots {
 			slots[i] = i
@@ -44,7 +45,7 @@ func TestKeyOfSlotsMatchesPerColumnKeys(t *testing.T) {
 			}
 			wantEq := true
 			for i := 0; i < width; i++ {
-				if Key(a[i]) != Key(b[i]) {
+				if KeyOf(a[i]) != KeyOf(b[i]) {
 					wantEq = false
 				}
 			}

@@ -104,8 +104,12 @@ func TestOneMemberSequenceReadsAsItsItem(t *testing.T) {
 					}
 				}
 			}
-			if KeyOf(x) != KeyOf(sx) || Key(x) != Key(sx) {
+			if KeyOf(x) != KeyOf(sx) {
 				t.Errorf("KeyOf(%#v) = %v, of %#v %v", x, KeyOf(x), sx, KeyOf(sx))
+			}
+			f, ok := Number(x)
+			if sf, sok := Number(sx); f != sf || ok != sok {
+				t.Errorf("Number(%#v) = %v,%v, of %#v %v,%v", x, f, ok, sx, sf, sok)
 			}
 			if EffectiveBool(x) != EffectiveBool(sx) {
 				t.Errorf("EffectiveBool(%#v) = %v, of %#v %v", x, EffectiveBool(x), sx, EffectiveBool(sx))

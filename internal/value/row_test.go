@@ -107,6 +107,12 @@ func TestConcatRows(t *testing.T) {
 	}
 }
 
+// keysEqualByRule is what KeyOf(a) == KeyOf(b) must say: = holds under the
+// atom rule, or both values atomize to nothing.
+func keysEqualByRule(a, b Value) bool {
+	return CompareAtomic(a, b, CmpEq) || len(Atomize(a)) == 0 && len(Atomize(b)) == 0
+}
+
 func TestKeyOfMatchesKey(t *testing.T) {
 	nan := Float(0)
 	nan = Float(float64(nan) / float64(nan)) // NaN via arithmetic
@@ -119,10 +125,9 @@ func TestKeyOfMatchesKey(t *testing.T) {
 	}
 	for i, a := range vals {
 		for j, b := range vals {
-			sameStr := Key(a) == Key(b)
-			sameKey := KeyOf(a) == KeyOf(b)
-			if sameStr != sameKey {
-				t.Errorf("KeyOf disagrees with Key for #%d vs #%d: %v/%v", i, j, sameStr, sameKey)
+			want := keysEqualByRule(a, b)
+			if got := KeyOf(a) == KeyOf(b); got != want {
+				t.Errorf("KeyOf disagrees with the atom rule for #%d vs #%d: %v/%v", i, j, want, got)
 			}
 		}
 	}
@@ -201,13 +206,14 @@ func negZero() float64 {
 	return -z
 }
 
-// TestKeyNegativeZero pins the fold of -0 into +0 on both key forms: the
+// TestKeyNegativeZero pins the fold of -0 into +0 on every key form: the
 // comparison semantics treat them equal, so grouping must too.
 func TestKeyNegativeZero(t *testing.T) {
-	if Key(Float(negZero())) != Key(Float(0)) {
-		t.Fatalf("Key(-0) %q != Key(0) %q", Key(Float(negZero())), Key(Float(0)))
-	}
-	if KeyOf(Float(negZero())) != KeyOf(Int(0)) {
+	if KeyOf(Float(negZero())) != KeyOf(Int(0)) || KeyOf(Str("-0")) != KeyOf(Float(0)) {
 		t.Fatalf("KeyOf(-0) != KeyOf(0)")
+	}
+	vals, slots := []Value{Str("-0"), Float(negZero()), Int(1)}, []int{0, 1, 2}
+	if KeyOfSlots(vals, slots) != KeyOfSlots([]Value{Int(0), Str("0"), Int(1)}, slots) {
+		t.Fatalf("a wide key tells -0 from 0")
 	}
 }

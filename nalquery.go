@@ -324,11 +324,6 @@ type Query struct {
 	Text string
 	// Normalized is the normalized source form (Sec. 3).
 	Normalized string
-	// OrderIrrelevant reports that the query was wrapped in XQuery's
-	// unordered() function (Sec. 1): the result may be produced in any
-	// order. The engine still runs the wrapped query's own order-preserving
-	// plans, so results are those of the unwrapped query.
-	OrderIrrelevant bool
 
 	docs   map[string]*dom.Document // immutable snapshot taken at Compile
 	model  *cost.Model
@@ -433,11 +428,9 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 	// gets exactly the plans of the FLWR it wraps — left in place, the
 	// unordered builtin would be an un-unnestable call with only a nested
 	// plan.
-	orderIrrelevant := false
 	if c, ok := ast.(xquery.Call); ok && c.Fn == "unordered" && len(c.Args) == 1 {
 		if f, isFLWR := c.Args[0].(xquery.FLWR); isFLWR {
 			ast = f
-			orderIrrelevant = true
 		}
 	}
 	norm := normalize.NormalizeWithCatalog(ast, cat)
@@ -465,7 +458,7 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 		model = st.model
 	}
 	q = &Query{Text: text, Normalized: norm.String(), docs: docs, model: model,
-		OrderIrrelevant: orderIrrelevant, params: mod.Externals, idxHits: &e.indexHits}
+		params: mod.Externals, idxHits: &e.indexHits}
 	for _, a := range alts {
 		est := model.Plan(a.Op)
 		q.plans = append(q.plans, Plan{

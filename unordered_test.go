@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// unordered(Q) ≡ Q: a top-level unordered(FLWR) wrapper sets
-// OrderIrrelevant and is stripped, and the query is compiled, planned and
-// run exactly as Q — there is no unordered plan family.
+// unordered(Q) ≡ Q: a top-level unordered(FLWR) wrapper is stripped, and
+// the query is compiled, planned and run exactly as Q — there is no
+// unordered plan family.
 
 // compileBoth compiles every paper query plain and wrapped in unordered()
 // over a size-30 corpus.
@@ -32,12 +32,13 @@ func compileBoth(t *testing.T) map[string][2]*Query {
 	return out
 }
 
-// TestUnorderedWrapperDetected: the wrapper sets OrderIrrelevant, and the
-// wrapped query lists exactly Q's plans, in Q's order.
+// TestUnorderedWrapperDetected: the wrapper is stripped before
+// normalization, and the wrapped query lists exactly Q's plans, in Q's
+// order.
 func TestUnorderedWrapperDetected(t *testing.T) {
 	for id, qs := range compileBoth(t) {
-		if !qs[1].OrderIrrelevant {
-			t.Errorf("%s: OrderIrrelevant = false, want true for unordered(FLWR)", id)
+		if qs[1].Normalized != qs[0].Normalized {
+			t.Errorf("%s: unordered(Q) normalizes to %q, Q to %q", id, qs[1].Normalized, qs[0].Normalized)
 		}
 		if got, want := planNames(qs[1]), planNames(qs[0]); !slices.Equal(got, want) {
 			t.Errorf("%s: unordered(Q) plans %v, Q plans %v", id, got, want)
@@ -65,14 +66,10 @@ func TestUnorderedOutputsArePermutations(t *testing.T) {
 	}
 }
 
-// TestUnorderedRejectedWithoutWrapper: a plain query is not order-irrelevant,
-// and no query — wrapped or not — has a plan named "unordered …".
+// TestUnorderedRejectedWithoutWrapper: no query — wrapped or not — has a
+// plan named "unordered …".
 func TestUnorderedRejectedWithoutWrapper(t *testing.T) {
-	qs := compileBoth(t)["q1"]
-	if qs[0].OrderIrrelevant {
-		t.Errorf("OrderIrrelevant = true for a plain FLWR query")
-	}
-	for _, q := range qs {
+	for _, q := range compileBoth(t)["q1"] {
 		_, _, err := execute(q, "unordered grouping")
 		var upe *UnknownPlanError
 		if !errors.As(err, &upe) {
