@@ -72,6 +72,12 @@ func TestPaperPlanAllocBudget(t *testing.T) {
 // were map tuples (48 bytes an entry), so the bytes fall; and in q1/q1dblp the
 // nested block's ΠA payload is now the flat backing the engine charges under
 // "group" wherever it builds one — one more consultation per outer tuple.
+//
+// The label sums of the ⋉, ▷ and ⟕ rows were re-read when joins began to
+// build their right input on the first left row instead of when they open:
+// the same labels are consulted as often and charge the same bytes and
+// tuples, but the first left row's scan now comes before the build side's
+// charges. (No row here has an empty probe side, so no count moved.)
 func TestBudgetChargesIndependentOfAllocation(t *testing.T) {
 	eng := runEngine(40)
 	for _, want := range []struct {
@@ -81,39 +87,39 @@ func TestBudgetChargesIndependentOfAllocation(t *testing.T) {
 		labels        uint32 // FNV-1a over the consulted labels, in order
 	}{
 		{"q1", "nested", 136240, 1640, 1880, 0x25306a95},
-		{"q1", "outer join", 28720, 200, 560, 0xfcd315b5},
+		{"q1", "outer join", 28720, 200, 560, 0x780094f5},
 		{"q1", "grouping", 22320, 120, 440, 0x8b72434d},
 		{"q1", "group Ξ", 22320, 120, 440, 0xd9f7796d},
-		{"q1", "indexed outer join", 28720, 200, 560, 0xfcd315b5},
+		{"q1", "indexed outer join", 28720, 200, 560, 0x780094f5},
 		{"q1", "indexed grouping", 22320, 120, 440, 0x8b72434d},
 		{"q1", "indexed group Ξ", 22320, 120, 440, 0xd9f7796d},
 		{"q1dblp", "nested", 24938, 285, 399, 0x75989b79},
-		{"q1dblp", "outer join", 9770, 69, 219, 0xa14df97c},
-		{"q1dblp", "indexed outer join", 9770, 69, 219, 0xa14df97c},
+		{"q1dblp", "outer join", 9770, 69, 219, 0x1658ea9c},
+		{"q1dblp", "indexed outer join", 9770, 69, 219, 0x1658ea9c},
 		{"q2", "nested", 292392, 3566, 3766, 0x25f7f11b},
-		{"q2", "outer join", 38280, 338, 578, 0x63e4c80d},
+		{"q2", "outer join", 38280, 338, 578, 0x9c4fc51d},
 		{"q2", "grouping", 31880, 258, 458, 0xbc9a6da5},
-		{"q2", "indexed outer join", 38280, 338, 578, 0x63e4c80d},
+		{"q2", "indexed outer join", 38280, 338, 578, 0x9c4fc51d},
 		{"q2", "indexed grouping", 31880, 258, 458, 0xbc9a6da5},
 		{"q3", "nested", 132235, 1640, 1685, 0xb48c227f},
-		{"q3", "semijoin", 10635, 120, 205, 0x2ca83f97},
+		{"q3", "semijoin", 10635, 120, 205, 0x72574157},
 		{"q3", "indexed nested", 132235, 1640, 1685, 0xb48c227f},
-		{"q3", "indexed semijoin", 10635, 120, 205, 0x2ca83f97},
+		{"q3", "indexed semijoin", 10635, 120, 205, 0x72574157},
 		{"q4", "nested", 881460, 9720, 9732, 0x8926e9c1},
-		{"q4", "semijoin", 22132, 242, 334, 0xba2cf4d},
+		{"q4", "semijoin", 22132, 242, 334, 0x72d175ed},
 		{"q4", "grouping", 18740, 200, 212, 0x46bd615d},
 		{"q4", "indexed nested", 881460, 9720, 9732, 0x8926e9c1},
-		{"q4", "indexed semijoin", 22132, 242, 334, 0xba2cf4d},
+		{"q4", "indexed semijoin", 22132, 242, 334, 0x72d175ed},
 		{"q4", "indexed grouping", 18740, 200, 212, 0x46bd615d},
 		{"q5", "nested", 363082, 4840, 4918, 0x7593d6f5},
-		{"q5", "anti-semijoin", 15178, 176, 294, 0xa668b0d9},
+		{"q5", "anti-semijoin", 15178, 176, 294, 0x554d4eb1},
 		{"q5", "grouping", 18122, 200, 278, 0xd6c8a625},
-		{"q5", "indexed anti-semijoin", 15178, 176, 294, 0xa668b0d9},
+		{"q5", "indexed anti-semijoin", 15178, 176, 294, 0x554d4eb1},
 		{"q5", "indexed grouping", 18122, 200, 278, 0xd6c8a625},
 		{"q6", "nested", 26423, 328, 337, 0x611a705b},
-		{"q6", "outer join", 8503, 96, 113, 0x6a4e52db},
+		{"q6", "outer join", 8503, 96, 113, 0x9d50fc1b},
 		{"q6", "grouping", 7223, 80, 89, 0xabe947f3},
-		{"q6", "indexed outer join", 8503, 96, 113, 0x6a4e52db},
+		{"q6", "indexed outer join", 8503, 96, 113, 0x9d50fc1b},
 		{"q6", "indexed grouping", 7223, 80, 89, 0xabe947f3},
 	} {
 		q, err := eng.Compile(PaperQueries[want.id])

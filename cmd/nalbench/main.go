@@ -112,11 +112,15 @@ type benchRecord struct {
 // jsonFamilies are the -json experiment ids beyond the paper tables.
 var jsonFamilies = []string{"grouping"}
 
-// measures reports whether -json still produces rows under the experiment
-// id — what -diff needs to tell a retired family from a truncated file.
-func measures(id string) bool {
-	_, ok := experiments.Find(id)
-	return ok || slices.Contains(jsonFamilies, id)
+// measures reports whether -json still produces the row — what -diff needs
+// to tell a retired row from a truncated file. A paper table measures every
+// plan its query compiles to; the grouping family the plans it lists.
+func measures(r benchRecord) bool {
+	if r.Experiment == "grouping" {
+		return slices.Contains(experiments.GroupingPlanNames(), r.Plan)
+	}
+	_, ok := experiments.Find(r.Experiment)
+	return ok
 }
 
 // runJSON measures every plan of the selected experiments with
@@ -188,7 +192,7 @@ func runJSON(path, expID string, opts experiments.Options) error {
 			}
 		}
 	}
-	// The grouping family: Γ payload construction, the Γ→µ roundtrip and
+	// The grouping family: Γ payload construction, the Γ→µD roundtrip and
 	// the quantifier plan alternatives — the nested-data workloads the
 	// RowSeq representation exists for.
 	if expID == "all" || expID == "grouping" {
@@ -274,17 +278,17 @@ func runDiff(basePath, newPath string, threshold, bThreshold float64) error {
 					key(r), b.BytesPerOp, r.BytesPerOp, db, bThreshold))
 		}
 	}
-	// A baseline row nalbench no longer measures belongs to a retired family
-	// and passes. A row that vanished from a family still measured is a
-	// failure: a truncated results file (e.g. a partial -exp regeneration)
-	// must not pass for a full one.
+	// A baseline row nalbench no longer measures is retired and passes. A
+	// row that vanished although it is still measured is a failure: a
+	// truncated results file (e.g. a partial -exp regeneration) must not
+	// pass for a full one.
 	gone := make([]string, 0, len(baseBy))
 	for k := range baseBy {
 		gone = append(gone, k)
 	}
 	slices.Sort(gone)
 	for _, k := range gone {
-		if !measures(baseBy[k].Experiment) {
+		if !measures(baseBy[k]) {
 			fmt.Printf("%-52s %12s %12s\n", k, "retired", "retired")
 			continue
 		}

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestDiffRetiredVersusTruncated: a baseline row of an experiment nalbench
-// no longer measures is a retired family and passes; a row missing from an
-// experiment it still measures is a truncated file and fails.
+// TestDiffRetiredVersusTruncated: a baseline row nalbench no longer measures
+// — of a retired family, or a grouping plan it stopped listing — is retired
+// and passes; a row it still measures missing is a truncated file and fails.
 func TestDiffRetiredVersusTruncated(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, recs []benchRecord) string {
@@ -27,12 +27,19 @@ func TestDiffRetiredVersusTruncated(t *testing.T) {
 	q1 := benchRecord{Experiment: "q1", Plan: "grouping", Size: 100, APB: 2, BytesPerOp: 1000, AllocsPerOp: 10}
 	q1nested := benchRecord{Experiment: "q1", Plan: "nested", Size: 100, APB: 2, BytesPerOp: 9000, AllocsPerOp: 90}
 	joins := benchRecord{Experiment: "joins", Plan: "grace+sort", Size: 100, BytesPerOp: 500, AllocsPerOp: 5}
+	mu := benchRecord{Experiment: "grouping", Plan: "gamma-mu-roundtrip", Size: 100, BytesPerOp: 700, AllocsPerOp: 7}
+	unary := benchRecord{Experiment: "grouping", Plan: "unary-gamma", Size: 100, BytesPerOp: 600, AllocsPerOp: 6}
 	cur := write("cur.json", []benchRecord{q1, q1nested})
 
-	if err := runDiff(write("retired.json", []benchRecord{q1, q1nested, joins}), cur, 10, 15); err != nil {
-		t.Errorf("a retired family must pass: %v", err)
+	err := runDiff(write("retired.json", []benchRecord{q1, q1nested, joins, mu}), cur, 10, 15)
+	if err != nil {
+		t.Errorf("retired rows must pass: %v", err)
 	}
-	err := runDiff(write("full.json", []benchRecord{q1, q1nested}), write("truncated.json", []benchRecord{q1}), 10, 15)
+	err = runDiff(write("grouping.json", []benchRecord{q1, q1nested, unary}), cur, 10, 15)
+	if err == nil || !strings.Contains(err.Error(), "grouping/unary-gamma/size=100/apb=0: missing") {
+		t.Errorf("a grouping plan still measured missing must fail, got %v", err)
+	}
+	err = runDiff(write("full.json", []benchRecord{q1, q1nested}), write("truncated.json", []benchRecord{q1}), 10, 15)
 	if err == nil || !strings.Contains(err.Error(), "q1/nested/size=100/apb=2: missing") {
 		t.Errorf("a row missing from a measured experiment must fail, got %v", err)
 	}

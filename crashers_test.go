@@ -28,7 +28,8 @@ func crasherEngine(t *testing.T) *Engine {
 
 // assertAllPlansAgree runs the query through every plan alternative on both
 // engines plus the typed consumption path and fails on any divergence from
-// the first plan's slot-engine output — the differential oracle, pinned.
+// the first plan's slot-engine output, or between the work the two engines
+// count for a plan — the differential oracle, pinned.
 func assertAllPlansAgree(t *testing.T, eng *Engine, query string) string {
 	t.Helper()
 	p, err := eng.Prepare(query)
@@ -37,6 +38,7 @@ func assertAllPlansAgree(t *testing.T, eng *Engine, query string) string {
 	}
 	var ref string
 	for pi, plan := range p.Plans() {
+		var slot algebra.Stats
 		for _, mode := range []struct {
 			name string
 			opts []RunOption
@@ -44,9 +46,14 @@ func assertAllPlansAgree(t *testing.T, eng *Engine, query string) string {
 			{"slot", []RunOption{WithPlan(plan.Name)}},
 			{"map", []RunOption{WithPlan(plan.Name), WithReferenceEngine()}},
 		} {
-			out, _, err := sweepRun(p, mode.opts)
+			out, st, err := sweepRun(p, mode.opts)
 			if err != nil {
 				t.Fatalf("plan %q on %s engine: %v", plan.Name, mode.name, err)
+			}
+			if mode.name == "slot" {
+				slot = st
+			} else if st != slot {
+				t.Errorf("plan %q: the row engine counted %+v, the reference evaluator %+v", plan.Name, slot, st)
 			}
 			if pi == 0 && mode.name == "slot" {
 				ref = out

@@ -48,9 +48,11 @@ func TestCompositeKeysDoNotCollide(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := c.op.Eval(NewCtx(nil), nil)
-		got := RunIter(native(c.op), NewCtx(nil), nil)
-		if !value.TupleSeqEqual(want, got) {
-			t.Errorf("%s: Eval %s ≠ RunIter %s", c.name, want, got)
+		// ΠD is definitional only: it has no row-engine half.
+		if _, definitional := c.op.(ProjectDistinct); !definitional {
+			if got := RunIter(native(c.op), NewCtx(nil), nil); !value.TupleSeqEqual(want, got) {
+				t.Errorf("%s: Eval %s ≠ RunIter %s", c.name, want, got)
+			}
 		}
 		if len(want) != c.rows {
 			t.Errorf("%s: Eval returns %d rows, want %d: %s", c.name, len(want), c.rows, want)

@@ -32,7 +32,6 @@ func TestIterBasicOps(t *testing.T) {
 		Project{In: relR2(), Names: []string{"A2"}},
 		ProjectDrop{In: relR2(), Names: []string{"B"}},
 		ProjectRename{In: relR2(), Pairs: []Rename{{New: "C", Old: "A2"}}},
-		ProjectDistinct{In: relR2(), Pairs: []Rename{{New: "A1", Old: "A2"}}},
 		Map{In: relR1(), Attr: "x", E: ConstVal{V: value.Int(9)}},
 		Cross{L: relR1(), R: relR2()},
 		Join{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
@@ -55,7 +54,7 @@ func TestIterOuterJoin(t *testing.T) {
 func TestIterUnnest(t *testing.T) {
 	grouped := GroupBinary{L: relR1(), R: relR2(), G: "g",
 		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
-	iterMatches(t, Unnest{In: grouped, Attr: "g"})
+	iterMatches(t, UnnestDistinct{In: grouped, Attr: "g"})
 }
 
 func TestIterUnnestMap(t *testing.T) {
@@ -112,7 +111,8 @@ func TestIterMatchesEvalProperty(t *testing.T) {
 		case 4:
 			op = Select{In: Cross{L: e1, R: e2}, Pred: eqCmp("A1", "A2")}
 		default:
-			op = ProjectDistinct{In: e2, Pairs: []Rename{{New: "k", Old: "A2"}}}
+			op = UnnestDistinct{In: GroupUnary{In: e2, G: "g", By: []string{"A2"},
+				Theta: value.CmpEq, F: SFIdent{}}, Attr: "g"}
 		}
 		a := op.Eval(NewCtx(nil), nil)
 		b := RunIter(native(op), NewCtx(nil), nil)

@@ -10,11 +10,16 @@ import (
 // The test fixtures feed plans from constOp leaves, which only the
 // definitional Eval can read. native rewrites a plan for the row engine: every
 // constOp — an input, or a leaf inside the plan of a nested expression —
-// becomes what it stands for there, µ over one constant slot-backed payload
-// (an empty relation: Π over σ[false]), so that both evaluators run the same
-// relation and the row engine runs nothing it would not run in production.
+// becomes what it stands for there, µD over one constant slot-backed payload
+// whose members carry their position, so that µD keeps them all, projected to
+// the declared attributes (an empty relation: Π over σ[false]), so that both
+// evaluators run the same relation and the row engine runs nothing it would
+// not run in production.
 
-const relAttr = "\x00rel"
+const (
+	relAttr = "\x00rel"
+	relPos  = "\x00pos"
+)
 
 func native(op Op) Op {
 	return lowered(reflect.ValueOf(&op).Elem()).Interface().(Op)
@@ -64,8 +69,13 @@ func (c constOp) native() Op {
 	if len(c.ts) == 0 {
 		return Project{Names: attrs, In: Select{Pred: ConstVal{V: value.Bool(false)}, In: Singleton{}}}
 	}
-	return Unnest{Attr: relAttr, InnerAttrs: attrs,
-		In: Map{In: Singleton{}, Attr: relAttr, E: ConstVal{V: rowSeqOf(c.ts)}}}
+	ts := make(value.TupleSeq, len(c.ts))
+	for i, t := range c.ts {
+		ts[i] = t.Copy()
+		ts[i][relPos] = value.Int(int64(i))
+	}
+	return Project{Names: attrs, In: UnnestDistinct{Attr: relAttr,
+		In: Map{In: Singleton{}, Attr: relAttr, E: ConstVal{V: rowSeqOf(ts)}}}}
 }
 
 // rowSeqOf re-types map tuples — and the tuple sequences nested in them — as

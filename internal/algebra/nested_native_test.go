@@ -188,7 +188,7 @@ func TestNestedPlansMatchEvalProperty(t *testing.T) {
 			Map{In: e1, Attr: "g", E: NestedApply{F: fs[rng.Intn(len(fs))], Plan: inner}},
 			Select{In: e1, Pred: ExistsQ{Var: "x", RangeAttr: "B", Range: inner, Pred: pred}},
 			Select{In: e1, Pred: ForallQ{Var: "x", RangeAttr: "B", Range: inner, Pred: pred}},
-			Unnest{Attr: "g", In: Map{In: e1, Attr: "g", E: NestedApply{F: SFIdent{},
+			UnnestDistinct{Attr: "g", In: Map{In: e1, Attr: "g", E: NestedApply{F: SFIdent{},
 				Plan: Map{In: inner, Attr: "n", E: NestedApply{F: SFCount{},
 					Plan: Select{In: e2, Pred: AndExpr{L: cmp(Var{Name: "A2"}, value.CmpLe, Var{Name: "C"}), R: eqCmp("B", "B")}}}}}}},
 		}

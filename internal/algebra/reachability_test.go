@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -22,21 +23,30 @@ var definitionalOnly = map[string]bool{
 }
 
 // TestEveryNativeOperatorIsReachable: an operator with a case in the
-// //nal:opswitch rowiter dispatch is constructed somewhere in the non-test
-// code of the translator or the rewriter — so a query can reach it — or is
-// one of the listed definitional operators. An operator only tests and
-// benchmarks can build fails here.
+// //nal:opswitch schema surface — the rule that types it and builds its
+// iterator — is constructed somewhere in the non-test code of the translator
+// or the rewriter, so a query can reach it; and the surface's exempt= list,
+// the operators without a rule, is exactly definitionalOnly. An operator
+// only tests and benchmarks can build fails here.
 func TestEveryNativeOperatorIsReachable(t *testing.T) {
 	fset := token.NewFileSet()
-	src, err := parser.ParseFile(fset, "rowiter.go", nil, parser.ParseComments)
+	src, err := parser.ParseFile(fset, "schema.go", nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var markerLine int
+	exempt := map[string]bool{}
 	for _, cg := range src.Comments {
 		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, "//nal:opswitch rowiter") {
-				markerLine = fset.Position(c.Pos()).Line
+			rest, ok := strings.CutPrefix(c.Text, "//nal:opswitch schema")
+			if !ok {
+				continue
+			}
+			markerLine = fset.Position(c.Pos()).Line
+			if list, ok := strings.CutPrefix(strings.TrimSpace(rest), "exempt="); ok {
+				for _, name := range strings.Split(list, ",") {
+					exempt[name] = true
+				}
 			}
 		}
 	}
@@ -54,7 +64,10 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 		return false
 	})
 	if len(dispatched) == 0 {
-		t.Fatal("no //nal:opswitch rowiter type switch found in rowiter.go")
+		t.Fatal("no //nal:opswitch schema type switch found in schema.go")
+	}
+	if !maps.Equal(exempt, definitionalOnly) {
+		t.Errorf("the schema surface exempts %v; the definitional-only operators are %v", exempt, definitionalOnly)
 	}
 
 	produced := map[string]bool{}
@@ -81,16 +94,19 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 
 	var unreachable, stale []string
 	for _, op := range dispatched {
-		switch {
-		case !produced[op] && !definitionalOnly[op]:
+		if !produced[op] {
 			unreachable = append(unreachable, op)
-		case produced[op] && definitionalOnly[op]:
+		}
+	}
+	for op := range definitionalOnly {
+		if produced[op] {
 			stale = append(stale, op)
 		}
 	}
 	sort.Strings(unreachable)
+	sort.Strings(stale)
 	if len(unreachable) > 0 {
-		t.Errorf("operators with a native iterator that neither internal/translate nor internal/core constructs: %v", unreachable)
+		t.Errorf("operators with a schema rule that neither internal/translate nor internal/core constructs: %v", unreachable)
 	}
 	if len(stale) > 0 {
 		t.Errorf("definitionalOnly lists operators the compiler constructs: %v", stale)

@@ -132,12 +132,12 @@ func TestResolveTreeShapes(t *testing.T) {
 
 	nested := Map{In: relR1(), Attr: "g", E: NestedApply{F: SFIdent{},
 		Plan: Select{In: relR2(), Pred: eqCmp("A1", "A2")}}}
-	n := Resolve(native(Unnest{In: nested, Attr: "g"}))
+	n := Resolve(native(UnnestDistinct{In: nested, Attr: "g"}))
 	if inner := n.Kids[0].Schema.nested("g"); inner == nil || !reflect.DeepEqual(inner.Lay.Names(), []string{"A2", "B"}) {
 		t.Errorf("χ over a nested plan: inner schema of g is %+v, want the sub-plan's [A2 B]", inner)
 	}
 	if !n.OK || !reflect.DeepEqual(n.Schema.Lay.Names(), []string{"A1", "A2", "B"}) {
-		t.Errorf("µ over it resolved to %v (ok=%v), want the released [A1 A2 B]", n.Schema.Lay.Names(), n.OK)
+		t.Errorf("µD over it resolved to %v (ok=%v), want the released [A1 A2 B]", n.Schema.Lay.Names(), n.OK)
 	}
 	if subs := n.Kids[0].subs; len(subs) != 1 || !subs[0].OK || subs[0].Op.String() != "σ[A1 = A2]" {
 		t.Errorf("χ over a nested plan holds sub-plans %v, want the resolved σ[A1 = A2]", subs)
@@ -147,7 +147,7 @@ func TestResolveTreeShapes(t *testing.T) {
 		"unresolved input": Project{Names: []string{"A1"}, In: untyped},
 		"unresolved root":  Select{Pred: ConstVal{V: value.Bool(true)}, In: untyped},
 		"extension":        Select{Pred: ConstVal{V: value.Bool(true)}, In: passOp{In: relR1()}},
-		"nested sub-plan":  Unnest{In: nested, Attr: "g"},
+		"nested sub-plan":  UnnestDistinct{In: nested, Attr: "g"},
 	} {
 		checkResolvedTree(t, name, native(op))
 	}

@@ -11,9 +11,11 @@ import (
 
 // This file is the streaming engine: open-next-close iterators over
 // value.Row, one per operator. Resolve (schema.go) fixes every operator's
-// attribute→slot mapping once per plan; opening a plan walks the resolved
-// nodes — an opener reads its own Schema.Lay and its inputs' Kids[i].Schema
-// and never types anything again — and the iterators then produce rows whose
+// attribute→slot mapping once per plan and gives its node the opener that
+// builds its iterator from the slots, layouts and key pairs typing it
+// derived; opening a plan runs the openers of the resolved nodes — each opens
+// its inputs, compiles its subscripts against the environment and builds its
+// state, and types nothing again — and the iterators then produce rows whose
 // value slices are cut from chunks the producing iterator owns (rowSlab: one
 // allocation per chunk of rows, not per row — and often no slice at all: σ
 // and Ξ pass rows through, ΠA′:A swaps the layout pointer and keeps the
@@ -31,141 +33,6 @@ import (
 type RowIter interface {
 	Next() (value.Row, bool)
 	Close()
-}
-
-// open builds the iterator of a resolved node (n.OK, so its inputs and
-// nested plans resolved too and everything Node.resolve checks holds):
-// openers read Kids[i].Schema and look attributes up unchecked.
-func (n *Node) open(ctx *Ctx, env value.Tuple) RowIter {
-	lay := n.Schema.Lay
-	var in *Node
-	if len(n.Kids) > 0 {
-		in = n.Kids[0]
-	}
-	//nal:opswitch rowiter
-	switch w := n.Op.(type) {
-	case Singleton:
-		return &rowSliceIter{rows: []value.Row{value.NewRow(lay)}}
-
-	case Select:
-		c := n.scope(in.Schema, env)
-		return &rowSelectIter{in: in.open(ctx, env), pred: c.expr(w.Pred), ctx: ctx}
-
-	case Project:
-		return &rowSlotMapIter{in: in.open(ctx, env), lay: lay, src: slotsOf(in.Schema.Lay, w.Names)}
-
-	case ProjectDrop:
-		_, src := in.Schema.Lay.Drop(w.Names)
-		return &rowSlotMapIter{in: in.open(ctx, env), lay: lay, src: src}
-
-	case ProjectRename:
-		return &rowRenameIter{in: in.open(ctx, env), lay: lay}
-
-	case ProjectDistinct:
-		olds := make([]string, len(w.Pairs))
-		for i, p := range w.Pairs {
-			olds[i] = p.Old
-		}
-		all := make([]int, lay.Width())
-		for i := range all {
-			all[i] = i
-		}
-		return &rowDistinctIter{in: in.open(ctx, env), lay: lay, src: slotsOf(in.Schema.Lay, olds),
-			allSlots: all, seen: map[value.HashKey]bool{}, ctx: ctx}
-
-	case Map:
-		slot, _ := lay.Slot(w.Attr)
-		c := n.scope(in.Schema, env)
-		return &rowMapIter{in: in.open(ctx, env), lay: lay, slot: slot, e: c.expr(w.E), ctx: ctx}
-
-	case UnnestMap:
-		slot, _ := lay.Slot(w.Attr)
-		posSlot := -1
-		if w.PosAttr != "" {
-			posSlot, _ = lay.Slot(w.PosAttr)
-		}
-		c := n.scope(in.Schema, env)
-		u := &rowUnnestMapIter{in: in.open(ctx, env), lay: lay, slot: slot, posSlot: posSlot, ctx: ctx}
-		if p, ok := w.E.(PathOf); ok {
-			u.e, u.path, u.byPath, u.nodes = c.expr(p.Input), p.Path, true, u.first[:0]
-		} else {
-			u.e = c.expr(w.E)
-		}
-		return u
-
-	case IndexScan:
-		slot, _ := lay.Slot(w.Attr)
-		child := in.open(ctx, env)
-		nodes := w.resolve(ctx, env)
-		// pos starts exhausted so the first Next pulls an input row before
-		// emitting.
-		return &rowIndexScanIter{in: child, lay: lay, slot: slot, nodes: nodes,
-			ctx: ctx, pos: len(nodes)}
-
-	case XiSimple:
-		c := n.scope(in.Schema, env)
-		return &rowXiIter{in: in.open(ctx, env), cmds: c.commands(w.Cmds), ctx: ctx}
-
-	case XiGroup:
-		return openRowXiGroup(w, n, ctx, env)
-
-	case Sort:
-		by := slotsOf(in.Schema.Lay, w.By)
-		// The order-restoration breaker: materialize into a pooled buffer
-		// (reused across Open cycles — emitted Rows are value copies, so
-		// recycling the buffer never aliases them) and sort it in place with
-		// a monomorphic comparison instead of sort.Sort's interface dispatch.
-		rows := drainRowsInto(ctx, TripSort, in.open(ctx, env), getSortBuf())
-		slices.SortStableFunc(rows, func(a, b value.Row) int {
-			return cmpRowsDirs(a, b, by, w.Dirs)
-		})
-		return &rowSliceIter{rows: rows, pooled: true}
-
-	case Cross:
-		return &rowCrossIter{left: in.open(ctx, env),
-			right: drainRows(ctx, TripBuild, n.Kids[1].open(ctx, env)), lay: lay, pos: -1}
-
-	case Join:
-		return openRowJoin(n, w.Pred, ctx, env, joinModeInner, "", nil)
-	case SemiJoin:
-		return openRowJoin(n, w.Pred, ctx, env, joinModeSemi, "", nil)
-	case AntiJoin:
-		return openRowJoin(n, w.Pred, ctx, env, joinModeAnti, "", nil)
-	case OuterJoin:
-		return openRowJoin(n, w.Pred, ctx, env, joinModeOuter, w.G, w.Default)
-
-	case GroupUnary:
-		return openRowGroupUnary(w, n, ctx, env)
-	case GroupSelf:
-		return openRowGroupSelf(w, n, ctx, env)
-	case GroupBinary:
-		return openRowGroupBinary(w, n, ctx, env)
-
-	case Unnest:
-		return openRowUnnest(n, w.Attr, w.InnerAttrs, ctx, env, true)
-	case UnnestDistinct:
-		return openRowUnnest(n, w.Attr, nil, ctx, env, false)
-
-	default:
-		//nal:allow-panic unreachable: Node.resolve gives an operator outside this switch no schema, and an unresolved plan is refused before it opens (Node.Pump)
-		panic("algebra: no iterator for " + n.Op.String())
-	}
-}
-
-// slotsOf resolves attribute names to slots under a layout, -1 for a name
-// the layout does not bind: Π of it projects an absent value, matching the
-// map semantics, and keys, group and unnest attributes are never unbound
-// (Node.resolve checked).
-func slotsOf(lay *value.Layout, names []string) []int {
-	out := make([]int, len(names))
-	for i, n := range names {
-		if s, ok := lay.Slot(n); ok {
-			out[i] = s
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
 }
 
 // drainRows materializes an iterator's remaining rows and closes it. point
@@ -251,8 +118,7 @@ func (c *scope) applier(f SeqFunc, lay *value.Layout) rowsFunc {
 			return aggregate(w.Fn, items)
 		}
 	case SFProject:
-		plLay := value.NewLayout(w.Attrs...)
-		slots := slotsOf(lay, w.Attrs)
+		plLay, slots := lay.Project(w.Attrs)
 		var slab rowSlab
 		return func(ctx *Ctx, rows []value.Row) value.Value {
 			// The projected payload is a fresh flat backing — the Γ group
@@ -377,43 +243,6 @@ func (m *rowRenameIter) Next() (value.Row, bool) {
 
 func (m *rowRenameIter) Close() { m.in.Close() }
 
-type rowDistinctIter struct {
-	in       RowIter
-	lay      *value.Layout
-	src      []int
-	allSlots []int // 0..width-1, the distinct key spans every output slot
-	seen     map[value.HashKey]bool
-	ctx      *Ctx
-	slab     rowSlab
-	spare    []value.Value // a duplicate's slice, never emitted: the next row's
-}
-
-func (d *rowDistinctIter) Next() (value.Row, bool) {
-	for {
-		r, ok := d.in.Next()
-		if !ok {
-			return value.Row{}, false
-		}
-		if d.spare == nil {
-			d.spare = d.slab.take(len(d.src), 0)
-		}
-		out := value.MapSlots(d.lay, d.spare, d.src, r)
-		key := rowKey(out, d.allSlots)
-		if d.seen[key] {
-			clear(d.spare)
-			continue
-		}
-		d.spare = nil
-		// The dedup table retains one entry (and the emitted row) per
-		// distinct key — the materialized state of ΠD.
-		d.ctx.charge(TripDedup, 0, dedupEntryBytes)
-		d.seen[key] = true
-		return out, true
-	}
-}
-
-func (d *rowDistinctIter) Close() { d.in.Close() }
-
 type rowMapIter struct {
 	in   RowIter
 	lay  *value.Layout
@@ -434,6 +263,19 @@ func (m *rowMapIter) Next() (value.Row, bool) {
 }
 
 func (m *rowMapIter) Close() { m.in.Close() }
+
+// openUnnestMap builds Υ over e: over a path it walks the selection itself,
+// over anything else the items of e's value.
+func (n *Node) openUnnestMap(e Expr, lay *value.Layout, slot, posSlot int, ctx *Ctx, env value.Tuple) RowIter {
+	c := n.scope(n.Kids[0].Schema, env)
+	u := &rowUnnestMapIter{in: n.Kids[0].open(ctx, env), lay: lay, slot: slot, posSlot: posSlot, ctx: ctx}
+	if p, ok := e.(PathOf); ok {
+		u.e, u.path, u.byPath, u.nodes = c.expr(p.Input), p.Path, true, u.first[:0]
+	} else {
+		u.e = c.expr(e)
+	}
+	return u
+}
 
 // rowUnnestMapIter is Υ: one output row per item of e's value. It only
 // iterates, so it builds no sequence to do so. Over a path (byPath; e is then
@@ -525,12 +367,11 @@ func (x *rowXiIter) Next() (value.Row, bool) {
 
 func (x *rowXiIter) Close() { x.in.Close() }
 
-// openRowXiGroup implements the hash-bucket Γ-Ξ: it materializes the input,
+// openXiGroup implements the hash-bucket Γ-Ξ: it materializes the input,
 // fires S1/S2/S3 per first-occurrence group, and streams the input rows
 // unchanged — the slot twin of XiGroup.Eval.
-func openRowXiGroup(x XiGroup, n *Node, ctx *Ctx, env value.Tuple) RowIter {
+func (n *Node) openXiGroup(x XiGroup, by []int, ctx *Ctx, env value.Tuple) RowIter {
 	in := n.Kids[0]
-	by := slotsOf(in.Schema.Lay, x.By)
 	rows := drainRows(ctx, TripGroup, in.open(ctx, env))
 	// Ξ-group passes its input through, so its output cardinality says
 	// nothing about the bucket count; size the table by the textbook
@@ -551,6 +392,18 @@ func openRowXiGroup(x XiGroup, n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	return &rowSliceIter{rows: rows}
 }
 
+// openSort is the order-restoration breaker: it materializes its input into
+// a pooled buffer (reused across opens — emitted Rows are value copies, so
+// recycling the buffer never aliases them) and sorts it in place with a
+// monomorphic comparison instead of sort.Sort's interface dispatch.
+func openSort(in RowIter, by []int, dirs []bool, ctx *Ctx) RowIter {
+	rows := drainRowsInto(ctx, TripSort, in, getSortBuf())
+	slices.SortStableFunc(rows, func(a, b value.Row) int {
+		return cmpRowsDirs(a, b, by, dirs)
+	})
+	return &rowSliceIter{rows: rows, pooled: true}
+}
+
 // cmpRowsDirs is the three-way sort comparison of the row engine's Sort
 // breaker, value.Compare3 per key. Empty values sort first on ascending keys
 // and last on descending ones.
@@ -568,37 +421,37 @@ func cmpRowsDirs(a, b value.Row, by []int, dirs []bool) int {
 	return 0
 }
 
+// rowCrossIter is ×. Its right input is materialized on the first left row,
+// so an empty left input never evaluates it — as in Cross.Eval.
 type rowCrossIter struct {
 	left  RowIter
-	right []value.Row
+	build *Node // the right input, until it is built
+	env   value.Tuple
+	ctx   *Ctx
 	lay   *value.Layout
 
-	cur  value.Row
-	pos  int
-	done bool
-	slab rowSlab
+	right []value.Row
+	cur   value.Row
+	pos   int
+	slab  rowSlab
 }
 
 func (c *rowCrossIter) Next() (value.Row, bool) {
 	for {
-		if c.done {
-			return value.Row{}, false
-		}
-		if c.pos >= 0 && c.pos < len(c.right) {
+		if c.pos < len(c.right) {
 			r := value.ConcatRows(c.lay, c.slab.take(c.lay.Width(), len(c.right)-c.pos), c.cur, c.right[c.pos])
 			c.pos++
 			return r, true
 		}
 		lt, ok := c.left.Next()
 		if !ok {
-			c.done = true
 			return value.Row{}, false
 		}
-		c.cur = lt
-		c.pos = 0
-		if len(c.right) == 0 {
-			c.pos = len(c.right)
+		if c.build != nil {
+			c.right = drainRows(c.ctx, TripBuild, c.build.open(c.ctx, c.env))
+			c.build = nil
 		}
+		c.cur, c.pos = lt, 0
 	}
 }
 
@@ -615,69 +468,42 @@ const (
 	joinModeOuter
 )
 
-// rowJoinPlan is the slot twin of joinPlan: build side materialized as rows,
-// hashed on the key slots.
-type rowJoinPlan struct {
-	lSlots   []int
-	rSlots   []int
-	residual RowExpr // over the concatenated layout
-	catLay   *value.Layout
-	hash     rowBuckets
-	right    []value.Row
-	useHash  bool
+// joinSpec is what the resolver derived for a ⋈, ⋉, ▷ or ⟕ (Node.join):
+// read by every open of the node, written by none.
+type joinSpec struct {
+	mode joinMode
+	lay  *value.Layout // the output: l ◦ r for ⋈ and ⟕, l for ⋉ and ▷
+	cat  *value.Layout // l ◦ r, what the residual compiles against
+	// lSlots and rSlots are the slots of the equi-join key pairs, on which
+	// the build side is hashed when there are any; residual is the rest of
+	// the predicate (all of it when there are none).
+	lSlots, rSlots []int
+	residual       Expr
+	padFrom        int         // ⟕: the first right slot of cat
+	gSlot          int         // ⟕: the slot of g
+	def            value.Value // ⟕: f(), what g holds where a left tuple has no partner
+}
+
+// rowJoinIter is the order-preserving join family: it probes the build side
+// in left order with order-preserving buckets, which yields exactly the order
+// of the definitional σp(e1 × e2). The build side — the right input, hashed
+// on the key slots — is materialized on the first left row, so an empty
+// left input never evaluates it, as in Join.Eval.
+type rowJoinIter struct {
+	*joinSpec
+	left RowIter
+	n    *Node // the right input is n.Kids[1]; the residual takes n's sub-plans
+	env  value.Tuple
+	ctx  *Ctx
+
+	built bool
+	right []value.Row
+	hash  rowBuckets
+	pred  RowExpr // the compiled residual
 	// probe is the one concatenated row the residual is evaluated on: a
 	// predicate reads slots and keeps nothing of the row.
 	probe []value.Value
-}
 
-func (jp *rowJoinPlan) candidates(lt value.Row) []value.Row {
-	if jp.useHash {
-		return jp.hash.lookup(rowKey(lt, jp.lSlots))
-	}
-	return jp.right
-}
-
-func (jp *rowJoinPlan) residualHolds(ctx *Ctx, lt, rt value.Row) bool {
-	return value.EffectiveBool(jp.residual(ctx, value.ConcatRows(jp.catLay, jp.probe, lt, rt)))
-}
-
-func (jp *rowJoinPlan) matches(ctx *Ctx, lt value.Row, dst []value.Row) []value.Row {
-	cand := jp.candidates(lt)
-	if jp.residual == nil {
-		return cand
-	}
-	dst = dst[:0]
-	for _, rt := range cand {
-		if jp.residualHolds(ctx, lt, rt) {
-			dst = append(dst, rt)
-		}
-	}
-	return dst
-}
-
-func (jp *rowJoinPlan) anyMatch(ctx *Ctx, lt value.Row) bool {
-	cand := jp.candidates(lt)
-	if jp.residual == nil {
-		return len(cand) > 0
-	}
-	for _, rt := range cand {
-		if jp.residualHolds(ctx, lt, rt) {
-			return true
-		}
-	}
-	return false
-}
-
-type rowJoinIter struct {
-	left RowIter
-	jp   rowJoinPlan
-	mode joinMode
-	lay  *value.Layout // output layout (concat for inner/outer, left for semi/anti)
-	ctx  *Ctx
-
-	gSlot   int
-	def     value.Value // ⟕: f(), what g holds where a left tuple has no partner
-	padFrom int         // first right slot in the concatenated layout
 	cur     value.Row
 	pending []value.Row
 	pool    []value.Row
@@ -685,52 +511,59 @@ type rowJoinIter struct {
 	slab    rowSlab
 }
 
-func openRowJoin(n *Node, pred Expr, ctx *Ctx, env value.Tuple,
-	mode joinMode, g string, def SeqFunc) RowIter {
-	l, r := n.Kids[0], n.Kids[1]
-	lsc, rsc := l.Schema, r.Schema
-	// ⋈ and ⟕ emit l ◦ r, their resolved layout; ⋉ and ▷ emit left rows and
-	// need the concatenation only to compile the predicate against.
-	catLay := n.Schema.Lay
-	if mode == joinModeSemi || mode == joinModeAnti {
-		catLay, _ = lsc.Lay.Concat(rsc.Lay)
+// build materializes and hashes the right input and compiles the residual.
+func (j *rowJoinIter) build() {
+	j.built = true
+	j.right = drainRows(j.ctx, TripBuild, j.n.Kids[1].open(j.ctx, j.env))
+	if len(j.rSlots) > 0 {
+		j.hash = bucketRows(j.right, j.rSlots, len(j.right))
 	}
-	gSlot := -1
-	if mode == joinModeOuter {
-		gSlot, _ = catLay.Slot(g)
-	}
-
-	left := l.open(ctx, env)
-	jp := rowJoinPlan{catLay: catLay, right: drainRows(ctx, TripBuild, r.open(ctx, env))}
-
-	if pairs, residual, ok := splitEqPred(pred, NameSet(lsc.Lay.Names(), true), NameSet(rsc.Lay.Names(), true)); ok {
-		var lKeys, rKeys []string
-		for _, p := range pairs {
-			lKeys = append(lKeys, p.Left)
-			rKeys = append(rKeys, p.Right)
-		}
-		jp.lSlots = slotsOf(lsc.Lay, lKeys)
-		jp.rSlots = slotsOf(rsc.Lay, rKeys)
-		jp.hash = bucketRows(jp.right, jp.rSlots, len(jp.right))
-		jp.useHash = true
-		pred = residual
-	}
-	if pred != nil {
+	if j.residual != nil {
 		// The equalities a hash join drops hold no nested plan, so the
 		// residual takes the node's sub-plans in the predicate's order.
-		c := n.scope(Schema{Lay: catLay}, env)
-		jp.residual = c.expr(pred)
+		c := j.n.scope(Schema{Lay: j.cat}, j.env)
+		j.pred = c.expr(j.residual)
+		j.probe = make([]value.Value, j.cat.Width())
 	}
-	if jp.residual != nil {
-		jp.probe = make([]value.Value, catLay.Width())
-	}
+}
 
-	it := &rowJoinIter{left: left, jp: jp, mode: mode, lay: n.Schema.Lay, ctx: ctx,
-		gSlot: gSlot, padFrom: lsc.Lay.Width()}
-	if mode == joinModeOuter {
-		it.def = emptyGroup(def, rsc.Lay)
+func (j *rowJoinIter) candidates(lt value.Row) []value.Row {
+	if len(j.lSlots) > 0 {
+		return j.hash.lookup(rowKey(lt, j.lSlots))
 	}
-	return it
+	return j.right
+}
+
+func (j *rowJoinIter) residualHolds(lt, rt value.Row) bool {
+	return value.EffectiveBool(j.pred(j.ctx, value.ConcatRows(j.cat, j.probe, lt, rt)))
+}
+
+// matches returns the right rows joining with lt, in right order.
+func (j *rowJoinIter) matches(lt value.Row) []value.Row {
+	cand := j.candidates(lt)
+	if j.pred == nil {
+		return cand
+	}
+	j.pool = j.pool[:0]
+	for _, rt := range cand {
+		if j.residualHolds(lt, rt) {
+			j.pool = append(j.pool, rt)
+		}
+	}
+	return j.pool
+}
+
+func (j *rowJoinIter) anyMatch(lt value.Row) bool {
+	cand := j.candidates(lt)
+	if j.pred == nil {
+		return len(cand) > 0
+	}
+	for _, rt := range cand {
+		if j.residualHolds(lt, rt) {
+			return true
+		}
+	}
+	return false
 }
 
 func (j *rowJoinIter) Next() (value.Row, bool) {
@@ -745,32 +578,27 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 		if !ok {
 			return value.Row{}, false
 		}
+		if !j.built {
+			j.build()
+		}
 		// The probe side streams — no accounting, but it is a fault-injection
 		// boundary (a real allocator can fail growing the match pool here).
 		j.ctx.Fault(TripProbe)
 		switch j.mode {
 		case joinModeSemi:
-			if j.jp.anyMatch(j.ctx, lt) {
+			if j.anyMatch(lt) {
 				return lt, true
 			}
 		case joinModeAnti:
-			if !j.jp.anyMatch(j.ctx, lt) {
+			if !j.anyMatch(lt) {
 				return lt, true
 			}
-		case joinModeInner:
-			j.cur = lt
-			j.pool = j.jp.matches(j.ctx, lt, j.pool)
-			j.pending = j.pool
-			j.pos = 0
-		case joinModeOuter:
-			ms := j.jp.matches(j.ctx, lt, j.pool)
-			if len(ms) == 0 {
+		default:
+			ms := j.matches(lt)
+			if len(ms) == 0 && j.mode == joinModeOuter {
 				return padOuter(&j.slab, j.lay, lt, j.padFrom, j.gSlot, j.def), true
 			}
-			j.cur = lt
-			j.pool = ms
-			j.pending = ms
-			j.pos = 0
+			j.cur, j.pending, j.pos = lt, ms, 0
 		}
 	}
 }
@@ -807,11 +635,9 @@ func padOuter(slab *rowSlab, lay *value.Layout, lt value.Row, padFrom, gSlot int
 
 // ---- grouping ----
 
-func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
-	sc, insc := n.Schema, n.Kids[0].Schema
-	by := slotsOf(insc.Lay, g.By)
-	gSlot, _ := sc.Lay.Slot(g.G)
-	outBy := slotsOf(sc.Lay, g.By)
+// openGroupUnary is Γ: one output row per group, the key slots followed by g.
+func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, ctx *Ctx, env value.Tuple) RowIter {
+	insc := n.Kids[0].Schema
 	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
 	c := n.scope(insc, env)
 	apply := c.applier(g.F, insc.Lay)
@@ -823,12 +649,12 @@ func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter
 	out := make([]value.Row, 0, hint)
 	var slab rowSlab
 	emit := func(key value.Row, v value.Value, more int) {
-		vals := slab.take(sc.Lay.Width(), more)
+		vals := slab.take(lay.Width(), more)
 		for i, s := range by {
-			vals[outBy[i]] = key.Vals[s]
+			vals[i] = key.Vals[s]
 		}
-		vals[gSlot] = v
-		out = append(out, value.Row{Lay: sc.Lay, Vals: vals})
+		vals[len(by)] = v
+		out = append(out, value.Row{Lay: lay, Vals: vals})
 	}
 
 	if g.Theta == value.CmpEq {
@@ -862,17 +688,15 @@ func openRowGroupUnary(g GroupUnary, n *Node, ctx *Ctx, env value.Tuple) RowIter
 	return &rowSliceIter{rows: out}
 }
 
-// openRowGroupSelf annotates each input row with F applied to its equality
+// openGroupSelf annotates each input row with f applied to its equality
 // group, preserving input order (unlike Γ, which emits one row per group).
-func openRowGroupSelf(g GroupSelf, n *Node, ctx *Ctx, env value.Tuple) RowIter {
-	sc, insc := n.Schema, n.Kids[0].Schema
-	by := slotsOf(insc.Lay, g.By)
-	gSlot, _ := sc.Lay.Slot(g.G)
+func (n *Node) openGroupSelf(f SeqFunc, by []int, lay *value.Layout, ctx *Ctx, env value.Tuple) RowIter {
+	insc := n.Kids[0].Schema
 	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
 	c := n.scope(insc, env)
-	apply := c.applier(g.F, insc.Lay)
+	apply := c.applier(f, insc.Lay)
 
-	// Groups are numbered as the rows first meet them, so applying F group
+	// Groups are numbered as the rows first meet them, so applying f group
 	// by group is applying it in input order.
 	buckets := bucketRows(rows, by, len(rows))
 	applied := make([]value.Value, buckets.n())
@@ -881,8 +705,9 @@ func openRowGroupSelf(g GroupSelf, n *Node, ctx *Ctx, env value.Tuple) RowIter {
 	}
 	out := make([]value.Row, len(rows))
 	var slab rowSlab
+	gSlot := lay.Width() - 1
 	for i, r := range rows {
-		out[i] = slab.extend(sc.Lay, r, len(rows)-i)
+		out[i] = slab.extend(lay, r, len(rows)-i)
 		out[i].Vals[gSlot] = applied[buckets.gid[i]]
 	}
 	return &rowSliceIter{rows: out}
@@ -897,29 +722,38 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 	return true
 }
 
-// rightGroups is the right input of a binary Γ and f over its groups. For
-// θ '=' the input is bucketed on the key and f applied once per distinct
-// key, so shared groups are materialized once (and, like the map engine's
-// shared bucket slices, shared as values across output tuples); any other θ
-// scans it per left tuple.
-type rightGroups struct {
-	apply          rowsFunc
-	lSlots, rSlots []int
+// rowGroupBinaryIter is binary Γ: every left row extended by g, f over the
+// right rows standing in θ to it. For θ '=' the right input is bucketed on
+// the key and f applied once per distinct key, so shared groups are
+// materialized once (and, like the map engine's shared bucket slices, shared
+// as values across output tuples); any other θ scans it per left row. The
+// right input is materialized on the first left row, so an empty left input
+// never evaluates it — as in GroupBinary.Eval.
+type rowGroupBinaryIter struct {
+	left           RowIter
+	n              *Node // the right input is n.Kids[1]; f takes n's sub-plans
+	f              SeqFunc
 	theta          value.CmpOp
+	lSlots, rSlots []int
+	env            value.Tuple
+	lay            *value.Layout // g is its last slot
+	ctx            *Ctx
 
+	built   bool
+	apply   rowsFunc
 	hash    rowBuckets
 	applied map[value.HashKey]value.Value
 	scan    []value.Row
+	slab    rowSlab
 }
 
-func newRightGroups(n *Node, lAttrs, rAttrs []string, theta value.CmpOp, f SeqFunc, env value.Tuple) rightGroups {
-	lsc, rsc := n.Kids[0].Schema, n.Kids[1].Schema
-	c := n.scope(rsc, env)
-	return rightGroups{apply: c.applier(f, rsc.Lay), theta: theta,
-		lSlots: slotsOf(lsc.Lay, lAttrs), rSlots: slotsOf(rsc.Lay, rAttrs)}
-}
-
-func (g *rightGroups) build(rows []value.Row) {
+// build materializes the right input and compiles f against its layout.
+func (g *rowGroupBinaryIter) build() {
+	g.built = true
+	right := g.n.Kids[1]
+	rows := drainRows(g.ctx, TripGroup, right.open(g.ctx, g.env))
+	c := g.n.scope(right.Schema, g.env)
+	g.apply = c.applier(g.f, right.Schema.Lay)
 	if g.theta == value.CmpEq {
 		g.hash = bucketRows(rows, g.rSlots, len(rows))
 		g.applied = make(map[value.HashKey]value.Value, g.hash.n())
@@ -928,13 +762,13 @@ func (g *rightGroups) build(rows []value.Row) {
 	g.scan = rows
 }
 
-// of is f over the right tuples that stand in θ to lt.
-func (g *rightGroups) of(ctx *Ctx, lt value.Row) value.Value {
+// of is f over the right rows that stand in θ to lt.
+func (g *rowGroupBinaryIter) of(lt value.Row) value.Value {
 	if g.applied != nil {
 		k := rowKey(lt, g.lSlots)
 		gv, cached := g.applied[k]
 		if !cached {
-			gv = g.apply(ctx, g.hash.lookup(k))
+			gv = g.apply(g.ctx, g.hash.lookup(k))
 			g.applied[k] = gv
 		}
 		return gv
@@ -945,32 +779,7 @@ func (g *rightGroups) of(ctx *Ctx, lt value.Row) value.Value {
 			grp = append(grp, r)
 		}
 	}
-	return g.apply(ctx, grp)
-}
-
-func openRowGroupBinary(g GroupBinary, n *Node, ctx *Ctx, env value.Tuple) RowIter {
-	gSlot, _ := n.Schema.Lay.Slot(g.G)
-	it := &rowGroupBinaryIter{left: n.Kids[0].open(ctx, env), lay: n.Schema.Lay, gSlot: gSlot, ctx: ctx,
-		right: newRightGroups(n, g.LAttrs, g.RAttrs, g.Theta, g.F, env)}
-	// The build side materializes lazily on the first left tuple, so an
-	// empty left input never evaluates R — matching GroupBinary.Eval's
-	// short-circuit.
-	it.build = func() { it.right.build(drainRows(ctx, TripGroup, n.Kids[1].open(ctx, env))) }
-	return it
-}
-
-type rowGroupBinaryIter struct {
-	left  RowIter
-	lay   *value.Layout
-	gSlot int
-	ctx   *Ctx
-	right rightGroups
-
-	// build materializes the right input on the first left tuple.
-	build func()
-	built bool
-
-	slab rowSlab
+	return g.apply(g.ctx, grp)
 }
 
 func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
@@ -979,11 +788,10 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 		return value.Row{}, false
 	}
 	if !g.built {
-		g.built = true
 		g.build()
 	}
 	out := g.slab.extend(g.lay, lt, 0)
-	out.Vals[g.gSlot] = g.right.of(g.ctx, lt)
+	out.Vals[g.lay.Width()-1] = g.of(lt)
 	return out, true
 }
 
@@ -991,45 +799,19 @@ func (g *rowGroupBinaryIter) Close() { g.left.Close() }
 
 // ---- unnest ----
 
-// openRowUnnest builds µ (pad=true) / µD (pad=false): the group attribute's
-// tuples are spliced into slots computed at plan time. Attributes of the
-// inner tuples that collide with kept input attributes overwrite them,
-// matching the map engine's Concat semantics.
-func openRowUnnest(n *Node, attr string, innerAttrs []string, ctx *Ctx, env value.Tuple, pad bool) RowIter {
-	sc, insc := n.Schema, n.Kids[0].Schema
-	var inner *value.Layout
-	if nested := insc.nested(attr); nested != nil {
-		inner = nested.Lay
-	}
-	if innerAttrs != nil {
-		inner = value.NewLayout(innerAttrs...)
-	}
-	gSlot, _ := insc.Lay.Slot(attr)
-	// Base mapping: kept input slots into the output layout.
-	baseLay, baseSrc := insc.Lay.Drop([]string{attr})
-	baseDst := slotsOf(sc.Lay, baseLay.Names())
-	// Inner mapping: group attributes into the output layout (overwriting
-	// colliding base slots — the Concat right-hand side wins).
-	innerNames := inner.Names()
-	innerDst := slotsOf(sc.Lay, innerNames)
-	it := &rowUnnestIter{in: n.Kids[0].open(ctx, env), lay: sc.Lay, gSlot: gSlot,
-		baseSrc: baseSrc, baseDst: baseDst,
-		innerNames: innerNames, innerDst: innerDst, pad: pad, ctx: ctx}
-	if !pad {
-		it.dedup = map[value.HashKey]bool{}
-	}
-	return it
-}
-
+// rowUnnestIter is µD: the members of the group attribute's tuple sequence
+// are spliced into the slots Node.unnestDistinct computed, after the kept
+// input slots, a member equal to an earlier one of its group skipped.
+// Attributes of the members that collide with kept input attributes
+// overwrite them, matching the map engine's Concat semantics; an empty group
+// yields nothing.
 type rowUnnestIter struct {
 	in         RowIter
 	lay        *value.Layout
 	gSlot      int
-	baseSrc    []int
-	baseDst    []int
+	baseSrc    []int // the input slot of each kept output slot, in order
 	innerNames []string
 	innerDst   []int
-	pad        bool // µ pads empty groups with ⊥; µD skips them
 
 	cur      value.Row
 	pendRows value.RowSeq // the current group
@@ -1042,19 +824,19 @@ type rowUnnestIter struct {
 	innerLay *value.Layout
 	innerSrc []int
 
-	dedup   map[value.HashKey]bool // µD: the current group's member keys
+	dedup   map[value.HashKey]bool // the current group's member keys
 	scratch []int                  // KeyOfRow slot scratch, reused across members
 	ctx     *Ctx
 	slab    rowSlab
 }
 
 // base starts an output row with the kept input slots. The members left in
-// the group are the rows still to come (what µD's duplicates leave over of a
+// the group are the rows still to come (what duplicates leave over of a
 // chunk serves the next group).
 func (u *rowUnnestIter) base() []value.Value {
 	vals := u.slab.take(u.lay.Width(), u.pendN-u.pos+1)
 	for i, s := range u.baseSrc {
-		vals[u.baseDst[i]] = u.cur.Vals[s]
+		vals[i] = u.cur.Vals[s]
 	}
 	return vals
 }
@@ -1084,15 +866,13 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 			i := u.pos
 			u.pos++
 			g := u.pendRows.At(i)
-			if u.dedup != nil {
-				var k value.HashKey
-				k, u.scratch = value.KeyOfRow(g, u.scratch)
-				if u.dedup[k] {
-					continue
-				}
-				u.ctx.charge(TripDedup, 0, dedupEntryBytes)
-				u.dedup[k] = true
+			var k value.HashKey
+			k, u.scratch = value.KeyOfRow(g, u.scratch)
+			if u.dedup[k] {
+				continue
 			}
+			u.ctx.charge(TripDedup, 0, dedupEntryBytes)
+			u.dedup[k] = true
 			vals := u.base()
 			for j, s := range u.innerSrc {
 				if s >= 0 {
@@ -1115,17 +895,7 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 			u.spliceFor(u.pendRows.Lay())
 		}
 		u.pos = 0
-		if !u.pad {
-			clear(u.dedup)
-			continue
-		}
-		if u.pendN == 0 {
-			vals := u.base()
-			for _, d := range u.innerDst {
-				vals[d] = value.Null{}
-			}
-			return value.Row{Lay: u.lay, Vals: vals}, true
-		}
+		clear(u.dedup)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // for plans whose nested data the slot engine carries as rows (Γ payloads,
 // e[a] bindings, nested-in-nested groups), native execution must emit the
 // same sequences as the definitional map evaluator — across the edge cases
-// that distinguish the representations (⊥-padding of empty groups, renames
-// inside groups, µD member dedup on partially absent attributes).
+// that distinguish the representations (empty groups, renames inside
+// groups, µD member dedup on partially absent attributes).
 
 // mapFree executes op natively and requires that no map tuple is on the data
 // path: every tuple-sequence value in an emitted row — at any nesting depth —
@@ -49,7 +49,7 @@ func diffPayloadPlan(t *testing.T, name string, op Op) {
 	}
 }
 
-// TestRowSeqGammaMuRoundtrip pins the Γ→µ roundtrip: grouping builds a
+// TestRowSeqGammaMuRoundtrip pins the Γ→µD roundtrip: grouping builds a
 // RowSeq payload (zero-copy over the bucket rows), unnesting splices it
 // back — and the flat sequences match the map evaluator's, including the
 // group keys reappearing inside the members (shared slots).
@@ -65,12 +65,11 @@ func TestRowSeqGammaMuRoundtrip(t *testing.T) {
 		attrs: []string{"K", "V"},
 	}
 	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
-	diffPayloadPlan(t, "gamma-mu", Unnest{In: gamma, Attr: "g"})
 	diffPayloadPlan(t, "gamma-muD", UnnestDistinct{In: gamma, Attr: "g"})
 }
 
 // TestRowSeqAllDuplicateKeys drives one giant group (every input tuple
-// shares the key) through Γ→µ and through the count/aggregate appliers.
+// shares the key) through Γ→µD and through the count/aggregate appliers.
 func TestRowSeqAllDuplicateKeys(t *testing.T) {
 	ts := make(value.TupleSeq, 0, 12)
 	for i := 0; i < 12; i++ {
@@ -78,7 +77,6 @@ func TestRowSeqAllDuplicateKeys(t *testing.T) {
 	}
 	in := constOp{ts: ts, attrs: []string{"K", "N"}}
 	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
-	diffPayloadPlan(t, "alldup-mu", Unnest{In: gamma, Attr: "g"})
 	diffPayloadPlan(t, "alldup-muD", UnnestDistinct{In: gamma, Attr: "g"})
 	diffPayloadPlan(t, "alldup-count",
 		Map{In: gamma, Attr: "c", E: AggOfAttr{F: SFCount{}, Attr: Var{Name: "g"}}})
@@ -86,9 +84,12 @@ func TestRowSeqAllDuplicateKeys(t *testing.T) {
 		Map{In: gamma, Attr: "s", E: AggOfAttr{F: SFAgg{Fn: "sum", Attr: "N"}, Attr: Var{Name: "g"}}})
 }
 
-// TestRowSeqEmptyGroupPadding pins ⊥-padding: binary Γ gives unmatched left
-// tuples an empty payload, and µ must release it as one NULL-padded tuple —
-// before any non-empty group has been seen (the plan-time inner layout).
+// TestRowSeqEmptyGroupPadding pins empty groups: binary Γ gives unmatched
+// left tuples an empty payload, which µD releases as nothing on both
+// evaluators. µ's ⊥-padding is definitional only: its Eval releases one
+// NULL-padded tuple per empty group, and when every group is empty the pad
+// attributes come from the resolver's nested layout, not from an observed
+// member.
 func TestRowSeqEmptyGroupPadding(t *testing.T) {
 	left := constOp{
 		ts: value.TupleSeq{
@@ -108,19 +109,27 @@ func TestRowSeqEmptyGroupPadding(t *testing.T) {
 	}
 	gamma := GroupBinary{L: left, R: right, G: "g",
 		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
-	diffPayloadPlan(t, "empty-group-mu", Unnest{In: gamma, Attr: "g"})
+	diffPayloadPlan(t, "empty-group-muD", UnnestDistinct{In: gamma, Attr: "g"})
 
-	// All groups empty: the ⊥ attribute set must come from the resolver's
-	// nested layout, not from an observed member.
 	emptyRight := constOp{attrs: []string{"A2", "B"}}
 	allEmpty := GroupBinary{L: left, R: emptyRight, G: "g",
 		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
-	diffPayloadPlan(t, "all-empty-groups-mu", Unnest{In: allEmpty, Attr: "g"})
+	out := Unnest{In: native(allEmpty), Attr: "g"}.Eval(NewCtx(nil), nil)
+	if len(out) != 3 {
+		t.Fatalf("µ over all-empty groups released %d tuples, want 3: %s", len(out), out)
+	}
+	for _, tp := range out {
+		for _, a := range []string{"A2", "B"} {
+			if _, null := tp[a].(value.Null); !null {
+				t.Errorf("µ over all-empty groups: %s = %v, want ⊥", a, tp[a])
+			}
+		}
+	}
 }
 
 // TestRowSeqRenameInsideGroup pins that a rename below Γ reaches the
 // payload as a layout-pointer swap: the members carry the renamed
-// attributes and µ releases them under the new names.
+// attributes and µD releases them under the new names.
 func TestRowSeqRenameInsideGroup(t *testing.T) {
 	in := constOp{
 		ts: value.TupleSeq{
@@ -132,16 +141,16 @@ func TestRowSeqRenameInsideGroup(t *testing.T) {
 	}
 	ren := ProjectRename{In: in, Pairs: []Rename{{New: "W", Old: "V"}}}
 	gamma := GroupUnary{In: ren, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
-	diffPayloadPlan(t, "rename-in-group", Unnest{In: gamma, Attr: "g"})
+	diffPayloadPlan(t, "rename-in-group", UnnestDistinct{In: gamma, Attr: "g"})
 
 	// Swap rename (K↔V) below Γ: simultaneous substitution inside the
 	// member layout.
 	swap := ProjectRename{In: in, Pairs: []Rename{{New: "V", Old: "K"}, {New: "K", Old: "V"}}}
 	gammaSwap := GroupUnary{In: swap, G: "g", By: []string{"V"}, Theta: value.CmpEq, F: SFIdent{}}
-	diffPayloadPlan(t, "swap-rename-in-group", Unnest{In: gammaSwap, Attr: "g"})
+	diffPayloadPlan(t, "swap-rename-in-group", UnnestDistinct{In: gammaSwap, Attr: "g"})
 }
 
-// TestRowSeqNestedInNested pins Γ under µ under Γ: the outer payload's
+// TestRowSeqNestedInNested pins Γ under µD under Γ: the outer payload's
 // members themselves carry a RowSeq payload, and both unnest levels release
 // their attributes natively.
 func TestRowSeqNestedInNested(t *testing.T) {
@@ -156,13 +165,13 @@ func TestRowSeqNestedInNested(t *testing.T) {
 	}
 	inner := GroupUnary{In: in, G: "g1", By: []string{"K", "J"}, Theta: value.CmpEq, F: SFIdent{}}
 	outer := GroupUnary{In: inner, G: "g2", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
-	plan := Unnest{In: Unnest{In: outer, Attr: "g2"}, Attr: "g1"}
+	plan := UnnestDistinct{In: UnnestDistinct{In: outer, Attr: "g2"}, Attr: "g1"}
 	diffPayloadPlan(t, "gamma-under-mu", plan)
 }
 
 // TestRowSeqBindingsAndDistinct pins the e[a] constructor payloads: χ binds
 // an item sequence as a width-1 RowSeq sharing the sequence backing, and
-// µ/µD release and deduplicate it like the map engine.
+// µD releases and deduplicates it like the map engine.
 func TestRowSeqBindingsAndDistinct(t *testing.T) {
 	in := constOp{
 		ts: value.TupleSeq{
@@ -173,7 +182,6 @@ func TestRowSeqBindingsAndDistinct(t *testing.T) {
 		attrs: []string{"S"},
 	}
 	bind := Map{In: in, Attr: "b", E: BindTuples{E: Var{Name: "S"}, Attr: "x"}}
-	diffPayloadPlan(t, "bind-mu", Unnest{In: bind, Attr: "b", InnerAttrs: []string{"x"}})
 	diffPayloadPlan(t, "bind-muD", UnnestDistinct{In: bind, Attr: "b"})
 }
 
@@ -202,7 +210,7 @@ func TestRowSeqFilteredApplier(t *testing.T) {
 		Inner: SFIdent{},
 	}
 	gammaID := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: fid}
-	diffPayloadPlan(t, "filtered-id-mu", Unnest{In: gammaID, Attr: "g"})
+	diffPayloadPlan(t, "filtered-id-muD", UnnestDistinct{In: gammaID, Attr: "g"})
 }
 
 // TestFilteredIdentKeepsEachGroupsRows: f ∘ σp reuses one buffer for the

@@ -6,24 +6,25 @@ import (
 	"nalquery/internal/value"
 )
 
-// This file implements the plan-time schema-resolution pass of the slot
-// engine. Resolve walks an operator tree bottom-up, once, and assigns every
-// operator an output Layout — a fixed attribute→slot mapping — so that
-// execution can read and write slices instead of rebuilding Go maps per
-// tuple. The result is a tree of Nodes the iterators open from.
+// This file implements the plan-time resolution pass of the slot engine.
+// Resolve walks an operator tree bottom-up, once, and gives every operator an
+// output Layout — a fixed attribute→slot mapping — so that execution can read
+// and write slices instead of rebuilding Go maps per tuple, and the opener
+// that builds the operator's iterator from what typing it derived. The result
+// is a tree of Nodes the iterators open from.
 //
 // Besides the flat layout, the resolver tracks the layouts of
 // tuple-sequence-valued attributes (group attributes created by Γ, the e[a]
-// constructor, nested query blocks): µ and µD need them to assign slots to
-// the attributes that unnesting releases, and ⊥-padding of empty groups
-// needs them before the first non-empty group is seen.
+// constructor, nested query blocks): µD needs them to assign slots to the
+// attributes that unnesting releases.
 //
 // Whether a plan runs is decided here, once: an operator the resolver cannot
-// type — an unknown extension, a colliding layout, a key, group or unnest
-// attribute its input does not bind, a µD over an untracked payload — has
-// Node.OK = false, and so has everything above it. No opener declines later:
-// an unresolved plan is refused when it is opened (see Node.Pump), before it
-// produces anything, and every compiled plan resolves.
+// type — an unknown extension, a definitional-only operator (ΠD, µ), a
+// colliding layout, a key, group or unnest attribute its input does not
+// bind, a µD over an untracked payload — has Node.OK = false, and so has
+// everything above it. No opener declines later: an unresolved plan is
+// refused when it is opened (see Node.Pump), before it produces anything,
+// and every compiled plan resolves.
 
 // Schema is the resolved output type of one operator.
 type Schema struct {
@@ -37,7 +38,7 @@ type Schema struct {
 // Inner is the schema of a tuple-sequence-valued attribute — a schema like
 // an operator's: the member layout plus, recursively, the inner schemas of
 // the members' own sequence-valued attributes. The recursion is what lets
-// nested-in-nested plans (Γ under µ — the outer payload's members carrying
+// nested-in-nested plans (Γ under µD — the outer payload's members carrying
 // their own group attribute) resolve: unnesting releases not just the member
 // attributes but their nested schemas too.
 type Inner = Schema
@@ -47,6 +48,9 @@ func (s Schema) nested(attr string) *Inner { return s.Nested[attr] }
 // nestedWith returns a copy of the nested map with one entry replaced (or
 // removed when in is nil).
 func nestedWith(src map[string]*Inner, attr string, in *Inner) map[string]*Inner {
+	if in == nil && len(src) == 0 {
+		return nil
+	}
 	out := make(map[string]*Inner, len(src)+1)
 	for k, v := range src {
 		out[k] = v
@@ -119,6 +123,12 @@ func exprNested(e Expr, in Schema, subs []*Node) *Inner {
 	switch w := e.(type) {
 	case Var:
 		return in.nested(w.Name)
+	case ConstVal:
+		// A constant tuple sequence is typed by its own layout.
+		if rs, ok := w.V.(value.RowSeq); ok {
+			return &Inner{Lay: rs.Lay()}
+		}
+		return nil
 	case BindTuples:
 		return &Inner{Lay: value.NewLayout(w.Attr)}
 	case NestedApply:
@@ -209,10 +219,17 @@ func (l *planList) fn(f SeqFunc) {
 	}
 }
 
-// Node is one operator of a resolved plan: the operator, its output schema
-// and the nodes of its algebraic inputs, in Children() order. A resolved
-// tree is immutable — layouts and nested-schema maps are never written
-// after Resolve returns — so any number of runs may open it concurrently.
+// opener builds a resolved node's iterator under env. The schema rule that
+// typed the operator made it over what it derived — slots, layouts, key
+// pairs — so an open only opens the inputs, compiles the subscripts against
+// env and builds iterator state.
+type opener func(ctx *Ctx, env value.Tuple) RowIter
+
+// Node is one operator of a resolved plan: the operator, its output schema,
+// its opener and the nodes of its algebraic inputs, in Children() order. A
+// resolved tree is immutable — layouts, slot lists and nested-schema maps are
+// never written after Resolve returns — so any number of runs may open it
+// concurrently.
 type Node struct {
 	Op     Op
 	Schema Schema
@@ -224,6 +241,8 @@ type Node struct {
 	// operator's subscripts, in planList order: resolved once with the plan,
 	// opened once per outer tuple.
 	subs []*Node
+	// open builds the node's iterator; nil when OK is false.
+	open opener
 }
 
 // Resolve types an operator tree in one bottom-up pass: every operator is
@@ -236,7 +255,8 @@ func Resolve(op Op) *Node {
 			n.Kids[i] = Resolve(c)
 		}
 	}
-	n.Schema, n.OK = n.resolve()
+	n.Schema, n.open = n.resolve()
+	n.OK = n.open != nil
 	return n
 }
 
@@ -273,28 +293,34 @@ func (n *Node) unresolved() *Node {
 	return n
 }
 
-// hasAll reports whether the layout binds every name.
-func hasAll(lay *value.Layout, names []string) bool {
-	for _, name := range names {
-		if !lay.Has(name) {
-			return false
+// slotsIn resolves attribute names to their slots under a layout; false when
+// the layout does not bind one of them.
+func slotsIn(lay *value.Layout, names []string) ([]int, bool) {
+	out := make([]int, len(names))
+	for i, name := range names {
+		s, ok := lay.Slot(name)
+		if !ok {
+			return nil, false
 		}
+		out[i] = s
 	}
-	return true
+	return out, true
 }
 
-// resolve is the schema rule of one operator over its inputs' schemas, and
-// the one place that decides whether the operator can run: everything an
-// opener relies on — inputs and nested plans typed, key, group and unnest
-// attributes bound, layouts concatenable — is checked here.
-func (n *Node) resolve() (Schema, bool) {
+// resolve is the rule of one operator over its inputs' schemas: the one place
+// that decides whether the operator can run — inputs and nested plans typed,
+// key, group and unnest attributes bound, layouts concatenable — and that
+// derives what its iterator reads, once per resolved plan. ΠD and µ are
+// definitional only: no compiled plan holds them, so they have their Eval
+// and their cost rule but no rule here.
+func (n *Node) resolve() (Schema, opener) {
 	for _, k := range n.Kids {
 		if !k.OK {
-			return Schema{}, false
+			return Schema{}, nil
 		}
 	}
 	if !n.nest(nestedIn(n.Op)) {
-		return Schema{}, false
+		return Schema{}, nil
 	}
 	var in, r Schema // the first and second input
 	if len(n.Kids) > 0 {
@@ -303,31 +329,47 @@ func (n *Node) resolve() (Schema, bool) {
 	if len(n.Kids) > 1 {
 		r = n.Kids[1].Schema
 	}
-	//nal:opswitch schema
+	//nal:opswitch schema exempt=ProjectDistinct,Unnest
 	switch w := n.Op.(type) {
 	case Singleton:
-		return typed(value.NewLayout(), nil)
+		return typed(singleton[0].Lay, nil, func(*Ctx, value.Tuple) RowIter {
+			return &rowSliceIter{rows: singleton}
+		})
 
-	case Select, XiSimple:
-		return typed(in.Lay, in.Nested)
+	case Select:
+		return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
+			c := n.scope(in, env)
+			return &rowSelectIter{in: n.Kids[0].open(ctx, env), pred: c.expr(w.Pred), ctx: ctx}
+		})
+
+	case XiSimple:
+		return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
+			c := n.scope(in, env)
+			return &rowXiIter{in: n.Kids[0].open(ctx, env), cmds: c.commands(w.Cmds), ctx: ctx}
+		})
 
 	case XiGroup:
-		if hasAll(in.Lay, w.By) {
-			return typed(in.Lay, in.Nested)
+		if by, ok := slotsIn(in.Lay, w.By); ok {
+			return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
+				return n.openXiGroup(w, by, ctx, env)
+			})
 		}
+
 	case Sort:
-		if hasAll(in.Lay, w.By) {
-			return typed(in.Lay, in.Nested)
+		if by, ok := slotsIn(in.Lay, w.By); ok {
+			return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
+				return openSort(n.Kids[0].open(ctx, env), by, w.Dirs, ctx)
+			})
 		}
 
 	case Project:
-		if lay := value.NewLayout(w.Names...); lay != nil {
-			return typed(lay, nestedKept(in.Nested, lay))
+		if lay, src := in.Lay.Project(w.Names); lay != nil {
+			return typed(lay, nestedKept(in.Nested, lay), n.slotMap(lay, src))
 		}
 
 	case ProjectDrop:
-		lay, _ := in.Lay.Drop(w.Names)
-		return typed(lay, nestedKept(in.Nested, lay))
+		lay, src := in.Lay.Drop(w.Names)
+		return typed(lay, nestedKept(in.Nested, lay), n.slotMap(lay, src))
 
 	case ProjectRename:
 		ren := make(map[string]string, len(w.Pairs))
@@ -346,148 +388,197 @@ func (n *Node) resolve() (Schema, bool) {
 					nested[k] = v
 				}
 			}
-			return typed(lay, nested)
-		}
-
-	case ProjectDistinct:
-		names := make([]string, len(w.Pairs))
-		var nested map[string]*Inner
-		for i, p := range w.Pairs {
-			names[i] = p.New
-			if inner := in.nested(p.Old); inner != nil {
-				if nested == nil {
-					nested = map[string]*Inner{}
-				}
-				nested[p.New] = inner
-			}
-		}
-		if lay := value.NewLayout(names...); lay != nil {
-			return typed(lay, nested)
+			return typed(lay, nested, func(ctx *Ctx, env value.Tuple) RowIter {
+				return &rowRenameIter{in: n.Kids[0].open(ctx, env), lay: lay}
+			})
 		}
 
 	case Map:
-		lay, _ := in.Lay.Extend(w.Attr)
-		return typed(lay, nestedWith(in.Nested, w.Attr, exprNested(w.E, in, n.subs)))
+		lay, slot := in.Lay.Extend(w.Attr)
+		return typed(lay, nestedWith(in.Nested, w.Attr, exprNested(w.E, in, n.subs)), func(ctx *Ctx, env value.Tuple) RowIter {
+			c := n.scope(in, env)
+			return &rowMapIter{in: n.Kids[0].open(ctx, env), lay: lay, slot: slot, e: c.expr(w.E), ctx: ctx}
+		})
 
 	case UnnestMap:
-		lay, _ := in.Lay.Extend(w.Attr)
+		lay, slot := in.Lay.Extend(w.Attr)
+		posSlot := -1
 		if w.PosAttr != "" {
-			lay, _ = lay.Extend(w.PosAttr)
+			lay, posSlot = lay.Extend(w.PosAttr)
 		}
 		// Υ binds items, never tuple sequences.
-		return typed(lay, nestedWith(in.Nested, w.Attr, nil))
+		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, env value.Tuple) RowIter {
+			return n.openUnnestMap(w.E, lay, slot, posSlot, ctx, env)
+		})
 
 	case IndexScan:
-		lay, _ := in.Lay.Extend(w.Attr)
+		lay, slot := in.Lay.Extend(w.Attr)
 		// An index scan binds nodes, never tuple sequences.
-		return typed(lay, nestedWith(in.Nested, w.Attr, nil))
+		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, env value.Tuple) RowIter {
+			child := n.Kids[0].open(ctx, env)
+			nodes := w.resolve(ctx, env)
+			// pos starts exhausted so the first Next pulls an input row
+			// before emitting.
+			return &rowIndexScanIter{in: child, lay: lay, slot: slot, nodes: nodes, ctx: ctx, pos: len(nodes)}
+		})
 
-	case Cross, Join:
-		return concat(in, r)
-	case OuterJoin:
-		return outer(in, r, w.G, w.Default)
-
-	// ⋉ and ▷ emit left rows but compile their predicate against l ◦ r.
-	case SemiJoin, AntiJoin:
-		if _, ok := in.Lay.Concat(r.Lay); ok {
-			return typed(in.Lay, in.Nested)
+	case Cross:
+		if lay, ok := in.Lay.Concat(r.Lay); ok {
+			return typed(lay, nestedUnion(in.Nested, r.Nested), func(ctx *Ctx, env value.Tuple) RowIter {
+				return &rowCrossIter{left: n.Kids[0].open(ctx, env), build: n.Kids[1], env: env, ctx: ctx, lay: lay}
+			})
 		}
+
+	case Join:
+		return n.join(in, r, w.Pred, joinModeInner, "", nil)
+	case SemiJoin:
+		return n.join(in, r, w.Pred, joinModeSemi, "", nil)
+	case AntiJoin:
+		return n.join(in, r, w.Pred, joinModeAnti, "", nil)
+	case OuterJoin:
+		return n.join(in, r, w.Pred, joinModeOuter, w.G, w.Default)
 
 	case GroupSelf:
-		if hasAll(in.Lay, w.By) {
-			return n.groupInto(in, in, w.G, w.F)
+		if by, ok := slotsIn(in.Lay, w.By); ok {
+			if sc, ok := n.groupInto(in, in, w.G, w.F); ok {
+				return sc, func(ctx *Ctx, env value.Tuple) RowIter {
+					return n.openGroupSelf(w.F, by, sc.Lay, ctx, env)
+				}
+			}
 		}
+
 	case GroupBinary:
-		if hasAll(in.Lay, w.LAttrs) && hasAll(r.Lay, w.RAttrs) {
-			return n.groupInto(in, r, w.G, w.F)
+		lSlots, lok := slotsIn(in.Lay, w.LAttrs)
+		rSlots, rok := slotsIn(r.Lay, w.RAttrs)
+		if lok && rok {
+			if sc, ok := n.groupInto(in, r, w.G, w.F); ok {
+				return sc, func(ctx *Ctx, env value.Tuple) RowIter {
+					return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, env), n: n, f: w.F, theta: w.Theta,
+						lSlots: lSlots, rSlots: rSlots, env: env, lay: sc.Lay, ctx: ctx}
+				}
+			}
 		}
 
 	case GroupUnary:
-		return n.groupBy(in, w.By, w.G, w.F)
+		// The grouping attributes followed by g.
+		var fn planList
+		fn.fn(w.F)
+		by, bound := slotsIn(in.Lay, w.By)
+		if lay := value.NewLayout(append(w.By[:len(w.By):len(w.By)], w.G)...); n.nest(fn) && lay != nil && bound {
+			return typed(lay, nestedWith(nestedKept(in.Nested, lay), w.G, fnNested(w.F, in)), func(ctx *Ctx, env value.Tuple) RowIter {
+				return n.openGroupUnary(w, by, lay, ctx, env)
+			})
+		}
 
-	case Unnest:
-		return unnestSchema(in, w.Attr, w.InnerAttrs)
 	case UnnestDistinct:
-		return unnestSchema(in, w.Attr, nil)
+		return n.unnestDistinct(in, w.Attr)
 	}
-	// Unknown extensions included.
-	return Schema{}, false
+	// Unknown extensions and the definitional-only operators included.
+	return Schema{}, nil
 }
 
-// concat types the operators that emit l ◦ r.
-func concat(l, r Schema) (Schema, bool) {
-	if lay, ok := l.Lay.Concat(r.Lay); ok {
-		return typed(lay, nestedUnion(l.Nested, r.Nested))
+// singleton is what □ emits: one empty row, immutable, so every open of
+// every plan hands out the same.
+var singleton = []value.Row{value.NewRow(value.NewLayout())}
+
+// slotMap opens Π and Π̄: every output slot is copied from its source slot,
+// -1 for an attribute the input does not bind (Π of it projects an absent
+// value, matching the map semantics).
+func (n *Node) slotMap(lay *value.Layout, src []int) opener {
+	return func(ctx *Ctx, env value.Tuple) RowIter {
+		return &rowSlotMapIter{in: n.Kids[0].open(ctx, env), lay: lay, src: src}
 	}
-	return Schema{}, false
 }
 
-// outer types ⟕: l ◦ r, where a left tuple without partner gets f() — a
-// sequence function of the engine's inventory — in g, an attribute the
-// result binds.
-func outer(l, r Schema, g string, f SeqFunc) (Schema, bool) {
-	var def planList
-	def.fn(f)
-	if sc, ok := concat(l, r); ok && sc.Lay.Has(g) && !def.unknown {
-		return sc, true
+// join types ⋈, ⋉, ▷ and ⟕ and derives what their iterator reads: the
+// concatenated layout their predicate compiles against, the slots of the
+// equi-join key pairs the build side is hashed on with the residual
+// predicate they leave, and for ⟕ the slot of g — an attribute the result
+// binds — and f(), the value g takes on a left tuple without partner (f a
+// sequence function of the engine's inventory).
+func (n *Node) join(l, r Schema, pred Expr, mode joinMode, g string, f SeqFunc) (Schema, opener) {
+	cat, ok := l.Lay.Concat(r.Lay)
+	if !ok {
+		return Schema{}, nil
 	}
-	return Schema{}, false
+	sc := Schema{Lay: cat, Nested: nestedUnion(l.Nested, r.Nested)}
+	if mode == joinModeSemi || mode == joinModeAnti {
+		// ⋉ and ▷ emit left rows but compile their predicate against l ◦ r.
+		sc = l
+	}
+	spec := &joinSpec{mode: mode, lay: sc.Lay, cat: cat, residual: pred, padFrom: l.Lay.Width()}
+	if mode == joinModeOuter {
+		var def planList
+		def.fn(f)
+		gSlot, bound := cat.Slot(g)
+		if !bound || def.unknown {
+			return Schema{}, nil
+		}
+		spec.gSlot, spec.def = gSlot, emptyGroup(f, r.Lay)
+	}
+	if pairs, residual, ok := splitEqPred(pred, NameSet(l.Lay.Names(), true), NameSet(r.Lay.Names(), true)); ok {
+		for _, p := range pairs {
+			ls, _ := l.Lay.Slot(p.Left)
+			rs, _ := r.Lay.Slot(p.Right)
+			spec.lSlots, spec.rSlots = append(spec.lSlots, ls), append(spec.rSlots, rs)
+		}
+		spec.residual = residual
+	}
+	return sc, func(ctx *Ctx, env value.Tuple) RowIter {
+		return &rowJoinIter{joinSpec: spec, left: n.Kids[0].open(ctx, env), n: n, env: env, ctx: ctx}
+	}
 }
 
 // groupInto types the operators that extend every tuple of l by a group
 // attribute g holding f over tuples of members (Γ-self: l itself; binary Γ:
-// the right input). g must be fresh.
+// the right input). g must be fresh: it takes the slot after l's.
 func (n *Node) groupInto(l, members Schema, g string, f SeqFunc) (Schema, bool) {
 	var fn planList
 	fn.fn(f)
 	if lay, slot := l.Lay.Extend(g); n.nest(fn) && slot == l.Lay.Width() {
-		return typed(lay, nestedWith(l.Nested, g, fnNested(f, members)))
+		return Schema{Lay: lay, Nested: nestedWith(l.Nested, g, fnNested(f, members))}, true
 	}
 	return Schema{}, false
 }
 
-// groupBy types unary Γ: the grouping attributes followed by g.
-func (n *Node) groupBy(in Schema, by []string, g string, f SeqFunc) (Schema, bool) {
-	var fn planList
-	fn.fn(f)
-	if lay := value.NewLayout(append(append([]string(nil), by...), g)...); n.nest(fn) && lay != nil && hasAll(in.Lay, by) {
-		return typed(lay, nestedWith(nestedKept(in.Nested, lay), g, fnNested(f, in)))
+// unnestDistinct types µD: the input minus the group attribute, extended by
+// the group's inner layout from the resolver's nested-attribute tracking, and
+// derives the splice of a member into an output row. Inner attributes that
+// collide with kept input attributes share the slot (the group tuple wins,
+// matching Concat's map semantics — e.g. µD over Γ, where the grouping key
+// reappears inside the group members).
+func (n *Node) unnestDistinct(in Schema, attr string) (Schema, opener) {
+	inner := in.nested(attr)
+	gSlot, bound := in.Lay.Slot(attr)
+	if inner == nil || inner.Lay == nil || !bound {
+		return Schema{}, nil
 	}
-	return Schema{}, false
-}
-
-// unnestSchema types µ/µD: the input minus the group attribute, extended by
-// the group's inner layout. The inner layout comes from the operator hint
-// (InnerAttrs) or from the resolver's nested-attribute tracking. Inner
-// attributes that collide with kept input attributes share the slot (the
-// group tuple wins, matching Concat's map semantics — e.g. µ over Γ, where
-// the grouping key reappears inside the group members).
-func unnestSchema(insc Schema, attr string, innerAttrs []string) (Schema, bool) {
-	inner := insc.nested(attr)
-	if innerAttrs != nil {
-		inner = &Inner{Lay: value.NewLayout(innerAttrs...)}
-	}
-	if inner != nil && inner.Lay != nil && insc.Lay.Has(attr) {
-		base, _ := insc.Lay.Drop([]string{attr})
-		names := append([]string(nil), base.Names()...)
-		for _, n := range inner.Lay.Names() {
-			if !base.Has(n) {
-				names = append(names, n)
-			}
-		}
-		if lay := value.NewLayout(names...); lay != nil {
-			// The released members' own nested schemas join the output's:
-			// that is what makes Γ-under-µ (nested-in-nested payloads)
-			// resolve. On a name collision the group side wins, matching
-			// Concat's map semantics.
-			return typed(lay, nestedUnion(nestedKept(insc.Nested, base),
-				nestedKept(inner.Nested, lay)))
+	// The kept input slots come first, in order, so a row starts as a copy
+	// of them.
+	base, baseSrc := in.Lay.Drop([]string{attr})
+	names := slices.Clone(base.Names())
+	for _, name := range inner.Lay.Names() {
+		if !base.Has(name) {
+			names = append(names, name)
 		}
 	}
-	return Schema{}, false
+	lay := value.NewLayout(names...)
+	innerNames := inner.Lay.Names()
+	innerDst := make([]int, len(innerNames))
+	for i, name := range innerNames {
+		innerDst[i], _ = lay.Slot(name)
+	}
+	// The released members' own nested schemas join the output's: that is
+	// what makes Γ-under-µD (nested-in-nested payloads) resolve. On a name
+	// collision the group side wins, matching Concat's map semantics.
+	sc := Schema{Lay: lay, Nested: nestedUnion(nestedKept(in.Nested, base), nestedKept(inner.Nested, lay))}
+	return sc, func(ctx *Ctx, env value.Tuple) RowIter {
+		return &rowUnnestIter{in: n.Kids[0].open(ctx, env), lay: lay, gSlot: gSlot, baseSrc: baseSrc,
+			innerNames: innerNames, innerDst: innerDst, dedup: map[value.HashKey]bool{}, ctx: ctx}
+	}
 }
 
-// typed is the schema of an operator the resolver could type.
-func typed(lay *value.Layout, nested map[string]*Inner) (Schema, bool) {
-	return Schema{Lay: lay, Nested: nested}, true
+// typed is the schema and opener of an operator the resolver could type.
+func typed(lay *value.Layout, nested map[string]*Inner, open opener) (Schema, opener) {
+	return Schema{Lay: lay, Nested: nested}, open
 }

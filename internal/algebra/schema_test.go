@@ -37,7 +37,7 @@ func TestResolveSchemaRenameSwap(t *testing.T) {
 	}
 }
 
-// TestResolveSchemaNestedTracking: µ over a binary grouping resolves because
+// TestResolveSchemaNestedTracking: µD over a binary grouping resolves because
 // the resolver knows the group attribute's inner layout (the right input's
 // schema under f = id).
 func TestResolveSchemaNestedTracking(t *testing.T) {
@@ -47,18 +47,18 @@ func TestResolveSchemaNestedTracking(t *testing.T) {
 	if !ok || sc.nested("g") == nil {
 		t.Fatalf("group schema must track the inner layout: %+v %v", sc, ok)
 	}
-	mu := Unnest{In: grouped, Attr: "g"}
+	mu := UnnestDistinct{In: grouped, Attr: "g"}
 	msc, ok := ResolveSchema(native(mu))
 	if !ok {
-		t.Fatalf("µ over tracked group must resolve: %+v %v", msc, ok)
+		t.Fatalf("µD over tracked group must resolve: %+v %v", msc, ok)
 	}
 	for _, a := range []string{"A1", "A2", "B"} {
 		if !msc.Lay.Has(a) {
-			t.Fatalf("µ layout misses %s: %v", a, msc.Lay.Names())
+			t.Fatalf("µD layout misses %s: %v", a, msc.Lay.Names())
 		}
 	}
 	if msc.Lay.Has("g") {
-		t.Fatalf("µ layout must drop the group attribute")
+		t.Fatalf("µD layout must drop the group attribute")
 	}
 }
 
@@ -173,7 +173,7 @@ func TestStreamingAllocsPerTuple(t *testing.T) {
 		{"Γ self", GroupSelf{In: src, G: "g", By: []string{"x"}, F: SFCount{}}, []Op{src}, 0.1, 1},
 		{"Γ ΠA", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"x"}}}, []Op{src}, 1.2, 2},
 		{"Γ f ∘ σp", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFFiltered{Pred: gtNeg, Inner: SFCount{}}}, []Op{src}, 0.1, 1},
-		{"µ", Unnest{In: groups, Attr: "g"}, []Op{groups}, 0.1, 1},
+		{"µD", UnnestDistinct{In: groups, Attr: "g"}, []Op{groups}, 0.1, 1},
 	} {
 		added := total(tc.op)
 		for _, in := range tc.inputs {

@@ -12,7 +12,8 @@ import (
 
 // metaFlags point opcomplete at the fixture's miniature algebra and pin
 // its five dispatch surfaces in two packages (the real -require default
-// pins three: the engine's plan walkers are Op.MapChildren, not switches).
+// pins two: the engine's plan walkers are Op.MapChildren, not switches, and
+// the schema rule builds the iterator).
 var metaFlags = []string{
 	"-opcomplete.oppkg=fixture/engine",
 	"-opcomplete.require=fixture/engine:rowiter+schema,fixture/planner:cost+rewrite+sec2",

@@ -3,8 +3,9 @@
 // dispatch surface that claims completeness over the operator algebra.
 //
 // The invariant used to live in convention only: adding an operator meant
-// touching the algebra types, the schema rule, the rowiter dispatch and the
-// cost model in lockstep — and forgetting one surface failed slowly, in a
+// touching the algebra types, the schema rule (which also builds the
+// operator's iterator) and the cost model in lockstep — and forgetting one
+// surface failed slowly, in a
 // differential sweep, instead of fast, in lint. opcomplete makes the
 // lockstep mechanical. (Plan walkers are not a surface: they go through
 // Op.MapChildren, so an operator that cannot be walked does not compile.)
@@ -51,7 +52,7 @@ const opIfaceName = "Op"
 
 var (
 	opPkg   = "nalquery/internal/algebra"
-	require = "nalquery/internal/algebra:rowiter+schema," +
+	require = "nalquery/internal/algebra:schema," +
 		"nalquery/internal/cost:cost"
 )
 

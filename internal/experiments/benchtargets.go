@@ -20,8 +20,8 @@ type BenchTarget struct {
 }
 
 // The grouping benchmark family pins the cost of the nested data model —
-// the RowSeq group payloads that Γ builds and µ consumes. It measures the
-// Γ→µ roundtrip (payload construction plus unnesting, the allocation
+// the RowSeq group payloads that Γ builds and µD consumes. It measures the
+// Γ→µD roundtrip (payload construction plus unnesting, the allocation
 // profile of every grouping plan alternative), unary against binary
 // grouping over the same workload, and the quantifier plan alternatives of
 // the paper's existential/universal queries.
@@ -68,7 +68,7 @@ func bidsItemsScans() (bids, items algebra.Op) {
 
 // GroupingFamilyPlans returns the algebraic grouping workloads over the
 // bids/items documents: unary Γ (group bids by item), binary Γ (nest-join
-// items with their bids), and the Γ→µ roundtrip that rebuilds the flat
+// items with their bids), and the Γ→µD roundtrip that rebuilds the flat
 // sequence from the groups.
 func GroupingFamilyPlans() []NamedPlan {
 	bids, items := bidsItemsScans()
@@ -77,16 +77,36 @@ func GroupingFamilyPlans() []NamedPlan {
 	binary := algebra.GroupBinary{L: items, R: bids, G: "g",
 		LAttrs: []string{"i2"}, RAttrs: []string{"i1"},
 		Theta: value.CmpEq, F: algebra.SFIdent{}}
-	roundtrip := algebra.Unnest{In: unary, Attr: "g"}
+	roundtrip := algebra.UnnestDistinct{In: unary, Attr: "g"}
 	return []NamedPlan{
 		{Name: "unary-gamma", Op: unary},
 		{Name: "binary-gamma", Op: binary},
-		{Name: "gamma-mu-roundtrip", Op: roundtrip},
+		{Name: "gamma-muD-roundtrip", Op: roundtrip},
 	}
 }
 
+// quantifierPlans are the quantifier plans of the grouping family: the
+// unnested alternatives the equivalences derive from ∃/∀ (the nested
+// baseline is covered — and capped — by the per-query tables).
+var quantifierPlans = []struct{ query, plan, label string }{
+	{nalquery.QueryQ4Exists, "semijoin", "quantifier-exists-semijoin"},
+	{nalquery.QueryQ5Universal, "anti-semijoin", "quantifier-forall-antisemijoin"},
+}
+
+// GroupingPlanNames lists the plans the grouping family measures.
+func GroupingPlanNames() []string {
+	var out []string
+	for _, p := range GroupingFamilyPlans() {
+		out = append(out, p.Name)
+	}
+	for _, qp := range quantifierPlans {
+		out = append(out, qp.label)
+	}
+	return out
+}
+
 // GroupingBenchTargets returns the grouping family as benchmark targets:
-// the algebraic Γ/µ workloads plus the quantifier plan alternatives of the
+// the algebraic Γ/µD workloads plus the quantifier plan alternatives of the
 // existential (Q4) and universal (Q5) paper queries.
 func GroupingBenchTargets(sizes []int) ([]BenchTarget, error) {
 	var out []BenchTarget
@@ -102,13 +122,7 @@ func GroupingBenchTargets(sizes []int) ([]BenchTarget, error) {
 				},
 			})
 		}
-		// The quantifier plans: the unnested alternatives the equivalences
-		// derive from ∃/∀ (the nested baseline is covered — and capped — by
-		// the per-query tables).
-		for _, qp := range []struct{ query, plan, label string }{
-			{nalquery.QueryQ4Exists, "semijoin", "quantifier-exists-semijoin"},
-			{nalquery.QueryQ5Universal, "anti-semijoin", "quantifier-forall-antisemijoin"},
-		} {
+		for _, qp := range quantifierPlans {
 			eng := nalquery.NewEngine()
 			eng.LoadUseCaseDocuments(size, 2)
 			q, err := eng.Compile(qp.query)

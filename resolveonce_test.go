@@ -164,49 +164,53 @@ func TestPreparedRunAllocBudget(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstRunsShareOneResolvedTree: sixteen goroutines take a
-// fresh Prepared through its first run at once. The plan's tree is built
-// once and read by all of them; every run must serialize the same bytes
-// (and the race detector must stay quiet — `make race-test`).
+// TestConcurrentFirstRunsShareOneResolvedTree: for every plan of every paper
+// query, sixteen goroutines take a fresh Prepared through the plan's first
+// run at once. The plan's tree is built once — its openers and what they
+// derived at resolve time with it — and read by all of them; every run must
+// serialize the same bytes (and the race detector must stay quiet — `make
+// race-test`).
 func TestConcurrentFirstRunsShareOneResolvedTree(t *testing.T) {
 	eng := runEngine(60)
-	for _, id := range []string{"q1", "q2", "q5"} {
-		p, err := eng.Prepare(PaperQueries[id])
+	for id, text := range PaperQueries {
+		p, err := eng.Prepare(text)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		const runs = 16
-		outs := make([]bytes.Buffer, runs)
-		errs := make([]error, runs)
-		var start, done sync.WaitGroup
-		start.Add(1)
-		for i := 0; i < runs; i++ {
-			done.Add(1)
-			go func(i int) {
-				defer done.Done()
-				start.Wait()
-				res, err := p.Run(context.Background())
-				if err != nil {
-					errs[i] = err
-					return
+		for _, plan := range p.Plans() {
+			label := id + "/" + plan.Name
+			const runs = 16
+			outs := make([]bytes.Buffer, runs)
+			errs := make([]error, runs)
+			var start, done sync.WaitGroup
+			start.Add(1)
+			for i := 0; i < runs; i++ {
+				done.Add(1)
+				go func(i int) {
+					defer done.Done()
+					start.Wait()
+					res, err := p.Run(context.Background(), WithPlan(plan.Name))
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					defer res.Close()
+					errs[i] = res.WriteXML(&outs[i])
+				}(i)
+			}
+			start.Done()
+			done.Wait()
+			for i := range outs {
+				if errs[i] != nil {
+					t.Fatalf("%s: run %d: %v", label, i, errs[i])
 				}
-				defer res.Close()
-				errs[i] = res.WriteXML(&outs[i])
-			}(i)
-		}
-		start.Done()
-		done.Wait()
-		for i := range outs {
-			if errs[i] != nil {
-				t.Fatalf("%s: run %d: %v", id, i, errs[i])
+				if outs[i].Len() == 0 || !bytes.Equal(outs[i].Bytes(), outs[0].Bytes()) {
+					t.Fatalf("%s: run %d serialized %d bytes, run 0 %d — first runs disagree", label, i, outs[i].Len(), outs[0].Len())
+				}
 			}
-			if outs[i].Len() == 0 || !bytes.Equal(outs[i].Bytes(), outs[0].Bytes()) {
-				t.Fatalf("%s: run %d serialized %d bytes, run 0 %d — first runs disagree", id, i, outs[i].Len(), outs[0].Len())
+			if plan.tree.root == nil {
+				t.Errorf("%s: the plan has no resolved tree after %d runs", label, runs)
 			}
-		}
-		chosen, _ := p.Plan("")
-		if chosen.tree.root == nil {
-			t.Errorf("%s: the chosen plan has no resolved tree after %d runs", id, runs)
 		}
 	}
 }
