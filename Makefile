@@ -4,9 +4,9 @@
 # ci is the full gate: tier-1, lint (the zero-dependency guard and the
 # nalvet analyzers), go vet plus race-built tests, the fault-injection
 # sweep over every resource-budget trip point, the seeded differential
-# oracle, the benchmark-trajectory diff against the committed
-# BENCH_results.json, and a compile-and-smoke of the benchmark/ harness
-# against the engine.
+# oracle, a fresh benchmark trajectory (bench-json) diffed against the
+# committed BENCH_results.json, and a compile-and-smoke of the benchmark/
+# harness against the engine.
 
 GO ?= go
 
@@ -146,4 +146,4 @@ load-smoke:
 		kill -TERM $$pid; wait $$pid; drc=$$?; \
 		[ $$rc -eq 0 ] && [ $$drc -eq 0 ]
 
-ci: tier1 lint race-test faults oracle bench-diff bench-harness
+ci: tier1 lint race-test faults oracle bench-json bench-diff bench-harness

@@ -43,6 +43,8 @@ func TestCompileErrorTaxonomy(t *testing.T) {
 		{"bare path", `/bib/book`, "translate"},
 		{"bare string", `"hello"`, "translate"},
 		{"bare quantifier", `some $x in doc("b")//a satisfies $x = 1`, "translate"},
+		{"unknown builtin", `for $b in doc("bib.xml")//book where uppercase($b/title) = "X" return $b/title`, "translate"},
+		{"builtin arity", `for $b in doc("bib.xml")//book where true(1, 2, 3) return $b/title`, "translate"},
 	}
 
 	for _, tc := range cases {

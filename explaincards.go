@@ -63,7 +63,7 @@ func (q *Query) ExplainCards(name string) (rows []CardRow, err error) {
 // countRows executes a resolved operator subtree and counts its output
 // tuples.
 func countRows(n *algebra.Node, docs map[string]*dom.Document) int64 {
-	p := n.Pump(algebra.NewCtx(docs), nil)
+	p := n.Pump(algebra.NewCtx(docs))
 	defer p.Close()
 	var c int64
 	for p.Step() {

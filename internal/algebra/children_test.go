@@ -20,7 +20,7 @@ var exprForms = []Expr{Var{}, ConstVal{}, Param{}, Doc{}, PathOf{}, CmpExpr{}, I
 	ForallQ{}, BindTuples{}}
 
 // notChildren are the fields that hold a nested plan or a sequence function:
-// deliberately not expression children. planList.expr, cost.expr and
+// deliberately not expression children. eachNested, cost.expr and
 // FreeVars name their forms.
 var notChildren = map[string]bool{
 	"NestedApply.Plan": true, "NestedApply.F": true,

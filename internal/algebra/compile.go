@@ -2,294 +2,384 @@ package algebra
 
 import (
 	"math"
+	"slices"
 
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
 )
 
-// This file compiles subscript expressions against a resolved Schema:
-// attribute references become slot reads, so the per-tuple cost of σ, χ, Υ
-// and Ξ drops from map lookups (and the env.Concat map rebuild) to slice
-// indexing. Nested algebraic expressions — the nested-loop strategy the
-// unnesting equivalences remove — compile too: the inner plan was resolved
-// with the plan (Node.subs) and is opened on this engine once per outer
-// tuple, with env ◦ row as its environment, and materialized in full before
-// f is applied or the quantifier's predicate tested — the work the
-// definitional Eval does, so both count the same tuples and scans.
+// This file compiles subscript expressions, once, when Resolve types the
+// operator holding them: attribute references become slot reads — of the row
+// the expression is evaluated on or of a row enclosing it — so the per-tuple
+// cost of σ, χ, Υ and Ξ is slice indexing. A nested algebraic expression —
+// the nested-loop strategy the unnesting equivalences remove — is resolved
+// where the compiler meets it, as a plan under the scope of the rows whose
+// subscript holds it. Opening an operator builds its iterator and the scratch
+// its stateful expressions keep (frame), and compiles nothing; a nested plan
+// is opened on this engine once per outer tuple, under that tuple's chain of
+// rows (outer), and materialized in full before f is applied or the
+// quantifier's predicate tested — the work the definitional Eval does, so
+// both count the same tuples and scans.
 
-// RowExpr is a slot-compiled expression, evaluated against one row.
-type RowExpr func(ctx *Ctx, r value.Row) value.Value
+// outer is the chain of rows a plan's free variables read: the row whose
+// subscript holds the plan, then the rows enclosing that one, innermost
+// first — the row engine's env ◦ t. A top-level plan opens under nil.
+type outer struct {
+	row value.Row
+	up  *outer
+}
 
-// scope is what a subscript compiles against: the schema of the rows it
-// reads, the bindings of the free variables of the enclosing open (fixed for
-// the lifetime of one iterator tree, so free references resolve at compile
-// time), and the resolved plans its nested algebraic expressions take, one
-// after the other in planList order.
+// scope is outer's twin at resolve time: the schema of the rows an expression
+// is evaluated on and, behind it, the scopes of the rows enclosing them. It
+// travels by value, so that compiling a subscript allocates no scope; only a
+// nested plan, whose rows it encloses, takes its address (ptr).
 type scope struct {
-	sc   Schema
-	env  value.Tuple
-	subs []*Node
+	Schema
+	up *scope
 }
 
-// scope starts compiling the operator's subscripts against rows of sc.
-func (n *Node) scope(sc Schema, env value.Tuple) scope {
-	return scope{sc: sc, env: env, subs: n.subs}
+// ptr returns the scope as the enclosing scope of another.
+func (s scope) ptr() *scope { return &s }
+
+// binding is where a variable is read: depth 0 is the row an expression is
+// evaluated on, depth d the d-th row enclosing it.
+type binding struct{ depth, slot int }
+
+// lookup resolves a variable against the scope: every row that binds the name,
+// innermost first, and the inner schema the innermost binding tracks. At run
+// time the first binding that holds a value wins — an absent (nil) slot lets
+// an enclosing binding show through, as env ◦ t does in Eval.
+func (s scope) lookup(name string) (bs []binding, inner *Inner) {
+	for d, at := 0, &s; at != nil; d, at = d+1, at.up {
+		if slot, ok := at.Lay.Slot(name); ok {
+			if bs == nil {
+				inner = at.nested(name)
+			}
+			bs = append(bs, binding{depth: d, slot: slot})
+		}
+	}
+	return bs, inner
 }
 
-// sub takes the resolved plan of the next nested algebraic expression.
-func (c *scope) sub() *Node {
-	n := c.subs[0]
-	c.subs = c.subs[1:]
+// read returns the value of the first binding that holds one, nil when none
+// does (or the variable is bound nowhere).
+func read(bs []binding, r value.Row, up *outer) value.Value {
+	depth := 0
+	for _, b := range bs {
+		for ; depth < b.depth; depth++ {
+			r, up = up.row, up.up
+		}
+		if v := r.Vals[b.slot]; v != nil {
+			return v
+		}
+	}
+	return nil
+}
+
+// RowExpr is a compiled expression, evaluated on row r enclosed by the rows
+// up, with the state fr of the open it belongs to.
+type RowExpr func(fr *frame, r value.Row, up *outer) value.Value
+
+// frame is what one open of an operator keeps for its compiled subscripts:
+// the run's context and one scratch entry per stateful sub-expression. The
+// iterators embed it.
+type frame struct {
+	ctx     *Ctx
+	scratch []scratch
+}
+
+// scratch is the state of one stateful sub-expression, reused across the rows
+// of an open: a value or row buffer, the slab its payloads are cut from, and
+// the link of the row chain its nested plan opens under.
+type scratch struct {
+	vals []value.Value
+	rows []value.Row
+	slab rowSlab
+	link outer
+}
+
+// compiler compiles the subscripts of one operator. It numbers the scratch
+// entries an open allocates and records why the operator cannot run: a form
+// outside the engine's inventory, or a nested plan that does not resolve
+// (refused is that plan's lowest untyped operator).
+type compiler struct {
+	states  int
+	failed  bool
+	refused *Node
+}
+
+// state reserves a scratch entry.
+func (c *compiler) state() int {
+	c.states++
+	return c.states - 1
+}
+
+// frame builds the state of one open of the node's compiled subscripts.
+func (n *Node) frame(ctx *Ctx) frame {
+	fr := frame{ctx: ctx}
+	if n.states > 0 {
+		fr.scratch = make([]scratch, n.states)
+	}
+	return fr
+}
+
+// plan resolves the plan of a nested algebraic expression under the scope of
+// the rows whose subscript holds it.
+func (c *compiler) plan(op Op, s *scope) *Node {
+	n := resolveIn(op, s)
+	if !n.OK && !c.failed {
+		c.failed, c.refused = true, n.unresolved()
+	}
 	return n
 }
 
-// seqFn compiles f for application to member rows, once per outer row. The
-// sub-plans in f's predicates are set aside for it and c continues behind
-// them. The applier is compiled once per member layout — the payloads of one
-// operator share theirs — unless f reads the outer row: then it closes over
-// env ◦ row and is compiled for each.
-func (c *scope) seqFn(f SeqFunc) func(*Ctx, value.Row, *value.Layout, []value.Row) value.Value {
-	var l planList
-	l.fn(f)
-	at := *c
-	c.subs = c.subs[len(l.plans):]
-	free := map[string]bool{}
-	f.FreeVars(free)
-	perRow := false
-	for name := range free {
-		perRow = perRow || c.sc.Lay.Has(name)
-	}
-	var lay *value.Layout
-	var apply rowsFunc
-	return func(ctx *Ctx, r value.Row, members *value.Layout, rows []value.Row) value.Value {
-		if perRow || members != lay {
-			fc := at
-			if perRow {
-				fc.env = rowEnv(at.env, r)
-			}
-			lay, apply = members, fc.applier(f, members)
-		}
-		return apply(ctx, rows)
-	}
-}
-
-// exprOver compiles e against rows of another schema, taking sub-plans from
-// the same list.
-func (c *scope) exprOver(sc Schema, e Expr) RowExpr {
-	outer := c.sc
-	c.sc = sc
-	out := c.expr(e)
-	c.sc = outer
+// expr compiles e against rows of the scope.
+func (c *compiler) expr(e Expr, s scope) RowExpr {
+	out, _ := c.compile(e, s)
 	return out
 }
 
-// expr compiles e against the scope's schema.
-func (c *scope) expr(e Expr) RowExpr {
-	sc, env := c.sc, c.env
+// compile compiles e against rows of the scope and returns, with it, the
+// inner schema of the tuple sequence e produces when that is statically
+// known. An expression outside this switch fails the operator.
+func (c *compiler) compile(e Expr, s scope) (RowExpr, *Inner) {
 	switch w := e.(type) {
 	case Var:
-		if slot, ok := sc.Lay.Slot(w.Name); ok {
-			if v, bound := env[w.Name]; bound {
-				// A nil slot is an absent attribute: the map engine's env ◦ t
-				// lets the environment binding show through, so the compiled
-				// form must fall back too.
-				return func(_ *Ctx, r value.Row) value.Value {
-					if x := r.Vals[slot]; x != nil {
-						return x
-					}
-					return v
-				}
-			}
-			return func(_ *Ctx, r value.Row) value.Value { return r.Vals[slot] }
+		bs, inner := s.lookup(w.Name)
+		if len(bs) == 1 && bs[0].depth == 0 {
+			slot := bs[0].slot
+			return func(_ *frame, r value.Row, _ *outer) value.Value { return r.Vals[slot] }, inner
 		}
-		v := env[w.Name]
-		return func(*Ctx, value.Row) value.Value { return v }
+		return func(_ *frame, r value.Row, up *outer) value.Value { return read(bs, r, up) }, inner
 
 	case ConstVal:
-		return func(*Ctx, value.Row) value.Value { return w.V }
+		// A constant tuple sequence is typed by its own layout.
+		var inner *Inner
+		if rs, ok := w.V.(value.RowSeq); ok {
+			inner = &Inner{Lay: rs.Lay()}
+		}
+		return func(*frame, value.Row, *outer) value.Value { return w.V }, inner
 
 	case Param:
 		// External-variable read: one slice index into the per-run binding
 		// table — the run-time twin of a constant.
 		idx := w.Idx
-		return func(ctx *Ctx, _ value.Row) value.Value { return ctx.ParamVal(idx) }
+		return func(fr *frame, _ value.Row, _ *outer) value.Value { return fr.ctx.ParamVal(idx) }, nil
 
 	case Doc:
-		return func(ctx *Ctx, _ value.Row) value.Value { return w.Eval(ctx, nil) }
+		return func(fr *frame, _ value.Row, _ *outer) value.Value { return w.root(fr.ctx) }, nil
 
 	case PathOf:
-		in := c.expr(w.Input)
-		return func(ctx *Ctx, r value.Row) value.Value { return w.Path.Eval(in(ctx, r)) }
+		in := c.expr(w.Input, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value { return w.Path.Eval(in(fr, r, up)) }, nil
 
 	case CmpExpr:
-		l := c.expr(w.L)
-		rr := c.expr(w.R)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			return value.Bool(value.GeneralCompare(l(ctx, r), rr(ctx, r), w.Op))
-		}
+		l, rr := c.expr(w.L, s), c.expr(w.R, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			return value.Bool(value.GeneralCompare(l(fr, r, up), rr(fr, r, up), w.Op))
+		}, nil
 
 	case InExpr:
-		item := c.expr(w.Item)
-		seq := c.expr(w.Seq)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			return value.Bool(value.Member(item(ctx, r), seq(ctx, r)))
-		}
+		item, seq := c.expr(w.Item, s), c.expr(w.Seq, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			return value.Bool(value.Member(item(fr, r, up), seq(fr, r, up)))
+		}, nil
 
 	case AndExpr:
-		l := c.expr(w.L)
-		rr := c.expr(w.R)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			if !value.EffectiveBool(l(ctx, r)) {
+		l, rr := c.expr(w.L, s), c.expr(w.R, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			if !value.EffectiveBool(l(fr, r, up)) {
 				return value.Bool(false)
 			}
-			return value.Bool(value.EffectiveBool(rr(ctx, r)))
-		}
+			return value.Bool(value.EffectiveBool(rr(fr, r, up)))
+		}, nil
 
 	case OrExpr:
-		l := c.expr(w.L)
-		rr := c.expr(w.R)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			if value.EffectiveBool(l(ctx, r)) {
+		l, rr := c.expr(w.L, s), c.expr(w.R, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			if value.EffectiveBool(l(fr, r, up)) {
 				return value.Bool(true)
 			}
-			return value.Bool(value.EffectiveBool(rr(ctx, r)))
-		}
+			return value.Bool(value.EffectiveBool(rr(fr, r, up)))
+		}, nil
 
 	case NotExpr:
-		in := c.expr(w.E)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			return value.Bool(!value.EffectiveBool(in(ctx, r)))
-		}
+		in := c.expr(w.E, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			return value.Bool(!value.EffectiveBool(in(fr, r, up)))
+		}, nil
 
 	case CondExpr:
-		cond := c.expr(w.If)
-		then := c.expr(w.Then)
-		els := c.expr(w.Else)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			if value.EffectiveBool(cond(ctx, r)) {
-				return then(ctx, r)
-			}
-			return els(ctx, r)
+		cond := c.expr(w.If, s)
+		then, t := c.compile(w.Then, s)
+		els, f := c.compile(w.Else, s)
+		var inner *Inner
+		if t != nil && f != nil && slices.Equal(t.Lay.Names(), f.Lay.Names()) {
+			inner = t
 		}
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			if value.EffectiveBool(cond(fr, r, up)) {
+				return then(fr, r, up)
+			}
+			return els(fr, r, up)
+		}, inner
 
 	case ArithExpr:
-		l := c.expr(w.L)
-		rr := c.expr(w.R)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			return evalArith(w.Op, l(ctx, r), rr(ctx, r))
-		}
+		l, rr := c.expr(w.L, s), c.expr(w.R, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			return evalArith(w.Op, l(fr, r, up), rr(fr, r, up))
+		}, nil
 
 	case Call:
 		args := make([]RowExpr, len(w.Args))
 		for i, a := range w.Args {
-			args[i] = c.expr(a)
+			args[i] = c.expr(a, s)
 		}
-		// The argument buffer is reused across invocations: evalBuiltin never
-		// retains the slice, and argument evaluation cannot re-enter this
-		// closure (expressions form a tree).
-		vals := make([]value.Value, len(args))
-		return func(ctx *Ctx, r value.Row) value.Value {
-			for i, a := range args {
-				vals[i] = a(ctx, r)
+		if len(args) == 0 {
+			return func(*frame, value.Row, *outer) value.Value { return evalBuiltin(w.Fn, nil) }, nil
+		}
+		// The argument buffer is the open's: evalBuiltin never retains the
+		// slice, and argument evaluation cannot re-enter this call
+		// (expressions form a tree).
+		i := c.state()
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			st := &fr.scratch[i]
+			if st.vals == nil {
+				st.vals = make([]value.Value, len(args))
 			}
-			return evalBuiltin(w.Fn, vals)
-		}
+			for j, a := range args {
+				st.vals[j] = a(fr, r, up)
+			}
+			return evalBuiltin(w.Fn, st.vals)
+		}, nil
 
 	case BindTuples:
 		lay := value.NewLayout(w.Attr)
+		inner := &Inner{Lay: lay}
 		if p, ok := w.E.(PathOf); ok {
 			// e[a] over a path binds the selection itself: no path value is
 			// built to be unwrapped again. The nodes are copied out of the
-			// stack buffer into a width-1 flat backing cut from the closure's
+			// stack buffer into a width-1 flat backing cut from the open's
 			// slab, one payload a "row" of the slab.
-			in := c.expr(p.Input)
-			var slab rowSlab
-			return func(ctx *Ctx, r value.Row) value.Value {
+			in := c.expr(p.Input, s)
+			i := c.state()
+			return func(fr *frame, r value.Row, up *outer) value.Value {
 				var buf [8]*dom.Node
-				nodes := p.Path.Append(buf[:0], in(ctx, r))
+				nodes := p.Path.Append(buf[:0], in(fr, r, up))
 				var flat []value.Value
 				if len(nodes) > 0 {
-					flat = slab.payload(len(nodes))
+					flat = fr.scratch[i].slab.payload(len(nodes))
 				}
-				for i, n := range nodes {
-					flat[i] = value.NodeVal{Node: n}
+				for j, n := range nodes {
+					flat[j] = value.NodeVal{Node: n}
 				}
 				return value.RowSeqOfFlat(lay, flat)
-			}
+			}, inner
 		}
-		in := c.expr(w.E)
-		return func(ctx *Ctx, r value.Row) value.Value {
-			return value.BindRowSeqLay(lay, value.AsSeq(in(ctx, r)))
-		}
+		in := c.expr(w.E, s)
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			return value.BindRowSeqLay(lay, value.AsSeq(in(fr, r, up)))
+		}, inner
 
 	case AggOfAttr:
-		attr := c.expr(w.Attr)
-		apply := c.seqFn(w.F)
-		_, id := w.F.(SFIdent)
-		var buf []value.Row // no function keeps it: id is the payload itself
-		return func(ctx *Ctx, r value.Row) value.Value {
-			ts, ok := attr(ctx, r).(value.RowSeq)
+		attr, members := c.compile(w.Attr, s)
+		if _, id := w.F.(SFIdent); id {
+			// id is the payload itself.
+			return func(fr *frame, r value.Row, up *outer) value.Value {
+				ts, ok := attr(fr, r, up).(value.RowSeq)
+				if !ok {
+					return value.Null{}
+				}
+				return ts
+			}, members
+		}
+		if members == nil || members.Lay == nil {
+			// Of a payload the resolver does not track, only count reads no
+			// member.
+			if _, count := w.F.(SFCount); !count {
+				c.failed = true
+				return nil, nil
+			}
+			members = &Inner{}
+		}
+		apply, inner := c.applier(w.F, *members, s.ptr())
+		// No function but id keeps the member rows, so one buffer serves
+		// every outer row.
+		i := c.state()
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			ts, ok := attr(fr, r, up).(value.RowSeq)
 			if !ok {
 				return value.Null{}
 			}
-			if id {
-				return ts
-			}
-			buf = rowSeqRows(ts, buf[:0])
-			return apply(ctx, r, ts.Lay(), buf)
-		}
+			st := &fr.scratch[i]
+			st.rows = rowSeqRows(ts, st.rows[:0])
+			st.link = outer{row: r, up: up}
+			return apply(fr, st.rows, &st.link)
+		}, inner
 
 	case NestedApply:
-		sub := c.sub()
-		apply := c.seqFn(w.F)
+		at := s.ptr()
+		sub := c.plan(w.Plan, at)
+		if !sub.OK {
+			return nil, nil
+		}
+		apply, inner := c.applier(w.F, sub.Schema, at)
 		// id keeps the member slice as its payload; every other function
 		// reads it and lets go, so one buffer serves all outer rows.
 		_, keeps := w.F.(SFIdent)
-		var buf []value.Row
-		return func(ctx *Ctx, r value.Row) value.Value {
-			ctx.Stats.NestedEvals++
-			rows := sub.rows(ctx, rowEnv(env, r), buf[:0])
+		i := c.state()
+		return func(fr *frame, r value.Row, up *outer) value.Value {
+			fr.ctx.Stats.NestedEvals++
+			st := &fr.scratch[i]
+			st.link = outer{row: r, up: up}
+			rows := sub.rows(fr.ctx, &st.link, st.rows[:0])
 			if !keeps {
-				buf = rows
+				st.rows = rows
 			}
-			return apply(ctx, r, sub.Schema.Lay, rows)
-		}
+			return apply(fr, rows, &st.link)
+		}, inner
 
 	case ExistsQ:
-		return c.quantifier(w.Var, w.RangeAttr, w.Pred, true)
+		return c.quantifier(w.Var, w.RangeAttr, w.Range, w.Pred, true, s), nil
 	case ForallQ:
-		return c.quantifier(w.Var, w.RangeAttr, w.Pred, false)
-
-	default:
-		//nal:allow-panic unreachable: Node.resolve refuses a plan holding an expression outside this switch (planList.expr) before anything opens
-		panic("algebra: unresolved expression " + e.String())
+		return c.quantifier(w.Var, w.RangeAttr, w.Range, w.Pred, false, s), nil
 	}
+	c.failed = true
+	return nil, nil
 }
 
 // quantifier compiles ∃x ∈ range: p (exists) and ∀x ∈ range: p: per outer
-// row the range plan runs to its end under env ◦ row, then p is tested on
-// the outer row extended by x, range tuple by range tuple, until one decides.
-func (c *scope) quantifier(x, rangeAttr string, p Expr, exists bool) RowExpr {
-	sub := c.sub()
-	env := c.env
+// row the range plan runs to its end under the row's chain, then p is tested
+// on the outer row extended by x, range tuple by range tuple, until one
+// decides.
+func (c *compiler) quantifier(x, rangeAttr string, rng Op, p Expr, exists bool, s scope) RowExpr {
+	sub := c.plan(rng, s.ptr())
+	if !sub.OK {
+		return nil
+	}
 	from, bound := sub.Schema.Lay.Slot(rangeAttr)
-	lay, to := c.sc.Lay.Extend(x)
-	pred := c.exprOver(Schema{Lay: lay,
-		Nested: nestedWith(c.sc.Nested, x, sub.Schema.nested(rangeAttr))}, p)
+	lay, to := s.Lay.Extend(x)
+	pred := c.expr(p, scope{Schema: Schema{Lay: lay,
+		Nested: nestedWith(s.Nested, x, sub.Schema.nested(rangeAttr))}, up: s.up})
 	// The predicate reads slots and keeps nothing of the row it is tested
 	// on, so one probe row and one range buffer serve every outer row.
-	probe := make([]value.Value, lay.Width())
-	var buf []value.Row
-	return func(ctx *Ctx, r value.Row) value.Value {
-		ctx.Stats.NestedEvals++
-		buf = sub.rows(ctx, rowEnv(env, r), buf[:0])
+	i := c.state()
+	return func(fr *frame, r value.Row, up *outer) value.Value {
+		fr.ctx.Stats.NestedEvals++
+		st := &fr.scratch[i]
+		st.link = outer{row: r, up: up}
+		st.rows = sub.rows(fr.ctx, &st.link, st.rows[:0])
+		if st.vals == nil {
+			st.vals = make([]value.Value, lay.Width())
+		}
+		probe := st.vals
 		copy(probe, r.Vals)
-		for _, t := range buf {
+		for _, t := range st.rows {
 			probe[to] = nil
 			if bound {
 				probe[to] = t.Vals[from]
 			}
-			if value.EffectiveBool(pred(ctx, value.Row{Lay: lay, Vals: probe})) == exists {
+			if value.EffectiveBool(pred(fr, value.Row{Lay: lay, Vals: probe}, up)) == exists {
 				return value.Bool(exists)
 			}
 		}
@@ -297,12 +387,12 @@ func (c *scope) quantifier(x, rangeAttr string, p Expr, exists bool) RowExpr {
 	}
 }
 
-// rows opens the resolved plan under env and appends everything it produces
-// to dst: the per-outer-tuple evaluation of a nested plan. Its operators
-// charge the budget and poll cancellation themselves; holding the result
-// charges nothing more, as in NestedApply.Eval.
-func (n *Node) rows(ctx *Ctx, env value.Tuple, dst []value.Row) []value.Row {
-	it := n.open(ctx, env)
+// rows opens the resolved plan under the chain up and appends everything it
+// produces to dst: the per-outer-tuple evaluation of a nested plan. Its
+// operators charge the budget and poll cancellation themselves; holding the
+// result charges nothing more, as in NestedApply.Eval.
+func (n *Node) rows(ctx *Ctx, up *outer, dst []value.Row) []value.Row {
+	it := n.open(ctx, up)
 	for {
 		r, ok := it.Next()
 		if !ok {
@@ -342,22 +432,6 @@ func evalArith(op byte, lv, rv value.Value) value.Value {
 	}
 }
 
-// rowEnv materializes env ◦ row as the environment a nested plan opens
-// under — only the nested-loop path pays this, once per outer row.
-func rowEnv(env value.Tuple, r value.Row) value.Tuple {
-	out := make(value.Tuple, len(env)+len(r.Vals))
-	for k, v := range env {
-		out[k] = v
-	}
-	names := r.Lay.Names()
-	for i, v := range r.Vals {
-		if v != nil {
-			out[names[i]] = v
-		}
-	}
-	return out
-}
-
 // compiledCmd is one slot-compiled Ξ command.
 type compiledCmd struct {
 	lit   string
@@ -365,38 +439,24 @@ type compiledCmd struct {
 	isLit bool
 }
 
-func (c *scope) commands(cs []Command) []compiledCmd {
+func (c *compiler) commands(cs []Command, s scope) []compiledCmd {
 	out := make([]compiledCmd, len(cs))
 	for i, cmd := range cs {
 		if cmd.IsLit {
 			out[i] = compiledCmd{lit: cmd.Lit, isLit: true}
 		} else {
-			out[i] = compiledCmd{e: c.expr(cmd.E)}
+			out[i] = compiledCmd{e: c.expr(cmd.E, s)}
 		}
 	}
 	return out
 }
 
-func execCompiled(ctx *Ctx, r value.Row, cs []compiledCmd) {
+func execCompiled(fr *frame, r value.Row, up *outer, cs []compiledCmd) {
 	for _, c := range cs {
 		if c.isLit {
-			ctx.EmitLit(c.lit)
+			fr.ctx.EmitLit(c.lit)
 			continue
 		}
-		ctx.EmitValue(c.e(ctx, r))
+		fr.ctx.EmitValue(c.e(fr, r, up))
 	}
-}
-
-// rowKey computes the canonical grouping/join key of a row over slots. One-
-// and two-column keys (the common cases) are allocation-free composites;
-// wider keys fold into one string.
-func rowKey(r value.Row, slots []int) value.HashKey {
-	return value.KeyOfSlots(r.Vals, slots)
-}
-
-// tupleHashKey is rowKey for map tuples (group members inside TupleSeq
-// values, and every definitional evaluator — which must key identically to
-// the slot engine so both agree on matches, groups and partition order).
-func tupleHashKey(t value.Tuple, attrs []string) value.HashKey {
-	return value.KeyOfAttrs(t, attrs)
 }

@@ -50,7 +50,7 @@ func TestCompositeKeysDoNotCollide(t *testing.T) {
 		want := c.op.Eval(NewCtx(nil), nil)
 		// ΠD is definitional only: it has no row-engine half.
 		if _, definitional := c.op.(ProjectDistinct); !definitional {
-			if got := RunIter(native(c.op), NewCtx(nil), nil); !value.TupleSeqEqual(want, got) {
+			if got := RunIter(native(c.op), NewCtx(nil)); !value.TupleSeqEqual(want, got) {
 				t.Errorf("%s: Eval %s ≠ RunIter %s", c.name, want, got)
 			}
 		}

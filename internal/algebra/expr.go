@@ -301,7 +301,11 @@ func (p Param) MapChildren(func(Expr) Expr) Expr { return p }
 type Doc struct{ URI string }
 
 // Eval implements Expr.
-func (d Doc) Eval(ctx *Ctx, _ value.Tuple) value.Value {
+func (d Doc) Eval(ctx *Ctx, _ value.Tuple) value.Value { return d.root(ctx) }
+
+// root counts one document access and returns the document's root node, empty
+// when no document has the URI — what both evaluators read doc() as.
+func (d Doc) root(ctx *Ctx) value.Value {
 	ctx.Stats.DocAccesses++
 	doc, ok := ctx.Docs[d.URI]
 	if !ok {

@@ -55,7 +55,7 @@ func TestOuterJoinNonEquiFallback(t *testing.T) {
 func TestJoinIteratorNonEquiFallback(t *testing.T) {
 	op := Join{L: relR1(), R: relR2(), Pred: ltPred()}
 	a := op.Eval(NewCtx(nil), nil)
-	b := RunIter(native(op), NewCtx(nil), nil)
+	b := RunIter(native(op), NewCtx(nil))
 	if !value.TupleSeqEqual(a, b) {
 		t.Fatalf("iterator non-equi fallback differs")
 	}

@@ -9,8 +9,29 @@ import (
 	"nalquery/internal/value"
 )
 
+// builtins is the name → arity table of the item-level builtin library:
+// evalBuiltin implements these names, and the translator rejects a call of
+// any other name, or with an argument count outside [min, max].
+var builtins = map[string]struct{ min, max int }{
+	"true": {0, 0}, "false": {0, 0}, "not": {1, 1}, "boolean": {1, 1},
+	"exists": {1, 1}, "empty": {1, 1}, "count": {1, 1}, "zero-or-one": {1, 1}, "exactly-one": {1, 1},
+	"string": {1, 1}, "decimal": {1, 1}, "number": {1, 1}, "data": {1, 1}, "unordered": {1, 1},
+	"distinct-values": {1, 1}, "min": {1, 1}, "max": {1, 1}, "sum": {1, 1}, "avg": {1, 1},
+	"abs": {1, 1}, "floor": {1, 1}, "ceiling": {1, 1}, "round": {1, 1},
+	"concat": {2, math.MaxInt}, "string-join": {2, 2}, "contains": {2, 2}, "starts-with": {2, 2}, "ends-with": {2, 2},
+	"string-length": {1, 1}, "upper-case": {1, 1}, "lower-case": {1, 1}, "normalize-space": {1, 1},
+	"substring": {2, 3}, "substring-before": {2, 2}, "substring-after": {2, 2}, "translate": {3, 3},
+}
+
+// BuiltinArity reports whether fn names a builtin function and the range of
+// argument counts it takes.
+func BuiltinArity(fn string) (min, max int, ok bool) {
+	a, ok := builtins[fn]
+	return a.min, a.max, ok
+}
+
 // evalBuiltin implements the item-level builtin function library used by the
-// paper's queries.
+// paper's queries, one case per name of builtins.
 func evalBuiltin(fn string, args []value.Value) value.Value {
 	switch fn {
 	case "true":
@@ -180,8 +201,8 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return v
 	default:
-		// Unknown functions evaluate to empty; the frontend rejects them
-		// before execution.
+		// The translator accepts no other name; an unknown function of a
+		// hand-built plan is empty on both evaluators.
 		return value.Null{}
 	}
 }

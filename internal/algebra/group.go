@@ -75,7 +75,7 @@ func partition(ts value.TupleSeq, attrs []string) ([]value.HashKey, map[value.Ha
 	var keys []value.HashKey
 	buckets := make(map[value.HashKey]value.TupleSeq, len(ts))
 	for _, t := range ts {
-		k := tupleHashKey(t, attrs)
+		k := value.KeyOfAttrs(t, attrs)
 		if _, ok := buckets[k]; !ok {
 			keys = append(keys, k)
 		}
@@ -116,7 +116,7 @@ func (g GroupSelf) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	applied := make(map[value.HashKey]value.Value, len(buckets))
 	out := make(value.TupleSeq, 0, len(in))
 	for _, t := range in {
-		k := tupleHashKey(t, g.By)
+		k := value.KeyOfAttrs(t, g.By)
 		v, ok := applied[k]
 		if !ok {
 			v = g.F.Apply(ctx, env, buckets[k])
@@ -176,7 +176,7 @@ func (g GroupBinary) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if g.Theta == value.CmpEq {
 		hash := buildHash(r, g.RAttrs)
 		for _, lt := range l {
-			grp := hash[tupleHashKey(lt, g.LAttrs)]
+			grp := hash[value.KeyOfAttrs(lt, g.LAttrs)]
 			nt := lt.Copy()
 			nt[g.G] = g.F.Apply(ctx, env, grp)
 			out = append(out, nt)
@@ -332,7 +332,7 @@ func (u UnnestDistinct) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 		ts, _ := value.TuplesOf(t[u.Attr])
 		seen := map[value.HashKey]bool{}
 		for _, g := range ts {
-			k := tupleHashKey(g, g.Attrs())
+			k := value.KeyOfAttrs(g, g.Attrs())
 			if seen[k] {
 				continue
 			}

@@ -10,13 +10,12 @@ import (
 // NodeIndex is the execution-time handle of one structural or value index
 // (implemented by internal/index; a fake suffices for tests). ScanAll
 // enumerates the indexed nodes in document order. ProbeEq returns the nodes
-// whose atomized value equals the atomic key, ProbeCmp those comparing true
-// under an ordered operator; both report ok=false when the index has no
-// value layer (the operator then filters ScanAll itself).
+// whose atomized value equals the atomic key, or ok=false when the index has
+// no value layer (the operator then filters ScanAll itself, as it does for
+// every other comparison).
 type NodeIndex interface {
 	ScanAll() []*dom.Node
 	ProbeEq(key value.Value) ([]*dom.Node, bool)
-	ProbeCmp(op value.CmpOp, key value.Value) ([]*dom.Node, bool)
 }
 
 // IndexScan binds Attr to the nodes of an indexed path instead of
@@ -26,11 +25,12 @@ type NodeIndex interface {
 // only the matching nodes are emitted, hopped up Depth parent levels when
 // the predicate path descends below the bound node.
 //
-// The node list is resolved once per open — it does not depend on the input
+// The node list is produced once per open — it does not depend on the input
 // tuples (the substitution only fires when the scanned document is bound by
 // a constant doc() — so like Υ, the operator emits input × nodes, preserving
-// input order with nodes in document order. Key is restricted to expressions
-// without free tuple variables (constants and external parameters).
+// input order with nodes in document order. Key reads no input tuple: the
+// planner substitutes constants and external parameters, and a key inside a
+// nested plan may read the tuples enclosing it.
 type IndexScan struct {
 	In   Op
 	Attr string
@@ -55,55 +55,38 @@ type IndexScan struct {
 	EstCard float64
 }
 
-// resolve produces the scan's node list: probe (or enumerate) the index,
-// then hop up to the bound ancestors. Counted as one index scan; it is NOT
-// a DocAccess — no document traversal runs, which is the point.
-func (s IndexScan) resolve(ctx *Ctx, env value.Tuple) []*dom.Node {
+// nodes produces the scan's node list for the key's value: probe (or
+// enumerate) the index, then hop up to the bound ancestors. Counted as one
+// index scan; it is NOT a DocAccess — no document traversal runs, which is
+// the point.
+func (s IndexScan) nodes(ctx *Ctx, key value.Value) []*dom.Node {
 	ctx.Stats.IndexScans++
 	var nodes []*dom.Node
 	switch {
 	case s.Key == nil:
 		nodes = s.Index.ScanAll()
-	default:
-		key := s.Key.Eval(ctx, env)
-		switch s.Cmp {
-		case value.CmpEq:
-			// The general comparison is existential over the key's atoms:
-			// probe each atom and union the matches.
-			var failed bool
-			for _, atom := range value.Atomize(key) {
-				part, ok := s.Index.ProbeEq(atom)
-				if !ok {
-					failed = true
-					break
-				}
-				nodes = append(nodes, part...)
+	case s.Cmp == value.CmpEq:
+		// The general comparison is existential over the key's atoms: probe
+		// each atom and union the matches.
+		var failed bool
+		for _, atom := range value.Atomize(key) {
+			part, ok := s.Index.ProbeEq(atom)
+			if !ok {
+				failed = true
+				break
 			}
-			if failed {
-				nodes = filterScan(s.Index, key, s.Cmp)
-			} else if len(nodes) > 1 {
-				nodes = sortDedupe(nodes)
-			}
-		case value.CmpNe:
-			// ∃-≠ is not the complement of ∃-=: filter the node list with
-			// the same general comparison σ would run.
-			nodes = filterScan(s.Index, key, s.Cmp)
-		default:
-			var failed bool
-			for _, atom := range value.Atomize(key) {
-				part, ok := s.Index.ProbeCmp(s.Cmp, atom)
-				if !ok {
-					failed = true
-					break
-				}
-				nodes = append(nodes, part...)
-			}
-			if failed {
-				nodes = filterScan(s.Index, key, s.Cmp)
-			} else if len(nodes) > 1 {
-				nodes = sortDedupe(nodes)
-			}
+			nodes = append(nodes, part...)
 		}
+		if failed {
+			nodes = filterScan(s.Index, key, s.Cmp)
+		} else if len(nodes) > 1 {
+			nodes = sortDedupe(nodes)
+		}
+	default:
+		// ∃-≠ is not the complement of ∃-=, and an ordered comparison has no
+		// probe: filter the node list with the same general comparison σ
+		// would run, existential over the key's atoms.
+		nodes = filterScan(s.Index, key, s.Cmp)
 	}
 	if s.Depth > 0 && len(nodes) > 0 {
 		up := make([]*dom.Node, 0, len(nodes))
@@ -145,7 +128,11 @@ func sortDedupe(nodes []*dom.Node) []*dom.Node {
 
 // Eval implements Op (the definitional evaluator).
 func (s IndexScan) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
-	nodes := s.resolve(ctx, env)
+	var key value.Value
+	if s.Key != nil {
+		key = s.Key.Eval(ctx, env)
+	}
+	nodes := s.nodes(ctx, key)
 	in := s.In.Eval(ctx, env)
 	var out value.TupleSeq
 	for _, t := range in {
@@ -195,13 +182,14 @@ func (s IndexScan) Attrs() ([]string, bool) {
 }
 
 // rowIndexScanIter is the slot-native iterator of IndexScan: the node list
-// is resolved once at open, then emitted per input row like Υ's item loop.
+// is produced once at open, from the compiled key, then emitted per input
+// row like Υ's item loop.
 type rowIndexScanIter struct {
 	in    RowIter
 	lay   *value.Layout
 	slot  int
 	nodes []*dom.Node
-	ctx   *Ctx
+	frame
 
 	cur  value.Row
 	pos  int

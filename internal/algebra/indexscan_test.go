@@ -34,20 +34,6 @@ func (f *fakeIndex) ProbeEq(key value.Value) ([]*dom.Node, bool) {
 	return out, true
 }
 
-func (f *fakeIndex) ProbeCmp(op value.CmpOp, key value.Value) ([]*dom.Node, bool) {
-	if !f.hasVals {
-		return nil, false
-	}
-	f.probes++
-	var out []*dom.Node
-	for _, n := range f.nodes {
-		if value.GeneralCompare(value.NodeVal{Node: n}, key, op) {
-			out = append(out, n)
-		}
-	}
-	return out, true
-}
-
 const idxTestDoc = `<bib>
   <book year="1999"><title>a</title></book>
   <book year="2001"><title>b</title></book>
@@ -65,7 +51,7 @@ func boundNodes(t *testing.T, op Op, attr string) ([]*dom.Node, *Stats, *Stats) 
 	evalCtx := NewCtx(nil)
 	want := op.Eval(evalCtx, nil)
 	iterCtx := NewCtx(nil)
-	got := RunIter(op, iterCtx, nil)
+	got := RunIter(op, iterCtx)
 	if !value.TupleSeqEqual(want, got) {
 		t.Fatalf("engines disagree:\n eval %v\n iter %v", want, got)
 	}
@@ -189,7 +175,7 @@ func TestIndexScanPerInputRow(t *testing.T) {
 		E: ConstVal{V: value.Seq{value.Int(1), value.Int(2)}}}
 	op := IndexScan{In: in, Attr: "b", URI: "bib.xml", Path: "/bib/book", Index: fx}
 	ctx := NewCtx(nil)
-	out := RunIter(op, ctx, nil)
+	out := RunIter(op, ctx)
 	if len(out) != 2*len(books) {
 		t.Fatalf("%d tuples, want input × nodes = %d", len(out), 2*len(books))
 	}

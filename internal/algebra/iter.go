@@ -16,8 +16,8 @@ import (
 // physical algebra", Sec. 1) — and returns its result as map tuples,
 // materialized only at this boundary (for comparison with Eval). Side
 // effects (Ξ output) happen while streaming.
-func RunIter(op Op, ctx *Ctx, env value.Tuple) value.TupleSeq {
-	p := Resolve(op).Pump(ctx, env)
+func RunIter(op Op, ctx *Ctx) value.TupleSeq {
+	p := Resolve(op).Pump(ctx)
 	defer p.Close()
 	var out value.TupleSeq
 	for {
@@ -30,17 +30,19 @@ func RunIter(op Op, ctx *Ctx, env value.Tuple) value.TupleSeq {
 }
 
 // DrainIter pulls a plan to completion discarding tuples: Resolve, then
-// Node.Drain.
+// Node.Drain. env must be nil: a top-level plan reads no outer bindings. (The
+// parameter stays because benchmark/layers.go, which must build against the
+// parent commit too, passes it.)
 func DrainIter(op Op, ctx *Ctx, env value.Tuple) {
-	Resolve(op).Drain(ctx, env)
+	Resolve(op).Drain(ctx)
 }
 
 // Drain pulls the resolved plan to completion discarding tuples — the
 // execution mode of a top-level query, where the Ξ side effects are the
 // result. A cancellation signal wired into ctx (SetDone) terminates the drain
 // early.
-func (n *Node) Drain(ctx *Ctx, env value.Tuple) {
-	p := n.Pump(ctx, env)
+func (n *Node) Drain(ctx *Ctx) {
+	p := n.Pump(ctx)
 	defer p.Close()
 	for p.Step() {
 		if ctx.Cancelled() {
@@ -62,12 +64,12 @@ type Pump struct {
 // Pump opens the row-iterator tree of the resolved plan. It is where a plan
 // the resolver could not type is refused: nothing has run, and the panic
 // names the operator without schema.
-func (n *Node) Pump(ctx *Ctx, env value.Tuple) *Pump {
+func (n *Node) Pump(ctx *Ctx) *Pump {
 	if !n.OK {
 		//nal:allow-panic only a hand-built plan can be untypable (every compiled plan resolves); Run/Results recover this into *InternalError before any output
 		panic("algebra: cannot run the plan: no slot schema for operator " + n.unresolved().Op.String())
 	}
-	return &Pump{rit: n.open(ctx, env)}
+	return &Pump{rit: n.open(ctx, nil)}
 }
 
 // Step advances the plan by one root tuple; false means the plan is

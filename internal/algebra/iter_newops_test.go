@@ -17,7 +17,7 @@ func TestIterMatchesEvalNewOps(t *testing.T) {
 	quickCheck(t, "iter=eval-new-ops", func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		op := Sort{In: randRel(rng, []string{"A1", "C"}, 8, 3), By: []string{"A1", "C"}, Dirs: []bool{true, false}}
-		return value.TupleSeqEqual(op.Eval(NewCtx(nil), nil), RunIter(native(op), NewCtx(nil), nil))
+		return value.TupleSeqEqual(op.Eval(NewCtx(nil), nil), RunIter(native(op), NewCtx(nil)))
 	})
 }
 
@@ -34,7 +34,7 @@ func TestIterUnnestMapPositions(t *testing.T) {
 	}
 	op := UnnestMap{In: in, Attr: "x", PosAttr: "i", E: Var{Name: "s"}}
 	want := op.Eval(NewCtx(nil), nil)
-	got := RunIter(native(op), NewCtx(nil), nil)
+	got := RunIter(native(op), NewCtx(nil))
 	if !value.TupleSeqEqual(want, got) {
 		t.Fatalf("iterator Υ with positions differs:\n%v\nvs\n%v", got, want)
 	}

@@ -15,7 +15,7 @@ func iterMatches(t *testing.T, op Op) {
 	ctxM := NewCtx(nil)
 	want := op.Eval(ctxM, nil)
 	ctxI := NewCtx(nil)
-	got := RunIter(native(op), ctxI, nil)
+	got := RunIter(native(op), ctxI)
 	if !value.TupleSeqEqual(want, got) {
 		t.Fatalf("iterator mismatch for %s:\nmaterialized: %s\niterator:     %s",
 			op.String(), want, got)
@@ -65,13 +65,13 @@ func TestIterUnnestMap(t *testing.T) {
 }
 
 func TestIterCloseIdempotent(t *testing.T) {
-	p := Resolve(native(Select{In: relR1(), Pred: ConstVal{V: value.Bool(true)}})).Pump(NewCtx(nil), nil)
+	p := Resolve(native(Select{In: relR1(), Pred: ConstVal{V: value.Bool(true)}})).Pump(NewCtx(nil))
 	p.Close()
 	p.Close()
 }
 
 func TestIterEarlyClose(t *testing.T) {
-	p := Resolve(native(Cross{L: relR1(), R: relR2()})).Pump(NewCtx(nil), nil)
+	p := Resolve(native(Cross{L: relR1(), R: relR2()})).Pump(NewCtx(nil))
 	if !p.Step() {
 		t.Fatalf("expected at least one tuple")
 	}
@@ -115,7 +115,7 @@ func TestIterMatchesEvalProperty(t *testing.T) {
 				Theta: value.CmpEq, F: SFIdent{}}, Attr: "g"}
 		}
 		a := op.Eval(NewCtx(nil), nil)
-		b := RunIter(native(op), NewCtx(nil), nil)
+		b := RunIter(native(op), NewCtx(nil))
 		return value.TupleSeqEqual(a, b)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

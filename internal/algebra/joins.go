@@ -82,7 +82,7 @@ func NameSet(names []string, known bool) map[string]bool {
 func buildHash(ts value.TupleSeq, attrs []string) map[value.HashKey]value.TupleSeq {
 	h := make(map[value.HashKey]value.TupleSeq, len(ts))
 	for _, t := range ts {
-		k := tupleHashKey(t, attrs)
+		k := value.KeyOfAttrs(t, attrs)
 		h[k] = append(h[k], t)
 	}
 	return h
@@ -130,7 +130,7 @@ func prepareJoin(ctx *Ctx, right value.TupleSeq, l, r Op, pred Expr) joinPlan {
 func (jp *joinPlan) matches(ctx *Ctx, env value.Tuple, lt value.Tuple) value.TupleSeq {
 	candidates := jp.right
 	if jp.useHash {
-		candidates = jp.hash[tupleHashKey(lt, jp.lKeys)]
+		candidates = jp.hash[value.KeyOfAttrs(lt, jp.lKeys)]
 	}
 	if jp.residual == nil {
 		return candidates
@@ -148,7 +148,7 @@ func (jp *joinPlan) matches(ctx *Ctx, env value.Tuple, lt value.Tuple) value.Tup
 func (jp *joinPlan) anyMatch(ctx *Ctx, env value.Tuple, lt value.Tuple) bool {
 	candidates := jp.right
 	if jp.useHash {
-		candidates = jp.hash[tupleHashKey(lt, jp.lKeys)]
+		candidates = jp.hash[value.KeyOfAttrs(lt, jp.lKeys)]
 	}
 	if jp.residual == nil {
 		return len(candidates) > 0

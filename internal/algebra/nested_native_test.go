@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 )
 
 // Nested algebraic expressions on the row engine: the inner plan is resolved
-// with the plan and opened once per outer tuple under env ◦ row. These tests
+// with the plan, where the subscript compiler meets it, and opened once per
+// outer tuple under the chain of rows enclosing it. These tests
 // run hand-built shapes — compiled plans have few of them — on both
 // evaluators and require the same tuples, the same Ξ output and the same
 // counters.
@@ -26,7 +28,7 @@ func sameRun(t *testing.T, name string, op Op) Stats {
 	if !n.OK {
 		t.Fatalf("%s: does not resolve (%s)", name, n.unresolved().Op)
 	}
-	got := RunIter(op, ctx, nil)
+	got := RunIter(op, ctx)
 	if !value.TupleSeqEqual(want, got) {
 		t.Errorf("%s: the row engine differs from Eval\neval: %.300s\nrows: %.300s", name, want, got)
 	}
@@ -43,7 +45,8 @@ func cmp(l Expr, op value.CmpOp, r Expr) Expr { return CmpExpr{L: l, R: r, Op: o
 
 // TestNestedInNestedReadsBothLevels: a nested plan whose own subscript holds a
 // nested plan reading A1 of the outermost tuple and B of the middle one — and
-// the sub-plans hang off the nodes whose subscripts hold them, resolved once.
+// both are resolved with the plan: the attribute the outer χ binds is typed
+// by the middle plan, whose own χ the innermost plan typed.
 func TestNestedInNestedReadsBothLevels(t *testing.T) {
 	e3 := constOp{ts: value.TupleSeq{{"C": value.Int(1)}, {"C": value.Int(3)}, {"C": value.Int(4)}, {"C": value.Int(9)}},
 		attrs: []string{"C"}}
@@ -61,20 +64,15 @@ func TestNestedInNestedReadsBothLevels(t *testing.T) {
 	}
 
 	n := Resolve(native(op))
-	outer := n.Kids[0]
-	if len(n.subs) != 0 || len(outer.subs) != 1 {
-		t.Fatalf("sub-plans: Ξ holds %d, the outer χ %d; want 0 and 1", len(n.subs), len(outer.subs))
-	}
-	mid := outer.subs[0]
-	if mid.Op.String() != middle.String() || len(mid.subs) != 1 || mid.subs[0].Op.String() != innermost.String() {
-		t.Errorf("the outer χ's sub-plan is %s holding %v, want the middle χ holding the innermost σ", mid.Op, mid.subs)
+	if g := n.Kids[0].Schema.nested("g"); g == nil || !slices.Equal(g.Lay.Names(), []string{"B", "m"}) {
+		t.Errorf("the outer χ's g is typed %+v, want the middle plan's ΠB,m", g)
 	}
 }
 
 // TestQuantifiersOverCorrelatedRanges: ∃ and ∀ over a range that depends on
 // the outer tuple and is empty for some (∃ false, ∀ true there), with
 // predicates that read the outer tuple, alone and under ¬, ∨, ∧, if and a
-// builtin — every position the compiler takes sub-plans in order from.
+// builtin — every position the compiler meets a nested plan at.
 func TestQuantifiersOverCorrelatedRanges(t *testing.T) {
 	rng := func(lo int64) Op { // R2 tuples joining the outer A1 with B ≥ lo
 		return Select{In: relR2(), Pred: AndExpr{L: eqCmp("A1", "A2"),
@@ -106,8 +104,8 @@ func TestQuantifiersOverCorrelatedRanges(t *testing.T) {
 	} {
 		sameRun(t, name, Select{In: relR1(), Pred: pred})
 	}
-	// A join residual takes the node's sub-plans too — behind the equality
-	// the hash join drops — and so does every Ξ command list.
+	// So does a join residual — behind the equality the hash join drops —
+	// and every Ξ command list.
 	sameRun(t, "⋈ residual", Join{L: relR1(), R: constOp{ts: value.TupleSeq{{"K": value.Int(1)}, {"K": value.Int(3)}}, attrs: []string{"K"}},
 		Pred: AndExpr{L: AndExpr{L: some(0, 1), R: eqCmp("A1", "K")}, R: every(0, 1)}})
 	sameRun(t, "Ξ-group", XiGroup{In: relR1(), By: []string{"A1"},
@@ -115,10 +113,9 @@ func TestQuantifiersOverCorrelatedRanges(t *testing.T) {
 }
 
 // TestSequenceFunctionPredicatesHoldNestedPlans: f ∘ σp where p holds a
-// nested plan and reads the outer tuple — f is compiled per outer row then,
-// from the sub-plans set aside for it — as the function of a nested block, of
-// a group attribute, and of Γ; the expression behind each takes its own
-// sub-plans from behind f's.
+// nested plan and reads the outer tuple — f is compiled once and reads it
+// through the chain it is applied under — as the function of a nested block,
+// of a group attribute, and of Γ, with a nested plan behind each.
 func TestSequenceFunctionPredicatesHoldNestedPlans(t *testing.T) {
 	hasSmaller := ExistsQ{Var: "y", RangeAttr: "B", Range: relR2(),
 		Pred: AndExpr{L: cmp(Var{Name: "y"}, value.CmpLt, Var{Name: "B"}), R: cmp(Var{Name: "y"}, value.CmpGt, Var{Name: "A1"})}}
@@ -126,7 +123,7 @@ func TestSequenceFunctionPredicatesHoldNestedPlans(t *testing.T) {
 	after := ExistsQ{Var: "z", RangeAttr: "A2", Range: relR2(), Pred: eqCmp("z", "A1")}
 
 	// The block's own plan differs from the one in f's predicate and from the
-	// one behind them, so taking them in another order shows.
+	// one behind them, so mixing them up shows.
 	block := Select{In: relR2(), Pred: cmp(Var{Name: "A1"}, value.CmpLe, Var{Name: "A2"})}
 
 	sameRun(t, "nested block", Select{In: Map{In: relR1(), Attr: "n", E: NestedApply{F: f, Plan: block}}, Pred: after})
@@ -140,6 +137,27 @@ func TestSequenceFunctionPredicatesHoldNestedPlans(t *testing.T) {
 		E: Call{Fn: "concat", Args: []Expr{AggOfAttr{F: f, Attr: NestedApply{F: SFIdent{}, Plan: block}}, ConstVal{V: value.Str("/")}, after}}})
 	sameRun(t, "Γ", GroupBinary{L: relR1(), R: relR2(), G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
 		Theta: value.CmpLe, F: SFFiltered{Pred: after, Inner: SFProject{Attrs: []string{"B"}}}})
+}
+
+// TestAbsentInnerSlotShowsTheOuterBinding: a nested plan whose rows leave A1
+// absent — Π of an attribute its input does not bind — reads the outer
+// tuple's A1 through the hole, as env ◦ t does in Eval: in the nested plan's
+// own σ, and in the predicate of f applied to its rows.
+func TestAbsentInnerSlotShowsTheOuterBinding(t *testing.T) {
+	holed := Project{Names: []string{"A1", "A2", "B"}, In: relR2()}
+	for name, e := range map[string]Expr{
+		"σ in the nested plan": NestedApply{F: SFCount{}, Plan: Select{In: holed, Pred: eqCmp("A1", "A2")}},
+		"f ∘ σp over its rows": NestedApply{F: SFFiltered{Pred: eqCmp("A1", "A2"), Inner: SFCount{}}, Plan: holed},
+	} {
+		op := Map{In: relR1(), Attr: "n", E: e}
+		sameRun(t, name, op)
+		got := RunIter(native(op), NewCtx(nil))
+		for i, want := range []int64{2, 2, 0} { // outer A1 = 1, 2, 3
+			if n := got[i]["n"]; !value.DeepEqual(n, value.Int(want)) {
+				t.Errorf("%s: outer tuple %d counts %v, want %d", name, i, n, want)
+			}
+		}
+	}
 }
 
 // TestInnerIndexScanProbesPerOpen: an index scan inside a nested plan, keyed
@@ -164,7 +182,7 @@ func TestInnerIndexScanProbesPerOpen(t *testing.T) {
 		t.Errorf("%d index scans over %d nested evaluations (%d probes on both evaluators), want 3, 3 and 6",
 			st.IndexScans, st.NestedEvals, ix.probes)
 	}
-	got := RunIter(native(op), NewCtx(nil), nil)
+	got := RunIter(native(op), NewCtx(nil))
 	for i, want := range []int64{2, 3, 0} { // keys 1, 2, 3
 		if n := got[i]["n"]; !value.DeepEqual(n, value.Int(want)) {
 			t.Errorf("outer tuple %d: %v matches, want %d", i, n, want)
@@ -195,7 +213,7 @@ func TestNestedPlansMatchEvalProperty(t *testing.T) {
 		for _, op := range ops {
 			op = native(op)
 			ref, ctx := NewCtx(nil), NewCtx(nil)
-			if !value.TupleSeqEqual(op.Eval(ref, nil), RunIter(op, ctx, nil)) || ref.Stats != ctx.Stats {
+			if !value.TupleSeqEqual(op.Eval(ref, nil), RunIter(op, ctx)) || ref.Stats != ctx.Stats {
 				t.Logf("seed %d: %s", seed, Explain(op))
 				return false
 			}

@@ -334,7 +334,7 @@ func (p ProjectDistinct) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 		for _, r := range p.Pairs {
 			nt[r.New] = t[r.Old]
 		}
-		if k := tupleHashKey(t, olds); !seen[k] {
+		if k := value.KeyOfAttrs(t, olds); !seen[k] {
 			ctx.charge(TripDedup, 0, dedupEntryBytes)
 			seen[k] = true
 			out = append(out, nt)

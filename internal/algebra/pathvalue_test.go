@@ -56,7 +56,7 @@ func TestPathValueNormalForm(t *testing.T) {
 		plan := Map{Attr: "v", E: PathOf{Input: Var{Name: "c"}, Path: p},
 			In: Map{In: Singleton{}, Attr: "c", E: ConstVal{V: c.ctx}}}
 		for engine, ts := range map[string]value.TupleSeq{
-			"row engine": RunIter(plan, NewCtx(nil), nil),
+			"row engine": RunIter(plan, NewCtx(nil)),
 			"Op.Eval":    plan.Eval(NewCtx(nil), nil),
 		} {
 			if len(ts) != 1 {
@@ -187,7 +187,7 @@ func TestUnnestMapReadsOneItemInPlace(t *testing.T) {
 	plan := UnnestMap{Attr: "n", PosAttr: "i", In: groupsPlan(d),
 		E: Call{Fn: "count", Args: []Expr{PathOf{Input: Var{Name: "g"}, Path: xpath.MustParse("v")}}}}
 	iterMatches(t, plan)
-	got := RunIter(plan, NewCtx(nil), nil)
+	got := RunIter(plan, NewCtx(nil))
 	var counts []string
 	for _, tup := range got {
 		counts = append(counts, tup["n"].String()+"@"+tup["i"].String())

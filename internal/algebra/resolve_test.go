@@ -139,9 +139,6 @@ func TestResolveTreeShapes(t *testing.T) {
 	if !n.OK || !reflect.DeepEqual(n.Schema.Lay.Names(), []string{"A1", "A2", "B"}) {
 		t.Errorf("µD over it resolved to %v (ok=%v), want the released [A1 A2 B]", n.Schema.Lay.Names(), n.OK)
 	}
-	if subs := n.Kids[0].subs; len(subs) != 1 || !subs[0].OK || subs[0].Op.String() != "σ[A1 = A2]" {
-		t.Errorf("χ over a nested plan holds sub-plans %v, want the resolved σ[A1 = A2]", subs)
-	}
 
 	for name, op := range map[string]Op{
 		"unresolved input": Project{Names: []string{"A1"}, In: untyped},

@@ -13,16 +13,16 @@ import (
 // value.Row, one per operator. Resolve (schema.go) fixes every operator's
 // attribute→slot mapping once per plan and gives its node the opener that
 // builds its iterator from the slots, layouts and key pairs typing it
-// derived; opening a plan runs the openers of the resolved nodes — each opens
-// its inputs, compiles its subscripts against the environment and builds its
-// state, and types nothing again — and the iterators then produce rows whose
-// value slices are cut from chunks the producing iterator owns (rowSlab: one
-// allocation per chunk of rows, not per row — and often no slice at all: σ
-// and Ξ pass rows through, ΠA′:A swaps the layout pointer and keeps the
-// slice). Nested data is slot-native too: group payloads, e[a] bindings and
-// nested-block results travel as value.RowSeq. No map tuple is ever on the
-// data path; the definitional Eval methods are the oracle this engine is
-// tested against, not a way to run an operator.
+// derived and the subscripts it compiled; opening a plan runs the openers of
+// the resolved nodes — each opens its inputs and builds its iterator and
+// expression state, and types and compiles nothing — and the iterators then
+// produce rows whose value slices are cut from chunks the producing iterator
+// owns (rowSlab: one allocation per chunk of rows, not per row — and often no
+// slice at all: σ and Ξ pass rows through, ΠA′:A swaps the layout pointer and
+// keeps the slice). Nested data is slot-native too: group payloads, e[a]
+// bindings and nested-block results travel as value.RowSeq. No map tuple is
+// ever on the data path; the definitional Eval methods are the oracle this
+// engine is tested against, not a way to run an operator.
 //
 // Rows are immutable once emitted. Operators may retain received rows
 // (sort, hash build, the group-detecting Ξ's previous row) without copying;
@@ -84,49 +84,56 @@ func putSortBuf(buf []value.Row) {
 	sortBufPool.Put(&buf)
 }
 
-// rowsFunc is a sequence function compiled against the layout of the rows
-// it is applied to.
-type rowsFunc func(ctx *Ctx, rows []value.Row) value.Value
+// rowsFunc is a sequence function compiled against the schema of the member
+// rows it is applied to; up is the chain enclosing them.
+type rowsFunc func(fr *frame, rows []value.Row, up *outer) value.Value
 
-// applier compiles a SeqFunc against the layout of the group's member rows:
-// id wraps the member rows as a RowSeq without copying, count and the
-// aggregates read slots, ΠA builds a flat projected RowSeq, and f ∘ σp
-// compiles its predicate against the member layout once. These are all the
-// sequence functions there are (planList.fn refuses a plan with another).
-func (c *scope) applier(f SeqFunc, lay *value.Layout) rowsFunc {
+// applier compiles f for groups of member rows of the schema members, whose
+// enclosing rows have the scope up, and returns with it the inner schema of
+// the tuple sequence f produces (nil for count and the aggregates): id wraps
+// the member rows as a RowSeq without copying, count and the aggregates read
+// slots, ΠA builds a flat projected RowSeq, and f ∘ σp compiles its predicate
+// against the member schema. These are all the sequence functions there are:
+// another one fails the operator.
+func (c *compiler) applier(f SeqFunc, members Schema, up *scope) (rowsFunc, *Inner) {
+	lay := members.Lay
 	switch w := f.(type) {
 	case SFIdent:
-		return func(_ *Ctx, rows []value.Row) value.Value {
+		return func(_ *frame, rows []value.Row, _ *outer) value.Value {
 			return value.WrapRows(lay, rows)
-		}
+		}, &members
 	case SFCount:
-		return func(_ *Ctx, rows []value.Row) value.Value {
+		return func(_ *frame, rows []value.Row, _ *outer) value.Value {
 			return value.Int(int64(len(rows)))
-		}
+		}, nil
 	case SFAgg:
 		// A member layout without the attribute aggregates no items.
 		slot, bound := lay.Slot(w.Attr)
 		// aggregate retains nothing, so one item buffer serves every group.
-		var items value.Seq
-		return func(_ *Ctx, rows []value.Row) value.Value {
-			items = items[:0]
+		i := c.state()
+		return func(fr *frame, rows []value.Row, _ *outer) value.Value {
+			st := &fr.scratch[i]
+			st.vals = st.vals[:0]
 			for _, r := range rows {
 				if bound {
-					items = value.AppendItems(items, r.Vals[slot])
+					st.vals = value.AppendItems(st.vals, r.Vals[slot])
 				}
 			}
-			return aggregate(w.Fn, items)
-		}
+			return aggregate(w.Fn, st.vals)
+		}, nil
 	case SFProject:
 		plLay, slots := lay.Project(w.Attrs)
-		var slab rowSlab
-		return func(ctx *Ctx, rows []value.Row) value.Value {
+		if plLay == nil || plLay.Width() == 0 {
+			break // no row carries this projection
+		}
+		i := c.state()
+		return func(fr *frame, rows []value.Row, _ *outer) value.Value {
 			// The projected payload is a fresh flat backing — the Γ group
-			// state the budget exists to bound — cut from the applier's slab.
-			ctx.ChargeBytes(TripGroup, len(rows)*len(slots)*rowSlotBytes)
+			// state the budget exists to bound — cut from the open's slab.
+			fr.ctx.ChargeBytes(TripGroup, len(rows)*len(slots)*rowSlotBytes)
 			var flat []value.Value
 			if n := len(rows) * len(slots); n > 0 {
-				flat = slab.payload(n)[:0]
+				flat = fr.scratch[i].slab.payload(n)[:0]
 			}
 			for _, r := range rows {
 				for _, s := range slots {
@@ -138,30 +145,30 @@ func (c *scope) applier(f SeqFunc, lay *value.Layout) rowsFunc {
 				}
 			}
 			return value.RowSeqOfFlat(plLay, flat)
-		}
+		}, &Inner{Lay: plLay, Nested: nestedKept(members.Nested, plLay)}
 	case SFFiltered:
-		pred := c.exprOver(Schema{Lay: lay}, w.Pred)
-		inner := c.applier(w.Inner, lay)
+		pred := c.expr(w.Pred, scope{Schema: members, up: up})
+		inner, out := c.applier(w.Inner, members, up)
 		// id wraps the kept rows as its payload; every other function reads
 		// them and lets go, so one buffer serves all groups.
 		_, keeps := w.Inner.(SFIdent)
-		var buf []value.Row
-		return func(ctx *Ctx, rows []value.Row) value.Value {
-			kept := buf[:0]
+		i := c.state()
+		return func(fr *frame, rows []value.Row, up *outer) value.Value {
+			st := &fr.scratch[i]
+			kept := st.rows[:0]
 			for _, r := range rows {
-				if value.EffectiveBool(pred(ctx, r)) {
+				if value.EffectiveBool(pred(fr, r, up)) {
 					kept = append(kept, r)
 				}
 			}
 			if !keeps {
-				buf = kept
+				st.rows = kept
 			}
-			return inner(ctx, kept)
-		}
-	default:
-		//nal:allow-panic unreachable: Node.resolve refuses a plan holding a sequence function outside this switch (planList.fn) before anything opens
-		panic("algebra: unresolved sequence function " + f.String())
+			return inner(fr, kept, up)
+		}, out
 	}
+	c.failed = true
+	return nil, nil
 }
 
 // ---- elementary iterators ----
@@ -191,7 +198,8 @@ func (s *rowSliceIter) Close() {
 type rowSelectIter struct {
 	in   RowIter
 	pred RowExpr
-	ctx  *Ctx
+	frame
+	up *outer
 }
 
 func (s *rowSelectIter) Next() (value.Row, bool) {
@@ -200,7 +208,7 @@ func (s *rowSelectIter) Next() (value.Row, bool) {
 		if !ok {
 			return value.Row{}, false
 		}
-		if value.EffectiveBool(s.pred(s.ctx, r)) {
+		if value.EffectiveBool(s.pred(&s.frame, r, s.up)) {
 			return r, true
 		}
 	}
@@ -248,7 +256,8 @@ type rowMapIter struct {
 	lay  *value.Layout
 	slot int
 	e    RowExpr
-	ctx  *Ctx
+	frame
+	up   *outer
 	slab rowSlab
 }
 
@@ -258,24 +267,11 @@ func (m *rowMapIter) Next() (value.Row, bool) {
 		return value.Row{}, false
 	}
 	out := m.slab.extend(m.lay, r, 0)
-	out.Vals[m.slot] = m.e(m.ctx, r)
+	out.Vals[m.slot] = m.e(&m.frame, r, m.up)
 	return out, true
 }
 
 func (m *rowMapIter) Close() { m.in.Close() }
-
-// openUnnestMap builds Υ over e: over a path it walks the selection itself,
-// over anything else the items of e's value.
-func (n *Node) openUnnestMap(e Expr, lay *value.Layout, slot, posSlot int, ctx *Ctx, env value.Tuple) RowIter {
-	c := n.scope(n.Kids[0].Schema, env)
-	u := &rowUnnestMapIter{in: n.Kids[0].open(ctx, env), lay: lay, slot: slot, posSlot: posSlot, ctx: ctx}
-	if p, ok := e.(PathOf); ok {
-		u.e, u.path, u.byPath, u.nodes = c.expr(p.Input), p.Path, true, u.first[:0]
-	} else {
-		u.e = c.expr(e)
-	}
-	return u
-}
 
 // rowUnnestMapIter is Υ: one output row per item of e's value. It only
 // iterates, so it builds no sequence to do so. Over a path (byPath; e is then
@@ -290,7 +286,8 @@ type rowUnnestMapIter struct {
 	e       RowExpr
 	path    xpath.Path
 	byPath  bool
-	ctx     *Ctx
+	frame
+	up *outer
 
 	cur   value.Row
 	n     int          // items of cur, of which pos are emitted
@@ -326,7 +323,7 @@ func (u *rowUnnestMapIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		u.cur, u.pos = r, 0
-		u.refill(u.e(u.ctx, r))
+		u.refill(u.e(&u.frame, r, u.up))
 	}
 }
 
@@ -353,7 +350,8 @@ func (u *rowUnnestMapIter) Close() { u.in.Close() }
 type rowXiIter struct {
 	in   RowIter
 	cmds []compiledCmd
-	ctx  *Ctx
+	frame
+	up *outer
 }
 
 func (x *rowXiIter) Next() (value.Row, bool) {
@@ -361,7 +359,7 @@ func (x *rowXiIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	execCompiled(x.ctx, r, x.cmds)
+	execCompiled(&x.frame, r, x.up, x.cmds)
 	return r, true
 }
 
@@ -370,24 +368,19 @@ func (x *rowXiIter) Close() { x.in.Close() }
 // openXiGroup implements the hash-bucket Γ-Ξ: it materializes the input,
 // fires S1/S2/S3 per first-occurrence group, and streams the input rows
 // unchanged — the slot twin of XiGroup.Eval.
-func (n *Node) openXiGroup(x XiGroup, by []int, ctx *Ctx, env value.Tuple) RowIter {
-	in := n.Kids[0]
-	rows := drainRows(ctx, TripGroup, in.open(ctx, env))
+func (n *Node) openXiGroup(by []int, s1, s2, s3 []compiledCmd, fr *frame, up *outer) RowIter {
+	rows := drainRows(fr.ctx, TripGroup, n.Kids[0].open(fr.ctx, up))
 	// Ξ-group passes its input through, so its output cardinality says
 	// nothing about the bucket count; size the table by the textbook
 	// distinct-keys fraction of the input instead.
 	buckets := bucketRows(rows, by, len(rows)/3+1)
-	c := n.scope(in.Schema, env)
-	s1 := c.commands(x.S1)
-	s2 := c.commands(x.S2)
-	s3 := c.commands(x.S3)
 	for i := 0; i < buckets.n(); i++ {
 		grp := buckets.group(i)
-		execCompiled(ctx, grp[0], s1)
+		execCompiled(fr, grp[0], up, s1)
 		for _, r := range grp {
-			execCompiled(ctx, r, s2)
+			execCompiled(fr, r, up, s2)
 		}
-		execCompiled(ctx, grp[len(grp)-1], s3)
+		execCompiled(fr, grp[len(grp)-1], up, s3)
 	}
 	return &rowSliceIter{rows: rows}
 }
@@ -426,7 +419,7 @@ func cmpRowsDirs(a, b value.Row, by []int, dirs []bool) int {
 type rowCrossIter struct {
 	left  RowIter
 	build *Node // the right input, until it is built
-	env   value.Tuple
+	up    *outer
 	ctx   *Ctx
 	lay   *value.Layout
 
@@ -448,7 +441,7 @@ func (c *rowCrossIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		if c.build != nil {
-			c.right = drainRows(c.ctx, TripBuild, c.build.open(c.ctx, c.env))
+			c.right = drainRows(c.ctx, TripBuild, c.build.open(c.ctx, c.up))
 			c.build = nil
 		}
 		c.cur, c.pos = lt, 0
@@ -475,10 +468,11 @@ type joinSpec struct {
 	lay  *value.Layout // the output: l ◦ r for ⋈ and ⟕, l for ⋉ and ▷
 	cat  *value.Layout // l ◦ r, what the residual compiles against
 	// lSlots and rSlots are the slots of the equi-join key pairs, on which
-	// the build side is hashed when there are any; residual is the rest of
-	// the predicate (all of it when there are none).
+	// the build side is hashed when there are any; pred is the rest of the
+	// predicate (all of it when there are none), compiled against cat, nil
+	// when nothing is left.
 	lSlots, rSlots []int
-	residual       Expr
+	pred           RowExpr
 	padFrom        int         // ⟕: the first right slot of cat
 	gSlot          int         // ⟕: the slot of g
 	def            value.Value // ⟕: f(), what g holds where a left tuple has no partner
@@ -491,15 +485,13 @@ type joinSpec struct {
 // left input never evaluates it, as in Join.Eval.
 type rowJoinIter struct {
 	*joinSpec
-	left RowIter
-	n    *Node // the right input is n.Kids[1]; the residual takes n's sub-plans
-	env  value.Tuple
-	ctx  *Ctx
+	left  RowIter
+	build *Node // the right input, until it is built
+	frame
+	up *outer
 
-	built bool
 	right []value.Row
 	hash  rowBuckets
-	pred  RowExpr // the compiled residual
 	// probe is the one concatenated row the residual is evaluated on: a
 	// predicate reads slots and keeps nothing of the row.
 	probe []value.Value
@@ -511,31 +503,27 @@ type rowJoinIter struct {
 	slab    rowSlab
 }
 
-// build materializes and hashes the right input and compiles the residual.
-func (j *rowJoinIter) build() {
-	j.built = true
-	j.right = drainRows(j.ctx, TripBuild, j.n.Kids[1].open(j.ctx, j.env))
+// materialize builds and hashes the right input.
+func (j *rowJoinIter) materialize() {
+	j.right = drainRows(j.ctx, TripBuild, j.build.open(j.ctx, j.up))
+	j.build = nil
 	if len(j.rSlots) > 0 {
 		j.hash = bucketRows(j.right, j.rSlots, len(j.right))
 	}
-	if j.residual != nil {
-		// The equalities a hash join drops hold no nested plan, so the
-		// residual takes the node's sub-plans in the predicate's order.
-		c := j.n.scope(Schema{Lay: j.cat}, j.env)
-		j.pred = c.expr(j.residual)
+	if j.pred != nil {
 		j.probe = make([]value.Value, j.cat.Width())
 	}
 }
 
 func (j *rowJoinIter) candidates(lt value.Row) []value.Row {
 	if len(j.lSlots) > 0 {
-		return j.hash.lookup(rowKey(lt, j.lSlots))
+		return j.hash.lookup(value.KeyOfSlots(lt.Vals, j.lSlots))
 	}
 	return j.right
 }
 
 func (j *rowJoinIter) residualHolds(lt, rt value.Row) bool {
-	return value.EffectiveBool(j.pred(j.ctx, value.ConcatRows(j.cat, j.probe, lt, rt)))
+	return value.EffectiveBool(j.pred(&j.frame, value.ConcatRows(j.cat, j.probe, lt, rt), j.up))
 }
 
 // matches returns the right rows joining with lt, in right order.
@@ -578,8 +566,8 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 		if !ok {
 			return value.Row{}, false
 		}
-		if !j.built {
-			j.build()
+		if j.build != nil {
+			j.materialize()
 		}
 		// The probe side streams — no accounting, but it is a fault-injection
 		// boundary (a real allocator can fail growing the match pool here).
@@ -606,20 +594,25 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 func (j *rowJoinIter) Close() { j.left.Close() }
 
 // emptyGroup is f() over members of lay: the default ⟕ puts into g. It is
-// what applier(f, lay) yields for no rows, without a charge for holding it.
-func emptyGroup(f SeqFunc, lay *value.Layout) value.Value {
+// what applier(f, lay) yields for no rows, without a charge for holding it —
+// f ∘ σp never tests p then. known is false for a function outside the
+// engine's inventory and a projection no row can carry.
+func emptyGroup(f SeqFunc, lay *value.Layout) (v value.Value, known bool) {
 	switch w := f.(type) {
 	case SFIdent:
-		return value.WrapRows(lay, nil)
+		return value.WrapRows(lay, nil), true
+	case SFCount:
+		return value.Int(0), true
 	case SFProject:
-		return value.RowSeqOfFlat(value.NewLayout(w.Attrs...), nil)
+		if pl := value.NewLayout(w.Attrs...); pl != nil && pl.Width() > 0 {
+			return value.RowSeqOfFlat(pl, nil), true
+		}
 	case SFAgg:
-		return aggregate(w.Fn, nil)
+		return aggregate(w.Fn, nil), true
 	case SFFiltered:
 		return emptyGroup(w.Inner, lay)
-	default:
-		return value.Int(0) // count
 	}
+	return nil, false
 }
 
 // padOuter builds the ⟕ row of a left tuple without partner: the right
@@ -636,11 +629,9 @@ func padOuter(slab *rowSlab, lay *value.Layout, lt value.Row, padFrom, gSlot int
 // ---- grouping ----
 
 // openGroupUnary is Γ: one output row per group, the key slots followed by g.
-func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, ctx *Ctx, env value.Tuple) RowIter {
-	insc := n.Kids[0].Schema
-	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
-	c := n.scope(insc, env)
-	apply := c.applier(g.F, insc.Lay)
+func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply rowsFunc, fr *frame, up *outer) RowIter {
+	ctx := fr.ctx
+	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, up))
 
 	// Γ's output cardinality is its distinct-key count: pre-size the hash
 	// table and key list from the cost model's estimate instead of growing
@@ -661,7 +652,7 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, ctx *Ct
 		buckets := bucketRows(rows, by, hint)
 		for i := 0; i < buckets.n(); i++ {
 			grp := buckets.group(i)
-			emit(grp[0], apply(ctx, grp), buckets.n()-i)
+			emit(grp[0], apply(fr, grp, up), buckets.n()-i)
 		}
 		return &rowSliceIter{rows: out}
 	}
@@ -670,7 +661,7 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, ctx *Ct
 	var keyRows []value.Row
 	seen := map[value.HashKey]bool{}
 	for _, r := range rows {
-		k := rowKey(r, by)
+		k := value.KeyOfSlots(r.Vals, by)
 		if !seen[k] {
 			seen[k] = true
 			keyRows = append(keyRows, r)
@@ -683,25 +674,22 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, ctx *Ct
 				grp = append(grp, r)
 			}
 		}
-		emit(kr, apply(ctx, grp), len(keyRows)-i)
+		emit(kr, apply(fr, grp, up), len(keyRows)-i)
 	}
 	return &rowSliceIter{rows: out}
 }
 
 // openGroupSelf annotates each input row with f applied to its equality
 // group, preserving input order (unlike Γ, which emits one row per group).
-func (n *Node) openGroupSelf(f SeqFunc, by []int, lay *value.Layout, ctx *Ctx, env value.Tuple) RowIter {
-	insc := n.Kids[0].Schema
-	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, env))
-	c := n.scope(insc, env)
-	apply := c.applier(f, insc.Lay)
+func (n *Node) openGroupSelf(by []int, lay *value.Layout, apply rowsFunc, fr *frame, up *outer) RowIter {
+	rows := drainRows(fr.ctx, TripGroup, n.Kids[0].open(fr.ctx, up))
 
 	// Groups are numbered as the rows first meet them, so applying f group
 	// by group is applying it in input order.
 	buckets := bucketRows(rows, by, len(rows))
 	applied := make([]value.Value, buckets.n())
 	for i := range applied {
-		applied[i] = apply(ctx, buckets.group(i))
+		applied[i] = apply(fr, buckets.group(i), up)
 	}
 	out := make([]value.Row, len(rows))
 	var slab rowSlab
@@ -731,29 +719,24 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 // never evaluates it — as in GroupBinary.Eval.
 type rowGroupBinaryIter struct {
 	left           RowIter
-	n              *Node // the right input is n.Kids[1]; f takes n's sub-plans
-	f              SeqFunc
+	build          *Node    // the right input, until it is built
+	apply          rowsFunc // f, compiled against the right input's schema
 	theta          value.CmpOp
 	lSlots, rSlots []int
-	env            value.Tuple
 	lay            *value.Layout // g is its last slot
-	ctx            *Ctx
+	frame
+	up *outer
 
-	built   bool
-	apply   rowsFunc
 	hash    rowBuckets
 	applied map[value.HashKey]value.Value
 	scan    []value.Row
 	slab    rowSlab
 }
 
-// build materializes the right input and compiles f against its layout.
-func (g *rowGroupBinaryIter) build() {
-	g.built = true
-	right := g.n.Kids[1]
-	rows := drainRows(g.ctx, TripGroup, right.open(g.ctx, g.env))
-	c := g.n.scope(right.Schema, g.env)
-	g.apply = c.applier(g.f, right.Schema.Lay)
+// materialize builds the right input.
+func (g *rowGroupBinaryIter) materialize() {
+	rows := drainRows(g.ctx, TripGroup, g.build.open(g.ctx, g.up))
+	g.build = nil
 	if g.theta == value.CmpEq {
 		g.hash = bucketRows(rows, g.rSlots, len(rows))
 		g.applied = make(map[value.HashKey]value.Value, g.hash.n())
@@ -765,10 +748,10 @@ func (g *rowGroupBinaryIter) build() {
 // of is f over the right rows that stand in θ to lt.
 func (g *rowGroupBinaryIter) of(lt value.Row) value.Value {
 	if g.applied != nil {
-		k := rowKey(lt, g.lSlots)
+		k := value.KeyOfSlots(lt.Vals, g.lSlots)
 		gv, cached := g.applied[k]
 		if !cached {
-			gv = g.apply(g.ctx, g.hash.lookup(k))
+			gv = g.apply(&g.frame, g.hash.lookup(k), g.up)
 			g.applied[k] = gv
 		}
 		return gv
@@ -779,7 +762,7 @@ func (g *rowGroupBinaryIter) of(lt value.Row) value.Value {
 			grp = append(grp, r)
 		}
 	}
-	return g.apply(g.ctx, grp)
+	return g.apply(&g.frame, grp, g.up)
 }
 
 func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
@@ -787,8 +770,8 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	if !g.built {
-		g.build()
+	if g.build != nil {
+		g.materialize()
 	}
 	out := g.slab.extend(g.lay, lt, 0)
 	out.Vals[g.lay.Width()-1] = g.of(lt)

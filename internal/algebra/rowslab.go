@@ -87,7 +87,7 @@ func bucketRows(rows []value.Row, by []int, hint int) rowBuckets {
 	// Count members into starts[g+1], then turn the counts into offsets.
 	b.starts = make([]int32, 1, hint+1)
 	for i, r := range rows {
-		k := rowKey(r, by)
+		k := value.KeyOfSlots(r.Vals, by)
 		g, ok := b.ids[k]
 		if !ok {
 			g = int32(len(b.ids))

@@ -189,7 +189,7 @@ func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
 		var order []value.HashKey
 		ref := map[value.HashKey][]value.Row{}
 		for _, r := range rows {
-			k := rowKey(r, tc.by)
+			k := value.KeyOfSlots(r.Vals, tc.by)
 			if _, ok := ref[k]; !ok {
 				order = append(order, k)
 			}
@@ -215,7 +215,7 @@ func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
 			}
 		}
 		for i, r := range rows {
-			if order[b.gid[i]] != rowKey(r, tc.by) {
+			if order[b.gid[i]] != value.KeyOfSlots(r.Vals, tc.by) {
 				t.Fatalf("%s: gid[%d] = %d names a group with another key", tc.name, i, b.gid[i])
 			}
 		}

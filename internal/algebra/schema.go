@@ -10,21 +10,24 @@ import (
 // Resolve walks an operator tree bottom-up, once, and gives every operator an
 // output Layout — a fixed attribute→slot mapping — so that execution can read
 // and write slices instead of rebuilding Go maps per tuple, and the opener
-// that builds the operator's iterator from what typing it derived. The result
-// is a tree of Nodes the iterators open from.
+// that builds the operator's iterator from what typing it derived and the
+// subscripts it compiled (compile.go). The result is a tree of Nodes the
+// iterators open from.
 //
 // Besides the flat layout, the resolver tracks the layouts of
 // tuple-sequence-valued attributes (group attributes created by Γ, the e[a]
 // constructor, nested query blocks): µD needs them to assign slots to the
-// attributes that unnesting releases.
+// attributes that unnesting releases, and a sequence function applied to
+// such a payload to read its members.
 //
 // Whether a plan runs is decided here, once: an operator the resolver cannot
 // type — an unknown extension, a definitional-only operator (ΠD, µ), a
 // colliding layout, a key, group or unnest attribute its input does not
-// bind, a µD over an untracked payload — has Node.OK = false, and so has
-// everything above it. No opener declines later: an unresolved plan is
-// refused when it is opened (see Node.Pump), before it produces anything,
-// and every compiled plan resolves.
+// bind, a µD over an untracked payload, a subscript outside the compiler's
+// inventory or holding a nested plan that does not resolve — has Node.OK =
+// false, and so has everything above it. No opener declines later: an
+// unresolved plan is refused when it is opened (see Node.Pump), before it
+// produces anything, and every compiled plan resolves.
 
 // Schema is the resolved output type of one operator.
 type Schema struct {
@@ -97,139 +100,18 @@ func nestedUnion(a, b map[string]*Inner) map[string]*Inner {
 	return out
 }
 
-// fnNested returns the inner schema of the tuple sequence a SeqFunc
-// produces when applied to groups drawn from tuples of the input schema.
-func fnNested(f SeqFunc, in Schema) *Inner {
-	switch w := f.(type) {
-	case SFIdent:
-		return &in
-	case SFProject:
-		if lay := value.NewLayout(w.Attrs...); lay != nil {
-			return &Inner{Lay: lay, Nested: nestedKept(in.Nested, lay)}
-		}
-		return nil
-	case SFFiltered:
-		return fnNested(w.Inner, in)
-	default:
-		// Aggregates (count, min, …) produce items, not tuple sequences.
-		return nil
-	}
-}
-
-// exprNested returns the inner schema of a tuple-sequence value an
-// expression produces, when statically known. subs are the resolved plans of
-// e's nested algebraic expressions, in planList order.
-func exprNested(e Expr, in Schema, subs []*Node) *Inner {
-	switch w := e.(type) {
-	case Var:
-		return in.nested(w.Name)
-	case ConstVal:
-		// A constant tuple sequence is typed by its own layout.
-		if rs, ok := w.V.(value.RowSeq); ok {
-			return &Inner{Lay: rs.Lay()}
-		}
-		return nil
-	case BindTuples:
-		return &Inner{Lay: value.NewLayout(w.Attr)}
-	case NestedApply:
-		if !subs[0].OK {
-			return nil
-		}
-		return fnNested(w.F, subs[0].Schema)
-	case CondExpr:
-		var cond, then planList
-		cond.expr(w.If)
-		then.expr(w.Then)
-		subs = subs[len(cond.plans):]
-		t := exprNested(w.Then, in, subs)
-		f := exprNested(w.Else, in, subs[len(then.plans):])
-		if t != nil && f != nil && slices.Equal(t.Lay.Names(), f.Lay.Names()) {
-			return t
-		}
-		return nil
-	default:
-		return nil
-	}
-}
-
-// planList gathers the plans of the nested algebraic expressions in an
-// operator's subscripts — NestedApply, ∃ and ∀ ranges; a plan's own nested
-// expressions belong to its own nodes — in the order the expression compiler
-// (compile.go) takes them: an expression before its sequence function, a
-// range before its predicate, operands left to right.
-type planList struct {
-	plans []Op
-	in    []Expr // the nested expression holding each plan
-	// unknown: a subscript holds an expression or sequence function outside
-	// the engine's inventory, or a projection no row can carry.
-	unknown bool
-}
-
-// nestedIn gathers the nested plans in an operator's Exprs().
-func nestedIn(o Op) planList {
-	var l planList
-	for _, e := range o.Exprs() {
-		l.expr(e)
-	}
-	return l
-}
-
-func (l *planList) expr(e Expr) {
-	switch w := e.(type) {
-	case nil:
-		return
-	case NestedApply:
-		l.plans, l.in = append(l.plans, w.Plan), append(l.in, e)
-		l.fn(w.F)
-	case ExistsQ:
-		l.plans, l.in = append(l.plans, w.Range), append(l.in, e)
-	case ForallQ:
-		l.plans, l.in = append(l.plans, w.Range), append(l.in, e)
-	case AggOfAttr:
-		l.expr(w.Attr)
-		l.fn(w.F)
-		return
-	case Var, ConstVal, Param, Doc, PathOf, CmpExpr, InExpr, AndExpr, OrExpr,
-		NotExpr, CondExpr, ArithExpr, Call, BindTuples:
-	default:
-		// Not a form scope.expr compiles.
-		l.unknown = true
-	}
-	for i := 0; ; i++ {
-		c := e.Child(i)
-		if c == nil {
-			return
-		}
-		l.expr(c)
-	}
-}
-
-func (l *planList) fn(f SeqFunc) {
-	switch w := f.(type) {
-	case SFIdent, SFCount, SFAgg:
-	case SFProject:
-		if lay := value.NewLayout(w.Attrs...); lay == nil || lay.Width() == 0 {
-			l.unknown = true
-		}
-	case SFFiltered:
-		l.expr(w.Pred)
-		l.fn(w.Inner)
-	default:
-		l.unknown = true
-	}
-}
-
-// opener builds a resolved node's iterator under env. The schema rule that
-// typed the operator made it over what it derived — slots, layouts, key
-// pairs — so an open only opens the inputs, compiles the subscripts against
-// env and builds iterator state.
-type opener func(ctx *Ctx, env value.Tuple) RowIter
+// opener builds a resolved node's iterator, its inputs' included, under the
+// chain of rows the plan's free variables read (nil for a top-level plan).
+// The schema rule that typed the operator made it over what it derived —
+// slots, layouts, key pairs, compiled subscripts — so an open only opens the
+// inputs and builds iterator and expression state.
+type opener func(ctx *Ctx, up *outer) RowIter
 
 // Node is one operator of a resolved plan: the operator, its output schema,
 // its opener and the nodes of its algebraic inputs, in Children() order. A
-// resolved tree is immutable — layouts, slot lists and nested-schema maps are
-// never written after Resolve returns — so any number of runs may open it
-// concurrently.
+// resolved tree is immutable — layouts, slot lists, nested-schema maps and
+// compiled subscripts are never written after Resolve returns — so any
+// number of runs may open it concurrently.
 type Node struct {
 	Op     Op
 	Schema Schema
@@ -237,25 +119,32 @@ type Node struct {
 	// inputs or one of its nested plans has no schema (see resolve).
 	OK   bool
 	Kids []*Node
-	// subs are the resolved plans of the nested algebraic expressions in the
-	// operator's subscripts, in planList order: resolved once with the plan,
-	// opened once per outer tuple.
-	subs []*Node
+	// refused is the lowest operator the resolver could not type in a nested
+	// plan of the operator's subscripts, when that is why OK is false.
+	refused *Node
+	// states is the number of scratch entries an open of the compiled
+	// subscripts takes (frame).
+	states int
 	// open builds the node's iterator; nil when OK is false.
 	open opener
 }
 
 // Resolve types an operator tree in one bottom-up pass: every operator is
 // visited once and reads its inputs' already-resolved schemas.
-func Resolve(op Op) *Node {
+func Resolve(op Op) *Node { return resolveIn(op, nil) }
+
+// resolveIn types an operator tree whose free variables read rows of the
+// scope up: a top-level plan (up nil), or the plan of a nested algebraic
+// expression, resolved where the subscript compiler meets it.
+func resolveIn(op Op, up *scope) *Node {
 	n := &Node{Op: op}
 	if cs := op.Children(); len(cs) > 0 {
 		n.Kids = make([]*Node, len(cs))
 		for i, c := range cs {
-			n.Kids[i] = Resolve(c)
+			n.Kids[i] = resolveIn(c, up)
 		}
 	}
-	n.Schema, n.open = n.resolve()
+	n.Schema, n.open = n.resolve(up)
 	n.OK = n.open != nil
 	return n
 }
@@ -267,28 +156,16 @@ func ResolveSchema(op Op) (Schema, bool) {
 	return n.Schema, n.OK
 }
 
-// nest resolves the plans gathered from the operator's subscripts as the
-// node's sub-plans; false when a subscript is outside the engine's inventory
-// or a sub-plan does not resolve.
-func (n *Node) nest(l planList) bool {
-	ok := !l.unknown
-	for _, p := range l.plans {
-		sub := Resolve(p)
-		n.subs = append(n.subs, sub)
-		ok = ok && sub.OK
-	}
-	return ok
-}
-
 // unresolved returns the lowest operator at or under n that the resolver
 // could not type: the one to name when the plan is refused.
 func (n *Node) unresolved() *Node {
-	for _, group := range [][]*Node{n.Kids, n.subs} {
-		for _, k := range group {
-			if !k.OK {
-				return k.unresolved()
-			}
+	for _, k := range n.Kids {
+		if !k.OK {
+			return k.unresolved()
 		}
+	}
+	if n.refused != nil {
+		return n.refused
 	}
 	return n
 }
@@ -308,20 +185,31 @@ func slotsIn(lay *value.Layout, names []string) ([]int, bool) {
 }
 
 // resolve is the rule of one operator over its inputs' schemas: the one place
-// that decides whether the operator can run — inputs and nested plans typed,
-// key, group and unnest attributes bound, layouts concatenable — and that
-// derives what its iterator reads, once per resolved plan. ΠD and µ are
-// definitional only: no compiled plan holds them, so they have their Eval
-// and their cost rule but no rule here.
-func (n *Node) resolve() (Schema, opener) {
+// that decides whether the operator can run — inputs typed, subscripts
+// compiled and their nested plans typed, key, group and unnest attributes
+// bound, layouts concatenable — and that derives what its iterator reads,
+// once per resolved plan. up is the scope of the rows the plan's free
+// variables read. ΠD and µ are definitional only: no compiled plan holds
+// them, so they have their Eval and their cost rule but no rule here.
+func (n *Node) resolve(up *scope) (Schema, opener) {
 	for _, k := range n.Kids {
 		if !k.OK {
 			return Schema{}, nil
 		}
 	}
-	if !n.nest(nestedIn(n.Op)) {
+	var c compiler
+	sc, open := n.rule(&c, up)
+	if c.failed {
+		n.refused = c.refused
 		return Schema{}, nil
 	}
+	n.states = c.states
+	return sc, open
+}
+
+// rule types the operator and builds its opener, compiling its subscripts
+// with c against rows of its input enclosed by up.
+func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 	var in, r Schema // the first and second input
 	if len(n.Kids) > 0 {
 		in = n.Kids[0].Schema
@@ -329,36 +217,39 @@ func (n *Node) resolve() (Schema, opener) {
 	if len(n.Kids) > 1 {
 		r = n.Kids[1].Schema
 	}
+	rows := scope{Schema: in, up: up} // what a unary operator's subscripts read
 	//nal:opswitch schema exempt=ProjectDistinct,Unnest
 	switch w := n.Op.(type) {
 	case Singleton:
-		return typed(singleton[0].Lay, nil, func(*Ctx, value.Tuple) RowIter {
+		return typed(singleton[0].Lay, nil, func(*Ctx, *outer) RowIter {
 			return &rowSliceIter{rows: singleton}
 		})
 
 	case Select:
-		return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
-			c := n.scope(in, env)
-			return &rowSelectIter{in: n.Kids[0].open(ctx, env), pred: c.expr(w.Pred), ctx: ctx}
+		pred := c.expr(w.Pred, rows)
+		return typed(in.Lay, in.Nested, func(ctx *Ctx, o *outer) RowIter {
+			return &rowSelectIter{in: n.Kids[0].open(ctx, o), pred: pred, frame: n.frame(ctx), up: o}
 		})
 
 	case XiSimple:
-		return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
-			c := n.scope(in, env)
-			return &rowXiIter{in: n.Kids[0].open(ctx, env), cmds: c.commands(w.Cmds), ctx: ctx}
+		cmds := c.commands(w.Cmds, rows)
+		return typed(in.Lay, in.Nested, func(ctx *Ctx, o *outer) RowIter {
+			return &rowXiIter{in: n.Kids[0].open(ctx, o), cmds: cmds, frame: n.frame(ctx), up: o}
 		})
 
 	case XiGroup:
+		s1, s2, s3 := c.commands(w.S1, rows), c.commands(w.S2, rows), c.commands(w.S3, rows)
 		if by, ok := slotsIn(in.Lay, w.By); ok {
-			return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
-				return n.openXiGroup(w, by, ctx, env)
+			return typed(in.Lay, in.Nested, func(ctx *Ctx, o *outer) RowIter {
+				fr := n.frame(ctx)
+				return n.openXiGroup(by, s1, s2, s3, &fr, o)
 			})
 		}
 
 	case Sort:
 		if by, ok := slotsIn(in.Lay, w.By); ok {
-			return typed(in.Lay, in.Nested, func(ctx *Ctx, env value.Tuple) RowIter {
-				return openSort(n.Kids[0].open(ctx, env), by, w.Dirs, ctx)
+			return typed(in.Lay, in.Nested, func(ctx *Ctx, o *outer) RowIter {
+				return openSort(n.Kids[0].open(ctx, o), by, w.Dirs, ctx)
 			})
 		}
 
@@ -388,16 +279,16 @@ func (n *Node) resolve() (Schema, opener) {
 					nested[k] = v
 				}
 			}
-			return typed(lay, nested, func(ctx *Ctx, env value.Tuple) RowIter {
-				return &rowRenameIter{in: n.Kids[0].open(ctx, env), lay: lay}
+			return typed(lay, nested, func(ctx *Ctx, o *outer) RowIter {
+				return &rowRenameIter{in: n.Kids[0].open(ctx, o), lay: lay}
 			})
 		}
 
 	case Map:
 		lay, slot := in.Lay.Extend(w.Attr)
-		return typed(lay, nestedWith(in.Nested, w.Attr, exprNested(w.E, in, n.subs)), func(ctx *Ctx, env value.Tuple) RowIter {
-			c := n.scope(in, env)
-			return &rowMapIter{in: n.Kids[0].open(ctx, env), lay: lay, slot: slot, e: c.expr(w.E), ctx: ctx}
+		e, inner := c.compile(w.E, rows)
+		return typed(lay, nestedWith(in.Nested, w.Attr, inner), func(ctx *Ctx, o *outer) RowIter {
+			return &rowMapIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, e: e, frame: n.frame(ctx), up: o}
 		})
 
 	case UnnestMap:
@@ -406,67 +297,88 @@ func (n *Node) resolve() (Schema, opener) {
 		if w.PosAttr != "" {
 			lay, posSlot = lay.Extend(w.PosAttr)
 		}
+		// Over a path Υ walks the selection itself, over anything else the
+		// items of e's value.
+		p, byPath := w.E.(PathOf)
+		src := w.E
+		if byPath {
+			src = p.Input
+		}
+		e := c.expr(src, rows)
 		// Υ binds items, never tuple sequences.
-		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, env value.Tuple) RowIter {
-			return n.openUnnestMap(w.E, lay, slot, posSlot, ctx, env)
+		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, o *outer) RowIter {
+			u := &rowUnnestMapIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, posSlot: posSlot,
+				e: e, path: p.Path, byPath: byPath, frame: n.frame(ctx), up: o}
+			u.nodes = u.first[:0]
+			return u
 		})
 
 	case IndexScan:
 		lay, slot := in.Lay.Extend(w.Attr)
+		// The key reads no input row: it is evaluated once per open, on □'s
+		// empty row, under the rows enclosing the plan.
+		var key RowExpr
+		if w.Key != nil {
+			key = c.expr(w.Key, scope{Schema: Schema{Lay: singleton[0].Lay}, up: up})
+		}
 		// An index scan binds nodes, never tuple sequences.
-		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, env value.Tuple) RowIter {
-			child := n.Kids[0].open(ctx, env)
-			nodes := w.resolve(ctx, env)
+		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, o *outer) RowIter {
+			s := &rowIndexScanIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, frame: n.frame(ctx)}
+			var k value.Value
+			if key != nil {
+				k = key(&s.frame, singleton[0], o)
+			}
+			s.nodes = w.nodes(ctx, k)
 			// pos starts exhausted so the first Next pulls an input row
 			// before emitting.
-			return &rowIndexScanIter{in: child, lay: lay, slot: slot, nodes: nodes, ctx: ctx, pos: len(nodes)}
+			s.pos = len(s.nodes)
+			return s
 		})
 
 	case Cross:
 		if lay, ok := in.Lay.Concat(r.Lay); ok {
-			return typed(lay, nestedUnion(in.Nested, r.Nested), func(ctx *Ctx, env value.Tuple) RowIter {
-				return &rowCrossIter{left: n.Kids[0].open(ctx, env), build: n.Kids[1], env: env, ctx: ctx, lay: lay}
+			return typed(lay, nestedUnion(in.Nested, r.Nested), func(ctx *Ctx, o *outer) RowIter {
+				return &rowCrossIter{left: n.Kids[0].open(ctx, o), build: n.Kids[1], up: o, ctx: ctx, lay: lay}
 			})
 		}
 
 	case Join:
-		return n.join(in, r, w.Pred, joinModeInner, "", nil)
+		return n.join(c, up, in, r, w.Pred, joinModeInner, "", nil)
 	case SemiJoin:
-		return n.join(in, r, w.Pred, joinModeSemi, "", nil)
+		return n.join(c, up, in, r, w.Pred, joinModeSemi, "", nil)
 	case AntiJoin:
-		return n.join(in, r, w.Pred, joinModeAnti, "", nil)
+		return n.join(c, up, in, r, w.Pred, joinModeAnti, "", nil)
 	case OuterJoin:
-		return n.join(in, r, w.Pred, joinModeOuter, w.G, w.Default)
+		return n.join(c, up, in, r, w.Pred, joinModeOuter, w.G, w.Default)
 
 	case GroupSelf:
-		if by, ok := slotsIn(in.Lay, w.By); ok {
-			if sc, ok := n.groupInto(in, in, w.G, w.F); ok {
-				return sc, func(ctx *Ctx, env value.Tuple) RowIter {
-					return n.openGroupSelf(w.F, by, sc.Lay, ctx, env)
-				}
+		sc, apply, fresh := groupInto(c, up, in, in, w.G, w.F)
+		if by, ok := slotsIn(in.Lay, w.By); ok && fresh {
+			return sc, func(ctx *Ctx, o *outer) RowIter {
+				fr := n.frame(ctx)
+				return n.openGroupSelf(by, sc.Lay, apply, &fr, o)
 			}
 		}
 
 	case GroupBinary:
 		lSlots, lok := slotsIn(in.Lay, w.LAttrs)
 		rSlots, rok := slotsIn(r.Lay, w.RAttrs)
-		if lok && rok {
-			if sc, ok := n.groupInto(in, r, w.G, w.F); ok {
-				return sc, func(ctx *Ctx, env value.Tuple) RowIter {
-					return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, env), n: n, f: w.F, theta: w.Theta,
-						lSlots: lSlots, rSlots: rSlots, env: env, lay: sc.Lay, ctx: ctx}
-				}
+		sc, apply, fresh := groupInto(c, up, in, r, w.G, w.F)
+		if lok && rok && fresh {
+			return sc, func(ctx *Ctx, o *outer) RowIter {
+				return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, o), build: n.Kids[1], apply: apply, theta: w.Theta,
+					lSlots: lSlots, rSlots: rSlots, lay: sc.Lay, frame: n.frame(ctx), up: o}
 			}
 		}
 
 	case GroupUnary:
 		// The grouping attributes followed by g.
-		var fn planList
-		fn.fn(w.F)
 		by, bound := slotsIn(in.Lay, w.By)
-		if lay := value.NewLayout(append(w.By[:len(w.By):len(w.By)], w.G)...); n.nest(fn) && lay != nil && bound {
-			return typed(lay, nestedWith(nestedKept(in.Nested, lay), w.G, fnNested(w.F, in)), func(ctx *Ctx, env value.Tuple) RowIter {
-				return n.openGroupUnary(w, by, lay, ctx, env)
+		apply, inner := c.applier(w.F, in, up)
+		if lay := value.NewLayout(append(w.By[:len(w.By):len(w.By)], w.G)...); lay != nil && bound {
+			return typed(lay, nestedWith(nestedKept(in.Nested, lay), w.G, inner), func(ctx *Ctx, o *outer) RowIter {
+				fr := n.frame(ctx)
+				return n.openGroupUnary(w, by, lay, apply, &fr, o)
 			})
 		}
 
@@ -485,60 +397,62 @@ var singleton = []value.Row{value.NewRow(value.NewLayout())}
 // -1 for an attribute the input does not bind (Π of it projects an absent
 // value, matching the map semantics).
 func (n *Node) slotMap(lay *value.Layout, src []int) opener {
-	return func(ctx *Ctx, env value.Tuple) RowIter {
-		return &rowSlotMapIter{in: n.Kids[0].open(ctx, env), lay: lay, src: src}
+	return func(ctx *Ctx, o *outer) RowIter {
+		return &rowSlotMapIter{in: n.Kids[0].open(ctx, o), lay: lay, src: src}
 	}
 }
 
 // join types ⋈, ⋉, ▷ and ⟕ and derives what their iterator reads: the
 // concatenated layout their predicate compiles against, the slots of the
 // equi-join key pairs the build side is hashed on with the residual
-// predicate they leave, and for ⟕ the slot of g — an attribute the result
-// binds — and f(), the value g takes on a left tuple without partner (f a
-// sequence function of the engine's inventory).
-func (n *Node) join(l, r Schema, pred Expr, mode joinMode, g string, f SeqFunc) (Schema, opener) {
+// predicate they leave, compiled, and for ⟕ the slot of g — an attribute the
+// result binds — and f(), the value g takes on a left tuple without partner
+// (f a sequence function of the engine's inventory).
+func (n *Node) join(c *compiler, up *scope, l, r Schema, pred Expr, mode joinMode, g string, f SeqFunc) (Schema, opener) {
 	cat, ok := l.Lay.Concat(r.Lay)
 	if !ok {
 		return Schema{}, nil
 	}
 	sc := Schema{Lay: cat, Nested: nestedUnion(l.Nested, r.Nested)}
+	rows := scope{Schema: sc, up: up}
 	if mode == joinModeSemi || mode == joinModeAnti {
 		// ⋉ and ▷ emit left rows but compile their predicate against l ◦ r.
 		sc = l
 	}
-	spec := &joinSpec{mode: mode, lay: sc.Lay, cat: cat, residual: pred, padFrom: l.Lay.Width()}
+	spec := &joinSpec{mode: mode, lay: sc.Lay, cat: cat, padFrom: l.Lay.Width()}
 	if mode == joinModeOuter {
-		var def planList
-		def.fn(f)
 		gSlot, bound := cat.Slot(g)
-		if !bound || def.unknown {
+		def, known := emptyGroup(f, r.Lay)
+		if !bound || !known {
 			return Schema{}, nil
 		}
-		spec.gSlot, spec.def = gSlot, emptyGroup(f, r.Lay)
+		spec.gSlot, spec.def = gSlot, def
 	}
-	if pairs, residual, ok := splitEqPred(pred, NameSet(l.Lay.Names(), true), NameSet(r.Lay.Names(), true)); ok {
+	residual := pred
+	if pairs, rest, ok := splitEqPred(pred, NameSet(l.Lay.Names(), true), NameSet(r.Lay.Names(), true)); ok {
 		for _, p := range pairs {
 			ls, _ := l.Lay.Slot(p.Left)
 			rs, _ := r.Lay.Slot(p.Right)
 			spec.lSlots, spec.rSlots = append(spec.lSlots, ls), append(spec.rSlots, rs)
 		}
-		spec.residual = residual
+		residual = rest
 	}
-	return sc, func(ctx *Ctx, env value.Tuple) RowIter {
-		return &rowJoinIter{joinSpec: spec, left: n.Kids[0].open(ctx, env), n: n, env: env, ctx: ctx}
+	if residual != nil {
+		spec.pred = c.expr(residual, rows)
+	}
+	return sc, func(ctx *Ctx, o *outer) RowIter {
+		return &rowJoinIter{joinSpec: spec, left: n.Kids[0].open(ctx, o), build: n.Kids[1], frame: n.frame(ctx), up: o}
 	}
 }
 
 // groupInto types the operators that extend every tuple of l by a group
 // attribute g holding f over tuples of members (Γ-self: l itself; binary Γ:
-// the right input). g must be fresh: it takes the slot after l's.
-func (n *Node) groupInto(l, members Schema, g string, f SeqFunc) (Schema, bool) {
-	var fn planList
-	fn.fn(f)
-	if lay, slot := l.Lay.Extend(g); n.nest(fn) && slot == l.Lay.Width() {
-		return Schema{Lay: lay, Nested: nestedWith(l.Nested, g, fnNested(f, members))}, true
-	}
-	return Schema{}, false
+// the right input), and compiles f. fresh is false when g is not: it must
+// take the slot after l's.
+func groupInto(c *compiler, up *scope, l, members Schema, g string, f SeqFunc) (sc Schema, apply rowsFunc, fresh bool) {
+	apply, inner := c.applier(f, members, up)
+	lay, slot := l.Lay.Extend(g)
+	return Schema{Lay: lay, Nested: nestedWith(l.Nested, g, inner)}, apply, slot == l.Lay.Width()
 }
 
 // unnestDistinct types µD: the input minus the group attribute, extended by
@@ -572,8 +486,8 @@ func (n *Node) unnestDistinct(in Schema, attr string) (Schema, opener) {
 	// what makes Γ-under-µD (nested-in-nested payloads) resolve. On a name
 	// collision the group side wins, matching Concat's map semantics.
 	sc := Schema{Lay: lay, Nested: nestedUnion(nestedKept(in.Nested, base), nestedKept(inner.Nested, lay))}
-	return sc, func(ctx *Ctx, env value.Tuple) RowIter {
-		return &rowUnnestIter{in: n.Kids[0].open(ctx, env), lay: lay, gSlot: gSlot, baseSrc: baseSrc,
+	return sc, func(ctx *Ctx, o *outer) RowIter {
+		return &rowUnnestIter{in: n.Kids[0].open(ctx, o), lay: lay, gSlot: gSlot, baseSrc: baseSrc,
 			innerNames: innerNames, innerDst: innerDst, dedup: map[value.HashKey]bool{}, ctx: ctx}
 	}
 }

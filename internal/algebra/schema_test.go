@@ -94,7 +94,7 @@ func TestProjectRenameSwap(t *testing.T) {
 	if len(got) != 1 || !value.TupleEqual(got[0], want) {
 		t.Fatalf("Eval swap: %s, want %s", got, want)
 	}
-	it := RunIter(native(op), NewCtx(nil), nil)
+	it := RunIter(native(op), NewCtx(nil))
 	if len(it) != 1 || !value.TupleEqual(it[0], want) {
 		t.Fatalf("iterator swap: %s, want %s", it, want)
 	}
@@ -106,7 +106,7 @@ func TestProjectRenameSwap(t *testing.T) {
 	if len(gotChain) != 1 || !value.TupleEqual(gotChain[0], wantChain) {
 		t.Fatalf("Eval chain: %s, want %s", gotChain, wantChain)
 	}
-	itChain := RunIter(native(chain), NewCtx(nil), nil)
+	itChain := RunIter(native(chain), NewCtx(nil))
 	if len(itChain) != 1 || !value.TupleEqual(itChain[0], wantChain) {
 		t.Fatalf("iterator chain: %s, want %s", itChain, wantChain)
 	}

@@ -84,9 +84,9 @@ func TestUntypablePlanRefusedAtOpen(t *testing.T) {
 			t.Fatalf("%s: fixture emits nothing under Eval", name)
 		}
 		for entry, run := range map[string]func(*Ctx){
-			"RunIter":   func(ctx *Ctx) { RunIter(op, ctx, nil) },
+			"RunIter":   func(ctx *Ctx) { RunIter(op, ctx) },
 			"DrainIter": func(ctx *Ctx) { DrainIter(op, ctx, nil) },
-			"Node.Pump": func(ctx *Ctx) { n.Pump(ctx, nil) },
+			"Node.Pump": func(ctx *Ctx) { n.Pump(ctx) },
 		} {
 			ctx := NewCtx(nil)
 			msg := func() (msg string) {

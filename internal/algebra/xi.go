@@ -195,6 +195,43 @@ func (x XiGroup) Exprs() []Expr {
 // Attrs implements Op.
 func (x XiGroup) Attrs() ([]string, bool) { return x.In.Attrs() }
 
+// eachNested calls visit with every nested algebraic expression in an
+// operator's subscripts — NestedApply, ∃ and ∀, those in a sequence
+// function's predicate included — and its plan, in evaluation order: an
+// expression before its sequence function, a range before its predicate,
+// operands left to right.
+func eachNested(o Op, visit func(in Expr, plan Op)) {
+	var expr func(e Expr)
+	fn := func(f SeqFunc) {
+		for w, ok := f.(SFFiltered); ok; w, ok = w.Inner.(SFFiltered) {
+			expr(w.Pred)
+		}
+	}
+	expr = func(e Expr) {
+		switch w := e.(type) {
+		case nil:
+			return
+		case NestedApply:
+			visit(e, w.Plan)
+			fn(w.F)
+		case ExistsQ:
+			visit(e, w.Range)
+		case ForallQ:
+			visit(e, w.Range)
+		case AggOfAttr:
+			expr(w.Attr)
+			fn(w.F)
+			return
+		}
+		for i := 0; e.Child(i) != nil; i++ {
+			expr(e.Child(i))
+		}
+	}
+	for _, e := range o.Exprs() {
+		expr(e)
+	}
+}
+
 // Explain renders an operator tree as an indented multi-line plan; the plans
 // of nested algebraic expressions hang below the operator that evaluates
 // them per tuple.
@@ -208,10 +245,9 @@ func Explain(op Op) string {
 		for _, c := range o.Children() {
 			walk(c, depth+1)
 		}
-		nested := nestedIn(o)
-		for i, plan := range nested.plans {
+		eachNested(o, func(in Expr, plan Op) {
 			label := "nested:\n"
-			switch nested.in[i].(type) {
+			switch in.(type) {
 			case ExistsQ:
 				label = "∃-range:\n"
 			case ForallQ:
@@ -220,7 +256,7 @@ func Explain(op Op) string {
 			sb.WriteString(strings.Repeat("  ", depth+1))
 			sb.WriteString(label)
 			walk(plan, depth+2)
-		}
+		})
 	}
 	walk(op, 0)
 	return sb.String()
@@ -242,10 +278,9 @@ func ExplainDot(op Op) string {
 		for _, c := range o.Children() {
 			fmt.Fprintf(&sb, "  n%d -> n%d;\n", me, walk(c))
 		}
-		nested := nestedIn(o)
-		for i, plan := range nested.plans {
+		eachNested(o, func(in Expr, plan Op) {
 			var label string
-			switch w := nested.in[i].(type) {
+			switch w := in.(type) {
 			case NestedApply:
 				label = "nested " + w.F.String()
 			case ExistsQ:
@@ -254,7 +289,7 @@ func ExplainDot(op Op) string {
 				label = "forall " + w.Var
 			}
 			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed, label=%q];\n", me, walk(plan), label)
-		}
+		})
 		return me
 	}
 	walk(op)

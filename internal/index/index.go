@@ -11,9 +11,9 @@
 // value keys use value.KeyOf, whose equality classes coincide with
 // value.CompareAtomic equality by construction — both read the atom rule of
 // internal/value, and FuzzCompareAtoms holds them to it — so an equality
-// probe returns precisely the nodes a scan-and-filter would keep; ordered comparisons fall back to a
-// linear pass over the path's node list with the same GeneralCompare the
-// σ predicate would run.
+// probe returns precisely the nodes a scan-and-filter would keep; the
+// other comparisons are a pass over the path's node list (ScanAll) with the
+// same GeneralCompare the σ predicate would run.
 package index
 
 import (
@@ -50,31 +50,13 @@ func (x *PathIndex) ProbeEq(key value.Value) ([]*dom.Node, bool) {
 	return x.eq[value.KeyOf(key)], true
 }
 
-// ProbeCmp implements algebra.NodeIndex: the nodes whose value compares true
-// against the atomic key under op — a linear pass over the path's nodes with
-// the same comparison a scan-and-filter would run, avoiding only the tree
-// traversal. ok is false when the path has no value layer.
-func (x *PathIndex) ProbeCmp(op value.CmpOp, key value.Value) ([]*dom.Node, bool) {
-	if !x.HasValues {
-		return nil, false
-	}
-	var out []*dom.Node
-	for _, n := range x.Nodes {
-		if value.GeneralCompare(value.NodeVal{Node: n}, key, op) {
-			out = append(out, n)
-		}
-	}
-	return out, true
-}
-
 // merged is the union of several path indexes: the NodeIndex a structural
 // scan over a multi-path expression (e.g. //title across chapters and books)
 // resolves to. It has no value layer.
 type merged struct{ nodes []*dom.Node }
 
-func (m *merged) ScanAll() []*dom.Node                                 { return m.nodes }
-func (m *merged) ProbeEq(value.Value) ([]*dom.Node, bool)              { return nil, false }
-func (m *merged) ProbeCmp(value.CmpOp, value.Value) ([]*dom.Node, bool) { return nil, false }
+func (m *merged) ScanAll() []*dom.Node                    { return m.nodes }
+func (m *merged) ProbeEq(value.Value) ([]*dom.Node, bool) { return nil, false }
 
 // DocIndexes holds every path index of one document plus the statistics
 // measured by the same walk.
@@ -138,7 +120,6 @@ type ScanInfo struct {
 	Index interface {
 		ScanAll() []*dom.Node
 		ProbeEq(key value.Value) ([]*dom.Node, bool)
-		ProbeCmp(op value.CmpOp, key value.Value) ([]*dom.Node, bool)
 	}
 	// Path is the display form of the resolved absolute path(s).
 	Path string
@@ -181,7 +162,6 @@ type ValueInfo struct {
 	Index interface {
 		ScanAll() []*dom.Node
 		ProbeEq(key value.Value) ([]*dom.Node, bool)
-		ProbeCmp(op value.CmpOp, key value.Value) ([]*dom.Node, bool)
 	}
 	// Path is the resolved absolute leaf path.
 	Path string

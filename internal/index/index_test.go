@@ -107,16 +107,6 @@ func TestProbeEqNumeric(t *testing.T) {
 	}
 }
 
-// TestProbeCmpAgainstFilter: ordered probes equal the linear filter.
-func TestProbeCmpAgainstFilter(t *testing.T) {
-	x := Build(parse(t, testDoc))
-	si, _ := x.Scan(xpath.MustParse("//book/@year"))
-	got, ok := si.Index.ProbeCmp(value.CmpGt, value.Int(2000))
-	if !ok || len(got) != 1 {
-		t.Fatalf("year > 2000: %d nodes, ok=%v", len(got), ok)
-	}
-}
-
 // TestMergedHasNoValueLayer: multi-path scans cannot answer value probes.
 func TestMergedHasNoValueLayer(t *testing.T) {
 	x := Build(parse(t, testDoc))

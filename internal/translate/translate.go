@@ -457,6 +457,13 @@ func (tr *Translator) call(c xquery.Call) (algebra.Expr, error) {
 			return na, err
 		}
 	}
+	lo, hi, ok := algebra.BuiltinArity(c.Fn)
+	if !ok {
+		return nil, errf("unknown function %s()", c.Fn)
+	}
+	if n := len(c.Args); n < lo || n > hi {
+		return nil, errf("%s() does not take %d arguments", c.Fn, n)
+	}
 	args := make([]algebra.Expr, len(c.Args))
 	for i, a := range c.Args {
 		ea, err := tr.expr(a)

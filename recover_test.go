@@ -19,9 +19,8 @@ import (
 // crash.
 type panicIndex struct{ msg any }
 
-func (p panicIndex) ScanAll() []*dom.Node                                  { panic(p.msg) }
-func (p panicIndex) ProbeEq(value.Value) ([]*dom.Node, bool)               { panic(p.msg) }
-func (p panicIndex) ProbeCmp(value.CmpOp, value.Value) ([]*dom.Node, bool) { panic(p.msg) }
+func (p panicIndex) ScanAll() []*dom.Node                    { panic(p.msg) }
+func (p panicIndex) ProbeEq(value.Value) ([]*dom.Node, bool) { panic(p.msg) }
 
 // poisonQuery compiles a valid query, then replaces its plan set with the
 // panicking scan under the given plan name.

@@ -131,7 +131,7 @@ return $b/title`
 // typed once, on its first run, and a path that selects one node is that
 // node (byyear returns a few hundred titles, each of which was a boxed
 // one-member sequence: 774 allocations a run). The ceilings sit between what
-// a run costs now (20 and 70) and what it would cost if every run re-resolved
+// a run costs now (16 and 61) and what it would cost if every run re-resolved
 // the plan at every level again (some 55 and 95 more).
 func TestPreparedRunAllocBudget(t *testing.T) {
 	eng := NewEngine()

@@ -196,7 +196,7 @@ func (r *Results) openTyped() {
 		r.done = true
 		return
 	}
-	r.pump = r.plan.resolved().Pump(r.actx, nil)
+	r.pump = r.plan.resolved().Pump(r.actx)
 }
 
 // runError converts a recovered evaluator panic into the session's typed
@@ -326,7 +326,7 @@ func (r *Results) drainTo(w io.Writer) error {
 			//nal:reference-engine WithReferenceEngine asked for the definitional evaluator: the differential oracle, serialized consumption
 			r.plan.op.Eval(r.actx, nil)
 		} else {
-			r.plan.resolved().Drain(r.actx, nil)
+			r.plan.resolved().Drain(r.actx)
 		}
 		return nil
 	}()

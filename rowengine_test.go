@@ -34,7 +34,7 @@ func TestSlotEngineMatchesMapEngine(t *testing.T) {
 			ctxM := algebra.NewCtx(e.snapshot().docs)
 			want := p.op.Eval(ctxM, nil)
 			ctxR := algebra.NewCtx(e.snapshot().docs)
-			got := algebra.RunIter(p.op, ctxR, nil)
+			got := algebra.RunIter(p.op, ctxR)
 
 			if !value.TupleSeqEqual(want, got) {
 				t.Errorf("%s/%s: slot result differs from map result\nmap:  %.200s\nslot: %.200s",
@@ -98,7 +98,7 @@ func TestPaperPlansMapFree(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, p := range cq.Plans() {
-			for _, tp := range algebra.RunIter(p.op, algebra.NewCtx(e.snapshot().docs), nil) {
+			for _, tp := range algebra.RunIter(p.op, algebra.NewCtx(e.snapshot().docs)) {
 				for _, v := range tp {
 					check(t, name+"/"+p.Name, v)
 				}

@@ -15,16 +15,33 @@ import (
 // default plan choice, and the snapshot sidecar must invalidate exactly
 // like the plan cache.
 
-// TestDifferentialIndexedPlans: for every paper query, every "indexed *"
-// plan alternative produces byte-identical output to its base plan, on both
-// the slot engine and the reference evaluator. (The name keeps it inside
-// the CI oracle sweep's TestDifferential pattern.)
+// TestDifferentialIndexedPlans: for every paper query, and for an ordered
+// comparison against a key of two atoms, every "indexed *" plan alternative
+// produces byte-identical output to its base plan — σ over Υ where the
+// indexed plan scans the index — on both the slot engine and the reference
+// evaluator. (The name keeps it inside the CI oracle sweep's TestDifferential
+// pattern.)
 func TestDifferentialIndexedPlans(t *testing.T) {
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(60, 2)
 	eng.LoadDBLPDocument(60)
+	type statement struct {
+		text string
+		bind []RunOption
+	}
+	statements := map[string]statement{
+		// ∃ atom: year > 1999 or year > 1995, i.e. year > 1995.
+		"ordered two-atom key": {`declare variable $y external;
+let $d := doc("bib.xml")
+for $b in $d//book
+where $b/@year > $y
+return $b/title`, []RunOption{Bind("y", []any{1999, 1995})}},
+	}
 	for name, text := range PaperQueries {
-		q, err := eng.Compile(text)
+		statements[name] = statement{text: text}
+	}
+	for name, stmt := range statements {
+		q, err := eng.Compile(stmt.text)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
@@ -35,11 +52,11 @@ func TestDifferentialIndexedPlans(t *testing.T) {
 				continue
 			}
 			indexed++
-			want, _, err := execute(q, base)
+			want, _, err := execute(q, base, stmt.bind...)
 			if err != nil {
 				t.Fatalf("%s/%s: base: %v", name, base, err)
 			}
-			got, st, err := execute(q, p.Name)
+			got, st, err := execute(q, p.Name, stmt.bind...)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, p.Name, err)
 			}
@@ -50,13 +67,16 @@ func TestDifferentialIndexedPlans(t *testing.T) {
 			if st.IndexScans == 0 {
 				t.Errorf("%s: plan %q executed no index scans", name, p.Name)
 			}
-			ref, _, err := execute(q, p.Name, WithReferenceEngine())
+			ref, _, err := execute(q, p.Name, append(stmt.bind, WithReferenceEngine())...)
 			if err != nil {
 				t.Fatalf("%s/%s (reference): %v", name, p.Name, err)
 			}
 			if ref != want {
 				t.Fatalf("%s: plan %q reference output differs from base", name, p.Name)
 			}
+		}
+		if indexed == 0 && stmt.bind != nil {
+			t.Errorf("%s: no indexed alternative", name)
 		}
 		if indexed == 0 {
 			t.Logf("%s: no indexed alternative (ok for shapes outside the substitution)", name)
