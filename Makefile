@@ -5,8 +5,8 @@
 # nalvet analyzers), go vet plus race-built tests, the fault-injection
 # sweep over every resource-budget trip point, the seeded differential
 # oracle, a fresh benchmark trajectory (bench-json) diffed against the
-# committed BENCH_results.json, and a compile-and-smoke of the benchmark/
-# harness against the engine.
+# committed BENCH_results.json, a compile-and-smoke of the benchmark/
+# harness against the engine, and the daemon lifecycle smoke (load-smoke).
 
 GO ?= go
 
@@ -146,4 +146,4 @@ load-smoke:
 		kill -TERM $$pid; wait $$pid; drc=$$?; \
 		[ $$rc -eq 0 ] && [ $$drc -eq 0 ]
 
-ci: tier1 lint race-test faults oracle bench-json bench-diff bench-harness
+ci: tier1 lint race-test faults oracle bench-json bench-diff bench-harness load-smoke

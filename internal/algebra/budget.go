@@ -31,8 +31,7 @@ import (
 const (
 	// TripScan is the Υ scan producer (per produced tuple).
 	TripScan = "scan"
-	// TripBuild is the build side of the order-preserving hash-join family
-	// and the materialized right input of ×.
+	// TripBuild is the build side of the order-preserving hash-join family.
 	TripBuild = "build"
 	// TripProbe is the probe side of a join (streaming — a fault point, not
 	// a charge point).

@@ -9,7 +9,7 @@ import (
 // TestCompositeKeysDoNotCollide: a multi-column key must distinguish
 // (x="a|s:b", y="c") from (x="a", y="b|s:c"). The definitional evaluator
 // once keyed by joining the per-column Key strings with '|', under which
-// the two tuples coincide: ΠD dropped a row, ⋈/⋉ matched and ▷ dropped on
+// the two tuples coincide: ΠD dropped a row, ⟕/⋉ matched and ▷ dropped on
 // x=u ∧ y=v, unary Γ merged the two groups and binary Γ counted a foreign
 // member. Eval and the slot engine must agree on the right answer.
 func TestCompositeKeysDoNotCollide(t *testing.T) {
@@ -20,6 +20,12 @@ func TestCompositeKeysDoNotCollide(t *testing.T) {
 	right := constOp{
 		ts:    value.TupleSeq{{"u": b["x"], "v": b["y"]}},
 		attrs: []string{"u", "v"},
+	}
+	// The ⟕ build side also carries g: a match keeps its 1, a left tuple
+	// without partner gets count(ε) = 0.
+	rightG := constOp{
+		ts:    value.TupleSeq{{"u": b["x"], "v": b["y"], "g": value.Int(1)}},
+		attrs: []string{"u", "v", "g"},
 	}
 	pred := AndExpr{L: eqCmp("x", "u"), R: eqCmp("y", "v")}
 	xy, uv := []string{"x", "y"}, []string{"u", "v"}
@@ -38,7 +44,7 @@ func TestCompositeKeysDoNotCollide(t *testing.T) {
 		groups []int64 // expected g per row, for the Γ family
 	}{
 		{"ΠD", ProjectDistinct{In: both, Pairs: []Rename{{New: "x", Old: "x"}, {New: "y", Old: "y"}}}, 2, nil},
-		{"⋈", Join{L: left, R: right, Pred: pred}, 0, nil},
+		{"⟕", OuterJoin{L: left, R: rightG, Pred: pred, G: "g", Default: SFCount{}}, 1, []int64{0}},
 		{"⋉", SemiJoin{L: left, R: right, Pred: pred}, 0, nil},
 		{"▷", AntiJoin{L: left, R: right, Pred: pred}, 1, nil},
 		{"Γ unary", GroupUnary{In: both, G: "g", By: xy, Theta: value.CmpEq, F: SFCount{}}, 2, []int64{1, 1}},

@@ -34,8 +34,6 @@ func operatorInventory() (unary, binary map[string]Op) {
 		"Sort":     Sort{In: empty, By: []string{"A1"}},
 	}
 	binary = map[string]Op{
-		"×":        Cross{L: empty, R: nonEmpty},
-		"⋈":        Join{L: empty, R: nonEmpty, Pred: eq},
 		"⋉":        SemiJoin{L: empty, R: nonEmpty, Pred: eq},
 		"▷":        AntiJoin{L: empty, R: nonEmpty, Pred: eq},
 		"⟕":        OuterJoin{L: empty, R: nonEmpty, Pred: eq, G: "B", Default: SFCount{}},

@@ -316,8 +316,6 @@ func TestStringsAreInformative(t *testing.T) {
 		ProjectDistinct{In: relR1(), Pairs: []Rename{{New: "B", Old: "A1"}}},
 		Map{In: relR1(), Attr: "x", E: ConstVal{V: value.Int(1)}},
 		UnnestMap{In: relR1(), Attr: "x", E: ConstVal{V: value.Int(1)}},
-		Cross{L: relR1(), R: relR2()},
-		Join{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
 		SemiJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
 		AntiJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
 		OuterJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2"), G: "g", Default: SFCount{}},

@@ -14,16 +14,20 @@ func ltPred() Expr {
 	return CmpExpr{L: Var{Name: "A1"}, R: Var{Name: "A2"}, Op: value.CmpLt}
 }
 
+// TestJoinNonEquiFallback: a predicate without an equality pair takes the
+// nested loop, in the order of the definition — every left tuple, its
+// partners in right order, or its ⊥-padded row.
 func TestJoinNonEquiFallback(t *testing.T) {
-	out := eval(t, Join{L: relR1(), R: relR2(), Pred: ltPred()})
-	// A1=1 joins A2=2 rows (2), A1=2/3 none... A1 < A2: A1=1 with A2=2 (two
-	// rows); others none.
-	if len(out) != 2 {
-		t.Fatalf("non-equi join size: %d (%s)", len(out), out)
+	out := eval(t, OuterJoin{L: relR1(), R: relR2(), Pred: ltPred(), G: "B", Default: SFCount{}})
+	// A1=1 lies below the two A2=2 rows; A1=2 and A1=3 below none.
+	want := value.TupleSeq{
+		{"A1": value.Int(1), "A2": value.Int(2), "B": value.Int(4)},
+		{"A1": value.Int(1), "A2": value.Int(2), "B": value.Int(5)},
+		{"A1": value.Int(2), "A2": value.Null{}, "B": value.Int(0)},
+		{"A1": value.Int(3), "A2": value.Null{}, "B": value.Int(0)},
 	}
-	ref := eval(t, Select{In: Cross{L: relR1(), R: relR2()}, Pred: ltPred()})
-	if !value.TupleSeqEqual(out, ref) {
-		t.Fatalf("non-equi join ≠ σ(×)")
+	if !value.TupleSeqEqual(out, want) {
+		t.Fatalf("non-equi ⟕: %s", out)
 	}
 }
 
@@ -53,11 +57,16 @@ func TestOuterJoinNonEquiFallback(t *testing.T) {
 }
 
 func TestJoinIteratorNonEquiFallback(t *testing.T) {
-	op := Join{L: relR1(), R: relR2(), Pred: ltPred()}
-	a := op.Eval(NewCtx(nil), nil)
-	b := RunIter(native(op), NewCtx(nil))
-	if !value.TupleSeqEqual(a, b) {
-		t.Fatalf("iterator non-equi fallback differs")
+	for _, op := range []Op{
+		SemiJoin{L: relR1(), R: relR2(), Pred: ltPred()},
+		AntiJoin{L: relR1(), R: relR2(), Pred: ltPred()},
+		OuterJoin{L: relR1(), R: relR2(), Pred: ltPred(), G: "B", Default: SFCount{}},
+	} {
+		a := op.Eval(NewCtx(nil), nil)
+		b := RunIter(native(op), NewCtx(nil))
+		if !value.TupleSeqEqual(a, b) {
+			t.Fatalf("%s: iterator non-equi fallback differs", op)
+		}
 	}
 }
 
@@ -93,13 +102,22 @@ func TestResidualOnHashPath(t *testing.T) {
 		L: eqCmp("A1", "A2"),
 		R: CmpExpr{L: Var{Name: "B"}, R: ConstVal{V: value.Int(3)}, Op: value.CmpGe},
 	}
-	out := eval(t, Join{L: relR1(), R: relR2(), Pred: pred})
-	ref := eval(t, Select{In: Cross{L: relR1(), R: relR2()}, Pred: pred})
-	if !value.TupleSeqEqual(out, ref) {
-		t.Fatalf("hash+residual differs from σ(×)")
+	// A1=1 keeps (1,3) of its bucket, A1=2 both of its own, A1=3 has none
+	// and is padded, B taking count(ε) = 0.
+	want := value.TupleSeq{
+		{"A1": value.Int(1), "A2": value.Int(1), "B": value.Int(3)},
+		{"A1": value.Int(2), "A2": value.Int(2), "B": value.Int(4)},
+		{"A1": value.Int(2), "A2": value.Int(2), "B": value.Int(5)},
+		{"A1": value.Int(3), "A2": value.Null{}, "B": value.Int(0)},
 	}
-	if len(out) != 3 {
-		t.Fatalf("size: %d", len(out))
+	oj := OuterJoin{L: relR1(), R: relR2(), Pred: pred, G: "B", Default: SFCount{}}
+	if out := eval(t, oj); !value.TupleSeqEqual(out, want) {
+		t.Fatalf("hash+residual ⟕: %s", out)
+	}
+	diffOp(t, "⟕ hash+residual", oj)
+	semi := eval(t, SemiJoin{L: relR1(), R: relR2(), Pred: pred})
+	if len(semi) != 2 || !value.DeepEqual(semi[1]["A1"], value.Int(2)) {
+		t.Fatalf("hash+residual ⋉: %s", semi)
 	}
 }
 
@@ -107,7 +125,7 @@ func TestResidualOnHashPath(t *testing.T) {
 // variables from an enclosing nested evaluation; prepareJoin must evaluate
 // it under that environment.
 func TestCorrelatedNestedJoinEnv(t *testing.T) {
-	inner := Join{
+	inner := SemiJoin{
 		L:    relR1(),
 		R:    Select{In: relR2(), Pred: CmpExpr{L: Var{Name: "B"}, R: Var{Name: "outer"}, Op: value.CmpLe}},
 		Pred: eqCmp("A1", "A2"),
@@ -118,8 +136,8 @@ func TestCorrelatedNestedJoinEnv(t *testing.T) {
 		E:    NestedApply{F: SFCount{}, Plan: inner},
 	}
 	out := eval(t, outerPlan)
-	// R2 rows with B ≤ 3: [1,2],[1,3]; joined with A1: both match A1=1 → 2.
-	if !value.DeepEqual(out[0]["n"], value.Int(2)) {
+	// R2 rows with B ≤ 3: [1,2],[1,3]; only A1=1 has a partner → 1.
+	if !value.DeepEqual(out[0]["n"], value.Int(1)) {
 		t.Fatalf("correlated join under env: %s", out)
 	}
 }

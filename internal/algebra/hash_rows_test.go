@@ -8,7 +8,7 @@ import (
 )
 
 // Differential property tests of the hash-partitioned paths of the ordered
-// operators (⋈, ⋉, ▷, ⟕, unary/binary Γ over equality keys) against the
+// operators (⋉, ▷, ⟕, unary/binary Γ over equality keys) against the
 // definitional Op.Eval, mirroring the engine-level slot/map tests
 // (internal/experiments/slotdiff_test.go): sequence equality, bag equality
 // and Ξ-output equality, over random inputs plus the edge cases that bit
@@ -64,7 +64,6 @@ func hashFamily(e1, e2 Op, residual Expr) map[string]Op {
 		pred = AndExpr{L: pred, R: residual}
 	}
 	return map[string]Op{
-		"⋈": Join{L: e1, R: e2, Pred: pred},
 		"⋉": SemiJoin{L: e1, R: e2, Pred: pred},
 		"▷": AntiJoin{L: e1, R: e2, Pred: pred},
 		"⟕": OuterJoin{L: e1, R: e2, Pred: pred, G: "B", Default: SFCount{}},
@@ -103,11 +102,11 @@ func TestPartitionedRowsMultiKey(t *testing.T) {
 		e1 := randRel(rng, []string{"A1", "K1", "J1"}, 12, 3)
 		e2 := randRel(rng, []string{"A2", "K2", "J2"}, 12, 3)
 		twoKeys := AndExpr{L: eqCmp("A1", "A2"), R: eqCmp("K1", "K2")}
-		two := Join{L: e1, R: e2, Pred: twoKeys}
-		three := Join{L: e1, R: e2, Pred: AndExpr{L: twoKeys, R: eqCmp("J1", "J2")}}
+		two := OuterJoin{L: e1, R: e2, Pred: twoKeys, G: "J2", Default: SFCount{}}
+		three := OuterJoin{L: e1, R: e2, Pred: AndExpr{L: twoKeys, R: eqCmp("J1", "J2")}, G: "J2", Default: SFCount{}}
 		gu := GroupUnary{In: e2, G: "g", By: []string{"A2", "K2", "J2"},
 			Theta: value.CmpEq, F: SFCount{}}
-		return diffOp(t, "⋈-2key", two) && diffOp(t, "⋈-3key", three) &&
+		return diffOp(t, "⟕-2key", two) && diffOp(t, "⟕-3key", three) &&
 			diffOp(t, "Γ-3key", gu)
 	})
 }

@@ -33,8 +33,6 @@ func TestIterBasicOps(t *testing.T) {
 		ProjectDrop{In: relR2(), Names: []string{"B"}},
 		ProjectRename{In: relR2(), Pairs: []Rename{{New: "C", Old: "A2"}}},
 		Map{In: relR1(), Attr: "x", E: ConstVal{V: value.Int(9)}},
-		Cross{L: relR1(), R: relR2()},
-		Join{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
 		SemiJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
 		AntiJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
 		GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
@@ -71,7 +69,8 @@ func TestIterCloseIdempotent(t *testing.T) {
 }
 
 func TestIterEarlyClose(t *testing.T) {
-	p := Resolve(native(Cross{L: relR1(), R: relR2()})).Pump(NewCtx(nil))
+	oj := OuterJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2"), G: "B", Default: SFCount{}}
+	p := Resolve(native(oj)).Pump(NewCtx(nil))
 	if !p.Step() {
 		t.Fatalf("expected at least one tuple")
 	}
@@ -100,7 +99,7 @@ func TestIterMatchesEvalProperty(t *testing.T) {
 		var op Op
 		switch rng.Intn(6) {
 		case 0:
-			op = Join{L: e1, R: e2, Pred: eqCmp("A1", "A2")}
+			op = OuterJoin{L: e1, R: e2, Pred: eqCmp("A1", "A2"), G: "B", Default: SFCount{}}
 		case 1:
 			op = SemiJoin{L: e1, R: e2, Pred: eqCmp("A1", "A2")}
 		case 2:
@@ -109,7 +108,8 @@ func TestIterMatchesEvalProperty(t *testing.T) {
 			op = GroupBinary{L: e1, R: e2, G: "g", LAttrs: []string{"A1"},
 				RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}}
 		case 4:
-			op = Select{In: Cross{L: e1, R: e2}, Pred: eqCmp("A1", "A2")}
+			op = OuterJoin{L: e1, R: e2, Pred: CmpExpr{L: Var{Name: "A1"}, R: Var{Name: "A2"}, Op: value.CmpLt},
+				G: "B", Default: SFCount{}}
 		default:
 			op = UnnestDistinct{In: GroupUnary{In: e2, G: "g", By: []string{"A2"},
 				Theta: value.CmpEq, F: SFIdent{}}, Attr: "g"}

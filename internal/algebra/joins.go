@@ -161,50 +161,6 @@ func (jp *joinPlan) anyMatch(ctx *Ctx, env value.Tuple, lt value.Tuple) bool {
 	return false
 }
 
-// Join is the order-preserving join e1 ⋈p e2 := σp(e1 × e2).
-type Join struct {
-	L, R Op
-	Pred Expr
-}
-
-// Eval implements Op.
-func (j Join) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
-	l := j.L.Eval(ctx, env)
-	if len(l) == 0 {
-		return nil
-	}
-	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
-	var out value.TupleSeq
-	for _, lt := range l {
-		ctx.Fault(TripProbe)
-		for _, rt := range jp.matches(ctx, env, lt) {
-			out = append(out, lt.Concat(rt))
-		}
-	}
-	return out
-}
-
-func (j Join) String() string { return fmt.Sprintf("⋈[%s]", j.Pred.String()) }
-
-// Children implements Op.
-func (j Join) Children() []Op { return []Op{j.L, j.R} }
-
-// MapChildren implements Op.
-func (j Join) MapChildren(f func(Op) Op) Op { j.L, j.R = f(j.L), f(j.R); return j }
-
-// Exprs implements Op.
-func (j Join) Exprs() []Expr { return []Expr{j.Pred} }
-
-// Attrs implements Op.
-func (j Join) Attrs() ([]string, bool) {
-	l, ok1 := j.L.Attrs()
-	r, ok2 := j.R.Attrs()
-	if !ok1 || !ok2 {
-		return nil, false
-	}
-	return unionAttrs(l, r), true
-}
-
 // SemiJoin is the order-preserving semijoin e1 ⋉p e2: left tuples with at
 // least one join partner (Sec. 2).
 type SemiJoin struct {

@@ -106,8 +106,8 @@ func TestQuantifiersOverCorrelatedRanges(t *testing.T) {
 	}
 	// So does a join residual — behind the equality the hash join drops —
 	// and every Ξ command list.
-	sameRun(t, "⋈ residual", Join{L: relR1(), R: constOp{ts: value.TupleSeq{{"K": value.Int(1)}, {"K": value.Int(3)}}, attrs: []string{"K"}},
-		Pred: AndExpr{L: AndExpr{L: some(0, 1), R: eqCmp("A1", "K")}, R: every(0, 1)}})
+	sameRun(t, "⟕ residual", OuterJoin{L: relR1(), R: constOp{ts: value.TupleSeq{{"K": value.Int(1)}, {"K": value.Int(3)}}, attrs: []string{"K"}},
+		Pred: AndExpr{L: AndExpr{L: some(0, 1), R: eqCmp("A1", "K")}, R: every(0, 1)}, G: "K", Default: SFCount{}})
 	sameRun(t, "Ξ-group", XiGroup{In: relR1(), By: []string{"A1"},
 		S1: []Command{ExprCmd(some(0, 1))}, S2: []Command{LitCmd("|"), ExprCmd(every(0, 1))}, S3: []Command{ExprCmd(some(4, 0))}})
 }

@@ -485,45 +485,3 @@ func (u UnnestMap) Attrs() ([]string, bool) {
 	}
 	return unionAttrs(in, add), true
 }
-
-// Cross is the order-preserving cross product e1 × e2: for every left tuple
-// in order, all right tuples in order.
-type Cross struct{ L, R Op }
-
-// Eval implements Op.
-func (c Cross) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
-	l := c.L.Eval(ctx, env)
-	if len(l) == 0 {
-		return nil
-	}
-	r := c.R.Eval(ctx, env)
-	ctx.ChargeTuples(TripBuild, r)
-	var out value.TupleSeq
-	for _, lt := range l {
-		for _, rt := range r {
-			out = append(out, lt.Concat(rt))
-		}
-	}
-	return out
-}
-
-func (Cross) String() string { return "×" }
-
-// Children implements Op.
-func (c Cross) Children() []Op { return []Op{c.L, c.R} }
-
-// MapChildren implements Op.
-func (c Cross) MapChildren(f func(Op) Op) Op { c.L, c.R = f(c.L), f(c.R); return c }
-
-// Exprs implements Op.
-func (Cross) Exprs() []Expr { return nil }
-
-// Attrs implements Op.
-func (c Cross) Attrs() ([]string, bool) {
-	l, ok1 := c.L.Attrs()
-	r, ok2 := c.R.Attrs()
-	if !ok1 || !ok2 {
-		return nil, false
-	}
-	return unionAttrs(l, r), true
-}

@@ -189,26 +189,6 @@ func TestGroupUnaryThetaNonEq(t *testing.T) {
 	}
 }
 
-func TestCrossOrder(t *testing.T) {
-	out := eval(t, Cross{L: relR1(), R: relR2()})
-	if len(out) != 12 {
-		t.Fatalf("cross size: %d", len(out))
-	}
-	// First four tuples pair A1=1 with R2 in order.
-	if !value.DeepEqual(out[0]["A1"], value.Int(1)) || !value.DeepEqual(out[0]["B"], value.Int(2)) ||
-		!value.DeepEqual(out[3]["B"], value.Int(5)) {
-		t.Fatalf("cross order wrong: %s", out[:4])
-	}
-}
-
-func TestJoinMatchesSelectCross(t *testing.T) {
-	join := eval(t, Join{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")})
-	selCross := eval(t, Select{In: Cross{L: relR1(), R: relR2()}, Pred: eqCmp("A1", "A2")})
-	if !value.TupleSeqEqual(join, selCross) {
-		t.Fatalf("⋈ ≠ σ(×): %s vs %s", join, selCross)
-	}
-}
-
 func TestSemiAntiJoin(t *testing.T) {
 	semi := eval(t, SemiJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")})
 	if len(semi) != 2 || !value.DeepEqual(semi[0]["A1"], value.Int(1)) || !value.DeepEqual(semi[1]["A1"], value.Int(2)) {
@@ -329,8 +309,6 @@ func TestEmptyInputsProduceEmptyOutputs(t *testing.T) {
 		Select{In: empty, Pred: ConstVal{V: value.Bool(true)}},
 		Project{In: empty, Names: []string{"A1"}},
 		Map{In: empty, Attr: "x", E: ConstVal{V: value.Int(1)}},
-		Cross{L: empty, R: relR2()},
-		Join{L: empty, R: relR2(), Pred: eqCmp("A1", "A2")},
 		SemiJoin{L: empty, R: relR2(), Pred: eqCmp("A1", "A2")},
 		AntiJoin{L: empty, R: relR2(), Pred: eqCmp("A1", "A2")},
 		OuterJoin{L: empty, R: relR2(), Pred: eqCmp("A1", "A2"), G: "g", Default: SFCount{}},
@@ -388,7 +366,7 @@ func TestXiSimpleIdentity(t *testing.T) {
 }
 
 // TestFamiliarEquivalences spot-checks the Sec. 2 "familiar equivalences"
-// on ordered sequences.
+// on ordered sequences (the pushdowns are internal/core's sec2_prop_test).
 func TestFamiliarEquivalences(t *testing.T) {
 	p1 := CmpExpr{L: Var{Name: "B"}, R: ConstVal{V: value.Int(2)}, Op: value.CmpGt}
 	p2 := CmpExpr{L: Var{Name: "B"}, R: ConstVal{V: value.Int(5)}, Op: value.CmpLt}
@@ -397,18 +375,5 @@ func TestFamiliarEquivalences(t *testing.T) {
 	b := eval(t, Select{In: Select{In: relR2(), Pred: p1}, Pred: p2})
 	if !value.TupleSeqEqual(a, b) {
 		t.Fatalf("selection commutation fails")
-	}
-	// σp(e1 × e2) = e1 × σp(e2) for p over e2.
-	c := eval(t, Select{In: Cross{L: relR1(), R: relR2()}, Pred: p1})
-	d := eval(t, Cross{L: relR1(), R: Select{In: relR2(), Pred: p1}})
-	if !value.TupleSeqEqual(c, d) {
-		t.Fatalf("selection pushdown into × fails")
-	}
-	// Associativity of ×.
-	e3 := constOp{ts: value.TupleSeq{{"C": value.Int(9)}}, attrs: []string{"C"}}
-	x1 := eval(t, Cross{L: Cross{L: relR1(), R: relR2()}, R: e3})
-	x2 := eval(t, Cross{L: relR1(), R: Cross{L: relR2(), R: e3}})
-	if !value.TupleSeqEqual(x1, x2) {
-		t.Fatalf("× associativity fails")
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // TestReopenAllocatesOnlyIteratorState opens and drains one resolved tree
 // many times — what a nested plan does once per outer tuple — over a plan
-// holding ⋈, binary Γ, µD, Π̄ and Sort on three-row scans. An open pays for
+// holding ⟕, binary Γ, µD, Π̄ and Sort on three-row scans. An open pays for
 // iterator state, compiled subscripts and the rows it produces; the slots,
 // layouts, key pairs and splice maps are the resolver's, derived once, and
 // so are the compiled subscripts. An open makes 50 allocations; it made 54
@@ -23,7 +23,7 @@ func TestReopenAllocatesOnlyIteratorState(t *testing.T) {
 		return UnnestMap{In: Singleton{}, Attr: attr,
 			E: ConstVal{V: value.Seq{value.Int(1), value.Int(2), value.Int(3)}}}
 	}
-	join := Join{L: scan("x"), R: scan("y"), Pred: eqCmp("x", "y")}
+	join := OuterJoin{L: scan("x"), R: scan("y"), Pred: eqCmp("x", "y"), G: "y", Default: SFCount{}}
 	grouped := GroupBinary{L: join, R: scan("z"), G: "g", LAttrs: []string{"x"}, RAttrs: []string{"z"},
 		Theta: value.CmpEq, F: SFIdent{}}
 	plan := Sort{In: ProjectDrop{In: UnnestDistinct{In: grouped, Attr: "g"}, Names: []string{"y"}},

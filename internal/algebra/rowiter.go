@@ -414,58 +414,21 @@ func cmpRowsDirs(a, b value.Row, by []int, dirs []bool) int {
 	return 0
 }
 
-// rowCrossIter is ×. Its right input is materialized on the first left row,
-// so an empty left input never evaluates it — as in Cross.Eval.
-type rowCrossIter struct {
-	left  RowIter
-	build *Node // the right input, until it is built
-	up    *outer
-	ctx   *Ctx
-	lay   *value.Layout
-
-	right []value.Row
-	cur   value.Row
-	pos   int
-	slab  rowSlab
-}
-
-func (c *rowCrossIter) Next() (value.Row, bool) {
-	for {
-		if c.pos < len(c.right) {
-			r := value.ConcatRows(c.lay, c.slab.take(c.lay.Width(), len(c.right)-c.pos), c.cur, c.right[c.pos])
-			c.pos++
-			return r, true
-		}
-		lt, ok := c.left.Next()
-		if !ok {
-			return value.Row{}, false
-		}
-		if c.build != nil {
-			c.right = drainRows(c.ctx, TripBuild, c.build.open(c.ctx, c.up))
-			c.build = nil
-		}
-		c.cur, c.pos = lt, 0
-	}
-}
-
-func (c *rowCrossIter) Close() { c.left.Close() }
-
 // ---- join family ----
 
 type joinMode uint8
 
 const (
-	joinModeInner joinMode = iota
-	joinModeSemi
+	joinModeSemi joinMode = iota
 	joinModeAnti
 	joinModeOuter
 )
 
-// joinSpec is what the resolver derived for a ⋈, ⋉, ▷ or ⟕ (Node.join):
+// joinSpec is what the resolver derived for a ⋉, ▷ or ⟕ (Node.join):
 // read by every open of the node, written by none.
 type joinSpec struct {
 	mode joinMode
-	lay  *value.Layout // the output: l ◦ r for ⋈ and ⟕, l for ⋉ and ▷
+	lay  *value.Layout // the output: l ◦ r for ⟕, l for ⋉ and ▷
 	cat  *value.Layout // l ◦ r, what the residual compiles against
 	// lSlots and rSlots are the slots of the equi-join key pairs, on which
 	// the build side is hashed when there are any; pred is the rest of the
@@ -482,7 +445,7 @@ type joinSpec struct {
 // in left order with order-preserving buckets, which yields exactly the order
 // of the definitional σp(e1 × e2). The build side — the right input, hashed
 // on the key slots — is materialized on the first left row, so an empty
-// left input never evaluates it, as in Join.Eval.
+// left input never evaluates it, as in their Eval.
 type rowJoinIter struct {
 	*joinSpec
 	left  RowIter
@@ -581,9 +544,9 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 			if !j.anyMatch(lt) {
 				return lt, true
 			}
-		default:
+		default: // ⟕, the one mode that concatenates
 			ms := j.matches(lt)
-			if len(ms) == 0 && j.mode == joinModeOuter {
+			if len(ms) == 0 {
 				return padOuter(&j.slab, j.lay, lt, j.padFrom, j.gSlot, j.def), true
 			}
 			j.cur, j.pending, j.pos = lt, ms, 0

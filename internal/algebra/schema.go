@@ -335,15 +335,6 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 			return s
 		})
 
-	case Cross:
-		if lay, ok := in.Lay.Concat(r.Lay); ok {
-			return typed(lay, nestedUnion(in.Nested, r.Nested), func(ctx *Ctx, o *outer) RowIter {
-				return &rowCrossIter{left: n.Kids[0].open(ctx, o), build: n.Kids[1], up: o, ctx: ctx, lay: lay}
-			})
-		}
-
-	case Join:
-		return n.join(c, up, in, r, w.Pred, joinModeInner, "", nil)
 	case SemiJoin:
 		return n.join(c, up, in, r, w.Pred, joinModeSemi, "", nil)
 	case AntiJoin:
@@ -402,7 +393,7 @@ func (n *Node) slotMap(lay *value.Layout, src []int) opener {
 	}
 }
 
-// join types ⋈, ⋉, ▷ and ⟕ and derives what their iterator reads: the
+// join types ⋉, ▷ and ⟕ and derives what their iterator reads: the
 // concatenated layout their predicate compiles against, the slots of the
 // equi-join key pairs the build side is hashed on with the residual
 // predicate they leave, compiled, and for ⟕ the slot of g — an attribute the

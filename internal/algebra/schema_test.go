@@ -65,14 +65,14 @@ func TestResolveSchemaNestedTracking(t *testing.T) {
 // TestResolveSchemaFallbacks: a hash join resolves structurally to l ◦ r;
 // unknown attribute sets do not resolve, and there is nothing to fall back to.
 func TestResolveSchemaFallbacks(t *testing.T) {
-	j := Join{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")}
+	j := OuterJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2"), G: "B", Default: SFCount{}}
 	sc, ok := ResolveSchema(native(j))
 	if !ok {
 		t.Fatalf("hash join must resolve: %+v %v", sc, ok)
 	}
 	for i, a := range []string{"A1", "A2", "B"} {
 		if s, found := sc.Lay.Slot(a); !found || s != i {
-			t.Fatalf("⋈ concat layout wrong: %v", sc.Lay.Names())
+			t.Fatalf("⟕ concat layout wrong: %v", sc.Lay.Names())
 		}
 	}
 	// µD's attribute set is statically unknown without nested tracking.
@@ -167,7 +167,7 @@ func TestStreamingAllocsPerTuple(t *testing.T) {
 		{"e[a] path", Map{In: idx, Attr: "t", E: BindTuples{Attr: "m", E: PathOf{Input: Var{Name: "b"}, Path: xpath.MustParse("title")}}}, []Op{idx}, 1.2, 2},
 		// One partner per left tuple: n concatenated rows over a build side
 		// of n rows, whose table is a fixed number of allocations.
-		{"⋈ concat", Join{L: src, R: right, Pred: CmpExpr{L: Var{Name: "x"}, R: Var{Name: "z"}, Op: value.CmpEq}}, []Op{src, right}, 0.1, 1},
+		{"⟕ concat", OuterJoin{L: src, R: right, Pred: CmpExpr{L: Var{Name: "x"}, R: Var{Name: "z"}, Op: value.CmpEq}, G: "z", Default: SFCount{}}, []Op{src, right}, 0.1, 1},
 		// Every key distinct: n groups, n emitted rows.
 		{"Γ emit", GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFCount{}}, []Op{src}, 0.1, 1},
 		{"Γ self", GroupSelf{In: src, G: "g", By: []string{"x"}, F: SFCount{}}, []Op{src}, 0.1, 1},

@@ -46,8 +46,9 @@ func TestUntypablePlanRefusedAtOpen(t *testing.T) {
 	}{
 		"extension mid-plan":        {xi(Select{Pred: always, In: passOp{In: relR1()}}), "pass"},
 		"µD over untracked payload": {UnnestDistinct{Attr: "g", In: xi(grouped)}, "µD[g]"},
-		"colliding join layouts":    {xi(Join{L: relR1(), R: relR1(), Pred: always}), "⋈[true]"},
-		"colliding ⋉ layouts":       {xi(SemiJoin{L: relR1(), R: relR1(), Pred: always}), "⋉[true]"},
+		"colliding ⟕ layouts": {xi(OuterJoin{L: relR1(), R: relR1(), Pred: always, G: "A1", Default: SFCount{}}),
+			"⟕[A1:count(); true]"},
+		"colliding ⋉ layouts": {xi(SemiJoin{L: relR1(), R: relR1(), Pred: always}), "⋉[true]"},
 		"⟕ default outside l ◦ r": {xi(OuterJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2"),
 			G: "g", Default: SFCount{}}), "⟕[g:count(); A1 = A2]"},
 		"sort key unbound":  {xi(Sort{In: relR1(), By: []string{"Z"}}), Sort{By: []string{"Z"}}.String()},
@@ -63,7 +64,7 @@ func TestUntypablePlanRefusedAtOpen(t *testing.T) {
 			Range: passOp{In: relR2()}, Pred: eqCmp("x", "A1")}}), "pass"},
 		"untypable plan nested twice": {xi(Map{In: relR1(), Attr: "n", E: NestedApply{F: SFCount{},
 			Plan: Select{In: relR2(), Pred: ForallQ{Var: "x", RangeAttr: "A1",
-				Range: Cross{L: relR1(), R: relR1()}, Pred: eqCmp("x", "A2")}}}}), "×"},
+				Range: SemiJoin{L: relR1(), R: relR1(), Pred: always}, Pred: eqCmp("x", "A2")}}}}), "⋉[true]"},
 	} {
 		op := native(c.op)
 		n := Resolve(op)

@@ -306,8 +306,9 @@ func project(ts value.TupleSeq, attrs ...string) value.TupleSeq {
 	return out
 }
 
-// TestHashJoinMatchesNestedLoop: the order-preserving hash paths of the
-// join family agree with the definitional nested-loop evaluation.
+// TestHashJoinMatchesNestedLoop: the order-preserving hash paths of ⋉, ▷
+// and ⟕ agree with a nested-loop evaluation of their Sec. 2 definitions,
+// written out here: every left tuple in order, its partners in right order.
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	check(t, "hash=nested-loop", func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -318,9 +319,26 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 			L: corrPred(value.CmpEq),
 			R: algebra.CmpExpr{L: algebra.Var{Name: "C"}, R: algebra.Var{Name: "B"}, Op: value.CmpLe},
 		}
-		// Nested-loop reference: σpred(e1 × e2).
-		ref := evalOp(algebra.Select{In: algebra.Cross{L: e1, R: e2}, Pred: pred})
-		join := evalOp(algebra.Join{L: e1, R: e2, Pred: pred})
-		return value.TupleSeqEqual(ref, join)
+		ctx := algebra.NewCtx(nil)
+		var semi, anti, outer value.TupleSeq
+		for _, lt := range e1.ts {
+			matched := false
+			for _, rt := range e2.ts {
+				if value.EffectiveBool(pred.Eval(ctx, lt.Concat(rt))) {
+					matched = true
+					outer = append(outer, lt.Concat(rt))
+				}
+			}
+			if matched {
+				semi = append(semi, lt)
+			} else {
+				anti = append(anti, lt)
+				// ⊥ on A2, and g = B takes count(ε).
+				outer = append(outer, lt.Concat(value.Tuple{"A2": value.Null{}, "B": value.Int(0)}))
+			}
+		}
+		return value.TupleSeqEqual(semi, evalOp(algebra.SemiJoin{L: e1, R: e2, Pred: pred})) &&
+			value.TupleSeqEqual(anti, evalOp(algebra.AntiJoin{L: e1, R: e2, Pred: pred})) &&
+			value.TupleSeqEqual(outer, evalOp(algebra.OuterJoin{L: e1, R: e2, Pred: pred, G: "B", Default: algebra.SFCount{}}))
 	})
 }

@@ -130,6 +130,15 @@ func swapIndexed(op algebra.Op, cat IndexCatalog) (algebra.Op, bool) {
 	return op, false
 }
 
+// wrapSelect places the conjuncts back on top of op as a single selection;
+// with no conjuncts it returns op unchanged.
+func wrapSelect(op algebra.Op, conjuncts []algebra.Expr) algebra.Op {
+	if len(conjuncts) == 0 {
+		return op
+	}
+	return algebra.Select{In: op, Pred: algebra.AndOf(conjuncts)}
+}
+
 // scanShape recognizes a document-rooted Υ: no positional attribute, the
 // subscript a plain path over a variable bound to a constant doc() below
 // (or doc() itself).

@@ -275,10 +275,6 @@ func (rw *Rewriter) Alternatives(plan algebra.Op) []PlanAlt {
 	seen := map[string]bool{algebra.Explain(plan): true}
 	for _, s := range []Strategy{StrategyGeneral, StrategyGrouping, StrategyGroupXi} {
 		out, applied := rw.Rewrite(plan, s)
-		if simplified, changed := Simplify(out); changed && Validate(simplified) {
-			out = simplified
-			applied = append(applied, "sec2-pushdown")
-		}
 		key := algebra.Explain(out)
 		if seen[key] || !Validate(out) {
 			continue

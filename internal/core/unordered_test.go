@@ -20,7 +20,6 @@ func TestToUnorderedBagPreserving(t *testing.T) {
 		e2 := randSeq(rng, []string{"A2", "B"}, 8, 3)
 		eq := algebra.CmpExpr{L: algebra.Var{Name: "A1"}, R: algebra.Var{Name: "A2"}, Op: value.CmpEq}
 		plans := []algebra.Op{
-			algebra.Join{L: e1, R: e2, Pred: eq},
 			algebra.SemiJoin{L: e1, R: e2, Pred: eq},
 			algebra.AntiJoin{L: e1, R: e2, Pred: eq},
 			algebra.OuterJoin{L: e1, R: e2, Pred: eq, G: "B", Default: algebra.SFCount{}},
@@ -46,12 +45,12 @@ func TestToUnorderedNoEquiKeysUntouched(t *testing.T) {
 	e1 := randSeq(rng, []string{"A1"}, 6, 3)
 	e2 := randSeq(rng, []string{"A2"}, 6, 3)
 	lt := algebra.CmpExpr{L: algebra.Var{Name: "A1"}, R: algebra.Var{Name: "A2"}, Op: value.CmpLt}
-	plan := algebra.Join{L: e1, R: e2, Pred: lt}
+	plan := algebra.SemiJoin{L: e1, R: e2, Pred: lt}
 	u, changed := ToUnordered(plan)
 	if changed {
 		t.Errorf("θ-join without equality keys was converted: %T", u)
 	}
-	if _, ok := u.(algebra.Join); !ok {
+	if _, ok := u.(algebra.SemiJoin); !ok {
 		t.Errorf("plan type changed to %T", u)
 	}
 }
@@ -64,7 +63,7 @@ func TestToUnorderedValidates(t *testing.T) {
 	e2 := randSeq(rng, []string{"A2", "B"}, 6, 3)
 	eq := algebra.CmpExpr{L: algebra.Var{Name: "A1"}, R: algebra.Var{Name: "A2"}, Op: value.CmpEq}
 	plan := algebra.XiSimple{
-		In:   algebra.Join{L: e1, R: e2, Pred: eq},
+		In:   algebra.OuterJoin{L: e1, R: e2, Pred: eq, G: "B", Default: algebra.SFCount{}},
 		Cmds: []algebra.Command{algebra.LitCmd("<r>"), {E: algebra.Var{Name: "B"}}, algebra.LitCmd("</r>")},
 	}
 	u, changed := ToUnordered(plan)

@@ -179,14 +179,6 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 		// replaces, so only measured evidence flips a plan onto an index.
 		return Estimate{Card: maxF(n, 1),
 			Cost: in.Cost + n*(tupleCost+m.expr(w.Key)+1.5) + n*perTuple(op)}
-	case algebra.Cross:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		card := l.Card * r.Card
-		return Estimate{Card: card, Cost: l.Cost + r.Cost + card*perTuple(op)}
-	case algebra.Join:
-		l, r := m.Plan(w.L), m.Plan(w.R)
-		card := maxF(l.Card, r.Card)
-		return Estimate{Card: card, Cost: l.Cost + r.Cost + (l.Card+r.Card)*tupleCost + card*perTuple(op)}
 	case algebra.SemiJoin:
 		l, r := m.Plan(w.L), m.Plan(w.R)
 		return Estimate{Card: l.Card * selSelect, Cost: l.Cost + r.Cost + (l.Card + r.Card)}

@@ -32,8 +32,6 @@ func TestEveryOperatorEstimated(t *testing.T) {
 		algebra.ProjectRename{In: e1, Pairs: []algebra.Rename{{New: "x", Old: "b"}}},
 		algebra.ProjectDistinct{In: e1, Pairs: []algebra.Rename{{New: "x", Old: "b"}}},
 		algebra.Map{In: e1, Attr: "x", E: algebra.ConstVal{V: value.Int(1)}},
-		algebra.Cross{L: e1, R: e2},
-		algebra.Join{L: e1, R: e2, Pred: eq},
 		algebra.SemiJoin{L: e1, R: e2, Pred: eq},
 		algebra.AntiJoin{L: e1, R: e2, Pred: eq},
 		algebra.OuterJoin{L: e1, R: e2, Pred: eq, G: "g", Default: algebra.SFCount{}},

@@ -1,6 +1,7 @@
 package normalize
 
 import (
+	"slices"
 	"sort"
 
 	"nalquery/internal/xquery"
@@ -30,14 +31,9 @@ func (n *Normalizer) flwr(f xquery.FLWR) xquery.FLWR {
 			// Split a conjunctive where into one clause per conjunct
 			// (sound by σp1(σp2(e)) = σp2(σp1(e)), Sec. 2): quantifier
 			// conjuncts then sit alone in their selection, the shape
-			// Eqvs. 6/7 match; plain conjuncts come first so they filter
-			// below the quantifier's selection.
-			plain, quants := splitWhereConjuncts(cond)
-			for _, c := range plain {
-				out.Clauses = append(out.Clauses, xquery.WhereClause{Cond: c})
-			}
-			for _, c := range quants {
-				out.Clauses = append(out.Clauses, xquery.WhereClause{Cond: c})
+			// Eqvs. 6/7 match.
+			for _, c := range whereConjuncts(cond) {
+				appendWhere(&out, c)
 			}
 		case xquery.OrderByClause:
 			specs := make([]xquery.OrderSpec, len(cl.Specs))
@@ -52,12 +48,11 @@ func (n *Normalizer) flwr(f xquery.FLWR) xquery.FLWR {
 	return out
 }
 
-// splitWhereConjuncts flattens a top-level conjunction into its conjuncts,
-// separating those containing quantifiers from plain predicates. A
-// conjunction with no quantified conjunct is kept whole — one σ with a
-// conjunctive predicate is the translation's usual shape and the Sec. 2
-// pass can still sink its conjuncts individually.
-func splitWhereConjuncts(cond xquery.Expr) (plain, quants []xquery.Expr) {
+// whereConjuncts flattens a top-level conjunction into its conjuncts when
+// one of them contains a quantifier. A conjunction with no quantified
+// conjunct is kept whole — one σ with a conjunctive predicate is the
+// translation's usual shape.
+func whereConjuncts(cond xquery.Expr) []xquery.Expr {
 	var flatten func(e xquery.Expr) []xquery.Expr
 	flatten = func(e xquery.Expr) []xquery.Expr {
 		if a, ok := e.(xquery.And); ok {
@@ -66,23 +61,29 @@ func splitWhereConjuncts(cond xquery.Expr) (plain, quants []xquery.Expr) {
 		return []xquery.Expr{e}
 	}
 	conjuncts := flatten(cond)
-	anyQuant := false
 	for _, c := range conjuncts {
 		if containsQuant(c) {
-			anyQuant = true
+			return conjuncts
 		}
 	}
-	if !anyQuant || len(conjuncts) == 1 {
-		return []xquery.Expr{cond}, nil
-	}
-	for _, c := range conjuncts {
-		if containsQuant(c) {
-			quants = append(quants, c)
-		} else {
-			plain = append(plain, c)
+	return []xquery.Expr{cond}
+}
+
+// appendWhere adds a where clause to the clause list. A plain condition goes
+// ahead of the quantified where clauses that end the list, by the same
+// commutation: across a run of adjacent where clauses the plain ones come
+// first, each kind keeping its order, so a plain selection sits below the
+// quantifier's and filters before it.
+func appendWhere(out *xquery.FLWR, cond xquery.Expr) {
+	i := len(out.Clauses)
+	for !containsQuant(cond) && i > 0 {
+		w, ok := out.Clauses[i-1].(xquery.WhereClause)
+		if !ok || !containsQuant(w.Cond) {
+			break
 		}
+		i--
 	}
-	return plain, quants
+	out.Clauses = slices.Insert(out.Clauses, i, xquery.Clause(xquery.WhereClause{Cond: cond}))
 }
 
 // containsQuant reports whether a quantified expression occurs in e at a

@@ -1,6 +1,7 @@
 package normalize
 
 import (
+	"strings"
 	"testing"
 
 	"nalquery/internal/xquery"
@@ -47,8 +48,8 @@ return $t`)
 	}
 }
 
-// TestWhereNoSplitWithoutQuantifier: plain conjunctions stay in one clause
-// (the Sec. 2 pass handles sinking them).
+// TestWhereNoSplitWithoutQuantifier: plain conjunctions stay in one clause,
+// one σ with a conjunctive predicate.
 func TestWhereNoSplitWithoutQuantifier(t *testing.T) {
 	ws := whereClauses(t, `
 let $d := doc("bib.xml")
@@ -84,5 +85,45 @@ return $t`)
 	}
 	if _, ok := ws[len(ws)-1].Cond.(xquery.Quant); !ok {
 		t.Errorf("quantifier clause must be last")
+	}
+}
+
+// TestAdjacentWhereClausesPlainFirst: across a run of adjacent where clauses
+// the plain ones move ahead of the quantified ones, each kind keeping its
+// order; no clause is merged into another, and none crosses a let.
+func TestAdjacentWhereClausesPlainFirst(t *testing.T) {
+	const (
+		byTitle = `some $r in doc("reviews.xml")//entry satisfies $r/title = $b/title`
+		byPrice = `some $s in doc("reviews.xml")//entry satisfies $s/price = $b/price`
+	)
+	for _, c := range []struct{ name, clauses, want string }{
+		{"quantified then plain", "where " + byTitle + " where $b/@year > 1990", "1990,∃title"},
+		{"two plain", "where $b/@year > 1990 where $b/@year < 2000", "1990,2000"},
+		{"two quantified", "where " + byTitle + " where " + byPrice, "∃title,∃price"},
+		{"plain after a let", "where " + byTitle + " let $y := $b/@year where $y > 1990", "∃title,let,1990"},
+	} {
+		f := norm(t, `for $b in doc("bib.xml")//book `+c.clauses+` return $b`)
+		var got []string
+		for _, cl := range f.Clauses {
+			switch w := cl.(type) {
+			case xquery.LetClause:
+				got = append(got, "let")
+			case xquery.WhereClause:
+				s := w.Cond.String()
+				switch {
+				case containsQuant(w.Cond) && strings.Contains(s, "title"):
+					got = append(got, "∃title")
+				case containsQuant(w.Cond):
+					got = append(got, "∃price")
+				case strings.Contains(s, "1990"):
+					got = append(got, "1990")
+				default:
+					got = append(got, "2000")
+				}
+			}
+		}
+		if strings.Join(got, ",") != c.want {
+			t.Errorf("%s: let and where clauses are %s, want %s\n%s", c.name, strings.Join(got, ","), c.want, f)
+		}
 	}
 }

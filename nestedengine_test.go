@@ -180,7 +180,7 @@ func TestNestedPlanBudgetTripInsideInnerPlan(t *testing.T) {
 }
 
 // TestUntypablePlanIsAnInternalError: a hand-built plan the resolver cannot
-// type — a join whose inputs bind the same attribute — has no map-tuple
+// type — a ⟕ whose inputs bind the same attribute — has no map-tuple
 // evaluator to fall back to any more. The run is refused at the boundary as
 // an *InternalError naming the operator, before any output; the definitional
 // evaluator, being the specification, still runs it.
@@ -192,7 +192,8 @@ func TestUntypablePlanIsAnInternalError(t *testing.T) {
 	}
 	scan := algebra.UnnestMap{In: algebra.Singleton{}, Attr: "x",
 		E: algebra.ConstVal{V: value.Seq{value.Int(1), value.Int(2)}}}
-	join := algebra.Join{L: scan, R: scan, Pred: algebra.ConstVal{V: value.Bool(true)}}
+	join := algebra.OuterJoin{L: scan, R: scan, Pred: algebra.ConstVal{V: value.Bool(true)},
+		G: "x", Default: algebra.SFCount{}}
 	q.plans = []Plan{{Name: "colliding", op: algebra.XiSimple{In: join,
 		Cmds: []algebra.Command{algebra.ExprCmd(algebra.Var{Name: "x"})}}}}
 

@@ -1,8 +1,11 @@
 package nalquery
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"nalquery/internal/algebra"
 )
 
 // Conjunctive where clauses mixing a quantifier with plain predicates:
@@ -114,5 +117,51 @@ return <na>{ $a1 }</na>`)
 		} else if out != ref {
 			t.Errorf("plan %q output differs from nested", p.Name)
 		}
+	}
+}
+
+// TestAdjacentWhereClausesPushedBelowSemijoin: a quantified where clause
+// followed by a plain one. Normalization moves the plain clause first (sound
+// by σ-commutation), so Eqv. 6 alone builds the semijoin plan with the plain
+// selection in its left input, and every plan agrees.
+func TestAdjacentWhereClausesPushedBelowSemijoin(t *testing.T) {
+	const query = `
+for $b in doc("bib.xml")//book
+where some $r in doc("reviews.xml")//entry satisfies $r/title = $b/title
+where $b/@year > 1990
+return $b/title`
+	eng := NewEngine()
+	eng.LoadUseCaseDocuments(50, 2)
+	if out := assertAllPlansAgree(t, eng, query); out == "" {
+		t.Errorf("no book matches: the statement checks nothing")
+	}
+	q, err := eng.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var semi *algebra.SemiJoin
+	for _, p := range q.Plans() {
+		if p.Name != "semijoin" {
+			continue
+		}
+		if !slices.Equal(p.Applied, []string{"Eqv.6"}) {
+			t.Errorf("semijoin plan applied %v, want [Eqv.6]", p.Applied)
+		}
+		var find func(algebra.Op)
+		find = func(o algebra.Op) {
+			if w, ok := o.(algebra.SemiJoin); ok && semi == nil {
+				semi = &w
+			}
+			for _, c := range o.Children() {
+				find(c)
+			}
+		}
+		find(p.op)
+	}
+	if semi == nil {
+		t.Fatalf("no semijoin plan with a ⋉; have %v", planNames(q))
+	}
+	if !strings.Contains(algebra.Explain(semi.L), "@year") {
+		t.Errorf("the year selection is not in ⋉'s left input:\n%s", algebra.Explain(*semi))
 	}
 }
