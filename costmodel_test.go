@@ -2,38 +2,18 @@ package nalquery
 
 import (
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
-	"nalquery/internal/cost"
 	"nalquery/internal/dom"
-	"nalquery/internal/qgen"
 	"nalquery/internal/schema"
-	"nalquery/internal/stats"
-	"nalquery/internal/store"
 	"nalquery/internal/xmlgen"
 )
 
-// The default cost model is a projection of the snapshot's load-time
-// statistics, built once per snapshot. These tests pin that it ranks plans
-// exactly as a model built by walking the documents does, and that it is
-// built when the documents change and at no other time.
-
-// walkModel builds, over one snapshot, the model a compile used to build for
-// itself: element counts from a walk of every document, path estimates from
-// the same statistics. It files the statistics under URIs no document has —
-// NewModelStats then walks every document for its counts, while the path
-// estimates (which sum over all statistics entries) see exactly the
-// snapshot's.
-func walkModel(st *engineState) *cost.Model {
-	measured := make(map[string]*stats.DocStats, len(st.aux))
-	for uri, x := range st.aux {
-		measured["walked:"+uri] = x.Stats
-	}
-	return cost.NewModelStats(st.docs, measured)
-}
+// The cost model is a projection of the snapshot's load-time statistics,
+// built once per snapshot. These tests pin that it is built when the
+// documents change and at no other time.
 
 // planCosts renders the plan list — names in order, each with its exact
 // estimated cost — and the chosen plan.
@@ -52,7 +32,7 @@ func planCosts(q *Query) string {
 
 // positionalQueries scan paths with positional predicates: the measured path
 // counts do not resolve those, so their cardinalities come from the model's
-// element-name counts — the numbers a walk used to gather.
+// element-name counts.
 var positionalQueries = map[string]string{
 	"positional book":   `let $d := doc("bib.xml") for $b in $d//book[1] return $b/title`,
 	"positional author": `let $d := doc("bib.xml") for $b in $d//book for $a in $b/author[2] return $a/last`,
@@ -69,88 +49,6 @@ func costQueries() map[string]string {
 		}
 	}
 	return out
-}
-
-const parsedSample = `<lib><shelf n="1"><book year="1999"><title>A</title></book><book><title>B</title></book></shelf><shelf n="2"/></lib>`
-
-// storeEngine loads the use-case documents through LoadStoreFile,
-// alternating NALB1 records (re-analyzed at load) and NALB2 records (the
-// persisted statistics are adopted).
-func storeEngine(t *testing.T, size, authorsPerBook int) *Engine {
-	t.Helper()
-	cfg := xmlgen.DefaultConfig(size)
-	cfg.AuthorsPerBook = authorsPerBook
-	eng, dir := NewEngine(), t.TempDir()
-	for i, d := range []*dom.Document{xmlgen.Bib(cfg), xmlgen.Reviews(cfg), xmlgen.Prices(cfg),
-		xmlgen.Users(cfg), xmlgen.Items(cfg), xmlgen.Bids(cfg)} {
-		path := filepath.Join(dir, d.URI+".nalb")
-		var err error
-		if i%2 == 0 {
-			err = store.SaveFile(path, d)
-		} else {
-			err = store.SaveFileStats(path, d, stats.Analyze(d))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.LoadStoreFile(d.URI, path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return eng
-}
-
-// TestDerivedModelRanksPlansLikeWalk: for every paper query and a generated
-// corpus, compiling under the snapshot's derived model yields the same plan
-// list, the same chosen plan and == estimated costs as compiling under a
-// walk-built model — over generated, parsed and store-loaded documents.
-func TestDerivedModelRanksPlansLikeWalk(t *testing.T) {
-	size, apb := qgen.DocSizes()
-	generated := NewEngine()
-	generated.LoadUseCaseDocuments(size, apb)
-	generated.LoadDBLPDocument(size)
-	if err := generated.LoadXMLString("lib.xml", parsedSample); err != nil {
-		t.Fatal(err)
-	}
-	seeds, perSeed := 40, 50
-	if testing.Short() {
-		seeds = 4
-	}
-	for name, eng := range map[string]*Engine{"generated": generated, "store": storeEngine(t, size, apb)} {
-		walk := walkModel(eng.snapshot())
-		compared := 0
-		check := func(label, text string) {
-			derived, err := eng.Compile(text)
-			if err != nil {
-				return // generated texts may be rejected; the fixed queries are counted below
-			}
-			walked, err := eng.Compile(text, WithCostModel(walk))
-			if err != nil {
-				t.Fatalf("%s/%s: compiles under the derived model only: %v", name, label, err)
-			}
-			compared++
-			if got, want := planCosts(derived), planCosts(walked); got != want {
-				t.Fatalf("%s/%s: plans differ\nderived model:\n%s\nwalk-built model:\n%s\nquery: %s",
-					name, label, got, want, text)
-			}
-		}
-		fixed := costQueries()
-		for id, text := range fixed {
-			check(id, text)
-		}
-		if compared != len(fixed) {
-			t.Fatalf("%s: %d of %d paper and positional queries compiled", name, compared, len(fixed))
-		}
-		for seed := 1; seed <= seeds; seed++ {
-			g := qgen.New(qgen.Config{Seed: int64(seed), Externals: true})
-			for i := 0; i < perSeed; i++ {
-				check(fmt.Sprintf("seed=%d index=%d", seed, i), g.Query().Text)
-			}
-		}
-		if compared < seeds*perSeed/2 {
-			t.Errorf("%s: only %d generated queries compiled", name, compared)
-		}
-	}
 }
 
 // TestCostModelOncePerSnapshot pins the model's lifetime structurally: one

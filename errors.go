@@ -80,7 +80,7 @@ func (e *BindError) Unwrap() error { return e.reason }
 var ErrInternal = errors.New("nalquery: internal error")
 
 // InternalError reports an evaluator panic recovered at the Run/Results
-// boundary: Query.Run, Prepared.Run, Engine.Query and Results.Next/WriteXML
+// boundary: Query.Run, Engine.Query and Results.Next/WriteXML
 // all convert a panicking plan into this error instead of propagating the
 // panic. It matches ErrInternal under errors.Is
 // and carries everything a serving layer needs to log the poison query.

@@ -35,6 +35,7 @@ const tripType = "ResourceTrip"
 var pkgs = "nalquery," +
 	"nalquery/internal/algebra," +
 	"nalquery/internal/core," +
+	"nalquery/internal/cost," +
 	"nalquery/internal/value," +
 	"nalquery/internal/xpath," +
 	"nalquery/internal/dom," +

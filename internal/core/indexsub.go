@@ -18,8 +18,8 @@ import (
 // index lists are doc-ordered) and therefore the plan's output, which the
 // differential gate pins on every paper query and the generated-query
 // corpus. Substitution produces additional plan alternatives — the base
-// plans stay on offer, and the cost model decides (measured statistics make
-// the probe cheap; the default constants price it pessimistically).
+// plans stay on offer, and the cost model decides from the measured
+// cardinality each probe carries.
 
 // ScanInfo is an index catalog's answer for a structural scan.
 type ScanInfo struct {

@@ -8,6 +8,7 @@ import (
 	"nalquery/internal/dom"
 	"nalquery/internal/normalize"
 	"nalquery/internal/schema"
+	"nalquery/internal/stats"
 	"nalquery/internal/translate"
 	"nalquery/internal/value"
 	"nalquery/internal/xmlgen"
@@ -22,7 +23,17 @@ func modelFor(t *testing.T, size int) (*Model, map[string]*dom.Document) {
 		"bib.xml":  xmlgen.Bib(cfg),
 		"bids.xml": xmlgen.Bids(cfg),
 	}
-	return NewModel(docs), docs
+	return measuredModel(docs), docs
+}
+
+// measuredModel builds the model the engine builds: over the analyzer's
+// statistics of every document.
+func measuredModel(docs map[string]*dom.Document) *Model {
+	st := make(map[string]*stats.DocStats, len(docs))
+	for uri, d := range docs {
+		st[uri] = stats.Analyze(d)
+	}
+	return NewModelStats(docs, st)
 }
 
 func plansFor(t *testing.T, src string) []core.PlanAlt {
@@ -116,13 +127,5 @@ func TestScanVariantCostsMore(t *testing.T) {
 	scan := m.Plan(mk(value.CmpLt)).Cost
 	if scan <= hash {
 		t.Fatalf("scan grouping must cost more: hash=%g scan=%g", hash, scan)
-	}
-}
-
-func TestUnknownOperatorFallback(t *testing.T) {
-	m, _ := modelFor(t, 50)
-	est := m.Plan(algebra.Sort{In: algebra.Singleton{}, By: []string{"x"}})
-	if est.Cost <= 0 || est.Card <= 0 {
-		t.Fatalf("fallback estimate: %+v", est)
 	}
 }

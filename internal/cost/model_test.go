@@ -92,7 +92,7 @@ func TestExprCosts(t *testing.T) {
 
 func TestPathCardFallbacks(t *testing.T) {
 	m, _ := modelFor(t, 100)
-	// Unknown element name: falls back to a fraction of the corpus.
+	// Unknown element name: no measured path reaches it.
 	card := m.pathCard(algebra.PathOf{Input: algebra.Var{Name: "d"},
 		Path: xpath.MustParse("//unknown-elem")}, 10)
 	if card <= 0 {

@@ -13,7 +13,7 @@ import (
 // cardinalities are large enough to separate linear from quadratic costs.
 func newOpsModel() *Model {
 	cfg := xmlgen.DefaultConfig(500)
-	return NewModel(map[string]*dom.Document{
+	return measuredModel(map[string]*dom.Document{
 		"bib.xml":   xmlgen.Bib(cfg),
 		"bids.xml":  xmlgen.Bids(cfg),
 		"items.xml": xmlgen.Items(cfg),

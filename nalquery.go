@@ -124,7 +124,6 @@ func NewEngine() *Engine {
 	e.state.Store(&engineState{docs: map[string]*dom.Document{},
 		aux: map[string]*index.DocIndexes{}, model: cost.NewModelStats(nil, nil),
 		cat: schema.UseCases()})
-	e.cache.cap = DefaultPlanCacheSize
 	return e
 }
 
@@ -355,33 +354,16 @@ func statsOf(ctx *algebra.Ctx) Stats {
 	return st
 }
 
-// CompileOption configures one Compile call.
-type CompileOption func(*compileConfig)
-
-type compileConfig struct {
-	model *cost.Model
-}
-
-// WithCostModel ranks the plans under the given model instead of the
-// snapshot's own, which the engine derives from its load-time statistics —
-// e.g. cost.NewModel's constants-only estimates, or synthetic statistics.
-func WithCostModel(m *cost.Model) CompileOption {
-	return func(c *compileConfig) { c.model = m }
-}
-
 // Compile parses, normalizes, translates and unnests a query, producing all
-// plan alternatives. The returned Query snapshots the engine's current
-// document set and catalog; later Load calls do not affect it. Syntax
-// errors are *ParseError values carrying the source line. A query may
-// declare external variables ("declare variable $x external;"); they
-// compile into typed parameter expressions bound per Run — Prepare is the
-// intent-bearing wrapper for that compile-once/run-many use.
-func (e *Engine) Compile(text string, opts ...CompileOption) (*Query, error) {
-	var cfg compileConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return e.compileState(e.snapshot(), text, cfg)
+// plan alternatives, and prices them under the snapshot's cost model — the
+// one built from the analyzer's statistics of the loaded documents. The
+// returned Query snapshots the engine's current document set and catalog;
+// later Load calls do not affect it. Syntax errors are *ParseError values
+// carrying the source line. A query may declare external variables
+// ("declare variable $x external;"); they compile into typed parameter
+// expressions bound per Run.
+func (e *Engine) Compile(text string) (*Query, error) {
+	return e.compileState(e.snapshot(), text)
 }
 
 // compilePanicHook, when non-nil, runs at the top of every compile — the
@@ -393,7 +375,7 @@ var compilePanicHook func()
 // engine snapshot. Like Run, it is a panic boundary: a panicking
 // normalizer/translator/rewriter fails its own compile with a typed
 // *InternalError instead of taking the process down.
-func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (q *Query, err error) {
+func (e *Engine) compileState(st *engineState, text string) (q *Query, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			q, err = nil, &InternalError{Query: text, Panic: p, Stack: debug.Stack()}
@@ -448,16 +430,8 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 	// never mutated after publication, so the query references it directly —
 	// concurrent Run sessions read it while the engine keeps loading into
 	// future snapshots.
-	docs := st.docs
-	model := cfg.model
-	if model == nil {
-		// The default model consumes the snapshot's measured statistics —
-		// plan choice driven by data properties, not constants. A caller's
-		// WithCostModel (e.g. cost.NewModel for the textbook defaults)
-		// replaces it wholesale.
-		model = st.model
-	}
-	q = &Query{Text: text, Normalized: norm.String(), docs: docs, model: model,
+	model := st.model
+	q = &Query{Text: text, Normalized: norm.String(), docs: st.docs, model: model,
 		params: mod.Externals, idxHits: &e.indexHits}
 	for _, a := range alts {
 		est := model.Plan(a.Op)
@@ -467,9 +441,8 @@ func (e *Engine) compileState(st *engineState, text string, cfg compileConfig) (
 	}
 	// Offer an index-substituted counterpart of every alternative whose
 	// document scans resolve onto the snapshot's indexes. The base plans
-	// stay on offer: with measured statistics the probe prices cheap and an
-	// indexed plan wins the empty-name selection; under constants-only
-	// models it prices pessimistically and the base plans keep winning.
+	// stay on offer: the model prices each probe at its measured
+	// cardinality, and the cheaper plan wins the empty-name selection.
 	if len(st.aux) > 0 {
 		icat := indexCat{aux: st.aux}
 		for _, a := range alts {
@@ -535,7 +508,7 @@ func (e *Engine) cachedCompile(text string) (*Query, error) {
 	if q, ok := e.cache.get(text, st.gen); ok {
 		return q, nil
 	}
-	q, err := e.compileState(st, text, compileConfig{})
+	q, err := e.compileState(st, text)
 	if err != nil {
 		return nil, err
 	}

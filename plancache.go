@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// DefaultPlanCacheSize is the plan-cache capacity of a new Engine: enough
+// DefaultPlanCacheSize is the plan-cache capacity of an Engine: enough
 // for a serving loop's working set of distinct query texts while bounding
 // the memory pinned by cached plans and their document snapshots.
 const DefaultPlanCacheSize = 128
@@ -17,7 +17,6 @@ const DefaultPlanCacheSize = 128
 // one generation only, the newest it has seen, keyed by the exact query text.
 type planCache struct {
 	mu      sync.Mutex
-	cap     int
 	gen     uint64     // the generation every entry was compiled under
 	ll      *list.List // front = most recently used; values are *planCacheEntry
 	entries map[string]*list.Element
@@ -46,7 +45,7 @@ func (c *planCache) get(text string, gen uint64) (*Query, bool) {
 func (c *planCache) put(text string, gen uint64, q *Query) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 || gen < c.gen {
+	if gen < c.gen {
 		return // a compile that lost the race with a load: already stale
 	}
 	if c.entries == nil || gen > c.gen {
@@ -63,32 +62,11 @@ func (c *planCache) put(text string, gen uint64, q *Query) {
 		return
 	}
 	c.entries[text] = c.ll.PushFront(&planCacheEntry{text: text, q: q})
-	for c.ll.Len() > c.cap {
-		c.evictOldest()
-	}
-}
-
-// evictOldest removes the least recently used entry; callers hold mu.
-func (c *planCache) evictOldest() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	c.ll.Remove(el)
-	delete(c.entries, el.Value.(*planCacheEntry).text)
-}
-
-func (c *planCache) resize(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = n
-	if n <= 0 {
-		c.ll = nil
-		c.entries = nil
-		return
-	}
-	for c.ll != nil && c.ll.Len() > n {
-		c.evictOldest()
+	if c.ll.Len() > DefaultPlanCacheSize {
+		// Evict the least recently used entry.
+		el := c.ll.Back()
+		c.ll.Remove(el)
+		delete(c.entries, el.Value.(*planCacheEntry).text)
 	}
 }
 
@@ -111,11 +89,6 @@ type PlanCacheStats struct {
 	// the engine's newest cached generation.
 	Entries int
 }
-
-// SetPlanCacheSize bounds the engine's plan cache to n compiled queries,
-// evicting the least recently used beyond the bound; n <= 0 disables
-// caching and drops all entries. The default is DefaultPlanCacheSize.
-func (e *Engine) SetPlanCacheSize(n int) { e.cache.resize(n) }
 
 // PlanCacheStats returns the plan cache's hit/miss/occupancy counters.
 func (e *Engine) PlanCacheStats() PlanCacheStats { return e.cache.stats() }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"nalquery/internal/cost"
 	"nalquery/internal/qgen"
 )
 
@@ -25,18 +24,16 @@ func planShapeSum(q *Query) uint64 {
 }
 
 // TestPlanShapesPinned pins what the compiler produces — every plan of every
-// paper query (under the snapshot's measured model and under the
-// constants-only one; wrapped in unordered(), to the measured sum) and of a
-// fixed-seed generated sample — to the sums read before the plan walkers
-// became Op.MapChildren. A walker
-// that misses an input, visits inputs in another order or stops descending
-// where the hand-kept lists descended moves a sum.
+// paper query (as written and wrapped in unordered(), to the same sum) and
+// of a fixed-seed generated sample — to the sums read before the plan
+// walkers became Op.MapChildren. A walker that misses an input, visits
+// inputs in another order or stops descending where the hand-kept lists
+// descended moves a sum.
 func TestPlanShapesPinned(t *testing.T) {
 	size, apb := qgen.DocSizes()
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(size, apb)
 	eng.LoadDBLPDocument(size)
-	constants := cost.NewModel(eng.snapshot().docs)
 
 	ids := make([]string, 0, len(PaperQueries))
 	for id := range PaperQueries {
@@ -44,33 +41,23 @@ func TestPlanShapesPinned(t *testing.T) {
 	}
 	sort.Strings(ids)
 	paper := map[string]uint64{
-		"q1/measured": 0x7974aabbc27810b0, "q1/constants": 0xd43af524c4ac45b5,
-		"q1dblp/measured": 0x9b70331f37052b99, "q1dblp/constants": 0xa01321c521d48b57,
-		"q2/measured": 0x623acd372beae83, "q2/constants": 0x783364bde3a05da2,
-		"q3/measured": 0xc187a28e0b07e8d4, "q3/constants": 0xefa5e204ae82ad0d,
-		"q4/measured": 0x5ce224346036c7cf, "q4/constants": 0xc42651f475a7d66,
-		"q5/measured": 0x57a3533b16191117, "q5/constants": 0x8f213636333a42f,
-		"q6/measured": 0x3140bb0ea7777922, "q6/constants": 0x6fb74cb715b1aa0a,
+		"q1/measured": 0x7974aabbc27810b0, "q1dblp/measured": 0x9b70331f37052b99,
+		"q2/measured": 0x623acd372beae83, "q3/measured": 0xc187a28e0b07e8d4,
+		"q4/measured": 0x5ce224346036c7cf, "q5/measured": 0x57a3533b16191117,
+		"q6/measured": 0x3140bb0ea7777922,
 	}
 	for _, id := range ids {
-		for _, v := range []struct {
-			label, text string
-			opts        []CompileOption
-		}{
-			{"measured", PaperQueries[id], nil},
-			{"constants", PaperQueries[id], []CompileOption{WithCostModel(constants)}},
-			{"unordered", "unordered(" + PaperQueries[id] + ")", nil},
+		// unordered(Q) compiles to exactly Q's plans.
+		for _, v := range []struct{ label, text string }{
+			{"measured", PaperQueries[id]},
+			{"unordered", "unordered(" + PaperQueries[id] + ")"},
 		} {
-			q, err := eng.Compile(v.text, v.opts...)
+			q, err := eng.Compile(v.text)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, v.label, err)
 			}
-			pinned := v.label
-			if pinned == "unordered" {
-				pinned = "measured" // unordered(Q) compiles to exactly Q's plans
-			}
-			if got := planShapeSum(q); got != paper[id+"/"+pinned] {
-				t.Errorf("%s/%s: plan list sums to %#x, pinned %#x", id, v.label, got, paper[id+"/"+pinned])
+			if got := planShapeSum(q); got != paper[id+"/measured"] {
+				t.Errorf("%s/%s: plan list sums to %#x, pinned %#x", id, v.label, got, paper[id+"/measured"])
 			}
 		}
 	}

@@ -1,16 +1,14 @@
 package nalquery
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"nalquery/internal/value"
 )
 
-// Prepared is a query compiled once for many parameterized executions: the
-// compile-once/run-many surface of the engine. A query text may declare
-// external variables —
+// Prepared is the name of a Query compiled once for many parameterized
+// executions. A query text may declare external variables —
 //
 //	declare variable $minyear external;
 //	let $d1 := doc("bib.xml")
@@ -18,55 +16,15 @@ import (
 //	where $b1/@year > $minyear
 //	return $b1/title
 //
-// — which Prepare compiles into typed parameter expressions: the whole
+// — which compile into typed parameter expressions: the whole
 // parse→normalize→translate→unnest→cost pipeline runs exactly once, plan
 // alternatives are chosen once, and each Run supplies bindings that only
-// change the selection constants. A Prepared is immutable and safe for any
-// number of concurrent Runs, each with its own bindings.
-type Prepared struct {
-	q *Query
-}
+// change the selection constants.
+type Prepared = Query
 
-// Prepare compiles a query containing external variables once, for repeated
-// parameterized execution. It accepts the same options as Compile and, like
-// Compile, snapshots the engine's documents and catalog — later Loads do
-// not affect it. Queries without external variables prepare fine (Run then
-// takes no Bind options).
-func (e *Engine) Prepare(text string, opts ...CompileOption) (*Prepared, error) {
-	q, err := e.Compile(text, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{q: q}, nil
-}
-
-// Run starts one execution with per-run bindings and the usual Results
-// session semantics, with zero recompilation:
-//
-//	res, err := p.Run(ctx, nalquery.Bind("minyear", 1993))
-//
-// Every declared external variable must be bound or Run returns a
-// *BindError (ErrUnboundVariable); binding an undeclared name is a
-// *BindError too (ErrUnknownVariable). Runs are independent and may
-// execute concurrently from many goroutines.
-func (p *Prepared) Run(ctx context.Context, opts ...RunOption) (*Results, error) {
-	return p.q.Run(ctx, opts...)
-}
-
-// Query returns the underlying compiled query (plans, normalized form).
-func (p *Prepared) Query() *Query { return p.q }
-
-// Vars returns the declared external variable names in declaration order.
-func (p *Prepared) Vars() []string { return p.q.Vars() }
-
-// Plans returns the plan alternatives, from the nested baseline to the most
-// optimized plan. The alternatives are fixed at Prepare: bindings never
-// change the plan set.
-func (p *Prepared) Plans() []Plan { return p.q.Plans() }
-
-// Plan returns the alternative with the given name ("" selects the lowest
-// estimated cost), with Query.Plan's error contract.
-func (p *Prepared) Plan(name string) (Plan, error) { return p.q.Plan(name) }
+// Prepare compiles a query for repeated parameterized execution; it is
+// Compile under the name that states that intent.
+func (e *Engine) Prepare(text string) (*Prepared, error) { return e.Compile(text) }
 
 // Bind supplies the value of the external variable $name for one Run. Go
 // values map onto the engine's data model: bool, string, every integer

@@ -94,7 +94,7 @@ func TestPreparedDifferentialAllPlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile literal: %v", c.id, err)
 		}
-		if got, want := planNames(prep.Query()), planNames(lit); strings.Join(got, ",") != strings.Join(want, ",") {
+		if got, want := planNames(prep), planNames(lit); strings.Join(got, ",") != strings.Join(want, ",") {
 			t.Errorf("%s: plan sets differ: prepared %v, literal %v", c.id, got, want)
 			continue
 		}
@@ -306,7 +306,7 @@ return $t1`)
 
 	// A run that binds nothing must surface the typed error, not panic or
 	// return wrong results.
-	if _, _, err := execute(prep.Query(), ""); !errors.Is(err, ErrUnboundVariable) {
+	if _, _, err := execute(prep, ""); !errors.Is(err, ErrUnboundVariable) {
 		t.Errorf("unbound run of parameterized query: got %v, want ErrUnboundVariable", err)
 	}
 
@@ -496,7 +496,6 @@ func TestPlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q1 = `let $d := doc("n.xml") for $n in $d//n return <a>{ $n/@v }</a>`
-	const q2 = `let $d := doc("n.xml") for $n in $d//n return <b>{ $n/@v }</b>`
 
 	base := e.compiles.Load()
 	for i := 0; i < 5; i++ {
@@ -560,31 +559,31 @@ func TestPlanCache(t *testing.T) {
 		t.Errorf("EditCatalog did not invalidate the plan cache (%d compiles, want 1)", got)
 	}
 
-	// Eviction at the bound: capacity 1 alternating two texts always
-	// misses; both texts stay correct. Disable first to drop the q1 entry
-	// still cached from above.
-	e.SetPlanCacheSize(0)
-	e.SetPlanCacheSize(1)
+	// Eviction at the bound: DefaultPlanCacheSize+1 distinct texts push
+	// the least recently used of them, the first, out of the cache.
+	text := func(i int) string {
+		return fmt.Sprintf(`let $d := doc("n.xml") for $n in $d//n return <e%d>{ $n/@v }</e%d>`, i, i)
+	}
+	for i := 0; i <= DefaultPlanCacheSize; i++ {
+		if _, err := e.Query(text(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.PlanCacheStats(); st.Entries != DefaultPlanCacheSize {
+		t.Errorf("full cache holds %d entries, want %d", st.Entries, DefaultPlanCacheSize)
+	}
 	preEvict := e.compiles.Load()
-	for i := 0; i < 3; i++ {
-		if _, err := e.Query(q1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Query(q2); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := e.Query(text(DefaultPlanCacheSize)); err != nil {
+		t.Fatal(err)
 	}
-	if got := e.compiles.Load() - preEvict; got != 6 {
-		t.Errorf("capacity-1 alternation: %d compiles, want 6", got)
+	if got := e.compiles.Load() - preEvict; got != 0 {
+		t.Errorf("the most recent text missed (%d compiles)", got)
 	}
-	if st := e.PlanCacheStats(); st.Entries != 1 {
-		t.Errorf("capacity-1 cache holds %d entries", st.Entries)
+	if _, err := e.Query(text(0)); err != nil {
+		t.Fatal(err)
 	}
-
-	// Disabling drops everything and stops caching.
-	e.SetPlanCacheSize(0)
-	if st := e.PlanCacheStats(); st.Entries != 0 {
-		t.Errorf("disabled cache holds %d entries", st.Entries)
+	if got := e.compiles.Load() - preEvict; got != 1 {
+		t.Errorf("the least recently used text was not evicted (%d compiles, want 1)", got)
 	}
 }
 
@@ -642,7 +641,7 @@ func TestPlanCacheDropsSupersededGenerations(t *testing.T) {
 	// A compile that lost the race with a load must not bring its stale
 	// query back, nor displace the current generation's entries.
 	st := e.snapshot()
-	q, err := e.compileState(st, text, compileConfig{})
+	q, err := e.compileState(st, text)
 	if err != nil {
 		t.Fatal(err)
 	}

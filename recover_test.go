@@ -111,8 +111,7 @@ func TestNamedPlanRunRecoversEvaluatorPanic(t *testing.T) {
 }
 
 func TestPreparedRunRecoversEvaluatorPanic(t *testing.T) {
-	q := poisonQuery(t, "boom")
-	p := &Prepared{q: q}
+	var p *Prepared = poisonQuery(t, "boom")
 	res, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -89,8 +89,16 @@ func withFaultHook(h func(point string) bool) RunOption {
 // item consumption; calling WriteXML first instead serializes straight
 // into the writer with no per-item overhead. Run itself only selects the plan and resolves bindings, so an
 // unknown plan name surfaces here as *UnknownPlanError (ErrNoPlan for a
-// planless query), and a missing, unknown or ill-typed Bind of an external
-// variable as *BindError.
+// planless query).
+//
+// Each run supplies its own bindings, with zero recompilation:
+//
+//	res, err := q.Run(ctx, nalquery.Bind("minyear", 1993))
+//
+// Every declared external variable must be bound or Run returns a
+// *BindError (ErrUnboundVariable); binding an undeclared name is a
+// *BindError too (ErrUnknownVariable), and so is a value Bind cannot
+// convert (ErrBindValue).
 //
 // Run and the Results consumption methods are a panic-recovery boundary:
 // an evaluator panic never escapes to the caller — it surfaces as a typed

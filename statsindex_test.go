@@ -2,11 +2,14 @@ package nalquery
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"nalquery/internal/cost"
+	"nalquery/internal/stats"
+	"nalquery/internal/store"
+	"nalquery/internal/xmlgen"
 )
 
 // The statistics & index subsystem's differential gate and lifecycle tests:
@@ -93,9 +96,9 @@ where $b/@year = 1999
 return $b/title`
 
 // TestPlanFlipMeasuredStats pins the tentpole behavior: with the engine's
-// measured statistics the default plan choice is an index-scan plan, while
-// the constants-only cost model (the pre-stats default) picks the full-scan
-// plan — and the flip pays off, measured by the engine's own counters.
+// measured statistics the default plan choice is an index-scan plan — and
+// the flip pays off against its full-scan twin, measured by the engine's own
+// counters.
 func TestPlanFlipMeasuredStats(t *testing.T) {
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(300, 2)
@@ -104,27 +107,18 @@ func TestPlanFlipMeasuredStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	constants, err := eng.Compile(selectiveQuery,
-		WithCostModel(cost.NewModel(eng.snapshot().docs)))
-	if err != nil {
-		t.Fatalf("compile (constants): %v", err)
-	}
-
 	mp, _ := measured.Plan("")
-	cp, _ := constants.Plan("")
 	if !strings.HasPrefix(mp.Name, "indexed ") {
 		t.Fatalf("measured stats picked %q, want an indexed plan", mp.Name)
 	}
-	if strings.HasPrefix(cp.Name, "indexed ") {
-		t.Fatalf("constants-only model picked %q, want a full-scan plan", cp.Name)
-	}
+	base := strings.TrimPrefix(mp.Name, "indexed ")
 
 	// The flip is a win: the index plan touches a fraction of the tuples.
 	outIdx, stIdx, err := execute(measured, mp.Name)
 	if err != nil {
 		t.Fatalf("indexed: %v", err)
 	}
-	outFull, stFull, err := execute(measured, cp.Name)
+	outFull, stFull, err := execute(measured, base)
 	if err != nil {
 		t.Fatalf("full scan: %v", err)
 	}
@@ -186,6 +180,41 @@ func TestStatsLifecycle(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no @year path in %+v", ds.Paths)
+	}
+
+	// Every way a document enters an engine analyzes it: the cost model
+	// counts only documents with statistics, so after each load every
+	// registered document must have them.
+	dir, items := t.TempDir(), xmlgen.Items(xmlgen.DefaultConfig(20))
+	nalb1, nalb2 := filepath.Join(dir, "v1.nalb"), filepath.Join(dir, "v2.nalb")
+	if err := store.SaveFile(nalb1, items); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveFileStats(nalb2, items, stats.Analyze(items)); err != nil {
+		t.Fatal(err)
+	}
+	for _, load := range []struct {
+		name, uri string
+		do        func() error
+	}{
+		{"LoadXML", "x.xml", func() error { return eng.LoadXML("x.xml", strings.NewReader(`<x><y a="1"/></x>`)) }},
+		{"LoadDocument", items.URI, func() error { eng.LoadDocument(items); return nil }},
+		{"LoadStoreFile of a NALB1 file", "v1.xml", func() error { return eng.LoadStoreFile("v1.xml", nalb1) }},
+		{"LoadStoreFile of a NALB2 file", "v2.xml", func() error { return eng.LoadStoreFile("v2.xml", nalb2) }},
+		{"LoadUseCaseDocuments", "bids.xml", func() error { eng.LoadUseCaseDocuments(20, 2); return nil }},
+		{"LoadDBLPDocument", "dblp.xml", func() error { eng.LoadDBLPDocument(20); return nil }},
+	} {
+		if err := load.do(); err != nil {
+			t.Fatalf("%s: %v", load.name, err)
+		}
+		if eng.Document(load.uri) == nil {
+			t.Fatalf("%s registered no %s", load.name, load.uri)
+		}
+		for _, uri := range eng.DocumentURIs() {
+			if _, ok := eng.DocumentStats(uri); !ok {
+				t.Errorf("after %s: no statistics for %s", load.name, uri)
+			}
+		}
 	}
 }
 
