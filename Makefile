@@ -25,9 +25,13 @@ vet:
 # dispatch completeness, panic discipline, charge-map label stability,
 # MustParse confinement and scan-loop cancellation polling. Findings print
 # as file:line: message. It first guards the module's zero-dependency
-# state: no vendor/ directory and no module but this one in the build list.
+# state: no vendor/ directory and no module but this one in the build list;
+# then that gofmt leaves every Go file outside testdata/ as written (the
+# analyzer fixtures there may be unformatted on purpose).
 lint:
 	test ! -e vendor && [ "$$($(GO) list -m all | wc -l)" -eq 1 ]
+	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l . | grep -v -e '^testdata/' -e '/testdata/'); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@mkdir -p .bin
 	$(GO) build -o .bin/nalvet ./cmd/nalvet
 	$(GO) vet -vettool=$(CURDIR)/.bin/nalvet ./...

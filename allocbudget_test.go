@@ -13,13 +13,12 @@ import (
 // cost-chosen plan of each paper query, prepared once, run and serialized,
 // at size 400. A ceiling sits halfway between what the run allocates and what
 // it allocated before the last change that took a per-tuple allocation out of
-// it, so that going back fails: for q1, q1dblp, q2, q4 and q5 that is while
-// row chunks were cut per refill, e[a] and ΠA payloads had a backing each and
-// min/max boxed their winner again (1 751, 905, 2 837, 550 and 1 258). q3
-// and q6 (barely) did not move then and keep the ceilings they had: q6's
-// from while a path value was a boxed sequence (1 020), q3's half of what it
-// allocated while every row and bucket had an allocation of its own
-// (1 378). The readings are 1 026, 698, 2 422, 100, 177, 692 and 217.
+// it, so that going back fails. That change was reading a node's text in
+// place (value.NodeText) where string(), distinct-values and data() boxed it
+// in a Str: q1, q1dblp, q2, q5 and q6 allocated 997, 638, 2 397, 664 and 195
+// before it and allocate 597, 444, 1 997, 264 and 125 now. q3 and q4 box no
+// text; they allocated 82 and 162 before it and after, so their ceilings are
+// their readings.
 //
 // Each plan is measured again under a budget that never trips: accounting
 // charges counters, so a live budget costs the allocation of the budget
@@ -32,7 +31,7 @@ import (
 func TestPaperPlanAllocBudget(t *testing.T) {
 	eng := runEngine(400)
 	for id, ceiling := range map[string]float64{
-		"q1": 1385, "q1dblp": 800, "q2": 2625, "q3": 680, "q4": 360, "q5": 975, "q6": 620,
+		"q1": 797, "q1dblp": 541, "q2": 2197, "q3": 82, "q4": 162, "q5": 464, "q6": 160,
 	} {
 		p, err := eng.Prepare(PaperQueries[id])
 		if err != nil {

@@ -369,3 +369,28 @@ func assertPrintFixpoint(t *testing.T, src string) {
 		t.Fatalf("printer not a fixpoint for %q: %q then %q", src, printed, again)
 	}
 }
+
+// A quantifier range whose block rebinds the name of an outer variable,
+// found by FuzzCompile (its input is the corpus file
+// seed-range-rebinds-outer-name). Eqvs. 6 and 7 joined e1 with a range that
+// bound the same attribute, so e1 ◦ e2 could not be typed and the semijoin
+// and anti-semijoin plans failed with an internal error. Both equivalences
+// now require A(e1) ∩ A(e2) = ∅.
+func TestCrasherRangeRebindsOuterName(t *testing.T) {
+	eng := NewEngine()
+	if err := eng.LoadXMLString("bib.xml", `<bib><book year="1990"/><book year="2000"/></bib>`); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ query, want string }{
+		{`for $b in doc("bib.xml")//book
+		  where some $x in (let $b := doc("bib.xml")//book return $b) satisfies $x/@year > 1995
+		  return <r>{ $b/@year }</r>`, `<r>1990</r><r>2000</r>`},
+		{`for $b in doc("bib.xml")//book
+		  where every $x in (let $b := doc("bib.xml")//book return $b) satisfies $x/@year > 1995
+		  return <r>{ $b/@year }</r>`, ``},
+	} {
+		if got := assertAllPlansAgree(t, eng, c.query); got != c.want {
+			t.Errorf("every plan answers %q, want %q", got, c.want)
+		}
+	}
+}

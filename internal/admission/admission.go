@@ -31,9 +31,9 @@ var ErrDraining = errors.New("admission: draining, not admitting")
 // Controller is the admission gate. The zero value is unusable; construct
 // with New. All methods are safe for concurrent use.
 type Controller struct {
-	slots    chan struct{} // buffered to the in-flight cap; a send holds a slot
-	maxQueue int64
-	drainCh  chan struct{} // closed by Drain, unblocking every queued waiter
+	slots     chan struct{} // buffered to the in-flight cap; a send holds a slot
+	maxQueue  int64
+	drainCh   chan struct{} // closed by Drain, unblocking every queued waiter
 	drainOnce sync.Once
 
 	queued   atomic.Int64 // instantaneous waiters beyond the in-flight cap

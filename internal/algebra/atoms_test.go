@@ -157,6 +157,31 @@ func TestMinMaxReturnTheirWinningFloat(t *testing.T) {
 
 var sinkAgg value.Value
 
+// TestNodeTextIsReadInPlace: string() and data() of one node, and the text
+// min and max of nodes, give the node's text as a NodeText — the string
+// item read in place, with no allocation for one node.
+func TestNodeTextIsReadInPlace(t *testing.T) {
+	as := dom.MustParseString(`<r><a>b</a><a>a &amp; c</a></r>`, "t.xml").Root.Descendants("a", nil)
+	one, two := value.NodeVal{Node: as[1]}, value.Seq{value.NodeVal{Node: as[0]}, value.NodeVal{Node: as[1]}}
+	for _, c := range []struct {
+		fn       string
+		arg      value.Value
+		want     *dom.Node
+		noAllocs bool
+	}{
+		{"string", one, as[1], true}, {"data", one, as[1], true}, {"min", two, as[1], false}, {"max", two, as[0], false},
+	} {
+		args := []value.Value{c.arg}
+		allocs := testing.AllocsPerRun(100, func() { sinkAgg = evalBuiltin(c.fn, args) })
+		if sinkAgg != (value.NodeText{Node: c.want}) {
+			t.Errorf("%s = %#v, want the NodeText of %q", c.fn, sinkAgg, c.want.StringValue())
+		}
+		if c.noAllocs && allocs != 0 {
+			t.Errorf("%s of one node: %.0f allocations, want none", c.fn, allocs)
+		}
+	}
+}
+
 // TestDistinctValuesMatchesStringKeys: the HashKey table keeps exactly the
 // first atom of every class of CompareAtomic-equal atoms, in order.
 func TestDistinctValuesMatchesStringKeys(t *testing.T) {

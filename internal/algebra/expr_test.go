@@ -72,6 +72,7 @@ func TestLogicalExprs(t *testing.T) {
 
 func TestBuiltins(t *testing.T) {
 	seq := value.Seq{value.Str("10"), value.Str("3"), value.Str("7.5")}
+	b := value.NodeVal{Node: dom.MustParseString(`<b t="&lt;q">x &amp; <i>y</i></b>`, "b.xml").Root.Descendants("b", nil)[0]}
 	cases := []struct {
 		fn   string
 		args []value.Value
@@ -102,6 +103,13 @@ func TestBuiltins(t *testing.T) {
 		{"contains", []value.Value{value.Str("SuciuD."), value.Str("Suciu")}, value.Bool(true)},
 		{"contains", []value.Value{value.Str("Stevens"), value.Str("Suciu")}, value.Bool(false)},
 		{"concat", []value.Value{value.Str("a"), value.Int(1)}, value.Str("a1")},
+		// concat's result is text, not markup: its arguments' atoms unescaped,
+		// an element's string value, a sequence's atoms one after another.
+		{"concat", []value.Value{value.Str("a<"), value.Str("b")}, value.Str("a<b")},
+		{"concat", []value.Value{b, value.Str("!"), value.Seq{value.Str("&"), value.Int(2)}}, value.Str("x & y!&2")},
+		{"concat", []value.Value{value.Str("<"), value.NodeVal{Node: b.Node.Attr("t")}}, value.Str("<<q")},
+		{"string", []value.Value{b}, value.Str("x & y")},
+		{"string-length", []value.Value{evalBuiltin("concat", []value.Value{value.Str("<"), value.Str("a")})}, value.Int(2)},
 	}
 	for _, c := range cases {
 		got := evalBuiltin(c.fn, c.args)

@@ -47,7 +47,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 	case "count":
 		return value.Int(int64(itemCount(arg(args, 0))))
 	case "string":
-		return value.Str(stringArg(args, 0))
+		return value.StringOf(arg(args, 0))
 	case "decimal", "number":
 		f, ok := value.Number(arg(args, 0))
 		if !ok {
@@ -55,9 +55,16 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		}
 		return value.Float(f)
 	case "concat":
+		// Each argument contributes the text of its atoms, unescaped: the
+		// result is a string, and Ξ escapes it once when it is written.
 		var sb strings.Builder
+		var items value.Seq
 		for _, a := range args {
-			WriteValue(&sb, a)
+			items = value.AppendItems(items[:0], a)
+			for _, item := range items {
+				s, _ := value.AtomText(item)
+				sb.WriteString(s)
+			}
 		}
 		return value.Str(sb.String())
 	case "contains":
@@ -75,7 +82,7 @@ func evalBuiltin(fn string, args []value.Value) value.Value {
 		// for unordered processors run unchanged.
 		return arg(args, 0)
 	case "data":
-		return value.Atomize(arg(args, 0))
+		return value.Data(arg(args, 0))
 	case "string-length":
 		return value.Int(int64(utf8.RuneCountInString(stringArg(args, 0))))
 	case "starts-with":
@@ -313,13 +320,14 @@ func aggregate(fn string, items value.Seq) value.Value {
 	}
 	if fn == "min" || fn == "max" {
 		best, _ := value.AtomText(items[0])
-		for _, a := range items[1:] {
+		win = 0
+		for i, a := range items {
 			s, _ := value.AtomText(a)
 			if (fn == "min" && s < best) || (fn == "max" && s > best) {
-				best = s
+				best, win = s, i
 			}
 		}
-		return value.Str(best)
+		return value.StringOf(items[win])
 	}
 	return value.Null{}
 }

@@ -50,10 +50,9 @@ func execCommands(ctx *Ctx, env value.Tuple, t value.Tuple, cs []Command) {
 
 // WriteValue streams the printed form of v into out, following the paper's
 // simplified Ξ semantics: strings are copied (escaped), element nodes are
-// serialized, attribute and text nodes contribute their data, sequences
-// concatenate their items, and tuple sequences concatenate the values of
-// their tuples. It is the one serializer: concat writes its arguments
-// through it too.
+// serialized, attribute and text nodes contribute their data (escaped, as
+// their string() is), sequences concatenate their items, and tuple
+// sequences concatenate the values of their tuples.
 func WriteValue(out StringWriter, v value.Value) {
 	switch w := v.(type) {
 	case nil, value.Null:
@@ -63,7 +62,7 @@ func WriteValue(out StringWriter, v value.Value) {
 		}
 		switch w.Node.Kind() {
 		case dom.KindAttribute, dom.KindText:
-			out.WriteString(w.Node.Data())
+			out.WriteString(dom.EscapeText(w.Node.Data()))
 		default:
 			if iow, ok := out.(io.Writer); ok {
 				_ = dom.WriteXML(iow, w.Node)
@@ -85,6 +84,8 @@ func WriteValue(out StringWriter, v value.Value) {
 		}
 	case value.Str:
 		out.WriteString(dom.EscapeText(string(w)))
+	case value.NodeText:
+		out.WriteString(dom.EscapeText(w.Node.StringValue()))
 	default:
 		// A number prints into the sink's own buffer where it lends one
 		// (bufio.Writer, bytes.Buffer — every sink Results.WriteXML wraps),

@@ -288,11 +288,17 @@ func (rw *Rewriter) quantJoinPred(site quantSite, negateP bool) algebra.Expr {
 	return pred
 }
 
-// quantDisjoint checks F(e2) ∩ A(e1) = ∅ modulo the correlation attributes
-// of the range predicate.
+// quantDisjoint checks A(e1) ∩ A(e2) = ∅, which the join's e1 ◦ e2 needs (a
+// range block may rebind an outer variable's name), and F(e2) ∩ A(e1) = ∅
+// modulo the correlation attributes of the range predicate.
 func quantDisjoint(site quantSite) bool {
 	e1Attrs := algebra.NameSet(site.e1.Attrs())
 	e2Attrs := algebra.NameSet(site.e2.Attrs())
+	for a := range e2Attrs {
+		if e1Attrs[a] {
+			return false
+		}
+	}
 	fv := algebra.NameSet(algebra.FreeVarsOf(site.e2), true)
 	if site.rangePred != nil {
 		site.rangePred.FreeVars(fv)

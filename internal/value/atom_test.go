@@ -105,9 +105,9 @@ func TestAtomRule(t *testing.T) {
 	}
 	var nodes []*dom.Node
 	nodes = b.End().Done().Root.Descendants("a", nodes)
-	node := map[string]Value{}
+	node, text := map[string]Value{}, map[string]Value{}
 	for i, s := range texts {
-		node[s] = NodeVal{Node: nodes[i]}
+		node[s], text[s] = NodeVal{Node: nodes[i]}, NodeText{Node: nodes[i]}
 	}
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	lay := NewLayout("b", "a")
@@ -119,6 +119,8 @@ func TestAtomRule(t *testing.T) {
 		Str("inf"), Str("1.0"), Str("1e400"), Str("true"), Str("false"), Str(""), Str(" "), Str("x"), Str(" x"),
 		Str("nanjing"),
 		node["NaN"], node["-0"], node[" 7 "], node["1e1"], node["Infinity"], node["true"], node[""], node["x"],
+		text["NaN"], text["-0"], text[" 7 "], text["1e1"], text["Infinity"], text["true"], text[""], text["x"],
+		Seq{text["5"]},
 		Seq{Str("5")}, Seq{Null{}, Str("x"), Int(1)}, Seq{Seq{}, node["NaN"]},
 		TupleSeq{{"a": Str("1.0"), "b": Seq{}}}, BindRowSeq(Seq{Str("NaN"), Int(2)}, "x"),
 		RowSeqOfFlat(lay, []Value{nil, Bool(true), node["5"], Str("x")}),
@@ -142,7 +144,7 @@ func TestAtomRule(t *testing.T) {
 
 	// The NaN rule: NaN equals NaN, has no order with any other number, and
 	// sorts before every other number.
-	nans := []Value{Float(nan), Str("NaN"), Str(" nan "), node["NaN"], Seq{node["NaN"]}}
+	nans := []Value{Float(nan), Str("NaN"), Str(" nan "), node["NaN"], text["NaN"], Seq{node["NaN"]}}
 	for _, x := range nans {
 		for _, y := range nans {
 			if !CompareAtomic(x, y, CmpEq) || !CompareAtomic(x, y, CmpLe) || CompareAtomic(x, y, CmpNe) || Compare3(x, y) != 0 {
@@ -172,7 +174,8 @@ func TestAtomRule(t *testing.T) {
 	}{
 		{Bool(true), Int(1), true}, {Bool(true), Str("1"), true}, {Bool(true), Str(" 1.0 "), true},
 		{Bool(false), Float(negZero), true}, {Bool(false), node["-0"], true},
-		{Bool(true), Str("true"), false}, {Bool(true), node["true"], false}, {Bool(false), Str("false"), false},
+		{Bool(true), Str("true"), false}, {Bool(true), node["true"], false}, {Bool(true), text["true"], false},
+		{Bool(false), Str("false"), false}, {Bool(false), text["-0"], true},
 		{Bool(true), Bool(false), false},
 	} {
 		if CompareAtomic(c.a, c.b, CmpEq) != c.eq || (KeyOf(c.a) == KeyOf(c.b)) != c.eq {
@@ -187,12 +190,12 @@ func TestAtomRule(t *testing.T) {
 	}
 
 	// Number reads text the way comparison does, and nothing else.
-	for v, want := range map[Value]float64{Str(" 7 "): 7, node["1e1"]: 10, Str("-Inf"): math.Inf(-1), Float(negZero): 0} {
+	for v, want := range map[Value]float64{Str(" 7 "): 7, node["1e1"]: 10, text["1e1"]: 10, Str("-Inf"): math.Inf(-1), Float(negZero): 0} {
 		if f, ok := Number(v); !ok || math.Float64bits(f) != math.Float64bits(want) {
 			t.Errorf("Number(%#v) = %v, %v, want %v", v, f, ok, want)
 		}
 	}
-	for _, v := range []Value{Str("x"), Str(""), node["true"], Str("1e400"), Str("0x10")} {
+	for _, v := range []Value{Str("x"), Str(""), node["true"], text["true"], Str("1e400"), Str("0x10")} {
 		if _, ok := Number(v); ok {
 			t.Errorf("Number(%#v) reads text as a number", v)
 		}
@@ -200,8 +203,9 @@ func TestAtomRule(t *testing.T) {
 }
 
 // FuzzCompareAtoms builds atoms from three arbitrary texts — each as a Str,
-// as a text node, and as an Int, a Float or a Bool when it parses as one —
-// and holds every pair and triple of them to checkAtoms.
+// as an element node, as that node's NodeText, and as an Int, a Float or a
+// Bool when it parses as one — and holds every pair and triple of them to
+// checkAtoms.
 func FuzzCompareAtoms(f *testing.F) {
 	for _, seed := range [][3]string{
 		{"NaN", "5", "x"}, {"-0", "0", " 0 "}, {"true", "1", "false"}, {"Infinity", "-Inf", "1e400"},
@@ -218,7 +222,7 @@ func FuzzCompareAtoms(f *testing.F) {
 		nodes := bld.End().Done().Root.Descendants("a", nil)
 		var vals []Value
 		for i, s := range texts {
-			vals = append(vals, Str(s), NodeVal{Node: nodes[i]})
+			vals = append(vals, Str(s), NodeVal{Node: nodes[i]}, NodeText{Node: nodes[i]})
 			if n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64); err == nil {
 				vals = append(vals, Int(n))
 			} else if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {

@@ -37,9 +37,9 @@ func deepKey(v Value, sb *strings.Builder) {
 	case Float:
 		sb.WriteString("n:")
 		sb.WriteString(strconv.FormatFloat(float64(w), 'g', -1, 64))
-	case Str:
+	case Str, NodeText:
 		sb.WriteString("s:")
-		sb.WriteString(strconv.Quote(string(w)))
+		sb.WriteString(strconv.Quote(w.String()))
 	case NodeVal:
 		sb.WriteString("N:")
 		if w.Node != nil {

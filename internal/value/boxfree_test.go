@@ -160,6 +160,10 @@ func TestBoxFreeReadersDoNotAllocate(t *testing.T) {
 		"AtomText seq":            func() { AtomText(seq) },
 		"Number node":             func() { Number(n) },
 		"Compare3 seq/node":       func() { Compare3(seq, n) },
+		"AtomizeSingle node":      func() { AtomizeSingle(n) },
+		"StringOf node":           func() { StringOf(n) },
+		"Data node":               func() { Data(n) },
+		"StringOf NodeText":       func() { StringOf(NodeText{Node: nodes[2]}) },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {
 			t.Errorf("%s: %.1f allocations per call, want 0", name, a)

@@ -40,14 +40,14 @@ func (op CmpOp) String() string {
 }
 
 // Atomize converts a value into its sequence of atomic items: nodes become
-// their (untyped) string value, sequences atomize element-wise, Null yields
-// the empty sequence.
+// their (untyped) string value, read in place (NodeText), sequences atomize
+// element-wise, Null yields the empty sequence.
 func Atomize(v Value) Seq {
 	switch w := v.(type) {
 	case nil, Null:
 		return nil
 	case NodeVal:
-		return Seq{Str(w.Node.StringValue())}
+		return Seq{NodeText(w)}
 	case Seq:
 		var out Seq
 		for _, item := range w {
@@ -74,19 +74,48 @@ func Atomize(v Value) Seq {
 }
 
 // AtomizeSingle returns the first atom of v (see atomOf), or nil when v
-// atomizes to the empty sequence; a node's atom is its string value, boxed.
-// The per-tuple consumers (comparison, hash key, the builtins' string and
-// number arguments) read the atom in place instead (CompareAtomic, KeyOf,
+// atomizes to the empty sequence; a node's atom is its string value as a
+// NodeText. The per-tuple consumers (comparison, hash key, the builtins'
+// string and number arguments) read the atom in place (CompareAtomic, KeyOf,
 // AtomText, Number) and come here only when the atom itself must be kept.
 func AtomizeSingle(v Value) Value {
 	var a atom
 	if !atomOf(v, &a) {
 		return nil
 	}
-	if _, isNode := a.item.(NodeVal); isNode {
-		return Str(a.text)
+	return a.value()
+}
+
+// Data is data(v): Atomize(v), except that one atom is that atom, not a
+// sequence of it, as a one-member sequence is its item. An item's atom is
+// read without atomizing it into a sequence, so data() of one node (a
+// NodeText) allocates nothing.
+func Data(v Value) Value {
+	if isItem(v) {
+		if a := AtomizeSingle(v); a != nil {
+			return a
+		}
 	}
-	return a.item
+	s := Atomize(v)
+	if len(s) == 1 {
+		return s[0]
+	}
+	return s
+}
+
+// StringOf is string(v): the text of v's first atom as a string item, ""
+// when v atomizes to nothing. A node's text is a NodeText and a Str or
+// NodeText is itself, so only a typed atom's digits (or "true"/"false")
+// are boxed.
+func StringOf(v Value) Value {
+	var a atom
+	switch {
+	case !atomOf(v, &a):
+		return Str("")
+	case a.typed:
+		return Str(a.String())
+	}
+	return a.value()
 }
 
 // AtomText is AtomizeSingle(v).String() without boxing the atom: the text of
@@ -150,7 +179,7 @@ func AppendItems(dst Seq, v Value) Seq {
 //   - Keys. KeyOf(a) == KeyOf(b) exactly when CompareAtomic(a, b, CmpEq)
 //     (FuzzCompareAtoms).
 type atom struct {
-	item  Value  // what the atom was read from: an Int, Float, Bool, Str or NodeVal
+	item  Value  // what the atom was read from: an Int, Float, Bool, Str, NodeText or NodeVal
 	text  string // a Str's or a node's text, as read
 	num   float64
 	isNum bool
@@ -165,11 +194,11 @@ type atom struct {
 func atomOf(v Value, a *atom) bool {
 	switch w := v.(type) {
 	case NodeVal:
-		*a = atom{item: v, text: w.Node.StringValue()}
-		a.num, a.isNum = parseNumber(a.text)
+		*a = textAtom(v, w.Node.StringValue())
+	case NodeText:
+		*a = textAtom(v, w.Node.StringValue())
 	case Str:
-		*a = atom{item: v, text: string(w)}
-		a.num, a.isNum = parseNumber(a.text)
+		*a = textAtom(v, string(w))
 	case Int:
 		*a = atom{item: v, num: float64(w), isNum: true, typed: true}
 	case Float:
@@ -185,6 +214,23 @@ func atomOf(v Value, a *atom) bool {
 		return firstAtom(v, a)
 	}
 	return true
+}
+
+// textAtom is the atom of untyped text: a number when, trimmed, it parses
+// as one.
+func textAtom(item Value, text string) atom {
+	a := atom{item: item, text: text}
+	a.num, a.isNum = parseNumber(text)
+	return a
+}
+
+// value is the atom as an item: a node's as its NodeText, any other as the
+// item it was read from.
+func (a *atom) value() Value {
+	if n, isNode := a.item.(NodeVal); isNode {
+		return NodeText(n)
+	}
+	return a.item
 }
 
 // firstAtom is atomOf for the sequence kinds.
@@ -533,6 +579,8 @@ func EffectiveBool(v Value) bool {
 		return w != 0
 	case Str:
 		return w != ""
+	case NodeText:
+		return w.Node.StringValue() != ""
 	case NodeVal:
 		return true
 	case Seq:
@@ -599,9 +647,13 @@ func DeepEqual(a, b Value) bool {
 	case Bool:
 		y, ok := b.(Bool)
 		return ok && x == y
-	case Str:
-		y, ok := b.(Str)
-		return ok && x == y
+	case Str, NodeText:
+		// A Str and a NodeText are the same string item when their texts are.
+		switch y := b.(type) {
+		case Str, NodeText:
+			return x.String() == y.String()
+		}
+		return false
 	case Int:
 		switch y := b.(type) {
 		case Int:

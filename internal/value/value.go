@@ -59,6 +59,11 @@ type Str string
 // NodeVal is a handle to a node of a stored document.
 type NodeVal struct{ Node *dom.Node }
 
+// NodeText is a node's string value as a string item: the same value as the
+// Str of that text, read in place from the document's text slab. Like
+// NodeVal it is one pointer, so it sits in a Value without a box.
+type NodeText struct{ Node *dom.Node }
+
 // Seq is an ordered sequence of items.
 type Seq []Value
 
@@ -69,6 +74,7 @@ func (Int) Kind() Kind      { return KInt }
 func (Float) Kind() Kind    { return KFloat }
 func (Str) Kind() Kind      { return KString }
 func (NodeVal) Kind() Kind  { return KNode }
+func (NodeText) Kind() Kind { return KString }
 func (Seq) Kind() Kind      { return KSeq }
 func (TupleSeq) Kind() Kind { return KTupleSeq }
 
@@ -103,6 +109,8 @@ func (f Float) Append(dst []byte) []byte {
 }
 
 func (s Str) String() string { return string(s) }
+
+func (t NodeText) String() string { return t.Node.StringValue() }
 
 func (n NodeVal) String() string {
 	if n.Node == nil {
@@ -166,8 +174,8 @@ func renderValue(v Value) string {
 		return "nil"
 	case Null:
 		return "NULL"
-	case Str:
-		return strconv.Quote(string(w))
+	case Str, NodeText:
+		return strconv.Quote(w.String())
 	case TupleSeq:
 		return w.String()
 	case RowSeq:

@@ -745,8 +745,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 }
 
 // parseStringLit scans a string literal. A doubled delimiter inside the
-// literal escapes it (XQuery's "" / '' escape), so every string value has a
-// printable source form and parse/print round-trips.
+// literal escapes it (XQuery's escape: two quotes, or two apostrophes, stand
+// for one), so every string value has a printable source form and
+// parse/print round-trips.
 func (p *parser) parseStringLit() (Expr, error) {
 	quote := p.src[p.pos]
 	p.pos++

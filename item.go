@@ -134,7 +134,7 @@ func (v Value) Kind() ValueKind {
 		return KindInt
 	case value.Float:
 		return KindFloat
-	case value.Str:
+	case value.Str, value.NodeText:
 		return KindString
 	case value.NodeVal:
 		if w.Node == nil {
