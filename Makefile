@@ -7,6 +7,12 @@
 # oracle, a fresh benchmark trajectory (bench-json) diffed against the
 # committed BENCH_results.json, a compile-and-smoke of the benchmark/
 # harness against the engine, and the daemon lifecycle smoke (load-smoke).
+# .github/workflows/ci.yml runs three gates more, which ci leaves out of a
+# local run for their cost: fuzz-smoke (each fuzz target for FUZZTIME on
+# top of the oracle, minutes of wall clock), the index speedup acceptance
+# at NALQUERY_INDEX_SPEEDUP_SIZE=100000 (a 100 000-book corpus, slow and
+# memory-heavy) and the HTTP benchmark smoke (one iteration, which only
+# proves the server benchmarks still run).
 
 GO ?= go
 

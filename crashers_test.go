@@ -27,7 +27,8 @@ func crasherEngine(t *testing.T) *Engine {
 }
 
 // assertAllPlansAgree runs the query through every plan alternative on both
-// engines plus the typed consumption path and fails on any divergence from
+// engines, each serialized and consumed as typed items, and fails on any
+// divergence from
 // the first plan's slot-engine output, or between the work the two engines
 // count for a plan — the differential oracle, pinned.
 func assertAllPlansAgree(t *testing.T, eng *Engine, query string) string {
@@ -61,14 +62,14 @@ func assertAllPlansAgree(t *testing.T, eng *Engine, query string) string {
 				t.Errorf("divergence: plan %q on %s engine\nwant: %q\ngot:  %q",
 					plan.Name, mode.name, ref, out)
 			}
-		}
-		typed, err := sweepRunTyped(p, []RunOption{WithPlan(plan.Name)})
-		if err != nil {
-			t.Fatalf("plan %q typed consumption: %v", plan.Name, err)
-		}
-		if typed != ref {
-			t.Errorf("divergence: plan %q typed consumption\nwant: %q\ngot:  %q",
-				plan.Name, ref, typed)
+			typed, err := sweepRunTyped(p, mode.opts)
+			if err != nil {
+				t.Fatalf("plan %q typed consumption on %s engine: %v", plan.Name, mode.name, err)
+			}
+			if typed != ref {
+				t.Errorf("divergence: plan %q typed consumption on %s engine\nwant: %q\ngot:  %q",
+					plan.Name, mode.name, ref, typed)
+			}
 		}
 	}
 	return ref
@@ -269,7 +270,7 @@ func assertQuantJoinBound(t *testing.T, eng *Engine, query, eqv string) {
 				la, lok := l.Attrs()
 				ra, rok := r.Attrs()
 				fv := map[string]bool{}
-				pred.FreeVars(fv)
+				algebra.FreeVars(pred, fv)
 				for v := range fv {
 					if !lok || !rok || !slices.Contains(la, v) && !slices.Contains(ra, v) {
 						t.Errorf("plan %q: %s reads %s, which neither input binds (%v, %v)", plan.Name, o, v, la, ra)

@@ -42,7 +42,7 @@ func TestArithString(t *testing.T) {
 		t.Fatalf("mod string: %s", m.String())
 	}
 	fv := map[string]bool{}
-	e.FreeVars(fv)
+	FreeVars(e, fv)
 	if !fv["x"] {
 		t.Fatalf("arith free vars: %v", fv)
 	}

@@ -16,8 +16,8 @@ import (
 // exprForms is the test's inventory of the expression forms;
 // TestChildMethodsAreComplete fails when the package declares one it lacks.
 var exprForms = []Expr{Var{}, ConstVal{}, Param{}, Doc{}, PathOf{}, CmpExpr{}, InExpr{}, AndExpr{},
-	OrExpr{}, NotExpr{}, CondExpr{}, ArithExpr{}, Call{}, NestedApply{}, AggOfAttr{}, ExistsQ{},
-	ForallQ{}, BindTuples{}}
+	OrExpr{}, NotExpr{}, CondExpr{}, ArithExpr{}, Call{}, NestedApply{}, ExistsQ{}, ForallQ{},
+	BindTuples{}}
 
 // notChildren are the fields that hold a nested plan or a sequence function:
 // deliberately not expression children. eachNested, cost.expr and
@@ -25,7 +25,6 @@ var exprForms = []Expr{Var{}, ConstVal{}, Param{}, Doc{}, PathOf{}, CmpExpr{}, I
 var notChildren = map[string]bool{
 	"NestedApply.Plan": true, "NestedApply.F": true,
 	"ExistsQ.Range": true, "ForallQ.Range": true,
-	"AggOfAttr.F": true,
 }
 
 func childReceivers(t *testing.T) []string {

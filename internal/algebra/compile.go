@@ -281,42 +281,6 @@ func (c *compiler) compile(e Expr, s scope) (RowExpr, *Inner) {
 			return value.BindRowSeqLay(lay, value.AsSeq(in(fr, r, up)))
 		}, inner
 
-	case AggOfAttr:
-		attr, members := c.compile(w.Attr, s)
-		if _, id := w.F.(SFIdent); id {
-			// id is the payload itself.
-			return func(fr *frame, r value.Row, up *outer) value.Value {
-				ts, ok := attr(fr, r, up).(value.RowSeq)
-				if !ok {
-					return value.Null{}
-				}
-				return ts
-			}, members
-		}
-		if members == nil || members.Lay == nil {
-			// Of a payload the resolver does not track, only count reads no
-			// member.
-			if _, count := w.F.(SFCount); !count {
-				c.failed = true
-				return nil, nil
-			}
-			members = &Inner{}
-		}
-		apply, inner := c.applier(w.F, *members, s.ptr())
-		// No function but id keeps the member rows, so one buffer serves
-		// every outer row.
-		i := c.state()
-		return func(fr *frame, r value.Row, up *outer) value.Value {
-			ts, ok := attr(fr, r, up).(value.RowSeq)
-			if !ok {
-				return value.Null{}
-			}
-			st := &fr.scratch[i]
-			st.rows = rowSeqRows(ts, st.rows[:0])
-			st.link = outer{row: r, up: up}
-			return apply(fr, st.rows, &st.link)
-		}, inner
-
 	case NestedApply:
 		at := s.ptr()
 		sub := c.plan(w.Plan, at)
@@ -434,9 +398,10 @@ func evalArith(op byte, lv, rv value.Value) value.Value {
 
 // compiledCmd is one slot-compiled Ξ command.
 type compiledCmd struct {
-	lit   string
-	e     RowExpr
-	isLit bool
+	lit    string
+	e      RowExpr
+	isLit  bool
+	inAttr bool
 }
 
 func (c *compiler) commands(cs []Command, s scope) []compiledCmd {
@@ -445,7 +410,7 @@ func (c *compiler) commands(cs []Command, s scope) []compiledCmd {
 		if cmd.IsLit {
 			out[i] = compiledCmd{lit: cmd.Lit, isLit: true}
 		} else {
-			out[i] = compiledCmd{e: c.expr(cmd.E, s)}
+			out[i] = compiledCmd{e: c.expr(cmd.E, s), inAttr: cmd.InAttr}
 		}
 	}
 	return out
@@ -453,10 +418,13 @@ func (c *compiler) commands(cs []Command, s scope) []compiledCmd {
 
 func execCompiled(fr *frame, r value.Row, up *outer, cs []compiledCmd) {
 	for _, c := range cs {
-		if c.isLit {
+		switch {
+		case c.isLit:
 			fr.ctx.EmitLit(c.lit)
-			continue
+		case c.inAttr:
+			fr.ctx.emitAttr(c.e(fr, r, up))
+		default:
+			fr.ctx.EmitValue(c.e(fr, r, up))
 		}
-		fr.ctx.EmitValue(c.e(fr, r, up))
 	}
 }

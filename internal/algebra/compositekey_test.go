@@ -9,9 +9,8 @@ import (
 // TestCompositeKeysDoNotCollide: a multi-column key must distinguish
 // (x="a|s:b", y="c") from (x="a", y="b|s:c"). The definitional evaluator
 // once keyed by joining the per-column Key strings with '|', under which
-// the two tuples coincide: ΠD dropped a row, ⟕/⋉ matched and ▷ dropped on
-// x=u ∧ y=v, unary Γ merged the two groups and binary Γ counted a foreign
-// member. Eval and the slot engine must agree on the right answer.
+// the two tuples coincide: ⟕/⋉ matched and ▷ dropped on x=u ∧ y=v, unary Γ
+// merged the two groups and binary Γ counted a foreign member. Eval and the slot engine must agree on the right answer.
 func TestCompositeKeysDoNotCollide(t *testing.T) {
 	a := value.Tuple{"x": value.Str("a|s:b"), "y": value.Str("c")}
 	b := value.Tuple{"x": value.Str("a"), "y": value.Str("b|s:c")}
@@ -43,7 +42,6 @@ func TestCompositeKeysDoNotCollide(t *testing.T) {
 		rows   int
 		groups []int64 // expected g per row, for the Γ family
 	}{
-		{"ΠD", ProjectDistinct{In: both, Pairs: []Rename{{New: "x", Old: "x"}, {New: "y", Old: "y"}}}, 2, nil},
 		{"⟕", OuterJoin{L: left, R: rightG, Pred: pred, G: "g", Default: SFCount{}}, 1, []int64{0}},
 		{"⋉", SemiJoin{L: left, R: right, Pred: pred}, 0, nil},
 		{"▷", AntiJoin{L: left, R: right, Pred: pred}, 1, nil},
@@ -54,11 +52,8 @@ func TestCompositeKeysDoNotCollide(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := c.op.Eval(NewCtx(nil), nil)
-		// ΠD is definitional only: it has no row-engine half.
-		if _, definitional := c.op.(ProjectDistinct); !definitional {
-			if got := RunIter(native(c.op), NewCtx(nil)); !value.TupleSeqEqual(want, got) {
-				t.Errorf("%s: Eval %s ≠ RunIter %s", c.name, want, got)
-			}
+		if got := RunIter(native(c.op), NewCtx(nil)); !value.TupleSeqEqual(want, got) {
+			t.Errorf("%s: Eval %s ≠ RunIter %s", c.name, want, got)
 		}
 		if len(want) != c.rows {
 			t.Errorf("%s: Eval returns %d rows, want %d: %s", c.name, len(want), c.rows, want)

@@ -23,12 +23,10 @@ func operatorInventory() (unary, binary map[string]Op) {
 		"Π":        Project{In: empty, Names: []string{"A1"}},
 		"Π̄":       ProjectDrop{In: empty, Names: []string{"C"}},
 		"Π-rename": ProjectRename{In: empty, Pairs: []Rename{{New: "X", Old: "A1"}}},
-		"ΠD":       ProjectDistinct{In: empty, Pairs: []Rename{{New: "A1", Old: "A1"}}},
 		"χ":        Map{In: empty, Attr: "g", E: truth},
 		"Υ":        UnnestMap{In: empty, Attr: "x", E: Var{Name: "A1"}},
 		"Υ-at":     UnnestMap{In: empty, Attr: "x", PosAttr: "i", E: Var{Name: "A1"}},
 		"Γ-unary":  GroupUnary{In: empty, G: "g", By: []string{"A1"}, Theta: value.CmpEq, F: SFCount{}},
-		"µ":        Unnest{In: empty, Attr: "A1"},
 		"µD":       UnnestDistinct{In: empty, Attr: "A1"},
 		"Ξ":        XiSimple{In: empty, Cmds: []Command{{IsLit: true, Lit: "x"}}},
 		"Sort":     Sort{In: empty, By: []string{"A1"}},

@@ -104,6 +104,21 @@ func (c *Ctx) EmitValue(v value.Value) {
 	WriteValue(c.Out, v)
 }
 
+// emitAttr writes v as attribute-value text, escaped for an attribute: markup
+// for a sink, since the text is no longer the value. It charges what
+// EmitValue charges.
+func (c *Ctx) emitAttr(v value.Value) {
+	if c.Budget != nil {
+		c.charge(TripSerialize, 0, emitValueFlatBytes)
+	}
+	s := dom.EscapeAttr(attrText(v))
+	if c.Sink != nil {
+		c.Sink.EmitLit(s)
+		return
+	}
+	c.Out.WriteString(s)
+}
+
 // ParamVal returns the bound value of parameter slot i; an unbound or
 // out-of-range slot reads as the empty sequence (the public API validates
 // bindings before execution, so this is a defensive default, never an
@@ -173,7 +188,7 @@ type Stats struct {
 	// NestedEvals counts evaluations of nested algebraic expressions inside
 	// operator subscripts (the nested-loop iterations).
 	NestedEvals int64
-	// Tuples counts tuples produced by operators.
+	// Tuples counts tuples produced by the scan operators (Υ and IndexScan).
 	Tuples int64
 	// IndexScans counts index-scan resolutions (one per IndexScan open):
 	// scans answered from a structural or value index instead of a
@@ -210,12 +225,10 @@ type Expr interface {
 	Eval(ctx *Ctx, env value.Tuple) value.Value
 	// String renders the expression for plan explanation.
 	String() string
-	// FreeVars appends the free variable names of the expression to dst.
-	FreeVars(dst map[string]bool)
 	// Child returns the i-th sub-expression in evaluation order, nil past the
 	// last one; it allocates nothing. Nested plans and sequence functions
-	// (NestedApply, the quantifier ranges, AggOfAttr.F) are not expressions:
-	// a traversal that cares about them names those forms.
+	// (NestedApply, the quantifier ranges) are not expressions: a traversal
+	// that cares about them names those forms.
 	Child(i int) Expr
 	// MapChildren returns the expression with f applied to each
 	// sub-expression, in the same order.
@@ -238,9 +251,6 @@ func (v Var) Eval(_ *Ctx, env value.Tuple) value.Value { return env[v.Name] }
 
 func (v Var) String() string { return v.Name }
 
-// FreeVars implements Expr.
-func (v Var) FreeVars(dst map[string]bool) { dst[v.Name] = true }
-
 // Child and MapChildren implement Expr.
 func (Var) Child(int) Expr                     { return nil }
 func (v Var) MapChildren(func(Expr) Expr) Expr { return v }
@@ -260,9 +270,6 @@ func (c ConstVal) String() string {
 	}
 	return c.V.String()
 }
-
-// FreeVars implements Expr.
-func (ConstVal) FreeVars(map[string]bool) {}
 
 // Child and MapChildren implement Expr.
 func (ConstVal) Child(int) Expr                     { return nil }
@@ -289,10 +296,6 @@ func (p Param) Eval(ctx *Ctx, _ value.Tuple) value.Value { return ctx.ParamVal(p
 
 func (p Param) String() string { return "$" + p.Name }
 
-// FreeVars implements Expr: a parameter reference binds outside the tuple
-// environment, so it contributes no free variables.
-func (Param) FreeVars(map[string]bool) {}
-
 // Child and MapChildren implement Expr.
 func (Param) Child(int) Expr                     { return nil }
 func (p Param) MapChildren(func(Expr) Expr) Expr { return p }
@@ -315,9 +318,6 @@ func (d Doc) root(ctx *Ctx) value.Value {
 }
 
 func (d Doc) String() string { return fmt.Sprintf("doc(%q)", d.URI) }
-
-// FreeVars implements Expr.
-func (Doc) FreeVars(map[string]bool) {}
 
 // Child and MapChildren implement Expr.
 func (Doc) Child(int) Expr                     { return nil }
@@ -346,9 +346,6 @@ func (p PathOf) String() string {
 	return in + "/" + ps
 }
 
-// FreeVars implements Expr.
-func (p PathOf) FreeVars(dst map[string]bool) { p.Input.FreeVars(dst) }
-
 // Child and MapChildren implement Expr.
 func (p PathOf) Child(i int) Expr                   { return nth(i, p.Input) }
 func (p PathOf) MapChildren(f func(Expr) Expr) Expr { p.Input = f(p.Input); return p }
@@ -370,12 +367,6 @@ func (c CmpExpr) String() string {
 	return fmt.Sprintf("%s %s %s", c.L.String(), c.Op, c.R.String())
 }
 
-// FreeVars implements Expr.
-func (c CmpExpr) FreeVars(dst map[string]bool) {
-	c.L.FreeVars(dst)
-	c.R.FreeVars(dst)
-}
-
 // Child and MapChildren implement Expr.
 func (c CmpExpr) Child(i int) Expr                   { return nth(i, c.L, c.R) }
 func (c CmpExpr) MapChildren(f func(Expr) Expr) Expr { c.L, c.R = f(c.L), f(c.R); return c }
@@ -394,12 +385,6 @@ func (e InExpr) Eval(ctx *Ctx, env value.Tuple) value.Value {
 
 func (e InExpr) String() string { return fmt.Sprintf("%s ∈ %s", e.Item.String(), e.Seq.String()) }
 
-// FreeVars implements Expr.
-func (e InExpr) FreeVars(dst map[string]bool) {
-	e.Item.FreeVars(dst)
-	e.Seq.FreeVars(dst)
-}
-
 // Child and MapChildren implement Expr.
 func (e InExpr) Child(i int) Expr                   { return nth(i, e.Item, e.Seq) }
 func (e InExpr) MapChildren(f func(Expr) Expr) Expr { e.Item, e.Seq = f(e.Item), f(e.Seq); return e }
@@ -416,12 +401,6 @@ func (a AndExpr) Eval(ctx *Ctx, env value.Tuple) value.Value {
 }
 
 func (a AndExpr) String() string { return fmt.Sprintf("(%s ∧ %s)", a.L.String(), a.R.String()) }
-
-// FreeVars implements Expr.
-func (a AndExpr) FreeVars(dst map[string]bool) {
-	a.L.FreeVars(dst)
-	a.R.FreeVars(dst)
-}
 
 // Child and MapChildren implement Expr.
 func (a AndExpr) Child(i int) Expr                   { return nth(i, a.L, a.R) }
@@ -440,12 +419,6 @@ func (o OrExpr) Eval(ctx *Ctx, env value.Tuple) value.Value {
 
 func (o OrExpr) String() string { return fmt.Sprintf("(%s ∨ %s)", o.L.String(), o.R.String()) }
 
-// FreeVars implements Expr.
-func (o OrExpr) FreeVars(dst map[string]bool) {
-	o.L.FreeVars(dst)
-	o.R.FreeVars(dst)
-}
-
 // Child and MapChildren implement Expr.
 func (o OrExpr) Child(i int) Expr                   { return nth(i, o.L, o.R) }
 func (o OrExpr) MapChildren(f func(Expr) Expr) Expr { o.L, o.R = f(o.L), f(o.R); return o }
@@ -459,9 +432,6 @@ func (n NotExpr) Eval(ctx *Ctx, env value.Tuple) value.Value {
 }
 
 func (n NotExpr) String() string { return fmt.Sprintf("¬(%s)", n.E.String()) }
-
-// FreeVars implements Expr.
-func (n NotExpr) FreeVars(dst map[string]bool) { n.E.FreeVars(dst) }
 
 // Child and MapChildren implement Expr.
 func (n NotExpr) Child(i int) Expr                   { return nth(i, n.E) }
@@ -484,13 +454,6 @@ func (c CondExpr) Eval(ctx *Ctx, env value.Tuple) value.Value {
 
 func (c CondExpr) String() string {
 	return fmt.Sprintf("if(%s; %s; %s)", c.If.String(), c.Then.String(), c.Else.String())
-}
-
-// FreeVars implements Expr.
-func (c CondExpr) FreeVars(dst map[string]bool) {
-	c.If.FreeVars(dst)
-	c.Then.FreeVars(dst)
-	c.Else.FreeVars(dst)
 }
 
 // Child and MapChildren implement Expr.
@@ -524,12 +487,6 @@ func (a ArithExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L.String(), op, a.R.String())
 }
 
-// FreeVars implements Expr.
-func (a ArithExpr) FreeVars(dst map[string]bool) {
-	a.L.FreeVars(dst)
-	a.R.FreeVars(dst)
-}
-
 // Child and MapChildren implement Expr.
 func (a ArithExpr) Child(i int) Expr                   { return nth(i, a.L, a.R) }
 func (a ArithExpr) MapChildren(f func(Expr) Expr) Expr { a.L, a.R = f(a.L), f(a.R); return a }
@@ -555,13 +512,6 @@ func (c Call) String() string {
 		parts[i] = a.String()
 	}
 	return fmt.Sprintf("%s(%s)", c.Fn, strings.Join(parts, ", "))
-}
-
-// FreeVars implements Expr.
-func (c Call) FreeVars(dst map[string]bool) {
-	for _, a := range c.Args {
-		a.FreeVars(dst)
-	}
 }
 
 // Child and MapChildren implement Expr.
@@ -596,45 +546,9 @@ func (n NestedApply) String() string {
 	return fmt.Sprintf("%s(%s)", n.F.String(), n.Plan.String())
 }
 
-// FreeVars implements Expr.
-func (n NestedApply) FreeVars(dst map[string]bool) {
-	opFreeVars(n.Plan, dst)
-	n.F.FreeVars(dst)
-}
-
 // Child and MapChildren implement Expr.
 func (NestedApply) Child(int) Expr                     { return nil }
 func (n NestedApply) MapChildren(func(Expr) Expr) Expr { return n }
-
-// AggOfAttr applies a sequence function to a tuple-sequence-valued
-// attribute (e.g. counting the members of a group attribute created by Γ).
-type AggOfAttr struct {
-	F    SeqFunc
-	Attr Expr
-}
-
-// Eval implements Expr.
-func (a AggOfAttr) Eval(ctx *Ctx, env value.Tuple) value.Value {
-	// TuplesOf admits both payload representations, like µ's Eval.
-	if ts, ok := value.TuplesOf(a.Attr.Eval(ctx, env)); ok {
-		return a.F.Apply(ctx, env, ts)
-	}
-	return value.Null{}
-}
-
-func (a AggOfAttr) String() string {
-	return fmt.Sprintf("%s(%s)", a.F.String(), a.Attr.String())
-}
-
-// FreeVars implements Expr.
-func (a AggOfAttr) FreeVars(dst map[string]bool) {
-	a.Attr.FreeVars(dst)
-	a.F.FreeVars(dst)
-}
-
-// Child and MapChildren implement Expr.
-func (a AggOfAttr) Child(i int) Expr                   { return nth(i, a.Attr) }
-func (a AggOfAttr) MapChildren(f func(Expr) Expr) Expr { a.Attr = f(a.Attr); return a }
 
 // ExistsQ is the existential quantifier predicate
 // ∃x ∈ (range) : p — the left-hand side of Eqv. 6. Range is an algebraic
@@ -663,17 +577,6 @@ func (q ExistsQ) Eval(ctx *Ctx, env value.Tuple) value.Value {
 
 func (q ExistsQ) String() string {
 	return fmt.Sprintf("∃%s∈%s: %s", q.Var, q.Range.String(), q.Pred.String())
-}
-
-// FreeVars implements Expr.
-func (q ExistsQ) FreeVars(dst map[string]bool) {
-	opFreeVars(q.Range, dst)
-	inner := map[string]bool{}
-	q.Pred.FreeVars(inner)
-	delete(inner, q.Var)
-	for k := range inner {
-		dst[k] = true
-	}
 }
 
 // Child and MapChildren implement Expr.
@@ -705,17 +608,6 @@ func (q ForallQ) Eval(ctx *Ctx, env value.Tuple) value.Value {
 
 func (q ForallQ) String() string {
 	return fmt.Sprintf("∀%s∈%s: %s", q.Var, q.Range.String(), q.Pred.String())
-}
-
-// FreeVars implements Expr.
-func (q ForallQ) FreeVars(dst map[string]bool) {
-	opFreeVars(q.Range, dst)
-	inner := map[string]bool{}
-	q.Pred.FreeVars(inner)
-	delete(inner, q.Var)
-	for k := range inner {
-		dst[k] = true
-	}
 }
 
 // Child and MapChildren implement Expr.

@@ -1,6 +1,9 @@
 package algebra
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,18 +180,6 @@ func TestSeqFuncs(t *testing.T) {
 	}
 }
 
-func TestAggOfAttr(t *testing.T) {
-	env := value.Tuple{"g": value.TupleSeq{{"x": value.Int(1)}, {"x": value.Int(2)}}}
-	e := AggOfAttr{F: SFCount{}, Attr: Var{Name: "g"}}
-	if got := evalExpr(t, e, env); !value.DeepEqual(got, value.Int(2)) {
-		t.Fatalf("agg-of-attr: %v", got)
-	}
-	// Non-tuple-seq attribute yields NULL.
-	if got := evalExpr(t, e, value.Tuple{"g": value.Int(3)}); !value.DeepEqual(got, value.Null{}) {
-		t.Fatalf("agg-of-attr over scalar: %v", got)
-	}
-}
-
 func TestNestedApplyCountsEvals(t *testing.T) {
 	ctx := NewCtx(nil)
 	na := NestedApply{F: SFCount{}, Plan: relR2()}
@@ -236,21 +227,60 @@ func TestBindTuplesExpr(t *testing.T) {
 	}
 }
 
+// TestFreeVars pins F(e) for every expression form: the table names each
+// form of exprForms at least once, plus a sequence function's predicate
+// chain and a quantifier whose range reads an outer variable named like
+// the one it binds.
 func TestFreeVars(t *testing.T) {
-	e := AndExpr{
-		L: CmpExpr{L: Var{Name: "a"}, R: Var{Name: "b"}, Op: value.CmpEq},
-		R: ExistsQ{Var: "x", RangeAttr: "r", Range: relR2(),
-			Pred: CmpExpr{L: Var{Name: "x"}, R: Var{Name: "c"}, Op: value.CmpLt}},
+	a, b, c := Var{Name: "a"}, Var{Name: "b"}, Var{Name: "c"}
+	readsOuter := Select{In: relR2(), Pred: CmpExpr{L: Var{Name: "outer"}, R: Var{Name: "A2"}, Op: value.CmpEq}}
+	readsX := Select{In: relR2(), Pred: CmpExpr{L: Var{Name: "x"}, R: Var{Name: "A2"}, Op: value.CmpEq}}
+	xLtC := CmpExpr{L: Var{Name: "x"}, R: c, Op: value.CmpLt}
+	cases := []struct {
+		e    Expr
+		want []string
+	}{
+		{a, []string{"a"}},
+		{ConstVal{V: value.Int(1)}, nil},
+		{Param{Name: "a", Idx: 0}, nil},
+		{Doc{URI: "bib.xml"}, nil},
+		{PathOf{Input: a, Path: xpath.MustParse("title")}, []string{"a"}},
+		{CmpExpr{L: a, R: b, Op: value.CmpEq}, []string{"a", "b"}},
+		{InExpr{Item: a, Seq: b}, []string{"a", "b"}},
+		{AndExpr{L: a, R: b}, []string{"a", "b"}},
+		{OrExpr{L: a, R: b}, []string{"a", "b"}},
+		{NotExpr{E: a}, []string{"a"}},
+		{CondExpr{If: a, Then: b, Else: c}, []string{"a", "b", "c"}},
+		{ArithExpr{L: a, R: b, Op: '+'}, []string{"a", "b"}},
+		{Call{Fn: "concat", Args: []Expr{a, b, c}}, []string{"a", "b", "c"}},
+		{BindTuples{E: a, Attr: "a'"}, []string{"a"}},
+		// The plan's own attributes are bound inside it.
+		{NestedApply{F: SFCount{}, Plan: readsOuter}, []string{"outer"}},
+		// Every predicate of an f ∘ σp chain counts.
+		{NestedApply{F: SFFiltered{Pred: a, Inner: SFFiltered{Pred: b, Inner: SFCount{}}}, Plan: relR2()},
+			[]string{"a", "b"}},
+		// The bound variable is not free in the predicate.
+		{ExistsQ{Var: "x", RangeAttr: "A2", Range: readsOuter, Pred: xLtC}, []string{"c", "outer"}},
+		{ForallQ{Var: "x", RangeAttr: "A2", Range: readsOuter, Pred: xLtC}, []string{"c", "outer"}},
+		// ... but an outer x the range reads is.
+		{ExistsQ{Var: "x", RangeAttr: "A2", Range: readsX, Pred: xLtC}, []string{"c", "x"}},
+		{ForallQ{Var: "x", RangeAttr: "A2", Range: readsX, Pred: xLtC}, []string{"c", "x"}},
+		{AndExpr{L: CmpExpr{L: a, R: b, Op: value.CmpEq},
+			R: ExistsQ{Var: "x", RangeAttr: "A2", Range: relR2(), Pred: xLtC}}, []string{"a", "b", "c"}},
 	}
-	fv := map[string]bool{}
-	e.FreeVars(fv)
-	for _, want := range []string{"a", "b", "c"} {
-		if !fv[want] {
-			t.Errorf("missing free var %s in %v", want, fv)
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		covered[fmt.Sprintf("%T", tc.e)] = true
+		fv := map[string]bool{}
+		FreeVars(tc.e, fv)
+		if got := slices.Sorted(maps.Keys(fv)); !slices.Equal(got, tc.want) {
+			t.Errorf("F(%s) = %v, want %v", tc.e, got, tc.want)
 		}
 	}
-	if fv["x"] {
-		t.Errorf("quantifier variable must be bound")
+	for _, f := range exprForms {
+		if name := fmt.Sprintf("%T", f); !covered[name] {
+			t.Errorf("no case for %s", name)
+		}
 	}
 }
 
@@ -296,6 +326,36 @@ func TestPrintValue(t *testing.T) {
 	}
 }
 
+// TestAttrText: an attribute value is its atoms' texts joined by one space;
+// one atom — a node, its text, a string — is read without allocating.
+func TestAttrText(t *testing.T) {
+	d := dom.MustParseString(`<r><t a="v">x<u>y</u></t><t>z</t></r>`, "p.xml")
+	t1 := d.RootElement().FirstChildElement("t")
+	t2 := t1.NextSibling()
+	cases := []struct {
+		v    value.Value
+		want string
+	}{
+		{value.Null{}, ""},
+		{value.Str("a b"), "a b"},
+		{value.Int(3), "3"},
+		{value.NodeVal{Node: t1}, "xy"},
+		{value.NodeVal{Node: t1.Attr("a")}, "v"},
+		{value.Seq{value.NodeVal{Node: t1}, value.NodeVal{Node: t2}, value.Int(4)}, "xy z 4"},
+		{value.TupleSeq{{"t": value.NodeVal{Node: t1}}, {"t": value.Str("w")}}, "xy w"},
+	}
+	for _, c := range cases {
+		if got := attrText(c.v); got != c.want {
+			t.Errorf("attrText(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+	for _, v := range []value.Value{value.NodeVal{Node: t1.Attr("a")}, value.NodeText{Node: t2}, value.Str("s")} {
+		if n := testing.AllocsPerRun(20, func() { _ = attrText(v) }); n != 0 {
+			t.Errorf("attrText(%v) allocates %v times", v, n)
+		}
+	}
+}
+
 func TestExplainShowsNestedPlans(t *testing.T) {
 	m := Map{
 		In:   relR1(),
@@ -321,7 +381,6 @@ func TestStringsAreInformative(t *testing.T) {
 		Project{In: relR1(), Names: []string{"A1"}},
 		ProjectDrop{In: relR1(), Names: []string{"A1"}},
 		ProjectRename{In: relR1(), Pairs: []Rename{{New: "B", Old: "A1"}}},
-		ProjectDistinct{In: relR1(), Pairs: []Rename{{New: "B", Old: "A1"}}},
 		Map{In: relR1(), Attr: "x", E: ConstVal{V: value.Int(1)}},
 		UnnestMap{In: relR1(), Attr: "x", E: ConstVal{V: value.Int(1)}},
 		SemiJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2")},
@@ -329,7 +388,6 @@ func TestStringsAreInformative(t *testing.T) {
 		OuterJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2"), G: "g", Default: SFCount{}},
 		GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
 		GroupBinary{L: relR1(), R: relR2(), G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
-		Unnest{In: relR2(), Attr: "g"},
 		UnnestDistinct{In: relR2(), Attr: "g"},
 		XiSimple{In: relR1(), Cmds: []Command{LitCmd("x")}},
 		XiGroup{In: relR2(), By: []string{"A2"}, S2: []Command{ExprCmd(Var{Name: "B"})}},

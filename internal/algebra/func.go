@@ -339,16 +339,6 @@ func aggregate(fn string, items value.Seq) value.Value {
 type SeqFunc interface {
 	Apply(ctx *Ctx, env value.Tuple, ts value.TupleSeq) value.Value
 	String() string
-	// FreeVars appends free variables of embedded predicates.
-	FreeVars(dst map[string]bool)
-}
-
-// rowSeqRows appends the members of a sequence to dst as rows.
-func rowSeqRows(rs value.RowSeq, dst []value.Row) []value.Row {
-	for i := 0; i < rs.Len(); i++ {
-		dst = append(dst, rs.At(i))
-	}
-	return dst
 }
 
 // SFIdent is the identity function id.
@@ -364,9 +354,6 @@ func (SFIdent) Apply(_ *Ctx, _ value.Tuple, ts value.TupleSeq) value.Value {
 
 func (SFIdent) String() string { return "id" }
 
-// FreeVars implements SeqFunc.
-func (SFIdent) FreeVars(map[string]bool) {}
-
 // SFCount counts the tuples of the sequence; the empty group counts 0.
 type SFCount struct{}
 
@@ -376,9 +363,6 @@ func (SFCount) Apply(_ *Ctx, _ value.Tuple, ts value.TupleSeq) value.Value {
 }
 
 func (SFCount) String() string { return "count" }
-
-// FreeVars implements SeqFunc.
-func (SFCount) FreeVars(map[string]bool) {}
 
 // SFProject projects every tuple onto Attrs (f = ΠA). The empty group stays
 // the empty sequence.
@@ -394,9 +378,6 @@ func (p SFProject) Apply(_ *Ctx, _ value.Tuple, ts value.TupleSeq) value.Value {
 }
 
 func (p SFProject) String() string { return "Π" + strings.Join(p.Attrs, ",") }
-
-// FreeVars implements SeqFunc.
-func (SFProject) FreeVars(map[string]bool) {}
 
 // SFAgg is an aggregate f = agg ∘ ΠAttr: min, max, sum, avg over the
 // atomized values of one attribute. The empty group yields NULL (0 for sum),
@@ -416,9 +397,6 @@ func (a SFAgg) Apply(_ *Ctx, _ value.Tuple, ts value.TupleSeq) value.Value {
 }
 
 func (a SFAgg) String() string { return fmt.Sprintf("%s∘Π%s", a.Fn, a.Attr) }
-
-// FreeVars implements SeqFunc.
-func (SFAgg) FreeVars(map[string]bool) {}
 
 // SFFiltered composes a sequence function with a selection: f ∘ σp, the form
 // used by Eqvs. 8 and 9 (count ∘ σp). The predicate sees the group tuple's
@@ -441,10 +419,4 @@ func (f SFFiltered) Apply(ctx *Ctx, env value.Tuple, ts value.TupleSeq) value.Va
 
 func (f SFFiltered) String() string {
 	return fmt.Sprintf("%s∘σ[%s]", f.Inner.String(), f.Pred.String())
-}
-
-// FreeVars implements SeqFunc.
-func (f SFFiltered) FreeVars(dst map[string]bool) {
-	f.Pred.FreeVars(dst)
-	f.Inner.FreeVars(dst)
 }

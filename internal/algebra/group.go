@@ -220,103 +220,9 @@ func (g GroupBinary) Attrs() ([]string, bool) {
 	return unionAttrs(l, []string{g.G}), true
 }
 
-// Unnest is the µg operator (Sec. 2): it flattens the tuple-sequence-valued
-// attribute g. A tuple whose g is empty yields one output tuple padded with
-// ⊥ on the attributes of g ("In case that g is empty, it returns the tuple
-// ⊥A(e.g)").
-type Unnest struct {
-	In   Op
-	Attr string
-	// InnerAttrs optionally names A(e.g) for ⊥-padding when every group in
-	// the input is empty; otherwise the attribute set is inferred from the
-	// first non-empty group.
-	InnerAttrs []string
-}
-
-// Eval implements Op.
-func (u Unnest) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
-	in := u.In.Eval(ctx, env)
-	// The ⊥-pad attribute set A(e.g) resolves lazily, on the first empty
-	// group: the schema resolver names it even when every group is empty
-	// (the paper defines ⊥A(e.g) by the schema, not by an observed member;
-	// nested evaluation re-runs Eval per outer tuple, so the subtree walk
-	// must not be paid when nothing pads). Observation remains the
-	// fallback for inputs the resolver cannot type.
-	inner := u.InnerAttrs
-	resolved := inner != nil
-	padAttrs := func() []string {
-		if resolved {
-			return inner
-		}
-		resolved = true
-		if inner = staticInnerAttrs(u.In, u.Attr); inner != nil {
-			return inner
-		}
-		for _, t := range in {
-			// TuplesOf admits both payload representations: a slot-native
-			// child below a map-engine plan hands groups over as RowSeq.
-			if ts, ok := value.TuplesOf(t[u.Attr]); ok && len(ts) > 0 {
-				inner = ts[0].Attrs()
-				break
-			}
-		}
-		return inner
-	}
-	var out value.TupleSeq
-	for _, t := range in {
-		base := t.Drop([]string{u.Attr})
-		ts, _ := value.TuplesOf(t[u.Attr])
-		if len(ts) == 0 {
-			out = append(out, base.Concat(value.NullTuple(padAttrs())))
-			continue
-		}
-		for _, g := range ts {
-			out = append(out, base.Concat(g))
-		}
-	}
-	return out
-}
-
-// staticInnerAttrs returns the statically known attribute set of a
-// tuple-sequence-valued attribute of in's output, or nil.
-func staticInnerAttrs(in Op, attr string) []string {
-	if insc, ok := ResolveSchema(in); ok {
-		if nested := insc.nested(attr); nested != nil && nested.Lay != nil {
-			return nested.Lay.Names()
-		}
-	}
-	return nil
-}
-
-func (u Unnest) String() string { return fmt.Sprintf("µ[%s]", u.Attr) }
-
-// Children implements Op.
-func (u Unnest) Children() []Op { return []Op{u.In} }
-
-// MapChildren implements Op.
-func (u Unnest) MapChildren(f func(Op) Op) Op { u.In = f(u.In); return u }
-
-// Exprs implements Op.
-func (u Unnest) Exprs() []Expr { return nil }
-
-// Attrs implements Op.
-func (u Unnest) Attrs() ([]string, bool) {
-	in, ok := u.In.Attrs()
-	if !ok || u.InnerAttrs == nil {
-		return nil, false
-	}
-	var kept []string
-	for _, a := range in {
-		if a != u.Attr {
-			kept = append(kept, a)
-		}
-	}
-	return unionAttrs(kept, u.InnerAttrs), true
-}
-
 // UnnestDistinct is µD (Eqv. 4): unnesting that eliminates duplicate tuples
 // within each nested sequence — µDg(e) = (α(e)|ḡ × ΠD(α(e).g)) ⊕ µDg(τ(e)).
-// Unlike µ it does not ⊥-pad empty groups (the definition's × with the empty
+// Unlike the paper's µ it does not ⊥-pad empty groups (the definition's × with the empty
 // sequence is empty).
 type UnnestDistinct struct {
 	In   Op
@@ -372,9 +278,6 @@ func (b BindTuples) Eval(ctx *Ctx, env value.Tuple) value.Value {
 }
 
 func (b BindTuples) String() string { return fmt.Sprintf("%s[%s]", b.E.String(), b.Attr) }
-
-// FreeVars implements Expr.
-func (b BindTuples) FreeVars(dst map[string]bool) { b.E.FreeVars(dst) }
 
 // Child and MapChildren implement Expr.
 func (b BindTuples) Child(i int) Expr                   { return nth(i, b.E) }

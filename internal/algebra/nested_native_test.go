@@ -115,7 +115,8 @@ func TestQuantifiersOverCorrelatedRanges(t *testing.T) {
 // TestSequenceFunctionPredicatesHoldNestedPlans: f ∘ σp where p holds a
 // nested plan and reads the outer tuple — f is compiled once and reads it
 // through the chain it is applied under — as the function of a nested block,
-// of a group attribute, and of Γ, with a nested plan behind each.
+// of a nested block whose rows a group payload releases, and of Γ, with a
+// nested plan behind each.
 func TestSequenceFunctionPredicatesHoldNestedPlans(t *testing.T) {
 	hasSmaller := ExistsQ{Var: "y", RangeAttr: "B", Range: relR2(),
 		Pred: AndExpr{L: cmp(Var{Name: "y"}, value.CmpLt, Var{Name: "B"}), R: cmp(Var{Name: "y"}, value.CmpGt, Var{Name: "A1"})}}
@@ -129,12 +130,9 @@ func TestSequenceFunctionPredicatesHoldNestedPlans(t *testing.T) {
 	sameRun(t, "nested block", Select{In: Map{In: relR1(), Attr: "n", E: NestedApply{F: f, Plan: block}}, Pred: after})
 	sameRun(t, "nested block then ∃", Map{In: relR1(), Attr: "n",
 		E: Call{Fn: "concat", Args: []Expr{NestedApply{F: f, Plan: block}, ConstVal{V: value.Str("/")}, after}}})
-	grouped := GroupBinary{L: relR1(), R: relR2(), G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
-		Theta: value.CmpLe, F: SFIdent{}}
-	sameRun(t, "group attribute", Map{In: grouped, Attr: "n",
-		E: Call{Fn: "concat", Args: []Expr{AggOfAttr{F: f, Attr: Var{Name: "g"}}, ConstVal{V: value.Str("/")}, after}}})
-	sameRun(t, "nested block as group attribute", Map{In: relR1(), Attr: "n",
-		E: Call{Fn: "concat", Args: []Expr{AggOfAttr{F: f, Attr: NestedApply{F: SFIdent{}, Plan: block}}, ConstVal{V: value.Str("/")}, after}}})
+	released := UnnestDistinct{In: GroupUnary{In: block, G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}, Attr: "g"}
+	sameRun(t, "group payload", Map{In: relR1(), Attr: "n",
+		E: Call{Fn: "concat", Args: []Expr{NestedApply{F: f, Plan: released}, ConstVal{V: value.Str("/")}, after}}})
 	sameRun(t, "Γ", GroupBinary{L: relR1(), R: relR2(), G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
 		Theta: value.CmpLe, F: SFFiltered{Pred: after, Inner: SFProject{Attrs: []string{"B"}}}})
 }

@@ -39,7 +39,7 @@ func opFreeVars(op Op, dst map[string]bool) {
 	walk = func(o Op) {
 		for _, e := range o.Exprs() {
 			if e != nil {
-				e.FreeVars(local)
+				FreeVars(e, local)
 			}
 		}
 		for _, c := range o.Children() {
@@ -67,6 +67,43 @@ func opFreeVars(op Op, dst map[string]bool) {
 		sub(op)
 	}
 	for k := range local {
+		dst[k] = true
+	}
+}
+
+// FreeVars adds F(e), the free variables of the expression e, to dst. A
+// nested plan binds its own attributes, the predicates of its sequence
+// function read the invoking tuple, and a quantifier binds its variable in
+// its predicate but not in its range; every other form's free variables are
+// those of its sub-expressions.
+func FreeVars(e Expr, dst map[string]bool) {
+	switch w := e.(type) {
+	case Var:
+		dst[w.Name] = true
+	case NestedApply:
+		opFreeVars(w.Plan, dst)
+		for f, ok := w.F.(SFFiltered); ok; f, ok = f.Inner.(SFFiltered) {
+			FreeVars(f.Pred, dst)
+		}
+	case ExistsQ:
+		quantFreeVars(w.Range, w.Var, w.Pred, dst)
+	case ForallQ:
+		quantFreeVars(w.Range, w.Var, w.Pred, dst)
+	default:
+		for i := 0; e.Child(i) != nil; i++ {
+			FreeVars(e.Child(i), dst)
+		}
+	}
+}
+
+// quantFreeVars adds the free variables of a quantifier over rng binding v
+// in pred to dst.
+func quantFreeVars(rng Op, v string, pred Expr, dst map[string]bool) {
+	opFreeVars(rng, dst)
+	inner := map[string]bool{}
+	FreeVars(pred, inner)
+	delete(inner, v)
+	for k := range inner {
 		dst[k] = true
 	}
 }
@@ -312,68 +349,6 @@ func (p ProjectRename) Attrs() ([]string, bool) {
 	return out, true
 }
 
-// ProjectDistinct is the duplicate-eliminating projection ΠD with optional
-// renaming (ΠD A′:A). It is not order-preserving per the paper, but it must
-// be deterministic and idempotent; first-occurrence order satisfies both.
-type ProjectDistinct struct {
-	In    Op
-	Pairs []Rename // New:Old; use New==Old for plain ΠD
-}
-
-// Eval implements Op.
-func (p ProjectDistinct) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
-	in := p.In.Eval(ctx, env)
-	olds := make([]string, len(p.Pairs))
-	for i, r := range p.Pairs {
-		olds[i] = r.Old
-	}
-	seen := make(map[value.HashKey]bool, len(in))
-	var out value.TupleSeq
-	for _, t := range in {
-		nt := make(value.Tuple, len(p.Pairs))
-		for _, r := range p.Pairs {
-			nt[r.New] = t[r.Old]
-		}
-		if k := value.KeyOfAttrs(t, olds); !seen[k] {
-			ctx.charge(TripDedup, 0, dedupEntryBytes)
-			seen[k] = true
-			out = append(out, nt)
-		}
-	}
-	return out
-}
-
-func (p ProjectDistinct) String() string {
-	parts := make([]string, len(p.Pairs))
-	for i, r := range p.Pairs {
-		if r.New == r.Old {
-			parts[i] = r.New
-		} else {
-			parts[i] = r.New + ":" + r.Old
-		}
-	}
-	return "ΠD[" + strings.Join(parts, ",") + "]"
-}
-
-// Children implements Op.
-func (p ProjectDistinct) Children() []Op { return []Op{p.In} }
-
-// MapChildren implements Op.
-func (p ProjectDistinct) MapChildren(f func(Op) Op) Op { p.In = f(p.In); return p }
-
-// Exprs implements Op.
-func (p ProjectDistinct) Exprs() []Expr { return nil }
-
-// Attrs implements Op.
-func (p ProjectDistinct) Attrs() ([]string, bool) {
-	out := make([]string, len(p.Pairs))
-	for i, r := range p.Pairs {
-		out[i] = r.New
-	}
-	sort.Strings(out)
-	return out, true
-}
-
 // Map is the map operator χa:e — it extends every input tuple by attribute a
 // computed by evaluating e under the tuple's bindings (Sec. 2, Fig. 1).
 type Map struct {
@@ -419,7 +394,7 @@ func (m Map) Attrs() ([]string, bool) {
 //
 // Note: a tuple whose sequence is empty produces no output tuple. This
 // matches XQuery's for-clause semantics, which is what Υ exists to
-// translate; the µ operator proper pads empty groups with ⊥ (see Unnest).
+// translate; the paper's µ operator would pad an empty group with ⊥.
 //
 // PosAttr, when non-empty, additionally binds the 1-based position of each
 // item within its sequence — the translation of XQuery's positional

@@ -220,30 +220,13 @@ func TestOuterJoinDefault(t *testing.T) {
 	}
 }
 
-// TestUnnestInverse verifies µg(Γg;=A2;id(R2)) = R2 (the paper's example
-// "µg(Rg2) = R2").
+// TestUnnestInverse verifies µDg(Γg;=A2;id(R2)) = R2 (the paper's example
+// "µg(Rg2) = R2"; R2 has no duplicate tuple, so µD and µ agree on it).
 func TestUnnestInverse(t *testing.T) {
 	grouped := GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
-	out := eval(t, Unnest{In: grouped, Attr: "g"})
+	out := eval(t, UnnestDistinct{In: grouped, Attr: "g"})
 	if !value.TupleSeqEqual(out, relR2().(constOp).ts) {
-		t.Fatalf("µ(Γid) ≠ R2: %s", out)
-	}
-}
-
-func TestUnnestPadsEmptyGroups(t *testing.T) {
-	grouped := GroupBinary{L: relR1(), R: relR2(), G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
-	out := eval(t, Unnest{In: grouped, Attr: "g"})
-	// 2 + 2 tuples from groups plus one ⊥-padded tuple for A1=3.
-	if len(out) != 5 {
-		t.Fatalf("µ size %d: %s", len(out), out)
-	}
-	last := out[4]
-	if !value.DeepEqual(last["A1"], value.Int(3)) {
-		t.Fatalf("padded tuple wrong: %s", last)
-	}
-	if _, isNull := last["A2"].(value.Null); !isNull {
-		t.Fatalf("µ must ⊥-pad inner attributes: %s", last)
+		t.Fatalf("µD(Γid) ≠ R2: %s", out)
 	}
 }
 
@@ -277,19 +260,6 @@ func TestUnnestMapDropsEmpty(t *testing.T) {
 	}
 }
 
-func TestProjectDistinctDeterministicIdempotent(t *testing.T) {
-	p := ProjectDistinct{In: relR2(), Pairs: []Rename{{New: "A1", Old: "A2"}}}
-	out1 := eval(t, p)
-	out2 := eval(t, p)
-	if !value.TupleSeqEqual(out1, out2) {
-		t.Fatalf("ΠD must be deterministic")
-	}
-	want := value.TupleSeq{{"A1": value.Int(1)}, {"A1": value.Int(2)}}
-	if !value.TupleSeqEqual(out1, want) {
-		t.Fatalf("ΠD wrong: %s", out1)
-	}
-}
-
 func TestProjectRenameKeepsOthers(t *testing.T) {
 	out := eval(t, ProjectRename{In: relR2(), Pairs: []Rename{{New: "C", Old: "A2"}}})
 	if _, ok := out[0]["C"]; !ok {
@@ -314,7 +284,6 @@ func TestEmptyInputsProduceEmptyOutputs(t *testing.T) {
 		OuterJoin{L: empty, R: relR2(), Pred: eqCmp("A1", "A2"), G: "g", Default: SFCount{}},
 		GroupBinary{L: empty, R: relR2(), G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}},
 		GroupUnary{In: empty, G: "g", By: []string{"A1"}, Theta: value.CmpEq, F: SFCount{}},
-		Unnest{In: empty, Attr: "g"},
 		UnnestDistinct{In: empty, Attr: "g"},
 		UnnestMap{In: empty, Attr: "x", E: ConstVal{V: value.Int(1)}},
 	}

@@ -79,17 +79,14 @@ func TestRowSeqAllDuplicateKeys(t *testing.T) {
 	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
 	diffPayloadPlan(t, "alldup-muD", UnnestDistinct{In: gamma, Attr: "g"})
 	diffPayloadPlan(t, "alldup-count",
-		Map{In: gamma, Attr: "c", E: AggOfAttr{F: SFCount{}, Attr: Var{Name: "g"}}})
+		GroupUnary{In: in, G: "c", By: []string{"K"}, Theta: value.CmpEq, F: SFCount{}})
 	diffPayloadPlan(t, "alldup-sum",
-		Map{In: gamma, Attr: "s", E: AggOfAttr{F: SFAgg{Fn: "sum", Attr: "N"}, Attr: Var{Name: "g"}}})
+		GroupUnary{In: in, G: "s", By: []string{"K"}, Theta: value.CmpEq, F: SFAgg{Fn: "sum", Attr: "N"}})
 }
 
 // TestRowSeqEmptyGroupPadding pins empty groups: binary Γ gives unmatched
 // left tuples an empty payload, which µD releases as nothing on both
-// evaluators. µ's ⊥-padding is definitional only: its Eval releases one
-// NULL-padded tuple per empty group, and when every group is empty the pad
-// attributes come from the resolver's nested layout, not from an observed
-// member.
+// evaluators.
 func TestRowSeqEmptyGroupPadding(t *testing.T) {
 	left := constOp{
 		ts: value.TupleSeq{
@@ -111,20 +108,6 @@ func TestRowSeqEmptyGroupPadding(t *testing.T) {
 		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
 	diffPayloadPlan(t, "empty-group-muD", UnnestDistinct{In: gamma, Attr: "g"})
 
-	emptyRight := constOp{attrs: []string{"A2", "B"}}
-	allEmpty := GroupBinary{L: left, R: emptyRight, G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
-	out := Unnest{In: native(allEmpty), Attr: "g"}.Eval(NewCtx(nil), nil)
-	if len(out) != 3 {
-		t.Fatalf("µ over all-empty groups released %d tuples, want 3: %s", len(out), out)
-	}
-	for _, tp := range out {
-		for _, a := range []string{"A2", "B"} {
-			if _, null := tp[a].(value.Null); !null {
-				t.Errorf("µ over all-empty groups: %s = %v, want ⊥", a, tp[a])
-			}
-		}
-	}
 }
 
 // TestRowSeqRenameInsideGroup pins that a rename below Γ reaches the

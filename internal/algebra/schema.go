@@ -21,11 +21,10 @@ import (
 // such a payload to read its members.
 //
 // Whether a plan runs is decided here, once: an operator the resolver cannot
-// type — an unknown extension, a definitional-only operator (ΠD, µ), a
-// colliding layout, a key, group or unnest attribute its input does not
-// bind, a µD over an untracked payload, a subscript outside the compiler's
-// inventory or holding a nested plan that does not resolve — has Node.OK =
-// false, and so has everything above it. No opener declines later: an
+// type — an unknown extension, a colliding layout, a key, group or unnest
+// attribute its input does not bind, a µD over an untracked payload, a
+// subscript outside the compiler's inventory or holding a nested plan that
+// does not resolve — has Node.OK = false, and so has everything above it. No opener declines later: an
 // unresolved plan is refused when it is opened (see Node.Pump), before it
 // produces anything, and every compiled plan resolves.
 
@@ -189,8 +188,7 @@ func slotsIn(lay *value.Layout, names []string) ([]int, bool) {
 // compiled and their nested plans typed, key, group and unnest attributes
 // bound, layouts concatenable — and that derives what its iterator reads,
 // once per resolved plan. up is the scope of the rows the plan's free
-// variables read. ΠD and µ are definitional only: no compiled plan holds
-// them, so they have their Eval and their cost rule but no rule here.
+// variables read.
 func (n *Node) resolve(up *scope) (Schema, opener) {
 	for _, k := range n.Kids {
 		if !k.OK {
@@ -218,7 +216,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		r = n.Kids[1].Schema
 	}
 	rows := scope{Schema: in, up: up} // what a unary operator's subscripts read
-	//nal:opswitch schema exempt=ProjectDistinct,Unnest
+	//nal:opswitch schema
 	switch w := n.Op.(type) {
 	case Singleton:
 		return typed(singleton[0].Lay, nil, func(*Ctx, *outer) RowIter {
@@ -376,7 +374,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 	case UnnestDistinct:
 		return n.unnestDistinct(in, w.Attr)
 	}
-	// Unknown extensions and the definitional-only operators included.
+	// Unknown extensions.
 	return Schema{}, nil
 }
 

@@ -29,8 +29,7 @@ type oddFn struct{ SFCount }
 // definitional evaluator: a plan the resolver cannot type — it still has a
 // definitional Eval, so the oracle can run it — does not resolve, and every
 // way of opening it on the engine fails before anything has run (no Ξ output,
-// no scan), naming the lowest operator without schema. The definitional-only
-// operators ΠD and µ are among them, over inputs that type.
+// no scan), naming the lowest operator without schema.
 func TestUntypablePlanRefusedAtOpen(t *testing.T) {
 	emit := []Command{ExprCmd(Var{Name: "A1"}), LitCmd(";")}
 	always := ConstVal{V: value.Bool(true)}
@@ -51,12 +50,8 @@ func TestUntypablePlanRefusedAtOpen(t *testing.T) {
 		"colliding ⋉ layouts": {xi(SemiJoin{L: relR1(), R: relR1(), Pred: always}), "⋉[true]"},
 		"⟕ default outside l ◦ r": {xi(OuterJoin{L: relR1(), R: relR2(), Pred: eqCmp("A1", "A2"),
 			G: "g", Default: SFCount{}}), "⟕[g:count(); A1 = A2]"},
-		"sort key unbound":  {xi(Sort{In: relR1(), By: []string{"Z"}}), Sort{By: []string{"Z"}}.String()},
-		"group key unbound": {xi(GroupSelf{In: relR1(), G: "g", By: []string{"Z"}, F: SFCount{}}), GroupSelf{G: "g", By: []string{"Z"}, F: SFCount{}}.String()},
-		"µ": {xi(Unnest{Attr: "g", In: GroupUnary{In: relR2(), G: "g", By: []string{"A2"},
-			Theta: value.CmpEq, F: SFIdent{}}}), "µ[g]"},
-		"ΠD": {xi(ProjectDistinct{In: relR2(), Pairs: []Rename{{New: "A1", Old: "A2"}}}),
-			ProjectDistinct{Pairs: []Rename{{New: "A1", Old: "A2"}}}.String()},
+		"sort key unbound":    {xi(Sort{In: relR1(), By: []string{"Z"}}), Sort{By: []string{"Z"}}.String()},
+		"group key unbound":   {xi(GroupSelf{In: relR1(), G: "g", By: []string{"Z"}, F: SFCount{}}), GroupSelf{G: "g", By: []string{"Z"}, F: SFCount{}}.String()},
 		"unknown expression":  {xi(Select{Pred: oddExpr{always}, In: relR1()}), "σ[true]"},
 		"unknown function":    {xi(GroupSelf{In: relR1(), G: "g", By: []string{"A1"}, F: oddFn{}}), GroupSelf{G: "g", By: []string{"A1"}, F: oddFn{}}.String()},
 		"empty projection fn": {xi(GroupSelf{In: relR1(), G: "g", By: []string{"A1"}, F: SFProject{}}), GroupSelf{G: "g", By: []string{"A1"}, F: SFProject{}}.String()},

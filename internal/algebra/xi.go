@@ -10,11 +10,13 @@ import (
 )
 
 // Command is one element of a Ξ command list: either a literal string copied
-// to the output stream or an expression whose value is printed.
+// to the output stream or an expression whose value is printed — as content,
+// or, when InAttr is set, as the text of an attribute value (see attrText).
 type Command struct {
-	Lit   string
-	E     Expr
-	IsLit bool
+	Lit    string
+	E      Expr
+	IsLit  bool
+	InAttr bool
 }
 
 // LitCmd builds a literal command.
@@ -22,6 +24,9 @@ func LitCmd(s string) Command { return Command{Lit: s, IsLit: true} }
 
 // ExprCmd builds an expression command.
 func ExprCmd(e Expr) Command { return Command{E: e} }
+
+// AttrCmd builds the command of an expression enclosed in an attribute value.
+func AttrCmd(e Expr) Command { return Command{E: e, InAttr: true} }
 
 func (c Command) String() string {
 	if c.IsLit {
@@ -40,12 +45,36 @@ func cmdStrings(cs []Command) string {
 
 func execCommands(ctx *Ctx, env value.Tuple, t value.Tuple, cs []Command) {
 	for _, c := range cs {
-		if c.IsLit {
+		switch {
+		case c.IsLit:
 			ctx.EmitLit(c.Lit)
-			continue
+		case c.InAttr:
+			ctx.emitAttr(c.E.Eval(ctx, env.Concat(t)))
+		default:
+			ctx.EmitValue(c.E.Eval(ctx, env.Concat(t)))
 		}
-		ctx.EmitValue(c.E.Eval(ctx, env.Concat(t)))
 	}
+}
+
+// attrText is the text an attribute value gets from v: the texts of v's
+// atoms joined by one space. One item's text is read in place; only two or
+// more are joined into a new string.
+func attrText(v value.Value) string {
+	var one [1]value.Value
+	items := value.Items(v, &one)
+	if len(items) == 1 {
+		s, _ := value.AtomText(items[0])
+		return s
+	}
+	var sb strings.Builder
+	for i, item := range items {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		s, _ := value.AtomText(item)
+		sb.WriteString(s)
+	}
+	return sb.String()
 }
 
 // WriteValue streams the printed form of v into out, following the paper's
@@ -219,10 +248,6 @@ func eachNested(o Op, visit func(in Expr, plan Op)) {
 			visit(e, w.Range)
 		case ForallQ:
 			visit(e, w.Range)
-		case AggOfAttr:
-			expr(w.Attr)
-			fn(w.F)
-			return
 		}
 		for i := 0; e.Child(i) != nil; i++ {
 			expr(e.Child(i))

@@ -17,12 +17,13 @@
 //
 //   - Any type switch over Op annotated with a marker comment
 //
-//     //nal:opswitch <surface> [exempt=TypeA,TypeB]
+//     //nal:opswitch <surface>
 //
 //     on the line directly above the switch statement is checked for
 //     completeness against that set. Missing cases are reported by
-//     operator name; exemptions must be real, unhandled operator types
-//     (a stale exemption is itself a finding).
+//     operator name; there are no exemptions. A comment that starts with
+//     //nal:opswitch but is not exactly that marker is itself a finding,
+//     so a malformed annotation cannot silently unmark a surface.
 //
 //   - The -require flag (pkg:surfaceA+surfaceB,pkg2:surfaceC) pins which
 //     surfaces must exist in which packages, so deleting a marker comment
@@ -63,12 +64,14 @@ func init() {
 		"required surfaces per package, as pkg:surfaceA+surfaceB,pkg2:surfaceC")
 }
 
-// markerRe matches the //nal:opswitch annotation.
-var markerRe = regexp.MustCompile(`^//nal:opswitch\s+([A-Za-z0-9_.-]+)(?:\s+exempt=([A-Za-z0-9_,]+))?\s*$`)
+// markerPrefix starts every opswitch annotation; markerRe is the one form
+// it may take.
+const markerPrefix = "//nal:opswitch"
+
+var markerRe = regexp.MustCompile(`^//nal:opswitch ([A-Za-z0-9_.-]+)$`)
 
 type marker struct {
 	surface string
-	exempt  []string
 	used    bool
 	pos     ast.Node
 }
@@ -135,7 +138,7 @@ func run(pass *analysis.Pass) error {
 				m.surface, pass.Pkg.Path())
 		}
 		seen[m.surface] = true
-		checkSwitch(pass, ts, m, ops)
+		checkSwitch(pass, ts, m.surface, ops)
 	})
 
 	// Unused markers (annotation not directly above a type switch) are
@@ -197,15 +200,16 @@ func collectMarkers(pass *analysis.Pass) map[markerKey]*marker {
 		fname := pass.Fset.Position(f.Pos()).Filename
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				sub := markerRe.FindStringSubmatch(c.Text)
-				if sub == nil {
+				if !strings.HasPrefix(c.Text, markerPrefix) {
 					continue
 				}
-				m := &marker{surface: sub[1], pos: c}
-				if sub[2] != "" {
-					m.exempt = strings.Split(sub[2], ",")
+				sub := markerRe.FindStringSubmatch(c.Text)
+				if sub == nil {
+					pass.Reportf(c.Pos(), "opcomplete: malformed annotation %q: the marker is exactly %s <surface>",
+						c.Text, markerPrefix)
+					continue
 				}
-				out[markerKey{fname, pass.Fset.Position(c.Pos()).Line}] = m
+				out[markerKey{fname, pass.Fset.Position(c.Pos()).Line}] = &marker{surface: sub[1], pos: c}
 			}
 		}
 	}
@@ -233,7 +237,7 @@ func isOpSwitch(pass *analysis.Pass, ts *ast.TypeSwitchStmt, ifaceObj types.Obje
 	return t != nil && types.Identical(t, ifaceObj.Type())
 }
 
-func checkSwitch(pass *analysis.Pass, ts *ast.TypeSwitchStmt, m *marker, ops []string) {
+func checkSwitch(pass *analysis.Pass, ts *ast.TypeSwitchStmt, surface string, ops []string) {
 	handled := map[string]bool{}
 	for _, stmt := range ts.Body.List {
 		cc, ok := stmt.(*ast.CaseClause)
@@ -259,34 +263,16 @@ func checkSwitch(pass *analysis.Pass, ts *ast.TypeSwitchStmt, m *marker, ops []s
 		}
 	}
 
-	known := map[string]bool{}
-	for _, op := range ops {
-		known[op] = true
-	}
-	exempt := map[string]bool{}
-	for _, e := range m.exempt {
-		exempt[e] = true
-		if !known[e] {
-			pass.Reportf(ts.Pos(),
-				"opcomplete: surface %q exempts %s, which is not a concrete %s implementation",
-				m.surface, e, opIfaceName)
-		} else if handled[e] {
-			pass.Reportf(ts.Pos(),
-				"opcomplete: surface %q exempts %s but the switch handles it (stale exemption)",
-				m.surface, e)
-		}
-	}
-
 	var missing []string
 	for _, op := range ops {
-		if !handled[op] && !exempt[op] {
+		if !handled[op] {
 			missing = append(missing, op)
 		}
 	}
 	if len(missing) > 0 {
 		pass.Reportf(ts.Pos(),
 			"opcomplete: op switch surface %q is missing cases for: %s",
-			m.surface, strings.Join(missing, ", "))
+			surface, strings.Join(missing, ", "))
 	}
 }
 

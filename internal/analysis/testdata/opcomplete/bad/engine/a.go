@@ -1,5 +1,5 @@
 // Package engine seeds one of each opcomplete violation class: a switch
-// missing an operator case, an unknown exemption, a stale exemption, a
+// missing an operator case, a malformed marker (an exempt= list), a
 // marker on a non-Op switch, a floating marker, and a required surface
 // that does not exist (the "ghost" surface demanded via -require).
 package engine // want "must contain an op dispatch surface \"ghost\""
@@ -21,21 +21,32 @@ type Filter struct{ In Op }
 // Children implements Op.
 func (f Filter) Children() []Op { return []Op{f.In} }
 
-// Sort is a unary operator the dispatch handles despite its exemption.
+// Sort is a unary operator.
 type Sort struct{ In Op }
 
 // Children implements Op.
 func (s Sort) Children() []Op { return []Op{s.In} }
 
-// Dispatch exempts a type it handles (Sort), exempts a type that is not
-// an operator (Bogus), and forgets Filter entirely.
+// Dispatch forgets Filter.
 func Dispatch(op Op) int {
-	//nal:opswitch dispatch exempt=Sort,Bogus
-	switch op.(type) { // want "exempts Bogus, which is not a concrete Op implementation" "exempts Sort but the switch handles it" "missing cases for: Filter"
+	//nal:opswitch dispatch
+	switch op.(type) { // want "missing cases for: Filter"
 	case Scan:
 		return 1
 	case Sort:
 		return 2
+	}
+	return 0
+}
+
+// Legacy still carries an exempt= list: the marker is malformed, so it is
+// reported itself instead of leaving the switch unchecked in silence.
+func Legacy(op Op) int {
+	// want-below "malformed annotation"
+	//nal:opswitch legacy exempt=Filter,Sort
+	switch op.(type) {
+	case Scan:
+		return 1
 	}
 	return 0
 }

@@ -21,11 +21,12 @@ func Cost(op engine.Op) int {
 	return 0
 }
 
-// Rewrite mirrors the logical-rewrite walker: Scan is a leaf the walker
-// never descends into, so it is exempted rather than handled.
+// Rewrite mirrors the logical-rewrite walker.
 func Rewrite(op engine.Op) engine.Op {
-	//nal:opswitch rewrite exempt=Scan
+	//nal:opswitch rewrite
 	switch w := op.(type) {
+	case engine.Scan:
+		return w
 	case engine.Filter:
 		return w
 	case engine.GroupSelf:

@@ -95,7 +95,7 @@ func extractCorrSelects(op algebra.Op, outerAttrs map[string]bool) (algebra.Op, 
 	switch w := op.(type) {
 	case algebra.Select:
 		fv := map[string]bool{}
-		w.Pred.FreeVars(fv)
+		algebra.FreeVars(w.Pred, fv)
 		correlated := false
 		for v := range fv {
 			if outerAttrs[v] {
@@ -147,7 +147,7 @@ func splitCorrelation(pred algebra.Expr, e1, e2 algebra.Op) (corrEq, algebra.Exp
 		}
 		// Residual conjuncts may only reference e2 attributes.
 		fv := map[string]bool{}
-		c.FreeVars(fv)
+		algebra.FreeVars(c, fv)
 		onlyE2 := true
 		for v := range fv {
 			if !e2Attrs[v] {
@@ -229,7 +229,7 @@ func disjointFree(e2 algebra.Op, residual algebra.Expr, e1 algebra.Op, corrA1 st
 	e1Attrs := algebra.NameSet(e1.Attrs())
 	fv := algebra.NameSet(algebra.FreeVarsOf(e2), true)
 	if residual != nil {
-		residual.FreeVars(fv)
+		algebra.FreeVars(residual, fv)
 	}
 	for v := range fv {
 		if v == corrA1 {
@@ -263,7 +263,7 @@ func fIndependentOf(f algebra.SeqFunc, attrs ...string) bool {
 		return true
 	case algebra.SFFiltered:
 		fv := map[string]bool{}
-		w.Pred.FreeVars(fv)
+		algebra.FreeVars(w.Pred, fv)
 		for a := range banned {
 			if fv[a] {
 				return false

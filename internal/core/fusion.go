@@ -69,7 +69,8 @@ func (rw *Rewriter) applySelfJoinGrouping(x algebra.XiSimple) (algebra.Op, bool)
 		if !found {
 			return nil, false
 		}
-		cmds = append(cmds, algebra.ExprCmd(algebra.Var{Name: to}))
+		c.E = algebra.Var{Name: to}
+		cmds = append(cmds, c)
 	}
 
 	cAttr := corr.a2 + "#c"
@@ -220,8 +221,10 @@ func (rw *Rewriter) applyXiFusion(x algebra.XiSimple) (algebra.Op, bool) {
 		}
 		switch v.Name {
 		case gu.G:
-			if gIdx >= 0 {
-				return nil, false // group attribute printed twice
+			if gIdx >= 0 || c.InAttr {
+				// Printed twice, or inside an attribute value, whose atoms
+				// one command joins: S2 prints each member on its own.
+				return nil, false
 			}
 			gIdx = i
 		case a1:
@@ -238,7 +241,7 @@ func (rw *Rewriter) applyXiFusion(x algebra.XiSimple) (algebra.Op, bool) {
 		for _, c := range cs {
 			if !c.IsLit {
 				if v, isVar := c.E.(algebra.Var); isVar && v.Name == a1 {
-					c = algebra.ExprCmd(keyExpr)
+					c.E = keyExpr
 				}
 			}
 			out = append(out, c)

@@ -243,7 +243,7 @@ func Validate(plan algebra.Op) bool {
 					continue
 				}
 				fv := map[string]bool{}
-				c.E.FreeVars(fv)
+				algebra.FreeVars(c.E, fv)
 				for v := range fv {
 					if !inAttrs[v] {
 						okAll = false

@@ -20,7 +20,7 @@ func compileQuery(t *testing.T, src string) (*Rewriter, *translate.Result) {
 		t.Fatalf("parse: %v", err)
 	}
 	cat := schema.UseCases()
-	res, err := translate.Translate(normalize.NormalizeWithCatalog(ast, cat), cat)
+	res, err := translate.TranslateParams(normalize.NormalizeWithCatalog(ast, cat), cat, nil)
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
@@ -306,11 +306,11 @@ func TestSubstVarAndConjunctHelpers(t *testing.T) {
 	in := algebra.AndExpr{
 		L: algebra.CondExpr{If: algebra.CmpExpr{L: algebra.ArithExpr{L: year, R: algebra.ConstVal{}, Op: '+'}, R: x},
 			Then: algebra.InExpr{Item: x, Seq: x}, Else: algebra.NotExpr{E: algebra.BindTuples{E: x}}},
-		R: algebra.OrExpr{L: algebra.Call{Fn: "f", Args: []algebra.Expr{x, algebra.AggOfAttr{F: algebra.SFCount{}, Attr: x}}},
+		R: algebra.OrExpr{L: algebra.Call{Fn: "f", Args: []algebra.Expr{x, algebra.Param{Name: "p"}}},
 			R: algebra.ExistsQ{Var: "y", Range: algebra.Singleton{}, Pred: x}},
 	}
 	fv := map[string]bool{}
-	if substVar(in, "x", "x'").FreeVars(fv); fv["x"] || !fv["x'"] {
+	if algebra.FreeVars(substVar(in, "x", "x'"), fv); fv["x"] || !fv["x'"] {
 		t.Errorf("substVar left x free: %v in %s", fv, substVar(in, "x", "x'"))
 	}
 	shadow := algebra.ForallQ{Var: "x", Range: algebra.Singleton{}, Pred: x}
@@ -319,7 +319,7 @@ func TestSubstVarAndConjunctHelpers(t *testing.T) {
 	}
 	nested := algebra.NestedApply{F: algebra.SFCount{}, Plan: algebra.Select{In: algebra.Singleton{}, Pred: x}}
 	fv = map[string]bool{}
-	if substVar(nested, "x", "x'").FreeVars(fv); !fv["x"] {
+	if algebra.FreeVars(substVar(nested, "x", "x'"), fv); !fv["x"] {
 		t.Errorf("substVar is not expected to enter a nested plan: free %v", fv)
 	}
 

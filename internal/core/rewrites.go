@@ -271,7 +271,7 @@ func (rw *Rewriter) quantJoinPred(site quantSite, negateP bool) algebra.Expr {
 	// A reference to x inside a nested plan of p stays where it is: only the
 	// nested-loop form binds it, so there is no join predicate.
 	fv := map[string]bool{}
-	if pPrime.FreeVars(fv); fv[site.x] && site.x != site.xPrime {
+	if algebra.FreeVars(pPrime, fv); fv[site.x] && site.x != site.xPrime {
 		return nil
 	}
 	if negateP {
@@ -301,7 +301,7 @@ func quantDisjoint(site quantSite) bool {
 	}
 	fv := algebra.NameSet(algebra.FreeVarsOf(site.e2), true)
 	if site.rangePred != nil {
-		site.rangePred.FreeVars(fv)
+		algebra.FreeVars(site.rangePred, fv)
 	}
 	for v := range fv {
 		if !e1Attrs[v] {
@@ -319,7 +319,7 @@ func quantDisjoint(site quantSite) bool {
 func varOnlyInCorr(pred algebra.Expr, v string, e1Attrs, e2Attrs map[string]bool) bool {
 	for _, c := range effectiveConjuncts(pred) {
 		fv := map[string]bool{}
-		c.FreeVars(fv)
+		algebra.FreeVars(c, fv)
 		if !fv[v] {
 			continue
 		}
@@ -450,7 +450,7 @@ func pushResidual(l, r algebra.Op, pred algebra.Expr) (algebra.Expr, algebra.Op,
 	var kept, pushed []algebra.Expr
 	for _, c := range effectiveConjuncts(pred) {
 		fv := map[string]bool{}
-		c.FreeVars(fv)
+		algebra.FreeVars(c, fv)
 		all := true
 		for v := range fv {
 			if !rAttrs[v] {

@@ -129,9 +129,6 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 		return m.passThrough(w.In)
 	case algebra.ProjectRename:
 		return m.passThrough(w.In)
-	case algebra.ProjectDistinct:
-		in := m.Plan(w.In)
-		return Estimate{Card: in.Card * selDistinct, Cost: in.Cost + in.Card*tupleCost}
 	case algebra.Map:
 		in := m.Plan(w.In)
 		return Estimate{Card: in.Card, Cost: in.Cost + in.Card*(perTuple(op)+m.expr(w.E))}
@@ -178,10 +175,6 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 			return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + l.Card*r.Card*tupleCost}
 		}
 		return Estimate{Card: l.Card, Cost: l.Cost + r.Cost + (l.Card + r.Card) + l.Card*slotCost*width(op)}
-	case algebra.Unnest:
-		in := m.Plan(w.In)
-		card := in.Card * 3
-		return Estimate{Card: card, Cost: in.Cost + card*perTuple(op)}
 	case algebra.UnnestDistinct:
 		in := m.Plan(w.In)
 		card := in.Card * 3
@@ -222,8 +215,6 @@ func (m *Model) expr(e algebra.Expr) float64 {
 		return nestedPenalty * (m.Plan(w.Range).Cost + m.expr(w.Pred))
 	case algebra.ForallQ:
 		return nestedPenalty * (m.Plan(w.Range).Cost + m.expr(w.Pred))
-	case algebra.AggOfAttr:
-		return 1
 	case algebra.Param:
 		// External-variable read: one binding-table index, constant-cheap.
 		// Predicates over parameters take the same default selectivities as

@@ -43,7 +43,7 @@ func plansFor(t *testing.T, src string) []core.PlanAlt {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := translate.Translate(normalize.NormalizeWithCatalog(ast, cat), cat)
+	res, err := translate.TranslateParams(normalize.NormalizeWithCatalog(ast, cat), cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ func TestEveryOperatorEstimated(t *testing.T) {
 		algebra.Project{In: e1, Names: []string{"b"}},
 		algebra.ProjectDrop{In: e1, Names: []string{"b"}},
 		algebra.ProjectRename{In: e1, Pairs: []algebra.Rename{{New: "x", Old: "b"}}},
-		algebra.ProjectDistinct{In: e1, Pairs: []algebra.Rename{{New: "x", Old: "b"}}},
 		algebra.Map{In: e1, Attr: "x", E: algebra.ConstVal{V: value.Int(1)}},
 		algebra.SemiJoin{L: e1, R: e2, Pred: eq},
 		algebra.AntiJoin{L: e1, R: e2, Pred: eq},
@@ -39,7 +38,6 @@ func TestEveryOperatorEstimated(t *testing.T) {
 		algebra.GroupUnary{In: e2, G: "g", By: []string{"a"}, Theta: value.CmpLt, F: algebra.SFCount{}},
 		algebra.GroupBinary{L: e1, R: e2, G: "g", LAttrs: []string{"b"}, RAttrs: []string{"a"},
 			Theta: value.CmpEq, F: algebra.SFCount{}},
-		algebra.Unnest{In: e1, Attr: "g"},
 		algebra.UnnestDistinct{In: e1, Attr: "g"},
 		algebra.XiSimple{In: e1, Cmds: []algebra.Command{algebra.LitCmd("x")}},
 		algebra.XiGroup{In: e1, By: []string{"b"}},
@@ -67,7 +65,6 @@ func TestExprCosts(t *testing.T) {
 		algebra.OrExpr{L: algebra.Var{Name: "x"}, R: algebra.Var{Name: "y"}},
 		algebra.NotExpr{E: algebra.Var{Name: "x"}},
 		algebra.Call{Fn: "count", Args: []algebra.Expr{algebra.Var{Name: "x"}}},
-		algebra.AggOfAttr{F: algebra.SFCount{}, Attr: algebra.Var{Name: "g"}},
 		algebra.BindTuples{E: algebra.Var{Name: "x"}, Attr: "a'"},
 		algebra.ArithExpr{L: algebra.Var{Name: "x"}, R: algebra.Var{Name: "y"}, Op: '+'},
 		algebra.NestedApply{F: algebra.SFCount{}, Plan: inner},

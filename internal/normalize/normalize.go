@@ -42,12 +42,6 @@ func New() *Normalizer {
 	return n
 }
 
-// Normalize rewrites a parsed query without DTD facts; fact-dependent
-// rewrites are skipped where they would be unsound.
-func Normalize(e xquery.Expr) xquery.Expr {
-	return NormalizeWithCatalog(e, nil)
-}
-
 // NormalizeWithCatalog rewrites a parsed query using DTD facts to justify
 // the fact-dependent rewrites of Sec. 5.5.
 func NormalizeWithCatalog(e xquery.Expr, cat *schema.Catalog) xquery.Expr {

@@ -30,7 +30,7 @@ return $a`
 	}
 
 	// Without facts: the rewrite must be skipped (unsound in general).
-	withoutFacts := Normalize(ast).(xquery.FLWR)
+	withoutFacts := NormalizeWithCatalog(ast, nil).(xquery.FLWR)
 	if containsNarrowedRange(withoutFacts) {
 		t.Fatalf("narrowing must be skipped without facts:\n%s", withoutFacts)
 	}
@@ -59,7 +59,7 @@ return $a`
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Normalize(ast).(xquery.FLWR)
+	f := NormalizeWithCatalog(ast, nil).(xquery.FLWR)
 	if !containsNarrowedRange(f) {
 		t.Fatalf("some-narrowing needs no facts:\n%s", f)
 	}

@@ -16,7 +16,7 @@ func whereClauses(t *testing.T, q string) []xquery.WhereClause {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, ok := Normalize(ast).(xquery.FLWR)
+	f, ok := NormalizeWithCatalog(ast, nil).(xquery.FLWR)
 	if !ok {
 		t.Fatalf("normalized top is not FLWR")
 	}

@@ -19,8 +19,8 @@ func TestUnknownDocumentConservative(t *testing.T) {
 	if c.SingletonPath("nope.xml", "a", "b") {
 		t.Errorf("SingletonPath must be false without facts")
 	}
-	if c.CoversAllValues("nope.xml", "//a", "//b/a") {
-		t.Errorf("CoversAllValues must be false without facts")
+	if c.SameNodeSet("nope.xml", "//a", "//b/a") {
+		t.Errorf("SameNodeSet must be false without facts")
 	}
 }
 

@@ -208,13 +208,6 @@ func (c *Catalog) SameNodeSet(uri, pathA, pathB string) bool {
 	return true
 }
 
-// CoversAllValues reports whether the value set reached by pathA equals the
-// one reached by pathB (used for the instance conditions of Eqvs. 3, 5, 8
-// and 9). Node-set equality implies value-set equality.
-func (c *Catalog) CoversAllValues(uri, pathA, pathB string) bool {
-	return c.SameNodeSet(uri, pathA, pathB)
-}
-
 func splitChain(p string) []string {
 	p = strings.TrimPrefix(p, "//")
 	p = strings.TrimPrefix(p, "/")

@@ -18,7 +18,7 @@ func savedImage(t *testing.T) []byte {
 	cfg := xmlgen.DefaultConfig(50)
 	doc := xmlgen.Bib(cfg)
 	var buf bytes.Buffer
-	if err := Save(&buf, doc); err != nil {
+	if err := SaveStats(&buf, doc, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -171,7 +171,7 @@ func TestDeepNestingCostsNoStack(t *testing.T) {
 		t.Errorf("serialization is %d bytes, want %d", got, want)
 	}
 	var out bytes.Buffer
-	if err := Save(&out, d); err != nil || !bytes.Equal(out.Bytes(), img) {
+	if err := SaveStats(&out, d, nil); err != nil || !bytes.Equal(out.Bytes(), img) {
 		t.Errorf("re-saving the deep document: err %v, identical %v", err, bytes.Equal(out.Bytes(), img))
 	}
 }

@@ -49,7 +49,7 @@ func TestStatsRoundTrip(t *testing.T) {
 func TestStatsBackwardCompat(t *testing.T) {
 	d := dom.MustParseString(`<bib><book year="1994"><title>T</title></book></bib>`, "bib.xml")
 	var v1 bytes.Buffer
-	if err := Save(&v1, d); err != nil {
+	if err := SaveStats(&v1, d, nil); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	if !bytes.HasPrefix(v1.Bytes(), []byte("NALB1\n")) {
@@ -94,7 +94,7 @@ func TestStatsTruncatedTrailer(t *testing.T) {
 	}
 	img := buf.Bytes()
 	var v1 bytes.Buffer
-	if err := Save(&v1, d); err != nil {
+	if err := SaveStats(&v1, d, nil); err != nil {
 		t.Fatalf("save v1: %v", err)
 	}
 	docLen := v1.Len() // magic+doc bytes are identical apart from the magic
@@ -123,7 +123,7 @@ func TestStatsCorruptPathCount(t *testing.T) {
 	img := buf.Bytes()
 	// Rewrite the trailer: locate it by re-encoding the doc-only prefix.
 	var v1 bytes.Buffer
-	Save(&v1, d)
+	SaveStats(&v1, d, nil)
 	docLen := v1.Len()
 	corrupt := append([]byte{}, img[:docLen]...)
 	// elements=1, then a huge uvarint path count.

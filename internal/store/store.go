@@ -60,9 +60,6 @@ const maxString = 1 << 28
 // readStep bounds how far a string read allocates ahead of the bytes present.
 const readStep = 64 << 10
 
-// Save writes a document in version-1 binary form (no statistics).
-func Save(w io.Writer, d *dom.Document) error { return save(w, d, nil) }
-
 // SaveStats writes a document in version-2 binary form with the analyzer's
 // measured statistics appended, so loading skips the analysis walk. A nil
 // st falls back to version 1.
@@ -91,7 +88,7 @@ func save(w io.Writer, d *dom.Document, st *stats.DocStats) error {
 	return bw.Flush()
 }
 
-// Load reads a document written by Save or SaveStats and rebuilds document
+// Load reads a document written by SaveStats and rebuilds document
 // order; any persisted statistics are skipped.
 func Load(r io.Reader) (*dom.Document, error) {
 	d, _, err := LoadStats(r)

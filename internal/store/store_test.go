@@ -16,7 +16,7 @@ import (
 func roundTrip(t *testing.T, d *dom.Document) *dom.Document {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, d); err != nil {
+	if err := SaveStats(&buf, d, nil); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	out, err := Load(&buf)
@@ -83,7 +83,7 @@ func TestRoundTripProperty(t *testing.T) {
 		d := b.Done()
 
 		var buf bytes.Buffer
-		if err := Save(&buf, d); err != nil {
+		if err := SaveStats(&buf, d, nil); err != nil {
 			return false
 		}
 		out, err := Load(&buf)
@@ -134,7 +134,7 @@ func TestLoadErrors(t *testing.T) {
 	// Corrupt string length.
 	var buf bytes.Buffer
 	d := dom.MustParseString(`<a>x</a>`, "a.xml")
-	if err := Save(&buf, d); err != nil {
+	if err := SaveStats(&buf, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -172,7 +172,7 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestMagicPrefixStable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Save(&buf, dom.MustParseString(`<a/>`, "a.xml")); err != nil {
+	if err := SaveStats(&buf, dom.MustParseString(`<a/>`, "a.xml"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), magic) {

@@ -19,7 +19,7 @@ func translateQ(t *testing.T, q string) algebra.Op {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Translate(normalize.NormalizeWithCatalog(ast, schema.UseCases()), schema.UseCases())
+	res, err := TranslateParams(normalize.NormalizeWithCatalog(ast, schema.UseCases()), schema.UseCases(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

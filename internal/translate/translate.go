@@ -98,11 +98,6 @@ func New(cat *schema.Catalog) *Translator {
 	return &Translator{cat: cat, prov: map[string]Prov{}, bound: map[string]bool{}}
 }
 
-// Translate translates a normalized query into an algebra plan.
-func Translate(q xquery.Expr, cat *schema.Catalog) (*Result, error) {
-	return TranslateParams(q, cat, nil)
-}
-
 // TranslateParams translates a normalized query whose free variables named
 // in params are external: references to them become typed algebra.Param
 // expressions reading the per-run binding table at the given slot index,
@@ -261,7 +256,7 @@ func (tr *Translator) scope() func() {
 func (tr *Translator) letExpr(varName string, e xquery.Expr) (algebra.Expr, Prov, error) {
 	switch w := e.(type) {
 	case xquery.FLWR:
-		na, p, err := tr.nestedQuery(w, algebra.SFIdent{})
+		na, p, err := tr.nestedQuery(w)
 		return na, p, err
 	case xquery.Call:
 		if fn := aggName(w.Fn); fn != "" && len(w.Args) == 1 {
@@ -302,7 +297,7 @@ func (tr *Translator) letExpr(varName string, e xquery.Expr) (algebra.Expr, Prov
 
 // nestedQuery translates a nested FLWR into f(plan) where the return clause
 // determines the projection and f wraps it.
-func (tr *Translator) nestedQuery(f xquery.FLWR, _ algebra.SeqFunc) (algebra.Expr, Prov, error) {
+func (tr *Translator) nestedQuery(f xquery.FLWR) (algebra.Expr, Prov, error) {
 	rv, ok := f.Return.(xquery.VarRef)
 	if !ok {
 		return nil, Prov{}, errf("nested query must return a variable after normalization, got %s", f.Return)
@@ -427,7 +422,7 @@ func (tr *Translator) expr(e xquery.Expr) (algebra.Expr, error) {
 	case xquery.Quant:
 		return tr.quant(w)
 	case xquery.FLWR:
-		na, _, err := tr.nestedQuery(w, algebra.SFIdent{})
+		na, _, err := tr.nestedQuery(w)
 		return na, err
 	default:
 		return nil, errf("unsupported expression %T (%s)", e, e)
@@ -696,7 +691,7 @@ func (tr *Translator) ctorCommands(c xquery.ElemCtor) ([]algebra.Command, error)
 				return nil, err
 			}
 			flush()
-			cmds = append(cmds, algebra.ExprCmd(e))
+			cmds = append(cmds, algebra.AttrCmd(e))
 		}
 		lit.WriteString(`"`)
 	}

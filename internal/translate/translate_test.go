@@ -18,7 +18,7 @@ func compile(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Translate(normalize.NormalizeWithCatalog(ast, schema.UseCases()), schema.UseCases())
+	res, err := TranslateParams(normalize.NormalizeWithCatalog(ast, schema.UseCases()), schema.UseCases(), nil)
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestTranslateErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if _, err := Translate(normalize.NormalizeWithCatalog(ast, schema.UseCases()), schema.UseCases()); err == nil {
+		if _, err := TranslateParams(normalize.NormalizeWithCatalog(ast, schema.UseCases()), schema.UseCases(), nil); err == nil {
 			t.Errorf("expected translate error for %q", src)
 		}
 	}
@@ -232,7 +232,7 @@ func TestNilCatalogIsSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Translate(normalize.NormalizeWithCatalog(ast, schema.UseCases()), nil)
+	res, err := TranslateParams(normalize.NormalizeWithCatalog(ast, schema.UseCases()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"maps"
 	"slices"
 	"strings"
@@ -14,11 +15,12 @@ import (
 )
 
 // TestEveryNativeOperatorIsReachable: the operators of the compiled plans of
-// a fixed census — the paper queries and three statements for what they do
+// a fixed census — the paper queries and four statements for what they do
 // not reach — nested plans included, are exactly the cases of the schema
-// surface (the rule that types an operator and builds its iterator). An
-// operator only tests can build fails here, and so does a plan shape the
-// engine would have to refuse.
+// surface (the rule that types an operator and builds its iterator), and the
+// expression forms in their subscripts are exactly the forms internal/algebra
+// declares. An operator or a form only tests can build fails here, and so
+// does a plan shape the engine would have to refuse.
 func TestEveryNativeOperatorIsReachable(t *testing.T) {
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(100, 2)
@@ -32,36 +34,36 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 		`let $d1 := doc("bib.xml") for $a1 in distinct-values($d1//author) return <a>{ let $d2 := doc("bib.xml") for $a2 in distinct-values($d2//author) where $a1 = $a2 return $a2 }</a>`,
 		// Sort.
 		`for $b in doc("bib.xml")//book order by $b/title return $b/title`,
+		// The parameter, disjunction, conditional and arithmetic forms.
+		`declare variable $y external; for $b in doc("bib.xml")//book where $b/@year > $y or $b/price < 10 return <r>{ if ($b/price > 20) then $b/price * 2 else $b/title }</r>`,
 	)
 
-	found := map[string]bool{}
+	ops, forms := map[string]bool{}, map[string]bool{}
+	name := func(v any) string { return strings.TrimPrefix(fmt.Sprintf("%T", v), "algebra.") }
 	var op func(algebra.Op)
 	var expr func(algebra.Expr)
-	fn := func(f algebra.SeqFunc) {
-		for w, ok := f.(algebra.SFFiltered); ok; w, ok = w.Inner.(algebra.SFFiltered) {
-			expr(w.Pred)
-		}
-	}
 	expr = func(e algebra.Expr) {
-		switch w := e.(type) {
-		case nil:
+		if e == nil {
 			return
+		}
+		forms[name(e)] = true
+		switch w := e.(type) {
 		case algebra.NestedApply:
 			op(w.Plan)
-			fn(w.F)
+			for f, ok := w.F.(algebra.SFFiltered); ok; f, ok = f.Inner.(algebra.SFFiltered) {
+				expr(f.Pred)
+			}
 		case algebra.ExistsQ:
 			op(w.Range)
 		case algebra.ForallQ:
 			op(w.Range)
-		case algebra.AggOfAttr:
-			fn(w.F)
 		}
 		for i := 0; e.Child(i) != nil; i++ {
 			expr(e.Child(i))
 		}
 	}
 	op = func(o algebra.Op) {
-		found[strings.TrimPrefix(fmt.Sprintf("%T", o), "algebra.")] = true
+		ops[name(o)] = true
 		for _, e := range o.Exprs() {
 			expr(e)
 		}
@@ -79,25 +81,60 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 		}
 	}
 
-	dispatched := schemaSurfaceCases(t)
-	var missing, extra []string
-	for _, name := range dispatched {
-		if !found[name] {
-			missing = append(missing, name)
+	for _, c := range []struct {
+		what, where string
+		declared    []string
+		found       map[string]bool
+	}{
+		{"operators", "a schema rule", schemaSurfaceCases(t), ops},
+		{"expression forms", "a declaration in internal/algebra", algebraExprForms(t), forms},
+	} {
+		var missing, extra []string
+		for _, n := range c.declared {
+			if !c.found[n] {
+				missing = append(missing, n)
+			}
+		}
+		for n := range c.found {
+			if !slices.Contains(c.declared, n) {
+				extra = append(extra, n)
+			}
+		}
+		slices.Sort(extra)
+		if len(missing) > 0 {
+			t.Errorf("%s with %s that no plan of the census contains: %v", c.what, c.where, missing)
+		}
+		if len(extra) > 0 {
+			t.Errorf("%s in compiled plans without %s: %v", c.what, c.where, extra)
 		}
 	}
-	for name := range found {
-		if !slices.Contains(dispatched, name) {
-			extra = append(extra, name)
+}
+
+// algebraExprForms lists the expression forms of internal/algebra: the
+// receivers of its non-test Child methods.
+func algebraExprForms(t *testing.T) []string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/algebra", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "Child" {
+					names = append(names, fd.Recv.List[0].Type.(*ast.Ident).Name)
+				}
+			}
 		}
 	}
-	slices.Sort(extra)
-	if len(missing) > 0 {
-		t.Errorf("operators with a schema rule that no plan of the census contains: %v", missing)
+	if len(names) == 0 {
+		t.Fatal("no Child methods found in internal/algebra")
 	}
-	if len(extra) > 0 {
-		t.Errorf("operators in compiled plans without a schema rule: %v", extra)
-	}
+	slices.Sort(names)
+	return names
 }
 
 // schemaSurfaceCases reads the case list of the //nal:opswitch schema type
@@ -112,7 +149,7 @@ func schemaSurfaceCases(t *testing.T) []string {
 	var markerLine int
 	for _, cg := range src.Comments {
 		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, "//nal:opswitch schema") {
+			if c.Text == "//nal:opswitch schema" {
 				markerLine = fset.Position(c.Pos()).Line
 			}
 		}

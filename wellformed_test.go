@@ -22,7 +22,9 @@ const markupBib = `<bib>
 // texts are written as nodes and as strings, and must print alike: an
 // attribute node was written unescaped (`<o>a&b<c"d</o>`), and concat
 // escaped its arguments into the string it returned, so Ξ escaped them a
-// second time and string-length and contains read the escapes.
+// second time and string-length and contains read the escapes. An
+// enclosed expression in an attribute value was written as element content:
+// a " ended the attribute and an element became markup inside it.
 func TestOutputIsWellFormed(t *testing.T) {
 	eng := NewEngine()
 	if err := eng.LoadXMLString("bib.xml", markupBib); err != nil {
@@ -47,6 +49,21 @@ func TestOutputIsWellFormed(t *testing.T) {
 		{"string-length of concat", `let $d := doc("bib.xml") return <n>{ string-length(concat("<", "a")) }</n>`, `<n>2</n>`},
 		{"contains over concat", `for $b in doc("bib.xml")//book where contains(concat("<", $b/@t), "<x") return <o>{ $b/title }</o>`,
 			`<o><title>Plain</title></o>`},
+		// An attribute value is text: its atoms joined by one space, escaped
+		// for an attribute, never markup.
+		{"attribute node in an attribute", `for $b in doc("bib.xml")//book return <o a="{ $b/@t }"/>`,
+			`<o a="a&amp;b&lt;c&quot;d"></o><o a="x&gt;y"></o>`},
+		{"elements in an attribute", `for $b in doc("bib.xml")//book return <o a="{ $b/* }"/>`,
+			`<o a="Tom &amp; Jerry &lt;3 &gt; &quot;Q&quot; &amp; A"></o><o a="Plain &quot;Q&quot; &amp; A"></o>`},
+		{"concat in an attribute", `for $b in doc("bib.xml")//book return <o a="{ concat('a"<&', $b/title) }"/>`,
+			`<o a="a&quot;&lt;&amp;Tom &amp; Jerry &lt;3 &gt;"></o><o a="a&quot;&lt;&amp;Plain"></o>`},
+		{"distinct-values in an attribute", `for $a in distinct-values(doc("bib.xml")//author) return <a n="{ $a }">{ $a }</a>`,
+			`<a n="&quot;Q&quot; &amp; A">"Q" &amp; A</a>`},
+		// The group Ξ plan prints a group's members one by one, so it is not
+		// a plan for a group printed inside an attribute.
+		{"nested block in an attribute", `let $d1 := doc("bib.xml") for $a1 in distinct-values($d1//author)
+			return <a n="{ $a1 }" t="{ let $d2 := doc("bib.xml") for $b2 in $d2//book[$a1 = author] return $b2/title }"/>`,
+			`<a n="&quot;Q&quot; &amp; A" t="Tom &amp; Jerry &lt;3 &gt; Plain"></a>`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := assertAllPlansAgree(t, eng, c.query)
