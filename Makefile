@@ -84,6 +84,7 @@ fuzz-smoke: oracle
 	$(GO) test -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzHTTPQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzStoreLoad -fuzztime $(FUZZTIME) -run '^$$' ./internal/store/
+	$(GO) test -fuzz FuzzLoadXML -fuzztime $(FUZZTIME) -run '^$$' ./internal/dom/
 	$(GO) test -fuzz FuzzCompareAtoms -fuzztime $(FUZZTIME) -run '^$$' ./internal/value/
 
 bench-smoke: vet

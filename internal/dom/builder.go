@@ -9,8 +9,9 @@ import (
 
 // Rows and slab bytes accumulate in fixed-size chunks and are copied once,
 // in Done, into exact-size slabs: growing one big slice by append would copy
-// it about five times over (large slices grow by 1.25×), and the input
-// length is not known up front — Parse takes an io.Reader.
+// it about five times over (large slices grow by 1.25×), and no feeder
+// knows the node count up front — the scanner knows its input's length,
+// the store decoder and the generators not even that.
 const (
 	rowChunk  = 1024
 	slabChunk = 16 << 10

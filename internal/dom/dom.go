@@ -134,6 +134,11 @@ func (n *Node) Kind() Kind { return n.kind }
 // Name returns the element or attribute name; empty for text and document.
 func (n *Node) Name() string { return n.tab.names[n.name] }
 
+// NameID returns the document-local number of the node's name: two nodes of
+// one document have the same name exactly when they have the same NameID.
+// Text and document nodes have the empty name's, 0.
+func (n *Node) NameID() int { return int(n.name) }
+
 // Data returns the text content or attribute value; empty for elements and
 // documents.
 func (n *Node) Data() string {

@@ -1,65 +1,44 @@
 package dom
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// Parse reads an XML document from r and builds the ordered node tree.
-// Whitespace-only text between elements is dropped (the use-case DTDs are
-// element-content DTDs where such whitespace is insignificant).
+// Parse reads an XML document from r and builds the ordered node table. It
+// reads r to the end first, into one string, and scans that (see
+// ParseString); an error reading r is returned wrapped, so errors.As finds
+// it.
 func Parse(r io.Reader, uri string) (*Document, error) {
-	return parse(r, NewBuilder(uri))
-}
-
-func parse(r io.Reader, b *Builder) (*Document, error) {
-	uri := b.tab.uri
-	dec := xml.NewDecoder(r)
-	depth := 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dom: parse %s: %w", uri, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			b.Begin(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				b.Attrib(a.Name.Local, a.Value)
-			}
-			depth++
-		case xml.EndElement:
-			b.End()
-			depth--
-		case xml.CharData:
-			if depth > 0 && len(bytes.TrimSpace(t)) > 0 {
-				b.TextBytes(t)
-			}
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Ignored: not part of the paper's data model.
-		}
-	}
-	if depth != 0 {
-		return nil, fmt.Errorf("dom: parse %s: unbalanced document", uri)
-	}
-	if err := b.Err(); err != nil {
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, fmt.Errorf("dom: parse %s: %w", uri, err)
 	}
-	return b.Done(), nil
+	return ParseString(sb.String(), uri)
 }
 
-// ParseString parses an XML document from a string.
+// ParseString parses an XML document held in s, without copying s: the
+// table keeps its own copies of the names and values it holds. It accepts
+// the XML that encoding/xml's Decoder accepts with its defaults (docs/API.md
+// lists that subset). Every character-data token consisting of XML white
+// space only (#x20, #x9, #xD, #xA) is dropped — the use-case DTDs are
+// element-content DTDs where such whitespace is insignificant — and so is
+// text outside the root element. Errors name the line they were found on.
 func ParseString(s, uri string) (*Document, error) {
-	return Parse(strings.NewReader(s), uri)
+	return parse(s, NewBuilder(uri))
+}
+
+func parse(s string, b *Builder) (*Document, error) {
+	p := scanner{s: s, b: b}
+	err := p.run()
+	if err == nil {
+		err = b.Err()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dom: parse %s: %w", b.tab.uri, err)
+	}
+	return b.Done(), nil
 }
 
 // MustParseString parses a document and panics on error. For tests and

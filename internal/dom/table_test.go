@@ -270,10 +270,10 @@ func TestTooLargeIsAnError(t *testing.T) {
 		"text bytes": {12, `<r><a>0123456</a><b>789012</b></r>`},
 		"attr bytes": {12, `<r a="0123456" b="789012"/>`},
 	} {
-		if _, err := parse(strings.NewReader(tc.xml), small(tc.limit)); !errors.Is(err, ErrTooLarge) {
+		if _, err := parse(tc.xml, small(tc.limit)); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s: err = %v, want ErrTooLarge", name, err)
 		}
-		if d, err := parse(strings.NewReader(tc.xml), small(tc.limit+1)); err != nil || XMLString(d.Root) != tc.xml {
+		if d, err := parse(tc.xml, small(tc.limit+1)); err != nil || XMLString(d.Root) != tc.xml {
 			t.Errorf("%s: one more fits, but err = %v", name, err)
 		}
 	}

@@ -106,22 +106,56 @@ func Analyze(d *dom.Document) *DocStats { return AnalyzeVisit(d, nil) }
 // measuring: the index builder uses it when persisted statistics (a NALB2
 // store record) make re-measuring redundant.
 func Walk(d *dom.Document, v Visitor) {
-	walkElems(d, func(path string, c *dom.Node) {
-		v.VisitElem(path, c)
+	paths := newPathTable()
+	walkElems(d, paths, func(id int32, c *dom.Node) {
+		v.VisitElem(paths.path[id], c)
 		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
-			v.VisitAttr(path+"/@"+at.Name(), at)
+			v.VisitAttr(paths.path[paths.step(id, at)], at)
 		}
 	})
 }
 
+// pathTable numbers the absolute paths of one walk. A path is built once,
+// from its parent's path and its last step, however many nodes share it;
+// id 0 is the document node's empty path.
+type pathTable struct {
+	ids  map[uint64]int32 // by parent id, step name id and kind
+	path []string
+}
+
+func newPathTable() *pathTable {
+	return &pathTable{ids: map[uint64]int32{}, path: []string{""}}
+}
+
+// step returns the id of the path of n, an element or attribute, under
+// path parent.
+func (t *pathTable) step(parent int32, n *dom.Node) int32 {
+	attr := n.Kind() == dom.KindAttribute
+	k := uint64(parent)<<33 | uint64(n.NameID())<<1
+	if attr {
+		k |= 1
+	}
+	id, ok := t.ids[k]
+	if !ok {
+		sep := "/"
+		if attr {
+			sep = "/@"
+		}
+		id = int32(len(t.path))
+		t.path = append(t.path, t.path[parent]+sep+n.Name())
+		t.ids[k] = id
+	}
+	return id
+}
+
 // walkElems calls fn for every element of d, in document order, with the
-// element's absolute path. It is one scan of the document's ranks: the
-// stack holds the open elements' subtree ends and paths, so nesting depth
-// costs slice entries, not call frames.
-func walkElems(d *dom.Document, fn func(path string, c *dom.Node)) {
+// id of the element's absolute path in paths. It is one scan of the
+// document's ranks: the stack holds the open elements' subtree ends and
+// path ids, so nesting depth costs slice entries, not call frames.
+func walkElems(d *dom.Document, paths *pathTable, fn func(id int32, c *dom.Node)) {
 	type open struct {
-		end  int
-		path string
+		end int
+		id  int32
 	}
 	stack := []open{{end: d.NumNodes()}}
 	for i := 1; i < d.NumNodes(); i++ {
@@ -132,9 +166,9 @@ func walkElems(d *dom.Document, fn func(path string, c *dom.Node)) {
 		for i >= stack[len(stack)-1].end {
 			stack = stack[:len(stack)-1]
 		}
-		path := stack[len(stack)-1].path + "/" + c.Name()
-		fn(path, c)
-		stack = append(stack, open{end: c.End(), path: path})
+		id := paths.step(stack[len(stack)-1].id, c)
+		fn(id, c)
+		stack = append(stack, open{end: c.End(), id: id})
 	}
 }
 
@@ -152,12 +186,17 @@ type pathAcc struct {
 // attribute as it is measured (nil behaves like Analyze).
 func AnalyzeVisit(d *dom.Document, v Visitor) *DocStats {
 	s := &DocStats{URI: d.URI, byPath: map[string]*PathStats{}}
-	accs := map[string]*pathAcc{}
-	acc := func(path string, n *dom.Node) *pathAcc {
-		a := accs[path]
+	paths := newPathTable()
+	var accs []*pathAcc // by path id
+	acc := func(id int32, n *dom.Node) *pathAcc {
+		for int(id) >= len(accs) {
+			accs = append(accs, nil)
+		}
+		a := accs[id]
 		if a == nil {
+			path := paths.path[id]
 			a = &pathAcc{st: &PathStats{Path: path, FirstOrder: n.Order()}, numeric: true}
-			accs[path] = a
+			accs[id] = a
 			s.byPath[path] = a.st
 			s.Paths = append(s.Paths, a.st)
 		}
@@ -165,18 +204,18 @@ func AnalyzeVisit(d *dom.Document, v Visitor) *DocStats {
 		a.st.LastOrder = n.Order()
 		return a
 	}
-	walkElems(d, func(path string, c *dom.Node) {
+	walkElems(d, paths, func(id int32, c *dom.Node) {
 		s.Elements++
-		a := acc(path, c)
+		a := acc(id, c)
 		if v != nil {
-			v.VisitElem(path, c)
+			v.VisitElem(paths.path[id], c)
 		}
 		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
-			apath := path + "/@" + at.Name()
-			aa := acc(apath, at)
+			aid := paths.step(id, at)
+			aa := acc(aid, at)
 			aa.value(at.Data())
 			if v != nil {
-				v.VisitAttr(apath, at)
+				v.VisitAttr(paths.path[aid], at)
 			}
 		}
 		elemKids := int64(0)
@@ -193,6 +232,9 @@ func AnalyzeVisit(d *dom.Document, v Visitor) *DocStats {
 		}
 	})
 	for _, a := range accs {
+		if a == nil {
+			continue
+		}
 		if a.st.Count > 0 {
 			a.st.AvgFanout = float64(a.fanout) / float64(a.st.Count)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
+	"nalquery/internal/xmlgen"
 	"nalquery/internal/xpath"
 )
 
@@ -204,5 +205,23 @@ func TestFromPathsRoundtrip(t *testing.T) {
 		if r.Path(p.Path) != p {
 			t.Fatalf("lookup of %s broken", p.Path)
 		}
+	}
+}
+
+type noVisit struct{}
+
+func (noVisit) VisitElem(string, *dom.Node) {}
+func (noVisit) VisitAttr(string, *dom.Node) {}
+
+// TestWalkAllocsFollowPaths: the walk builds each distinct path once, so
+// its allocations follow the document's path set, not its node count —
+// bib.xml at size 1 000 costs what size 100 does.
+func TestWalkAllocsFollowPaths(t *testing.T) {
+	walkAllocs := func(size int) float64 {
+		d := xmlgen.Bib(xmlgen.DefaultConfig(size))
+		return testing.AllocsPerRun(5, func() { Walk(d, noVisit{}) })
+	}
+	if small, large := walkAllocs(100), walkAllocs(1000); small != large {
+		t.Fatalf("Walk made %.0f allocations at size 100 and %.0f at size 1 000", small, large)
 	}
 }

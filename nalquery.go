@@ -173,19 +173,27 @@ func (e *Engine) mutateWith(mut func(st *engineState), pre map[string]*stats.Doc
 	e.state.Store(next)
 }
 
-// LoadXML parses and registers a document under the given URI.
+// LoadXML parses and registers a document under the given URI. It reads r
+// to the end before parsing; an error reading r is returned wrapped, so
+// errors.As finds it.
 func (e *Engine) LoadXML(uri string, r io.Reader) error {
 	d, err := dom.Parse(r, uri)
 	if err != nil {
 		return err
 	}
-	e.mutate(func(st *engineState) { st.docs[uri] = d })
+	e.LoadDocument(d)
 	return nil
 }
 
-// LoadXMLString parses and registers a document from a string.
+// LoadXMLString parses and registers a document from a string, which it
+// reads in place.
 func (e *Engine) LoadXMLString(uri, s string) error {
-	return e.LoadXML(uri, strings.NewReader(s))
+	d, err := dom.ParseString(s, uri)
+	if err != nil {
+		return err
+	}
+	e.LoadDocument(d)
+	return nil
 }
 
 // LoadDocument registers an already-built document (e.g. from the synthetic
