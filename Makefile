@@ -86,6 +86,7 @@ fuzz-smoke: oracle
 	$(GO) test -fuzz FuzzStoreLoad -fuzztime $(FUZZTIME) -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzLoadXML -fuzztime $(FUZZTIME) -run '^$$' ./internal/dom/
 	$(GO) test -fuzz FuzzCompareAtoms -fuzztime $(FUZZTIME) -run '^$$' ./internal/value/
+	$(GO) test -fuzz FuzzIndexProbe -fuzztime $(FUZZTIME) -run '^$$' ./internal/index/
 
 bench-smoke: vet
 	$(GO) build ./...

@@ -2,20 +2,24 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
 )
 
 // NodeIndex is the execution-time handle of one structural or value index
-// (implemented by internal/index; a fake suffices for tests). ScanAll
-// enumerates the indexed nodes in document order. ProbeEq returns the nodes
-// whose atomized value equals the atomic key, or ok=false when the index has
-// no value layer (the operator then filters ScanAll itself, as it does for
-// every other comparison).
+// (implemented by internal/index; a fake suffices for tests). Its nodes are
+// document-order ranks into Doc (dom.Document.Node resolves one). ScanAll
+// enumerates the indexed ranks in ascending order. ProbeEq returns, in
+// ascending order, the ranks of the nodes whose atomized value equals the
+// atomic key, or ok=false when the index has no value layer (the operator
+// then filters ScanAll itself, as it does for every other comparison).
+// Neither result may be modified.
 type NodeIndex interface {
-	ScanAll() []*dom.Node
-	ProbeEq(key value.Value) ([]*dom.Node, bool)
+	Doc() *dom.Document
+	ScanAll() []int32
+	ProbeEq(key value.Value) ([]int32, bool)
 }
 
 // IndexScan binds Attr to the nodes of an indexed path instead of
@@ -55,75 +59,76 @@ type IndexScan struct {
 	EstCard float64
 }
 
-// nodes produces the scan's node list for the key's value: probe (or
-// enumerate) the index, then hop up to the bound ancestors. Counted as one
-// index scan; it is NOT a DocAccess — no document traversal runs, which is
-// the point.
-func (s IndexScan) nodes(ctx *Ctx, key value.Value) []*dom.Node {
+// ranks produces the scan's node list for the key's value, as ranks into
+// the index's document: probe (or enumerate) the index, then hop up to the
+// bound ancestors. Counted as one index scan; it is NOT a DocAccess — no
+// document traversal runs, which is the point. The result may be the
+// index's own list, so it is read, never written.
+func (s IndexScan) ranks(ctx *Ctx, doc *dom.Document, key value.Value) []int32 {
 	ctx.Stats.IndexScans++
-	var nodes []*dom.Node
+	var ranks []int32
 	switch {
 	case s.Key == nil:
-		nodes = s.Index.ScanAll()
+		ranks = s.Index.ScanAll()
 	case s.Cmp == value.CmpEq:
 		// The general comparison is existential over the key's atoms: probe
-		// each atom and union the matches.
-		var failed bool
-		for _, atom := range value.Atomize(key) {
+		// each atom and union the matches. One atom's group is ascending
+		// already; a union of several is sorted afresh.
+		atoms := value.Atomize(key)
+		for _, atom := range atoms {
 			part, ok := s.Index.ProbeEq(atom)
 			if !ok {
-				failed = true
+				ranks = filterScan(s.Index, doc, key, s.Cmp)
 				break
 			}
-			nodes = append(nodes, part...)
+			if len(atoms) == 1 {
+				ranks = part
+			} else {
+				ranks = append(ranks, part...)
+			}
 		}
-		if failed {
-			nodes = filterScan(s.Index, key, s.Cmp)
-		} else if len(nodes) > 1 {
-			nodes = sortDedupe(nodes)
+		if len(atoms) > 1 {
+			ranks = sortDedupe(ranks)
 		}
 	default:
 		// ∃-≠ is not the complement of ∃-=, and an ordered comparison has no
 		// probe: filter the node list with the same general comparison σ
 		// would run, existential over the key's atoms.
-		nodes = filterScan(s.Index, key, s.Cmp)
+		ranks = filterScan(s.Index, doc, key, s.Cmp)
 	}
-	if s.Depth > 0 && len(nodes) > 0 {
-		up := make([]*dom.Node, 0, len(nodes))
-		for _, n := range nodes {
+	if s.Depth > 0 && len(ranks) > 0 {
+		up := make([]int32, 0, len(ranks))
+		for _, r := range ranks {
+			n := doc.Node(int(r))
 			for i := 0; i < s.Depth && n != nil; i++ {
 				n = n.Parent()
 			}
 			if n != nil {
-				up = append(up, n)
+				up = append(up, int32(n.Order()))
 			}
 		}
-		nodes = sortDedupe(up)
+		ranks = sortDedupe(up)
 	}
-	return nodes
+	return ranks
 }
 
 // filterScan is the always-correct fallback: the full node list filtered
 // with the exact comparison the substituted σ predicate would evaluate.
-func filterScan(ix NodeIndex, key value.Value, op value.CmpOp) []*dom.Node {
-	var out []*dom.Node
-	for _, n := range ix.ScanAll() {
-		if value.GeneralCompare(value.NodeVal{Node: n}, key, op) {
-			out = append(out, n)
+func filterScan(ix NodeIndex, doc *dom.Document, key value.Value, op value.CmpOp) []int32 {
+	var out []int32
+	for _, r := range ix.ScanAll() {
+		if value.GeneralCompare(value.NodeVal{Node: doc.Node(int(r))}, key, op) {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-func sortDedupe(nodes []*dom.Node) []*dom.Node {
-	dom.SortDocOrder(nodes)
-	out := nodes[:1]
-	for _, n := range nodes[1:] {
-		if n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	return out
+// sortDedupe sorts ranks the caller owns into document order and drops
+// repeats.
+func sortDedupe(ranks []int32) []int32 {
+	slices.Sort(ranks)
+	return slices.Compact(ranks)
 }
 
 // Eval implements Op (the definitional evaluator).
@@ -132,16 +137,17 @@ func (s IndexScan) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if s.Key != nil {
 		key = s.Key.Eval(ctx, env)
 	}
-	nodes := s.nodes(ctx, key)
+	doc := s.Index.Doc()
+	ranks := s.ranks(ctx, doc, key)
 	in := s.In.Eval(ctx, env)
 	var out value.TupleSeq
 	for _, t := range in {
 		if ctx.Cancelled() {
 			break
 		}
-		for _, n := range nodes {
+		for _, r := range ranks {
 			nt := t.Copy()
-			nt[s.Attr] = value.NodeVal{Node: n}
+			nt[s.Attr] = value.NodeVal{Node: doc.Node(int(r))}
 			ctx.ChargeTuple(TripScan, nt)
 			out = append(out, nt)
 		}
@@ -181,14 +187,15 @@ func (s IndexScan) Attrs() ([]string, bool) {
 	return unionAttrs(in, []string{s.Attr}), true
 }
 
-// rowIndexScanIter is the slot-native iterator of IndexScan: the node list
+// rowIndexScanIter is the slot-native iterator of IndexScan: the rank list
 // is produced once at open, from the compiled key, then emitted per input
 // row like Υ's item loop.
 type rowIndexScanIter struct {
 	in    RowIter
 	lay   *value.Layout
 	slot  int
-	nodes []*dom.Node
+	doc   *dom.Document
+	ranks []int32
 	frame
 
 	cur  value.Row
@@ -201,9 +208,9 @@ func (s *rowIndexScanIter) Next() (value.Row, bool) {
 		if s.ctx.Cancelled() {
 			return value.Row{}, false
 		}
-		if s.pos < len(s.nodes) {
-			r := s.slab.extend(s.lay, s.cur, len(s.nodes)-s.pos)
-			r.Vals[s.slot] = value.NodeVal{Node: s.nodes[s.pos]}
+		if s.pos < len(s.ranks) {
+			r := s.slab.extend(s.lay, s.cur, len(s.ranks)-s.pos)
+			r.Vals[s.slot] = value.NodeVal{Node: s.doc.Node(int(s.ranks[s.pos]))}
 			s.pos++
 			s.ctx.Stats.Tuples++
 			s.ctx.ChargeRow(TripScan, r)

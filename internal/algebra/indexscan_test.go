@@ -12,23 +12,35 @@ import (
 // simulated with the same general comparison the real index agrees with;
 // hasVals=false refuses probes, forcing the operator's filter fallback.
 type fakeIndex struct {
-	nodes   []*dom.Node
+	doc     *dom.Document
+	ranks   []int32
 	hasVals bool
 	scans   int
 	probes  int
 }
 
-func (f *fakeIndex) ScanAll() []*dom.Node { f.scans++; return f.nodes }
+// fakeOf indexes nodes of d, which must be in document order.
+func fakeOf(d *dom.Document, nodes []*dom.Node, hasVals bool) *fakeIndex {
+	f := &fakeIndex{doc: d, hasVals: hasVals}
+	for _, n := range nodes {
+		f.ranks = append(f.ranks, int32(n.Order()))
+	}
+	return f
+}
 
-func (f *fakeIndex) ProbeEq(key value.Value) ([]*dom.Node, bool) {
+func (f *fakeIndex) Doc() *dom.Document { return f.doc }
+
+func (f *fakeIndex) ScanAll() []int32 { f.scans++; return f.ranks }
+
+func (f *fakeIndex) ProbeEq(key value.Value) ([]int32, bool) {
 	if !f.hasVals {
 		return nil, false
 	}
 	f.probes++
-	var out []*dom.Node
-	for _, n := range f.nodes {
-		if value.GeneralCompare(value.NodeVal{Node: n}, key, value.CmpEq) {
-			out = append(out, n)
+	var out []int32
+	for _, r := range f.ranks {
+		if value.GeneralCompare(value.NodeVal{Node: f.doc.Node(int(r))}, key, value.CmpEq) {
+			out = append(out, r)
 		}
 	}
 	return out, true
@@ -80,7 +92,7 @@ func sameNodes(a, b []*dom.Node) bool {
 func TestIndexScanStructural(t *testing.T) {
 	d := dom.MustParseString(idxTestDoc, "bib.xml")
 	books := idxNodes(t, d, "//book")
-	fx := &fakeIndex{nodes: books}
+	fx := fakeOf(d, books, false)
 	op := IndexScan{In: Singleton{}, Attr: "b", URI: "bib.xml",
 		Path: "/bib/book", Index: fx, EstCard: 3}
 	got, evalStats, iterStats := boundNodes(t, op, "b")
@@ -106,7 +118,7 @@ func TestIndexScanValueProbe(t *testing.T) {
 	d := dom.MustParseString(idxTestDoc, "bib.xml")
 	years := idxNodes(t, d, "//book/@year")
 	books := idxNodes(t, d, "//book")
-	fx := &fakeIndex{nodes: years, hasVals: true}
+	fx := fakeOf(d, years, true)
 	op := IndexScan{In: Singleton{}, Attr: "b", URI: "bib.xml",
 		Path: "/bib/book/@year", Index: fx, Depth: 1,
 		Cmp: value.CmpEq, Key: ConstVal{V: value.Int(1999)}, EstCard: 2}
@@ -125,7 +137,7 @@ func TestIndexScanValueProbe(t *testing.T) {
 func TestIndexScanMultiAtomKey(t *testing.T) {
 	d := dom.MustParseString(idxTestDoc, "bib.xml")
 	years := idxNodes(t, d, "//book/@year")
-	fx := &fakeIndex{nodes: years, hasVals: true}
+	fx := fakeOf(d, years, true)
 	op := IndexScan{In: Singleton{}, Attr: "y", URI: "bib.xml",
 		Path: "/bib/book/@year", Index: fx, Cmp: value.CmpEq,
 		Key: ConstVal{V: value.Seq{value.Int(1999), value.Int(2001)}}}
@@ -151,7 +163,7 @@ func TestIndexScanProbeFallback(t *testing.T) {
 		{"ne filters", true, value.CmpNe, 1},
 		{"ordered probe", true, value.CmpGt, 1},
 	} {
-		fx := &fakeIndex{nodes: years, hasVals: tc.hasVals}
+		fx := fakeOf(d, years, tc.hasVals)
 		op := IndexScan{In: Singleton{}, Attr: "y", URI: "bib.xml",
 			Path: "/bib/book/@year", Index: fx, Cmp: tc.cmp,
 			Key: ConstVal{V: value.Int(1999)}}
@@ -170,7 +182,7 @@ func TestIndexScanProbeFallback(t *testing.T) {
 func TestIndexScanPerInputRow(t *testing.T) {
 	d := dom.MustParseString(idxTestDoc, "bib.xml")
 	books := idxNodes(t, d, "//book")
-	fx := &fakeIndex{nodes: books}
+	fx := fakeOf(d, books, false)
 	in := UnnestMap{In: Singleton{}, Attr: "i",
 		E: ConstVal{V: value.Seq{value.Int(1), value.Int(2)}}}
 	op := IndexScan{In: in, Attr: "b", URI: "bib.xml", Path: "/bib/book", Index: fx}

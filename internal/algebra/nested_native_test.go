@@ -172,7 +172,7 @@ func TestInnerIndexScanProbesPerOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := &fakeIndex{nodes: doc.Root.Descendants("k", nil), hasVals: true}
+	ix := fakeOf(doc, doc.Root.Descendants("k", nil), true)
 	op := Map{In: relR1(), Attr: "n", E: NestedApply{F: SFCount{},
 		Plan: IndexScan{In: Singleton{}, Attr: "k", Index: ix, Cmp: value.CmpEq, Key: Var{Name: "A1"}}}}
 	st := sameRun(t, "indexed nested", op)

@@ -326,10 +326,11 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 			if key != nil {
 				k = key(&s.frame, singleton[0], o)
 			}
-			s.nodes = w.nodes(ctx, k)
+			s.doc = w.Index.Doc()
+			s.ranks = w.ranks(ctx, s.doc, k)
 			// pos starts exhausted so the first Next pulls an input row
 			// before emitting.
-			s.pos = len(s.nodes)
+			s.pos = len(s.ranks)
 			return s
 		})
 

@@ -137,7 +137,7 @@ func TestStreamingAllocsPerTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	books := &fakeIndex{nodes: doc.Root.Descendants("book", nil)}
+	books := fakeOf(doc, doc.Root.Descendants("book", nil), false)
 
 	scan := func(attr string) Op { return UnnestMap{In: Singleton{}, Attr: attr, E: ConstVal{V: seq}} }
 	src := scan("x")

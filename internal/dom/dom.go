@@ -30,7 +30,6 @@ package dom
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -291,6 +290,3 @@ func CompareOrder(a, b *Node) int {
 	}
 	return cmp.Compare(a.pre, b.pre)
 }
-
-// SortDocOrder sorts nodes into document order in place, keeping duplicates.
-func SortDocOrder(nodes []*Node) { slices.SortStableFunc(nodes, CompareOrder) }

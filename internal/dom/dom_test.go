@@ -93,17 +93,6 @@ func TestDocumentOrderRanks(t *testing.T) {
 	}
 }
 
-func TestSortDocOrder(t *testing.T) {
-	d := MustParseString(sample, "bib.xml")
-	var authors []*Node
-	authors = d.Root.Descendants("author", authors)
-	shuffled := []*Node{authors[2], authors[0], authors[1], authors[0]}
-	SortDocOrder(shuffled)
-	if shuffled[0] != authors[0] || shuffled[1] != authors[0] || shuffled[3] != authors[2] {
-		t.Fatalf("sort by document order failed")
-	}
-}
-
 func TestBuilderRoundTrip(t *testing.T) {
 	b := NewBuilder("x.xml")
 	b.Begin("r").Attrib("k", "v")

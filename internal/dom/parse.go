@@ -134,21 +134,23 @@ func writeAttr(w *stickyWriter, a *Node) {
 }
 
 var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#xD;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#xD;")
 )
 
-// EscapeText escapes character data for element content.
+// EscapeText escapes character data for element content. A CR is written
+// as a character reference: a reader turns a raw one into LF.
 func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
+	if !strings.ContainsAny(s, "&<>\r") {
 		return s
 	}
 	return textEscaper.Replace(s)
 }
 
-// EscapeAttr escapes character data for attribute values.
+// EscapeAttr escapes character data for attribute values, CR as in
+// EscapeText.
 func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, `&<>"`) {
+	if !strings.ContainsAny(s, "&<>\"\r") {
 		return s
 	}
 	return attrEscaper.Replace(s)

@@ -1,22 +1,33 @@
 // Package index implements the structural and value indexes of the store
-// tier: for every absolute path of a document, the ordered list of its nodes
-// (structural index), and for simple-content paths additionally a hash map
-// from the leaf's typed value key to its nodes (value index). Both are built
-// in the same single walk that measures the document's statistics
+// tier: for every absolute path of a document, the document-order ranks of
+// its nodes (structural index), and for simple-content paths additionally
+// the same ranks grouped by the leaf's typed value key (value index). Both
+// are built in the same single walk that measures the document's statistics
 // (stats.AnalyzeVisit), so Build returns the DocStats alongside.
+//
+// The indexes hold no pointer into the document. A posting is an int32 rank
+// that dom.Document.Node resolves; every path's rank list is a window of one
+// flat array; and a path's value layer is three []int32 — its ranks grouped
+// by key, the group offsets, and an open-addressed slot table over
+// value.HashKey.Hash. So the collector has nothing inside them to trace,
+// and a build allocates per path, not per distinct key.
 //
 // The planner substitutes an algebra.IndexScan for a full Υ-scan (plus a
 // selection, for value probes) when a query path resolves onto indexed
 // paths — see internal/core's SubstituteIndexes. Probe semantics are exact:
 // value keys use value.KeyOf, whose equality classes coincide with
 // value.CompareAtomic equality by construction — both read the atom rule of
-// internal/value, and FuzzCompareAtoms holds them to it — so an equality
-// probe returns precisely the nodes a scan-and-filter would keep; the
-// other comparisons are a pass over the path's node list (ScanAll) with the
-// same GeneralCompare the σ predicate would run.
+// internal/value, and FuzzCompareAtoms holds them to it — and a probe
+// accepts a group only when KeyOf of the group's first member equals the
+// probe key, so no answer depends on the hash. An equality probe therefore
+// returns precisely the nodes a scan-and-filter would keep (FuzzIndexProbe);
+// the other comparisons are a pass over the path's rank list (ScanAll) with
+// the same GeneralCompare the σ predicate would run.
 package index
 
 import (
+	"slices"
+
 	"nalquery/internal/dom"
 	"nalquery/internal/stats"
 	"nalquery/internal/value"
@@ -27,36 +38,145 @@ import (
 type PathIndex struct {
 	// Path is the absolute path ("/bib/book", "/bib/book/@year").
 	Path string
-	// Nodes lists the path's nodes in document order.
-	Nodes []*dom.Node
+	// Ranks lists the document-order ranks of the path's nodes, ascending.
+	Ranks []int32
 	// HasValues reports that the value layer below is populated (simple
 	// content only — see stats.PathStats.Simple).
 	HasValues bool
 
-	eq map[value.HashKey][]*dom.Node
+	doc  *dom.Document
+	vals values
 }
 
-// ScanAll implements algebra.NodeIndex: the full node list, document order.
-func (x *PathIndex) ScanAll() []*dom.Node { return x.Nodes }
+// Doc implements algebra.NodeIndex: the document the ranks index.
+func (x *PathIndex) Doc() *dom.Document { return x.doc }
 
-// ProbeEq implements algebra.NodeIndex: the nodes whose atomized value
-// equals the given atomic key (exact — KeyOf equality coincides with
-// CompareAtomic equality, see FuzzCompareAtoms). ok is false when the path
-// has no value layer.
-func (x *PathIndex) ProbeEq(key value.Value) ([]*dom.Node, bool) {
+// ScanAll implements algebra.NodeIndex: every rank, document order.
+func (x *PathIndex) ScanAll() []int32 { return x.Ranks }
+
+// ProbeEq implements algebra.NodeIndex: the ranks of the nodes whose
+// atomized value equals the given atomic key, in document order (exact —
+// KeyOf equality coincides with CompareAtomic equality, see
+// FuzzCompareAtoms). ok is false when the path has no value layer.
+func (x *PathIndex) ProbeEq(key value.Value) ([]int32, bool) {
 	if !x.HasValues {
 		return nil, false
 	}
-	return x.eq[value.KeyOf(key)], true
+	return x.vals.probe(x.doc, value.KeyOf(key), keyHash), true
+}
+
+// values is one path's value layer: its ranks grouped by KeyOf, found
+// through an open-addressed table over the key's hash.
+type values struct {
+	// members holds the path's ranks grouped by key, in document order
+	// within each group; group g is members[starts[g]:starts[g+1]].
+	members, starts []int32
+	// slots is a linear-probing table whose length is a power of two, at
+	// most half full: a slot holds g+1 for group g, 0 when empty.
+	slots []int32
+}
+
+// hashSeed seeds the value layer's hash. Any seed gives the same answers:
+// a probe confirms its group by key.
+const hashSeed = 0x6e616c7175657279
+
+func keyHash(k value.HashKey) uint64 { return k.Hash(hashSeed) }
+
+// probe returns the group whose first member's key is k, or nil. hash must
+// be the one the layer was built with.
+func (v *values) probe(d *dom.Document, k value.HashKey, hash func(value.HashKey) uint64) []int32 {
+	mask := uint64(len(v.slots) - 1)
+	for i := hash(k) & mask; v.slots[i] != 0; i = (i + 1) & mask {
+		g := v.slots[i]
+		lo, hi := v.starts[g-1], v.starts[g]
+		if value.KeyOf(value.NodeVal{Node: d.Node(int(v.members[lo]))}) == k {
+			return v.members[lo:hi:hi]
+		}
+	}
+	return nil
+}
+
+// buildValues groups ranks (ascending) by the key of their nodes. distinct
+// is the expected number of keys; it sizes the tables and is only a hint
+// (a persisted statistics record may say anything).
+func buildValues(d *dom.Document, ranks []int32, distinct int, hash func(value.HashKey) uint64) values {
+	distinct = max(min(distinct, len(ranks)), 1)
+	keys := make([]value.HashKey, 0, distinct) // group g's key, during the build only
+	group := make([]int32, len(ranks))         // the group of ranks[i]
+	starts := make([]int32, 0, distinct+1)     // group g's size, then its offset
+	slots := make([]int32, tableSize(distinct))
+	for i, r := range ranks {
+		if 2*(len(keys)+1) > len(slots) {
+			slots = rehash(keys, 2*len(slots), hash)
+		}
+		k := value.KeyOf(value.NodeVal{Node: d.Node(int(r))})
+		mask := uint64(len(slots) - 1)
+		j := hash(k) & mask
+		for slots[j] != 0 && keys[slots[j]-1] != k {
+			j = (j + 1) & mask
+		}
+		if slots[j] == 0 {
+			keys = append(keys, k)
+			starts = append(starts, 0)
+			slots[j] = int32(len(keys))
+		}
+		g := slots[j] - 1
+		group[i] = g
+		starts[g]++
+	}
+	// Turn each group's size into its end, then place the ranks back to
+	// front: each end steps down to the group's start, and every group
+	// keeps document order.
+	var end int32
+	for g, n := range starts {
+		end += n
+		starts[g] = end
+	}
+	members := make([]int32, len(ranks))
+	for i := len(ranks) - 1; i >= 0; i-- {
+		g := group[i]
+		starts[g]--
+		members[starts[g]] = ranks[i]
+	}
+	starts = append(starts, int32(len(ranks)))
+	return values{members: members, starts: starts, slots: slots}
+}
+
+// tableSize is the smallest power of two that holds n keys at most half
+// full.
+func tableSize(n int) int {
+	size := 2
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// rehash is a slot table of the given size over keys (group g's key at g).
+func rehash(keys []value.HashKey, size int, hash func(value.HashKey) uint64) []int32 {
+	slots := make([]int32, size)
+	mask := uint64(size - 1)
+	for g, k := range keys {
+		j := hash(k) & mask
+		for slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		slots[j] = int32(g + 1)
+	}
+	return slots
 }
 
 // merged is the union of several path indexes: the NodeIndex a structural
 // scan over a multi-path expression (e.g. //title across chapters and books)
 // resolves to. It has no value layer.
-type merged struct{ nodes []*dom.Node }
+type merged struct {
+	doc   *dom.Document
+	ranks []int32
+}
 
-func (m *merged) ScanAll() []*dom.Node                    { return m.nodes }
-func (m *merged) ProbeEq(value.Value) ([]*dom.Node, bool) { return nil, false }
+func (m *merged) Doc() *dom.Document                  { return m.doc }
+func (m *merged) ScanAll() []int32                    { return m.ranks }
+func (m *merged) ProbeEq(value.Value) ([]int32, bool) { return nil, false }
 
 // DocIndexes holds every path index of one document plus the statistics
 // measured by the same walk.
@@ -66,18 +186,25 @@ type DocIndexes struct {
 	Stats  *stats.DocStats
 }
 
-// builder collects nodes per path during the stats walk.
+// builder numbers the paths of the stats walk and records each visited
+// node's path by rank.
 type builder struct {
-	x *DocIndexes
+	ids    map[string]int32 // path → its number + 1
+	paths  []string         // by number, in order of first visit
+	counts []int32          // nodes per path, by number
+	pathOf []int32          // by rank: the node's path number + 1, 0 if unvisited
 }
 
 func (b *builder) visit(path string, n *dom.Node) {
-	px := b.x.ByPath[path]
-	if px == nil {
-		px = &PathIndex{Path: path}
-		b.x.ByPath[path] = px
+	id := b.ids[path]
+	if id == 0 {
+		b.paths = append(b.paths, path)
+		b.counts = append(b.counts, 0)
+		id = int32(len(b.paths))
+		b.ids[path] = id
 	}
-	px.Nodes = append(px.Nodes, n)
+	b.counts[id-1]++
+	b.pathOf[n.Order()] = id
 }
 
 func (b *builder) VisitElem(path string, n *dom.Node) { b.visit(path, n) }
@@ -91,35 +218,54 @@ func Build(d *dom.Document) *DocIndexes { return BuildWith(d, nil) }
 // NALB2 record): when given, the walk only collects index nodes and the
 // measuring pass is skipped.
 func BuildWith(d *dom.Document, st *stats.DocStats) *DocIndexes {
-	x := &DocIndexes{URI: d.URI, ByPath: map[string]*PathIndex{}}
-	b := &builder{x: x}
+	b := &builder{ids: map[string]int32{}, pathOf: make([]int32, d.NumNodes())}
+	x := &DocIndexes{URI: d.URI, Stats: st}
 	if st != nil {
-		x.Stats = st
 		stats.Walk(d, b)
 	} else {
 		x.Stats = stats.AnalyzeVisit(d, b)
 	}
-	for path, px := range x.ByPath {
-		ps := x.Stats.Path(path)
+	// Every path's rank list is a window of one array, filled in rank
+	// order, so each list is in document order.
+	var total int
+	for _, n := range b.counts {
+		total += int(n)
+	}
+	all := make([]int32, total)
+	slab := make([]PathIndex, len(b.paths))
+	x.ByPath = make(map[string]*PathIndex, len(b.paths))
+	off := 0
+	for i, path := range b.paths {
+		end := off + int(b.counts[i])
+		slab[i] = PathIndex{Path: path, Ranks: all[off:off:end], doc: d}
+		x.ByPath[path] = &slab[i]
+		off = end
+	}
+	for r, id := range b.pathOf {
+		if id != 0 {
+			px := &slab[id-1]
+			px.Ranks = append(px.Ranks, int32(r))
+		}
+	}
+	for i := range slab {
+		px := &slab[i]
+		ps := x.Stats.Path(px.Path)
 		if ps == nil || !ps.Simple {
 			continue
 		}
 		px.HasValues = true
-		px.eq = make(map[value.HashKey][]*dom.Node, ps.Distinct)
-		for _, n := range px.Nodes {
-			k := value.KeyOf(value.NodeVal{Node: n})
-			px.eq[k] = append(px.eq[k], n)
-		}
+		px.vals = buildValues(d, px.Ranks, int(ps.Distinct), keyHash)
 	}
 	return x
 }
 
 // ScanInfo describes the index resolution of a structural scan.
 type ScanInfo struct {
-	// Index yields the expression's nodes in document order.
+	// Index yields the expression's node ranks in document order.
 	Index interface {
-		ScanAll() []*dom.Node
-		ProbeEq(key value.Value) ([]*dom.Node, bool)
+		Doc() *dom.Document
+		ScanAll() []int32
+		ProbeEq(key value.Value) ([]int32, bool)
 	}
 	// Path is the display form of the resolved absolute path(s).
 	Path string
@@ -137,31 +283,35 @@ func (x *DocIndexes) Scan(p xpath.Path) (ScanInfo, bool) {
 	if !ok || len(paths) == 0 {
 		return ScanInfo{}, false
 	}
+	first := x.ByPath[paths[0]]
 	if len(paths) == 1 {
-		px := x.ByPath[paths[0]]
-		return ScanInfo{Index: px, Path: px.Path, Card: float64(len(px.Nodes))}, true
+		return ScanInfo{Index: first, Path: first.Path, Card: float64(len(first.Ranks))}, true
 	}
 	// Multiple paths: union in document order. Absolute paths partition the
-	// nodes, so a k-way append+sort dedupes nothing — every node appears
-	// exactly once.
-	var nodes []*dom.Node
+	// nodes, so the sorted concatenation repeats no rank.
+	var total int
+	for _, ap := range paths {
+		total += len(x.ByPath[ap].Ranks)
+	}
+	ranks := make([]int32, 0, total)
 	display := paths[0]
 	for i, ap := range paths {
-		nodes = append(nodes, x.ByPath[ap].Nodes...)
+		ranks = append(ranks, x.ByPath[ap].Ranks...)
 		if i > 0 {
 			display += "|" + ap
 		}
 	}
-	dom.SortDocOrder(nodes)
-	return ScanInfo{Index: &merged{nodes: nodes}, Path: display, Card: float64(len(nodes))}, true
+	slices.Sort(ranks)
+	return ScanInfo{Index: &merged{doc: first.doc, ranks: ranks}, Path: display, Card: float64(len(ranks))}, true
 }
 
 // ValueInfo describes the index resolution of a value probe.
 type ValueInfo struct {
 	// Index is the value index at the leaf path.
 	Index interface {
-		ScanAll() []*dom.Node
-		ProbeEq(key value.Value) ([]*dom.Node, bool)
+		Doc() *dom.Document
+		ScanAll() []int32
+		ProbeEq(key value.Value) ([]int32, bool)
 	}
 	// Path is the resolved absolute leaf path.
 	Path string

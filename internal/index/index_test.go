@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,8 +47,11 @@ func TestScanAgainstEval(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d nodes, the path selects %d", e, len(got), len(want))
 		}
-		for i, n := range got {
-			if want[i] != n {
+		if si.Index.Doc() != d {
+			t.Fatalf("%s: the index ranks another document", e)
+		}
+		for i, r := range got {
+			if want[i] != d.Node(int(r)) {
 				t.Fatalf("%s: node %d differs", e, i)
 			}
 		}
@@ -78,10 +82,10 @@ func TestProbeEqAgainstFilter(t *testing.T) {
 		if !ok {
 			t.Fatalf("title path should carry a value index")
 		}
-		var want []*dom.Node
-		for _, n := range si.Index.ScanAll() {
-			if value.GeneralCompare(value.NodeVal{Node: n}, key, value.CmpEq) {
-				want = append(want, n)
+		var want []int32
+		for _, r := range si.Index.ScanAll() {
+			if value.GeneralCompare(value.NodeVal{Node: d.Node(int(r))}, key, value.CmpEq) {
+				want = append(want, r)
 			}
 		}
 		if len(got) != len(want) {
@@ -163,7 +167,7 @@ func TestBuildWithPersistedStats(t *testing.T) {
 	}
 	for p, px := range full.ByPath {
 		qx := re.ByPath[p]
-		if qx == nil || len(qx.Nodes) != len(px.Nodes) || qx.HasValues != px.HasValues {
+		if qx == nil || !slices.Equal(qx.Ranks, px.Ranks) || qx.HasValues != px.HasValues {
 			t.Fatalf("index at %s differs", p)
 		}
 	}

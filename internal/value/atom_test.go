@@ -35,6 +35,9 @@ func checkAtoms(t *testing.T, vals []Value) {
 			if (KeyOf(a) == KeyOf(b)) != eq {
 				t.Errorf("%#v = %#v is %v, but KeyOf equal is %v", a, b, eq, KeyOf(a) == KeyOf(b))
 			}
+			if eq && KeyOf(a).Hash(7) != KeyOf(b).Hash(7) {
+				t.Errorf("%#v = %#v, but their keys hash apart", a, b)
+			}
 			if eq != CompareAtomic(b, a, CmpEq) {
 				t.Errorf("%#v = %#v is %v, the other way round %v", a, b, eq, !eq)
 			}

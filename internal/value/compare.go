@@ -2,6 +2,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -476,6 +477,40 @@ func numKey(f float64) HashKey {
 		f = 0
 	}
 	return HashKey{kind: 'n', num: f}
+}
+
+// Hash returns a 64-bit hash of the key under seed: equal keys hash equally
+// under one seed. The hash decides where a key is looked for, never whether
+// it is found — a table keyed by it (internal/index's value layer) confirms
+// every candidate by key equality.
+func (k HashKey) Hash(seed uint64) uint64 {
+	h := mix64(seed ^ uint64(k.kind)<<8 ^ uint64(k.kind2))
+	h = mix64(h ^ math.Float64bits(k.num))
+	h = hashString(h, k.str)
+	h = mix64(h ^ math.Float64bits(k.num2))
+	return hashString(h, k.str2)
+}
+
+// hashString folds s into h eight bytes at a time, then its length.
+func hashString(h uint64, s string) uint64 {
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix64(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
+	}
+	var tail uint64
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	return mix64(h ^ tail ^ uint64(len(s))<<56)
+}
+
+// mix64 is the splitmix64 finalizer: every input bit reaches every output
+// bit.
+func mix64(h uint64) uint64 {
+	h += 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // compositeTag marks the second column of a two-column composite key:

@@ -42,7 +42,7 @@ func refEval(p Path, ctx value.Value) []*dom.Node {
 			}
 			out = append(out, sel...)
 		}
-		dom.SortDocOrder(out)
+		slices.SortStableFunc(out, dom.CompareOrder)
 		cur = cur[:0]
 		for i, n := range out {
 			if i == 0 || n != out[i-1] {

@@ -309,7 +309,7 @@ func dedupeDocOrder(nodes []*dom.Node) []*dom.Node {
 	if len(nodes) < 2 {
 		return nodes
 	}
-	// dom.SortDocOrder's body, not a call to it: inlined across the package
+	// Sorted here, not through a helper in dom: called across the package
 	// boundary the generic sort is opaque to escape analysis, which would
 	// move Append's two stack buffers to the heap (TestEvalAllocations).
 	slices.SortStableFunc(nodes, dom.CompareOrder)
