@@ -28,7 +28,6 @@ import (
 
 	nalquery "nalquery"
 	"nalquery/internal/cli"
-	"nalquery/internal/store"
 )
 
 type docFlags []string
@@ -72,28 +71,12 @@ func main() {
 		eng.LoadDBLPDocument(*gen)
 	}
 	for _, d := range docs {
-		uri, path, ok := strings.Cut(d, "=")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "nalrun: -doc needs uri=path, got %q\n", d)
+		if err := cli.LoadDoc(eng, d); errors.Is(err, cli.ErrDocSpec) {
+			fmt.Fprintf(os.Stderr, "nalrun: %v\n", err)
 			os.Exit(2)
-		}
-		if strings.HasSuffix(path, ".nalb") {
-			doc, err := store.LoadFile(path)
-			if err != nil {
-				fail(err)
-			}
-			doc.URI = uri
-			eng.LoadDocument(doc)
-			continue
-		}
-		f, err := os.Open(path)
-		if err != nil {
+		} else if err != nil {
 			fail(err)
 		}
-		if err := eng.LoadXML(uri, f); err != nil {
-			fail(err)
-		}
-		f.Close()
 	}
 
 	// The prepared path: compile once, bind the -var values per run. A

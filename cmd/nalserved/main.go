@@ -42,7 +42,6 @@ import (
 	nalquery "nalquery"
 	"nalquery/internal/cli"
 	"nalquery/internal/server"
-	"nalquery/internal/store"
 )
 
 type repeatFlags []string
@@ -89,14 +88,10 @@ func main() {
 		logger.Printf("generated use-case corpus at size %d (%d authors/book)", *gen, *apb)
 	}
 	for _, d := range docs {
-		uri, path, ok := strings.Cut(d, "=")
-		if !ok {
-			logger.Fatalf("-doc needs uri=path, got %q", d)
-		}
-		if err := loadDoc(eng, uri, path); err != nil {
+		if err := cli.LoadDoc(eng, d); err != nil {
 			logger.Fatalf("load %s: %v", d, err)
 		}
-		logger.Printf("loaded %s from %s", uri, path)
+		logger.Printf("loaded %s", d)
 	}
 
 	srv := server.New(eng, server.Config{
@@ -158,23 +153,4 @@ func main() {
 		logger.Printf("shutdown: %v", err)
 	}
 	logger.Printf("bye")
-}
-
-// loadDoc registers one -doc flag: a .nalb binary store file or XML.
-func loadDoc(eng *nalquery.Engine, uri, path string) error {
-	if strings.HasSuffix(path, ".nalb") {
-		doc, err := store.LoadFile(path)
-		if err != nil {
-			return err
-		}
-		doc.URI = uri
-		eng.LoadDocument(doc)
-		return nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return eng.LoadXML(uri, f)
 }

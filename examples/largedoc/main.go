@@ -14,6 +14,7 @@ import (
 	nalquery "nalquery"
 	"nalquery/internal/cli"
 	"nalquery/internal/dom"
+	"nalquery/internal/stats"
 	"nalquery/internal/store"
 	"nalquery/internal/xmlgen"
 )
@@ -27,13 +28,13 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Generate and persist.
+	// Generate and persist with the analyzer's statistics.
 	cfg := xmlgen.DefaultConfig(books)
 	cfg.AuthorsPerBook = 5
 	doc := xmlgen.Bib(cfg)
 	path := filepath.Join(dir, "bib.nalb")
 	t0 := time.Now()
-	if err := store.SaveFile(path, doc); err != nil {
+	if err := store.SaveFileStats(path, doc, stats.Analyze(doc)); err != nil {
 		log.Fatal(err)
 	}
 	info, _ := os.Stat(path)
@@ -41,16 +42,15 @@ func main() {
 	fmt.Printf("generated %d books: xml %d bytes, binary store %d bytes (saved in %v)\n",
 		books, xmlBytes, info.Size(), time.Since(t0).Round(time.Millisecond))
 
-	// Reload from the store.
+	// Reload from the store: the engine adopts the saved statistics and
+	// builds the indexes.
+	eng := nalquery.NewEngine()
 	t0 = time.Now()
-	loaded, err := store.LoadFile(path)
-	if err != nil {
+	if err := eng.LoadStoreFile(doc.URI, path); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %d nodes in %v\n", loaded.NumNodes(), time.Since(t0).Round(time.Millisecond))
-
-	eng := nalquery.NewEngine()
-	eng.LoadDocument(loaded)
+	fmt.Printf("loaded and indexed %d nodes in %v\n", eng.Document(doc.URI).NumNodes(),
+		time.Since(t0).Round(time.Millisecond))
 
 	q, err := eng.Compile(nalquery.QueryQ1Grouping)
 	if err != nil {
@@ -74,9 +74,9 @@ func main() {
 		return out, st
 	}
 	t0 = time.Now()
-	out, stats := run()
+	out, st := run()
 	fmt.Printf("\n%s (streaming): %v, %d scans, %d bytes of result\n",
-		best.Name, time.Since(t0).Round(time.Millisecond), stats.DocAccesses, len(out))
+		best.Name, time.Since(t0).Round(time.Millisecond), st.DocAccesses, len(out))
 
 	t0 = time.Now()
 	out2, _ := run(nalquery.WithReferenceEngine())

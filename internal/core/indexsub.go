@@ -2,6 +2,7 @@ package core
 
 import (
 	"nalquery/internal/algebra"
+	"nalquery/internal/index"
 	"nalquery/internal/value"
 	"nalquery/internal/xpath"
 )
@@ -21,27 +22,12 @@ import (
 // plans stay on offer, and the cost model decides from the measured
 // cardinality each probe carries.
 
-// ScanInfo is an index catalog's answer for a structural scan.
-type ScanInfo struct {
-	Index algebra.NodeIndex
-	// Path is the resolved absolute path (display form).
-	Path string
-	// Card is the measured node count.
-	Card float64
-}
-
-// ValueInfo is an index catalog's answer for a value probe.
-type ValueInfo struct {
-	Index algebra.NodeIndex
-	// Path is the resolved absolute leaf path.
-	Path string
-	// Depth is the parent-hop count from indexed leaf to bound node.
-	Depth int
-	// Card is the expected equality-probe result count (count/distinct).
-	Card float64
-	// ScanCard is the measured count of nodes the unprobed scan binds.
-	ScanCard float64
-}
+// ScanInfo is an index catalog's answer for a structural scan, and
+// ValueInfo its answer for a value probe: internal/index defines both.
+type (
+	ScanInfo  = index.ScanInfo
+	ValueInfo = index.ValueInfo
+)
 
 // IndexCatalog resolves document paths onto available indexes. Implemented
 // by the engine over its snapshot's per-document index set; nil disables

@@ -2,8 +2,14 @@
 // tier: for every absolute path of a document, the document-order ranks of
 // its nodes (structural index), and for simple-content paths additionally
 // the same ranks grouped by the leaf's typed value key (value index). Both
-// are built in the same single walk that measures the document's statistics
-// (stats.AnalyzeVisit), so Build returns the DocStats alongside.
+// are built from the path table of the analyzer's one walk (stats.Walk),
+// which also measures the DocStats Build returns alongside.
+//
+// A query path resolves against the paths that walk numbered
+// (xpath.Path.Selects), never against the statistics: statistics a store
+// file carries may omit a path, name one the document lacks or misstate a
+// count, and that moves estimates and the choice of value layers, not the
+// nodes a scan or probe returns.
 //
 // The indexes hold no pointer into the document. A posting is an int32 rank
 // that dom.Document.Node resolves; every path's rank list is a window of one
@@ -27,6 +33,7 @@ package index
 
 import (
 	"slices"
+	"strings"
 
 	"nalquery/internal/dom"
 	"nalquery/internal/stats"
@@ -40,8 +47,9 @@ type PathIndex struct {
 	Path string
 	// Ranks lists the document-order ranks of the path's nodes, ascending.
 	Ranks []int32
-	// HasValues reports that the value layer below is populated (simple
-	// content only — see stats.PathStats.Simple).
+	// HasValues reports that the value layer below is populated: the
+	// statistics call the path simple (stats.PathStats.Simple). A probe is
+	// exact on any path, since a key is the node's whole string value.
 	HasValues bool
 
 	doc  *dom.Document
@@ -178,85 +186,76 @@ func (m *merged) Doc() *dom.Document                  { return m.doc }
 func (m *merged) ScanAll() []int32                    { return m.ranks }
 func (m *merged) ProbeEq(value.Value) ([]int32, bool) { return nil, false }
 
-// DocIndexes holds every path index of one document plus the statistics
-// measured by the same walk.
+// DocIndexes holds every path index of one document plus its statistics.
 type DocIndexes struct {
-	URI    string
-	ByPath map[string]*PathIndex
-	Stats  *stats.DocStats
+	URI string
+	// Paths holds one index per absolute path of the document, sorted by
+	// path: the paths the build's walk numbered, which are all that Scan
+	// and Value resolve against.
+	Paths []PathIndex
+	// Stats is the document's statistics: measured by the build's walk, or
+	// adopted as given. They choose the paths that get a value layer and
+	// feed the estimates; they never decide which nodes an index holds.
+	Stats *stats.DocStats
 }
-
-// builder numbers the paths of the stats walk and records each visited
-// node's path by rank.
-type builder struct {
-	ids    map[string]int32 // path → its number + 1
-	paths  []string         // by number, in order of first visit
-	counts []int32          // nodes per path, by number
-	pathOf []int32          // by rank: the node's path number + 1, 0 if unvisited
-}
-
-func (b *builder) visit(path string, n *dom.Node) {
-	id := b.ids[path]
-	if id == 0 {
-		b.paths = append(b.paths, path)
-		b.counts = append(b.counts, 0)
-		id = int32(len(b.paths))
-		b.ids[path] = id
-	}
-	b.counts[id-1]++
-	b.pathOf[n.Order()] = id
-}
-
-func (b *builder) VisitElem(path string, n *dom.Node) { b.visit(path, n) }
-func (b *builder) VisitAttr(path string, n *dom.Node) { b.visit(path, n) }
 
 // Build walks a document once, measuring its statistics and building the
 // structural index of every path plus the value index of every simple path.
 func Build(d *dom.Document) *DocIndexes { return BuildWith(d, nil) }
 
 // BuildWith is Build with optionally pre-measured statistics (a persisted
-// NALB2 record): when given, the walk only collects index nodes and the
-// measuring pass is skipped.
+// NALB2 record): when given, the walk only numbers the paths and the
+// measuring is skipped.
 func BuildWith(d *dom.Document, st *stats.DocStats) *DocIndexes {
-	b := &builder{ids: map[string]int32{}, pathOf: make([]int32, d.NumNodes())}
-	x := &DocIndexes{URI: d.URI, Stats: st}
-	if st != nil {
-		stats.Walk(d, b)
-	} else {
-		x.Stats = stats.AnalyzeVisit(d, b)
+	t, measured := stats.Walk(d, st == nil)
+	if st == nil {
+		st = measured
 	}
 	// Every path's rank list is a window of one array, filled in rank
 	// order, so each list is in document order.
-	var total int
-	for _, n := range b.counts {
-		total += int(n)
+	counts := make([]int32, len(t.Path))
+	for _, id := range t.Of {
+		counts[id]++
 	}
-	all := make([]int32, total)
-	slab := make([]PathIndex, len(b.paths))
-	x.ByPath = make(map[string]*PathIndex, len(b.paths))
+	all := make([]int32, len(t.Of)-int(counts[0]))
+	slab := make([]PathIndex, len(t.Path)-1) // path id i at slab[i-1]
 	off := 0
-	for i, path := range b.paths {
-		end := off + int(b.counts[i])
-		slab[i] = PathIndex{Path: path, Ranks: all[off:off:end], doc: d}
-		x.ByPath[path] = &slab[i]
+	for i := range slab {
+		end := off + int(counts[i+1])
+		slab[i] = PathIndex{Path: t.Path[i+1], Ranks: all[off:off:end], doc: d}
 		off = end
 	}
-	for r, id := range b.pathOf {
+	for r, id := range t.Of {
 		if id != 0 {
 			px := &slab[id-1]
 			px.Ranks = append(px.Ranks, int32(r))
 		}
 	}
+	slices.SortStableFunc(slab, func(a, b PathIndex) int { return strings.Compare(a.Path, b.Path) })
 	for i := range slab {
 		px := &slab[i]
-		ps := x.Stats.Path(px.Path)
+		ps := st.Path(px.Path)
 		if ps == nil || !ps.Simple {
 			continue
 		}
 		px.HasValues = true
 		px.vals = buildValues(d, px.Ranks, int(ps.Distinct), keyHash)
 	}
-	return x
+	return &DocIndexes{URI: d.URI, Paths: slab, Stats: st}
+}
+
+// resolve appends to dst the indexes of the paths p selects, in path
+// order. ok is false for a positional p.
+func (x *DocIndexes) resolve(dst []*PathIndex, p xpath.Path) ([]*PathIndex, bool) {
+	if p.Positional() {
+		return nil, false
+	}
+	for i := range x.Paths {
+		if p.Selects(x.Paths[i].Path) {
+			dst = append(dst, &x.Paths[i])
+		}
+	}
+	return dst, true
 }
 
 // ScanInfo describes the index resolution of a structural scan.
@@ -277,32 +276,31 @@ type ScanInfo struct {
 // structural indexes: the returned index enumerates exactly the nodes
 // xpath.Path.Append would select, in document order. ok is false when the
 // expression cannot be resolved from the path set (positional predicates)
-// or reaches no measured path.
+// or reaches no path of the document.
 func (x *DocIndexes) Scan(p xpath.Path) (ScanInfo, bool) {
-	paths, ok := x.Stats.ResolvePaths(p)
+	var buf [8]*PathIndex
+	paths, ok := x.resolve(buf[:0], p)
 	if !ok || len(paths) == 0 {
 		return ScanInfo{}, false
 	}
-	first := x.ByPath[paths[0]]
 	if len(paths) == 1 {
-		return ScanInfo{Index: first, Path: first.Path, Card: float64(len(first.Ranks))}, true
+		return ScanInfo{Index: paths[0], Path: paths[0].Path, Card: float64(len(paths[0].Ranks))}, true
 	}
 	// Multiple paths: union in document order. Absolute paths partition the
 	// nodes, so the sorted concatenation repeats no rank.
 	var total int
-	for _, ap := range paths {
-		total += len(x.ByPath[ap].Ranks)
+	for _, px := range paths {
+		total += len(px.Ranks)
 	}
 	ranks := make([]int32, 0, total)
-	display := paths[0]
-	for i, ap := range paths {
-		ranks = append(ranks, x.ByPath[ap].Ranks...)
-		if i > 0 {
-			display += "|" + ap
-		}
+	display := make([]string, len(paths))
+	for i, px := range paths {
+		ranks = append(ranks, px.Ranks...)
+		display[i] = px.Path
 	}
 	slices.Sort(ranks)
-	return ScanInfo{Index: &merged{doc: first.doc, ranks: ranks}, Path: display, Card: float64(len(ranks))}, true
+	return ScanInfo{Index: &merged{doc: paths[0].doc, ranks: ranks},
+		Path: strings.Join(display, "|"), Card: float64(len(ranks))}, true
 }
 
 // ValueInfo describes the index resolution of a value probe.
@@ -327,41 +325,31 @@ type ValueInfo struct {
 
 // Value resolves a value predicate base/rel (σ with a comparison on the
 // rel path of the nodes the base path binds) onto a value index. The
-// combined path must resolve onto exactly one measured leaf path with a
-// value layer, and every rel step must consume exactly one level (child or
-// attribute axis) so the parent-hop depth is fixed. ok is false otherwise.
+// combined path must resolve onto exactly one path with a value layer, and
+// every rel step must consume exactly one level (child or attribute axis)
+// so the parent-hop depth is fixed. ok is false otherwise.
 func (x *DocIndexes) Value(base, rel xpath.Path) (ValueInfo, bool) {
 	for _, st := range rel.Steps {
-		if st.Axis == xpath.AxisDescendant || st.Pos != 0 {
+		if st.Axis == xpath.AxisDescendant {
 			return ValueInfo{}, false
 		}
 	}
+	var buf [8]*PathIndex
 	combined := xpath.Path{Steps: append(append([]xpath.Step{}, base.Steps...), rel.Steps...)}
-	paths, ok := x.Stats.ResolvePaths(combined)
-	if !ok || len(paths) != 1 {
+	leaf, ok := x.resolve(buf[:0], combined)
+	if !ok || len(leaf) != 1 || !leaf[0].HasValues {
 		return ValueInfo{}, false
 	}
-	px := x.ByPath[paths[0]]
-	if !px.HasValues {
-		return ValueInfo{}, false
+	px := leaf[0]
+	card := float64(len(px.Ranks))
+	if ps := x.Stats.Path(px.Path); ps != nil && ps.Distinct > 0 {
+		card /= float64(ps.Distinct)
 	}
-	ps := x.Stats.Path(paths[0])
-	card := float64(ps.Count)
-	if ps.Distinct > 0 {
-		card = float64(ps.Count) / float64(ps.Distinct)
-	}
-	if card < 1 {
-		card = 1
-	}
-	scanCard := card
-	if basePaths, ok := x.Stats.ResolvePaths(base); ok {
-		scanCard = 0
-		for _, bp := range basePaths {
-			if bps := x.Stats.Path(bp); bps != nil {
-				scanCard += float64(bps.Count)
-			}
-		}
+	var scanCard float64
+	bound, _ := x.resolve(buf[:0], base)
+	for _, bx := range bound {
+		scanCard += float64(len(bx.Ranks))
 	}
 	return ValueInfo{Index: px, Path: px.Path, Depth: len(rel.Steps),
-		Card: card, ScanCard: scanCard}, true
+		Card: max(card, 1), ScanCard: scanCard}, true
 }

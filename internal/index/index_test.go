@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nalquery/internal/dom"
+	"nalquery/internal/stats"
 	"nalquery/internal/value"
 	"nalquery/internal/xpath"
 )
@@ -157,21 +158,108 @@ func TestValueResolution(t *testing.T) {
 }
 
 // TestBuildWithPersistedStats: BuildWith over persisted statistics produces
-// the same indexes as a full Build.
+// the same indexes, path by path, as a full Build.
 func TestBuildWithPersistedStats(t *testing.T) {
 	d := parse(t, testDoc)
 	full := Build(d)
 	re := BuildWith(d, full.Stats)
-	if len(re.ByPath) != len(full.ByPath) {
-		t.Fatalf("path sets differ: %d vs %d", len(re.ByPath), len(full.ByPath))
+	if len(re.Paths) != len(full.Paths) {
+		t.Fatalf("path sets differ: %d vs %d", len(re.Paths), len(full.Paths))
 	}
-	for p, px := range full.ByPath {
-		qx := re.ByPath[p]
-		if qx == nil || !slices.Equal(qx.Ranks, px.Ranks) || qx.HasValues != px.HasValues {
-			t.Fatalf("index at %s differs", p)
+	for i := range full.Paths {
+		px, qx := &full.Paths[i], &re.Paths[i]
+		if qx.Path != px.Path || !slices.Equal(qx.Ranks, px.Ranks) || qx.HasValues != px.HasValues {
+			t.Fatalf("index at %s differs from the one at %s", qx.Path, px.Path)
 		}
 	}
 	if re.Stats != full.Stats {
 		t.Fatalf("persisted stats must be adopted, not recomputed")
+	}
+}
+
+// corrupted returns st's paths copied and edited by edit, as the statistics
+// of a store record that says what edit made it say.
+func corrupted(st *stats.DocStats, edit func(ps []*stats.PathStats) []*stats.PathStats) *stats.DocStats {
+	ps := make([]*stats.PathStats, len(st.Paths))
+	for i, p := range st.Paths {
+		c := *p
+		ps[i] = &c
+	}
+	return stats.FromPaths(st.URI, st.Elements, edit(ps))
+}
+
+// TestBuildWithAnyStatistics: statistics that disagree with the document
+// — naming a path it lacks, omitting paths it has, calling a structural
+// path simple, misstating counts — change no answer: Scan returns the
+// ranks Build's does, and every value layer's ProbeEq keeps exactly the
+// nodes a filter scan keeps, as Build's layer does where it has one.
+func TestBuildWithAnyStatistics(t *testing.T) {
+	d := parse(t, testDoc)
+	truth := Build(d)
+	setAll := func(f func(p *stats.PathStats)) func([]*stats.PathStats) []*stats.PathStats {
+		return func(ps []*stats.PathStats) []*stats.PathStats {
+			for _, p := range ps {
+				f(p)
+			}
+			return ps
+		}
+	}
+	cases := map[string]*stats.DocStats{
+		"a path the document lacks": corrupted(truth.Stats, func(ps []*stats.PathStats) []*stats.PathStats {
+			return append(ps, &stats.PathStats{Path: "/lib/ghost", Count: 7, Simple: true, Distinct: 2},
+				&stats.PathStats{Path: "/lib/shelf/book/@ghost", Count: 1, Simple: true, Distinct: 1})
+		}),
+		"paths the document has omitted": corrupted(truth.Stats, func(ps []*stats.PathStats) []*stats.PathStats {
+			return slices.DeleteFunc(ps, func(p *stats.PathStats) bool {
+				return strings.HasSuffix(p.Path, "/title") || strings.HasSuffix(p.Path, "/@year")
+			})
+		}),
+		"no paths at all":   corrupted(truth.Stats, func([]*stats.PathStats) []*stats.PathStats { return nil }),
+		"every path simple": corrupted(truth.Stats, setAll(func(p *stats.PathStats) { p.Simple = true })),
+		"zero counts":       corrupted(truth.Stats, setAll(func(p *stats.PathStats) { p.Count, p.Distinct = 0, 0 })),
+		"huge counts":       corrupted(truth.Stats, setAll(func(p *stats.PathStats) { p.Count, p.Distinct = 1<<62, 1<<62 })),
+		"negative counts":   corrupted(truth.Stats, setAll(func(p *stats.PathStats) { p.Count, p.Distinct = -3, -1 })),
+	}
+	exprs := []string{
+		"/lib", "/lib/shelf", "/lib/shelf/book", "/lib/shelf/book/@year", "//title",
+		"//book/title", "//journal/title", "/lib//title", "//*", "//@*", "/lib/ghost", "//@ghost",
+	}
+	for name, st := range cases {
+		x := BuildWith(d, st)
+		for _, e := range exprs {
+			want, wantOK := truth.Scan(xpath.MustParse(e))
+			got, ok := x.Scan(xpath.MustParse(e))
+			if ok != wantOK || ok && (got.Path != want.Path || !slices.Equal(got.Index.ScanAll(), want.Index.ScanAll())) {
+				t.Errorf("%s: Scan(%s) = %q %v, Build's %q %v", name, e, got.Path, ok, want.Path, wantOK)
+			}
+		}
+		for i := range x.Paths {
+			px := &x.Paths[i]
+			if px.Path != truth.Paths[i].Path || !slices.Equal(px.Ranks, truth.Paths[i].Ranks) {
+				t.Fatalf("%s: index %d is %s, Build's %s", name, i, px.Path, truth.Paths[i].Path)
+			}
+			if !px.HasValues {
+				continue
+			}
+			keys := probeKeys(d, px.Ranks, value.Str("zzz"), value.Int(1999))
+			checkProbes(t, d, px.Ranks, keys, func(key value.Value) []int32 {
+				got, _ := px.ProbeEq(key)
+				if want, ok := truth.Paths[i].ProbeEq(key); ok && !slices.Equal(got, want) {
+					t.Errorf("%s: probe %#v at %s: %v, Build's %v", name, key, px.Path, got, want)
+				}
+				return got
+			})
+		}
+		for _, v := range [][2]string{{"//book", "@year"}, {"//book", "title"}, {"/lib", "ghost"}, {"//book", "@ghost"}, {"/lib", "shelf"}} {
+			if vi, ok := x.Value(xpath.MustParse(v[0]), xpath.MustParse(v[1])); ok {
+				leaf, _ := truth.Scan(xpath.MustParse(v[0] + "/" + v[1]))
+				if vi.Path != leaf.Path || !slices.Equal(vi.Index.ScanAll(), leaf.Index.ScanAll()) {
+					t.Errorf("%s: Value(%s, %s) resolves onto %s, the path selects %s", name, v[0], v[1], vi.Path, leaf.Path)
+				}
+			}
+		}
+		if len(x.Paths) != len(truth.Paths) {
+			t.Errorf("%s: %d paths indexed, Build indexes %d", name, len(x.Paths), len(truth.Paths))
+		}
 	}
 }

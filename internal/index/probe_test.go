@@ -48,7 +48,9 @@ func TestProbeWithDegenerateHash(t *testing.T) {
 	d := xmlgen.Bib(xmlgen.DefaultConfig(100))
 	same := func(value.HashKey) uint64 { return 42 }
 	layers := 0
-	for _, px := range Build(d).ByPath {
+	x := Build(d)
+	for i := range x.Paths {
+		px := &x.Paths[i]
 		if !px.HasValues {
 			continue
 		}
@@ -92,9 +94,9 @@ func FuzzIndexProbe(f *testing.F) {
 				extra = append(extra, value.Float(f))
 			}
 		}
-		for _, path := range []string{"/r/e", "/r/e/@v"} {
-			px := x.ByPath[path]
-			if px == nil || !px.HasValues {
+		for i := range x.Paths {
+			px, path := &x.Paths[i], x.Paths[i].Path
+			if !px.HasValues {
 				continue
 			}
 			checkProbes(t, d, px.Ranks, probeKeys(d, px.Ranks, extra...), func(key value.Value) []int32 {

@@ -24,22 +24,22 @@ func TestIndexBytesPerPosting(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	var postings, distinct int
-	for _, px := range x.ByPath {
+	for _, px := range x.Paths {
 		postings += len(px.Ranks)
 		distinct += max(len(px.vals.starts)-1, 0)
 	}
 	perPosting := float64(after.HeapAlloc-before.HeapAlloc) / float64(postings)
 	objects := int(after.HeapObjects - before.HeapObjects)
 	t.Logf("%d paths, %d postings, %d keys: %.1f resident bytes per posting, %d objects",
-		len(x.ByPath), postings, distinct, perPosting, objects)
+		len(x.Paths), postings, distinct, perPosting, objects)
 	if perPosting > 24 {
 		t.Errorf("bib.xml at size 5000 keeps %.1f index bytes per posting resident, want ≤ 24", perPosting)
 	}
-	// The DocIndexes, its map, the path slab, the rank array, three slices
-	// per value layer, and slack for the map's buckets.
-	if limit := 3*len(x.ByPath) + 16; objects > limit {
+	// The DocIndexes, the path slab, the rank array, three slices per value
+	// layer, and slack.
+	if limit := 3*len(x.Paths) + 16; objects > limit {
 		t.Errorf("the index set keeps %d heap objects for %d paths and %d keys, want ≤ %d",
-			objects, len(x.ByPath), distinct, limit)
+			objects, len(x.Paths), distinct, limit)
 	}
 	runtime.KeepAlive(x)
 }

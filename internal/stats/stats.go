@@ -1,17 +1,21 @@
 // Package stats implements the document analyzer: one pre-order walk over a
-// loaded document produces per-path measured statistics — element counts per
-// root-to-node path, distinct-value counts and min/max for leaf text,
-// average fanout, and document-order extents. The engine computes them at
-// load time and stores them on its copy-on-write snapshot, the cost model
-// consumes them instead of its hard-coded selectivity defaults, and
-// internal/index builds its structural and value indexes from the same walk
-// (see AnalyzeVisit).
+// loaded document (Walk) numbers its absolute paths and measures per-path
+// statistics — element counts per root-to-node path, distinct-value counts
+// and min/max for leaf text, average fanout, and document-order extents.
+// The engine computes them at load time and stores them on its
+// copy-on-write snapshot, the cost model consumes them instead of its
+// hard-coded selectivity defaults, and internal/index builds its structural
+// and value indexes from the same walk's path table (or from the table
+// alone, beside statistics a store file carries).
 //
 // Paths are absolute, slash-separated root-to-node names: "/bib/book" for an
 // element, "/bib/book/@year" for an attribute. Every node of a document has
-// exactly one such path, so a path expression resolves to a set of measured
-// paths (ResolvePaths) whose counts add up — the property the planner's
-// index substitution and the path-aware cardinality estimates rely on.
+// exactly one such path, so a path expression selects a set of paths
+// (xpath.Path.Selects) whose counts add up — the property the path-aware
+// cardinality estimates rely on. Statistics are estimates: internal/index
+// resolves a query against the paths its own walk numbered, so statistics
+// that disagree with the document (a persisted record may say anything)
+// can change a plan's price but never its answer.
 package stats
 
 import (
@@ -61,9 +65,6 @@ type DocStats struct {
 	Paths []*PathStats
 
 	byPath map[string]*PathStats
-	// segs[i] is Paths[i].Path split into its segments, once per document:
-	// path resolution matches segment-wise per path per call.
-	segs [][]string
 }
 
 // Path returns the statistics of one absolute path, or nil.
@@ -81,55 +82,27 @@ func FromPaths(uri string, elements int64, paths []*PathStats) *DocStats {
 	return s
 }
 
-// sortPaths puts Paths in path order and splits each into its segments.
+// sortPaths puts Paths in path order.
 func (s *DocStats) sortPaths() {
 	sort.Slice(s.Paths, func(i, j int) bool { return s.Paths[i].Path < s.Paths[j].Path })
-	s.segs = make([][]string, len(s.Paths))
-	for i, p := range s.Paths {
-		s.segs[i] = strings.Split(strings.TrimPrefix(p.Path, "/"), "/")
-	}
 }
 
-// Visitor observes the analyzer's walk: VisitElem runs once per element and
-// VisitAttr once per attribute, in document order, each with the node's
-// absolute path. internal/index implements it to build path and value
-// indexes from the same single walk that measures the statistics.
-type Visitor interface {
-	VisitElem(path string, n *dom.Node)
-	VisitAttr(path string, n *dom.Node)
+// PathTable is one walk's numbering of a document's absolute paths: each path
+// string is built once, from its parent's path and its last step, however
+// many nodes share it.
+type PathTable struct {
+	// Path holds each path by id; id 0 is the document node's empty path.
+	Path []string
+	// Of holds each node's path id by rank: an element's or attribute's
+	// path, 0 for the document node and text nodes.
+	Of []int32
+
+	ids map[uint64]int32 // by parent id, step name id and kind
 }
 
-// Analyze walks a document once and measures its per-path statistics.
-func Analyze(d *dom.Document) *DocStats { return AnalyzeVisit(d, nil) }
-
-// Walk runs the analyzer's pre-order path walk with a visitor but without
-// measuring: the index builder uses it when persisted statistics (a NALB2
-// store record) make re-measuring redundant.
-func Walk(d *dom.Document, v Visitor) {
-	paths := newPathTable()
-	walkElems(d, paths, func(id int32, c *dom.Node) {
-		v.VisitElem(paths.path[id], c)
-		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
-			v.VisitAttr(paths.path[paths.step(id, at)], at)
-		}
-	})
-}
-
-// pathTable numbers the absolute paths of one walk. A path is built once,
-// from its parent's path and its last step, however many nodes share it;
-// id 0 is the document node's empty path.
-type pathTable struct {
-	ids  map[uint64]int32 // by parent id, step name id and kind
-	path []string
-}
-
-func newPathTable() *pathTable {
-	return &pathTable{ids: map[uint64]int32{}, path: []string{""}}
-}
-
-// step returns the id of the path of n, an element or attribute, under
-// path parent.
-func (t *pathTable) step(parent int32, n *dom.Node) int32 {
+// step numbers the path of n, an element or attribute, under path parent
+// and records it as n's.
+func (t *PathTable) step(parent int32, n *dom.Node) int32 {
 	attr := n.Kind() == dom.KindAttribute
 	k := uint64(parent)<<33 | uint64(n.NameID())<<1
 	if attr {
@@ -141,18 +114,34 @@ func (t *pathTable) step(parent int32, n *dom.Node) int32 {
 		if attr {
 			sep = "/@"
 		}
-		id = int32(len(t.path))
-		t.path = append(t.path, t.path[parent]+sep+n.Name())
+		id = int32(len(t.Path))
+		t.Path = append(t.Path, t.Path[parent]+sep+n.Name())
 		t.ids[k] = id
 	}
+	t.Of[n.Order()] = id
 	return id
 }
 
-// walkElems calls fn for every element of d, in document order, with the
-// id of the element's absolute path in paths. It is one scan of the
-// document's ranks: the stack holds the open elements' subtree ends and
-// path ids, so nesting depth costs slice entries, not call frames.
-func walkElems(d *dom.Document, paths *pathTable, fn func(id int32, c *dom.Node)) {
+// Analyze walks a document once and measures its per-path statistics.
+func Analyze(d *dom.Document) *DocStats {
+	_, s := Walk(d, true)
+	return s
+}
+
+// Walk is the analyzer's one pre-order walk: it numbers the document's
+// absolute paths and, when measure is set, measures each path's
+// statistics (nil otherwise — persisted statistics make re-measuring
+// redundant). internal/index builds its rank lists from the numbering.
+//
+// The walk is one scan of the document's ranks: the stack holds the open
+// elements' subtree ends and path ids, so nesting depth costs slice
+// entries, not call frames.
+func Walk(d *dom.Document, measure bool) (*PathTable, *DocStats) {
+	t := &PathTable{Path: []string{""}, Of: make([]int32, d.NumNodes()), ids: map[uint64]int32{}}
+	var m *measurer
+	if measure {
+		m = &measurer{s: &DocStats{URI: d.URI, byPath: map[string]*PathStats{}}, paths: t}
+	}
 	type open struct {
 		end int
 		id  int32
@@ -166,10 +155,26 @@ func walkElems(d *dom.Document, paths *pathTable, fn func(id int32, c *dom.Node)
 		for i >= stack[len(stack)-1].end {
 			stack = stack[:len(stack)-1]
 		}
-		id := paths.step(stack[len(stack)-1].id, c)
-		fn(id, c)
+		id := t.step(stack[len(stack)-1].id, c)
 		stack = append(stack, open{end: c.End(), id: id})
+		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
+			t.step(id, at)
+		}
+		if m != nil {
+			m.elem(id, c)
+		}
 	}
+	if m == nil {
+		return t, nil
+	}
+	return t, m.done()
+}
+
+// measurer accumulates the statistics of one walk, by path id.
+type measurer struct {
+	s     *DocStats
+	paths *PathTable
+	accs  []*pathAcc
 }
 
 // pathAcc is the per-path accumulator of one walk.
@@ -182,56 +187,49 @@ type pathAcc struct {
 	sawValue bool
 }
 
-// AnalyzeVisit is Analyze with a visitor observing every element and
-// attribute as it is measured (nil behaves like Analyze).
-func AnalyzeVisit(d *dom.Document, v Visitor) *DocStats {
-	s := &DocStats{URI: d.URI, byPath: map[string]*PathStats{}}
-	paths := newPathTable()
-	var accs []*pathAcc // by path id
-	acc := func(id int32, n *dom.Node) *pathAcc {
-		for int(id) >= len(accs) {
-			accs = append(accs, nil)
-		}
-		a := accs[id]
-		if a == nil {
-			path := paths.path[id]
-			a = &pathAcc{st: &PathStats{Path: path, FirstOrder: n.Order()}, numeric: true}
-			accs[id] = a
-			s.byPath[path] = a.st
-			s.Paths = append(s.Paths, a.st)
-		}
-		a.st.Count++
-		a.st.LastOrder = n.Order()
-		return a
+// acc counts node n at path id and returns the path's accumulator.
+func (m *measurer) acc(id int32, n *dom.Node) *pathAcc {
+	for int(id) >= len(m.accs) {
+		m.accs = append(m.accs, nil)
 	}
-	walkElems(d, paths, func(id int32, c *dom.Node) {
-		s.Elements++
-		a := acc(id, c)
-		if v != nil {
-			v.VisitElem(paths.path[id], c)
+	a := m.accs[id]
+	if a == nil {
+		path := m.paths.Path[id]
+		a = &pathAcc{st: &PathStats{Path: path, FirstOrder: n.Order()}, numeric: true}
+		m.accs[id] = a
+		m.s.byPath[path] = a.st
+		m.s.Paths = append(m.s.Paths, a.st)
+	}
+	a.st.Count++
+	a.st.LastOrder = n.Order()
+	return a
+}
+
+// elem measures element c at path id and its attributes: counts, the
+// element's fanout, and leaf text.
+func (m *measurer) elem(id int32, c *dom.Node) {
+	m.s.Elements++
+	a := m.acc(id, c)
+	for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
+		m.acc(m.paths.Of[at.Order()], at).value(at.Data())
+	}
+	elemKids := int64(0)
+	for cc := c.FirstChild(); cc != nil; cc = cc.NextSibling() {
+		if cc.Kind() == dom.KindElement {
+			elemKids++
 		}
-		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
-			aid := paths.step(id, at)
-			aa := acc(aid, at)
-			aa.value(at.Data())
-			if v != nil {
-				v.VisitAttr(paths.path[aid], at)
-			}
-		}
-		elemKids := int64(0)
-		for cc := c.FirstChild(); cc != nil; cc = cc.NextSibling() {
-			if cc.Kind() == dom.KindElement {
-				elemKids++
-			}
-		}
-		a.fanout += elemKids
-		if elemKids > 0 {
-			a.notLeaf = true
-		} else {
-			a.value(c.StringValue())
-		}
-	})
-	for _, a := range accs {
+	}
+	a.fanout += elemKids
+	if elemKids > 0 {
+		a.notLeaf = true
+	} else {
+		a.value(c.StringValue())
+	}
+}
+
+// done finishes every path's statistics and returns the document's.
+func (m *measurer) done() *DocStats {
+	for _, a := range m.accs {
 		if a == nil {
 			continue
 		}
@@ -250,8 +248,8 @@ func AnalyzeVisit(d *dom.Document, v Visitor) *DocStats {
 			a.st.AllNumeric, a.st.MinNum, a.st.MaxNum = false, 0, 0
 		}
 	}
-	s.sortPaths()
-	return s
+	m.s.sortPaths()
+	return m.s
 }
 
 // value folds one leaf string value into the accumulator.
@@ -282,82 +280,19 @@ func (a *pathAcc) value(val string) {
 	a.sawValue = true
 }
 
-// ResolvePaths expands a path expression (evaluated from the document root)
-// against the measured path set: it returns the absolute paths whose nodes
-// the expression selects, in path order. ok is false when the expression
-// carries a positional predicate — position depends on the context node's
-// selection list, which the path set does not capture.
-//
-// The match replicates xpath.Path.Append's axis semantics: child and attribute
-// steps consume exactly one path segment, a descendant step consumes one or
-// more (the name test applies to the last), and wildcard element tests never
-// match attribute segments.
-func (s *DocStats) ResolvePaths(p xpath.Path) ([]string, bool) {
-	for _, st := range p.Steps {
-		if st.Pos != 0 {
-			return nil, false
-		}
-	}
-	var out []string
-	for i, ps := range s.Paths {
-		if matchSteps(p.Steps, s.segs[i]) {
-			out = append(out, ps.Path)
-		}
-	}
-	return out, true
-}
-
 // SuffixCount sums the counts of measured paths the expression reaches from
-// any context depth (the expression anchored by an implicit leading
-// descendant step) — the path-aware cardinality the cost model uses for
-// unnest-maps over relative paths. ok is false on positional predicates.
+// any context depth (xpath.Path.SelectsBelow) — the path-aware cardinality
+// the cost model uses for unnest-maps over relative paths. ok is false on
+// positional predicates.
 func (s *DocStats) SuffixCount(p xpath.Path) (float64, bool) {
-	for _, st := range p.Steps {
-		if st.Pos != 0 {
-			return 0, false
-		}
+	if p.Positional() {
+		return 0, false
 	}
 	var n float64
-	for i, ps := range s.Paths {
-		segs := s.segs[i]
-		for k := 0; k <= len(segs); k++ {
-			if matchSteps(p.Steps, segs[k:]) {
-				n += float64(ps.Count)
-				break
-			}
+	for _, ps := range s.Paths {
+		if p.SelectsBelow(ps.Path) {
+			n += float64(ps.Count)
 		}
 	}
 	return n, true
-}
-
-func matchSteps(steps []xpath.Step, segs []string) bool {
-	if len(steps) == 0 {
-		return len(segs) == 0
-	}
-	st := steps[0]
-	switch st.Axis {
-	case xpath.AxisChild:
-		return len(segs) > 0 && segMatchElem(segs[0], st.Name) &&
-			matchSteps(steps[1:], segs[1:])
-	case xpath.AxisAttribute:
-		return len(segs) > 0 && strings.HasPrefix(segs[0], "@") &&
-			(st.Name == "" || segs[0][1:] == st.Name) &&
-			matchSteps(steps[1:], segs[1:])
-	case xpath.AxisDescendant:
-		// Consume one or more segments; the name test applies to the last
-		// consumed one (dom.Descendants excludes the context node itself).
-		for k := 0; k < len(segs); k++ {
-			if segMatchElem(segs[k], st.Name) && matchSteps(steps[1:], segs[k+1:]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func segMatchElem(seg, name string) bool {
-	if strings.HasPrefix(seg, "@") {
-		return false
-	}
-	return name == "" || seg == name
 }

@@ -1,11 +1,11 @@
 package stats
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"nalquery/internal/dom"
-	"nalquery/internal/value"
 	"nalquery/internal/xmlgen"
 	"nalquery/internal/xpath"
 )
@@ -104,48 +104,6 @@ func TestDocOrderExtents(t *testing.T) {
 	}
 }
 
-// TestResolvePathsAgainstEval: for a corpus of path expressions, the summed
-// counts of the resolved measured paths equal the node count xpath.Path.Append
-// selects from the document root — the partition property the planner's
-// index substitution relies on.
-func TestResolvePathsAgainstEval(t *testing.T) {
-	doc := `<lib>
-  <shelf><book year="1"><title>t1</title><note><title>n</title></note></book></shelf>
-  <shelf><book year="2"><title>t2</title></book><journal><title>j</title></journal></shelf>
-  <title>top</title>
-</lib>`
-	d := parse(t, doc)
-	s := Analyze(d)
-	exprs := []string{
-		"/lib", "/lib/shelf", "/lib/shelf/book", "/lib/shelf/book/@year",
-		"//title", "//book/title", "/lib//title", "//book//title",
-		"//note", "/lib/*", "//*", "//shelf/*/title", "//@year",
-		"/lib/missing", "//missing",
-	}
-	for _, e := range exprs {
-		p := xpath.MustParse(e)
-		paths, ok := s.ResolvePaths(p)
-		if !ok {
-			t.Fatalf("%s: not resolvable", e)
-		}
-		var sum int64
-		for _, ap := range paths {
-			sum += s.Path(ap).Count
-		}
-		got := len(p.Append(nil, value.NodeVal{Node: d.Root}))
-		if int64(got) != sum {
-			t.Errorf("%s: resolved count %d, the path selects %d (paths %v)", e, sum, got, paths)
-		}
-	}
-}
-
-func TestResolvePathsPositional(t *testing.T) {
-	s := Analyze(parse(t, testDoc))
-	if _, ok := s.ResolvePaths(xpath.MustParse("/bib/book[1]")); ok {
-		t.Fatalf("positional predicate must be unresolvable")
-	}
-}
-
 func TestSuffixCount(t *testing.T) {
 	s := Analyze(parse(t, testDoc))
 	if n, ok := s.SuffixCount(xpath.MustParse("author")); !ok || n != 3 {
@@ -160,30 +118,53 @@ func TestSuffixCount(t *testing.T) {
 	if n, _ := s.SuffixCount(xpath.MustParse("nope")); n != 0 {
 		t.Fatalf("SuffixCount(nope) = %v", n)
 	}
+	if n, ok := s.SuffixCount(xpath.MustParse("@year")); !ok || n != 3 {
+		t.Fatalf("SuffixCount(@year) = %v, %v", n, ok)
+	}
+	if _, ok := s.SuffixCount(xpath.MustParse("book[1]")); ok {
+		t.Fatalf("a positional predicate must not resolve")
+	}
 }
 
-// TestWalkMatchesAnalyze: the visitor-only Walk visits exactly the nodes
-// AnalyzeVisit shows its visitor, in the same order.
+// TestWalkMatchesAnalyze: the walk numbers the same paths whether or not it
+// measures, every element and attribute gets the id of its absolute path
+// (the document node and text nodes get 0), and what it measures is what
+// Analyze returns.
 func TestWalkMatchesAnalyze(t *testing.T) {
 	d := parse(t, testDoc)
-	var a, b []string
-	rec := func(out *[]string) Visitor { return recorder{out} }
-	AnalyzeVisit(d, rec(&a))
-	Walk(d, rec(&b))
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("visit lengths differ: %d vs %d", len(a), len(b))
+	bare, none := Walk(d, false)
+	table, measured := Walk(d, true)
+	if none != nil {
+		t.Fatalf("a walk that does not measure returned statistics")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("visit %d: %q vs %q", i, a[i], b[i])
+	if !slices.Equal(bare.Path, table.Path) || !slices.Equal(bare.Of, table.Of) {
+		t.Fatalf("measuring changed the path table")
+	}
+	for r, id := range table.Of {
+		n := d.Node(r)
+		want := ""
+		for a := n; a.Parent() != nil && n.Kind() != dom.KindText; a = a.Parent() {
+			sep := "/"
+			if a.Kind() == dom.KindAttribute {
+				sep = "/@"
+			}
+			want = sep + a.Name() + want
+		}
+		if got := table.Path[id]; got != want {
+			t.Errorf("rank %d (%s): path %q, want %q", r, n.Name(), got, want)
+		}
+	}
+	a := Analyze(d)
+	if measured.Elements != a.Elements || len(measured.Paths) != len(a.Paths) || len(table.Path) != len(a.Paths)+1 {
+		t.Fatalf("Walk measured %d elements over %d paths (%d numbered), Analyze %d over %d",
+			measured.Elements, len(measured.Paths), len(table.Path)-1, a.Elements, len(a.Paths))
+	}
+	for i, p := range a.Paths {
+		if *measured.Paths[i] != *p {
+			t.Errorf("path %s: Walk measured %+v, Analyze %+v", p.Path, *measured.Paths[i], *p)
 		}
 	}
 }
-
-type recorder struct{ out *[]string }
-
-func (r recorder) VisitElem(path string, n *dom.Node) { *r.out = append(*r.out, "e:"+path) }
-func (r recorder) VisitAttr(path string, n *dom.Node) { *r.out = append(*r.out, "a:"+path) }
 
 // TestFromPathsRoundtrip: reconstructing a DocStats from its path entries
 // (the NALB2 load path) preserves lookups and ordering.
@@ -208,18 +189,14 @@ func TestFromPathsRoundtrip(t *testing.T) {
 	}
 }
 
-type noVisit struct{}
-
-func (noVisit) VisitElem(string, *dom.Node) {}
-func (noVisit) VisitAttr(string, *dom.Node) {}
-
-// TestWalkAllocsFollowPaths: the walk builds each distinct path once, so
-// its allocations follow the document's path set, not its node count —
-// bib.xml at size 1 000 costs what size 100 does.
+// TestWalkAllocsFollowPaths: the walk builds each distinct path once and
+// its table's per-rank ids in one array, so its allocations follow the
+// document's path set, not its node count — bib.xml at size 1 000 costs
+// what size 100 does.
 func TestWalkAllocsFollowPaths(t *testing.T) {
 	walkAllocs := func(size int) float64 {
 		d := xmlgen.Bib(xmlgen.DefaultConfig(size))
-		return testing.AllocsPerRun(5, func() { Walk(d, noVisit{}) })
+		return testing.AllocsPerRun(5, func() { Walk(d, false) })
 	}
 	if small, large := walkAllocs(100), walkAllocs(1000); small != large {
 		t.Fatalf("Walk made %.0f allocations at size 100 and %.0f at size 1 000", small, large)

@@ -31,7 +31,7 @@ func loadNoPanic(t *testing.T, img []byte, what string) {
 			t.Fatalf("Load panicked on %s: %v", what, r)
 		}
 	}()
-	_, _ = Load(bytes.NewReader(img))
+	_, _, _ = LoadStats(bytes.NewReader(img))
 }
 
 // TestLoadTruncatedImages: every prefix length must load without panicking.

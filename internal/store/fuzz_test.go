@@ -6,12 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"nalquery/internal/dom"
+	"nalquery/internal/index"
 	"nalquery/internal/stats"
+	"nalquery/internal/xpath"
 )
 
 // loadMeasured runs LoadStats and reports the bytes it allocated. Tests of
@@ -25,9 +28,11 @@ func loadMeasured(data []byte) (*dom.Document, *stats.DocStats, uint64, error) {
 }
 
 // FuzzStoreLoad is the trust-boundary property of the binary store
-// (docs/FUZZING.md): whatever the bytes, Load returns a store: error or a
-// well-formed document — never a panic — having allocated a small multiple
-// of the input, and what loaded is a fixpoint of save → load → save.
+// (docs/FUZZING.md): whatever the bytes, LoadStats returns a store: error or
+// a well-formed document — never a panic — having allocated a small multiple
+// of the input; what loaded is a fixpoint of save → load → save; and
+// indexes built beside the loaded statistics, whatever they claim, hold the
+// ranks a build that measures the document holds.
 func FuzzStoreLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, st, alloc, err := loadMeasured(data)
@@ -65,6 +70,25 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		if dom.XMLString(d.Root) != dom.XMLString(d2.Root) {
 			t.Fatalf("reloaded document serializes differently")
+		}
+		adopted, measured := index.BuildWith(d, st), index.Build(d)
+		if len(adopted.Paths) != len(measured.Paths) {
+			t.Fatalf("beside the loaded statistics %d paths are indexed, measuring indexes %d",
+				len(adopted.Paths), len(measured.Paths))
+		}
+		for i, px := range measured.Paths {
+			if qx := adopted.Paths[i]; qx.Path != px.Path || !slices.Equal(qx.Ranks, px.Ranks) {
+				t.Fatalf("path %d: %s holds %v beside the loaded statistics, %s holds %v measured",
+					i, qx.Path, qx.Ranks, px.Path, px.Ranks)
+			}
+		}
+		for _, e := range []string{"//*", "//@*"} {
+			p := xpath.MustParse(e)
+			a, aok := adopted.Scan(p)
+			m, mok := measured.Scan(p)
+			if aok != mok || aok && (a.Path != m.Path || !slices.Equal(a.Index.ScanAll(), m.Index.ScanAll())) {
+				t.Fatalf("Scan(%s): %q %v beside the loaded statistics, %q %v measured", e, a.Path, aok, m.Path, mok)
+			}
 		}
 	})
 }
@@ -157,7 +181,7 @@ func TestDeepNestingCostsNoStack(t *testing.T) {
 		img = append(img, "\x01\x01e\x00\x00\x01"...) // element e, no attributes, one child
 	}
 	img = append(img, "\x03\x00\x01x\x00\x00"...) // text x
-	d, err := Load(bytes.NewReader(img))
+	d, _, err := LoadStats(bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,16 @@
 //	        [distinct min max [minBits maxBits]]
 //
 // flags bit 0 is Simple (the value block follows), bit 1 is AllNumeric (the
-// numeric extremes follow). Floats serialize as IEEE-754 bits. Load accepts
-// both versions — a version-1 file simply carries no statistics and the
-// engine recomputes them. Unknown magics are rejected.
+// numeric extremes follow). Floats serialize as IEEE-754 bits. LoadStats
+// accepts both versions — a version-1 file simply carries no statistics and
+// the engine recomputes them. Unknown magics are rejected.
 //
-// Load is a trust boundary: every length and count in a file is a claim.
-// Strings are read in bounded steps, the path list grows as records decode
-// and nesting depth is kept in a slice, so a load allocates a small multiple
-// of the bytes actually present and every failure is a "store:" error.
+// LoadStats is a trust boundary: every length and count in a file is a
+// claim. Strings are read in bounded steps, the path list grows as records
+// decode and nesting depth is kept in a slice, so a load allocates a small
+// multiple of the bytes actually present and every failure is a "store:"
+// error. The statistics are a claim too: the engine prices plans with them
+// but resolves queries against the document itself (internal/index).
 package store
 
 import (
@@ -88,13 +90,6 @@ func save(w io.Writer, d *dom.Document, st *stats.DocStats) error {
 	return bw.Flush()
 }
 
-// Load reads a document written by SaveStats and rebuilds document
-// order; any persisted statistics are skipped.
-func Load(r io.Reader) (*dom.Document, error) {
-	d, _, err := LoadStats(r)
-	return d, err
-}
-
 // LoadStats reads a document and, for a version-2 file, the statistics
 // persisted with it. Version-1 files return nil statistics: the caller
 // recomputes them.
@@ -139,11 +134,6 @@ func LoadStats(r io.Reader) (*dom.Document, *stats.DocStats, error) {
 	return b.Done(), st, nil
 }
 
-// SaveFile persists a document to a file.
-func SaveFile(path string, d *dom.Document) error {
-	return SaveFileStats(path, d, nil)
-}
-
 // SaveFileStats persists a document with its measured statistics (version 2;
 // nil statistics fall back to version 1).
 func SaveFileStats(path string, d *dom.Document, st *stats.DocStats) error {
@@ -156,12 +146,6 @@ func SaveFileStats(path string, d *dom.Document, st *stats.DocStats) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadFile loads a document from a file.
-func LoadFile(path string) (*dom.Document, error) {
-	d, _, err := LoadFileStats(path)
-	return d, err
 }
 
 // LoadFileStats loads a document and any persisted statistics from a file.

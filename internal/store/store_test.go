@@ -19,7 +19,7 @@ func roundTrip(t *testing.T, d *dom.Document) *dom.Document {
 	if err := SaveStats(&buf, d, nil); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	out, err := Load(&buf)
+	out, _, err := LoadStats(&buf)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := SaveStats(&buf, d, nil); err != nil {
 			return false
 		}
-		out, err := Load(&buf)
+		out, _, err := LoadStats(&buf)
 		if err != nil {
 			return false
 		}
@@ -127,7 +127,7 @@ func TestLoadErrors(t *testing.T) {
 		"truncated": append([]byte(magic), 0x05),
 	}
 	for name, data := range cases {
-		if _, err := Load(bytes.NewReader(data)); err == nil {
+		if _, _, err := LoadStats(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -139,7 +139,7 @@ func TestLoadErrors(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(magic)] = 0xFF // huge varint start for the uri length
-	if _, err := Load(bytes.NewReader(data)); err == nil {
+	if _, _, err := LoadStats(bytes.NewReader(data)); err == nil {
 		t.Errorf("corrupt length must fail")
 	}
 }
@@ -148,10 +148,10 @@ func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bib.nalb")
 	d := xmlgen.Bib(xmlgen.DefaultConfig(20))
-	if err := SaveFile(path, d); err != nil {
+	if err := SaveFileStats(path, d, nil); err != nil {
 		t.Fatal(err)
 	}
-	out, err := LoadFile(path)
+	out, _, err := LoadFileStats(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if info.Size() >= int64(xmlLen) {
 		t.Logf("binary %d vs xml %d bytes", info.Size(), xmlLen)
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.nalb")); err == nil {
+	if _, _, err := LoadFileStats(filepath.Join(dir, "missing.nalb")); err == nil {
 		t.Fatalf("missing file must error")
 	}
 }

@@ -246,6 +246,97 @@ func (p Path) Append(dst []*dom.Node, ctx value.Value) []*dom.Node {
 	return dst
 }
 
+// Positional reports whether a step carries a positional predicate: such
+// a selection depends on each context node's list, which an absolute path
+// does not record, so Selects does not describe it.
+func (p Path) Positional() bool {
+	return slices.ContainsFunc(p.Steps, func(st Step) bool { return st.Pos != 0 })
+}
+
+// Selects reports whether the path, applied to a document node as Append
+// applies it, selects the nodes whose absolute path is abs ("/bib/book",
+// "/bib/book/@year"). Every node has one absolute path, so the selection is
+// the union of the nodes at the paths Selects accepts. The rule is
+// Append's, read on path segments: a child or attribute step consumes one
+// segment, a descendant step one or more with its name test on the last
+// (Descendants excludes the context node), and an element test never
+// matches an attribute segment. Positional predicates are not read (see
+// Positional).
+func (p Path) Selects(abs string) bool { return selects(p.Steps, abs) }
+
+// SelectsBelow reports whether the path selects the nodes at abs from some
+// context depth: applied to the document node or to some element on the
+// way down abs. It is the reach of a relative path that runs once per
+// tuple over wherever its context lies.
+func (p Path) SelectsBelow(abs string) bool {
+	if len(p.Steps) == 0 {
+		return true
+	}
+	first := p.Steps[0]
+	switch first.Axis {
+	case AxisChild:
+		// A child step from any depth is a descendant step from the top.
+		first.Axis = AxisDescendant
+	case AxisAttribute:
+		for i := 0; i < len(abs); i++ {
+			if abs[i] == '/' && selectsAfter(first, p.Steps[1:], abs[i:]) {
+				return true
+			}
+		}
+		return false
+	}
+	return selectsAfter(first, p.Steps[1:], abs)
+}
+
+func selects(steps []Step, abs string) bool {
+	if len(steps) == 0 {
+		return abs == ""
+	}
+	return selectsAfter(steps[0], steps[1:], abs)
+}
+
+// selectsAfter is selects for the steps st, then rest.
+func selectsAfter(st Step, rest []Step, abs string) bool {
+	if st.Axis != AxisDescendant {
+		tail, ok := stepOver(st, abs)
+		return ok && selects(rest, tail)
+	}
+	// Every segment start, scanned byte by byte: paths are short, and a
+	// call per segment to find its end costs more than the scan. A named
+	// test skips the segments that do not start with the name's first byte.
+	for i := 0; i < len(abs); i++ {
+		if abs[i] != '/' || st.Name != "" && (i+1 == len(abs) || abs[i+1] != st.Name[0]) {
+			continue
+		}
+		if tail, ok := stepOver(st, abs[i:]); ok && selects(rest, tail) {
+			return true
+		}
+	}
+	return false
+}
+
+// stepOver applies a step's node test to the first segment of abs
+// ("/seg/rest") and returns what follows that segment ("/rest").
+func stepOver(st Step, abs string) (string, bool) {
+	if len(abs) < 2 || abs[0] != '/' {
+		return "", false
+	}
+	seg := abs[1:]
+	if attr := seg[0] == '@'; attr != (st.Axis == AxisAttribute) {
+		return "", false
+	} else if attr {
+		seg = seg[1:]
+	}
+	if st.Name == "" {
+		if i := strings.IndexByte(seg, '/'); i >= 0 {
+			return seg[i:], true
+		}
+		return "", true
+	}
+	rest, ok := strings.CutPrefix(seg, st.Name)
+	return rest, ok && (rest == "" || rest[0] == '/')
+}
+
 // Eval is the path as an expression: the selection of Append as a value in
 // the one normal form value.OfNodes defines (no node the nil sequence, one
 // node that node, several a sequence). A selection of up to eight nodes is

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"slices"
 	"testing"
 
 	"nalquery/internal/dom"
@@ -139,5 +140,72 @@ func TestSequenceContext(t *testing.T) {
 	out := MustParse("author/last").Append(nil, books)
 	if got := vals(out); len(got) != 3 || got[0] != "L1" {
 		t.Fatalf("seq context: %v", got)
+	}
+}
+
+// TestSelectsAgainstAppend: over a document's absolute paths, the nodes at
+// the paths a path expression Selects are exactly the nodes Append selects
+// from the document node — the partition property index resolution relies
+// on — and the paths it SelectsBelow are those Append reaches from some
+// context node, which the path-aware estimates sum.
+func TestSelectsAgainstAppend(t *testing.T) {
+	d := dom.MustParseString(`<lib>
+  <shelf><book year="1"><title>t1</title><note><title>n</title></note></book></shelf>
+  <shelf id="s"><book year="2"><title>t2</title></book><journal><title>j</title></journal></shelf>
+  <title>top</title>
+</lib>`, "lib.xml")
+	// Each element's and attribute's absolute path, by rank.
+	abs := make([]string, d.NumNodes())
+	for r := 1; r < d.NumNodes(); r++ {
+		switch n := d.Node(r); n.Kind() {
+		case dom.KindElement:
+			abs[r] = abs[n.Parent().Order()] + "/" + n.Name()
+		case dom.KindAttribute:
+			abs[r] = abs[n.Parent().Order()] + "/@" + n.Name()
+		}
+	}
+	for _, e := range []string{
+		"/lib", "/lib/shelf", "/lib/shelf/book", "/lib/shelf/book/@year",
+		"//title", "//book/title", "/lib//title", "//book//title",
+		"//note", "/lib/*", "//*", "//shelf/*/title", "//@year", "//@*",
+		"//shelf/@*", "/lib/@*", "//*/@id", "/lib/missing", "//missing",
+	} {
+		p := MustParse(e)
+		if p.Positional() {
+			t.Fatalf("%s: reported positional", e)
+		}
+		var got []*dom.Node
+		for r, a := range abs {
+			if a != "" && p.Selects(a) {
+				got = append(got, d.Node(r))
+			}
+		}
+		if want := p.Append(nil, value.NodeVal{Node: d.Root}); !slices.Equal(got, want) {
+			t.Errorf("%s: the selected paths hold %v, Append selects %v", e, names(got), names(want))
+		}
+	}
+	// SelectsBelow: the paths reached from the document node or any
+	// element, each context taken on its own.
+	for _, e := range []string{
+		"title", "book/title", "shelf/book", "lib", "@year", "@*", "*/title", "*",
+		"book//title", "//note/title", "shelf/@id", "missing",
+	} {
+		p := MustParse(e)
+		reached := map[string]bool{}
+		for r := 0; r < d.NumNodes(); r++ {
+			if n := d.Node(r); r == 0 || n.Kind() == dom.KindElement {
+				for _, m := range p.Append(nil, value.NodeVal{Node: n}) {
+					reached[abs[m.Order()]] = true
+				}
+			}
+		}
+		for _, a := range abs {
+			if a != "" && p.SelectsBelow(a) != reached[a] {
+				t.Errorf("%s: SelectsBelow(%s) = %v, reached from some context: %v", e, a, !reached[a], reached[a])
+			}
+		}
+	}
+	if !MustParse("/lib/shelf[1]").Positional() || !MustParse("//book[last()]/title").Positional() {
+		t.Errorf("a positional predicate went unreported")
 	}
 }

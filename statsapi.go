@@ -75,26 +75,15 @@ type indexCat struct {
 }
 
 func (c indexCat) ScanIndex(uri string, p xpath.Path) (core.ScanInfo, bool) {
-	x := c.aux[uri]
-	if x == nil {
-		return core.ScanInfo{}, false
+	if x := c.aux[uri]; x != nil {
+		return x.Scan(p)
 	}
-	si, ok := x.Scan(p)
-	if !ok {
-		return core.ScanInfo{}, false
-	}
-	return core.ScanInfo{Index: si.Index, Path: si.Path, Card: si.Card}, true
+	return core.ScanInfo{}, false
 }
 
 func (c indexCat) ValueIndex(uri string, base, rel xpath.Path) (core.ValueInfo, bool) {
-	x := c.aux[uri]
-	if x == nil {
-		return core.ValueInfo{}, false
+	if x := c.aux[uri]; x != nil {
+		return x.Value(base, rel)
 	}
-	vi, ok := x.Value(base, rel)
-	if !ok {
-		return core.ValueInfo{}, false
-	}
-	return core.ValueInfo{Index: vi.Index, Path: vi.Path, Depth: vi.Depth,
-		Card: vi.Card, ScanCard: vi.ScanCard}, true
+	return core.ValueInfo{}, false
 }

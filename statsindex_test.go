@@ -187,7 +187,7 @@ func TestStatsLifecycle(t *testing.T) {
 	// registered document must have them.
 	dir, items := t.TempDir(), xmlgen.Items(xmlgen.DefaultConfig(20))
 	nalb1, nalb2 := filepath.Join(dir, "v1.nalb"), filepath.Join(dir, "v2.nalb")
-	if err := store.SaveFile(nalb1, items); err != nil {
+	if err := store.SaveFileStats(nalb1, items, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.SaveFileStats(nalb2, items, stats.Analyze(items)); err != nil {

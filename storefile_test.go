@@ -15,7 +15,7 @@ func TestLoadStoreFile(t *testing.T) {
 	cfg := xmlgen.DefaultConfig(40)
 	doc := xmlgen.Bib(cfg)
 	path := filepath.Join(t.TempDir(), "bib.nalb")
-	if err := store.SaveFile(path, doc); err != nil {
+	if err := store.SaveFileStats(path, doc, nil); err != nil {
 		t.Fatal(err)
 	}
 
