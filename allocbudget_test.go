@@ -4,6 +4,7 @@ import (
 	"context"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"testing"
 
 	"nalquery/internal/race"
@@ -56,6 +57,43 @@ func TestPaperPlanAllocBudget(t *testing.T) {
 		if budgeted := allocs(WithMaxMemory(1 << 30)); budgeted > got+2 {
 			t.Errorf("%s: %.0f allocations per run under a budget, %.0f without", id, budgeted, got)
 		}
+	}
+}
+
+// TestPaperPlanBytesBudget is the bytes gate of the same path: the bytes the
+// cost-chosen q4 plan, prepared once, allocates per run and serialization at
+// size 400 on its second and later runs, when its pipeline breakers fill the
+// drain buffers, key tables and row arrays an earlier run gave back (a
+// node's first two opens park nothing, so from its fourth open on). Ten such
+// runs allocated 332 508 bytes each before breakers recycled their working
+// memory and 154 775 after; the ceiling sits halfway, so that going back
+// fails. A race-detector build allocates differently and is not held to it.
+func TestPaperPlanBytesBudget(t *testing.T) {
+	const ceiling, runs = 243640, 10
+	p, err := runEngine(400).Prepare(PaperQueries["q4"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Close()
+		if err := res.WriteXML(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > ceiling && !race.Enabled {
+		t.Errorf("q4: %d bytes per run, ceiling %d", got, ceiling)
 	}
 }
 

@@ -24,7 +24,7 @@ func runNativeRows(op Op) (value.TupleSeq, string, bool) {
 		return nil, "", false
 	}
 	ctx := NewCtx(nil)
-	rows := drainRows(ctx, TripBuild, n.open(ctx, nil))
+	rows := drainRows(ctx, TripBuild, n.open(ctx, nil), nil)
 	out := make(value.TupleSeq, len(rows))
 	for i, r := range rows {
 		out[i] = r.Tuple()
@@ -231,7 +231,7 @@ func TestPartitionedRowsXiOutput(t *testing.T) {
 				return false
 			}
 			ctxR := NewCtx(nil)
-			drainRows(ctxR, TripBuild, n.open(ctxR, nil))
+			drainRows(ctxR, TripBuild, n.open(ctxR, nil), nil)
 			if ctxE.OutString() != ctxR.OutString() {
 				t.Errorf("Ξ over %s: output differs\neval:   %.200q\nnative: %.200q",
 					name, ctxE.OutString(), ctxR.OutString())

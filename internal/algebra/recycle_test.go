@@ -1,0 +1,106 @@
+package algebra
+
+import (
+	"sync"
+	"testing"
+
+	"nalquery/internal/value"
+)
+
+// TestRecycledGroupArrayNeverAliasesPayloads: a Γ, Γ-self or binary Γ whose
+// f is id hands out payloads that wrap its group array (value.WrapRows), so
+// that array is the one part of a breaker's working memory that never goes
+// back to the node's free list. Here each grouping is a nested plan opened
+// once per outer row, a Sort holds all the outer rows — and with them every
+// open's payloads — before µD reads any, and the resolved tree is run again
+// and again, from several goroutines and beside runs held open part-read.
+// Every run must give what the definitional evaluator gives.
+func TestRecycledGroupArrayNeverAliasesPayloads(t *testing.T) {
+	ints := func(n int) value.Seq {
+		s := make(value.Seq, n)
+		for i := range s {
+			s[i] = value.Int(int64(i + 1))
+		}
+		return s
+	}
+	scan := func(attr string, n int) Op { return UnnestMap{In: Singleton{}, Attr: attr, E: ConstVal{V: ints(n)}} }
+	// The rows (y, z), y ≥ the outer x: what the nested plans group.
+	members := Select{In: UnnestMap{In: scan("y", 5), Attr: "z", E: ConstVal{V: ints(2)}},
+		Pred: cmp(Var{Name: "y"}, value.CmpGe, Var{Name: "x"})}
+	nested := func(sub Op) Op {
+		outer := Map{In: scan("x", 4), Attr: "p", E: NestedApply{Plan: sub, F: SFIdent{}}}
+		sorted := Sort{In: outer, By: []string{"x"}, Dirs: []bool{true}}
+		return UnnestDistinct{In: UnnestDistinct{In: sorted, Attr: "p"}, Attr: "g"}
+	}
+	for name, plan := range map[string]Op{
+		"Γ":        nested(GroupUnary{In: members, G: "g", By: []string{"z"}, Theta: value.CmpEq, F: SFIdent{}}),
+		"Γ-self":   nested(GroupSelf{In: members, G: "g", By: []string{"z"}, F: SFIdent{}}),
+		"binary Γ": nested(GroupBinary{L: scan("w", 2), R: members, G: "g", LAttrs: []string{"w"}, RAttrs: []string{"z"}, Theta: value.CmpEq, F: SFIdent{}}),
+	} {
+		want := plan.Eval(NewCtx(nil), nil)
+		if len(want) == 0 {
+			t.Fatalf("%s: the plan gives no rows", name)
+		}
+		root := Resolve(plan)
+		if !root.OK {
+			t.Fatalf("%s: %s does not resolve", name, root.unresolved().Op)
+		}
+		check := func(what string, rows []value.Row) bool {
+			got := make(value.TupleSeq, len(rows))
+			for i, r := range rows {
+				got[i] = r.Tuple()
+			}
+			if !value.TupleSeqEqual(want, got) {
+				t.Errorf("%s, %s:\n got %.400s\nwant %.400s", name, what, got, want)
+				return false
+			}
+			return true
+		}
+
+		held := root.open(NewCtx(nil), nil)
+		first, _ := held.Next()
+		check("a run beside a run held open", root.rows(NewCtx(nil), nil, nil))
+		rest := drainRows(NewCtx(nil), TripBuild, held, []value.Row{first})
+		check("a run read after a later run", rest)
+
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					if !check("concurrent runs", root.rows(NewCtx(nil), nil, nil)) {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestReleaseKeepsMemoryInProportion: what a breaker gives back follows the
+// open that gives it — a run over a large input followed by runs over small
+// ones does not keep the large input's arrays, and the key table it would
+// clear on every open, parked for good. Small boxes are kept whatever their
+// open used.
+func TestReleaseKeepsMemoryInProportion(t *testing.T) {
+	held := func(rows int) *workMem {
+		l := new(freeList)
+		m := &workMem{list: l, rows: make([]value.Row, rows, 4*keepRows), b: rowBuckets{ids: map[value.HashKey]int32{}}}
+		m.release()
+		return l.get()
+	}
+	if m := held(keepRows); cap(m.rows) != 4*keepRows || m.b.ids == nil {
+		t.Errorf("a box whose open filled a quarter of it kept %d rows, key table %v", cap(m.rows), m.b.ids != nil)
+	}
+	if m := held(keepRows - 1); cap(m.rows) != 0 || m.b.ids != nil {
+		t.Errorf("a box whose open filled under a quarter of it kept %d rows, key table %v", cap(m.rows), m.b.ids != nil)
+	}
+	l := new(freeList)
+	m := &workMem{list: l, rows: make([]value.Row, 0, keepRows)}
+	m.release()
+	if m := l.get(); cap(m.rows) != keepRows {
+		t.Errorf("a small box kept %d rows, want all %d", cap(m.rows), keepRows)
+	}
+}

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"slices"
-	"sync"
 
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
@@ -35,20 +34,13 @@ type RowIter interface {
 	Close()
 }
 
-// drainRows materializes an iterator's remaining rows and closes it. point
-// names the materialization boundary for budget accounting (TripSort,
-// TripBuild, ...).
-func drainRows(ctx *Ctx, point string, it RowIter) []value.Row {
-	return drainRowsInto(ctx, point, it, nil)
-}
-
-// drainRowsInto materializes into a caller-provided buffer (the pooled form
-// used by the Sort breaker) and closes the iterator. It is the breaker-side
+// drainRows appends an iterator's remaining rows to buf — a breaker's drain
+// buffer, recycled or nil — and closes the iterator. It is the breaker-side
 // cancellation point — a cancelled run stops materializing build sides, sort
 // buffers and group inputs mid-drain — and the breaker-side budget charge
 // point: every retained row debits the run's Budget under the caller's trip
-// label.
-func drainRowsInto(ctx *Ctx, point string, it RowIter, buf []value.Row) []value.Row {
+// label (TripSort, TripBuild, ...).
+func drainRows(ctx *Ctx, point string, it RowIter, buf []value.Row) []value.Row {
 	for {
 		if ctx.Cancelled() {
 			it.Close()
@@ -62,26 +54,6 @@ func drainRowsInto(ctx *Ctx, point string, it RowIter, buf []value.Row) []value.
 		ctx.ChargeRow(point, r)
 		buf = append(buf, r)
 	}
-}
-
-// sortBufPool recycles the Sort breaker's materialization buffers across
-// Open cycles (and across executions — the pool is process-wide). Buffers
-// hold Row structs by value; emitted rows are copies, so reuse is safe.
-var sortBufPool sync.Pool
-
-func getSortBuf() []value.Row {
-	if p, ok := sortBufPool.Get().(*[]value.Row); ok {
-		return (*p)[:0]
-	}
-	return nil
-}
-
-func putSortBuf(buf []value.Row) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:0]
-	sortBufPool.Put(&buf)
 }
 
 // rowsFunc is a sequence function compiled against the schema of the member
@@ -173,10 +145,12 @@ func (c *compiler) applier(f SeqFunc, members Schema, up *scope) (rowsFunc, *Inn
 
 // ---- elementary iterators ----
 
+// rowSliceIter emits rows held in a slice: □'s one row, or a breaker's
+// output, whose working memory mem goes back on Close.
 type rowSliceIter struct {
-	rows   []value.Row
-	pos    int
-	pooled bool // return the buffer to the sort pool on Close
+	rows []value.Row
+	pos  int
+	mem  *workMem
 }
 
 func (s *rowSliceIter) Next() (value.Row, bool) {
@@ -189,10 +163,20 @@ func (s *rowSliceIter) Next() (value.Row, bool) {
 }
 
 func (s *rowSliceIter) Close() {
-	if s.pooled && s.rows != nil {
-		putSortBuf(s.rows)
+	if s.mem != nil {
+		s.mem.release()
+		s.mem = nil
 	}
 	s.rows = nil
+}
+
+// emitRows is the iterator over a breaker's output rows. w is the open's working
+// memory, out among it; box, when the open has one, takes w to give it back.
+func emitRows(out []value.Row, w workMem, box *workMem) RowIter {
+	if box != nil {
+		*box = w
+	}
+	return &rowSliceIter{rows: out, mem: box}
 }
 
 type rowSelectIter struct {
@@ -369,32 +353,33 @@ func (x *rowXiIter) Close() { x.in.Close() }
 // fires S1/S2/S3 per first-occurrence group, and streams the input rows
 // unchanged — the slot twin of XiGroup.Eval.
 func (n *Node) openXiGroup(by []int, s1, s2, s3 []compiledCmd, fr *frame, up *outer) RowIter {
-	rows := drainRows(fr.ctx, TripGroup, n.Kids[0].open(fr.ctx, up))
+	w, box := n.take()
+	w.rows = drainRows(fr.ctx, TripGroup, n.Kids[0].open(fr.ctx, up), w.rows[:0])
 	// Ξ-group passes its input through, so its output cardinality says
 	// nothing about the bucket count; size the table by the textbook
 	// distinct-keys fraction of the input instead.
-	buckets := bucketRows(rows, by, len(rows)/3+1)
-	for i := 0; i < buckets.n(); i++ {
-		grp := buckets.group(i)
+	w.b.fill(w.rows, by, len(w.rows)/3+1)
+	for i := 0; i < w.b.n(); i++ {
+		grp := w.b.group(i)
 		execCompiled(fr, grp[0], up, s1)
 		for _, r := range grp {
 			execCompiled(fr, r, up, s2)
 		}
 		execCompiled(fr, grp[len(grp)-1], up, s3)
 	}
-	return &rowSliceIter{rows: rows}
+	return emitRows(w.rows, w, box)
 }
 
 // openSort is the order-restoration breaker: it materializes its input into
-// a pooled buffer (reused across opens — emitted Rows are value copies, so
-// recycling the buffer never aliases them) and sorts it in place with a
-// monomorphic comparison instead of sort.Sort's interface dispatch.
-func openSort(in RowIter, by []int, dirs []bool, ctx *Ctx) RowIter {
-	rows := drainRowsInto(ctx, TripSort, in, getSortBuf())
-	slices.SortStableFunc(rows, func(a, b value.Row) int {
+// its drain buffer and sorts it in place with a monomorphic comparison
+// instead of sort.Sort's interface dispatch.
+func (n *Node) openSort(by []int, dirs []bool, ctx *Ctx, up *outer) RowIter {
+	w, box := n.take()
+	w.rows = drainRows(ctx, TripSort, n.Kids[0].open(ctx, up), w.rows[:0])
+	slices.SortStableFunc(w.rows, func(a, b value.Row) int {
 		return cmpRowsDirs(a, b, by, dirs)
 	})
-	return &rowSliceIter{rows: rows, pooled: true}
+	return emitRows(w.rows, w, box)
 }
 
 // cmpRowsDirs is the three-way sort comparison of the row engine's Sort
@@ -448,8 +433,8 @@ type joinSpec struct {
 // left input never evaluates it, as in their Eval.
 type rowJoinIter struct {
 	*joinSpec
-	left  RowIter
-	build *Node // the right input, until it is built
+	left RowIter
+	join *Node // the join, until its right input is built
 	frame
 	up *outer
 
@@ -460,22 +445,26 @@ type rowJoinIter struct {
 	probe []value.Value
 
 	cur     value.Row
-	pending []value.Row
+	pending []value.Row // the partners of cur still to emit
 	pool    []value.Row
-	pos     int
 	slab    rowSlab
+	mem     *workMem // where Close gives the build side's memory back, if anywhere
 }
 
 // materialize builds and hashes the right input.
 func (j *rowJoinIter) materialize() {
-	j.right = drainRows(j.ctx, TripBuild, j.build.open(j.ctx, j.up))
-	j.build = nil
+	w, box := j.join.take()
+	j.mem = box
+	j.right = drainRows(j.ctx, TripBuild, j.join.Kids[1].open(j.ctx, j.up), w.rows[:0])
+	j.join = nil
 	if len(j.rSlots) > 0 {
-		j.hash = bucketRows(j.right, j.rSlots, len(j.right))
+		j.hash = w.b
+		j.hash.fill(j.right, j.rSlots, len(j.right))
 	}
 	if j.pred != nil {
-		j.probe = make([]value.Value, j.cat.Width())
+		j.probe = sized(w.vals, j.cat.Width())
 	}
+	j.pool = w.out[:0]
 }
 
 func (j *rowJoinIter) candidates(lt value.Row) []value.Row {
@@ -519,17 +508,17 @@ func (j *rowJoinIter) anyMatch(lt value.Row) bool {
 
 func (j *rowJoinIter) Next() (value.Row, bool) {
 	for {
-		if j.pos < len(j.pending) {
-			vals := j.slab.take(j.lay.Width(), len(j.pending)-j.pos)
-			r := value.ConcatRows(j.lay, vals, j.cur, j.pending[j.pos])
-			j.pos++
+		if len(j.pending) > 0 {
+			vals := j.slab.take(j.lay.Width(), len(j.pending))
+			r := value.ConcatRows(j.lay, vals, j.cur, j.pending[0])
+			j.pending = j.pending[1:]
 			return r, true
 		}
 		lt, ok := j.left.Next()
 		if !ok {
 			return value.Row{}, false
 		}
-		if j.build != nil {
+		if j.join != nil {
 			j.materialize()
 		}
 		// The probe side streams — no accounting, but it is a fault-injection
@@ -549,12 +538,20 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 			if len(ms) == 0 {
 				return padOuter(&j.slab, j.lay, lt, j.padFrom, j.gSlot, j.def), true
 			}
-			j.cur, j.pending, j.pos = lt, ms, 0
+			j.cur, j.pending = lt, ms
 		}
 	}
 }
 
-func (j *rowJoinIter) Close() { j.left.Close() }
+func (j *rowJoinIter) Close() {
+	j.left.Close()
+	if m := j.mem; m != nil {
+		m.rows, m.out, m.b, m.vals = j.right, j.pool, j.hash, j.probe
+		m.release()
+		j.mem = nil
+	}
+	j.right, j.pool, j.hash, j.probe, j.pending = nil, nil, rowBuckets{}, nil, nil
+}
 
 // emptyGroup is f() over members of lay: the default ⟕ puts into g. It is
 // what applier(f, lay) yields for no rows, without a charge for holding it —
@@ -594,13 +591,18 @@ func padOuter(slab *rowSlab, lay *value.Layout, lt value.Row, padFrom, gSlot int
 // openGroupUnary is Γ: one output row per group, the key slots followed by g.
 func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply rowsFunc, fr *frame, up *outer) RowIter {
 	ctx := fr.ctx
-	rows := drainRows(ctx, TripGroup, n.Kids[0].open(ctx, up))
+	w, box := n.take()
+	w.rows = drainRows(ctx, TripGroup, n.Kids[0].open(ctx, up), w.rows[:0])
+	rows := w.rows
 
-	// Γ's output cardinality is its distinct-key count: pre-size the hash
-	// table and key list from the cost model's estimate instead of growing
-	// from Go map defaults.
-	hint := ctx.cardHint(g, len(rows))
-	out := make([]value.Row, 0, hint)
+	// Γ's output cardinality is its distinct-key count: with nothing recycled
+	// to size them from, pre-size the output and the key table from the cost
+	// model's estimate instead of growing from Go map defaults.
+	hint, out := len(rows), w.out[:0]
+	if out == nil {
+		hint = ctx.cardHint(g, len(rows))
+		out = make([]value.Row, 0, hint)
+	}
 	var slab rowSlab
 	emit := func(key value.Row, v value.Value, more int) {
 		vals := slab.take(lay.Width(), more)
@@ -612,12 +614,16 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 	}
 
 	if g.Theta == value.CmpEq {
-		buckets := bucketRows(rows, by, hint)
-		for i := 0; i < buckets.n(); i++ {
-			grp := buckets.group(i)
-			emit(grp[0], apply(fr, grp, up), buckets.n()-i)
+		w.b.fill(rows, by, hint)
+		for i := 0; i < w.b.n(); i++ {
+			grp := w.b.group(i)
+			emit(grp[0], apply(fr, grp, up), w.b.n()-i)
 		}
-		return &rowSliceIter{rows: out}
+		if holdsMembers(g.F) {
+			w.b.grouped = nil
+		}
+		w.out = out
+		return emitRows(out, w, box)
 	}
 
 	// General θ: compare every distinct key against every input row.
@@ -639,29 +645,36 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 		}
 		emit(kr, apply(fr, grp, up), len(keyRows)-i)
 	}
-	return &rowSliceIter{rows: out}
+	w.out = out
+	return emitRows(out, w, box)
 }
 
 // openGroupSelf annotates each input row with f applied to its equality
 // group, preserving input order (unlike Γ, which emits one row per group).
-func (n *Node) openGroupSelf(by []int, lay *value.Layout, apply rowsFunc, fr *frame, up *outer) RowIter {
-	rows := drainRows(fr.ctx, TripGroup, n.Kids[0].open(fr.ctx, up))
+// holds says whether f's values wrap the group array (holdsMembers).
+func (n *Node) openGroupSelf(by []int, lay *value.Layout, apply rowsFunc, holds bool, fr *frame, up *outer) RowIter {
+	w, box := n.take()
+	w.rows = drainRows(fr.ctx, TripGroup, n.Kids[0].open(fr.ctx, up), w.rows[:0])
+	rows := w.rows
 
 	// Groups are numbered as the rows first meet them, so applying f group
 	// by group is applying it in input order.
-	buckets := bucketRows(rows, by, len(rows))
-	applied := make([]value.Value, buckets.n())
-	for i := range applied {
-		applied[i] = apply(fr, buckets.group(i), up)
+	w.b.fill(rows, by, len(rows))
+	w.vals = sized(w.vals, w.b.n())
+	for i := range w.vals {
+		w.vals[i] = apply(fr, w.b.group(i), up)
 	}
-	out := make([]value.Row, len(rows))
+	if holds {
+		w.b.grouped = nil
+	}
+	w.out = sized(w.out, len(rows))
 	var slab rowSlab
 	gSlot := lay.Width() - 1
 	for i, r := range rows {
-		out[i] = slab.extend(lay, r, len(rows)-i)
-		out[i].Vals[gSlot] = applied[buckets.gid[i]]
+		w.out[i] = slab.extend(lay, r, len(rows)-i)
+		w.out[i].Vals[gSlot] = w.vals[w.b.gid[i]]
 	}
-	return &rowSliceIter{rows: out}
+	return emitRows(w.out, w, box)
 }
 
 func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
@@ -682,30 +695,36 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 // never evaluates it — as in GroupBinary.Eval.
 type rowGroupBinaryIter struct {
 	left           RowIter
-	build          *Node    // the right input, until it is built
+	group          *Node    // the binary Γ, until its right input is built
 	apply          rowsFunc // f, compiled against the right input's schema
 	theta          value.CmpOp
+	holds          bool // f's values wrap the group array (holdsMembers)
 	lSlots, rSlots []int
 	lay            *value.Layout // g is its last slot
 	frame
 	up *outer
 
+	rows    []value.Row // the right input, scanned per left row for θ other than =
 	hash    rowBuckets
 	applied map[value.HashKey]value.Value
-	scan    []value.Row
 	slab    rowSlab
+	mem     *workMem // where Close gives the build side's memory back, if anywhere
 }
 
 // materialize builds the right input.
 func (g *rowGroupBinaryIter) materialize() {
-	rows := drainRows(g.ctx, TripGroup, g.build.open(g.ctx, g.up))
-	g.build = nil
+	w, box := g.group.take()
+	g.mem = box
+	g.rows = drainRows(g.ctx, TripGroup, g.group.Kids[1].open(g.ctx, g.up), w.rows[:0])
+	g.group = nil
 	if g.theta == value.CmpEq {
-		g.hash = bucketRows(rows, g.rSlots, len(rows))
-		g.applied = make(map[value.HashKey]value.Value, g.hash.n())
-		return
+		g.hash = w.b
+		g.hash.fill(g.rows, g.rSlots, len(g.rows))
+		g.applied = w.applied
+		if g.applied == nil {
+			g.applied = make(map[value.HashKey]value.Value, g.hash.n())
+		}
 	}
-	g.scan = rows
 }
 
 // of is f over the right rows that stand in θ to lt.
@@ -720,7 +739,7 @@ func (g *rowGroupBinaryIter) of(lt value.Row) value.Value {
 		return gv
 	}
 	var grp []value.Row
-	for _, r := range g.scan {
+	for _, r := range g.rows {
 		if thetaMatchRows(lt, r, g.lSlots, g.rSlots, g.theta) {
 			grp = append(grp, r)
 		}
@@ -733,7 +752,7 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	if g.build != nil {
+	if g.group != nil {
 		g.materialize()
 	}
 	out := g.slab.extend(g.lay, lt, 0)
@@ -741,7 +760,18 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 	return out, true
 }
 
-func (g *rowGroupBinaryIter) Close() { g.left.Close() }
+func (g *rowGroupBinaryIter) Close() {
+	g.left.Close()
+	if m := g.mem; m != nil {
+		if g.holds {
+			g.hash.grouped = nil
+		}
+		m.rows, m.b, m.applied = g.rows, g.hash, g.applied
+		m.release()
+		g.mem = nil
+	}
+	g.rows, g.hash, g.applied = nil, rowBuckets{}, nil
+}
 
 // ---- unnest ----
 

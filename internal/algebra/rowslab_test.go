@@ -158,8 +158,11 @@ func TestUnnestMapChunksFollowTheStream(t *testing.T) {
 
 // TestBucketRowsMatchesMapOfSlices: group order is first occurrence, member
 // order is input order, gid names each row's group — against the
-// map-of-slices grouping bucketRows replaced.
+// map-of-slices grouping rowBuckets replaced. Each case fills both fresh
+// buckets and the arrays the case before gave back, larger or smaller, as a
+// breaker's next open does.
 func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
+	var recycled workMem
 	lay := value.NewLayout("k", "j", "v")
 	rng := rand.New(rand.NewSource(11))
 	keyVals := []value.Value{value.Int(1), value.Str("1.0"), value.Str("a"), value.Str("b"), value.Null{}, nil,
@@ -196,31 +199,36 @@ func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
 			ref[k] = append(ref[k], r)
 		}
 
-		b := bucketRows(rows, tc.by, rng.Intn(tc.n+1))
-		if b.n() != len(order) || len(b.gid) != len(rows) || len(b.grouped) != len(rows) {
-			t.Fatalf("%s: %d groups (want %d), %d gids, %d grouped rows", tc.name, b.n(), len(order), len(b.gid), len(b.grouped))
-		}
-		for g, k := range order {
-			grp := b.group(g)
-			if len(grp) != len(ref[k]) || cap(grp) != len(grp) {
-				t.Fatalf("%s: group %d has %d members (cap %d), want %d", tc.name, g, len(grp), cap(grp), len(ref[k]))
+		var fresh rowBuckets
+		fresh.fill(rows, tc.by, rng.Intn(tc.n+1))
+		recycled.b.fill(rows, tc.by, 0)
+		for _, b := range []rowBuckets{fresh, recycled.b} {
+			if b.n() != len(order) || len(b.gid) != len(rows) || len(b.grouped) != len(rows) {
+				t.Fatalf("%s: %d groups (want %d), %d gids, %d grouped rows", tc.name, b.n(), len(order), len(b.gid), len(b.grouped))
 			}
-			for i := range grp {
-				if &grp[i].Vals[0] != &ref[k][i].Vals[0] {
-					t.Fatalf("%s: group %d member %d is not input row %v", tc.name, g, i, ref[k][i].Vals[2])
+			for g, k := range order {
+				grp := b.group(g)
+				if len(grp) != len(ref[k]) || cap(grp) != len(grp) {
+					t.Fatalf("%s: group %d has %d members (cap %d), want %d", tc.name, g, len(grp), cap(grp), len(ref[k]))
+				}
+				for i := range grp {
+					if &grp[i].Vals[0] != &ref[k][i].Vals[0] {
+						t.Fatalf("%s: group %d member %d is not input row %v", tc.name, g, i, ref[k][i].Vals[2])
+					}
+				}
+				if got := b.lookup(k); len(got) != len(grp) || &got[0] != &grp[0] {
+					t.Fatalf("%s: lookup of group %d's key finds another group", tc.name, g)
 				}
 			}
-			if got := b.lookup(k); len(got) != len(grp) || &got[0] != &grp[0] {
-				t.Fatalf("%s: lookup of group %d's key finds another group", tc.name, g)
+			for i, r := range rows {
+				if order[b.gid[i]] != value.KeyOfSlots(r.Vals, tc.by) {
+					t.Fatalf("%s: gid[%d] = %d names a group with another key", tc.name, i, b.gid[i])
+				}
+			}
+			if b.lookup(value.KeyOf(value.Str("absent"))) != nil {
+				t.Fatalf("%s: lookup of an absent key found rows", tc.name)
 			}
 		}
-		for i, r := range rows {
-			if order[b.gid[i]] != value.KeyOfSlots(r.Vals, tc.by) {
-				t.Fatalf("%s: gid[%d] = %d names a group with another key", tc.name, i, b.gid[i])
-			}
-		}
-		if b.lookup(value.KeyOf(value.Str("absent"))) != nil {
-			t.Fatalf("%s: lookup of an absent key found rows", tc.name)
-		}
+		clear(recycled.b.ids)
 	}
 }

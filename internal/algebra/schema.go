@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"nalquery/internal/value"
 )
@@ -110,7 +111,9 @@ type opener func(ctx *Ctx, up *outer) RowIter
 // its opener and the nodes of its algebraic inputs, in Children() order. A
 // resolved tree is immutable — layouts, slot lists, nested-schema maps and
 // compiled subscripts are never written after Resolve returns — so any
-// number of runs may open it concurrently.
+// number of runs may open it concurrently. The one thing that changes is a
+// pipeline breaker's free list of working memory (workMem), which is
+// synchronized.
 type Node struct {
 	Op     Op
 	Schema Schema
@@ -126,6 +129,9 @@ type Node struct {
 	states int
 	// open builds the node's iterator; nil when OK is false.
 	open opener
+	// free is a breaker's recycled working memory: nil, openedOnce and
+	// openedTwice until its third open (Node.take).
+	free atomic.Pointer[freeList]
 }
 
 // Resolve types an operator tree in one bottom-up pass: every operator is
@@ -247,7 +253,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 	case Sort:
 		if by, ok := slotsIn(in.Lay, w.By); ok {
 			return typed(in.Lay, in.Nested, func(ctx *Ctx, o *outer) RowIter {
-				return openSort(n.Kids[0].open(ctx, o), by, w.Dirs, ctx)
+				return n.openSort(by, w.Dirs, ctx, o)
 			})
 		}
 
@@ -346,7 +352,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		if by, ok := slotsIn(in.Lay, w.By); ok && fresh {
 			return sc, func(ctx *Ctx, o *outer) RowIter {
 				fr := n.frame(ctx)
-				return n.openGroupSelf(by, sc.Lay, apply, &fr, o)
+				return n.openGroupSelf(by, sc.Lay, apply, holdsMembers(w.F), &fr, o)
 			}
 		}
 
@@ -356,7 +362,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		sc, apply, fresh := groupInto(c, up, in, r, w.G, w.F)
 		if lok && rok && fresh {
 			return sc, func(ctx *Ctx, o *outer) RowIter {
-				return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, o), build: n.Kids[1], apply: apply, theta: w.Theta,
+				return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, o), group: n, apply: apply, theta: w.Theta, holds: holdsMembers(w.F),
 					lSlots: lSlots, rSlots: rSlots, lay: sc.Lay, frame: n.frame(ctx), up: o}
 			}
 		}
@@ -431,7 +437,7 @@ func (n *Node) join(c *compiler, up *scope, l, r Schema, pred Expr, mode joinMod
 		spec.pred = c.expr(residual, rows)
 	}
 	return sc, func(ctx *Ctx, o *outer) RowIter {
-		return &rowJoinIter{joinSpec: spec, left: n.Kids[0].open(ctx, o), build: n.Kids[1], frame: n.frame(ctx), up: o}
+		return &rowJoinIter{joinSpec: spec, left: n.Kids[0].open(ctx, o), join: n, frame: n.frame(ctx), up: o}
 	}
 }
 

@@ -8,7 +8,7 @@
 // must be (a) declared Trip* string constants, never ad-hoc literals or
 // computed strings, and (b) pairwise distinct. The only other accepted
 // label argument is a forwarded parameter inside the charge plumbing
-// itself (drainRows/drainRowsInto/Charge*/Fault/trip), whose own call
+// itself (drainRows/Charge*/Fault/trip), whose own call
 // sites are checked in turn.
 package budgetcharge
 
@@ -39,15 +39,14 @@ func init() {
 // labelArg maps a charge/fault callee name — the charge plumbing — to the
 // index of its trip-point label argument.
 var labelArg = map[string]int{
-	"drainRowsInto": 1,
-	"drainRows":     1,
-	"charge":        0,
-	"ChargeRow":     0,
-	"ChargeTuple":   0,
-	"ChargeTuples":  0,
-	"ChargeBytes":   0,
-	"Fault":         0,
-	"trip":          0,
+	"drainRows":    1,
+	"charge":       0,
+	"ChargeRow":    0,
+	"ChargeTuple":  0,
+	"ChargeTuples": 0,
+	"ChargeBytes":  0,
+	"Fault":        0,
+	"trip":         0,
 }
 
 func run(pass *analysis.Pass) error {

@@ -24,14 +24,14 @@ func (c *Ctx) ChargeRow(point string) { c.charge(point, 1) }
 // Fault is a leaf charge site.
 func (c *Ctx) Fault(point string) { _ = point }
 
-func drainRowsInto(c *Ctx, point string, rows []int) []int {
+func drainRows(c *Ctx, point string, rows []int) []int {
 	c.charge(point, len(rows))
 	return rows
 }
 
 func good(c *Ctx) {
 	c.ChargeRow(TripBuild)
-	drainRowsInto(c, TripSort, nil)
+	drainRows(c, TripSort, nil)
 }
 
 func badLiteral(c *Ctx) {

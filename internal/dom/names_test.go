@@ -7,10 +7,10 @@ import (
 	"unicode/utf8"
 )
 
-// TestNameTablesMatchEncodingXML checks isName on every rune, as a name's
+// TestNameTablesMatchEncodingXML checks IsName on every rune, as a name's
 // first character and as a later one, against encoding/xml reading the
 // start tag <r/> and <ar/>: the Decoder must read that tag, under exactly
-// that name, when and only when isName holds.
+// that name, when and only when IsName holds.
 func TestNameTablesMatchEncodingXML(t *testing.T) {
 	decoderReads := func(name string) bool {
 		tok, err := xml.NewDecoder(strings.NewReader("<" + name + "/>")).RawToken()
@@ -29,8 +29,8 @@ func TestNameTablesMatchEncodingXML(t *testing.T) {
 			continue
 		}
 		for _, name := range []string{string(r), "a" + string(r)} {
-			if got, want := isName(name), decoderReads(name); got != want {
-				t.Fatalf("isName(%q) = %v, encoding/xml reads it: %v", name, got, want)
+			if got, want := IsName(name), decoderReads(name); got != want {
+				t.Fatalf("IsName(%q) = %v, encoding/xml reads it: %v", name, got, want)
 			}
 		}
 	}

@@ -469,7 +469,7 @@ func (p *scanner) space() {
 // nameClass classifies the ASCII bytes a name is read from: startsName
 // bytes may begin one (letters, '_', ':'), continuesName bytes only
 // continue one (digits, '.', '-'). Every non-ASCII byte is read into a
-// name too, and isName decides on its characters.
+// name too, and IsName decides on its characters.
 const (
 	continuesName = 1 << iota
 	startsName
@@ -511,7 +511,7 @@ func (p *scanner) name(missing string) (name string, colons int, err error) {
 		return "", 0, p.fail(i, missing)
 	}
 	name, p.pos = s[p.pos:i], i
-	if ascii && nameClass[name[0]] != startsName || !ascii && !isName(name) {
+	if ascii && nameClass[name[0]] != startsName || !ascii && !IsName(name) {
 		return "", 0, p.fail(i, "invalid XML name: "+name)
 	}
 	return name, colons, nil
@@ -535,8 +535,8 @@ func (p *scanner) nsName(missing string) (qname, error) {
 	return n, nil
 }
 
-// isName reports whether s matches the XML 1.0 Name production.
-func isName(s string) bool {
+// IsName reports whether s matches the XML 1.0 Name production.
+func IsName(s string) bool {
 	if s == "" {
 		return false
 	}

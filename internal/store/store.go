@@ -285,12 +285,19 @@ func (d *decoder) bytes() []byte {
 func (d *decoder) str() string { return string(d.bytes()) }
 
 // name reads a string that repeats across records — an element or attribute
-// name — and returns the one copy kept of it.
+// name, or a text node's empty one — and returns the one copy kept of it.
+// The first time it reads a name it checks it against the XML Name
+// production, as the XML scanner does: a name no XML parse yields (`a/b`,
+// `@x`) would make a node's absolute path read as the paths of other nodes.
 func (d *decoder) name() string {
 	b := d.bytes()
 	s, ok := d.names[string(b)]
 	if !ok {
 		s = string(b)
+		if s != "" && !dom.IsName(s) {
+			d.err = fmt.Errorf("store: %.40q is not an XML name", s)
+			return ""
+		}
 		d.names[s] = s
 	}
 	return s
@@ -360,10 +367,17 @@ func (d *decoder) children(b *dom.Builder, n uint64) {
 		}
 		switch kind {
 		case dom.KindElement:
+			if name == "" {
+				d.err = fmt.Errorf("store: element without a name")
+				return
+			}
 			b.Begin(name)
 			for i := uint64(0); i < nattrs && d.err == nil; i++ {
 				an := d.name()
 				av := d.bytes()
+				if d.err == nil && an == "" {
+					d.err = fmt.Errorf("store: attribute without a name")
+				}
 				if d.err == nil {
 					b.AttribBytes(an, av)
 				}

@@ -179,3 +179,39 @@ func TestMagicPrefixStable(t *testing.T) {
 		t.Fatalf("magic prefix missing")
 	}
 }
+
+// TestLoadRejectsNamesNoParseYields: an element or attribute name is an XML
+// Name, as it is when a document is parsed. A file naming an element `a/b`
+// or `@x` would give it an absolute path that reads as the paths of other
+// nodes (`//@*` would select the element), so the load fails instead; names
+// an XML parse yields, with a colon or outside ASCII, still load.
+func TestLoadRejectsNamesNoParseYields(t *testing.T) {
+	image := func(elem, attr string) []byte {
+		b := dom.NewBuilder("n.xml")
+		b.Begin("r").Begin(elem).Attrib(attr, "v").Text("t").End().End()
+		var buf bytes.Buffer
+		if err := SaveStats(&buf, b.Done(), nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct{ elem, attr string }{
+		{"a/b", "id"}, {"@x", "id"}, {"e", "@x"}, {"e", "a/b"}, {"1e", "id"}, {"e", "x y"},
+		{"", "id"}, {"e", ""},
+	} {
+		_, _, err := LoadStats(bytes.NewReader(image(tc.elem, tc.attr)))
+		if err == nil || !strings.HasPrefix(err.Error(), "store: ") {
+			t.Errorf("element %q, attribute %q: err = %v, want a store: error", tc.elem, tc.attr, err)
+		}
+	}
+	for _, tc := range []struct{ elem, attr string }{{"a:b", "x:id"}, {"wörld", "ñ"}, {"_e.1-2", "a:"}} {
+		d, _, err := LoadStats(bytes.NewReader(image(tc.elem, tc.attr)))
+		if err != nil {
+			t.Errorf("element %q, attribute %q: %v", tc.elem, tc.attr, err)
+			continue
+		}
+		if got, want := dom.XMLString(d.Root), `<r><`+tc.elem+` `+tc.attr+`="v">t</`+tc.elem+`></r>`; got != want {
+			t.Errorf("loads to %s, want %s", got, want)
+		}
+	}
+}
