@@ -94,7 +94,8 @@ bench-smoke: vet
 
 # bench-json regenerates BENCH_results.json, the machine-readable allocation
 # trajectory (B/op and allocs/op per experiment/plan/size: the paper tables
-# and grouping). It carries no wall-clock column — timings are
+# and the grouping family's quantifier plans). It carries no wall-clock
+# column — timings are
 # measured with benchmark/ (bench-pairs).
 bench-json:
 	$(GO) run ./cmd/nalbench -json

@@ -192,9 +192,7 @@ func runJSON(path, expID string, opts experiments.Options) error {
 			}
 		}
 	}
-	// The grouping family: Γ payload construction, the Γ→µD roundtrip and
-	// the quantifier plan alternatives — the nested-data workloads the
-	// RowSeq representation exists for.
+	// The grouping family: the quantifier plan alternatives of Q4 and Q5.
 	if expID == "all" || expID == "grouping" {
 		targets, err := experiments.GroupingBenchTargets(sizes)
 		if err != nil {

@@ -29,14 +29,15 @@ func TestDiffRetiredVersusTruncated(t *testing.T) {
 	joins := benchRecord{Experiment: "joins", Plan: "grace+sort", Size: 100, BytesPerOp: 500, AllocsPerOp: 5}
 	mu := benchRecord{Experiment: "grouping", Plan: "gamma-mu-roundtrip", Size: 100, BytesPerOp: 700, AllocsPerOp: 7}
 	unary := benchRecord{Experiment: "grouping", Plan: "unary-gamma", Size: 100, BytesPerOp: 600, AllocsPerOp: 6}
+	exists := benchRecord{Experiment: "grouping", Plan: "quantifier-exists-semijoin", Size: 100, BytesPerOp: 800, AllocsPerOp: 8}
 	cur := write("cur.json", []benchRecord{q1, q1nested})
 
-	err := runDiff(write("retired.json", []benchRecord{q1, q1nested, joins, mu}), cur, 10, 15)
+	err := runDiff(write("retired.json", []benchRecord{q1, q1nested, joins, mu, unary}), cur, 10, 15)
 	if err != nil {
 		t.Errorf("retired rows must pass: %v", err)
 	}
-	err = runDiff(write("grouping.json", []benchRecord{q1, q1nested, unary}), cur, 10, 15)
-	if err == nil || !strings.Contains(err.Error(), "grouping/unary-gamma/size=100/apb=0: missing") {
+	err = runDiff(write("grouping.json", []benchRecord{q1, q1nested, exists}), cur, 10, 15)
+	if err == nil || !strings.Contains(err.Error(), "grouping/quantifier-exists-semijoin/size=100/apb=0: missing") {
 		t.Errorf("a grouping plan still measured missing must fail, got %v", err)
 	}
 	err = runDiff(write("full.json", []benchRecord{q1, q1nested}), write("truncated.json", []benchRecord{q1}), 10, 15)

@@ -288,19 +288,15 @@ func (c *compiler) compile(e Expr, s scope) (RowExpr, *Inner) {
 			return nil, nil
 		}
 		apply, inner := c.applier(w.F, sub.Schema, at)
-		// id keeps the member slice as its payload; every other function
-		// reads it and lets go, so one buffer serves all outer rows.
-		_, keeps := w.F.(SFIdent)
+		// f reads the sub-plan's rows and lets go, so one buffer serves all
+		// outer rows.
 		i := c.state()
 		return func(fr *frame, r value.Row, up *outer) value.Value {
 			fr.ctx.Stats.NestedEvals++
 			st := &fr.scratch[i]
 			st.link = outer{row: r, up: up}
-			rows := sub.rows(fr.ctx, &st.link, st.rows[:0])
-			if !keeps {
-				st.rows = rows
-			}
-			return apply(fr, rows, &st.link)
+			st.rows = sub.rows(fr.ctx, &st.link, st.rows[:0])
+			return apply(fr, st.rows, &st.link)
 		}, inner
 
 	case ExistsQ:

@@ -158,9 +158,6 @@ func TestSeqFuncs(t *testing.T) {
 	if got := (SFCount{}).Apply(ctx, nil, nil); !value.DeepEqual(got, value.Int(0)) {
 		t.Fatalf("count(ε): %v", got)
 	}
-	if got := (SFIdent{}).Apply(ctx, nil, ts); !value.DeepEqual(got, value.Value(ts)) {
-		t.Fatalf("id: %v", got)
-	}
 	if got := (SFAgg{Fn: "sum", Attr: "b"}).Apply(ctx, nil, ts); !value.DeepEqual(got, value.Float(10)) {
 		t.Fatalf("sum: %v", got)
 	}

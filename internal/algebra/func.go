@@ -341,19 +341,6 @@ type SeqFunc interface {
 	String() string
 }
 
-// SFIdent is the identity function id.
-type SFIdent struct{}
-
-// Apply implements SeqFunc.
-func (SFIdent) Apply(_ *Ctx, _ value.Tuple, ts value.TupleSeq) value.Value {
-	if ts == nil {
-		return value.TupleSeq{}
-	}
-	return ts
-}
-
-func (SFIdent) String() string { return "id" }
-
 // SFCount counts the tuples of the sequence; the empty group counts 0.
 type SFCount struct{}
 

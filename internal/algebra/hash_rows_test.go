@@ -68,7 +68,7 @@ func hashFamily(e1, e2 Op, residual Expr) map[string]Op {
 		"▷": AntiJoin{L: e1, R: e2, Pred: pred},
 		"⟕": OuterJoin{L: e1, R: e2, Pred: pred, G: "B", Default: SFCount{}},
 		"Γ-binary": GroupBinary{L: e1, R: e2, G: "g",
-			LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}},
+			LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}},
 		"Γ-unary": GroupUnary{In: e2, G: "g", By: []string{"A2"},
 			Theta: value.CmpEq, F: SFAgg{Fn: "sum", Attr: "B"}},
 	}
@@ -171,7 +171,7 @@ func TestPartitionedRowsPadding(t *testing.T) {
 		{"A2": value.Int(2), "B": value.Int(20)},
 		{"A2": value.Int(2), "B": value.Int(21)},
 	}, attrs: []string{"A2", "B"}}
-	grouped := GroupUnary{In: right, G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
+	grouped := GroupUnary{In: right, G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}
 
 	oj := OuterJoin{L: left, R: grouped, Pred: eqCmp("A1", "A2"), G: "g", Default: SFCount{}}
 	if !diffOp(t, "⟕-padding", oj) {

@@ -51,7 +51,7 @@ func TestIterOuterJoin(t *testing.T) {
 
 func TestIterUnnest(t *testing.T) {
 	grouped := GroupBinary{L: relR1(), R: relR2(), G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
+		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}
 	iterMatches(t, UnnestDistinct{In: grouped, Attr: "g"})
 }
 
@@ -112,7 +112,7 @@ func TestIterMatchesEvalProperty(t *testing.T) {
 				G: "B", Default: SFCount{}}
 		default:
 			op = UnnestDistinct{In: GroupUnary{In: e2, G: "g", By: []string{"A2"},
-				Theta: value.CmpEq, F: SFIdent{}}, Attr: "g"}
+				Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}, Attr: "g"}
 		}
 		a := op.Eval(NewCtx(nil), nil)
 		b := RunIter(native(op), NewCtx(nil))

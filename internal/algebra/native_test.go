@@ -93,16 +93,15 @@ func rowSeqOf(ts value.TupleSeq) value.RowSeq {
 	}
 	sort.Strings(names)
 	lay := value.NewLayout(names...)
-	rows := make([]value.Row, len(ts))
+	flat := make([]value.Value, len(ts)*len(names))
 	for i, t := range ts {
-		rows[i] = value.NewRow(lay)
 		for a, v := range t {
 			if nested, ok := v.(value.TupleSeq); ok {
 				v = rowSeqOf(nested)
 			}
 			slot, _ := lay.Slot(a)
-			rows[i].Vals[slot] = v
+			flat[i*len(names)+slot] = v
 		}
 	}
-	return value.WrapRows(lay, rows)
+	return value.RowSeqOfFlat(lay, flat)
 }

@@ -130,7 +130,7 @@ func TestSequenceFunctionPredicatesHoldNestedPlans(t *testing.T) {
 	sameRun(t, "nested block", Select{In: Map{In: relR1(), Attr: "n", E: NestedApply{F: f, Plan: block}}, Pred: after})
 	sameRun(t, "nested block then ∃", Map{In: relR1(), Attr: "n",
 		E: Call{Fn: "concat", Args: []Expr{NestedApply{F: f, Plan: block}, ConstVal{V: value.Str("/")}, after}}})
-	released := UnnestDistinct{In: GroupUnary{In: block, G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}, Attr: "g"}
+	released := UnnestDistinct{In: GroupUnary{In: block, G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}, Attr: "g"}
 	sameRun(t, "group payload", Map{In: relR1(), Attr: "n",
 		E: Call{Fn: "concat", Args: []Expr{NestedApply{F: f, Plan: released}, ConstVal{V: value.Str("/")}, after}}})
 	sameRun(t, "Γ", GroupBinary{L: relR1(), R: relR2(), G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
@@ -197,14 +197,14 @@ func TestNestedPlansMatchEvalProperty(t *testing.T) {
 		e1 := randRel(rng, []string{"A1", "C"}, 6, 4)
 		e2 := randRel(rng, []string{"A2", "B"}, 8, 4)
 		inner := Select{In: e2, Pred: eqCmp("A1", "A2")}
-		fs := []SeqFunc{SFIdent{}, SFCount{}, SFProject{Attrs: []string{"B"}}, SFAgg{Fn: "max", Attr: "B"},
+		fs := []SeqFunc{SFProject{Attrs: []string{"A2", "B"}}, SFCount{}, SFProject{Attrs: []string{"B"}}, SFAgg{Fn: "max", Attr: "B"},
 			SFFiltered{Pred: cmp(Var{Name: "B"}, value.CmpGe, Var{Name: "C"}), Inner: SFAgg{Fn: "sum", Attr: "B"}}}
 		pred := cmp(Var{Name: "x"}, value.CmpGe, Var{Name: "C"})
 		ops := []Op{
 			Map{In: e1, Attr: "g", E: NestedApply{F: fs[rng.Intn(len(fs))], Plan: inner}},
 			Select{In: e1, Pred: ExistsQ{Var: "x", RangeAttr: "B", Range: inner, Pred: pred}},
 			Select{In: e1, Pred: ForallQ{Var: "x", RangeAttr: "B", Range: inner, Pred: pred}},
-			UnnestDistinct{Attr: "g", In: Map{In: e1, Attr: "g", E: NestedApply{F: SFIdent{},
+			UnnestDistinct{Attr: "g", In: Map{In: e1, Attr: "g", E: NestedApply{F: SFProject{Attrs: []string{"A2", "B", "n"}},
 				Plan: Map{In: inner, Attr: "n", E: NestedApply{F: SFCount{},
 					Plan: Select{In: e2, Pred: AndExpr{L: cmp(Var{Name: "A2"}, value.CmpLe, Var{Name: "C"}), R: eqCmp("B", "B")}}}}}}},
 		}

@@ -106,7 +106,7 @@ func TestMapFigure1(t *testing.T) {
 	m := Map{
 		In:   relR1(),
 		Attr: "a",
-		E:    NestedApply{F: SFIdent{}, Plan: Select{In: relR2(), Pred: eqCmp("A1", "A2")}},
+		E:    NestedApply{F: SFProject{Attrs: []string{"A2", "B"}}, Plan: Select{In: relR2(), Pred: eqCmp("A1", "A2")}},
 	}
 	out := eval(t, m)
 	if len(out) != 3 {
@@ -122,7 +122,8 @@ func TestMapFigure1(t *testing.T) {
 	}
 }
 
-// TestGroupUnaryFigure2 replays Γg;=A2;count(R2) and Γg;=A2;id(R2).
+// TestGroupUnaryFigure2 replays Γg;=A2;count(R2) and Γg;=A2;ΠA2,B(R2) — the
+// figure's Γg;=A2;id, since A2, B are all of R2's attributes.
 func TestGroupUnaryFigure2(t *testing.T) {
 	count := eval(t, GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFCount{}})
 	wantCount := value.TupleSeq{
@@ -133,21 +134,22 @@ func TestGroupUnaryFigure2(t *testing.T) {
 		t.Fatalf("Γcount wrong: %s", count)
 	}
 
-	id := eval(t, GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}})
-	if len(id) != 2 {
-		t.Fatalf("Γid wrong size: %s", id)
+	all := eval(t, GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}})
+	if len(all) != 2 {
+		t.Fatalf("ΓΠ wrong size: %s", all)
 	}
-	g2 := id[1]["g"].(value.TupleSeq)
+	g2 := all[1]["g"].(value.TupleSeq)
 	if len(g2) != 2 || !value.DeepEqual(g2[0]["B"], value.Int(4)) {
-		t.Fatalf("Γid second group wrong: %s", g2)
+		t.Fatalf("ΓΠ second group wrong: %s", g2)
 	}
 }
 
-// TestGroupBinaryFigure2 replays R1 Γg;A1=A2;id (R2): the left-hand side
-// determines the groups, including the empty group for A1=3.
+// TestGroupBinaryFigure2 replays R1 Γg;A1=A2;ΠA2,B (R2), the figure's id:
+// the left-hand side determines the groups, including the empty group for
+// A1=3.
 func TestGroupBinaryFigure2(t *testing.T) {
 	out := eval(t, GroupBinary{L: relR1(), R: relR2(), G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}})
+		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}})
 	if len(out) != 3 {
 		t.Fatalf("want 3 groups, got %d", len(out))
 	}
@@ -220,13 +222,13 @@ func TestOuterJoinDefault(t *testing.T) {
 	}
 }
 
-// TestUnnestInverse verifies µDg(Γg;=A2;id(R2)) = R2 (the paper's example
+// TestUnnestInverse verifies µDg(Γg;=A2;ΠA2,B(R2)) = R2 (the paper's example
 // "µg(Rg2) = R2"; R2 has no duplicate tuple, so µD and µ agree on it).
 func TestUnnestInverse(t *testing.T) {
-	grouped := GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
+	grouped := GroupUnary{In: relR2(), G: "g", By: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}
 	out := eval(t, UnnestDistinct{In: grouped, Attr: "g"})
 	if !value.TupleSeqEqual(out, relR2().(constOp).ts) {
-		t.Fatalf("µD(Γid) ≠ R2: %s", out)
+		t.Fatalf("µD(ΓΠ) ≠ R2: %s", out)
 	}
 }
 

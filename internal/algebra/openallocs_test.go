@@ -18,7 +18,8 @@ import (
 // while every open compiled its subscripts again and 85 while it derived the
 // slots too, so the ceiling stops either from coming back (a race-detector
 // build, which allocates a row chunk twice, is not held to it). Since the
-// breakers reuse the working memory earlier opens gave back, an open makes 30.
+// breakers reuse the working memory earlier opens gave back, an open makes 32,
+// two of them the chunks binary Γ cuts its ΠA payloads from.
 func TestReopenAllocatesOnlyIteratorState(t *testing.T) {
 	scan := func(attr string) Op {
 		return UnnestMap{In: Singleton{}, Attr: attr,
@@ -26,7 +27,7 @@ func TestReopenAllocatesOnlyIteratorState(t *testing.T) {
 	}
 	join := OuterJoin{L: scan("x"), R: scan("y"), Pred: eqCmp("x", "y"), G: "y", Default: SFCount{}}
 	grouped := GroupBinary{L: join, R: scan("z"), G: "g", LAttrs: []string{"x"}, RAttrs: []string{"z"},
-		Theta: value.CmpEq, F: SFIdent{}}
+		Theta: value.CmpEq, F: SFProject{Attrs: []string{"z"}}}
 	plan := Sort{In: ProjectDrop{In: UnnestDistinct{In: grouped, Attr: "g"}, Names: []string{"y"}},
 		By: []string{"x"}, Dirs: []bool{true}}
 	root := Resolve(plan)

@@ -7,14 +7,14 @@ import (
 	"nalquery/internal/value"
 )
 
-// TestRecycledGroupArrayNeverAliasesPayloads: a Γ, Γ-self or binary Γ whose
-// f is id hands out payloads that wrap its group array (value.WrapRows), so
-// that array is the one part of a breaker's working memory that never goes
-// back to the node's free list. Here each grouping is a nested plan opened
-// once per outer row, a Sort holds all the outer rows — and with them every
-// open's payloads — before µD reads any, and the resolved tree is run again
-// and again, from several goroutines and beside runs held open part-read.
-// Every run must give what the definitional evaluator gives.
+// TestRecycledGroupArrayNeverAliasesPayloads: a Γ, Γ-self or binary Γ gives
+// its group array back to the node's free list on Close, and the next open
+// refills it, so no payload may share memory with it. Here each grouping
+// applies ΠA over all member attributes in a nested plan opened once per
+// outer row, a Sort holds all the outer rows — and with them every open's
+// payloads — before µD reads any, and the resolved tree is run again and
+// again, from several goroutines and beside runs held open part-read. Every
+// run must give what the definitional evaluator gives.
 func TestRecycledGroupArrayNeverAliasesPayloads(t *testing.T) {
 	ints := func(n int) value.Seq {
 		s := make(value.Seq, n)
@@ -27,15 +27,17 @@ func TestRecycledGroupArrayNeverAliasesPayloads(t *testing.T) {
 	// The rows (y, z), y ≥ the outer x: what the nested plans group.
 	members := Select{In: UnnestMap{In: scan("y", 5), Attr: "z", E: ConstVal{V: ints(2)}},
 		Pred: cmp(Var{Name: "y"}, value.CmpGe, Var{Name: "x"})}
-	nested := func(sub Op) Op {
-		outer := Map{In: scan("x", 4), Attr: "p", E: NestedApply{Plan: sub, F: SFIdent{}}}
+	all := func(attrs ...string) SeqFunc { return SFProject{Attrs: attrs} }
+	// nested applies ΠA over all of sub's attributes to it per outer row.
+	nested := func(sub Op, attrs ...string) Op {
+		outer := Map{In: scan("x", 4), Attr: "p", E: NestedApply{Plan: sub, F: all(attrs...)}}
 		sorted := Sort{In: outer, By: []string{"x"}, Dirs: []bool{true}}
 		return UnnestDistinct{In: UnnestDistinct{In: sorted, Attr: "p"}, Attr: "g"}
 	}
 	for name, plan := range map[string]Op{
-		"Γ":        nested(GroupUnary{In: members, G: "g", By: []string{"z"}, Theta: value.CmpEq, F: SFIdent{}}),
-		"Γ-self":   nested(GroupSelf{In: members, G: "g", By: []string{"z"}, F: SFIdent{}}),
-		"binary Γ": nested(GroupBinary{L: scan("w", 2), R: members, G: "g", LAttrs: []string{"w"}, RAttrs: []string{"z"}, Theta: value.CmpEq, F: SFIdent{}}),
+		"Γ":        nested(GroupUnary{In: members, G: "g", By: []string{"z"}, Theta: value.CmpEq, F: all("y", "z")}, "g", "z"),
+		"Γ-self":   nested(GroupSelf{In: members, G: "g", By: []string{"z"}, F: all("y", "z")}, "g", "y", "z"),
+		"binary Γ": nested(GroupBinary{L: scan("w", 2), R: members, G: "g", LAttrs: []string{"w"}, RAttrs: []string{"z"}, Theta: value.CmpEq, F: all("y", "z")}, "g", "w"),
 	} {
 		want := plan.Eval(NewCtx(nil), nil)
 		if len(want) == 0 {

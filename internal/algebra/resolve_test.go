@@ -130,7 +130,7 @@ func TestResolveTreeShapes(t *testing.T) {
 		t.Errorf("Π over an untyped µD: the unresolved operator is %s, want the µD", bad.Op)
 	}
 
-	nested := Map{In: relR1(), Attr: "g", E: NestedApply{F: SFIdent{},
+	nested := Map{In: relR1(), Attr: "g", E: NestedApply{F: SFProject{Attrs: []string{"A2", "B"}},
 		Plan: Select{In: relR2(), Pred: eqCmp("A1", "A2")}}}
 	n := Resolve(native(UnnestDistinct{In: nested, Attr: "g"}))
 	if inner := n.Kids[0].Schema.nested("g"); inner == nil || !reflect.DeepEqual(inner.Lay.Names(), []string{"A2", "B"}) {

@@ -62,18 +62,14 @@ type rowsFunc func(fr *frame, rows []value.Row, up *outer) value.Value
 
 // applier compiles f for groups of member rows of the schema members, whose
 // enclosing rows have the scope up, and returns with it the inner schema of
-// the tuple sequence f produces (nil for count and the aggregates): id wraps
-// the member rows as a RowSeq without copying, count and the aggregates read
-// slots, ΠA builds a flat projected RowSeq, and f ∘ σp compiles its predicate
-// against the member schema. These are all the sequence functions there are:
-// another one fails the operator.
+// the tuple sequence f produces (nil for count and the aggregates): count and
+// the aggregates read slots, ΠA copies the projected slots into a flat RowSeq,
+// and f ∘ σp compiles its predicate against the member schema. These are all
+// the sequence functions there are: another one fails the operator. No value
+// f returns holds the member slice, so the caller may reuse it at once.
 func (c *compiler) applier(f SeqFunc, members Schema, up *scope) (rowsFunc, *Inner) {
 	lay := members.Lay
 	switch w := f.(type) {
-	case SFIdent:
-		return func(_ *frame, rows []value.Row, _ *outer) value.Value {
-			return value.WrapRows(lay, rows)
-		}, &members
 	case SFCount:
 		return func(_ *frame, rows []value.Row, _ *outer) value.Value {
 			return value.Int(int64(len(rows)))
@@ -121,22 +117,17 @@ func (c *compiler) applier(f SeqFunc, members Schema, up *scope) (rowsFunc, *Inn
 	case SFFiltered:
 		pred := c.expr(w.Pred, scope{Schema: members, up: up})
 		inner, out := c.applier(w.Inner, members, up)
-		// id wraps the kept rows as its payload; every other function reads
-		// them and lets go, so one buffer serves all groups.
-		_, keeps := w.Inner.(SFIdent)
+		// f reads the kept rows and lets go, so one buffer serves all groups.
 		i := c.state()
 		return func(fr *frame, rows []value.Row, up *outer) value.Value {
 			st := &fr.scratch[i]
-			kept := st.rows[:0]
+			st.rows = st.rows[:0]
 			for _, r := range rows {
 				if value.EffectiveBool(pred(fr, r, up)) {
-					kept = append(kept, r)
+					st.rows = append(st.rows, r)
 				}
 			}
-			if !keeps {
-				st.rows = kept
-			}
-			return inner(fr, kept, up)
+			return inner(fr, st.rows, up)
 		}, out
 	}
 	c.failed = true
@@ -553,14 +544,12 @@ func (j *rowJoinIter) Close() {
 	j.right, j.pool, j.hash, j.probe, j.pending = nil, nil, rowBuckets{}, nil, nil
 }
 
-// emptyGroup is f() over members of lay: the default ⟕ puts into g. It is
-// what applier(f, lay) yields for no rows, without a charge for holding it —
-// f ∘ σp never tests p then. known is false for a function outside the
-// engine's inventory and a projection no row can carry.
-func emptyGroup(f SeqFunc, lay *value.Layout) (v value.Value, known bool) {
+// emptyGroup is f(): the default ⟕ puts into g. It is what applier yields
+// for no rows, without a charge for holding it — f ∘ σp never tests p then.
+// known is false for a function outside the engine's inventory and a
+// projection onto no attribute.
+func emptyGroup(f SeqFunc) (v value.Value, known bool) {
 	switch w := f.(type) {
-	case SFIdent:
-		return value.WrapRows(lay, nil), true
 	case SFCount:
 		return value.Int(0), true
 	case SFProject:
@@ -570,7 +559,7 @@ func emptyGroup(f SeqFunc, lay *value.Layout) (v value.Value, known bool) {
 	case SFAgg:
 		return aggregate(w.Fn, nil), true
 	case SFFiltered:
-		return emptyGroup(w.Inner, lay)
+		return emptyGroup(w.Inner)
 	}
 	return nil, false
 }
@@ -619,9 +608,6 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 			grp := w.b.group(i)
 			emit(grp[0], apply(fr, grp, up), w.b.n()-i)
 		}
-		if holdsMembers(g.F) {
-			w.b.grouped = nil
-		}
 		w.out = out
 		return emitRows(out, w, box)
 	}
@@ -651,8 +637,7 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 
 // openGroupSelf annotates each input row with f applied to its equality
 // group, preserving input order (unlike Γ, which emits one row per group).
-// holds says whether f's values wrap the group array (holdsMembers).
-func (n *Node) openGroupSelf(by []int, lay *value.Layout, apply rowsFunc, holds bool, fr *frame, up *outer) RowIter {
+func (n *Node) openGroupSelf(by []int, lay *value.Layout, apply rowsFunc, fr *frame, up *outer) RowIter {
 	w, box := n.take()
 	w.rows = drainRows(fr.ctx, TripGroup, n.Kids[0].open(fr.ctx, up), w.rows[:0])
 	rows := w.rows
@@ -663,9 +648,6 @@ func (n *Node) openGroupSelf(by []int, lay *value.Layout, apply rowsFunc, holds 
 	w.vals = sized(w.vals, w.b.n())
 	for i := range w.vals {
 		w.vals[i] = apply(fr, w.b.group(i), up)
-	}
-	if holds {
-		w.b.grouped = nil
 	}
 	w.out = sized(w.out, len(rows))
 	var slab rowSlab
@@ -698,7 +680,6 @@ type rowGroupBinaryIter struct {
 	group          *Node    // the binary Γ, until its right input is built
 	apply          rowsFunc // f, compiled against the right input's schema
 	theta          value.CmpOp
-	holds          bool // f's values wrap the group array (holdsMembers)
 	lSlots, rSlots []int
 	lay            *value.Layout // g is its last slot
 	frame
@@ -763,9 +744,6 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 func (g *rowGroupBinaryIter) Close() {
 	g.left.Close()
 	if m := g.mem; m != nil {
-		if g.holds {
-			g.hash.grouped = nil
-		}
 		m.rows, m.b, m.applied = g.rows, g.hash, g.applied
 		m.release()
 		g.mem = nil

@@ -49,8 +49,8 @@ func diffPayloadPlan(t *testing.T, name string, op Op) {
 	}
 }
 
-// TestRowSeqGammaMuRoundtrip pins the Γ→µD roundtrip: grouping builds a
-// RowSeq payload (zero-copy over the bucket rows), unnesting splices it
+// TestRowSeqGammaMuRoundtrip pins the Γ→µD roundtrip: grouping with ΠA over
+// all member attributes builds a flat RowSeq payload, unnesting splices it
 // back — and the flat sequences match the map evaluator's, including the
 // group keys reappearing inside the members (shared slots).
 func TestRowSeqGammaMuRoundtrip(t *testing.T) {
@@ -64,7 +64,7 @@ func TestRowSeqGammaMuRoundtrip(t *testing.T) {
 		},
 		attrs: []string{"K", "V"},
 	}
-	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
+	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"K", "V"}}}
 	diffPayloadPlan(t, "gamma-muD", UnnestDistinct{In: gamma, Attr: "g"})
 }
 
@@ -76,7 +76,7 @@ func TestRowSeqAllDuplicateKeys(t *testing.T) {
 		ts = append(ts, value.Tuple{"K": value.Str("same"), "N": value.Int(int64(i % 3))})
 	}
 	in := constOp{ts: ts, attrs: []string{"K", "N"}}
-	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
+	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"K", "N"}}}
 	diffPayloadPlan(t, "alldup-muD", UnnestDistinct{In: gamma, Attr: "g"})
 	diffPayloadPlan(t, "alldup-count",
 		GroupUnary{In: in, G: "c", By: []string{"K"}, Theta: value.CmpEq, F: SFCount{}})
@@ -105,14 +105,14 @@ func TestRowSeqEmptyGroupPadding(t *testing.T) {
 		attrs: []string{"A2", "B"},
 	}
 	gamma := GroupBinary{L: left, R: right, G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
+		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}
 	diffPayloadPlan(t, "empty-group-muD", UnnestDistinct{In: gamma, Attr: "g"})
 
 }
 
 // TestRowSeqRenameInsideGroup pins that a rename below Γ reaches the
-// payload as a layout-pointer swap: the members carry the renamed
-// attributes and µD releases them under the new names.
+// payload: the members carry the renamed attributes and µD releases them
+// under the new names.
 func TestRowSeqRenameInsideGroup(t *testing.T) {
 	in := constOp{
 		ts: value.TupleSeq{
@@ -123,13 +123,13 @@ func TestRowSeqRenameInsideGroup(t *testing.T) {
 		attrs: []string{"K", "V"},
 	}
 	ren := ProjectRename{In: in, Pairs: []Rename{{New: "W", Old: "V"}}}
-	gamma := GroupUnary{In: ren, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
+	gamma := GroupUnary{In: ren, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"K", "W"}}}
 	diffPayloadPlan(t, "rename-in-group", UnnestDistinct{In: gamma, Attr: "g"})
 
 	// Swap rename (K↔V) below Γ: simultaneous substitution inside the
 	// member layout.
 	swap := ProjectRename{In: in, Pairs: []Rename{{New: "V", Old: "K"}, {New: "K", Old: "V"}}}
-	gammaSwap := GroupUnary{In: swap, G: "g", By: []string{"V"}, Theta: value.CmpEq, F: SFIdent{}}
+	gammaSwap := GroupUnary{In: swap, G: "g", By: []string{"V"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"K", "V"}}}
 	diffPayloadPlan(t, "swap-rename-in-group", UnnestDistinct{In: gammaSwap, Attr: "g"})
 }
 
@@ -146,8 +146,8 @@ func TestRowSeqNestedInNested(t *testing.T) {
 		},
 		attrs: []string{"J", "K", "V"},
 	}
-	inner := GroupUnary{In: in, G: "g1", By: []string{"K", "J"}, Theta: value.CmpEq, F: SFIdent{}}
-	outer := GroupUnary{In: inner, G: "g2", By: []string{"K"}, Theta: value.CmpEq, F: SFIdent{}}
+	inner := GroupUnary{In: in, G: "g1", By: []string{"K", "J"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"J", "K", "V"}}}
+	outer := GroupUnary{In: inner, G: "g2", By: []string{"K"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"J", "K", "g1"}}}
 	plan := UnnestDistinct{In: UnnestDistinct{In: outer, Attr: "g2"}, Attr: "g1"}
 	diffPayloadPlan(t, "gamma-under-mu", plan)
 }
@@ -188,26 +188,26 @@ func TestRowSeqFilteredApplier(t *testing.T) {
 	gamma := GroupUnary{In: in, G: "c", By: []string{"K"}, Theta: value.CmpEq, F: f}
 	diffPayloadPlan(t, "filtered-count", gamma)
 
-	fid := SFFiltered{
+	fpi := SFFiltered{
 		Pred:  CmpExpr{L: Var{Name: "N"}, R: ConstVal{V: value.Int(10)}, Op: value.CmpGt},
-		Inner: SFIdent{},
+		Inner: SFProject{Attrs: []string{"K", "N"}},
 	}
-	gammaID := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: fid}
-	diffPayloadPlan(t, "filtered-id-muD", UnnestDistinct{In: gammaID, Attr: "g"})
+	gammaPi := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: fpi}
+	diffPayloadPlan(t, "filtered-project-muD", UnnestDistinct{In: gammaPi, Attr: "g"})
 }
 
-// TestFilteredIdentKeepsEachGroupsRows: f ∘ σp reuses one buffer for the
-// rows σp keeps, except under id, whose payload is that slice: every group's
-// payload must hold its own kept rows after the later groups were filtered.
-func TestFilteredIdentKeepsEachGroupsRows(t *testing.T) {
+// TestFilteredProjectKeepsEachGroupsRows: f ∘ σp reuses one buffer for the
+// rows σp keeps, group after group: every group's ΠA payload must hold its
+// own kept rows after the later groups were filtered into that buffer.
+func TestFilteredProjectKeepsEachGroupsRows(t *testing.T) {
 	var ts value.TupleSeq
 	for i := 0; i < 40; i++ {
 		ts = append(ts, value.Tuple{"K": value.Int(int64(i % 5)), "N": value.Int(int64(i))})
 	}
 	in := constOp{ts: ts, attrs: []string{"K", "N"}}
-	fid := SFFiltered{Pred: CmpExpr{L: Var{Name: "N"}, R: ConstVal{V: value.Int(14)}, Op: value.CmpGt}, Inner: SFIdent{}}
-	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: fid}
-	diffPayloadPlan(t, "filtered-id", gamma)
+	fpi := SFFiltered{Pred: CmpExpr{L: Var{Name: "N"}, R: ConstVal{V: value.Int(14)}, Op: value.CmpGt}, Inner: SFProject{Attrs: []string{"K", "N"}}}
+	gamma := GroupUnary{In: in, G: "g", By: []string{"K"}, Theta: value.CmpEq, F: fpi}
+	diffPayloadPlan(t, "filtered-project", gamma)
 
 	n := Resolve(native(gamma))
 	for _, r := range n.rows(NewCtx(nil), nil, nil) {

@@ -134,7 +134,7 @@ func sized[T any](s []T, n int) []T {
 func (b *rowBuckets) n() int { return len(b.starts) - 1 }
 
 // group returns the members of group g. The slice cannot grow into the next
-// group, so it can be handed out as a group payload (value.WrapRows).
+// group.
 func (b *rowBuckets) group(g int) []value.Row {
 	return b.grouped[b.starts[g]:b.starts[g+1]:b.starts[g+1]]
 }
@@ -154,10 +154,11 @@ func (b *rowBuckets) lookup(k value.HashKey) []value.Row {
 // from its node (Node.take), and the iterator's Close gives it back
 // (workMem.release), so the next open of the node fills the same arrays
 // instead of growing new ones. Only what no consumer can reach after Close goes back:
-// the rows in these arrays are copies of rows consumers hold, a Γ's group
-// array goes back only when no payload wraps it (holdsMembers), and binary
-// Γ's values per key stay in the rows they were emitted in — the map that
-// held them is cleared. Row chunks (rowSlab) are never recycled.
+// the rows in these arrays are copies of rows consumers hold, no group
+// payload holds a group array (applier: every sequence function copies what
+// it keeps), and binary Γ's values per key stay in the rows they were emitted
+// in — the map that held them is cleared. Row chunks (rowSlab) are never
+// recycled.
 type workMem struct {
 	list    *freeList                     // the node's, which it goes back to
 	rows    []value.Row                   // the drain buffer
@@ -165,14 +166,6 @@ type workMem struct {
 	b       rowBuckets                    // the key→group table and its arrays
 	vals    []value.Value                 // Γ-self's group values; a join's probe row
 	applied map[value.HashKey]value.Value // binary Γ's group value per key
-}
-
-// holdsMembers reports whether f's values wrap the member rows they are
-// applied to (value.WrapRows) — then a Γ's group array is the payloads' own
-// and never goes back.
-func holdsMembers(f SeqFunc) bool {
-	_, ok := f.(SFIdent)
-	return ok
 }
 
 // take returns the working memory an earlier open of the breaker n gave back

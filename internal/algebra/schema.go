@@ -352,7 +352,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		if by, ok := slotsIn(in.Lay, w.By); ok && fresh {
 			return sc, func(ctx *Ctx, o *outer) RowIter {
 				fr := n.frame(ctx)
-				return n.openGroupSelf(by, sc.Lay, apply, holdsMembers(w.F), &fr, o)
+				return n.openGroupSelf(by, sc.Lay, apply, &fr, o)
 			}
 		}
 
@@ -362,7 +362,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		sc, apply, fresh := groupInto(c, up, in, r, w.G, w.F)
 		if lok && rok && fresh {
 			return sc, func(ctx *Ctx, o *outer) RowIter {
-				return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, o), group: n, apply: apply, theta: w.Theta, holds: holdsMembers(w.F),
+				return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, o), group: n, apply: apply, theta: w.Theta,
 					lSlots: lSlots, rSlots: rSlots, lay: sc.Lay, frame: n.frame(ctx), up: o}
 			}
 		}
@@ -418,7 +418,7 @@ func (n *Node) join(c *compiler, up *scope, l, r Schema, pred Expr, mode joinMod
 	spec := &joinSpec{mode: mode, lay: sc.Lay, cat: cat, padFrom: l.Lay.Width()}
 	if mode == joinModeOuter {
 		gSlot, bound := cat.Slot(g)
-		def, known := emptyGroup(f, r.Lay)
+		def, known := emptyGroup(f)
 		if !bound || !known {
 			return Schema{}, nil
 		}

@@ -38,11 +38,11 @@ func TestResolveSchemaRenameSwap(t *testing.T) {
 }
 
 // TestResolveSchemaNestedTracking: µD over a binary grouping resolves because
-// the resolver knows the group attribute's inner layout (the right input's
-// schema under f = id).
+// the resolver knows the group attribute's inner layout (ΠA2,B's, all of the
+// right input's attributes).
 func TestResolveSchemaNestedTracking(t *testing.T) {
 	grouped := GroupBinary{L: relR1(), R: relR2(), G: "g",
-		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFIdent{}}
+		LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}
 	sc, ok := ResolveSchema(native(grouped))
 	if !ok || sc.nested("g") == nil {
 		t.Fatalf("group schema must track the inner layout: %+v %v", sc, ok)
@@ -142,7 +142,7 @@ func TestStreamingAllocsPerTuple(t *testing.T) {
 	scan := func(attr string) Op { return UnnestMap{In: Singleton{}, Attr: attr, E: ConstVal{V: seq}} }
 	src := scan("x")
 	gtNeg := CmpExpr{L: Var{Name: "x"}, R: ConstVal{V: value.Int(-1)}, Op: value.CmpGt}
-	groups := GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFIdent{}}
+	groups := GroupUnary{In: src, G: "g", By: []string{"x"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"x"}}}
 	sel := Select{In: src, Pred: gtNeg}
 	idx := IndexScan{In: Singleton{}, Attr: "b", Index: books}
 	right := ProjectRename{In: scan("y"), Pairs: []Rename{{New: "z", Old: "y"}}}

@@ -172,8 +172,8 @@ func (x XiSimple) Exprs() []Expr {
 func (x XiSimple) Attrs() ([]string, bool) { return x.In.Attrs() }
 
 // XiGroup is the group-detecting form s1Ξs3A;s2 (Sec. 2): the input is
-// grouped on A (order-preserving first-occurrence groups, as produced by
-// Γg;=A;id); for every group, S1 runs on the group's first tuple, S2 on
+// grouped on A (order-preserving first-occurrence groups, as Γg;=A produces
+// them); for every group, S1 runs on the group's first tuple, S2 on
 // every tuple of the group, and S3 on the last tuple. It saves materializing
 // a sequence-valued group attribute.
 type XiGroup struct {

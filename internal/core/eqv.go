@@ -271,7 +271,7 @@ func fIndependentOf(f algebra.SeqFunc, attrs ...string) bool {
 		}
 		return fIndependentOf(w.Inner, attrs...)
 	default:
-		// id and unknown functions depend on every attribute.
+		// A function not listed here is taken to depend on every attribute.
 		return false
 	}
 }

@@ -68,7 +68,7 @@ func randF(rng *rand.Rand) algebra.SeqFunc {
 	case 0:
 		return algebra.SFCount{}
 	case 1:
-		return algebra.SFIdent{}
+		return algebra.SFProject{Attrs: []string{"A2", "B"}} // all of e2's attributes
 	default:
 		return algebra.SFAgg{Fn: "sum", Attr: "B"}
 	}

@@ -154,9 +154,9 @@ func (m *Model) Plan(op algebra.Op) Estimate {
 		return Estimate{Card: card, Cost: l.Cost + r.Cost + (l.Card+r.Card)*tupleCost + card*perTuple(op)}
 	// The grouping family runs slot-natively with RowSeq payloads: one
 	// hash pass over the input plus a slot-rate output term per emitted
-	// group row. Payload construction itself is O(1) per group (the id
-	// payload wraps the bucket rows without copying), so no per-member
-	// term appears.
+	// group row. f reads each member once (ΠA copies its slots into the
+	// payload), which the hash pass's per-tuple term stands for, so no
+	// per-member term of its own appears.
 	case algebra.GroupUnary:
 		in := m.Plan(w.In)
 		card := in.Card * selGroupKeys

@@ -11,7 +11,9 @@ import (
 // by token, into a Builder. It is the scanner's oracle (FuzzLoadXML,
 // TestScanMatchesEncodingXML): both must make the same accept/reject
 // decision and build the same table. It drops white-space-only tokens by
-// the scanner's rule, XML white space, written out independently here.
+// the scanner's rule, XML white space, written out independently here, and
+// it rejects, as the scanner does, a name whose local part is not a Name
+// (<a:0/>), which the Decoder accepts.
 func parseStd(s, uri string) (*Document, error) {
 	b := NewBuilder(uri)
 	dec := xml.NewDecoder(strings.NewReader(s))
@@ -26,8 +28,14 @@ func parseStd(s, uri string) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if !IsName(t.Name.Local) {
+				return nil, fmt.Errorf("dom: parse %s: invalid XML name: %s", uri, t.Name.Local)
+			}
 			b.Begin(t.Name.Local)
 			for _, a := range t.Attr {
+				if !IsName(a.Name.Local) {
+					return nil, fmt.Errorf("dom: parse %s: invalid XML name: %s", uri, a.Name.Local)
+				}
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}

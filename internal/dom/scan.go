@@ -214,6 +214,14 @@ func (p *scanner) startTag() error {
 		}
 		p.attrs = append(p.attrs, a)
 	}
+	if err := p.checkLocal(name); err != nil {
+		return err
+	}
+	for _, a := range p.attrs {
+		if err := p.checkLocal(a.name); err != nil {
+			return err
+		}
+	}
 
 	p.open = append(p.open, name)
 	for _, a := range p.attrs {
@@ -533,6 +541,19 @@ func (p *scanner) nsName(missing string) (qname, error) {
 		}
 	}
 	return n, nil
+}
+
+// checkLocal fails a name split at its colon whose local part is not a Name
+// of its own. A node is known by its local part, so the Decoder's <a:0/>
+// would be an element named 0, which no serialization of it could be read
+// back as. A start tag is checked once it is complete, as parseStd checks
+// the Decoder's token, so a tag the Decoder rejects for another reason
+// fails with the Decoder's error.
+func (p *scanner) checkLocal(n qname) error {
+	if n.colon >= 0 && !IsName(p.local(n)) {
+		return p.fail(p.pos, "invalid XML name: "+p.full(n))
+	}
+	return nil
 }
 
 // IsName reports whether s matches the XML 1.0 Name production.

@@ -11,30 +11,18 @@ import "strings"
 // Map tuples materialize from a RowSeq only at the public API and the
 // differential-test boundary (Tuples).
 //
-// Two backings share the type:
-//
-//   - chunked ([]Row): a zero-copy wrap of rows an operator already
-//     materialized — the Γ bucket slices. Appending a group attribute costs
-//     one interface box, no per-member work.
-//   - flat ([]Value): width·n contiguous values — the backing built by e[a]
-//     bindings and ΠA payload projection, where members are constructed
-//     rather than inherited (the engine cuts a narrow one from a chunk it
-//     shares with the builder's neighbouring payloads).
+// The backing is flat: width·n contiguous values, built by e[a] bindings and
+// ΠA payload projection, where members are constructed rather than inherited
+// from the rows they were computed from (the engine cuts a narrow one from a
+// chunk it shares with the builder's neighbouring payloads). So a payload
+// never shares memory with an operator's row arrays.
 //
 // Like Row, a RowSeq is immutable once emitted. A rename inside the group
-// is WithLayout — a layout-pointer swap sharing both backings.
+// is WithLayout — a layout-pointer swap sharing the backing.
 type RowSeq struct {
 	lay  *Layout
-	rows []Row   // chunked backing (nil when flat)
-	flat []Value // flat backing, stride lay.Width()
+	flat []Value // stride lay.Width()
 	n    int
-}
-
-// WrapRows wraps already-materialized rows as a sequence value without
-// copying. The rows must share lay's attribute names (their own layout
-// pointers may differ, e.g. after a rename; lay wins).
-func WrapRows(lay *Layout, rows []Row) RowSeq {
-	return RowSeq{lay: lay, rows: rows, n: len(rows)}
 }
 
 // RowSeqOfFlat wraps a flat backing of n·lay.Width() values.
@@ -71,13 +59,9 @@ func (rs RowSeq) Lay() *Layout { return rs.lay }
 // Len returns the member count.
 func (rs RowSeq) Len() int { return rs.n }
 
-// At returns member i as a Row under the sequence's layout. Flat backings
-// slice; chunked backings re-point the member's value slice at the
-// sequence layout (which carries any rename applied after wrapping).
+// At returns member i as a Row under the sequence's layout: a window of the
+// backing.
 func (rs RowSeq) At(i int) Row {
-	if rs.rows != nil {
-		return Row{Lay: rs.lay, Vals: rs.rows[i].Vals}
-	}
 	w := rs.lay.Width()
 	off := i * w
 	return Row{Lay: rs.lay, Vals: rs.flat[off : off+w : off+w]}

@@ -1,6 +1,9 @@
 package value
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // The RowSeq/TupleSeq contract: the two representations of one logical
 // tuple sequence are indistinguishable to every observer — DeepEqual,
@@ -9,15 +12,15 @@ import "testing"
 
 func testSeqPair() (RowSeq, TupleSeq) {
 	lay := NewLayout("b", "a") // slot order ≠ canonical order
-	rows := []Row{
-		{Lay: lay, Vals: []Value{Str("x"), Int(1)}},
-		{Lay: lay, Vals: []Value{nil, Int(2)}}, // b absent
+	flat := []Value{
+		Str("x"), Int(1),
+		nil, Int(2), // b absent
 	}
 	ts := TupleSeq{
 		{"a": Int(1), "b": Str("x")},
 		{"a": Int(2)},
 	}
-	return WrapRows(lay, rows), ts
+	return RowSeqOfFlat(lay, flat), ts
 }
 
 func TestRowSeqDeepEqualAcrossRepresentations(t *testing.T) {
@@ -87,11 +90,20 @@ func TestKeyOfRowMatchesKeyOfAttrs(t *testing.T) {
 
 func TestRowSeqEffectiveBoolAndEmpty(t *testing.T) {
 	lay := NewLayout("a")
-	empty := WrapRows(lay, nil)
+	empty := RowSeqOfFlat(lay, nil)
 	if EffectiveBool(empty) {
 		t.Fatalf("empty RowSeq must be false")
 	}
 	if !DeepEqual(empty, TupleSeq{}) {
 		t.Fatalf("empty RowSeq must equal empty TupleSeq")
+	}
+}
+
+// TestRowSeqIsFiveWords: a RowSeq is its layout pointer, one flat backing and
+// its member count — 40 bytes on a 64-bit platform, so the box that holds one
+// in a Value is of the 48-byte size class. A second backing would not fit.
+func TestRowSeqIsFiveWords(t *testing.T) {
+	if got, want := unsafe.Sizeof(RowSeq{}), 5*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("a RowSeq is %d bytes, want %d", got, want)
 	}
 }

@@ -17,10 +17,13 @@ import (
 // TestEveryNativeOperatorIsReachable: the operators of the compiled plans of
 // a fixed census — the paper queries and four statements for what they do
 // not reach — nested plans included, are exactly the cases of the schema
-// surface (the rule that types an operator and builds its iterator), and the
+// surface (the rule that types an operator and builds its iterator), the
 // expression forms in their subscripts are exactly the forms internal/algebra
-// declares. An operator or a form only tests can build fails here, and so
-// does a plan shape the engine would have to refuse.
+// declares, and the sequence functions they apply (the f of a nested block,
+// Γ, Γ-self and binary Γ, ⟕'s default, and the f of an f ∘ σp) are exactly
+// the functions internal/algebra declares. An operator, a form or a function
+// only tests can build fails here, and so does a plan shape the engine would
+// have to refuse.
 func TestEveryNativeOperatorIsReachable(t *testing.T) {
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(100, 2)
@@ -38,10 +41,18 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 		`declare variable $y external; for $b in doc("bib.xml")//book where $b/@year > $y or $b/price < 10 return <r>{ if ($b/price > 20) then $b/price * 2 else $b/title }</r>`,
 	)
 
-	ops, forms := map[string]bool{}, map[string]bool{}
+	ops, forms, funcs := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	name := func(v any) string { return strings.TrimPrefix(fmt.Sprintf("%T", v), "algebra.") }
 	var op func(algebra.Op)
 	var expr func(algebra.Expr)
+	var fn func(algebra.SeqFunc)
+	fn = func(f algebra.SeqFunc) {
+		funcs[name(f)] = true
+		if w, ok := f.(algebra.SFFiltered); ok {
+			expr(w.Pred)
+			fn(w.Inner)
+		}
+	}
 	expr = func(e algebra.Expr) {
 		if e == nil {
 			return
@@ -50,9 +61,7 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 		switch w := e.(type) {
 		case algebra.NestedApply:
 			op(w.Plan)
-			for f, ok := w.F.(algebra.SFFiltered); ok; f, ok = f.Inner.(algebra.SFFiltered) {
-				expr(f.Pred)
-			}
+			fn(w.F)
 		case algebra.ExistsQ:
 			op(w.Range)
 		case algebra.ForallQ:
@@ -64,6 +73,16 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 	}
 	op = func(o algebra.Op) {
 		ops[name(o)] = true
+		switch w := o.(type) {
+		case algebra.GroupUnary:
+			fn(w.F)
+		case algebra.GroupSelf:
+			fn(w.F)
+		case algebra.GroupBinary:
+			fn(w.F)
+		case algebra.OuterJoin:
+			fn(w.Default)
+		}
 		for _, e := range o.Exprs() {
 			expr(e)
 		}
@@ -87,7 +106,8 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 		found       map[string]bool
 	}{
 		{"operators", "a schema rule", schemaSurfaceCases(t), ops},
-		{"expression forms", "a declaration in internal/algebra", algebraExprForms(t), forms},
+		{"expression forms", "a declaration in internal/algebra", algebraReceivers(t, "Child"), forms},
+		{"sequence functions", "a declaration in internal/algebra", algebraReceivers(t, "Apply"), funcs},
 	} {
 		var missing, extra []string
 		for _, n := range c.declared {
@@ -110,9 +130,10 @@ func TestEveryNativeOperatorIsReachable(t *testing.T) {
 	}
 }
 
-// algebraExprForms lists the expression forms of internal/algebra: the
-// receivers of its non-test Child methods.
-func algebraExprForms(t *testing.T) []string {
+// algebraReceivers lists the receivers of internal/algebra's non-test
+// methods called method: the expression forms for Child, the sequence
+// functions for Apply.
+func algebraReceivers(t *testing.T, method string) []string {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/algebra", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -124,14 +145,14 @@ func algebraExprForms(t *testing.T) []string {
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "Child" {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == method {
 					names = append(names, fd.Recv.List[0].Type.(*ast.Ident).Name)
 				}
 			}
 		}
 	}
 	if len(names) == 0 {
-		t.Fatal("no Child methods found in internal/algebra")
+		t.Fatalf("no %s methods found in internal/algebra", method)
 	}
 	slices.Sort(names)
 	return names

@@ -1,0 +1,69 @@
+package nalquery
+
+import (
+	"fmt"
+	"testing"
+
+	"nalquery/internal/qgen"
+)
+
+// TestUnnestingCensus counts how much of the generated language the Sec. 4
+// rewrites unnest: over the pinned sweep's first 2 000 texts (seed
+// 20240808, on the qgen.DocSizes() documents), the texts the compiler
+// accepts, those whose cost-chosen plan still evaluates a nested sub-plan
+// per outer tuple (Stats.NestedEvals > 0), and those of the latter that
+// have no plan but "nested" and "indexed nested" (no rewrite applied).
+// Measured: 1 950 accepted, 414 still nested when run, 282 nested-only. A
+// change that unnests more lowers the last two numbers and updates them
+// here with the diff explained; a change that raises them has lost a
+// rewrite. The census runs in 0.5 s, 3 s under -race (one Intel Xeon vCPU
+// of two, nothing else running).
+func TestUnnestingCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2 000 generated texts")
+	}
+	const seed, count = 20240808, 2000
+	const wantAccepted, wantNestedEvals, wantNestedOnly = 1950, 414, 282
+	size, apb := qgen.DocSizes()
+	eng := NewEngine()
+	eng.LoadUseCaseDocuments(size, apb)
+
+	g := qgen.New(qgen.Config{Seed: seed, Externals: true})
+	accepted, nestedEvals, nestedOnly := 0, 0, 0
+	for i := 0; i < count; i++ {
+		q := g.Query()
+		p, err := eng.Prepare(q.Text)
+		if err != nil {
+			continue
+		}
+		accepted++
+		best, err := p.Plan("")
+		if err != nil {
+			t.Fatalf("seed=%d index=%d: %v", seed, i, err)
+		}
+		opts := []RunOption{WithPlan(best.Name)}
+		for name, v := range q.Binds {
+			opts = append(opts, Bind(name, v))
+		}
+		_, st, err := sweepRun(p, opts)
+		if err != nil {
+			t.Fatalf("seed=%d index=%d query=%q: plan %q: %v", seed, i, q.Text, best.Name, err)
+		}
+		if st.NestedEvals == 0 {
+			continue
+		}
+		nestedEvals++
+		only := true
+		for _, plan := range p.Plans() {
+			only = only && (plan.Name == "nested" || plan.Name == "indexed nested")
+		}
+		if only {
+			nestedOnly++
+		}
+	}
+	got := fmt.Sprintf("%d accepted, %d with nested evaluations, %d nested-only", accepted, nestedEvals, nestedOnly)
+	want := fmt.Sprintf("%d accepted, %d with nested evaluations, %d nested-only", wantAccepted, wantNestedEvals, wantNestedOnly)
+	if got != want {
+		t.Errorf("census of %d texts: %s, want %s", count, got, want)
+	}
+}
