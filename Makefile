@@ -93,10 +93,9 @@ bench-smoke: vet
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-json regenerates BENCH_results.json, the machine-readable allocation
-# trajectory (B/op and allocs/op per experiment/plan/size: the paper tables
-# and the grouping family's quantifier plans). It carries no wall-clock
-# column — timings are
-# measured with benchmark/ (bench-pairs).
+# trajectory (B/op and allocs/op per experiment/plan/size of the paper
+# tables). It carries no wall-clock column — timings are measured with
+# benchmark/ (bench-pairs).
 bench-json:
 	$(GO) run ./cmd/nalbench -json
 

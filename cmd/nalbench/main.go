@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		expID     = flag.String("exp", "all", "experiment id (q1, q1dblp, q2..q6, fig6, all; with -json also grouping)")
+		expID     = flag.String("exp", "all", "experiment id (q1, q1dblp, q2..q6, fig6, all)")
 		sizes     = flag.String("sizes", "", "comma-separated document sizes (default: the paper's 100,1000,10000)")
 		full      = flag.Bool("full", false, "run the quadratic nested plans at every size")
 		repeat    = flag.Int("repeat", 1, "average over this many runs")
@@ -109,16 +109,10 @@ type benchRecord struct {
 	AllocsPerOp int64  `json:"allocs_per_op"`
 }
 
-// jsonFamilies are the -json experiment ids beyond the paper tables.
-var jsonFamilies = []string{"grouping"}
-
 // measures reports whether -json still produces the row — what -diff needs
-// to tell a retired row from a truncated file. A paper table measures every
-// plan its query compiles to; the grouping family the plans it lists.
+// to tell a retired row from a truncated file: a paper table measures every
+// plan its query compiles to.
 func measures(r benchRecord) bool {
-	if r.Experiment == "grouping" {
-		return slices.Contains(experiments.GroupingPlanNames(), r.Plan)
-	}
 	_, ok := experiments.Find(r.Experiment)
 	return ok
 }
@@ -127,16 +121,11 @@ func measures(r benchRecord) bool {
 // testing.Benchmark and writes the records as JSON.
 func runJSON(path, expID string, opts experiments.Options) error {
 	exps := experiments.All()
-	switch {
-	case expID == "all":
-	case slices.Contains(jsonFamilies, expID):
-		exps = nil // physical-operator family only
-	default:
+	if expID != "all" {
 		exp, ok := experiments.Find(expID)
 		if !ok {
 			// fig6 has no per-plan benchmarks.
-			return fmt.Errorf("-json measures query plans only (q1, q1dblp, q2..q6, %s, all); %q has no plan benchmarks",
-				strings.Join(jsonFamilies, ", "), expID)
+			return fmt.Errorf("-json measures query plans only (q1, q1dblp, q2..q6, all); %q has no plan benchmarks", expID)
 		}
 		exps = []experiments.Experiment{exp}
 	}
@@ -190,16 +179,6 @@ func runJSON(path, expID string, opts experiments.Options) error {
 					return err
 				})
 			}
-		}
-	}
-	// The grouping family: the quantifier plan alternatives of Q4 and Q5.
-	if expID == "all" || expID == "grouping" {
-		targets, err := experiments.GroupingBenchTargets(sizes)
-		if err != nil {
-			return fmt.Errorf("grouping: %w", err)
-		}
-		for _, tg := range targets {
-			measure(benchRecord{Experiment: tg.Experiment, Plan: tg.Plan, Size: tg.Size}, tg.Run)
 		}
 	}
 	data, err := json.MarshalIndent(recs, "", "  ")

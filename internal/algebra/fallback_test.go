@@ -122,7 +122,7 @@ func TestResidualOnHashPath(t *testing.T) {
 }
 
 // TestCorrelatedNestedJoinEnv: a join's right side may reference free
-// variables from an enclosing nested evaluation; prepareJoin must evaluate
+// variables from an enclosing nested evaluation; Eval must evaluate
 // it under that environment.
 func TestCorrelatedNestedJoinEnv(t *testing.T) {
 	inner := SemiJoin{

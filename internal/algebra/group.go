@@ -24,29 +24,18 @@ type GroupUnary struct {
 func (g GroupUnary) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	in := g.In.Eval(ctx, env)
 	ctx.ChargeTuples(TripGroup, in)
-	keys, buckets := partition(in, g.By)
-	var out value.TupleSeq
-	if g.Theta == value.CmpEq {
-		for _, k := range keys {
-			b := buckets[k]
-			nt := b[0].Project(g.By)
-			nt[g.G] = g.F.Apply(ctx, env, b)
-			out = append(out, nt)
-		}
-		return out
-	}
-	// General θ: compare every distinct key against every input tuple.
-	for _, k := range keys {
-		keyT := buckets[k][0].Project(g.By)
-		var grp value.TupleSeq
+	groups, _ := groupsOf(in, g.By)
+	out := make(value.TupleSeq, 0, len(groups))
+	for _, grp := range groups {
+		key := grp[0].Project(g.By)
+		var members value.TupleSeq
 		for _, t := range in {
-			if thetaMatch(keyT, t, g.By, g.By, g.Theta) {
-				grp = append(grp, t)
+			if thetaMatch(key, t, g.By, g.By, g.Theta) {
+				members = append(members, t)
 			}
 		}
-		nt := keyT.Copy()
-		nt[g.G] = g.F.Apply(ctx, env, grp)
-		out = append(out, nt)
+		key[g.G] = g.F.Apply(ctx, env, members)
+		out = append(out, key)
 	}
 	return out
 }
@@ -69,28 +58,43 @@ func (g GroupUnary) Attrs() ([]string, bool) {
 	return unionAttrs(g.By, []string{g.G}), true
 }
 
-// partition splits tuples into buckets by the hash key over attrs; keys are
-// returned in first-occurrence order and buckets preserve input order.
-func partition(ts value.TupleSeq, attrs []string) ([]value.HashKey, map[value.HashKey]value.TupleSeq) {
-	var keys []value.HashKey
-	buckets := make(map[value.HashKey]value.TupleSeq, len(ts))
-	for _, t := range ts {
-		k := value.KeyOfAttrs(t, attrs)
-		if _, ok := buckets[k]; !ok {
-			keys = append(keys, k)
+// groupsOf is the grouping of Γg;=By: the tuples of ts whose By-values are
+// equal pairwise under the key rule (thetaHolds), as groups in first-occurrence
+// order with their members in input order; of[i] is the group of ts[i].
+func groupsOf(ts value.TupleSeq, by []string) (groups []value.TupleSeq, of []int) {
+	of = make([]int, len(ts))
+next:
+	for i, t := range ts {
+		for gi, grp := range groups {
+			if thetaMatch(grp[0], t, by, by, value.CmpEq) {
+				groups[gi], of[i] = append(grp, t), gi
+				continue next
+			}
 		}
-		buckets[k] = append(buckets[k], t)
+		groups, of[i] = append(groups, value.TupleSeq{t}), len(groups)
 	}
-	return keys, buckets
+	return groups, of
 }
 
+// thetaMatch reports whether the lAttrs of lt stand in θ to the rAttrs of rt,
+// pairwise (thetaHolds).
 func thetaMatch(lt, rt value.Tuple, lAttrs, rAttrs []string, op value.CmpOp) bool {
 	for i := range lAttrs {
-		if !value.CompareAtomic(lt[lAttrs[i]], rt[rAttrs[i]], op) {
+		if !thetaHolds(lt[lAttrs[i]], rt[rAttrs[i]], op) {
 			return false
 		}
 	}
 	return true
+}
+
+// thetaHolds applies θ under the atom rule, where = is the key rule: two
+// values that atomize to nothing are equal too — Compare3 is 0 exactly when
+// CompareAtomic's = holds or both sides are absent.
+func thetaHolds(a, b value.Value, op value.CmpOp) bool {
+	if op == value.CmpEq {
+		return value.Compare3(a, b) == 0
+	}
+	return value.CompareAtomic(a, b, op)
 }
 
 // GroupSelf is the order-preserving self-grouping operator: every input
@@ -112,18 +116,15 @@ type GroupSelf struct {
 func (g GroupSelf) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	in := g.In.Eval(ctx, env)
 	ctx.ChargeTuples(TripGroup, in)
-	_, buckets := partition(in, g.By)
-	applied := make(map[value.HashKey]value.Value, len(buckets))
+	groups, of := groupsOf(in, g.By)
+	applied := make([]value.Value, len(groups))
+	for gi, grp := range groups {
+		applied[gi] = g.F.Apply(ctx, env, grp)
+	}
 	out := make(value.TupleSeq, 0, len(in))
-	for _, t := range in {
-		k := value.KeyOfAttrs(t, g.By)
-		v, ok := applied[k]
-		if !ok {
-			v = g.F.Apply(ctx, env, buckets[k])
-			applied[k] = v
-		}
+	for i, t := range in {
 		nt := t.Copy()
-		nt[g.G] = v
+		nt[g.G] = applied[of[i]]
 		out = append(out, nt)
 	}
 	return out
@@ -173,16 +174,6 @@ func (g GroupBinary) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	r := g.R.Eval(ctx, env)
 	ctx.ChargeTuples(TripGroup, r)
 	out := make(value.TupleSeq, 0, len(l))
-	if g.Theta == value.CmpEq {
-		hash := buildHash(r, g.RAttrs)
-		for _, lt := range l {
-			grp := hash[value.KeyOfAttrs(lt, g.LAttrs)]
-			nt := lt.Copy()
-			nt[g.G] = g.F.Apply(ctx, env, grp)
-			out = append(out, nt)
-		}
-		return out
-	}
 	for _, lt := range l {
 		var grp value.TupleSeq
 		for _, rt := range r {
@@ -223,7 +214,9 @@ func (g GroupBinary) Attrs() ([]string, bool) {
 // UnnestDistinct is µD (Eqv. 4): unnesting that eliminates duplicate tuples
 // within each nested sequence — µDg(e) = (α(e)|ḡ × ΠD(α(e).g)) ⊕ µDg(τ(e)).
 // Unlike the paper's µ it does not ⊥-pad empty groups (the definition's × with the empty
-// sequence is empty).
+// sequence is empty). A member is a duplicate of an earlier one when the two
+// are equal pairwise under the key rule (thetaHolds) on every attribute either
+// binds, an attribute a member does not bind being absent.
 type UnnestDistinct struct {
 	In   Op
 	Attr string
@@ -236,14 +229,16 @@ func (u UnnestDistinct) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	for _, t := range in {
 		base := t.Drop([]string{u.Attr})
 		ts, _ := value.TuplesOf(t[u.Attr])
-		seen := map[value.HashKey]bool{}
+		var kept value.TupleSeq
+	members:
 		for _, g := range ts {
-			k := value.KeyOfAttrs(g, g.Attrs())
-			if seen[k] {
-				continue
+			for _, k := range kept {
+				if attrs := unionAttrs(k.Attrs(), g.Attrs()); thetaMatch(k, g, attrs, attrs, value.CmpEq) {
+					continue members
+				}
 			}
 			ctx.charge(TripDedup, 0, dedupEntryBytes)
-			seen[k] = true
+			kept = append(kept, g)
 			out = append(out, base.Concat(g))
 		}
 	}

@@ -77,88 +77,59 @@ func NameSet(names []string, known bool) map[string]bool {
 	return m
 }
 
-// buildHash partitions tuples into buckets keyed by the hash key over attrs,
-// preserving the order of tuples within each bucket.
-func buildHash(ts value.TupleSeq, attrs []string) map[value.HashKey]value.TupleSeq {
-	h := make(map[value.HashKey]value.TupleSeq, len(ts))
-	for _, t := range ts {
-		k := value.KeyOfAttrs(t, attrs)
-		h[k] = append(h[k], t)
-	}
-	return h
+// joinTest is the definitional test of a ⋉, ▷ or ⟕ on a left and a right
+// tuple: p on env ◦ lt ◦ rt. The attribute equalities A1 = A2 of p between
+// the two inputs are equalities of keys, so they hold under the key rule
+// (thetaHolds), as grouping's do. They are tested first and the rest of p is
+// evaluated only where they hold — where the row engine's hash probe finds a
+// candidate — so Stats.NestedEvals counts the same evaluations on both.
+type joinTest struct {
+	lKeys, rKeys []string
+	rest         Expr // nil when p is its equalities
 }
 
-// joinPlan prepares the hash-based execution of a binary predicate operator.
-// Probing in left order with order-preserving buckets yields exactly the
-// order of the definitional σp(e1 × e2) — the stand-in for the
-// order-preserving hash join of Claussen et al. the paper cites.
-type joinPlan struct {
-	pairs    []eqPair
-	lKeys    []string
-	rKeys    []string
-	residual Expr
-	hash     map[value.HashKey]value.TupleSeq
-	right    value.TupleSeq
-	useHash  bool
-}
-
-func prepareJoin(ctx *Ctx, right value.TupleSeq, l, r Op, pred Expr) joinPlan {
-	// The build side materializes here whether or not hashing applies.
-	ctx.ChargeTuples(TripBuild, right)
-	lSet := NameSet(l.Attrs())
-	rSet := NameSet(r.Attrs())
-	var jp joinPlan
-	jp.right = right
-	if lSet != nil && rSet != nil {
-		if pairs, residual, ok := splitEqPred(pred, lSet, rSet); ok {
-			jp.pairs = pairs
-			jp.residual = residual
+// newJoinTest splits p into its attribute equalities between l and r and the
+// rest, where the attributes of both are known; otherwise all of p is rest.
+func newJoinTest(l, r Op, pred Expr) joinTest {
+	jt := joinTest{rest: pred}
+	if lSet, rSet := NameSet(l.Attrs()), NameSet(r.Attrs()); lSet != nil && rSet != nil {
+		if pairs, rest, ok := splitEqPred(pred, lSet, rSet); ok {
+			jt.rest = rest
 			for _, p := range pairs {
-				jp.lKeys = append(jp.lKeys, p.Left)
-				jp.rKeys = append(jp.rKeys, p.Right)
+				jt.lKeys = append(jt.lKeys, p.Left)
+				jt.rKeys = append(jt.rKeys, p.Right)
 			}
-			jp.hash = buildHash(right, jp.rKeys)
-			jp.useHash = true
-			return jp
 		}
 	}
-	jp.residual = pred
-	return jp
+	return jt
 }
 
-// matches returns the right tuples joining with lt, in right order.
-func (jp *joinPlan) matches(ctx *Ctx, env value.Tuple, lt value.Tuple) value.TupleSeq {
-	candidates := jp.right
-	if jp.useHash {
-		candidates = jp.hash[value.KeyOfAttrs(lt, jp.lKeys)]
-	}
-	if jp.residual == nil {
-		return candidates
-	}
+// holds reports whether lt and rt join; envL is env ◦ lt.
+func (jt joinTest) holds(ctx *Ctx, envL, lt, rt value.Tuple) bool {
+	return thetaMatch(lt, rt, jt.lKeys, jt.rKeys, value.CmpEq) &&
+		(jt.rest == nil || value.EffectiveBool(jt.rest.Eval(ctx, envL.Concat(rt))))
+}
+
+// semiAnti is e1 ⋉p e2 for want true and e1 ▷p e2 for want false, over the
+// evaluated inputs: the left tuples for which having a partner is want. The
+// test of a left tuple stops at its first partner, as ∃ does.
+func semiAnti(ctx *Ctx, env value.Tuple, l, right value.TupleSeq, jt joinTest, want bool) value.TupleSeq {
+	ctx.ChargeTuples(TripBuild, right)
 	var out value.TupleSeq
-	for _, rt := range candidates {
-		if value.EffectiveBool(jp.residual.Eval(ctx, env.Concat(lt).Concat(rt))) {
-			out = append(out, rt)
+	for _, lt := range l {
+		ctx.Fault(TripProbe)
+		envL := env.Concat(lt)
+		found := false
+		for _, rt := range right {
+			if found = jt.holds(ctx, envL, lt, rt); found {
+				break
+			}
+		}
+		if found == want {
+			out = append(out, lt)
 		}
 	}
 	return out
-}
-
-// anyMatch reports whether some right tuple joins with lt.
-func (jp *joinPlan) anyMatch(ctx *Ctx, env value.Tuple, lt value.Tuple) bool {
-	candidates := jp.right
-	if jp.useHash {
-		candidates = jp.hash[value.KeyOfAttrs(lt, jp.lKeys)]
-	}
-	if jp.residual == nil {
-		return len(candidates) > 0
-	}
-	for _, rt := range candidates {
-		if value.EffectiveBool(jp.residual.Eval(ctx, env.Concat(lt).Concat(rt))) {
-			return true
-		}
-	}
-	return false
 }
 
 // SemiJoin is the order-preserving semijoin e1 ⋉p e2: left tuples with at
@@ -174,15 +145,7 @@ func (j SemiJoin) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if len(l) == 0 {
 		return nil
 	}
-	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
-	var out value.TupleSeq
-	for _, lt := range l {
-		ctx.Fault(TripProbe)
-		if jp.anyMatch(ctx, env, lt) {
-			out = append(out, lt)
-		}
-	}
-	return out
+	return semiAnti(ctx, env, l, j.R.Eval(ctx, env), newJoinTest(j.L, j.R, j.Pred), true)
 }
 
 func (j SemiJoin) String() string { return fmt.Sprintf("⋉[%s]", j.Pred.String()) }
@@ -212,15 +175,7 @@ func (j AntiJoin) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if len(l) == 0 {
 		return nil
 	}
-	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
-	var out value.TupleSeq
-	for _, lt := range l {
-		ctx.Fault(TripProbe)
-		if !jp.anyMatch(ctx, env, lt) {
-			out = append(out, lt)
-		}
-	}
-	return out
+	return semiAnti(ctx, env, l, j.R.Eval(ctx, env), newJoinTest(j.L, j.R, j.Pred), false)
 }
 
 func (j AntiJoin) String() string { return fmt.Sprintf("▷[%s]", j.Pred.String()) }
@@ -258,10 +213,12 @@ func (j OuterJoin) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	if len(l) == 0 {
 		return nil
 	}
-	jp := prepareJoin(ctx, j.R.Eval(ctx, env), j.L, j.R, j.Pred)
+	right := j.R.Eval(ctx, env)
+	ctx.ChargeTuples(TripBuild, right)
+	jt := newJoinTest(j.L, j.R, j.Pred)
 	rAttrs, rKnown := j.R.Attrs()
-	if !rKnown && len(jp.right) > 0 {
-		rAttrs = jp.right[0].Attrs()
+	if !rKnown && len(right) > 0 {
+		rAttrs = right[0].Attrs()
 	}
 	var padAttrs []string
 	for _, a := range rAttrs {
@@ -272,15 +229,16 @@ func (j OuterJoin) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	var out value.TupleSeq
 	for _, lt := range l {
 		ctx.Fault(TripProbe)
-		ms := jp.matches(ctx, env, lt)
-		if len(ms) == 0 {
+		envL, n := env.Concat(lt), len(out)
+		for _, rt := range right {
+			if jt.holds(ctx, envL, lt, rt) {
+				out = append(out, lt.Concat(rt))
+			}
+		}
+		if len(out) == n {
 			nt := lt.Concat(value.NullTuple(padAttrs))
 			nt[j.G] = j.Default.Apply(ctx, env, nil)
 			out = append(out, nt)
-			continue
-		}
-		for _, rt := range ms {
-			out = append(out, lt.Concat(rt))
 		}
 	}
 	return out

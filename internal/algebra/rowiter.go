@@ -419,9 +419,10 @@ type joinSpec struct {
 
 // rowJoinIter is the order-preserving join family: it probes the build side
 // in left order with order-preserving buckets, which yields exactly the order
-// of the definitional σp(e1 × e2). The build side — the right input, hashed
-// on the key slots — is materialized on the first left row, so an empty
-// left input never evaluates it, as in their Eval.
+// of the definitional σp(e1 × e2) — the stand-in for the order-preserving
+// hash join of Claussen et al. the paper cites. The build side — the right
+// input, hashed on the key slots — is materialized on the first left row, so
+// an empty left input never evaluates it, as in their Eval.
 type rowJoinIter struct {
 	*joinSpec
 	left RowIter
@@ -670,11 +671,10 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 
 // rowGroupBinaryIter is binary Γ: every left row extended by g, f over the
 // right rows standing in θ to it. For θ '=' the right input is bucketed on
-// the key and f applied once per distinct key, so shared groups are
-// materialized once (and, like the map engine's shared bucket slices, shared
-// as values across output tuples); any other θ scans it per left row. The
-// right input is materialized on the first left row, so an empty left input
-// never evaluates it — as in GroupBinary.Eval.
+// the key and f applied once per distinct key, so a group is materialized
+// once and shared as one value by the output rows of its key; any other θ
+// scans it per left row. The right input is materialized on the first left
+// row, so an empty left input never evaluates it — as in GroupBinary.Eval.
 type rowGroupBinaryIter struct {
 	left           RowIter
 	group          *Node    // the binary Γ, until its right input is built
@@ -778,10 +778,9 @@ type rowUnnestIter struct {
 	innerLay *value.Layout
 	innerSrc []int
 
-	dedup   map[value.HashKey]bool // the current group's member keys
-	scratch []int                  // KeyOfRow slot scratch, reused across members
-	ctx     *Ctx
-	slab    rowSlab
+	dedup map[value.HashKey]bool // the current group's member keys
+	ctx   *Ctx
+	slab  rowSlab
 }
 
 // base starts an output row with the kept input slots. The members left in
@@ -820,8 +819,7 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 			i := u.pos
 			u.pos++
 			g := u.pendRows.At(i)
-			var k value.HashKey
-			k, u.scratch = value.KeyOfRow(g, u.scratch)
+			k := value.KeyOfRow(g)
 			if u.dedup[k] {
 				continue
 			}

@@ -186,9 +186,8 @@ type XiGroup struct {
 func (x XiGroup) Eval(ctx *Ctx, env value.Tuple) value.TupleSeq {
 	in := x.In.Eval(ctx, env)
 	ctx.ChargeTuples(TripGroup, in)
-	keys, buckets := partition(in, x.By)
-	for _, k := range keys {
-		grp := buckets[k]
+	groups, _ := groupsOf(in, x.By)
+	for _, grp := range groups {
 		execCommands(ctx, env, grp[0], x.S1)
 		for _, t := range grp {
 			execCommands(ctx, env, t, x.S2)

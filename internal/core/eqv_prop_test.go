@@ -47,7 +47,7 @@ func distinctAs(ts value.TupleSeq, newName, old string) constOp {
 	seen := map[value.HashKey]bool{}
 	var out value.TupleSeq
 	for _, t := range ts {
-		if k := value.KeyOfAttrs(t, []string{old}); !seen[k] {
+		if k := value.KeyOf(t[old]); !seen[k] {
 			seen[k] = true
 			out = append(out, value.Tuple{newName: t[old]})
 		}

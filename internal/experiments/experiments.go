@@ -3,10 +3,10 @@
 // documents of the corresponding measurement point, compiles the paper's
 // query, executes every plan alternative and reports wall-clock time plus
 // the scan counters (document accesses and nested-loop iterations) that
-// explain the paper's analysis. benchtargets.go adds the family the
-// allocation trajectory (cmd/nalbench -json) tracks beyond the tables,
-// grouping. The wall-clock columns are for reading the
-// tables' shape; a performance claim is measured with benchmark/.
+// explain the paper's analysis. The allocation trajectory (cmd/nalbench
+// -json) measures the plans of these tables. The wall-clock columns are for
+// reading the tables' shape; a performance claim is measured with
+// benchmark/.
 package experiments
 
 import (

@@ -125,13 +125,13 @@ func TestAtomRule(t *testing.T) {
 		text["NaN"], text["-0"], text[" 7 "], text["1e1"], text["Infinity"], text["true"], text[""], text["x"],
 		Seq{text["5"]},
 		Seq{Str("5")}, Seq{Null{}, Str("x"), Int(1)}, Seq{Seq{}, node["NaN"]},
-		TupleSeq{{"a": Str("1.0"), "b": Seq{}}}, BindRowSeq(Seq{Str("NaN"), Int(2)}, "x"),
+		TupleSeq{{"a": Str("1.0"), "b": Seq{}}}, BindRowSeqLay(NewLayout("x"), Seq{Str("NaN"), Int(2)}),
 		RowSeqOfFlat(lay, []Value{nil, Bool(true), node["5"], Str("x")}),
 	}
 	checkAtoms(t, present)
 
 	// Absent values: the zero key, and every comparison false.
-	for _, a := range []Value{nil, Null{}, Seq{}, Seq{Null{}, Seq{}}, TupleSeq{}, BindRowSeq(nil, "x")} {
+	for _, a := range []Value{nil, Null{}, Seq{}, Seq{Null{}, Seq{}}, TupleSeq{}, BindRowSeqLay(NewLayout("x"), nil)} {
 		if KeyOf(a) != (HashKey{}) {
 			t.Errorf("KeyOf(%#v) = %v, want the zero key", a, KeyOf(a))
 		}

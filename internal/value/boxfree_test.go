@@ -70,7 +70,7 @@ func genValue(rng *rand.Rand, nodes []*dom.Node, depth int) Value {
 		}
 		return RowSeqOfFlat(lay, flat)
 	default:
-		return BindRowSeq(Seq{genItem(rng, nodes), genItem(rng, nodes)}, "x")
+		return BindRowSeqLay(NewLayout("x"), Seq{genItem(rng, nodes), genItem(rng, nodes)})
 	}
 }
 
@@ -135,7 +135,7 @@ func TestKeyOfEquivalentToKey(t *testing.T) {
 		Float(math.NaN()), Str("NaN"), Str("nan"), Str("abc"), Str(" abc"), Str(""),
 		Null{}, nil, Seq{}, Seq{Null{}, Str("1")}, Seq{Seq{}, Int(1)},
 		NodeVal{Node: nodes[0]}, NodeVal{Node: nodes[1]}, NodeVal{Node: nodes[2]}, NodeVal{Node: nodes[3]},
-		TupleSeq{{"a": Str("1.0")}}, BindRowSeq(Seq{Str("abc")}, "x"),
+		TupleSeq{{"a": Str("1.0")}}, BindRowSeqLay(NewLayout("x"), Seq{Str("abc")}),
 	}
 	for _, a := range forms {
 		for _, b := range forms {

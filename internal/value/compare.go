@@ -549,25 +549,6 @@ func KeyOfSlots(vals []Value, slots []int) HashKey {
 	return HashKey{kind: 'm', str: sb.String()}
 }
 
-// KeyOfAttrs is KeyOfSlots for map tuples. Both functions produce the same
-// key for the same logical tuple, so the map evaluator and the slot engine
-// bucket a hash join's or grouping's input identically.
-func KeyOfAttrs(t Tuple, attrs []string) HashKey {
-	switch len(attrs) {
-	case 0:
-		return HashKey{}
-	case 1:
-		return KeyOf(t[attrs[0]])
-	case 2:
-		return CombineKeys(KeyOf(t[attrs[0]]), KeyOf(t[attrs[1]]))
-	}
-	var sb strings.Builder
-	for _, a := range attrs {
-		writeFoldCol(&sb, KeyOf(t[a]))
-	}
-	return HashKey{kind: 'm', str: sb.String()}
-}
-
 // writeFoldCol renders one column's key into a wide key: its kind, then a
 // number's shortest digits closed by ';' or a text's length-prefixed bytes.
 // Each rendering ends where it says it does, so the fold of several columns
@@ -630,8 +611,8 @@ func EffectiveBool(v Value) bool {
 }
 
 // DeepEqual compares two values structurally, with numeric cross-kind
-// equality (Int(3) equals Float(3)). Used by tests and by the property-based
-// equivalence checks.
+// equality (Int(3) equals Float(3)) and NaN equal to NaN. Used by tests and
+// by the property-based equivalence checks.
 func DeepEqual(a, b Value) bool {
 	switch x := a.(type) {
 	case nil:
@@ -702,7 +683,7 @@ func DeepEqual(a, b Value) bool {
 		case Int:
 			return float64(x) == float64(y)
 		case Float:
-			return x == y
+			return x == y || x != x && y != y // a NaN is the same value as a NaN
 		}
 		return false
 	default:

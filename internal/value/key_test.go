@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Properties of the composite HashKey scheme (KeyOfSlots / KeyOfAttrs) the
+// Properties of the composite HashKey scheme (KeyOfSlots) the row engine's
 // hash joins and groupings build on.
 
 func randVal(rng *rand.Rand) Value {
@@ -53,33 +53,6 @@ func TestKeyOfSlotsMatchesPerColumnKeys(t *testing.T) {
 			if gotEq != wantEq {
 				t.Fatalf("width %d: KeyOfSlots equality %v, per-column %v (%v vs %v)",
 					width, gotEq, wantEq, a, b)
-			}
-		}
-	}
-}
-
-// TestKeyOfAttrsAgreesWithKeyOfSlots: the map-tuple and slot-row forms of
-// the same logical tuple key identically — the invariant that lets the
-// definitional evaluator and the slot engine bucket the same rows together.
-func TestKeyOfAttrsAgreesWithKeyOfSlots(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	attrs := []string{"a", "b", "c"}
-	for width := 1; width <= 3; width++ {
-		slots := make([]int, width)
-		for i := range slots {
-			slots[i] = i
-		}
-		for iter := 0; iter < 1000; iter++ {
-			vals := make([]Value, width)
-			tup := Tuple{}
-			for i := 0; i < width; i++ {
-				vals[i] = randVal(rng)
-				if vals[i] != nil {
-					tup[attrs[i]] = vals[i]
-				}
-			}
-			if KeyOfSlots(vals, slots) != KeyOfAttrs(tup, attrs[:width]) {
-				t.Fatalf("width %d: slot and attr keys disagree for %v", width, vals)
 			}
 		}
 	}

@@ -17,8 +17,7 @@ import "strings"
 // chunk it shares with the builder's neighbouring payloads). So a payload
 // never shares memory with an operator's row arrays.
 //
-// Like Row, a RowSeq is immutable once emitted. A rename inside the group
-// is WithLayout — a layout-pointer swap sharing the backing.
+// Like Row, a RowSeq is immutable once emitted.
 type RowSeq struct {
 	lay  *Layout
 	flat []Value // stride lay.Width()
@@ -34,16 +33,11 @@ func RowSeqOfFlat(lay *Layout, flat []Value) RowSeq {
 	return RowSeq{lay: lay, flat: flat, n: n}
 }
 
-// BindRowSeq is the slot-native e[a] constructor: a sequence of
-// single-attribute rows sharing the item sequence as their flat backing —
-// zero per-item work instead of one map per item.
-func BindRowSeq(items Seq, a string) RowSeq {
-	return BindRowSeqLay(NewLayout(a), items)
-}
-
-// BindRowSeqLay is BindRowSeq with a caller-cached single-attribute layout
-// (the compiled path builds it once per plan, not once per tuple). The item
-// slice is aliased, not copied — values are immutable throughout the
+// BindRowSeqLay is the slot-native e[a] constructor: a sequence of rows
+// under lay, a caller-cached single-attribute layout (the compiled path
+// builds it once per plan, not once per tuple), sharing the item sequence as
+// their flat backing — zero per-item work instead of one map per item. The
+// item slice is aliased, not copied — values are immutable throughout the
 // engine, and a width-1 flat backing is exactly an item sequence.
 func BindRowSeqLay(lay *Layout, items Seq) RowSeq {
 	return RowSeq{lay: lay, flat: items, n: len(items)}
@@ -65,14 +59,6 @@ func (rs RowSeq) At(i int) Row {
 	w := rs.lay.Width()
 	off := i * w
 	return Row{Lay: rs.lay, Vals: rs.flat[off : off+w : off+w]}
-}
-
-// WithLayout returns the sequence under a different layout of the same
-// width — the O(1) form of a rename applied to every member.
-func (rs RowSeq) WithLayout(lay *Layout) RowSeq {
-	out := rs
-	out.lay = lay
-	return out
 }
 
 // Tuples materializes the members as map tuples — for the definitional
@@ -106,20 +92,11 @@ func (rs RowSeq) String() string {
 	return "<" + strings.Join(parts, ", ") + ">"
 }
 
-// KeyOfRow computes the canonical grouping key of a row over its present
-// (non-nil) attributes in canonical order — producing the same HashKey as
-// KeyOfAttrs(t, t.Attrs()) for the equivalent map tuple (the µD member-dedup
-// key). scratch is reused across members to avoid a per-member allocation;
-// the (possibly regrown) slice is returned.
-func KeyOfRow(r Row, scratch []int) (HashKey, []int) {
-	scratch = scratch[:0]
-	for _, s := range r.Lay.Canon() {
-		if r.Vals[s] != nil {
-			scratch = append(scratch, s)
-		}
-	}
-	return KeyOfSlots(r.Vals, scratch), scratch
-}
+// KeyOfRow computes the canonical grouping key of a row over every slot of
+// its layout in canonical order, an absent (nil) slot keying as NULL — the
+// µD member-dedup key. So rows that hold the same values in different
+// attributes key apart.
+func KeyOfRow(r Row) HashKey { return KeyOfSlots(r.Vals, r.Lay.Canon()) }
 
 // TuplesOf views a tuple-sequence value through the map-tuple lens: a
 // TupleSeq stays itself, a RowSeq materializes. ok=false for any other

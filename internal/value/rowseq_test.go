@@ -51,22 +51,9 @@ func TestRowSeqAtomizeCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestRowSeqRenameIsLayoutSwap(t *testing.T) {
-	rs, _ := testSeqPair()
-	ren := rs.Lay().Rename(map[string]string{"a": "z"})
-	swapped := rs.WithLayout(ren)
-	if got := swapped.At(0).Value("z"); !DeepEqual(got, Int(1)) {
-		t.Fatalf("renamed member reads %v, want 1", got)
-	}
-	// The backing is shared: same member value slices.
-	if &rs.At(0).Vals[0] != &swapped.At(0).Vals[0] {
-		t.Fatalf("rename must not copy member values")
-	}
-}
-
 func TestBindRowSeqSharesBacking(t *testing.T) {
 	items := Seq{Int(1), Str("two")}
-	rs := BindRowSeq(items, "x")
+	rs := BindRowSeqLay(NewLayout("x"), items)
 	if rs.Len() != 2 {
 		t.Fatalf("Len = %d", rs.Len())
 	}
@@ -74,17 +61,26 @@ func TestBindRowSeqSharesBacking(t *testing.T) {
 		t.Fatalf("e[a] backing must alias the item sequence")
 	}
 	if !DeepEqual(rs, TupleSeq{{"x": Int(1)}, {"x": Str("two")}}) {
-		t.Fatalf("BindRowSeq members differ from BindSeq semantics")
+		t.Fatalf("BindRowSeqLay members differ from BindSeq semantics")
 	}
 }
 
-func TestKeyOfRowMatchesKeyOfAttrs(t *testing.T) {
-	lay := NewLayout("c", "a", "b")
-	r := Row{Lay: lay, Vals: []Value{Str("v"), nil, Int(7)}} // a absent
-	tup := Tuple{"b": Int(7), "c": Str("v")}
-	k1, _ := KeyOfRow(r, nil)
-	if k2 := KeyOfAttrs(tup, tup.Attrs()); k1 != k2 {
-		t.Fatalf("KeyOfRow %v != KeyOfAttrs %v", k1, k2)
+// TestKeyOfRowKeysEverySlot: the µD member key reads every slot of the
+// layout in canonical order, an absent one as NULL, so rows that differ only
+// in which slot is absent key apart — at width 2 (inline composite) and 3
+// (string fold).
+func TestKeyOfRowKeysEverySlot(t *testing.T) {
+	r := Row{Lay: NewLayout("c", "a", "b"), Vals: []Value{Str("v"), nil, Int(7)}} // a absent
+	if got, want := KeyOfRow(r), KeyOfSlots(r.Vals, r.Lay.Canon()); got != want {
+		t.Fatalf("KeyOfRow %v != KeyOfSlots over the canonical slots %v", got, want)
+	}
+	for _, names := range [][]string{{"a", "b"}, {"a", "b", "c"}} {
+		lay := NewLayout(names...)
+		first, last := make([]Value, len(names)), make([]Value, len(names))
+		first[0], last[len(names)-1] = Str("x"), Str("x")
+		if KeyOfRow(Row{Lay: lay, Vals: first}) == KeyOfRow(Row{Lay: lay, Vals: last}) {
+			t.Errorf("%v: %v and %v key alike", names, first, last)
+		}
 	}
 }
 

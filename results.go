@@ -173,15 +173,10 @@ func (s *itemQueue) EmitValue(v value.Value) {
 // Plan returns the plan alternative this session runs.
 func (r *Results) Plan() Plan { return r.plan }
 
-// newAlgebraCtx builds the per-run evaluation context. The reference
-// engine runs without the cardinality estimator — its hash sizing
-// heuristics are part of what the slot engine is differential-tested
-// against.
+// newAlgebraCtx builds the per-run evaluation context.
 func (r *Results) newAlgebraCtx(out algebra.StringWriter) *algebra.Ctx {
 	ctx := algebra.NewCtxWriter(r.q.docs, out)
-	if !r.cfg.reference {
-		ctx.Cards = r.q.model
-	}
+	ctx.Cards = r.q.model
 	ctx.Params = r.cfg.params
 	ctx.SetDone(r.ctx.Done())
 	if r.cfg.maxBytes > 0 || r.cfg.maxTuples > 0 || r.cfg.faultHook != nil {
