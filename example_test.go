@@ -110,3 +110,35 @@ return <recent>{ $t1 }</recent>`)
 	// true
 	// <recent><title>Data on the Web</title></recent>
 }
+
+// ExampleBind prepares a query with an external variable once and binds a
+// different value per run; nothing is recompiled.
+func ExampleBind() {
+	eng := nalquery.NewEngine()
+	if err := eng.LoadXMLString("bib.xml", exampleBib); err != nil {
+		log.Fatal(err)
+	}
+	p, err := eng.Prepare(`
+declare variable $minyear external;
+let $d1 := doc("bib.xml")
+for $b1 in $d1//book
+where $b1/@year > $minyear
+return $b1/title`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, year := range []int{1990, 1999} {
+		res, err := p.Run(context.Background(), nalquery.Bind("minyear", year))
+		if err != nil {
+			log.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := res.WriteXML(&sb); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("books after %d: %s\n", year, sb.String())
+	}
+	// Output:
+	// books after 1990: <title>TCP/IP Illustrated</title><title>Data on the Web</title>
+	// books after 1999: <title>Data on the Web</title>
+}

@@ -1,14 +1,17 @@
 package algebra
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"nalquery/internal/value"
 )
 
 // TestRecycledGroupArrayNeverAliasesPayloads: a Γ, Γ-self or binary Γ gives
-// its group array back to the node's free list on Close, and the next open
+// its group array back to the node's spare box on Close, and the next open
 // refills it, so no payload may share memory with it. Here each grouping
 // applies ΠA over all member attributes in a nested plan opened once per
 // outer row, a Sort holds all the outer rows — and with them every open's
@@ -88,10 +91,10 @@ func TestRecycledGroupArrayNeverAliasesPayloads(t *testing.T) {
 // open used.
 func TestReleaseKeepsMemoryInProportion(t *testing.T) {
 	held := func(rows int) *workMem {
-		l := new(freeList)
-		m := &workMem{list: l, rows: make([]value.Row, rows, 4*keepRows), b: rowBuckets{ids: map[value.HashKey]int32{}}}
+		n := new(Node)
+		m := &workMem{node: n, rows: make([]value.Row, rows, 4*keepRows), b: rowBuckets{ids: map[value.HashKey]int32{}}}
 		m.release()
-		return l.get()
+		return n.spare.Load()
 	}
 	if m := held(keepRows); cap(m.rows) != 4*keepRows || m.b.ids == nil {
 		t.Errorf("a box whose open filled a quarter of it kept %d rows, key table %v", cap(m.rows), m.b.ids != nil)
@@ -99,10 +102,68 @@ func TestReleaseKeepsMemoryInProportion(t *testing.T) {
 	if m := held(keepRows - 1); cap(m.rows) != 0 || m.b.ids != nil {
 		t.Errorf("a box whose open filled under a quarter of it kept %d rows, key table %v", cap(m.rows), m.b.ids != nil)
 	}
-	l := new(freeList)
-	m := &workMem{list: l, rows: make([]value.Row, 0, keepRows)}
+	n := new(Node)
+	m := &workMem{node: n, rows: make([]value.Row, 0, keepRows)}
 	m.release()
-	if m := l.get(); cap(m.rows) != keepRows {
+	if m := n.spare.Load(); cap(m.rows) != keepRows {
 		t.Errorf("a small box kept %d rows, want all %d", cap(m.rows), keepRows)
+	}
+}
+
+// TestParkedMemoryLivesWithItsNode: a breaker's spare working memory belongs
+// to its node. (a) A collection does not take it from a plan that is still
+// held: the run after several collections allocates what a warm run does.
+// (b) It goes with the plan: once the resolved tree is dropped, the spare is
+// freed by the next collection. (c) Holding it costs a Node nothing: the
+// count of opens fills the padding after OK, and a Node stays twelve words.
+func TestParkedMemoryLivesWithItsNode(t *testing.T) {
+	vals := make(value.Seq, 4000)
+	for i := range vals {
+		vals[i] = value.Int(int64(len(vals) - i))
+	}
+	sorted := Sort{In: UnnestMap{In: Singleton{}, Attr: "x", E: ConstVal{V: vals}}, By: []string{"x"}, Dirs: []bool{true}}
+	root := Resolve(sorted)
+	if !root.OK {
+		t.Fatalf("%s does not resolve", root.unresolved().Op)
+	}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if got := len(root.rows(NewCtx(nil), nil, nil)); got != len(vals) {
+			t.Fatalf("the sort gives %d rows, want %d", got, len(vals))
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var warm uint64
+	for i := 0; i < 5; i++ {
+		warm = run()
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := run(); got > warm+warm/10 {
+		t.Errorf("(a) the run after three collections allocates %d B, a warm run %d B", got, warm)
+	}
+
+	m := root.spare.Load()
+	if m == nil {
+		t.Fatal("(b) the sort holds no spare after seven runs")
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(m, func(*workMem) { close(freed) })
+	m, root = nil, nil
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Error("(b) the spare of a dropped plan outlives a collection")
+	}
+
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if got := unsafe.Sizeof(Node{}); got != 96 {
+			t.Errorf("(c) a Node is %d bytes, want 96", got)
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package algebra
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 
 	"nalquery/internal/value"
 )
@@ -160,7 +158,7 @@ func (b *rowBuckets) lookup(k value.HashKey) []value.Row {
 // in — the map that held them is cleared. Row chunks (rowSlab) are never
 // recycled.
 type workMem struct {
-	list    *freeList                     // the node's, which it goes back to
+	node    *Node                         // the breaker it goes back to; nil while parked
 	rows    []value.Row                   // the drain buffer
 	out     []value.Row                   // the emitted rows; a join's matches
 	b       rowBuckets                    // the key→group table and its arrays
@@ -171,163 +169,57 @@ type workMem struct {
 // take returns the working memory an earlier open of the breaker n gave back
 // (the zero workMem when there is none) and the box its iterator gives the
 // memory back in on Close. The first two opens of a node get no box: they
-// allocate what they always did and park nothing, and the third gives the
-// node its free list. Parked memory outlives a node's last open by two
-// collections (freeList), so it is parked only for nodes that have been
-// opened again and again: a plan run once or twice — an ad-hoc query, a
-// cached plan whose documents change under it, a set-up pass — leaves
-// nothing behind.
+// allocate what they always did and leave nothing behind, so a plan run once
+// or twice — an ad-hoc query, a cached plan whose documents change under it,
+// a set-up pass — keeps no memory. From the third open on, the node keeps one
+// spare box (Node.spare) for as long as the node itself is reachable.
 func (n *Node) take() (workMem, *workMem) {
-	l := n.free.Load()
-	switch l {
-	case nil, openedOnce:
-		next := openedOnce
-		if l == openedOnce {
-			next = openedTwice
-		}
-		n.free.CompareAndSwap(l, next)
+	if n.opens.Load() < 2 && n.opens.Add(1) <= 2 {
 		return workMem{}, nil
-	case openedTwice:
-		n.free.CompareAndSwap(openedTwice, new(freeList))
-		l = n.free.Load()
 	}
-	if m := l.get(); m != nil {
+	if m := n.spare.Swap(nil); m != nil {
 		// The key table is cleared here, not in release: clearing writes
 		// every slot, which brings the table into cache for the inserts that
 		// follow, as the zeroing of a new one does. Cleared at the end of an
 		// earlier open, it was cold again by the next, and hashing into it
 		// cost a cache miss per key.
 		clear(m.b.ids)
+		m.node = n
 		return *m, m
 	}
-	box := &workMem{list: l}
+	box := &workMem{node: n}
 	return *box, box
 }
 
-// release gives an open's working memory back to its node. The arrays and
-// binary Γ's values per key are cleared first, the arrays through their
-// capacity, so parked memory pins no row chunk and no value; the key table
+// release gives an open's working memory back to its node, as the node's
+// spare. When opens overlap, a release replaces the spare it finds, so a box
+// is lost only when two opens close with no open between them. The
+// arrays and binary Γ's values per key are cleared first, the arrays through
+// their capacity, so a spare pins no row chunk and no value; the key table
 // keeps its keys until the next take, and those are numbers and strings the
 // documents mostly hold anyway. An open whose input filled under a quarter
 // of a large drain buffer gives back an empty box instead: what a node keeps
 // follows its recent inputs, not the largest it ever had, and clearing a key
 // table, which costs what the table holds room for, stays in proportion too.
+//
+// The box's node field is nil while it is parked only so that a finalizer
+// set on the box, as in TestParkedMemoryLivesWithItsNode, can observe it
+// being freed: runtime.SetFinalizer runs none in a cycle. The collector
+// itself would free a node and its box together either way.
 func (m *workMem) release() {
+	n := m.node
 	if cap(m.rows) > keepRows && 4*len(m.rows) < cap(m.rows) {
-		*m = workMem{list: m.list}
+		*m = workMem{}
 	}
 	clear(m.rows[:cap(m.rows)])
 	clear(m.out[:cap(m.out)])
 	clear(m.vals[:cap(m.vals)])
 	clear(m.b.grouped[:cap(m.b.grouped)])
 	clear(m.applied)
-	m.list.put(m)
+	m.node = nil
+	n.spare.Store(m)
 }
 
 // keepRows is the drain buffer size, in rows, up to which a box keeps its
 // memory whatever the open used.
 const keepRows = 1024
-
-// freeList is one breaker node's parked working memory, a box per open that
-// ended since. It is the node's alone, so what a node reuses depends on its
-// own opens only, and it holds its boxes for as long as the node keeps being
-// opened: the sweep after each garbage collection demotes what is parked and
-// drops what it finds demoted, so memory left parked by a node that is no
-// longer opened — a plan that is done, a nested plan whose outer run ended —
-// is dropped by the second collection after its last open and freed by the
-// third. (A sync.Pool would drop it one collection sooner, but it drops a
-// quarter of its puts at random under the race detector, and hands a box to
-// whichever goroutine's processor holds it.)
-type freeList struct {
-	mu        sync.Mutex
-	mems, old []*workMem // parked since the last sweep, and before it
-	listed    bool       // in parked.lists
-}
-
-// openedOnce and openedTwice stand for the free list of a node opened that
-// often; they never hold memory.
-var openedOnce, openedTwice = new(freeList), new(freeList)
-
-func (l *freeList) get() *workMem {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if m := pop(&l.mems); m != nil {
-		return m
-	}
-	return pop(&l.old)
-}
-
-func pop(s *[]*workMem) *workMem {
-	k := len(*s) - 1
-	if k < 0 {
-		return nil
-	}
-	m := (*s)[k]
-	(*s)[k] = nil
-	*s = (*s)[:k]
-	return m
-}
-
-func (l *freeList) put(m *workMem) {
-	l.mu.Lock()
-	l.mems = append(l.mems, m)
-	listed := l.listed
-	l.listed = true
-	l.mu.Unlock()
-	if !listed {
-		parked.Lock()
-		parked.lists = append(parked.lists, l)
-		if !parked.armed {
-			parked.armed = true
-			armSweep()
-		}
-		parked.Unlock()
-	}
-}
-
-// parked lists the free lists holding memory. While it lists any, a sweep is
-// armed to run after the next garbage collection.
-var parked struct {
-	sync.Mutex
-	lists []*freeList
-	armed bool
-}
-
-// gcSentinel is the object whose finalizer runs the sweep: allocated
-// unreachable, it is finalized by the next collection. It holds a pointer, so
-// the allocator never packs it beside other objects, which would delay it.
-type gcSentinel struct{ _ *gcSentinel }
-
-func armSweep() {
-	runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) { sweep() })
-}
-
-// sweep ages every listed free list, unlists the ones left empty and re-arms
-// while any is left.
-func sweep() {
-	parked.Lock()
-	defer parked.Unlock()
-	kept := parked.lists[:0]
-	for _, l := range parked.lists {
-		if l.age() {
-			kept = append(kept, l)
-		}
-	}
-	clear(parked.lists[len(kept):])
-	parked.lists = kept
-	parked.armed = len(kept) > 0
-	if parked.armed {
-		armSweep()
-	}
-}
-
-// age drops the boxes parked before the last sweep and demotes the rest; it
-// reports whether the list still holds any.
-func (l *freeList) age() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	clear(l.old)
-	l.old, l.mems = l.mems, l.old[:0]
-	l.listed = len(l.old) > 0
-	return l.listed
-}

@@ -112,15 +112,18 @@ type opener func(ctx *Ctx, up *outer) RowIter
 // resolved tree is immutable — layouts, slot lists, nested-schema maps and
 // compiled subscripts are never written after Resolve returns — so any
 // number of runs may open it concurrently. The one thing that changes is a
-// pipeline breaker's free list of working memory (workMem), which is
-// synchronized.
+// pipeline breaker's count of opens and its spare working memory (workMem),
+// both atomic.
 type Node struct {
 	Op     Op
 	Schema Schema
 	// OK is false when the engine cannot run the operator: it, one of its
 	// inputs or one of its nested plans has no schema (see resolve).
-	OK   bool
-	Kids []*Node
+	OK bool
+	// opens counts a breaker's first two opens (Node.take); it fills OK's
+	// padding, so a Node stays twelve words.
+	opens atomic.Int32
+	Kids  []*Node
 	// refused is the lowest operator the resolver could not type in a nested
 	// plan of the operator's subscripts, when that is why OK is false.
 	refused *Node
@@ -129,9 +132,9 @@ type Node struct {
 	states int
 	// open builds the node's iterator; nil when OK is false.
 	open opener
-	// free is a breaker's recycled working memory: nil, openedOnce and
-	// openedTwice until its third open (Node.take).
-	free atomic.Pointer[freeList]
+	// spare is the working memory a breaker's last closed open gave back,
+	// nil before its third open and while an open holds it (Node.take).
+	spare atomic.Pointer[workMem]
 }
 
 // Resolve types an operator tree in one bottom-up pass: every operator is

@@ -301,9 +301,9 @@ type Plan struct {
 
 // planTree is a plan's resolved operator tree, built on the plan's first run
 // (an alternative that never runs is never resolved) and immutable after,
-// but for the free lists its pipeline breakers keep their working memory in
-// between runs: each is synchronized, and holds only what no run's output
-// can reach (algebra.Node).
+// but for the spare working memory its pipeline breakers keep between runs:
+// one atomic box per breaker, holding only what no run's output can reach
+// (algebra.Node). The boxes go when the tree does.
 type planTree struct {
 	once sync.Once
 	root *algebra.Node

@@ -78,3 +78,65 @@ return <a>{ $a1 }</a>`, quant, rng, sat)
 		}
 	})
 }
+
+// TestQuantifierJoinsCompareSequences: a quantifier's semijoin or
+// anti-semijoin compares path values that may hold several items or none —
+// a book with two titles or with none, a review entry with two titles or
+// none, both sides with several authors — and compares them as the general
+// comparison does (some pair of atoms stands in θ), never by a key (the first
+// atom, absent equal to absent). Every row's expected output is derived by
+// hand; the matching atoms are not the first of their sequences, so a key
+// comparison would lose them. An entry with no title is in a document of its
+// own, since it would leave every `every … !=` and `every … =` row empty.
+func TestQuantifierJoinsCompareSequences(t *testing.T) {
+	eng := NewEngine()
+	for uri, doc := range map[string]string{
+		"bib.xml": `<bib>
+<book><key>x</key><title>A</title><author>P</author><author>Q</author></book>
+<book><key>y</key><title>C</title><author>R</author></book>
+<book><key>z</key><title>C</title><title>D</title></book>
+<book><key>w</key><author>P</author></book>
+</bib>`,
+		"reviews.xml": `<reviews>
+<entry><title>B</title><title>A</title><author>S</author><author>Q</author></entry>
+<entry><title>E</title></entry>
+</reviews>`,
+		"untitled.xml": `<reviews><entry><title>A</title></entry><entry/></reviews>`,
+	} {
+		if err := eng.LoadXMLString(uri, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct{ doc, sat, plan, want string }{
+		{"reviews.xml", `every $e in %s satisfies $e/title != $x/title`, "anti-semijoin", "x y z"},
+		{"reviews.xml", `every $e in %s satisfies not($e/title = $x/title)`, "anti-semijoin", "y z w"},
+		{"reviews.xml", `some $e in %s satisfies $e/title = $x/title`, "semijoin", "x"},
+		{"reviews.xml", `some $e in %s satisfies $e/title != $x/title`, "semijoin", "x y z"},
+		{"reviews.xml", `every $e in %s satisfies $e/title = $x/title`, "anti-semijoin", ""},
+		{"reviews.xml", `some $q in %s satisfies $q/author = $x/author`, "semijoin", "x"},
+		{"untitled.xml", `every $e in %s satisfies $e/title != $x/title`, "anti-semijoin", ""},
+		{"untitled.xml", `every $e in %s satisfies not($e/title = $x/title)`, "anti-semijoin", "y z w"},
+		{"untitled.xml", `some $e in %s satisfies $e/title = $x/title`, "semijoin", "x"},
+		{"untitled.xml", `some $e in %s satisfies $e/title != $x/title`, "semijoin", "y z"},
+		{"untitled.xml", `every $e in %s satisfies $e/title = $x/title`, "anti-semijoin", ""},
+	} {
+		sat := fmt.Sprintf(r.sat, `doc("`+r.doc+`")//entry`)
+		t.Run(r.doc+"/"+sat, func(t *testing.T) {
+			query := `let $d1 := doc("bib.xml") for $x in $d1//book where ` + sat + ` return $x/key`
+			var want strings.Builder
+			for _, k := range strings.Fields(r.want) {
+				want.WriteString("<key>" + k + "</key>")
+			}
+			if got := assertAllPlansAgree(t, eng, query); got != want.String() {
+				t.Errorf("gives %q, want %q", got, want.String())
+			}
+			q, err := eng.Compile(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Plan(r.plan); err != nil {
+				t.Errorf("no %s plan: %v", r.plan, err)
+			}
+		})
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRecycledMemoryNeverAliasesLiveValues: the pipeline breakers of a
-// prepared plan take their working memory from their nodes' free lists and
+// prepared plan take their working memory from their nodes' spare boxes and
 // give it back when their iterators close, so runs of one plan reuse each
 // other's drain buffers, key tables and row arrays. What goes back must be
 // what no consumer can still reach: runs held open and unread while later
