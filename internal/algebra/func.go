@@ -263,12 +263,11 @@ func itemCount(v value.Value) int {
 // requirements. Only a value that is kept is atomized into the result.
 func distinctValues(v value.Value) value.Seq {
 	items := value.AppendItems(nil, v)
-	seen := make(map[value.HashKey]struct{}, len(items))
+	var seen value.KeyTable
+	seen.Reset(len(items))
 	var out value.Seq
 	for _, a := range items {
-		k := value.KeyOf(a)
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
+		if _, added := seen.Insert(value.KeyOf(a)); added {
 			out = append(out, value.AtomizeSingle(a))
 		}
 	}

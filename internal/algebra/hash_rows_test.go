@@ -207,6 +207,66 @@ func TestPartitionedRowsPadding(t *testing.T) {
 	}
 }
 
+// TestGroupBinaryAbsentLeftKeys: binary Γ over left keys the right input
+// lacks, repeated and in runs long enough to grow the key table as the left
+// side probes it. Each such row gets f of the empty group (ΠA's empty payload)
+// as Eval gives, and f is applied once per distinct left key, present or
+// absent: ΠA charges the budget even for no rows, so each distinct absent key
+// adds one consultation of the fault hook, and a repeated one adds none.
+func TestGroupBinaryAbsentLeftKeys(t *testing.T) {
+	rel := func(attr string, keys ...int) constOp {
+		ts := make(value.TupleSeq, len(keys))
+		for i, k := range keys {
+			ts[i] = value.Tuple{attr: value.Int(int64(k)), "B": value.Int(int64(i))}
+		}
+		return constOp{ts: ts, attrs: []string{attr, "B"}}
+	}
+	gb := func(left Op) GroupBinary {
+		return GroupBinary{L: left, R: rel("A2", 1, 2, 2), G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"},
+			Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}}
+	}
+	many := make([]int, 0, 400)
+	for k := 0; k < 200; k++ {
+		many = append(many, 1000+k, 1000+k/2)
+	}
+	for name, op := range map[string]Op{
+		"absent keys":       gb(rel("A1", 1, 99, 2, 98, 99, 1, 98, 97)),
+		"many absent keys":  gb(rel("A1", many...)),
+		"only absent keys":  gb(rel("A1", 7, 8, 7)),
+		"empty right input": GroupBinary{L: rel("A1", 1, 1), R: constOp{attrs: []string{"A2", "B"}}, G: "g", LAttrs: []string{"A1"}, RAttrs: []string{"A2"}, Theta: value.CmpEq, F: SFProject{Attrs: []string{"A2", "B"}}},
+	} {
+		diffOp(t, name, op)
+	}
+
+	got, _, _ := runNativeRows(gb(rel("A1", 1, 99, 2, 98, 99, 1, 98, 97)))
+	for _, tp := range got {
+		if k := tp["A1"].(value.Int); k > 2 {
+			if g, ok := tp["g"].(value.RowSeq); !ok || g.Len() != 0 {
+				t.Errorf("left key %d, absent on the right: g = %v, want the empty payload", k, tp["g"])
+			}
+		}
+	}
+
+	groupCharges := func(op Op) int {
+		n := Resolve(native(op))
+		ctx := NewCtx(nil)
+		ctx.Budget = NewBudget(0, 0)
+		charges := 0
+		ctx.Budget.SetFaultHook(func(point string) bool {
+			if point == TripGroup {
+				charges++
+			}
+			return false
+		})
+		drainRows(ctx, TripBuild, n.open(ctx, nil), nil)
+		return charges
+	}
+	present := groupCharges(gb(rel("A1", 1, 2)))
+	if absent := groupCharges(gb(rel("A1", 1, 99, 2, 98, 99, 1, 98, 97))); absent-present != 3 {
+		t.Errorf("three distinct absent left keys made %d group charges more than none, want 3", absent-present)
+	}
+}
+
 // TestPartitionedRowsXiOutput: Ξ over a hash-partitioned subtree emits the
 // same output stream on both engines (the slotdiff Ξ-equality mirrored at
 // operator level).

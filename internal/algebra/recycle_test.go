@@ -92,15 +92,16 @@ func TestRecycledGroupArrayNeverAliasesPayloads(t *testing.T) {
 func TestReleaseKeepsMemoryInProportion(t *testing.T) {
 	held := func(rows int) *workMem {
 		n := new(Node)
-		m := &workMem{node: n, rows: make([]value.Row, rows, 4*keepRows), b: rowBuckets{ids: map[value.HashKey]int32{}}}
+		m := &workMem{node: n, rows: make([]value.Row, rows, 4*keepRows)}
+		m.b.ids.Reset(1)
 		m.release()
 		return n.spare.Load()
 	}
-	if m := held(keepRows); cap(m.rows) != 4*keepRows || m.b.ids == nil {
-		t.Errorf("a box whose open filled a quarter of it kept %d rows, key table %v", cap(m.rows), m.b.ids != nil)
+	if m := held(keepRows); cap(m.rows) != 4*keepRows || cap(m.b.ids.Slots()) == 0 {
+		t.Errorf("a box whose open filled a quarter of it kept %d rows, key table %v", cap(m.rows), cap(m.b.ids.Slots()) != 0)
 	}
-	if m := held(keepRows - 1); cap(m.rows) != 0 || m.b.ids != nil {
-		t.Errorf("a box whose open filled under a quarter of it kept %d rows, key table %v", cap(m.rows), m.b.ids != nil)
+	if m := held(keepRows - 1); cap(m.rows) != 0 || cap(m.b.ids.Slots()) != 0 {
+		t.Errorf("a box whose open filled under a quarter of it kept %d rows, key table %v", cap(m.rows), cap(m.b.ids.Slots()) != 0)
 	}
 	n := new(Node)
 	m := &workMem{node: n, rows: make([]value.Row, 0, keepRows)}

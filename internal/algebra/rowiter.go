@@ -587,7 +587,7 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 
 	// Γ's output cardinality is its distinct-key count: with nothing recycled
 	// to size them from, pre-size the output and the key table from the cost
-	// model's estimate instead of growing from Go map defaults.
+	// model's estimate instead of growing them from the smallest size.
 	hint, out := len(rows), w.out[:0]
 	if out == nil {
 		hint = ctx.cardHint(g, len(rows))
@@ -615,11 +615,9 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 
 	// General θ: compare every distinct key against every input row.
 	var keyRows []value.Row
-	seen := map[value.HashKey]bool{}
+	var seen value.KeyTable
 	for _, r := range rows {
-		k := value.KeyOfSlots(r.Vals, by)
-		if !seen[k] {
-			seen[k] = true
+		if _, added := seen.Insert(value.KeyOfSlots(r.Vals, by)); added {
 			keyRows = append(keyRows, r)
 		}
 	}
@@ -671,10 +669,14 @@ func thetaMatchRows(a, b value.Row, as, bs []int, op value.CmpOp) bool {
 
 // rowGroupBinaryIter is binary Γ: every left row extended by g, f over the
 // right rows standing in θ to it. For θ '=' the right input is bucketed on
-// the key and f applied once per distinct key, so a group is materialized
-// once and shared as one value by the output rows of its key; any other θ
-// scans it per left row. The right input is materialized on the first left
-// row, so an empty left input never evaluates it — as in GroupBinary.Eval.
+// the key and f applied once per distinct left key, so a group is
+// materialized once and shared as one value by the output rows of its key;
+// any other θ scans it per left row. A left key the right input lacks joins
+// the key table as a group of its own with no members, so f of the empty
+// group, too, is applied once per distinct key: a projection's f charges
+// the budget, and so consults the fault hook, even for no rows. The right
+// input is materialized on the first left row, so an empty left input never
+// evaluates it — as in GroupBinary.Eval.
 type rowGroupBinaryIter struct {
 	left           RowIter
 	group          *Node    // the binary Γ, until its right input is built
@@ -685,9 +687,11 @@ type rowGroupBinaryIter struct {
 	frame
 	up *outer
 
-	rows    []value.Row // the right input, scanned per left row for θ other than =
-	hash    rowBuckets
-	applied map[value.HashKey]value.Value
+	rows []value.Row // the right input, scanned per left row for θ other than =
+	hash rowBuckets
+	// applied is f per group id of hash's key table, nil until a left row
+	// first needs it: the right input's groups, then the left keys it lacks.
+	applied []value.Value
 	slab    rowSlab
 	mem     *workMem // where Close gives the build side's memory back, if anywhere
 }
@@ -701,23 +705,25 @@ func (g *rowGroupBinaryIter) materialize() {
 	if g.theta == value.CmpEq {
 		g.hash = w.b
 		g.hash.fill(g.rows, g.rSlots, len(g.rows))
-		g.applied = w.applied
-		if g.applied == nil {
-			g.applied = make(map[value.HashKey]value.Value, g.hash.n())
-		}
+		g.applied = sized(w.applied, g.hash.n())
 	}
 }
 
 // of is f over the right rows that stand in θ to lt.
 func (g *rowGroupBinaryIter) of(lt value.Row) value.Value {
-	if g.applied != nil {
-		k := value.KeyOfSlots(lt.Vals, g.lSlots)
-		gv, cached := g.applied[k]
-		if !cached {
-			gv = g.apply(&g.frame, g.hash.lookup(k), g.up)
-			g.applied[k] = gv
+	if g.theta == value.CmpEq {
+		id, added := g.hash.ids.Insert(value.KeyOfSlots(lt.Vals, g.lSlots))
+		if added {
+			g.applied = append(g.applied, nil)
 		}
-		return gv
+		if g.applied[id] == nil {
+			var grp []value.Row
+			if int(id) < g.hash.n() {
+				grp = g.hash.group(int(id))
+			}
+			g.applied[id] = g.apply(&g.frame, grp, g.up)
+		}
+		return g.applied[id]
 	}
 	var grp []value.Row
 	for _, r := range g.rows {
@@ -778,7 +784,7 @@ type rowUnnestIter struct {
 	innerLay *value.Layout
 	innerSrc []int
 
-	dedup map[value.HashKey]bool // the current group's member keys
+	dedup value.KeyTable // the current group's member keys
 	ctx   *Ctx
 	slab  rowSlab
 }
@@ -819,12 +825,10 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 			i := u.pos
 			u.pos++
 			g := u.pendRows.At(i)
-			k := value.KeyOfRow(g)
-			if u.dedup[k] {
+			if _, added := u.dedup.Insert(value.KeyOfRow(g)); !added {
 				continue
 			}
 			u.ctx.charge(TripDedup, 0, dedupEntryBytes)
-			u.dedup[k] = true
 			vals := u.base()
 			for j, s := range u.innerSrc {
 				if s >= 0 {
@@ -847,7 +851,7 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 			u.spliceFor(u.pendRows.Lay())
 		}
 		u.pos = 0
-		clear(u.dedup)
+		u.dedup.Reset(u.pendN)
 	}
 }
 

@@ -72,32 +72,29 @@ func (s *rowSlab) extend(lay *value.Layout, r value.Row, fanout int) value.Row {
 
 // rowBuckets is a set of rows partitioned on a key: one flat array holding
 // the groups back to back instead of one growing slice per group. Groups are
-// numbered in order of first occurrence and keep their members in input
-// order.
+// numbered in order of first occurrence — the key table's ids — and keep
+// their members in input order.
 type rowBuckets struct {
-	ids     map[value.HashKey]int32 // key → group
-	gid     []int32                 // group of input row i
-	starts  []int32                 // group g is grouped[starts[g]:starts[g+1]]
+	ids     value.KeyTable // key → group
+	gid     []int32        // group of input row i
+	starts  []int32        // group g is grouped[starts[g]:starts[g+1]]
 	grouped []value.Row
 }
 
 // fill partitions rows on the key slots into the table and arrays b holds:
-// empty ones an earlier open of the same breaker gave back, or none, and then
-// hint pre-sizes the key table.
+// empty ones an earlier open of the same breaker gave back, or none. hint
+// sizes the key table's slots, and on a first open its keys and offsets too.
 func (b *rowBuckets) fill(rows []value.Row, by []int, hint int) {
-	if b.ids == nil {
-		b.ids = make(map[value.HashKey]int32, hint)
+	if b.starts == nil {
 		b.starts = make([]int32, 0, hint+1)
 	}
+	b.ids.Reset(hint)
 	b.gid = sized(b.gid, len(rows))
 	// Count members into starts[g+1], then turn the counts into offsets.
 	b.starts = append(b.starts[:0], 0)
 	for i, r := range rows {
-		k := value.KeyOfSlots(r.Vals, by)
-		g, ok := b.ids[k]
-		if !ok {
-			g = int32(len(b.ids))
-			b.ids[k] = g
+		g, added := b.ids.Insert(value.KeyOfSlots(r.Vals, by))
+		if added {
 			b.starts = append(b.starts, 0)
 		}
 		b.gid[i] = g
@@ -139,7 +136,7 @@ func (b *rowBuckets) group(g int) []value.Row {
 
 // lookup returns the members of the group with key k, nil when there is none.
 func (b *rowBuckets) lookup(k value.HashKey) []value.Row {
-	if g, ok := b.ids[k]; ok {
+	if g := b.ids.Find(k); g >= 0 {
 		return b.group(int(g))
 	}
 	return nil
@@ -155,15 +152,15 @@ func (b *rowBuckets) lookup(k value.HashKey) []value.Row {
 // the rows in these arrays are copies of rows consumers hold, no group
 // payload holds a group array (applier: every sequence function copies what
 // it keeps), and binary Γ's values per key stay in the rows they were emitted
-// in — the map that held them is cleared. Row chunks (rowSlab) are never
+// in — the array that held them is cleared. Row chunks (rowSlab) are never
 // recycled.
 type workMem struct {
-	node    *Node                         // the breaker it goes back to; nil while parked
-	rows    []value.Row                   // the drain buffer
-	out     []value.Row                   // the emitted rows; a join's matches
-	b       rowBuckets                    // the key→group table and its arrays
-	vals    []value.Value                 // Γ-self's group values; a join's probe row
-	applied map[value.HashKey]value.Value // binary Γ's group value per key
+	node    *Node         // the breaker it goes back to; nil while parked
+	rows    []value.Row   // the drain buffer
+	out     []value.Row   // the emitted rows; a join's matches
+	b       rowBuckets    // the key table and its arrays
+	vals    []value.Value // Γ-self's group values; a join's probe row
+	applied []value.Value // binary Γ's group value per key table id
 }
 
 // take returns the working memory an earlier open of the breaker n gave back
@@ -178,12 +175,6 @@ func (n *Node) take() (workMem, *workMem) {
 		return workMem{}, nil
 	}
 	if m := n.spare.Swap(nil); m != nil {
-		// The key table is cleared here, not in release: clearing writes
-		// every slot, which brings the table into cache for the inserts that
-		// follow, as the zeroing of a new one does. Cleared at the end of an
-		// earlier open, it was cold again by the next, and hashing into it
-		// cost a cache miss per key.
-		clear(m.b.ids)
 		m.node = n
 		return *m, m
 	}
@@ -193,14 +184,16 @@ func (n *Node) take() (workMem, *workMem) {
 
 // release gives an open's working memory back to its node, as the node's
 // spare. When opens overlap, a release replaces the spare it finds, so a box
-// is lost only when two opens close with no open between them. The
-// arrays and binary Γ's values per key are cleared first, the arrays through
-// their capacity, so a spare pins no row chunk and no value; the key table
-// keeps its keys until the next take, and those are numbers and strings the
-// documents mostly hold anyway. An open whose input filled under a quarter
-// of a large drain buffer gives back an empty box instead: what a node keeps
-// follows its recent inputs, not the largest it ever had, and clearing a key
-// table, which costs what the table holds room for, stays in proportion too.
+// is lost only when two opens close with no open between them. The arrays,
+// the key table's keys and binary Γ's values per key are cleared first,
+// through their capacity, so a spare pins no row chunk, no value and no key
+// string. The key table's slots are pointer-free and stay as they are: the
+// next open's fill clears as many of them as its own input needs, right
+// before its inserts, so the clearing brings into cache the slots the inserts
+// use and costs what that open holds, not what the box has room for. An open
+// whose input filled under a quarter of a large drain buffer gives back an
+// empty box instead: what a node keeps follows its recent inputs, not the
+// largest it ever had.
 //
 // The box's node field is nil while it is parked only so that a finalizer
 // set on the box, as in TestParkedMemoryLivesWithItsNode, can observe it
@@ -215,7 +208,8 @@ func (m *workMem) release() {
 	clear(m.out[:cap(m.out)])
 	clear(m.vals[:cap(m.vals)])
 	clear(m.b.grouped[:cap(m.b.grouped)])
-	clear(m.applied)
+	m.b.ids.Release()
+	clear(m.applied[:cap(m.applied)])
 	m.node = nil
 	n.spare.Store(m)
 }

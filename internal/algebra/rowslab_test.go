@@ -160,9 +160,20 @@ func TestUnnestMapChunksFollowTheStream(t *testing.T) {
 // order is input order, gid names each row's group — against the
 // map-of-slices grouping rowBuckets replaced. Each case fills both fresh
 // buckets and the arrays the case before gave back, larger or smaller, as a
-// breaker's next open does.
+// breaker's next open does. The degenerate run hashes every key alike and
+// sizes the fresh table for no key, so every insert and lookup walks one
+// collision run and the table grows from its smallest size: groups are
+// confirmed by key, never by hash.
 func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
-	var recycled workMem
+	t.Run("hash", func(t *testing.T) { checkBucketRows(t, nil) })
+	t.Run("degenerate hash", func(t *testing.T) { checkBucketRows(t, func(value.HashKey) uint64 { return 42 }) })
+}
+
+// checkBucketRows is TestBucketRowsMatchesMapOfSlices with the key tables
+// placing keys by hash; nil is their default hash, and then fresh tables get
+// a random hint, else none.
+func checkBucketRows(t *testing.T, hash func(value.HashKey) uint64) {
+	recycled := workMem{b: rowBuckets{ids: value.KeyTable{Hash: hash}}}
 	lay := value.NewLayout("k", "j", "v")
 	rng := rand.New(rand.NewSource(11))
 	keyVals := []value.Value{value.Int(1), value.Str("1.0"), value.Str("a"), value.Str("b"), value.Null{}, nil,
@@ -199,8 +210,12 @@ func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
 			ref[k] = append(ref[k], r)
 		}
 
-		var fresh rowBuckets
-		fresh.fill(rows, tc.by, rng.Intn(tc.n+1))
+		fresh := rowBuckets{ids: value.KeyTable{Hash: hash}}
+		hint := 0
+		if hash == nil {
+			hint = rng.Intn(tc.n + 1)
+		}
+		fresh.fill(rows, tc.by, hint)
 		recycled.b.fill(rows, tc.by, 0)
 		for _, b := range []rowBuckets{fresh, recycled.b} {
 			if b.n() != len(order) || len(b.gid) != len(rows) || len(b.grouped) != len(rows) {
@@ -229,6 +244,5 @@ func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
 				t.Fatalf("%s: lookup of an absent key found rows", tc.name)
 			}
 		}
-		clear(recycled.b.ids)
 	}
 }

@@ -487,7 +487,7 @@ func (n *Node) unnestDistinct(in Schema, attr string) (Schema, opener) {
 	sc := Schema{Lay: lay, Nested: nestedUnion(nestedKept(in.Nested, base), nestedKept(inner.Nested, lay))}
 	return sc, func(ctx *Ctx, o *outer) RowIter {
 		return &rowUnnestIter{in: n.Kids[0].open(ctx, o), lay: lay, gSlot: gSlot, baseSrc: baseSrc,
-			innerNames: innerNames, innerDst: innerDst, dedup: map[value.HashKey]bool{}, ctx: ctx}
+			innerNames: innerNames, innerDst: innerDst, ctx: ctx}
 	}
 }
 

@@ -14,9 +14,10 @@
 // The indexes hold no pointer into the document. A posting is an int32 rank
 // that dom.Document.Node resolves; every path's rank list is a window of one
 // flat array; and a path's value layer is three []int32 — its ranks grouped
-// by key, the group offsets, and an open-addressed slot table over
-// value.HashKey.Hash. So the collector has nothing inside them to trace,
-// and a build allocates per path, not per distinct key.
+// by key, the group offsets, and the slots of the value.KeyTable that
+// numbered the keys, the engine's one open-addressed table (the keys are
+// dropped once the build is done). So the collector has nothing inside them
+// to trace, and a build allocates per path, not per distinct key.
 //
 // The planner substitutes an algebra.IndexScan for a full Υ-scan (plus a
 // selection, for value probes) when a query path resolves onto indexed
@@ -79,8 +80,10 @@ type values struct {
 	// members holds the path's ranks grouped by key, in document order
 	// within each group; group g is members[starts[g]:starts[g+1]].
 	members, starts []int32
-	// slots is a linear-probing table whose length is a power of two, at
-	// most half full: a slot holds g+1 for group g, 0 when empty.
+	// slots is the slot table of the value.KeyTable the build numbered the
+	// keys with: linear probing from hash & (len-1), a slot holding g+1 for
+	// group g, 0 when empty. The keys themselves are dropped; a probe reads
+	// group g's key off its first member.
 	slots []int32
 }
 
@@ -104,31 +107,21 @@ func (v *values) probe(d *dom.Document, k value.HashKey, hash func(value.HashKey
 	return nil
 }
 
-// buildValues groups ranks (ascending) by the key of their nodes. distinct
-// is the expected number of keys; it sizes the tables and is only a hint
-// (a persisted statistics record may say anything).
+// buildValues groups ranks (ascending) by the key of their nodes, numbering
+// the keys through a value.KeyTable placed by hash, and keeps its slots.
+// distinct is the expected number of keys; it sizes the tables and is only a
+// hint (a persisted statistics record may say anything).
 func buildValues(d *dom.Document, ranks []int32, distinct int, hash func(value.HashKey) uint64) values {
 	distinct = max(min(distinct, len(ranks)), 1)
-	keys := make([]value.HashKey, 0, distinct) // group g's key, during the build only
-	group := make([]int32, len(ranks))         // the group of ranks[i]
-	starts := make([]int32, 0, distinct+1)     // group g's size, then its offset
-	slots := make([]int32, tableSize(distinct))
+	ids := value.KeyTable{Hash: hash}
+	ids.Reset(distinct)
+	group := make([]int32, len(ranks))     // the group of ranks[i]
+	starts := make([]int32, 0, distinct+1) // group g's size, then its offset
 	for i, r := range ranks {
-		if 2*(len(keys)+1) > len(slots) {
-			slots = rehash(keys, 2*len(slots), hash)
-		}
-		k := value.KeyOf(value.NodeVal{Node: d.Node(int(r))})
-		mask := uint64(len(slots) - 1)
-		j := hash(k) & mask
-		for slots[j] != 0 && keys[slots[j]-1] != k {
-			j = (j + 1) & mask
-		}
-		if slots[j] == 0 {
-			keys = append(keys, k)
+		g, added := ids.Insert(value.KeyOf(value.NodeVal{Node: d.Node(int(r))}))
+		if added {
 			starts = append(starts, 0)
-			slots[j] = int32(len(keys))
 		}
-		g := slots[j] - 1
 		group[i] = g
 		starts[g]++
 	}
@@ -147,31 +140,7 @@ func buildValues(d *dom.Document, ranks []int32, distinct int, hash func(value.H
 		members[starts[g]] = ranks[i]
 	}
 	starts = append(starts, int32(len(ranks)))
-	return values{members: members, starts: starts, slots: slots}
-}
-
-// tableSize is the smallest power of two that holds n keys at most half
-// full.
-func tableSize(n int) int {
-	size := 2
-	for size < 2*n {
-		size *= 2
-	}
-	return size
-}
-
-// rehash is a slot table of the given size over keys (group g's key at g).
-func rehash(keys []value.HashKey, size int, hash func(value.HashKey) uint64) []int32 {
-	slots := make([]int32, size)
-	mask := uint64(size - 1)
-	for g, k := range keys {
-		j := hash(k) & mask
-		for slots[j] != 0 {
-			j = (j + 1) & mask
-		}
-		slots[j] = int32(g + 1)
-	}
-	return slots
+	return values{members: members, starts: starts, slots: ids.Slots()}
 }
 
 // merged is the union of several path indexes: the NodeIndex a structural

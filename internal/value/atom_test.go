@@ -16,7 +16,8 @@ import (
 // when = holds, and the sort order agrees with the comparison.
 
 // checkAtoms asserts, over every pair and triple of the present values:
-//   - KeyOf(a) == KeyOf(b) exactly when CompareAtomic(a, b, =);
+//   - KeyOf(a) == KeyOf(b) exactly when CompareAtomic(a, b, =), and equal
+//     keys hash alike under two seeds, alone and in a composite;
 //   - = is reflexive and symmetric;
 //   - where a pair is ordered (one of <, =, > holds), exactly one holds, <=,
 //     >= and != follow, and Compare3 has the same sign; an unordered pair
@@ -35,8 +36,15 @@ func checkAtoms(t *testing.T, vals []Value) {
 			if (KeyOf(a) == KeyOf(b)) != eq {
 				t.Errorf("%#v = %#v is %v, but KeyOf equal is %v", a, b, eq, KeyOf(a) == KeyOf(b))
 			}
-			if eq && KeyOf(a).Hash(7) != KeyOf(b).Hash(7) {
-				t.Errorf("%#v = %#v, but their keys hash apart", a, b)
+			if ka, kb := KeyOf(a), KeyOf(b); ka == kb {
+				// Equal keys hash alike under every seed, as one column and
+				// as either column of a composite.
+				ca, cb := CombineKeys(ka, ka), CombineKeys(kb, kb)
+				for _, seed := range []uint64{7, 0x9e3779b97f4a7c15} {
+					if ka.Hash(seed) != kb.Hash(seed) || ca.Hash(seed) != cb.Hash(seed) {
+						t.Errorf("%#v and %#v have one key, but it hashes apart under seed %#x", a, b, seed)
+					}
+				}
 			}
 			if eq != CompareAtomic(b, a, CmpEq) {
 				t.Errorf("%#v = %#v is %v, the other way round %v", a, b, eq, !eq)
@@ -208,7 +216,7 @@ func TestAtomRule(t *testing.T) {
 // FuzzCompareAtoms builds atoms from three arbitrary texts — each as a Str,
 // as an element node, as that node's NodeText, and as an Int, a Float or a
 // Bool when it parses as one — and holds every pair and triple of them to
-// checkAtoms.
+// checkAtoms, whose keys hash alike under two seeds wherever they are equal.
 func FuzzCompareAtoms(f *testing.F) {
 	for _, seed := range [][3]string{
 		{"NaN", "5", "x"}, {"-0", "0", " 0 "}, {"true", "1", "false"}, {"Infinity", "-Inf", "1e400"},

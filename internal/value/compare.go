@@ -447,8 +447,8 @@ func Member(a Value, v Value) bool {
 	return GeneralCompare(a, v, CmpEq)
 }
 
-// HashKey is the canonical grouping/join key of a value: a comparable struct
-// usable as a Go map key, allocated nowhere. KeyOf(a) == KeyOf(b) exactly
+// HashKey is the canonical grouping/join key of a value: a comparable struct,
+// allocated nowhere, that a KeyTable numbers. KeyOf(a) == KeyOf(b) exactly
 // when CompareAtomic(a, b, CmpEq); every value that atomizes to nothing has
 // the zero key.
 //
@@ -481,12 +481,17 @@ func numKey(f float64) HashKey {
 
 // Hash returns a 64-bit hash of the key under seed: equal keys hash equally
 // under one seed. The hash decides where a key is looked for, never whether
-// it is found — a table keyed by it (internal/index's value layer) confirms
-// every candidate by key equality.
+// it is found — a table keyed by it (KeyTable) confirms every candidate by
+// key equality. A one-column key (kind2 zero, so its second column is all
+// zero) skips the second column's rounds: the hash is never persisted, so
+// only equal keys hashing equally matters.
 func (k HashKey) Hash(seed uint64) uint64 {
 	h := mix64(seed ^ uint64(k.kind)<<8 ^ uint64(k.kind2))
 	h = mix64(h ^ math.Float64bits(k.num))
 	h = hashString(h, k.str)
+	if k.kind2 == 0 {
+		return h
+	}
 	h = mix64(h ^ math.Float64bits(k.num2))
 	return hashString(h, k.str2)
 }
