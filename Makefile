@@ -16,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet lint test race-test faults oracle fuzz-smoke bench-smoke bench-json bench-diff bench-harness bench-pairs serve load-smoke ci
+.PHONY: tier1 vet lint test race-test faults oracle fuzz-smoke bench-smoke bench-json bench-diff bench-harness bench-pairs profile serve load-smoke ci
 
 tier1:
 	$(GO) build ./...
@@ -133,6 +133,16 @@ PARENT ?= HEAD
 PAIRS ?= 10
 bench-pairs:
 	$(GO) run ./cmd/benchpairs -workload "$(WORKLOAD)" -parent "$(PARENT)" -pairs $(PAIRS)
+
+# profile writes a CPU profile of BenchmarkPaperPlansPrepared — the harness's
+# paper_plans operation as a go test benchmark: the seven paper queries,
+# prepared, over the size-5000 corpus, 2 s each — to .bin/cpu.out and prints
+# its functions by flat samples (about a minute). Read the same file with
+# `go tool pprof -top -cum .bin/cpu.out` for cumulative shares.
+profile:
+	@mkdir -p .bin
+	$(GO) test -run '^$$' -bench PaperPlansPrepared -benchtime 2s -cpuprofile .bin/cpu.out -o .bin/nalquery.test .
+	$(GO) tool pprof -top .bin/nalquery.test .bin/cpu.out
 
 # serve runs a local nalserved over the synthetic corpus — the quickest
 # way to poke the HTTP surface by hand (see docs/SERVER.md).

@@ -6,6 +6,7 @@ import (
 
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
+	"nalquery/internal/xpath"
 )
 
 // This file compiles subscript expressions, once, when Resolve types the
@@ -171,7 +172,8 @@ func (c *compiler) compile(e Expr, s scope) (RowExpr, *Inner) {
 
 	case PathOf:
 		in := c.expr(w.Input, s)
-		return func(fr *frame, r value.Row, up *outer) value.Value { return w.Path.Eval(in(fr, r, up)) }, nil
+		names := new(xpath.Names)
+		return func(fr *frame, r value.Row, up *outer) value.Value { return w.Path.EvalNames(in(fr, r, up), names) }, nil
 
 	case CmpExpr:
 		l, rr := c.expr(w.L, s), c.expr(w.R, s)
@@ -262,10 +264,11 @@ func (c *compiler) compile(e Expr, s scope) (RowExpr, *Inner) {
 			// stack buffer into a width-1 flat backing cut from the open's
 			// slab, one payload a "row" of the slab.
 			in := c.expr(p.Input, s)
+			names := new(xpath.Names)
 			i := c.state()
 			return func(fr *frame, r value.Row, up *outer) value.Value {
 				var buf [8]*dom.Node
-				nodes := p.Path.Append(buf[:0], in(fr, r, up))
+				nodes := p.Path.AppendNames(buf[:0], in(fr, r, up), names)
 				var flat []value.Value
 				if len(nodes) > 0 {
 					flat = fr.scratch[i].slab.payload(len(nodes))

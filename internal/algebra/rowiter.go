@@ -260,6 +260,7 @@ type rowUnnestMapIter struct {
 	posSlot int
 	e       RowExpr
 	path    xpath.Path
+	names   *xpath.Names
 	byPath  bool
 	frame
 	up *outer
@@ -305,7 +306,7 @@ func (u *rowUnnestMapIter) Next() (value.Row, bool) {
 // refill takes the items of the next input row from e's value.
 func (u *rowUnnestMapIter) refill(v value.Value) {
 	if u.byPath {
-		u.nodes = u.path.Append(u.nodes[:0], v)
+		u.nodes = u.path.AppendNames(u.nodes[:0], v, u.names)
 		u.n = len(u.nodes)
 		return
 	}

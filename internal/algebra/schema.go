@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"nalquery/internal/value"
+	"nalquery/internal/xpath"
 )
 
 // This file implements the plan-time resolution pass of the slot engine.
@@ -312,10 +313,11 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 			src = p.Input
 		}
 		e := c.expr(src, rows)
+		names := new(xpath.Names)
 		// Υ binds items, never tuple sequences.
 		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, o *outer) RowIter {
 			u := &rowUnnestMapIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, posSlot: posSlot,
-				e: e, path: p.Path, byPath: byPath, frame: n.frame(ctx), up: o}
+				e: e, path: p.Path, names: names, byPath: byPath, frame: n.frame(ctx), up: o}
 			u.nodes = u.first[:0]
 			return u
 		})

@@ -12,7 +12,12 @@
 // a byte range into a slab, so child::x is sibling hops through the subtree
 // end, descendant::x is a linear scan of the subtree's rows comparing name
 // ids, and the string value of any element is one contiguous substring of
-// the text slab — nothing is concatenated or cached.
+// the text slab — nothing is concatenated. One thing is derived: a row's
+// atom word, in what would be the row's padding, holds its string value read
+// under the number rule — the number it reads as, or the text's hash — when
+// that value is at most AtomCutoff bytes (atom.go), so comparing, grouping
+// and joining on a node reads its atom instead of parsing and hashing the
+// text again.
 //
 // What is and is not pointer-free: the two string slabs are, and after Done
 // a document owns no per-node heap object. A row is not quite: it carries
@@ -62,7 +67,9 @@ func (k Kind) String() string {
 
 // Node is one row of a document's pre-order table; a *Node into that table
 // is the node handle. Rows are written by a Builder and immutable after
-// Done; algebra evaluation never mutates documents.
+// Done; algebra evaluation never mutates documents. A row is 40 bytes: a
+// table pointer, six int32 ranks, offsets and the name id, the kind, and the
+// atom word (a tag byte and a uint32) that Done fills.
 type Node struct {
 	tab *table
 
@@ -80,6 +87,12 @@ type Node struct {
 
 	name int32 // index into the name table; 0 (the empty name) for text and document
 	kind Kind
+
+	// The atom word: the string value's atom, read once by Done (Atom,
+	// atom.go). It fills what was the row's padding, so a row stays 40
+	// bytes.
+	atag  byte
+	aword uint32
 }
 
 // table is the storage of one document. Rows point here rather than at the
@@ -91,6 +104,7 @@ type table struct {
 	attr  string
 	names []string
 	ids   map[string]int32
+	nums  []float64 // the numbers no atom word holds inline (atomBoxed)
 }
 
 // anyName is the name id the empty (wildcard) name test resolves to.
@@ -217,16 +231,8 @@ func (n *Node) StringValue() string {
 
 // Attr returns the attribute node with the given name, or nil.
 func (n *Node) Attr(name string) *Node {
-	id, ok := n.tab.ids[name]
-	if !ok {
-		return nil
-	}
-	for a := n.FirstAttr(); a != nil; a = a.NextSibling() {
-		if a.name == id {
-			return a
-		}
-	}
-	return nil
+	t := NameTest{Name: name}
+	return t.Attr(n)
 }
 
 // AppendAttrs appends the node's attributes, in declaration order, to dst.
@@ -240,13 +246,8 @@ func (n *Node) AppendAttrs(dst []*Node) []*Node {
 // AppendChildElements appends to dst the element children with the given
 // name, in document order. The empty name matches every element child.
 func (n *Node) AppendChildElements(name string, dst []*Node) []*Node {
-	id := n.tab.nameID(name)
-	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
-		if c.kind == KindElement && (id == anyName || c.name == id) {
-			dst = append(dst, c)
-		}
-	}
-	return dst
+	t := NameTest{Name: name}
+	return t.AppendChildren(n, dst)
 }
 
 // ChildElements returns the element children with the given name in document
@@ -258,7 +259,8 @@ func (n *Node) ChildElements(name string) []*Node {
 // FirstChildElement returns the first element child with the given name, or
 // nil if there is none.
 func (n *Node) FirstChildElement(name string) *Node {
-	id := n.tab.nameID(name)
+	t := NameTest{Name: name}
+	id := t.resolve(n)
 	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
 		if c.kind == KindElement && (id == anyName || c.name == id) {
 			return c
@@ -271,7 +273,45 @@ func (n *Node) FirstChildElement(name string) *Node {
 // the given name, in document order, and returns the extended slice. The
 // empty name matches every element.
 func (n *Node) Descendants(name string, dst []*Node) []*Node {
-	id := n.tab.nameID(name)
+	t := NameTest{Name: name}
+	return t.AppendDescendants(n, dst)
+}
+
+// NameTest is a name test resolved against the name table of the document
+// it was last applied in: applied to a node of that document again, it
+// compares name ids only, and applied to a node of another document, it
+// looks its name up once. A caller that applies one step per context node
+// keeps one NameTest per step. A NameTest belongs to one goroutine.
+type NameTest struct {
+	Name string // the empty name matches every element
+	tab  *table // the table id was resolved against; nil before the first use
+	id   int32
+}
+
+// resolve returns the test's name id in n's document (see table.nameID).
+func (t *NameTest) resolve(n *Node) int32 {
+	if t.tab != n.tab {
+		t.tab, t.id = n.tab, n.tab.nameID(t.Name)
+	}
+	return t.id
+}
+
+// AppendChildren appends to dst n's element children that pass the test, in
+// document order.
+func (t *NameTest) AppendChildren(n *Node, dst []*Node) []*Node {
+	id := t.resolve(n)
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+		if c.kind == KindElement && (id == anyName || c.name == id) {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// AppendDescendants appends to dst n's descendant elements (not n) that pass
+// the test, in document order.
+func (t *NameTest) AppendDescendants(n *Node, dst []*Node) []*Node {
+	id := t.resolve(n)
 	sub := n.tab.nodes[n.pre+1 : n.end]
 	for i := range sub {
 		if c := &sub[i]; c.kind == KindElement && (id == anyName || c.name == id) {
@@ -279,6 +319,18 @@ func (n *Node) Descendants(name string, dst []*Node) []*Node {
 		}
 	}
 	return dst
+}
+
+// Attr returns n's attribute of the test's name, or nil; the empty name
+// names no attribute.
+func (t *NameTest) Attr(n *Node) *Node {
+	id := t.resolve(n)
+	for a := n.FirstAttr(); a != nil; a = a.NextSibling() {
+		if a.name == id {
+			return a
+		}
+	}
+	return nil
 }
 
 // CompareOrder compares two nodes by document order. Nodes from different

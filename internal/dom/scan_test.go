@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nalquery/internal/dom"
+	"nalquery/internal/value/valuetest"
 	"nalquery/internal/xmlgen"
 )
 
@@ -176,10 +177,16 @@ func reprint(t *testing.T, s string) string {
 }
 
 // FuzzLoadXML holds the scanner to encoding/xml on arbitrary input (see
-// checkScan). Its corpus holds one seed per rule of scanRules and a small
-// generated bib.xml.
+// checkScan), and what it loads to the atom rule (valuetest.CheckRows). Its
+// corpus holds one seed per rule of scanRules and a small generated bib.xml.
 func FuzzLoadXML(f *testing.F) {
-	f.Fuzz(func(t *testing.T, in string) { checkScan(t, in) })
+	f.Fuzz(func(t *testing.T, in string) {
+		if d := checkScan(t, in); d != nil {
+			if err := valuetest.CheckRows(d); err != nil {
+				t.Fatalf("%q: %v", in, err)
+			}
+		}
+	})
 }
 
 // TestScanMatchesEncodingXML is FuzzLoadXML's deterministic twin: the rule
@@ -188,6 +195,11 @@ func FuzzLoadXML(f *testing.F) {
 func TestScanMatchesEncodingXML(t *testing.T) {
 	for _, r := range scanRules {
 		got := checkScan(t, r.in)
+		if got != nil {
+			if err := valuetest.CheckRows(got); err != nil {
+				t.Errorf("%s: %v", r.name, err)
+			}
+		}
 		if got == nil && r.want != "error" || got != nil && dump(got) != r.want {
 			var d string
 			if got != nil {
@@ -210,6 +222,9 @@ func TestScanMatchesEncodingXML(t *testing.T) {
 			t.Fatalf("%s: serialization rejected", gen.URI)
 		}
 		if err := sameTable(got, gen); err != nil {
+			t.Errorf("%s: read back: %v", gen.URI, err)
+		}
+		if err := valuetest.CheckRows(got); err != nil {
 			t.Errorf("%s: read back: %v", gen.URI, err)
 		}
 	}

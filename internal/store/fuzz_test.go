@@ -14,6 +14,7 @@ import (
 	"nalquery/internal/dom"
 	"nalquery/internal/index"
 	"nalquery/internal/stats"
+	"nalquery/internal/value/valuetest"
 	"nalquery/internal/xpath"
 )
 
@@ -30,9 +31,10 @@ func loadMeasured(data []byte) (*dom.Document, *stats.DocStats, uint64, error) {
 // FuzzStoreLoad is the trust-boundary property of the binary store
 // (docs/FUZZING.md): whatever the bytes, LoadStats returns a store: error or
 // a well-formed document — never a panic — having allocated a small multiple
-// of the input; what loaded is a fixpoint of save → load → save; and
-// indexes built beside the loaded statistics, whatever they claim, hold the
-// ranks a build that measures the document holds.
+// of the input; what loaded is a fixpoint of save → load → save; its rows
+// read the atoms their texts do (valuetest.CheckRows); and indexes built
+// beside the loaded statistics, whatever they claim, hold the ranks a build
+// that measures the document holds.
 func FuzzStoreLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, st, alloc, err := loadMeasured(data)
@@ -70,6 +72,9 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		if dom.XMLString(d.Root) != dom.XMLString(d2.Root) {
 			t.Fatalf("reloaded document serializes differently")
+		}
+		if err := valuetest.CheckRows(d); err != nil {
+			t.Fatalf("loaded document: %v", err)
 		}
 		adopted, measured := index.BuildWith(d, st), index.Build(d)
 		if len(adopted.Paths) != len(measured.Paths) {

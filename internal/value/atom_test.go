@@ -217,10 +217,16 @@ func TestAtomRule(t *testing.T) {
 // as an element node, as that node's NodeText, and as an Int, a Float or a
 // Bool when it parses as one — and holds every pair and triple of them to
 // checkAtoms, whose keys hash alike under two seeds wherever they are equal.
+// A node reads the atom its row keeps (dom.Node.Atom): its number must be
+// dom.ParseNumber's bit for bit. The seeds include spellings the row word
+// holds inline (" 12 ", "1e3", "65.95", "0.1", "+.5", "0x1p-2"), ones it
+// boxes ("-0", "NaN", "inf", "2147483648") and one that is text ("1e400",
+// out of float64's range).
 func FuzzCompareAtoms(f *testing.F) {
 	for _, seed := range [][3]string{
 		{"NaN", "5", "x"}, {"-0", "0", " 0 "}, {"true", "1", "false"}, {"Infinity", "-Inf", "1e400"},
 		{" 7 ", "7.0", "1e1"}, {"", " ", "nan"}, {"9007199254740993", "9007199254740992", "0x1p-2"},
+		{"-0", " 12 ", "1e3"}, {"65.95", "0.1", "+.5"}, {"NaN", "inf", "1e400"}, {"2147483648", "0x1p-2", "12"},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}
@@ -233,6 +239,10 @@ func FuzzCompareAtoms(f *testing.F) {
 		nodes := bld.End().Done().Root.Descendants("a", nil)
 		var vals []Value
 		for i, s := range texts {
+			f, isNum := Number(NodeVal{Node: nodes[i]})
+			if wf, ok := dom.ParseNumber(s); isNum != ok || math.Float64bits(f) != math.Float64bits(wf) {
+				t.Errorf("%q: the row reads %v (%v), ParseNumber %v (%v)", s, f, isNum, wf, ok)
+			}
 			vals = append(vals, Str(s), NodeVal{Node: nodes[i]}, NodeText{Node: nodes[i]})
 			if n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64); err == nil {
 				vals = append(vals, Int(n))

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"nalquery/internal/dom"
 )
 
 // CmpOp is a comparison operator θ ∈ {=, ≠, <, ≤, >, ≥} on atomic values.
@@ -195,9 +197,9 @@ type atom struct {
 func atomOf(v Value, a *atom) bool {
 	switch w := v.(type) {
 	case NodeVal:
-		*a = textAtom(v, w.Node.StringValue())
+		nodeAtom(a, v, w.Node)
 	case NodeText:
-		*a = textAtom(v, w.Node.StringValue())
+		nodeAtom(a, v, w.Node)
 	case Str:
 		*a = textAtom(v, string(w))
 	case Int:
@@ -221,8 +223,19 @@ func atomOf(v Value, a *atom) bool {
 // as one.
 func textAtom(item Value, text string) atom {
 	a := atom{item: item, text: text}
-	a.num, a.isNum = parseNumber(text)
+	a.num, a.isNum = dom.ParseNumber(text)
 	return a
+}
+
+// nodeAtom sets *a to the atom of a node's string value, read off its row
+// when the document fixed it there (dom.Node.Atom) and parsed otherwise.
+func nodeAtom(a *atom, item Value, n *dom.Node) {
+	num, _, isNum, known := n.Atom()
+	if !known {
+		*a = textAtom(item, n.StringValue())
+		return
+	}
+	*a = atom{item: item, text: n.StringValue(), num: num, isNum: isNum}
 }
 
 // value is the atom as an item: a node's as its NodeText, any other as the
@@ -262,17 +275,6 @@ func firstAtom(v Value, a *atom) bool {
 		}
 	}
 	return false
-}
-
-// parseNumber reads untyped text as a number: ok when, trimmed, it parses
-// as one.
-func parseNumber(s string) (f float64, ok bool) {
-	if t := strings.TrimSpace(s); looksNumeric(t) {
-		if f, err := strconv.ParseFloat(t, 64); err == nil {
-			return f, true
-		}
-	}
-	return 0, false
 }
 
 // String is the atom's text as its item renders it: a Str's or a node's
@@ -320,25 +322,6 @@ func (a *atom) cmpText() string {
 		return "0"
 	}
 	return a.item.String()
-}
-
-// looksNumeric cheaply rejects strings that cannot parse as numbers, so the
-// untyped-comparison path does not pay strconv's allocated error for every
-// non-numeric string. It admits everything strconv.ParseFloat accepts,
-// including the Inf/NaN spellings.
-func looksNumeric(s string) bool {
-	if s == "" {
-		return false
-	}
-	switch c := s[0]; {
-	case c == '-' || c == '+' || c == '.' || ('0' <= c && c <= '9'):
-		return true
-	case c == 'i' || c == 'I' || c == 'n' || c == 'N':
-		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") ||
-			strings.EqualFold(s, "nan")
-	default:
-		return false
-	}
 }
 
 // CompareAtomic applies θ to the first atoms of two values under the atom
@@ -456,12 +439,16 @@ func Member(a Value, v Value) bool {
 // are zero for single-column keys; kind2 is tagged so a two-column key
 // never collides with a one-column key). Keys wider than two columns fold
 // into a single string of the columns' rendered keys — see KeyOfSlots.
+// A text column carries its text's dom.TextHash beside it, in what would be
+// padding, so the key stays 64 bytes and Hash never walks a string.
 type HashKey struct {
-	kind byte // 0 null, 'n' numeric, 'N' NaN, 's' string, 'm' multi-column fold
+	kind byte   // 0 null, 'n' numeric, 'N' NaN, 's' string, 'm' multi-column fold
+	h    uint32 // dom.TextHash(str) for 's' and 'm', else 0
 	num  float64
 	str  string
 	// second column of a composite key (CombineKeys); zero when absent
 	kind2 byte
+	h2    uint32
 	num2  float64
 	str2  string
 }
@@ -482,31 +469,16 @@ func numKey(f float64) HashKey {
 // Hash returns a 64-bit hash of the key under seed: equal keys hash equally
 // under one seed. The hash decides where a key is looked for, never whether
 // it is found — a table keyed by it (KeyTable) confirms every candidate by
-// key equality. A one-column key (kind2 zero, so its second column is all
-// zero) skips the second column's rounds: the hash is never persisted, so
-// only equal keys hashing equally matters.
+// key equality. A column mixes its number and its text's stored hash (one
+// of the two is zero), never its text's bytes. A one-column key (kind2 zero,
+// so its second column is all zero) skips the second column's round: the
+// hash is never persisted, so only equal keys hashing equally matters.
 func (k HashKey) Hash(seed uint64) uint64 {
-	h := mix64(seed ^ uint64(k.kind)<<8 ^ uint64(k.kind2))
-	h = mix64(h ^ math.Float64bits(k.num))
-	h = hashString(h, k.str)
+	h := mix64(seed ^ math.Float64bits(k.num) ^ uint64(k.h) ^ uint64(k.kind)<<48 ^ uint64(k.kind2)<<56)
 	if k.kind2 == 0 {
 		return h
 	}
-	h = mix64(h ^ math.Float64bits(k.num2))
-	return hashString(h, k.str2)
-}
-
-// hashString folds s into h eight bytes at a time, then its length.
-func hashString(h uint64, s string) uint64 {
-	for ; len(s) >= 8; s = s[8:] {
-		h = mix64(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
-	}
-	var tail uint64
-	for i := 0; i < len(s); i++ {
-		tail |= uint64(s[i]) << (8 * i)
-	}
-	return mix64(h ^ tail ^ uint64(len(s))<<56)
+	return mix64(h ^ math.Float64bits(k.num2) ^ uint64(k.h2))
 }
 
 // mix64 is the splitmix64 finalizer: every input bit reaches every output
@@ -528,6 +500,7 @@ const compositeTag = 0x80
 // must be single-column KeyOf results (not composites or folds).
 func CombineKeys(a, b HashKey) HashKey {
 	a.kind2 = b.kind | compositeTag
+	a.h2 = b.h
 	a.num2 = b.num
 	a.str2 = b.str
 	return a
@@ -551,7 +524,7 @@ func KeyOfSlots(vals []Value, slots []int) HashKey {
 	for _, s := range slots {
 		writeFoldCol(&sb, KeyOf(vals[s]))
 	}
-	return HashKey{kind: 'm', str: sb.String()}
+	return textKey('m', sb.String())
 }
 
 // writeFoldCol renders one column's key into a wide key: its kind, then a
@@ -575,6 +548,12 @@ func writeFoldCol(sb *strings.Builder, k HashKey) {
 // without allocating: the hot path of every hash join, grouping and distinct
 // operator in the slot engine.
 func KeyOf(v Value) HashKey {
+	switch w := v.(type) {
+	case NodeVal:
+		return nodeKey(w.Node)
+	case NodeText:
+		return nodeKey(w.Node)
+	}
 	var a atom
 	switch {
 	case !atomOf(v, &a):
@@ -582,7 +561,26 @@ func KeyOf(v Value) HashKey {
 	case a.isNum:
 		return numKey(a.num)
 	}
-	return HashKey{kind: 's', str: a.text}
+	return textKey('s', a.text)
+}
+
+// nodeKey is KeyOf of a node's string value: read off its row when the
+// document fixed the node's atom (dom.Node.Atom), parsed and hashed
+// otherwise.
+func nodeKey(n *dom.Node) HashKey {
+	num, hash, isNum, known := n.Atom()
+	switch {
+	case !known:
+		return KeyOf(Str(n.StringValue()))
+	case isNum:
+		return numKey(num)
+	}
+	return HashKey{kind: 's', h: hash, str: n.StringValue()}
+}
+
+// textKey is the key of a text or a fold, with its hash.
+func textKey(kind byte, s string) HashKey {
+	return HashKey{kind: kind, h: dom.TextHash(s), str: s}
 }
 
 // EffectiveBool computes an effective boolean value: false for NULL, empty

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"nalquery/internal/dom"
@@ -131,12 +132,22 @@ func TestEvalMatchesStepDefinition(t *testing.T) {
 		// alone, and reused from path to path like a consumer's.
 		marker := elems[0]
 		buf := []*dom.Node{marker}
+		// AppendNames keeps one Names across the contexts, which change
+		// documents, as a consumer keeps one across its tuples.
 		check := func(p Path) {
+			var kept Names
 			for _, ctx := range contexts {
 				want := refEval(p, ctx)
 				buf = p.Append(buf[:1], ctx)
 				if buf[0] != marker || !slices.Equal(buf[1:], want) {
 					t.Fatalf("%s %s on %v: appended %v behind %v, want %v behind it", d.URI, p, ctx, buf[1:], buf[0], want)
+				}
+				buf = p.AppendNames(buf[:1], ctx, &kept)
+				if buf[0] != marker || !slices.Equal(buf[1:], want) {
+					t.Fatalf("%s %s on %v under kept names: appended %v behind %v, want %v behind it", d.URI, p, ctx, buf[1:], buf[0], want)
+				}
+				if got, again := p.Eval(ctx), p.EvalNames(ctx, &kept); !value.DeepEqual(got, again) {
+					t.Fatalf("%s %s on %v: Eval %v, EvalNames %v", d.URI, p, ctx, got, again)
 				}
 				// Eval is the same selection in the normal form.
 				got := p.Eval(ctx)
@@ -217,9 +228,45 @@ func TestEvalAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { buf = p.Append(buf[:0], c.ctx) }); got > c.warm {
 			t.Errorf("%s into a warm buffer: %.1f allocations, want ≤ %.0f", c.path, got, c.warm)
 		}
+		// Kept name tests cost nothing once they are resolved.
+		var names Names
+		buf = p.AppendNames(buf[:0], c.ctx, &names)
+		if got := testing.AllocsPerRun(100, func() { buf = p.AppendNames(buf[:0], c.ctx, &names) }); got > c.warm {
+			t.Errorf("%s under kept names: %.1f allocations, want ≤ %.0f", c.path, got, c.warm)
+		}
 		if got := testing.AllocsPerRun(100, func() { sink = p.Eval(c.ctx) }); got > c.asValue {
 			t.Errorf("%s as a value: %.1f allocations, want ≤ %.0f", c.path, got, c.asValue)
 		}
 	}
 	_ = sink
+}
+
+// TestNamesAreSharedSafely: one Names serves every run of a compiled path,
+// so goroutines apply the path through it at once, to nodes of two
+// documents whose name tables number the names differently, and each gets
+// Append's selection (run under -race, this is the data-race check of the
+// tests a call publishes).
+func TestNamesAreSharedSafely(t *testing.T) {
+	a := dom.NewBuilder("a.xml").Begin("r").Begin("x").End().Begin("y").End().Begin("y").End().End().Done()
+	b := dom.NewBuilder("b.xml").Begin("r").Begin("y").End().Begin("x").End().End().Done()
+	p := MustParse("r/y")
+	ctxs := []value.Value{value.NodeVal{Node: a.Root}, value.NodeVal{Node: b.Root}}
+	var names Names
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []*dom.Node
+			for i := 0; i < 500; i++ {
+				ctx := ctxs[(g+i/7)%2]
+				want := p.Append(nil, ctx)
+				if buf = p.AppendNames(buf[:0], ctx, &names); !slices.Equal(buf, want) {
+					t.Errorf("goroutine %d, call %d: %v, want %v", g, i, buf, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

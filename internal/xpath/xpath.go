@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"nalquery/internal/dom"
 	"nalquery/internal/value"
@@ -216,18 +217,44 @@ func validName(s string) bool {
 // Nothing is kept of dst beyond the call.
 //
 // Every step but the last appends into one of two node buffers that swap
-// roles, starting on the stack; the last appends into dst.
+// roles, starting on the stack; the last appends into dst. Each step's name
+// is looked up once per call (AppendNames keeps the lookups across calls).
 func (p Path) Append(dst []*dom.Node, ctx value.Value) []*dom.Node {
+	var local [8]dom.NameTest
+	return p.appendWith(dst, ctx, p.tests(local[:0]))
+}
+
+// AppendNames is Append with the path's name tests kept in names: it starts
+// from the tests names holds and leaves there the ones it ends with.
+func (p Path) AppendNames(dst []*dom.Node, ctx value.Value, names *Names) []*dom.Node {
+	var local [8]dom.NameTest
+	kept := names.last.Load()
+	tests := local[:0]
+	if kept == nil {
+		tests = p.tests(tests)
+	} else {
+		tests = append(tests, *kept...)
+	}
+	dst = p.appendWith(dst, ctx, tests)
+	if kept == nil || !slices.Equal(tests, *kept) {
+		resolved := slices.Clone(tests)
+		names.last.Store(&resolved)
+	}
+	return dst
+}
+
+// appendWith is Append under the name tests tests, one per step.
+func (p Path) appendWith(dst []*dom.Node, ctx value.Value, tests []dom.NameTest) []*dom.Node {
 	last := len(p.Steps) - 1
 	if last < 0 {
 		return appendContext(dst, ctx)
 	}
 	var a, b [8]*dom.Node
 	cur, next := appendContext(a[:0], ctx), b[:0]
-	for _, st := range p.Steps[:last] {
+	for i, st := range p.Steps[:last] {
 		next = next[:0]
 		for _, n := range cur {
-			next = appendStep(next, n, st)
+			next = appendStep(next, n, st, &tests[i])
 		}
 		// One context node's selection is in document order and
 		// duplicate-free as it stands; several must be merged.
@@ -238,7 +265,7 @@ func (p Path) Append(dst []*dom.Node, ctx value.Value) []*dom.Node {
 	}
 	start := len(dst)
 	for _, n := range cur {
-		dst = appendStep(dst, n, p.Steps[last])
+		dst = appendStep(dst, n, p.Steps[last], &tests[last])
 	}
 	if len(cur) > 1 {
 		dst = dst[:start+len(dedupeDocOrder(dst[start:]))]
@@ -346,6 +373,32 @@ func (p Path) Eval(ctx value.Value) value.Value {
 	return value.OfNodes(p.Append(buf[:0], ctx))
 }
 
+// EvalNames is Eval with the path's name tests kept in names (AppendNames).
+func (p Path) EvalNames(ctx value.Value, names *Names) value.Value {
+	var buf [8]*dom.Node
+	return value.OfNodes(p.AppendNames(buf[:0], ctx, names))
+}
+
+// Names keeps a path's name tests (dom.NameTest, one per step) resolved
+// against the document the path was last applied in. A consumer that applies
+// one path per tuple keeps one Names beside the compiled path and hands it to
+// AppendNames or EvalNames, so each step's name is looked up once per
+// document, not once per context node. It is safe for concurrent use: a call
+// works on its own copy of the tests, and publishes the copy when it resolved
+// them against another document. The zero Names is ready to use; a Names
+// serves one path.
+type Names struct {
+	last atomic.Pointer[[]dom.NameTest]
+}
+
+// tests returns the path's name tests, fresh, in dst's memory.
+func (p Path) tests(dst []dom.NameTest) []dom.NameTest {
+	for _, st := range p.Steps {
+		dst = append(dst, dom.NameTest{Name: st.Name})
+	}
+	return dst
+}
+
 func appendContext(dst []*dom.Node, v value.Value) []*dom.Node {
 	switch w := v.(type) {
 	case value.NodeVal:
@@ -360,20 +413,20 @@ func appendContext(dst []*dom.Node, v value.Value) []*dom.Node {
 	return dst
 }
 
-// appendStep appends one context node's selection for a step to dst. A
-// positional predicate applies within that selection (XPath semantics),
-// before any merge with other context nodes' selections.
-func appendStep(dst []*dom.Node, n *dom.Node, st Step) []*dom.Node {
+// appendStep appends one context node's selection for a step, whose name
+// test is test, to dst. A positional predicate applies within that selection
+// (XPath semantics), before any merge with other context nodes' selections.
+func appendStep(dst []*dom.Node, n *dom.Node, st Step, test *dom.NameTest) []*dom.Node {
 	start := len(dst)
 	switch st.Axis {
 	case AxisChild:
-		dst = n.AppendChildElements(st.Name, dst)
+		dst = test.AppendChildren(n, dst)
 	case AxisDescendant:
-		dst = n.Descendants(st.Name, dst)
+		dst = test.AppendDescendants(n, dst)
 	case AxisAttribute:
 		if st.Name == "" {
 			dst = n.AppendAttrs(dst)
-		} else if a := n.Attr(st.Name); a != nil {
+		} else if a := test.Attr(n); a != nil {
 			dst = append(dst, a)
 		}
 	}
