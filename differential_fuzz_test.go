@@ -12,6 +12,7 @@ import (
 
 	"nalquery/internal/algebra"
 	"nalquery/internal/qgen"
+	"nalquery/internal/value"
 )
 
 // The generated-query differential oracle: every query the grammar generator
@@ -164,6 +165,52 @@ func TestDifferentialGeneratedQueries(t *testing.T) {
 	t.Logf("sweep: %d compiled and executed, %d rejected (typed)", compiled, rejected)
 	if compiled < count/2 {
 		t.Fatalf("only %d/%d generated queries compiled — the generator drifted outside the supported subset", compiled, count)
+	}
+}
+
+// TestDifferentialKeySeedIndependence runs the sweep's queries under two
+// forced key seeds (value.SetKeySeed), each over documents loaded under it,
+// and requires byte-identical transcripts: every plan's name, estimated cost
+// and operator tree, and each plan's slot-engine output and counters, budget
+// charges included. Keys are numbered in first-occurrence order and
+// confirmed by key, never by hash, so nothing a client sees may depend on
+// the seed a process draws.
+func TestDifferentialKeySeedIndependence(t *testing.T) {
+	seed, count := sweepParams(t)
+	transcript := func(keySeed uint64) []string {
+		defer value.SetKeySeed(value.SetKeySeed(keySeed))
+		size, apb := qgen.DocSizes()
+		eng := NewEngine()
+		eng.LoadUseCaseDocuments(size, apb)
+		g := qgen.New(qgen.Config{Seed: seed, Externals: true})
+		var lines []string
+		for i := 0; i < count; i++ {
+			q := g.Query()
+			p, err := eng.Prepare(q.Text)
+			if err != nil {
+				lines = append(lines, fmt.Sprintf("index=%d rejected: %v", i, err))
+				continue
+			}
+			binds := []RunOption(nil)
+			for name, v := range q.Binds {
+				binds = append(binds, Bind(name, v))
+			}
+			for _, plan := range p.Plans() {
+				out, st, err := sweepRun(p, append([]RunOption{WithPlan(plan.Name)}, binds...))
+				lines = append(lines, fmt.Sprintf("index=%d plan=%q cost=%v err=%v stats=%+v\n%s\n%s",
+					i, plan.Name, plan.EstimatedCost, err, st, plan.Explain(), out))
+			}
+		}
+		return lines
+	}
+	a, b := transcript(1), transcript(0x9e3779b97f4a7c15)
+	if len(a) != len(b) {
+		t.Fatalf("seed=%d: %d transcript entries under one key seed, %d under the other", seed, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("seed=%d: the key seed changed what a client sees\nunder 1:\n%s\nunder 0x9e3779b97f4a7c15:\n%s", seed, a[i], b[i])
+		}
 	}
 }
 

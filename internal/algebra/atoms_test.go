@@ -182,7 +182,7 @@ func TestNodeTextIsReadInPlace(t *testing.T) {
 	}
 }
 
-// TestDistinctValuesMatchesStringKeys: the HashKey table keeps exactly the
+// TestDistinctValuesMatchesStringKeys: the key table keeps exactly the
 // first atom of every class of CompareAtomic-equal atoms, in order.
 func TestDistinctValuesMatchesStringKeys(t *testing.T) {
 	items := atomTestItems(t)

@@ -266,8 +266,10 @@ func distinctValues(v value.Value) value.Seq {
 	var seen value.KeyTable
 	seen.Reset(len(items))
 	var out value.Seq
-	for _, a := range items {
-		if _, added := seen.Insert(value.KeyOf(a)); added {
+	for i, a := range items {
+		if _, added := seen.Insert(value.KeyHash(a), int32(i), func(first int32) bool {
+			return value.SameKey(items[first], a)
+		}); added {
 			out = append(out, value.AtomizeSingle(a))
 		}
 	}

@@ -94,8 +94,8 @@ func TestPartitionedRowsMatchEval(t *testing.T) {
 	})
 }
 
-// TestPartitionedRowsMultiKey: composite keys exercise the two-column
-// inline HashKey and the >2-column string fold.
+// TestPartitionedRowsMultiKey: keys of two and three columns, hashed by
+// chaining their columns' hashes and compared column by column.
 func TestPartitionedRowsMultiKey(t *testing.T) {
 	quickCheck(t, "partitioned-rows-multikey", func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -462,7 +462,7 @@ func (j *rowJoinIter) materialize() {
 
 func (j *rowJoinIter) candidates(lt value.Row) []value.Row {
 	if len(j.lSlots) > 0 {
-		return j.hash.lookup(value.KeyOfSlots(lt.Vals, j.lSlots))
+		return j.hash.lookup(lt.Vals, j.lSlots)
 	}
 	return j.right
 }
@@ -604,32 +604,21 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 		out = append(out, value.Row{Lay: lay, Vals: vals})
 	}
 
-	if g.Theta == value.CmpEq {
-		w.b.fill(rows, by, hint)
-		for i := 0; i < w.b.n(); i++ {
-			grp := w.b.group(i)
-			emit(grp[0], apply(fr, grp, up), w.b.n()-i)
-		}
-		w.out = out
-		return emitRows(out, w, box)
-	}
-
-	// General θ: compare every distinct key against every input row.
-	var keyRows []value.Row
-	var seen value.KeyTable
-	for _, r := range rows {
-		if _, added := seen.Insert(value.KeyOfSlots(r.Vals, by)); added {
-			keyRows = append(keyRows, r)
-		}
-	}
-	for i, kr := range keyRows {
-		var grp []value.Row
-		for _, r := range rows {
-			if thetaMatchRows(kr, r, by, by, g.Theta) {
-				grp = append(grp, r)
+	// The distinct keys in first-occurrence order, each with its group: the
+	// rows of equal key for θ '=', else every input row standing in θ to it.
+	w.b.fill(rows, by, hint)
+	for i := 0; i < w.b.n(); i++ {
+		grp := w.b.group(i)
+		key := grp[0]
+		if g.Theta != value.CmpEq {
+			grp = nil
+			for _, r := range rows {
+				if thetaMatchRows(key, r, by, by, g.Theta) {
+					grp = append(grp, r)
+				}
 			}
 		}
-		emit(kr, apply(fr, grp, up), len(keyRows)-i)
+		emit(key, apply(fr, grp, up), w.b.n()-i)
 	}
 	w.out = out
 	return emitRows(out, w, box)
@@ -688,7 +677,10 @@ type rowGroupBinaryIter struct {
 	frame
 	up *outer
 
-	rows []value.Row // the right input, scanned per left row for θ other than =
+	// rows is the right input, scanned per left row for θ other than =. For
+	// θ '=' the first left row of each key the right input lacks follows it:
+	// that key's first item in hash's key table.
+	rows []value.Row
 	hash rowBuckets
 	// applied is f per group id of hash's key table, nil until a left row
 	// first needs it: the right input's groups, then the left keys it lacks.
@@ -713,8 +705,15 @@ func (g *rowGroupBinaryIter) materialize() {
 // of is f over the right rows that stand in θ to lt.
 func (g *rowGroupBinaryIter) of(lt value.Row) value.Value {
 	if g.theta == value.CmpEq {
-		id, added := g.hash.ids.Insert(value.KeyOfSlots(lt.Vals, g.lSlots))
+		right := g.hash.rows
+		id, added := g.hash.ids.Insert(g.hash.hash(lt.Vals, g.lSlots), int32(len(g.rows)), func(first int32) bool {
+			if int(first) < len(right) {
+				return value.SameSlots(right[first].Vals, g.rSlots, lt.Vals, g.lSlots)
+			}
+			return value.SameSlots(g.rows[first].Vals, g.lSlots, lt.Vals, g.lSlots)
+		})
 		if added {
+			g.rows = append(g.rows, lt)
 			g.applied = append(g.applied, nil)
 		}
 		if g.applied[id] == nil {
@@ -785,7 +784,10 @@ type rowUnnestIter struct {
 	innerLay *value.Layout
 	innerSrc []int
 
-	dedup value.KeyTable // the current group's member keys
+	// dedup numbers the current group's members by index, keyed on every
+	// slot in canonical order, a nil one as NULL, so members holding one
+	// value in different attributes key apart.
+	dedup value.KeyTable
 	ctx   *Ctx
 	slab  rowSlab
 }
@@ -826,7 +828,10 @@ func (u *rowUnnestIter) Next() (value.Row, bool) {
 			i := u.pos
 			u.pos++
 			g := u.pendRows.At(i)
-			if _, added := u.dedup.Insert(value.KeyOfRow(g)); !added {
+			canon := g.Lay.Canon()
+			if _, added := u.dedup.Insert(value.HashSlots(g.Vals, canon), int32(i), func(first int32) bool {
+				return value.SameSlots(u.pendRows.At(int(first)).Vals, canon, g.Vals, canon)
+			}); !added {
 				continue
 			}
 			u.ctx.charge(TripDedup, 0, dedupEntryBytes)

@@ -73,27 +73,38 @@ func (s *rowSlab) extend(lay *value.Layout, r value.Row, fanout int) value.Row {
 // rowBuckets is a set of rows partitioned on a key: one flat array holding
 // the groups back to back instead of one growing slice per group. Groups are
 // numbered in order of first occurrence — the key table's ids — and keep
-// their members in input order.
+// their members in input order. The key table numbers the input rows by
+// index, so a group's key is read off its first row, in place.
 type rowBuckets struct {
 	ids     value.KeyTable // key → group
 	gid     []int32        // group of input row i
 	starts  []int32        // group g is grouped[starts[g]:starts[g+1]]
 	grouped []value.Row
+	rows    []value.Row                       // fill's input
+	by      []int                             // fill's key slots
+	hash    func([]value.Value, []int) uint64 // value.HashSlots; tests hash keys alike
 }
 
 // fill partitions rows on the key slots into the table and arrays b holds:
 // empty ones an earlier open of the same breaker gave back, or none. hint
-// sizes the key table's slots, and on a first open its keys and offsets too.
+// sizes the key table's slots, and on a first open its groups and offsets
+// too.
 func (b *rowBuckets) fill(rows []value.Row, by []int, hint int) {
 	if b.starts == nil {
 		b.starts = make([]int32, 0, hint+1)
 	}
+	if b.hash == nil {
+		b.hash = value.HashSlots
+	}
+	b.rows, b.by = rows, by
 	b.ids.Reset(hint)
 	b.gid = sized(b.gid, len(rows))
 	// Count members into starts[g+1], then turn the counts into offsets.
 	b.starts = append(b.starts[:0], 0)
 	for i, r := range rows {
-		g, added := b.ids.Insert(value.KeyOfSlots(r.Vals, by))
+		g, added := b.ids.Insert(b.hash(r.Vals, by), int32(i), func(first int32) bool {
+			return value.SameSlots(rows[first].Vals, by, r.Vals, by)
+		})
 		if added {
 			b.starts = append(b.starts, 0)
 		}
@@ -134,12 +145,16 @@ func (b *rowBuckets) group(g int) []value.Row {
 	return b.grouped[b.starts[g]:b.starts[g+1]:b.starts[g+1]]
 }
 
-// lookup returns the members of the group with key k, nil when there is none.
-func (b *rowBuckets) lookup(k value.HashKey) []value.Row {
-	if g := b.ids.Find(k); g >= 0 {
-		return b.group(int(g))
+// lookup returns the members of the group whose key is the key of vals at
+// slots, nil when there is none.
+func (b *rowBuckets) lookup(vals []value.Value, slots []int) []value.Row {
+	g := b.ids.Find(b.hash(vals, slots), func(first int32) bool {
+		return value.SameSlots(b.rows[first].Vals, b.by, vals, slots)
+	})
+	if g < 0 {
+		return nil
 	}
-	return nil
+	return b.group(int(g))
 }
 
 // ---- recycled working memory ----
@@ -184,16 +199,15 @@ func (n *Node) take() (workMem, *workMem) {
 
 // release gives an open's working memory back to its node, as the node's
 // spare. When opens overlap, a release replaces the spare it finds, so a box
-// is lost only when two opens close with no open between them. The arrays,
-// the key table's keys and binary Γ's values per key are cleared first,
-// through their capacity, so a spare pins no row chunk, no value and no key
-// string. The key table's slots are pointer-free and stay as they are: the
-// next open's fill clears as many of them as its own input needs, right
-// before its inserts, so the clearing brings into cache the slots the inserts
-// use and costs what that open holds, not what the box has room for. An open
-// whose input filled under a quarter of a large drain buffer gives back an
-// empty box instead: what a node keeps follows its recent inputs, not the
-// largest it ever had.
+// is lost only when two opens close with no open between them. The arrays
+// and binary Γ's values per key are cleared first, through their capacity,
+// so a spare pins no row chunk and no value. The key table holds no key and
+// no pointer, and stays as it is: the next open's fill clears as many of its
+// slots as its own input needs, right before its inserts, so the clearing
+// brings into cache the slots the inserts use and costs what that open
+// holds, not what the box has room for. An open whose input filled under a
+// quarter of a large drain buffer gives back an empty box instead: what a
+// node keeps follows its recent inputs, not the largest it ever had.
 //
 // The box's node field is nil while it is parked only so that a finalizer
 // set on the box, as in TestParkedMemoryLivesWithItsNode, can observe it
@@ -208,7 +222,7 @@ func (m *workMem) release() {
 	clear(m.out[:cap(m.out)])
 	clear(m.vals[:cap(m.vals)])
 	clear(m.b.grouped[:cap(m.b.grouped)])
-	m.b.ids.Release()
+	m.b.rows, m.b.by = nil, nil
 	clear(m.applied[:cap(m.applied)])
 	m.node = nil
 	n.spare.Store(m)

@@ -166,14 +166,16 @@ func TestUnnestMapChunksFollowTheStream(t *testing.T) {
 // confirmed by key, never by hash.
 func TestBucketRowsMatchesMapOfSlices(t *testing.T) {
 	t.Run("hash", func(t *testing.T) { checkBucketRows(t, nil) })
-	t.Run("degenerate hash", func(t *testing.T) { checkBucketRows(t, func(value.HashKey) uint64 { return 42 }) })
+	t.Run("degenerate hash", func(t *testing.T) {
+		checkBucketRows(t, func([]value.Value, []int) uint64 { return 42 })
+	})
 }
 
-// checkBucketRows is TestBucketRowsMatchesMapOfSlices with the key tables
-// placing keys by hash; nil is their default hash, and then fresh tables get
-// a random hint, else none.
-func checkBucketRows(t *testing.T, hash func(value.HashKey) uint64) {
-	recycled := workMem{b: rowBuckets{ids: value.KeyTable{Hash: hash}}}
+// checkBucketRows is TestBucketRowsMatchesMapOfSlices with the buckets
+// hashing keys by hash; nil is value.HashSlots, and then fresh tables get a
+// random hint, else none.
+func checkBucketRows(t *testing.T, hash func([]value.Value, []int) uint64) {
+	recycled := workMem{b: rowBuckets{hash: hash}}
 	lay := value.NewLayout("k", "j", "v")
 	rng := rand.New(rand.NewSource(11))
 	keyVals := []value.Value{value.Int(1), value.Str("1.0"), value.Str("a"), value.Str("b"), value.Null{}, nil,
@@ -200,17 +202,24 @@ func checkBucketRows(t *testing.T, hash func(value.HashKey) uint64) {
 			r.Vals[2] = value.Int(int64(i))
 			rows[i] = r
 		}
-		var order []value.HashKey
-		ref := map[value.HashKey][]value.Row{}
+		// The reference keys a row by its key columns' KeyOf, at most two.
+		keyOf := func(r value.Row) (k [2]value.HashKey) {
+			for i, s := range tc.by {
+				k[i] = value.KeyOf(r.Vals[s])
+			}
+			return k
+		}
+		var order [][2]value.HashKey
+		ref := map[[2]value.HashKey][]value.Row{}
 		for _, r := range rows {
-			k := value.KeyOfSlots(r.Vals, tc.by)
+			k := keyOf(r)
 			if _, ok := ref[k]; !ok {
 				order = append(order, k)
 			}
 			ref[k] = append(ref[k], r)
 		}
 
-		fresh := rowBuckets{ids: value.KeyTable{Hash: hash}}
+		fresh := rowBuckets{hash: hash}
 		hint := 0
 		if hash == nil {
 			hint = rng.Intn(tc.n + 1)
@@ -231,16 +240,17 @@ func checkBucketRows(t *testing.T, hash func(value.HashKey) uint64) {
 						t.Fatalf("%s: group %d member %d is not input row %v", tc.name, g, i, ref[k][i].Vals[2])
 					}
 				}
-				if got := b.lookup(k); len(got) != len(grp) || &got[0] != &grp[0] {
+				if got := b.lookup(ref[k][0].Vals, tc.by); len(got) != len(grp) || &got[0] != &grp[0] {
 					t.Fatalf("%s: lookup of group %d's key finds another group", tc.name, g)
 				}
 			}
 			for i, r := range rows {
-				if order[b.gid[i]] != value.KeyOfSlots(r.Vals, tc.by) {
+				if order[b.gid[i]] != keyOf(r) {
 					t.Fatalf("%s: gid[%d] = %d names a group with another key", tc.name, i, b.gid[i])
 				}
 			}
-			if b.lookup(value.KeyOf(value.Str("absent"))) != nil {
+			absent := []value.Value{value.Str("absent"), value.Str("absent"), value.Str("absent")}
+			if len(tc.by) > 0 && b.lookup(absent, tc.by) != nil {
 				t.Fatalf("%s: lookup of an absent key found rows", tc.name)
 			}
 		}

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -122,29 +123,15 @@ func looksNumeric(s string) bool {
 	}
 }
 
-// TextHash is the 32-bit hash of a text that a row keeps and a text key
-// (value.HashKey) carries, so hashing a key never walks its string: s is
-// folded eight bytes at a time, then its length, through the splitmix64
-// finalizer. Equal texts hash alike; nothing persists the hash.
-func TextHash(s string) uint32 {
-	h := uint64(0x6e616c7175657279)
-	for ; len(s) >= 8; s = s[8:] {
-		h = mix64(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
-	}
-	var tail uint64
-	for i := 0; i < len(s); i++ {
-		tail |= uint64(s[i]) << (8 * i)
-	}
-	h = mix64(h ^ tail ^ uint64(len(s))<<56)
-	return uint32(h ^ h>>32)
-}
+// textSeed keys TextHash, drawn once per process so that texts whose hashes
+// collide cannot be computed ahead of time and fed to every process.
+var textSeed = maphash.MakeSeed()
 
-// mix64 is the splitmix64 finalizer: every input bit reaches every output
-// bit.
-func mix64(h uint64) uint64 {
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
-	h = (h ^ h>>27) * 0x94d049bb133111eb
-	return h ^ h>>31
+// TextHash is the 32-bit hash of a text that a row keeps and a text key
+// (value.HashKey) carries, so hashing a key never walks its string: s under
+// hash/maphash and textSeed, folded to 32 bits. Nothing persists it, and no
+// output depends on it.
+func TextHash(s string) uint32 {
+	h := maphash.String(textSeed, s)
+	return uint32(h ^ h>>32)
 }

@@ -15,9 +15,10 @@
 // that dom.Document.Node resolves; every path's rank list is a window of one
 // flat array; and a path's value layer is three []int32 — its ranks grouped
 // by key, the group offsets, and the slots of the value.KeyTable that
-// numbered the keys, the engine's one open-addressed table (the keys are
-// dropped once the build is done). So the collector has nothing inside them
-// to trace, and a build allocates per path, not per distinct key.
+// numbered the keys (value.ProbeSlots, the engine's one probe loop, walks
+// them; the table's groups are dropped once the build is done) — plus the
+// key seed it was built under. So the collector has nothing inside them to
+// trace, and a build allocates per path, not per distinct key.
 //
 // The planner substitutes an algebra.IndexScan for a full Υ-scan (plus a
 // selection, for value probes) when a query path resolves onto indexed
@@ -71,40 +72,39 @@ func (x *PathIndex) ProbeEq(key value.Value) ([]int32, bool) {
 	if !x.HasValues {
 		return nil, false
 	}
-	return x.vals.probe(x.doc, value.KeyOf(key), keyHash), true
+	return x.vals.probe(x.doc, value.KeyOf(key), x.vals.seed.hash), true
 }
 
 // values is one path's value layer: its ranks grouped by KeyOf, found
-// through an open-addressed table over the key's hash.
+// through the slots of the value.KeyTable that numbered them.
 type values struct {
 	// members holds the path's ranks grouped by key, in document order
 	// within each group; group g is members[starts[g]:starts[g+1]].
 	members, starts []int32
 	// slots is the slot table of the value.KeyTable the build numbered the
-	// keys with: linear probing from hash & (len-1), a slot holding g+1 for
-	// group g, 0 when empty. The keys themselves are dropped; a probe reads
-	// group g's key off its first member.
+	// keys with (value.ProbeSlots walks it). The table's groups are
+	// dropped; a probe reads group g's key off its first member.
 	slots []int32
+	// seed is the key seed the layer was built under.
+	seed seeded
 }
 
-// hashSeed seeds the value layer's hash. Any seed gives the same answers:
-// a probe confirms its group by key.
-const hashSeed = 0x6e616c7175657279
+// seeded is a key seed, and its hash the value layers' hash of a key.
+type seeded uint64
 
-func keyHash(k value.HashKey) uint64 { return k.Hash(hashSeed) }
+func (s seeded) hash(k value.HashKey) uint64 { return k.Hash(uint64(s)) }
 
 // probe returns the group whose first member's key is k, or nil. hash must
 // be the one the layer was built with.
 func (v *values) probe(d *dom.Document, k value.HashKey, hash func(value.HashKey) uint64) []int32 {
-	mask := uint64(len(v.slots) - 1)
-	for i := hash(k) & mask; v.slots[i] != 0; i = (i + 1) & mask {
-		g := v.slots[i]
-		lo, hi := v.starts[g-1], v.starts[g]
-		if value.KeyOf(value.NodeVal{Node: d.Node(int(v.members[lo]))}) == k {
-			return v.members[lo:hi:hi]
-		}
+	g, _ := value.ProbeSlots(v.slots, hash(k), func(g int32) bool {
+		return value.KeyOf(value.NodeVal{Node: d.Node(int(v.members[v.starts[g]]))}) == k
+	})
+	if g < 0 {
+		return nil
 	}
-	return nil
+	lo, hi := v.starts[g], v.starts[g+1]
+	return v.members[lo:hi:hi]
 }
 
 // buildValues groups ranks (ascending) by the key of their nodes, numbering
@@ -113,12 +113,15 @@ func (v *values) probe(d *dom.Document, k value.HashKey, hash func(value.HashKey
 // hint (a persisted statistics record may say anything).
 func buildValues(d *dom.Document, ranks []int32, distinct int, hash func(value.HashKey) uint64) values {
 	distinct = max(min(distinct, len(ranks)), 1)
-	ids := value.KeyTable{Hash: hash}
+	var ids value.KeyTable
 	ids.Reset(distinct)
 	group := make([]int32, len(ranks))     // the group of ranks[i]
 	starts := make([]int32, 0, distinct+1) // group g's size, then its offset
 	for i, r := range ranks {
-		g, added := ids.Insert(value.KeyOf(value.NodeVal{Node: d.Node(int(r))}))
+		n := value.NodeVal{Node: d.Node(int(r))}
+		g, added := ids.Insert(hash(value.KeyOf(n)), int32(i), func(first int32) bool {
+			return value.SameKey(value.NodeVal{Node: d.Node(int(ranks[first]))}, n)
+		})
 		if added {
 			starts = append(starts, 0)
 		}
@@ -201,6 +204,7 @@ func BuildWith(d *dom.Document, st *stats.DocStats) *DocIndexes {
 		}
 	}
 	slices.SortStableFunc(slab, func(a, b PathIndex) int { return strings.Compare(a.Path, b.Path) })
+	seed := seeded(value.KeySeed())
 	for i := range slab {
 		px := &slab[i]
 		ps := st.Path(px.Path)
@@ -208,7 +212,8 @@ func BuildWith(d *dom.Document, st *stats.DocStats) *DocIndexes {
 			continue
 		}
 		px.HasValues = true
-		px.vals = buildValues(d, px.Ranks, int(ps.Distinct), keyHash)
+		px.vals = buildValues(d, px.Ranks, int(ps.Distinct), seed.hash)
+		px.vals.seed = seed
 	}
 	return &DocIndexes{URI: d.URI, Paths: slab, Stats: st}
 }

@@ -16,8 +16,9 @@ import (
 // when = holds, and the sort order agrees with the comparison.
 
 // checkAtoms asserts, over every pair and triple of the present values:
-//   - KeyOf(a) == KeyOf(b) exactly when CompareAtomic(a, b, =), and equal
-//     keys hash alike under two seeds, alone and in a composite;
+//   - KeyOf(a) == KeyOf(b), and SameKey(a, b), exactly when
+//     CompareAtomic(a, b, =), and equal keys hash alike under two seeds,
+//     alone and chained into a key of two columns;
 //   - = is reflexive and symmetric;
 //   - where a pair is ordered (one of <, =, > holds), exactly one holds, <=,
 //     >= and != follow, and Compare3 has the same sign; an unordered pair
@@ -33,15 +34,14 @@ func checkAtoms(t *testing.T, vals []Value) {
 		}
 		for _, b := range vals {
 			eq := CompareAtomic(a, b, CmpEq)
-			if (KeyOf(a) == KeyOf(b)) != eq {
-				t.Errorf("%#v = %#v is %v, but KeyOf equal is %v", a, b, eq, KeyOf(a) == KeyOf(b))
+			if (KeyOf(a) == KeyOf(b)) != eq || SameKey(a, b) != eq {
+				t.Errorf("%#v = %#v is %v, but KeyOf equal is %v and SameKey %v", a, b, eq, KeyOf(a) == KeyOf(b), SameKey(a, b))
 			}
 			if ka, kb := KeyOf(a), KeyOf(b); ka == kb {
 				// Equal keys hash alike under every seed, as one column and
-				// as either column of a composite.
-				ca, cb := CombineKeys(ka, ka), CombineKeys(kb, kb)
+				// as either column of a key of two.
 				for _, seed := range []uint64{7, 0x9e3779b97f4a7c15} {
-					if ka.Hash(seed) != kb.Hash(seed) || ca.Hash(seed) != cb.Hash(seed) {
+					if ka.Hash(seed) != kb.Hash(seed) || ka.Hash(ka.Hash(seed)) != kb.Hash(kb.Hash(seed)) {
 						t.Errorf("%#v and %#v have one key, but it hashes apart under seed %#x", a, b, seed)
 					}
 				}

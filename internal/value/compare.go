@@ -3,7 +3,6 @@ package value
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"nalquery/internal/dom"
@@ -431,26 +430,17 @@ func Member(a Value, v Value) bool {
 }
 
 // HashKey is the canonical grouping/join key of a value: a comparable struct,
-// allocated nowhere, that a KeyTable numbers. KeyOf(a) == KeyOf(b) exactly
-// when CompareAtomic(a, b, CmpEq); every value that atomizes to nothing has
-// the zero key.
-//
-// A HashKey carries up to two columns inline (the second column's fields
-// are zero for single-column keys; kind2 is tagged so a two-column key
-// never collides with a one-column key). Keys wider than two columns fold
-// into a single string of the columns' rendered keys — see KeyOfSlots.
-// A text column carries its text's dom.TextHash beside it, in what would be
-// padding, so the key stays 64 bytes and Hash never walks a string.
+// allocated nowhere. KeyOf(a) == KeyOf(b) exactly when
+// CompareAtomic(a, b, CmpEq); every value that atomizes to nothing has the
+// zero key. A key of several columns is no value of its own: it is its
+// columns, hashed by chaining (HashSlots) and compared column by column
+// (SameSlots). A text key carries its text's dom.TextHash beside it, in what
+// would be padding, so Hash never walks a string.
 type HashKey struct {
-	kind byte   // 0 null, 'n' numeric, 'N' NaN, 's' string, 'm' multi-column fold
-	h    uint32 // dom.TextHash(str) for 's' and 'm', else 0
+	kind byte   // 0 null, 'n' numeric, 'N' NaN, 's' string
+	h    uint32 // dom.TextHash(str) for 's', else 0
 	num  float64
 	str  string
-	// second column of a composite key (CombineKeys); zero when absent
-	kind2 byte
-	h2    uint32
-	num2  float64
-	str2  string
 }
 
 // numKey is the key of a number: every NaN is one key (NaN equals NaN under
@@ -469,16 +459,10 @@ func numKey(f float64) HashKey {
 // Hash returns a 64-bit hash of the key under seed: equal keys hash equally
 // under one seed. The hash decides where a key is looked for, never whether
 // it is found — a table keyed by it (KeyTable) confirms every candidate by
-// key equality. A column mixes its number and its text's stored hash (one
-// of the two is zero), never its text's bytes. A one-column key (kind2 zero,
-// so its second column is all zero) skips the second column's round: the
-// hash is never persisted, so only equal keys hashing equally matters.
+// key equality. It mixes the key's number and its text's stored hash (one of
+// the two is zero), never its text's bytes.
 func (k HashKey) Hash(seed uint64) uint64 {
-	h := mix64(seed ^ math.Float64bits(k.num) ^ uint64(k.h) ^ uint64(k.kind)<<48 ^ uint64(k.kind2)<<56)
-	if k.kind2 == 0 {
-		return h
-	}
-	return mix64(h ^ math.Float64bits(k.num2) ^ uint64(k.h2))
+	return mix64(seed ^ math.Float64bits(k.num) ^ uint64(k.h) ^ uint64(k.kind)<<48)
 }
 
 // mix64 is the splitmix64 finalizer: every input bit reaches every output
@@ -490,63 +474,8 @@ func mix64(h uint64) uint64 {
 	return h ^ h>>31
 }
 
-// compositeTag marks the second column of a two-column composite key:
-// kind2 is never zero for a composite, so (x, NULL) cannot collide with
-// the single-column key x.
-const compositeTag = 0x80
-
-// CombineKeys packs two single-column keys into one composite HashKey
-// without allocating — the two-column join/grouping key. Both operands
-// must be single-column KeyOf results (not composites or folds).
-func CombineKeys(a, b HashKey) HashKey {
-	a.kind2 = b.kind | compositeTag
-	a.h2 = b.h
-	a.num2 = b.num
-	a.str2 = b.str
-	return a
-}
-
-// KeyOfSlots computes the canonical composite grouping/join key of the
-// values at the given slots — the multi-column extension of KeyOf, used by
-// every hashing operator of the slot engine. One- and two-column keys
-// are allocation-free; wider keys fold the columns' keys into one string
-// (writeFoldCol).
-func KeyOfSlots(vals []Value, slots []int) HashKey {
-	switch len(slots) {
-	case 0:
-		return HashKey{}
-	case 1:
-		return KeyOf(vals[slots[0]])
-	case 2:
-		return CombineKeys(KeyOf(vals[slots[0]]), KeyOf(vals[slots[1]]))
-	}
-	var sb strings.Builder
-	for _, s := range slots {
-		writeFoldCol(&sb, KeyOf(vals[s]))
-	}
-	return textKey('m', sb.String())
-}
-
-// writeFoldCol renders one column's key into a wide key: its kind, then a
-// number's shortest digits closed by ';' or a text's length-prefixed bytes.
-// Each rendering ends where it says it does, so the fold of several columns
-// is equal exactly when every column's key is.
-func writeFoldCol(sb *strings.Builder, k HashKey) {
-	sb.WriteByte(k.kind)
-	switch k.kind {
-	case 'n':
-		sb.WriteString(strconv.FormatFloat(k.num, 'g', -1, 64))
-		sb.WriteByte(';')
-	case 's':
-		sb.WriteString(strconv.Itoa(len(k.str)))
-		sb.WriteByte(':')
-		sb.WriteString(k.str)
-	}
-}
-
 // KeyOf computes the canonical grouping/join key of a value's first atom
-// without allocating: the hot path of every hash join, grouping and distinct
-// operator in the slot engine.
+// without allocating.
 func KeyOf(v Value) HashKey {
 	switch w := v.(type) {
 	case NodeVal:
@@ -561,7 +490,7 @@ func KeyOf(v Value) HashKey {
 	case a.isNum:
 		return numKey(a.num)
 	}
-	return textKey('s', a.text)
+	return HashKey{kind: 's', h: dom.TextHash(a.text), str: a.text}
 }
 
 // nodeKey is KeyOf of a node's string value: read off its row when the
@@ -578,9 +507,24 @@ func nodeKey(n *dom.Node) HashKey {
 	return HashKey{kind: 's', h: hash, str: n.StringValue()}
 }
 
-// textKey is the key of a text or a fold, with its hash.
-func textKey(kind byte, s string) HashKey {
-	return HashKey{kind: kind, h: dom.TextHash(s), str: s}
+// SameKey reports KeyOf(a) == KeyOf(b), the key equality of every hashing
+// operator. Two nodes whose document fixed their atoms compare their atom
+// words in place, reading their texts' bytes only when the hashes agree.
+func SameKey(a, b Value) bool {
+	x, xNode := a.(NodeVal)
+	y, yNode := b.(NodeVal)
+	if xNode && yNode {
+		xn, xh, xNum, xKnown := x.Node.Atom()
+		yn, yh, yNum, yKnown := y.Node.Atom()
+		switch {
+		case !xKnown || !yKnown:
+		case xNum || yNum:
+			return xNum && yNum && (xn == yn || xn != xn && yn != yn) // -0 is 0, NaN is NaN
+		default:
+			return xh == yh && x.Node.StringValue() == y.Node.StringValue()
+		}
+	}
+	return KeyOf(a) == KeyOf(b)
 }
 
 // EffectiveBool computes an effective boolean value: false for NULL, empty

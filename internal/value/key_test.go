@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Properties of the composite HashKey scheme (KeyOfSlots) the row engine's
-// hash joins and groupings build on.
+// Properties of the key of several columns (HashSlots, SameSlots) the row
+// engine's hash joins and groupings build on.
 
 func randVal(rng *rand.Rand) Value {
 	switch rng.Intn(6) {
@@ -26,12 +26,12 @@ func randVal(rng *rand.Rand) Value {
 	}
 }
 
-// TestKeyOfSlotsMatchesPerColumnKeys: composite keys are equal exactly
-// when every column's KeyOf is equal — at widths 1, 2 (inline composite)
-// and 3 and 4 (string fold).
-func TestKeyOfSlotsMatchesPerColumnKeys(t *testing.T) {
+// TestSlotKeysMatchPerColumnKeys: keys of several columns are the same
+// exactly when every column's KeyOf is equal, and then hash alike — at
+// widths 0 to 5.
+func TestSlotKeysMatchPerColumnKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for width := 1; width <= 4; width++ {
+	for width := 0; width <= 5; width++ {
 		slots := make([]int, width)
 		for i := range slots {
 			slots[i] = i
@@ -49,24 +49,26 @@ func TestKeyOfSlotsMatchesPerColumnKeys(t *testing.T) {
 					wantEq = false
 				}
 			}
-			gotEq := KeyOfSlots(a, slots) == KeyOfSlots(b, slots)
+			gotEq := SameSlots(a, slots, b, slots)
 			if gotEq != wantEq {
-				t.Fatalf("width %d: KeyOfSlots equality %v, per-column %v (%v vs %v)",
-					width, gotEq, wantEq, a, b)
+				t.Fatalf("width %d: SameSlots %v, per-column %v (%v vs %v)", width, gotEq, wantEq, a, b)
+			}
+			if gotEq && HashSlots(a, slots) != HashSlots(b, slots) {
+				t.Fatalf("width %d: %v and %v are one key, but hash apart", width, a, b)
 			}
 		}
 	}
 }
 
-// TestCompositeKeyNoCrossWidthCollision: a two-column key never equals a
-// one-column key, even when the second column is NULL.
+// TestCompositeKeyNoCrossWidthCollision: a NULL column still adds a round to
+// a key's hash, so (1) and (1, NULL) hash apart, and columns compare in
+// order, so (1, 2) and (2, 1) are different keys.
 func TestCompositeKeyNoCrossWidthCollision(t *testing.T) {
-	single := KeyOf(Int(1))
-	composite := CombineKeys(KeyOf(Int(1)), KeyOf(nil))
-	if single == composite {
-		t.Fatalf("(1) and (1, NULL) collide")
+	one := []Value{Int(1), Null{}}
+	if HashSlots(one, []int{0}) == HashSlots(one, []int{0, 1}) {
+		t.Fatalf("(1) and (1, NULL) hash alike")
 	}
-	if CombineKeys(KeyOf(Int(1)), KeyOf(Int(2))) == CombineKeys(KeyOf(Int(2)), KeyOf(Int(1))) {
-		t.Fatalf("(1,2) and (2,1) collide")
+	if SameSlots([]Value{Int(1), Int(2)}, []int{0, 1}, []Value{Int(2), Int(1)}, []int{0, 1}) {
+		t.Fatalf("(1,2) and (2,1) are one key")
 	}
 }

@@ -99,12 +99,12 @@ func TestOneMemberSequenceReadsAsItsItem(t *testing.T) {
 				}
 				vals, wrapped := []Value{x, y, Int(9)}, []Value{sx, y, Int(9)}
 				for _, slots := range [][]int{{0}, {0, 1}, {1, 0}, {0, 1, 2}} {
-					if KeyOfSlots(vals, slots) != KeyOfSlots(wrapped, slots) {
-						t.Errorf("KeyOfSlots(%v) over %#v depends on the wrapping %#v", slots, vals, sx)
+					if !SameSlots(vals, slots, wrapped, slots) || HashSlots(vals, slots) != HashSlots(wrapped, slots) {
+						t.Errorf("the key at %v of %#v depends on the wrapping %#v", slots, vals, sx)
 					}
 				}
 			}
-			if KeyOf(x) != KeyOf(sx) {
+			if KeyOf(x) != KeyOf(sx) || !SameKey(x, sx) {
 				t.Errorf("KeyOf(%#v) = %v, of %#v %v", x, KeyOf(x), sx, KeyOf(sx))
 			}
 			f, ok := Number(x)

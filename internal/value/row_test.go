@@ -107,7 +107,7 @@ func TestConcatRows(t *testing.T) {
 	}
 }
 
-// keysEqualByRule is what KeyOf(a) == KeyOf(b) must say: = holds under the
+// keysEqualByRule is what KeyOf(a) == KeyOf(b) and SameKey(a, b) must say: = holds under the
 // atom rule, or both values atomize to nothing.
 func keysEqualByRule(a, b Value) bool {
 	return CompareAtomic(a, b, CmpEq) || len(Atomize(a)) == 0 && len(Atomize(b)) == 0
@@ -126,8 +126,8 @@ func TestKeyOfMatchesKey(t *testing.T) {
 	for i, a := range vals {
 		for j, b := range vals {
 			want := keysEqualByRule(a, b)
-			if got := KeyOf(a) == KeyOf(b); got != want {
-				t.Errorf("KeyOf disagrees with the atom rule for #%d vs #%d: %v/%v", i, j, want, got)
+			if got := KeyOf(a) == KeyOf(b); got != want || SameKey(a, b) != want {
+				t.Errorf("KeyOf or SameKey disagrees with the atom rule for #%d vs #%d: %v/%v/%v", i, j, want, got, SameKey(a, b))
 			}
 		}
 	}
@@ -213,7 +213,8 @@ func TestKeyNegativeZero(t *testing.T) {
 		t.Fatalf("KeyOf(-0) != KeyOf(0)")
 	}
 	vals, slots := []Value{Str("-0"), Float(negZero()), Int(1)}, []int{0, 1, 2}
-	if KeyOfSlots(vals, slots) != KeyOfSlots([]Value{Int(0), Str("0"), Int(1)}, slots) {
+	zeros := []Value{Int(0), Str("0"), Int(1)}
+	if !SameSlots(vals, slots, zeros, slots) || HashSlots(vals, slots) != HashSlots(zeros, slots) {
 		t.Fatalf("a wide key tells -0 from 0")
 	}
 }

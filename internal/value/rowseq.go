@@ -92,12 +92,6 @@ func (rs RowSeq) String() string {
 	return "<" + strings.Join(parts, ", ") + ">"
 }
 
-// KeyOfRow computes the canonical grouping key of a row over every slot of
-// its layout in canonical order, an absent (nil) slot keying as NULL — the
-// µD member-dedup key. So rows that hold the same values in different
-// attributes key apart.
-func KeyOfRow(r Row) HashKey { return KeyOfSlots(r.Vals, r.Lay.Canon()) }
-
 // TuplesOf views a tuple-sequence value through the map-tuple lens: a
 // TupleSeq stays itself, a RowSeq materializes. ok=false for any other
 // value. The definitional evaluator reads payloads through it, so it can be

@@ -65,20 +65,15 @@ func TestBindRowSeqSharesBacking(t *testing.T) {
 	}
 }
 
-// TestKeyOfRowKeysEverySlot: the µD member key reads every slot of the
-// layout in canonical order, an absent one as NULL, so rows that differ only
-// in which slot is absent key apart — at width 2 (inline composite) and 3
-// (string fold).
-func TestKeyOfRowKeysEverySlot(t *testing.T) {
-	r := Row{Lay: NewLayout("c", "a", "b"), Vals: []Value{Str("v"), nil, Int(7)}} // a absent
-	if got, want := KeyOfRow(r), KeyOfSlots(r.Vals, r.Lay.Canon()); got != want {
-		t.Fatalf("KeyOfRow %v != KeyOfSlots over the canonical slots %v", got, want)
-	}
+// TestRowKeyReadsEverySlot: the µD member key, the key of every slot of
+// the layout in canonical order, reads an absent slot as NULL, so rows that
+// differ only in which slot is absent key apart — at widths 2 and 3.
+func TestRowKeyReadsEverySlot(t *testing.T) {
 	for _, names := range [][]string{{"a", "b"}, {"a", "b", "c"}} {
 		lay := NewLayout(names...)
 		first, last := make([]Value, len(names)), make([]Value, len(names))
 		first[0], last[len(names)-1] = Str("x"), Str("x")
-		if KeyOfRow(Row{Lay: lay, Vals: first}) == KeyOfRow(Row{Lay: lay, Vals: last}) {
+		if SameSlots(first, lay.Canon(), last, lay.Canon()) {
 			t.Errorf("%v: %v and %v key alike", names, first, last)
 		}
 	}
