@@ -10,7 +10,7 @@ import (
 // RunPlan runs the named plan alternative of q ("" = most optimized) to
 // completion and returns its serialized result and execution counters: Run
 // + WriteXML into memory, for callers that print or compare whole results
-// (the examples, the experiment tables and their benchmarks).
+// (the experiment tables and their benchmarks).
 func RunPlan(q *nalquery.Query, plan string, opts ...nalquery.RunOption) (string, nalquery.Stats, error) {
 	res, err := q.Run(context.Background(), append(opts, nalquery.WithPlan(plan))...)
 	if err != nil {

@@ -1,5 +1,6 @@
 // Package cli holds small helpers shared by the command-line front ends
-// (cmd/nalrun, cmd/nalsh, cmd/nalserved, cmd/nalbench) and the examples.
+// (cmd/nalrun, cmd/nalsh, cmd/nalserved, cmd/nalbench) and the experiment
+// tables.
 package cli
 
 import (

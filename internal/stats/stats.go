@@ -20,8 +20,6 @@ package stats
 
 import (
 	"sort"
-	"strconv"
-	"strings"
 
 	"nalquery/internal/dom"
 	"nalquery/internal/xpath"
@@ -265,7 +263,7 @@ func (a *pathAcc) value(val string) {
 		a.st.Max = val
 	}
 	if a.numeric {
-		if f, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
+		if f, ok := dom.ParseNumber(val); ok {
 			if !a.sawValue || f < a.st.MinNum {
 				a.st.MinNum = f
 			}
