@@ -33,9 +33,13 @@ vet:
 # as file:line: message. It first guards the module's zero-dependency
 # state: no vendor/ directory and no module but this one in the build list;
 # then that gofmt leaves every Go file outside testdata/ as written (the
-# analyzer fixtures there may be unformatted on purpose).
+# analyzer fixtures there may be unformatted on purpose), and that the one
+# non-test Go file importing unsafe is internal/dom/rows.go, where a row
+# finds its document's header word (benchmark/ is its own module).
 lint:
 	test ! -e vendor && [ "$$($(GO) list -m all | wc -l)" -eq 1 ]
+	@unsafe=$$(git grep -l --untracked '"unsafe"' -- '*.go' ':!*_test.go' ':!benchmark/'); \
+		if [ "$$unsafe" != internal/dom/rows.go ]; then echo "non-test files importing unsafe, want only internal/dom/rows.go:"; echo "$$unsafe"; exit 1; fi
 	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l . | grep -v -e '^testdata/' -e '/testdata/'); \
 		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@mkdir -p .bin

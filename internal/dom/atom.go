@@ -46,7 +46,7 @@ func (n *Node) Atom() (num float64, hash uint32, isNum, known bool) {
 	case t == atomText:
 		return 0, n.aword, false, true
 	case t == atomBoxed:
-		return n.tab.nums[n.aword], 0, true, true
+		return n.table().nums[n.aword], 0, true, true
 	}
 	return 0, 0, false, false
 }

@@ -1,6 +1,7 @@
 package dom_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -10,13 +11,32 @@ import (
 	"nalquery/internal/value/valuetest"
 )
 
-// TestRowIs40Bytes pins the row: the atom word lives in what was padding.
-// TestDocumentBytesPerNode's bound would still pass a 48-byte row, the
+// TestRowIs32Bytes pins the row: 32 bytes, the atom word in what would be
+// padding, and no word the collector would have to scan (rows.go). A
+// pointer, slice, string, map or interface field would make every row slab
+// pointer-typed heap again; an array would hide how many bytes a row spends.
+// TestDocumentBytesPerNode's bound would still pass a 40-byte row, the
 // harness's heap_after_setup_mb bound would not.
-func TestRowIs40Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(dom.Node{}); got != 40 {
-		t.Fatalf("a row is %d bytes, want 40", got)
+func TestRowIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(dom.Node{}); got != 32 {
+		t.Fatalf("a row is %d bytes, want 32", got)
 	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		default:
+			t.Errorf("%s is a %s (%s): a row holds fixed-size scalars only", path, typ.Kind(), typ)
+		}
+	}
+	walk("Node", reflect.TypeFor[dom.Node]())
 }
 
 // TestDeepTextKeepsNoAtom: 100 000 elements nested around one 1 MiB text.

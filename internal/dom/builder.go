@@ -8,10 +8,10 @@ import (
 )
 
 // Rows and slab bytes accumulate in fixed-size chunks and are copied once,
-// in Done, into exact-size slabs: growing one big slice by append would copy
-// it about five times over (large slices grow by 1.25×), and no feeder
-// knows the node count up front — the scanner knows its input's length,
-// the store decoder and the generators not even that.
+// in Done, into the document's slabs: growing one big slice by append
+// would copy it about five times over (large slices grow by 1.25×), and no
+// feeder knows the node count up front — the scanner knows its input's
+// length, the store decoder and the generators not even that.
 const (
 	rowChunk  = 1024
 	slabChunk = 16 << 10
@@ -92,7 +92,7 @@ func (b *Builder) row(kind Kind, name int32, off int) int32 {
 	}
 	i := b.n
 	last := &b.rows[len(b.rows)-1]
-	*last = append(*last, Node{tab: b.tab, kind: kind, name: name, pre: i, parent: parent,
+	*last = append(*last, Node{kind: kind, name: name, pre: i, parent: parent,
 		end: i + 1, off: int32(off), lim: int32(off)})
 	b.n++
 	return i
@@ -200,10 +200,10 @@ func (b *Builder) Element(name, text string) *Builder {
 	return b.Begin(name).Text(text).End()
 }
 
-// Done finalizes the document: it copies the rows and the slab bytes into
-// exact-size slabs, fixes every row's atom word and returns the document.
-// The builder must be balanced (every Begin matched by an End) and must not
-// have failed (see Err).
+// Done finalizes the document: it copies the rows into the document's row
+// slab (rows.go) and the string bytes into exact-size slabs, fixes every
+// row's atom word and returns the document. The builder must be balanced
+// (every Begin matched by an End) and must not have failed (see Err).
 func (b *Builder) Done() *Document {
 	if b.err != nil {
 		//nal:allow-panic builder misuse is a programmer error; Parse and the store decoder return Err before calling Done, and the generators' sizes are authored
@@ -215,9 +215,10 @@ func (b *Builder) Done() *Document {
 	}
 	b.close()
 	t := b.tab
-	t.nodes = make([]Node, 0, b.n)
+	t.nodes = newRows(t, int(b.n))
+	k := 0
 	for _, c := range b.rows {
-		t.nodes = append(t.nodes, c...)
+		k += copy(t.nodes[k:], c)
 	}
 	t.text, t.attr = b.text.String(), b.attr.String()
 	t.fixAtoms()

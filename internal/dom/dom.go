@@ -19,14 +19,16 @@
 // and joining on a node reads its atom instead of parsing and hashing the
 // text again.
 //
-// What is and is not pointer-free: the two string slabs are, and after Done
-// a document owns no per-node heap object. A row is not quite: it carries
-// exactly one pointer, back to its table, because the node handle stays a
-// *Node — a pointer into the slab. value.Value is an interface, so a
-// one-word handle converts for free while a (document, int32) pair would
-// allocate on every conversion; pointer identity remains node identity; and
-// the collector marks one slab object per document instead of chasing seven
-// pointer-bearing fields through every node.
+// What is and is not pointer-free: all of it but one word a document. The
+// two string slabs hold no pointer, and neither does a row: the row slab is
+// one object that starts with a header word, the *table, and the rows follow
+// it (rows.go), so the collector scans one word of it however many rows it
+// holds, and after Done a document owns no per-node heap object. The node
+// handle stays a *Node — a pointer into the slab — and a row finds its table
+// by stepping back from itself to the header by its own rank. value.Value is
+// an interface, so a one-word handle converts for free while a (document,
+// int32) pair would allocate on every conversion; and pointer identity
+// remains node identity.
 //
 // The model is deliberately small: documents, elements, attributes and text.
 // This is everything the XQuery use-case documents of the paper require.
@@ -67,12 +69,13 @@ func (k Kind) String() string {
 
 // Node is one row of a document's pre-order table; a *Node into that table
 // is the node handle. Rows are written by a Builder and immutable after
-// Done; algebra evaluation never mutates documents. A row is 40 bytes: a
-// table pointer, six int32 ranks, offsets and the name id, the kind, and the
-// atom word (a tag byte and a uint32) that Done fills.
+// Done; algebra evaluation never mutates documents. A row is 32 bytes and
+// holds no pointer: six int32 ranks, offsets and the name id, the kind, and
+// the atom word (a tag byte and a uint32) that Done fills. A row finds its
+// document through the header word before row 0 of its slab (rows.go), so
+// a row is only ever used in place: a Node copied out of its slab has no
+// header, and no API hands one out by value.
 type Node struct {
-	tab *table
-
 	// pre is the row's own index, which is the node's document-order rank:
 	// unique within a document and monotone in a pre-order traversal
 	// (attributes rank after their owner element and before its children,
@@ -89,14 +92,16 @@ type Node struct {
 	kind Kind
 
 	// The atom word: the string value's atom, read once by Done (Atom,
-	// atom.go). It fills what was the row's padding, so a row stays 40
+	// atom.go). It fills what would be the row's padding, so a row stays 32
 	// bytes.
 	atag  byte
 	aword uint32
 }
 
-// table is the storage of one document. Rows point here rather than at the
-// Document, so a Document is reachable from nothing it owns.
+// table is the storage of one document. The header of the row slab points
+// here rather than at the Document, so a Document is reachable from nothing
+// it owns. nodes is the slab's rows; its capacity is the slab's size class
+// (rowClass), whose rows past the last node stay zero.
 type table struct {
 	uri   string
 	nodes []Node
@@ -132,10 +137,10 @@ type Document struct {
 
 // NumNodes reports how many nodes the document contains (including the
 // document node itself).
-func (d *Document) NumNodes() int { return len(d.Root.tab.nodes) }
+func (d *Document) NumNodes() int { return len(d.Root.table().nodes) }
 
 // Node returns the node of document-order rank i, 0 ≤ i < NumNodes().
-func (d *Document) Node(i int) *Node { return &d.Root.tab.nodes[i] }
+func (d *Document) Node(i int) *Node { return &d.Root.table().nodes[i] }
 
 // RootElement returns the root element of the document, or nil if the
 // document is empty.
@@ -145,7 +150,7 @@ func (d *Document) RootElement() *Node { return d.Root.FirstChildElement("") }
 func (n *Node) Kind() Kind { return n.kind }
 
 // Name returns the element or attribute name; empty for text and document.
-func (n *Node) Name() string { return n.tab.names[n.name] }
+func (n *Node) Name() string { return n.table().names[n.name] }
 
 // NameID returns the document-local number of the node's name: two nodes of
 // one document have the same name exactly when they have the same NameID.
@@ -157,9 +162,9 @@ func (n *Node) NameID() int { return int(n.name) }
 func (n *Node) Data() string {
 	switch n.kind {
 	case KindText:
-		return n.tab.text[n.off:n.lim]
+		return n.table().text[n.off:n.lim]
 	case KindAttribute:
-		return n.tab.attr[n.off:n.lim]
+		return n.table().attr[n.off:n.lim]
 	default:
 		return ""
 	}
@@ -178,20 +183,22 @@ func (n *Node) Parent() *Node {
 	if n.parent < 0 {
 		return nil
 	}
-	return &n.tab.nodes[n.parent]
+	return &n.table().nodes[n.parent]
 }
 
 // FirstAttr returns the first attribute of an element, or nil.
 func (n *Node) FirstAttr() *Node {
-	if i := n.pre + 1; i < n.end && n.tab.nodes[i].kind == KindAttribute {
-		return &n.tab.nodes[i]
+	if i := n.pre + 1; i < n.end {
+		if a := &n.table().nodes[i]; a.kind == KindAttribute {
+			return a
+		}
 	}
 	return nil
 }
 
 // FirstChild returns the first element or text child, or nil.
 func (n *Node) FirstChild() *Node {
-	nodes := n.tab.nodes
+	nodes := n.table().nodes
 	i := n.pre + 1
 	for i < n.end && nodes[i].kind == KindAttribute {
 		i++
@@ -208,7 +215,7 @@ func (n *Node) NextSibling() *Node {
 	if n.parent < 0 {
 		return nil
 	}
-	nodes := n.tab.nodes
+	nodes := n.table().nodes
 	if n.end >= nodes[n.parent].end {
 		return nil
 	}
@@ -224,9 +231,9 @@ func (n *Node) NextSibling() *Node {
 // the value for attributes and text nodes.
 func (n *Node) StringValue() string {
 	if n.kind == KindAttribute {
-		return n.tab.attr[n.off:n.lim]
+		return n.table().attr[n.off:n.lim]
 	}
-	return n.tab.text[n.off:n.lim]
+	return n.table().text[n.off:n.lim]
 }
 
 // Attr returns the attribute node with the given name, or nil.
@@ -290,8 +297,8 @@ type NameTest struct {
 
 // resolve returns the test's name id in n's document (see table.nameID).
 func (t *NameTest) resolve(n *Node) int32 {
-	if t.tab != n.tab {
-		t.tab, t.id = n.tab, n.tab.nameID(t.Name)
+	if tab := n.table(); t.tab != tab {
+		t.tab, t.id = tab, tab.nameID(t.Name)
 	}
 	return t.id
 }
@@ -312,7 +319,7 @@ func (t *NameTest) AppendChildren(n *Node, dst []*Node) []*Node {
 // the test, in document order.
 func (t *NameTest) AppendDescendants(n *Node, dst []*Node) []*Node {
 	id := t.resolve(n)
-	sub := n.tab.nodes[n.pre+1 : n.end]
+	sub := n.table().nodes[n.pre+1 : n.end]
 	for i := range sub {
 		if c := &sub[i]; c.kind == KindElement && (id == anyName || c.name == id) {
 			dst = append(dst, c)
@@ -337,8 +344,8 @@ func (t *NameTest) Attr(n *Node) *Node {
 // documents are ordered by document URI (an arbitrary but stable global
 // order).
 func CompareOrder(a, b *Node) int {
-	if a.tab != b.tab {
-		return strings.Compare(a.tab.uri, b.tab.uri)
+	if ta, tb := a.table(), b.table(); ta != tb {
+		return strings.Compare(ta.uri, tb.uri)
 	}
 	return cmp.Compare(a.pre, b.pre)
 }

@@ -86,7 +86,7 @@ func writeNode(w *stickyWriter, n *Node) {
 		writeAttr(w, n)
 		return
 	}
-	nodes := n.tab.nodes
+	nodes := n.table().nodes
 	var open *Node
 	closeOpen := func() {
 		w.str("</")
