@@ -1,20 +1,15 @@
-// Command nalbench regenerates the paper's evaluation tables (Sec. 5) and
-// the document-size figure (Fig. 6), and keeps the allocation trajectory
-// BENCH_results.json (-json, gated by -diff). Performance claims are made
-// with the benchmark/ harness, not with this command's wall-clock columns.
+// Command nalbench keeps the allocation trajectory BENCH_results.json: B/op
+// and allocs/op of every plan of the paper's seven queries (Sec. 5) at
+// document sizes 100 and 1000, measured with testing.Benchmark, and gates it
+// against a baseline (-diff). The file carries no wall-clock column: the
+// Sec. 5 timings are the root package's BenchmarkQ* families (go test
+// -bench), and performance claims are made with the benchmark/ harness.
 //
 // Usage:
 //
-//	nalbench                        # all experiments, default sizes, nested capped at 1000
-//	nalbench -exp q1                # one experiment
-//	nalbench -exp fig6              # the document-size figure
-//	nalbench -sizes 100,1000        # override measurement points
-//	nalbench -full                  # run the nested plans at every size
-//	                                # (the nested plan needs minutes at 10000,
-//	                                #  like the paper's own numbers)
-//	nalbench -repeat 3              # average over repetitions
-//	nalbench -json                  # regenerate BENCH_results.json (B/op, allocs/op)
-//	nalbench -diff base.json        # gate BENCH_results.json against a baseline
+//	nalbench                        # regenerate BENCH_results.json
+//	nalbench -jsonfile out.json     # write the trajectory elsewhere
+//	nalbench -diff base.json        # gate -jsonfile against a baseline
 package main
 
 import (
@@ -24,82 +19,44 @@ import (
 	"math"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
+	nalquery "nalquery"
 	"nalquery/internal/cli"
-	"nalquery/internal/experiments"
 )
+
+// queries are the measured ids of nalquery.PaperQueries, in paper order.
+var queries = []string{"q1", "q1dblp", "q2", "q3", "q4", "q5", "q6"}
+
+// sizes are the measured document sizes: the paper's first two points,
+// which keep the quadratic nested plans in CI range.
+var sizes = []int{100, 1000}
 
 func main() {
 	var (
-		expID     = flag.String("exp", "all", "experiment id (q1, q1dblp, q2..q6, fig6, all)")
-		sizes     = flag.String("sizes", "", "comma-separated document sizes (default: the paper's 100,1000,10000)")
-		full      = flag.Bool("full", false, "run the quadratic nested plans at every size")
-		repeat    = flag.Int("repeat", 1, "average over this many runs")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable per-benchmark results (B/op, allocs/op)")
-		jsonFile  = flag.String("jsonfile", "BENCH_results.json", "output path for -json")
+		jsonFile  = flag.String("jsonfile", "BENCH_results.json", "trajectory file to write, or to check with -diff")
 		diffBase  = flag.String("diff", "", "compare -jsonfile against this baseline BENCH json (e.g. saved from git show HEAD:BENCH_results.json) instead of measuring")
 		threshold = flag.Float64("threshold", 10, "allowed allocs/op regression percentage for -diff")
 		bThresh   = flag.Float64("bthreshold", 15, "allowed B/op regression percentage for -diff")
 	)
 	flag.Parse()
 
+	var err error
 	if *diffBase != "" {
-		if err := runDiff(*diffBase, *jsonFile, *threshold, *bThresh); err != nil {
-			fmt.Fprintf(os.Stderr, "nalbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		err = runDiff(*diffBase, *jsonFile, *threshold, *bThresh)
+	} else {
+		err = writeJSON(*jsonFile)
 	}
-
-	opts := experiments.Options{Repeat: *repeat}
-	if !*full {
-		opts.MaxNestedSize = 1000
-	}
-	if *sizes != "" {
-		for _, s := range strings.Split(*sizes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "nalbench: bad size %q\n", s)
-				os.Exit(2)
-			}
-			opts.Sizes = append(opts.Sizes, n)
-		}
-	}
-
-	if *jsonOut {
-		if err := runJSON(*jsonFile, *expID, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "nalbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	switch *expID {
-	case "fig6":
-		experiments.PrintFig6(os.Stdout, experiments.Fig6(opts.Sizes, nil))
-		return
-	case "all":
-		experiments.PrintFig6(os.Stdout, experiments.Fig6(opts.Sizes, nil))
-		for _, exp := range experiments.All() {
-			runOne(exp, opts)
-		}
-		return
-	default:
-		exp, ok := experiments.Find(*expID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "nalbench: unknown experiment %q\n", *expID)
-			os.Exit(2)
-		}
-		runOne(exp, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nalbench: %v\n", err)
+		os.Exit(1)
 	}
 }
 
-// benchRecord is one machine-readable measurement of the -json mode: the
-// allocation trajectory file (BENCH_results.json) tracked across PRs. It
-// carries no wall-clock column; timings are the benchmark/ harness's job.
+// benchRecord is one row of the allocation trajectory (BENCH_results.json),
+// tracked across commits. APB is the authors per book of q1's bib.xml, the
+// only query whose paper table varies it.
 type benchRecord struct {
 	Experiment  string `json:"experiment"`
 	Plan        string `json:"plan"`
@@ -109,75 +66,53 @@ type benchRecord struct {
 	AllocsPerOp int64  `json:"allocs_per_op"`
 }
 
-// measures reports whether -json still produces the row — what -diff needs
-// to tell a retired row from a truncated file: a paper table measures every
-// plan its query compiles to.
+// measures reports whether nalbench still produces the row — what -diff
+// needs to tell a retired row from a truncated file: every plan of a
+// measured query is measured.
 func measures(r benchRecord) bool {
-	_, ok := experiments.Find(r.Experiment)
-	return ok
+	return slices.Contains(queries, r.Experiment)
 }
 
-// runJSON measures every plan of the selected experiments with
+// newEngine loads the documents of one measurement point: dblp.xml for
+// q1dblp, the use-case documents at two authors per book for the rest.
+func newEngine(id string, size int) *nalquery.Engine {
+	e := nalquery.NewEngine()
+	if id == "q1dblp" {
+		e.LoadDBLPDocument(size)
+	} else {
+		e.LoadUseCaseDocuments(size, 2)
+	}
+	return e
+}
+
+// writeJSON measures every plan of every query at every size with
 // testing.Benchmark and writes the records as JSON.
-func runJSON(path, expID string, opts experiments.Options) error {
-	exps := experiments.All()
-	if expID != "all" {
-		exp, ok := experiments.Find(expID)
-		if !ok {
-			// fig6 has no per-plan benchmarks.
-			return fmt.Errorf("-json measures query plans only (q1, q1dblp, q2..q6, all); %q has no plan benchmarks", expID)
-		}
-		exps = []experiments.Experiment{exp}
-	}
-	sizes := opts.Sizes
-	if len(sizes) == 0 {
-		// Unlike the text tables, -json defaults to the two sizes that keep
-		// a full sweep in CI range; say so instead of silently shrinking the
-		// coverage the -sizes help text promises.
-		sizes = []int{100, 1000}
-		fmt.Fprintf(os.Stderr, "nalbench: -json default sizes %v (pass -sizes to override, e.g. -sizes 100,1000,10000)\n", sizes)
-	}
-	// testing.Benchmark self-calibrates its iteration count, and varying
-	// experiments are measured at a single authors-per-book point.
-	if opts.Repeat > 1 {
-		fmt.Fprintln(os.Stderr, "nalbench: -json ignores -repeat (testing.Benchmark picks iteration counts)")
-	}
-	fmt.Fprintln(os.Stderr, "nalbench: -json measures authors-per-book=2 for varying experiments")
+func writeJSON(path string) error {
 	var recs []benchRecord
-	measure := func(rec benchRecord, run func() error) {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rec.BytesPerOp, rec.AllocsPerOp = r.AllocedBytesPerOp(), r.AllocsPerOp()
-		recs = append(recs, rec)
-		fmt.Fprintf(os.Stderr, "%s/plan=%s/size=%d: %d B/op %d allocs/op\n",
-			rec.Experiment, rec.Plan, rec.Size, rec.BytesPerOp, rec.AllocsPerOp)
-	}
-	for _, exp := range exps {
+	for _, id := range queries {
+		apb := 0
+		if id == "q1" {
+			apb = 2
+		}
 		for _, size := range sizes {
-			apb := 0
-			if exp.VaryAuthors {
-				apb = 2
-			}
-			eng := experiments.NewEngine(exp, size, apb)
-			q, err := eng.Compile(exp.Query)
+			q, err := newEngine(id, size).Compile(nalquery.PaperQueries[id])
 			if err != nil {
-				return fmt.Errorf("%s: %w", exp.ID, err)
+				return fmt.Errorf("%s: %w", id, err)
 			}
 			for _, p := range q.Plans() {
-				if p.Name == "nested" && opts.MaxNestedSize > 0 && size > opts.MaxNestedSize {
-					continue
-				}
-				plan := p.Name
-				measure(benchRecord{Experiment: exp.ID, Plan: plan, Size: size, APB: apb}, func() error {
-					_, _, err := cli.RunPlan(q, plan)
-					return err
+				r := testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := cli.RunPlan(q, p.Name); err != nil {
+							b.Fatal(err)
+						}
+					}
 				})
+				rec := benchRecord{Experiment: id, Plan: p.Name, Size: size, APB: apb,
+					BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()}
+				recs = append(recs, rec)
+				fmt.Fprintf(os.Stderr, "%s/plan=%s/size=%d: %d B/op %d allocs/op\n",
+					id, p.Name, size, rec.BytesPerOp, rec.AllocsPerOp)
 			}
 		}
 	}
@@ -257,7 +192,7 @@ func runDiff(basePath, newPath string, threshold, bThreshold float64) error {
 	}
 	// A baseline row nalbench no longer measures is retired and passes. A
 	// row that vanished although it is still measured is a failure: a
-	// truncated results file (e.g. a partial -exp regeneration) must not
+	// truncated results file (e.g. an interrupted regeneration) must not
 	// pass for a full one.
 	gone := make([]string, 0, len(baseBy))
 	for k := range baseBy {
@@ -277,13 +212,4 @@ func runDiff(basePath, newPath string, threshold, bThreshold float64) error {
 			threshold, strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-func runOne(exp experiments.Experiment, opts experiments.Options) {
-	ms, err := experiments.Run(exp, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nalbench: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.PrintTable(os.Stdout, exp, ms)
 }

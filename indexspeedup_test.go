@@ -1,4 +1,4 @@
-package experiments
+package nalquery_test
 
 import (
 	"os"

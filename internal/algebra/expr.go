@@ -25,14 +25,6 @@ type StringWriter interface {
 	WriteString(s string) (int, error)
 }
 
-// CardEstimator estimates operator output cardinalities — implemented by
-// the cost model and wired into the Ctx by the public API, so pipeline
-// breakers can pre-size their hash tables and partition buffers from the
-// plan-time estimates instead of Go map defaults.
-type CardEstimator interface {
-	EstimateCard(op Op) float64
-}
-
 // ResultSink receives the result-construction stream of the Ξ operators as
 // discrete items instead of serialized text: literal markup fragments and
 // the typed values of expression commands. It is the yield boundary the
@@ -56,9 +48,9 @@ type Ctx struct {
 	Sink ResultSink
 	// Stats accumulates execution counters.
 	Stats Stats
-	// Cards optionally estimates operator cardinalities (nil: fall back to
-	// input-derived heuristics).
-	Cards CardEstimator
+	// Cards is read by nothing. It stays only because benchmark/layers.go
+	// assigns it, until ROADMAP item 1(b) frees the harness.
+	Cards any
 	// Params is the per-run binding table of external variables: Param
 	// expressions read their value by slot index. The slice is fixed for
 	// the lifetime of one run (bindings never change mid-execution).
@@ -160,23 +152,6 @@ func (c *Ctx) Cancelled() bool {
 	default:
 	}
 	return c.cancelled
-}
-
-// cardHint returns the estimated output cardinality of op as a map-size
-// hint, or fallback when no estimator is wired or the estimate is useless.
-// The estimate is clamped to fallback: callers pass the known input size,
-// which bounds a grouping operator's output, and an inflated estimate (the
-// model multiplies across joins) must never pre-allocate beyond it.
-func (c *Ctx) cardHint(op Op, fallback int) int {
-	if c.Cards != nil {
-		if est := c.Cards.EstimateCard(op); est >= 1 {
-			if est < float64(fallback) {
-				return int(est)
-			}
-			return fallback
-		}
-	}
-	return fallback
 }
 
 // Stats holds execution counters used by the experiment reports.

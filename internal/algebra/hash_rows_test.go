@@ -10,7 +10,7 @@ import (
 // Differential property tests of the hash-partitioned paths of the ordered
 // operators (⋉, ▷, ⟕, unary/binary Γ over equality keys) against the
 // definitional Op.Eval, mirroring the engine-level slot/map tests
-// (internal/experiments/slotdiff_test.go): sequence equality, bag equality
+// (the root package's TestSlotEngineMatchesMapEngine): sequence equality, bag equality
 // and Ξ-output equality, over random inputs plus the edge cases that bit
 // hash implementations before (empty inputs, all-duplicate keys,
 // ⊥-padding of empty groups).
@@ -268,8 +268,8 @@ func TestGroupBinaryAbsentLeftKeys(t *testing.T) {
 }
 
 // TestPartitionedRowsXiOutput: Ξ over a hash-partitioned subtree emits the
-// same output stream on both engines (the slotdiff Ξ-equality mirrored at
-// operator level).
+// same output stream on both engines (the engine-level Ξ-output equality
+// mirrored at operator level).
 func TestPartitionedRowsXiOutput(t *testing.T) {
 	quickCheck(t, "partitioned-rows-Ξ", func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -586,13 +586,11 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 	w.rows = drainRows(ctx, TripGroup, n.Kids[0].open(ctx, up), w.rows[:0])
 	rows := w.rows
 
-	// Γ's output cardinality is its distinct-key count: with nothing recycled
-	// to size them from, pre-size the output and the key table from the cost
-	// model's estimate instead of growing them from the smallest size.
-	hint, out := len(rows), w.out[:0]
+	// Γ emits at most one row per input row: with nothing recycled to size
+	// it from, the output is sized by the input, as the key table is.
+	out := w.out[:0]
 	if out == nil {
-		hint = ctx.cardHint(g, len(rows))
-		out = make([]value.Row, 0, hint)
+		out = make([]value.Row, 0, len(rows))
 	}
 	var slab rowSlab
 	emit := func(key value.Row, v value.Value, more int) {
@@ -606,7 +604,7 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 
 	// The distinct keys in first-occurrence order, each with its group: the
 	// rows of equal key for θ '=', else every input row standing in θ to it.
-	w.b.fill(rows, by, hint)
+	w.b.fill(rows, by, len(rows))
 	for i := 0; i < w.b.n(); i++ {
 		grp := w.b.group(i)
 		key := grp[0]

@@ -97,8 +97,7 @@ func TestBudgetCharge(t *testing.T) {
 }
 
 func TestMustParse(t *testing.T) {
-	vettest.RunAndCheck(t, "testdata/mustparse",
-		"-mustparse.allowpkgs=fixture/experiments")
+	vettest.RunAndCheck(t, "testdata/mustparse")
 }
 
 func TestCtxPoll(t *testing.T) {

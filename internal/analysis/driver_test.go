@@ -70,8 +70,7 @@ func unit(t *testing.T, src string, fields map[string]any) string {
 	return cfgPath
 }
 
-// violating trips mustparse: a Must* parser called outside tests and
-// outside the experiment packages.
+// violating trips mustparse: a Must* parser called outside tests.
 const violating = `package app
 
 func MustParse(s string) string { return s }
@@ -180,7 +179,7 @@ func TestDriverHandshake(t *testing.T) {
 			t.Errorf("-flags: %s advertised with Bool=%v", fl.Name, fl.Bool)
 		}
 	}
-	want := "budgetcharge.pkgs json mustparse.allowpkgs opcomplete.oppkg opcomplete.require panicdiscipline.pkgs"
+	want := "budgetcharge.pkgs json opcomplete.oppkg opcomplete.require panicdiscipline.pkgs"
 	if strings.Join(got, " ") != want {
 		t.Errorf("-flags advertises %q; want exactly %q", strings.Join(got, " "), want)
 	}

@@ -3,13 +3,9 @@
 // MustParse/MustParseString panic on malformed input, so the
 // panic-freedom contract of the public boundaries (Engine.Compile,
 // Prepare, the HTTP handlers: arbitrary input yields a typed error)
-// requires them to never sit on a production input path. The rule:
-//
-//   - calls in _test.go files are allowed (test inputs are authored);
-//   - calls in the allowed experiment packages (-allowpkgs, default
-//     nalquery/internal/experiments) are allowed only with a
-//     compile-time-constant string argument;
-//   - every other call site is a finding.
+// requires them to never sit on a production input path: they are allowed
+// in _test.go files (test inputs are authored), and every other call site
+// is a finding.
 //
 // Op.Eval is the definitional evaluator: the oracle the row engine is
 // differential-tested against, not a way to run a plan. An operator's Eval
@@ -25,7 +21,6 @@ package mustparse
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 
@@ -35,19 +30,12 @@ import (
 // Analyzer is the mustparse analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "mustparse",
-	Doc:  "confine MustParse/MustParseString to _test.go files and experiment packages with constant-string arguments, and Op.Eval to the definitional evaluator and annotated reference-engine sites",
+	Doc:  "confine MustParse/MustParseString to _test.go files, and Op.Eval to the definitional evaluator and annotated reference-engine sites",
 	Run:  run,
 }
 
-var allowPkgs = "nalquery/internal/experiments"
-
 // funcs are the panicking parse helpers.
 var funcs = map[string]bool{"MustParse": true, "MustParseString": true}
-
-func init() {
-	Analyzer.Flags.StringVar(&allowPkgs, "allowpkgs", allowPkgs,
-		"comma-separated import paths allowed to call MustParse outside tests (constant args only)")
-}
 
 func run(pass *analysis.Pass) error {
 	reference := pass.Annotations("reference-engine")
@@ -73,22 +61,9 @@ func run(pass *analysis.Pass) error {
 			}
 			return
 		}
-		if !funcs[name] {
-			return
-		}
-		if !analysis.ListHas(allowPkgs, pass.Pkg.Path()) {
+		if funcs[name] {
 			pass.Reportf(call.Pos(),
-				"mustparse: %s panics on malformed input and is confined to _test.go files and %s — parse with the error-returning form instead",
-				name, allowPkgs)
-			return
-		}
-		if len(call.Args) == 0 {
-			return
-		}
-		tv := pass.TypesInfo.Types[call.Args[0]]
-		if tv.Value == nil || tv.Value.Kind() != constant.String {
-			pass.Reportf(call.Args[0].Pos(),
-				"mustparse: %s outside tests requires a compile-time constant string argument (the panic-freedom audit must be decidable statically)",
+				"mustparse: %s panics on malformed input and is confined to _test.go files — parse with the error-returning form instead",
 				name)
 		}
 	})

@@ -9,8 +9,9 @@ import (
 
 // RunPlan runs the named plan alternative of q ("" = most optimized) to
 // completion and returns its serialized result and execution counters: Run
-// + WriteXML into memory, for callers that print or compare whole results
-// (the experiment tables and their benchmarks).
+// + WriteXML into memory, for callers that measure or compare whole runs
+// (nalbench's allocation trajectory and the root package's benchmarks and
+// index speedup test).
 func RunPlan(q *nalquery.Query, plan string, opts ...nalquery.RunOption) (string, nalquery.Stats, error) {
 	res, err := q.Run(context.Background(), append(opts, nalquery.WithPlan(plan))...)
 	if err != nil {

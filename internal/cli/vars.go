@@ -1,6 +1,6 @@
 // Package cli holds small helpers shared by the command-line front ends
-// (cmd/nalrun, cmd/nalsh, cmd/nalserved, cmd/nalbench) and the experiment
-// tables.
+// (cmd/nalrun, cmd/nalsh, cmd/nalserved, cmd/nalbench) and the root
+// package's benchmarks.
 package cli
 
 import (

@@ -103,14 +103,6 @@ type Estimate struct {
 	Cost float64
 }
 
-// EstimateCard implements algebra.CardEstimator: the estimated output
-// cardinality of one operator, used by the execution engine to pre-size
-// grouping hash tables and partition buffers instead of growing them from
-// Go map defaults.
-func (m *Model) EstimateCard(op algebra.Op) float64 {
-	return m.Plan(op).Card
-}
-
 // Plan estimates a full operator tree.
 func (m *Model) Plan(op algebra.Op) Estimate {
 	//nal:opswitch cost

@@ -2,8 +2,8 @@ package server
 
 // In-process benchmarks of the serving stack (handler + admission +
 // deadline plumbing, no sockets). `make bench-smoke` runs them once as the
-// harness-rot gate; the `server` family of nalbench -json measures the
-// same shapes into the perf trajectory.
+// harness-rot gate; the serving tier's timings are benchmark/'s
+// served_lookup workload.
 
 import (
 	"io"

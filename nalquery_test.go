@@ -215,6 +215,17 @@ func TestQ1DBLPOnlyOuterJoin(t *testing.T) {
 	if !strings.Contains(out, "</name></author>") {
 		t.Errorf("expected at least one author without books in DBLP result")
 	}
+	// The nested plan evaluates its inner block per author; the outer join
+	// that replaces it never does.
+	for plan, nested := range map[string]bool{"nested": true, "outer join": false} {
+		_, st, err := execute(q, plan)
+		if err != nil {
+			t.Fatalf("%s: %v", plan, err)
+		}
+		if (st.NestedEvals > 0) != nested {
+			t.Errorf("%s: NestedEvals = %d, want nested evaluations only in the nested plan", plan, st.NestedEvals)
+		}
+	}
 }
 
 func TestStatsShowScanSavings(t *testing.T) {

@@ -176,7 +176,6 @@ func (r *Results) Plan() Plan { return r.plan }
 // newAlgebraCtx builds the per-run evaluation context.
 func (r *Results) newAlgebraCtx(out algebra.StringWriter) *algebra.Ctx {
 	ctx := algebra.NewCtxWriter(r.q.docs, out)
-	ctx.Cards = r.q.model
 	ctx.Params = r.cfg.params
 	ctx.SetDone(r.ctx.Done())
 	if r.cfg.maxBytes > 0 || r.cfg.maxTuples > 0 || r.cfg.faultHook != nil {
