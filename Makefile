@@ -4,15 +4,17 @@
 # ci is the full gate: tier-1, lint (the zero-dependency guard and the
 # nalvet analyzers), go vet plus race-built tests, the fault-injection
 # sweep over every resource-budget trip point, the seeded differential
-# oracle, a fresh benchmark trajectory (bench-json) diffed against the
-# committed BENCH_results.json, a compile-and-smoke of the benchmark/
-# harness against the engine, and the daemon lifecycle smoke (load-smoke).
-# .github/workflows/ci.yml runs three gates more, which ci leaves out of a
+# oracle, one iteration of every benchmark family (bench-smoke: the Sec. 5
+# BenchmarkQ…/BenchmarkFig6… families and the HTTP ones; one iteration only
+# proves that they still run), a fresh benchmark trajectory (bench-json)
+# diffed against the committed BENCH_results.json, a compile-and-smoke of
+# the benchmark/ harness against the engine, and the daemon lifecycle smoke
+# (load-smoke).
+# .github/workflows/ci.yml runs two gates more, which ci leaves out of a
 # local run for their cost: fuzz-smoke (each fuzz target for FUZZTIME on
-# top of the oracle, minutes of wall clock), the index speedup acceptance
-# at NALQUERY_INDEX_SPEEDUP_SIZE=100000 (a 100 000-book corpus, slow and
-# memory-heavy) and the HTTP benchmark smoke (one iteration, which only
-# proves the server benchmarks still run).
+# top of the oracle, minutes of wall clock) and the index speedup
+# acceptance at NALQUERY_INDEX_SPEEDUP_SIZE=100000 (a 100 000-book corpus,
+# slow and memory-heavy).
 
 GO ?= go
 
@@ -171,4 +173,4 @@ load-smoke:
 		kill -TERM $$pid; wait $$pid; drc=$$?; \
 		[ $$rc -eq 0 ] && [ $$drc -eq 0 ]
 
-ci: tier1 lint race-test faults oracle bench-json bench-diff bench-harness load-smoke
+ci: tier1 lint race-test faults oracle bench-smoke bench-json bench-diff bench-harness load-smoke

@@ -96,7 +96,7 @@ func main() {
 }
 
 // writeQueryMix emits a deterministic generated query mix against the
-// use-case documents — a ready-made workload for nalrun/nalserved smoke
+// use-case documents — a ready-made workload for nalsh/nalserved smoke
 // runs or for replaying a fuzz seed outside the test harness. Queries are
 // separated by a %%% line so shells and scripts can split them; each is
 // prefixed with its index and generator seed for triage.

@@ -233,7 +233,7 @@ func TestCrasherParserDepthBomb(t *testing.T) {
 }
 
 // paperEngine50 holds the use-case documents at the size the three
-// quantifier reproducers below were found at (`nalrun -gen 50`).
+// quantifier reproducers below were found at (`nalsh -gen 50`).
 func paperEngine50() *Engine {
 	eng := NewEngine()
 	eng.LoadUseCaseDocuments(50, 2)

@@ -59,8 +59,8 @@ func TestNormalizedFormExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The normalized form must re-parse (it is shown to users and fed to
-	// nalexplain).
+	// The normalized form must re-parse (it is shown to users, as by
+	// nalsh -explain).
 	if _, err := e.Compile(q.Normalized); err != nil {
 		t.Fatalf("normalized form does not re-compile: %v\n%s", err, q.Normalized)
 	}

@@ -12,7 +12,7 @@ import (
 // ErrDocSpec reports a -doc argument that is not uri=path.
 var ErrDocSpec = errors.New("-doc needs uri=path")
 
-// LoadDoc registers the document a -doc uri=path argument names (nalrun,
+// LoadDoc registers the document a -doc uri=path argument names (nalsh,
 // nalserved): a .nalb binary store file through Engine.LoadStoreFile, so
 // statistics saved with it are adopted rather than measured again, and any
 // other file as XML.

@@ -1,6 +1,6 @@
 // Package cli holds small helpers shared by the command-line front ends
-// (cmd/nalrun, cmd/nalsh, cmd/nalserved, cmd/nalbench) and the root
-// package's benchmarks.
+// (cmd/nalsh, cmd/nalserved, cmd/nalbench) and the root package's
+// benchmarks.
 package cli
 
 import (
@@ -11,7 +11,7 @@ import (
 )
 
 // ParseVarValue parses an external-variable binding value given on a
-// command line — nalrun's -var name=value and nalsh's \set — with one
+// command line — nalsh's -var name=value and \set — with one
 // shared rule: integer, then float, then string, with surrounding quotes
 // stripped (the way to bind a numeric-looking string, e.g. "1995").
 func ParseVarValue(s string) any {
@@ -29,8 +29,8 @@ func ParseVarValue(s string) any {
 
 // ParseBytes parses a byte-count with an optional binary suffix — "65536",
 // "64k", "16m", "1g" (case-insensitive, trailing "b" allowed as in "64kb").
-// It is the shared syntax of every memory-budget knob: nalrun -max-memory,
-// nalsh \limit, nalserved -max-memory and the X-Nalquery-Max-Memory header.
+// It is the shared syntax of every memory-budget knob: nalsh -max-memory
+// and \limit, nalserved -max-memory and the X-Nalquery-Max-Memory header.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToLower(s))
 	t = strings.TrimSuffix(t, "b")
