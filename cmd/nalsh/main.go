@@ -263,8 +263,9 @@ func (sh *shell) repl(in io.Reader) {
 		}
 		buf.WriteString(line)
 		buf.WriteByte('\n')
-		if strings.HasSuffix(stripProlog(buf.String()), ";") {
-			text := strings.TrimSuffix(strings.TrimSpace(buf.String()), ";")
+		if terminator(stripProlog(buf.String())) >= 0 {
+			text := buf.String()
+			text = strings.TrimSpace(text[:terminator(text)])
 			buf.Reset()
 			sh.runQuery(text)
 		}
@@ -447,6 +448,41 @@ func (sh *shell) command(line string) bool {
 		fmt.Fprintf(out, "unknown command %s\n", fields[0])
 	}
 	return true
+}
+
+// terminator returns the index of the ';' that ends the query in s: its last
+// character outside strings and comments, followed by nothing but
+// whitespace and comments (: … :), which nest. It is -1 when s does not end
+// so, inside an open string or comment included.
+func terminator(s string) int {
+	end, depth := -1, 0
+	var quote byte
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case strings.HasPrefix(s[i:], "(:"):
+			depth++
+			i++
+		case depth > 0:
+			if strings.HasPrefix(s[i:], ":)") {
+				depth--
+				i++
+			}
+		case c == ';':
+			end = i
+		case c == '"' || c == '\'':
+			quote, end = c, -1
+		case c != ' ' && c != '\t' && c != '\n' && c != '\r':
+			end = -1
+		}
+	}
+	if quote != 0 || depth > 0 {
+		return -1
+	}
+	return end
 }
 
 // stripProlog drops leading "declare variable $x external;" declarations

@@ -96,6 +96,12 @@ func TestFrontEnd(t *testing.T) {
 		{name: "shell ; in comment", stdin: "(: a; b :)\nlet $s := \"c\" return $s;\n",
 			stdout: banner + "   ...> compiled; 1 plan alternatives (\\plans to list)\nc\n" +
 				"-- plan nested, T, doc-scans=0, nested-evals=0\nnal> "},
+		// Comments and whitespace after the ';' do not hold the query open.
+		{name: "shell comment after ;", stdin: "let $s := \"c\" return $s; (: done (: nested; :) :) \n" +
+			"let $s := \"d;\" return $s;\n",
+			stdout: banner + "compiled; 1 plan alternatives (\\plans to list)\nc\n" +
+				"-- plan nested, T, doc-scans=0, nested-evals=0\nnal> compiled; 1 plan alternatives (\\plans to list)\nd;\n" +
+				"-- plan nested, T, doc-scans=0, nested-evals=0\nnal> "},
 	}...)
 
 	elapsed := regexp.MustCompile(`(?m)^(-- plan [^,]*), [^,]*,`)

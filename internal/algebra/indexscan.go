@@ -193,6 +193,7 @@ func (s IndexScan) Attrs() ([]string, bool) {
 type rowIndexScanIter struct {
 	in    RowIter
 	lay   *value.Layout
+	room  int
 	slot  int
 	doc   *dom.Document
 	ranks []int32
@@ -209,7 +210,7 @@ func (s *rowIndexScanIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		if s.pos < len(s.ranks) {
-			r := s.slab.extend(s.lay, s.cur, len(s.ranks)-s.pos)
+			r := s.slab.extend(s.lay, s.cur, s.room, len(s.ranks)-s.pos)
 			r.Vals[s.slot] = value.NodeVal{Node: s.doc.Node(int(s.ranks[s.pos]))}
 			s.pos++
 			s.ctx.Stats.Tuples++

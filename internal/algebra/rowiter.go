@@ -26,7 +26,10 @@ import (
 // Rows are immutable once emitted. Operators may retain received rows
 // (sort, hash build, the group-detecting Ξ's previous row) without copying;
 // producers therefore never hand out a value slice twice, and a retained row
-// pins only the chunk it was cut from (at most slabMaxRows rows).
+// pins only the chunk it was cut from (at most slabMaxRows rows). The one
+// write past a row's len is a χ run's (Node.cuts): its producer cuts each
+// row with the room of the run's top layout, and each χ of the run writes
+// its new slot there, in place, instead of copying the row one slot wider.
 
 // RowIter is the slot-based iterator interface.
 type RowIter interface {
@@ -196,6 +199,7 @@ type rowSlotMapIter struct {
 	in   RowIter
 	lay  *value.Layout
 	src  []int
+	room int
 	slab rowSlab
 }
 
@@ -204,7 +208,7 @@ func (m *rowSlotMapIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	return value.MapSlots(m.lay, m.slab.take(len(m.src), 0), m.src, r), true
+	return value.MapSlots(m.lay, m.slab.take(len(m.src), m.room, 0), m.src, r), true
 }
 
 func (m *rowSlotMapIter) Close() { m.in.Close() }
@@ -226,11 +230,17 @@ func (m *rowRenameIter) Next() (value.Row, bool) {
 
 func (m *rowRenameIter) Close() { m.in.Close() }
 
+// rowMapIter is χ. Inside a χ run (inPlace) its input row was cut with room
+// for its new slot, which it writes in place: the output is the input's
+// values one slot longer. Otherwise it copies the row into one it cuts with
+// room for the run it starts.
 type rowMapIter struct {
-	in   RowIter
-	lay  *value.Layout
-	slot int
-	e    RowExpr
+	in      RowIter
+	lay     *value.Layout
+	slot    int
+	inPlace bool
+	room    int
+	e       RowExpr
 	frame
 	up   *outer
 	slab rowSlab
@@ -241,8 +251,14 @@ func (m *rowMapIter) Next() (value.Row, bool) {
 	if !ok {
 		return value.Row{}, false
 	}
-	out := m.slab.extend(m.lay, r, 0)
-	out.Vals[m.slot] = m.e(&m.frame, r, m.up)
+	v := m.e(&m.frame, r, m.up)
+	var out value.Row
+	if m.inPlace {
+		out = value.Row{Lay: m.lay, Vals: r.Vals[:m.slot+1]}
+	} else {
+		out = m.slab.extend(m.lay, r, m.room, 0)
+	}
+	out.Vals[m.slot] = v
 	return out, true
 }
 
@@ -256,6 +272,7 @@ func (m *rowMapIter) Close() { m.in.Close() }
 type rowUnnestMapIter struct {
 	in      RowIter
 	lay     *value.Layout
+	room    int
 	slot    int
 	posSlot int
 	e       RowExpr
@@ -284,7 +301,7 @@ func (u *rowUnnestMapIter) Next() (value.Row, bool) {
 			return value.Row{}, false
 		}
 		if u.pos < u.n {
-			out := u.slab.extend(u.lay, u.cur, u.n-u.pos)
+			out := u.slab.extend(u.lay, u.cur, u.room, u.n-u.pos)
 			out.Vals[u.slot] = u.item(u.pos)
 			if u.posSlot >= 0 {
 				out.Vals[u.posSlot] = value.Int(int64(u.pos + 1))
@@ -431,6 +448,7 @@ type rowJoinIter struct {
 	frame
 	up *outer
 
+	room  int // what an output row is cut with (Node.room)
 	right []value.Row
 	hash  rowBuckets
 	// probe is the one concatenated row the residual is evaluated on: a
@@ -502,7 +520,7 @@ func (j *rowJoinIter) anyMatch(lt value.Row) bool {
 func (j *rowJoinIter) Next() (value.Row, bool) {
 	for {
 		if len(j.pending) > 0 {
-			vals := j.slab.take(j.lay.Width(), len(j.pending))
+			vals := j.slab.take(j.lay.Width(), j.room, len(j.pending))
 			r := value.ConcatRows(j.lay, vals, j.cur, j.pending[0])
 			j.pending = j.pending[1:]
 			return r, true
@@ -529,7 +547,7 @@ func (j *rowJoinIter) Next() (value.Row, bool) {
 		default: // ⟕, the one mode that concatenates
 			ms := j.matches(lt)
 			if len(ms) == 0 {
-				return padOuter(&j.slab, j.lay, lt, j.padFrom, j.gSlot, j.def), true
+				return padOuter(&j.slab, j.lay, j.room, lt, j.padFrom, j.gSlot, j.def), true
 			}
 			j.cur, j.pending = lt, ms
 		}
@@ -568,8 +586,8 @@ func emptyGroup(f SeqFunc) (v value.Value, known bool) {
 
 // padOuter builds the ⟕ row of a left tuple without partner: the right
 // slots ⊥, the default in g.
-func padOuter(slab *rowSlab, lay *value.Layout, lt value.Row, padFrom, gSlot int, def value.Value) value.Row {
-	out := slab.extend(lay, lt, 0)
+func padOuter(slab *rowSlab, lay *value.Layout, room int, lt value.Row, padFrom, gSlot int, def value.Value) value.Row {
+	out := slab.extend(lay, lt, room, 0)
 	for i := padFrom; i < len(out.Vals); i++ {
 		out.Vals[i] = value.Null{}
 	}
@@ -593,8 +611,9 @@ func (n *Node) openGroupUnary(g GroupUnary, by []int, lay *value.Layout, apply r
 		out = make([]value.Row, 0, len(rows))
 	}
 	var slab rowSlab
+	room := n.room()
 	emit := func(key value.Row, v value.Value, more int) {
-		vals := slab.take(lay.Width(), more)
+		vals := slab.take(lay.Width(), room, more)
 		for i, s := range by {
 			vals[i] = key.Vals[s]
 		}
@@ -638,9 +657,9 @@ func (n *Node) openGroupSelf(by []int, lay *value.Layout, apply rowsFunc, fr *fr
 	}
 	w.out = sized(w.out, len(rows))
 	var slab rowSlab
-	gSlot := lay.Width() - 1
+	gSlot, room := lay.Width()-1, n.room()
 	for i, r := range rows {
-		w.out[i] = slab.extend(lay, r, len(rows)-i)
+		w.out[i] = slab.extend(lay, r, room, len(rows)-i)
 		w.out[i].Vals[gSlot] = w.vals[w.b.gid[i]]
 	}
 	return emitRows(w.out, w, box)
@@ -672,6 +691,7 @@ type rowGroupBinaryIter struct {
 	theta          value.CmpOp
 	lSlots, rSlots []int
 	lay            *value.Layout // g is its last slot
+	room           int
 	frame
 	up *outer
 
@@ -740,7 +760,7 @@ func (g *rowGroupBinaryIter) Next() (value.Row, bool) {
 	if g.group != nil {
 		g.materialize()
 	}
-	out := g.slab.extend(g.lay, lt, 0)
+	out := g.slab.extend(g.lay, lt, g.room, 0)
 	out.Vals[g.lay.Width()-1] = g.of(lt)
 	return out, true
 }
@@ -766,6 +786,7 @@ func (g *rowGroupBinaryIter) Close() {
 type rowUnnestIter struct {
 	in         RowIter
 	lay        *value.Layout
+	room       int
 	gSlot      int
 	baseSrc    []int // the input slot of each kept output slot, in order
 	innerNames []string
@@ -794,7 +815,7 @@ type rowUnnestIter struct {
 // the group are the rows still to come (what duplicates leave over of a
 // chunk serves the next group).
 func (u *rowUnnestIter) base() []value.Value {
-	vals := u.slab.take(u.lay.Width(), u.pendN-u.pos+1)
+	vals := u.slab.take(u.lay.Width(), u.room, u.pendN-u.pos+1)
 	for i, s := range u.baseSrc {
 		vals[i] = u.cur.Vals[s]
 	}

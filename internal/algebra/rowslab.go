@@ -9,12 +9,16 @@ import (
 // rowSlab hands a producing iterator the value slices of its output rows,
 // and a payload builder (e[a], ΠA) the flat backings of its payloads, cut
 // from chunks it allocates a few rows at a time — one allocation per chunk
-// instead of one per row. Every slice comes with cap == len, so a row can
-// never be appended into its neighbour, and is never handed out twice, so
-// rows stay immutable after emit. A consumer that retains a row keeps that
-// row's chunk alive and nothing else: the allocation of at most slabMaxRows
-// rows of one operator's width, or of slabMaxRows payloads of at most
-// slabMaxRows values (docs/EXECUTION.md, "Row ownership and chunks").
+// instead of one per row. A slice is never handed out twice. It comes with
+// cap == len, so a row can never be appended into its neighbour, except on
+// the producer of a χ run (Node.cuts): there a row is cut with the room of
+// the run's top layout, and each χ of the run writes its slot past len in
+// place, once, so the run's top row leaves it with cap == len again. Rows
+// stay immutable after emit: nothing reads a row past its len. A consumer
+// that retains a row keeps that row's chunk alive and nothing else: the
+// allocation of at most slabMaxRows rows of one operator's room, or of
+// slabMaxRows payloads of at most slabMaxRows values (docs/EXECUTION.md,
+// "Row ownership and chunks").
 type rowSlab struct {
 	free []value.Value
 	cut  int // values cut so far, at most slabMaxRows rows' worth
@@ -23,7 +27,9 @@ type rowSlab struct {
 // slabMaxRows caps a chunk, bounding what one retained row can pin.
 const slabMaxRows = 16
 
-// take returns a zeroed slice of width values. fanout is the number of rows,
+// take returns a zeroed slice of width values with capacity room: width
+// itself, or on the producer of a χ run the width of the run's top row,
+// whose χ fill the slots between (see rowSlab). fanout is the number of rows,
 // this one included, the caller knows it is about to take (Υ: the items left
 // in the current sequence). A new chunk is sized by the stream: it holds at
 // least fanout rows and at least as much as the stream has had so far, this
@@ -39,15 +45,15 @@ const slabMaxRows = 16
 // the rounding and the allocation header cost up to an eighth of the chunk,
 // and the rows that fit there cost nothing more. (It is one allocation, two
 // in a race-detector build, which does not fold slices.Grow's make.)
-func (s *rowSlab) take(width, fanout int) []value.Value {
-	if len(s.free) < width {
-		n := min(max(fanout*width, s.cut+width), slabMaxRows*width)
-		s.cut = min(s.cut+n, slabMaxRows*width)
+func (s *rowSlab) take(width, room, fanout int) []value.Value {
+	if len(s.free) < room {
+		n := min(max(fanout*room, s.cut+room), slabMaxRows*room)
+		s.cut = min(s.cut+n, slabMaxRows*room)
 		s.free = slices.Grow([]value.Value(nil), n)
 		s.free = s.free[:cap(s.free)]
 	}
-	vals := s.free[:width:width]
-	s.free = s.free[width:]
+	vals := s.free[:width:room]
+	s.free = s.free[room:]
 	return vals
 }
 
@@ -59,13 +65,13 @@ func (s *rowSlab) payload(width int) []value.Value {
 	if width > slabMaxRows {
 		return make([]value.Value, width)
 	}
-	return s.take(width, 0)
+	return s.take(width, width, 0)
 }
 
 // extend takes a row that starts as a copy of r — the χ/Υ/Γ shape: the
 // input's slots plus the new ones.
-func (s *rowSlab) extend(lay *value.Layout, r value.Row, fanout int) value.Row {
-	vals := s.take(lay.Width(), fanout)
+func (s *rowSlab) extend(lay *value.Layout, r value.Row, room, fanout int) value.Row {
+	vals := s.take(lay.Width(), room, fanout)
 	copy(vals, r.Vals)
 	return value.Row{Lay: lay, Vals: vals}
 }

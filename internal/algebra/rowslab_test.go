@@ -23,7 +23,7 @@ func TestRowSlabRowsAreSealed(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			fanout := []int{0, 1, 2, 5, slabMaxRows, 10 * slabMaxRows}[rng.Intn(6)]
 			before := len(s.free)
-			vals := s.take(width, fanout)
+			vals := s.take(width, width, fanout)
 			if len(vals) != width || cap(vals) != width {
 				t.Fatalf("width %d: take gave len %d cap %d", width, len(vals), cap(vals))
 			}
@@ -64,7 +64,7 @@ func TestRowSlabDoublesFromOneRow(t *testing.T) {
 		cut := 0
 		for i := 0; i < n; i++ {
 			before := len(s.free)
-			s.take(2, 0)
+			s.take(2, 2, 0)
 			if before < 2 {
 				cut += len(s.free)/2 + 1
 			}
@@ -85,7 +85,7 @@ func TestRowSlabLongStreamStaysAtTheCap(t *testing.T) {
 	chunks, small := 0, 0
 	for i := 0; i < n; i++ {
 		before := len(s.free)
-		s.take(2, 0)
+		s.take(2, 2, 0)
 		if before < 2 {
 			chunks++
 			if i >= 15 && len(s.free)/2+1 < slabMaxRows {

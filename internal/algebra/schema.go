@@ -130,7 +130,11 @@ type Node struct {
 	refused *Node
 	// states is the number of scratch entries an open of the compiled
 	// subscripts takes (frame).
-	states int
+	states int32
+	// reserve is, on the producer of a χ run, the width of the run's top
+	// layout: the room each of its rows is cut with, so that the run's χ
+	// write their slots in place (Node.cuts). It is 0 on every other node.
+	reserve int32
 	// open builds the node's iterator; nil when OK is false.
 	open opener
 	// spare is the working memory a breaker's last closed open gave back,
@@ -211,7 +215,7 @@ func (n *Node) resolve(up *scope) (Schema, opener) {
 		n.refused = c.refused
 		return Schema{}, nil
 	}
-	n.states = c.states
+	n.states = int32(c.states)
 	return sc, open
 }
 
@@ -295,8 +299,17 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 	case Map:
 		lay, slot := in.Lay.Extend(w.Attr)
 		e, inner := c.compile(w.E, rows)
+		// A new slot over rows a producer cut for this run is written in
+		// place; a rebinding χ, or one over rows no producer cut for it,
+		// cuts a row of its own and is the producer of the run above it.
+		p := n.Kids[0].cuts()
+		inPlace := p != nil && slot == in.Lay.Width()
+		if inPlace {
+			p.reserve = int32(lay.Width())
+		}
 		return typed(lay, nestedWith(in.Nested, w.Attr, inner), func(ctx *Ctx, o *outer) RowIter {
-			return &rowMapIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, e: e, frame: n.frame(ctx), up: o}
+			return &rowMapIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, inPlace: inPlace, room: n.room(),
+				e: e, frame: n.frame(ctx), up: o}
 		})
 
 	case UnnestMap:
@@ -316,7 +329,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		names := new(xpath.Names)
 		// Υ binds items, never tuple sequences.
 		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, o *outer) RowIter {
-			u := &rowUnnestMapIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, posSlot: posSlot,
+			u := &rowUnnestMapIter{in: n.Kids[0].open(ctx, o), lay: lay, room: n.room(), slot: slot, posSlot: posSlot,
 				e: e, path: p.Path, names: names, byPath: byPath, frame: n.frame(ctx), up: o}
 			u.nodes = u.first[:0]
 			return u
@@ -332,7 +345,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		}
 		// An index scan binds nodes, never tuple sequences.
 		return typed(lay, nestedWith(in.Nested, w.Attr, nil), func(ctx *Ctx, o *outer) RowIter {
-			s := &rowIndexScanIter{in: n.Kids[0].open(ctx, o), lay: lay, slot: slot, frame: n.frame(ctx)}
+			s := &rowIndexScanIter{in: n.Kids[0].open(ctx, o), lay: lay, room: n.room(), slot: slot, frame: n.frame(ctx)}
 			var k value.Value
 			if key != nil {
 				k = key(&s.frame, singleton[0], o)
@@ -368,7 +381,7 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 		if lok && rok && fresh {
 			return sc, func(ctx *Ctx, o *outer) RowIter {
 				return &rowGroupBinaryIter{left: n.Kids[0].open(ctx, o), group: n, apply: apply, theta: w.Theta,
-					lSlots: lSlots, rSlots: rSlots, lay: sc.Lay, frame: n.frame(ctx), up: o}
+					lSlots: lSlots, rSlots: rSlots, lay: sc.Lay, room: n.room(), frame: n.frame(ctx), up: o}
 			}
 		}
 
@@ -390,6 +403,37 @@ func (n *Node) rule(c *compiler, up *scope) (Schema, opener) {
 	return Schema{}, nil
 }
 
+// cuts returns the node whose iterator cut the rows n emits, when n is a
+// producer or an in-place χ over one — the rows a χ over n may then extend
+// in place, since nothing but the χ run above the producer sees them. A
+// producer is an operator that emits rows it cut itself from its slab: Υ,
+// the index scan, ⟕, Γ, Γ-self, binary Γ, Π, Π̄, µD and a χ that copies.
+// □'s shared row, a breaker's retained input rows (Sort, Γ-Ξ) and the rows
+// σ, ⋉ and ▷ pass through are cut by no one a χ may extend, so cuts is nil
+// over them. A run stops at σ because room reserved in a row that σ drops
+// is lost: a selective σ (a nested plan's correlation predicate) would make
+// the producer's rows wider than the copies of the few rows it keeps.
+func (n *Node) cuts() *Node {
+	switch n.Op.(type) {
+	case Map:
+		// A χ that added a slot wrote it in place if its input was cut for
+		// the run; otherwise it cut its rows itself.
+		if n.Schema.Lay.Width() > n.Kids[0].Schema.Lay.Width() {
+			if p := n.Kids[0].cuts(); p != nil {
+				return p
+			}
+		}
+		return n
+	case UnnestMap, IndexScan, OuterJoin, GroupUnary, GroupSelf, GroupBinary, Project, ProjectDrop, UnnestDistinct:
+		return n
+	}
+	return nil
+}
+
+// room is the number of values a producer cuts each row with: its width, or
+// the width of the χ run above it.
+func (n *Node) room() int { return max(n.Schema.Lay.Width(), int(n.reserve)) }
+
 // singleton is what □ emits: one empty row, immutable, so every open of
 // every plan hands out the same.
 var singleton = []value.Row{value.NewRow(value.NewLayout())}
@@ -399,7 +443,7 @@ var singleton = []value.Row{value.NewRow(value.NewLayout())}
 // value, matching the map semantics).
 func (n *Node) slotMap(lay *value.Layout, src []int) opener {
 	return func(ctx *Ctx, o *outer) RowIter {
-		return &rowSlotMapIter{in: n.Kids[0].open(ctx, o), lay: lay, src: src}
+		return &rowSlotMapIter{in: n.Kids[0].open(ctx, o), lay: lay, src: src, room: n.room()}
 	}
 }
 
@@ -442,7 +486,7 @@ func (n *Node) join(c *compiler, up *scope, l, r Schema, pred Expr, mode joinMod
 		spec.pred = c.expr(residual, rows)
 	}
 	return sc, func(ctx *Ctx, o *outer) RowIter {
-		return &rowJoinIter{joinSpec: spec, left: n.Kids[0].open(ctx, o), join: n, frame: n.frame(ctx), up: o}
+		return &rowJoinIter{joinSpec: spec, left: n.Kids[0].open(ctx, o), join: n, room: n.room(), frame: n.frame(ctx), up: o}
 	}
 }
 
@@ -488,7 +532,7 @@ func (n *Node) unnestDistinct(in Schema, attr string) (Schema, opener) {
 	// collision the group side wins, matching Concat's map semantics.
 	sc := Schema{Lay: lay, Nested: nestedUnion(nestedKept(in.Nested, base), nestedKept(inner.Nested, lay))}
 	return sc, func(ctx *Ctx, o *outer) RowIter {
-		return &rowUnnestIter{in: n.Kids[0].open(ctx, o), lay: lay, gSlot: gSlot, baseSrc: baseSrc,
+		return &rowUnnestIter{in: n.Kids[0].open(ctx, o), lay: lay, room: n.room(), gSlot: gSlot, baseSrc: baseSrc,
 			innerNames: innerNames, innerDst: innerDst, ctx: ctx}
 	}
 }
