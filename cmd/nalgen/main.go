@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -78,7 +79,11 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			if err := dom.WriteXML(f, d.RootElement()); err != nil {
+			bw := bufio.NewWriter(f)
+			if err := dom.WriteXML(bw, d.RootElement()); err != nil {
+				fail(err)
+			}
+			if err := bw.Flush(); err != nil {
 				fail(err)
 			}
 			if err := f.Close(); err != nil {

@@ -10,6 +10,7 @@ package algebra
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"nalquery/internal/dom"
@@ -18,12 +19,11 @@ import (
 )
 
 // StringWriter is the output sink of the Ξ result-construction operators
-// (satisfied by strings.Builder, bufio.Writer, …). Write errors are the
+// (satisfied by strings.Builder, bufio.Writer, …): io.StringWriter itself,
+// so handing it to the dom writers converts nothing. Write errors are the
 // sink's to track: operators stream fire-and-forget, and callers that wrap
 // files flush and check at the end (see Results.WriteXML).
-type StringWriter interface {
-	WriteString(s string) (int, error)
-}
+type StringWriter = io.StringWriter
 
 // ResultSink receives the result-construction stream of the Ξ operators as
 // discrete items instead of serialized text: literal markup fragments and

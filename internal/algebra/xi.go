@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"nalquery/internal/dom"
@@ -81,7 +80,10 @@ func attrText(v value.Value) string {
 // simplified Ξ semantics: strings are copied (escaped), element nodes are
 // serialized, attribute and text nodes contribute their data (escaped, as
 // their string() is), sequences concatenate their items, and tuple
-// sequences concatenate the values of their tuples.
+// sequences concatenate the values of their tuples. A node's rows are
+// written straight into out, a row Done marked clean as its slab bytes
+// (dom.WriteNode, dom.WriteStringValue); only computed strings are escaped
+// here.
 func WriteValue(out StringWriter, v value.Value) {
 	switch w := v.(type) {
 	case nil, value.Null:
@@ -91,13 +93,9 @@ func WriteValue(out StringWriter, v value.Value) {
 		}
 		switch w.Node.Kind() {
 		case dom.KindAttribute, dom.KindText:
-			out.WriteString(dom.EscapeText(w.Node.Data()))
+			dom.WriteStringValue(out, w.Node)
 		default:
-			if iow, ok := out.(io.Writer); ok {
-				_ = dom.WriteXML(iow, w.Node)
-			} else {
-				out.WriteString(dom.XMLString(w.Node))
-			}
+			dom.WriteNode(out, w.Node)
 		}
 	case value.Seq:
 		for _, item := range w {
@@ -114,11 +112,12 @@ func WriteValue(out StringWriter, v value.Value) {
 	case value.Str:
 		out.WriteString(dom.EscapeText(string(w)))
 	case value.NodeText:
-		out.WriteString(dom.EscapeText(w.Node.StringValue()))
+		dom.WriteStringValue(out, w.Node)
 	default:
 		// A number prints into the sink's own buffer where it lends one
-		// (bufio.Writer, bytes.Buffer — every sink Results.WriteXML wraps),
-		// so its digits are never built as a string first.
+		// (bufio.Writer, bytes.Buffer, the serving tier's response buffer —
+		// every sink Results.WriteXML writes), so its digits are never built
+		// as a string first.
 		if n, ok := v.(interface{ Append([]byte) []byte }); ok {
 			if bw, ok := out.(interface {
 				AvailableBuffer() []byte

@@ -40,7 +40,7 @@ var pow10 = [8]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
 // as a number, num is ParseNumber's value for it, and hash is its TextHash
 // when it is text (0 for a number).
 func (n *Node) Atom() (num float64, hash uint32, isNum, known bool) {
-	switch t := n.atag; {
+	switch t := n.atag &^ rowClean; {
 	case t >= atomDec:
 		return float64(int32(n.aword)) / pow10[(t-atomDec)&7], 0, true, true
 	case t == atomText:
@@ -51,11 +51,16 @@ func (n *Node) Atom() (num float64, hash uint32, isNum, known bool) {
 	return 0, 0, false, false
 }
 
-// fixAtoms sets the atom word of every row. It walks the rows back to front,
-// so an element whose string value is exactly its last text row's (a leaf
-// element and its text, one range of the text slab) copies that row's word.
+// fixAtoms sets the atom word of every row, its rowClean bit included. It
+// walks the rows back to front, so an element whose string value is exactly
+// its last text row's (a leaf element and its text, one range of the text
+// slab) copies that row's word, and an element is clean when no text row of
+// its subtree, all seen before it, was dirty. A slab that holds no markup
+// character at all (one scan each) makes every row of it clean unread.
 func (t *table) fixAtoms() {
 	var prev *Node // the last row of the text slab whose atom was read
+	textClean, attrClean := !hasMarkup(t.text, textMarkup), !hasMarkup(t.attr, attrMarkup)
+	dirty := int32(len(t.nodes)) // the first text row seen that needs escaping
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		n := &t.nodes[i]
 		switch {
@@ -67,6 +72,20 @@ func (t *table) fixAtoms() {
 			if n.kind != KindAttribute {
 				prev = n
 			}
+		}
+		var clean bool
+		switch n.kind {
+		case KindText:
+			if clean = textClean || !hasMarkup(t.text[n.off:n.lim], textMarkup); !clean {
+				dirty = n.pre
+			}
+		case KindAttribute:
+			clean = attrClean || !hasMarkup(t.attr[n.off:n.lim], attrMarkup)
+		default:
+			clean = dirty >= n.end
+		}
+		if n.atag &^= rowClean; clean {
+			n.atag |= rowClean
 		}
 	}
 }

@@ -202,8 +202,9 @@ func (b *Builder) Element(name, text string) *Builder {
 
 // Done finalizes the document: it copies the rows into the document's row
 // slab (rows.go) and the string bytes into exact-size slabs, fixes every
-// row's atom word and returns the document. The builder must be balanced
-// (every Begin matched by an End) and must not have failed (see Err).
+// row's atom word and escape bit, renders every name's tags and returns the
+// document. The builder must be balanced (every Begin matched by an End)
+// and must not have failed (see Err).
 func (b *Builder) Done() *Document {
 	if b.err != nil {
 		//nal:allow-panic builder misuse is a programmer error; Parse and the store decoder return Err before calling Done, and the generators' sizes are authored
@@ -222,6 +223,7 @@ func (b *Builder) Done() *Document {
 	}
 	t.text, t.attr = b.text.String(), b.attr.String()
 	t.fixAtoms()
+	t.tags = renderTags(t.names)
 	*b = Builder{} // spent: drops the chunks, and a stray later call cannot reach the finished table
 	return &Document{URI: t.uri, Root: &t.nodes[0]}
 }

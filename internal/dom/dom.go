@@ -93,7 +93,8 @@ type Node struct {
 
 	// The atom word: the string value's atom, read once by Done (Atom,
 	// atom.go). It fills what would be the row's padding, so a row stays 32
-	// bytes.
+	// bytes. The tag's high bit is rowClean (write.go): the string value
+	// needs no escaping.
 	atag  byte
 	aword uint32
 }
@@ -108,6 +109,7 @@ type table struct {
 	text  string
 	attr  string
 	names []string
+	tags  []tagText // per name id, its rendered markup (write.go)
 	ids   map[string]int32
 	nums  []float64 // the numbers no atom word holds inline (atomBoxed)
 }

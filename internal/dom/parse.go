@@ -51,107 +51,3 @@ func MustParseString(s, uri string) *Document {
 	}
 	return d
 }
-
-// WriteXML serializes the subtree rooted at n to w without insignificant
-// whitespace. Attribute values and text are escaped.
-func WriteXML(w io.Writer, n *Node) error {
-	sw := &stickyWriter{w: w}
-	writeNode(sw, n)
-	return sw.err
-}
-
-// XMLString serializes the subtree rooted at n to a string.
-func XMLString(n *Node) string {
-	var sb strings.Builder
-	_ = WriteXML(&sb, n)
-	return sb.String()
-}
-
-type stickyWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (s *stickyWriter) str(v string) {
-	if s.err == nil {
-		_, s.err = io.WriteString(s.w, v)
-	}
-}
-
-// writeNode streams the rows of n's subtree in document order. open is the
-// innermost element whose end tag is still due; it is written when the scan
-// reaches the element's subtree end, and the parent rank leads to the next.
-func writeNode(w *stickyWriter, n *Node) {
-	if n.kind == KindAttribute {
-		writeAttr(w, n)
-		return
-	}
-	nodes := n.table().nodes
-	var open *Node
-	closeOpen := func() {
-		w.str("</")
-		w.str(open.Name())
-		w.str(">")
-		if open == n || nodes[open.parent].kind != KindElement {
-			open = nil
-		} else {
-			open = &nodes[open.parent]
-		}
-	}
-	for i := n.pre; i < n.end; i++ {
-		for open != nil && open.end == i {
-			closeOpen()
-		}
-		switch c := &nodes[i]; c.kind {
-		case KindText:
-			w.str(EscapeText(c.Data()))
-		case KindElement:
-			w.str("<")
-			w.str(c.Name())
-			for i+1 < c.end && nodes[i+1].kind == KindAttribute {
-				i++
-				w.str(" ")
-				writeAttr(w, &nodes[i])
-			}
-			if i+1 == c.end {
-				w.str("/>")
-			} else {
-				w.str(">")
-				open = c
-			}
-		}
-	}
-	for open != nil {
-		closeOpen()
-	}
-}
-
-func writeAttr(w *stickyWriter, a *Node) {
-	w.str(a.Name())
-	w.str(`="`)
-	w.str(EscapeAttr(a.Data()))
-	w.str(`"`)
-}
-
-var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#xD;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#xD;")
-)
-
-// EscapeText escapes character data for element content. A CR is written
-// as a character reference: a reader turns a raw one into LF.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>\r") {
-		return s
-	}
-	return textEscaper.Replace(s)
-}
-
-// EscapeAttr escapes character data for attribute values, CR as in
-// EscapeText.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"\r") {
-		return s
-	}
-	return attrEscaper.Replace(s)
-}

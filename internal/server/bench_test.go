@@ -59,3 +59,45 @@ func BenchmarkHTTPPrepared(b *testing.B) {
 		doBenchRequest(b, h, "/prepared/titles", "")
 	}
 }
+
+// discardResponse is a ResponseWriter reused across requests, so a
+// benchmark's B/op is the serving tier's own rather than a recorder's.
+type discardResponse struct {
+	hdr    http.Header
+	status int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header { return d.hdr }
+
+func (d *discardResponse) WriteHeader(status int) { d.status = status }
+
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// BenchmarkHTTPPreparedStream runs a prepared statement whose answer is
+// larger than SpillBytes, so every request commits and streams in chunks
+// of the server's one reused buffer.
+func BenchmarkHTTPPreparedStream(b *testing.B) {
+	eng := nalquery.NewEngine()
+	eng.LoadUseCaseDocuments(100, 2)
+	s := New(eng, Config{MaxInFlight: 8, MaxQueue: 64, SpillBytes: 1 << 10}, log.New(io.Discard, "", 0))
+	if err := s.RegisterPrepared("titles", benchQuery); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	tmpl := httptest.NewRequest(http.MethodPost, "/prepared/titles", nil)
+	w := &discardResponse{hdr: http.Header{}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		req := *tmpl
+		clear(w.hdr)
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, &req)
+		if w.status != http.StatusOK || w.n <= 1<<10 {
+			b.Fatalf("status %d, %d bytes: want a 200 larger than SpillBytes", w.status, w.n)
+		}
+	}
+}

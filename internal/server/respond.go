@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,49 +61,97 @@ func errorStatus(err error) (status int, kind string) {
 	}
 }
 
-// spillWriter defers the response status until either the run produced
-// `limit` bytes (commit to 200 and stream from then on) or it finished.
-// A run that fails before the threshold can therefore still answer with a
-// proper error status and body; a larger result streams without ever
-// buffering whole.
+// spillWriter is a response's one buffer, holding at most limit bytes
+// (the server's SpillBytes). It defers the response status until either the
+// run produced limit bytes (commit to 200 and write the buffer out) or it
+// finished. A run that fails before the threshold can therefore still
+// answer with a proper error status and body. After commit it keeps
+// buffering and writes out in chunks of limit bytes, so a larger result
+// streams without ever buffering whole, and it is the engine's write-behind
+// buffer too: it keeps its first write error (Err), which makes it a sink
+// Results.WriteXML writes directly. The server keeps spent ones for reuse
+// (getSpill).
 type spillWriter struct {
 	w           http.ResponseWriter
 	limit       int
 	status      int
 	contentType string
 
-	buf       bytes.Buffer
+	buf       []byte // cap limit once written to
 	committed bool
+	err       error // the first write error on w
 }
 
-func (sp *spillWriter) Write(p []byte) (int, error) {
-	if sp.committed {
-		return sp.w.Write(p)
+func (sp *spillWriter) Write(p []byte) (int, error) { return spill(sp, p) }
+
+func (sp *spillWriter) WriteString(s string) (int, error) { return spill(sp, s) }
+
+func spill[T string | []byte](sp *spillWriter, p T) (int, error) {
+	if cap(sp.buf) == 0 {
+		sp.buf = make([]byte, 0, sp.limit)
 	}
-	sp.buf.Write(p)
-	if sp.buf.Len() >= sp.limit {
-		sp.commit()
+	n := len(p)
+	for len(p) > 0 && sp.err == nil {
+		k := copy(sp.buf[len(sp.buf):cap(sp.buf)], p)
+		sp.buf, p = sp.buf[:len(sp.buf)+k], p[k:]
+		if len(sp.buf) == cap(sp.buf) {
+			sp.flush()
+		}
 	}
-	return len(p), nil
+	return n - len(p), sp.err
 }
 
-// commit writes the header and the buffered prefix; later writes stream.
-func (sp *spillWriter) commit() {
-	sp.committed = true
-	sp.w.Header().Set("Content-Type", sp.contentType)
-	sp.w.WriteHeader(sp.status)
-	sp.w.Write(sp.buf.Bytes())
-	sp.buf.Reset()
-}
+// AvailableBuffer lends the buffer's free tail, as bufio.Writer's does: a
+// number appended to it and written back is copied onto itself.
+func (sp *spillWriter) AvailableBuffer() []byte { return sp.buf[len(sp.buf):len(sp.buf)] }
 
-// finish flushes a small (never-committed) response in one piece.
-func (sp *spillWriter) finish() {
+// Err returns the first error writing the response.
+func (sp *spillWriter) Err() error { return sp.err }
+
+// flush commits the response — its header and status — if it is not yet,
+// and writes the buffer out.
+func (sp *spillWriter) flush() {
 	if !sp.committed {
-		sp.commit()
+		sp.committed = true
+		sp.w.Header().Set("Content-Type", sp.contentType)
+		sp.w.WriteHeader(sp.status)
 	}
-	if f, ok := sp.w.(http.Flusher); ok {
+	if len(sp.buf) > 0 && sp.err == nil {
+		_, sp.err = sp.w.Write(sp.buf)
+	}
+	sp.buf = sp.buf[:0]
+}
+
+// finish writes out what is buffered — a small response in one piece — and
+// returns the first write error.
+func (sp *spillWriter) finish() error {
+	sp.flush()
+	if f, ok := sp.w.(http.Flusher); ok && sp.err == nil {
 		f.Flush()
 	}
+	return sp.err
+}
+
+// getSpill returns a response buffer for w: a spent one when the server's
+// pool keeps one, else a new one, whose bytes are made on first write. Runs
+// hold a buffer only under an admission slot, so at most MaxInFlight are in
+// use at once, and the pool drops idle ones at garbage collection. A buffer
+// never grows past SpillBytes: writes fill it to its capacity and write it
+// out.
+func (s *Server) getSpill(w http.ResponseWriter, contentType string) *spillWriter {
+	sp, _ := s.spills.Get().(*spillWriter)
+	if sp == nil {
+		sp = new(spillWriter)
+	}
+	*sp = spillWriter{w: w, limit: s.cfg.SpillBytes, status: http.StatusOK,
+		contentType: contentType, buf: sp.buf[:0]}
+	return sp
+}
+
+// putSpill keeps sp for a later response.
+func (s *Server) putSpill(sp *spillWriter) {
+	sp.w = nil
+	s.spills.Put(sp)
 }
 
 // streamResults writes a run's result in the requested format. The
@@ -124,12 +171,16 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, res *nalq
 
 // streamXML serializes the run as the query's constructed XML document.
 // A failure before the spill threshold answers with the mapped error
-// status; after commitment the connection is aborted so the client
-// reliably observes truncation instead of a silently short 200.
+// status; after commitment — a run failure, or an error writing the
+// response — the connection is aborted so the client reliably observes
+// truncation instead of a silently short 200.
 func (s *Server) streamXML(w http.ResponseWriter, res *nalquery.Results) {
-	sp := &spillWriter{w: w, limit: s.cfg.SpillBytes, status: http.StatusOK,
-		contentType: "application/xml; charset=utf-8"}
+	sp := s.getSpill(w, "application/xml; charset=utf-8")
+	defer s.putSpill(sp)
 	err := res.WriteXML(sp)
+	if err == nil {
+		err = sp.finish()
+	}
 	if err != nil {
 		s.countRunError(err)
 		if !sp.committed {
@@ -140,7 +191,6 @@ func (s *Server) streamXML(w http.ResponseWriter, res *nalquery.Results) {
 		s.log.Printf("aborting committed stream: %v", err)
 		panic(http.ErrAbortHandler)
 	}
-	sp.finish()
 }
 
 // jsonItem is one NDJSON line of a ?format=json response: a literal
@@ -156,8 +206,8 @@ type jsonItem struct {
 }
 
 func (s *Server) streamNDJSON(w http.ResponseWriter, res *nalquery.Results) {
-	sp := &spillWriter{w: w, limit: s.cfg.SpillBytes, status: http.StatusOK,
-		contentType: "application/x-ndjson"}
+	sp := s.getSpill(w, "application/x-ndjson")
+	defer s.putSpill(sp)
 	enc := json.NewEncoder(sp)
 	for item := range res.Seq() {
 		line := jsonItem{Kind: "markup", XML: item.XML()}
@@ -177,5 +227,8 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, res *nalquery.Results) {
 		_, kind := errorStatus(err)
 		enc.Encode(jsonItem{Kind: "error", Error: err.Error(), Type: kind})
 	}
-	sp.finish()
+	if err := sp.finish(); err != nil {
+		s.log.Printf("aborting committed stream: %v", err)
+		panic(http.ErrAbortHandler)
+	}
 }

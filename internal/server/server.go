@@ -60,6 +60,8 @@ type Server struct {
 	baseCtx    context.Context
 	cancelRuns context.CancelCauseFunc
 
+	spills sync.Pool // spent response buffers, *spillWriter (getSpill)
+
 	ready    atomic.Bool
 	started  time.Time
 	panics   atomic.Int64 // handler panics caught by the recover middleware

@@ -291,6 +291,14 @@ func (r *Results) Seq() iter.Seq[Item] {
 // pipeline-breaker state, not the output size — and the bytes equal the
 // concatenated XML() of the items a typed consumption would have yielded.
 // The error is the context's cancellation cause, a write error, or nil.
+//
+// The sink rule: w is written directly, with no buffer of WriteXML's own,
+// when it keeps its own buffer or cannot fail — a *strings.Builder, a
+// *bytes.Buffer, io.Discard, a *bufio.Writer (flushed at the end, its error
+// returned), or a writer that also has WriteString and Err() error: such a
+// writer keeps its own buffer and first write error, WriteXML returns Err()
+// and leaves any flush to the caller. Any other writer is wrapped in a
+// bufio.Writer that is flushed at the end.
 func (r *Results) WriteXML(w io.Writer) error {
 	if r.closed {
 		return r.err
@@ -346,12 +354,9 @@ func (r *Results) drainTo(w io.Writer) error {
 	return r.err
 }
 
-// writerSink views w as the engine's output sink. The engine's writes are
-// fire-and-forget (see algebra.StringWriter), so only writers that cannot
-// fail — the in-memory builders and io.Discard — are used directly, and a
-// caller-provided bufio.Writer keeps its own buffer (its sticky error
-// surfaces through flush). Everything else, files included, is buffered
-// here with the buffer's sticky write error surfaced by flush.
+// writerSink views w as the engine's output sink under WriteXML's sink
+// rule. The engine's writes are fire-and-forget (see algebra.StringWriter),
+// so a sink used directly either cannot fail or keeps its first error.
 func writerSink(w io.Writer) (sw algebra.StringWriter, flush func() error) {
 	switch s := w.(type) {
 	case *strings.Builder:
@@ -360,12 +365,21 @@ func writerSink(w io.Writer) (sw algebra.StringWriter, flush func() error) {
 		return s, func() error { return nil }
 	case *bufio.Writer:
 		return s, s.Flush
+	case errSink:
+		return s, s.Err
 	}
 	if w == io.Discard {
 		return io.Discard.(algebra.StringWriter), func() error { return nil }
 	}
 	bw := bufio.NewWriter(w)
 	return bw, bw.Flush
+}
+
+// errSink is a writer that keeps its own buffer and first write error, such
+// as the server's response buffer: WriteXML writes it directly.
+type errSink interface {
+	io.StringWriter
+	Err() error
 }
 
 // Err returns the error that ended the stream early: the context's
