@@ -26,6 +26,11 @@
 //	              the metric's bound
 //	within bound  none of these
 //
+// Below the table, the timing metrics as the clock read them (the run's
+// "as the clock read them" line, before the harness converts them to its
+// machine-speed reference) get their medians and quartiles too, without a
+// verdict: a shift in the reference shows as a gap between the two tables.
+//
 // A run that fails, or reports wrong or failed operations, ends the
 // measurement with an error. Ten pairs of 20 s runs take about seven minutes.
 package main
@@ -34,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"os/exec"
@@ -66,7 +72,13 @@ type report struct {
 	Metrics   map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
+
+	clock map[string]float64 // the timing metrics as the clock read them
 }
+
+// clockLine marks the line of a run's output that holds its timing metrics
+// as the clock read them, as name-value pairs.
+const clockLine = "as the clock read them:"
 
 func main() {
 	workload := flag.String("workload", "", "workload to run (a name BENCHMARK.json declares)")
@@ -111,6 +123,7 @@ func measure(workload, parent string, pairs int) error {
 	for _, m := range decl.EndToEnd {
 		values[m.Name] = &[2][]float64{}
 	}
+	clock := map[string]*[2][]float64{}
 	for pair := 1; pair <= pairs; pair++ {
 		first := (pair + 1) % 2 // odd pairs run the parent first, even ones the change
 		for _, side := range [2]int{first, 1 - first} {
@@ -125,6 +138,12 @@ func measure(workload, parent string, pairs int) error {
 					return fmt.Errorf("pair %d, %s: the report has no %s", pair, sides[side], m.Name)
 				}
 				values[m.Name][side] = append(values[m.Name][side], v.Value)
+			}
+			for name, v := range rep.clock {
+				if clock[name] == nil {
+					clock[name] = &[2][]float64{}
+				}
+				clock[name][side] = append(clock[name][side], v)
 			}
 		}
 	}
@@ -167,6 +186,25 @@ func measure(workload, parent string, pairs int) error {
 			cq[1], fmt.Sprintf("[%.4f, %.4f]", cq[0], cq[2]),
 			100*rel, fmt.Sprintf("%d/%d/%d", wins, ties, losses), verdict)
 	}
+	if len(clock) > 0 {
+		fmt.Println(clockLine)
+	}
+	for _, name := range slices.Sorted(maps.Keys(clock)) {
+		p, c := clock[name][0], clock[name][1]
+		if len(p) == 0 || len(c) == 0 {
+			continue
+		}
+		sign := 1.0 // as in the table above: gap > 0 means the change is better
+		for _, m := range decl.EndToEnd {
+			if m.Name == name && m.Better == "lower" {
+				sign = -1
+			}
+		}
+		pq, cq := quartiles(p), quartiles(c)
+		fmt.Printf("%-20s %12.4f %25s %12.4f %25s %+7.1f%%\n", name,
+			pq[1], fmt.Sprintf("[%.4f, %.4f]", pq[0], pq[2]),
+			cq[1], fmt.Sprintf("[%.4f, %.4f]", cq[0], cq[2]), 100*sign*(cq[1]-pq[1])/math.Abs(pq[1]))
+	}
 	return nil
 }
 
@@ -189,7 +227,25 @@ func run(decl declared, dir, workload string, seed int) (*report, error) {
 	if !rep.Correct || rep.Failed > 0 {
 		return nil, fmt.Errorf("correct=%v, %d of %d operations failed", rep.Correct, rep.Failed, rep.Attempted)
 	}
+	for _, line := range lines {
+		if _, pairs, ok := strings.Cut(line, clockLine); ok {
+			rep.clock = clockValues(pairs)
+		}
+	}
 	return &rep, nil
+}
+
+// clockValues reads the name-value pairs that follow clockLine; a pair whose
+// value is not a number is skipped.
+func clockValues(pairs string) map[string]float64 {
+	f := strings.Fields(pairs)
+	vals := make(map[string]float64, len(f)/2)
+	for i := 0; i+1 < len(f); i += 2 {
+		if v, err := strconv.ParseFloat(f[i+1], 64); err == nil {
+			vals[f[i]] = v
+		}
+	}
+	return vals
 }
 
 // quartiles returns the first quartile, the median and the third quartile,

@@ -1,7 +1,9 @@
 // Command nalbench keeps the allocation trajectory BENCH_results.json: B/op
 // and allocs/op of every plan of the paper's seven queries (Sec. 5) at
-// document sizes 100 and 1000, measured with testing.Benchmark, and gates it
-// against a baseline (-diff). The file carries no wall-clock column: the
+// document sizes 100 and 1000, and of the loader (experiment "load":
+// Engine.LoadXMLString of bib.xml, which parses and rebuilds the document's
+// statistics and indexes) at the same sizes, measured with
+// testing.Benchmark, and gates it against a baseline (-diff). The file carries no wall-clock column: the
 // Sec. 5 timings are the root package's BenchmarkQ* families (go test
 // -bench), and performance claims are made with the benchmark/ harness.
 //
@@ -24,6 +26,8 @@ import (
 
 	nalquery "nalquery"
 	"nalquery/internal/cli"
+	"nalquery/internal/dom"
+	"nalquery/internal/xmlgen"
 )
 
 // queries are the measured ids of nalquery.PaperQueries, in paper order.
@@ -32,6 +36,12 @@ var queries = []string{"q1", "q1dblp", "q2", "q3", "q4", "q5", "q6"}
 // sizes are the measured document sizes: the paper's first two points,
 // which keep the quadratic nested plans in CI range.
 var sizes = []int{100, 1000}
+
+// loadExperiment is the loader's row family: one plan, loadPlan, per size.
+const (
+	loadExperiment = "load"
+	loadPlan       = "LoadXMLString bib.xml"
+)
 
 func main() {
 	var (
@@ -55,8 +65,8 @@ func main() {
 }
 
 // benchRecord is one row of the allocation trajectory (BENCH_results.json),
-// tracked across commits. APB is the authors per book of q1's bib.xml, the
-// only query whose paper table varies it.
+// tracked across commits. APB is the authors per book of the bib.xml of q1
+// and of the load rows, the only rows whose document varies with it.
 type benchRecord struct {
 	Experiment  string `json:"experiment"`
 	Plan        string `json:"plan"`
@@ -68,9 +78,9 @@ type benchRecord struct {
 
 // measures reports whether nalbench still produces the row — what -diff
 // needs to tell a retired row from a truncated file: every plan of a
-// measured query is measured.
+// measured query is measured, and so is every load row.
 func measures(r benchRecord) bool {
-	return slices.Contains(queries, r.Experiment)
+	return slices.Contains(queries, r.Experiment) || r.Experiment == loadExperiment
 }
 
 // newEngine loads the documents of one measurement point: dblp.xml for
@@ -85,10 +95,15 @@ func newEngine(id string, size int) *nalquery.Engine {
 	return e
 }
 
-// writeJSON measures every plan of every query at every size with
-// testing.Benchmark and writes the records as JSON.
+// writeJSON measures every plan of every query, and the loader, at every
+// size with testing.Benchmark and writes the records as JSON.
 func writeJSON(path string) error {
 	var recs []benchRecord
+	report := func(rec benchRecord) {
+		recs = append(recs, rec)
+		fmt.Fprintf(os.Stderr, "%s/plan=%s/size=%d: %d B/op %d allocs/op\n",
+			rec.Experiment, rec.Plan, rec.Size, rec.BytesPerOp, rec.AllocsPerOp)
+	}
 	for _, id := range queries {
 		apb := 0
 		if id == "q1" {
@@ -108,13 +123,18 @@ func writeJSON(path string) error {
 						}
 					}
 				})
-				rec := benchRecord{Experiment: id, Plan: p.Name, Size: size, APB: apb,
-					BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()}
-				recs = append(recs, rec)
-				fmt.Fprintf(os.Stderr, "%s/plan=%s/size=%d: %d B/op %d allocs/op\n",
-					id, p.Name, size, rec.BytesPerOp, rec.AllocsPerOp)
+				report(benchRecord{Experiment: id, Plan: p.Name, Size: size, APB: apb,
+					BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()})
 			}
 		}
+	}
+	for _, size := range sizes {
+		r, err := benchLoad(size)
+		if err != nil {
+			return err
+		}
+		report(benchRecord{Experiment: loadExperiment, Plan: loadPlan, Size: size, APB: 2,
+			BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()})
 	}
 	data, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
@@ -122,6 +142,26 @@ func writeJSON(path string) error {
 	}
 	data = append(data, '\n')
 	return os.WriteFile(path, data, 0o644)
+}
+
+// benchLoad measures Engine.LoadXMLString of bib.xml at one size (two
+// authors per book) into an engine that already holds it, as an upload
+// replaces a document: the parse, the statistics, the indexes and the cost
+// model the load rebuilds.
+func benchLoad(size int) (testing.BenchmarkResult, error) {
+	e := nalquery.NewEngine()
+	xml := dom.XMLString(xmlgen.Bib(xmlgen.DefaultConfig(size)).Root)
+	if err := e.LoadXMLString("bib.xml", xml); err != nil {
+		return testing.BenchmarkResult{}, fmt.Errorf("load bib.xml at size %d: %w", size, err)
+	}
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := e.LoadXMLString("bib.xml", xml); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}), nil
 }
 
 // runDiff compares a baseline BENCH json (typically the committed

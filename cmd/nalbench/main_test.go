@@ -39,4 +39,9 @@ func TestDiffRetiredVersusTruncated(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "q1/nested/size=100/apb=2: missing") {
 		t.Errorf("a row missing from a measured experiment must fail, got %v", err)
 	}
+	load := benchRecord{Experiment: loadExperiment, Plan: loadPlan, Size: 1000, APB: 2, BytesPerOp: 3000, AllocsPerOp: 30}
+	err = runDiff(write("load.json", []benchRecord{q1, load}), write("noload.json", []benchRecord{q1}), 10, 15)
+	if err == nil || !strings.Contains(err.Error(), "load/"+loadPlan+"/size=1000/apb=2: missing") {
+		t.Errorf("a load row missing must fail, got %v", err)
+	}
 }

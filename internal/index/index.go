@@ -183,25 +183,10 @@ func BuildWith(d *dom.Document, st *stats.DocStats) *DocIndexes {
 	if st == nil {
 		st = measured
 	}
-	// Every path's rank list is a window of one array, filled in rank
-	// order, so each list is in document order.
-	counts := make([]int32, len(t.Path))
-	for _, id := range t.Of {
-		counts[id]++
-	}
-	all := make([]int32, len(t.Of)-int(counts[0]))
+	// Every path's rank list is its window of the walk's one rank array.
 	slab := make([]PathIndex, len(t.Path)-1) // path id i at slab[i-1]
-	off := 0
 	for i := range slab {
-		end := off + int(counts[i+1])
-		slab[i] = PathIndex{Path: t.Path[i+1], Ranks: all[off:off:end], doc: d}
-		off = end
-	}
-	for r, id := range t.Of {
-		if id != 0 {
-			px := &slab[id-1]
-			px.Ranks = append(px.Ranks, int32(r))
-		}
+		slab[i] = PathIndex{Path: t.Path[i+1], Ranks: t.Ranks(int32(i + 1)), doc: d}
 	}
 	slices.SortStableFunc(slab, func(a, b PathIndex) int { return strings.Compare(a.Path, b.Path) })
 	seed := seeded(value.KeySeed())

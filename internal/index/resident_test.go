@@ -1,9 +1,11 @@
 package index
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"nalquery/internal/dom"
 	"nalquery/internal/stats"
 	"nalquery/internal/xmlgen"
 )
@@ -46,9 +48,9 @@ func TestIndexBytesPerPosting(t *testing.T) {
 
 // TestBuildAllocs bounds the allocations of an index build over bib.xml:
 // the index's own share (BuildWith over measured statistics) is a few per
-// path — rank windows and value-layer arrays — and none per node or per
-// key, so it is the same at size 500 as at 5000; Build adds the statistics
-// walk.
+// path — the walk's rank windows and value-layer arrays — and none per node
+// or per key, so it is the same at size 500 as at 5000; Build adds the
+// statistics' value pass, a few more per path.
 func TestBuildAllocs(t *testing.T) {
 	for _, size := range []int{500, 5000} {
 		d := xmlgen.Bib(xmlgen.DefaultConfig(size))
@@ -56,9 +58,38 @@ func TestBuildAllocs(t *testing.T) {
 		build := testing.AllocsPerRun(3, func() { Build(d) })
 		own := testing.AllocsPerRun(3, func() { BuildWith(d, st) })
 		t.Logf("size %d: index.Build %.0f allocations, BuildWith %.0f", size, build, own)
-		if build > 400 || own > 100 {
-			t.Errorf("size %d: index.Build makes %.0f allocations and BuildWith %.0f, want ≤ 400 and ≤ 100",
+		if build > 100 || own > 100 {
+			t.Errorf("size %d: index.Build makes %.0f allocations and BuildWith %.0f, want ≤ 100 each",
 				size, build, own)
 		}
+	}
+}
+
+// TestBuildAllocsFollowPathsNotValues pins "allocations per path, not per
+// value": two documents of one shape, one whose leaves hold 10 distinct
+// values and one whose leaves hold 10 000, cost index.Build — the walk, the
+// statistics' value pass and the value layers — the same allocations.
+func TestBuildAllocsFollowPathsNotValues(t *testing.T) {
+	doc := func(distinct int) *dom.Document {
+		b := dom.NewBuilder("shape.xml")
+		b.Begin("r")
+		for i := 0; i < 10_000; i++ {
+			v := i % distinct
+			b.Begin("e").Attrib("k", fmt.Sprintf("k%05d", v))
+			b.Element("n", fmt.Sprintf("%05d", v))
+			b.Element("s", fmt.Sprintf("s%05d", v))
+			b.End()
+		}
+		b.End()
+		return b.Done()
+	}
+	few, many := doc(10), doc(10_000)
+	if a, b := Build(few).Stats.Path("/r/e/s").Distinct, Build(many).Stats.Path("/r/e/s").Distinct; a != 10 || b != 10_000 {
+		t.Fatalf("distinct leaf values %d and %d, want 10 and 10 000", a, b)
+	}
+	a := testing.AllocsPerRun(3, func() { Build(few) })
+	b := testing.AllocsPerRun(3, func() { Build(many) })
+	if a != b {
+		t.Errorf("index.Build made %.0f allocations over 10 distinct leaf values and %.0f over 10 000", a, b)
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	nalquery "nalquery"
+	"nalquery/internal/dom"
+	"nalquery/internal/xmlgen"
 )
 
 const benchQuery = `
@@ -98,6 +100,39 @@ func BenchmarkHTTPPreparedStream(b *testing.B) {
 		h.ServeHTTP(w, &req)
 		if w.status != http.StatusOK || w.n <= 1<<10 {
 			b.Fatalf("status %d, %d bytes: want a 200 larger than SpillBytes", w.status, w.n)
+		}
+	}
+}
+
+// uploadBody is a request body reused across requests.
+type uploadBody struct{ strings.Reader }
+
+func (*uploadBody) Close() error { return nil }
+
+// BenchmarkHTTPUpload uploads bib.xml at size 1000 (the size of the upload
+// the harness's reload_mix workload rotates) through the handler: reading
+// the body, the parse, and the statistics and indexes the load rebuilds.
+func BenchmarkHTTPUpload(b *testing.B) {
+	eng := nalquery.NewEngine()
+	eng.LoadUseCaseDocuments(100, 2)
+	s := New(eng, Config{}, log.New(io.Discard, "", 0))
+	h := s.Handler()
+	xml := dom.XMLString(xmlgen.Bib(xmlgen.DefaultConfig(1000)).Root)
+	tmpl := httptest.NewRequest(http.MethodPost, "/documents/bib.xml", nil)
+	tmpl.ContentLength = int64(len(xml))
+	w := &discardResponse{hdr: http.Header{}}
+	var body uploadBody
+	b.SetBytes(int64(len(xml)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		req := *tmpl
+		body.Reset(xml)
+		req.Body = &body
+		clear(w.hdr)
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, &req)
+		if w.status != http.StatusCreated {
+			b.Fatalf("status %d", w.status)
 		}
 	}
 }

@@ -254,20 +254,32 @@ func (s *Server) handleDocumentStats(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(ds)
 }
 
+// uploadReserve is the most an upload's declared length reserves before its
+// bytes arrive, so a client that declares a large body and sends none pins
+// at most this much; a longer body grows its buffer as it arrives.
+const uploadReserve = 1 << 20
+
+// handleDocumentPut loads an uploaded document. The body is read once, into
+// one buffer sized by Content-Length when the client sent one (up to
+// uploadReserve), and parsed in place (LoadXMLString); a declared length
+// above MaxBodyBytes answers 413 before a byte is read, and a chunked body
+// grows its buffer as it arrives, under the same cap.
 func (s *Server) handleDocumentPut(w http.ResponseWriter, r *http.Request) {
 	uri := r.PathValue("uri")
 	if uri == "" {
 		writeError(w, http.StatusBadRequest, "request", "missing document uri")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := s.eng.LoadXML(uri, body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too-large",
-				fmt.Sprintf("document exceeds %d bytes", tooBig.Limit))
-			return
-		}
+	if s.declaredTooLarge(w, r, "document") {
+		return
+	}
+	var sb strings.Builder
+	sb.Grow(int(min(max(r.ContentLength, 0), uploadReserve)))
+	if _, err := io.Copy(&sb, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		s.writeBodyError(w, err, "document")
+		return
+	}
+	if err := s.eng.LoadXMLString(uri, sb.String()); err != nil {
 		writeError(w, http.StatusBadRequest, "parse", fmt.Sprintf("parse %s: %v", uri, err))
 		return
 	}
@@ -276,12 +288,18 @@ func (s *Server) handleDocumentPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGen loads the synthetic use-case corpus (plus the DBLP-like
-// document) at ?size=N&apb=M — the load-test fixture endpoint.
+// document) at ?size=N&apb=M — the load-test fixture endpoint. A book names
+// each of its M authors once from a pool of N, so M is at most N; it
+// defaults to 2, or 1 at size 1.
 func (s *Server) handleGen(w http.ResponseWriter, r *http.Request) {
 	size := intParam(r, "size", 1000)
-	apb := intParam(r, "apb", 2)
 	if size < 1 || size > 1_000_000 {
 		writeError(w, http.StatusBadRequest, "request", "size out of range [1, 1000000]")
+		return
+	}
+	apb := intParam(r, "apb", min(2, size))
+	if apb < 1 || apb > size {
+		writeError(w, http.StatusBadRequest, "request", fmt.Sprintf("apb out of range [1, %d] (at most size)", size))
 		return
 	}
 	s.eng.LoadUseCaseDocuments(size, apb)
@@ -546,18 +564,39 @@ func intParam(r *http.Request, name string, def int) int {
 // readBody reads the request body under the size cap, answering the error
 // itself when it fails.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
+	if s.declaredTooLarge(w, r, "body") {
+		return "", false
+	}
 	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too-large",
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, "request", err.Error())
-		}
+		s.writeBodyError(w, err, "body")
 		return "", false
 	}
 	return string(b), true
+}
+
+// declaredTooLarge answers 413 for a request whose Content-Length is above
+// the body cap, before any of the body is read.
+func (s *Server) declaredTooLarge(w http.ResponseWriter, r *http.Request, what string) bool {
+	if r.ContentLength <= s.cfg.MaxBodyBytes {
+		return false
+	}
+	writeError(w, http.StatusRequestEntityTooLarge, "too-large",
+		fmt.Sprintf("%s exceeds %d bytes", what, s.cfg.MaxBodyBytes))
+	return true
+}
+
+// writeBodyError answers a failed body read: 413 when the body ran past the
+// cap, 400 otherwise (a body shorter than its Content-Length, a broken
+// connection).
+func (s *Server) writeBodyError(w http.ResponseWriter, err error, what string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "too-large",
+			fmt.Sprintf("%s exceeds %d bytes", what, tooBig.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "request", fmt.Sprintf("read %s: %v", what, err))
 }
 
 // --- lifecycle ---

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"nalquery/internal/dom"
+	"nalquery/internal/value"
 	"nalquery/internal/xpath"
 )
 
@@ -95,7 +96,19 @@ type PathTable struct {
 	// path, 0 for the document node and text nodes.
 	Of []int32
 
-	ids map[uint64]int32 // by parent id, step name id and kind
+	// ranks holds every element's and attribute's rank, grouped by path id
+	// and ascending within a path: path id i's window is
+	// ranks[starts[i]:starts[i+1]].
+	ranks, starts []int32
+	ids           map[uint64]int32 // by parent id, step name id and kind
+}
+
+// Ranks returns the document-order ranks of the nodes at path id: a window
+// of one array all paths share, capped so that appending to it copies.
+// Id 0, the document node's path, has none.
+func (t *PathTable) Ranks(id int32) []int32 {
+	lo, hi := t.starts[id], t.starts[id+1]
+	return t.ranks[lo:hi:hi]
 }
 
 // step numbers the path of n, an element or attribute, under path parent
@@ -120,6 +133,28 @@ func (t *PathTable) step(parent int32, n *dom.Node) int32 {
 	return id
 }
 
+// window fills ranks and starts from Of: each path's count, then its end,
+// then its ranks back to front, each end stepping down to the path's start,
+// so every window is ascending.
+func (t *PathTable) window() {
+	t.starts = make([]int32, len(t.Path)+1)
+	for _, id := range t.Of {
+		if id != 0 {
+			t.starts[id]++
+		}
+	}
+	for i := 1; i < len(t.starts); i++ {
+		t.starts[i] += t.starts[i-1]
+	}
+	t.ranks = make([]int32, t.starts[len(t.Path)])
+	for r := len(t.Of) - 1; r >= 0; r-- {
+		if id := t.Of[r]; id != 0 {
+			t.starts[id]--
+			t.ranks[t.starts[id]] = int32(r)
+		}
+	}
+}
+
 // Analyze walks a document once and measures its per-path statistics.
 func Analyze(d *dom.Document) *DocStats {
 	_, s := Walk(d, true)
@@ -127,19 +162,20 @@ func Analyze(d *dom.Document) *DocStats {
 }
 
 // Walk is the analyzer's one pre-order walk: it numbers the document's
-// absolute paths and, when measure is set, measures each path's
-// statistics (nil otherwise — persisted statistics make re-measuring
-// redundant). internal/index builds its rank lists from the numbering.
+// absolute paths, lays out each path's ranks (PathTable.Ranks) and, when
+// measure is set, measures each path's statistics (nil otherwise —
+// persisted statistics make re-measuring redundant). internal/index builds
+// its structural and value indexes on the rank windows.
 //
 // The walk is one scan of the document's ranks: the stack holds the open
 // elements' subtree ends and path ids, so nesting depth costs slice
-// entries, not call frames.
+// entries, not call frames. Per node it only numbers and counts: an
+// element adds one to its parent path's element children. The values of
+// the simple paths are then read in one pass per path over its window
+// (measureValues).
 func Walk(d *dom.Document, measure bool) (*PathTable, *DocStats) {
 	t := &PathTable{Path: []string{""}, Of: make([]int32, d.NumNodes()), ids: map[uint64]int32{}}
-	var m *measurer
-	if measure {
-		m = &measurer{s: &DocStats{URI: d.URI, byPath: map[string]*PathStats{}}, paths: t}
-	}
+	var kids []int64 // element children per path id, while measuring
 	type open struct {
 		end int
 		id  int32
@@ -153,129 +189,116 @@ func Walk(d *dom.Document, measure bool) (*PathTable, *DocStats) {
 		for i >= stack[len(stack)-1].end {
 			stack = stack[:len(stack)-1]
 		}
-		id := t.step(stack[len(stack)-1].id, c)
+		parent := stack[len(stack)-1].id
+		id := t.step(parent, c)
 		stack = append(stack, open{end: c.End(), id: id})
 		for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
 			t.step(id, at)
 		}
-		if m != nil {
-			m.elem(id, c)
+		if measure && parent != 0 {
+			for int(parent) >= len(kids) {
+				kids = append(kids, 0)
+			}
+			kids[parent]++
 		}
 	}
-	if m == nil {
+	t.window()
+	if !measure {
 		return t, nil
 	}
-	return t, m.done()
+	return t, t.measure(d, kids)
 }
 
-// measurer accumulates the statistics of one walk, by path id.
-type measurer struct {
-	s     *DocStats
-	paths *PathTable
-	accs  []*pathAcc
-}
-
-// pathAcc is the per-path accumulator of one walk.
-type pathAcc struct {
-	st       *PathStats
-	fanout   int64
-	notLeaf  bool
-	values   map[string]struct{}
-	numeric  bool
-	sawValue bool
-}
-
-// acc counts node n at path id and returns the path's accumulator.
-func (m *measurer) acc(id int32, n *dom.Node) *pathAcc {
-	for int(id) >= len(m.accs) {
-		m.accs = append(m.accs, nil)
+// measure builds the statistics of every path from its rank window and its
+// element-children count (kids, by path id; missing ids have none): one
+// PathStats array for all paths, and one key table, sized for the largest
+// simple path, for every value pass.
+func (t *PathTable) measure(d *dom.Document, kids []int64) *DocStats {
+	n := len(t.Path) - 1
+	all := make([]PathStats, n)
+	s := &DocStats{URI: d.URI, Paths: make([]*PathStats, n), byPath: make(map[string]*PathStats, n)}
+	largest := 0
+	for id := 1; id < len(t.Path); id++ {
+		ranks := t.Ranks(int32(id))
+		var fanout int64
+		if id < len(kids) {
+			fanout = kids[id]
+		}
+		p := &all[id-1]
+		*p = PathStats{Path: t.Path[id], Count: int64(len(ranks)),
+			AvgFanout:  float64(fanout) / float64(len(ranks)),
+			FirstOrder: int(ranks[0]), LastOrder: int(ranks[len(ranks)-1]), Simple: fanout == 0}
+		if d.Node(int(ranks[0])).Kind() == dom.KindElement {
+			s.Elements += p.Count
+		}
+		if p.Simple {
+			largest = max(largest, len(ranks))
+		}
+		s.Paths[id-1] = p
+		s.byPath[p.Path] = p
 	}
-	a := m.accs[id]
-	if a == nil {
-		path := m.paths.Path[id]
-		a = &pathAcc{st: &PathStats{Path: path, FirstOrder: n.Order()}, numeric: true}
-		m.accs[id] = a
-		m.s.byPath[path] = a.st
-		m.s.Paths = append(m.s.Paths, a.st)
-	}
-	a.st.Count++
-	a.st.LastOrder = n.Order()
-	return a
-}
-
-// elem measures element c at path id and its attributes: counts, the
-// element's fanout, and leaf text.
-func (m *measurer) elem(id int32, c *dom.Node) {
-	m.s.Elements++
-	a := m.acc(id, c)
-	for at := c.FirstAttr(); at != nil; at = at.NextSibling() {
-		m.acc(m.paths.Of[at.Order()], at).value(at.Data())
-	}
-	elemKids := int64(0)
-	for cc := c.FirstChild(); cc != nil; cc = cc.NextSibling() {
-		if cc.Kind() == dom.KindElement {
-			elemKids++
+	var keys value.KeyTable
+	keys.Reset(largest)
+	for id, p := range s.Paths {
+		if p.Simple {
+			p.measureValues(d, t.Ranks(int32(id+1)), &keys)
 		}
 	}
-	a.fanout += elemKids
-	if elemKids > 0 {
-		a.notLeaf = true
-	} else {
-		a.value(c.StringValue())
-	}
+	s.sortPaths()
+	return s
 }
 
-// done finishes every path's statistics and returns the document's.
-func (m *measurer) done() *DocStats {
-	for _, a := range m.accs {
-		if a == nil {
+// measureValues is the value pass of a simple path over its ranks: the
+// distinct strings, the string extremes and, while every value reads as a
+// number, the numeric ones — in document order, with no allocation per
+// value. A row's atom word (dom.Node.Atom) says whether its string value is
+// a number and which; only a value longer than dom.AtomCutoff is parsed
+// again. Distinct strings are numbered in keys under the seeded key hash of
+// their text — for a text row the hash its atom word holds — and confirmed
+// by string equality, so "1995" and "1995.0" count twice and no hash decides
+// a count.
+func (p *PathStats) measureValues(d *dom.Document, ranks []int32, keys *value.KeyTable) {
+	keys.Reset(len(ranks))
+	seed := value.KeySeed()
+	p.AllNumeric = true
+	for i, r := range ranks {
+		n := d.Node(int(r))
+		s := n.StringValue()
+		num, h, isNum, known := n.Atom()
+		if isNum || !known {
+			h = dom.TextHash(s)
+		}
+		if _, added := keys.Insert(value.TextKeyHash(h, seed), int32(i), func(first int32) bool {
+			return d.Node(int(ranks[first])).StringValue() == s
+		}); added {
+			p.Distinct++
+		}
+		if i == 0 || s < p.Min {
+			p.Min = s
+		}
+		if i == 0 || s > p.Max {
+			p.Max = s
+		}
+		if !p.AllNumeric {
 			continue
 		}
-		if a.st.Count > 0 {
-			a.st.AvgFanout = float64(a.fanout) / float64(a.st.Count)
+		if !known {
+			num, isNum = dom.ParseNumber(s)
 		}
-		a.st.Simple = !a.notLeaf
-		if a.st.Simple && a.sawValue {
-			a.st.Distinct = int64(len(a.values))
-			a.st.AllNumeric = a.numeric
-		} else {
-			// Mixed structural/leaf occurrences: drop the value layer — a
-			// value predicate over this path cannot be answered from leaf
-			// text alone.
-			a.st.Distinct, a.st.Min, a.st.Max = 0, "", ""
-			a.st.AllNumeric, a.st.MinNum, a.st.MaxNum = false, 0, 0
-		}
-	}
-	m.s.sortPaths()
-	return m.s
-}
-
-// value folds one leaf string value into the accumulator.
-func (a *pathAcc) value(val string) {
-	if a.values == nil {
-		a.values = map[string]struct{}{}
-	}
-	a.values[val] = struct{}{}
-	if !a.sawValue || val < a.st.Min {
-		a.st.Min = val
-	}
-	if !a.sawValue || val > a.st.Max {
-		a.st.Max = val
-	}
-	if a.numeric {
-		if f, ok := dom.ParseNumber(val); ok {
-			if !a.sawValue || f < a.st.MinNum {
-				a.st.MinNum = f
+		switch {
+		case !isNum:
+			p.AllNumeric, p.MinNum, p.MaxNum = false, 0, 0
+		case i == 0:
+			p.MinNum, p.MaxNum = num, num
+		default:
+			if num < p.MinNum {
+				p.MinNum = num
 			}
-			if !a.sawValue || f > a.st.MaxNum {
-				a.st.MaxNum = f
+			if num > p.MaxNum {
+				p.MaxNum = num
 			}
-		} else {
-			a.numeric = false
-			a.st.MinNum, a.st.MaxNum = 0, 0
 		}
 	}
-	a.sawValue = true
 }
 
 // SuffixCount sums the counts of measured paths the expression reaches from

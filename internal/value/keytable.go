@@ -167,3 +167,9 @@ func (t *KeyTable) Find(h uint64, same func(first int32) bool) int32 {
 // Slots returns the slot table, laid out as the type comment says. The
 // slice is the table's own.
 func (t *KeyTable) Slots() []int32 { return t.slots }
+
+// TextKeyHash is the key hash under seed of a text whose dom.TextHash is h:
+// KeyOf(Str(s)).Hash(seed) for a text s that does not read as a number. The
+// analyzer numbers a path's distinct strings with it, numbers included, so
+// spellings of one number do not share a hash.
+func TextKeyHash(h uint32, seed uint64) uint64 { return HashKey{kind: 's', h: h}.Hash(seed) }

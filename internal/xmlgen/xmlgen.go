@@ -24,7 +24,7 @@ type Config struct {
 	// elements (reviews.xml).
 	Books int
 	// AuthorsPerBook is the number of author elements per book (the paper
-	// varies 2, 5, 10).
+	// varies 2, 5, 10), at most AuthorPool: a book names each author once.
 	AuthorsPerBook int
 	// AuthorPool is the number of distinct authors. The paper's Q1 document
 	// contains as many authors as books; 0 means Books.
@@ -77,6 +77,8 @@ func (c Config) normalize() Config {
 	if c.AuthorsPerBook == 0 {
 		c.AuthorsPerBook = 2
 	}
+	// A book names each author once, so it has at most the pool's.
+	c.AuthorsPerBook = min(c.AuthorsPerBook, c.AuthorPool)
 	if c.ReviewFraction == 0 {
 		c.ReviewFraction = 50
 	}

@@ -3,6 +3,7 @@ package xmlgen
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"nalquery/internal/dom"
 )
@@ -190,6 +191,30 @@ func TestConfigNormalization(t *testing.T) {
 	c2 := Config{Books: 1, Bids: 1}.normalize()
 	if c2.Items == 0 || c2.Users == 0 {
 		t.Fatalf("tiny config: %+v", c2)
+	}
+}
+
+// TestMoreAuthorsPerBookThanThePoolReturns: a book cannot name more
+// distinct authors than the pool holds, so a configuration asking for more
+// (DefaultConfig(1) keeps two authors per book over a pool of one) gets
+// every pool member once per book instead of a generator that never
+// returns.
+func TestMoreAuthorsPerBookThanThePoolReturns(t *testing.T) {
+	for _, c := range []struct{ books, apb, want int }{{1, 2, 1}, {3, 5, 3}, {4, 4, 4}} {
+		cfg := DefaultConfig(c.books)
+		cfg.AuthorsPerBook = c.apb
+		done := make(chan *dom.Document, 1)
+		go func() { done <- Bib(cfg) }()
+		select {
+		case d := <-done:
+			for _, b := range d.RootElement().ChildElements("book") {
+				if n := len(b.ChildElements("author")); n != c.want {
+					t.Errorf("%d books, %d authors per book: a book has %d authors, want %d", c.books, c.apb, n, c.want)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Bib with %d books and %d authors per book did not return", c.books, c.apb)
+		}
 	}
 }
 
